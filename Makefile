@@ -24,24 +24,10 @@ self-lint:
 	$(PYTHON) -m repro lint --self
 
 # predictive-lint gate: legality (V), locality (L), and static (S)
-# diagnostics across every registered program must not regress past the
-# checked-in baseline (refresh with `repro lint --static --all-apps
+# diagnostics across every registered program must equal the checked-in
+# baseline byte for byte (refresh with `repro lint --static --all-apps
 # --write-baseline lint-baseline.json` when a change is intentional)
 static-lint:
-	$(PYTHON) -m repro lint --static --all-apps --baseline lint-baseline.json
-
-# parallelism gate: every loop axis of every registered program must get
-# a definitive DOALL / reduction / serial verdict (no unknowns)
-parallelism-lint:
-	$(PYTHON) -m repro parallelism --all-apps --check
-
-# coherence gate: every registered program gets a static coherence
-# profile (invalidation misses, true/false sharing) without error, and
-# the checked-in lint baseline has no drift: regenerating it must be a
-# bit-for-bit no-op (refresh with `repro lint --static --all-apps
-# --write-baseline lint-baseline.json` when a change is intentional)
-coherence-lint:
-	$(PYTHON) -m repro coherence --all-apps > /dev/null
 	@$(PYTHON) -m repro lint --static --all-apps --write-baseline .lint-baseline.tmp.json > /dev/null; \
 	if ! cmp -s .lint-baseline.tmp.json lint-baseline.json; then \
 		echo "lint-baseline.json drift — current diagnostics differ from the checked-in baseline:"; \
@@ -50,6 +36,16 @@ coherence-lint:
 	fi; \
 	rm -f .lint-baseline.tmp.json; \
 	echo "lint-baseline.json is drift-free"
+
+# parallelism gate: every loop axis of every registered program must get
+# a definitive DOALL / reduction / serial verdict (no unknowns)
+parallelism-lint:
+	$(PYTHON) -m repro parallelism --all-apps --check
+
+# coherence gate: every registered program gets a coherence profile
+# (invalidation misses, true/false sharing) without error
+coherence-lint:
+	$(PYTHON) -m repro coherence --all-apps > /dev/null
 
 # pass-manager smoke: the pipeline registry enumerates, lints clean, and a
 # custom --passes pipeline compiles and simulates end to end

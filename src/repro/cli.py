@@ -934,6 +934,16 @@ def _schedule_spec(spec: str) -> str:
     return spec
 
 
+def _thread_count(text: str) -> int:
+    """argparse type: a thread count the MSI automaton can model."""
+    from .memsim.coherence import check_threads
+
+    try:
+        return check_threads(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _diag_counts(bag) -> dict[str, int]:
     """Per-code diagnostic counts, the unit of the lint baseline."""
     counts: dict[str, int] = {}
@@ -1556,7 +1566,7 @@ def build_parser() -> argparse.ArgumentParser:
         "misses, true/false sharing lines)",
     )
     report.add_argument(
-        "--threads", type=int, default=4,
+        "--threads", type=_thread_count, default=4,
         help="thread count for the --parallelism and --coherence "
         "predictions (default 4)",
     )
@@ -1764,7 +1774,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimization level to apply before analysis (default: none)",
     )
     par.add_argument(
-        "--threads", type=int, default=None, metavar="T",
+        "--threads", type=_thread_count, default=None, metavar="T",
         help="also predict per-thread private + shared cache reuse at T threads",
     )
     par.add_argument(
@@ -1797,7 +1807,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimization level to apply before analysis (default: none)",
     )
     coh.add_argument(
-        "--threads", type=int, default=4,
+        "--threads", type=_thread_count, default=4,
         help="thread count to model (default 4)",
     )
     coh.add_argument(
@@ -1879,7 +1889,7 @@ def build_parser() -> argparse.ArgumentParser:
         "predicted bytes moved (misses weighted by line size)",
     )
     tune.add_argument(
-        "--threads", type=int, default=4,
+        "--threads", type=_thread_count, default=4,
         help="thread count for --objective parallel-misses (default 4)",
     )
     tune.add_argument(

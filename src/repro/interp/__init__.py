@@ -1,7 +1,7 @@
 """Execution substrate: value interpreter, deterministic state, traces."""
 
 from .funcs import DEFAULT_FUNCTIONS, FunctionTable
-from .interleave import InterleavedRun, interleave_trace, round_robin
+from .interleave import InterleavedRun, interleave_trace
 from .interpreter import Interpreter, run_program
 from .state import check_params, init_arrays
 from .trace import AccessTrace, RefInfo, TraceBuilder
@@ -18,7 +18,6 @@ __all__ = [
     "check_params",
     "init_arrays",
     "interleave_trace",
-    "round_robin",
     "run_program",
     "trace_program",
     "trace_stream",

@@ -1,15 +1,23 @@
 """Interleaved multi-thread trace generation (OpenMP-style execution).
 
-The dynamic counterpart of ``repro.static.multicore`` and
-``repro.static.coherence``: execute a program the way a ``T``-thread
-OpenMP runtime would — every top-level nest whose outermost axis is
-parallel (DOALL or reduction per the static parallelism analyzer) is
-partitioned over its outer range by an OpenMP schedule
-(:mod:`repro.static.schedule`: ``static``, ``static,k``, ``guided``,
-``dynamic``), each thread traces its own chunks, and the per-chunk
-streams are merged round-robin ``block`` accesses at a time.  Serial
-nests run entirely on thread 0.  An implicit barrier separates
+The one multi-thread enumerator: execute a program the way a
+``T``-thread OpenMP runtime would — every top-level nest whose
+outermost axis is parallel (DOALL or reduction per the static
+parallelism analyzer) is partitioned over its outer range by an OpenMP
+schedule (:mod:`repro.static.schedule`: ``static``, ``static,k``,
+``guided``, ``dynamic``), each thread traces its own chunks, and the
+per-thread streams are merged round-robin ``block`` accesses at a time.
+Serial nests run entirely on thread 0.  An implicit barrier separates
 consecutive nests (and steps), exactly like OpenMP's parallel-for join.
+
+:func:`interleaved_nests` yields the merged columns nest by nest; it has
+two consumers.  :func:`interleave_trace` collects them into an
+:class:`InterleavedRun` — the measured side of the multicore reuse
+crossval and the input of the MSI automaton
+(:mod:`repro.memsim.coherence`).  ``repro.static.coherence`` drains the
+same generator under its access budget, so the coherence analyzer and
+the oracle it is benchmarked against share one access stream by
+construction rather than by cross-validation.
 
 Two views come out of a run, both as typed
 :class:`~repro.stream.AddressStream` objects in element units (the
@@ -24,26 +32,31 @@ consumers see the key column directly):
     nests) — the *private*-cache view.
 
 Both views carry the interpreter's write mask, and the merged view also
-records which thread issued every access (``merged_threads``), so the
-per-line MSI coherence oracle (:mod:`repro.memsim.coherence`) can replay
-invalidations over the exact interleaving.
+records which thread issued every access (``merged_threads``).
 
-Tracing a nest per (chunk, thread) re-uses the ordinary
-:func:`trace_program` machinery on a single-statement program; all array
-declarations are kept, so ``global_keys`` agree across every segment.
+The program is compiled once (:class:`~repro.interp.tracegen.NestTracer`)
+and every (nest, chunk) runs through the ordinary interpreter tracer —
+bounds and guard checks included — with the outermost loop restricted to
+the chunk; all array declarations are kept, so ``global_keys`` agree
+across every segment.
+
+Import direction: this module imports ``repro.static.schedule`` and
+``repro.static.parallelism`` lazily, and ``repro.static.coherence``
+imports this module lazily, so ``import repro.static`` and ``import
+repro.interp`` work in either order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..lang import Loop, Program
+from ..lang import Program
 from ..obs import metrics, span
 from ..stream import AddressStream
-from .tracegen import trace_program
+from .tracegen import NestTracer
 
 
 @dataclass(frozen=True)
@@ -66,46 +79,61 @@ class InterleavedRun:
         return len(self.merged)
 
 
-def _merge_runs(
-    lengths: Sequence[int], block: int
-) -> list[tuple[int, int, int]]:
-    """Round-robin drain order over streams of the given lengths, as
-    ``(stream_index, start, stop)`` runs of up to ``block`` accesses.
+def interleaved_nests(
+    tracer: NestTracer,
+    threads: int,
+    steps: int,
+    schedule: str,
+    block: int,
+    parallel: frozenset[int],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the merged ``(keys, writes, thread_ids)`` columns of every
+    executed top-level nest of a ``threads``-way run, in execution order.
 
-    Delegates to :func:`repro.static.schedule.round_robin_order` — the
-    one definition of the interleaving contract the static coherence
-    analyzer also orders by.
+    A thread's chunks execute back-to-back in chunk order — for
+    ``static,k`` and ``guided`` that is the order the deterministic
+    dealer hands them out; the live per-thread streams are then drained
+    round-robin (:func:`repro.static.schedule.round_robin_order`).
     """
-    from ..static.schedule import round_robin_order
+    from ..static.schedule import round_robin_order, schedule_chunks
 
-    return round_robin_order(lengths, block)
+    def columns(k: int, chunks=(None,)) -> tuple[np.ndarray, np.ndarray]:
+        traces = [tracer.trace(k, chunk) for chunk in chunks]
+        return (
+            np.concatenate([t.global_keys() for t in traces]),
+            np.concatenate([t.writes for t in traces]),
+        )
 
-
-def round_robin(
-    streams: Sequence[np.ndarray], block: int = 1
-) -> np.ndarray:
-    """Merge streams round-robin, ``block`` elements per turn."""
-    live = [np.asarray(s, dtype=np.int64) for s in streams if len(s)]
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    if not live:
-        return np.empty(0, dtype=np.int64)
-    if len(live) == 1:
-        return live[0]
-    out = np.empty(sum(len(s) for s in live), dtype=np.int64)
-    filled = 0
-    for k, p, q in _merge_runs([len(s) for s in live], block):
-        out[filled : filled + (q - p)] = live[k][p:q]
-        filled += q - p
-    return out
-
-
-def _chunks(lo: int, hi: int, threads: int) -> list[tuple[int, int]]:
-    """OpenMP static block partition of the inclusive range [lo, hi]."""
-    from ..static.schedule import schedule_chunks
-
-    per_thread = schedule_chunks(lo, hi, threads, "static")
-    return [c[0] for c in per_thread if c]
+    invocation = 0
+    for _ in range(steps):
+        for k in range(len(tracer.nests)):
+            outer = (
+                tracer.outer_bounds(k) if threads > 1 and k in parallel else None
+            )
+            if outer is None:
+                keys, writes = columns(k)
+                yield keys, writes, np.zeros(len(keys), dtype=np.int32)
+                continue
+            per_thread = schedule_chunks(*outer, threads, schedule, invocation)
+            invocation += 1
+            live = [
+                (t, *columns(k, chunks))
+                for t, chunks in enumerate(per_thread)
+                if chunks
+            ]
+            mk = np.empty(sum(len(c[1]) for c in live), dtype=np.int64)
+            mw = np.empty(len(mk), dtype=bool)
+            mt = np.empty(len(mk), dtype=np.int32)
+            filled = 0
+            for i, p, q in round_robin_order(
+                [len(c[1]) for c in live], block
+            ):
+                t, ck, cw = live[i]
+                mk[filled : filled + (q - p)] = ck[p:q]
+                mw[filled : filled + (q - p)] = cw[p:q]
+                mt[filled : filled + (q - p)] = t
+                filled += q - p
+            yield mk, mw, mt
 
 
 def interleave_trace(
@@ -125,8 +153,6 @@ def interleave_trace(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # lazy: repro.static never imports the interpreter, so this
-    # direction is the acyclic one — but keep it out of module scope
     from ..static.schedule import parse_schedule
 
     parse_schedule(schedule)  # validate the spec before tracing
@@ -144,98 +170,43 @@ def interleave_trace(
         threads=threads,
         schedule=schedule,
     ):
-        merged_keys: list[np.ndarray] = []
-        merged_writes: list[np.ndarray] = []
-        merged_tids: list[np.ndarray] = []
-        priv_keys: list[list[np.ndarray]] = [[] for _ in range(threads)]
-        priv_writes: list[list[np.ndarray]] = [[] for _ in range(threads)]
-        invocation = 0
-        for _ in range(steps):
-            for k, stmt in enumerate(program.body):
-                if (
-                    threads > 1
-                    and k in parallel
-                    and isinstance(stmt, Loop)
-                ):
-                    columns = _parallel_nest_columns(
-                        program, stmt, params, threads, schedule, invocation
-                    )
-                    invocation += 1
-                    for t, (keys, writes) in enumerate(columns):
-                        if len(keys):
-                            priv_keys[t].append(keys)
-                            priv_writes[t].append(writes)
-                    mk = np.empty(
-                        sum(len(c[0]) for c in columns), dtype=np.int64
-                    )
-                    mw = np.empty(len(mk), dtype=bool)
-                    mt = np.empty(len(mk), dtype=np.int32)
-                    filled = 0
-                    live = [
-                        (t, c) for t, c in enumerate(columns) if len(c[0])
-                    ]
-                    for i, p, q in _merge_runs(
-                        [len(c[0]) for _, c in live], block
-                    ):
-                        t, (ck, cw) = live[i]
-                        mk[filled : filled + (q - p)] = ck[p:q]
-                        mw[filled : filled + (q - p)] = cw[p:q]
-                        mt[filled : filled + (q - p)] = t
-                        filled += q - p
-                    merged_keys.append(mk)
-                    merged_writes.append(mw)
-                    merged_tids.append(mt)
-                else:
-                    trace = trace_program(
-                        program.with_body((stmt,)), params
-                    )
-                    keys = trace.global_keys()
-                    if len(keys):
-                        writes = np.asarray(trace.writes, dtype=bool)
-                        priv_keys[0].append(keys)
-                        priv_writes[0].append(writes)
-                        merged_keys.append(keys)
-                        merged_writes.append(writes)
-                        merged_tids.append(
-                            np.zeros(len(keys), dtype=np.int32)
-                        )
-        all_keys = (
-            np.concatenate(merged_keys)
-            if merged_keys
-            else np.empty(0, np.int64)
-        )
-        all_writes = (
-            np.concatenate(merged_writes)
-            if merged_writes
-            else np.empty(0, bool)
-        )
-        all_tids = (
-            np.concatenate(merged_tids)
-            if merged_tids
-            else np.empty(0, np.int32)
-        )
-        per_thread = tuple(
-            _elem_stream(
-                np.concatenate(p) if p else np.empty(0, np.int64),
-                np.concatenate(w) if w else np.empty(0, bool),
-                name=f"{program.name}/t{t}",
+        keys, writes, tids = concat_columns(
+            interleaved_nests(
+                NestTracer(program, params),
+                threads, steps, schedule, block, parallel,
             )
-            for t, (p, w) in enumerate(zip(priv_keys, priv_writes))
         )
         metrics.inc("trace.interleaved_runs")
-        metrics.inc("trace.interleaved_accesses", int(all_keys.size))
+        metrics.inc("trace.interleaved_accesses", int(keys.size))
+
+        def private(t: int) -> AddressStream:
+            # the round-robin merge keeps every thread's own order, so
+            # the private views are selections of the merged one
+            own = tids == t
+            return _elem_stream(
+                keys[own], writes[own], name=f"{program.name}/t{t}"
+            )
+
         return InterleavedRun(
             program_name=program.name,
             threads=threads,
             schedule=schedule,
             block=block,
             parallel_nests=tuple(sorted(parallel)),
-            merged=_elem_stream(
-                all_keys, all_writes, name=f"{program.name}/shared"
-            ),
-            per_thread=per_thread,
-            merged_threads=all_tids,
+            merged=_elem_stream(keys, writes, name=f"{program.name}/shared"),
+            per_thread=tuple(private(t) for t in range(threads)),
+            merged_threads=tids,
         )
+
+
+def concat_columns(
+    nests: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate per-nest ``(keys, writes, thread_ids)`` triples."""
+    columns = list(nests)
+    if not columns:
+        return np.empty(0, np.int64), np.empty(0, bool), np.empty(0, np.int32)
+    return tuple(np.concatenate(c) for c in zip(*columns))
 
 
 def _elem_stream(
@@ -249,41 +220,3 @@ def _elem_stream(
         name=name, source="interleave", unit="elements", elem_bytes=ELEM_BYTES
     )
     return AddressStream(keys, writes, meta=meta)
-
-
-def _parallel_nest_columns(
-    program: Program,
-    loop: Loop,
-    params: Mapping[str, int],
-    threads: int,
-    schedule: str,
-    invocation: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-thread ``(keys, writes)`` columns of one partitioned nest.
-
-    A thread's chunks execute back-to-back in chunk order — for
-    ``static,k`` and ``guided`` that is the order the deterministic
-    dealer hands them out.
-    """
-    from ..static.schedule import schedule_chunks
-
-    env = dict(params)
-    lo = int(loop.lower.affine().evaluate(env))
-    hi = int(loop.upper.affine().evaluate(env))
-    per_thread = schedule_chunks(lo, hi, threads, schedule, invocation)
-    columns: list[tuple[np.ndarray, np.ndarray]] = []
-    for chunks in per_thread:
-        keys: list[np.ndarray] = []
-        writes: list[np.ndarray] = []
-        for a, b in chunks:
-            sub = replace(loop, lower=a, upper=b)
-            trace = trace_program(program.with_body((sub,)), params)
-            keys.append(trace.global_keys())
-            writes.append(np.asarray(trace.writes, dtype=bool))
-        columns.append(
-            (
-                np.concatenate(keys) if keys else np.empty(0, np.int64),
-                np.concatenate(writes) if writes else np.empty(0, bool),
-            )
-        )
-    return columns

@@ -14,8 +14,9 @@ dimension is a handful of vectorized ops rather than a Python-level eval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,17 +79,8 @@ class _Compiler:
         self.program = program
         self.params = params
         self.array_ids = {a.name: k for k, a in enumerate(program.arrays)}
-        self.strides: dict[str, tuple[int, ...]] = {}
-        self.sizes: list[int] = []
-        for decl in program.arrays:
-            shape = decl.shape(params)
-            strides = []
-            acc = 1
-            for extent in shape:  # column-major: first subscript fastest
-                strides.append(acc)
-                acc *= extent
-            self.strides[decl.name] = tuple(strides)
-            self.sizes.append(acc)
+        self.strides = {a.name: a.strides(params) for a in program.arrays}
+        self.sizes = [math.prod(a.shape(params)) for a in program.arrays]
         self.refs: list[RefInfo] = []
         self.stmt_count = 0
         self._linform_cache: dict[ArrayRef, Affine] = {}
@@ -221,7 +213,11 @@ class _Generator:
         for node in body:
             self.run_node(node)
 
-    def run_node(self, node: _CNode) -> None:
+    def run_node(
+        self, node: _CNode, span: Optional[tuple[int, int]] = None
+    ) -> None:
+        """Execute ``node``; ``span`` overrides a loop's own bounds (one
+        schedule chunk of a partitioned nest)."""
         if isinstance(node, _CAssign):
             self._emit_assign_scalar(node)
         elif isinstance(node, _CGuard):
@@ -231,8 +227,11 @@ class _Generator:
             else:
                 self.run_body(node.else_body)
         elif isinstance(node, _CLoop):
-            lo = int(node.lower.evaluate(self.env))
-            hi = int(node.upper.evaluate(self.env))
+            if span is not None:
+                lo, hi = span
+            else:
+                lo = int(node.lower.evaluate(self.env))
+                hi = int(node.upper.evaluate(self.env))
             if lo > hi:
                 return
             if node.flat:
@@ -376,6 +375,107 @@ class _Generator:
         return self.builder.build()
 
 
+class NestTracer:
+    """Compile a program once; trace its top-level nests one at a time.
+
+    The interleaver's entry: :meth:`trace` runs one top-level statement
+    through the ordinary generator (every bounds and guard check kept),
+    optionally with its outermost loop restricted to an inclusive
+    ``[lo, hi]`` chunk.  All array declarations stay in force, so
+    ``global_keys`` agree across every nest and chunk.
+    """
+
+    def __init__(self, program: Program, params: Mapping[str, int]) -> None:
+        self.program = program
+        self.params = check_params(program, params)
+        self.compiler = _Compiler(program, self.params)
+        self.nests = self.compiler.compile_body(program.body)
+
+    def generator(self, with_instr: bool = False) -> _Generator:
+        gen = _Generator(self.nests, self.compiler, with_instr)
+        gen.env.update(self.params)
+        return gen
+
+    def outer_bounds(self, nest: int) -> Optional[tuple[int, int]]:
+        """Inclusive range of the nest's outermost loop — what a schedule
+        partitions; ``None`` when the statement is not a loop."""
+        node = self.nests[nest]
+        if not isinstance(node, _CLoop):
+            return None
+        return (
+            int(node.lower.evaluate(self.params)),
+            int(node.upper.evaluate(self.params)),
+        )
+
+    def trace(
+        self, nest: int, span: Optional[tuple[int, int]] = None
+    ) -> AccessTrace:
+        gen = self.generator()
+        gen.run_node(self.nests[nest], span)
+        return gen.finish()
+
+    def first_touch(
+        self,
+        segments: Iterable[tuple[int, Optional[tuple[int, int]]]],
+        array_id: int,
+        elem: int,
+        cap: int,
+    ) -> tuple[tuple[str, int], ...]:
+        """Loop-variable bindings (outermost first) of the first access
+        to element ``elem`` of array ``array_id`` when the ``(nest,
+        span)`` segments execute in order — a scalar walk of the compiled
+        nests, ``()`` when nothing touches it within ``cap`` assignment
+        instances."""
+        left = cap
+
+        def walk(node: _CNode, env: dict[str, int], span=None):
+            nonlocal left
+            if left <= 0:
+                return None
+            if isinstance(node, _CAssign):
+                left -= 1
+                if any(
+                    ref.array_id == array_id
+                    and int(ref.linform.evaluate(env)) == elem
+                    for ref in node.refs
+                ):
+                    return tuple(
+                        kv for kv in env.items() if kv[0] not in self.params
+                    )
+                return None
+            if isinstance(node, _CGuard):
+                value = env[node.index]
+                member = any(
+                    lo.evaluate(env) <= value <= hi.evaluate(env)
+                    for lo, hi in node.intervals
+                )
+                return walk_body(node.body if member else node.else_body, env)
+            lo, hi = span or (
+                int(node.lower.evaluate(env)),
+                int(node.upper.evaluate(env)),
+            )
+            for value in range(lo, hi + 1):
+                env[node.index] = value
+                found = walk_body(node.body, env)
+                if found is not None or left <= 0:
+                    return found
+            env.pop(node.index, None)
+            return None
+
+        def walk_body(body: tuple[_CNode, ...], env: dict[str, int]):
+            for child in body:
+                found = walk(child, env)
+                if found is not None:
+                    return found
+            return None
+
+        for nest, span in segments:
+            found = walk(self.nests[nest], dict(self.params), span)
+            if found is not None:
+                return found
+        return ()
+
+
 def trace_program(
     program: Program,
     params: Mapping[str, int],
@@ -389,13 +489,10 @@ def trace_program(
     records a dynamic instruction id per access (needed by the
     reuse-driven-execution study).
     """
-    bound = check_params(program, params)
-    compiler = _Compiler(program, bound)
-    compiled = compiler.compile_body(program.body)
-    gen = _Generator(compiled, compiler, with_instr)
-    gen.env.update(bound)
+    tracer = NestTracer(program, params)
+    gen = tracer.generator(with_instr)
     for _ in range(steps):
-        gen.run_body(compiled)
+        gen.run_body(tracer.nests)
     return gen.finish()
 
 

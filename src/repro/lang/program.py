@@ -79,6 +79,16 @@ class ArrayDecl:
     def shape(self, params: Mapping[str, int]) -> tuple[int, ...]:
         return tuple(int(e.evaluate(params)) for e in self.extent_affines())
 
+    def strides(self, params: Mapping[str, int]) -> tuple[int, ...]:
+        """Column-major element strides (first subscript fastest) — the
+        canonical element numbering every tracer and analyzer shares."""
+        strides = []
+        acc = 1
+        for extent in self.shape(params):
+            strides.append(acc)
+            acc *= extent
+        return tuple(strides)
+
     def __str__(self) -> str:
         dims = ", ".join(str(e) for e in self.extents)
         return f"real {self.name}[{dims}]"

@@ -17,10 +17,11 @@ granularity through the minimal owner-tracking view of an MSI
 
 Capacity is deliberately infinite: the oracle isolates *coherence*
 misses from capacity misses, which the reuse-distance machinery already
-models.  This is the contract the static analyzer
-(``repro.static.coherence``) is cross-validated against: invalidation
-totals exact on synthetic kernels, bounded error on the benchmark
-programs (DESIGN §10).
+models.  This is the one MSI automaton: the coherence analyzer
+(``repro.static.coherence``) runs :func:`simulate_msi` over the
+interleaver's stream and classifies its ``invalidation_mask`` into true
+and false sharing, so analyzer and oracle counts agree by construction
+(DESIGN §10).
 
 The oracle is exposed two ways: :func:`simulate_msi` on raw columns,
 and :class:`CoherenceLevel`, a pluggable
@@ -70,6 +71,20 @@ class MSIResult:
         return int(self.upgrades.sum())
 
 
+#: thread ids are bits of an int64 mask
+MAX_THREADS = 63
+
+
+def check_threads(threads: int) -> int:
+    """The automaton's thread-count rule: ``1..MAX_THREADS``."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(
+            f"threads must be in 1..{MAX_THREADS} (the MSI automaton "
+            f"keeps one bit per thread), got {threads}"
+        )
+    return threads
+
+
 def simulate_msi(
     lines: np.ndarray,
     writes: np.ndarray,
@@ -90,10 +105,7 @@ def simulate_msi(
             f"column lengths differ: lines {n}, writes {len(writes)}, "
             f"threads {len(thread_ids)}"
         )
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads > 63:
-        raise ValueError("the bitmask automaton supports at most 63 threads")
+    check_threads(threads)
     uniq, compact = (
         np.unique(lines, return_inverse=True)
         if n

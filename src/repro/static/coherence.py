@@ -14,16 +14,22 @@ multi-thread run adds on top: invalidation misses, classified as
   flows.  The canonical cure is padding the leading dimension to a
   whole number of lines, which the R520 lint suggests.
 
-The analysis is fully static — no interpreter run.  It enumerates each
-reference's accesses from the affine loop model (the same tier the
-parallelism analyzer's exhaustive checker uses), partitions every
-parallel nest across threads with the shared schedule machinery
-(:mod:`repro.static.schedule`), orders the per-thread streams with the
-same round-robin drain contract the dynamic replay uses, and replays
-the merged stream through the owner-tracking MSI automaton — the exact
-contract of the :mod:`repro.memsim.coherence` oracle, which is why
-invalidation totals cross-validate exactly whenever the enumeration
-matches the tracer (DESIGN §10).
+The analyzer owns no access enumeration and no protocol automaton.  It
+is a pipeline over the two shared ones: the array screens below, then
+**the** multi-thread enumerator (``repro.interp.interleave`` — the
+interpreter tracer run chunk by chunk under the shared schedule
+machinery, :mod:`repro.static.schedule`, and merged by the round-robin
+drain contract), then **the** MSI automaton
+(:func:`repro.memsim.coherence.simulate_msi`), then a true/false-sharing
+classification of the automaton's invalidation misses by numpy
+group-bys.  Its counts therefore equal the dynamic oracle's by
+construction; what it adds is the screens, the classification, the
+witnesses and the ``max_accesses`` budget (DESIGN §10).
+
+Import direction: ``repro.interp`` and ``repro.memsim`` are imported
+inside :func:`analyze_coherence`, and ``repro.interp.interleave``
+imports ``repro.static`` lazily too, so ``import repro.static`` and
+``import repro.interp`` work in either order.
 
 Two screens keep the line-level work focused, both built on the
 existing machinery:
@@ -39,21 +45,19 @@ existing machinery:
 
 Witnesses are concrete: thread pair, the two global element keys and
 their offsets within the shared line, and the loop-variable bindings of
-the two colliding iterations (recovered by a bounded re-walk).
+the two colliding iterations (recovered by a bounded scalar walk of the
+tracer's compiled nests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..lang import Program
 from ..lang.errors import AnalysisError
-from ..lang.expr import ArrayRef, array_reads
-from ..lang.stmt import Assign, CallStmt, Guard, Loop, Stmt
 from ..obs import metrics, span
 from .model import StaticRef, build_model
 from .multicore import _ref_box, _scope_ranges
@@ -63,11 +67,10 @@ from .parallelism import (
     analyze_parallelism,
     bind_params,
 )
-from .schedule import (
-    parse_schedule,
-    round_robin_order,
-    schedule_chunks,
-)
+from .schedule import parse_schedule, schedule_chunks
+
+if TYPE_CHECKING:
+    from ..interp.tracegen import NestTracer
 
 #: enumeration ceiling: programs whose modeled access count exceeds this
 #: raise (callers degrade gracefully — the tuner falls back to the
@@ -246,349 +249,6 @@ class CoherenceProfile:
             "witnesses": [w.render() for w in self.witnesses],
             "screened_out": list(self.screened_out),
         }
-
-
-# -- the static access enumerator ---------------------------------------------
-
-
-class _NonFlat(Exception):
-    """Internal: a loop body resists vectorization; take the slow path."""
-
-
-class _Walker:
-    """Enumerates (global key, is_write) columns from the affine model.
-
-    Mirrors the tracer's conventions exactly: arrays laid back-to-back
-    in declaration order, elements column-major (first subscript
-    fastest, 1-based), reads in expression order then the write, body
-    statements in order, iterations ascending.  Innermost loops whose
-    bodies are guard/assign-only vectorize over numpy; everything else
-    walks in Python.
-    """
-
-    def __init__(self, program: Program, env: Mapping[str, int]) -> None:
-        self.program = program
-        self.env = dict(env)
-        self.strides: dict[str, tuple[int, ...]] = {}
-        self.bases: dict[str, int] = {}
-        acc = 0
-        for decl in program.arrays:
-            shape = decl.shape(self.env)
-            strides = []
-            size = 1
-            for extent in shape:  # column-major: first subscript fastest
-                strides.append(size)
-                size *= extent
-            self.strides[decl.name] = tuple(strides)
-            self.bases[decl.name] = acc
-            acc += size
-        self._forms: dict[int, tuple] = {}
-
-    # the linearized global-key affine of one AST reference
-    def _linform(self, ref: ArrayRef):
-        cached = self._forms.get(id(ref))
-        if cached is not None:
-            return cached
-        strides = self.strides[ref.array]
-        const = Fraction(self.bases[ref.array])
-        terms: dict[str, Fraction] = {}
-        for k, sub in enumerate(ref.indices):
-            a = sub.affine()
-            s = strides[k]
-            const += a.const * s - s  # subscripts are 1-based
-            for n, c in a.coeffs:
-                terms[n] = terms.get(n, Fraction(0)) + c * s
-        form = (const, tuple(terms.items()))
-        self._forms[id(ref)] = form
-        return form
-
-    def _eval(self, form, env: Mapping[str, int]) -> int:
-        const, terms = form
-        total = const
-        for n, c in terms:
-            total += c * env[n]
-        return int(total)  # truncate, like the interpreter
-
-    def _assign_refs(self, stmt: Assign) -> list[tuple[object, bool]]:
-        cached = self._forms.get(-id(stmt))
-        if cached is None:
-            refs: list[tuple[object, bool]] = [
-                (self._linform(r), False) for r in array_reads(stmt.expr)
-            ]
-            if isinstance(stmt.target, ArrayRef):
-                refs.append((self._linform(stmt.target), True))
-            cached = tuple(refs)
-            self._forms[-id(stmt)] = cached
-        return list(cached)
-
-    # -- public entry ---------------------------------------------------
-
-    def nest(
-        self,
-        stmt: Stmt,
-        lo: Optional[int] = None,
-        hi: Optional[int] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The (keys, writes) columns of one top-level statement, with
-        the outermost loop optionally restricted to [lo, hi]."""
-        keys: list[np.ndarray] = []
-        writes: list[np.ndarray] = []
-        pend_k: list[int] = []
-        pend_w: list[bool] = []
-
-        def flush() -> None:
-            if pend_k:
-                keys.append(np.asarray(pend_k, dtype=np.int64))
-                writes.append(np.asarray(pend_w, dtype=bool))
-                pend_k.clear()
-                pend_w.clear()
-
-        self._emit(
-            stmt, dict(self.env), keys, writes, pend_k, pend_w, flush,
-            bounds=(lo, hi) if lo is not None else None,
-        )
-        flush()
-        if not keys:
-            return np.empty(0, np.int64), np.empty(0, bool)
-        return np.concatenate(keys), np.concatenate(writes)
-
-    # -- walk -----------------------------------------------------------
-
-    def _emit(
-        self, stmt, env, keys, writes, pend_k, pend_w, flush, bounds=None
-    ) -> None:
-        if isinstance(stmt, Assign):
-            for form, wr in self._assign_refs(stmt):
-                pend_k.append(self._eval(form, env))
-                pend_w.append(wr)
-            return
-        if isinstance(stmt, Guard):
-            body = (
-                stmt.body if self._member(stmt, env) else stmt.else_body
-            )
-            for s in body:
-                self._emit(s, env, keys, writes, pend_k, pend_w, flush)
-            return
-        if isinstance(stmt, Loop):
-            if bounds is not None:
-                lo, hi = bounds
-            else:
-                lo = int(stmt.lower.affine().evaluate(env))
-                hi = int(stmt.upper.affine().evaluate(env))
-            if hi < lo:
-                return
-            try:
-                cols = self._flat_columns(stmt, lo, hi, env)
-            except _NonFlat:
-                cols = None
-            if cols is not None:
-                flush()
-                k, w = cols
-                if len(k):
-                    keys.append(k)
-                    writes.append(w)
-                return
-            for v in range(lo, hi + 1):
-                env[stmt.index] = v
-                for s in stmt.body:
-                    self._emit(
-                        s, env, keys, writes, pend_k, pend_w, flush
-                    )
-            env.pop(stmt.index, None)
-            return
-        if isinstance(stmt, CallStmt):
-            raise AnalysisError(
-                "coherence analysis requires inlined programs; "
-                f"found call to {stmt.proc!r}"
-            )
-        raise AnalysisError(
-            f"cannot enumerate statement {type(stmt).__name__}"
-        )
-
-    def _member(self, guard: Guard, env: Mapping[str, int]) -> bool:
-        v = env[guard.index]
-        for iv in guard.intervals:
-            lo = iv.lower.evaluate(env)
-            hi = iv.upper.evaluate(env)
-            if lo <= v <= hi:
-                return True
-        return False
-
-    def _flat_columns(self, loop: Loop, lo: int, hi: int, env):
-        """Vectorized emission of a loop with no nested loops.
-
-        Builds one (iterations × refs) key matrix plus an active mask
-        from guard membership, flattened iteration-major — exactly the
-        per-iteration statement order of the Python walk.
-        """
-        ivec = np.arange(lo, hi + 1, dtype=np.int64)
-        cols: list[tuple[np.ndarray, bool, Optional[np.ndarray]]] = []
-        self._flat_collect(loop.body, loop.index, ivec, env, None, cols)
-        if not cols:
-            return np.empty(0, np.int64), np.empty(0, bool)
-        n = len(ivec)
-        r = len(cols)
-        mat = np.empty((n, r), dtype=np.int64)
-        wr = np.empty(r, dtype=bool)
-        mask = np.ones((n, r), dtype=bool)
-        for j, (col, is_w, cond) in enumerate(cols):
-            mat[:, j] = col
-            wr[j] = is_w
-            if cond is not None:
-                mask[:, j] = cond
-        flat_mask = mask.reshape(-1)
-        flat_keys = mat.reshape(-1)
-        flat_writes = np.tile(wr, n)
-        if flat_mask.all():
-            return flat_keys, flat_writes
-        return flat_keys[flat_mask], flat_writes[flat_mask]
-
-    def _flat_collect(self, body, var, ivec, env, cond, cols) -> None:
-        for stmt in body:
-            if isinstance(stmt, Assign):
-                for form, is_w in self._assign_refs(stmt):
-                    cols.append(
-                        (self._flat_eval(form, var, ivec, env), is_w, cond)
-                    )
-            elif isinstance(stmt, Guard):
-                member = self._flat_member(stmt, var, ivec, env)
-                take = member if cond is None else (cond & member)
-                self._flat_collect(
-                    stmt.body, var, ivec, env, take, cols
-                )
-                if stmt.else_body:
-                    skip = (
-                        ~member if cond is None else (cond & ~member)
-                    )
-                    self._flat_collect(
-                        stmt.else_body, var, ivec, env, skip, cols
-                    )
-            elif isinstance(stmt, Loop):
-                raise _NonFlat()
-            else:
-                raise _NonFlat()
-
-    def _flat_eval(self, form, var, ivec, env) -> np.ndarray:
-        const, terms = form
-        base = const
-        coeff = Fraction(0)
-        for n, c in terms:
-            if n == var:
-                coeff = c
-            else:
-                base += c * env[n]
-        if base.denominator != 1 or coeff.denominator != 1:
-            raise _NonFlat()  # fractional: fall back to exact Fractions
-        return int(base) + int(coeff) * ivec
-
-    def _flat_member(self, guard: Guard, var, ivec, env) -> np.ndarray:
-        if guard.index != var:
-            scalar = self._member(guard, env)
-            return np.full(len(ivec), scalar, dtype=bool)
-        member = np.zeros(len(ivec), dtype=bool)
-        for iv in guard.intervals:
-            lo_a, hi_a = iv.lower, iv.upper
-            if any(n == var for n, _ in lo_a.coeffs) or any(
-                n == var for n, _ in hi_a.coeffs
-            ):
-                raise _NonFlat()
-            lo = lo_a.evaluate(env)
-            hi = hi_a.evaluate(env)
-            member |= (ivec >= lo) & (ivec <= hi)
-        return member
-
-
-# -- stream assembly ----------------------------------------------------------
-
-
-def _program_columns(
-    program: Program,
-    env: Mapping[str, int],
-    threads: int,
-    schedule: str,
-    steps: int,
-    parallel: frozenset[int],
-    max_accesses: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The merged (keys, writes, thread_ids) columns of the modeled
-    multi-thread execution — same partitioning, same drain order as
-    the dynamic replay."""
-    walker = _Walker(program, env)
-    out_k: list[np.ndarray] = []
-    out_w: list[np.ndarray] = []
-    out_t: list[np.ndarray] = []
-    total = 0
-    invocation = 0
-    for _ in range(steps):
-        for idx, stmt in enumerate(program.body):
-            if (
-                threads > 1
-                and idx in parallel
-                and isinstance(stmt, Loop)
-            ):
-                lo = int(stmt.lower.affine().evaluate(env))
-                hi = int(stmt.upper.affine().evaluate(env))
-                per_thread = schedule_chunks(
-                    lo, hi, threads, schedule, invocation
-                )
-                invocation += 1
-                cols = []
-                for chunks in per_thread:
-                    parts = [
-                        walker.nest(stmt, a, b) for a, b in chunks
-                    ]
-                    if parts:
-                        cols.append(
-                            (
-                                np.concatenate([p[0] for p in parts]),
-                                np.concatenate([p[1] for p in parts]),
-                            )
-                        )
-                    else:
-                        cols.append(
-                            (np.empty(0, np.int64), np.empty(0, bool))
-                        )
-                live = [
-                    (t, c) for t, c in enumerate(cols) if len(c[0])
-                ]
-                nk = sum(len(c[0]) for _, c in live)
-                mk = np.empty(nk, dtype=np.int64)
-                mw = np.empty(nk, dtype=bool)
-                mt = np.empty(nk, dtype=np.int32)
-                filled = 0
-                for i, p, q in round_robin_order(
-                    [len(c[0]) for _, c in live]
-                ):
-                    t, (ck, cw) = live[i]
-                    mk[filled : filled + (q - p)] = ck[p:q]
-                    mw[filled : filled + (q - p)] = cw[p:q]
-                    mt[filled : filled + (q - p)] = t
-                    filled += q - p
-                out_k.append(mk)
-                out_w.append(mw)
-                out_t.append(mt)
-                total += nk
-            else:
-                k, w = walker.nest(stmt)
-                if len(k):
-                    out_k.append(k)
-                    out_w.append(w)
-                    out_t.append(np.zeros(len(k), dtype=np.int32))
-                    total += len(k)
-            if total > max_accesses:
-                raise AnalysisError(
-                    f"coherence enumeration exceeds {max_accesses} "
-                    f"accesses at this size; raise max_accesses or "
-                    f"analyze a smaller instance"
-                )
-    if not out_k:
-        empty = np.empty(0, np.int64)
-        return empty, np.empty(0, bool), np.empty(0, np.int32)
-    return (
-        np.concatenate(out_k),
-        np.concatenate(out_w),
-        np.concatenate(out_t),
-    )
 
 
 # -- screens ------------------------------------------------------------------
@@ -787,111 +447,89 @@ def _may_share_element(
     return False
 
 
-# -- the line-level replay ----------------------------------------------------
+# -- sharing classification ---------------------------------------------------
 
 
-def _replay(
+def _distinct_threads(
+    labels: np.ndarray, tids: np.ndarray, threads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(unique labels, number of distinct threads that touched each)``."""
+    pairs = np.unique(labels * threads + tids)
+    return np.unique(pairs // threads, return_counts=True)
+
+
+def _earliest_other(
+    labels: np.ndarray,
+    tids: np.ndarray,
+    threads: int,
+    among: np.ndarray,
+    at: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every access position in ``at``: ``(position, thread)`` of the
+    earliest access among positions ``among`` that carries the same
+    label but was issued by a different thread; position
+    ``len(labels)`` where there is none."""
+    pairs, first = np.unique(
+        labels[among] * threads + tids[among], return_index=True
+    )
+    first = among[first]  # first position of every (label, thread) pair
+    order = np.lexsort((first, pairs // threads))
+    # two sentinel rows keep ``row + 1`` addressable and never match
+    label = np.append(pairs[order] // threads, [-1, -1])
+    thread = np.append(pairs[order] % threads, [-1, -1])
+    first = np.append(first[order], [len(labels)] * 2)
+    row = np.searchsorted(label[:-2], labels[at])
+    row += (label[row] == labels[at]) & (thread[row] == tids[at])
+    hit = label[row] == labels[at]
+    return np.where(hit, first[row], len(labels)), thread[row]
+
+
+def _array_summaries(
+    names: Sequence[str],
+    bounds: np.ndarray,
+    line_elems: int,
     keys: np.ndarray,
     writes: np.ndarray,
     tids: np.ndarray,
     threads: int,
-    line_elems: int,
-    classify: np.ndarray,
-) -> tuple:
-    """The MSI owner-tracking automaton plus sharing classification.
+    inv_keys: np.ndarray,
+    is_true: np.ndarray,
+) -> tuple[ArraySharing, ...]:
+    """Per-array sharing rows from the classified accesses (``keys``,
+    ``writes``, ``tids``) and their invalidation misses (``inv_keys``,
+    split by ``is_true``).  Array ``k`` owns keys ``[bounds[k],
+    bounds[k + 1])``; a line belongs to the array of its first element."""
+    lines = keys // line_elems
+    line_ids, touching = _distinct_threads(lines, tids, threads)
+    shared = line_ids[touching >= 2]
+    # a shared line is truly shared when one of its elements is written
+    # and touched by two threads, falsely shared when merely written
+    elem_ids, touching = _distinct_threads(keys, tids, threads)
+    true_elems = elem_ids[(touching >= 2) & np.isin(elem_ids, keys[writes])]
+    true_line = np.isin(shared, true_elems // line_elems)
+    false_line = ~true_line & np.isin(shared, lines[writes])
+    inv_lines = inv_keys // line_elems
+    on_shared = np.isin(inv_lines, shared)
 
-    Same transition rules as :func:`repro.memsim.coherence.simulate_msi`
-    (valid set / ever set per line); additionally, accesses with
-    ``classify`` set participate in true/false sharing attribution:
-    an invalidation is *true* when another thread wrote the very
-    element before, *false* when only other elements of the line were
-    written.
-    """
-    n = len(keys)
-    cold = [0] * threads
-    inval = [0] * threads
-    upgrades = 0
-    line_valid: dict[int, int] = {}
-    line_ever: dict[int, int] = {}
-    elem_writers: dict[int, int] = {}
-    line_threads: dict[int, int] = {}
-    line_writes: dict[int, bool] = {}
-    elem_threads: dict[int, int] = {}
-    line_last: dict[int, dict[int, int]] = {}
-    line_stats: dict[int, list[int]] = {}  # line -> [inv, true, false]
-    raw_witnesses: list[tuple] = []
-    lines_arr = keys // line_elems
-    keys_l = keys.tolist()
-    lines_l = lines_arr.tolist()
-    writes_l = writes.tolist()
-    tids_l = tids.tolist()
-    cls_l = classify.tolist()
-    for i in range(n):
-        line = lines_l[i]
-        elem = keys_l[i]
-        t = tids_l[i]
-        bit = 1 << t
-        v = line_valid.get(line, 0)
-        is_inval = False
-        if not v & bit:
-            if line_ever.get(line, 0) & bit:
-                inval[t] += 1
-                is_inval = True
-            else:
-                cold[t] += 1
-        if writes_l[i]:
-            if v & ~bit:
-                upgrades += 1
-            line_valid[line] = bit
-        else:
-            line_valid[line] = v | bit
-        line_ever[line] = line_ever.get(line, 0) | bit
-        if not cls_l[i]:
-            continue
-        # sharing bookkeeping (classified arrays only)
-        line_threads[line] = line_threads.get(line, 0) | bit
-        et = elem_threads.get(elem, 0) | bit
-        elem_threads[elem] = et
-        if writes_l[i]:
-            line_writes[line] = True
-            elem_writers[elem] = elem_writers.get(elem, 0) | bit
-        if is_inval:
-            stats = line_stats.setdefault(line, [0, 0, 0])
-            stats[0] += 1
-            if elem_writers.get(elem, 0) & ~bit:
-                stats[1] += 1
-                kind = "true"
-                other_bits = elem_writers[elem] & ~bit
-                other = (other_bits & -other_bits).bit_length() - 1
-                other_elem = elem
-            else:
-                stats[2] += 1
-                kind = "false"
-                last = line_last.get(line, {})
-                other = next(
-                    (u for u in last if u != t), None
-                )
-                other_elem = last.get(other) if other is not None else None
-            if (
-                len(raw_witnesses) < MAX_WITNESSES
-                and other is not None
-                and other_elem is not None
-                and not any(w[0] == line for w in raw_witnesses)
-            ):
-                raw_witnesses.append(
-                    (line, kind, other, t, other_elem, elem)
-                )
-        line_last.setdefault(line, {})[t] = elem
-    return (
-        cold,
-        inval,
-        upgrades,
-        line_threads,
-        line_writes,
-        elem_threads,
-        elem_writers,
-        line_stats,
-        raw_witnesses,
+    def per_array(line_ids: np.ndarray) -> np.ndarray:
+        owner = np.searchsorted(bounds, line_ids * line_elems, side="right") - 1
+        return np.bincount(owner, minlength=len(names))
+
+    table = np.stack(
+        [
+            per_array(shared),
+            per_array(shared[true_line]),
+            per_array(shared[false_line]),
+            per_array(inv_lines[on_shared]),
+            per_array(inv_lines[on_shared & is_true]),
+            per_array(inv_lines[on_shared & ~is_true]),
+        ],
+        axis=1,
+    )
+    return tuple(
+        ArraySharing(name, *table[k].tolist())
+        for name, k in sorted((n, k) for k, n in enumerate(names))
+        if table[k, 0]
     )
 
 
@@ -899,71 +537,92 @@ def _replay(
 
 
 def _find_iteration(
-    walker: _Walker,
-    program: Program,
+    tracer: NestTracer,
     parallel: frozenset[int],
-    env: Mapping[str, int],
     threads: int,
     schedule: str,
     thread: int,
-    target_key: int,
+    array_id: int,
+    elem: int,
 ) -> tuple[tuple[str, int], ...]:
     """Loop-variable bindings of the first access of ``thread`` that
-    touches ``target_key``, by a bounded Python re-walk."""
-    budget = [_WITNESS_WALK_CAP]
-    found: list[tuple[tuple[str, int], ...]] = []
-
-    def walk(stmt, e) -> bool:
-        if budget[0] <= 0:
-            return False
-        if isinstance(stmt, Assign):
-            budget[0] -= 1
-            for form, _ in walker._assign_refs(stmt):
-                if walker._eval(form, e) == target_key:
-                    loops = [
-                        (k, v)
-                        for k, v in e.items()
-                        if k not in walker.env
-                    ]
-                    found.append(tuple(loops))
-                    return True
-            return False
-        if isinstance(stmt, Guard):
-            body = (
-                stmt.body if walker._member(stmt, e) else stmt.else_body
-            )
-            return any(walk(s, e) for s in body)
-        if isinstance(stmt, Loop):
-            lo = int(stmt.lower.affine().evaluate(e))
-            hi = int(stmt.upper.affine().evaluate(e))
-            for v in range(lo, hi + 1):
-                e[stmt.index] = v
-                if any(walk(s, e) for s in stmt.body):
-                    return True
-                if budget[0] <= 0:
-                    break
-            e.pop(stmt.index, None)
-            return False
-        return False
-
-    for idx, stmt in enumerate(program.body):
-        if (
-            threads > 1
-            and idx in parallel
-            and isinstance(stmt, Loop)
-        ):
-            e = dict(env)
-            lo = int(stmt.lower.affine().evaluate(e))
-            hi = int(stmt.upper.affine().evaluate(e))
-            for a, b in schedule_chunks(lo, hi, threads, schedule)[thread]:
-                for v in range(a, b + 1):
-                    e[stmt.index] = v
-                    if any(walk(s, e) for s in stmt.body):
-                        return found[0]
+    touches element ``elem`` of array ``array_id``: a bounded scalar walk
+    of the tracer's compiled nests over one step, the thread's chunks
+    looked up as the schedule first deals them."""
+    segments: list[tuple[int, Optional[tuple[int, int]]]] = []
+    for k in range(len(tracer.nests)):
+        outer = tracer.outer_bounds(k) if threads > 1 and k in parallel else None
+        if outer is not None:
+            chunks = schedule_chunks(*outer, threads, schedule)[thread]
+            segments.extend((k, chunk) for chunk in chunks)
         elif thread == 0:
-            if walk(stmt, dict(env)):
-                return found[0]
-    return ()
+            segments.append((k, None))
+    return tracer.first_touch(segments, array_id, elem, _WITNESS_WALK_CAP)
+
+
+def _witnesses(
+    tracer: NestTracer,
+    parallel: frozenset[int],
+    threads: int,
+    schedule: str,
+    names: Sequence[str],
+    bounds: np.ndarray,
+    line_elems: int,
+    keys: np.ndarray,
+    writes: np.ndarray,
+    tids: np.ndarray,
+    classify: np.ndarray,
+    inv: np.ndarray,
+    is_true: np.ndarray,
+) -> tuple[SharingWitness, ...]:
+    """Concrete witnesses for the first :data:`MAX_WITNESSES` lines that
+    take an explainable invalidation miss (positions ``inv``)."""
+    lines = keys // line_elems
+    # a false-sharing miss is explained by the other thread that touched
+    # the line first; a true-sharing one by the lowest other writer
+    touched, first_other = _earliest_other(
+        lines, tids, threads, np.flatnonzero(classify), inv
+    )
+    explainable = is_true | (touched < inv)
+
+    def array_of(key: int) -> int:
+        return int(np.searchsorted(bounds, key, side="right")) - 1
+
+    def iteration(thread: int, key: int) -> tuple[tuple[str, int], ...]:
+        k = array_of(key)
+        return _find_iteration(
+            tracer, parallel, threads, schedule,
+            thread, k, key - int(bounds[k]),
+        )
+
+    _, firsts = np.unique(lines[inv[explainable]], return_index=True)
+    out = []
+    for j in np.flatnonzero(explainable)[np.sort(firsts)[:MAX_WITNESSES]]:
+        i = inv[j]
+        line, elem_b, tb = int(lines[i]), int(keys[i]), int(tids[i])
+        if is_true[j]:
+            wrote = (keys[:i] == elem_b) & writes[:i] & (tids[:i] != tb)
+            ta, elem_a = int(tids[:i][wrote].min()), elem_b
+        else:
+            ta = int(first_other[j])
+            held = (lines[:i] == line) & (tids[:i] == ta) & classify[:i]
+            elem_a = int(keys[:i][held][-1])
+        out.append(
+            SharingWitness(
+                array=names[array_of(elem_a)],
+                line=line,
+                kind="true" if is_true[j] else "false",
+                thread_a=ta,
+                thread_b=tb,
+                elem_a=elem_a,
+                elem_b=elem_b,
+                offset_a=elem_a % line_elems,
+                offset_b=elem_b % line_elems,
+                iter_a=iteration(ta, elem_a),
+                iter_b=iteration(tb, elem_b),
+            )
+        )
+    return tuple(out)
 
 
 # -- entry point --------------------------------------------------------------
@@ -982,15 +641,21 @@ def analyze_coherence(
 ) -> CoherenceProfile:
     """Predict the coherence behaviour of a ``threads``-way execution.
 
-    Purely static: accesses are enumerated from the affine model,
-    partitioned by the shared schedule machinery, ordered by the
-    round-robin drain contract, and replayed through the MSI
-    owner-tracking automaton at ``line_bytes`` granularity.
+    Array screens, then the one multi-thread enumerator
+    (:func:`repro.interp.interleave.interleaved_nests`, drained under the
+    ``max_accesses`` budget), then the one MSI automaton
+    (:func:`repro.memsim.coherence.simulate_msi`) at ``line_bytes``
+    granularity, then the true/false-sharing classification of its
+    invalidation misses.
     """
+    # lazy, like repro.interp's imports of repro.static: either package
+    # can be imported first
+    from ..interp.interleave import concat_columns, interleaved_nests
+    from ..interp.tracegen import NestTracer
+    from ..memsim.coherence import check_threads, simulate_msi
     from ..memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
 
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     parse_schedule(schedule)
     lb = line_bytes if line_bytes is not None else L1_LINE_BYTES
     line_elems = max(1, lb // ELEM_BYTES)
@@ -1004,72 +669,56 @@ def analyze_coherence(
         if parallelism is None:
             parallelism = analyze_parallelism(program, params)
         parallel = frozenset(parallelism.parallel_nests())
-        model = build_model(program)
-        walker = _Walker(program, env)
+        tracer = NestTracer(program, env)
+        names = [a.name for a in program.arrays]
+        # arrays sit back to back: array k owns [bounds[k], bounds[k+1])
+        bounds = np.concatenate(([0], np.cumsum(tracer.compiler.sizes)))
         line_private, elem_private = _screen_arrays(
-            model, parallel, env, threads, schedule,
-            line_elems, walker.strides, walker.bases,
+            build_model(program), parallel, env, threads, schedule,
+            line_elems, tracer.compiler.strides,
+            dict(zip(names, bounds.tolist())),
         )
-        keys, writes_col, tids = _program_columns(
-            program, env, threads, schedule, steps, parallel,
-            max_accesses,
-        )
-        # classification is skipped for arrays the hull screen proved
+        nests = []
+        total = 0
+        for columns in interleaved_nests(
+            tracer, threads, steps, schedule, 1, parallel
+        ):
+            nests.append(columns)
+            total += len(columns[0])
+            if total > max_accesses:
+                raise AnalysisError(
+                    f"coherence enumeration exceeds {max_accesses} "
+                    f"accesses at this size; raise max_accesses or "
+                    f"analyze a smaller instance"
+                )
+        keys, writes, tids = concat_columns(nests)
+        msi = simulate_msi(keys // line_elems, writes, tids, threads)
+        # classification skips the arrays the hull screen proved
         # line-private — they cannot contribute sharing
-        classify = np.ones(len(keys), dtype=bool)
-        if line_private:
-            # global keys of a private array form one contiguous range
-            for name in line_private:
-                base = walker.bases[name]
-                decl_size = 1
-                for extent in _array_shape(program, name, env):
-                    decl_size *= extent
-                in_range = (keys >= base) & (keys < base + decl_size)
-                classify &= ~in_range
-        (
-            cold,
-            inval,
-            upgrades,
-            line_threads,
-            line_writes,
-            elem_threads,
-            elem_writers,
-            line_stats,
-            raw_witnesses,
-        ) = _replay(keys, writes_col, tids, threads, line_elems, classify)
-
-        arrays = _array_summaries(
-            program, env, walker, line_elems,
-            line_threads, line_writes, elem_threads, elem_writers,
-            line_stats,
+        classify = ~np.isin(
+            np.searchsorted(bounds, keys, side="right") - 1,
+            [names.index(n) for n in line_private],
         )
-        witness_objs: list[SharingWitness] = []
-        if witnesses:
-            for line, kind, ta, tb, ea, eb in raw_witnesses:
-                array = _array_of_key(walker, program, env, ea)
-                iter_a = _find_iteration(
-                    walker, program, parallel, env, threads, schedule,
-                    ta, ea,
-                )
-                iter_b = _find_iteration(
-                    walker, program, parallel, env, threads, schedule,
-                    tb, eb,
-                )
-                witness_objs.append(
-                    SharingWitness(
-                        array=array,
-                        line=int(line),
-                        kind=kind,
-                        thread_a=int(ta),
-                        thread_b=int(tb),
-                        elem_a=int(ea),
-                        elem_b=int(eb),
-                        offset_a=int(ea % line_elems),
-                        offset_b=int(eb % line_elems),
-                        iter_a=iter_a,
-                        iter_b=iter_b,
-                    )
-                )
+        sel = np.flatnonzero(classify)
+        inv = np.flatnonzero(msi.invalidation_mask & classify)
+        # an invalidation miss is true sharing when another thread wrote
+        # the very element before, false when only its line neighbours
+        other_write, _ = _earliest_other(
+            keys, tids, threads, np.flatnonzero(writes & classify), inv
+        )
+        is_true = other_write < inv
+        arrays = _array_summaries(
+            names, bounds, line_elems,
+            keys[sel], writes[sel], tids[sel], threads, keys[inv], is_true,
+        )
+        witness_objs = (
+            _witnesses(
+                tracer, parallel, threads, schedule, names, bounds,
+                line_elems, keys, writes, tids, classify, inv, is_true,
+            )
+            if witnesses
+            else ()
+        )
         metrics.inc("analysis.coherence.profiles")
         return CoherenceProfile(
             program_name=program.name,
@@ -1081,98 +730,11 @@ def analyze_coherence(
             line_bytes=lb,
             parallel_nests=tuple(sorted(parallel)),
             accesses=len(keys),
-            cold=tuple(int(c) for c in cold),
-            invalidations=tuple(int(v) for v in inval),
-            upgrades=int(upgrades),
+            cold=tuple(msi.cold.tolist()),
+            invalidations=tuple(msi.invalidations.tolist()),
+            upgrades=msi.total_upgrades,
             arrays=arrays,
-            witnesses=tuple(witness_objs),
+            witnesses=witness_objs,
             screened_out=tuple(sorted(line_private)),
             false_only=tuple(sorted(elem_private)),
         )
-
-
-def _array_shape(
-    program: Program, name: str, env: Mapping[str, int]
-) -> tuple[int, ...]:
-    for decl in program.arrays:
-        if decl.name == name:
-            return tuple(decl.shape(env))
-    return ()
-
-
-def _array_of_key(
-    walker: _Walker, program: Program, env: Mapping[str, int], key: int
-) -> str:
-    best = ""
-    for decl in program.arrays:
-        base = walker.bases[decl.name]
-        if base <= key:
-            size = 1
-            for extent in decl.shape(env):
-                size *= extent
-            if key < base + size:
-                return decl.name
-            best = decl.name
-    return best
-
-
-def _array_summaries(
-    program: Program,
-    env: Mapping[str, int],
-    walker: _Walker,
-    line_elems: int,
-    line_threads: dict,
-    line_writes: dict,
-    elem_threads: dict,
-    elem_writers: dict,
-    line_stats: dict,
-) -> tuple[ArraySharing, ...]:
-    # bucket lines / elements back onto arrays via the base table
-    bounds = []
-    for decl in program.arrays:
-        base = walker.bases[decl.name]
-        size = 1
-        for extent in decl.shape(env):
-            size *= extent
-        bounds.append((decl.name, base, base + size))
-
-    def array_of(key: int) -> str:
-        for name, lo, hi in bounds:
-            if lo <= key < hi:
-                return name
-        return bounds[-1][0] if bounds else ""
-
-    # which lines have a cross-thread element write (true sharing)
-    true_lines: set[int] = set()
-    for elem, writers in elem_writers.items():
-        others = elem_threads.get(elem, 0) & ~writers
-        multi_writer = writers & (writers - 1)
-        if multi_writer or (writers and others):
-            true_lines.add(elem // line_elems)
-    per_array: dict[str, list[int]] = {}
-    for line, tmask in line_threads.items():
-        if tmask & (tmask - 1) == 0:
-            continue  # single thread: not shared
-        name = array_of(line * line_elems)
-        stats = line_stats.get(line, [0, 0, 0])
-        row = per_array.setdefault(name, [0, 0, 0, 0, 0, 0])
-        row[0] += 1
-        if line in true_lines:
-            row[1] += 1
-        elif line_writes.get(line):
-            row[2] += 1
-        row[3] += stats[0]
-        row[4] += stats[1]
-        row[5] += stats[2]
-    return tuple(
-        ArraySharing(
-            array=name,
-            shared_lines=row[0],
-            true_lines=row[1],
-            false_lines=row[2],
-            invalidations=row[3],
-            true_invalidations=row[4],
-            false_invalidations=row[5],
-        )
-        for name, row in sorted(per_array.items())
-    )

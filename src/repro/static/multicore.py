@@ -509,13 +509,9 @@ def predict_multicore(
     env = dict(params)
     cap = float(profile.footprint.evaluate(env))
     refs = profile.model.refs
-    strides: dict[str, tuple[int, ...]] = {}
-    for name, decl in profile.model.arrays.items():
-        acc, ss = 1, []
-        for extent in decl.shape(env):  # column-major, first fastest
-            ss.append(acc)
-            acc *= extent
-        strides[name] = tuple(ss)
+    strides = {
+        name: decl.strides(env) for name, decl in profile.model.arrays.items()
+    }
     parallel = frozenset(parallelism.parallel_nests())
     serial = tuple(
         sorted(

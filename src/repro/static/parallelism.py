@@ -267,20 +267,6 @@ def _interval(
     return lo, hi
 
 
-def _strides(program: Program, params: Mapping[str, int]) -> dict[str, tuple[int, ...]]:
-    """Column-major strides per array — the tracer's element numbering."""
-    out: dict[str, tuple[int, ...]] = {}
-    for decl in program.arrays:
-        shape = decl.shape(params)
-        strides = []
-        acc = 1
-        for extent in shape:  # first subscript fastest
-            strides.append(acc)
-            acc *= extent
-        out[decl.name] = tuple(strides)
-    return out
-
-
 # -- reference collection -----------------------------------------------------
 
 
@@ -834,7 +820,7 @@ class _Analyzer:
         self.program = program
         self.params = params
         self.concrete_cap = concrete_cap
-        self.strides = _strides(program, params)
+        self.strides = {a.name: a.strides(params) for a in program.arrays}
         self.verdicts: list[AxisVerdict] = []
 
     def run(self) -> tuple[AxisVerdict, ...]:

@@ -1,11 +1,12 @@
 """OpenMP loop-schedule partitioning, shared by prediction and replay.
 
 One implementation of "which thread runs which iterations" serves both
-sides of the multicore cross-validation: the static predictor
-(``repro.static.multicore``, ``repro.static.coherence``) and the
-dynamic interleaved replay (``repro.interp.interleave``).  The static
-package never imports the interpreter, so the helper lives here and the
-interpreter imports it — the acyclic direction.
+sides of the multicore cross-validation — the static predictor
+(``repro.static.multicore``) and the interleaved enumerator
+(``repro.interp.interleave``) — plus the coherence analyzer's screens
+and witness lookup.  This module imports nothing from the interpreter;
+``repro.interp.interleave`` and ``repro.static.coherence`` import each
+other's packages inside functions only, so there is no import cycle.
 
 Supported schedule specs (OpenMP ``schedule`` clause syntax):
 
@@ -169,12 +170,9 @@ def round_robin_order(
     ``block`` accesses.  Streams drop out as they drain (threads with
     smaller chunks finish early and wait at the barrier).
 
-    This is the exact interleaving contract shared by the dynamic
-    replay (``repro.interp.interleave``) and the static coherence
-    analyzer (``repro.static.coherence``) — both order a parallel
-    nest's accesses with this function, which is what lets predicted
-    invalidation-miss totals match the MSI oracle exactly when the
-    enumerated streams match.
+    This is the interleaving contract of the one multi-thread
+    enumerator (``repro.interp.interleave``), and through it of the
+    coherence analyzer and the MSI oracle.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")

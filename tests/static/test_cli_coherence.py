@@ -2,8 +2,8 @@
 
 ``repro coherence`` (text and ``--json``), ``repro report --coherence``,
 the R52x codes flowing through ``repro lint --static``, and the
-``--schedule`` argument validation shared by ``parallelism``,
-``coherence`` and ``tune``.
+``--schedule`` / ``--threads`` argument validation shared by
+``parallelism``, ``coherence``, ``tune`` and ``report``.
 """
 
 import json
@@ -93,6 +93,17 @@ def test_bad_schedule_rejected_at_parse_time(command, capsys):
         main([command, "adi", "--schedule", "bogus"])
     err = capsys.readouterr().err
     assert "schedule" in err
+
+
+@pytest.mark.parametrize("command", ["coherence", "parallelism", "tune", "report"])
+@pytest.mark.parametrize("threads", ["0", "64"])
+def test_bad_thread_count_rejected_at_parse_time(command, threads, capsys):
+    # one automaton, one rule, checked before any analysis runs
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "adi", "--threads", threads])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "1..63" in err and "Traceback" not in err
 
 
 def test_report_coherence_table(capsys):

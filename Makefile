@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test self-lint static-lint parallelism-lint coherence-lint smoke tune-check bandwidth-check benchmarks bench-codegen bench-tune bench-membw
+.PHONY: check lint test self-lint static-lint parallelism-lint coherence-lint smoke tune-check bandwidth-check benchmarks bench-tune bench-membw
 
 check: lint test self-lint static-lint parallelism-lint coherence-lint smoke tune-check bandwidth-check
 
@@ -70,11 +70,6 @@ bandwidth-check:
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# interpreter-vs-codegen tracer benchmark at the fig-10 sizes; fails if
-# the traces are not bit-identical.  Refreshes BENCH_codegen.json.
-bench-codegen:
-	$(PYTHON) -m repro bench-codegen --json-out BENCH_codegen.json
 
 # refresh the committed autotuning artifact: full grid for the cheap
 # programs, reduced grid for sp (its fused symbolic analysis runs for

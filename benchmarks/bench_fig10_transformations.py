@@ -51,7 +51,7 @@ def run(app):
             cache=default_cache_dir(),
             jobs=None,  # one worker per CPU
         )
-    ).records()
+    ).results
     table = format_table(
         NORMALIZED_HEADERS,
         normalized_rows(results),

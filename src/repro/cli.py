@@ -7,18 +7,18 @@ Subcommands:
 * ``regroup FILE``   — print the data-regrouping decision and, given ``-p
   N=...``, the concrete placements;
 * ``report APP``     — Fig. 10-style measurement of a bundled application
-  (or a file) across optimization levels on the scaled machine;
+  (or a file) across optimization levels on the scaled machine — every
+  target-taking subcommand accepts a registry name, ``fft`` (``-p
+  n=SIZE``) or a source file (measuring one needs ``-p NAME=INT``);
 * ``profile APP``    — run one (program, level, params) and print the
   nested stage/pass span tree (seconds + peak MB) plus metric deltas;
 * ``runs``           — list and summarize past ``runs/<id>/events.jsonl``
   run logs;
 * ``levels``         — list the optimization levels;
 * ``apps``           — list the bundled benchmark applications;
-* ``bench-engine``   — time the fast vs. reference simulation engines on
-  one application and assert their metrics are bit-identical;
-* ``bench-codegen``  — time the interpreter vs. codegen trace backends
-  across applications and assert the traces are bit-identical
-  (``--json-out BENCH_codegen.json`` records the payload);
+* ``bench-membw``    — effective-bandwidth / DRAM report across the
+  paper's programs, gating the committed ``BENCH_membw.json``;
+* ``trace``          — export, import, or inspect address-stream files;
 * ``cache``          — inspect or clear the on-disk trace/result cache;
 * ``lint``           — static IR verification of a program (structure,
   loop bounds, subscript bounds, def-use hygiene); ``--static`` adds the
@@ -48,7 +48,6 @@ Examples::
     python -m repro profile adi --level new --params N=200
     python -m repro profile adi --level new --json
     python -m repro runs
-    python -m repro bench-engine adi
     python -m repro cache --clear
     python -m repro lint kernel.loop --json
     python -m repro lint --static --all-apps --baseline lint-baseline.json
@@ -97,9 +96,11 @@ from .harness import (
     normalized_rows,
     run,
     timing_rows,
+    variant_stream,
 )
 from .lang import Program, ReproError, parse, to_source, validate
 from .memsim import ENGINES
+from .memsim.geometry import CacheGeometry
 from .obs import (
     REGISTRY,
     SCHEMA_VERSION,
@@ -112,7 +113,7 @@ from .obs import (
     summarize_run,
     validate_event,
 )
-from .programs import APPLICATIONS, registry
+from .programs import APPLICATIONS, fft, registry
 from .programs.registry import MachineSpec
 from .tune import ENABLERS as TUNE_ENABLERS
 from .verify import PassLegalityError, PassVerifier, Severity, lint_program, verify_pass
@@ -123,14 +124,65 @@ def _load_program(path: str) -> Program:
     return validate(parse(source))
 
 
-def _parse_params(items: Optional[Sequence[str]]) -> dict[str, int]:
+def _bindings(text: str) -> dict[str, int]:
+    """argparse type: ``NAME=INT[,NAME=INT...]`` size bindings."""
     out: dict[str, int] = {}
-    for item in items or ():
-        name, _, value = item.partition("=")
-        if not value:
-            raise SystemExit(f"bad parameter {item!r}; expected NAME=INT")
-        out[name] = int(value)
+    for piece in text.split(","):
+        name, _, value = piece.partition("=")
+        try:
+            out[name.strip()] = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad binding {piece!r}; expected NAME=INT"
+            ) from None
     return out
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers."""
+    out = []
+    for piece in text.split(","):
+        try:
+            out.append(int(piece))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad integer {piece!r}; expected INT[,INT...]"
+            ) from None
+    return tuple(out)
+
+
+class _MergeBindings(argparse.Action):
+    """Repeated ``-p`` flags accumulate into one binding dict."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        merged = dict(getattr(namespace, self.dest) or {})
+        merged.update(values)
+        setattr(namespace, self.dest, merged)
+
+
+def _target(
+    args: argparse.Namespace, spec: Optional[str] = None, sized: bool = False
+) -> registry.Target:
+    """The one CLI target resolution: a bundled name (registry app,
+    study program, ``fft``) or a source file, parsed here, both through
+    :func:`repro.programs.registry.resolve_target`.  ``sized`` commands
+    trace the program, so a file must come with ``-p`` sizes."""
+    spec = spec or args.target
+    program = spec if registry.is_bundled(spec) else _load_program(spec)
+    if sized and args.param is None and not isinstance(program, str):
+        raise SystemExit(f"{args.command} on a source file requires -p NAME=INT")
+    return registry.resolve_target(program, args.param, args.steps)
+
+
+def _targets(args: argparse.Namespace) -> list[str]:
+    """One positional target, or every registry program (``--all-apps``)."""
+    if args.all_apps:
+        return registry.names()
+    if args.target:
+        return [args.target]
+    raise SystemExit(
+        f"{args.command} needs a program (file or app name) or --all-apps"
+    )
 
 
 def _parse_passes(args: argparse.Namespace):
@@ -158,27 +210,12 @@ def cmd_regroup(args: argparse.Namespace) -> int:
         print("optimization level produced no regrouping plan", file=sys.stderr)
         return 1
     print(variant.regroup.describe())
-    params = _parse_params(args.param)
-    if params:
-        layout = variant.layout(params)
-        print(f"\nplacements at {params} (element offsets / strides):")
+    if args.param:
+        layout = variant.layout(args.param)
+        print(f"\nplacements at {args.param} (element offsets / strides):")
         for name, placement in sorted(layout.placements.items()):
             print(f"  {name}: offset {placement.offset}, strides {placement.strides}")
     return 0
-
-
-def _resolve_measure_target(args: argparse.Namespace):
-    """The shared (program, params, machine, steps) resolution for every
-    measuring subcommand: registry names keep registry defaults, files
-    require explicit parameters and get the default scaled machine."""
-    params = _parse_params(args.param) or None
-    if args.target in APPLICATIONS:
-        return args.target, params, None, args.steps
-    program = _load_program(args.target)
-    if params is None:
-        raise SystemExit("measuring a file requires -p NAME=INT")
-    steps = args.steps if args.steps is not None else 1
-    return program, params, machine_for(MachineSpec()), steps
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -191,25 +228,25 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"unknown levels: {unknown}; known levels: "
                 f"{', '.join(known_levels())} (see 'repro levels')"
             )
-    cache = TraceCache(args.cache_dir) if args.cache else None
-    program, params, machine, steps = _resolve_measure_target(args)
+    target = _target(args, sized=True)
     results = run(
         RunRequest(
-            program=program,
+            program=target.program,
             levels=levels,
             pipeline=pipeline,
-            params=params,
-            machine=machine,
-            steps=steps,
+            params=target.params,
+            machine=target.machine_spec,
+            steps=target.steps,
+            name=target.name,
             engine=args.engine,
-            cache=cache,
+            cache=TraceCache(args.cache_dir) if args.cache else None,
             verify=args.verify,
         )
     ).results
-    if isinstance(program, str):
-        title = f"{program} (registry application, scaled machine)"
+    if registry.is_bundled(args.target):
+        title = f"{target.name} (registry application, scaled machine)"
     else:
-        title = f"{program.name} ({args.target})"
+        title = f"{target.name} ({args.target})"
     print(format_table(NORMALIZED_HEADERS, normalized_rows(results), title=title))
     if args.bandwidth:
         from .memsim import BANDWIDTH_HEADERS, bandwidth_rows
@@ -225,10 +262,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
     if args.parallelism:
         print()
-        print(_parallelism_table(program, results, args.threads))
+        print(_parallelism_table(target, results, args.threads))
     if args.coherence:
         print()
-        print(_coherence_table(program, results, args.threads))
+        print(_coherence_table(target, results, args.threads))
     if args.timings:
         print()
         print(
@@ -241,13 +278,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parallelism_table(program, results, threads: int) -> str:
+def _parallelism_table(target, results, threads: int) -> str:
     """Per-level axis verdicts + predicted multicore misses for a report."""
     from .static import analyze_parallelism, predict_program_multicore
 
-    target = program if isinstance(program, str) else program.name
-    l1, l2 = _cache_elems(target)
-    steps = _lint_steps(target)
+    geometry = CacheGeometry.from_spec(target.machine_spec)
+    l1, l2 = geometry.l1_elems, geometry.l2_elems
     headers = (
         "level", "doall", "reduction", "serial", "par nests",
         f"L1p misses ({l1})", f"L2s misses ({l2})",
@@ -258,7 +294,8 @@ def _parallelism_table(program, results, threads: int) -> str:
             continue
         prof = analyze_parallelism(r.variant.program, r.params)
         pred = predict_program_multicore(
-            r.variant.program, dict(prof.params), threads=threads, steps=steps
+            r.variant.program, dict(prof.params), threads=threads,
+            steps=target.steps,
         )
         counts = prof.counts()
         outer = sum(1 for v in prof.verdicts if v.depth == 0)
@@ -278,13 +315,11 @@ def _parallelism_table(program, results, threads: int) -> str:
     )
 
 
-def _coherence_table(program, results, threads: int) -> str:
+def _coherence_table(target, results, threads: int) -> str:
     """Per-level predicted coherence behaviour for a report."""
     from .lang import AnalysisError
     from .static import analyze_coherence
 
-    target = program if isinstance(program, str) else program.name
-    steps = _lint_steps(target)
     headers = (
         "level", "invalidations", "true", "false",
         "shared lines", "upgrades",
@@ -296,7 +331,7 @@ def _coherence_table(program, results, threads: int) -> str:
         try:
             prof = analyze_coherence(
                 r.variant.program, dict(r.params), threads=threads,
-                steps=steps, witnesses=False,
+                steps=target.steps, witnesses=False,
             )
         except AnalysisError:
             rows.append([r.level, "-", "-", "-", "-", "-"])
@@ -316,216 +351,17 @@ def _coherence_table(program, results, threads: int) -> str:
     )
 
 
-def cmd_bench_engine(args: argparse.Namespace) -> int:
-    """Time fast vs. reference engines; fail unless metrics are identical."""
-    levels = args.levels.split(",")
-    entry = registry.get(args.app)
-    machine = machine_for(entry.machine_spec)
-    params = _parse_params(args.param) or None
-
-    headers = ("level", "engine", "l1", "l2", "tlb", "sim total")
-    rows: list[list[object]] = []
-    totals = dict.fromkeys(ENGINES, 0.0)
-    identical = True
-    sim_stages = ("l1", "l2", "tlb")
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        # a throwaway trace cache: repeats replay the address stream from
-        # disk; result_cache=False forces every repeat to re-simulate
-        cache = TraceCache(tmp)
-        for level in levels:
-            stats_by = {}
-            for engine in ("reference", "fast"):
-                best, best_timings, best_stats = float("inf"), {}, None
-                for _ in range(args.repeats):
-                    result = run(
-                        RunRequest(
-                            program=args.app,
-                            levels=(level,),
-                            params=params,
-                            steps=args.steps,
-                            engine=engine,
-                            cache=cache,
-                            result_cache=False,
-                        )
-                    ).results[0]
-                    elapsed = sum(result.timings.get(s, 0.0) for s in sim_stages)
-                    if elapsed < best:
-                        best, best_timings = elapsed, result.timings
-                        best_stats = result.stats
-                stats_by[engine] = best_stats
-                totals[engine] += best
-                rows.append(
-                    [level, engine]
-                    + [best_timings.get(s, 0.0) for s in sim_stages]
-                    + [best]
-                )
-            if stats_by["fast"] != stats_by["reference"]:
-                identical = False
-                print(f"ENGINE MISMATCH at level {level}:", file=sys.stderr)
-                print(f"  reference: {stats_by['reference']}", file=sys.stderr)
-                print(f"  fast:      {stats_by['fast']}", file=sys.stderr)
-
-    shown_params = dict(params) if params else dict(entry.default_params)
-    title = (
-        f"{args.app} engine comparison ({machine.name}, params {shown_params}, "
-        f"best of {args.repeats}; seconds)"
-    )
-    print(format_table(headers, rows, title=title))
-    speedup = totals["reference"] / totals["fast"] if totals["fast"] else 0.0
-    print(
-        f"\nmetrics bit-identical across engines: {identical}\n"
-        f"sim wall-clock: reference {totals['reference']:.3f}s, "
-        f"fast {totals['fast']:.3f}s -> {speedup:.2f}x speedup"
-    )
-    return 0 if identical else 1
-
-
-def cmd_bench_codegen(args: argparse.Namespace) -> int:
-    """Time the interpreter vs. codegen tracers; assert traces identical.
-
-    Measures end-to-end ``trace_program`` wall-clock (compile excluded,
-    trace construction included) at the registry's default — fig-10 —
-    sizes, best of ``--repeats``.  Writes the machine-readable
-    ``BENCH_codegen.json`` payload with ``--json-out``.
-    """
-    import numpy as np
-
-    from .codegen import trace_fingerprint
-    from .codegen import trace_program as codegen_trace
-    from .interp import trace_program as interp_trace
-
-    apps = args.apps.split(",")
-    levels = args.levels.split(",")
-    headers = ("program", "level", "accesses", "interp", "codegen", "speedup")
-    rows: list[list[object]] = []
-    records: list[dict[str, object]] = []
-    totals = {"interp": 0.0, "codegen": 0.0}
-    identical = True
-    for app in apps:
-        entry = registry.get(app)
-        params = _parse_params(args.param) or dict(entry.default_params)
-        steps = args.steps if args.steps is not None else entry.steps
-        program = validate(entry.build())
-        for level in levels:
-            variant = compile_variant(program, level)
-            times: dict[str, float] = {}
-            traces: dict[str, object] = {}
-            for tracer, fn in (("interp", interp_trace), ("codegen", codegen_trace)):
-                best = float("inf")
-                for _ in range(args.repeats):
-                    t0 = time.perf_counter()
-                    trace = fn(variant.program, params, steps=steps)
-                    best = min(best, time.perf_counter() - t0)
-                times[tracer], traces[tracer] = best, trace
-            a, b = traces["interp"], traces["codegen"]
-            same = (
-                a.array_names == b.array_names
-                and a.array_sizes == b.array_sizes
-                and all(
-                    np.array_equal(getattr(a, f), getattr(b, f))
-                    for f in ("array_ids", "elems", "writes", "ref_ids")
-                )
-            )
-            if not same:
-                identical = False
-                print(f"TRACE MISMATCH at {app}/{level}", file=sys.stderr)
-            totals["interp"] += times["interp"]
-            totals["codegen"] += times["codegen"]
-            speedup = times["interp"] / times["codegen"] if times["codegen"] else 0.0
-            rows.append(
-                [app, level, len(a), times["interp"], times["codegen"],
-                 f"{speedup:.1f}x"]
-            )
-            records.append(
-                {
-                    "program": app,
-                    "level": level,
-                    "params": params,
-                    "steps": steps,
-                    "accesses": len(a),
-                    "interp_seconds": round(times["interp"], 6),
-                    "codegen_seconds": round(times["codegen"], 6),
-                    "speedup": round(speedup, 2),
-                    "identical": same,
-                    "fingerprint": trace_fingerprint(a),
-                }
-            )
-    overall = totals["interp"] / totals["codegen"] if totals["codegen"] else 0.0
-    print(
-        format_table(
-            headers, rows,
-            title=f"tracer comparison (best of {args.repeats}; seconds)",
-        )
-    )
-    print(
-        f"\ntraces bit-identical across tracers: {identical}\n"
-        f"trace-gen wall-clock: interp {totals['interp']:.3f}s, "
-        f"codegen {totals['codegen']:.3f}s -> {overall:.2f}x speedup"
-    )
-    if args.json_out:
-        merged = merge_json_artifact(
-            args.json_out,
-            {f"{r['program']}/{r['level']}": r for r in records},
-            {
-                "benchmark": "trace-generation: interpreter vs codegen backend",
-                "repeats": args.repeats,
-                "overall_speedup": round(overall, 2),
-                "identical": identical,
-            },
-            key="results",
-        )
-        print(f"wrote {args.json_out} ({len(merged)} variant(s))")
-    return 0 if identical else 1
-
-
-def _resolve_trace_target(args: argparse.Namespace):
-    """(program, params, steps, machine) for the trace subcommands."""
-    params = _parse_params(args.param) or None
-    try:
-        entry = registry.get(args.target)
-    except KeyError:
-        entry = None
-    if entry is not None:
-        program = validate(entry.build())
-        return (
-            program,
-            dict(params or entry.default_params),
-            args.steps if args.steps is not None else entry.steps,
-            machine_for(entry.machine_spec),
-        )
-    if args.target == "fft":
-        from .programs.registry import build_fft
-
-        n = (params or {}).get("n", 64)
-        return (
-            validate(build_fft(n)),
-            {},
-            args.steps if args.steps is not None else 1,
-            machine_for(MachineSpec()),
-        )
-    program = _load_program(args.target)
-    if params is None:
-        raise SystemExit("tracing a source file requires -p NAME=INT")
-    steps = args.steps if args.steps is not None else 1
-    return program, params, steps, machine_for(MachineSpec())
-
-
 def cmd_trace_export(args: argparse.Namespace) -> int:
     """Trace one (program, level) and write the address stream to disk."""
-    from .engines import resolve_engines
-    from .stream import AddressStream, write_stream, write_stream_csv
+    from .stream import write_stream, write_stream_csv
 
-    program, params, steps, _ = _resolve_trace_target(args)
-    variant = compile_variant(program, args.level)
-    layout = variant.layout(params)
-    selection = resolve_engines(args.engine)
-    if selection.tracer == "codegen":
-        from .codegen import trace_program as tracer
-    else:
-        from .interp import trace_program as tracer
-    trace = tracer(variant.program, params, steps=steps)
-    stream = AddressStream.from_trace(
-        trace, layout, name=f"{program.name}/{args.level}", source=selection.tracer
+    target = _target(args, sized=True)
+    stream = variant_stream(
+        compile_variant(target.program, args.level),
+        target.params,
+        target.steps,
+        args.engine,
+        name=f"{target.program.name}/{args.level}",
     )
     out = Path(args.output)
     as_csv = args.format == "csv" or (args.format == "auto" and out.suffix == ".csv")
@@ -628,54 +464,27 @@ def cmd_trace_info(args: argparse.Namespace) -> int:
 #: the §6 program set ``bench-membw`` reports by default
 MEMBW_APPS = "swim,tomcatv,adi,sp,sweep3d,fft"
 
-
-def _membw_results(app: str, levels: list[str], args: argparse.Namespace):
-    """Measured VariantResults for one bench-membw program."""
-    if app == "fft":
-        from .programs.registry import build_fft
-
-        request = RunRequest(
-            program=validate(build_fft()),  # the study kernel at DEFAULT_N
-            levels=tuple(levels),
-            params={},
-            steps=1,
-            engine=args.engine,
-            name="fft",
-        )
-    else:
-        request = RunRequest(
-            program=app, levels=tuple(levels), engine=args.engine
-        )
-    return run(request).results
+#: sizes that differ from the resolver's defaults: fft at the §2.2 study size
+MEMBW_PARAMS = {"fft": {"n": fft.DEFAULT_N}}
 
 
 def _membw_roundtrip(args: argparse.Namespace) -> list[str]:
     """Export -> import -> re-simulate must reproduce the direct stats."""
     from .engines import resolve_engines
     from .memsim import simulate_stream
-    from .stream import (
-        AddressStream,
-        read_stream,
-        write_stream,
-        write_stream_csv,
-    )
+    from .stream import read_stream, write_stream, write_stream_csv
 
     failures: list[str] = []
-    entry = registry.get("adi")
-    program = validate(entry.build())
-    variant = compile_variant(program, "new")
-    params = dict(entry.default_params)
-    layout = variant.layout(params)
+    target = registry.resolve_target("adi")
     selection = resolve_engines(args.engine)
-    if selection.tracer == "codegen":
-        from .codegen import trace_program as tracer
-    else:
-        from .interp import trace_program as tracer
-    trace = tracer(variant.program, params, steps=entry.steps)
-    stream = AddressStream.from_trace(
-        trace, layout, name="adi/new", source=selection.tracer
+    stream = variant_stream(
+        compile_variant(target.program, "new"),
+        target.params,
+        target.steps,
+        selection,
+        name="adi/new",
     )
-    machine = machine_for(entry.machine_spec)
+    machine = machine_for(target.machine_spec)
     direct = simulate_stream(stream, machine, engine=selection.sim)
     with tempfile.TemporaryDirectory(prefix="repro-membw-") as tmp:
         for fmt, writer in (("binary", write_stream), ("csv", write_stream_csv)):
@@ -706,11 +515,20 @@ def cmd_bench_membw(args: argparse.Namespace) -> int:
     """
     from .memsim import BANDWIDTH_HEADERS, bandwidth_record, bandwidth_rows
 
+    if args.check and not args.baseline:
+        raise SystemExit("bench-membw --check requires --baseline FILE")
     apps = args.apps.split(",")
     levels = args.levels.split(",")
     records: dict[str, dict] = {}
     for app in apps:
-        results = _membw_results(app, levels, args)
+        results = run(
+            RunRequest(
+                program=app,
+                levels=levels,
+                params=MEMBW_PARAMS.get(app),
+                engine=args.engine,
+            )
+        ).results
         print(
             format_table(
                 BANDWIDTH_HEADERS,
@@ -725,8 +543,6 @@ def cmd_bench_membw(args: argparse.Namespace) -> int:
 
     exit_code = 0
     if args.check:
-        if not args.baseline:
-            raise SystemExit("bench-membw --check requires --baseline FILE")
         baseline = json.loads(Path(args.baseline).read_text()).get("results", {})
         failures: list[str] = []
         for key, expected in sorted(baseline.items()):
@@ -766,15 +582,16 @@ def cmd_bench_membw(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one (program, level) run: span tree, metrics, peak memory."""
-    target, params, machine, steps = _resolve_measure_target(args)
+    target = _target(args, sized=True)
     outcome = run(
         RunRequest(
-            program=target,
+            program=target.program,
             levels=(args.level,),
             pipeline=_parse_passes(args),
-            params=params,
-            machine=machine,
-            steps=steps,
+            params=target.params,
+            machine=target.machine_spec,
+            steps=target.steps,
+            name=target.name,
             engine=args.engine,
             cache=TraceCache(args.cache_dir) if args.cache else None,
             verify=args.verify,
@@ -907,22 +724,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_target(target: str) -> Program:
-    """A registry application name or a mini-language source file."""
-    try:
-        return validate(registry.get(target).build())
-    except KeyError:
-        return _load_program(target)
-
-
-def _lint_steps(target: str) -> int:
-    """The registry's body-repetition count for an app, 1 for files."""
-    try:
-        return registry.get(target).steps
-    except KeyError:
-        return 1
-
-
 def _schedule_spec(spec: str) -> str:
     """argparse type: validate an OpenMP schedule spec up front."""
     from .static import parse_schedule
@@ -977,21 +778,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return 0
         return subprocess.call([sys.executable, "-m", "ruff", "check", "."])
 
-    if args.all_apps:
-        from .programs import STUDY_PROGRAMS
-
-        targets = sorted(set(APPLICATIONS) | set(STUDY_PROGRAMS))
-    elif args.target:
-        targets = [args.target]
-    else:
-        raise SystemExit(
-            "lint needs a program (file or app name), --all-apps, --self, "
-            "--codes, or --explain CODE"
-        )
-
     bags: dict[str, object] = {}
-    for target in targets:
-        program = _load_target(target)
+    for spec in _targets(args):
+        target = _target(args, spec)
+        program = target.program
         bag = lint_program(program, assume=args.assume)
         if args.static:
             from .codegen.plan import lint_codegen
@@ -999,15 +789,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
             from .verify import lint_coherence, lint_races
 
             bag.extend(
-                lint_static(
-                    program, steps=_lint_steps(target), assume=args.assume
-                )
+                lint_static(program, steps=target.steps, assume=args.assume)
             )
             bag.extend(lint_codegen(program))
             bag.extend(lint_races(program))
-            bag.extend(
-                lint_coherence(program, steps=_lint_steps(target))
-            )
+            bag.extend(lint_coherence(program, steps=target.steps))
         bags[program.name] = bag
 
     if args.write_baseline:
@@ -1074,14 +860,14 @@ def cmd_static_reuse(args: argparse.Namespace) -> int:
     from .obs import metrics as _metrics
     from .static import analyze_program
 
-    program = _load_target(args.target)
-    steps = args.steps if args.steps is not None else _lint_steps(args.target)
+    target = _target(args)
+    program = target.program
     if args.level:
         program = compile_variant(program, args.level).program
-    params = _parse_params(args.param) or None
+    params = args.param
 
     before = _metrics.snapshot()["counters"]
-    profile = analyze_program(program, steps=steps, assume=args.assume)
+    profile = analyze_program(program, steps=target.steps, assume=args.assume)
     after = _metrics.snapshot()["counters"]
     traced = sum(
         v - before.get(k, 0.0)
@@ -1108,52 +894,28 @@ def cmd_static_reuse(args: argparse.Namespace) -> int:
     return 0 if traced == 0 else 1
 
 
-def _cache_elems(target: str) -> tuple[int, int]:
-    """L1/L2 capacities in array elements: the registry entry's scaled
-    machine for an app, the default spec for a file."""
-    from .memsim.geometry import CacheGeometry
-
-    try:
-        spec = registry.get(target).machine_spec
-    except KeyError:
-        spec = MachineSpec()
-    geometry = CacheGeometry.from_spec(spec)
-    return geometry.l1_elems, geometry.l2_elems
-
-
 def cmd_parallelism(args: argparse.Namespace) -> int:
     """Classify every loop axis; optionally predict multicore misses."""
     from .static import analyze_parallelism, predict_program_multicore
 
-    if args.all_apps:
-        from .programs import STUDY_PROGRAMS
-
-        targets = sorted(set(APPLICATIONS) | set(STUDY_PROGRAMS))
-    elif args.target:
-        targets = [args.target]
-    else:
-        raise SystemExit(
-            "parallelism needs a program (file or app name) or --all-apps"
-        )
-
-    params = _parse_params(args.param) or None
+    targets = _targets(args)
     payloads: list[dict] = []
     unknown = 0
-    for target in targets:
-        program = _load_target(target)
+    for spec in targets:
+        target = _target(args, spec)
+        program = target.program
         if args.level:
             program = compile_variant(program, args.level).program
-        profile = analyze_parallelism(program, params)
+        profile = analyze_parallelism(program, args.param)
         unknown += profile.counts()["unknown"]
         pred = None
         if args.threads:
-            steps = args.steps if args.steps is not None else _lint_steps(target)
             pred = predict_program_multicore(
                 program,
                 dict(profile.params),
                 threads=args.threads,
                 schedule=args.schedule,
-                steps=steps,
+                steps=target.steps,
             )
         if args.json:
             entry: dict[str, object] = {"parallelism": profile.as_dict()}
@@ -1171,9 +933,9 @@ def cmd_parallelism(args: argparse.Namespace) -> int:
         for v in profile.verdicts:
             print(f"  {v.describe()}")
         if pred is not None:
-            l1, l2 = _cache_elems(target)
-            print(pred.render(l1, l2))
-        if target != targets[-1]:
+            geometry = CacheGeometry.from_spec(target.machine_spec)
+            print(pred.render(geometry.l1_elems, geometry.l2_elems))
+        if spec != targets[-1]:
             print()
 
     if args.json:
@@ -1195,42 +957,31 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     from .lang import AnalysisError
     from .static import analyze_coherence
 
-    if args.all_apps:
-        from .programs import STUDY_PROGRAMS
-
-        targets = sorted(set(APPLICATIONS) | set(STUDY_PROGRAMS))
-    elif args.target:
-        targets = [args.target]
-    else:
-        raise SystemExit(
-            "coherence needs a program (file or app name) or --all-apps"
-        )
-
-    params = _parse_params(args.param) or None
+    targets = _targets(args)
     payloads: list[dict] = []
-    for target in targets:
-        program = _load_target(target)
+    for spec in targets:
+        target = _target(args, spec)
+        program = target.program
         if args.level:
             program = compile_variant(program, args.level).program
-        steps = args.steps if args.steps is not None else _lint_steps(target)
         try:
             profile = analyze_coherence(
                 program,
-                params,
+                args.param,
                 threads=args.threads,
                 schedule=args.schedule,
-                steps=steps,
+                steps=target.steps,
             )
         except AnalysisError as exc:
             print(f"coherence {program.name}: skipped ({exc})")
-            if target != targets[-1]:
+            if spec != targets[-1]:
                 print()
             continue
         if args.json:
             payloads.append(profile.as_dict())
             continue
         print(profile.render())
-        if target != targets[-1]:
+        if spec != targets[-1]:
             print()
     if args.json:
         print(json.dumps(payloads[0] if len(payloads) == 1 else payloads,
@@ -1239,7 +990,7 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_pass(args: argparse.Namespace) -> int:
-    params = _parse_params(args.param) or None
+    params = args.param
     # the verifier snapshots a tiny execution; one body repetition suffices
     args.steps = 1 if args.steps is None else args.steps
     if args.before or args.after:
@@ -1270,7 +1021,7 @@ def cmd_verify_pass(args: argparse.Namespace) -> int:
     results: list[dict[str, object]] = []
     failures = 0
     for target in targets:
-        program = _load_target(target)
+        program = _target(args, target).program
         for level in levels:
             verifier = PassVerifier(program, params, steps=args.steps)
             try:
@@ -1355,17 +1106,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_size(text: str) -> dict[str, int]:
-    """One ``--at N=161,steps...`` binding: comma-separated NAME=INT pairs."""
-    out: dict[str, int] = {}
-    for piece in text.split(","):
-        name, _, value = piece.partition("=")
-        if not value:
-            raise SystemExit(f"bad size {text!r}; expected NAME=INT[,NAME=INT...]")
-        out[name.strip()] = int(value)
-    return out
-
-
 def cmd_tune(args: argparse.Namespace) -> int:
     """Autotune pass pipelines per program by statically predicted misses."""
     from .tune import TuneRequest, check_baseline, tune
@@ -1397,26 +1137,22 @@ def cmd_tune(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("tune needs one or more app names, or --all-apps, or --check")
 
-    sizes = None
-    explicit = [_parse_size(t) for t in args.at or ()]
-    base = _parse_params(args.param)
-    if base or explicit:
-        sizes = ([base] if base else []) + explicit
+    sizes = ([args.param] if args.param else []) + (args.at or []) or None
 
     payload: dict[str, object] = {}
     exit_code = 0
     for target in targets:
         request = TuneRequest(
-            program=target,
+            program=(
+                target if registry.is_bundled(target) else _load_program(target)
+            ),
             sizes=sizes,
             steps=args.steps,
             objective=args.objective,
             threads=args.threads,
             schedule=args.schedule,
             enablers=tuple(args.enablers.split(",")) if args.enablers else (),
-            fusion_levels=tuple(
-                int(v) for v in args.fusion_levels.split(",")
-            ),
+            fusion_levels=args.fusion_levels,
             regroup=not args.no_regroup,
             max_candidates=args.max_candidates,
             top_k=args.top_k,
@@ -1493,10 +1229,10 @@ def build_parser() -> argparse.ArgumentParser:
     # parameters, the engine choice, verification, and caching the same way
     params_args = argparse.ArgumentParser(add_help=False)
     params_args.add_argument(
-        "-p", "--param", "--params", dest="param", action="append",
-        metavar="NAME=INT",
-        help="one program-parameter binding per flag (repeat for more, "
-        "e.g. -p N=161 -p steps=5)",
+        "-p", "--param", "--params", dest="param", type=_bindings,
+        action=_MergeBindings, metavar="NAME=INT",
+        help="program-parameter bindings (repeat the flag or join with "
+        "commas, e.g. -p N=161 -p M=5)",
     )
     params_args.add_argument(
         "--steps", type=int, default=None,
@@ -1536,7 +1272,9 @@ def build_parser() -> argparse.ArgumentParser:
     regroup = sub.add_parser("regroup", help="show the data-regrouping decision")
     regroup.add_argument("file")
     regroup.add_argument("--level", default="new")
-    regroup.add_argument("-p", "--param", action="append", metavar="NAME=INT")
+    regroup.add_argument(
+        "-p", "--param", type=_bindings, action=_MergeBindings, metavar="NAME=INT"
+    )
     regroup.set_defaults(fn=cmd_regroup)
 
     report = sub.add_parser(
@@ -1596,33 +1334,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs.add_argument("--json", action="store_true", help="JSON output")
     runs.set_defaults(fn=cmd_runs)
-
-    bench = sub.add_parser(
-        "bench-engine",
-        help="compare fast vs. reference simulation engines",
-        parents=[params_args],
-    )
-    bench.add_argument("app", nargs="?", default="adi", help="registry app name")
-    bench.add_argument("--levels", default="noopt,fusion,new")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.set_defaults(fn=cmd_bench_engine)
-
-    bench_cg = sub.add_parser(
-        "bench-codegen",
-        help="compare interpreter vs. codegen trace generation",
-        parents=[params_args],
-    )
-    bench_cg.add_argument(
-        "--apps", default="adi,swim,tomcatv,sp",
-        help="comma-separated registry apps (fig-10 set by default)",
-    )
-    bench_cg.add_argument("--levels", default="noopt,fusion,new")
-    bench_cg.add_argument("--repeats", type=int, default=3)
-    bench_cg.add_argument(
-        "--json-out", default=None, metavar="FILE",
-        help="also write the machine-readable payload (BENCH_codegen.json)",
-    )
-    bench_cg.set_defaults(fn=cmd_bench_codegen)
 
     bench_bw = sub.add_parser(
         "bench-membw",
@@ -1735,7 +1446,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline", metavar="FILE",
         help="record the current diagnostics as the accepted baseline",
     )
-    lint.set_defaults(fn=cmd_lint)
+    # symbolic only: lint takes no sizes, so targets resolve at their defaults
+    lint.set_defaults(fn=cmd_lint, param=None, steps=None)
 
     static = sub.add_parser(
         "static-reuse",
@@ -1878,7 +1590,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="tune every bundled application (plus any extra targets given)",
     )
     tune.add_argument(
-        "--at", action="append", metavar="NAME=INT[,NAME=INT...]",
+        "--at", action="append", type=_bindings,
+        metavar="NAME=INT[,NAME=INT...]",
         help="extra target size to score at (repeatable; -p sizes come first)",
     )
     tune.add_argument(
@@ -1903,7 +1616,8 @@ def build_parser() -> argparse.ArgumentParser:
         f"{','.join(TUNE_ENABLERS)}; pass '' to disable all)",
     )
     tune.add_argument(
-        "--fusion-levels", default="0,1,2,4,8", metavar="K1,K2,...",
+        "--fusion-levels", type=_int_list, default=(0, 1, 2, 4, 8),
+        metavar="K1,K2,...",
         help="fusion max_levels values to try; 0 means no fusion",
     )
     tune.add_argument(

@@ -1,8 +1,8 @@
 """Parameter-free structural codegen plan (pass-manager / lint surface).
 
-The tracer and executor make their final supported-subset decisions with
-a concrete parameter binding in hand (coefficients must fold to
-integers, ranges must be known).  But most disqualifiers are *structural*
+The tracer makes its final supported-subset decisions with a concrete
+parameter binding in hand (coefficients must fold to integers, ranges
+must be known).  But most disqualifiers are *structural*
 — an un-inlined call, a non-affine subscript, a fractional stride — and
 visible on the bare AST.  :func:`plan_program` classifies each top-level
 nest on that basis so the ``codegen-plan`` pass can annotate pipelines

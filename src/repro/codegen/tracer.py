@@ -395,18 +395,3 @@ def trace_program(
                 builder.instr_count += icount
             builder.append(aids, elems, writes, refids, instr)
     return gen.finish()
-
-
-def trace_stream(
-    program,
-    params: Mapping[str, int],
-    steps: int = 1,
-    layout=None,
-):
-    """Codegen twin of :func:`repro.interp.tracegen.trace_stream`."""
-    from ..stream import AddressStream
-
-    trace = trace_program(program, params, steps=steps)
-    return AddressStream.from_trace(
-        trace, layout, name=getattr(program, "name", "program"), source="codegen"
-    )

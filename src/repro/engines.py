@@ -5,7 +5,9 @@ resolved in three places — ``measure_variant``, the memsim dispatchers,
 and the CLI's ``--engine`` flag.  The codegen backend adds a second,
 orthogonal axis: which *tracer* generates the address stream
 (``codegen``/``interp``).  This module owns the whole grammar so every
-entry point resolves specs identically:
+entry point resolves specs identically, and
+:meth:`EngineSelection.trace_program` is the one place the resolved
+tracer is picked:
 
 ``"fast"`` / ``"reference"``
     pick the simulation engine, keep the default tracer;
@@ -70,6 +72,20 @@ class EngineSelection:
 
     def spec(self) -> str:
         return f"{self.sim}+{self.tracer}"
+
+    def trace_program(self, program, params, steps: int = 1):
+        """Trace ``program`` with the selected tracer.
+
+        Both tracers produce bit-for-bit identical traces (the contract
+        the differential suite under ``tests/codegen/`` enforces), so
+        the choice is observable only through spans and ``codegen.*``
+        metrics.
+        """
+        if self.tracer == "codegen":
+            from .codegen import trace_program
+        else:
+            from .interp import trace_program
+        return trace_program(program, params, steps=steps)
 
 
 def resolve_engines(

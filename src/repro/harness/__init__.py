@@ -1,9 +1,10 @@
 """Experiment drivers and table formatting shared by benchmarks/examples.
 
-Everything enters through :func:`run` with a :class:`RunRequest`.  The
-historical ``measure`` / ``measure_application`` / ``run_application``
-trio is gone (v2.0); see the README migration table for the
-``RunRequest`` equivalents.
+Everything enters through :func:`run` with a :class:`RunRequest` —
+serial or pooled (``jobs=``) — and comes back as
+:class:`VariantResult` rows.  The historical ``measure`` /
+``measure_application`` / ``run_application`` trio is gone (v2.0); see
+the README migration table for the ``RunRequest`` equivalents.
 """
 
 from .artifacts import merge_json_artifact
@@ -13,14 +14,7 @@ from .experiment import (
     machine_for,
     measure_variant,
     stage_timer,
-    trace_for,
-)
-from .parallel import (
-    ExperimentRecord,
-    ExperimentSpec,
-    ParallelRunner,
-    progress_line,
-    run_spec,
+    variant_stream,
 )
 from .run import RunRequest, RunResult, run
 from .sweep import SweepPoint, growth_factor, scaling_sweep
@@ -36,10 +30,7 @@ from .tables import (
 )
 
 __all__ = [
-    "ExperimentRecord",
-    "ExperimentSpec",
     "NORMALIZED_HEADERS",
-    "ParallelRunner",
     "RunRequest",
     "RunResult",
     "SweepPoint",
@@ -55,13 +46,11 @@ __all__ = [
     "measure_variant",
     "merge_json_artifact",
     "normalized_rows",
-    "progress_line",
     "ratio",
     "growth_factor",
     "run",
-    "run_spec",
     "scaling_sweep",
     "stage_timer",
     "timing_rows",
-    "trace_for",
+    "variant_stream",
 ]

@@ -1,15 +1,12 @@
-"""Shared experiment driver used by benchmarks/ and examples/.
+"""The measuring chain behind :func:`repro.harness.run`.
 
-:func:`measure_variant` takes an application (by registry name or as a
-program), compiles it at an optimization level, generates the trace at
-the chosen size, simulates the scaled memory hierarchy, and returns one
-:class:`VariantResult` — the row unit of every Fig. 10 / §6 table.  The
-whole path is instrumented with :mod:`repro.obs` spans (compile passes,
-trace-gen, per-cache simulation stages), so a surrounding
-:class:`~repro.obs.SpanCollector` sees the full stage tree.
-
-The :func:`repro.harness.run` front door drives this module; the
-historical ``measure`` / ``measure_application`` shims are gone.
+:func:`measure_variant` compiles a program at an optimization level,
+generates the trace at the chosen size, simulates the scaled memory
+hierarchy, and returns one :class:`VariantResult` — the row unit of
+every Fig. 10 / §6 table, and the only result record the harness has.
+The whole path is instrumented with :mod:`repro.obs` spans (compile
+passes, trace-gen, addresses, per-level simulation stages), so a
+surrounding :class:`~repro.obs.SpanCollector` sees the full stage tree.
 """
 
 from __future__ import annotations
@@ -17,26 +14,22 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from ..core import CompiledVariant, compile_pipeline, compile_variant
 from ..core.fusion import FusionOptions
 from ..engines import EngineSelection, resolve_engines
 from ..core.regroup import RegroupOptions
-from ..interp import trace_program
-from ..interp.trace import AccessTrace
+from ..core.regroup.layout import Layout
 from ..lang import Program, validate
 from ..memsim import (
     MACHINES,
     MachineConfig,
     MemStats,
-    default_engine,
     scaled_machine,
-    simulate_hierarchy,
     simulate_stream,
 )
 from ..obs import SpanEvent, metrics, span
-from ..programs import registry
 from ..stream import AddressStream
 from ..verify import PassVerifier
 from .cache import TraceCache, layout_fingerprint
@@ -78,7 +71,7 @@ class VariantResult:
 def stage_timer(timings: dict, stage: str):
     """Accumulate a block's wall-clock seconds under ``timings[stage]``.
 
-    The benchmark-side counterpart of the stages ``simulate_hierarchy``
+    The benchmark-side counterpart of the stages :func:`measure_variant`
     times internally — e.g. wrap an Olken ``reuse_distances`` pass with
     ``stage_timer(timings, "distance")`` to fill the timing table's
     ``distance`` column.  New code should prefer :func:`repro.obs.span`,
@@ -91,33 +84,6 @@ def stage_timer(timings: dict, stage: str):
         timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
-def _generate_trace(
-    selection: EngineSelection,
-    program: Program,
-    params: Mapping[str, int],
-    steps: int,
-    timings: dict,
-) -> AccessTrace:
-    """Generate the trace with the selected tracer, under the pinned span.
-
-    Both tracers produce bit-for-bit identical traces (the contract the
-    differential suite under ``tests/codegen/`` enforces), so callers —
-    and the trace cache — never observe which one ran except through the
-    ``tracer`` span attribute and the ``codegen.*`` metrics.
-    """
-    with span("trace-gen", steps=steps, tracer=selection.tracer) as sp:
-        if selection.tracer == "codegen":
-            from ..codegen import trace_program as codegen_trace_program
-
-            trace = codegen_trace_program(program, params, steps=steps)
-        else:
-            trace = trace_program(program, params, steps=steps)
-    timings["trace-gen"] = sp.duration_s
-    metrics.inc("trace.generated")
-    metrics.inc("trace.accesses", len(trace))
-    return trace
-
-
 def machine_for(spec) -> MachineConfig:
     """Build the scaled machine for a registry entry's MachineSpec."""
     if isinstance(spec, str):
@@ -126,6 +92,42 @@ def machine_for(spec) -> MachineConfig:
     return scaled_machine(
         base, spec.l1_bytes, spec.l2_bytes, spec.tlb_entries, spec.page_bytes
     )
+
+
+def variant_stream(
+    variant: CompiledVariant,
+    params: Mapping[str, int],
+    steps: int = 1,
+    engine: Union[None, str, EngineSelection] = None,
+    name: Optional[str] = None,
+    layout: Optional[Layout] = None,
+    timings: Optional[dict] = None,
+) -> AddressStream:
+    """Trace a compiled variant and lay it out as byte addresses.
+
+    The producer half of the measuring chain, under the pinned
+    ``trace-gen`` and ``addresses`` spans (mirrored into ``timings``).
+    The tracer is the one ``engine`` selects; ``layout`` defaults to the
+    variant's own at ``params``.
+    """
+    selection = resolve_engines(engine)
+    if layout is None:
+        layout = variant.layout(params)
+    with span("trace-gen", steps=steps, tracer=selection.tracer) as tsp:
+        trace = selection.trace_program(variant.program, params, steps=steps)
+    metrics.inc("trace.generated")
+    metrics.inc("trace.accesses", len(trace))
+    with span("addresses", accesses=len(trace)) as asp:
+        stream = AddressStream.from_trace(
+            trace,
+            layout,
+            name=name or variant.program.name,
+            source=selection.tracer,
+        )
+    if timings is not None:
+        timings["trace-gen"] = tsp.duration_s
+        timings["addresses"] = asp.duration_s
+    return stream
 
 
 def measure_variant(
@@ -145,6 +147,9 @@ def measure_variant(
 ) -> VariantResult:
     """Compile at ``level``, trace, and simulate one program variant.
 
+    One chain: compile -> :func:`variant_stream` -> ``simulate_stream``,
+    with ``cache`` as load-before/store-after around the last two links.
+
     ``engine`` is a spec per :func:`repro.engines.resolve_engines`: a
     simulation engine (``"fast"``/``"reference"``), a tracer
     (``"codegen"``/``"interp"``), or both (``"fast+interp"``).  ``cache``
@@ -162,7 +167,7 @@ def measure_variant(
     Per-stage seconds land in :attr:`VariantResult.timings`.
     """
     selection = resolve_engines(engine)
-    engine = selection.sim
+    label = name or program.name
     timings: dict[str, float] = {}
     with span("compile", level=level) as sp:
         if pipeline is not None:
@@ -187,7 +192,7 @@ def measure_variant(
 
     def _result(stats: MemStats, trace_length: int) -> VariantResult:
         return VariantResult(
-            program=name or program.name,
+            program=label,
             level=level,
             params=dict(params),
             stats=stats,
@@ -196,53 +201,24 @@ def measure_variant(
             timings=timings,
         )
 
+    stream = None
     if cache is not None:
         tkey = cache.trace_key(
             str(variant.program), params, steps, layout_fingerprint(layout)
         )
-        rkey = cache.result_key(tkey, machine, engine)
+        rkey = cache.result_key(tkey, machine, selection.sim)
         if result_cache:
             stats = cache.load_result(rkey)
             if stats is not None:
                 return _result(stats, stats.accesses)
         stream = cache.load_trace(tkey)
-        if stream is None:
-            trace = _generate_trace(selection, variant.program, params, steps, timings)
-            with span("addresses") as sp:
-                stream = AddressStream.from_trace(
-                    trace,
-                    layout,
-                    name=name or program.name,
-                    source=selection.tracer,
-                )
-            timings["addresses"] = sp.duration_s
+    if stream is None:
+        stream = variant_stream(
+            variant, params, steps, selection, label, layout, timings
+        )
+        if cache is not None:
             cache.store_trace(tkey, stream)
-        stats = simulate_stream(stream, machine, engine=engine, timings=timings)
-        if result_cache:
-            cache.store_result(rkey, stats)
-        return _result(stats, len(stream))
-
-    trace = _generate_trace(selection, variant.program, params, steps, timings)
-    stats = simulate_hierarchy(
-        trace, layout, machine, engine=engine, timings=timings
-    )
-    return _result(stats, len(trace))
-
-
-def trace_for(
-    app: str,
-    level: str = "noopt",
-    params: Optional[Mapping[str, int]] = None,
-    steps: Optional[int] = None,
-    with_instr: bool = False,
-) -> AccessTrace:
-    """Convenience: the access trace of an application at one level."""
-    entry = registry.get(app)
-    program = validate(entry.build())
-    variant = compile_variant(program, level)
-    return trace_program(
-        variant.program,
-        params or entry.default_params,
-        steps=entry.steps if steps is None else steps,
-        with_instr=with_instr,
-    )
+    stats = simulate_stream(stream, machine, engine=selection.sim, timings=timings)
+    if cache is not None and result_cache:
+        cache.store_result(rkey, stats)
+    return _result(stats, len(stream))

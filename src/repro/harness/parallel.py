@@ -1,126 +1,69 @@
-"""Parallel experiment execution with deterministic result ordering.
+"""The one runner loop: measure a program at each level, in input order.
 
-A benchmark is a list of independent (program, level, size) experiments;
-:class:`ParallelRunner` fans them out across worker processes with
-``multiprocessing.Pool.imap`` (``chunksize=1``), which yields results in
-input order, so a parallel run returns *bit-identical* records in the
-*same order* as a serial run — the property the integration tests pin.
+:func:`run_levels` is the loop behind :func:`repro.harness.run`.  It
+owns the run-level bookkeeping — the ``run_start``/``run_end`` events,
+live progress lines, the slowest-level record — and has two branches:
 
-Experiments cross the process boundary as :class:`ExperimentSpec`
-records (registry name + plain-data options), not as compiled variants:
-a :class:`~repro.core.CompiledVariant` carries layout closures that do
-not pickle.  Results come back as the equally-slim
-:class:`ExperimentRecord`.  Both directions compose with the on-disk
-:class:`~repro.harness.cache.TraceCache`, so workers share traces
-through the filesystem rather than re-tracing per process.
+*in-process* (``workers <= 1``)
+    levels run one after another in this interpreter, so results keep
+    the compiled variant, the collected spans and the metrics delta, and
+    the job may carry a :class:`~repro.lang.Program`, a custom pipeline
+    and a :class:`~repro.verify.PassVerifier`;
+*pool* (``workers > 1``)
+    levels fan out with ``multiprocessing.Pool.imap`` (``chunksize=1``),
+    which yields in input order, so a pooled run returns *bit-identical*
+    rows in the *same order* as an in-process one — the property the
+    integration tests pin.  The job crosses the process boundary as a
+    bundled program name plus plain-data options, and results come back
+    without the variant: a :class:`~repro.core.CompiledVariant` carries
+    layout closures that do not pickle.  Workers share traces through
+    the on-disk :class:`~repro.harness.cache.TraceCache`.
 
 Observability: given a :class:`~repro.obs.TraceConfig` with
-``events=True``, the runner creates ``runs/<id>/events.jsonl`` and every
-worker streams its spec's span/metric events into it (schema v1, see
-:mod:`repro.obs.events`); ``progress=True`` additionally reports
-completed/total, ETA, and the slowest spec live as results arrive.
+``events=True`` the loop creates ``runs/<id>/events.jsonl`` and every
+level streams its span/metric events into it (schema v1, see
+:mod:`repro.obs.events`); ``progress=True`` reports completed/total,
+ETA, and the slowest level on stderr as results arrive.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Mapping, Optional, Sequence, Union
 
-from ..core.fusion import FusionOptions
-from ..core.regroup import RegroupOptions
-from ..memsim import MachineConfig, MemStats
+from ..lang import Program
 from ..obs import RunLog, TraceConfig, make_event, spec_logging
+from ..programs.registry import resolve_target
+from .experiment import VariantResult, measure_variant
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment, as plain picklable data.
-
-    ``app`` names a registry application; ``params``/``steps``/``machine``
-    default to the registry entry's values when omitted.  ``cache_dir``
-    (a path) enables the on-disk trace/result cache for this experiment;
-    ``verify`` runs the pass-legality checker during compilation;
-    ``result_cache=False`` replays traces but always re-simulates.
-    """
-
-    app: str
-    level: str
-    params: Optional[Mapping[str, int]] = None
-    steps: Optional[int] = None
-    machine: Optional[MachineConfig] = None
-    fusion_options: Optional[FusionOptions] = None
-    regroup_options: Optional[RegroupOptions] = None
-    engine: Optional[str] = None
-    cache_dir: Optional[str] = None
-    verify: bool = False
-    result_cache: bool = True
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """The measured outcome of one spec (slim, picklable)."""
-
-    program: str
-    level: str
-    params: dict
-    trace_length: int
-    stats: MemStats
-    timings: dict = field(default_factory=dict)
-    #: wall-clock seconds the spec took in its worker
-    seconds: float = 0.0
-
-
-def run_spec(spec: ExperimentSpec) -> ExperimentRecord:
-    """Execute one spec (module-level so worker processes can import it)."""
-    from .cache import TraceCache
-    from .experiment import machine_for, measure_variant
-    from ..lang import validate
-    from ..programs import registry
-
-    entry = registry.get(spec.app)
-    program = validate(entry.build())
-    machine = spec.machine if spec.machine is not None else machine_for(
-        entry.machine_spec
-    )
-    result = measure_variant(
-        program,
-        spec.level,
-        dict(spec.params) if spec.params is not None else entry.default_params,
-        machine,
-        steps=entry.steps if spec.steps is None else spec.steps,
-        name=spec.app,
-        fusion_options=spec.fusion_options,
-        regroup_options=spec.regroup_options,
-        engine=spec.engine,
-        cache=TraceCache(spec.cache_dir) if spec.cache_dir else None,
-        verify=spec.verify,
-        result_cache=spec.result_cache,
-    )
-    return ExperimentRecord(
-        program=result.program,
-        level=result.level,
-        params=dict(result.params),
-        trace_length=result.trace_length,
-        stats=result.stats,
-        timings=dict(result.timings),
-    )
-
-
-def _logged_spec(job: tuple) -> ExperimentRecord:
-    """Worker entry: run one spec, streaming its events to the run log."""
-    spec, run_dir, index, memory = job
+def _measure_level(item: tuple) -> VariantResult:
+    """Measure one level, streaming its events to the run log."""
+    program, level, options, run_dir, index, memory = item
     log = RunLog(run_dir) if run_dir else None
-    with spec_logging(log, index, spec.app, spec.level, memory=memory) as collector:
-        record = run_spec(spec)
-    return dataclasses.replace(record, seconds=collector.seconds)
+    name = options["name"]
+    with spec_logging(log, index, name, level, memory=memory) as collector:
+        if isinstance(program, str):  # a pool job: rebuild on this side
+            program = resolve_target(program, options["params"]).program
+        result = measure_variant(program, level, **options)
+    result.seconds = collector.seconds
+    result.spans = collector.events
+    result.metrics = collector.metrics
+    return result
 
 
-def progress_line(
+def _measure_level_slim(item: tuple) -> VariantResult:
+    """Pool entry (module-level so workers can import it): what pickles."""
+    return dataclasses.replace(
+        _measure_level(item), variant=None, spans=[], metrics={}
+    )
+
+
+def _progress_line(
     completed: int,
     total: int,
     label: str,
@@ -129,7 +72,7 @@ def progress_line(
     slowest_label: str,
     slowest_seconds: float,
 ) -> str:
-    """One live progress report: completed/total, ETA, slowest spec."""
+    """One live progress report: completed/total, ETA, slowest level."""
     remaining = total - completed
     eta = (elapsed / completed) * remaining if completed else 0.0
     return (
@@ -139,90 +82,79 @@ def progress_line(
     )
 
 
-class ParallelRunner:
-    """Run experiment specs across processes, results in input order.
+def run_levels(
+    program: Union[str, Program],
+    levels: Sequence[str],
+    options: Mapping[str, object],
+    workers: int = 1,
+    trace: Optional[TraceConfig] = None,
+) -> tuple[list[VariantResult], Optional[Path], float]:
+    """Measure ``program`` at every level; ``(results, run_dir, seconds)``.
 
-    ``trace`` configures the observability sinks for the whole run; after
-    :meth:`run` with events enabled, ``last_run_dir`` points at the run
-    directory holding ``events.jsonl``.
+    ``options`` are :func:`measure_variant`'s keyword arguments, shared
+    by all levels.  With ``workers > 1`` ``program`` must be a bundled
+    name and every option plain data (see the module docstring).
     """
+    log = None
+    if trace and trace.events:
+        log = RunLog.create(trace.runs_root, trace.run_id)
+        log.write(make_event("run_start", run_id=log.run_id, total=len(levels)))
+    run_dir = str(log.run_dir) if log is not None else None
+    memory = bool(trace and trace.memory)
+    items = [
+        (program, level, options, run_dir, index, memory)
+        for index, level in enumerate(levels)
+    ]
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        trace: Optional[TraceConfig] = None,
-        progress_stream=None,
-    ) -> None:
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.trace = trace
-        self.progress_stream = progress_stream
-        self.last_run_dir = None
+    results: list[VariantResult] = []
+    slowest: Optional[VariantResult] = None
+    t0 = time.perf_counter()
 
-    def run(self, specs: Sequence[ExperimentSpec]) -> list[ExperimentRecord]:
-        specs = list(specs)
-        cfg = self.trace
-        log: Optional[RunLog] = None
-        if cfg is not None and cfg.events:
-            log = RunLog.create(cfg.runs_root, cfg.run_id)
-            self.last_run_dir = log.run_dir
-            log.write(make_event("run_start", run_id=log.run_id, total=len(specs)))
-        memory = bool(cfg and cfg.memory)
-        progress = bool(cfg and cfg.progress)
-        stream = self.progress_stream if self.progress_stream is not None else sys.stderr
-        run_dir = str(log.run_dir) if log is not None else None
-        jobs = [(spec, run_dir, i, memory) for i, spec in enumerate(specs)]
+    def consume(result: VariantResult) -> None:
+        nonlocal slowest
+        results.append(result)
+        if slowest is None or result.seconds > slowest.seconds:
+            slowest = result
+        if trace and trace.progress:
+            print(
+                _progress_line(
+                    len(results),
+                    len(levels),
+                    f"{result.program}/{result.level}",
+                    result.seconds,
+                    time.perf_counter() - t0,
+                    f"{slowest.program}/{slowest.level}",
+                    slowest.seconds,
+                ),
+                file=sys.stderr,
+                flush=True,
+            )
 
-        records: list[ExperimentRecord] = []
-        slowest: Optional[ExperimentRecord] = None
-        t0 = time.perf_counter()
+    if workers <= 1:
+        for item in items:
+            consume(_measure_level(item))
+    else:
+        # fork keeps the already-imported interpreter state; imap with
+        # chunksize=1 yields in input order as soon as each completes.
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(min(workers, len(levels))) as pool:
+            for result in pool.imap(_measure_level_slim, items, chunksize=1):
+                consume(result)
 
-        def consume(record: ExperimentRecord) -> None:
-            nonlocal slowest
-            records.append(record)
-            if slowest is None or record.seconds > slowest.seconds:
-                slowest = record
-            if progress:
-                print(
-                    progress_line(
-                        len(records),
-                        len(specs),
-                        f"{record.program}/{record.level}",
-                        record.seconds,
-                        time.perf_counter() - t0,
-                        f"{slowest.program}/{slowest.level}",
-                        slowest.seconds,
-                    ),
-                    file=stream,
-                    flush=True,
-                )
-
-        if self.jobs <= 1 or len(specs) <= 1:
-            for job in jobs:
-                consume(_logged_spec(job))
-        else:
-            # fork keeps the already-imported interpreter state; imap with
-            # chunksize=1 yields in input order as soon as each completes.
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(self.jobs, len(specs))) as pool:
-                for record in pool.imap(_logged_spec, jobs, chunksize=1):
-                    consume(record)
-
-        if log is not None:
-            extra = {}
-            if slowest is not None:
-                extra["slowest"] = {
+    seconds = time.perf_counter() - t0
+    if log is not None:
+        log.write(
+            make_event(
+                "run_end",
+                run_id=log.run_id,
+                completed=len(results),
+                total=len(levels),
+                seconds=round(seconds, 9),
+                slowest={
                     "program": slowest.program,
                     "level": slowest.level,
                     "seconds": round(slowest.seconds, 9),
-                }
-            log.write(
-                make_event(
-                    "run_end",
-                    run_id=log.run_id,
-                    completed=len(records),
-                    total=len(specs),
-                    seconds=round(time.perf_counter() - t0, 9),
-                    **extra,
-                )
+                },
             )
-        return records
+        )
+    return results, log.run_dir if log is not None else None, seconds

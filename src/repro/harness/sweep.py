@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..lang import validate
 from ..memsim import MachineConfig
-from ..programs import registry
+from ..programs.registry import resolve_target
 from .experiment import machine_for, measure_variant
 
 
@@ -40,20 +39,19 @@ def scaling_sweep(
     steps: Optional[int] = None,
 ) -> list[SweepPoint]:
     """Measure an application across input sizes at a fixed machine."""
-    entry = registry.get(app)
-    program = validate(entry.build())
+    target = resolve_target(app, steps=steps)
     if machine is None:
-        machine = machine_for(entry.machine_spec)
+        machine = machine_for(target.machine_spec)
     out: list[SweepPoint] = []
     for level in levels:
         for n in sizes:
             result = measure_variant(
-                program,
+                target.program,
                 level,
                 {"N": n},
                 machine,
-                steps=entry.steps if steps is None else steps,
-                name=app,
+                steps=target.steps,
+                name=target.name,
             )
             s = result.stats
             out.append(

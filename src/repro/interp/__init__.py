@@ -5,7 +5,7 @@ from .interleave import InterleavedRun, interleave_trace
 from .interpreter import Interpreter, run_program
 from .state import check_params, init_arrays
 from .trace import AccessTrace, RefInfo, TraceBuilder
-from .tracegen import trace_program, trace_stream
+from .tracegen import trace_program
 
 __all__ = [
     "AccessTrace",
@@ -20,5 +20,4 @@ __all__ = [
     "interleave_trace",
     "run_program",
     "trace_program",
-    "trace_stream",
 ]

@@ -50,9 +50,7 @@ class FunctionTable:
     ) -> "tuple[tuple[float, ...], float] | None":
         """The ``(coeffs, offset)`` of an opaque function; None for builtins.
 
-        The vectorized executor uses this to replay
-        ``sum(c * a for ...) + offset`` as batched float64 ops in the exact
-        scalar operation order, keeping results bit-for-bit identical.
+        :meth:`resolve` evaluates it as ``sum(c * a for ...) + offset``.
         """
         if name in _BUILTINS:
             return None

@@ -26,8 +26,6 @@ from .geometry import (
 )
 from .hierarchy import (
     MemStats,
-    miss_mask_l1,
-    simulate_addresses,
     simulate_hierarchy,
     simulate_stream,
     stats_from_hierarchy,
@@ -82,11 +80,9 @@ __all__ = [
     "bandwidth_rows",
     "default_engine",
     "fa_miss_counts",
-    "miss_mask_l1",
     "octane",
     "origin2000",
     "scaled_machine",
-    "simulate_addresses",
     "simulate_cache",
     "simulate_cache_writeback",
     "simulate_dram",

@@ -7,7 +7,7 @@ stream, with row-buffer and energy accounting).  Data transferred from
 memory is L2 misses x L2 line size — the quantity the paper's §6 table
 normalizes — and execution time is synthesized from the additive
 :class:`TimingModel`.  This module keeps the stable entry points
-(`simulate_hierarchy`, `simulate_addresses`) and folds a
+(`simulate_stream`, `simulate_hierarchy`) and folds a
 :class:`HierarchyResult` down to the flat :class:`MemStats` record the
 harness caches and compares bit-for-bit across engines.
 """
@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import MutableMapping, Optional
 
-import numpy as np
-
 from ..core.regroup.layout import Layout
 from ..interp.trace import AccessTrace
 from ..obs import span
-from .cache import simulate_cache
+from ..stream import AddressStream
 from .levels import HierarchyResult, MemoryHierarchy
 from .machine import MachineConfig
 
@@ -130,6 +128,28 @@ def stats_from_hierarchy(
     )
 
 
+def simulate_stream(
+    stream,
+    machine: MachineConfig,
+    engine: Optional[str] = None,
+    timings: Optional[MutableMapping[str, float]] = None,
+) -> MemStats:
+    """Simulate L1 -> L2 -> TLB -> DRAM over an address stream.
+
+    ``stream`` is an :class:`~repro.stream.AddressStream` of byte
+    addresses (its write column rides along, so cached streams and
+    imported traces replay with one call).  ``engine`` selects the
+    simulation implementation (see :data:`repro.memsim.cache.ENGINES`).
+    Each level runs under an :mod:`repro.obs` span named after it
+    (``l1``/``l2``/``tlb``/``dram``); when ``timings`` is a mapping the
+    same per-stage seconds are accumulated into it.
+    """
+    outcome = MemoryHierarchy.standard(machine).simulate(
+        stream.addresses, stream.writes, engine=engine, timings=timings
+    )
+    return stats_from_hierarchy(outcome, machine)
+
+
 def simulate_hierarchy(
     trace: AccessTrace,
     layout: Layout,
@@ -137,64 +157,13 @@ def simulate_hierarchy(
     engine: Optional[str] = None,
     timings: Optional[MutableMapping[str, float]] = None,
 ) -> MemStats:
-    """Simulate L1 -> L2 -> TLB -> DRAM for one (trace, layout) pair.
+    """Trace-level convenience: lay ``trace`` out, then :func:`simulate_stream`.
 
-    ``engine`` selects the simulation implementation (see
-    :data:`repro.memsim.cache.ENGINES`).  When ``timings`` is a mapping,
-    per-stage wall-clock seconds are accumulated into it under the keys
-    ``addresses``, ``l1``, ``l2``, ``tlb`` and ``dram``.  Each stage
-    also emits an :mod:`repro.obs` span, so profiles see the same
-    breakdown.
+    The address materialisation runs under an ``addresses`` span (and
+    ``timings`` key) next to the per-level ones.
     """
     with span("addresses", accesses=len(trace)) as sp:
-        addresses = layout.addresses(trace, in_bytes=True)
+        stream = AddressStream.from_trace(trace, layout)
     if timings is not None:
         timings["addresses"] = timings.get("addresses", 0.0) + sp.duration_s
-    return simulate_addresses(
-        addresses, trace.writes, machine, engine=engine, timings=timings
-    )
-
-
-def simulate_addresses(
-    addresses: np.ndarray,
-    writes: np.ndarray,
-    machine: MachineConfig,
-    engine: Optional[str] = None,
-    timings: Optional[MutableMapping[str, float]] = None,
-) -> MemStats:
-    """Simulate the hierarchy from a pre-computed byte-address stream.
-
-    This is the entry point the trace cache uses: a cached (addresses,
-    writes) pair replays without re-tracing or re-laying-out the
-    program.  Each level runs under an :mod:`repro.obs` span named
-    after it (``l1``/``l2``/``tlb``/``dram``); the legacy ``timings``
-    mapping is filled from the same spans.
-    """
-    hierarchy = MemoryHierarchy.standard(machine)
-    outcome = hierarchy.simulate(
-        addresses, writes, engine=engine, timings=timings
-    )
-    return stats_from_hierarchy(outcome, machine)
-
-
-def simulate_stream(
-    stream,
-    machine: MachineConfig,
-    engine: Optional[str] = None,
-    timings: Optional[MutableMapping[str, float]] = None,
-) -> MemStats:
-    """Simulate an :class:`~repro.stream.AddressStream` end to end.
-
-    The stream front door: its write column rides along automatically,
-    so imported traces and cached streams replay with one call.
-    """
-    return simulate_addresses(
-        stream.addresses, stream.writes, machine, engine=engine, timings=timings
-    )
-
-
-def miss_mask_l1(
-    trace: AccessTrace, layout: Layout, machine: MachineConfig
-) -> np.ndarray:
-    """Per-access L1 miss mask (analysis/visualization support)."""
-    return simulate_cache(machine.l1, layout.addresses(trace, in_bytes=True))
+    return simulate_stream(stream, machine, engine=engine, timings=timings)

@@ -1,15 +1,15 @@
 """Per-run JSONL event logs under ``runs/<id>/events.jsonl``.
 
-Every harness run (serial or :class:`~repro.harness.ParallelRunner`)
-that enables the events sink gets a run directory holding one
-append-only JSONL file of schema-v1 events (see :mod:`repro.obs.events`).
+Every harness run (serial or pooled ``jobs=`` workers) that enables the
+events sink gets a run directory holding one append-only JSONL file of
+schema-v1 events (see :mod:`repro.obs.events`).
 Worker processes append directly — each event is a single short
 ``write()`` of one line, so concurrent appends from forked workers do
 not interleave in practice — and ``repro runs`` summarizes the logs
 afterwards.
 
 :class:`TraceConfig` is the sink configuration object the experiment
-front door (:func:`repro.harness.run`) and the parallel runner accept.
+front door (:func:`repro.harness.run`) accepts.
 """
 
 from __future__ import annotations

@@ -4,14 +4,18 @@ Every entry knows how to build its program, which input sizes the paper
 used, which (scaled) sizes the harness defaults to, and the structural
 facts Fig. 9 reports — so the application-table benchmark can print
 paper-vs-ours side by side.
+
+:func:`resolve_target` is the one place a *target* — what ``run()``,
+``tune()``, pool workers and every CLI subcommand are pointed at —
+becomes a program with its size, step count and machine defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
-from ..lang import Program
+from ..lang import Program, ReproError, validate
 from . import adi, fft, sp, sweep3d, swim, tomcatv
 
 
@@ -107,3 +111,76 @@ def get(name: str) -> BenchmarkProgram:
 
 def build_fft(n: int = fft.DEFAULT_N) -> Program:
     return fft.build(n)
+
+
+#: the size ``"fft"`` resolves at when none is given (the tuner's quick
+#: default; the §2.2 study size is ``fft.DEFAULT_N``)
+FFT_DEFAULT_PARAMS: Mapping[str, int] = {"n": 64}
+
+
+def names() -> list[str]:
+    """Every registry name (applications plus the §2.2 study set)."""
+    return sorted(set(APPLICATIONS) | set(STUDY_PROGRAMS))
+
+
+def is_bundled(name: str) -> bool:
+    """Does ``name`` resolve without reading a file?"""
+    return name == "fft" or name in names()
+
+
+@dataclass(frozen=True)
+class Target:
+    """A resolved target: the program plus every default it implies."""
+
+    #: row label: the registry name, ``fft<n>``, or the program's own name
+    name: str
+    program: Program
+    #: the size binding (fft's carries its build-only ``n``); None only
+    #: for a bare Program resolved without sizes
+    params: Optional[dict]
+    steps: int
+    machine_spec: MachineSpec
+
+
+def resolve_target(
+    target: Union[str, Program],
+    params: Optional[Mapping[str, int]] = None,
+    steps: Optional[int] = None,
+    name: Optional[str] = None,
+    missing: Optional[str] = None,
+) -> Target:
+    """Resolve a registry name, ``"fft"``, or a :class:`Program`.
+
+    Registry names fill ``params``/``steps``/machine from their entry;
+    ``"fft"`` is built at ``params["n"]``; a Program carries no defaults
+    (steps 1, the default scaled machine) and, when ``missing`` is
+    given, must come with ``params`` — ``missing`` is the error message.
+    """
+    if isinstance(target, Program):
+        if params is None and missing is not None:
+            raise ReproError(missing)
+        return Target(
+            name or target.name,
+            target,
+            None if params is None else dict(params),
+            1 if steps is None else steps,
+            MachineSpec(),
+        )
+    if target == "fft":
+        params = dict(FFT_DEFAULT_PARAMS if params is None else params)
+        n = int(params.get("n", FFT_DEFAULT_PARAMS["n"]))
+        return Target(
+            name or f"fft{n}",
+            validate(build_fft(n)),
+            params,
+            1 if steps is None else steps,
+            MachineSpec(),
+        )
+    entry = get(target)
+    return Target(
+        name or target,
+        validate(entry.build()),
+        dict(entry.default_params if params is None else params),
+        entry.steps if steps is None else steps,
+        entry.machine_spec,
+    )

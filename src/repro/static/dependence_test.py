@@ -1,9 +1,8 @@
 """The interval + gcd lane-distance dependence test (shared core).
 
-One question underlies both the codegen executor's vectorization
-legality and the static parallelism analyzer: *can two references touch
-the same array element from different iterations of a chosen loop
-axis?*  Folding concrete parameters into the affine subscripts reduces
+One question underlies the static parallelism analyzer: *can two
+references touch the same array element from different iterations of a
+chosen loop axis?*  Folding concrete parameters into the affine subscripts reduces
 it to integer feasibility of
 
     base + sum(c_k * t_k) = target,    t_k in [lo_k, hi_k]
@@ -15,9 +14,8 @@ copies) and ``target`` encodes the lane distance along the axis.
 Two precision tiers live here:
 
 :func:`attainable`
-    the *necessary* interval + gcd screen — cheap, conservative
-    (``True`` means "maybe"), and exactly the test the codegen executor
-    has always vectorized against;
+    the *necessary* interval + gcd screen — cheap and conservative
+    (``True`` means "maybe");
 :func:`solve_sum`
     an *exact* bounded-backtracking solver over the same equations.  It
     walks candidate values for one term at a time, stepping only through
@@ -27,13 +25,11 @@ Two precision tiers live here:
     infeasibility, or runs out of budget — the three-way answer the
     parallelism analyzer needs to keep its verdicts honest.
 
-:func:`lane_conflict` packages the executor's historical decision
-procedure over these primitives; ``codegen.executor`` calls it verbatim
-(the 42-variant vectorization decisions are pinned bit-identical by
-``tests/codegen/test_exec_plan_golden.py``).
+:func:`lane_conflict` packages the conservative decision procedure
+over these primitives: the parallelism analyzer's cheap screen before
+the exact solve (pinned by ``tests/static/test_dependence_test.py``).
 
-This module is deliberately pure (stdlib only) so both ``repro.static``
-and ``repro.codegen`` can import it without layering cycles.
+This module is deliberately pure (stdlib only).
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from math import gcd
 from typing import Mapping, Optional, Sequence
 
 #: cap on lane-distance enumeration in the conservative test; beyond
-#: this the test reports a conflict (moved verbatim from the executor)
+#: this the test reports a conflict
 MAX_DISTANCE_ENUM = 8192
 
 #: default node budget for the exact solver's backtracking search
@@ -196,10 +192,7 @@ def lane_conflict(
     ``inner`` variables iterate independently per lane (two separate
     copies), ``outer`` variables are shared (one difference term), and
     anything unbound is assumed conflicting.  Conservative: ``True``
-    means "maybe" (fall back), ``False`` is a proof.
-
-    This is, bit for bit, the decision procedure the codegen executor
-    vectorizes against.
+    means "maybe" (solve exactly), ``False`` is a proof.
     """
     c_f = tf.get(axis, 0)
     c_g = tg.get(axis, 0)

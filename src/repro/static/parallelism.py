@@ -2,10 +2,9 @@
 
 For every loop axis in a program this module decides whether the axis's
 iterations ("lanes") can run concurrently, by solving the loop-carried
-dependence equations over the same folded integer-affine access model
-the codegen executor vectorizes against (paper §3; Ding & Kennedy's
-fusion legality is the *transform* side of the same dependence
-information).  Verdicts:
+dependence equations over a folded integer-affine access model (paper
+§3; Ding & Kennedy's fusion legality is the *transform* side of the
+same dependence information).  Verdicts:
 
 ``doall``
     no two distinct lanes can touch the same array element with at
@@ -26,7 +25,7 @@ Two precision tiers cooperate.  Small iteration spaces (bounded by
 ``concrete_cap`` accesses) are decided by *exhaustive enumeration* that
 evaluates real bounds and guards — exact even for triangular nests, and
 the tier the property-based oracle exercises.  Larger spaces use the
-shared :mod:`.dependence_test`: the executor's interval+gcd screen
+shared :mod:`.dependence_test`: the conservative interval+gcd screen
 (:func:`~.dependence_test.lane_conflict`) filters pairs, then the exact
 :func:`~.dependence_test.solve_sum` backtracker either produces a
 witness, *overturns* the conservative screen with an infeasibility
@@ -1003,7 +1002,7 @@ class _Analyzer:
                 for g in refs[i:]:
                     if not (f.is_write or g.is_write):
                         continue
-                    # the executor's conservative screen first: a False
+                    # the conservative screen first: a False
                     # is already a proof of independence
                     if not lane_conflict(
                         f.const, f.terms, g.const, g.terms,

@@ -2,7 +2,7 @@
 
 An :class:`AddressStream` is the one representation every producer of
 memory references emits — the interpreter tracer, the codegen tracer,
-the multicore interleaver, and external traces imported from disk — and
+and external traces imported from disk — and
 every consumer accepts: the cache/hierarchy simulators, the locality
 analyzers, and the on-disk trace cache.  See DESIGN §9.
 """
@@ -17,12 +17,11 @@ from .io import (
     write_stream,
     write_stream_csv,
 )
-from .stream import AddressStream, StreamBuilder, StreamMeta
+from .stream import AddressStream, StreamMeta
 
 __all__ = [
     "AddressStream",
     "FORMAT_VERSION",
-    "StreamBuilder",
     "StreamFormatError",
     "StreamMeta",
     "read_stream",

@@ -1,4 +1,4 @@
-"""The :class:`AddressStream` type and its chunked builder.
+"""The :class:`AddressStream` type.
 
 A stream is three parallel columns over numpy — int64 addresses, a bool
 write mask, and optional int32 static reference ids — plus a small
@@ -6,8 +6,8 @@ metadata record saying what the addresses denominate (bytes under a
 concrete layout, or canonical element keys) and which cache-line /
 element geometry they were produced for.  Multi-million access streams
 stay compact (struct-of-arrays, no Python objects per access), and the
-chunk API lets producers accumulate and serializers walk the columns
-without materializing intermediate copies.
+chunk API lets serializers walk the columns without materializing
+intermediate copies.
 """
 
 from __future__ import annotations
@@ -211,21 +211,6 @@ class AddressStream:
         return cls(addresses, trace.writes, trace.ref_ids, meta=meta)
 
     @classmethod
-    def from_keys(
-        cls,
-        keys: np.ndarray,
-        name: str = "keys",
-        source: str = "interleave",
-    ) -> "AddressStream":
-        """A read-only stream of canonical element keys."""
-        from ..memsim.geometry import ELEM_BYTES
-
-        meta = StreamMeta(
-            name=name, source=source, unit="elements", elem_bytes=ELEM_BYTES
-        )
-        return cls(np.asarray(keys, dtype=np.int64), meta=meta)
-
-    @classmethod
     def concat(
         cls, streams: Sequence["AddressStream"], name: str = "concat"
     ) -> "AddressStream":
@@ -245,52 +230,3 @@ class AddressStream:
             elem_bytes=streams[0].meta.elem_bytes,
         )
         return cls(addresses, writes, refs, meta=meta)
-
-
-class StreamBuilder:
-    """Accumulates column chunks and finalizes an :class:`AddressStream`.
-
-    The producer-side mirror of :class:`AddressStream.chunks`: tracers
-    append per-segment arrays as they go and pay one concatenation at
-    the end (same discipline as ``TraceBuilder``).
-    """
-
-    def __init__(self, meta: Optional[StreamMeta] = None, with_refs: bool = True):
-        self.meta = meta if meta is not None else StreamMeta()
-        self.with_refs = with_refs
-        self._addresses: list[np.ndarray] = []
-        self._writes: list[np.ndarray] = []
-        self._ref_ids: list[np.ndarray] = []
-
-    def append(
-        self,
-        addresses: np.ndarray,
-        writes: Optional[np.ndarray] = None,
-        ref_ids: Optional[np.ndarray] = None,
-    ) -> None:
-        addresses = np.asarray(addresses, dtype=np.int64)
-        self._addresses.append(addresses)
-        self._writes.append(
-            np.zeros(len(addresses), dtype=bool)
-            if writes is None
-            else np.asarray(writes, dtype=bool)
-        )
-        if self.with_refs:
-            if ref_ids is None:
-                self.with_refs = False
-                self._ref_ids = []
-            else:
-                self._ref_ids.append(np.asarray(ref_ids, dtype=np.int32))
-
-    def build(self) -> AddressStream:
-        def cat(chunks: list[np.ndarray], dtype) -> np.ndarray:
-            if not chunks:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(chunks)
-
-        return AddressStream(
-            cat(self._addresses, np.int64),
-            cat(self._writes, bool),
-            cat(self._ref_ids, np.int32) if self.with_refs else None,
-            meta=self.meta,
-        )

@@ -41,11 +41,10 @@ from typing import Mapping, Optional, Sequence, Union
 from ..core import compile_pipeline
 from ..core.pm import OPT_LEVELS, PIPELINES, PipelineSpec, spec_to_json
 from ..harness import RunRequest, TraceCache, format_table, run
-from ..lang import Program, ReproError, validate
+from ..lang import Program, ReproError
 from ..memsim.geometry import CacheGeometry
 from ..obs import RunLog, make_event, metrics, span, spec_logging
-from ..programs import registry
-from ..programs.registry import MachineSpec, build_fft
+from ..programs.registry import MachineSpec, resolve_target
 from ..static import analyze_program
 from .cache import TuneCache
 from .candidates import (
@@ -238,42 +237,6 @@ class TuneResult:
         }
 
 
-def _resolve_target(request: TuneRequest):
-    """(name, program, sizes, steps, machine_spec) for any target kind."""
-    if isinstance(request.program, str):
-        if request.program == "fft":
-            sizes = [dict(s) for s in (request.sizes or ({"n": 64},))]
-            n = int(sizes[0].get("n", 64))
-            program = validate(build_fft(n))
-            return (
-                request.name or f"fft{n}",
-                program,
-                sizes,
-                request.steps or 1,
-                request.machine or MachineSpec(),
-            )
-        entry = registry.get(request.program)
-        program = validate(entry.build())
-        sizes = [dict(s) for s in (request.sizes or (entry.default_params,))]
-        steps = entry.steps if request.steps is None else request.steps
-        return (
-            request.name or request.program,
-            program,
-            sizes,
-            steps,
-            request.machine or entry.machine_spec,
-        )
-    if not request.sizes:
-        raise ReproError("TuneRequest with a Program object requires sizes")
-    return (
-        request.name or request.program.name,
-        request.program,
-        [dict(s) for s in request.sizes],
-        request.steps or 1,
-        request.machine or MachineSpec(),
-    )
-
-
 def _program_params(program: Program, size: Mapping[str, int]) -> dict:
     """Restrict a size binding to the program's declared parameters
     (fft bakes its size in, so its binding carries a build-only ``n``)."""
@@ -383,7 +346,17 @@ def tune(request: TuneRequest) -> TuneResult:
         raise ReproError(
             f"unknown objective {request.objective!r}; expected one of {OBJECTIVES}"
         )
-    name, program, sizes, steps, machine_spec = _resolve_target(request)
+    sizes = [dict(s) for s in request.sizes or ()]
+    target = resolve_target(
+        request.program,
+        sizes[0] if sizes else None,
+        request.steps,
+        request.name,
+        missing="TuneRequest with a Program object requires sizes",
+    )
+    sizes = sizes or [target.params]
+    name, program, steps = target.name, target.program, target.steps
+    machine_spec = request.machine or target.machine_spec
     geometry = CacheGeometry.from_spec(machine_spec)
     l1_elems = geometry.l1_elems
     l2_elems = geometry.l2_elems
@@ -610,10 +583,10 @@ def check_baseline(
                 f"{best['score']:.0f}) predicts more misses than the best "
                 f"named level ({floor:.0f})"
             )
-        target = entry.get("target", prog_name)
-        req = TuneRequest(program=target, sizes=sizes, steps=steps)
         try:
-            _, program, _, _, _ = _resolve_target(req)
+            program = resolve_target(
+                entry.get("target", prog_name), sizes[0], steps
+            ).program
         except (KeyError, ReproError) as exc:
             failures.append(f"{prog_name}: cannot rebuild target: {exc}")
             continue

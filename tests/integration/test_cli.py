@@ -84,30 +84,6 @@ def test_bad_param_syntax(kernel_file):
         main(["regroup", kernel_file, "-p", "N"])
 
 
-def test_bench_engine_smoke(capsys):
-    """The fast engine must match the reference on a small program."""
-    assert (
-        main(
-            [
-                "bench-engine",
-                "adi",
-                "-p",
-                "N=40",
-                "--levels",
-                "noopt,new",
-                "--repeats",
-                "1",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "metrics bit-identical across engines: True" in out
-    assert "speedup" in out
-    for engine in ("fast", "reference"):
-        assert engine in out
-
-
 def test_report_with_engine_and_timings(kernel_file, capsys):
     assert (
         main(
@@ -284,3 +260,63 @@ def test_verify_pass_with_passes_override(kernel_file, capsys):
     assert main(["verify-pass", kernel_file, "--passes", "inline,distribute"]) == 0
     out = capsys.readouterr().out
     assert "passes:inline,distribute" in out and "certified" in out
+
+
+#: every target-taking subcommand, at flags that keep it tiny
+TARGET_COMMANDS = {
+    "report": ["report", "--levels", "noopt"],
+    "profile": ["profile", "--level", "noopt", "--no-memory"],
+    "lint": ["lint"],
+    "static-reuse": ["static-reuse"],
+    "parallelism": ["parallelism"],
+    "coherence": ["coherence", "--threads", "2"],
+    "trace export": ["trace", "export", "-o", "{tmp}/out.ast", "--level", "noopt"],
+    "tune": [
+        "tune", "--no-validate", "--no-cache", "--enablers", "",
+        "--fusion-levels", "0",
+    ],
+}
+#: the three target kinds (registry name incl. the study set, fft, file)
+TARGET_KINDS = {
+    "adi": ["adi", "-p", "N=12"],
+    "sweep3d": ["sweep3d", "-p", "N=6"],
+    "fft": ["fft", "-p", "n=16"],
+    "file": ["{kernel}", "-p", "N=12"],
+}
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+@pytest.mark.parametrize("command", TARGET_COMMANDS)
+def test_every_subcommand_resolves_every_target_kind(
+    command, kind, kernel_file, tmp_path, capsys
+):
+    target = TARGET_KINDS[kind]
+    if command == "lint":  # symbolic: takes no sizes
+        target = target[:1]
+    argv = [
+        arg.format(tmp=tmp_path, kernel=kernel_file)
+        for arg in TARGET_COMMANDS[command] + target
+    ]
+    assert main(argv) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["report", "adi", "-p", "N=abc"], "'N=abc'"),
+        (["report", "adi", "-p", "N"], "'N'"),
+        (["tune", "adi", "--at", "N=12,M=x"], "'M=x'"),
+        (["tune", "adi", "--fusion-levels", "0,b"], "'b'"),
+    ],
+)
+def test_malformed_bindings_fail_at_parse_time(argv, token, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert token in err and "Traceback" not in err
+
+
+def test_repeated_and_joined_bindings_merge(kernel_file, capsys):
+    assert main(["regroup", kernel_file, "-p", "N=16", "-p", "M=2,K=3"]) == 0
+    assert "{'N': 16, 'M': 2, 'K': 3}" in capsys.readouterr().out

@@ -11,10 +11,11 @@ from repro.harness import (
     normalized_rows,
     ratio,
     run,
-    trace_for,
 )
+from repro.core import compile_variant
+from repro.interp import trace_program
 from repro.lang import parse, validate
-from repro.programs.registry import MachineSpec
+from repro.programs.registry import MachineSpec, resolve_target
 
 
 def test_machine_for_spec():
@@ -65,9 +66,13 @@ def test_run_application_small():
 
 
 def test_trace_for():
-    trace = trace_for("adi", params={"N": 17}, steps=1)
-    assert len(trace) > 0
-    trace_i = trace_for("adi", params={"N": 17}, with_instr=True)
+    # run() measures the trace trace_program yields for the resolved target
+    target = resolve_target("adi", {"N": 17}, steps=1)
+    program = compile_variant(target.program, "noopt").program
+    trace = trace_program(program, target.params, steps=target.steps)
+    result = run(RunRequest("adi", params={"N": 17}, steps=1)).results[0]
+    assert result.trace_length == len(trace) > 0
+    trace_i = trace_program(program, target.params, with_instr=True)
     assert trace_i.instr_ids is not None
 
 

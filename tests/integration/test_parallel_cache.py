@@ -1,7 +1,7 @@
 """Integration coverage for the parallel harness and the on-disk cache.
 
-Pins the determinism contract of :class:`repro.harness.ParallelRunner`
-(parallel == serial, bit for bit, in input order) and the correctness
+Pins the determinism contract of pooled ``run()`` requests (``jobs > 1``
+== serial, bit for bit, in input order) and the correctness
 contract of :class:`repro.harness.TraceCache` (warm results identical,
 keys invalidate when the program or the data layout changes).
 """
@@ -13,8 +13,6 @@ import pytest
 
 from repro.core import compile_variant
 from repro.harness import (
-    ExperimentSpec,
-    ParallelRunner,
     RunRequest,
     TraceCache,
     layout_fingerprint,
@@ -30,46 +28,48 @@ from repro.stream.io import read_stream_binary
 SMALL = {"N": 40}
 
 
-def _specs(cache_dir=None):
-    return [
-        ExperimentSpec(
-            app="adi",
-            level=level,
+def _run(jobs, cache_dir=None):
+    return run(
+        RunRequest(
+            program="adi",
+            levels=("noopt", "fusion", "new"),
             params=SMALL,
             steps=1,
-            cache_dir=str(cache_dir) if cache_dir else None,
+            jobs=jobs,
+            cache=str(cache_dir) if cache_dir else None,
         )
-        for level in ("noopt", "fusion", "new")
-    ]
+    ).results
 
 
 class TestParallelRunner:
     def test_parallel_matches_serial_bit_identical(self, tmp_path):
-        serial = ParallelRunner(jobs=1).run(_specs())
-        parallel = ParallelRunner(jobs=3).run(_specs())
+        serial = _run(jobs=1)
+        parallel = _run(jobs=3)
         assert [r.level for r in parallel] == ["noopt", "fusion", "new"]
         for s, p in zip(serial, parallel):
             assert s.stats == p.stats  # MemStats is a frozen dataclass: == is exact
             assert s.trace_length == p.trace_length
             assert s.program == p.program and s.params == p.params
+            # the compiled variant stays on the worker's side of the pool
+            assert s.variant is not None and p.variant is None
 
     def test_parallel_workers_share_disk_cache(self, tmp_path):
-        cold = ParallelRunner(jobs=3).run(_specs(tmp_path))
+        cold = _run(jobs=3, cache_dir=tmp_path)
         info = TraceCache(tmp_path).info()
         assert info["traces"] == 3 and info["results"] == 3
-        warm = ParallelRunner(jobs=3).run(_specs(tmp_path))
+        warm = _run(jobs=3, cache_dir=tmp_path)
         assert [r.stats for r in warm] == [r.stats for r in cold]
 
     def test_run_order_and_engines(self, tmp_path):
         fast = run(
             RunRequest(program="adi", levels=("noopt", "new"), params=SMALL, steps=1)
-        ).records()
+        ).results
         ref = run(
             RunRequest(
                 program="adi", levels=("noopt", "new"), params=SMALL, steps=1,
                 engine="reference",
             )
-        ).records()
+        ).results
         assert [r.level for r in fast] == ["noopt", "new"]
         assert [r.stats for r in fast] == [r.stats for r in ref]
 

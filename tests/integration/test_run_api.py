@@ -6,14 +6,12 @@ deprecated, removed; ``verify=`` actually reaches the compiler; and
 the observability sinks (events.jsonl, progress lines) fire.
 """
 
-import io
+import dataclasses
 
 import pytest
 
 import repro.harness
 from repro.harness import (
-    ExperimentSpec,
-    ParallelRunner,
     RunRequest,
     RunResult,
     machine_for,
@@ -64,12 +62,11 @@ class TestFrontDoor:
         assert len(result) == 2
         assert result[1].level == "new"
         assert [r.level for r in result] == ["noopt", "new"]
-        records = result.records()
-        assert [(r.program, r.level) for r in records] == [
+        assert [(r.program, r.level) for r in result.results] == [
             ("adi", "noopt"),
             ("adi", "new"),
         ]
-        assert records[0].stats == result[0].stats
+        assert result.rows()[0]["l1"] == result[0].stats.l1_misses
 
     def test_serial_results_carry_spans_and_metrics(self):
         result = run(RunRequest(program="adi", levels=("noopt",), params=SMALL, steps=1))
@@ -150,39 +147,44 @@ class TestObservabilitySinks:
         assert summary["completed"] == 2 and summary["total"] == 2
         assert summary["slowest"] is not None
 
-    def test_parallel_runner_streams_events_and_progress(self, tmp_path):
-        stream = io.StringIO()
-        specs = [
-            ExperimentSpec(app="adi", level=level, params=SMALL, steps=1)
-            for level in ("noopt", "new")
-        ]
-        runner = ParallelRunner(
-            jobs=2,
-            trace=TraceConfig(events=True, runs_root=str(tmp_path), progress=True),
-            progress_stream=stream,
-        )
-        records = runner.run(specs)
-        assert [r.level for r in records] == ["noopt", "new"]
-        assert all(r.seconds > 0 for r in records)
-        lines = stream.getvalue().strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("[1/2]") and lines[1].startswith("[2/2]")
-        assert "ETA" in lines[0] and "slowest" in lines[0]
-        summary = summarize_run(runner.last_run_dir)
-        assert summary["completed"] == 2
-        assert summary["events"] >= 6  # run_start/end + 2x(spec_start/spec_end)
+    def test_parallel_runner_streams_events_and_progress(self, tmp_path, capsys):
+        # one loop, two branches: the same sinks fire in-process and pooled
+        for jobs in (1, 2):
+            outcome = run(
+                RunRequest(
+                    program="adi", levels=("noopt", "new"), params=SMALL,
+                    steps=1, jobs=jobs,
+                    trace=TraceConfig(
+                        events=True, runs_root=str(tmp_path / str(jobs)),
+                        progress=True,
+                    ),
+                )
+            )
+            assert [r.level for r in outcome] == ["noopt", "new"]
+            assert all(r.seconds > 0 for r in outcome)
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 2
+            assert lines[0].startswith("[1/2]") and lines[1].startswith("[2/2]")
+            assert "ETA" in lines[0] and "slowest" in lines[0]
+            summary = summarize_run(outcome.run_dir)
+            assert summary["completed"] == 2
+            assert summary["events"] >= 6  # run_start/end + 2x(spec_start/end)
 
     def test_parallel_matches_serial_bit_for_bit(self, tmp_path):
-        serial = run(
-            RunRequest(program="adi", levels=("noopt", "new"), params=SMALL, steps=1)
+        request = RunRequest(
+            program="adi", levels=("noopt", "new"), params=SMALL, steps=1,
+            name="renamed",
         )
-        parallel = run(
-            RunRequest(
-                program="adi", levels=("noopt", "new"), params=SMALL, steps=1,
-                jobs=2,
-            )
-        )
+        serial = run(request)
+        parallel = run(dataclasses.replace(request, jobs=2))
         assert serial.rows() == parallel.rows()
+        # field for field, except what stays on the worker's side
+        for s, p in zip(serial, parallel):
+            assert (s.program, s.level, s.params, s.stats, s.trace_length) == (
+                p.program, p.level, p.params, p.stats, p.trace_length
+            )
+            assert set(s.timings) == set(p.timings)
+            assert s.variant is not None and p.variant is None
 
 
 class TestResultCacheKnob:
@@ -207,3 +209,50 @@ class TestResultCacheKnob:
         warm = run(RunRequest(**request))
         assert cold.rows() == warm.rows()
         assert "l1" not in warm[0].timings
+
+
+class TestOneResolver:
+    """run() and tune() read one resolution of the same target."""
+
+    @pytest.mark.parametrize(
+        "target, params, steps",
+        [
+            ("adi", {"N": 12}, None),
+            ("sweep3d", {"N": 6}, 2),
+            ("fft", {"n": 16}, None),
+            ("fft", None, None),
+            ("program", {"N": 12}, None),
+        ],
+    )
+    def test_run_and_tune_resolve_the_same_target(self, target, params, steps):
+        from repro.memsim.geometry import CacheGeometry
+        from repro.programs.registry import resolve_target
+        from repro.tune import TuneRequest, tune
+
+        if target == "program":
+            target = _adi()[0]
+        want = resolve_target(target, params, steps)
+        measured = run(
+            RunRequest(program=target, params=params, steps=steps)
+        ).results[0]
+        tuned = tune(
+            TuneRequest(
+                program=target, sizes=[params] if params else None, steps=steps,
+                enablers=(), fusion_levels=(0,), levels=("noopt",),
+                validate_top=False, cache=False,
+            )
+        )
+        assert measured.program == tuned.program == want.name
+        assert measured.params == tuned.sizes[0] == want.params
+        assert tuned.steps == want.steps
+        per_step = run(RunRequest(program=target, params=params, steps=1))
+        assert measured.trace_length == per_step[0].trace_length * want.steps
+        geometry = CacheGeometry.from_spec(want.machine_spec)
+        assert (tuned.l1_elems, tuned.l2_elems) == (
+            geometry.l1_elems, geometry.l2_elems,
+        )
+        assert measured.stats.machine == machine_for(want.machine_spec).name
+
+    def test_unknown_name_is_a_key_error(self):
+        with pytest.raises(KeyError, match="unknown benchmark program"):
+            run(RunRequest(program="no-such-app"))

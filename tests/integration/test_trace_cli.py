@@ -145,7 +145,11 @@ class TestBenchMembw:
         assert record["data_transferred_bytes"] > 0
         assert record["dram_energy_nj"] > 0
 
-    def test_check_requires_baseline(self):
+    def test_check_requires_baseline(self, monkeypatch):
+        # a flag error, so it is reported before anything is measured
+        monkeypatch.setattr(
+            "repro.cli.run", lambda request: pytest.fail("measured first")
+        )
         with pytest.raises(SystemExit):
             main(
                 ["bench-membw", "--apps", "fft", "--levels", "noopt", "--check"]

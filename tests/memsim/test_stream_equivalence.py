@@ -1,6 +1,6 @@
 """The refactor's safety net: hierarchy simulation == the legacy chain.
 
-``simulate_addresses`` used to be a fixed inline pipeline — L1 over the
+``simulate_stream`` used to be a fixed inline pipeline — L1 over the
 full stream, L2 over the L1 misses (with write-back accounting), TLB
 over the full stream at page granularity.  The composable
 :class:`MemoryHierarchy` must reproduce that chain *exactly*, for both
@@ -22,10 +22,10 @@ from repro.lang import parse, validate
 from repro.memsim import (
     ENGINES,
     octane,
-    simulate_addresses,
     simulate_cache,
     simulate_cache_writeback,
     simulate_dram,
+    simulate_hierarchy,
     simulate_stream,
 )
 from repro.stream import AddressStream
@@ -90,10 +90,13 @@ def random_programs(draw):
     return validate(parse(source))
 
 
-def _byte_stream(program):
+def _traced(program):
     variant = compile_variant(program, "noopt")
-    trace = interp_trace(variant.program, PARAMS, steps=2)
-    layout = variant.layout(PARAMS)
+    return interp_trace(variant.program, PARAMS, steps=2), variant.layout(PARAMS)
+
+
+def _byte_stream(program):
+    trace, layout = _traced(program)
     return layout.addresses(trace, in_bytes=True), trace.writes
 
 
@@ -111,7 +114,9 @@ def test_hierarchy_matches_pre_refactor_chain(program, engine):
         MACHINE.tlb.as_cache(), addresses, None, engine=engine
     )
 
-    stats = simulate_addresses(addresses, writes, MACHINE, engine=engine)
+    stats = simulate_stream(
+        AddressStream(addresses, writes), MACHINE, engine=engine
+    )
     assert stats.accesses == len(addresses)
     assert stats.l1_misses == int(l1_miss.sum())
     assert stats.l2_misses == l2.misses
@@ -134,17 +139,19 @@ def test_hierarchy_matches_pre_refactor_chain(program, engine):
 @given(random_programs())
 @settings(max_examples=15, deadline=None)
 def test_engines_bit_identical_through_hierarchy(program):
-    addresses, writes = _byte_stream(program)
-    fast = simulate_addresses(addresses, writes, MACHINE, engine="fast")
-    ref = simulate_addresses(addresses, writes, MACHINE, engine="reference")
+    stream = AddressStream(*_byte_stream(program))
+    fast = simulate_stream(stream, MACHINE, engine="fast")
+    ref = simulate_stream(stream, MACHINE, engine="reference")
     assert fast == ref
 
 
 @given(random_programs())
 @settings(max_examples=10, deadline=None)
 def test_stream_front_door_is_equivalent(program):
-    addresses, writes = _byte_stream(program)
-    stream = AddressStream(addresses, writes)
-    assert simulate_stream(stream, MACHINE) == simulate_addresses(
-        addresses, writes, MACHINE
-    )
+    # the trace-level convenience is the stream front door, not a second
+    # address materialisation
+    trace, layout = _traced(program)
+    timings = {}
+    stats = simulate_hierarchy(trace, layout, MACHINE, timings=timings)
+    assert stats == simulate_stream(AddressStream.from_trace(trace, layout), MACHINE)
+    assert {"addresses", "l1", "l2", "tlb", "dram"} <= set(timings)

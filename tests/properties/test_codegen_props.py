@@ -2,8 +2,8 @@
 
 Random affine loop nests — rectangular and triangular bounds, guards,
 1-D and 2-D arrays, opaque functions and vectorizable builtins — must
-trace and execute **bit-for-bit identically** through
-``repro.codegen`` and the interpreter.  This is the fuzzing counterpart
+trace **bit-for-bit identically** through ``repro.codegen`` and the
+interpreter.  This is the fuzzing counterpart
 of the pinned 42-variant differential suite under ``tests/codegen/``:
 the study programs cover the shapes the paper needs, the random nests
 cover the shapes nobody thought to write down.
@@ -15,9 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import run_program as codegen_run
 from repro.codegen import trace_program as codegen_trace
-from repro.interp import run_program as interp_run
 from repro.interp import trace_program as interp_trace
 from repro.lang import parse, validate
 
@@ -117,13 +115,3 @@ def test_traces_bit_identical(program):
     assert len(ref) == len(out)
     for field in ("array_ids", "elems", "writes", "ref_ids", "instr_ids"):
         assert np.array_equal(getattr(ref, field), getattr(out, field)), field
-
-
-@given(random_programs())
-@settings(max_examples=75, deadline=None)
-def test_execution_bit_identical(program):
-    ref = interp_run(program, PARAMS, steps=2)
-    out = codegen_run(program, PARAMS, steps=2)
-    assert sorted(ref) == sorted(out)
-    for arr in ref:
-        assert np.array_equal(ref[arr], out[arr]), arr

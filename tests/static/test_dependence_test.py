@@ -3,7 +3,7 @@
 ``attainable`` is the conservative screen (False must be a proof),
 ``solve_sum`` is the exact bounded solver (a solution must satisfy the
 equation; a proved None must match brute-force infeasibility), and
-``lane_conflict`` is the executor's packaged decision procedure.  Each
+``lane_conflict`` is the packaged conservative decision procedure.  Each
 is checked against direct enumeration on small boxes.
 """
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core import compile_variant
 from repro.lang import parse, validate
 from repro.interp import trace_program
-from repro.stream import AddressStream, StreamBuilder, StreamMeta
+from repro.stream import AddressStream, StreamMeta
 
 SOURCE = """
 program s
@@ -116,25 +116,3 @@ class TestFromTrace:
         stream = AddressStream.from_trace(trace)
         assert stream.meta.unit == "elements"
         assert np.array_equal(stream.addresses, trace.global_keys())
-
-
-class TestStreamBuilder:
-    def test_appends_concatenate(self):
-        b = StreamBuilder(StreamMeta(name="built"))
-        b.append(np.arange(4), np.array([1, 0, 0, 1], dtype=bool), np.zeros(4))
-        b.append(np.arange(4, 8), None, np.ones(4))
-        s = b.build()
-        assert len(s) == 8
-        assert np.array_equal(s.addresses, np.arange(8))
-        assert s.writes[0] and not s.writes[4]
-        assert s.ref_ids is not None and s.meta.name == "built"
-
-    def test_refs_downgrade_when_a_chunk_lacks_them(self):
-        b = StreamBuilder()
-        b.append(np.arange(4), ref_ids=np.zeros(4))
-        b.append(np.arange(4))  # no refs here
-        assert b.build().ref_ids is None
-
-    def test_empty_build(self):
-        s = StreamBuilder().build()
-        assert len(s) == 0

@@ -3,9 +3,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test self-lint static-lint parallelism-lint coherence-lint smoke tune-check bandwidth-check benchmarks bench-tune bench-membw
+.PHONY: check lint test self-lint smoke tune-check bandwidth-check benchmarks bench-tune bench-membw
 
-check: lint test self-lint static-lint parallelism-lint coherence-lint smoke tune-check bandwidth-check
+check: lint test self-lint smoke tune-check bandwidth-check
 
 # ruff is optional in minimal environments; skip (loudly) when absent
 lint:
@@ -15,7 +15,15 @@ lint:
 		echo "ruff not installed; skipping style lint (pip install ruff)"; \
 	fi
 
-# tier-1: everything but the trace-heavy slow markers
+# tier-1: everything but the trace-heavy slow markers.  It is also the
+# all-apps gate — one analysis pass over the bundled programs instead of
+# one per make target: tests/static/test_cli_static.py::
+# test_lint_all_apps_against_checked_in_baseline regenerates the V/L/S/R
+# diagnostics and compares them with lint-baseline.json byte for byte
+# (refresh with `repro lint --static --all-apps --write-baseline
+# lint-baseline.json` when a change is intentional) and asserts that no
+# loop axis is left `unknown`; tests/static/test_coherence.py::
+# test_profile_matches_golden pins a coherence profile for every program
 test:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 
@@ -23,35 +31,10 @@ test:
 self-lint:
 	$(PYTHON) -m repro lint --self
 
-# predictive-lint gate: legality (V), locality (L), and static (S)
-# diagnostics across every registered program must equal the checked-in
-# baseline byte for byte (refresh with `repro lint --static --all-apps
-# --write-baseline lint-baseline.json` when a change is intentional)
-static-lint:
-	@$(PYTHON) -m repro lint --static --all-apps --write-baseline .lint-baseline.tmp.json > /dev/null; \
-	if ! cmp -s .lint-baseline.tmp.json lint-baseline.json; then \
-		echo "lint-baseline.json drift — current diagnostics differ from the checked-in baseline:"; \
-		diff -u lint-baseline.json .lint-baseline.tmp.json | head -40; \
-		rm -f .lint-baseline.tmp.json; exit 1; \
-	fi; \
-	rm -f .lint-baseline.tmp.json; \
-	echo "lint-baseline.json is drift-free"
-
-# parallelism gate: every loop axis of every registered program must get
-# a definitive DOALL / reduction / serial verdict (no unknowns)
-parallelism-lint:
-	$(PYTHON) -m repro parallelism --all-apps --check
-
-# coherence gate: every registered program gets a coherence profile
-# (invalidation misses, true/false sharing) without error
-coherence-lint:
-	$(PYTHON) -m repro coherence --all-apps > /dev/null
-
-# pass-manager smoke: the pipeline registry enumerates, lints clean, and a
-# custom --passes pipeline compiles and simulates end to end
+# pass-manager smoke: the pipeline registry enumerates, and a custom
+# --passes pipeline compiles and simulates end to end
 smoke:
 	$(PYTHON) -m repro pipeline --list
-	$(PYTHON) -m repro pipeline --lint
 	$(PYTHON) -m repro report adi --passes inline,simplify -p N=16 --steps 1
 
 # autotuner regression gate: the committed BENCH_tune.json best pipelines

@@ -25,23 +25,9 @@ from .dependence import (
     items_depend,
 )
 from .embedding import EmbedPoint, embed_after, embed_before
-from .manager import (
-    ANALYSIS_KINDS,
-    AnalysisManager,
-    analysis_scope,
-    cached_parallelism,
-    cached_static_reuse,
-    current_analysis_manager,
-)
 
 __all__ = [
-    "ANALYSIS_KINDS",
     "AlignmentResult",
-    "AnalysisManager",
-    "analysis_scope",
-    "cached_parallelism",
-    "cached_static_reuse",
-    "current_analysis_manager",
     "Conflict",
     "ConflictKind",
     "DimClass",

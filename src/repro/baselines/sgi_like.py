@@ -52,6 +52,7 @@ def sgi_transform(program: Program) -> Program:
             body.append(engine.descend(stmt, 1, tuple(p.params), assume))
         else:
             body.append(stmt)
+    engine.access_memo.publish()
     return validate(simplify_program(p.with_body(body)))
 
 

@@ -82,7 +82,6 @@ from .core.pm import (
     custom_pipeline,
     describe_pipeline,
     known_levels,
-    lint_passes,
     resolve_pipeline,
 )
 from .harness import (
@@ -661,27 +660,15 @@ def _profile_parallelism(result) -> None:
 
 
 def _analysis_cache_summary(delta) -> str:
-    """One-look analysis-cache effectiveness (per kind) from a metrics delta."""
+    """One-look effectiveness of fusion's access memo from a metrics delta."""
     counters = delta.get("counters", {}) if delta else {}
-    total = {e: int(counters.get(f"analysis.cache.{e}", 0))
-             for e in ("hits", "misses", "evictions")}
-    if not any(total.values()):
+    hits = int(counters.get("analysis.cache.hits", 0))
+    misses = int(counters.get("analysis.cache.misses", 0))
+    if not hits + misses:
         return ""
-    kinds = sorted(
-        {k.split(".")[2] for k in counters
-         if k.startswith("analysis.cache.") and k.count(".") == 3}
-    )
-    parts = []
-    for kind in kinds:
-        h, m, e = (int(counters.get(f"analysis.cache.{kind}.{ev}", 0))
-                   for ev in ("hits", "misses", "evictions"))
-        parts.append(f"{kind} {h}h/{m}m/{e}e")
-    lookups = total["hits"] + total["misses"]
-    rate = 100.0 * total["hits"] / lookups if lookups else 0.0
     return (
-        f"analysis cache: {total['hits']} hits, {total['misses']} misses, "
-        f"{total['evictions']} evictions ({rate:.0f}% hit rate)\n"
-        f"  per kind: " + "; ".join(parts)
+        f"analysis cache: {hits} hits, {misses} misses "
+        f"({100.0 * hits / (hits + misses):.0f}% hit rate)"
     )
 
 
@@ -1083,10 +1070,6 @@ def cmd_levels(_args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """Introspect the pass-pipeline registry."""
-    if args.lint:
-        bag = lint_passes()
-        print(bag.render())
-        return 1 if bag.has_errors() or (args.strict and bag.warnings) else 0
     if args.json:
         from .core.pm import registry_to_json, spec_to_json
 
@@ -1558,14 +1541,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--describe", metavar="NAME",
-        help="per-pass detail for one pipeline (options, preserved analyses)",
-    )
-    pipeline.add_argument(
-        "--lint", action="store_true",
-        help="lint the pass registry (L201: missing preserves/invalidates)",
-    )
-    pipeline.add_argument(
-        "--strict", action="store_true", help="lint warnings also fail (exit 1)"
+        help="per-pass detail for one pipeline (options, description)",
     )
     pipeline.add_argument(
         "--json", action="store_true",

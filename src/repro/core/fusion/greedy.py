@@ -24,16 +24,16 @@ from ...analysis import (
     Conflict,
     ConflictKind,
     RefAccess,
+    compute_alignment,
     depends,
     embed_after,
     embed_before,
     shares_data,
 )
-from ...analysis.manager import cached_alignment
 from ...lang import Assumptions, DEFAULT_PARAM_MIN, Loop, Stmt
 from ...transform.subst import FreshNames
 from .codegen import peel_iterations, unit_to_stmts
-from .unit import FusionUnit
+from .unit import AccessMemo, FusionUnit
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,18 @@ class LevelReport:
 class _Item:
     _uid = 0
 
-    def __init__(self, unit: FusionUnit) -> None:
+    def __init__(self, unit: FusionUnit, memo: AccessMemo) -> None:
         _Item._uid += 1
         self.uid = _Item._uid
         self.version = 0
         self.unit = unit
+        self.memo = memo
         self._acc: Optional[list[RefAccess]] = None
 
     @property
     def accesses(self) -> list[RefAccess]:
         if self._acc is None:
-            self._acc = self.unit.accesses()
+            self._acc = self.unit.accesses(self.memo)
         return self._acc
 
     def update(self, unit: FusionUnit) -> None:
@@ -105,6 +106,7 @@ class _LevelFuser:
         options: FusionOptions,
         fresh: FreshNames,
         report: LevelReport,
+        access_memo: AccessMemo,
         fixed: Sequence[str] = (),
         assume: Assumptions | None = None,
     ) -> None:
@@ -114,20 +116,18 @@ class _LevelFuser:
         self.options = options
         self.fresh = fresh
         self.report = report
+        self.access_memo = access_memo
         self.memo: set[tuple[tuple[int, int], tuple[int, int]]] = set()
         self.items: list[_Item] = []
 
     # -- driver ---------------------------------------------------------------
 
+    def _item(self, stmt: Stmt) -> _Item:
+        make = FusionUnit.from_loop if isinstance(stmt, Loop) else FusionUnit.from_stmt
+        return _Item(make(stmt, self.params, self.fixed), self.access_memo)
+
     def run(self, body: Sequence[Stmt]) -> list[Stmt]:
-        self.items = [
-            _Item(
-                FusionUnit.from_loop(s, self.params, self.fixed)
-                if isinstance(s, Loop)
-                else FusionUnit.from_stmt(s, self.params, self.fixed)
-            )
-            for s in body
-        ]
+        self.items = [self._item(s) for s in body]
         self.report.loops_before = sum(i.unit.loop_count() for i in self.items)
         k = 0
         while k < len(self.items):
@@ -252,7 +252,7 @@ class _LevelFuser:
 
     def _fuse_loops(self, j: int, k: int) -> bool:
         pred, item = self.items[j], self.items[k]
-        result = cached_alignment(pred.accesses, item.accesses, self.assume)
+        result = compute_alignment(pred.accesses, item.accesses, self.assume)
         if result.fusible:
             if self.options.identical_bounds and not self._same_bounds(pred, item):
                 self.report.infusible.append(
@@ -334,15 +334,8 @@ class _LevelFuser:
             loop.body,
             label=loop.label,
         )
-        core_item = _Item(FusionUnit.from_loop(core, self.params, self.fixed))
-        peeled_items = [
-            _Item(
-                FusionUnit.from_loop(s, self.params, self.fixed)
-                if isinstance(s, Loop)
-                else FusionUnit.from_stmt(s, self.params, self.fixed)
-            )
-            for s in peeled_stmts
-        ]
+        core_item = self._item(core)
+        peeled_items = [self._item(s) for s in peeled_stmts]
         # the peeled slices will execute after the core: check independence
         for p in peeled_items:
             if depends(p.accesses, core_item.accesses, self.assume):
@@ -376,6 +369,8 @@ def fuse_level(
 
         fresh.reserve(bound_names(body))
     report = LevelReport()
-    fuser = _LevelFuser(params, options, fresh, report, fixed, assume)
+    access_memo = AccessMemo()
+    fuser = _LevelFuser(params, options, fresh, report, access_memo, fixed, assume)
     new_body = fuser.run(body)
+    access_memo.publish()
     return new_body, report

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 from ...lang import Assumptions, Guard, Loop, Program, Stmt
 from ...transform.subst import FreshNames, bound_names
-from .greedy import FusionOptions, LevelReport, fuse_level
+from .greedy import FusionOptions, LevelReport, _LevelFuser
+from .unit import AccessMemo
 
 
 @dataclass
@@ -55,6 +56,8 @@ class _MultiLevel:
         self.options = options
         self.max_levels = max_levels
         self.fresh = FreshNames(set(params))
+        #: shared by every level of the run; the owner publishes it
+        self.access_memo = AccessMemo()
         #: one merged LevelReport per depth
         self.reports: dict[int, LevelReport] = {}
 
@@ -74,9 +77,11 @@ class _MultiLevel:
         assume: Assumptions,
     ) -> list[Stmt]:
         if depth <= self.max_levels:
-            new_body, report = fuse_level(
-                body, self.params, self.options, self.fresh, fixed, assume
-            )
+            report = LevelReport()
+            new_body = _LevelFuser(
+                self.params, self.options, self.fresh, report,
+                self.access_memo, fixed, assume,
+            ).run(body)
             self._merge(depth, report)
         else:
             new_body = list(body)
@@ -122,6 +127,7 @@ def fuse_program(
     engine.fresh.reserve(bound_names(program.body))
     assume = Assumptions(default=options.param_min)
     new_body = engine.fuse_body(program.body, 1, tuple(program.params), assume)
+    engine.access_memo.publish()
     report = FusionReport(
         levels=[engine.reports[d] for d in sorted(engine.reports)]
     )

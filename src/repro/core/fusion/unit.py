@@ -20,11 +20,53 @@ from typing import Optional, Sequence, Union
 
 from ...analysis import (
     RefAccess,
+    collect_loop_accesses,
+    collect_stmt_accesses,
     symbolic_max,
     symbolic_min,
 )
-from ...analysis.manager import cached_loop_accesses, cached_stmt_accesses
 from ...lang import Affine, Loop, Stmt
+from ...obs import metrics
+
+
+class AccessMemo:
+    """Identity-keyed memo of access collection, alive for one fusion run.
+
+    Member loops and embedded statements are immutable and survive unit
+    re-merges unchanged, so re-collecting a unit after each greedy step
+    hits here instead of re-walking every member.  Every entry keeps a
+    reference to its node, so an id cannot be recycled while the memo
+    lives; member loops are always :class:`Loop` and embedded or loose
+    statements never are, so one table serves both collectors.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, tuple[Stmt, list[RefAccess]]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def loop_accesses(self, loop: Loop, fixed: tuple[str, ...]) -> list[RefAccess]:
+        return self._get(loop, fixed, collect_loop_accesses)
+
+    def stmt_accesses(self, stmt: Stmt, fixed: tuple[str, ...]) -> list[RefAccess]:
+        return self._get(stmt, fixed, collect_stmt_accesses)
+
+    def _get(self, node: Stmt, fixed: tuple[str, ...], collect) -> list[RefAccess]:
+        key = (id(node), fixed)
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            entry = self._entries[key] = (node, collect(node, fixed))
+        else:
+            self.hits += 1
+        return entry[1]
+
+    def publish(self) -> None:
+        """End of the run: report the hit/miss pair, drop every entry."""
+        metrics.inc("analysis.cache.hits", self.hits)
+        metrics.inc("analysis.cache.misses", self.misses)
+        self._entries.clear()
+        self.hits = self.misses = 0
 
 
 @dataclass(frozen=True)
@@ -110,28 +152,22 @@ class FusionUnit:
             and not self.loose
         )
 
-    def accesses(self) -> list[RefAccess]:
-        """Frame-relative accesses of everything in the unit.
-
-        Member loops are immutable and survive unit re-merges unchanged,
-        so their per-loop collections go through the analysis cache: when
-        a pipeline run has an active manager, re-collecting a unit after
-        each greedy fusion step hits instead of re-walking every member.
-        """
+    def accesses(self, memo: AccessMemo) -> list[RefAccess]:
+        """Frame-relative accesses of everything in the unit."""
         out: list[RefAccess] = []
         for slot in self.slots:
             if isinstance(slot, Member):
                 shift = Affine.constant(slot.shift)
-                for acc in cached_loop_accesses(slot.loop, self.fixed):
+                for acc in memo.loop_accesses(slot.loop, self.fixed):
                     out.append(acc.shifted(shift))
             else:
                 for stmt in slot.stmts:
-                    for acc in cached_stmt_accesses(stmt, self.fixed):
+                    for acc in memo.stmt_accesses(stmt, self.fixed):
                         out.append(
                             replace(acc, active_lo=slot.at, active_hi=slot.at)
                         )
         for stmt in self.loose:
-            out.extend(cached_stmt_accesses(stmt, self.fixed))
+            out.extend(memo.stmt_accesses(stmt, self.fixed))
         return out
 
     def hull(self, assume) -> Optional[tuple[Affine, Affine]]:

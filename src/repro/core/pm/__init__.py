@@ -1,5 +1,5 @@
-"""Pass-manager architecture: declarative pipelines, cached analyses,
-auto-instrumented passes.
+"""Pass-manager architecture: declarative pipelines, auto-instrumented
+passes.
 
 * :mod:`.passes` — the :class:`Pass` protocol, :class:`FunctionPass`,
   and the process-wide registry of built-in passes;
@@ -7,27 +7,18 @@ auto-instrumented passes.
   :class:`PipelineSpec` (ordered pass steps as data), plus strict level
   validation and ad-hoc ``--passes`` pipelines;
 * :mod:`.manager` — the :class:`PassManager` that executes specs, owning
-  obs spans, verifier certification, analysis-cache invalidation, and
-  :class:`CompiledVariant` assembly.
-
-The lint entry point :func:`lint_passes` enforces the registry's
-metadata contract (code ``L201``): every registered pass must declare
-``preserves`` or ``invalidates`` so the analysis cache knows what
-survives it.
+  obs spans, verifier certification, and :class:`CompiledVariant`
+  assembly.
 """
 
 from __future__ import annotations
 
 from .manager import CompiledVariant, PassManager
 from .passes import (
-    ALL_KINDS,
     FunctionPass,
-    OBJECT_KINDS,
     PASSES,
     Pass,
     PassContext,
-    declares_metadata,
-    effective_preserves,
     get_pass,
     pass_names,
     register_pass,
@@ -46,36 +37,9 @@ from .pipelines import (
     spec_to_json,
 )
 
-
-def lint_passes():
-    """Lint the pass registry; undeclared analysis metadata is ``L201``.
-
-    Returns a :class:`~repro.verify.DiagnosticBag`.  A pass that declares
-    neither ``preserves`` nor ``invalidates`` silently falls back to
-    "preserves nothing" — correct but maximally wasteful, and almost
-    always an oversight — so the lint flags it as a warning.
-    """
-    from ...verify.diagnostics import DiagnosticBag
-
-    bag = DiagnosticBag()
-    for name in sorted(PASSES):
-        p = PASSES[name]
-        if not declares_metadata(p):
-            bag.warning(
-                "L201",
-                f"pass {name!r} declares neither 'preserves' nor "
-                "'invalidates'; the analysis cache treats it as "
-                "invalidating every analysis kind",
-                **{"pass": name},
-            )
-    return bag
-
-
 __all__ = [
-    "ALL_KINDS",
     "CompiledVariant",
     "FunctionPass",
-    "OBJECT_KINDS",
     "OPT_LEVELS",
     "PASSES",
     "PIPELINES",
@@ -85,12 +49,9 @@ __all__ = [
     "PassStep",
     "PipelineSpec",
     "custom_pipeline",
-    "declares_metadata",
     "describe_pipeline",
-    "effective_preserves",
     "get_pass",
     "known_levels",
-    "lint_passes",
     "pass_names",
     "register_pass",
     "registry_to_json",

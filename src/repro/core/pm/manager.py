@@ -10,11 +10,6 @@ One place — instead of a wrapper bolted onto each call site — handles:
   checks every certifiable pass right after it runs (strict or relaxed
   per the pass's declaration), under a ``verify`` span naming what it
   certifies;
-* **analysis caching**: an :class:`~repro.analysis.manager.
-  AnalysisManager` is installed for the whole run, so every consumer of
-  access summaries / dependence graphs / alignment constraints shares one
-  memo table; after each pass the manager evicts everything the pass did
-  not declare preserved;
 * **variant assembly**: the single construction site for
   :class:`CompiledVariant` (levels historically built it in three
   slightly different ways).
@@ -26,11 +21,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
-from ...analysis.manager import AnalysisManager, analysis_scope
 from ...lang import Program, validate
 from ...obs import current_collector, metrics, span
 from ...verify import PassVerifier
-from .passes import PassContext, effective_preserves, get_pass
+from .passes import PassContext, get_pass
 from .pipelines import PassStep, PipelineSpec
 
 
@@ -66,22 +60,15 @@ class PassManager:
         program: Program,
         steps: Sequence[PassStep],
         ctx: PassContext,
-        analyses: Optional[AnalysisManager] = None,
     ) -> Program:
         """Run ``steps`` in order; returns the transformed program."""
-        analyses = analyses if analyses is not None else AnalysisManager()
-        with analysis_scope(analyses):
-            p = program
-            for step in steps:
-                p = self._run_step(p, step, ctx, analyses)
+        p = program
+        for step in steps:
+            p = self._run_step(p, step, ctx)
         return p
 
     def _run_step(
-        self,
-        program: Program,
-        step: PassStep,
-        ctx: PassContext,
-        analyses: AnalysisManager,
+        self, program: Program, step: PassStep, ctx: PassContext
     ) -> Program:
         pass_obj = get_pass(step.name)
         metrics.inc("pm.pass.runs")
@@ -100,7 +87,6 @@ class PassManager:
         if self.verifier is not None and pass_obj.certify:
             with span("verify", certifies=pass_obj.name):
                 self.verifier.check(pass_obj.name, result, strict=pass_obj.strict)
-        analyses.invalidate(effective_preserves(pass_obj))
         if step.checkpoint:
             ctx.stages[step.checkpoint] = result.stats()
         return result
@@ -117,8 +103,7 @@ class PassManager:
             ctx.level = spec.name
         ctx.stages.setdefault("input", program.stats())
         metrics.inc("pm.pipeline.runs")
-        analyses = AnalysisManager()
-        p = validate(self.run_passes(program, spec.steps, ctx, analyses))
+        p = validate(self.run_passes(program, spec.steps, ctx))
         layout_factory = ctx.layout_factory or partial(default_layout_for, p)
         return CompiledVariant(
             ctx.level,

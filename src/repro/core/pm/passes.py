@@ -12,13 +12,6 @@ Its contract:
     object for analysis-only passes such as ``regroup``) and may deposit
     byproducts — fusion reports, regrouping plans, layout factories —
     on the :class:`PassContext`;
-``preserves`` / ``invalidates``
-    analysis-invalidation metadata over :data:`~repro.analysis.manager.
-    ANALYSIS_KINDS`.  After the pass runs, the manager keeps exactly the
-    preserved kinds cached and evicts the rest.  Declaring *either* set
-    is mandatory for registered passes (lint code L201); a pass may
-    declare ``preserves=()`` to say, explicitly, "I invalidate
-    everything".
 ``strict``
     verifier strictness: ``False`` for passes that legitimately rewrite
     arithmetic, ``None`` to use the verifier's by-name default;
@@ -37,15 +30,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Protocol, runtime_checkable
 
-from ...analysis.manager import ANALYSIS_KINDS
 from ...lang import Program, TransformError
-
-#: analysis kinds every pass metadata declaration is validated against
-ALL_KINDS = frozenset(ANALYSIS_KINDS)
-
-#: identity-keyed object analyses: sound to keep across any pass that
-#: reuses IR sub-trees, because an identical object analyzes identically
-OBJECT_KINDS = frozenset({"loop_accesses", "stmt_accesses", "alignment"})
 
 
 @dataclass
@@ -78,8 +63,6 @@ class Pass(Protocol):
 
     name: str
     description: str
-    preserves: Optional[frozenset]
-    invalidates: Optional[frozenset]
     strict: Optional[bool]
     certify: bool
 
@@ -93,8 +76,6 @@ class FunctionPass:
     name: str
     fn: Callable[..., Program]
     description: str = ""
-    preserves: Optional[frozenset] = None
-    invalidates: Optional[frozenset] = None
     strict: Optional[bool] = None
     certify: bool = True
 
@@ -102,40 +83,14 @@ class FunctionPass:
         return self.fn(program, ctx, **options)
 
 
-def effective_preserves(p: Pass) -> frozenset:
-    """The analysis kinds kept cached across ``p``; conservative default.
-
-    ``preserves`` wins when declared; otherwise the complement of
-    ``invalidates``; a pass with neither declared preserves nothing.
-    """
-    if p.preserves is not None:
-        return frozenset(p.preserves)
-    if p.invalidates is not None:
-        return ALL_KINDS - frozenset(p.invalidates)
-    return frozenset()
-
-
-def declares_metadata(p: Pass) -> bool:
-    return p.preserves is not None or p.invalidates is not None
-
-
 #: the process-wide pass registry pipeline specs resolve against
 PASSES: dict[str, Pass] = {}
 
 
 def register_pass(p: Pass) -> Pass:
-    """Register ``p`` under ``p.name``; validates its analysis metadata."""
+    """Register ``p`` under ``p.name``."""
     if p.name in PASSES:
         raise TransformError(f"pass {p.name!r} is already registered")
-    for attr in ("preserves", "invalidates"):
-        kinds = getattr(p, attr)
-        if kinds is not None:
-            unknown = frozenset(kinds) - ALL_KINDS
-            if unknown:
-                raise TransformError(
-                    f"pass {p.name!r} {attr} unknown analysis kinds: "
-                    f"{sorted(unknown)}"
-                )
     PASSES[p.name] = p
     return p
 
@@ -156,10 +111,7 @@ def pass_names() -> tuple[str, ...]:
 
 # -- built-in passes ----------------------------------------------------------
 #
-# §4.1 preliminary transformations.  ``inline``/``unroll``/``split_arrays``
-# rewrite subscripts wholesale, so they declare (explicitly) that they
-# invalidate everything; the later passes reuse unchanged IR sub-trees,
-# so the identity-keyed object analyses survive them.
+# §4.1 preliminary transformations.
 
 
 def _inline(program: Program, ctx: PassContext) -> Program:
@@ -261,61 +213,50 @@ def _mckinley(program: Program, ctx: PassContext) -> Program:
 register_pass(FunctionPass(
     "inline", _inline,
     description="inline every procedure call (§4.1 step 1)",
-    invalidates=ALL_KINDS,
 ))
 register_pass(FunctionPass(
     "unroll", _unroll,
     description="fully unroll small constant-trip loops (§4.1 step 2)",
-    invalidates=ALL_KINDS,
 ))
 register_pass(FunctionPass(
     "split_arrays", _split_arrays,
     description="split small leading array dimensions into scalars/planes",
-    invalidates=ALL_KINDS,
 ))
 register_pass(FunctionPass(
     "distribute", _distribute,
     description="maximal loop distribution (Allen–Kennedy SCCs)",
-    preserves=OBJECT_KINDS,
 ))
 register_pass(FunctionPass(
     "constprop", _constprop,
     description="propagate scalar constants (relaxed certification)",
-    preserves=OBJECT_KINDS,
     strict=False,
 ))
 register_pass(FunctionPass(
     "simplify", _simplify,
     description="fold constants and drop dead scalars (relaxed certification)",
-    preserves=OBJECT_KINDS,
     strict=False,
 ))
 register_pass(FunctionPass(
     "fusion", _fusion,
     description="reuse-based multi-level loop fusion (§2.3, Fig. 6)",
-    preserves=OBJECT_KINDS,
 ))
 register_pass(FunctionPass(
     "regroup", _regroup,
     description="multi-level data regrouping plan + layout (§3, Fig. 8)",
-    preserves=ALL_KINDS,
     certify=False,
 ))
 register_pass(FunctionPass(
     "codegen-plan", _codegen_plan,
     description="classify nests for the codegen trace backend (analysis only)",
-    preserves=ALL_KINDS,
     certify=False,
 ))
 register_pass(FunctionPass(
     "sgi", _sgi,
     description="SGI-like baseline: intra-nest fusion + inter-array padding",
-    invalidates=ALL_KINDS,
     strict=False,
 ))
 register_pass(FunctionPass(
     "mckinley", _mckinley,
     description="restricted fusion baseline (identical bounds, no enablers)",
-    invalidates=ALL_KINDS,
     strict=False,
 ))

@@ -241,17 +241,10 @@ def spec_from_json(payload: dict) -> PipelineSpec:
 def registry_to_json() -> dict:
     """The full introspection payload of ``repro pipeline --json``:
     every registered pass (with its metadata) and every named pipeline."""
-    from .passes import effective_preserves
-
     passes = {}
     for name, p in sorted(PASSES.items()):
         passes[name] = {
             "description": p.description,
-            "preserves": sorted(p.preserves) if p.preserves is not None else None,
-            "invalidates": (
-                sorted(p.invalidates) if p.invalidates is not None else None
-            ),
-            "effective_preserves": sorted(effective_preserves(p)),
             "certify": p.certify,
             "strict": p.strict,
         }
@@ -264,16 +257,10 @@ def registry_to_json() -> dict:
 
 def describe_pipeline(spec: PipelineSpec) -> str:
     """Multi-line human rendering (``repro pipeline --describe``)."""
-    from .passes import effective_preserves
-
     lines = [f"{spec.name}: {spec.description}"]
     for i, step in enumerate(spec.steps, start=1):
         p = PASSES[step.name]
-        preserved = sorted(effective_preserves(p))
         lines.append(f"  {i}. {step.describe()}")
         if p.description:
             lines.append(f"       {p.description}")
-        lines.append(
-            "       preserves: " + (", ".join(preserved) if preserved else "nothing")
-        )
     return "\n".join(lines)

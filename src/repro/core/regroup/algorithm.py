@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from ...analysis.manager import cached_access_patterns
 from ...lang import Program
-from .analysis import ArrayAccessInfo, compatible_key
+from .analysis import ArrayAccessInfo, analyze_access_patterns, compatible_key
 from .layout import ArrayPlacement, Layout
 
 
@@ -215,7 +214,7 @@ def regroup_plan(
     reached, e.g. Fig. 7's ``D[1,j,1,i]`` / ``D[j,2,i]``).
     """
     options = options or RegroupOptions()
-    info = cached_access_patterns(program, strict=options.strict)
+    info = analyze_access_patterns(program, strict=options.strict)
     plan = RegroupPlan(program)
     # compatible classes, in declaration order
     classes: dict[tuple, list[str]] = {}

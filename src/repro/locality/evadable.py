@@ -142,9 +142,9 @@ def classify_evadable_program(
     means differs.
     """
     if method == "static":
-        from ..analysis import cached_static_reuse
+        from ..static import analyze_program
 
-        profile = cached_static_reuse(program, steps=steps)
+        profile = analyze_program(program, steps=steps)
         return classify_evadable_stats(
             profile.class_stats(small),
             profile.class_stats(large),

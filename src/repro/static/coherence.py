@@ -15,33 +15,20 @@ multi-thread run adds on top: invalidation misses, classified as
   whole number of lines, which the R520 lint suggests.
 
 The analyzer owns no access enumeration and no protocol automaton.  It
-is a pipeline over the two shared ones: the array screens below, then
-**the** multi-thread enumerator (``repro.interp.interleave`` — the
-interpreter tracer run chunk by chunk under the shared schedule
-machinery, :mod:`repro.static.schedule`, and merged by the round-robin
-drain contract), then **the** MSI automaton
+is a pipeline over the two shared ones: **the** multi-thread enumerator
+(``repro.interp.interleave`` — the interpreter tracer run chunk by chunk
+under the shared schedule machinery, :mod:`repro.static.schedule`, and
+merged by the round-robin drain contract), then **the** MSI automaton
 (:func:`repro.memsim.coherence.simulate_msi`), then a true/false-sharing
 classification of the automaton's invalidation misses by numpy
 group-bys.  Its counts therefore equal the dynamic oracle's by
-construction; what it adds is the screens, the classification, the
-witnesses and the ``max_accesses`` budget (DESIGN §10).
+construction; what it adds is the classification, the witnesses and
+the ``max_accesses`` budget (DESIGN §10).
 
 Import direction: ``repro.interp`` and ``repro.memsim`` are imported
 inside :func:`analyze_coherence`, and ``repro.interp.interleave``
 imports ``repro.static`` lazily too, so ``import repro.static`` and
 ``import repro.interp`` work in either order.
-
-Two screens keep the line-level work focused, both built on the
-existing machinery:
-
-* a **hull screen**: per-thread linearized footprint intervals (the
-  rectangular hull of each reference restricted to a thread's chunk,
-  widened by a line) prove most arrays are never line-shared across
-  threads at all — they are skipped by the sharing classifier;
-* a **dependence screen**: :func:`repro.static.dependence_test.attainable`
-  over cross-thread reference pairs proves when no element can be
-  touched by two different threads — every line overlap of such an
-  array is false sharing by construction.
 
 Witnesses are concrete: thread pair, the two global element keys and
 their offsets within the shared line, and the loop-variable bindings of
@@ -59,14 +46,7 @@ import numpy as np
 from ..lang import Program
 from ..lang.errors import AnalysisError
 from ..obs import metrics, span
-from .model import StaticRef, build_model
-from .multicore import _ref_box, _scope_ranges
-from .parallelism import (
-    ParallelismProfile,
-    _Unsupported,
-    analyze_parallelism,
-    bind_params,
-)
+from .parallelism import ParallelismProfile, analyze_parallelism, bind_params
 from .schedule import parse_schedule, schedule_chunks
 
 if TYPE_CHECKING:
@@ -157,11 +137,8 @@ class CoherenceProfile:
     upgrades: int
     arrays: tuple[ArraySharing, ...]
     witnesses: tuple[SharingWitness, ...]
-    #: arrays the hull screen proved line-private (never shared)
+    #: line-private arrays: none of their lines is touched by two threads
     screened_out: tuple[str, ...]
-    #: arrays the dependence screen proved element-private (any line
-    #: overlap is false sharing by construction)
-    false_only: tuple[str, ...] = ()
 
     @property
     def total_cold(self) -> int:
@@ -212,8 +189,7 @@ class CoherenceProfile:
             lines.append("  no cross-thread line sharing")
         if self.screened_out:
             lines.append(
-                f"  hull screen proved private: "
-                f"{', '.join(self.screened_out)}"
+                f"  line-private arrays: {', '.join(self.screened_out)}"
             )
         for w in self.witnesses:
             lines.append(f"  witness: {w.render()}")
@@ -249,202 +225,6 @@ class CoherenceProfile:
             "witnesses": [w.render() for w in self.witnesses],
             "screened_out": list(self.screened_out),
         }
-
-
-# -- screens ------------------------------------------------------------------
-
-
-def _ref_key_range(
-    ref: StaticRef,
-    env: Mapping[str, int],
-    strides: Mapping[str, tuple[int, ...]],
-    bases: Mapping[str, int],
-    outer_span: Optional[tuple[int, int]],
-) -> Optional[tuple[int, int]]:
-    """Concrete [lo, hi] interval of the ref's global keys with the
-    outer loop restricted to ``outer_span`` (the linearized hull)."""
-    box = _ref_box(ref, env, outer_span)
-    if box is None:
-        return None
-    ss = strides[ref.array]
-    if len(box) != len(ss):
-        return None
-    lo = hi = bases[ref.array]
-    for (blo, bhi), s in zip(box, ss):
-        lo += (blo - 1) * s if s >= 0 else (bhi - 1) * s
-        hi += (bhi - 1) * s if s >= 0 else (blo - 1) * s
-    return int(lo), int(hi)
-
-
-def _thread_ranges(
-    refs: Sequence[StaticRef],
-    parallel: frozenset[int],
-    env: Mapping[str, int],
-    threads: int,
-    schedule: str,
-    strides: Mapping[str, tuple[int, ...]],
-    bases: Mapping[str, int],
-) -> Optional[list[tuple[int, tuple[int, int], bool]]]:
-    """(thread, key range, is_write) spans of every ref of one array;
-    None when any ref falls outside the interval engine's subset."""
-    out: list[tuple[int, tuple[int, int], bool]] = []
-    for ref in refs:
-        if ref.nest in parallel and ref.scope:
-            try:
-                ranges = _scope_ranges(ref, env)
-            except _Unsupported:
-                return None
-            lo, hi = ranges[ref.scope[0].index]
-            if hi < lo:
-                continue
-            chunks = schedule_chunks(lo, hi, threads, schedule)
-            for t in range(threads):
-                if not chunks[t]:
-                    continue
-                span_t = (chunks[t][0][0], chunks[t][-1][1])
-                rng = _ref_key_range(ref, env, strides, bases, span_t)
-                if rng is None:
-                    return None
-                out.append((t, rng, ref.is_write))
-        else:
-            rng = _ref_key_range(ref, env, strides, bases, None)
-            if rng is None:
-                return None
-            out.append((0, rng, ref.is_write))
-    return out
-
-
-def _screen_arrays(
-    model,
-    parallel: frozenset[int],
-    env: Mapping[str, int],
-    threads: int,
-    schedule: str,
-    line_elems: int,
-    strides: Mapping[str, tuple[int, ...]],
-    bases: Mapping[str, int],
-) -> tuple[set[str], set[str]]:
-    """(provably line-private arrays, provably element-private arrays).
-
-    Line-private: no two different threads' footprint hulls overlap
-    even after widening by a line — the array can produce no sharing at
-    all.  Element-private: the unwidened hulls never overlap across
-    threads, so any line sharing is false sharing by construction (the
-    dependence screen refines this with an exact equality test).
-    """
-    by_array: dict[str, list[StaticRef]] = {}
-    for ref in model.refs:
-        by_array.setdefault(ref.array, []).append(ref)
-    line_private: set[str] = set()
-    elem_private: set[str] = set()
-    for array, refs in by_array.items():
-        spans = _thread_ranges(
-            refs, parallel, env, threads, schedule, strides, bases
-        )
-        if spans is None:
-            continue  # not provable: keep the array in the classifier
-        line_shared = False
-        for i, (t1, (a1, b1), _w1) in enumerate(spans):
-            for t2, (a2, b2), _w2 in spans[i + 1 :]:
-                if t1 == t2:
-                    continue
-                # two hulls share a line iff their line-id ranges meet
-                if max(a1, a2) // line_elems <= min(b1, b2) // line_elems:
-                    line_shared = True
-                    break
-            if line_shared:
-                break
-        if not line_shared:
-            line_private.add(array)
-        elif not _may_share_element(
-            refs, parallel, env, threads, schedule
-        ):
-            elem_private.add(array)
-    return line_private, elem_private
-
-
-def _may_share_element(
-    refs: Sequence[StaticRef],
-    parallel: frozenset[int],
-    env: Mapping[str, int],
-    threads: int,
-    schedule: str,
-) -> bool:
-    """May two *different* threads reach the same element of the array,
-    at least one writing it?  Cross-thread equality feasibility per
-    subscript dimension via the dependence tester's interval+gcd check
-    (:func:`repro.static.dependence_test.attainable`), with each ref's
-    outer loop restricted to its thread's iteration span.  ``True``
-    means "maybe" — ``False`` is a proof, which makes every line
-    overlap of the array false sharing by construction."""
-    from .dependence_test import attainable
-    from .schedule import thread_span
-
-    def spans_of(ref: StaticRef) -> Optional[list[tuple[int, tuple[int, int]]]]:
-        """(thread, outer-var span) placements of one ref."""
-        if ref.nest in parallel and ref.scope:
-            try:
-                ranges = _scope_ranges(ref, env)
-            except _Unsupported:
-                return None
-            lo, hi = ranges[ref.scope[0].index]
-            out = []
-            for t in range(threads):
-                a, b = thread_span(lo, hi, threads, t, schedule)
-                if a <= b:
-                    out.append((t, (a, b)))
-            return out
-        return [(0, (0, -1))]  # serial: thread 0, no outer restriction
-
-    def dim_terms(ref, rng, sign):
-        terms = []
-        for sub in ref.subs:
-            row = []
-            for n, coeff in sub.coeffs:
-                if coeff.denominator != 1:
-                    raise _Unsupported(str(coeff))
-                lo, hi = rng.get(n, (env.get(n, 0), env.get(n, 0)))
-                row.append((sign * int(coeff), lo, hi))
-            terms.append((sign * sub.const, row))
-        return terms
-
-    for i, r1 in enumerate(refs):
-        for r2 in refs[i:]:
-            if not (r1.is_write or r2.is_write):
-                continue
-            p1 = spans_of(r1)
-            p2 = spans_of(r2)
-            if p1 is None or p2 is None:
-                return True  # cannot prove: assume sharing possible
-            if len(r1.subs) != len(r2.subs):
-                return True
-            for t1, s1 in p1:
-                for t2, s2 in p2:
-                    if t1 == t2:
-                        continue
-                    try:
-                        rng1 = _scope_ranges(
-                            r1, env, s1 if s1[0] <= s1[1] else None
-                        )
-                        rng2 = _scope_ranges(
-                            r2, env, s2 if s2[0] <= s2[1] else None
-                        )
-                        terms1 = dim_terms(r1, rng1, 1)
-                        terms2 = dim_terms(r2, rng2, -1)
-                    except _Unsupported:
-                        return True
-                    feasible = True
-                    for (c1, row1), (c2, row2) in zip(terms1, terms2):
-                        c = c1 + c2
-                        if c.denominator != 1:
-                            feasible = False
-                            break
-                        if not attainable(0, int(c), row1 + row2):
-                            feasible = False
-                            break
-                    if feasible:
-                        return True
-    return False
 
 
 # -- sharing classification ---------------------------------------------------
@@ -495,7 +275,7 @@ def _array_summaries(
     inv_keys: np.ndarray,
     is_true: np.ndarray,
 ) -> tuple[ArraySharing, ...]:
-    """Per-array sharing rows from the classified accesses (``keys``,
+    """Per-array sharing rows from the enumerated accesses (``keys``,
     ``writes``, ``tids``) and their invalidation misses (``inv_keys``,
     split by ``is_true``).  Array ``k`` owns keys ``[bounds[k],
     bounds[k + 1])``; a line belongs to the array of its first element."""
@@ -508,8 +288,8 @@ def _array_summaries(
     true_elems = elem_ids[(touching >= 2) & np.isin(elem_ids, keys[writes])]
     true_line = np.isin(shared, true_elems // line_elems)
     false_line = ~true_line & np.isin(shared, lines[writes])
+    # every invalidated line is shared: its victim and its writer differ
     inv_lines = inv_keys // line_elems
-    on_shared = np.isin(inv_lines, shared)
 
     def per_array(line_ids: np.ndarray) -> np.ndarray:
         owner = np.searchsorted(bounds, line_ids * line_elems, side="right") - 1
@@ -520,9 +300,9 @@ def _array_summaries(
             per_array(shared),
             per_array(shared[true_line]),
             per_array(shared[false_line]),
-            per_array(inv_lines[on_shared]),
-            per_array(inv_lines[on_shared & is_true]),
-            per_array(inv_lines[on_shared & ~is_true]),
+            per_array(inv_lines),
+            per_array(inv_lines[is_true]),
+            per_array(inv_lines[~is_true]),
         ],
         axis=1,
     )
@@ -571,7 +351,6 @@ def _witnesses(
     keys: np.ndarray,
     writes: np.ndarray,
     tids: np.ndarray,
-    classify: np.ndarray,
     inv: np.ndarray,
     is_true: np.ndarray,
 ) -> tuple[SharingWitness, ...]:
@@ -581,7 +360,7 @@ def _witnesses(
     # a false-sharing miss is explained by the other thread that touched
     # the line first; a true-sharing one by the lowest other writer
     touched, first_other = _earliest_other(
-        lines, tids, threads, np.flatnonzero(classify), inv
+        lines, tids, threads, np.arange(len(lines)), inv
     )
     explainable = is_true | (touched < inv)
 
@@ -605,7 +384,7 @@ def _witnesses(
             ta, elem_a = int(tids[:i][wrote].min()), elem_b
         else:
             ta = int(first_other[j])
-            held = (lines[:i] == line) & (tids[:i] == ta) & classify[:i]
+            held = (lines[:i] == line) & (tids[:i] == ta)
             elem_a = int(keys[:i][held][-1])
         out.append(
             SharingWitness(
@@ -641,7 +420,7 @@ def analyze_coherence(
 ) -> CoherenceProfile:
     """Predict the coherence behaviour of a ``threads``-way execution.
 
-    Array screens, then the one multi-thread enumerator
+    The one multi-thread enumerator
     (:func:`repro.interp.interleave.interleaved_nests`, drained under the
     ``max_accesses`` budget), then the one MSI automaton
     (:func:`repro.memsim.coherence.simulate_msi`) at ``line_bytes``
@@ -673,11 +452,6 @@ def analyze_coherence(
         names = [a.name for a in program.arrays]
         # arrays sit back to back: array k owns [bounds[k], bounds[k+1])
         bounds = np.concatenate(([0], np.cumsum(tracer.compiler.sizes)))
-        line_private, elem_private = _screen_arrays(
-            build_model(program), parallel, env, threads, schedule,
-            line_elems, tracer.compiler.strides,
-            dict(zip(names, bounds.tolist())),
-        )
         nests = []
         total = 0
         for columns in interleaved_nests(
@@ -693,28 +467,21 @@ def analyze_coherence(
                 )
         keys, writes, tids = concat_columns(nests)
         msi = simulate_msi(keys // line_elems, writes, tids, threads)
-        # classification skips the arrays the hull screen proved
-        # line-private — they cannot contribute sharing
-        classify = ~np.isin(
-            np.searchsorted(bounds, keys, side="right") - 1,
-            [names.index(n) for n in line_private],
-        )
-        sel = np.flatnonzero(classify)
-        inv = np.flatnonzero(msi.invalidation_mask & classify)
+        inv = np.flatnonzero(msi.invalidation_mask)
         # an invalidation miss is true sharing when another thread wrote
         # the very element before, false when only its line neighbours
         other_write, _ = _earliest_other(
-            keys, tids, threads, np.flatnonzero(writes & classify), inv
+            keys, tids, threads, np.flatnonzero(writes), inv
         )
         is_true = other_write < inv
         arrays = _array_summaries(
             names, bounds, line_elems,
-            keys[sel], writes[sel], tids[sel], threads, keys[inv], is_true,
+            keys, writes, tids, threads, keys[inv], is_true,
         )
         witness_objs = (
             _witnesses(
                 tracer, parallel, threads, schedule, names, bounds,
-                line_elems, keys, writes, tids, classify, inv, is_true,
+                line_elems, keys, writes, tids, inv, is_true,
             )
             if witnesses
             else ()
@@ -735,6 +502,7 @@ def analyze_coherence(
             upgrades=msi.total_upgrades,
             arrays=arrays,
             witnesses=witness_objs,
-            screened_out=tuple(sorted(line_private)),
-            false_only=tuple(sorted(elem_private)),
+            screened_out=tuple(
+                sorted(set(names) - {a.array for a in arrays})
+            ),
         )

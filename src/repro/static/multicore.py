@@ -62,7 +62,7 @@ from .parallelism import (
     _interval,
     analyze_parallelism,
 )
-from .profile import StaticProfile, _multiplier, analyze_program
+from .profile import StaticProfile, analyze_program, clamp_distance
 from .schedule import (
     chunk_count,
     parse_schedule,
@@ -497,10 +497,10 @@ def predict_multicore(
 ) -> MulticorePrediction:
     """Scale ``profile``'s reuse distances for a ``threads``-way run.
 
-    Replays :meth:`StaticProfile.evaluate_class`'s count clamping, but
-    keeps each component's *kind* so its distance can be transformed by
-    the table in the module docstring.  Nests whose outermost axis is
-    serial keep their single-thread distances.
+    Walks :meth:`StaticProfile.class_walk`'s rows, whose component
+    *kind* selects the distance transform from the table in the module
+    docstring.  Nests whose outermost axis is serial keep their
+    single-thread distances.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -521,11 +521,7 @@ def predict_multicore(
     )
 
     def clamp(value: float) -> float:
-        if value < 0:
-            return 0.0
-        if cap > 0 and value > cap - 1:
-            return cap - 1
-        return value
+        return clamp_distance(value, cap)
 
     # one thread's share of a full pass over the data: serial nests are
     # traversed whole, parallel nests at 1/T — so any cross-nest gap
@@ -544,19 +540,9 @@ def predict_multicore(
     cold_shared = 0.0
     cold_private = 0.0
     for cp in profile.classes:
-        total = float(cp.ref.exec_count().evaluate(env)) * profile.steps
-        remaining = max(total, 0.0)
-        has_wrap = any(c.kind == "cross_step" for c in cp.components)
         is_par = threads > 1 and cp.ref.nest in parallel
-        for comp in cp.components:
-            count = float(comp.count.evaluate(env)) * _multiplier(
-                comp.kind, profile.steps
-            )
-            count = min(max(count, 0.0), remaining)
-            if count <= 0:
-                continue
-            remaining -= count
-            dist = clamp(float(comp.distance.evaluate(env)))
+        rows, cold = profile.class_walk(cp, env)
+        for comp, count, dist in rows:
             if threads == 1:
                 shared.append((count, dist))
                 private.append((count, dist))
@@ -630,11 +616,8 @@ def predict_multicore(
                     private.append((horizon, clamp(cap / threads)))
             else:
                 private.append((count, dist * traversal))
-        cold = remaining if has_wrap or profile.steps == 1 else min(
-            remaining, float(cp.cold.evaluate(env)) * profile.steps
-        )
-        cold_shared += max(cold, 0.0)
-        cold_private += max(cold, 0.0)
+        cold_shared += cold
+        cold_private += cold
     return MulticorePrediction(
         program_name=profile.model.program.name,
         params=tuple(sorted(env.items())),

@@ -54,6 +54,15 @@ def _multiplier(kind: str, steps: int) -> int:
     return steps - 1 if kind == "cross_step" else steps
 
 
+def clamp_distance(value: float, cap: float) -> float:
+    """Clamp a reuse distance into ``[0, cap - 1]`` (``cap``: footprint)."""
+    if value < 0:
+        return 0.0
+    if cap > 0 and value > cap - 1:
+        return cap - 1
+    return value
+
+
 @dataclass(frozen=True)
 class EvaluatedClass:
     """One reuse class evaluated at a concrete input size."""
@@ -82,22 +91,20 @@ class StaticProfile:
     def total_accesses(self) -> Poly:
         return self.model.total_accesses() * self.steps
 
-    def _clamp_distance(self, value: float, cap: float) -> float:
-        if value < 0:
-            return 0.0
-        if cap > 0 and value > cap - 1:
-            return cap - 1
-        return value
-
-    def evaluate_class(
+    def class_walk(
         self, profile: ClassProfile, params: Params
-    ) -> EvaluatedClass:
-        """Split one class's accesses into (count, distance) pairs."""
+    ) -> tuple[list[tuple[Component, float, float]], float]:
+        """Split one class's accesses over its reuse components.
+
+        Returns the ``(component, count, distance)`` rows — counts
+        clamped so together they never exceed the class's executions,
+        distances clamped into the footprint — and the cold remainder.
+        """
         env = dict(params)
         total = float(profile.ref.exec_count().evaluate(env)) * self.steps
         cap = float(self.footprint.evaluate(env))
         remaining = max(total, 0.0)
-        pairs: list[tuple[float, float]] = []
+        rows: list[tuple[Component, float, float]] = []
         has_wrap = any(c.kind == "cross_step" for c in profile.components)
         for comp in profile.components:
             count = float(comp.count.evaluate(env)) * _multiplier(
@@ -106,15 +113,20 @@ class StaticProfile:
             count = min(max(count, 0.0), remaining)
             if count <= 0:
                 continue
-            dist = self._clamp_distance(
-                float(comp.distance.evaluate(env)), cap
-            )
-            pairs.append((count, dist))
+            dist = clamp_distance(float(comp.distance.evaluate(env)), cap)
+            rows.append((comp, count, dist))
             remaining -= count
         cold = remaining if has_wrap or self.steps == 1 else min(
             remaining, float(profile.cold.evaluate(env)) * self.steps
         )
-        cold = max(cold, 0.0)
+        return rows, max(cold, 0.0)
+
+    def evaluate_class(
+        self, profile: ClassProfile, params: Params
+    ) -> EvaluatedClass:
+        """Split one class's accesses into (count, distance) pairs."""
+        rows, cold = self.class_walk(profile, params)
+        pairs = [(count, dist) for _, count, dist in rows]
         reuses = sum(c for c, _ in pairs)
         mean = (
             sum(c * d for c, d in pairs) / reuses if reuses > 0 else 0.0
@@ -169,27 +181,6 @@ class StaticProfile:
                 if dist >= capacity_elems:
                     misses += count
         return misses
-
-    def predicted_bytes(self, params: Params, geometry) -> dict[str, float]:
-        """Predicted data moved per level: misses × line size.
-
-        ``geometry`` is a :class:`~repro.memsim.CacheGeometry` (or any
-        object with ``l1_elems``/``l2_elems`` capacities and
-        ``l1_line_bytes``/``l2_line_bytes``).  ``memory_bytes`` — L2
-        misses times the L2 line — is the static counterpart of the
-        simulator's ``data_transferred_bytes`` (minus writebacks, which
-        a reuse profile cannot see); ``l1_fill_bytes`` is the L2→L1
-        refill traffic.  This is what ``tune --objective bytes``
-        minimizes.
-        """
-        l1_misses = self.miss_count(params, geometry.l1_elems)
-        l2_misses = self.miss_count(params, geometry.l2_elems)
-        return {
-            "l1_misses": l1_misses,
-            "l2_misses": l2_misses,
-            "l1_fill_bytes": l1_misses * geometry.l1_line_bytes,
-            "memory_bytes": l2_misses * geometry.l2_line_bytes,
-        }
 
     def evadable_classes(
         self,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from ..analysis.manager import cached_body_dependence_graph
+from ..analysis import body_dependence_graph
 from ..lang import Assumptions, Guard, Loop, Program, Stmt
 
 
@@ -40,7 +40,7 @@ def _distribute_stmt(
     loop = stmt.with_body(body)
     if len(loop.body) <= 1:
         return [loop]
-    graph = cached_body_dependence_graph(loop, fixed, assume)
+    graph = body_dependence_graph(loop, fixed, assume)
     condensation = nx.condensation(graph)
     order = list(nx.topological_sort(condensation))
     out: list[Stmt] = []

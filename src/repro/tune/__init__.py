@@ -15,7 +15,6 @@ from .candidates import (
     canonical_enabler_order,
     enumerate_candidates,
     make_candidate,
-    neighbors,
     parse_signature,
     spec_signature,
 )
@@ -25,7 +24,7 @@ from .tuner import (
     TuneRequest,
     TuneResult,
     check_baseline,
-    static_score,
+    evaluate_candidate,
     tune,
 )
 
@@ -41,10 +40,9 @@ __all__ = [
     "canonical_enabler_order",
     "check_baseline",
     "enumerate_candidates",
+    "evaluate_candidate",
     "make_candidate",
-    "neighbors",
     "parse_signature",
     "spec_signature",
-    "static_score",
     "tune",
 ]

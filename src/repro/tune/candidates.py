@@ -8,10 +8,8 @@ chosen ``max_levels``, and an optional *terminal* ``regroup``.  The
 shape is not arbitrary: it is exactly the family the pass metadata
 permits —
 
-* the enablers run in the metadata-derived canonical order (passes that
-  invalidate every analysis before passes that preserve the
-  identity-keyed object analyses), so the analysis manager's cache
-  survives as long as possible;
+* the enablers run in one canonical order (the order of
+  :data:`ENABLERS`, which is §4.1's), so a subset has one spelling;
 * ``regroup`` is analysis-only (``certify=False``: it plans a data
   layout without touching the program), so it is only legal as the
   final step — nothing may transform the program after the layout is
@@ -30,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from ..core.pm.passes import ALL_KINDS, PASSES
+from ..core.pm.passes import PASSES
 from ..core.pm.pipelines import PassStep, PipelineSpec
 from ..lang import TransformError
 
@@ -43,29 +41,14 @@ FUSION_LEVELS = (0, 1, 2, 4, 8)
 
 
 def canonical_enabler_order(names: Iterable[str]) -> tuple[str, ...]:
-    """Order enabler passes by their registry metadata.
-
-    Subscript-rewriting passes (``invalidates == ALL_KINDS``) go first,
-    preserving passes after, each group in pass-registry declaration
-    order — so the object-keyed analyses computed after the last
-    invalidating pass stay cached through the rest of the pipeline.
-    """
-    registry_order = list(PASSES)
+    """Order enabler passes as :data:`ENABLERS` lists them."""
     names = tuple(names)
     for name in names:
-        if name not in PASSES:
+        if name not in ENABLERS:
             raise TransformError(
                 f"unknown enabler {name!r}; candidates may use {ENABLERS}"
             )
-
-    def key(name: str) -> tuple[int, int]:
-        p = PASSES[name]
-        invalidates_all = (
-            p.invalidates is not None and frozenset(p.invalidates) == ALL_KINDS
-        )
-        return (0 if invalidates_all else 1, registry_order.index(name))
-
-    return tuple(sorted(names, key=key))
+    return tuple(sorted(names, key=ENABLERS.index))
 
 
 def make_candidate(
@@ -74,11 +57,6 @@ def make_candidate(
     regroup: bool = False,
 ) -> PipelineSpec:
     """Build one candidate spec from its three degrees of freedom."""
-    for name in enablers:
-        if name not in ENABLERS:
-            raise TransformError(
-                f"unknown enabler {name!r}; candidates may use {ENABLERS}"
-            )
     if fusion < 0:
         raise TransformError(f"fusion level must be >= 0, got {fusion}")
     steps: list[PassStep] = [PassStep("inline")]
@@ -148,8 +126,7 @@ def candidate_fields(
     """Decompose a candidate back into (enablers, fusion level, regroup).
 
     Raises :class:`~repro.lang.TransformError` if ``spec`` is not
-    candidate-shaped — the mutation operators only walk inside the
-    legal family.
+    candidate-shaped.
     """
     names = [s.name for s in spec.steps]
     if not names or names[0] != "inline":
@@ -191,33 +168,3 @@ def enumerate_candidates(
                     if max_candidates is not None and len(out) >= max_candidates:
                         return out
     return out
-
-
-def neighbors(spec: PipelineSpec) -> list[PipelineSpec]:
-    """Every single-move mutation of a candidate, all still legal.
-
-    Moves: toggle one enabler, step the fusion level to an adjacent
-    grid value, toggle the terminal regroup.  The closure of
-    :func:`make_candidate` under this operator is exactly
-    :func:`enumerate_candidates`'s grid — mutation search and
-    exhaustive search explore the same space.
-    """
-    enablers, fusion, regroup = candidate_fields(spec)
-    out: list[PipelineSpec] = []
-    for name in ENABLERS:
-        toggled = tuple(e for e in enablers if e != name) \
-            if name in enablers else enablers + (name,)
-        out.append(make_candidate(toggled, fusion, regroup))
-    idx = FUSION_LEVELS.index(fusion) if fusion in FUSION_LEVELS else None
-    if idx is not None:
-        for j in (idx - 1, idx + 1):
-            if 0 <= j < len(FUSION_LEVELS):
-                out.append(make_candidate(enablers, FUSION_LEVELS[j], regroup))
-    out.append(make_candidate(enablers, fusion, not regroup))
-    seen = set()
-    unique = []
-    for cand in out:
-        if cand.name not in seen and cand.name != spec.name:
-            seen.add(cand.name)
-            unique.append(cand)
-    return unique

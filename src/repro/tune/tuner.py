@@ -305,31 +305,83 @@ def _score_profile(
     return total, per_size
 
 
-def static_score(
+def evaluate_candidate(
     program: Program,
+    label: str,
+    kind: str,
     spec: PipelineSpec,
     steps: int,
     sizes: Sequence[Mapping[str, int]],
     l1_elems: int,
     l2_elems: int,
-    objective: str = "misses",
-    threads: int = 4,
-    schedule: str = "static",
-    verify: bool = False,
-) -> tuple[float, list[dict], str, float]:
-    """Compile + analyze one pipeline, uncached: the tuner's inner step.
+    objective: str,
+    threads: int,
+    schedule: str,
+    verify: bool,
+    tcache: Optional[TuneCache],
+    seen_text: dict[str, CandidateScore],
+) -> CandidateScore:
+    """Statically evaluate one pipeline — the tuner's inner step.
 
-    Returns ``(score, per_size, compiled_text_hash, analysis_seconds)``.
+    Cache-load, else compile, dedup against ``seen_text`` by compiled
+    program text, else analyze and score; fresh results are stored.
+    The first evaluation of each distinct text registers itself in
+    ``seen_text``.
     """
-    variant = compile_pipeline(program, spec, verify=verify)
-    text_hash = hashlib.sha256(str(variant.program).encode()).hexdigest()[:16]
-    t0 = time.perf_counter()
-    profile = analyze_program(variant.program, steps=steps)
-    score, per_size = _score_profile(
-        profile, variant.program, sizes, l1_elems, l2_elems,
-        objective, threads, schedule, steps,
+    signature = spec_signature(spec)
+    entry = key = None
+    if tcache is not None:
+        key = tcache.key(
+            str(program), signature, steps, sizes, l1_elems, l2_elems,
+            objective, threads, schedule,
+        )
+        entry = tcache.load(key)
+    cached = entry is not None
+    if not cached:
+        with span("tune-evaluate", pipeline=label, kind=kind):
+            variant = compile_pipeline(program, spec, verify=verify)
+            text_hash = hashlib.sha256(
+                str(variant.program).encode()
+            ).hexdigest()[:16]
+            prior = seen_text.get(text_hash)
+            if prior is not None:
+                metrics.inc("tune.dedup.hits")
+                entry = {
+                    "score": prior.score,
+                    "per_size": [dict(p) for p in prior.per_size],
+                    "analysis_seconds": 0.0,
+                    "deduped_from": prior.label,
+                }
+            else:
+                ta = time.perf_counter()
+                profile = analyze_program(variant.program, steps=steps)
+                score, per_size = _score_profile(
+                    profile, variant.program, sizes, l1_elems, l2_elems,
+                    objective, threads, schedule, steps,
+                )
+                metrics.inc("tune.evaluations")
+                entry = {
+                    "score": score,
+                    "per_size": per_size,
+                    "analysis_seconds": time.perf_counter() - ta,
+                }
+            entry["text_hash"] = text_hash
+    result = CandidateScore(
+        label=label,
+        kind=kind,
+        signature=signature,
+        spec=spec,
+        score=float(entry["score"]),
+        per_size=list(entry["per_size"]),
+        text_hash=str(entry["text_hash"]),
+        analysis_seconds=float(entry["analysis_seconds"]),
+        cached=cached,
+        deduped_from=entry.get("deduped_from"),
     )
-    return score, per_size, text_hash, time.perf_counter() - t0
+    if tcache is not None and not cached:
+        tcache.store(key, result.to_json())
+    seen_text.setdefault(result.text_hash, result)
+    return result
 
 
 def _cache_root(cache: Union[None, bool, str, Path]) -> Optional[Path]:
@@ -360,7 +412,6 @@ def tune(request: TuneRequest) -> TuneResult:
     geometry = CacheGeometry.from_spec(machine_spec)
     l1_elems = geometry.l1_elems
     l2_elems = geometry.l2_elems
-    source_text = str(program)
 
     named_specs = [(level, PIPELINES[level], "named") for level in request.levels]
     fusion_levels = tuple(dict.fromkeys(int(v) for v in request.fusion_levels))
@@ -386,78 +437,14 @@ def tune(request: TuneRequest) -> TuneResult:
     candidates: list[CandidateScore] = []
     t0 = time.perf_counter()
     for index, (label, spec, kind) in enumerate(work):
-        signature = spec_signature(spec)
-        ckey = (
-            tcache.key(
-                source_text, signature, steps, sizes, l1_elems, l2_elems,
-                request.objective, request.threads, request.schedule,
-            )
-            if tcache is not None
-            else None
-        )
         with spec_logging(
             log, index, name, label, memory=bool(cfg and cfg.memory)
         ):
-            entry = tcache.load(ckey) if tcache is not None else None
-            if entry is not None:
-                result = CandidateScore(
-                    label=label,
-                    kind=kind,
-                    signature=signature,
-                    spec=spec,
-                    score=float(entry["score"]),
-                    per_size=list(entry["per_size"]),
-                    text_hash=str(entry["text_hash"]),
-                    analysis_seconds=float(entry["analysis_seconds"]),
-                    cached=True,
-                    deduped_from=entry.get("deduped_from"),
-                )
-            else:
-                with span("tune-evaluate", pipeline=label, kind=kind):
-                    verify = request.verify and kind == "candidate"
-                    variant = compile_pipeline(program, spec, verify=verify)
-                    text_hash = hashlib.sha256(
-                        str(variant.program).encode()
-                    ).hexdigest()[:16]
-                    prior = seen_text.get(text_hash)
-                    if prior is not None:
-                        metrics.inc("tune.dedup.hits")
-                        result = CandidateScore(
-                            label=label,
-                            kind=kind,
-                            signature=signature,
-                            spec=spec,
-                            score=prior.score,
-                            per_size=[dict(p) for p in prior.per_size],
-                            text_hash=text_hash,
-                            analysis_seconds=0.0,
-                            deduped_from=prior.label,
-                        )
-                    else:
-                        ta = time.perf_counter()
-                        profile = analyze_program(variant.program, steps=steps)
-                        score, per_size = _score_profile(
-                            profile, variant.program, sizes, l1_elems, l2_elems,
-                            request.objective, request.threads,
-                            request.schedule, steps,
-                        )
-                        metrics.inc("tune.evaluations")
-                        result = CandidateScore(
-                            label=label,
-                            kind=kind,
-                            signature=signature,
-                            spec=spec,
-                            score=score,
-                            per_size=per_size,
-                            text_hash=text_hash,
-                            analysis_seconds=time.perf_counter() - ta,
-                        )
-                if tcache is not None:
-                    stored = result.to_json()
-                    stored.pop("measured", None)
-                    tcache.store(ckey, stored)
-        if result.text_hash not in seen_text:
-            seen_text[result.text_hash] = result
+            result = evaluate_candidate(
+                program, label, kind, spec, steps, sizes, l1_elems, l2_elems,
+                request.objective, request.threads, request.schedule,
+                request.verify and kind == "candidate", tcache, seen_text,
+            )
         (named if kind == "named" else candidates).append(result)
 
     candidates.sort(key=lambda c: (c.score, len(c.spec.steps), c.label))
@@ -592,29 +579,11 @@ def check_baseline(
             continue
 
         def recompute(label: str, record: Mapping[str, object], spec) -> None:
-            key = (
-                tcache.key(
-                    str(program), record["signature"], steps, sizes, l1, l2,
-                    objective, threads, schedule,
-                )
-                if tcache is not None
-                else None
-            )
-            cached = tcache.load(key) if tcache is not None else None
-            if cached is not None:
-                score = float(cached["score"])
-            else:
-                score, per_size, text_hash, secs = static_score(
-                    program, spec, steps, sizes, l1, l2,
-                    objective, threads, schedule,
-                )
-                if tcache is not None:
-                    tcache.store(key, {
-                        "label": label, "kind": "check",
-                        "signature": record["signature"], "score": score,
-                        "per_size": per_size, "text_hash": text_hash,
-                        "analysis_seconds": round(secs, 3),
-                    })
+            # no text dedup here: every pipeline is analyzed on its own
+            score = evaluate_candidate(
+                program, label, "check", spec, steps, sizes, l1, l2,
+                objective, threads, schedule, False, tcache, {},
+            ).score
             if score > float(record["score"]) * (1 + rtol):
                 failures.append(
                     f"{prog_name}/{label}: predicted misses regressed "

@@ -1,7 +1,7 @@
 """The single registry of diagnostic codes.
 
-Every stable diagnostic id — ``V`` (IR lint), ``L`` (pass legality and
-registry contracts), ``S`` (static reuse analysis) — is declared here
+Every stable diagnostic id — ``V`` (IR lint), ``L`` (pass legality),
+``S`` (static reuse analysis) — is declared here
 once, with its family, default severity, and documentation.  The CLI's
 ``lint`` help table and ``lint --explain CODE`` render from this
 registry; nothing else in the repo hand-lists codes.
@@ -36,7 +36,7 @@ class CodeInfo:
 #: family letter -> what the family covers
 FAMILIES: dict[str, str] = {
     "V": "IR verification (structure, ranges, def-use)",
-    "L": "pass legality (dependences) and registry contracts",
+    "L": "pass legality (dependences)",
     "S": "static reuse analysis (predictive locality lints)",
     "R": "parallelism analysis (races, DOALL certification)",
 }
@@ -241,13 +241,6 @@ _register(
     "anti dependence violated",
     """A write reads a different set of cells than before the pass —
 its operands were overwritten too early.""",
-)
-_register(
-    "L201", Severity.WARNING,
-    "pass declares no analysis-invalidation metadata",
-    """A registered pass declares neither 'preserves' nor 'invalidates';
-the analysis cache must conservatively treat it as invalidating every
-analysis kind.""",
 )
 
 # -- S: static reuse analysis -------------------------------------------------

@@ -1,6 +1,7 @@
 """FusionUnit mechanics and multi-level report tests."""
 
 from repro.core.fusion import FusionUnit, fuse_program
+from repro.core.fusion.unit import AccessMemo
 from repro.lang import Affine, validate
 
 from conftest import build
@@ -55,7 +56,8 @@ class TestUnit:
             FusionUnit.from_loop(l2, p.params), -1
         )
         # B's write B[i] with shift -1 appears as offset +1 in the fused frame
-        b_writes = [a for a in u.accesses() if a.array == "B" and a.is_write]
+        accesses = u.accesses(AccessMemo())
+        b_writes = [a for a in accesses if a.array == "B" and a.is_write]
         assert b_writes[0].dims[0].value == Affine.constant(1)
 
     def test_describe_mentions_shifts(self):

@@ -219,18 +219,12 @@ def test_pipeline_describe(capsys):
     assert main(["pipeline", "--describe", "new"]) == 0
     out = capsys.readouterr().out
     assert "fusion(max_levels=8)" in out
-    assert "preserves:" in out
     assert "checkpoint: preliminary" in out
 
 
 def test_pipeline_describe_unknown_level(capsys):
     assert main(["pipeline", "--describe", "fusionXYZ"]) == 1
     assert "known levels" in capsys.readouterr().err
-
-
-def test_pipeline_lint_clean(capsys):
-    assert main(["pipeline", "--lint"]) == 0
-    assert "clean" in capsys.readouterr().out
 
 
 def test_report_with_passes_override(kernel_file, capsys):
@@ -253,7 +247,6 @@ def test_profile_shows_analysis_cache_summary(capsys):
     out = capsys.readouterr().out
     assert "analysis cache:" in out
     assert "hit rate" in out
-    assert "loop_accesses" in out
 
 
 def test_verify_pass_with_passes_override(kernel_file, capsys):

@@ -1,20 +1,15 @@
-"""The declarative pipeline registry and the pass-metadata contract."""
+"""The declarative pipeline registry and the pass registry."""
 
 import pytest
 
 from repro.core import OPT_LEVELS, compile_variant
 from repro.core.pm import (
-    ALL_KINDS,
-    PASSES,
     PIPELINES,
     FunctionPass,
     PassManager,
     custom_pipeline,
-    declares_metadata,
-    effective_preserves,
     get_pass,
     known_levels,
-    lint_passes,
     register_pass,
     resolve_pipeline,
 )
@@ -96,76 +91,17 @@ def test_pipeline_specs_describe_their_passes():
     assert names.index("fusion") < names.index("regroup")
 
 
-# -- pass registry and metadata ----------------------------------------------
+# -- pass registry -----------------------------------------------------------
 
 
-def test_registry_rejects_duplicates_and_unknown_kinds():
+def test_registry_rejects_duplicates():
     with pytest.raises(TransformError, match="already registered"):
         register_pass(FunctionPass("inline", lambda p, ctx: p))
-    with pytest.raises(TransformError, match="unknown analysis kinds"):
-        register_pass(
-            FunctionPass(
-                "brandnew", lambda p, ctx: p, preserves=frozenset({"bogus"})
-            )
-        )
-    assert "brandnew" not in PASSES
 
 
 def test_get_pass_error_lists_registered():
     with pytest.raises(TransformError, match="registered passes"):
         get_pass("nonsense")
-
-
-def test_effective_preserves_semantics():
-    preserves = FunctionPass("a", None, preserves=frozenset({"alignment"}))
-    invalidates = FunctionPass("b", None, invalidates=frozenset({"alignment"}))
-    neither = FunctionPass("c", None)
-    assert effective_preserves(preserves) == frozenset({"alignment"})
-    assert effective_preserves(invalidates) == ALL_KINDS - {"alignment"}
-    assert effective_preserves(neither) == frozenset()
-    assert declares_metadata(preserves) and declares_metadata(invalidates)
-    assert not declares_metadata(neither)
-
-
-def test_all_builtin_passes_declare_metadata():
-    missing = [n for n, p in PASSES.items() if not declares_metadata(p)]
-    assert missing == []
-
-
-def test_lint_passes_flags_missing_metadata():
-    assert not len(lint_passes())  # built-ins are clean
-    undeclared = FunctionPass("lint_probe", lambda p, ctx: p)
-    register_pass(undeclared)
-    try:
-        bag = lint_passes()
-        codes = [d.code for d in bag]
-        assert "L201" in codes
-        assert any("lint_probe" in d.message for d in bag)
-        assert not bag.has_errors()  # a warning, not an error
-    finally:
-        del PASSES["lint_probe"]
-
-
-# -- manager-level invalidation wiring ---------------------------------------
-
-
-def test_manager_invalidates_per_pass_metadata():
-    from repro.analysis.manager import AnalysisManager
-    from repro.core.pm.passes import PassContext
-    from repro.core.pm.pipelines import PassStep
-
-    am = AnalysisManager()
-    manager = PassManager()
-    ctx = PassContext(level="fusion")
-    obj = object()
-    am.get("loop_accesses", (id(obj),), (obj,), lambda: "accesses")
-    am.get("dependence_graph", (id(obj),), (obj,), lambda: "graph")
-    # distribute preserves the object analyses but not dependence graphs
-    manager.run_passes(build(), (PassStep("distribute"),), ctx, am)
-    assert am.cached_kinds() == {"loop_accesses": 1}
-    # inline invalidates everything
-    manager.run_passes(build(), (PassStep("inline"),), ctx, am)
-    assert am.cached_kinds() == {}
 
 
 def test_pipeline_run_populates_stage_checkpoints():

@@ -1,4 +1,4 @@
-"""RunRequest(pipeline=...) and analysis-cache effectiveness end to end."""
+"""RunRequest(pipeline=...) and fusion's access memo end to end."""
 
 import pytest
 
@@ -62,7 +62,7 @@ class TestRunPipeline:
 
 
 class TestCacheEffectiveness:
-    """ISSUE acceptance: compiling ``new`` shows analysis-cache hits > 0."""
+    """Compiling ``new`` shows analysis-cache hits > 0."""
 
     @pytest.mark.parametrize("app", ["adi", "sp"])
     def test_compile_new_hits_analysis_cache(self, app):
@@ -73,18 +73,40 @@ class TestCacheEffectiveness:
         _, hits = _hits_delta(lambda: compile_variant(program, "new"))
         assert hits > 0
 
-    def test_no_manager_means_no_cache_traffic(self):
-        from repro.analysis.manager import cached_loop_accesses
-        from repro.lang import parse, validate
+    def test_fusion_collects_each_node_once_and_keeps_nothing(self, monkeypatch):
+        """One memo per fusion run: every distinct loop / statement is
+        collected once (memo misses == collector calls), re-collections
+        hit, and no memo entry outlives the pass."""
+        import gc
 
-        p = validate(
-            parse(
-                "program plain\nparam N\nreal A[N]\n"
-                "for i = 1, N { A[i] = f(A[i]) }\n"
-            )
-        )
+        from repro.core import compile_variant
+        from repro.core.fusion import unit
+        from repro.lang import validate
+
+        collected = []  # strong references keep every id distinct
+
+        def counting(real):
+            def collect(node, fixed):
+                collected.append((node, tuple(fixed)))
+                return real(node, fixed)
+
+            return collect
+
+        for name in ("collect_loop_accesses", "collect_stmt_accesses"):
+            monkeypatch.setattr(unit, name, counting(getattr(unit, name)))
+        program = validate(registry.get("sp").build())
         before = metrics.snapshot()["counters"]
-        cached_loop_accesses(p.body[0], ())
+        compile_variant(program, "fusion")
         after = metrics.snapshot()["counters"]
-        for key in ("analysis.cache.hits", "analysis.cache.misses"):
-            assert after.get(key, 0) == before.get(key, 0)
+        keys = [(id(node), fixed) for node, fixed in collected]
+        assert len(set(keys)) == len(keys) > 0
+        misses = after["analysis.cache.misses"] - before.get(
+            "analysis.cache.misses", 0
+        )
+        assert misses == len(keys)
+        assert after["analysis.cache.hits"] > before.get("analysis.cache.hits", 0)
+        gc.collect()
+        assert not any(
+            isinstance(o, unit.AccessMemo) and o._entries
+            for o in gc.get_objects()
+        )

@@ -2,17 +2,17 @@
 
 For randomly generated affine nests — including triangular bounds and
 ``when`` guards — an *independent* replay written here from scratch
-(its own ceil-block / chunked / guided partitioner, its own one-access
-round-robin merge, its own set-based MSI automaton) computes per-thread
-cold and invalidation misses at line granularity.  The analyzer's
-static prediction must match it exactly, and its classification claims
-must hold up:
+(its own ceil-block / chunked / guided / rotating-dynamic partitioner,
+its own one-access round-robin merge, its own set-based MSI automaton)
+computes per-thread cold and invalidation misses at line granularity.
+The analyzer's static prediction must match it exactly, and its
+classification claims must hold up:
 
 * per-thread invalidation, cold, and upgrade counts are equal;
 * every witness names two elements that really share the line, with
   ``kind`` matching element identity (same element = true sharing);
-* arrays the hull screen discarded as line-private really suffer no
-  invalidations in the brute-force replay.
+* ``screened_out`` is exactly the arrays none of whose lines two
+  threads touch in the brute-force replay.
 
 Whether the outer axis is partitioned at all follows the parallelism
 verdict (its own soundness is property-tested separately); this file
@@ -45,7 +45,9 @@ def affine_nest(draw):
     two_stmts = draw(st.booleans())
     steps = draw(st.integers(1, 2))
     threads = draw(st.sampled_from([2, 3, 4]))
-    schedule = draw(st.sampled_from(["static", "static,2", "guided"]))
+    schedule = draw(
+        st.sampled_from(["static", "static,2", "guided", "dynamic"])
+    )
     ws_j, ws_i = draw(SHIFT), draw(SHIFT)
     rs_j, rs_i = draw(SHIFT), draw(SHIFT)
     r2_j, r2_i = draw(SHIFT), draw(SHIFT)
@@ -109,17 +111,22 @@ def iteration_accesses(spec, i, j):
     return accs
 
 
-def partition(lo, hi, threads, schedule):
-    """Per-thread chunk lists, written from the OpenMP definitions."""
+def partition(lo, hi, threads, schedule, invocation):
+    """Per-thread chunk lists, written from the OpenMP definitions
+    (``dynamic``: the static blocks, owners rotated by one per
+    invocation of the parallel loop)."""
     chunks = [[] for _ in range(threads)]
     if hi < lo:
         return chunks
-    if schedule == "static":
+    if schedule in ("static", "dynamic"):
+        shift = invocation if schedule == "dynamic" else 0
         size = -(-(hi - lo + 1) // threads)
         for t in range(threads):
             a = lo + t * size
             if a <= hi:
-                chunks[t].append((a, min(hi, a + size - 1)))
+                chunks[(t + shift) % threads].append(
+                    (a, min(hi, a + size - 1))
+                )
         return chunks
     if schedule == "static,2":
         a, c = lo, 0
@@ -155,25 +162,26 @@ def brute_force(spec, partitioned):
     """Merge per-thread streams round-robin and replay set-based MSI.
 
     Returns (per-thread cold, per-thread invalidations, upgrades,
-    per-line invalidation counts keyed by line id).
+    the set of threads that ever touched each line, access total).
     """
     n, threads = spec["n"], spec["threads"]
-    streams = []
-    if partitioned:
-        for chunks in partition(2, n - 1, threads, spec["schedule"]):
-            streams.append(thread_stream(spec, chunks))
-    else:
-        streams = [thread_stream(spec, [(2, n - 1)])]
-        streams += [[] for _ in range(threads - 1)]
-
     cold = [0] * threads
     inval = [0] * threads
     upgrades = 0
     total = 0
     valid: dict[int, set] = {}
     ever: dict[int, set] = {}
-    line_inval: dict[int, int] = {}
-    for _ in range(spec["steps"]):
+    for step in range(spec["steps"]):
+        if partitioned:
+            streams = [
+                thread_stream(spec, chunks)
+                for chunks in partition(
+                    2, n - 1, threads, spec["schedule"], step
+                )
+            ]
+        else:
+            streams = [thread_stream(spec, [(2, n - 1)])]
+            streams += [[] for _ in range(threads - 1)]
         pos = [0] * threads
         while any(p < len(s) for p, s in zip(pos, streams)):
             for t in range(threads):
@@ -188,7 +196,6 @@ def brute_force(spec, partitioned):
                 if t not in v:
                     if t in e:
                         inval[t] += 1
-                        line_inval[line] = line_inval.get(line, 0) + 1
                     else:
                         cold[t] += 1
                 if is_write:
@@ -198,7 +205,7 @@ def brute_force(spec, partitioned):
                 else:
                     v.add(t)
                 e.add(t)
-    return cold, inval, upgrades, line_inval, total
+    return cold, inval, upgrades, ever, total
 
 
 # -- the properties ------------------------------------------------------------
@@ -250,21 +257,17 @@ def test_witnesses_and_screens_hold_up(case):
             assert w.elem_a == w.elem_b, (w.render(), spec)
         else:
             assert w.elem_a != w.elem_b, (w.render(), spec)
-    # arrays discarded as line-private really have no invalidations
-    if prof.screened_out:
-        partitioned = 0 in parallelism.parallel_nests() and threads > 1
-        _, _, _, line_inval, _ = brute_force(spec, partitioned)
-        size = (n + 2) * (n + 2)
-        ranges = {"A": (0, size), "B": (size, 2 * size)}
-        for name in prof.screened_out:
-            lo, hi = ranges[name]
-            hits = {
-                line: c
-                for line, c in line_inval.items()
-                if lo // LINE_ELEMS <= line < -(-hi // LINE_ELEMS)
-                and lo <= line * LINE_ELEMS < hi
-            }
-            assert not hits, (
-                f"{name} was screened line-private but the replay "
-                f"invalidates lines {hits} ({spec})"
-            )
+    # screened_out is exactly the arrays without a shared line (a line
+    # belongs to the array of its first element)
+    partitioned = 0 in parallelism.parallel_nests() and threads > 1
+    _, _, _, ever, _ = brute_force(spec, partitioned)
+    size = (n + 2) * (n + 2)
+    shared = {
+        "A" if line * LINE_ELEMS < size else "B"
+        for line, touched in ever.items()
+        if len(touched) >= 2
+    }
+    assert set(prof.screened_out) == {"A", "B"} - shared, (
+        f"screened_out {prof.screened_out} but the replay shares lines "
+        f"of {sorted(shared)} ({spec})"
+    )

@@ -1,10 +1,9 @@
 """Property-based tests for the pipeline autotuner's search space.
 
 Every candidate the tuner can generate — any enabler subset, any fusion
-level, with or without the terminal regroup, and anything reachable from
-there through ``neighbors`` moves — must (1) be a legal pipeline under
-full ``verify-pass`` certification, and (2) produce a program the
-printer round-trips exactly.  This is the legality contract that lets
+level, with or without the terminal regroup — must (1) be a legal
+pipeline under full ``verify-pass`` certification, and (2) produce a
+program the printer round-trips exactly.  This is the legality contract that lets
 ``tune()`` rank candidates purely statically without ever executing an
 uncertified transformation.
 """
@@ -20,7 +19,6 @@ from repro.tune import (
     FUSION_LEVELS,
     candidate_fields,
     make_candidate,
-    neighbors,
     parse_signature,
     spec_signature,
 )
@@ -84,24 +82,3 @@ def test_candidate_fields_invert_make_candidate(spec):
     enablers, fusion, regroup = candidate_fields(spec)
     again = make_candidate(enablers=enablers, fusion=fusion, regroup=regroup)
     assert again.steps == spec.steps
-
-
-@given(candidates, st.integers(0, 3))
-@settings(max_examples=30, deadline=None)
-def test_neighbor_chains_stay_candidate_shaped(spec, hops):
-    """Random walks through neighbors() never leave the legal space."""
-    current = spec
-    for hop in range(hops):
-        near = neighbors(current)
-        assert near, f"candidate {spec_signature(current)} has no neighbors"
-        for n in near:
-            # every neighbor is itself well-formed and one move away
-            candidate_fields(n)
-            assert n.steps != current.steps
-        current = near[hop % len(near)]
-    # terminal point still compiles under certification
-    variant = compile_pipeline(
-        _adi(), current, verify=True, verify_params=SMALL
-    )
-    text = to_source(variant.program)
-    assert to_source(validate(parse(text))) == text

@@ -1,4 +1,4 @@
-"""The static parallelism analyzer: verdicts, witnesses, caching, lints.
+"""The static parallelism analyzer: verdicts, witnesses, lints.
 
 Covers the acceptance contract of the analyzer itself:
 
@@ -8,7 +8,6 @@ Covers the acceptance contract of the analyzer itself:
 * the fig-10 verdict counts and race witnesses for adi / swim / tomcatv
   are pinned at both ``noopt`` and ``fusion``;
 * reductions are recognized (and reported via R503);
-* ``cached_parallelism`` hits on identity and drops on invalidation;
 * ``doall_preservation_check`` reports R510 when a fusion-shaped
   rewrite turns a DOALL axis serial.
 """
@@ -28,7 +27,6 @@ from golden_pipelines import (  # noqa: E402
     reset_fusion_uids,
 )
 
-from repro.analysis import AnalysisManager, analysis_scope, cached_parallelism
 from repro.core import compile_variant
 from repro.lang import Loop, parse, validate
 from repro.static import analyze_parallelism
@@ -218,44 +216,6 @@ def test_array_accumulation_is_a_reduction():
     (v,) = profile.verdicts
     assert v.verdict == "reduction"
     assert v.reduction_targets == ("H[1]",)
-
-
-# -- analysis-manager caching -------------------------------------------------
-
-
-def test_cached_parallelism_hits_and_invalidates():
-    program = build_golden_program("adi")
-    am = AnalysisManager()
-    with analysis_scope(am):
-        p1 = cached_parallelism(program, {"N": 8})
-        p2 = cached_parallelism(program, {"N": 8})
-        assert p1 is p2
-        assert am.kind_stats["parallelism"]["hits"] == 1
-        # a different binding is a different key
-        p3 = cached_parallelism(program, {"N": 9})
-        assert p3 is not p1
-        am.invalidate(frozenset())
-        p4 = cached_parallelism(program, {"N": 8})
-        assert p4 is not p1
-        assert am.kind_stats["parallelism"]["evictions"] == 2
-
-
-def test_cached_parallelism_without_manager_is_passthrough():
-    program = build_golden_program("adi")
-    p1 = cached_parallelism(program, {"N": 8})
-    p2 = cached_parallelism(program, {"N": 8})
-    assert p1 is not p2
-    assert p1.counts() == p2.counts()
-
-
-def test_preserving_pass_keeps_parallelism_entries():
-    program = build_golden_program("adi")
-    am = AnalysisManager()
-    with analysis_scope(am):
-        cached_parallelism(program, {"N": 8})
-        am.invalidate(frozenset({"parallelism"}))
-        cached_parallelism(program, {"N": 8})
-        assert am.kind_stats["parallelism"]["hits"] == 1
 
 
 # -- R5xx lint surface --------------------------------------------------------

@@ -3,9 +3,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test self-lint smoke tune-check bandwidth-check benchmarks bench-tune bench-membw
+.PHONY: check lint test self-lint smoke perf-quick tune-check bandwidth-check benchmarks bench-tune bench-membw
 
-check: lint test self-lint smoke tune-check bandwidth-check
+check: lint test self-lint smoke perf-quick tune-check bandwidth-check
 
 # ruff is optional in minimal environments; skip (loudly) when absent
 lint:
@@ -36,6 +36,12 @@ self-lint:
 smoke:
 	$(PYTHON) -m repro pipeline --list
 	$(PYTHON) -m repro report adi --passes inline,simplify -p N=16 --steps 1
+
+# perf-ledger plumbing: all four workloads at small sizes, every output
+# checked against the oracle engines (perf/expected.json); measures
+# nothing, exits 1 on any failed check, < 1 min
+perf-quick:
+	$(PYTHON) perf/run.py --quick
 
 # autotuner regression gate: the committed BENCH_tune.json best pipelines
 # must never predict more misses than any named level, and every

@@ -424,7 +424,7 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
         )
     )
     if args.reuse:
-        from .locality import reuse_distances
+        from .locality import COLD, ReuseHistogram, miss_count, reuse_distances
 
         elem = stream.meta.elem_bytes or 8
         ids = (
@@ -432,13 +432,34 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
             if stream.meta.unit == "bytes"
             else stream.addresses
         )
-        distances = reuse_distances(ids)
-        cold = int((distances == -1).sum())
-        reuse = distances[distances != -1]
+        started = time.perf_counter()
+        try:
+            distances = reuse_distances(ids)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
+        seconds = time.perf_counter() - started
+        reuse = distances[distances != COLD]
         mean = float(reuse.mean()) if len(reuse) else 0.0
         print(
             f"exact reuse (element granularity): {len(reuse):,} reuses, "
-            f"{cold:,} cold, mean distance {mean:,.1f}"
+            f"{len(distances) - len(reuse):,} cold, mean distance {mean:,.1f}"
+        )
+        print(ReuseHistogram.from_distances(distances).format_ascii())
+        capacities = {
+            "L1": machine.l1.size_bytes // elem,
+            "L2": machine.l2.size_bytes // elem,
+        }
+        print(
+            f"fully-associative misses at {machine.name} capacities: "
+            + ", ".join(
+                f"{name} ({capacity:,} elements) {miss_count(distances, capacity):,}"
+                for name, capacity in capacities.items()
+            )
+        )
+        # the profile's cost beside what it buys (Fauzia et al.'s overhead column)
+        print(
+            f"reuse analysis: {seconds:.3f} s, "
+            f"{len(distances) / max(seconds, 1e-9):,.0f} accesses/s"
         )
     return 0
 

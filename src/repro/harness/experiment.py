@@ -72,7 +72,7 @@ def stage_timer(timings: dict, stage: str):
     """Accumulate a block's wall-clock seconds under ``timings[stage]``.
 
     The benchmark-side counterpart of the stages :func:`measure_variant`
-    times internally — e.g. wrap an Olken ``reuse_distances`` pass with
+    times internally — e.g. wrap a ``reuse_distances`` pass with
     ``stage_timer(timings, "distance")`` to fill the timing table's
     ``distance`` column.  New code should prefer :func:`repro.obs.span`,
     which feeds the same numbers into structured events.

@@ -16,7 +16,12 @@ numpy primitives, exploiting three structural facts about LRU caches:
    simply ``line[i] != line[i-1]`` within the set's subsequence, and —
    once consecutive in-set duplicates are removed — a 2-way miss is
    ``line[i] != line[i-2]``.  (The shift trick stops at 2 ways: the
-   third most recent *distinct* line can sit arbitrarily far back.)
+   third most recent *distinct* line can sit arbitrarily far back.  From
+   3 ways on, the same sorted stream goes through the reuse-distance
+   kernel: lines never cross sets and each set's subsequence is
+   contiguous, so the stack distance within the set is the distance in
+   the sorted stream, and an access misses iff it is cold or its
+   distance reaches the associativity.)
 
 3. **Residency-segment write-backs.**  For any LRU geometry, a line is
    written back exactly once per *dirty residency*: the span from one of
@@ -31,8 +36,12 @@ same line (paper §2.1); the access hits iff that distance is below the
 capacity.  Distances are resolved hierarchically: a gap filter settles
 short reuses, dyadic per-block occupancy bitmasks bound the rest, and
 only the residual ambiguous accesses pay for an exact bit-level count.
-``fa_miss_counts`` additionally derives the misses of *every* capacity
-from one Olken profile (the reuse-distance methodology of Fig. 3).
+It answers one capacity, which is cheaper than knowing every distance
+(about 4x on the TLB's page streams); streams whose occupancy table
+would not fit the memory budget take the exact distances from
+``locality.reuse_distances`` instead.
+``fa_miss_counts`` derives the misses of *every* capacity from one such
+distance profile (the reuse-distance methodology of Fig. 3).
 
 Every path is bit-identical to the reference engine; the property tests
 in ``tests/properties/test_engine_props.py`` pin that equivalence on
@@ -45,12 +54,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..locality.reuse_distance import miss_count, reuse_distances
+from ..locality.reuse_distance import COLD, miss_count, reuse_distances
 from ..obs import metrics
-from .cache import CacheConfig, CacheResult, _fully_associative, _n_way
+from .cache import CacheConfig, CacheResult
 
 #: Upper bound on the sparse-table footprint of the fully-associative
-#: fast path (bytes); streams that would exceed it use the scalar loop.
+#: fast path (bytes); streams that would exceed it use exact distances.
 _FA_TABLE_BYTES = 96 * 1024 * 1024
 #: Positions per occupancy-bitmask block (fully-associative path).
 _FA_BLOCK = 32
@@ -83,20 +92,10 @@ def simulate_fast(config: CacheConfig, lines: np.ndarray, writes: np.ndarray) ->
     elif config.assoc == 2:
         cmiss = _two_way_miss_mask(clines, config.num_sets)
     else:
-        # Associativities 3+ (with several sets) do not occur on the
-        # paper's machines; reuse the scalar reference loop wholesale.
-        metrics.inc("engine.fast.scalar_fallback")
-        res = _n_way(clines, cwrites, config.num_sets, config.assoc)
-        return _expand(n, hpos, res.miss, res.writebacks)
+        cmiss = _n_way_miss_mask(clines, config.num_sets, config.assoc)
 
     writebacks = residency_writebacks(clines, cmiss, cwrites) if track_wb else 0
-    return _expand(n, hpos, cmiss, writebacks)
-
-
-def _expand(
-    n: int, hpos: np.ndarray, cmiss: np.ndarray, writebacks: int
-) -> CacheResult:
-    """Scatter a run-head miss mask back to per-access granularity."""
+    # Scatter the run-head miss mask back to per-access granularity.
     miss = np.zeros(n, dtype=bool)
     miss[hpos] = cmiss
     return CacheResult(miss, writebacks)
@@ -176,6 +175,22 @@ def _two_way_miss_mask(lines: np.ndarray, num_sets: int) -> np.ndarray:
     return miss
 
 
+def _distance_miss_mask(lines: np.ndarray, ways: int) -> np.ndarray:
+    """LRU misses from exact stack distances: cold, or ``ways`` lines since."""
+    distances = reuse_distances(lines)
+    return (distances == COLD) | (distances >= ways)
+
+
+def _n_way_miss_mask(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
+    """Set-associative LRU miss mask for any associativity (fact 2)."""
+    metrics.inc("engine.fast.n_way_distance")
+    sets = _sort_key(lines % num_sets, num_sets - 1)
+    order = np.argsort(sets, kind="stable")
+    miss = np.empty(len(lines), dtype=bool)
+    miss[order] = _distance_miss_mask(lines[order], assoc)
+    return miss
+
+
 def _fa_miss_mask(lines: np.ndarray, capacity: int) -> np.ndarray:
     """Fully-associative LRU miss mask (stream already RLE-compressed)."""
     m = len(lines)
@@ -210,20 +225,14 @@ def _fa_miss_mask(lines: np.ndarray, capacity: int) -> np.ndarray:
     nblocks = -(-m // _FA_BLOCK)
     levels = max(1, nblocks.bit_length())
     if words * nblocks * (levels + 1) * 8 > _FA_TABLE_BYTES or len(cand) > m:
-        metrics.inc("engine.fast.fa_scalar_fallback")
-        return _fa_scalar_miss_mask(lines, capacity)
+        metrics.inc("engine.fast.fa_distance")
+        return _distance_miss_mask(lines, capacity)
 
     decided = _fa_resolve_candidates(
         ids, prev[cand], t[cand], capacity, nids, words, nblocks
     )
     miss[cand] = decided
     return miss
-
-
-def _fa_scalar_miss_mask(lines: np.ndarray, capacity: int) -> np.ndarray:
-    return _fully_associative(
-        lines, np.zeros(len(lines), dtype=bool), capacity
-    ).miss
 
 
 def _fa_resolve_candidates(
@@ -331,10 +340,10 @@ def fa_miss_counts(
 ) -> dict[int, int]:
     """Fully-associative LRU misses at every capacity from one profile.
 
-    One Olken reuse-distance pass (``locality.reuse_distances``) predicts
+    One reuse-distance pass (``locality.reuse_distances``) predicts
     the whole capacity spectrum — the classic use of stack distances and
     the reason a distance profile is worth caching.  Equivalent to (but
     far cheaper than) simulating ``simulate_cache`` once per capacity.
     """
-    distances = reuse_distances(np.asarray(keys, dtype=np.int64))
+    distances = reuse_distances(keys)
     return {int(c): miss_count(distances, int(c)) for c in capacities}

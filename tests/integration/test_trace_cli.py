@@ -97,6 +97,26 @@ class TestTraceImport:
         out = capsys.readouterr().out
         assert "3 reuses" in out
         assert "3 cold" in out
+        # the histogram, what it predicts at the machine's capacities, its cost
+        assert "2^2  (          2..3):         3" in out
+        assert "cold: 3, reuses: 3" in out
+        assert "L1 (1,024 elements) 3, L2 (16,384 elements) 3" in out
+        assert "reuse analysis: " in out and "accesses/s" in out
+
+    def test_reuse_rejection_is_one_line_not_a_traceback(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.locality
+
+        def reject(keys):
+            raise ValueError("reuse_distances needs integer keys, got dtype float64")
+
+        monkeypatch.setattr(repro.locality, "reuse_distances", reject)
+        foreign = tmp_path / "foreign.csv"
+        foreign.write_text("0\n8\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "import", str(foreign), "--reuse"])
+        assert str(exit_info.value).startswith("error: reuse_distances needs")
 
     def test_import_with_named_machine(self, tmp_path, capsys):
         foreign = tmp_path / "foreign.csv"

@@ -76,3 +76,113 @@ def test_miss_ratio_curve_matches_direct_counting():
     # monotone non-increasing in capacity
     values = [curve[c] for c in sorted(curve)]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+# -- output contract and rejected inputs ----------------------------------------
+
+
+def test_output_contract():
+    assert COLD == -1
+    keys = np.array([3, 1, 3, 3, 1], dtype=np.int32)
+    before = keys.copy()
+    d = reuse_distances(keys)
+    assert d.dtype == np.int64 and d.shape == keys.shape
+    assert list(d) == [COLD, COLD, 1, 0, 1]
+    assert np.array_equal(keys, before)  # the caller's array is not sorted in place
+    wide = np.array([5, 2**45, 5, -(2**62), 2**45], dtype=np.int64)
+    before = wide.copy()
+    assert list(reuse_distances(wide)) == [COLD, COLD, 1, COLD, 2]
+    assert np.array_equal(wide, before)
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        assert reuse_distances(empty).dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([True, False, True]),
+        np.array([1, 0, 1], dtype=np.uint8),
+        np.array([2**63 - 1, 0, 2**63 - 1], dtype=np.uint64),
+    ],
+    ids=["bool", "uint8", "uint64-in-range"],
+)
+def test_integer_like_dtypes_are_accepted(keys):
+    assert list(reuse_distances(keys)) == [COLD, COLD, 1]
+
+
+def test_address_stream_is_accepted():
+    from repro.stream import AddressStream
+
+    stream = AddressStream([0, 8, 16, 0, 8, 16], [False] * 6)
+    assert list(reuse_distances(stream)) == [COLD] * 3 + [2] * 3
+
+
+def test_float_keys_are_rejected_not_truncated():
+    # int() would fold 1.5 and 1.7 onto one key and report a reuse
+    with pytest.raises(ValueError, match="float64"):
+        reuse_distances([1.5, 1.7, 2.2])
+
+
+def test_two_dimensional_keys_are_rejected():
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        reuse_distances(np.zeros((2, 2), dtype=np.int64))
+
+
+def test_uint64_beyond_int64_is_rejected_not_wrapped():
+    with pytest.raises(ValueError, match="uint64"):
+        reuse_distances(np.array([2**63, 0, 2**63], dtype=np.uint64))
+
+
+def test_non_numeric_keys_are_rejected():
+    with pytest.raises(ValueError, match="dtype"):
+        reuse_distances(["a", "b", "a"])
+    with pytest.raises(ValueError, match="object"):
+        reuse_distances([2**70, 1, 2**70])
+
+
+def test_one_span_and_one_counter_per_call():
+    from repro.obs import SpanCollector, metrics
+
+    keys = np.tile(np.arange(100), 2)
+    before = metrics.snapshot()
+    with SpanCollector() as collector:
+        reuse_distances(keys)
+    (event,) = collector.events  # nothing per level
+    assert event.name == "locality.reuse_distances"
+    # 100 reuses: two partition levels (bits 6 and 5) above the 32-wide blocks
+    assert event.attrs == {"accesses": 200, "distinct": 100, "levels": 2}
+    delta = metrics.REGISTRY.delta(before, metrics.snapshot())["counters"]
+    assert delta == {"locality.reuse.accesses": 200}
+
+
+# -- mid-size differential against the scalar simulator -------------------------
+
+
+def test_adi_profile_matches_reference_simulator_at_every_capacity():
+    """The ledger's oracle at a size tier-1 can afford: on a
+    fully-associative one-element-line LRU cache the misses at capacity C
+    are the cold accesses plus the reuses at distance >= C."""
+    from repro.codegen import trace_program
+    from repro.core import compile_variant
+    from repro.memsim import CacheConfig, simulate_cache
+    from repro.memsim.geometry import ELEM_BYTES
+    from repro.programs import registry
+    from repro.stream import AddressStream
+
+    entry = registry.get("adi")
+    variant = compile_variant(entry.build(), "noopt")
+    trace = trace_program(variant.program, {"N": 24}, steps=entry.steps)
+    keys = np.asarray(AddressStream.from_trace(trace))
+    d = reuse_distances(keys)
+    cold = len(np.unique(keys))
+    assert miss_count(d, 2**62) == cold
+    capacity = 1
+    while True:
+        config = CacheConfig("fa", capacity * ELEM_BYTES, ELEM_BYTES, 0)
+        expected = int(
+            simulate_cache(config, keys * ELEM_BYTES, engine="reference").sum()
+        )
+        assert miss_count(d, capacity) == expected, capacity
+        if expected == cold:
+            break
+        capacity *= 2

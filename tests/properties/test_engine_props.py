@@ -3,27 +3,32 @@
 Two families of invariants lock the vectorized paths in
 ``repro.memsim.fastsim`` to ground truth:
 
-* every fast set-associative path (direct-mapped, 2-way, and the
-  fully-associative bitmask path) must agree with the scalar ``_n_way``
-  reference — miss masks *and* write-back counts — on arbitrary
-  address/write streams;
+* every fast set-associative path (direct-mapped, 2-way, the
+  stack-distance path for 3+ ways, and the fully-associative bitmask
+  path with its stack-distance overflow) must agree with the scalar
+  ``_n_way`` / ``_fully_associative`` reference — miss masks *and*
+  write-back counts — on arbitrary address/write streams;
 * the fully-associative cache must agree with the stack-distance oracle
   ``miss_count(reuse_distances(lines), capacity)``, the LRU/stack
   equivalence (paper §2.1) the fast path is built on.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.locality import reuse_distances
 from repro.locality.reuse_distance import miss_count
+from repro.memsim import fastsim
 from repro.memsim.cache import (
     CacheConfig,
+    _fully_associative,
     _n_way,
     simulate_cache,
     simulate_cache_writeback,
 )
+from repro.obs import metrics
 
 
 @st.composite
@@ -49,7 +54,7 @@ CONFIGS = [
     CacheConfig("2w1", 2 * 8, 8, 2),  # 2-way, single set
     CacheConfig("fa", 4 * 8, 8, 0),  # fully associative, 4 lines
     CacheConfig("fa1", 1 * 8, 8, 0),  # fully associative, 1 line
-    CacheConfig("4w", 16 * 8, 8, 4),  # scalar fallback path
+    CacheConfig("4w", 16 * 8, 8, 4),  # stack-distance path
 ]
 
 
@@ -68,9 +73,10 @@ def test_fast_engine_matches_reference(stream):
 @given(access_streams())
 @settings(max_examples=150, deadline=None)
 def test_set_assoc_paths_match_n_way(stream):
-    """_direct_mapped/_two_way (via dispatch) agree with scalar _n_way."""
+    """_direct_mapped/_two_way/_n_way_miss_mask (via dispatch) agree with
+    scalar _n_way."""
     lines, writes = stream
-    for assoc, num_sets in ((1, 8), (2, 8), (2, 4)):
+    for assoc, num_sets in ((1, 8), (2, 8), (2, 4), (3, 4), (4, 4), (8, 2)):
         config = CacheConfig("c", num_sets * assoc * 8, 8, assoc)
         oracle = _n_way(lines, writes, num_sets, assoc)
         for engine in ("fast", "reference"):
@@ -80,9 +86,35 @@ def test_set_assoc_paths_match_n_way(stream):
 
 
 @given(access_streams(), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_fa_table_overflow_matches_scalar(stream, capacity):
+    """With no room for the occupancy table, every stream with a reuse
+    the gap filter cannot settle takes exact stack distances."""
+    lines, writes = stream
+    config = CacheConfig("fa", capacity * 8, 8, 0)
+    oracle = _fully_associative(lines, writes, capacity)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastsim, "_FA_TABLE_BYTES", 0)
+        got = simulate_cache_writeback(config, lines * 8, writes, engine="fast")
+    assert np.array_equal(oracle.miss, got.miss)
+    assert oracle.writebacks == got.writebacks
+
+
+def test_fa_table_overflow_is_reached(monkeypatch):
+    """The property above exercises the overflow path, not the table."""
+    monkeypatch.setattr(fastsim, "_FA_TABLE_BYTES", 0)
+    lines = np.tile(np.arange(64, dtype=np.int64), 2)
+    before = metrics.snapshot()
+    miss = simulate_cache(CacheConfig("fa", 4 * 8, 8, 0), lines * 8, engine="fast")
+    delta = metrics.REGISTRY.delta(before, metrics.snapshot())["counters"]
+    assert delta.get("engine.fast.fa_distance") == 1
+    assert miss.all()  # a 64-line cyclic scan thrashes 4 lines
+
+
+@given(access_streams(), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
 def test_fully_associative_matches_stack_distance(stream, capacity):
-    """FA LRU miss count == Olken stack-distance oracle, both engines."""
+    """FA LRU miss count == stack-distance oracle, both engines."""
     lines, _ = stream
     config = CacheConfig("fa", capacity * 8, 8, 0)
     expected = miss_count(reuse_distances(lines), capacity)

@@ -1,6 +1,7 @@
 """Property-based tests: reuse distance and cache simulation invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +11,56 @@ from repro.memsim import CacheConfig, simulate_cache
 
 traces = st.lists(st.integers(0, 30), min_size=0, max_size=300)
 
+#: keys too far apart to share a composite sort word with their positions
+#: (the kernel's stable-argsort path), a few neighbours around each
+sparse_keys = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from([2**40, 2**45 + 7, 2**62, -(2**44), -(2**62), 3]),
+    st.integers(0, 4),
+)
+key_streams = st.one_of(
+    traces,
+    st.lists(st.integers(-50, 50), max_size=300),
+    st.lists(sparse_keys, max_size=300),
+)
 
-@given(traces)
-@settings(max_examples=150)
+
+@given(key_streams)
+@settings(max_examples=300, deadline=None)
 def test_reuse_distance_equals_naive(keys):
+    assert list(reuse_distances(keys)) == reuse_distances_naive(keys)
+
+
+#: 2**k - 1, 2**k, 2**k + 1 around the pairwise block width (32), the
+#: first partition levels above it, and up to a dozen levels
+BOUNDARIES = [2**k + d for k in (4, 5, 6, 7, 10, 12) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("count", ["accesses", "reuses"])
+@pytest.mark.parametrize("size", BOUNDARIES)
+def test_reuse_distance_equals_naive_at_kernel_boundaries(size, count):
+    """The kernel's shape depends on the number of non-cold accesses
+    (partition levels, block padding) and of accesses (position bits):
+    put each exactly on, just under and just over every power of two."""
+    distinct = 13
+    reuses = size if count == "reuses" else size - distinct
+    rng = np.random.default_rng(size)
+    keys = list(range(distinct)) + rng.integers(0, distinct, reuses).tolist()
+    assert list(reuse_distances(keys)) == reuse_distances_naive(keys)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        pytest.param([7] * 1025, id="all-equal"),
+        pytest.param(list(range(-600, 600)), id="all-distinct"),
+        pytest.param(list(range(97)) * 21, id="sawtooth"),  # no inversions
+        pytest.param(
+            (list(range(65)) + list(range(64, -1, -1))) * 16, id="zigzag"
+        ),  # every turn-around inverts all previous positions
+    ],
+)
+def test_reuse_distance_equals_naive_on_extreme_orders(keys):
     assert list(reuse_distances(keys)) == reuse_distances_naive(keys)
 
 

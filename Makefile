@@ -37,11 +37,14 @@ smoke:
 	$(PYTHON) -m repro pipeline --list
 	$(PYTHON) -m repro report adi --passes inline,simplify -p N=16 --steps 1
 
-# perf-ledger plumbing: all four workloads at small sizes, every output
-# checked against the oracle engines (perf/expected.json); measures
-# nothing, exits 1 on any failed check, < 1 min
+# perf-ledger plumbing: all four workloads at small sizes through the
+# traced run, so besides every count (perf/expected.json, oracle engines)
+# the link-by-link chain is checked too — per item the address stream's
+# fingerprint against the interpreter tracer's, the one check that sees a
+# wrong *address* that happens to keep the counts; measures nothing,
+# exits 1 on any failed check, < 1 min
 perf-quick:
-	$(PYTHON) perf/run.py --quick
+	$(PYTHON) perf/run.py --quick --trace 1
 
 # autotuner regression gate: the committed BENCH_tune.json best pipelines
 # must never predict more misses than any named level, and every

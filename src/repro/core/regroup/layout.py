@@ -8,8 +8,19 @@ both — which is exactly the paper's two-step decomposition.
 Every layout this system produces is per-array affine: ``address(idx) =
 offset + sum(strides[k] * (idx[k] - 1))`` in elements.  Interleaving two
 arrays at the element level, for example, gives both a doubled innermost
-stride and consecutive offsets.  Affinity keeps address generation fully
-vectorized even for multi-million access traces.
+stride and consecutive offsets.
+
+A trace carries canonical column-major element indices, not subscripts,
+but affinity means most of the decode never has to happen.  Two adjacent
+dimensions whose strides *nest* (``strides[k+1] == strides[k] *
+shape[k]``) address like one dimension of ``shape[k] * shape[k+1]``
+elements, so :func:`_collapse` merges them.  Every default or padded
+layout, and every element-level interleave, collapses to a single
+dimension per array and its address is ``offset[a] + elem * stride[a]``
+— two table gathers and a multiply-add, no division.  Only a stride
+*break* survives merging (regrouping whole columns of several arrays
+leaves one between the column and the rest), and each surviving break
+costs one ``divmod`` over the trace (:meth:`Layout.divmods` counts them).
 """
 
 from __future__ import annotations
@@ -38,6 +49,18 @@ class ArrayPlacement:
     elem_size: int = 8
 
 
+def _collapse(p: ArrayPlacement) -> list[tuple[int, int]]:
+    """``(extent, stride)`` of ``p``'s dimensions, innermost first, after
+    merging every dimension into the one below it when their strides nest."""
+    dims: list[tuple[int, int]] = []
+    for extent, stride in zip(p.shape, p.strides):
+        if dims and stride == dims[-1][0] * dims[-1][1]:
+            dims[-1] = (dims[-1][0] * extent, dims[-1][1])
+        else:
+            dims.append((extent, stride))
+    return dims
+
+
 @dataclass
 class Layout:
     """A complete memory layout for a program at a concrete input size."""
@@ -46,46 +69,53 @@ class Layout:
     total_elems: int
     description: str = "default"
 
-    def address_params(
-        self, array_names: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-array decode tables aligned with trace array ids."""
-        max_dims = max(len(self.placements[n].shape) for n in array_names)
-        shapes = np.ones((len(array_names), max_dims), dtype=np.int64)
-        strides = np.zeros((len(array_names), max_dims), dtype=np.int64)
-        offsets = np.zeros(len(array_names), dtype=np.int64)
-        for k, name in enumerate(array_names):
-            p = self.placements[name]
-            shapes[k, : len(p.shape)] = p.shape
-            strides[k, : len(p.strides)] = p.strides
-            offsets[k] = p.offset
-        return shapes, strides, offsets
+    def divmods(self, array_names: Sequence[str]) -> int:
+        """Divisions per access :meth:`addresses` pays over these arrays:
+        the most stride breaks any of them keeps after :func:`_collapse`
+        (0 for every layout whose strides nest)."""
+        return max(
+            [0] + [len(_collapse(self.placements[n])) - 1 for n in array_names]
+        )
 
     def addresses(self, trace: AccessTrace, in_bytes: bool = True) -> np.ndarray:
         """Vectorized translation of a trace into addresses.
 
-        The canonical element index is decomposed back into the subscript
-        tuple (column-major divmod) and recombined with this layout's
-        strides.
+        Each array's collapsed dimensions (see the module docstring) go
+        into per-level tables indexed by array id, with ``offset``,
+        ``elem_size`` and ``in_bytes`` folded in once.  Arrays with fewer
+        dimensions than the deepest are padded with ``(extent 1, stride
+        0)``, so the last remainder of an in-range element is always
+        below the last extent — one unsigned compare rejects elements
+        past their own array and negative ones alike.
         """
-        shapes, strides, offsets = self.address_params(trace.array_names)
-        aid = trace.array_ids
-        rem = trace.elems.copy()
-        addr = offsets[aid].copy()
-        ndims = shapes.shape[1]
-        for k in range(ndims):
-            extent = shapes[aid, k]
-            idx = rem % extent
-            rem //= extent
-            addr += idx * strides[aid, k]
-        if np.any(rem != 0):
+        names = trace.array_names
+        if len(trace) == 0:
+            return np.empty(0, dtype=np.int64)
+        if trace.array_ids.min() < 0 or trace.array_ids.max() >= len(names):
+            raise SimulationError("array id outside the trace's array table in layout")
+        levels = self.divmods(names) + 1
+        extents = np.ones((levels, len(names)), dtype=np.int64)
+        strides = np.zeros((levels, len(names)), dtype=np.int64)
+        offsets = np.zeros(len(names), dtype=np.int64)
+        for a, name in enumerate(names):
+            p = self.placements[name]
+            scale = p.elem_size if in_bytes else 1
+            offsets[a] = p.offset * scale
+            for k, (extent, stride) in enumerate(_collapse(p)):
+                extents[k, a] = extent
+                strides[k, a] = stride * scale
+        aid = trace.array_ids.astype(np.intp)
+        addr = offsets.take(aid)
+        rem = np.asarray(trace.elems, dtype=np.int64)
+        for k in range(levels - 1):
+            rem, term = np.divmod(rem, extents[k].take(aid))
+            term *= strides[k].take(aid)
+            addr += term
+        if np.any(rem.view(np.uint64) >= extents[-1].take(aid).view(np.uint64)):
             raise SimulationError("element index exceeded array shape in layout")
-        if in_bytes:
-            elem_sizes = np.asarray(
-                [self.placements[n].elem_size for n in trace.array_names],
-                dtype=np.int64,
-            )
-            return addr * elem_sizes[aid]
+        term = strides[-1].take(aid)
+        term *= rem
+        addr += term
         return addr
 
     def check_bijective(self) -> None:

@@ -117,7 +117,9 @@ def variant_stream(
         trace = selection.trace_program(variant.program, params, steps=steps)
     metrics.inc("trace.generated")
     metrics.inc("trace.accesses", len(trace))
-    with span("addresses", accesses=len(trace)) as asp:
+    with span(
+        "addresses", accesses=len(trace), divmods=layout.divmods(trace.array_names)
+    ) as asp:
         stream = AddressStream.from_trace(
             trace,
             layout,

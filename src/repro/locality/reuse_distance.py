@@ -81,11 +81,10 @@ def reuse_distances(keys: Sequence[int] | np.ndarray) -> np.ndarray:
     metrics.inc("locality.reuse.accesses", n)
     with span("locality.reuse_distances", accesses=n) as sp:
         out = np.full(n, COLD, dtype=np.int64)
-        reused, window, q = _reuse_windows(arr)
-        levels = max(0, (q.size - 1).bit_length() - _BLOCK_BITS)
-        sp.attrs.update(distinct=n - q.size, levels=levels)
-        if q.size:
-            window -= _prior_greater(q, levels)
+        reused, window, p = _reuse_windows(arr)
+        sp.attrs.update(distinct=n - p.size, levels=_partition_levels(p.size))
+        if p.size:
+            window -= prior_greater(p, n)
             out[reused] = window
     return out
 
@@ -141,33 +140,44 @@ def _reuse_links(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reuse_windows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The non-cold accesses in time order: their mask over ``arr``, the
     number of accesses inside each one's window ``(p, t)``, and ``p``
-    ranked into a permutation of ``0..m-1`` (both ``int32``)."""
-    n = arr.size
+    (both ``int32``)."""
     prev, cur = _reuse_links(arr)
-    p = np.full(n, -1, dtype=np.int32)
+    p = np.full(arr.size, -1, dtype=np.int32)
     p[cur] = prev  # a counting sort of the links by time
-    rank = np.zeros(n, dtype=np.int32)
-    rank[prev] = 1
-    np.cumsum(rank, out=rank)
     reused = p >= 0
     p = p[reused]
-    q = rank[p]
-    q -= 1
     window = np.flatnonzero(reused).astype(np.int32)
     window -= p
     window -= 1
-    return reused, window, q
+    return reused, window, p
 
 
-def _prior_greater(q: np.ndarray, levels: int) -> np.ndarray:
-    """``c[j] = #{i < j : q[i] > q[j]}`` for a permutation ``q`` of
-    ``0..m-1`` (``int32``) whose values need ``levels`` bits above the
-    pairwise block width."""
-    cur, acc = _partition(q, levels)
+def prior_greater(values: np.ndarray, bound: int) -> np.ndarray:
+    """``c[j] = #{i < j : values[i] > values[j]}`` (``int32``) for distinct
+    integers in ``[0, bound)`` — the per-element inversion count under
+    both ``reuse_distances`` and the fully-associative simulator."""
+    q = _rank(values, bound)
+    cur, acc = _partition(q, _partition_levels(q.size))
     acc += _block_inversions(cur)
     by_value = np.empty_like(acc)
     by_value[cur] = acc
     return by_value[q]
+
+
+def _rank(values: np.ndarray, bound: int) -> np.ndarray:
+    """Distinct ``values`` from ``[0, bound)`` as a permutation of
+    ``0..m-1`` in the same relative order (a counting sort)."""
+    rank = np.zeros(bound, dtype=np.int32)
+    rank[values] = 1
+    np.cumsum(rank, out=rank)
+    q = rank[values]
+    q -= 1
+    return q
+
+
+def _partition_levels(m: int) -> int:
+    """Bits a permutation of ``0..m-1`` needs above the pairwise block."""
+    return max(0, (m - 1).bit_length() - _BLOCK_BITS)
 
 
 def _partition(q: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:

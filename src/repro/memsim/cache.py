@@ -21,7 +21,7 @@ property-test suite pins the equivalence).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -101,6 +101,11 @@ class CacheResult:
 
     miss: np.ndarray  # per-access miss mask
     writebacks: int  # dirty lines evicted (plus dirty residue at the end)
+    #: what the engine had to do, for the level's span: ``heads`` (run
+    #: heads left by run-length compression) and, fully associative,
+    #: ``far`` (heads the gap filter could not settle); the scalar
+    #: engine visits every access and reports nothing
+    work: dict = field(default_factory=dict)
 
     @property
     def misses(self) -> int:

@@ -3,7 +3,7 @@
 The scalar loops in :mod:`repro.memsim.cache` are exact but spend
 hundreds of nanoseconds per access in the interpreter.  This module
 re-derives the same per-access miss masks and write-back counts with
-numpy primitives, exploiting three structural facts about LRU caches:
+numpy primitives, exploiting five structural facts about LRU caches:
 
 1. **Run-length compression.**  Consecutive accesses to the same line
    are guaranteed hits that leave the LRU state unchanged apart from
@@ -30,17 +30,36 @@ numpy primitives, exploiting three structural facts about LRU caches:
    segmented any-write reduction over per-line access sequences — no
    eviction ordering needed.
 
-The fully-associative path determines each access's stack distance —
-the number of distinct lines touched since the previous access to the
-same line (paper §2.1); the access hits iff that distance is below the
-capacity.  Distances are resolved hierarchically: a gap filter settles
-short reuses, dyadic per-block occupancy bitmasks bound the rest, and
-only the residual ambiguous accesses pay for an exact bit-level count.
-It answers one capacity, which is cheaper than knowing every distance
-(about 4x on the TLB's page streams); streams whose occupancy table
-would not fit the memory budget take the exact distances from
-``locality.reuse_distances`` instead.
-``fa_miss_counts`` derives the misses of *every* capacity from one such
+4. **Near/far split (fully associative).**  An access hits iff fewer
+   than ``capacity`` distinct lines were touched since the previous
+   access to its line (its stack distance, paper §2.1).  Call that pair
+   of run heads a *link* ``(p, t)``.  The distance is at most the gap
+   ``t - p - 1``, so a link shorter than the capacity — a *near* link —
+   is a hit with no further work; on the Fig. 10 page streams that
+   settles 83 % to over 99 % of the heads.  What is left is *far*: cold
+   heads, which miss, and far links, which need the count.
+
+5. **Counting by what is absent.**  Of the lines first touched before
+   ``t``, one is ``t``'s own, some were touched for the last time at or
+   before ``p`` (*retired*), and every other one either shows up inside
+   the window ``(p, t)`` or skips it: its link ``(p', t')`` starts
+   before ``p`` and ends after ``t``.  A link that encloses a far link
+   is longer still, hence far itself, so ::
+
+       distinct(p, t) = first-touched-before(t) - 1
+                        - retired-by(p)
+                        - #{far links (p', t') : p' < p and t' > t}
+
+   The first two terms are binary searches in the sorted first and last
+   positions of each line; the third is a per-element inversion count of
+   the far links' ``p`` column in time order —
+   ``locality.reuse_distance.prior_greater``, the kernel under
+   ``reuse_distances``, run on the far subsequence only.  Near links
+   never enter any term, which is why answering one capacity is cheaper
+   than knowing every distance: the inversion count runs over 0.1–17 % of
+   the run heads, and nothing is sized by the number of distinct lines.
+
+``fa_miss_counts`` derives the misses of *every* capacity from one full
 distance profile (the reuse-distance methodology of Fig. 3).
 
 Every path is bit-identical to the reference engine; the property tests
@@ -54,15 +73,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..locality.reuse_distance import COLD, miss_count, reuse_distances
+from ..locality.reuse_distance import COLD, miss_count, prior_greater, reuse_distances
 from ..obs import metrics
 from .cache import CacheConfig, CacheResult
-
-#: Upper bound on the sparse-table footprint of the fully-associative
-#: fast path (bytes); streams that would exceed it use exact distances.
-_FA_TABLE_BYTES = 96 * 1024 * 1024
-#: Positions per occupancy-bitmask block (fully-associative path).
-_FA_BLOCK = 32
 
 
 def simulate_fast(config: CacheConfig, lines: np.ndarray, writes: np.ndarray) -> CacheResult:
@@ -85,8 +98,9 @@ def simulate_fast(config: CacheConfig, lines: np.ndarray, writes: np.ndarray) ->
         else np.zeros(len(hpos), dtype=bool)
     )
 
+    work = {"heads": len(hpos)}
     if config.assoc == 0 or config.num_sets == 1:
-        cmiss = _fa_miss_mask(clines, config.ways)
+        cmiss, work["far"] = _fa_miss_mask(clines, config.ways)
     elif config.assoc == 1:
         cmiss = _direct_mapped_miss_mask(clines, config.num_sets)
     elif config.assoc == 2:
@@ -98,7 +112,7 @@ def simulate_fast(config: CacheConfig, lines: np.ndarray, writes: np.ndarray) ->
     # Scatter the run-head miss mask back to per-access granularity.
     miss = np.zeros(n, dtype=bool)
     miss[hpos] = cmiss
-    return CacheResult(miss, writebacks)
+    return CacheResult(miss, writebacks, work)
 
 
 def _sort_key(values: np.ndarray, max_value: int) -> np.ndarray:
@@ -175,164 +189,51 @@ def _two_way_miss_mask(lines: np.ndarray, num_sets: int) -> np.ndarray:
     return miss
 
 
-def _distance_miss_mask(lines: np.ndarray, ways: int) -> np.ndarray:
-    """LRU misses from exact stack distances: cold, or ``ways`` lines since."""
-    distances = reuse_distances(lines)
-    return (distances == COLD) | (distances >= ways)
-
-
 def _n_way_miss_mask(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
     """Set-associative LRU miss mask for any associativity (fact 2)."""
     metrics.inc("engine.fast.n_way_distance")
     sets = _sort_key(lines % num_sets, num_sets - 1)
     order = np.argsort(sets, kind="stable")
+    distances = reuse_distances(lines[order])
     miss = np.empty(len(lines), dtype=bool)
-    miss[order] = _distance_miss_mask(lines[order], assoc)
+    miss[order] = (distances == COLD) | (distances >= assoc)
     return miss
 
 
-def _fa_miss_mask(lines: np.ndarray, capacity: int) -> np.ndarray:
-    """Fully-associative LRU miss mask (stream already RLE-compressed)."""
+def _fa_miss_mask(lines: np.ndarray, capacity: int) -> tuple[np.ndarray, int]:
+    """Fully-associative LRU miss mask of an RLE-compressed stream, and
+    how many *far* heads the gap filter left open (module docstring)."""
     m = len(lines)
     lo = int(lines.min())
-    hi = int(lines.max())
-    if lo >= 0 and hi < max(4 * m, 1 << 16):
-        ids = lines
-        nids = hi + 1
-    else:
-        # Sparse/arbitrary line numbers: densify once.
-        _, ids = np.unique(lines, return_inverse=True)
-        nids = int(ids.max()) + 1
-
-    # Previous occurrence of each line (grouped stable sort + shift).
-    # Positions fit int32 (traces are < 2**31 accesses), halving traffic.
-    key = _sort_key(ids, nids - 1)
+    key = _sort_key(lines - lo, int(lines.max()) - lo)
+    # Grouped by line with positions ascending: neighbours inside a group
+    # are the links (previous head of the line, head).
     order = np.argsort(key, kind="stable")
-    ids_s = key[order]
-    same = ids_s[1:] == ids_s[:-1]
-    prev = np.full(m, -1, dtype=np.int32)
-    prev[order[1:][same]] = order[:-1][same]
+    grouped = key[order]
+    opens = np.empty(m, dtype=bool)  # first head of its line: cold
+    opens[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=opens[1:])
+    starts = np.flatnonzero(opens)
+    first = order[starts]
+    last = order[np.append(starts[1:], m) - 1]
+    miss = np.zeros(m, dtype=bool)
+    miss[first] = True
 
-    t = np.arange(m, dtype=np.int32)
-    gap = t - prev - 1
-    # Stack distance <= gap, so a short gap is a guaranteed hit.
-    miss = (prev < 0) | (gap >= capacity)
-    cand = np.flatnonzero((prev >= 0) & (gap >= capacity))
-    if len(cand) == 0:
-        return miss
-
-    words = (nids + 1 + 63) >> 6  # +1 for the padding sentinel id
-    nblocks = -(-m // _FA_BLOCK)
-    levels = max(1, nblocks.bit_length())
-    if words * nblocks * (levels + 1) * 8 > _FA_TABLE_BYTES or len(cand) > m:
-        metrics.inc("engine.fast.fa_distance")
-        return _distance_miss_mask(lines, capacity)
-
-    decided = _fa_resolve_candidates(
-        ids, prev[cand], t[cand], capacity, nids, words, nblocks
-    )
-    miss[cand] = decided
-    return miss
-
-
-def _fa_resolve_candidates(
-    ids: np.ndarray,
-    p: np.ndarray,
-    t: np.ndarray,
-    capacity: int,
-    nids: int,
-    words: int,
-    nblocks: int,
-) -> np.ndarray:
-    """True where the stack distance over the window ``(p, t)`` >= capacity.
-
-    Builds a dyadic sparse table of per-block line-occupancy bitmasks,
-    bounds each window's distinct count from block-aligned inner/outer
-    spans, and resolves the residual ambiguous windows exactly by OR-ing
-    the partial edge blocks bit by bit.
-    """
-    B = _FA_BLOCK
-    m = len(ids)
-    pad = nblocks * B - m
-    ids_p = np.concatenate([ids, np.full(pad, nids, dtype=ids.dtype)]) if pad else ids
-
-    # Level-0 occupancy masks, then dyadic OR doubling (idempotent, so
-    # two overlapping power-of-two spans cover any block range exactly).
-    table = [np.zeros((nblocks, words), dtype=np.uint64)]
-    widx = ids_p >> 6
-    bit = np.uint64(1) << (ids_p & 63).astype(np.uint64)
-    for w in range(words):
-        vals = np.where(widx == w, bit, np.uint64(0))
-        table[0][:, w] = np.bitwise_or.reduce(vals.reshape(nblocks, B), axis=1)
-    k = 1
-    while (1 << k) <= nblocks:
-        half = 1 << (k - 1)
-        prev_t = table[k - 1]
-        table.append(prev_t[: nblocks - (1 << k) + 1] | prev_t[half:][: nblocks - (1 << k) + 1])
-        k += 1
-
-    def range_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """OR of blocks [a, b) per query; b > a required."""
-        length = b - a
-        out = np.zeros((len(a), words), dtype=np.uint64)
-        lev = np.frexp(length.astype(np.float64))[1] - 1  # floor(log2)
-        for ell in np.unique(lev):
-            sel = lev == ell
-            span = 1 << int(ell)
-            tab = table[int(ell)]
-            out[sel] = tab[a[sel]] | tab[b[sel] - span]
-        return out
-
-    popcount = lambda masks: np.bitwise_count(masks).sum(axis=1).astype(np.int64)
-
-    # Inner (block-aligned, subset of window) and outer (superset) spans.
-    win_lo = p + 1  # first window position
-    b_in_lo = -(-win_lo // B)
-    b_in_hi = t // B
-    b_out_lo = win_lo // B
-    b_out_hi = (t - 1) // B + 1
-
-    has_inner = b_in_hi > b_in_lo
-    lower = np.zeros(len(p), dtype=np.int64)
-    if has_inner.any():
-        lower[has_inner] = popcount(range_or(b_in_lo[has_inner], b_in_hi[has_inner]))
-
-    decided = lower >= capacity  # definite misses
-    # The outer (superset) bound is only consulted where the inner bound
-    # was inconclusive — usually a tiny residue of the candidates.
-    und = np.flatnonzero(~decided)
-    if len(und) == 0:
-        return decided
-    upper = popcount(range_or(b_out_lo[und], b_out_hi[und]))
-    amb = und[upper >= capacity]
-    if len(amb) == 0:
-        return decided
-
-    # Exact resolution: inner mask OR edge positions, slot by slot.
-    pa, ta = p[amb], t[amb]
-    ia = has_inner[amb]
-    acc = np.zeros((len(amb), words), dtype=np.uint64)
-    if ia.any():
-        acc[ia] = range_or(b_in_lo[amb][ia], b_in_hi[amb][ia])
-    inner_start = np.where(ia, b_in_lo[amb] * B, ta)
-    inner_end = np.where(ia, b_in_hi[amb] * B, ta)
-    rows = np.arange(len(amb))
-    left_stop = np.minimum(inner_start, ta)
-    right_stop = np.maximum(inner_end, pa + 1)
-    for kslot in range(2 * B - 2):
-        pos_l = pa + 1 + kslot
-        pos_r = ta - 1 - kslot
-        valid_l = pos_l < left_stop
-        valid_r = pos_r >= right_stop
-        if not (valid_l.any() or valid_r.any()):
-            break
-        for pos, valid in ((pos_l, valid_l), (pos_r, valid_r)):
-            if not valid.any():
-                continue
-            safe = np.where(valid, pos, 0)
-            acc[rows, widx[safe]] |= np.where(valid, bit[safe], np.uint64(0))
-    decided[amb] = popcount(acc) >= capacity
-    return decided
+    # Positions fit int32 (traces are < 2**31 accesses), halving traffic.
+    pos = order.astype(np.int32)
+    far = np.flatnonzero((pos[1:] - pos[:-1] > capacity) & ~opens[1:])
+    if len(far) == 0:
+        return miss, 0
+    p, t = pos[far], pos[far + 1]
+    by_time = np.argsort(t)
+    p, t = p[by_time], t[by_time]
+    seen = np.searchsorted(np.sort(first), t)
+    retired = np.searchsorted(np.sort(last), p)
+    # #{later far links with an earlier start} = #{earlier, greater} on
+    # the reversed, negated column
+    enclosing = prior_greater((m - 1 - p)[::-1], m)[::-1]
+    miss[t[seen - 1 - retired - enclosing >= capacity]] = True
+    return miss, len(far)
 
 
 def fa_miss_counts(

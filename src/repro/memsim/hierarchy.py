@@ -162,7 +162,9 @@ def simulate_hierarchy(
     The address materialisation runs under an ``addresses`` span (and
     ``timings`` key) next to the per-level ones.
     """
-    with span("addresses", accesses=len(trace)) as sp:
+    with span(
+        "addresses", accesses=len(trace), divmods=layout.divmods(trace.array_names)
+    ) as sp:
         stream = AddressStream.from_trace(trace, layout)
     if timings is not None:
         timings["addresses"] = timings.get("addresses", 0.0) + sp.duration_s

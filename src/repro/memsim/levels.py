@@ -50,6 +50,9 @@ class LevelResult:
     #: MSI coherence extras (an :class:`~repro.memsim.coherence.MSIResult`
     #: when the level is a :class:`~repro.memsim.coherence.CoherenceLevel`)
     msi: Optional[object] = None
+    #: the engine's work counters, copied onto the level's span
+    #: (:attr:`~repro.memsim.cache.CacheResult.work`)
+    work: dict = field(default_factory=dict)
 
     @property
     def miss_rate(self) -> float:
@@ -113,6 +116,7 @@ class CacheLevel:
             writebacks=result.writebacks if self.track_writes else 0,
             line_bytes=self.config.line_bytes,
             miss=result.miss,
+            work=result.work,
         )
 
 
@@ -140,6 +144,7 @@ class TLBLevel:
             misses=result.misses,
             line_bytes=self.config.page_bytes,
             miss=result.miss,
+            work=result.work,
         )
 
 
@@ -264,7 +269,7 @@ class MemoryHierarchy:
                 result = level.simulate(
                     observed, observed_writes, engine, upstream
                 )
-                sp.attrs["misses"] = result.misses
+                sp.attrs.update(result.work, misses=result.misses)
             if timings is not None:
                 timings[level.name] = timings.get(level.name, 0.0) + sp.duration_s
             observed_by[level.name] = (observed, observed_writes)

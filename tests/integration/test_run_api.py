@@ -77,6 +77,43 @@ class TestFrontDoor:
         assert result[0].metrics["counters"].get("trace.generated") == 1
 
 
+    def test_spans_show_the_work_behind_the_seconds(self):
+        result = run(
+            RunRequest(program="swim", levels=("noopt", "new"), params=SMALL, steps=1)
+        )
+        for variant, divmods in zip(result, (0, 1)):
+            spans = {s.name: s.attrs for s in variant.spans}
+            # default layouts decode without a division; swim's regrouped
+            # columns leave one stride break
+            assert spans["addresses"]["divmods"] == divmods
+            for level in ("l1", "l2", "tlb"):
+                assert 0 < spans[level]["heads"] <= variant.trace_length
+            assert 0 < spans["tlb"]["far"] < spans["tlb"]["heads"]
+            assert "far" not in spans["l1"]
+
+    def test_program_without_arrays_measures_as_all_zero(self):
+        from repro.lang import ProgramBuilder
+        from repro.lang.builder import assign, loop
+
+        b = ProgramBuilder("scal", params=["N"])
+        s = b.scalar("s")
+        b.add(loop("i", 1, b.param("N"), assign(s, s + 1)))
+        program = validate(b.build())
+        for engine in ("fast+codegen", "reference+interp"):
+            result = run(
+                RunRequest(program, levels="noopt,new", params={"N": 4}, engine=engine)
+            )
+            for variant in result:
+                geometry = ("machine", "l1_line_bytes", "l2_line_bytes")
+                counts = {
+                    k: v
+                    for k, v in dataclasses.asdict(variant.stats).items()
+                    if k not in geometry
+                }
+                assert variant.trace_length == 0
+                assert set(counts.values()) == {0}, counts
+
+
 class TestLegacyApiRemoved:
     """The v2.0 contract: the shims are gone, not just deprecated."""
 

@@ -44,6 +44,22 @@ def test_agrees_with_naive_oracle(seed, universe):
     assert list(reuse_distances(keys)) == reuse_distances_naive(keys)
 
 
+@pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 700, 5000])
+def test_prior_greater_counts_inversions_per_element(size):
+    """The helper shared with the fully-associative simulator: sparse
+    distinct values (not a permutation), across the pairwise-block and
+    bit-partition boundaries, also through a reversed view."""
+    from repro.locality.reuse_distance import prior_greater
+
+    bound = 3 * size + 7
+    values = np.random.default_rng(size).permutation(bound)[:size].astype(np.int32)
+    want = [int((values[:j] > values[j]).sum()) for j in range(size)]
+    assert prior_greater(values, bound).tolist() == want
+    assert prior_greater(values[::-1], bound).tolist() == [
+        int((values[j + 1 :] > values[j]).sum()) for j in range(size)
+    ][::-1]
+
+
 def test_cyclic_scan_distance_equals_working_set():
     keys = list(range(10)) * 3
     d = reuse_distances(keys)

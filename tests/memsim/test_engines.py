@@ -2,8 +2,8 @@
 
 The hypothesis suite (tests/properties/test_engine_props.py) fuzzes
 small streams; these tests pin specific regressions: engine selection
-plumbing, sparse address densification, the bitmask-resolution path with
-real ambiguous windows, and the scalar fallback guard.
+plumbing, sparse line numbers, far reuses whose stack distance sits on
+either side of the capacity, and a stream too large for any shortcut.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 from repro.lang import SimulationError
 from repro.memsim import ENGINES, default_engine, fa_miss_counts
 from repro.memsim.cache import CacheConfig, simulate_cache, simulate_cache_writeback
-from repro.memsim import fastsim
 
 
 def _assert_engines_agree(config, addresses, writes=None):
@@ -55,7 +54,7 @@ class TestFastPaths:
         assert len(res.miss) == 0 and res.writebacks == 0
 
     def test_sparse_addresses_densify(self):
-        # line numbers scattered across 2**40: forces np.unique densification
+        # line numbers scattered across 2**40: too wide for a narrow sort key
         rng = np.random.default_rng(11)
         bases = rng.integers(0, 2**40, size=8)
         addrs = (rng.choice(bases, size=4000) + rng.integers(0, 32, size=4000)) * 64
@@ -65,7 +64,7 @@ class TestFastPaths:
 
     def test_phase_structured_stream_all_geometries(self):
         # phase changes create long-gap reuses whose stack distance must be
-        # resolved exactly (ambiguous windows in the bitmask path)
+        # resolved exactly (far heads on both sides of the capacity)
         rng = np.random.default_rng(5)
         phases = [
             rng.integers(lo, lo + width, size=3000)
@@ -82,16 +81,22 @@ class TestFastPaths:
         ):
             _assert_engines_agree(cfg, addrs, writes)
 
-    def test_fa_table_guard_falls_back_to_scalar(self, monkeypatch):
-        # shrink the table budget so the bitmask path refuses and the
-        # scalar fallback answers — results must be unchanged
+    def test_large_fa_stream_matches_scalar(self):
+        # the size the occupancy-table budget used to divert to exact
+        # distances: >= 2**17 run heads over >= 4k pages, two sweeps of a
+        # sliding 40-page working set so the second sweep's reuses are
+        # far ones with thousands of pages in their windows
         rng = np.random.default_rng(3)
-        addrs = rng.integers(0, 500, size=2000) * 16
-        cfg = CacheConfig("fa", 32 * 16, 16, 0)
-        want = simulate_cache(cfg, addrs, engine="fast")
-        monkeypatch.setattr(fastsim, "_FA_TABLE_BYTES", 0)
-        got = simulate_cache(cfg, addrs, engine="fast")
-        assert np.array_equal(want, got)
+        n = 75_000
+        sweep = np.arange(n) // 15 + rng.integers(0, 40, size=n)
+        pages = np.concatenate([sweep, sweep[::-1]])
+        writes = rng.random(len(pages)) < 0.2
+        assert len(np.unique(pages)) >= 4096
+        for cap in (16, 64, 6000):
+            cfg = CacheConfig("tlb", cap * 4096, 4096, 0)
+            _assert_engines_agree(cfg, pages * 4096, writes)
+            work = simulate_cache_writeback(cfg, pages * 4096, None, engine="fast").work
+            assert work["heads"] >= 2**17 and work["far"] > 0
 
     def test_all_loads_reports_zero_writebacks(self):
         cfg = CacheConfig("2w", 8 * 16, 16, 2)

@@ -4,23 +4,22 @@ Two families of invariants lock the vectorized paths in
 ``repro.memsim.fastsim`` to ground truth:
 
 * every fast set-associative path (direct-mapped, 2-way, the
-  stack-distance path for 3+ ways, and the fully-associative bitmask
-  path with its stack-distance overflow) must agree with the scalar
-  ``_n_way`` / ``_fully_associative`` reference — miss masks *and*
-  write-back counts — on arbitrary address/write streams;
+  stack-distance path for 3+ ways, and the fully-associative near/far
+  path) must agree with the scalar ``_n_way`` / ``_fully_associative``
+  reference — miss masks *and* write-back counts — on arbitrary
+  address/write streams and on TLB-shaped ones, where a working set
+  just under, at or over the capacity cycles through a few pages;
 * the fully-associative cache must agree with the stack-distance oracle
   ``miss_count(reuse_distances(lines), capacity)``, the LRU/stack
   equivalence (paper §2.1) the fast path is built on.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.locality import reuse_distances
 from repro.locality.reuse_distance import miss_count
-from repro.memsim import fastsim
 from repro.memsim.cache import (
     CacheConfig,
     _fully_associative,
@@ -28,7 +27,6 @@ from repro.memsim.cache import (
     simulate_cache,
     simulate_cache_writeback,
 )
-from repro.obs import metrics
 
 
 @st.composite
@@ -85,30 +83,53 @@ def test_set_assoc_paths_match_n_way(stream):
             assert oracle.writebacks == got.writebacks, (assoc, engine)
 
 
-@given(access_streams(), st.integers(1, 40))
-@settings(max_examples=100, deadline=None)
-def test_fa_table_overflow_matches_scalar(stream, capacity):
-    """With no room for the occupancy table, every stream with a reuse
-    the gap filter cannot settle takes exact stack distances."""
-    lines, writes = stream
-    config = CacheConfig("fa", capacity * 8, 8, 0)
+@st.composite
+def tlb_streams(draw):
+    """(pages, writes, capacity): ``k`` slots visited round-robin with
+    ``k`` around the capacity ``C``; now and then a slot's page is
+    replaced by a fresh one (pages retire) or the walk steps back a slot
+    (a window repeats pages, so a long gap can still be a hit) — reuses
+    are near hits, far hits and far misses by a margin of a page or two.
+    The stream ends on a far reuse of its first page, page numbers may
+    be negative or spread over more than 2**31, and the capacity may
+    exceed the number of distinct pages."""
+    cap = draw(st.sampled_from([1, 2, 4, 16, 64]))
+    k = max(1, draw(st.sampled_from([cap - 1, cap, cap + 1, 2 * cap])))
+    rounds = draw(st.integers(1, 5))
+    dice = draw(
+        st.lists(st.integers(0, 7), min_size=k * rounds, max_size=k * rounds)
+    )
+    slots = list(range(k))
+    fresh = k
+    at = 0
+    pages = []
+    for die in dice:
+        if die == 0:  # the occasional page advance
+            slots[at % k] = fresh
+            fresh += 1
+        pages.append(slots[at % k])
+        at += -1 if die == 1 else 1
+    pages.append(pages[0])
+    origin = draw(st.sampled_from([0, -3, -(2**40), 2**33]))
+    stride = draw(st.sampled_from([1, 5, 2**32 + 1]))
+    if draw(st.booleans()):
+        cap = fresh + draw(st.integers(0, 2))  # everything fits
+    writes = draw(st.lists(st.booleans(), min_size=len(pages), max_size=len(pages)))
+    lines = origin + stride * np.asarray(pages, dtype=np.int64)
+    return lines, np.asarray(writes, dtype=bool), cap
+
+
+@given(tlb_streams())
+@settings(max_examples=300, deadline=None)
+def test_tlb_shaped_streams_match_scalar(case):
+    """The near/far fully-associative kernel against the scalar LRU."""
+    lines, writes, capacity = case
     oracle = _fully_associative(lines, writes, capacity)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fastsim, "_FA_TABLE_BYTES", 0)
-        got = simulate_cache_writeback(config, lines * 8, writes, engine="fast")
+    got = simulate_cache_writeback(
+        CacheConfig("tlb", capacity * 8, 8, 0), lines * 8, writes, engine="fast"
+    )
     assert np.array_equal(oracle.miss, got.miss)
     assert oracle.writebacks == got.writebacks
-
-
-def test_fa_table_overflow_is_reached(monkeypatch):
-    """The property above exercises the overflow path, not the table."""
-    monkeypatch.setattr(fastsim, "_FA_TABLE_BYTES", 0)
-    lines = np.tile(np.arange(64, dtype=np.int64), 2)
-    before = metrics.snapshot()
-    miss = simulate_cache(CacheConfig("fa", 4 * 8, 8, 0), lines * 8, engine="fast")
-    delta = metrics.REGISTRY.delta(before, metrics.snapshot())["counters"]
-    assert delta.get("engine.fast.fa_distance") == 1
-    assert miss.all()  # a 64-line cyclic scan thrashes 4 lines
 
 
 @given(access_streams(), st.integers(1, 40))

@@ -23,9 +23,11 @@ lint:
 # (refresh with `repro lint --static --all-apps --write-baseline
 # lint-baseline.json` when a change is intentional) and asserts that no
 # loop axis is left `unknown`; tests/static/test_coherence.py::
-# test_profile_matches_golden pins a coherence profile for every program
+# test_profile_matches_golden pins a coherence profile for every program.
+# --durations: every log ends with the slowest tests, the list ROADMAP's
+# "tier-1 under three minutes" item reads
 test:
-	$(PYTHON) -m pytest -x -q -m "not slow"
+	$(PYTHON) -m pytest -x -q -m "not slow" --durations=15
 
 # the repo's own lint front door (delegates to ruff when available)
 self-lint:

@@ -13,7 +13,6 @@ anything is ever traced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ..lang import (
@@ -77,7 +76,7 @@ def _check_stmt(stmt: Stmt) -> Optional[str]:
                 for sub in ref.indices:
                     form = sub.affine()
                     for _, coeff in form.coeffs:
-                        if isinstance(coeff, Fraction) and coeff.denominator != 1:
+                        if coeff.denominator != 1:
                             return f"fractional subscript stride in {ref.array}"
         except AnalysisError as exc:
             return str(exc)

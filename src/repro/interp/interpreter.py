@@ -9,7 +9,6 @@ is the fast path for locality studies.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
@@ -165,9 +164,9 @@ class Interpreter:
 
     def _eval_int(self, expr: Expr) -> int:
         value = expr.affine().evaluate(self._env)
-        if isinstance(value, Fraction) and value.denominator != 1:
+        if value.denominator != 1:
             raise ValidationError(f"non-integral bound {expr} = {value}")
-        return int(value)
+        return value
 
     def _subscripts(self, ref: ArrayRef) -> tuple[int, ...]:
         extents = self._extent_cache[ref.array]

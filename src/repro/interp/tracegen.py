@@ -30,6 +30,7 @@ from ..lang import (
     Loop,
     Program,
     Stmt,
+    ZERO,
     array_reads,
 )
 from .state import check_params
@@ -86,21 +87,13 @@ class _Compiler:
         self._linform_cache: dict[ArrayRef, Affine] = {}
 
     def linform(self, ref: ArrayRef) -> Affine:
-        # memoized and accumulated in a flat dict: textually repeated
-        # references are common, and building the sum through Affine
-        # operators churns intermediate Fraction tuples
+        # memoized: textually repeated references are common
         form = self._linform_cache.get(ref)
         if form is None:
-            strides = self.strides[ref.array]
-            const = 0
-            terms: dict[str, object] = {}
-            for k, sub in enumerate(ref.indices):
-                a = sub.affine()
-                s = strides[k]
-                const += a.const * s - s
-                for n, c in a.coeffs:
-                    terms[n] = terms.get(n, 0) + c * s
-            form = self._linform_cache[ref] = Affine.from_terms(const, terms)
+            form = ZERO
+            for sub, stride in zip(ref.indices, self.strides[ref.array]):
+                form = form + (sub.affine() - 1) * stride
+            self._linform_cache[ref] = form
         return form
 
     def make_ref(self, ref: ArrayRef, stmt_id: int, is_write: bool) -> _CRef:

@@ -13,6 +13,19 @@ positive" under the assumption that every symbolic parameter is at least
 ``param_min`` (loop sizes are large).  When the sign cannot be determined
 the comparison returns ``None`` and callers must fall back to a
 conservative decision (e.g. "assume dependence").
+
+Exact arithmetic
+----------------
+A coefficient is an ``int`` unless it is genuinely fractional: every
+constant and coefficient passes through one coercion function,
+:func:`_frac`, which returns ``int`` for integral input (``int``,
+integral ``Fraction``, integral ``float``) and a ``Fraction`` with a
+denominator other than 1 otherwise.  Subscripts, bounds and strides are
+integers, so the arithmetic is machine-integer arithmetic; ``==``,
+``hash``, ``.numerator`` / ``.denominator`` and ``str()`` cannot tell the
+two apart (Python guarantees ``Fraction(n) == n`` with equal hashes).  A
+``float`` never enters a form: whoever divides an exact value must say
+``Fraction`` explicitly (``int / int`` is a float).
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from typing import Iterable, Mapping, Optional, Union
 from .errors import NotAffineError
 
 Number = Union[int, float, Fraction]
+_Terms = tuple[tuple[str, "int | Fraction"], ...]
 
 #: Default assumed lower bound for every symbolic parameter.  The paper's
 #: inputs are all >= 14 in each dimension; 8 keeps boundary peeling legal
@@ -71,11 +85,12 @@ class Affine:
     """An affine form ``const + sum(coeffs[name] * name)``.
 
     Instances are immutable and hashable; zero coefficients are never
-    stored.  Coefficients and the constant are exact (int / Fraction).
+    stored.  Coefficients and the constant are exact: ``int``, or a
+    ``Fraction`` when not integral (see the module docstring).
     """
 
-    const: Fraction = Fraction(0)
-    coeffs: tuple[tuple[str, Fraction], ...] = field(default=())
+    const: int | Fraction = 0
+    coeffs: _Terms = field(default=())
 
     # -- construction -----------------------------------------------------
 
@@ -86,27 +101,23 @@ class Affine:
     @staticmethod
     def var(name: str, coeff: Number = 1) -> "Affine":
         c = _frac(coeff)
-        if c == 0:
-            return Affine()
-        return Affine(Fraction(0), ((name, c),))
+        return Affine(0, ((name, c),)) if c else Affine()
 
     @staticmethod
     def from_terms(const: Number, terms: Mapping[str, Number]) -> "Affine":
-        clean = tuple(
-            sorted((n, _frac(c)) for n, c in terms.items() if _frac(c) != 0)
-        )
-        return Affine(_frac(const), clean)
+        clean = sorted((n, _frac(c)) for n, c in terms.items())
+        return Affine(_frac(const), tuple(t for t in clean if t[1]))
 
     # -- inspection -------------------------------------------------------
 
     @property
-    def terms(self) -> dict[str, Fraction]:
+    def terms(self) -> dict[str, int | Fraction]:
         return dict(self.coeffs)
 
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.coeffs:
             raise NotAffineError(f"{self} is not a constant")
         return self.const
@@ -120,11 +131,11 @@ class Affine:
     def variables(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.coeffs)
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> int | Fraction:
         for n, c in self.coeffs:
             if n == name:
                 return c
-        return Fraction(0)
+        return 0
 
     def depends_on(self, names: Iterable[str]) -> bool:
         wanted = set(names)
@@ -133,11 +144,12 @@ class Affine:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: Union["Affine", Number]) -> "Affine":
-        other = _coerce(other)
-        terms = self.terms
-        for n, c in other.coeffs:
-            terms[n] = terms.get(n, Fraction(0)) + c
-        return Affine.from_terms(self.const + other.const, terms)
+        if not isinstance(other, Affine):
+            other = _frac(other)
+            return Affine(_frac(self.const + other), self.coeffs) if other else self
+        return Affine(
+            _frac(self.const + other.const), _merge(self.coeffs, other.coeffs)
+        )
 
     __radd__ = __add__
 
@@ -145,39 +157,54 @@ class Affine:
         return Affine(-self.const, tuple((n, -c) for n, c in self.coeffs))
 
     def __sub__(self, other: Union["Affine", Number]) -> "Affine":
-        return self + (-_coerce(other))
+        if not isinstance(other, Affine):
+            return self + (-other)
+        return Affine(
+            _frac(self.const - other.const),
+            _merge(self.coeffs, other.coeffs, negate=True),
+        )
 
     def __rsub__(self, other: Number) -> "Affine":
-        return _coerce(other) - self
+        return -self + other
 
     def __mul__(self, scalar: Number) -> "Affine":
         s = _frac(scalar)
+        if s == 1:
+            return self
         if s == 0:
             return Affine()
         return Affine(
-            self.const * s, tuple((n, c * s) for n, c in self.coeffs)
+            _frac(self.const * s),
+            tuple((n, _frac(c * s)) for n, c in self.coeffs),
         )
 
     __rmul__ = __mul__
 
     def substitute(self, bindings: Mapping[str, Union["Affine", Number]]) -> "Affine":
         """Replace variables with affine forms or numbers."""
-        out = Affine.constant(self.const)
+        const = self.const
+        terms: dict[str, int | Fraction] = {}
         for n, c in self.coeffs:
-            if n in bindings:
-                out = out + _coerce(bindings[n]) * c
+            if n not in bindings:
+                terms[n] = terms.get(n, 0) + c
+                continue
+            bound = bindings[n]
+            if isinstance(bound, Affine):
+                const += bound.const * c
+                for m, d in bound.coeffs:
+                    terms[m] = terms.get(m, 0) + d * c
             else:
-                out = out + Affine.var(n, c)
-        return out
+                const += _frac(bound) * c
+        return Affine.from_terms(const, terms)
 
-    def evaluate(self, env: Mapping[str, Number]) -> Fraction:
+    def evaluate(self, env: Mapping[str, Number]) -> int | Fraction:
         """Fully evaluate; every variable must be bound in ``env``."""
         total = self.const
         for n, c in self.coeffs:
             if n not in env:
                 raise NotAffineError(f"unbound variable {n!r} in {self}")
             total += c * _frac(env[n])
-        return total
+        return _frac(total)
 
     # -- symbolic comparison ----------------------------------------------
 
@@ -195,10 +222,9 @@ class Affine:
             c = self.const
             return 0 if c == 0 else (1 if c > 0 else -1)
         assume = Assumptions.of(assume)
-        coefs = [(n, c) for n, c in self.coeffs]
-        if all(c > 0 for _, c in coefs):
+        if all(c > 0 for _, c in self.coeffs):
             low = self.const
-            for n, c in coefs:
+            for n, c in self.coeffs:
                 m = assume.min_of(n)
                 if m is None:
                     return None
@@ -206,9 +232,9 @@ class Affine:
             if low > 0:
                 return 1
             return None
-        if all(c < 0 for _, c in coefs):
+        if all(c < 0 for _, c in self.coeffs):
             high = self.const
-            for n, c in coefs:
+            for n, c in self.coeffs:
                 m = assume.min_of(n)
                 if m is None:
                     return None
@@ -224,11 +250,11 @@ class Affine:
         assume: Union[int, "Assumptions"] = DEFAULT_PARAM_MIN,
     ) -> Optional[int]:
         """Compare two affine forms; -1 / 0 / +1 / None as for :meth:`sign`."""
-        return (self - _coerce(other)).sign(assume)
+        return (self - other).sign(assume)
 
     def lower_bound(
         self, assume: Union[int, "Assumptions"] = DEFAULT_PARAM_MIN
-    ) -> Optional[Fraction]:
+    ) -> Optional[int | Fraction]:
         """Greatest provable lower bound under ``assume`` (None if unbounded)."""
         assume = Assumptions.of(assume)
         total = self.const
@@ -239,7 +265,7 @@ class Affine:
             if m is None:
                 return None
             total += c * m
-        return total
+        return _frac(total)
 
     def is_nonnegative(
         self, assume: Union[int, "Assumptions"] = DEFAULT_PARAM_MIN
@@ -262,9 +288,9 @@ class Affine:
             elif c == -1:
                 parts.append(f"-{n}")
             else:
-                parts.append(f"{_fmt(c)}*{n}")
+                parts.append(f"{c}*{n}")
         if self.const != 0 or not parts:
-            parts.append(_fmt(self.const))
+            parts.append(str(self.const))
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -273,26 +299,46 @@ class Affine:
     __repr__ = __str__
 
 
-def _frac(value: Number) -> Fraction:
-    if isinstance(value, Fraction):
+def _frac(value: Number) -> int | Fraction:
+    """The one coefficient coercion: ``int`` unless genuinely fractional."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool
+        return int(value)
     if isinstance(value, float):
         if not value.is_integer():
             raise NotAffineError(f"non-integral affine coefficient {value}")
-        return Fraction(int(value))
+        return int(value)
     raise NotAffineError(f"cannot coerce {value!r} into an affine coefficient")
 
 
-def _coerce(value: Union[Affine, Number]) -> Affine:
-    if isinstance(value, Affine):
-        return value
-    return Affine.constant(value)
-
-
-def _fmt(c: Fraction) -> str:
-    return str(int(c)) if c.denominator == 1 else str(c)
+def _merge(a: _Terms, b: _Terms, negate: bool = False) -> _Terms:
+    """``a + b`` (``a - b``) of sorted term tuples; cancelled terms dropped."""
+    if not b:
+        return a
+    if negate:
+        b = tuple((n, -c) for n, c in b)
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ta, tb = a[i], b[j]
+        if ta[0] < tb[0]:
+            out.append(ta)
+            i += 1
+        elif tb[0] < ta[0]:
+            out.append(tb)
+            j += 1
+        else:
+            c = _frac(ta[1] + tb[1])
+            if c:
+                out.append((ta[0], c))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 #: Shared zero / one singletons.

@@ -9,6 +9,7 @@ form of subscripts and bounds (or raises :class:`NotAffineError`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Union
 
 from .affine import Affine
@@ -184,7 +185,8 @@ class BinOp(Expr):
         if self.op == "/":
             rhs = self.right.affine()
             if rhs.is_constant() and rhs.constant_value() != 0:
-                return self.left.affine() * (1 / rhs.constant_value())
+                # say Fraction: ``1 / int`` would put a float into the form
+                return self.left.affine() * Fraction(1, rhs.constant_value())
             raise NotAffineError(f"nonlinear quotient {self}")
         raise NotAffineError(f"operator {self.op!r} is not affine")
 

@@ -6,6 +6,7 @@
 * every identifier in every expression is a parameter, a declared scalar,
   or a loop index currently in scope;
 * loop bounds and subscripts are affine in parameters and in-scope indices;
+* no quotient has a literal zero divisor;
 * loop indices do not shadow parameters, arrays, or outer indices;
 * guard variables are loop indices in scope.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import NotAffineError, ValidationError, ValidationIssue
-from .expr import ArrayRef, Expr, IndexVar, Param, ScalarRef
+from .expr import ArrayRef, BinOp, Const, Expr, IndexVar, Param, ScalarRef
 from .program import Program
 from .stmt import Assign, CallStmt, Guard, Loop, Stmt
 
@@ -53,6 +54,13 @@ class _Checker:
             elif isinstance(node, ScalarRef):
                 if node.name not in self.scalars:
                     self.fail(where, f"undeclared scalar {node.name!r}")
+            elif (
+                isinstance(node, BinOp)
+                and node.op == "/"
+                and isinstance(node.right, Const)
+                and node.right.value == 0
+            ):
+                self.fail(where, f"division by literal zero: {node}")
             elif isinstance(node, ArrayRef):
                 decl = self.arrays.get(node.array)
                 if decl is None:

@@ -12,6 +12,7 @@ becomes a program with its size, step count and machine defaults.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -128,6 +129,16 @@ def is_bundled(name: str) -> bool:
     return name == "fft" or name in names()
 
 
+@functools.cache
+def _bundled(name: str, n: Optional[int] = None) -> Program:
+    """The validated program of a registry name, or ``"fft"`` at ``n``.
+
+    Built once per process: a :class:`Program` is frozen, so every
+    ``run()`` / ``tune()`` on the name shares one parse and one validation.
+    """
+    return validate(build_fft(n) if name == "fft" else get(name).build())
+
+
 @dataclass(frozen=True)
 class Target:
     """A resolved target: the program plus every default it implies."""
@@ -171,7 +182,7 @@ def resolve_target(
         n = int(params.get("n", FFT_DEFAULT_PARAMS["n"]))
         return Target(
             name or f"fft{n}",
-            validate(build_fft(n)),
+            _bundled("fft", n),
             params,
             1 if steps is None else steps,
             MachineSpec(),
@@ -179,7 +190,7 @@ def resolve_target(
     entry = get(target)
     return Target(
         name or target,
-        validate(entry.build()),
+        _bundled(target),
         dict(entry.default_params if params is None else params),
         entry.steps if steps is None else steps,
         entry.machine_spec,

@@ -386,6 +386,15 @@ def _witnesses(
             ta = int(first_other[j])
             held = (lines[:i] == line) & (tids[:i] == ta)
             elem_a = int(keys[:i][held][-1])
+            if elem_a == elem_b:
+                # that thread only held the victim's own element: name
+                # the neighbouring write that invalidated the line (no
+                # other thread wrote ``elem_b``, or this were true sharing)
+                k = np.flatnonzero(
+                    (lines[:i] == line) & writes[:i]
+                    & (tids[:i] != tb) & (keys[:i] != elem_b)
+                )[-1]
+                ta, elem_a = int(tids[k]), int(keys[k])
         out.append(
             SharingWitness(
                 array=names[array_of(elem_a)],

@@ -52,7 +52,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..lang import Affine, Program
+from ..lang import Program
 from ..locality.histogram import ReuseHistogram
 from ..obs import metrics, span
 from .model import StaticRef
@@ -229,13 +229,6 @@ class MulticorePrediction:
         }
 
 
-def _coeff(form: Affine, name: str) -> Fraction:
-    for n, c in form.coeffs:
-        if n == name:
-            return Fraction(c)
-    return Fraction(0)
-
-
 #: chunk-boundary slack: outer ranges shifted by at most this many
 #: iterations (boundary guards, peeled first/last rows) still hand
 #: almost every element to the same thread
@@ -244,15 +237,15 @@ _BOUNDS_SLACK = 2
 
 def _linear_outer_coeff(
     ref: StaticRef, strides: Mapping[str, tuple[int, ...]]
-) -> Fraction:
+) -> int | Fraction:
     """Coefficient of the ref's outermost loop var in its linearized
     (column-major) element index — how fast the touched element moves
     per outer iteration."""
     outer = ref.scope[0].index
-    total = Fraction(0)
-    for k, sub in enumerate(ref.subs):
-        total += _coeff(sub, outer) * strides[ref.array][k]
-    return total
+    return sum(
+        sub.coeff(outer) * stride
+        for sub, stride in zip(ref.subs, strides[ref.array])
+    )
 
 
 def _partition_aligned(

@@ -630,42 +630,26 @@ class _ConcreteChecker:
         self.table: dict[tuple[str, int], dict] = {}
         self.witness: Optional[RaceWitness] = None
         self.has_exempt = False
-        # id(expr-or-affine) -> folded (const, ((var, coeff), ...), frac?)
-        self._forms: dict[int, tuple] = {}
+        # id(expr-or-affine) -> the node's form with the params folded in
+        self._forms: dict[int, Affine] = {}
 
     def _eval(self, node) -> int:
         """Evaluate an index expression / affine form in the current env.
 
-        Forms are folded once per AST node (params inlined, integer fast
-        path when exact) — this walk visits every access of the space,
-        so per-access Fraction churn dominates without the cache.
+        The params are folded in once per AST node: this walk visits
+        every access of the space, and the env holds loop variables only
+        (it is what a witness prints).
         """
         form = self._forms.get(id(node))
         if form is None:
             a = node if isinstance(node, Affine) else node.affine()
-            const = a.const
-            items = []
-            for n, c in a.coeffs:
-                if n in self.params:
-                    const += c * self.params[n]
-                else:
-                    items.append((n, c))
-            if const.denominator == 1 and all(
-                c.denominator == 1 for _, c in items
-            ):
-                form = (int(const), tuple((n, int(c)) for n, c in items), False)
-            else:
-                form = (const, tuple(items), True)
-            self._forms[id(node)] = form
-        const, items, fractional = form
-        v = const
+            form = self._forms[id(node)] = a.substitute(self.params)
+        v = form.const
         try:
-            for n, c in items:
+            for n, c in form.coeffs:
                 v += c * self.env[n]
         except KeyError as exc:
             raise _Unsupported(f"unbound loop variable {exc.args[0]!r}") from exc
-        if not fractional:
-            return v
         if v.denominator != 1:
             raise _Unsupported(f"non-integer index value {v}")
         return int(v)

@@ -9,6 +9,13 @@ coefficients over multi-variable monomials — plus the two queries the
 static reuse analyzer needs: evaluation at a concrete input size and the
 symbolic *growth* test that defines evadable reuse (paper §2.1: a reuse
 is evadable iff its distance grows with the input size).
+
+Coefficients follow the rule of :mod:`repro.lang.affine`, through the
+same coercion function: an ``int`` unless genuinely fractional (a
+``Fraction`` whose denominator is not 1), never a ``float`` — so trip
+counts and footprints are machine-integer arithmetic, the half-window
+``mean + sub * Fraction(1, 2)`` stays exact, and ``==`` / ``hash``
+cannot tell ``2`` from ``Fraction(2)``.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from ..lang import Affine, NotAffineError
+from ..lang.affine import _frac
 
 Number = Union[int, float, Fraction]
 
@@ -29,18 +37,6 @@ _GROW_LO = 10**3
 _GROW_HI = 10**6
 
 
-def _frac(value: Number) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise NotAffineError(f"non-integral polynomial coefficient {value}")
-        return Fraction(int(value))
-    raise NotAffineError(f"cannot coerce {value!r} into a coefficient")
-
-
 @dataclass(frozen=True)
 class Poly:
     """A polynomial ``sum(coeff * monomial)`` with exact coefficients.
@@ -50,36 +46,29 @@ class Poly:
     equal.
     """
 
-    terms: tuple[tuple[Monomial, Fraction], ...] = ()
+    terms: tuple[tuple[Monomial, int | Fraction], ...] = ()
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def constant(value: Number) -> "Poly":
         c = _frac(value)
-        if c == 0:
-            return Poly()
-        return Poly((((), c),))
+        return Poly((((), c),)) if c else Poly()
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
-        return Poly(((((name, power),), Fraction(1)),))
+        return Poly(((((name, power),), 1),))
 
     @staticmethod
-    def from_terms(terms: Mapping[Monomial, Fraction]) -> "Poly":
-        clean = tuple(
-            sorted((m, c) for m, c in terms.items() if c != 0)
-        )
-        return Poly(clean)
+    def from_terms(terms: Mapping[Monomial, Number]) -> "Poly":
+        clean = sorted((m, _frac(c)) for m, c in terms.items())
+        return Poly(tuple(t for t in clean if t[1]))
 
     @staticmethod
     def from_affine(form: Affine) -> "Poly":
-        terms: dict[Monomial, Fraction] = {}
-        if form.const != 0:
-            terms[()] = form.const
-        for name, coeff in form.coeffs:
-            terms[((name, 1),)] = terms.get(((name, 1),), Fraction(0)) + coeff
-        return Poly.from_terms(terms)
+        # an empty monomial sorts first and single names sort as the form does
+        const = (((), form.const),) if form.const else ()
+        return Poly(const + tuple((((n, 1),), c) for n, c in form.coeffs))
 
     # -- inspection -------------------------------------------------------
 
@@ -89,10 +78,10 @@ class Poly:
     def is_constant(self) -> bool:
         return all(m == () for m, _ in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise NotAffineError(f"{self} is not a constant")
-        return self.terms[0][1] if self.terms else Fraction(0)
+        return self.terms[0][1] if self.terms else 0
 
     def degree(self) -> int:
         """Total degree (0 for constants, -1 conventionally for zero)."""
@@ -103,11 +92,11 @@ class Poly:
     def variables(self) -> frozenset[str]:
         return frozenset(n for m, _ in self.terms for n, _ in m)
 
-    def coefficient(self, monomial: Monomial) -> Fraction:
+    def coefficient(self, monomial: Monomial) -> int | Fraction:
         for m, c in self.terms:
             if m == monomial:
                 return c
-        return Fraction(0)
+        return 0
 
     # -- arithmetic -------------------------------------------------------
 
@@ -121,9 +110,13 @@ class Poly:
 
     def __add__(self, other: Union["Poly", Affine, Number]) -> "Poly":
         other = Poly._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for m, c in other.terms:
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Poly.from_terms(terms)
 
     __radd__ = __add__
@@ -139,23 +132,23 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", Affine, Number]) -> "Poly":
         other = Poly._coerce(other)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 powers: dict[str, int] = {}
                 for n, p in m1 + m2:
                     powers[n] = powers.get(n, 0) + p
                 mono: Monomial = tuple(sorted(powers.items()))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly.from_terms(terms)
 
     __rmul__ = __mul__
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, env: Mapping[str, Number]) -> Fraction:
+    def evaluate(self, env: Mapping[str, Number]) -> int | Fraction:
         """Fully evaluate; every variable must be bound in ``env``."""
-        total = Fraction(0)
+        total = 0
         for mono, coeff in self.terms:
             value = coeff
             for name, power in mono:
@@ -163,7 +156,7 @@ class Poly:
                     raise NotAffineError(f"unbound variable {name!r} in {self}")
                 value *= _frac(env[name]) ** power
             total += value
-        return total
+        return _frac(total)
 
     def substitute(self, bindings: Mapping[str, Union["Poly", Affine, Number]]) -> "Poly":
         out = Poly()
@@ -194,7 +187,7 @@ class Poly:
             return False
         lo = self.evaluate({n: _GROW_LO for n in self.variables()})
         hi = self.evaluate({n: _GROW_HI for n in self.variables()})
-        return hi >= 2 * max(lo, Fraction(1))
+        return hi >= 2 * max(lo, 1)
 
     # -- display ----------------------------------------------------------
 
@@ -211,13 +204,13 @@ class Poly:
                 n if p == 1 else f"{n}^{p}" for n, p in mono
             )
             if not body:
-                text = _fmt(coeff)
+                text = str(coeff)
             elif coeff == 1:
                 text = body
             elif coeff == -1:
                 text = f"-{body}"
             else:
-                text = f"{_fmt(coeff)}*{body}"
+                text = f"{coeff}*{body}"
             parts.append(text)
         out = parts[0]
         for p in parts[1:]:
@@ -225,10 +218,6 @@ class Poly:
         return out
 
     __repr__ = __str__
-
-
-def _fmt(c: Fraction) -> str:
-    return str(int(c)) if c.denominator == 1 else str(c)
 
 
 #: shared singletons

@@ -30,6 +30,12 @@ from .poly import ONE, Poly
 #: dominant parameter term decides
 _PROBE = 10**4
 
+#: calls so far in this process of the two functions every rung of the
+#: reuse ladder bottoms out in.  A plain tally, not ``metrics.inc``: they
+#: run thousands of times per model, and ``reuse.attribute_model``
+#: publishes the difference over one model as a single increment
+CALLS = {"eliminate": 0, "union_hulls": 0}
+
 
 def _probe_env(forms: Iterable[Affine]) -> dict[str, int]:
     names: set[str] = set()
@@ -102,6 +108,7 @@ def eliminate(
     levels substitute innermost-first so triangular bounds resolve, as
     in the linter's ``affine_range``.
     """
+    CALLS["eliminate"] += 1
     lo, hi = form, form
     for level in range(len(scope) - 1, start - 1, -1):
         ctx = scope[level]
@@ -162,6 +169,7 @@ def finalize(hull: Hull, scope: Sequence[LoopCtx], assume: Assumptions) -> Hull:
 def union_hulls(hulls: Sequence[Hull], assume: Assumptions) -> Hull:
     """Per-dimension bounding box of same-array hulls."""
     assert hulls and all(h.array == hulls[0].array for h in hulls)
+    CALLS["union_hulls"] += 1
     dims = list(hulls[0].dims)
     exact = all(h.exact for h in hulls)
     for h in hulls[1:]:

@@ -44,9 +44,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..lang import Affine, Assumptions
+from ..obs import metrics, span
 from .model import LoopCtx, StaticModel, StaticRef
 from .poly import ONE, Poly
 from .regions import (
+    CALLS,
     Hull,
     affine_max,
     affine_min,
@@ -102,7 +104,7 @@ class ClassProfile:
     cold: Poly  # per-body-repetition cold accesses
 
 
-def _const_offset(form: Affine) -> Optional[Fraction]:
+def _const_offset(form: Affine) -> Optional[int | Fraction]:
     """The value of ``form`` if it is a pure constant, else None."""
     if form.coeffs:
         return None
@@ -149,7 +151,7 @@ def solve_delta(src: StaticRef, sink: StaticRef) -> Optional[tuple[int, ...]]:
     if len(src.subs) != len(sink.subs):
         return None
     # per-dim: sum_l c[d][l] * delta[l] == -k[d]
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    rows: list[tuple[tuple[int | Fraction, ...], int | Fraction]] = []
     for s_sub, k_sub in zip(src.subs, sink.subs):
         k = _const_offset(k_sub - s_sub)
         if k is None:
@@ -166,21 +168,16 @@ def solve_delta(src: StaticRef, sink: StaticRef) -> Optional[tuple[int, ...]]:
             if len(unknown) == 1:
                 l = unknown[0]
                 acc = sum(
-                    (c * delta[j] for j, c in enumerate(coeffs)
-                     if c != 0 and j != l),
-                    Fraction(0),
+                    c * delta[j] for j, c in enumerate(coeffs)
+                    if c != 0 and j != l
                 )
-                delta[l] = (-k - acc) / coeffs[l]
+                delta[l] = Fraction(-k - acc, coeffs[l])
                 changed = True
     # unforced deltas (multi-index dims, unconstrained indices) default
     # to zero — the closest candidate shift — then every row is checked
-    out = [Fraction(0) if d is None else d for d in delta]
+    out = [0 if d is None else d for d in delta]
     for coeffs, k in rows:
-        acc = sum(
-            (c * out[l] for l, c in enumerate(coeffs) if c != 0),
-            Fraction(0),
-        )
-        if acc != -k:
+        if sum(c * out[l] for l, c in enumerate(coeffs) if c != 0) != -k:
             return None
     if any(d.denominator != 1 for d in out):
         return None
@@ -235,6 +232,9 @@ class _Attributor:
         self.model = model
         self.steps = steps
         self.assume = assume
+        #: the ladder's work on this model, as call counts (see :meth:`publish`)
+        self.work = {"window_distance": 0, "shift_candidates": 0}
+        self._region_calls = dict(CALLS)
         #: finalized per-array union hull of each top-level nest
         self.nest_hulls: list[dict[str, Hull]] = [
             footprint_by_array(nest, assume) for nest in model.nests
@@ -243,6 +243,15 @@ class _Attributor:
         #: measure only references shared anchor indices, so every sink
         #: of the nest sees the same value (diagonal sources reuse it)
         self._subtree_measures: dict[tuple[int, int, int], Poly] = {}
+
+    def publish(self) -> dict[str, int]:
+        """End of the model: report the work as ``analysis.static.*`` counters."""
+        work = dict(self.work)
+        for name, before in self._region_calls.items():
+            work[name] = CALLS[name] - before
+        for name, calls in work.items():
+            metrics.inc(f"analysis.static.{name}", calls)
+        return work
 
     # -- span footprints --------------------------------------------------
 
@@ -283,6 +292,7 @@ class _Attributor:
         loop, which beats going back a full iteration of the shared
         prefix.
         """
+        self.work["shift_candidates"] += 1
         cands: list[tuple[tuple, tuple[int, ...], StaticRef, Poly, tuple]] = []
         for src in self.model.nests[sink.nest]:
             shift = solve_delta(src, sink)
@@ -401,6 +411,7 @@ class _Attributor:
         loop identity chain through ``level``) execute inside the window;
         same-named sibling loops of a fused nest do not.
         """
+        self.work["window_distance"] += 1
         anchor = sink.scope[: level + 1]
         probe = index_probe(sink.scope, self.model.params)
         grouped: dict[str, list[Hull]] = {}
@@ -955,5 +966,11 @@ def attribute_model(
     model: StaticModel, steps: int, assume: Assumptions
 ) -> tuple[ClassProfile, ...]:
     """Attribute every reuse class of ``model``."""
-    attributor = _Attributor(model, steps, assume)
-    return tuple(attributor.attribute(ref) for ref in model.refs)
+    with span("attribute", refs=len(model.refs)) as sp:
+        attributor = _Attributor(model, steps, assume)
+        classes = tuple(attributor.attribute(ref) for ref in model.refs)
+        sp.attrs.update(
+            components=sum(len(c.components) for c in classes),
+            **attributor.publish(),
+        )
+    return classes

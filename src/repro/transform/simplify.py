@@ -69,7 +69,7 @@ def simplify_expr(expr: Expr, params: frozenset[str]) -> Expr:
     return expr
 
 
-def _fold(op: str, a, b) -> Const:
+def _fold(op: str, a, b) -> Expr:
     if op == "+":
         return Const(a + b)
     if op == "-":
@@ -77,7 +77,9 @@ def _fold(op: str, a, b) -> Const:
     if op == "*":
         return Const(a * b)
     if op == "/":
-        return Const(a / b)
+        # data-value (float) division; a zero divisor stays unfolded so no
+        # pass raises what only executing the statement should
+        return Const(a / b) if b != 0 else BinOp(op, Const(a), Const(b))
     raise NotAffineError(f"unknown operator {op!r}")  # pragma: no cover
 
 

@@ -160,9 +160,9 @@ class _Walker:
 
     def eval_int(self, expr: Expr) -> int:
         value = expr.affine().evaluate(self.env)
-        if isinstance(value, Fraction) and value.denominator != 1:
+        if value.denominator != 1:
             raise ValidationError(f"non-integral subscript/bound {expr} = {value}")
-        return int(value)
+        return value
 
     def signature(
         self, expr: Expr, reads: list[tuple[Cell, int]]

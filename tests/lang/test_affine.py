@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from repro.lang import Affine, Assumptions, NotAffineError
+from repro.lang import Affine, Assumptions, IndexVar, NotAffineError
+
+
+def stored(form: Affine) -> tuple:
+    """Every number a form keeps: the constant, then each coefficient."""
+    return (form.const, *(c for _, c in form.coeffs))
 
 
 class TestConstruction:
@@ -28,6 +33,83 @@ class TestConstruction:
     def test_float_coefficient_must_be_integral(self):
         with pytest.raises(NotAffineError):
             Affine.constant(0.5).__add__(Affine.var("N", 0.25))
+
+
+class TestRepresentation:
+    """A coefficient is an ``int`` unless it is genuinely fractional."""
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        a = Affine.from_terms(Fraction(2), {"i": Fraction(4, 2)})
+        b = Affine.from_terms(2, {"i": 2})
+        assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2*i + 2"
+        assert [type(c) for c in stored(a)] == [int, int]
+
+    def test_true_fractions_stay_fractions(self):
+        a = Affine.var("i", Fraction(1, 2)) + Fraction(3, 4)
+        assert stored(a) == (Fraction(3, 4), Fraction(1, 2))
+        assert [type(c) for c in stored(a)] == [Fraction, Fraction]
+        assert str(a) == "1/2*i + 3/4"
+
+    def test_fractions_that_sum_to_an_integer_become_ints(self):
+        half = Affine.var("i", Fraction(1, 2)) + Fraction(1, 2)
+        whole = half + half
+        assert whole == Affine.var("i") + 1
+        assert [type(c) for c in stored(whole)] == [int, int]
+        assert [type(c) for c in stored(half * 2)] == [int, int]
+        assert type(half.evaluate({"i": 3})) is int
+        assert half.evaluate({"i": 2}) == Fraction(3, 2)
+
+    def test_cancelled_terms_are_not_stored(self):
+        i, j = Affine.var("i"), Affine.var("j", Fraction(1, 3))
+        assert (i + j - i - j).coeffs == ()
+        assert (i + j - i).coeffs == (("j", Fraction(1, 3)),)
+        assert (i + j).substitute({"j": -3 * i}).coeffs == ()
+        assert (i * 0).coeffs == () and Affine.var("i", 0.0).coeffs == ()
+
+    @pytest.mark.parametrize("one", [True, 1.0, Fraction(1), Fraction(3, 3)])
+    def test_bools_and_integral_floats_become_ints(self, one):
+        for form in (
+            Affine.constant(one),
+            Affine.var("i", one) + one,
+            Affine.var("i") * one - one,
+            Affine.from_terms(one, {"i": one}),
+            Affine.var("i").substitute({"i": one}),
+        ):
+            assert all(type(c) is int for c in stored(form)), form
+        assert type(Affine.var("i").evaluate({"i": one})) is int
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Affine.constant(0.5),
+            lambda: Affine.var("i", 0.25),
+            lambda: Affine.var("i") + 0.5,
+            lambda: Affine.var("i") - 0.5,
+            lambda: 0.5 - Affine.var("i"),
+            lambda: Affine.var("i") * 1.5,
+            lambda: Affine.from_terms(0, {"i": 2.5}),
+            lambda: Affine.var("i").substitute({"i": 0.5}),
+            lambda: Affine.var("i").evaluate({"i": 0.5}),
+            lambda: Affine.constant("1"),
+        ],
+    )
+    def test_no_float_ever_enters_a_form(self, build):
+        with pytest.raises(NotAffineError):
+            build()
+
+    def test_quotient_by_a_constant_is_an_exact_fraction(self):
+        half = (IndexVar("i") / 2).affine()
+        assert type(half.coeff("i")) is Fraction
+        assert half.coeff("i") == Fraction(1, 2)
+        two = (IndexVar("i") * 4 / 2).affine()
+        assert two == Affine.var("i", 2) and type(two.coeff("i")) is int
+        third = ((IndexVar("i") + 1) / (IndexVar("i") * 0 + 3)).affine()
+        assert stored(third) == (Fraction(1, 3), Fraction(1, 3))
+
+    def test_quotient_by_zero_or_a_variable_is_not_affine(self):
+        for expr in (IndexVar("i") / 0, IndexVar("i") / IndexVar("j")):
+            with pytest.raises(NotAffineError):
+                expr.affine()
 
 
 class TestArithmetic:

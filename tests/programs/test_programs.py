@@ -86,3 +86,23 @@ def test_registry_get():
 def test_paper_facts_present(name):
     facts = APPLICATIONS[name].paper_facts
     assert "arrays" in facts and "loop_nests" in facts
+
+
+def test_resolve_target_builds_each_program_once():
+    from repro.programs.registry import resolve_target
+
+    small = resolve_target("adi", {"N": 12})
+    large = resolve_target("adi", {"N": 40}, steps=3)
+    # one parse + validation per process; sizes and steps stay per call
+    assert small.program is large.program is resolve_target("adi").program
+    assert (small.params, large.params) == ({"N": 12}, {"N": 40})
+    assert (small.steps, large.steps) == (get("adi").steps, 3)
+    # default sizes are handed out as copies of the registry's
+    resolve_target("adi").params["N"] = 1
+    assert resolve_target("adi").params == dict(get("adi").default_params)
+    # fft is one program per n
+    fft16 = resolve_target("fft", {"n": 16})
+    assert fft16.program is resolve_target("fft", {"n": 16}).program
+    assert fft16.program is not resolve_target("fft", {"n": 32}).program
+    assert fft16.program == validate(build_fft(16))
+

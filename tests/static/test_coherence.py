@@ -112,6 +112,33 @@ def test_colsweep_witness_pinpoints_the_boundary():
     )
 
 
+def test_false_sharing_witness_names_two_distinct_elements():
+    # shrunk from tests/properties/test_coherence_props.py: the thread that
+    # touched line 4 first (t1) last *read* element 18 there — the element
+    # t0 then misses on — so the witness must name t1's neighbouring write
+    # (element 19) that invalidated the line, not 18 against itself
+    src = """
+    program rnd
+    param N
+    real A[N + 2, N + 2], B[N + 2, N + 2]
+    for i = 2, N - 1 {
+      for j = 2, N - 1 {
+        when j in [3:N - 2] { A[j + 1, i] = f(A[j - 1, i + 1], B[j, i]) }
+        B[j, i] = g(A[j, i])
+      }
+    }
+    """
+    prof = analyze_coherence(build(src), {"N": 6}, threads=4)
+    assert prof.witnesses and {w.kind for w in prof.witnesses} == {"false"}
+    for w in prof.witnesses:
+        assert w.elem_a != w.elem_b and w.thread_a != w.thread_b
+        assert w.elem_a // prof.line_elems == w.elem_b // prof.line_elems == w.line
+    assert prof.witnesses[0].render() == (
+        "false sharing on A line 4: t1 @(i=3, j=3) vs t0 @(i=2, j=4)"
+        " — distinct elements +3/+2"
+    )
+
+
 def test_padding_the_leading_dimension_clears_it():
     prof = analyze_coherence(
         build(COLSWEEP_PADDED), {"M": 28}, threads=4, steps=2

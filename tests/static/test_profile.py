@@ -95,3 +95,63 @@ def test_render_and_json_roundtrip():
     assert payload["classes"]
     assert payload["predicted"]["histogram"]
     assert payload["evadable_symbolic"]
+
+
+def test_attribution_reports_its_work_once_per_model():
+    """One ``attribute`` span under ``static-reuse`` carries the ladder's
+    call counts; the same integers land in ``analysis.static.*``."""
+    from repro.obs import SpanCollector
+    from repro.core import compile_variant
+
+    program = compile_variant(registry.get("adi").build(), "fusion").program
+    before = snapshot()["counters"]
+    with SpanCollector() as collector:
+        profile = analyze_program(program)
+    after = snapshot()["counters"]
+    (outer,) = [e for e in collector.events if e.name == "static-reuse"]
+    (inner,) = [e for e in collector.events if e.name == "attribute"]
+    assert inner.path == "static-reuse.attribute" and inner.depth == outer.depth + 1
+    assert inner.attrs["refs"] == outer.attrs["refs"] == len(profile.model.refs)
+    assert inner.attrs["components"] == sum(
+        len(c.components) for c in profile.classes
+    )
+    work = ("window_distance", "shift_candidates", "union_hulls", "eliminate")
+    for name in work:
+        calls = inner.attrs[name]
+        assert type(calls) is int and calls > 0, name
+        key = f"analysis.static.{name}"
+        assert after.get(key, 0) - before.get(key, 0) == calls
+    # a second model starts its own count: same program, same integers
+    with SpanCollector() as again:
+        analyze_program(program)
+    (second,) = [e for e in again.events if e.name == "attribute"]
+    assert {n: second.attrs[n] for n in work} == {n: inner.attrs[n] for n in work}
+
+
+def test_solve_delta_keeps_strided_shifts_exact():
+    """Stride-2 subscripts: an even offset is one iteration back, an odd
+    one is no iteration at all — never a float 0.5 rounded either way."""
+    from repro.static import build_model, solve_delta
+
+    model = build_model(
+        build(
+            """
+            program t
+            param N
+            real A[2 * N], B[N]
+            for i = 2, N {
+              A[2 * i] = f(A[2 * i - 2], A[2 * i - 1])
+              B[i] = g(A[2 * i])
+            }
+            """
+        )
+    )
+    even, odd, write, later, _ = model.refs
+    assert [str(r.subs[0]) for r in (even, odd, write, later)] == [
+        "2*i - 2", "2*i - 1", "2*i", "2*i",
+    ]
+    assert solve_delta(write, even) == (1,)
+    assert solve_delta(write, odd) is None
+    assert solve_delta(odd, even) is None
+    shift = solve_delta(write, later)
+    assert shift == (0,) and type(shift[0]) is int

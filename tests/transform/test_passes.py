@@ -1,8 +1,10 @@
 """Preliminary transformation tests (§4.1)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.lang import TransformError, parse
+from repro.lang import TransformError, ValidationError, parse
 from repro.transform import (
     distribute_loops,
     inline_procedures,
@@ -242,6 +244,37 @@ class TestSimplify:
         assert "A[i]" in text
         assert "(i - 1)" in text or "i - 1" in text
         assert_same_semantics(p, q)
+
+    def test_zero_divisor_stays_unfolded(self):
+        # validate rejects a literal ``/ 0`` in source; a pass or a builder
+        # can still make one, and folding it must not raise from a pipeline
+        from repro.core.pipeline import compile_pipeline
+        from repro.lang import BinOp, Const
+
+        p = build(
+            """
+            program t
+            param N
+            real A[N], B[N]
+            for i = 1, N { A[i] = B[i] + 1.0 }
+            """
+        )
+        (loop,) = p.body
+        (stmt,) = loop.body
+        for divisor in (Const(0), Const(2) - Const(2), Const(0.0)):
+            quotient = BinOp("/", Const(1), divisor)
+            bad = p.with_body(
+                (replace(loop, body=(replace(stmt, expr=stmt.expr + quotient),)),)
+            )
+            q = simplify_program(bad)
+            assert q.body[0].body[0].expr.right == BinOp("/", Const(1), Const(0))
+            # the pipeline's exit validation names it instead of a traceback
+            with pytest.raises(ValidationError, match="division by literal zero"):
+                compile_pipeline(bad, "noopt")
+        # a data-value quotient with a nonzero divisor still folds
+        ok = replace(stmt, expr=BinOp("/", Const(1.5), Const(4)))
+        q = simplify_program(p.with_body((replace(loop, body=(ok,)),)))
+        assert q.body[0].body[0].expr == Const(0.375)
 
     def test_scalar_constant_propagation(self):
         p = build(

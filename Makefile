@@ -3,9 +3,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test self-lint smoke perf-quick tune-check bandwidth-check benchmarks bench-tune bench-membw
+.PHONY: check lint test self-lint smoke perf-quick perf-selfcheck tune-check bandwidth-check benchmarks bench-tune bench-membw
 
-check: lint test self-lint smoke perf-quick tune-check bandwidth-check
+check: lint test self-lint smoke perf-quick perf-selfcheck tune-check bandwidth-check
 
 # ruff is optional in minimal environments; skip (loudly) when absent
 lint:
@@ -47,6 +47,12 @@ smoke:
 # exits 1 on any failed check, < 1 min
 perf-quick:
 	$(PYTHON) perf/run.py --quick --trace 1
+
+# the ledger's own tests (perf/ is outside tier-1's testpaths): the
+# harness, compare.py's verdict rule and expected.json stay in step with
+# the package between the PRs that spend the ledger, < 1 min
+perf-selfcheck:
+	$(PYTHON) -m pytest perf -q
 
 # autotuner regression gate: the committed BENCH_tune.json best pipelines
 # must never predict more misses than any named level, and every

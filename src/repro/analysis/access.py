@@ -50,12 +50,6 @@ class RefAccess:
     active_hi: Optional[Affine]
     text: str = ""
 
-    def is_variant(self) -> bool:
-        return any(d.kind is DimKind.VARIANT for d in self.dims)
-
-    def has_complex(self) -> bool:
-        return any(d.kind is DimKind.COMPLEX for d in self.dims)
-
     def shifted(self, shift: Affine) -> "RefAccess":
         """Translate from a member frame into the fused frame.
 

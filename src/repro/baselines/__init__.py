@@ -2,12 +2,9 @@
 Belady-optimal replacement."""
 
 from .belady import simulate_belady
-from .mckinley import mckinley_compile, mckinley_options
-from .sgi_like import sgi_compile
+from .mckinley import mckinley_options
 
 __all__ = [
-    "mckinley_compile",
     "mckinley_options",
-    "sgi_compile",
     "simulate_belady",
 ]

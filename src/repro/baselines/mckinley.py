@@ -8,18 +8,12 @@ produced marginal improvements; the comparator benchmarks reproduce that
 gap.
 
 :func:`mckinley_transform` is the program transformation the
-``mckinley`` pipeline pass runs; :func:`mckinley_compile` is the
-historical one-call front that also assembles the
-:class:`~repro.core.pipeline.CompiledVariant`.
+``mckinley`` pipeline pass runs.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from ..core.fusion import FusionOptions, FusionReport, fuse_program
-from ..core.pipeline import CompiledVariant
-from ..core.regroup import default_layout
 from ..lang import Program, validate
 from ..transform import inline_procedures, simplify_program
 
@@ -38,15 +32,3 @@ def mckinley_transform(program: Program) -> tuple[Program, FusionReport]:
     p = validate(simplify_program(inline_procedures(program)))
     fused, report = fuse_program(p, max_levels=8, options=mckinley_options())
     return validate(simplify_program(fused)), report
-
-
-def mckinley_compile(program: Program, stages: dict) -> CompiledVariant:
-    fused, report = mckinley_transform(program)
-    stages["mckinley"] = fused.stats()
-    return CompiledVariant(
-        "mckinley",
-        fused,
-        partial(default_layout, fused),
-        fusion_report=report,
-        stages=stages,
-    )

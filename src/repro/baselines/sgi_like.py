@@ -17,17 +17,12 @@ This stand-in therefore performs:
   cache-set pressure.
 
 :func:`sgi_transform` is the program transformation the ``sgi`` pipeline
-pass runs; :func:`sgi_compile` is the historical one-call front that also
-assembles the :class:`~repro.core.pipeline.CompiledVariant`.
+pass runs (the pass adds the padded layout).
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from ..core.fusion import FusionOptions
-from ..core.pipeline import CompiledVariant
-from ..core.regroup import padded_layout
 from ..lang import Program, validate
 from ..transform import inline_procedures, simplify_program
 
@@ -54,14 +49,3 @@ def sgi_transform(program: Program) -> Program:
             body.append(stmt)
     engine.access_memo.publish()
     return validate(simplify_program(p.with_body(body)))
-
-
-def sgi_compile(program: Program, stages: dict) -> CompiledVariant:
-    p = sgi_transform(program)
-    stages["sgi"] = p.stats()
-    return CompiledVariant(
-        "sgi",
-        p,
-        partial(padded_layout, p),
-        stages=stages,
-    )

@@ -792,14 +792,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
         program = target.program
         bag = lint_program(program, assume=args.assume)
         if args.static:
-            from .codegen.plan import lint_codegen
             from .static import lint_static
             from .verify import lint_coherence, lint_races
 
             bag.extend(
                 lint_static(program, steps=target.steps, assume=args.assume)
             )
-            bag.extend(lint_codegen(program))
             bag.extend(lint_races(program))
             bag.extend(lint_coherence(program, steps=target.steps))
         bags[program.name] = bag

@@ -7,23 +7,20 @@ by the differential suite under ``tests/codegen/``.
 :func:`trace_program` is whole-nest vectorized trace generation — every
 loop level is enumerated as numpy index arrays (no Python work per
 iteration), guards split instance frames by membership masks, and the
-per-step stream is tiled across time steps.  It falls back cleanly, per
-top-level nest, to the interpreter-based oracle for any construct
-outside the supported subset, recording ``codegen.*`` fallback metrics
-so the degradation is observable (and lintable, code S401).
+per-step stream is tiled across time steps.  It reads the same lowered
+form as the oracle (integer address records, see
+:mod:`repro.interp.tracegen`), so a program outside the supported input
+— anything not integer-affine after parameter binding — is one
+:class:`~repro.lang.AnalysisError` raised by that shared lowering, not a
+second code path.
 
 Programs are *executed* by :func:`repro.interp.run_program` only.
 """
 
-from .lowering import CodegenUnsupported, int_affine, trace_fingerprint
-from .plan import CodegenPlan, plan_program
+from .lowering import trace_fingerprint
 from .tracer import trace_program
 
 __all__ = [
-    "CodegenPlan",
-    "CodegenUnsupported",
-    "int_affine",
-    "plan_program",
     "trace_fingerprint",
     "trace_program",
 ]

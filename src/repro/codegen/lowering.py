@@ -1,54 +1,17 @@
-"""Shared lowering utilities for the codegen backends.
+"""Trace fingerprints for the codegen differential suite.
 
-The supported subset is *integer affine*: after folding the concrete
-parameter binding into an :class:`~repro.lang.Affine` form, every
-remaining coefficient and the constant must be integers over loop
-variables.  Anything else (fractional strides, unbound guard indices,
-un-inlined calls, packing-capacity overflow) raises
-:class:`CodegenUnsupported`, which the backends catch to fall back to
-the interpreter oracle — out-of-bounds accesses, by contrast, stay
-:class:`~repro.lang.AnalysisError` exactly as in the interpreter path.
+The lowering itself is shared with the interpreter tracer
+(:class:`repro.interp.tracegen._Compiler`: integer address records, an
+:class:`~repro.lang.AnalysisError` for anything that is not
+integer-affine after binding); what is left here is the hash the golden
+fingerprints and the perf ledger compare traces by.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping
 
 import numpy as np
-
-from ..lang import Affine
-
-
-class CodegenUnsupported(Exception):
-    """A construct falls outside the codegen backend's supported subset."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
-def int_affine(
-    form: Affine, params: Mapping[str, int]
-) -> tuple[int, tuple[tuple[str, int], ...]]:
-    """Fold ``params`` into ``form``; require integral residual terms.
-
-    Returns ``(const, ((var, coeff), ...))`` over loop variables only.
-    """
-    const = form.const
-    terms = []
-    for name, coeff in form.coeffs:
-        if name in params:
-            const += coeff * params[name]
-        else:
-            if coeff.denominator != 1:
-                raise CodegenUnsupported(
-                    f"fractional coefficient {coeff} of {name!r}"
-                )
-            terms.append((name, int(coeff)))
-    if const.denominator != 1:
-        raise CodegenUnsupported(f"fractional constant {const} after binding")
-    return int(const), tuple(terms)
 
 
 def trace_fingerprint(trace) -> str:

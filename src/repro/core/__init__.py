@@ -1,7 +1,7 @@
 """The paper's primary contribution: reuse-based loop fusion, multi-level
 data regrouping, and the pipeline combining them."""
 
-from .fusion import FusionOptions, FusionReport, fuse_level, fuse_program
+from .fusion import FusionOptions, FusionReport, fuse_program
 from .pipeline import (
     OPT_LEVELS,
     CompiledVariant,
@@ -41,7 +41,6 @@ __all__ = [
     "known_levels",
     "resolve_pipeline",
     "default_layout",
-    "fuse_level",
     "fuse_program",
     "padded_layout",
     "preliminary",

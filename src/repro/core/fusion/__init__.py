@@ -1,7 +1,7 @@
 """Reuse-based loop fusion (paper §2.3): the first half of the strategy."""
 
 from .codegen import peel_iterations, unit_to_stmts
-from .greedy import FusionEvent, FusionOptions, LevelReport, fuse_level
+from .greedy import FusionEvent, FusionOptions, LevelReport
 from .multilevel import FusionReport, fuse_program
 from .unit import Embed, FusionUnit, Member
 
@@ -13,7 +13,6 @@ __all__ = [
     "FusionUnit",
     "LevelReport",
     "Member",
-    "fuse_level",
     "fuse_program",
     "peel_iterations",
     "unit_to_stmts",

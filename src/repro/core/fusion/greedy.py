@@ -1,6 +1,6 @@
 """Reuse-based greedy loop fusion — the paper's Fig. 6 algorithm.
 
-``fuse_level`` runs one level of fusion over a statement list:
+``_LevelFuser`` runs one level of fusion over a statement list:
 
 * iterate statements first to last; for each, search backwards for the
   closest predecessor that shares data (``GreedilyFuse``);
@@ -347,30 +347,3 @@ class _LevelFuser:
             "peel", f"{loop.label or loop.index}: first {peel} iteration(s)"
         )
         return self._fuse_loops(j, k)
-
-
-def fuse_level(
-    body: Sequence[Stmt],
-    params: Sequence[str],
-    options: FusionOptions = FusionOptions(),
-    fresh: Optional[FreshNames] = None,
-    fixed: Sequence[str] = (),
-    assume: Optional[Assumptions] = None,
-) -> tuple[list[Stmt], LevelReport]:
-    """Fuse one level of a statement list; returns (new body, report).
-
-    ``fixed`` lists names that are symbolic constants at this level (the
-    program parameters plus any enclosing loop indices); ``assume`` carries
-    their lower bounds for symbolic comparison.
-    """
-    if fresh is None:
-        fresh = FreshNames(set(params))
-        from ...transform.subst import bound_names
-
-        fresh.reserve(bound_names(body))
-    report = LevelReport()
-    access_memo = AccessMemo()
-    fuser = _LevelFuser(params, options, fresh, report, access_memo, fixed, assume)
-    new_body = fuser.run(body)
-    access_memo.publish()
-    return new_body, report

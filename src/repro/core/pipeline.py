@@ -51,7 +51,6 @@ __all__ = [
 
 def preliminary(
     program: Program,
-    max_unroll: int = 5,
     distribute: bool = True,
     verifier: Optional[PassVerifier] = None,
 ) -> Program:
@@ -63,7 +62,7 @@ def preliminary(
     every pass in turn (raising :class:`~repro.verify.PassLegalityError`
     on the first broken dependence).
     """
-    ctx = PassContext(max_unroll=max_unroll)
+    ctx = PassContext()
     manager = PassManager(verifier)
     p = manager.run_passes(program, preliminary_steps(distribute), ctx)
     return validate(p)
@@ -72,9 +71,7 @@ def preliminary(
 def compile_pipeline(
     program: Program,
     pipeline: Union[str, Sequence[str], PipelineSpec],
-    fusion_options=None,
     regroup_options=None,
-    max_unroll: int = 5,
     verify: Union[bool, PassVerifier] = False,
     verify_params: Optional[Mapping[str, int]] = None,
 ) -> CompiledVariant:
@@ -89,21 +86,14 @@ def compile_pipeline(
         verifier: Optional[PassVerifier] = verify
     else:
         verifier = PassVerifier(program, verify_params) if verify else None
-    ctx = PassContext(
-        level=spec.name,
-        max_unroll=max_unroll,
-        fusion_options=fusion_options,
-        regroup_options=regroup_options,
-    )
+    ctx = PassContext(level=spec.name, regroup_options=regroup_options)
     return PassManager(verifier).run(program, spec, ctx)
 
 
 def compile_variant(
     program: Program,
     level: str,
-    fusion_options=None,
     regroup_options=None,
-    max_unroll: int = 5,
     verify: Union[bool, PassVerifier] = False,
     verify_params: Optional[Mapping[str, int]] = None,
 ) -> CompiledVariant:
@@ -128,9 +118,7 @@ def compile_variant(
     return compile_pipeline(
         program,
         level,
-        fusion_options=fusion_options,
         regroup_options=regroup_options,
-        max_unroll=max_unroll,
         verify=verify,
         verify_params=verify_params,
     )

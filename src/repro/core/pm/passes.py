@@ -19,9 +19,8 @@ Its contract:
     whether the pass-legality verifier checks this pass at all
     (``False`` only for analysis passes that do not touch the program).
 
-Passes are stateless; per-run inputs (unroll limits, fusion options)
-come from the :class:`PassContext` or from per-step ``options`` in the
-pipeline spec.
+Passes are stateless; per-run inputs (regrouping options) come from the
+:class:`PassContext` or from per-step ``options`` in the pipeline spec.
 """
 
 from __future__ import annotations
@@ -32,21 +31,23 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 
 from ...lang import Program, TransformError
 
+#: §4.1 step 2: loops and leading array dimensions up to this constant
+#: extent are unrolled / split (one value for both, so every unrolled
+#: subscript finds its plane)
+MAX_UNROLL = 5
+
 
 @dataclass
 class PassContext:
     """Everything a pass may read or deposit during one pipeline run."""
 
     level: str = ""
-    max_unroll: int = 5
-    fusion_options: Optional[object] = None
     regroup_options: Optional[object] = None
     #: structural checkpoints (the §4.4 tables read these)
     stages: dict[str, dict] = field(default_factory=dict)
     #: byproducts deposited by passes
     fusion_report: Optional[object] = None
     regroup_plan: Optional[object] = None
-    codegen_plan: Optional[object] = None
     layout_factory: Optional[Callable] = None
     #: the open span of the currently running pass (set by the manager)
     _span: Optional[object] = None
@@ -123,13 +124,13 @@ def _inline(program: Program, ctx: PassContext) -> Program:
 def _unroll(program: Program, ctx: PassContext) -> Program:
     from ...transform import unroll_small_loops
 
-    return unroll_small_loops(program, ctx.max_unroll)
+    return unroll_small_loops(program, MAX_UNROLL)
 
 
 def _split_arrays(program: Program, ctx: PassContext) -> Program:
     from ...transform import split_arrays
 
-    return split_arrays(program, ctx.max_unroll)
+    return split_arrays(program, MAX_UNROLL)
 
 
 def _distribute(program: Program, ctx: PassContext) -> Program:
@@ -153,9 +154,7 @@ def _simplify(program: Program, ctx: PassContext) -> Program:
 def _fusion(program: Program, ctx: PassContext, max_levels: int = 8) -> Program:
     from ..fusion import fuse_program
 
-    fused, report = fuse_program(
-        program, max_levels=max_levels, options=ctx.fusion_options
-    )
+    fused, report = fuse_program(program, max_levels=max_levels)
     ctx.fusion_report = report
     return fused
 
@@ -181,24 +180,6 @@ def _sgi(program: Program, ctx: PassContext) -> Program:
     ctx.stages["sgi"] = p.stats()
     ctx.layout_factory = partial(padded_layout, p)
     return p
-
-
-def _codegen_plan(program: Program, ctx: PassContext) -> Program:
-    """Classify nests for the codegen backend; the program is untouched."""
-    from ...codegen.plan import plan_program
-
-    plan = plan_program(program)
-    ctx.codegen_plan = plan
-    ctx.annotate(
-        nests=len(plan.nests),
-        fallback_nests=len(plan.fallback_nests),
-    )
-    ctx.stages["codegen"] = {
-        "nests": len(plan.nests),
-        "fallback_nests": len(plan.fallback_nests),
-        "summary": plan.summary(),
-    }
-    return program
 
 
 def _mckinley(program: Program, ctx: PassContext) -> Program:
@@ -243,11 +224,6 @@ register_pass(FunctionPass(
 register_pass(FunctionPass(
     "regroup", _regroup,
     description="multi-level data regrouping plan + layout (§3, Fig. 8)",
-    certify=False,
-))
-register_pass(FunctionPass(
-    "codegen-plan", _codegen_plan,
-    description="classify nests for the codegen trace backend (analysis only)",
     certify=False,
 ))
 register_pass(FunctionPass(

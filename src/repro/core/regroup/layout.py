@@ -140,11 +140,6 @@ class Layout:
                     )
                 seen[addr] = (p.name, tuple(idx))
 
-    def span_bytes(self) -> int:
-        return self.total_elems * max(
-            (p.elem_size for p in self.placements.values()), default=8
-        )
-
 
 def default_layout(program: Program, params: Mapping[str, int]) -> Layout:
     """Arrays placed back to back, column-major, no padding or grouping."""

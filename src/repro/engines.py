@@ -16,51 +16,31 @@ tracer is picked:
 ``"fast+interp"``, ``"codegen+reference"``, ...
     pick both, in either order, joined by ``+``.
 
-Defaults come from ``REPRO_ENGINE`` (simulation, as before) and
-``REPRO_TRACE_ENGINE`` (tracer).  The tracer default is ``codegen``:
-the differential suite under ``tests/codegen/`` pins its traces
-bit-for-bit to the interpreter's, and anything outside the supported
-subset falls back to the interpreter per nest, so the fast path is
-safe to prefer.  Cached *results* are keyed by the simulation engine
-only — tracer choice never changes the bytes of a trace.
+A spec that leaves an axis out gets ``fast`` / ``codegen``; no
+environment variable changes that.  The oracles (``reference``,
+``interp``) are reached by naming them in ``engine=`` / ``--engine``.
+The tracer default is ``codegen``: the differential suite under
+``tests/codegen/`` pins its traces bit-for-bit to the interpreter's and
+both tracers reject the same inputs (they share one lowering), so the
+fast path is safe to prefer.  Cached *results* are keyed by the
+simulation engine only — tracer choice never changes the bytes of a
+trace.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .lang import SimulationError
 from .memsim import ENGINES as SIM_ENGINES
+from .memsim import default_engine as default_sim_engine
 
 TRACE_ENGINES = ("codegen", "interp")
 
 
-def default_sim_engine() -> str:
-    """The simulation engine used when a spec names none.
-
-    ``REPRO_ENGINE`` overrides the built-in ``fast`` default.  This is
-    the single parser of that variable — ``memsim.default_engine``
-    delegates here — so the CLI, :class:`~repro.harness.RunRequest`,
-    and the raw simulators all reject an unknown value identically.
-    """
-    engine = os.environ.get("REPRO_ENGINE", "fast")
-    if engine not in SIM_ENGINES:
-        raise SimulationError(
-            f"unknown REPRO_ENGINE {engine!r}; expected one of {SIM_ENGINES}"
-        )
-    return engine
-
-
 def default_trace_engine() -> str:
-    """The tracer used when a spec names none (env ``REPRO_TRACE_ENGINE``)."""
-    tracer = os.environ.get("REPRO_TRACE_ENGINE", "codegen")
-    if tracer not in TRACE_ENGINES:
-        raise ValueError(
-            f"unknown REPRO_TRACE_ENGINE {tracer!r}; expected one of {TRACE_ENGINES}"
-        )
-    return tracer
+    """The tracer used when a spec names none."""
+    return "codegen"
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from ..core import CompiledVariant, compile_pipeline, compile_variant
-from ..core.fusion import FusionOptions
 from ..engines import EngineSelection, resolve_engines
 from ..core.regroup import RegroupOptions
 from ..core.regroup.layout import Layout
@@ -139,7 +138,6 @@ def measure_variant(
     machine: MachineConfig,
     steps: int = 1,
     name: Optional[str] = None,
-    fusion_options: Optional[FusionOptions] = None,
     regroup_options: Optional[RegroupOptions] = None,
     engine: Union[None, str, EngineSelection] = None,
     cache: Optional[TraceCache] = None,
@@ -176,7 +174,6 @@ def measure_variant(
             variant = compile_pipeline(
                 program,
                 pipeline,
-                fusion_options=fusion_options,
                 regroup_options=regroup_options,
                 verify=verify,
             )
@@ -184,7 +181,6 @@ def measure_variant(
             variant = compile_variant(
                 program,
                 level,
-                fusion_options=fusion_options,
                 regroup_options=regroup_options,
                 verify=verify,
             )

@@ -51,7 +51,7 @@ class RunRequest:
         default to the registry entry's values (``machine`` also accepts
         a machine name, a :class:`~repro.programs.registry.MachineSpec`,
         or a built :class:`~repro.memsim.MachineConfig`);
-    ``fusion_options`` / ``regroup_options`` / ``engine`` / ``verify``
+    ``regroup_options`` / ``engine`` / ``verify``
         threaded to :func:`~repro.core.compile_variant` and the
         simulator exactly as their keyword twins there;
     ``cache``
@@ -73,7 +73,6 @@ class RunRequest:
     machine: Optional[Union[str, MachineConfig, object]] = None
     steps: Optional[int] = None
     name: Optional[str] = None
-    fusion_options: Optional[object] = None
     regroup_options: Optional[object] = None
     #: engine spec per :func:`repro.engines.resolve_engines`, e.g.
     #: "fast", "codegen", or "reference+interp"
@@ -161,7 +160,6 @@ def run(request: RunRequest) -> RunResult:
         machine=machine,
         steps=target.steps,
         name=target.name,
-        fusion_options=request.fusion_options,
         regroup_options=request.regroup_options,
         engine=request.engine,
         cache=_resolve_cache(request.cache),

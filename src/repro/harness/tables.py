@@ -6,7 +6,7 @@ these helpers keep the formatting consistent and dependency-free.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def format_table(
@@ -120,7 +120,3 @@ def geometric_mean(values: Sequence[float]) -> float:
     for v in clean:
         prod *= v
     return prod ** (1.0 / len(clean))
-
-
-def summarize_counts(counts: Mapping[str, int]) -> str:
-    return ", ".join(f"{k}={v:,}" for k, v in counts.items())

@@ -50,10 +50,6 @@ class AccessTrace:
     def __len__(self) -> int:
         return len(self.elems)
 
-    @property
-    def num_arrays(self) -> int:
-        return len(self.array_names)
-
     def global_keys(self) -> np.ndarray:
         """A single int64 key per access, unique per (array, element).
 

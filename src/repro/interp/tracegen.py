@@ -3,13 +3,22 @@
 Generating the address stream does not require computing values: every
 subscript is affine in loop indices, so the accesses of an innermost loop
 form arithmetic sequences.  The generator compiles a program into a small
-internal form (precomputed affine linearizations per reference), walks
-outer loops in Python, and emits each innermost loop as a block of numpy
-arithmetic — including fused loops with boundary :class:`Guard` statements,
-which are segmented into runs where the active statement list is constant.
+internal form, walks outer loops in Python, and emits each innermost loop
+as a block of numpy arithmetic — including fused loops with boundary
+:class:`Guard` statements, which are segmented into runs where the active
+statement list is constant.
 
-This is the fast path the guides call for: the per-access work in the hot
-dimension is a handful of vectorized ops rather than a Python-level eval.
+The internal form is the one lowering both tracers read (the codegen
+tracer evaluates the same nodes over numpy frames).  :class:`_Compiler`
+folds the bound parameters into every subscript linearisation ``Σ (sub −
+1) · stride``, loop bound and guard bound once and stores the result as
+an integer *address record* ``(const, ((loop var, coeff), …))``;
+evaluating one is integer arithmetic over the live loop variables.  The
+supported input is therefore *integer-affine after binding*: a
+fractional residue (``A[i / 2]``, ``for i = 1, N / 2`` at an odd ``N``)
+is an :class:`~repro.lang.AnalysisError` naming the reference or loop
+and the binding — the interpreter's own "non-integral bound" rule, stated
+once for both tracers, instead of a truncated address.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from ..lang import (
     CallStmt,
     Guard,
     Loop,
+    NotAffineError,
     Program,
     Stmt,
     ZERO,
@@ -38,13 +48,24 @@ from .trace import AccessTrace, RefInfo, TraceBuilder
 
 _FLUSH_THRESHOLD = 65536
 
+#: integer address record ``const + Σ coeff · loop var``, parameters folded in
+_Record = tuple[int, tuple[tuple[str, int], ...]]
+
+
+def _at(record: _Record, env: Mapping[str, int]) -> int:
+    """Value of an address record at the loop-variable binding ``env``."""
+    value, terms = record
+    for name, coeff in terms:
+        value += coeff * env[name]
+    return value
+
 
 @dataclass(frozen=True)
 class _CRef:
     ref_id: int
     array_id: int
     is_write: bool
-    linform: Affine  # canonical element index as an affine form
+    linform: _Record  # canonical (column-major) element index
 
 
 @dataclass(frozen=True)
@@ -56,7 +77,7 @@ class _CAssign:
 @dataclass(frozen=True)
 class _CGuard:
     index: str
-    intervals: tuple[tuple[Affine, Affine], ...]
+    intervals: tuple[tuple[_Record, _Record], ...]
     body: tuple["_CNode", ...]
     else_body: tuple["_CNode", ...]
 
@@ -64,8 +85,8 @@ class _CGuard:
 @dataclass(frozen=True)
 class _CLoop:
     index: str
-    lower: Affine
-    upper: Affine
+    lower: _Record
+    upper: _Record
     body: tuple["_CNode", ...]
     flat: bool  # True when no loop is nested anywhere below
 
@@ -84,17 +105,27 @@ class _Compiler:
         self.sizes = [math.prod(a.shape(params)) for a in program.arrays]
         self.refs: list[RefInfo] = []
         self.stmt_count = 0
-        self._linform_cache: dict[ArrayRef, Affine] = {}
+        self._linform_cache: dict[ArrayRef, _Record] = {}
 
-    def linform(self, ref: ArrayRef) -> Affine:
+    def fold(self, form: Affine, what: object) -> _Record:
+        """``form`` as an address record; the error names the reference,
+        loop or guard ``what`` it belongs to, and the binding."""
+        try:
+            return form.fold(self.params)
+        except NotAffineError as exc:
+            raise AnalysisError(
+                f"cannot trace `{what}` at {dict(self.params)}: {exc}"
+            ) from None
+
+    def linform(self, ref: ArrayRef) -> _Record:
         # memoized: textually repeated references are common
-        form = self._linform_cache.get(ref)
-        if form is None:
+        record = self._linform_cache.get(ref)
+        if record is None:
             form = ZERO
             for sub, stride in zip(ref.indices, self.strides[ref.array]):
                 form = form + (sub.affine() - 1) * stride
-            self._linform_cache[ref] = form
-        return form
+            record = self._linform_cache[ref] = self.fold(form, ref)
+        return record
 
     def make_ref(self, ref: ArrayRef, stmt_id: int, is_write: bool) -> _CRef:
         ref_id = len(self.refs)
@@ -119,14 +150,23 @@ class _Compiler:
         if isinstance(stmt, Guard):
             return _CGuard(
                 stmt.index,
-                tuple((iv.lower, iv.upper) for iv in stmt.intervals),
+                tuple(
+                    (self.fold(iv.lower, stmt), self.fold(iv.upper, stmt))
+                    for iv in stmt.intervals
+                ),
                 self.compile_body(stmt.body),
                 self.compile_body(stmt.else_body),
             )
         if isinstance(stmt, Loop):
             body = self.compile_body(stmt.body)
             flat = not any(_contains_loop(n) for n in body)
-            return _CLoop(stmt.index, stmt.lower.affine(), stmt.upper.affine(), body, flat)
+            return _CLoop(
+                stmt.index,
+                self.fold(stmt.lower.affine(), stmt),
+                self.fold(stmt.upper.affine(), stmt),
+                body,
+                flat,
+            )
         if isinstance(stmt, CallStmt):
             raise AnalysisError(
                 f"trace generation requires inlined programs; found call to {stmt.proc!r}"
@@ -143,10 +183,7 @@ def _contains_loop(node: _CNode) -> bool:
 
 
 class _Generator:
-    def __init__(
-        self, compiled: tuple[_CNode, ...], compiler: _Compiler, with_instr: bool
-    ) -> None:
-        self.compiled = compiled
+    def __init__(self, compiler: _Compiler, with_instr: bool) -> None:
         self.with_instr = with_instr
         self.builder = TraceBuilder(
             [a.name for a in compiler.program.arrays],
@@ -185,7 +222,7 @@ class _Generator:
         instr = self.builder.instr_count
         self.builder.instr_count += 1
         for ref in node.refs:
-            elem = int(ref.linform.evaluate(self.env))
+            elem = _at(ref.linform, self.env)
             if not 0 <= elem < self.sizes[ref.array_id]:
                 raise AnalysisError(
                     f"out-of-bounds access: element {elem} of array "
@@ -223,8 +260,8 @@ class _Generator:
             if span is not None:
                 lo, hi = span
             else:
-                lo = int(node.lower.evaluate(self.env))
-                hi = int(node.upper.evaluate(self.env))
+                lo = _at(node.lower, self.env)
+                hi = _at(node.upper, self.env)
             if lo > hi:
                 return
             if node.flat:
@@ -238,10 +275,10 @@ class _Generator:
             raise AnalysisError(f"unknown node {node!r}")
 
     def _member(self, guard: _CGuard, value: int) -> bool:
-        for lo, hi in guard.intervals:
-            if lo.evaluate(self.env) <= value <= hi.evaluate(self.env):
-                return True
-        return False
+        return any(
+            _at(lo, self.env) <= value <= _at(hi, self.env)
+            for lo, hi in guard.intervals
+        )
 
     # -- vectorized innermost loop ---------------------------------------------
 
@@ -278,12 +315,12 @@ class _Generator:
             if isinstance(node, _CGuard):
                 if node.index == var:
                     for lo_f, hi_f in node.intervals:
-                        if lo_f.coeff(var) != 0 or hi_f.coeff(var) != 0:
+                        if any(name == var for name, _ in lo_f[1] + hi_f[1]):
                             raise AnalysisError(
                                 f"guard interval on {var!r} may not reference {var!r}"
                             )
-                        a = int(lo_f.evaluate(self.env))
-                        b = int(hi_f.evaluate(self.env))
+                        a = _at(lo_f, self.env)
+                        b = _at(hi_f, self.env)
                         if a <= hi and b >= lo:
                             cuts.add(max(a, lo))
                             cuts.add(min(b + 1, hi + 1))
@@ -298,13 +335,9 @@ class _Generator:
             if isinstance(node, _CAssign):
                 out.append(node)
             elif isinstance(node, _CGuard):
-                if node.index == var:
-                    member = any(
-                        lo.evaluate(self.env) <= point <= hi.evaluate(self.env)
-                        for lo, hi in node.intervals
-                    )
-                else:
-                    member = self._member(node, self.env[node.index])
+                member = self._member(
+                    node, point if node.index == var else self.env[node.index]
+                )
                 self._resolve(node.body if member else node.else_body, var, point, out)
             else:  # pragma: no cover - flat loops contain no loops
                 raise AnalysisError("loop inside flat segment")
@@ -318,28 +351,29 @@ class _Generator:
         cols_ref: list[int] = []
         cols_stmt_ord: list[int] = []
         specs: list[tuple[int, int]] = []  # (base, slope) per column
-        env = self.env
-        env[var] = 0
         for ordinal, assign in enumerate(assigns):
             for ref in assign.refs:
-                slope = ref.linform.coeff(var)
-                base = ref.linform.evaluate(env)
-                specs.append((int(base), int(slope)))
+                base, terms = ref.linform
+                slope = 0
+                for name, coeff in terms:
+                    if name == var:
+                        slope = coeff
+                    else:
+                        base += coeff * self.env[name]
+                specs.append((base, slope))
                 cols_aid.append(ref.array_id)
                 cols_write.append(ref.is_write)
                 cols_ref.append(ref.ref_id)
                 cols_stmt_ord.append(ordinal)
                 # endpoint bounds check (linear in var => endpoints suffice)
                 for endpoint in (lo, hi):
-                    elem = int(base) + int(slope) * endpoint
+                    elem = base + slope * endpoint
                     if not 0 <= elem < self.sizes[ref.array_id]:
-                        del env[var]
                         raise AnalysisError(
                             f"out-of-bounds access: array #{ref.array_id} element "
                             f"{elem} (size {self.sizes[ref.array_id]}) "
                             f"for {var}={endpoint} in segment [{lo},{hi}]"
                         )
-        del env[var]
         ncols = len(specs)
         if ncols == 0:
             return
@@ -385,9 +419,7 @@ class NestTracer:
         self.nests = self.compiler.compile_body(program.body)
 
     def generator(self, with_instr: bool = False) -> _Generator:
-        gen = _Generator(self.nests, self.compiler, with_instr)
-        gen.env.update(self.params)
-        return gen
+        return _Generator(self.compiler, with_instr)
 
     def outer_bounds(self, nest: int) -> Optional[tuple[int, int]]:
         """Inclusive range of the nest's outermost loop — what a schedule
@@ -395,10 +427,7 @@ class NestTracer:
         node = self.nests[nest]
         if not isinstance(node, _CLoop):
             return None
-        return (
-            int(node.lower.evaluate(self.params)),
-            int(node.upper.evaluate(self.params)),
-        )
+        return _at(node.lower, {}), _at(node.upper, {})
 
     def trace(
         self, nest: int, span: Optional[tuple[int, int]] = None
@@ -429,24 +458,19 @@ class NestTracer:
                 left -= 1
                 if any(
                     ref.array_id == array_id
-                    and int(ref.linform.evaluate(env)) == elem
+                    and _at(ref.linform, env) == elem
                     for ref in node.refs
                 ):
-                    return tuple(
-                        kv for kv in env.items() if kv[0] not in self.params
-                    )
+                    return tuple(env.items())
                 return None
             if isinstance(node, _CGuard):
                 value = env[node.index]
                 member = any(
-                    lo.evaluate(env) <= value <= hi.evaluate(env)
+                    _at(lo, env) <= value <= _at(hi, env)
                     for lo, hi in node.intervals
                 )
                 return walk_body(node.body if member else node.else_body, env)
-            lo, hi = span or (
-                int(node.lower.evaluate(env)),
-                int(node.upper.evaluate(env)),
-            )
+            lo, hi = span or (_at(node.lower, env), _at(node.upper, env))
             for value in range(lo, hi + 1):
                 env[node.index] = value
                 found = walk_body(node.body, env)
@@ -463,7 +487,7 @@ class NestTracer:
             return None
 
         for nest, span in segments:
-            found = walk(self.nests[nest], dict(self.params), span)
+            found = walk(self.nests[nest], {}, span)
             if found is not None:
                 return found
         return ()

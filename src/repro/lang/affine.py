@@ -197,6 +197,33 @@ class Affine:
                 const += _frac(bound) * c
         return Affine.from_terms(const, terms)
 
+    def fold(
+        self, params: Mapping[str, int]
+    ) -> tuple[int, tuple[tuple[str, int], ...]]:
+        """Fold the names bound in ``params`` into the constant.
+
+        Returns the integer record ``(const, ((name, coeff), ...))`` over
+        the names left free — what the tracers evaluate per iteration and
+        the parallelism analysis solves over.  A constant or coefficient
+        that is still fractional after the fold raises
+        :class:`NotAffineError`: the form does not denote an integer
+        subscript or bound at that binding.
+        """
+        const = self.const
+        terms = []
+        for name, coeff in self.coeffs:
+            if name in params:
+                const += coeff * params[name]
+            elif coeff.denominator != 1:
+                raise NotAffineError(
+                    f"fractional coefficient {coeff} of {name!r} in {self}"
+                )
+            else:
+                terms.append((name, int(coeff)))
+        if const.denominator != 1:
+            raise NotAffineError(f"fractional constant {const} in {self}")
+        return int(const), tuple(terms)
+
     def evaluate(self, env: Mapping[str, Number]) -> int | Fraction:
         """Fully evaluate; every variable must be bound in ``env``."""
         total = self.const
@@ -266,17 +293,6 @@ class Affine:
                 return None
             total += c * m
         return _frac(total)
-
-    def is_nonnegative(
-        self, assume: Union[int, "Assumptions"] = DEFAULT_PARAM_MIN
-    ) -> Optional[bool]:
-        s = (self + 1).sign(assume)  # self >= 0  <=>  self + 1 > 0 for ints
-        if s == 1:
-            return True
-        s2 = self.sign(assume)
-        if s2 == -1:
-            return False
-        return None
 
     # -- display ----------------------------------------------------------
 

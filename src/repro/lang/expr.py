@@ -239,13 +239,3 @@ class Call(Expr):
 def array_reads(expr: Expr) -> list[ArrayRef]:
     """All array references appearing in ``expr`` (document order)."""
     return [node for node in expr.walk() if isinstance(node, ArrayRef)]
-
-
-def scalar_reads(expr: Expr) -> list[ScalarRef]:
-    return [node for node in expr.walk() if isinstance(node, ScalarRef)]
-
-
-def free_index_vars(expr: Expr) -> frozenset[str]:
-    return frozenset(
-        node.name for node in expr.walk() if isinstance(node, IndexVar)
-    )

@@ -8,8 +8,6 @@ can be printed and inspected as code.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .affine import Affine
 from .expr import (
     ArrayRef,
@@ -133,11 +131,3 @@ def to_source(program: Program) -> str:
     for stmt in program.body:
         lines.extend(stmt_to_lines(stmt))
     return "\n".join(lines) + "\n"
-
-
-def body_to_source(stmts: Sequence[Stmt]) -> str:
-    """Render a statement list (handy in tests and error messages)."""
-    lines: list[str] = []
-    for s in stmts:
-        lines.extend(stmt_to_lines(s))
-    return "\n".join(lines)

@@ -65,17 +65,6 @@ class ArrayDecl:
     def extent_affines(self) -> tuple[Affine, ...]:
         return tuple(e.affine() for e in self.extents)
 
-    def size_elems(self, params: Mapping[str, int]) -> int:
-        total = 1
-        for e in self.extent_affines():
-            v = e.evaluate(params)
-            if v.denominator != 1 or v <= 0:
-                raise ValidationError(
-                    f"array {self.name!r} has non-positive extent {e} = {v}"
-                )
-            total *= int(v)
-        return total
-
     def shape(self, params: Mapping[str, int]) -> tuple[int, ...]:
         return tuple(int(e.evaluate(params)) for e in self.extent_affines())
 
@@ -142,9 +131,6 @@ class Program:
                 return a
         raise KeyError(name)
 
-    def has_array(self, name: str) -> bool:
-        return any(a.name == name for a in self.arrays)
-
     def array_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.arrays)
 
@@ -158,9 +144,6 @@ class Program:
 
     def with_body(self, body: Sequence[Stmt]) -> "Program":
         return replace(self, body=as_body(body))
-
-    def with_arrays(self, arrays: Sequence[ArrayDecl]) -> "Program":
-        return replace(self, arrays=tuple(arrays))
 
     # -- statistics (Fig. 9 substrate) ---------------------------------------
 

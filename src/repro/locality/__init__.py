@@ -8,7 +8,6 @@ from .evadable import (
     classify_evadable_sizes,
     classify_evadable_stats,
     evadable_change,
-    evadable_counts_by_threshold,
     mean_distance_growth,
     per_class_stats,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "classify_evadable_sizes",
     "classify_evadable_stats",
     "evadable_change",
-    "evadable_counts_by_threshold",
     "hit_ratio",
     "mean_distance_growth",
     "miss_count",

@@ -221,12 +221,3 @@ def mean_distance_growth(
         acc += stat.reuses * (stat.mean_distance / base.mean_distance)
         total_weight += stat.reuses
     return acc / total_weight if total_weight else 1.0
-
-
-def evadable_counts_by_threshold(
-    distances: np.ndarray, thresholds: Sequence[int]
-) -> dict[int, int]:
-    """Reuses with distance >= each threshold (size-sweep presentations)."""
-    d = np.asarray(distances)
-    reuse = d[d != COLD]
-    return {int(t): int(np.count_nonzero(reuse >= t)) for t in thresholds}

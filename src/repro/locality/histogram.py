@@ -43,9 +43,6 @@ class ReuseHistogram:
     def total(self) -> int:
         return self.total_reuses + self.cold
 
-    def max_bin(self) -> int:
-        return len(self.counts) - 1
-
     def count_ge(self, distance: int) -> int:
         """Number of reuses with distance >= ``distance`` (bin-resolution)."""
         if distance <= 0:

@@ -13,8 +13,7 @@ lists, the ground truth every optimization is checked against.  The
 miss masks and write-back counts with vectorized numpy set-partitioned
 processing, run-length compression, and a reuse-distance-style
 fully-associative path — several times faster on multi-million access
-traces.  Select per call via ``engine=`` or globally via the
-``REPRO_ENGINE`` environment variable; results are bit-identical (a
+traces.  Select per call via ``engine=``; results are bit-identical (a
 property-test suite pins the equivalence).
 """
 
@@ -33,15 +32,8 @@ ENGINES = ("fast", "reference")
 
 
 def default_engine() -> str:
-    """Engine used when none is requested (``REPRO_ENGINE`` overrides).
-
-    Delegates to :func:`repro.engines.default_sim_engine` — one parser
-    of the environment knob for every layer (imported lazily because
-    ``repro.engines`` imports this package for the engine names).
-    """
-    from ..engines import default_sim_engine
-
-    return default_sim_engine()
+    """Engine used when none is requested."""
+    return "fast"
 
 
 @dataclass(frozen=True)

@@ -59,16 +59,6 @@ class CacheGeometry:
         return elems(self.l2_bytes, self.elem_bytes)
 
     @classmethod
-    def from_machine(cls, machine) -> "CacheGeometry":
-        """Geometry of a :class:`~repro.memsim.MachineConfig`."""
-        return cls(
-            l1_bytes=machine.l1.size_bytes,
-            l2_bytes=machine.l2.size_bytes,
-            l1_line_bytes=machine.l1.line_bytes,
-            l2_line_bytes=machine.l2.line_bytes,
-        )
-
-    @classmethod
     def from_spec(cls, spec) -> "CacheGeometry":
         """Geometry of anything with ``l1_bytes``/``l2_bytes`` attributes
         (e.g. :class:`repro.programs.registry.MachineSpec`); line sizes

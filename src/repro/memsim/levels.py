@@ -54,19 +54,6 @@ class LevelResult:
     #: (:attr:`~repro.memsim.cache.CacheResult.work`)
     work: dict = field(default_factory=dict)
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def fill_bytes(self) -> int:
-        """Bytes pulled into this level (misses × line size)."""
-        return self.misses * self.line_bytes
-
-    @property
-    def writeback_bytes(self) -> int:
-        return self.writebacks * self.line_bytes
-
 
 @runtime_checkable
 class MemoryLevel(Protocol):

@@ -142,9 +142,6 @@ class SpanCollector:
                 parent.peak_kb = max(parent.peak_kb or 0.0, ev.peak_kb)
             tracemalloc.reset_peak()
 
-    def tree_events(self) -> list[SpanEvent]:
-        return list(self.events)
-
 
 def current_collector() -> Optional[SpanCollector]:
     """The active :class:`SpanCollector`, or None when not collecting."""

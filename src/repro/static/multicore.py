@@ -52,16 +52,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..lang import Program
+from ..lang import NotAffineError, Program
 from ..locality.histogram import ReuseHistogram
 from ..obs import metrics, span
 from .model import StaticRef
-from .parallelism import (
-    ParallelismProfile,
-    _Unsupported,
-    _interval,
-    analyze_parallelism,
-)
+from .parallelism import ParallelismProfile, analyze_parallelism, interval
 from .profile import StaticProfile, analyze_program, clamp_distance
 from .schedule import (
     chunk_count,
@@ -290,8 +285,8 @@ def _scope_ranges(
     the outermost range optionally replaced by a thread's span."""
     ranges: dict[str, tuple[int, int]] = {}
     for depth, ctx in enumerate(ref.scope):
-        lo, _ = _interval(ctx.lo, env, ranges)
-        _, hi = _interval(ctx.hi, env, ranges)
+        lo, _ = interval(ctx.lo, env, ranges)
+        _, hi = interval(ctx.hi, env, ranges)
         if depth == 0 and outer_span is not None:
             lo, hi = outer_span
         ranges[ctx.index] = (lo, hi)
@@ -309,8 +304,8 @@ def _ref_box(
     the affine subset the interval engine supports."""
     try:
         ranges = _scope_ranges(ref, env, outer_span)
-        return tuple(_interval(sub, env, ranges) for sub in ref.subs)
-    except _Unsupported:
+        return tuple(interval(sub, env, ranges) for sub in ref.subs)
+    except NotAffineError:
         return None
 
 
@@ -344,7 +339,7 @@ def _per_outer_accesses(
         return None
     try:
         ranges = _scope_ranges(ref, env)
-    except _Unsupported:
+    except NotAffineError:
         return None
     lo, hi = ranges[ref.scope[0].index]
     n = hi - lo + 1
@@ -376,7 +371,7 @@ def _boundary_fraction(
         return 0.0
     try:
         ranges = _scope_ranges(ref, env)
-    except _Unsupported:
+    except NotAffineError:
         return 0.0
     lo, hi = ranges[ref.scope[0].index]
     n = hi - lo + 1
@@ -414,7 +409,7 @@ def _thread_coverage(
         return 0.0
     try:
         outer_ranges = _scope_ranges(dst, env)
-    except _Unsupported:
+    except NotAffineError:
         return 0.0
     dlo, dhi = outer_ranges[dst.scope[0].index]
     if dhi < dlo:
@@ -444,7 +439,7 @@ def _thread_coverage(
             if r.nest in parallel and r.scope:
                 try:
                     r_ranges = _scope_ranges(r, env)
-                except _Unsupported:
+                except NotAffineError:
                     continue
                 rlo, rhi = r_ranges[r.scope[0].index]
                 if rhi < rlo:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ..lang import (
+    ZERO,
     Affine,
     AnalysisError,
     ArrayRef,
@@ -174,13 +175,6 @@ class ParallelismProfile:
     def races(self) -> tuple[AxisVerdict, ...]:
         return self.by_verdict("serial")
 
-    def outermost(self, nest: int) -> Optional[AxisVerdict]:
-        """The depth-0 axis verdict of top-level statement ``nest``."""
-        for v in self.verdicts:
-            if v.nest == nest and v.depth == 0:
-                return v
-        return None
-
     def parallel_nests(self) -> tuple[int, ...]:
         """Top-level nests whose outermost axis is DOALL or reduction."""
         out = []
@@ -230,40 +224,47 @@ class ParallelismProfile:
         }
 
 
-# -- affine folding (local: no interp/codegen import) ------------------------
+# -- affine folding (Affine.fold; no interp/codegen import) ------------------
+
+_Record = tuple[int, tuple[tuple[str, int], ...]]
 
 
-def _fold(form: Affine, params: Mapping[str, int]) -> tuple[int, dict[str, int]]:
-    """Fold parameters out of an affine form; require integer coeffs."""
-    const = form.const
-    terms: dict[str, int] = {}
-    for name, coeff in form.coeffs:
-        if name in params:
-            const += coeff * params[name]
-            continue
-        if coeff.denominator != 1:
-            raise _Unsupported(f"fractional coefficient {coeff} on {name!r}")
-        terms[name] = terms.get(name, 0) + int(coeff)
-    if const.denominator != 1:
-        raise _Unsupported(f"fractional constant {const}")
-    return int(const), {n: c for n, c in terms.items() if c}
-
-
-def _interval(
+def interval(
     form: Affine,
     params: Mapping[str, int],
     ranges: Mapping[str, tuple[int, int]],
 ) -> tuple[int, int]:
-    """Concrete [min, max] of a bound form over widened variable ranges."""
-    const, terms = _fold(form, params)
-    lo = hi = const
-    for name, coeff in terms.items():
+    """Concrete [min, max] of a bound form over widened variable ranges;
+    :class:`~repro.lang.NotAffineError` outside the integer-affine subset."""
+    lo, terms = form.fold(params)
+    hi = lo
+    for name, coeff in terms:
         rng = ranges.get(name)
         if rng is None:
-            raise _Unsupported(f"unbound loop variable {name!r}")
+            raise NotAffineError(f"unbound loop variable {name!r}")
         lo += min(coeff * rng[0], coeff * rng[1])
         hi += max(coeff * rng[0], coeff * rng[1])
     return lo, hi
+
+
+def _linearize(
+    ref: ArrayRef,
+    strides: Mapping[str, tuple[int, ...]],
+    params: Mapping[str, int],
+) -> _Record:
+    """The tracer's column-major element form ``Σ (sub − 1) · stride``."""
+    dims = strides.get(ref.array)
+    if dims is None:
+        raise _Unsupported(f"undeclared array {ref.array!r}")
+    if len(ref.indices) != len(dims):
+        raise _Unsupported(f"rank mismatch on {ref.array!r}")
+    try:
+        form = ZERO
+        for sub, stride in zip(ref.indices, dims):
+            form = form + (sub.affine() - 1) * stride
+        return form.fold(params)
+    except NotAffineError as exc:
+        raise _Unsupported(str(exc)) from exc
 
 
 # -- reference collection -----------------------------------------------------
@@ -361,26 +362,6 @@ class _Collector:
         self.exact = True  # False once a guard or context-widened bound appears
         self.per_lane = 0  # upper bound on accesses per axis iteration
 
-    def linearize(self, ref: ArrayRef) -> tuple[int, dict[str, int]]:
-        strides = self.strides.get(ref.array)
-        if strides is None:
-            raise _Unsupported(f"undeclared array {ref.array!r}")
-        if len(ref.indices) != len(strides):
-            raise _Unsupported(f"rank mismatch on {ref.array!r}")
-        const = 0
-        terms: dict[str, int] = {}
-        for k, sub in enumerate(ref.indices):
-            try:
-                a = sub.affine()
-            except NotAffineError as exc:
-                raise _Unsupported(str(exc)) from exc
-            c, t = _fold(a, self.params)
-            s = strides[k]
-            const += (c - 1) * s  # subscripts are 1-based
-            for n, coeff in t.items():
-                terms[n] = terms.get(n, 0) + coeff * s
-        return const, {n: c for n, c in terms.items() if c}
-
     def add(
         self,
         ref: Expr,
@@ -395,9 +376,9 @@ class _Collector:
             ))
             return
         assert isinstance(ref, ArrayRef)
-        const, terms = self.linearize(ref)
+        const, terms = _linearize(ref, self.strides, self.params)
         self.refs.append(_Ref(
-            ref.array, const, terms, is_write, str(ref), stmt_id, accum,
+            ref.array, const, dict(terms), is_write, str(ref), stmt_id, accum,
             subs=ref.index_affines(),
         ))
 
@@ -426,10 +407,10 @@ class _Collector:
             elif isinstance(stmt, Loop):
                 try:
                     lo_a, hi_a = stmt.bounds_affine()
-                except (AnalysisError, NotAffineError) as exc:
+                    lo_r = interval(lo_a, self.params, known)
+                    hi_r = interval(hi_a, self.params, known)
+                except AnalysisError as exc:
                     raise _Unsupported(str(exc)) from exc
-                lo_r = _interval(lo_a, self.params, known)
-                hi_r = _interval(hi_a, self.params, known)
                 if lo_r[0] != lo_r[1] or hi_r[0] != hi_r[1]:
                     self.exact = False  # context-dependent (e.g. triangular)
                 rng = (lo_r[0], hi_r[1])
@@ -630,29 +611,35 @@ class _ConcreteChecker:
         self.table: dict[tuple[str, int], dict] = {}
         self.witness: Optional[RaceWitness] = None
         self.has_exempt = False
-        # id(expr-or-affine) -> the node's form with the params folded in
-        self._forms: dict[int, Affine] = {}
+        # id(bound / array reference) -> its record, params folded in
+        self._records: dict[int, _Record] = {}
 
     def _eval(self, node) -> int:
-        """Evaluate an index expression / affine form in the current env.
+        """Evaluate a bound or an array reference's element index in the
+        current env.
 
         The params are folded in once per AST node: this walk visits
         every access of the space, and the env holds loop variables only
         (it is what a witness prints).
         """
-        form = self._forms.get(id(node))
-        if form is None:
-            a = node if isinstance(node, Affine) else node.affine()
-            form = self._forms[id(node)] = a.substitute(self.params)
-        v = form.const
+        record = self._records.get(id(node))
+        if record is None:
+            if isinstance(node, ArrayRef):
+                record = _linearize(node, self.strides, self.params)
+            else:
+                try:
+                    a = node if isinstance(node, Affine) else node.affine()
+                    record = a.fold(self.params)
+                except NotAffineError as exc:
+                    raise _Unsupported(str(exc)) from exc
+            self._records[id(node)] = record
+        v, terms = record
         try:
-            for n, c in form.coeffs:
+            for n, c in terms:
                 v += c * self.env[n]
         except KeyError as exc:
             raise _Unsupported(f"unbound loop variable {exc.args[0]!r}") from exc
-        if v.denominator != 1:
-            raise _Unsupported(f"non-integer index value {v}")
-        return int(v)
+        return v
 
     def run(self) -> tuple[str, Optional[RaceWitness]]:
         """Returns (verdict, witness) — exact for this parameter binding."""
@@ -748,13 +735,7 @@ class _ConcreteChecker:
             text = ref.name
         else:
             assert isinstance(ref, ArrayRef)
-            strides = self.strides.get(ref.array)
-            if strides is None or len(ref.indices) != len(strides):
-                raise _Unsupported(f"undeclared array {ref.array!r}")
-            elem = 0
-            for k, sub in enumerate(ref.indices):
-                elem += (self._eval(sub) - 1) * strides[k]
-            key = (ref.array, elem)
+            key = (ref.array, self._eval(ref))
             text = str(ref)
         classes = self.table.setdefault(key, {})
         cls = (is_write, accum)
@@ -828,10 +809,10 @@ class _Analyzer:
         verdict = self._classify(stmt, nest, path + (stmt.index,), chain, ranges)
         self.verdicts.append(verdict)
         try:
-            lo_r = _interval(stmt.lower.affine(), self.params, ranges)
-            hi_r = _interval(stmt.upper.affine(), self.params, ranges)
+            lo_r = interval(stmt.lower.affine(), self.params, ranges)
+            hi_r = interval(stmt.upper.affine(), self.params, ranges)
             rng = (lo_r[0], hi_r[1])
-        except (_Unsupported, AnalysisError, NotAffineError):
+        except AnalysisError:
             rng = None
         inner = dict(ranges)
         if rng is not None:
@@ -857,9 +838,9 @@ class _Analyzer:
             )
 
         try:
-            lo_r = _interval(loop.lower.affine(), self.params, outer)
-            hi_r = _interval(loop.upper.affine(), self.params, outer)
-        except (_Unsupported, AnalysisError, NotAffineError) as exc:
+            lo_r = interval(loop.lower.affine(), self.params, outer)
+            hi_r = interval(loop.upper.affine(), self.params, outer)
+        except AnalysisError as exc:
             return verdict("unknown", f"bounds not analyzable: {exc}", exact=False)
         rng = (lo_r[0], hi_r[1])
         span = rng[1] - rng[0]

@@ -82,16 +82,6 @@ class Hull:
             out = out * Poly.from_affine(hi - lo + 1)
         return out
 
-    def measure_at(self, env: Mapping[str, int]) -> float:
-        """Element count at a concrete size, clamping empty dims to 0."""
-        out = 1.0
-        for lo, hi in self.dims:
-            width = float((hi - lo).evaluate(env)) + 1.0
-            if width <= 0:
-                return 0.0
-            out *= width
-        return out
-
 
 def eliminate(
     form: Affine,

@@ -41,7 +41,6 @@ from .races import (
     lint_parallelism,
     lint_races,
 )
-from .reuse_check import array_distance_bounds, reuse_bound_check
 from .snapshot import (
     DEFAULT_VERIFY_PARAM,
     Cell,
@@ -69,7 +68,6 @@ __all__ = [
     "WriteInstance",
     "affine_range",
     "all_codes",
-    "array_distance_bounds",
     "check_legality",
     "doall_preservation_check",
     "explain_code",
@@ -81,7 +79,6 @@ __all__ = [
     "lint_parallelism",
     "lint_program",
     "lint_races",
-    "reuse_bound_check",
     "scalar_cell",
     "snapshot_program",
     "verify_pass",

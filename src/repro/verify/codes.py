@@ -69,7 +69,7 @@ def all_codes() -> tuple[CodeInfo, ...]:
 def format_code_table() -> str:
     """The one table of every code, grouped by two-character prefix.
 
-    Prefix groups (``S3xx`` vs ``S4xx``) separate sub-families that a
+    Prefix groups (``S3xx`` vs ``S5xx``) separate sub-families that a
     flat family listing used to run together.
     """
     by_prefix: dict[str, list[CodeInfo]] = {}
@@ -269,16 +269,6 @@ data regrouping (§3) would interleave the arrays so one memory stream
 fetches them together.""",
 )
 _register(
-    "S401", Severity.WARNING,
-    "nest falls back to the interpreter (codegen cannot vectorize it)",
-    """The codegen trace backend cannot lower this loop nest to
-vectorized numpy kernels — an un-inlined call, a non-affine subscript,
-or a fractional stride keeps it outside the supported subset.  The
-nest still runs (and traces) correctly through the interpreter, just an
-order of magnitude slower; flagged so the silent fallback is visible
-before a large measurement is launched.""",
-)
-_register(
     "S501", Severity.WARNING,
     "trace imported without geometry metadata",
     """An external address stream was imported without line-size or
@@ -289,14 +279,6 @@ this repo but arbitrary for a foreign tracer — miss counts and the
 bytes-moved report are only as meaningful as that assumption.  Export
 with ``repro trace export`` (or add the ``# repro-address-stream``
 metadata comment) to silence it.""",
-)
-_register(
-    "S310", Severity.WARNING,
-    "pass increased a symbolic reuse-distance bound",
-    """Cross-checking static profiles before and after a pass found a
-reuse class whose symbolic distance bound grew.  Legal but contrary to
-the optimization's purpose; flagged so a regressing pipeline stage is
-visible without running a trace.""",
 )
 
 # -- R: parallelism analysis --------------------------------------------------

@@ -314,15 +314,10 @@ class PassVerifier:
         program: Program,
         params: Optional[Mapping[str, int]] = None,
         steps: int = 1,
-        reuse_bounds: bool = False,
-        doall: bool = False,
     ) -> None:
         self.params = params
         self.steps = steps
-        self.reuse_bounds = reuse_bounds
-        self.doall = doall
         self.baseline = snapshot_program(program, params, steps)
-        self._baseline_program = program
         self.history: list[tuple[str, DiagnosticBag]] = []
 
     def check(
@@ -335,11 +330,6 @@ class PassVerifier:
 
         Raises :class:`PassLegalityError` when the pass broke a
         dependence; the exception's ``bag`` carries the diagnostics.
-        With ``reuse_bounds=True`` the static S310 check also compares
-        symbolic reuse-distance bounds across the pass (warnings only —
-        a locality regression is suspicious, not illegal).  With
-        ``doall=True`` the R510 check compares parallelism profiles and
-        warns when the pass serialized a parallel outermost axis.
         """
         if strict is None:
             strict = pass_name not in RELAXED_PASSES
@@ -347,25 +337,8 @@ class PassVerifier:
         bag = check_legality(
             self.baseline, snap, pass_name=pass_name, strict=strict
         )
-        if self.reuse_bounds:
-            from .reuse_check import reuse_bound_check
-
-            bag.extend(
-                reuse_bound_check(
-                    self._baseline_program, program, pass_name, self.steps
-                )
-            )
-        if self.doall:
-            from .races import doall_preservation_check
-
-            bag.extend(
-                doall_preservation_check(
-                    self._baseline_program, program, pass_name, self.params
-                )
-            )
         self.history.append((pass_name, bag))
         if bag.has_errors():
             raise PassLegalityError.from_bag(f"pass {pass_name!r}", bag)
         self.baseline = snap
-        self._baseline_program = program
         return bag

@@ -109,9 +109,6 @@ class Snapshot:
     def cells(self) -> set[Cell]:
         return set(self.writes)
 
-    def array_cells(self) -> set[Cell]:
-        return {c for c in self.writes if not is_scalar_cell(c)}
-
     def write_count(self) -> int:
         return sum(len(chain) for chain in self.writes.values())
 

@@ -2,11 +2,12 @@
 
 Every program x level variant of the study (42 in all) must produce a
 trace **bit-for-bit identical** to ``repro.interp.tracegen`` — array
-ids, element offsets, read/write flags, reference ids, and instruction
-ids alike.  On top of the pairwise comparison, the codegen trace of each
-variant is pinned by a committed fingerprint
-(``golden_trace_fingerprints.json``), so a change to either tracer that
-moves the trace at all fails loudly even if both tracers move together.
+ids, element offsets, read/write flags and reference ids — at the
+configuration ``measure_variant`` runs (the codegen tracer has no other).
+On top of the pairwise comparison, the oracle's trace of each variant,
+instruction ids included, is pinned by a committed fingerprint
+(``golden_trace_fingerprints.json``), so a change to the shared lowering
+that moves both tracers together still fails loudly.
 
 Run ``python tests/codegen/test_differential_traces.py`` to regenerate
 the fingerprint file after an *intentional* trace change (and say so in
@@ -51,7 +52,7 @@ if __name__ != "__main__":
         for level in GOLDEN_LEVELS
     ]
 
-STEPS = 2  # >1 so cross-step instruction-offset bookkeeping is covered
+STEPS = 2  # >1 so the per-step tiling (and the oracle's instruction ids) is covered
 
 
 _VARIANT_CACHE: dict = {}
@@ -90,8 +91,8 @@ if __name__ != "__main__":
     def test_trace_matches_interpreter(name, level):
         program = _variant_program(name, level)
         params = GOLDEN_PARAMS[name]
-        ref = interp_trace(program, params, steps=STEPS, with_instr=True)
-        out = codegen_trace(program, params, steps=STEPS, with_instr=True)
+        ref = interp_trace(program, params, steps=STEPS)
+        out = codegen_trace(program, params, steps=STEPS)
         assert_traces_identical(ref, out, f"{name}/{level}")
 
     @pytest.mark.parametrize(
@@ -104,7 +105,7 @@ if __name__ != "__main__":
         )
         golden = json.loads(GOLDEN_FILE.read_text())
         program = _variant_program(name, level)
-        trace = codegen_trace(
+        trace = interp_trace(
             program, GOLDEN_PARAMS[name], steps=STEPS, with_instr=True
         )
         key = f"{name}-{level}"
@@ -117,16 +118,6 @@ if __name__ != "__main__":
         golden = json.loads(GOLDEN_FILE.read_text())
         assert sorted(golden) == sorted(f"{n}-{lv}" for n, lv in CASES)
         assert len(golden) == 42
-
-    def test_plain_trace_matches_without_instr():
-        # the measurement path traces with_instr=False; spot-check that
-        # shape too (instr bookkeeping off changes the packing layout)
-        for name, level in [("adi", "new"), ("tomcatv", "fusion")]:
-            program = _variant_program(name, level)
-            params = GOLDEN_PARAMS[name]
-            ref = interp_trace(program, params, steps=STEPS)
-            out = codegen_trace(program, params, steps=STEPS)
-            assert_traces_identical(ref, out, f"{name}/{level} plain")
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
@@ -143,8 +134,8 @@ if __name__ != "__main__":
         except KeyError:  # fft is built, not registered
             params, steps = GOLDEN_PARAMS[name], 1
         program = _variant_program(name, level)
-        ref = interp_trace(program, params, steps=steps, with_instr=True)
-        out = codegen_trace(program, params, steps=steps, with_instr=True)
+        ref = interp_trace(program, params, steps=steps)
+        out = codegen_trace(program, params, steps=steps)
         assert_traces_identical(ref, out, f"{name}/{level} full")
 
 
@@ -159,8 +150,8 @@ def main() -> int:
     )
 
     from repro.codegen import trace_fingerprint
-    from repro.codegen import trace_program as codegen_trace
     from repro.core import compile_variant
+    from repro.interp import trace_program as interp_trace
 
     golden = {}
     for name in sorted(GOLDEN_PARAMS):
@@ -168,7 +159,7 @@ def main() -> int:
             program = build_golden_program(name)
             reset_fusion_uids()
             variant = compile_variant(program, level)
-            trace = codegen_trace(
+            trace = interp_trace(
                 variant.program, GOLDEN_PARAMS[name], steps=STEPS,
                 with_instr=True,
             )

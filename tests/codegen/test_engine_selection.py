@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.engines import (
     EngineSelection,
     TRACE_ENGINES,
-    default_sim_engine,
-    default_trace_engine,
     engine_spec,
     resolve_engines,
 )
-from repro.lang import SimulationError
 from repro.memsim import ENGINES as SIM_ENGINES
 
 
@@ -58,35 +58,17 @@ def test_conflicting_tokens_raise():
         resolve_engines("codegen+interp")
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_ENGINE", "interp")
-    assert default_trace_engine() == "interp"
-    assert resolve_engines(None).tracer == "interp"
-    monkeypatch.setenv("REPRO_TRACE_ENGINE", "bogus")
-    with pytest.raises(ValueError):
-        default_trace_engine()
-
-
-def test_sim_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert default_sim_engine() == "reference"
-    assert resolve_engines(None).sim == "reference"
-    monkeypatch.setenv("REPRO_ENGINE", "bogus")
-    with pytest.raises(SimulationError, match="REPRO_ENGINE"):
-        default_sim_engine()
-    with pytest.raises(SimulationError, match="REPRO_ENGINE"):
-        resolve_engines(None)
-
-
-def test_memsim_default_engine_delegates(monkeypatch):
-    # one parser of REPRO_ENGINE for every layer
-    from repro.memsim import default_engine
-
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert default_engine() == default_sim_engine() == "reference"
-    monkeypatch.setenv("REPRO_ENGINE", "bogus")
-    with pytest.raises(SimulationError, match="REPRO_ENGINE"):
-        default_engine()
+def test_only_deployment_paths_come_from_the_environment():
+    """An environment variable is an option every test and benchmark has
+    to cover twice; the two the package reads say *where* to write, not
+    *what* to compute.  A new knob has to be argued for by editing this."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    names = {
+        name
+        for path in src.rglob("*.py")
+        for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())
+    }
+    assert names == {"REPRO_CACHE_DIR", "REPRO_RUNS_DIR"}
 
 
 @pytest.mark.parametrize(
@@ -109,10 +91,8 @@ def test_memsim_default_engine_delegates(monkeypatch):
         (" fast + interp ", ("fast", "interp")),
     ],
 )
-def test_every_spelling(spec, expected, monkeypatch):
+def test_every_spelling(spec, expected):
     """The full spec grammar: every sim x tracer spelling resolves."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_ENGINE", raising=False)
     sel = resolve_engines(spec)
     assert (sel.sim, sel.tracer) == expected
     if spec:
@@ -143,6 +123,31 @@ def test_engine_spec_cli_hook():
 
 def test_trace_engines_registry():
     assert TRACE_ENGINES == ("codegen", "interp")
+
+
+def test_trace_counts_every_nest_as_compiled():
+    # perf/ derives codegen.nests_compiled_share from these two counters;
+    # with no second path to fall back to they move together
+    from repro.codegen import trace_program
+    from repro.lang import parse, validate
+    from repro.obs import metrics
+
+    program = validate(parse(
+        """
+        program stencil
+        param N
+        real A[N, N], B[N, N]
+        for i = 1, N {
+          for j = 2, N { A[j, i] = f(A[j - 1, i], B[j, i]) }
+        }
+        for i = 2, N { B[i, i] = g(A[i, i]) }
+        """
+    ))
+    before = metrics.snapshot()["counters"]
+    trace_program(program, {"N": 9})
+    after = metrics.snapshot()["counters"]
+    for key in ("codegen.trace.nests", "codegen.trace.nests.compiled"):
+        assert after[key] - before.get(key, 0) == 2
 
 
 def test_measure_variant_same_stats_across_tracers():

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.interp import trace_program
+from repro.codegen import trace_program as codegen_trace
+from repro.interp import run_program, trace_program
 from repro.interp.interpreter import Interpreter
-from repro.lang import AnalysisError, ArrayRef, Assign, array_reads, parse
+from repro.lang import (
+    AnalysisError,
+    ArrayRef,
+    Assign,
+    ValidationError,
+    array_reads,
+    parse,
+)
 
 from conftest import build
 
@@ -141,6 +149,80 @@ def test_out_of_bounds_detected():
     )
     with pytest.raises(AnalysisError, match="out-of-bounds"):
         trace_program(p, {"N": 8})
+
+
+TRACERS = pytest.mark.parametrize(
+    "tracer", [trace_program, codegen_trace], ids=["interp", "codegen"]
+)
+
+#: not integer-affine after binding: (loop nest, N, what the error names)
+FRACTIONAL = {
+    "subscript-stride": (
+        "for i = 1, N { A[(i + 1) / 2] = f(A[(i + 1) / 2]) }",
+        8,
+        "A[((i + 1) / 2)]",
+    ),
+    "loop-bound": ("for i = 1, N / 2 { A[i] = f(A[i]) }", 9, "for i = 1, (N / 2)"),
+    "guarded-subscript": (
+        "for i = 1, N { when i in [2] { A[i / 2] = 1.0 } }",
+        8,
+        "A[(i / 2)]",
+    ),
+}
+
+
+def _kernel(nest):
+    return build(f"program t\nparam N\nreal A[N]\n{nest}\n")
+
+
+@TRACERS
+@pytest.mark.parametrize("case", sorted(FRACTIONAL))
+def test_fractional_residue_is_an_error(case, tracer):
+    # a truncated address is a wrong number; both tracers share the
+    # lowering that refuses it, naming the reference / loop and the binding
+    nest, n, named = FRACTIONAL[case]
+    with pytest.raises(AnalysisError) as exc:
+        tracer(_kernel(nest), {"N": n})
+    message = str(exc.value)
+    assert named in message and f"'N': {n}" in message
+    assert "out-of-bounds" not in message
+
+
+def test_fractional_bound_follows_the_interpreter():
+    # N / 2 is an integer at even N only: run_program and both tracers
+    # draw the line at exactly the same sizes
+    p = _kernel(FRACTIONAL["loop-bound"][0])
+    run_program(p, {"N": 8})
+    a, b = trace_program(p, {"N": 8}), codegen_trace(p, {"N": 8})
+    assert a.elems.tolist() == b.elems.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    with pytest.raises(ValidationError, match="non-integral bound"):
+        run_program(p, {"N": 9})
+
+
+def test_packing_overflow_is_an_error(monkeypatch):
+    from repro.codegen import tracer
+
+    monkeypatch.setattr(tracer, "_REF_BITS", 1)
+    p = build(PROGRAMS[0])  # three references
+    with pytest.raises(AnalysisError, match="packing limits"):
+        codegen_trace(p, {"N": 8})
+    assert len(trace_program(p, {"N": 8})) == 21  # the oracle packs nothing
+
+
+def test_report_on_unsupported_file_is_a_coded_exit(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "frac.loop"
+    path.write_text(
+        "program frac\nparam N\nreal A[N]\n"
+        + FRACTIONAL["subscript-stride"][0]
+        + "\n"
+    )
+    assert main(["report", str(path), "-p", "N=8", "--levels", "noopt"]) == 1
+    err = capsys.readouterr().err
+    # (simplify has rewritten the subscript by the time it is traced)
+    assert err.startswith("error: cannot trace `A[") and "Traceback" not in err
+    assert "fractional coefficient 1/2 of 'i'" in err
 
 
 def test_global_keys_disjoint_between_arrays():

@@ -149,6 +149,21 @@ class TestArithmetic:
         with pytest.raises(NotAffineError):
             Affine.var("N").evaluate({})
 
+    def test_fold_folds_params(self):
+        # the integer record every tracer and the parallelism analysis read
+        form = Affine.from_terms(1, {"N": 2, "i": 1})
+        assert form.fold({"N": 10}) == (21, (("i", 1),))
+        # a fractional coefficient on a *bound* name may fold to an integer
+        half = Affine.var("N", Fraction(1, 2))
+        record = half.fold({"N": 8})
+        assert record == (4, ()) and type(record[0]) is int
+
+    def test_fold_rejects_fractional_residue(self):
+        with pytest.raises(NotAffineError, match="fractional coefficient 1/2 of 'i'"):
+            Affine.var("i", Fraction(1, 2)).fold({})
+        with pytest.raises(NotAffineError, match="fractional constant 9/2"):
+            Affine.var("N", Fraction(1, 2)).fold({"N": 9})
+
 
 class TestComparison:
     def test_constant_signs(self):

@@ -23,18 +23,8 @@ def _assert_engines_agree(config, addresses, writes=None):
 
 
 class TestEngineSelection:
-    def test_default_engine_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_engine_is_fast(self):
         assert default_engine() == "fast"
-
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert default_engine() == "reference"
-
-    def test_env_var_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        with pytest.raises(SimulationError, match="REPRO_ENGINE"):
-            default_engine()
 
     def test_explicit_engine_rejects_unknown(self):
         cfg = CacheConfig("c", 64, 8, 0)

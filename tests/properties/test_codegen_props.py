@@ -110,8 +110,8 @@ def random_programs(draw):
 @given(random_programs())
 @settings(max_examples=75, deadline=None)
 def test_traces_bit_identical(program):
-    ref = interp_trace(program, PARAMS, steps=2, with_instr=True)
-    out = codegen_trace(program, PARAMS, steps=2, with_instr=True)
+    ref = interp_trace(program, PARAMS, steps=2)
+    out = codegen_trace(program, PARAMS, steps=2)
     assert len(ref) == len(out)
-    for field in ("array_ids", "elems", "writes", "ref_ids", "instr_ids"):
+    for field in ("array_ids", "elems", "writes", "ref_ids"):
         assert np.array_equal(getattr(ref, field), getattr(out, field)), field

@@ -71,3 +71,55 @@ def test_scopes_carry_exact_trip_counts():
             assert int(ctx.trip.evaluate(env)) == int(width)
             trip *= int(width)
         assert int(r.exec_count().evaluate(env)) == trip
+
+
+GUARDED = """
+program guarded
+param N
+real A[N, N], B[N, N]
+for i = 1, N {
+  for k = 1, N {
+    when i in [2:N - 1] { A[k, i] = f(A[k, i - 1], B[k, i]) } else { A[k, i] = 0.0 }
+  }
+}
+for j = 1, N {
+  when j in [1, N] { B[1, j] = g(A[1, j]) }
+}
+"""
+
+
+def test_guards_narrow_the_guarded_scope():
+    from repro.lang import Affine
+    from repro.static import analyze_program
+
+    p = build(GUARDED)
+    model = build_model(p)
+    n = Affine.var("N")
+    body, orelse, border = model.refs[0], model.refs[3], model.refs[4]
+
+    # one interval: the body's range *is* the interval
+    ctx = body.scope[0]
+    assert (ctx.index, ctx.lo, ctx.hi, ctx.exact) == ("i", Affine.constant(2), n - 1, True)
+    assert ctx.trip.evaluate({"N": 12}) == 10
+    # the else branch keeps the loop's hull and counts the complement
+    ctx = orelse.scope[0]
+    assert (ctx.lo, ctx.hi, ctx.exact) == (Affine.constant(1), n, False)
+    assert ctx.trip.evaluate({"N": 12}) == 2
+    # an inner, unguarded level is untouched on both branches
+    assert body.scope[1] == orelse.scope[1] and body.scope[1].exact
+    # two intervals: the hull [1, N] over-covers, the trip does not
+    ctx = border.scope[0]
+    assert (ctx.lo, ctx.hi, ctx.exact) == (Affine.constant(1), n, False)
+    assert ctx.trip.evaluate({"N": 12}) == 2
+    # a narrowed level still belongs to the loop it narrows
+    assert body.scope[0].loop_id == orelse.scope[0].loop_id != border.scope[0].loop_id
+
+    # the same numbering, and the same number of accesses, as the tracer
+    trace = trace_program(p, {"N": 12})
+    assert [(r.ref_id, r.stmt_id, r.array, r.is_write, r.text) for r in model.refs] == [
+        (r.ref_id, r.stmt_id, r.array, r.is_write, r.text) for r in trace.refs
+    ]
+    counts = np.bincount(trace.ref_ids, minlength=len(model.refs))
+    for r in model.refs:
+        assert int(r.exec_count().evaluate({"N": 12})) == int(counts[r.ref_id])
+    assert analyze_program(p).histogram({"N": 12}).total == len(trace) == 388

@@ -33,11 +33,15 @@ test:
 self-lint:
 	$(PYTHON) -m repro lint --self
 
-# pass-manager smoke: the pipeline registry enumerates, and a custom
-# --passes pipeline compiles and simulates end to end
+# pass-manager smoke: the pipeline registry enumerates, a custom
+# --passes pipeline compiles and simulates end to end, and the tuner's
+# own default — 160 candidates, every pass certified — searches adi
+# through one pass trie (seconds; ~20 s if prefixes stop being shared,
+# exit 1 if any candidate of the grid fails certification)
 smoke:
 	$(PYTHON) -m repro pipeline --list
 	$(PYTHON) -m repro report adi --passes inline,simplify -p N=16 --steps 1
+	$(PYTHON) -m repro tune adi --at N=24 --no-validate --no-cache
 
 # perf-ledger plumbing: all four workloads at small sizes through the
 # traced run, so besides every count (perf/expected.json, oracle engines)

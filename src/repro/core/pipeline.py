@@ -14,8 +14,10 @@
 
 Each level is a declarative :class:`~repro.core.pm.PipelineSpec` in the
 :data:`~repro.core.pm.PIPELINES` registry, executed by the
-:class:`~repro.core.pm.PassManager` (which owns spans, certification,
-and the per-run analysis cache).  ``compile_pipeline`` additionally
+:class:`~repro.core.pm.PassManager` (which owns spans and
+certification, and shares pass prefixes between the pipelines of one
+source program; every function here is the one-shot spelling — a fresh
+manager, one walk).  ``compile_pipeline`` additionally
 accepts a custom pass-name list or an explicit spec; unknown level names
 raise :class:`~repro.lang.TransformError` listing the known levels.
 
@@ -29,10 +31,9 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Union
 
-from ..lang import Program, validate
+from ..lang import Program
 from ..verify import PassVerifier
 from .pm.manager import CompiledVariant, PassManager
-from .pm.passes import PassContext
 from .pm.pipelines import (
     OPT_LEVELS,
     PipelineSpec,
@@ -62,10 +63,8 @@ def preliminary(
     every pass in turn (raising :class:`~repro.verify.PassLegalityError`
     on the first broken dependence).
     """
-    ctx = PassContext()
-    manager = PassManager(verifier)
-    p = manager.run_passes(program, preliminary_steps(distribute), ctx)
-    return validate(p)
+    spec = PipelineSpec("preliminary", "", preliminary_steps(distribute))
+    return PassManager(program, verifier).run(spec).program
 
 
 def compile_pipeline(
@@ -82,12 +81,7 @@ def compile_pipeline(
     registered pass names (the CLI's ``--passes`` form).
     """
     spec = resolve_pipeline(pipeline)
-    if isinstance(verify, PassVerifier):
-        verifier: Optional[PassVerifier] = verify
-    else:
-        verifier = PassVerifier(program, verify_params) if verify else None
-    ctx = PassContext(level=spec.name, regroup_options=regroup_options)
-    return PassManager(verifier).run(program, spec, ctx)
+    return PassManager(program, verify, regroup_options, verify_params).run(spec)
 
 
 def compile_variant(

@@ -21,6 +21,14 @@ Its contract:
 
 Passes are stateless; per-run inputs (regrouping options) come from the
 :class:`PassContext` or from per-step ``options`` in the pipeline spec.
+
+**Purity.**  ``run`` is a function of ``(program, ctx, options)``: equal
+inputs give an equal program and equal deposits, the input program is
+never mutated, and a deposit is assigned on ``ctx`` (``ctx.stages[k] =
+...``, ``ctx.fusion_report = ...``), never mutated in place.  The pass
+manager relies on it: it runs each distinct pass prefix of a source
+program once and hands later pipelines a fork of the deposits
+(``tests/pm/test_trie.py`` runs every registered pass twice).
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ MAX_UNROLL = 5
 class PassContext:
     """Everything a pass may read or deposit during one pipeline run."""
 
-    level: str = ""
     regroup_options: Optional[object] = None
     #: structural checkpoints (the §4.4 tables read these)
     stages: dict[str, dict] = field(default_factory=dict)

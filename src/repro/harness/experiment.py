@@ -20,7 +20,7 @@ from ..core import CompiledVariant, compile_pipeline, compile_variant
 from ..engines import EngineSelection, resolve_engines
 from ..core.regroup import RegroupOptions
 from ..core.regroup.layout import Layout
-from ..lang import Program, validate
+from ..lang import Program
 from ..memsim import (
     MACHINES,
     MachineConfig,
@@ -185,7 +185,6 @@ def measure_variant(
                 verify=verify,
             )
     timings["compile"] = sp.duration_s
-    validate(variant.program)
     layout = variant.layout(params)
 
     def _result(stats: MemStats, trace_length: int) -> VariantResult:

@@ -6,8 +6,10 @@ loop is static-rank / dynamic-validate:
 
 1. enumerate the legal candidate grid (:mod:`repro.tune.candidates`)
    plus the paper's named levels as baselines;
-2. compile each pipeline and **dedup by compiled program text** — many
-   pipelines converge to the same program (e.g. ``new`` vs ``fusion``:
+2. compile every pipeline through one :class:`~repro.core.pm.PassManager`
+   (a shared pass prefix runs, and is certified, once per search) and
+   **dedup by compiled program text** — many pipelines converge to the
+   same program (e.g. ``new`` vs ``fusion``:
    regrouping never edits the program), and the expensive symbolic
    analysis is per *distinct* program, not per pipeline;
 3. statically score every distinct program: predicted L1+L2 misses at
@@ -38,8 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from ..core import compile_pipeline
-from ..core.pm import OPT_LEVELS, PIPELINES, PipelineSpec, spec_to_json
+from ..core.pm import OPT_LEVELS, PIPELINES, PassManager, PipelineSpec, spec_to_json
 from ..harness import RunRequest, TraceCache, format_table, run
 from ..lang import Program, ReproError
 from ..memsim.geometry import CacheGeometry
@@ -306,7 +307,7 @@ def _score_profile(
 
 
 def evaluate_candidate(
-    program: Program,
+    manager: PassManager,
     label: str,
     kind: str,
     spec: PipelineSpec,
@@ -323,8 +324,9 @@ def evaluate_candidate(
 ) -> CandidateScore:
     """Statically evaluate one pipeline — the tuner's inner step.
 
-    Cache-load, else compile, dedup against ``seen_text`` by compiled
-    program text, else analyze and score; fresh results are stored.
+    Cache-load, else compile through ``manager`` (the search's pass
+    trie), dedup against ``seen_text`` by compiled program text, else
+    analyze and score; fresh results are stored.
     The first evaluation of each distinct text registers itself in
     ``seen_text``.
     """
@@ -332,14 +334,16 @@ def evaluate_candidate(
     entry = key = None
     if tcache is not None:
         key = tcache.key(
-            str(program), signature, steps, sizes, l1_elems, l2_elems,
+            str(manager.program), signature, steps, sizes, l1_elems, l2_elems,
             objective, threads, schedule,
         )
         entry = tcache.load(key)
     cached = entry is not None
     if not cached:
-        with span("tune-evaluate", pipeline=label, kind=kind):
-            variant = compile_pipeline(program, spec, verify=verify)
+        with span("tune-evaluate", pipeline=label, kind=kind) as sp:
+            shared = manager.shared_steps
+            variant = manager.run(spec, verify=verify)
+            sp.attrs["shared_steps"] = manager.shared_steps - shared
             text_hash = hashlib.sha256(
                 str(variant.program).encode()
             ).hexdigest()[:16]
@@ -432,6 +436,10 @@ def tune(request: TuneRequest) -> TuneResult:
     if log is not None:
         log.write(make_event("run_start", run_id=log.run_id, total=len(work)))
 
+    # one pass trie per search; declared, so snapshots die when used up
+    manager = PassManager(program, verify=request.verify)
+    if request.verify:
+        manager.declare(grid)
     seen_text: dict[str, CandidateScore] = {}
     named: list[CandidateScore] = []
     candidates: list[CandidateScore] = []
@@ -441,9 +449,9 @@ def tune(request: TuneRequest) -> TuneResult:
             log, index, name, label, memory=bool(cfg and cfg.memory)
         ):
             result = evaluate_candidate(
-                program, label, kind, spec, steps, sizes, l1_elems, l2_elems,
+                manager, label, kind, spec, steps, sizes, l1_elems, l2_elems,
                 request.objective, request.threads, request.schedule,
-                request.verify and kind == "candidate", tcache, seen_text,
+                kind == "candidate", tcache, seen_text,
             )
         (named if kind == "named" else candidates).append(result)
 
@@ -571,9 +579,9 @@ def check_baseline(
                 f"named level ({floor:.0f})"
             )
         try:
-            program = resolve_target(
+            manager = PassManager(resolve_target(
                 entry.get("target", prog_name), sizes[0], steps
-            ).program
+            ).program)
         except (KeyError, ReproError) as exc:
             failures.append(f"{prog_name}: cannot rebuild target: {exc}")
             continue
@@ -581,7 +589,7 @@ def check_baseline(
         def recompute(label: str, record: Mapping[str, object], spec) -> None:
             # no text dedup here: every pipeline is analyzed on its own
             score = evaluate_candidate(
-                program, label, "check", spec, steps, sizes, l1, l2,
+                manager, label, "check", spec, steps, sizes, l1, l2,
                 objective, threads, schedule, False, tcache, {},
             ).score
             if score > float(record["score"]) * (1 + rtol):

@@ -211,14 +211,18 @@ def check_legality(
     before: Snapshot,
     after: Snapshot,
     pass_name: str = "transform",
-    strict: bool = True,
+    strict: Optional[bool] = True,
 ) -> DiagnosticBag:
     """Certify that ``after`` preserves ``before``'s dependence structure.
 
     Returns the diagnostics (empty bag = certified legal).  Never raises;
     use :meth:`DiagnosticBag.raise_if_errors` or :class:`PassVerifier`
-    when violations should be fatal.
+    when violations should be fatal.  ``strict=None`` decides by pass
+    name: passes in :data:`RELAXED_PASSES` get the relaxed check,
+    everything else the full one.
     """
+    if strict is None:
+        strict = pass_name not in RELAXED_PASSES
     bag = DiagnosticBag()
     out = _Budget(bag)
     if before.params != after.params:
@@ -281,13 +285,8 @@ def verify_pass(
     strict: Optional[bool] = None,
     steps: int = 1,
 ) -> DiagnosticBag:
-    """Snapshot both programs and certify the transformation between them.
-
-    ``strict`` defaults by pass name: passes in :data:`RELAXED_PASSES`
-    get the relaxed check, everything else the full one.
-    """
-    if strict is None:
-        strict = pass_name not in RELAXED_PASSES
+    """Snapshot both programs and certify the transformation between them
+    (``strict`` defaults by pass name, see :func:`check_legality`)."""
     b = snapshot_program(before, params, steps)
     a = snapshot_program(after, params, steps)
     return check_legality(b, a, pass_name=pass_name, strict=strict)
@@ -317,8 +316,20 @@ class PassVerifier:
     ) -> None:
         self.params = params
         self.steps = steps
-        self.baseline = snapshot_program(program, params, steps)
+        self.baseline = self.snapshot(program)
         self.history: list[tuple[str, DiagnosticBag]] = []
+
+    def snapshot(self, program: Program) -> Snapshot:
+        """``program``'s write chains at this verifier's parameters."""
+        return snapshot_program(program, self.params, self.steps)
+
+    def record(self, pass_name: str, bag: DiagnosticBag) -> DiagnosticBag:
+        """Log one verdict in ``history``; raise if it has errors (the
+        pass manager replays the verdicts of shared prefixes through here)."""
+        self.history.append((pass_name, bag))
+        if bag.has_errors():
+            raise PassLegalityError.from_bag(f"pass {pass_name!r}", bag)
+        return bag
 
     def check(
         self,
@@ -331,14 +342,10 @@ class PassVerifier:
         Raises :class:`PassLegalityError` when the pass broke a
         dependence; the exception's ``bag`` carries the diagnostics.
         """
-        if strict is None:
-            strict = pass_name not in RELAXED_PASSES
-        snap = snapshot_program(program, self.params, self.steps)
-        bag = check_legality(
-            self.baseline, snap, pass_name=pass_name, strict=strict
+        snap = self.snapshot(program)
+        bag = self.record(
+            pass_name,
+            check_legality(self.baseline, snap, pass_name=pass_name, strict=strict),
         )
-        self.history.append((pass_name, bag))
-        if bag.has_errors():
-            raise PassLegalityError.from_bag(f"pass {pass_name!r}", bag)
         self.baseline = snap
         return bag

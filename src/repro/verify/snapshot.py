@@ -40,6 +40,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from ..lang import (
+    Affine,
     ArrayRef,
     Assign,
     BinOp,
@@ -131,6 +132,9 @@ class _Walker:
         self.env: dict[str, int] = {k: int(v) for k, v in params.items()}
         self.writes: dict[Cell, list[WriteInstance]] = {}
         self.iters: list[tuple[str, int]] = []
+        # affine form per subscript / bound node, lowered once per walk
+        # (the program outlives the walk, so node identity is a safe key)
+        self.forms: dict[int, Affine] = {}
         # canonical cell mapping for split arrays: name -> (root, chain)
         self.canon: dict[str, tuple[str, list[SliceOrigin]]] = {}
         for decl in program.arrays:
@@ -156,7 +160,10 @@ class _Walker:
     # -- evaluation -----------------------------------------------------------
 
     def eval_int(self, expr: Expr) -> int:
-        value = expr.affine().evaluate(self.env)
+        form = self.forms.get(id(expr))
+        if form is None:
+            form = self.forms[id(expr)] = expr.affine()
+        value = form.evaluate(self.env)
         if value.denominator != 1:
             raise ValidationError(f"non-integral subscript/bound {expr} = {value}")
         return value

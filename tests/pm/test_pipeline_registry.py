@@ -105,6 +105,6 @@ def test_get_pass_error_lists_registered():
 
 
 def test_pipeline_run_populates_stage_checkpoints():
-    variant = PassManager().run(build(), PIPELINES["fusion"])
+    variant = PassManager(build()).run(PIPELINES["fusion"])
     assert list(variant.stages) == ["input", "preliminary", "fused"]
     assert variant.level == "fusion"

@@ -2,8 +2,9 @@
 
 Every candidate the tuner can generate — any enabler subset, any fusion
 level, with or without the terminal regroup — must (1) be a legal
-pipeline under full ``verify-pass`` certification, and (2) produce a
-program the printer round-trips exactly.  This is the legality contract that lets
+pipeline under full ``verify-pass`` certification (all 160, through one
+pass manager), and (2) produce a program the printer round-trips
+exactly (sampled).  This is the legality contract that lets
 ``tune()`` rank candidates purely statically without ever executing an
 uncertified transformation.
 """
@@ -11,20 +12,21 @@ uncertified transformation.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compile_pipeline
+from repro.core import PassManager, compile_pipeline
 from repro.lang import parse, to_source, validate
 from repro.programs import registry
 from repro.tune import (
     ENABLERS,
     FUSION_LEVELS,
     candidate_fields,
+    enumerate_candidates,
     make_candidate,
     parse_signature,
     spec_signature,
 )
 
-#: a small program keeps certification (dependence re-testing at a
-#: concrete size) fast enough for dozens of hypothesis examples
+#: the size candidates are certified at (dependence re-testing is at a
+#: concrete size)
 SMALL = {"N": 12}
 
 
@@ -44,15 +46,21 @@ candidates = st.builds(
 )
 
 
-@given(candidates)
-@settings(max_examples=25, deadline=None)
-def test_candidate_passes_certification(spec):
-    """Every generated candidate compiles under full verification."""
-    program = _adi()
-    variant = compile_pipeline(
-        program, spec, verify=True, verify_params=SMALL
-    )
-    assert variant.program is not None
+def test_candidate_passes_certification():
+    """Every candidate of the default grid compiles under full
+    verification: each pass of each chain carries a clean verdict."""
+    manager = PassManager(_adi(), verify=True, verify_params=SMALL)
+    grid = enumerate_candidates()
+    assert len(grid) == 160
+    for spec in grid:
+        seen = len(manager.verifier.history) if manager.verifier else 0
+        variant = manager.run(spec)
+        assert variant.program is not None
+        chain = manager.verifier.history[seen:]
+        assert [name for name, _ in chain] == [
+            s.name for s in spec.steps if s.name != "regroup"
+        ]
+        assert not any(bag.has_errors() for _, bag in chain)
 
 
 @given(candidates)

@@ -36,7 +36,7 @@ SYMBOLIC_PROGRAMS = ("adi", "sp", "swim", "tomcatv", "sweep3d")
 def _variant(program, level):
     if level == "noopt":
         return program
-    return PassManager().run(program, PIPELINES[level]).program
+    return PassManager(program).run(PIPELINES[level]).program
 
 
 def _dynamic_histogram(program, params, steps):

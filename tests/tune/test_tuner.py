@@ -5,11 +5,13 @@ import json
 
 import pytest
 
-from repro.core.pm import OPT_LEVELS
+from repro.core.pm import OPT_LEVELS, PASSES
 from repro.lang import ReproError
 from repro.obs import REGISTRY, RunLog, TraceConfig
 from repro.programs.registry import MachineSpec
 from repro.tune import (
+    ENABLERS,
+    FUSION_LEVELS,
     TuneCache,
     TuneRequest,
     TuneResult,
@@ -204,6 +206,80 @@ class TestObservability:
         _tune(validate_top=False, cache=False)
         after = REGISTRY.snapshot()["counters"].get("tune.evaluations", 0)
         assert after > before
+
+
+class TestPrefixSharing:
+    """One pass trie per search: exact, repeatable counts (ISSUE 21)."""
+
+    @staticmethod
+    def _search(monkeypatch, tmp_path, **overrides):
+        import repro.verify.legality as legality
+
+        snapshots = []
+        real = legality.snapshot_program
+        monkeypatch.setattr(
+            legality, "snapshot_program",
+            lambda *a, **k: snapshots.append(1) or real(*a, **k),
+        )
+        names = ("pm.pass.runs", "pm.pass.shared", "pm.certify.shared")
+        before = REGISTRY.snapshot()["counters"]
+        result = _tune(
+            validate_top=False,
+            trace=TraceConfig(events=True, runs_root=str(tmp_path)),
+            **overrides,
+        )
+        after = REGISTRY.snapshot()["counters"]
+        counts = {n: after.get(n, 0) - before.get(n, 0) for n in names}
+        spans = [e for e in RunLog(result.run_dir).events() if e["kind"] == "span"]
+        return result, counts, len(snapshots), spans
+
+    def test_tune_static_shaped_search(self, monkeypatch, tmp_path):
+        """The ledger's adi search: 67 step visits, 28 certifications."""
+        result, counts, snapshots, spans = self._search(
+            monkeypatch, tmp_path, sizes=[{"N": 100}]
+        )
+        assert counts == {
+            "pm.pass.runs": 27, "pm.pass.shared": 40, "pm.certify.shared": 20,
+        }
+        assert snapshots == 9  # the source + 8 distinct certified passes
+        evaluate = [e for e in spans if e["name"] == "tune-evaluate"]
+        assert len(evaluate) == len(result.named) + len(result.candidates)
+        assert sum(e["attrs"]["shared_steps"] for e in evaluate) == 40
+        # a shared step ran nothing, so it has no pass span
+        passes = [e for e in spans if e["depth"] == 1 and e["name"] in PASSES]
+        assert len(passes) == 27
+
+    def test_default_grid(self, monkeypatch, tmp_path):
+        """160 candidates + 7 levels are 1,011 step visits over 250
+        distinct prefixes; on adi ``inline``, ``split_arrays`` and
+        ``constprop`` change nothing, which leaves 76 passes to run."""
+        result, counts, snapshots, _ = self._search(
+            monkeypatch, tmp_path, sizes=[{"N": 24}],
+            enablers=ENABLERS, fusion_levels=FUSION_LEVELS,
+        )
+        assert len(result.candidates) == 160
+        assert counts["pm.pass.runs"] == 76
+        assert counts["pm.pass.runs"] + counts["pm.pass.shared"] == 1011
+        assert snapshots == 47  # the source + 46 distinct certified passes
+        assert snapshots - 1 + counts["pm.certify.shared"] == 896
+
+    def test_trie_dies_with_the_search(self, monkeypatch):
+        import gc
+        import weakref
+
+        import repro.tune.tuner as tuner
+
+        managers = []
+
+        class Tracked(tuner.PassManager):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                managers.append(weakref.ref(self))
+
+        monkeypatch.setattr(tuner, "PassManager", Tracked)
+        _tune(validate_top=False)
+        gc.collect()
+        assert len(managers) == 1 and managers[0]() is None
 
 
 class TestCheckBaseline:

@@ -34,13 +34,16 @@ self-lint:
 	$(PYTHON) -m repro lint --self
 
 # pass-manager smoke: the pipeline registry enumerates, a custom
-# --passes pipeline compiles and simulates end to end, and the tuner's
-# own default — 160 candidates, every pass certified — searches adi
-# through one pass trie (seconds; ~20 s if prefixes stop being shared,
-# exit 1 if any candidate of the grid fails certification)
+# --passes pipeline compiles and simulates end to end, the multi-level
+# front door compiles three levels through the program's one pass trie
+# (the timing table charges the shared preliminary prefix to fusion1
+# alone), and the tuner's own default — 160 candidates, every pass
+# certified — searches adi through it too (seconds; ~20 s if prefixes
+# stop being shared, exit 1 if any candidate fails certification)
 smoke:
 	$(PYTHON) -m repro pipeline --list
 	$(PYTHON) -m repro report adi --passes inline,simplify -p N=16 --steps 1
+	$(PYTHON) -m repro report adi --levels fusion1,fusion,new -p N=16 --steps 1 --timings
 	$(PYTHON) -m repro tune adi --at N=24 --no-validate --no-cache
 
 # perf-ledger plumbing: all four workloads at small sizes through the

@@ -15,9 +15,12 @@
 Each level is a declarative :class:`~repro.core.pm.PipelineSpec` in the
 :data:`~repro.core.pm.PIPELINES` registry, executed by the
 :class:`~repro.core.pm.PassManager` (which owns spans and
-certification, and shares pass prefixes between the pipelines of one
-source program; every function here is the one-shot spelling — a fresh
-manager, one walk).  ``compile_pipeline`` additionally
+certification).  Every function here walks the pass trie of the program
+it was handed (:meth:`~repro.core.pm.PassManager.of`), so a second
+compile of the same :class:`~repro.lang.Program` object — another level
+sharing a prefix, another size, a warm cache phase — executes only the
+passes no earlier walk has; the result's ``passes_run`` / ``shared_steps``
+say which it was.  ``compile_pipeline`` additionally
 accepts a custom pass-name list or an explicit spec; unknown level names
 raise :class:`~repro.lang.TransformError` listing the known levels.
 
@@ -64,7 +67,7 @@ def preliminary(
     on the first broken dependence).
     """
     spec = PipelineSpec("preliminary", "", preliminary_steps(distribute))
-    return PassManager(program, verifier).run(spec).program
+    return compile_pipeline(program, spec, verify=verifier or False).program
 
 
 def compile_pipeline(
@@ -79,9 +82,21 @@ def compile_pipeline(
     ``pipeline`` may be a registered level name (strictly validated), an
     explicit :class:`~repro.core.pm.PipelineSpec`, or a sequence of
     registered pass names (the CLI's ``--passes`` form).
+
+    The walk is over ``program``'s own trie unless an option a deposit
+    or a verdict depends on is not the default — ``regroup_options``, or
+    a verification size (``verify_params``, or those of a supplied
+    verifier) — which gets a private manager, as every compile once did.
     """
     spec = resolve_pipeline(pipeline)
-    return PassManager(program, verify, regroup_options, verify_params).run(spec)
+    verify_steps = 1
+    if isinstance(verify, PassVerifier):
+        verify_params, verify_steps = verify.params, verify.steps
+    if regroup_options is None and verify_params is None and verify_steps == 1:
+        manager = PassManager.of(program)
+    else:
+        manager = PassManager(program, regroup_options, verify_params, verify_steps)
+    return manager.run(spec, verify)
 
 
 def compile_variant(

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from ..core import CompiledVariant, compile_pipeline, compile_variant
+from ..core import CompiledVariant, compile_pipeline
 from ..engines import EngineSelection, resolve_engines
 from ..core.regroup import RegroupOptions
 from ..core.regroup.layout import Layout
@@ -159,31 +159,29 @@ def measure_variant(
     shared across them); ``result_cache=False``
     keeps the trace cache but always re-simulates (benchmarking).
     ``verify`` threads a pass-legality check through
-    :func:`~repro.core.compile_variant` (True, or a
+    :func:`~repro.core.compile_pipeline` (True, or a
     :class:`~repro.verify.PassVerifier` whose history the caller wants).
     ``pipeline`` overrides ``level`` for compilation: a registered
     pipeline name, a pass-name sequence, or a
     :class:`~repro.core.PipelineSpec` (``level`` stays the row label).
-    Per-stage seconds land in :attr:`VariantResult.timings`.
+    Per-stage seconds land in :attr:`VariantResult.timings`;
+    ``timings["compile"]`` is what *this* call spent — passes an earlier
+    call on the same ``program`` object already ran cost it nothing, and
+    the ``compile`` span's ``passes_run`` / ``shared_steps`` say so.
     """
     selection = resolve_engines(engine)
     label = name or program.name
     timings: dict[str, float] = {}
     with span("compile", level=level) as sp:
-        if pipeline is not None:
-            variant = compile_pipeline(
-                program,
-                pipeline,
-                regroup_options=regroup_options,
-                verify=verify,
-            )
-        else:
-            variant = compile_variant(
-                program,
-                level,
-                regroup_options=regroup_options,
-                verify=verify,
-            )
+        variant = compile_pipeline(
+            program,
+            level if pipeline is None else pipeline,
+            regroup_options=regroup_options,
+            verify=verify,
+        )
+        # a compile of ~0 s is one that found every pass already run
+        sp.attrs["passes_run"] = variant.passes_run
+        sp.attrs["shared_steps"] = variant.shared_steps
     timings["compile"] = sp.duration_s
     layout = variant.layout(params)
 

@@ -95,7 +95,11 @@ def timing_rows(results: Sequence) -> list[list[object]]:
     """Per-stage wall-clock rows from results carrying a ``timings`` dict.
 
     Stages a result skipped (e.g. a cache hit never re-traces) render as
-    ``-`` so a warm run is visibly cheaper than a cold one.
+    ``-`` so a warm run is visibly cheaper than a cold one.  ``compile``
+    is never skipped, but reads ≈ 0 when the level was already compiled
+    in this process: a pass runs once per source program, charged to the
+    row whose walk executed it, so of levels sharing a prefix (``fusion1``,
+    ``fusion``, ``new``) the first listed pays for it.
     """
     rows: list[list[object]] = []
     for r in results:

@@ -6,8 +6,9 @@ loop is static-rank / dynamic-validate:
 
 1. enumerate the legal candidate grid (:mod:`repro.tune.candidates`)
    plus the paper's named levels as baselines;
-2. compile every pipeline through one :class:`~repro.core.pm.PassManager`
-   (a shared pass prefix runs, and is certified, once per search) and
+2. compile every pipeline through the program's own
+   :class:`~repro.core.pm.PassManager` (a shared pass prefix runs, and
+   is certified, once per process — a second search compiles nothing) and
    **dedup by compiled program text** — many pipelines converge to the
    same program (e.g. ``new`` vs ``fusion``:
    regrouping never edits the program), and the expensive symbolic
@@ -324,7 +325,7 @@ def evaluate_candidate(
 ) -> CandidateScore:
     """Statically evaluate one pipeline — the tuner's inner step.
 
-    Cache-load, else compile through ``manager`` (the search's pass
+    Cache-load, else compile through ``manager`` (the program's pass
     trie), dedup against ``seen_text`` by compiled program text, else
     analyze and score; fresh results are stored.
     The first evaluation of each distinct text registers itself in
@@ -341,9 +342,8 @@ def evaluate_candidate(
     cached = entry is not None
     if not cached:
         with span("tune-evaluate", pipeline=label, kind=kind) as sp:
-            shared = manager.shared_steps
             variant = manager.run(spec, verify=verify)
-            sp.attrs["shared_steps"] = manager.shared_steps - shared
+            sp.attrs["shared_steps"] = variant.shared_steps
             text_hash = hashlib.sha256(
                 str(variant.program).encode()
             ).hexdigest()[:16]
@@ -436,24 +436,24 @@ def tune(request: TuneRequest) -> TuneResult:
     if log is not None:
         log.write(make_event("run_start", run_id=log.run_id, total=len(work)))
 
-    # one pass trie per search; declared, so snapshots die when used up
-    manager = PassManager(program, verify=request.verify)
-    if request.verify:
-        manager.declare(grid)
+    manager = PassManager.of(program)
     seen_text: dict[str, CandidateScore] = {}
     named: list[CandidateScore] = []
     candidates: list[CandidateScore] = []
     t0 = time.perf_counter()
-    for index, (label, spec, kind) in enumerate(work):
-        with spec_logging(
-            log, index, name, label, memory=bool(cfg and cfg.memory)
-        ):
-            result = evaluate_candidate(
-                manager, label, kind, spec, steps, sizes, l1_elems, l2_elems,
-                request.objective, request.threads, request.schedule,
-                kind == "candidate", tcache, seen_text,
-            )
-        (named if kind == "named" else candidates).append(result)
+    # declared, so a snapshot dies when used up — and with the search
+    with manager.declared(grid if request.verify else ()):
+        for index, (label, spec, kind) in enumerate(work):
+            with spec_logging(
+                log, index, name, label, memory=bool(cfg and cfg.memory)
+            ):
+                result = evaluate_candidate(
+                    manager, label, kind, spec, steps, sizes, l1_elems,
+                    l2_elems, request.objective, request.threads,
+                    request.schedule, request.verify and kind == "candidate",
+                    tcache, seen_text,
+                )
+            (named if kind == "named" else candidates).append(result)
 
     candidates.sort(key=lambda c: (c.score, len(c.spec.steps), c.label))
 
@@ -579,7 +579,7 @@ def check_baseline(
                 f"named level ({floor:.0f})"
             )
         try:
-            manager = PassManager(resolve_target(
+            manager = PassManager.of(resolve_target(
                 entry.get("target", prog_name), sizes[0], steps
             ).program)
         except (KeyError, ReproError) as exc:

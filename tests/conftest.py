@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
-from repro.lang import Program, parse, validate
+from repro.lang import Loop, Program, parse, validate
 from repro.interp import run_program
+from repro.programs import registry
+from repro.verify import Snapshot
 
 
 def build(source: str) -> Program:
@@ -54,6 +58,35 @@ def resolve_slice(ref: dict, origin) -> np.ndarray:
     for step in reversed(chain):
         data = np.take(data, step.index - 1, axis=step.dim)
     return data
+
+
+def live_snapshots() -> int:
+    """Dependence snapshots alive right now — the pass manager's only
+    large state, so the tests that bound its lifetime count them."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Snapshot))
+
+
+def reverse_first_loops(program: Program, ctx=None) -> Program:
+    """An illegal pass body: swap the first two top-level loop nests,
+    reversing every dependence between them."""
+    body = list(program.body)
+    first, second = [i for i, s in enumerate(body) if isinstance(s, Loop)][:2]
+    body[first], body[second] = body[second], body[first]
+    return program.with_body(tuple(body))
+
+
+@pytest.fixture
+def fresh_programs():
+    """Registry names resolve to programs no earlier test has compiled.
+
+    The pass trie lives on the ``Program`` object and a registry name is
+    one object per process, so a test that counts executed passes
+    (``pm.pass.*``, pass spans, ``analysis.cache.*``) would otherwise
+    depend on which tests ran before it.  Dropping the registry's
+    programs is the whole reset: their tries go with them.
+    """
+    registry._bundled.cache_clear()
 
 
 @pytest.fixture

@@ -241,7 +241,7 @@ def test_report_with_bogus_pass_name(kernel_file, capsys):
     assert "registered passes" in capsys.readouterr().err
 
 
-def test_profile_shows_analysis_cache_summary(capsys):
+def test_profile_shows_analysis_cache_summary(fresh_programs, capsys):
     assert main(["profile", "adi", "--level", "new", "-p", "N=40",
                  "--no-memory"]) == 0
     out = capsys.readouterr().out

@@ -1,28 +1,30 @@
 """One PassManager per source program: a trie of pass steps.
 
-Sharing must be invisible (every pipeline compiles to what a standalone
-``compile_pipeline`` gives), certification must stay per pass and per
-pipeline (a broken pass is blamed every time, a prefix first compiled
-unverified is certified when a verified pipeline crosses it), and the
-only large state — dependence snapshots — must not outlive its use.
+Sharing must be invisible (every pipeline compiles to what a fresh
+manager gives — ``PassManager(program).run(spec)``, the oracle here,
+since ``compile_pipeline`` itself shares), certification must stay per
+pass and per pipeline (a broken pass is blamed every time, a prefix
+first compiled unverified is certified when a verified pipeline crosses
+it), and the only large state — dependence snapshots — must not outlive
+its use.
 """
 
-import gc
 import random
 from dataclasses import replace
 
 import pytest
+from conftest import live_snapshots, reverse_first_loops
 
 from repro.core import PIPELINES, PassManager, compile_pipeline
 from repro.core.pm import PASSES, FunctionPass, PassContext, PassStep, register_pass
 from repro.core.pm.pipelines import custom_pipeline
 from repro.harness.cache import layout_fingerprint
-from repro.lang import Loop, ValidationError, to_source
+from repro.lang import ValidationError, to_source
 from repro.obs import metrics
 from repro.programs import registry
 from repro.programs.registry import resolve_target
 from repro.tune import enumerate_candidates
-from repro.verify import PassLegalityError, PassVerifier, Snapshot
+from repro.verify import PassLegalityError, PassVerifier
 
 SMALL = {"N": 10}
 
@@ -63,17 +65,18 @@ def test_pass():
 def test_shared_manager_equals_standalone_compiles(target, params):
     """All 160 grid candidates + the 9 named pipelines, in shuffled order,
     through one manager — every second one certified — against a fresh
-    one-shot compile of the same spec."""
+    manager's compile of the same spec."""
     resolved = resolve_target(target, params)
     program = resolved.program
     bind = {k: v for k, v in params.items() if k in program.params}
     specs = list(PIPELINES.values()) + enumerate_candidates()
     assert len(specs) == 169
     random.Random(20011).shuffle(specs)
-    manager = PassManager(program, verify=True, verify_params={"N": 6})
+    manager = PassManager(program, verify_params={"N": 6})
     for index, spec in enumerate(specs):
         shared = manager.run(spec, verify=index % 2 == 0)
-        alone = compile_pipeline(program, spec)
+        alone = PassManager(program).run(spec)
+        assert alone.passes_run == len(spec.steps)
         assert shared.level == alone.level == spec.name
         assert to_source(shared.program) == to_source(alone.program)
         assert layout_fingerprint(shared.layout(bind)) == layout_fingerprint(
@@ -90,21 +93,12 @@ def test_shared_manager_equals_standalone_compiles(target, params):
 # -- (b) a broken pass is blamed every time ------------------------------------
 
 
-def _reverse_first_loop(program, ctx):
-    """Run the first loop nest backwards in time: swap the first two
-    top-level statements, reversing every dependence between them."""
-    body = list(program.body)
-    loops = [i for i, s in enumerate(body) if isinstance(s, Loop)]
-    body[loops[0]], body[loops[1]] = body[loops[1]], body[loops[0]]
-    return program.with_body(tuple(body))
-
-
 def test_broken_pass_is_blamed_on_every_crossing(test_pass):
     runs = []
 
     def broken(program, ctx):
         runs.append(1)
-        return _reverse_first_loop(program, ctx)
+        return reverse_first_loops(program, ctx)
 
     test_pass("reverse_dependence", broken)
     program = resolve_target("adi").program
@@ -113,14 +107,15 @@ def test_broken_pass_is_blamed_on_every_crossing(test_pass):
         custom_pipeline(["inline", "reverse_dependence", "distribute"]),
     ]
     good = custom_pipeline(["inline", "distribute", "simplify"])
-    manager = PassManager(program, verify=True, verify_params=SMALL)
+    manager = PassManager(program, verify_params=SMALL)
+    verifier = PassVerifier(program, SMALL)
     for spec in bad + bad:  # second crossings replay the cached verdict
         with pytest.raises(PassLegalityError, match="reverse_dependence") as err:
-            manager.run(spec)
+            manager.run(spec, verify=verifier)
         assert err.value.bag.has_errors()
-        assert manager.verifier.history[-1][0] == "reverse_dependence"
+        assert verifier.history[-1][0] == "reverse_dependence"
     assert len(runs) == 1, "the broken pass must not be re-run"
-    assert manager.run(good).program is not None
+    assert manager.run(good, verify=True).program is not None
     # the unverified spelling of a standalone compile does not check either
     assert manager.run(bad[0], verify=False).program is not None
 
@@ -134,17 +129,20 @@ def test_prefix_compiled_unverified_is_certified_when_crossed_verified():
     alone = PassVerifier(program, SMALL)
     compile_pipeline(program, spec, verify=alone)
 
-    manager = PassManager(program, verify=True, verify_params=SMALL)
+    manager = PassManager(program, verify_params=SMALL)
+    floor = live_snapshots()
     manager.run(spec, verify=False)
-    assert manager.verifier is None, "an unverified walk takes no snapshot"
+    assert live_snapshots() == floor, "an unverified walk takes no snapshot"
+    assert not any(node.bags for node in manager._nodes())
     runs, replays = _counters("pm.pass.runs", "pm.certify.shared")
-    manager.run(spec)
-    history = manager.verifier.history
+    verifier = PassVerifier(program, SMALL)
+    manager.run(spec, verify=verifier)
+    history = verifier.history
     assert [name for name, _ in history] == [name for name, _ in alone.history]
     assert all(not bag.has_errors() for _, bag in history)
     assert _counters("pm.pass.runs", "pm.certify.shared") == [runs, replays]
     # a third walk replays all eight verdicts into the history
-    manager.run(PIPELINES["fusion1+regroup"])
+    manager.run(PIPELINES["fusion1+regroup"], verify=verifier)
     assert len(history) == 2 * len(alone.history)
     assert _counters("pm.certify.shared")[0] == replays + len(alone.history)
 
@@ -173,18 +171,8 @@ def test_every_registered_pass_is_pure(app):
 # -- (f) snapshots do not outlive their use ------------------------------------
 
 
-def _live_snapshots():
-    gc.collect()
-    return sum(1 for obj in gc.get_objects() if isinstance(obj, Snapshot))
-
-
-def _reached(node, seen=None):
-    seen = {} if seen is None else seen
-    if id(node) not in seen and node.program is not None:
-        seen[id(node)] = node
-        for child in node.children.values():
-            _reached(child, seen)
-    return list(seen.values())
+def _reached(manager):
+    return [node for node in manager._nodes() if node.program is not None]
 
 
 def test_declared_search_keeps_no_snapshot_it_does_not_need():
@@ -192,27 +180,23 @@ def test_declared_search_keeps_no_snapshot_it_does_not_need():
     grid = enumerate_candidates(
         enablers=("unroll", "distribute"), fusion_levels=(0, 1, 2)
     )
-    floor = _live_snapshots()
-    manager = PassManager(program, verify=True, verify_params={"N": 6})
-    manager.declare(grid)
+    floor = live_snapshots()
+    manager = PassManager(program, verify_params={"N": 6})
     peak = 0
-    for spec in grid:
-        manager.run(spec)
-        nodes = _reached(manager.root)
-        holders = [n for n in nodes if n.snapshot is not None]
-        # open branch points: a declared edge out of them awaits its verdict
-        assert all(n.awaited() for n in holders), spec.name
-        assert len(holders) <= sum(n.awaited() for n in nodes)
-        # + 1: the verifier's baseline, the last snapshot taken
-        live = _live_snapshots() - floor
-        assert live <= len(holders) + 1, spec.name
-        peak = max(peak, live)
-    assert peak >= 3, "the bound must have been exercised"
-    # everything declared is certified: only the verifier's baseline is left
-    assert not any(n.awaited() for n in _reached(manager.root))
-    assert _live_snapshots() - floor == 1
-    del manager, nodes, holders
-    assert _live_snapshots() == floor
+    with manager.declared(grid):
+        for spec in grid:
+            manager.run(spec, verify=True)
+            nodes = _reached(manager)
+            holders = [n for n in nodes if n.snapshot is not None]
+            # open branch points: a declared edge out of them awaits its verdict
+            assert all(n.awaited() for n in holders), spec.name
+            live = live_snapshots() - floor
+            assert live == len(holders), spec.name
+            peak = max(peak, live)
+        assert peak >= 3, "the bound must have been exercised"
+        # everything declared is certified: nothing is awaited, nothing kept
+        assert not any(n.awaited() for n in _reached(manager))
+        assert live_snapshots() == floor
 
 
 # -- satellite: one validate, in one place -------------------------------------
@@ -224,8 +208,9 @@ def test_ill_formed_pass_output_is_rejected_by_the_manager(test_pass):
 
     test_pass("drop_declarations", drop_declarations, certify=False)
     program = resolve_target("adi").program
-    with pytest.raises(ValidationError):
-        compile_pipeline(program, ["inline", "drop_declarations"])
+    for _ in range(2):  # only a validation that passed is remembered
+        with pytest.raises(ValidationError):
+            compile_pipeline(program, ["inline", "drop_declarations"])
 
 
 def test_checkpoint_is_part_of_the_edge():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core import PassManager, compile_pipeline
 from repro.lang import parse, to_source, validate
 from repro.programs import registry
+from repro.verify import PassVerifier
 from repro.tune import (
     ENABLERS,
     FUSION_LEVELS,
@@ -49,18 +50,21 @@ candidates = st.builds(
 def test_candidate_passes_certification():
     """Every candidate of the default grid compiles under full
     verification: each pass of each chain carries a clean verdict."""
-    manager = PassManager(_adi(), verify=True, verify_params=SMALL)
+    program = _adi()
+    manager = PassManager(program, verify_params=SMALL)
+    verifier = PassVerifier(program, SMALL)
     grid = enumerate_candidates()
     assert len(grid) == 160
-    for spec in grid:
-        seen = len(manager.verifier.history) if manager.verifier else 0
-        variant = manager.run(spec)
-        assert variant.program is not None
-        chain = manager.verifier.history[seen:]
-        assert [name for name, _ in chain] == [
-            s.name for s in spec.steps if s.name != "regroup"
-        ]
-        assert not any(bag.has_errors() for _, bag in chain)
+    with manager.declared(grid):
+        for spec in grid:
+            seen = len(verifier.history)
+            variant = manager.run(spec, verify=verifier)
+            assert variant.program is not None
+            chain = verifier.history[seen:]
+            assert [name for name, _ in chain] == [
+                s.name for s in spec.steps if s.name != "regroup"
+            ]
+            assert not any(bag.has_errors() for _, bag in chain)
 
 
 @given(candidates)

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from repro.core.pm import OPT_LEVELS, PASSES
-from repro.lang import ReproError
+from repro.core.pm import OPT_LEVELS, PASSES, PassManager
+from repro.lang import ReproError, validate
 from repro.obs import REGISTRY, RunLog, TraceConfig
+from repro.programs import registry
 from repro.programs.registry import MachineSpec
 from repro.tune import (
     ENABLERS,
@@ -47,8 +48,6 @@ class TestFrontDoor:
 
     def test_default_sizes_come_from_registry(self):
         result = _tune(validate_top=False)
-        from repro.programs import registry
-
         assert result.sizes == [dict(registry.get("adi").default_params)]
 
     def test_named_levels_bound_the_search(self):
@@ -208,17 +207,19 @@ class TestObservability:
         assert after > before
 
 
+@pytest.mark.usefixtures("fresh_programs")
 class TestPrefixSharing:
-    """One pass trie per search: exact, repeatable counts (ISSUE 21)."""
+    """One pass trie per source program: exact, repeatable counts of the
+    first search over it (ISSUE 21), none for the second (ISSUE 22)."""
 
     @staticmethod
     def _search(monkeypatch, tmp_path, **overrides):
-        import repro.verify.legality as legality
+        import repro.core.pm.manager as manager
 
         snapshots = []
-        real = legality.snapshot_program
+        real = manager.snapshot_program
         monkeypatch.setattr(
-            legality, "snapshot_program",
+            manager, "snapshot_program",
             lambda *a, **k: snapshots.append(1) or real(*a, **k),
         )
         names = ("pm.pass.runs", "pm.pass.shared", "pm.certify.shared")
@@ -263,23 +264,32 @@ class TestPrefixSharing:
         assert snapshots == 47  # the source + 46 distinct certified passes
         assert snapshots - 1 + counts["pm.certify.shared"] == 896
 
-    def test_trie_dies_with_the_search(self, monkeypatch):
+    def test_trie_dies_with_the_search(self, monkeypatch, tmp_path):
+        """Snapshots die with the search, the trie dies with the program
+        — and while it lives, a second search compiles and snapshots
+        nothing."""
         import gc
         import weakref
 
-        import repro.tune.tuner as tuner
-
-        managers = []
-
-        class Tracked(tuner.PassManager):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                managers.append(weakref.ref(self))
-
-        monkeypatch.setattr(tuner, "PassManager", Tracked)
-        _tune(validate_top=False)
+        program = validate(registry.get("adi").build())
+        search = dict(program=program, name="adi", sizes=[{"N": 100}])
+        first, counts, snapshots, _ = self._search(
+            monkeypatch, tmp_path / "1", **search
+        )
+        assert (counts["pm.pass.runs"], snapshots) == (27, 9)
+        manager = PassManager.of(program)
+        assert not any(n.snapshot or n.declared for n in manager._nodes())
+        again, counts, snapshots, _ = self._search(
+            monkeypatch, tmp_path / "2", **search
+        )
+        assert (counts["pm.pass.runs"], snapshots) == (0, 0)
+        assert counts["pm.certify.shared"] == 28
+        ranking = [(c.label, c.score, c.text_hash) for c in first.candidates]
+        assert [(c.label, c.score, c.text_hash) for c in again.candidates] == ranking
+        alive = weakref.ref(manager)
+        del program, search, manager, first, again
         gc.collect()
-        assert len(managers) == 1 and managers[0]() is None
+        assert alive() is None
 
 
 class TestCheckBaseline:

@@ -39,12 +39,16 @@ self-lint:
 # (the timing table charges the shared preliminary prefix to fusion1
 # alone), and the tuner's own default — 160 candidates, every pass
 # certified — searches adi through it too (seconds; ~20 s if prefixes
-# stop being shared, exit 1 if any candidate fails certification)
+# stop being shared, exit 1 if any candidate fails certification), once
+# more under the multicore objective, where every candidate also runs
+# the 4-thread enumerator and the MSI automaton (seconds: the
+# enumerator's round-robin merge is arithmetic, not a step per access)
 smoke:
 	$(PYTHON) -m repro pipeline --list
 	$(PYTHON) -m repro report adi --passes inline,simplify -p N=16 --steps 1
 	$(PYTHON) -m repro report adi --levels fusion1,fusion,new -p N=16 --steps 1 --timings
 	$(PYTHON) -m repro tune adi --at N=24 --no-validate --no-cache
+	$(PYTHON) -m repro tune adi --at N=24 --objective parallel-misses --threads 4 --no-validate --no-cache
 
 # perf-ledger plumbing: all four workloads at small sizes through the
 # traced run, so besides every count (perf/expected.json, oracle engines)

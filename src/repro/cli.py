@@ -11,7 +11,8 @@ Subcommands:
   target-taking subcommand accepts a registry name, ``fft`` (``-p
   n=SIZE``) or a source file (measuring one needs ``-p NAME=INT``);
 * ``profile APP``    — run one (program, level, params) and print the
-  nested stage/pass span tree (seconds + peak MB) plus metric deltas;
+  nested stage/pass span tree (seconds + peak MB) plus metric deltas
+  (``--static`` adds the trace-free analyses and their work counters);
 * ``runs``           — list and summarize past ``runs/<id>/events.jsonl``
   run logs;
 * ``levels``         — list the optimization levels;
@@ -619,7 +620,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     )
     result = outcome.results[0]
-    _profile_parallelism(result)
+    _profile_analyses(result, target.steps, args.static)
     if args.json:
         events = [sp.to_event() for sp in result.spans]
         for event in events:
@@ -656,22 +657,30 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_parallelism(result) -> None:
-    """Fold one parallelism-analysis pass into a profile result.
+def _profile_analyses(result, steps: int, static: bool) -> None:
+    """Fold the trace-free analyses into a profile result.
 
     Runs the static parallelism analyzer over the compiled variant in
-    its own span/metrics window and merges the ``parallelism`` span and
-    the ``analysis.parallelism.*`` counters into the run's profile, so
-    ``repro profile`` shows the analyzer next to compile/trace/simulate.
+    its own span/metrics window — and with ``--static`` the symbolic
+    reuse profile and the coherence analyzer too (opt-in: the reuse
+    ladder takes minutes on sp's fused levels) — and merges their spans
+    and ``analysis.*`` work counters into the run's profile, so ``repro
+    profile`` shows the analyzers next to compile/trace/simulate.
     """
-    from .static import analyze_parallelism
+    from .static import analyze_coherence, analyze_parallelism, analyze_program
 
     if result.variant is None:
         return
+    program, params = result.variant.program, dict(result.params)
     before = REGISTRY.snapshot()
     collector = SpanCollector()
     with collector:
-        analyze_parallelism(result.variant.program, dict(result.params))
+        parallelism = analyze_parallelism(program, params)
+        if static:
+            analyze_program(program, steps=steps)
+            analyze_coherence(
+                program, params, steps=steps, parallelism=parallelism
+            )
     delta = MetricsRegistry.delta(before, REGISTRY.snapshot())
     counters = result.metrics.setdefault("counters", {})
     for key, value in delta.get("counters", {}).items():
@@ -1326,6 +1335,12 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--json", action="store_true",
         help="emit schema-v1 span events as JSON instead of the tree",
+    )
+    profile.add_argument(
+        "--static", action="store_true",
+        help="also profile the trace-free analyses: the symbolic reuse "
+        "profile (attribute span: hulls, hull_hits, eliminate, ...) and the "
+        "4-thread coherence analysis (accesses, partitioned_nests)",
     )
     profile.set_defaults(fn=cmd_profile)
 

@@ -6,7 +6,10 @@ outermost axis is parallel (DOALL or reduction per the static
 parallelism analyzer) is partitioned over its outer range by an OpenMP
 schedule (:mod:`repro.static.schedule`: ``static``, ``static,k``,
 ``guided``, ``dynamic``), each thread traces its own chunks, and the
-per-thread streams are merged round-robin ``block`` accesses at a time.
+per-thread streams are merged round-robin ``block`` accesses at a time
+(by arithmetic: :func:`repro.static.schedule.round_robin_positions` gives
+every access its merged position, so the merge is three scatters per
+thread, not a loop over accesses).
 Serial nests run entirely on thread 0.  An implicit barrier separates
 consecutive nests (and steps), exactly like OpenMP's parallel-for join.
 
@@ -54,7 +57,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from ..lang import Program
-from ..obs import metrics, span
+from ..obs import SpanEvent, metrics, span
 from ..stream import AddressStream
 from .tracegen import NestTracer
 
@@ -86,16 +89,23 @@ def interleaved_nests(
     schedule: str,
     block: int,
     parallel: frozenset[int],
+    sp: SpanEvent,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the merged ``(keys, writes, thread_ids)`` columns of every
     executed top-level nest of a ``threads``-way run, in execution order.
 
     A thread's chunks execute back-to-back in chunk order — for
     ``static,k`` and ``guided`` that is the order the deterministic
-    dealer hands them out; the live per-thread streams are then drained
-    round-robin (:func:`repro.static.schedule.round_robin_order`).
+    dealer hands them out; the live per-thread streams are then merged
+    round-robin by arithmetic: each stream's columns are scattered to
+    the positions :func:`repro.static.schedule.round_robin_positions`
+    computes, so the merge does no Python work per access.
+
+    The enumeration counts its work onto ``sp``, the consumer's span:
+    ``accesses`` yielded and ``partitioned_nests`` (nest executions
+    split over the threads).
     """
-    from ..static.schedule import round_robin_order, schedule_chunks
+    from ..static.schedule import round_robin_positions, schedule_chunks
 
     def columns(k: int, chunks=(None,)) -> tuple[np.ndarray, np.ndarray]:
         traces = [tracer.trace(k, chunk) for chunk in chunks]
@@ -104,6 +114,7 @@ def interleaved_nests(
             np.concatenate([t.writes for t in traces]),
         )
 
+    sp.attrs.update(accesses=0, partitioned_nests=0)
     invocation = 0
     for _ in range(steps):
         for k in range(len(tracer.nests)):
@@ -112,6 +123,7 @@ def interleaved_nests(
             )
             if outer is None:
                 keys, writes = columns(k)
+                sp.attrs["accesses"] += len(keys)
                 yield keys, writes, np.zeros(len(keys), dtype=np.int32)
                 continue
             per_thread = schedule_chunks(*outer, threads, schedule, invocation)
@@ -121,18 +133,18 @@ def interleaved_nests(
                 for t, chunks in enumerate(per_thread)
                 if chunks
             ]
-            mk = np.empty(sum(len(c[1]) for c in live), dtype=np.int64)
+            lengths = [len(ck) for _, ck, _ in live]
+            mk = np.empty(sum(lengths), dtype=np.int64)
             mw = np.empty(len(mk), dtype=bool)
             mt = np.empty(len(mk), dtype=np.int32)
-            filled = 0
-            for i, p, q in round_robin_order(
-                [len(c[1]) for c in live], block
+            for (t, ck, cw), at in zip(
+                live, round_robin_positions(lengths, block)
             ):
-                t, ck, cw = live[i]
-                mk[filled : filled + (q - p)] = ck[p:q]
-                mw[filled : filled + (q - p)] = cw[p:q]
-                mt[filled : filled + (q - p)] = t
-                filled += q - p
+                mk[at] = ck
+                mw[at] = cw
+                mt[at] = t
+            sp.attrs["accesses"] += len(mk)
+            sp.attrs["partitioned_nests"] += 1
             yield mk, mw, mt
 
 
@@ -153,6 +165,8 @@ def interleave_trace(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if block < 1:  # up front: an unpartitioned run never reaches the merge
+        raise ValueError(f"block must be >= 1, got {block}")
     from ..static.schedule import parse_schedule
 
     parse_schedule(schedule)  # validate the spec before tracing
@@ -169,11 +183,11 @@ def interleave_trace(
         program=program.name,
         threads=threads,
         schedule=schedule,
-    ):
+    ) as sp:
         keys, writes, tids = concat_columns(
             interleaved_nests(
                 NestTracer(program, params),
-                threads, steps, schedule, block, parallel,
+                threads, steps, schedule, block, parallel, sp,
             )
         )
         metrics.inc("trace.interleaved_runs")

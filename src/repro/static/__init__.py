@@ -39,7 +39,7 @@ from .reuse import ClassProfile, Component, attribute_model, solve_delta
 from .schedule import (
     parse_schedule,
     preserves_affinity,
-    round_robin_order,
+    round_robin_positions,
     schedule_assignments,
     schedule_chunks,
     thread_span,
@@ -78,7 +78,7 @@ __all__ = [
     "predict_program_multicore",
     "preserves_affinity",
     "ref_hull",
-    "round_robin_order",
+    "round_robin_positions",
     "schedule_assignments",
     "schedule_chunks",
     "solve_delta",

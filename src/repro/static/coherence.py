@@ -453,7 +453,7 @@ def analyze_coherence(
         program=program.name,
         threads=threads,
         schedule=schedule,
-    ):
+    ) as sp:
         if parallelism is None:
             parallelism = analyze_parallelism(program, params)
         parallel = frozenset(parallelism.parallel_nests())
@@ -464,7 +464,7 @@ def analyze_coherence(
         nests = []
         total = 0
         for columns in interleaved_nests(
-            tracer, threads, steps, schedule, 1, parallel
+            tracer, threads, steps, schedule, 1, parallel, sp
         ):
             nests.append(columns)
             total += len(columns[0])

@@ -233,7 +233,7 @@ class _Attributor:
         self.steps = steps
         self.assume = assume
         #: the ladder's work on this model, as call counts (see :meth:`publish`)
-        self.work = {"window_distance": 0, "shift_candidates": 0}
+        self.work = {"window_distance": 0, "shift_candidates": 0, "hull_hits": 0}
         self._region_calls = dict(CALLS)
         #: finalized per-array union hull of each top-level nest
         self.nest_hulls: list[dict[str, Hull]] = [
@@ -243,10 +243,30 @@ class _Attributor:
         #: measure only references shared anchor indices, so every sink
         #: of the nest sees the same value (diagonal sources reuse it)
         self._subtree_measures: dict[tuple[int, int, int], Poly] = {}
+        #: (id(ref), start, window) -> (ref, its hull): the rungs ask for
+        #: the same hull of the same reference again and again.  Keyed on
+        #: identity; every entry holds its ref, so an id cannot be
+        #: recycled while the memo lives — and it lives for this model only
+        self._hulls: dict[tuple, tuple[StaticRef, Hull]] = {}
+
+    def hull(
+        self,
+        ref: StaticRef,
+        start: int = 0,
+        window: Optional[tuple[int, int]] = None,
+    ) -> Hull:
+        """:func:`~repro.static.regions.ref_hull`, computed once per model."""
+        key = (id(ref), start, window)
+        entry = self._hulls.get(key)
+        if entry is None:
+            entry = self._hulls[key] = (ref, ref_hull(ref, start, window))
+        else:
+            self.work["hull_hits"] += 1
+        return entry[1]
 
     def publish(self) -> dict[str, int]:
         """End of the model: report the work as ``analysis.static.*`` counters."""
-        work = dict(self.work)
+        work = dict(self.work, hulls=len(self._hulls))
         for name, before in self._region_calls.items():
             work[name] = CALLS[name] - before
         for name, calls in work.items():
@@ -421,7 +441,7 @@ class _Attributor:
                 a.loop_id != b.loop_id for a, b in zip(r.scope, anchor)
             ):
                 continue
-            h = ref_hull(r, start=level, window=(level, width))
+            h = self.hull(r, start=level, window=(level, width))
             grouped.setdefault(r.array, []).append(h)
         out = Poly()
         for name, hs in sorted(grouped.items()):
@@ -480,7 +500,7 @@ class _Attributor:
                     if inner.index not in probe:
                         probe[inner.index] = int(inner.hi.evaluate(probe))
             grouped.setdefault(r.array, []).append(
-                ref_hull(r, start=rd, window=window)
+                self.hull(r, start=rd, window=window)
             )
         out = Poly()
         for name, hs in sorted(grouped.items()):
@@ -529,9 +549,7 @@ class _Attributor:
             if top in (src_top, sink_top):
                 continue  # charged via the memoized subtree footprints
             if src.pos <= r.pos <= sink.pos:
-                between.setdefault(r.array, []).append(
-                    ref_hull(r, start=rd)
-                )
+                between.setdefault(r.array, []).append(self.hull(r, start=rd))
         mean = Poly()
         bound = Poly()
         for top in (src_top, sink_top):
@@ -567,7 +585,7 @@ class _Attributor:
             r_top = r.scope[depth].loop_id if len(r.scope) > depth else -2
             if r_top != top:
                 continue
-            grouped.setdefault(r.array, []).append(ref_hull(r, start=rd))
+            grouped.setdefault(r.array, []).append(self.hull(r, start=rd))
         out = Poly()
         for name, hs in sorted(grouped.items()):
             for g in union_disjoint(hs, self.assume, probe):
@@ -826,7 +844,7 @@ class _Attributor:
             src_hull = self.nest_hulls[k].get(sink.array)
             if src_hull is None:
                 continue
-            sink_hull = finalize(ref_hull(sink, 0), sink.scope, self.assume)
+            sink_hull = finalize(self.hull(sink), sink.scope, self.assume)
             if hulls_overlap(src_hull, sink_hull, self.assume) is False:
                 continue
             span = list(range(k, last + 1)) + list(range(0, sink.nest + 1))

@@ -60,6 +60,42 @@ def resolve_slice(ref: dict, origin) -> np.ndarray:
     return data
 
 
+def round_robin_order(lengths, block: int = 1) -> list[tuple[int, int, int]]:
+    """Reference round-robin drain, one Python step per run: ``(stream,
+    start, stop)`` runs of up to ``block`` accesses; streams drop out as
+    they drain.  This was ``repro.static.schedule.round_robin_order``
+    until the merge went closed-form; it stays here, verbatim, as the
+    oracle ``round_robin_positions`` and the interleaver are checked
+    against."""
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    runs: list[tuple[int, int, int]] = []
+    pos = [0] * len(lengths)
+    total = sum(lengths)
+    filled = 0
+    while filled < total:
+        for k, n in enumerate(lengths):
+            p = pos[k]
+            if p >= n:
+                continue
+            q = min(p + block, n)
+            runs.append((k, p, q))
+            filled += q - p
+            pos[k] = q
+    return runs
+
+
+def drain_positions(lengths, block: int = 1) -> list[list[int]]:
+    """Merged position of every access of every stream under the
+    reference drain (what ``round_robin_positions`` must equal)."""
+    positions: list[list[int]] = [[] for _ in lengths]
+    filled = 0
+    for k, p, q in round_robin_order(lengths, block):
+        positions[k].extend(range(filled, filled + q - p))
+        filled += q - p
+    return positions
+
+
 def live_snapshots() -> int:
     """Dependence snapshots alive right now — the pass manager's only
     large state, so the tests that bound its lifetime count them."""

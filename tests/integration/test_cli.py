@@ -249,6 +249,18 @@ def test_profile_shows_analysis_cache_summary(fresh_programs, capsys):
     assert "hit rate" in out
 
 
+def test_profile_static_shows_the_analyses_work(capsys):
+    assert main(["profile", "adi", "--level", "new", "-p", "N=12",
+                 "--no-memory", "--static"]) == 0
+    out = capsys.readouterr().out
+    # the attribute span's memo counters and the enumerator's, on the
+    # span lines and among the metric deltas
+    for token in ("attribute", "hull_hits=", "hulls=", "coherence-analyze",
+                  "accesses=", "partitioned_nests=2",
+                  "analysis.static.hulls", "analysis.static.hull_hits"):
+        assert token in out, token
+
+
 def test_verify_pass_with_passes_override(kernel_file, capsys):
     assert main(["verify-pass", kernel_file, "--passes", "inline,distribute"]) == 0
     out = capsys.readouterr().out

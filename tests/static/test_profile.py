@@ -7,10 +7,15 @@ generated anywhere* (``analysis.static.*`` metrics tick, ``trace.*``
 stay put).
 """
 
+import pytest
+
+from repro.core import OPT_LEVELS, compile_variant
 from repro.locality import classify_evadable_stats
 from repro.obs import snapshot
 from repro.programs import registry
 from repro.static import analyze_program
+from repro.static import reuse as reuse_module
+from repro.static.regions import ref_hull
 
 from conftest import build
 
@@ -101,7 +106,6 @@ def test_attribution_reports_its_work_once_per_model():
     """One ``attribute`` span under ``static-reuse`` carries the ladder's
     call counts; the same integers land in ``analysis.static.*``."""
     from repro.obs import SpanCollector
-    from repro.core import compile_variant
 
     program = compile_variant(registry.get("adi").build(), "fusion").program
     before = snapshot()["counters"]
@@ -115,7 +119,10 @@ def test_attribution_reports_its_work_once_per_model():
     assert inner.attrs["components"] == sum(
         len(c.components) for c in profile.classes
     )
-    work = ("window_distance", "shift_candidates", "union_hulls", "eliminate")
+    work = (
+        "window_distance", "shift_candidates", "union_hulls", "eliminate",
+        "hulls", "hull_hits",
+    )
     for name in work:
         calls = inner.attrs[name]
         assert type(calls) is int and calls > 0, name
@@ -155,3 +162,36 @@ def test_solve_delta_keeps_strided_shifts_exact():
     assert solve_delta(odd, even) is None
     shift = solve_delta(write, later)
     assert shift == (0,) and type(shift[0]) is int
+
+
+# -- the hull memo changes no number -------------------------------------------
+
+MEMO_CASES = [
+    (name, level)
+    for name in ("adi", "swim", "tomcatv", "fft")
+    for level in OPT_LEVELS
+] + [("sp", "noopt")]
+
+
+@pytest.mark.parametrize("name, level", MEMO_CASES)
+def test_hull_memo_changes_no_number(name, level, monkeypatch):
+    """Classes, components and predicted misses at two sizes are those
+    of an attributor that recomputes every hull."""
+    source = registry.build_fft(64) if name == "fft" else registry.get(name).build()
+    program = compile_variant(source, level).program
+    sizes = [{}] if name == "fft" else [{"N": 24}, {"N": 61}]
+
+    def numbers(profile):
+        return profile.to_json(), [
+            profile.miss_count(params, capacity)
+            for params in sizes
+            for capacity in (512, 8192)
+        ]
+
+    memoised = numbers(analyze_program(program))
+    monkeypatch.setattr(
+        reuse_module._Attributor,
+        "hull",
+        lambda self, ref, start=0, window=None: ref_hull(ref, start, window),
+    )
+    assert numbers(analyze_program(program)) == memoised

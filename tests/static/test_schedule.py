@@ -9,13 +9,17 @@ dynamic rotation, and the round-robin drain order.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from conftest import drain_positions, round_robin_order
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.static.schedule import (
     chunk_count,
     parse_schedule,
     preserves_affinity,
-    round_robin_order,
+    round_robin_positions,
     schedule_assignments,
     schedule_chunks,
     thread_span,
@@ -177,33 +181,61 @@ def test_threads_must_be_positive():
 
 
 # -- round-robin drain order ---------------------------------------------------
+#
+# ``round_robin_order`` (conftest) is the drain spelled out run by run;
+# ``round_robin_positions`` is the same drain in closed form.
+
+
+def positions(lengths, block=1):
+    return [p.tolist() for p in round_robin_positions(lengths, block)]
 
 
 def test_round_robin_order_block1():
     # streams of length 3,1,2 drain 0,1,2, 0,2, 0
-    order = round_robin_order([3, 1, 2], 1)
-    assert order == [
+    assert round_robin_order([3, 1, 2], 1) == [
         (0, 0, 1), (1, 0, 1), (2, 0, 1),
         (0, 1, 2), (2, 1, 2),
         (0, 2, 3),
     ]
+    assert positions([3, 1, 2], 1) == [[0, 3, 5], [1], [2, 4]]
 
 
 def test_round_robin_order_blocked():
-    order = round_robin_order([5, 2], 2)
-    assert order == [(0, 0, 2), (1, 0, 2), (0, 2, 4), (0, 4, 5)]
+    assert round_robin_order([5, 2], 2) == [
+        (0, 0, 2), (1, 0, 2), (0, 2, 4), (0, 4, 5)
+    ]
+    assert positions([5, 2], 2) == [[0, 1, 4, 5, 6], [2, 3]]
 
 
 def test_round_robin_order_rejects_bad_block():
-    with pytest.raises(ValueError):
-        round_robin_order([1, 2], 0)
+    with pytest.raises(ValueError, match="block must be >= 1, got 0"):
+        round_robin_positions([1, 2], 0)
 
 
 def test_round_robin_order_total_preserved():
+    # a zero-length stream in the middle, a block larger than a stream
     lengths = [7, 0, 3, 11]
-    order = round_robin_order(lengths, 3)
     drained = [0] * len(lengths)
-    for k, p, q in order:
+    for k, p, q in round_robin_order(lengths, 3):
         assert drained[k] == p  # runs arrive in stream order
         drained[k] = q
     assert drained == lengths
+    assert positions(lengths, 3) == drain_positions(lengths, 3)
+    assert positions(lengths, 64) == drain_positions(lengths, 64)
+    assert positions([], 1) == [] and positions([0, 0], 2) == [[], []]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 40), max_size=63),
+    block=st.integers(1, 8),
+)
+def test_positions_are_the_reference_drain(lengths, block):
+    got = round_robin_positions(lengths, block)
+    assert [p.tolist() for p in got] == drain_positions(lengths, block)
+    # what the interleaver relies on: the scatters fill every merged slot
+    # once, and `keys[tids == t]` is thread t's own stream in its own order
+    assert sorted(x for p in got for x in p.tolist()) == list(
+        range(sum(lengths))
+    )
+    assert all((np.diff(p) > 0).all() for p in got)

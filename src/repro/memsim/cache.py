@@ -93,15 +93,34 @@ class CacheResult:
 
     miss: np.ndarray  # per-access miss mask
     writebacks: int  # dirty lines evicted (plus dirty residue at the end)
-    #: what the engine had to do, for the level's span: ``heads`` (run
-    #: heads left by run-length compression) and, fully associative,
-    #: ``far`` (heads the gap filter could not settle); the scalar
-    #: engine visits every access and reports nothing
+    #: what the engine had to do, for the level's span: ``heads`` (the
+    #: candidates to miss: in-set run heads of a set-associative level,
+    #: global run heads of a fully-associative one such as the TLB) and,
+    #: fully associative, ``far`` (heads the gap filter could not
+    #: settle); the scalar engine visits every access and reports nothing
     work: dict = field(default_factory=dict)
 
     @property
     def misses(self) -> int:
         return int(self.miss.sum())
+
+
+def _unit_ids(addresses: np.ndarray, unit_bytes: int) -> np.ndarray:
+    """Line / page / DRAM-block id of every byte address, narrowed once
+    for every kernel downstream: a shift when the unit is a power of two
+    (``>>`` floors negatives like ``//``), ``int32`` when every id is in
+    ``[0, 2**31)``, ``int64`` otherwise."""
+    addr = np.asarray(addresses, dtype=np.int64)
+    if len(addr) == 0:
+        return addr
+    narrow = addr.min() >= 0 and int(addr.max()) // unit_bytes < 2**31
+    ids = np.empty(len(addr), dtype=np.int32 if narrow else np.int64)
+    shift = unit_bytes.bit_length() - 1
+    if unit_bytes == 1 << shift:
+        np.right_shift(addr, shift, out=ids, casting="unsafe")
+    else:
+        np.floor_divide(addr, unit_bytes, out=ids, casting="unsafe")
+    return ids
 
 
 def simulate_cache(
@@ -128,19 +147,18 @@ def simulate_cache_writeback(
     engine = engine or default_engine()
     if engine not in ENGINES:
         raise SimulationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    lines = (np.asarray(addresses, dtype=np.int64) // config.line_bytes)
-    wr = (
-        np.zeros(len(lines), dtype=bool)
-        if writes is None
-        else np.asarray(writes, dtype=bool)
-    )
+    wr = None if writes is None else np.asarray(writes, dtype=bool)
     if engine == "fast":
         from .fastsim import simulate_fast
 
-        return simulate_fast(config, lines, wr)
+        return simulate_fast(config, _unit_ids(addresses, config.line_bytes), wr)
     from ..obs import metrics
 
     metrics.inc("engine.reference.calls")
+    # the oracle keeps the plain spelling: wide ids, a real write column
+    lines = np.asarray(addresses, dtype=np.int64) // config.line_bytes
+    if wr is None:
+        wr = np.zeros(len(lines), dtype=bool)
     if config.assoc == 0 or config.num_sets == 1:
         return _fully_associative(lines, wr, config.ways)
     if config.assoc == 1:
@@ -172,26 +190,26 @@ def _fully_associative(
 
 def _direct_mapped(lines: np.ndarray, writes: np.ndarray, num_sets: int) -> CacheResult:
     miss = np.zeros(len(lines), dtype=bool)
-    slots = [-1] * num_sets
+    slots = [None] * num_sets  # line ids may be negative
     dirty = [False] * num_sets
     writebacks = 0
     for t, (line, w) in enumerate(zip(lines.tolist(), writes.tolist())):
         s = line % num_sets
         if slots[s] != line:
             miss[t] = True
-            writebacks += dirty[s] and slots[s] != -1
+            writebacks += dirty[s] and slots[s] is not None
             slots[s] = line
             dirty[s] = w
         else:
             dirty[s] = dirty[s] or w
-    writebacks += sum(d and s != -1 for d, s in zip(dirty, slots))
+    writebacks += sum(d and s is not None for d, s in zip(dirty, slots))
     return CacheResult(miss, writebacks)
 
 
 def _two_way(lines: np.ndarray, writes: np.ndarray, num_sets: int) -> CacheResult:
     miss = np.zeros(len(lines), dtype=bool)
-    mru = [-1] * num_sets
-    lru = [-1] * num_sets
+    mru = [None] * num_sets  # line ids may be negative
+    lru = [None] * num_sets
     mru_d = [False] * num_sets
     lru_d = [False] * num_sets
     writebacks = 0
@@ -207,12 +225,12 @@ def _two_way(lines: np.ndarray, writes: np.ndarray, num_sets: int) -> CacheResul
             mru_d[s], lru_d[s] = lru_d[s] or w, mru_d[s]
             continue
         miss[t] = True
-        writebacks += lru_d[s] and lru[s] != -1
+        writebacks += lru_d[s] and lru[s] is not None
         lru[s], lru_d[s] = a, mru_d[s]
         mru[s], mru_d[s] = line, w
     for s in range(num_sets):
-        writebacks += mru_d[s] and mru[s] != -1
-        writebacks += lru_d[s] and lru[s] != -1
+        writebacks += mru_d[s] and mru[s] is not None
+        writebacks += lru_d[s] and lru[s] is not None
     return CacheResult(miss, writebacks)
 
 

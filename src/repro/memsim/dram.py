@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cache import _unit_ids
+from .fastsim import _sort_key
+
 
 @dataclass(frozen=True)
 class DRAMConfig:
@@ -92,55 +95,32 @@ def simulate_dram(
 
     ``fill_addresses`` are the byte addresses of the accesses that
     missed in the L2 (one fill per miss); ``writebacks`` is the dirty
-    line count the L2 drained.  Runs in O(n log n) — one stable sort
+    line count the L2 drained.  One stable sort of the narrow bank id
     groups the stream per (channel, bank) while preserving program
     order within each bank, which is exactly the order its row buffer
     sees.
     """
-    addr = np.asarray(fill_addresses, dtype=np.int64)
+    block = _unit_ids(fill_addresses, config.row_bytes)
+    fills = len(block)
     nbanks = config.channels * config.banks
-    per_bank = np.zeros(nbanks, dtype=np.int64)
-    if len(addr) == 0:
-        energy = config.write_nj * writebacks
-        return DRAMResult(
-            fills=0,
-            row_hits=0,
-            row_misses=0,
-            writebacks=writebacks,
-            line_bytes=line_bytes,
-            per_bank_bytes=per_bank,
-            energy_nj=energy,
-        )
-    block = addr // config.row_bytes
-    channel = block % config.channels
-    per_channel = block // config.channels
-    bank = per_channel % config.banks
-    row = per_channel // config.banks
-    bank_id = channel * config.banks + bank
-
-    # program order within each bank == sorted order under a stable sort
-    order = np.argsort(bank_id, kind="stable")
-    sorted_bank = bank_id[order]
-    sorted_row = row[order]
-    hit = np.zeros(len(addr), dtype=bool)
-    hit[1:] = (sorted_bank[1:] == sorted_bank[:-1]) & (
-        sorted_row[1:] == sorted_row[:-1]
-    )
-    row_hits = int(hit.sum())
-    row_misses = len(addr) - row_hits
-
-    np.add.at(per_bank, bank_id, line_bytes)
-    energy = (
-        config.activate_nj * row_misses
-        + config.read_nj * len(addr)
-        + config.write_nj * writebacks
-    )
+    channel, per_channel = block % config.channels, block // config.channels
+    bank_id = channel * config.banks + per_channel % config.banks
+    # program order within each bank == sorted order under a stable sort;
+    # (bank, row) is a bijection of the block number, so a row hit is an
+    # equal neighbouring block in bank order
+    in_bank = block.take(np.argsort(_sort_key(bank_id, nbanks - 1), kind="stable"))
+    row_hits = int(np.count_nonzero(in_bank[1:] == in_bank[:-1]))
+    row_misses = fills - row_hits
     return DRAMResult(
-        fills=len(addr),
+        fills=fills,
         row_hits=row_hits,
         row_misses=row_misses,
         writebacks=writebacks,
         line_bytes=line_bytes,
-        per_bank_bytes=per_bank,
-        energy_nj=energy,
+        per_bank_bytes=np.bincount(bank_id, minlength=nbanks) * line_bytes,
+        energy_nj=(
+            config.activate_nj * row_misses
+            + config.read_nj * fills
+            + config.write_nj * writebacks
+        ),
     )

@@ -3,25 +3,35 @@
 The scalar loops in :mod:`repro.memsim.cache` are exact but spend
 hundreds of nanoseconds per access in the interpreter.  This module
 re-derives the same per-access miss masks and write-back counts with
-numpy primitives, exploiting five structural facts about LRU caches:
+numpy primitives, exploiting five structural facts about LRU caches.
+Line ids arrive narrowed once per level (``cache._unit_ids``: a shift for
+power-of-two lines, ``int32`` whenever they fit), every sort key is cast
+to the narrowest dtype, and each kernel gathers and compares one column:
 
-1. **Run-length compression.**  Consecutive accesses to the same line
-   are guaranteed hits that leave the LRU state unchanged apart from
-   OR-ing the dirty bit, so the stream can be compressed to run heads
-   before simulation and the miss mask scattered back afterwards.
+1. **Run heads, compressed once per level.**  Consecutive accesses to
+   the same line are guaranteed hits that leave the LRU state unchanged
+   apart from OR-ing the dirty bit, so only the head of a run can miss.
+   The fully-associative path compresses the whole stream to its heads
+   first, because facts 4-5 are stated on head positions (and the page
+   stream is where it pays).  A set-associative level does not: the runs
+   of its set-sorted stream (fact 2) contain the global ones, and
+   write-backs (fact 3) hold at any granularity the miss mask is exact
+   at, so they read the raw columns.
 
-2. **Set-partitioned shift comparison.**  Restricted to one set, an
-   A-way LRU cache holds exactly the A most recently used distinct
-   lines.  After a stable sort by set index, a direct-mapped miss is
-   simply ``line[i] != line[i-1]`` within the set's subsequence, and —
-   once consecutive in-set duplicates are removed — a 2-way miss is
-   ``line[i] != line[i-2]``.  (The shift trick stops at 2 ways: the
-   third most recent *distinct* line can sit arbitrarily far back.  From
-   3 ways on, the same sorted stream goes through the reuse-distance
-   kernel: lines never cross sets and each set's subsequence is
-   contiguous, so the stack distance within the set is the distance in
-   the sorted stream, and an access misses iff it is cold or its
-   distance reaches the associativity.)
+2. **Set-partitioned shift comparison on one column.**  Restricted to
+   one set, an A-way LRU cache holds exactly the A most recently used
+   distinct lines.  A stable sort by set index (a radix sort: the key is
+   cast to 8 or 16 bits) makes each set's subsequence contiguous, and
+   because equal lines share a set, a set boundary is a line boundary:
+   the set column is never gathered or compared again.  A direct-mapped
+   miss is ``line[i] != line[i-1]`` in that order, i.e. an in-set run
+   head, and among those heads a 2-way miss is ``head[i] != head[i-2]``.
+   (The shift trick stops at 2 ways: the third most recent *distinct*
+   line can sit arbitrarily far back.  From 3 ways on, the heads go
+   through the reuse-distance kernel: lines never cross sets, so the
+   stack distance within the set is the distance in the sorted stream,
+   and a head misses iff it is cold or its distance reaches the
+   associativity.)
 
 3. **Residency-segment write-backs.**  For any LRU geometry, a line is
    written back exactly once per *dirty residency*: the span from one of
@@ -69,59 +79,64 @@ random streams.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ..lang import SimulationError
 from ..locality.reuse_distance import COLD, miss_count, prior_greater, reuse_distances
 from ..obs import metrics
 from .cache import CacheConfig, CacheResult
 
 
-def simulate_fast(config: CacheConfig, lines: np.ndarray, writes: np.ndarray) -> CacheResult:
+def simulate_fast(
+    config: CacheConfig, lines: np.ndarray, writes: Optional[np.ndarray] = None
+) -> CacheResult:
     """Vectorized equivalent of the scalar dispatch in ``cache.py``."""
     metrics.inc("engine.fast.calls")
     n = len(lines)
+    if n > np.iinfo(np.int32).max:  # positions are int32 below
+        raise SimulationError(
+            f"the fast engine handles at most 2**31 - 1 accesses, got {n}"
+        )
     if n == 0:
         return CacheResult(np.zeros(0, dtype=bool), 0)
-
-    # Run-length compression: only run heads can miss, dirty bits OR.
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=head[1:])
-    hpos = np.flatnonzero(head)
-    clines = lines[hpos]
-    track_wb = bool(writes.any())
-    cwrites = (
-        np.logical_or.reduceat(writes, hpos)
-        if track_wb
-        else np.zeros(len(hpos), dtype=bool)
-    )
-
-    work = {"heads": len(hpos)}
     if config.assoc == 0 or config.num_sets == 1:
-        cmiss, work["far"] = _fa_miss_mask(clines, config.ways)
-    elif config.assoc == 1:
-        cmiss = _direct_mapped_miss_mask(clines, config.num_sets)
-    elif config.assoc == 2:
-        cmiss = _two_way_miss_mask(clines, config.num_sets)
+        # the near/far kernel is stated on global run heads (fact 1); a
+        # head that hits is cleared in place, leaving the miss mask
+        miss = _run_heads(lines)
+        hpos = np.flatnonzero(miss)
+        cmiss, far = _fa_miss_mask(lines[hpos], config.ways)
+        miss[hpos] = cmiss
+        work = {"heads": len(hpos), "far": far}
     else:
-        cmiss = _n_way_miss_mask(clines, config.num_sets, config.assoc)
-
-    writebacks = residency_writebacks(clines, cmiss, cwrites) if track_wb else 0
-    # Scatter the run-head miss mask back to per-access granularity.
-    miss = np.zeros(n, dtype=bool)
-    miss[hpos] = cmiss
+        miss, heads = _set_assoc_miss_mask(lines, config.num_sets, config.assoc)
+        work = {"heads": heads}
+    writebacks = 0 if writes is None else residency_writebacks(lines, miss, writes)
     return CacheResult(miss, writebacks, work)
 
 
+def _run_heads(lines: np.ndarray) -> np.ndarray:
+    """Mask of the accesses that differ from their predecessor."""
+    head = np.empty(len(lines), dtype=bool)
+    head[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=head[1:])
+    return head
+
+
 def _sort_key(values: np.ndarray, max_value: int) -> np.ndarray:
-    """Cast to the narrowest signed dtype (radix sort gets much faster)."""
-    if max_value < 2**15:
-        return values.astype(np.int16)
-    if max_value < 2**31:
-        return values.astype(np.int32)
+    """Cast values in ``[0, max_value]`` to the narrowest dtype: numpy's
+    stable sort is a radix sort up to 16 bits, a merge sort beyond."""
+    for dtype in (np.uint8, np.uint16, np.int32):
+        if max_value <= np.iinfo(dtype).max:
+            return values.astype(dtype, copy=False)
     return values
+
+
+def _dense_key(lines: np.ndarray) -> np.ndarray:
+    """Line ids rebased to start at 0, as a sort key that groups them."""
+    lo = int(lines.min())
+    return _sort_key(lines - lo, int(lines.max()) - lo)
 
 
 def residency_writebacks(
@@ -129,98 +144,72 @@ def residency_writebacks(
 ) -> int:
     """Write-backs from a miss mask via dirty-residency counting.
 
-    Valid for every LRU geometry (see module docstring, fact 3): group
-    accesses by line, split each line's sequence at its misses, and
-    count the segments containing at least one write.
+    Valid for every LRU geometry and at any granularity the mask is
+    exact at (see module docstring, fact 3): group accesses by line,
+    split each line's sequence at its misses, and count the segments
+    containing at least one write.
     """
     if not writes.any():
         return 0
-    key = _sort_key(lines, int(lines.max()) if len(lines) else 0)
-    order = np.argsort(key, kind="stable")
-    miss_l = miss[order]
+    order = np.argsort(_dense_key(lines), kind="stable")
     # A line's first access is always a miss, so cumsum(miss) segments
     # never straddle two lines.
-    seg = np.cumsum(miss_l)
+    seg = np.cumsum(miss.take(order))
     dirty = np.zeros(int(seg[-1]) + 1, dtype=bool)
-    dirty[seg[writes[order]]] = True
+    dirty[seg[writes.take(order)]] = True
     return int(dirty.sum())
 
 
-def _direct_mapped_miss_mask(lines: np.ndarray, num_sets: int) -> np.ndarray:
-    sets = _sort_key(lines % num_sets, num_sets - 1)
-    order = np.argsort(sets, kind="stable")
-    ls = lines[order]
-    ss = sets[order]
-    miss_sorted = np.empty(len(ls), dtype=bool)
-    miss_sorted[0] = True
-    np.not_equal(ss[1:], ss[:-1], out=miss_sorted[1:])
-    miss_sorted[1:] |= ls[1:] != ls[:-1]
-    miss = np.empty(len(ls), dtype=bool)
-    miss[order] = miss_sorted
-    return miss
-
-
-def _two_way_miss_mask(lines: np.ndarray, num_sets: int) -> np.ndarray:
-    sets = _sort_key(lines % num_sets, num_sets - 1)
-    order = np.argsort(sets, kind="stable")
-    ls = lines[order]
-    ss = sets[order]
-    n = len(ls)
-    # In-set runs of the same line: only run heads can miss.  (Global
-    # RLE leaves such runs when accesses from other sets interleave.)
-    rhead = np.empty(n, dtype=bool)
-    rhead[0] = True
-    np.not_equal(ss[1:], ss[:-1], out=rhead[1:])
-    rhead[1:] |= ls[1:] != ls[:-1]
-    hpos = np.flatnonzero(rhead)
-    hl = ls[hpos]
-    hs = ss[hpos]
-    # Deduplicated in-set sequence: the 2-way set holds exactly the last
-    # two distinct lines, which are the two previous heads; hit iff the
-    # line equals the head two back *within the same set*.
-    miss_h = np.ones(len(hpos), dtype=bool)
-    if len(hpos) > 2:
-        np.not_equal(hs[2:], hs[:-2], out=miss_h[2:])
-        miss_h[2:] |= hl[2:] != hl[:-2]
-    miss_sorted = np.zeros(n, dtype=bool)
-    miss_sorted[hpos] = miss_h
-    miss = np.empty(n, dtype=bool)
-    miss[order] = miss_sorted
-    return miss
-
-
-def _n_way_miss_mask(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
-    """Set-associative LRU miss mask for any associativity (fact 2)."""
-    metrics.inc("engine.fast.n_way_distance")
-    sets = _sort_key(lines % num_sets, num_sets - 1)
-    order = np.argsort(sets, kind="stable")
-    distances = reuse_distances(lines[order])
+def _set_assoc_miss_mask(
+    lines: np.ndarray, num_sets: int, assoc: int
+) -> tuple[np.ndarray, int]:
+    """Set-associative LRU miss mask for any associativity (fact 2), and
+    the number of in-set run heads it was decided on."""
+    pow2 = num_sets & (num_sets - 1) == 0
+    sets = lines & (num_sets - 1) if pow2 else lines % num_sets
+    order = np.argsort(_sort_key(sets, num_sets - 1), kind="stable")
+    # Equal lines share a set, so in set order "same line as the access
+    # before" needs no look at the set column: a set boundary is a line
+    # boundary.  In-set run heads are the only candidates to miss.
+    ls = lines.take(order)
+    head = _run_heads(ls)
+    if assoc == 1:
+        heads = int(np.count_nonzero(head))
+    else:
+        hpos = np.flatnonzero(head)
+        heads = len(hpos)
+        hl = ls[hpos]
+        if assoc == 2:
+            # the set holds the two previous heads; the one just before
+            # differs by construction, so a hit is the head two back
+            miss_h = np.ones(heads, dtype=bool)
+            np.not_equal(hl[2:], hl[:-2], out=miss_h[2:])
+        else:
+            metrics.inc("engine.fast.n_way_distance")
+            distances = reuse_distances(hl)
+            miss_h = (distances == COLD) | (distances >= assoc)
+        head[hpos] = miss_h
     miss = np.empty(len(lines), dtype=bool)
-    miss[order] = (distances == COLD) | (distances >= assoc)
-    return miss
+    miss[order] = head
+    return miss, heads
 
 
 def _fa_miss_mask(lines: np.ndarray, capacity: int) -> tuple[np.ndarray, int]:
     """Fully-associative LRU miss mask of an RLE-compressed stream, and
     how many *far* heads the gap filter left open (module docstring)."""
     m = len(lines)
-    lo = int(lines.min())
-    key = _sort_key(lines - lo, int(lines.max()) - lo)
+    key = _dense_key(lines)
     # Grouped by line with positions ascending: neighbours inside a group
     # are the links (previous head of the line, head).
     order = np.argsort(key, kind="stable")
-    grouped = key[order]
-    opens = np.empty(m, dtype=bool)  # first head of its line: cold
-    opens[0] = True
-    np.not_equal(grouped[1:], grouped[:-1], out=opens[1:])
+    opens = _run_heads(key.take(order))  # first head of its line: cold
     starts = np.flatnonzero(opens)
     first = order[starts]
     last = order[np.append(starts[1:], m) - 1]
     miss = np.zeros(m, dtype=bool)
     miss[first] = True
 
-    # Positions fit int32 (traces are < 2**31 accesses), halving traffic.
-    pos = order.astype(np.int32)
+    pos = order.astype(np.int32)  # simulate_fast bounds the stream
     far = np.flatnonzero((pos[1:] - pos[:-1] > capacity) & ~opens[1:])
     if len(far) == 0:
         return miss, 0

@@ -234,8 +234,11 @@ class MemoryHierarchy:
         if writes is None and hasattr(addresses, "writes"):
             writes = addresses.writes
         addresses = np.asarray(addresses, dtype=np.int64)
-        if writes is None:
-            writes = np.zeros(len(addresses), dtype=bool)
+        writes = (
+            np.zeros(len(addresses), dtype=bool)
+            if writes is None
+            else np.asarray(writes, dtype=bool)
+        )
         resolved = engine or default_engine()
         results: dict[str, LevelResult] = {}
         # each level's observed columns, so source filters compose: a
@@ -250,8 +253,11 @@ class MemoryHierarchy:
                 upstream = results[level.source]
                 observed, observed_writes = observed_by[level.source]
                 if upstream.miss is not None:
-                    observed = observed[upstream.miss]
-                    observed_writes = observed_writes[upstream.miss]
+                    # one index column, two gathers: cheaper than two
+                    # boolean selections at cache miss densities
+                    missed = np.flatnonzero(upstream.miss)
+                    observed = observed.take(missed)
+                    observed_writes = observed_writes.take(missed)
             with span(level.name, engine=resolved) as sp:
                 result = level.simulate(
                     observed, observed_writes, engine, upstream

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim import DRAMConfig, DRAMResult, simulate_dram
 
@@ -96,6 +98,56 @@ class TestAccounting:
         # bank A: miss, miss, miss; bank B: miss, hit
         assert res.row_misses == 4
         assert res.row_hits == 1
+
+
+def open_row_oracle(cfg, addresses, line_bytes, writebacks):
+    """One open row per bank, one fill at a time."""
+    open_row: dict[int, int] = {}
+    hits = 0
+    per_bank = [0] * (cfg.channels * cfg.banks)
+    for addr in addresses:
+        block = addr // cfg.row_bytes
+        on_channel = block // cfg.channels
+        bank = (block % cfg.channels) * cfg.banks + on_channel % cfg.banks
+        row = on_channel // cfg.banks
+        hits += open_row.get(bank) == row
+        open_row[bank] = row
+        per_bank[bank] += line_bytes
+    misses = len(addresses) - hits
+    energy = (
+        cfg.activate_nj * misses
+        + cfg.read_nj * len(addresses)
+        + cfg.write_nj * writebacks
+    )
+    return hits, misses, per_bank, energy
+
+
+@st.composite
+def fill_streams(draw):
+    """A geometry (``channels * banks`` and ``row_bytes`` need not be
+    powers of two) and fills clustered on a few rows, so that row hits,
+    conflicts and idle banks all occur; addresses may be negative or
+    beyond 2**31 row blocks."""
+    cfg = DRAMConfig(
+        channels=draw(st.integers(1, 3)),
+        banks=draw(st.sampled_from([1, 2, 3, 5, 8])),
+        row_bytes=draw(st.sampled_from([64, 96, 256, 2048])),
+    )
+    origin = draw(st.sampled_from([0, -5, 2**31 - 3, 2**40])) * cfg.row_bytes
+    span = draw(st.integers(1, 40)) * cfg.row_bytes
+    offsets = draw(st.lists(st.integers(0, span), min_size=0, max_size=80))
+    return cfg, [origin + off for off in offsets], draw(st.integers(0, 9))
+
+
+@given(fill_streams())
+@settings(max_examples=200, deadline=None)
+def test_matches_scalar_open_row_oracle(case):
+    cfg, addresses, writebacks = case
+    hits, misses, per_bank, energy = open_row_oracle(cfg, addresses, LINE, writebacks)
+    res = simulate_dram(cfg, np.asarray(addresses, dtype=np.int64), LINE, writebacks)
+    assert (res.row_hits, res.row_misses) == (hits, misses)
+    assert res.per_bank_bytes.tolist() == per_bank
+    assert res.energy_nj == pytest.approx(energy)
 
 
 class TestConfig:

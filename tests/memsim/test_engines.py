@@ -43,6 +43,37 @@ class TestFastPaths:
         )
         assert len(res.miss) == 0 and res.writebacks == 0
 
+    def test_stream_beyond_int32_positions_is_refused(self):
+        # positions are int32 inside the kernels; a zero-stride view has
+        # the length without the memory
+        from repro.memsim.fastsim import simulate_fast
+
+        lines = np.broadcast_to(np.int32(0), (2**31,))
+        for assoc in (0, 2):
+            with pytest.raises(SimulationError, match=r"2\*\*31 - 1 accesses"):
+                simulate_fast(CacheConfig("c", 64, 8, assoc), lines)
+
+    def test_untracked_writes_stay_absent(self):
+        # writes=None reaches the kernel as None: no write-backs, same mask
+        cfg = CacheConfig("c", 64, 8, 2)
+        addrs = np.arange(64, dtype=np.int64) * 8 % 200
+        plain = simulate_cache_writeback(cfg, addrs, None, engine="fast")
+        loads = simulate_cache_writeback(
+            cfg, addrs, np.zeros(64, dtype=bool), engine="fast"
+        )
+        assert plain.writebacks == loads.writebacks == 0
+        assert np.array_equal(plain.miss, loads.miss)
+
+    def test_line_minus_one_is_a_line_not_an_empty_slot(self):
+        # lines -1 and 3 share set 3 of 4; the scalar engine once used -1
+        # as its empty-way sentinel and took the first access for a hit
+        addrs = np.array([-8, -8, 24, -8])
+        writes = np.array([True, False, False, False])
+        for assoc in (1, 2):
+            cfg = CacheConfig("c", 4 * assoc * 8, 8, assoc)
+            ref = _assert_engines_agree(cfg, addrs, writes)
+            assert ref.miss[0] and ref.writebacks == 1
+
     def test_sparse_addresses_densify(self):
         # line numbers scattered across 2**40: too wide for a narrow sort key
         rng = np.random.default_rng(11)

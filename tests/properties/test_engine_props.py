@@ -7,8 +7,10 @@ Two families of invariants lock the vectorized paths in
   stack-distance path for 3+ ways, and the fully-associative near/far
   path) must agree with the scalar ``_n_way`` / ``_fully_associative``
   reference — miss masks *and* write-back counts — on arbitrary
-  address/write streams and on TLB-shaped ones, where a working set
-  just under, at or over the capacity cycles through a few pages;
+  address/write streams — at set counts and line sizes that are not
+  powers of two, negative addresses and line ids on both sides of 2**31
+  included — and on TLB-shaped ones, where a working set just under, at
+  or over the capacity cycles through a few pages;
 * the fully-associative cache must agree with the stack-distance oracle
   ``miss_count(reuse_distances(lines), capacity)``, the LRU/stack
   equivalence (paper §2.1) the fast path is built on.
@@ -71,7 +73,7 @@ def test_fast_engine_matches_reference(stream):
 @given(access_streams())
 @settings(max_examples=150, deadline=None)
 def test_set_assoc_paths_match_n_way(stream):
-    """_direct_mapped/_two_way/_n_way_miss_mask (via dispatch) agree with
+    """_set_assoc_miss_mask at 1, 2 and 3+ ways (via dispatch) agrees with
     scalar _n_way."""
     lines, writes = stream
     for assoc, num_sets in ((1, 8), (2, 8), (2, 4), (3, 4), (4, 4), (8, 2)):
@@ -81,6 +83,32 @@ def test_set_assoc_paths_match_n_way(stream):
             got = simulate_cache_writeback(config, lines * 8, writes, engine=engine)
             assert np.array_equal(oracle.miss, got.miss), (assoc, engine)
             assert oracle.writebacks == got.writebacks, (assoc, engine)
+
+
+#: (sets, ways, line bytes): set counts that are not powers of two (96 is
+#: the scaled L2), lines that are not, and a 3-way stack-distance path
+ODD_GEOMETRIES = [(3, 1, 8), (6, 2, 8), (96, 2, 128), (4, 2, 24), (6, 3, 12)]
+
+#: first line id of the stream (line ids then span at most 60): negative
+#: and straddling zero; wholly below 2**31, where ids are narrowed to
+#: int32 up to the last value; across 2**31, where they must stay int64
+ORIGINS = [0, -1000, -30, 2**31 - 61, 2**31 - 30]
+
+
+@given(access_streams(), st.sampled_from(ORIGINS), st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_odd_geometries_and_id_widths_match_reference(stream, origin, seed):
+    """Shift / floor-division ids, ``&`` / ``%`` set indices and the
+    int32 / int64 id columns against the scalar engine's plain ``//``."""
+    lines, writes = stream
+    within = np.random.default_rng(seed).integers(0, 2**16, len(lines))
+    for num_sets, assoc, line_bytes in ODD_GEOMETRIES:
+        config = CacheConfig("c", num_sets * assoc * line_bytes, line_bytes, assoc)
+        addresses = (origin + lines) * line_bytes + within % line_bytes
+        ref = simulate_cache_writeback(config, addresses, writes, engine="reference")
+        fast = simulate_cache_writeback(config, addresses, writes, engine="fast")
+        assert np.array_equal(ref.miss, fast.miss), (config, origin)
+        assert ref.writebacks == fast.writebacks, (config, origin)
 
 
 @st.composite

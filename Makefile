@@ -42,13 +42,19 @@ self-lint:
 # stop being shared, exit 1 if any candidate fails certification), once
 # more under the multicore objective, where every candidate also runs
 # the 4-thread enumerator and the MSI automaton (seconds: the
-# enumerator's round-robin merge is arithmetic, not a step per access)
+# enumerator's round-robin merge is arithmetic, not a step per access);
+# then every example script end to end (a few seconds together)
 smoke:
 	$(PYTHON) -m repro pipeline --list
 	$(PYTHON) -m repro report adi --passes inline,simplify -p N=16 --steps 1
 	$(PYTHON) -m repro report adi --levels fusion1,fusion,new -p N=16 --steps 1 --timings
 	$(PYTHON) -m repro tune adi --at N=24 --no-validate --no-cache
 	$(PYTHON) -m repro tune adi --at N=24 --objective parallel-misses --threads 4 --no-validate --no-cache
+	$(PYTHON) examples/quickstart.py
+	$(PYTHON) examples/custom_kernel.py
+	$(PYTHON) examples/adi_study.py
+	$(PYTHON) examples/regrouping_fig7.py
+	$(PYTHON) examples/reuse_driven_study.py
 
 # perf-ledger plumbing: all four workloads at small sizes through the
 # traced run, so besides every count (perf/expected.json, oracle engines)

@@ -7,7 +7,8 @@ by the differential suite under ``tests/codegen/``.
 :func:`trace_program` is whole-nest vectorized trace generation — every
 loop level is enumerated as numpy index arrays (no Python work per
 iteration), guards split instance frames by membership masks, and the
-per-step stream is tiled across time steps.  It reads the same lowered
+trace comes out as the segments the measuring chain streams
+(:class:`~repro.codegen.tracer.NestTracer`).  It reads the same lowered
 form as the oracle (integer address records, see
 :mod:`repro.interp.tracegen`), so a program outside the supported input
 — anything not integer-affine after parameter binding — is one

@@ -19,8 +19,11 @@ order.  Emitting a node against a frame of ``p`` instances yields either
   by scatter on computed destination offsets.
 
 Per-access metadata (write flag, array id, ref id) is packed into one
-int64 so every structural merge touches two arrays instead of four.  The
-whole body is emitted once and tiled across time steps.
+int64 so every structural merge touches two arrays instead of four.
+Top-level nests are emitted as the segments of the shared plan
+(:meth:`repro.interp.tracegen.NestTracer.segments`): a time step that
+fits in one chunk is emitted once and replayed, a larger one again each
+step, its big nests in pieces.
 
 The input is the interpreter tracer's own lowering
 (:class:`repro.interp.tracegen._Compiler`): integer address records with
@@ -34,13 +37,12 @@ asks :func:`repro.interp.trace_program` for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from ..interp import tracegen as _tg
-from ..interp.state import check_params
-from ..interp.trace import AccessTrace, TraceBuilder
+from ..interp.trace import AccessTrace, concat_traces
 from ..lang import AnalysisError
 from ..obs import metrics
 
@@ -269,30 +271,51 @@ def _flatten(block):
     return aids, elems, writes, refids
 
 
+class NestTracer(_tg.NestTracer):
+    """The codegen twin of :class:`repro.interp.tracegen.NestTracer`:
+    the same lowering, plan and segments (restricted copies of top-level
+    nests), each emitted as whole-nest numpy blocks."""
+
+    def __init__(self, program, params: Mapping[str, int]) -> None:
+        super().__init__(program, params)
+        compiler = self.compiler
+        if len(compiler.sizes) > 1 << _AID_BITS or len(compiler.refs) > 1 << _REF_BITS:
+            raise AnalysisError(
+                f"{program.name}: {len(compiler.sizes)} arrays / {len(compiler.refs)} "
+                f"references exceed the trace packing limits "
+                f"({1 << _AID_BITS} / {1 << _REF_BITS})"
+            )
+        self._emitter = _Emitter(compiler.sizes)
+        self._meta = dict(
+            array_names=tuple(a.name for a in program.arrays),
+            refs=tuple(compiler.refs),
+            array_sizes=tuple(compiler.sizes),
+        )
+
+    def _emit(self, node, gen=None) -> AccessTrace:
+        aids, elems, writes, refids = _flatten(self._emitter.emit(node, {}, 1))
+        metrics.inc("codegen.trace.nests")
+        metrics.inc("codegen.trace.nests.compiled")
+        return AccessTrace(
+            array_ids=aids, elems=elems, writes=writes, ref_ids=refids, **self._meta
+        )
+
+    def segments(self, steps: int = 1) -> Iterator[AccessTrace]:
+        """The trace of ``steps`` time steps, one segment at a time."""
+        return self._steps(steps, self._emit, replay=True)
+
+
 def trace_program(
     program, params: Mapping[str, int], steps: int = 1
 ) -> AccessTrace:
     """Codegen twin of :func:`repro.interp.tracegen.trace_program`.
 
     Bit-for-bit identical output (pinned by ``tests/codegen``) on the
-    same lowering, hence the same supported input and the same errors.
+    same lowering, hence the same supported input and the same errors;
+    likewise the concatenation of :meth:`NestTracer.segments`.  The
+    whole trace is kept anyway, so one step's segments are emitted once
+    and concatenated ``steps`` times.
     """
-    compiler = _tg._Compiler(program, check_params(program, params))
-    nests = compiler.compile_body(program.body)
-    if len(compiler.sizes) > 1 << _AID_BITS or len(compiler.refs) > 1 << _REF_BITS:
-        raise AnalysisError(
-            f"{program.name}: {len(compiler.sizes)} arrays / {len(compiler.refs)} "
-            f"references exceed the trace packing limits "
-            f"({1 << _AID_BITS} / {1 << _REF_BITS})"
-        )
-    emitter = _Emitter(compiler.sizes)
-    flats = [_flatten(emitter.emit(node, {}, 1)) for node in nests]
-    metrics.inc("codegen.trace.nests", len(flats))
-    metrics.inc("codegen.trace.nests.compiled", len(flats))
-    builder = TraceBuilder(
-        [a.name for a in program.arrays], compiler.sizes, compiler.refs
-    )
-    for _ in range(steps):
-        for flat in flats:
-            builder.append(*flat)
-    return builder.build()
+    tracer = NestTracer(program, params)
+    segments = list(tracer.segments()) * steps
+    return concat_traces(segments) if segments else tracer.generator().take()

@@ -6,7 +6,7 @@ and the CLI's ``--engine`` flag.  The codegen backend adds a second,
 orthogonal axis: which *tracer* generates the address stream
 (``codegen``/``interp``).  This module owns the whole grammar so every
 entry point resolves specs identically, and
-:meth:`EngineSelection.trace_program` is the one place the resolved
+:meth:`EngineSelection.nest_tracer` is the one place the resolved
 tracer is picked:
 
 ``"fast"`` / ``"reference"``
@@ -53,19 +53,20 @@ class EngineSelection:
     def spec(self) -> str:
         return f"{self.sim}+{self.tracer}"
 
-    def trace_program(self, program, params, steps: int = 1):
-        """Trace ``program`` with the selected tracer.
+    def nest_tracer(self, program, params):
+        """The selected tracer's ``NestTracer``, whose ``segments`` the
+        measuring chain streams (:func:`repro.harness.variant_chunks`).
 
-        Both tracers produce bit-for-bit identical traces (the contract
-        the differential suite under ``tests/codegen/`` enforces), so
-        the choice is observable only through spans and ``codegen.*``
+        Both tracers produce bit-for-bit identical segments (the contract
+        the differential suite under ``tests/codegen/`` enforces), so the
+        choice is observable only through spans and ``codegen.*``
         metrics.
         """
         if self.tracer == "codegen":
-            from .codegen import trace_program
+            from .codegen.tracer import NestTracer
         else:
-            from .interp import trace_program
-        return trace_program(program, params, steps=steps)
+            from .interp.tracegen import NestTracer
+        return NestTracer(program, params)
 
 
 def resolve_engines(

@@ -14,6 +14,7 @@ from .experiment import (
     machine_for,
     measure_variant,
     stage_timer,
+    variant_chunks,
     variant_stream,
 )
 from .run import RunRequest, RunResult, run
@@ -52,5 +53,6 @@ __all__ = [
     "scaling_sweep",
     "stage_timer",
     "timing_rows",
+    "variant_chunks",
     "variant_stream",
 ]

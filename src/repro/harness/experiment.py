@@ -4,9 +4,14 @@
 generates the trace at the chosen size, simulates the scaled memory
 hierarchy, and returns one :class:`VariantResult` — the row unit of
 every Fig. 10 / §6 table, and the only result record the harness has.
-The whole path is instrumented with :mod:`repro.obs` spans (compile
-passes, trace-gen, addresses, per-level simulation stages), so a
-surrounding :class:`~repro.obs.SpanCollector` sees the full stage tree.
+Past the compile it is one chunk loop: the tracer's segments are
+batched, laid out and pushed through the hierarchy a chunk of about
+``CHUNK_ACCESSES`` accesses at a time (:func:`variant_chunks`), so its
+memory does not grow with the trace.  The whole path is instrumented
+with :mod:`repro.obs` spans (compile passes, trace-gen, addresses,
+per-level simulation stages — one span per stage, however many
+chunks), so a surrounding :class:`~repro.obs.SpanCollector` sees the
+full stage tree.
 """
 
 from __future__ import annotations
@@ -14,21 +19,24 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from ..core import CompiledVariant, compile_pipeline
 from ..engines import EngineSelection, resolve_engines
 from ..core.regroup import RegroupOptions
 from ..core.regroup.layout import Layout
+from ..interp import trace as _trace
+from ..interp.trace import AccessTrace, concat_traces
 from ..lang import Program
 from ..memsim import (
     MACHINES,
     MachineConfig,
+    MemoryHierarchy,
     MemStats,
     scaled_machine,
-    simulate_stream,
+    stats_from_hierarchy,
 )
-from ..obs import SpanEvent, metrics, span
+from ..obs import ChunkedSpan, SpanEvent, metrics, span
 from ..stream import AddressStream
 from ..verify import PassVerifier
 from .cache import TraceCache, layout_fingerprint
@@ -44,7 +52,8 @@ class VariantResult:
     stats: MemStats
     variant: Optional[CompiledVariant]
     trace_length: int
-    #: per-stage wall-clock seconds (trace-gen, addresses, l1, l2, tlb)
+    #: per-stage wall-clock seconds (compile, trace-gen, addresses, l1,
+    #: l2, tlb, dram), each summed over the chunks
     timings: dict = field(default_factory=dict)
     #: wall-clock seconds of the whole measurement (filled by the runner)
     seconds: float = 0.0
@@ -93,6 +102,72 @@ def machine_for(spec) -> MachineConfig:
     )
 
 
+def _batches(
+    selection: EngineSelection, program: Program, params, steps: int
+) -> Iterator[tuple[AccessTrace, bool]]:
+    """The selected tracer's segments in batches of at most
+    ``CHUNK_ACCESSES`` accesses (a larger segment alone), each with
+    whether it is the last; one empty batch when there is no segment."""
+    tracer = selection.nest_tracer(program, params)
+    segments = tracer.segments(steps)
+    ahead = next(segments, None)
+    if ahead is None:
+        yield tracer.generator().take(), True
+    while ahead is not None:
+        pieces, size = [], 0
+        while ahead is not None and (
+            not pieces or size + len(ahead) <= _trace.CHUNK_ACCESSES
+        ):
+            pieces.append(ahead)
+            size += len(ahead)
+            ahead = next(segments, None)
+        yield concat_traces(pieces), ahead is None
+
+
+def variant_chunks(
+    variant: CompiledVariant,
+    params: Mapping[str, int],
+    steps: int = 1,
+    engine: Union[None, str, EngineSelection] = None,
+    name: Optional[str] = None,
+    layout: Optional[Layout] = None,
+    timings: Optional[dict] = None,
+) -> Iterator[AddressStream]:
+    """Trace a compiled variant and lay it out, one chunk at a time.
+
+    The producer half of the measuring chain: the segments of the
+    tracer ``engine`` selects, batched to about ``CHUNK_ACCESSES``
+    accesses and laid out as byte addresses under ``layout`` (default:
+    the variant's own at ``params``).  Nothing outlives its chunk.  One
+    ``trace-gen`` and one ``addresses`` span cover every chunk
+    (``chunks=``); their seconds accumulate into ``timings``.
+    """
+    selection = resolve_engines(engine)
+    if layout is None:
+        layout = variant.layout(params)
+    label = name or variant.program.name
+    names = [a.name for a in variant.program.arrays]
+    tracing = ChunkedSpan("trace-gen", steps=steps, tracer=selection.tracer)
+    laying = ChunkedSpan("addresses", accesses=0, divmods=layout.divmods(names))
+    metrics.inc("trace.generated")
+    batches = _batches(selection, variant.program, params, steps)
+    last = False
+    while not last:
+        with tracing.chunk():
+            trace, last = next(batches)
+        metrics.inc("trace.accesses", len(trace))
+        with laying.chunk() as sp:
+            sp.attrs["accesses"] += len(trace)
+            chunk = AddressStream.from_trace(
+                trace, layout, name=label, source=selection.tracer
+            )
+        del trace  # while the consumer simulates, only the laid-out chunk lives
+        yield chunk
+    if timings is not None:
+        timings["trace-gen"] = timings.get("trace-gen", 0.0) + tracing.duration_s
+        timings["addresses"] = timings.get("addresses", 0.0) + laying.duration_s
+
+
 def variant_stream(
     variant: CompiledVariant,
     params: Mapping[str, int],
@@ -102,33 +177,12 @@ def variant_stream(
     layout: Optional[Layout] = None,
     timings: Optional[dict] = None,
 ) -> AddressStream:
-    """Trace a compiled variant and lay it out as byte addresses.
-
-    The producer half of the measuring chain, under the pinned
-    ``trace-gen`` and ``addresses`` spans (mirrored into ``timings``).
-    The tracer is the one ``engine`` selects; ``layout`` defaults to the
-    variant's own at ``params``.
-    """
-    selection = resolve_engines(engine)
-    if layout is None:
-        layout = variant.layout(params)
-    with span("trace-gen", steps=steps, tracer=selection.tracer) as tsp:
-        trace = selection.trace_program(variant.program, params, steps=steps)
-    metrics.inc("trace.generated")
-    metrics.inc("trace.accesses", len(trace))
-    with span(
-        "addresses", accesses=len(trace), divmods=layout.divmods(trace.array_names)
-    ) as asp:
-        stream = AddressStream.from_trace(
-            trace,
-            layout,
-            name=name or variant.program.name,
-            source=selection.tracer,
-        )
-    if timings is not None:
-        timings["trace-gen"] = tsp.duration_s
-        timings["addresses"] = asp.duration_s
-    return stream
+    """Trace a compiled variant and lay it out as byte addresses: the
+    chunks of :func:`variant_chunks`, concatenated."""
+    chunks = list(variant_chunks(variant, params, steps, engine, name, layout, timings))
+    if len(chunks) == 1:
+        return chunks[0]
+    return AddressStream.concat(chunks, name=chunks[0].meta.name)
 
 
 def measure_variant(
@@ -147,8 +201,11 @@ def measure_variant(
 ) -> VariantResult:
     """Compile at ``level``, trace, and simulate one program variant.
 
-    One chain: compile -> :func:`variant_stream` -> ``simulate_stream``,
-    with ``cache`` as load-before/store-after around the last two links.
+    One chain: compile, then one chunk loop — :func:`variant_chunks`
+    through :meth:`~repro.memsim.MemoryHierarchy.simulate_chunks` — with
+    ``cache`` as load-before/store-after around it (a cached stream is
+    simulated in the same chunks; a stream to store is traced whole by
+    :func:`variant_stream`).
 
     ``engine`` is a spec per :func:`repro.engines.resolve_engines`: a
     simulation engine (``"fast"``/``"reference"``), a tracer
@@ -207,13 +264,24 @@ def measure_variant(
             if stats is not None:
                 return _result(stats, stats.accesses)
         stream = cache.load_trace(tkey)
-    if stream is None:
-        stream = variant_stream(
-            variant, params, steps, selection, label, layout, timings
-        )
-        if cache is not None:
+        if stream is None:
+            stream = variant_stream(
+                variant, params, steps, selection, label, layout, timings
+            )
             cache.store_trace(tkey, stream)
-    stats = simulate_stream(stream, machine, engine=selection.sim, timings=timings)
+    if stream is None:
+        chunks = (
+            (c.addresses, c.writes)
+            for c in variant_chunks(
+                variant, params, steps, selection, label, layout, timings
+            )
+        )
+    else:
+        chunks = ((a, w) for a, w, _ in stream.chunks(_trace.CHUNK_ACCESSES))
+    outcome = MemoryHierarchy.standard(machine).simulate_chunks(
+        chunks, engine=selection.sim, timings=timings
+    )
+    stats = stats_from_hierarchy(outcome, machine)
     if cache is not None and result_cache:
         cache.store_result(rkey, stats)
-    return _result(stats, len(stream))
+    return _result(stats, outcome.accesses)

@@ -22,6 +22,13 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+#: accesses the measuring chain holds at once: tracers split top-level
+#: nests into outer-loop spans of about this many, the harness batches
+#: them to chunks of it, and the memory hierarchy simulates arrays in
+#: slices of it (2**17–2**18 measured fastest; smaller chunks pay the
+#: levels' state replay more often, larger ones leave the CPU caches)
+CHUNK_ACCESSES = 2**18
+
 
 @dataclass(frozen=True)
 class RefInfo:
@@ -89,6 +96,23 @@ class AccessTrace:
         """Slow row-wise view, for tests and tiny examples only."""
         for aid, elem, wr in zip(self.array_ids, self.elems, self.writes):
             yield self.array_names[aid], int(elem), bool(wr)
+
+
+def concat_traces(traces: Sequence[AccessTrace]) -> AccessTrace:
+    """Consecutive pieces of one program's trace, as one trace (the one
+    piece itself when there is only one)."""
+    if len(traces) == 1:
+        return traces[0]
+    first = traces[0]
+    builder = TraceBuilder(
+        first.array_names,
+        first.array_sizes,
+        first.refs,
+        with_instr=first.instr_ids is not None,
+    )
+    for t in traces:
+        builder.append(t.array_ids, t.elems, t.writes, t.ref_ids, t.instr_ids)
+    return builder.build()
 
 
 class TraceBuilder:

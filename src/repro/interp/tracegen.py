@@ -24,8 +24,8 @@ once for both tracers, instead of a truncated address.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,8 +43,9 @@ from ..lang import (
     ZERO,
     array_reads,
 )
+from . import trace as _trace
 from .state import check_params
-from .trace import AccessTrace, RefInfo, TraceBuilder
+from .trace import AccessTrace, RefInfo, TraceBuilder, concat_traces
 
 _FLUSH_THRESHOLD = 65536
 
@@ -243,11 +244,8 @@ class _Generator:
         for node in body:
             self.run_node(node)
 
-    def run_node(
-        self, node: _CNode, span: Optional[tuple[int, int]] = None
-    ) -> None:
-        """Execute ``node``; ``span`` overrides a loop's own bounds (one
-        schedule chunk of a partitioned nest)."""
+    def run_node(self, node: _CNode) -> None:
+        """Execute ``node``."""
         if isinstance(node, _CAssign):
             self._emit_assign_scalar(node)
         elif isinstance(node, _CGuard):
@@ -257,11 +255,8 @@ class _Generator:
             else:
                 self.run_body(node.else_body)
         elif isinstance(node, _CLoop):
-            if span is not None:
-                lo, hi = span
-            else:
-                lo = _at(node.lower, self.env)
-                hi = _at(node.upper, self.env)
+            lo = _at(node.lower, self.env)
+            hi = _at(node.upper, self.env)
             if lo > hi:
                 return
             if node.flat:
@@ -397,9 +392,83 @@ class _Generator:
             self.builder.instr_count += n * nstmts
         self.builder.append(aids, elems, writes, refids, instr)
 
-    def finish(self) -> AccessTrace:
+    def take(self) -> AccessTrace:
+        """The accesses generated since the last take (instruction ids
+        keep counting across takes)."""
         self._flush()
-        return self.builder.build()
+        builder = self.builder
+        self.builder = TraceBuilder(
+            builder.array_names, builder.array_sizes, builder.refs, self.with_instr
+        )
+        self.builder.instr_count = builder.instr_count
+        return builder.build()
+
+
+def _estimate(nodes: tuple[_CNode, ...], env: dict[str, int]) -> int:
+    """Accesses ``nodes`` generate at the loop binding ``env``, each loop
+    counted as its trip count times its middle iteration — exact for
+    rectangular nests, the average for triangular ones."""
+    total = 0
+    for node in nodes:
+        if isinstance(node, _CAssign):
+            total += len(node.refs)
+        elif isinstance(node, _CGuard):
+            value = env[node.index]
+            taken = any(_at(lo, env) <= value <= _at(hi, env) for lo, hi in node.intervals)
+            total += _estimate(node.body if taken else node.else_body, env)
+        else:
+            lo, hi = _at(node.lower, env), _at(node.upper, env)
+            if lo <= hi:
+                inner = _estimate(node.body, {**env, node.index: (lo + hi) // 2})
+                total += (hi - lo + 1) * inner
+    return total
+
+
+def _restrict(
+    node: _CLoop, lo: int, hi: int, body: Optional[tuple[_CNode, ...]] = None
+) -> _CLoop:
+    """``node`` over ``[lo, hi]`` only — its bounds become the constant
+    records ``(lo, ())`` and ``(hi, ())`` — and, given ``body``, running
+    that part of its body."""
+    if body is None:
+        return replace(node, lower=(lo, ()), upper=(hi, ()))
+    flat = not any(_contains_loop(n) for n in body)
+    return replace(node, lower=(lo, ()), upper=(hi, ()), body=body, flat=flat)
+
+
+def _pieces(node: _CNode, env: dict[str, int], budget: int) -> list[_CNode]:
+    """``node`` at the binding ``env`` as consecutive pieces of about
+    ``budget`` accesses (:func:`_estimate`): spans of its loop, or, when
+    one iteration alone exceeds the budget, every iteration's body cut
+    the same way — consecutive small statements together, a big loop in
+    pieces of its own.  Statements other than loops are never cut."""
+    if not isinstance(node, _CLoop):
+        return [node]
+    lo, hi = _at(node.lower, env), _at(node.upper, env)
+    per = _estimate(node.body, {**env, node.index: (lo + hi) // 2})
+    if per <= budget:
+        width = budget // max(per, 1)
+        if hi - lo + 1 <= width:
+            return [node]
+        return [_restrict(node, a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
+    out: list[_CNode] = []
+    for i in range(lo, hi + 1):
+        inner = {**env, node.index: i}
+        group: list[_CNode] = []
+        size = 0
+        for stmt in node.body:
+            est = _estimate((stmt,), inner)
+            if group and size + est > budget:
+                out.append(_restrict(node, i, i, tuple(group)))
+                group, size = [], 0
+            if est > budget:
+                out += [_restrict(node, i, i, (p,)) for p in _pieces(stmt, inner, budget)]
+            else:
+                group.append(stmt)
+                size += est
+        if group:
+            out.append(_restrict(node, i, i, tuple(group)))
+    return out
 
 
 class NestTracer:
@@ -410,6 +479,16 @@ class NestTracer:
     optionally with its outermost loop restricted to an inclusive
     ``[lo, hi]`` chunk.  All array declarations stay in force, so
     ``global_keys`` agree across every nest and chunk.
+
+    The measuring chain's entry: :meth:`segments` cuts the trace of a
+    run into segments of about :data:`~repro.interp.trace.CHUNK_ACCESSES`
+    accesses, in execution order — per time step, each top-level nest
+    whole, or in spans of its outer loop, or (when one outer iteration
+    alone is larger) one iteration's body in pieces — and
+    :func:`trace_program` is their concatenation.  A segment is a
+    restricted copy of a top-level nest (:func:`_restrict`), so the
+    codegen tracer (:class:`repro.codegen.tracer.NestTracer`) inherits
+    the plan and emits the very same segments.
     """
 
     def __init__(self, program: Program, params: Mapping[str, int]) -> None:
@@ -432,9 +511,45 @@ class NestTracer:
     def trace(
         self, nest: int, span: Optional[tuple[int, int]] = None
     ) -> AccessTrace:
-        gen = self.generator()
-        gen.run_node(self.nests[nest], span)
-        return gen.finish()
+        node = self.nests[nest]
+        return self._emit(node if span is None else _restrict(node, *span))
+
+    def _emit(self, node: _CNode, gen: Optional[_Generator] = None) -> AccessTrace:
+        gen = gen or self.generator()
+        gen.run_node(node)
+        return gen.take()
+
+    def plan(self) -> list[_CNode]:
+        """One time step as the consecutive pieces :func:`_pieces` cuts
+        every top-level statement into (itself, when it fits)."""
+        budget = _trace.CHUNK_ACCESSES
+        return [piece for node in self.nests for piece in _pieces(node, {}, budget)]
+
+    def segments(self, steps: int = 1, with_instr: bool = False) -> Iterator[AccessTrace]:
+        """The trace of ``steps`` time steps, one segment at a time."""
+        gen = self.generator(with_instr)
+        # instruction ids advance every step, so such steps are re-walked
+        return self._steps(steps, lambda node: self._emit(node, gen), not with_instr)
+
+    def _steps(self, steps: int, emit, replay: bool) -> Iterator[AccessTrace]:
+        """Every step's segments through ``emit``.  A step that fits in
+        one chunk is emitted once and replayed — nothing larger than a
+        chunk is kept — a larger one is emitted again each step."""
+        pieces = self.plan()
+        kept: Optional[list[AccessTrace]] = [] if replay else None
+        for step in range(steps):
+            if step and kept is not None:
+                yield from kept
+                continue
+            size = 0
+            for piece in pieces:
+                segment = emit(piece)
+                size += len(segment)
+                if size > _trace.CHUNK_ACCESSES:
+                    kept = None
+                elif kept is not None:
+                    kept.append(segment)
+                yield segment
 
     def first_touch(
         self,
@@ -504,10 +619,9 @@ def trace_program(
     ``steps`` repeats the whole body, modelling the outer time-step loop of
     the paper's iterative applications.  ``with_instr=True`` additionally
     records a dynamic instruction id per access (needed by the
-    reuse-driven-execution study).
+    reuse-driven-execution study).  The trace is the concatenation of
+    :meth:`NestTracer.segments`.
     """
     tracer = NestTracer(program, params)
-    gen = tracer.generator(with_instr)
-    for _ in range(steps):
-        gen.run_body(tracer.nests)
-    return gen.finish()
+    segments = list(tracer.segments(steps, with_instr))
+    return concat_traces(segments) if segments else tracer.generator().take()

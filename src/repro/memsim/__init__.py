@@ -14,7 +14,7 @@ from .bandwidth import (
     bandwidth_row,
     bandwidth_rows,
 )
-from .coherence import CoherenceLevel, MSIResult, simulate_msi
+from .coherence import MSIResult, simulate_msi
 from .dram import DRAMConfig, DRAMResult, simulate_dram
 from .fastsim import fa_miss_counts
 from .geometry import (
@@ -55,7 +55,6 @@ __all__ = [
     "CacheGeometry",
     "CacheLevel",
     "CacheResult",
-    "CoherenceLevel",
     "DRAMConfig",
     "DRAMLevel",
     "DRAMResult",

@@ -15,12 +15,17 @@ processing, run-length compression, and a reuse-distance-style
 fully-associative path — several times faster on multi-million access
 traces.  Select per call via ``engine=``; results are bit-identical (a
 property-test suite pins the equivalence).
+
+A stream may arrive in chunks.  Each call then starts from the state
+the previous one ended in (:class:`LRUState`), replayed as a synthetic
+prefix of the chunk whose misses are dropped, and returns its own end
+state — so both engines run their unmodified kernels on every chunk.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -88,6 +93,26 @@ class CacheConfig:
 
 
 @dataclass(frozen=True)
+class LRUState:
+    """What an LRU cache holds: its resident lines and their dirty bits.
+
+    ``lines`` are grouped by set (ascending set index) and ordered LRU →
+    MRU within a set — one set in global recency order when the cache is
+    fully associative.  Replaying ``lines`` with ``dirty`` as the write
+    column into an empty cache of the same geometry rebuilds exactly this
+    state: no set receives more lines than it has ways, so nothing is
+    evicted on the way.
+    """
+
+    lines: np.ndarray
+    dirty: np.ndarray
+
+    @property
+    def dirty_lines(self) -> int:
+        return int(np.count_nonzero(self.dirty))
+
+
+@dataclass(frozen=True)
 class CacheResult:
     """Outcome of simulating one cache level."""
 
@@ -99,6 +124,9 @@ class CacheResult:
     #: fully associative, ``far`` (heads the gap filter could not
     #: settle); the scalar engine visits every access and reports nothing
     work: dict = field(default_factory=dict)
+    #: the cache at the end of the stream; its dirty lines are the
+    #: residue ``writebacks`` counts as flushed
+    state: Optional[LRUState] = field(repr=False, default=None)
 
     @property
     def misses(self) -> int:
@@ -135,6 +163,7 @@ def simulate_cache_writeback(
     addresses: np.ndarray,
     writes: Optional[np.ndarray],
     engine: Optional[str] = None,
+    state: Optional[LRUState] = None,
 ) -> CacheResult:
     """Simulate with write-back accounting.
 
@@ -142,7 +171,13 @@ def simulate_cache_writeback(
     contributes one write-back when evicted; dirty lines still resident at
     the end are flushed and counted too (the data must eventually reach
     memory).  ``engine`` selects the implementation ("fast" or
-    "reference"); both return bit-identical results.
+    "reference"); both return bit-identical results, end state included.
+
+    ``state`` continues a stream: the cache starts as the previous chunk
+    left it.  Its lines are replayed ahead of ``addresses`` and the
+    prefix's misses dropped, so ``miss`` covers ``addresses`` only and
+    ``writebacks`` counts this chunk's evictions plus the residue of the
+    returned state.
     """
     engine = engine or default_engine()
     if engine not in ENGINES:
@@ -151,14 +186,31 @@ def simulate_cache_writeback(
     if engine == "fast":
         from .fastsim import simulate_fast
 
-        return simulate_fast(config, _unit_ids(addresses, config.line_bytes), wr)
+        lines = _unit_ids(addresses, config.line_bytes)
+    else:
+        # the oracle keeps the plain spelling: wide ids, a real write column
+        lines = np.asarray(addresses, dtype=np.int64) // config.line_bytes
+        if wr is None:
+            wr = np.zeros(len(lines), dtype=bool)
+    prefix = 0 if state is None else len(state.lines)
+    if prefix:
+        lines = np.concatenate([state.lines, lines])
+        if wr is not None or state.dirty.any():
+            loads = np.zeros(len(lines) - prefix, dtype=bool)
+            wr = np.concatenate([state.dirty, loads if wr is None else wr])
+    if engine == "fast":
+        result = simulate_fast(config, lines, wr)
+    else:
+        result = _reference(config, lines, wr)
+    if prefix:
+        result = replace(result, miss=result.miss[prefix:])
+    return result
+
+
+def _reference(config: CacheConfig, lines: np.ndarray, wr: np.ndarray) -> CacheResult:
     from ..obs import metrics
 
     metrics.inc("engine.reference.calls")
-    # the oracle keeps the plain spelling: wide ids, a real write column
-    lines = np.asarray(addresses, dtype=np.int64) // config.line_bytes
-    if wr is None:
-        wr = np.zeros(len(lines), dtype=bool)
     if config.assoc == 0 or config.num_sets == 1:
         return _fully_associative(lines, wr, config.ways)
     if config.assoc == 1:
@@ -166,6 +218,14 @@ def simulate_cache_writeback(
     if config.assoc == 2:
         return _two_way(lines, wr, config.num_sets)
     return _n_way(lines, wr, config.num_sets, config.assoc)
+
+
+def _state(resident: list[tuple[int, bool]]) -> LRUState:
+    """An :class:`LRUState` from the scalar engine's ``(line, dirty)``
+    pairs, already in replay order."""
+    lines = np.fromiter((line for line, _ in resident), np.int64, len(resident))
+    dirty = np.fromiter((d for _, d in resident), bool, len(resident))
+    return LRUState(lines, dirty)
 
 
 def _fully_associative(
@@ -185,7 +245,7 @@ def _fully_associative(
                 writebacks += victim_dirty
             lru[line] = w
     writebacks += sum(lru.values())
-    return CacheResult(miss, writebacks)
+    return CacheResult(miss, writebacks, state=_state(list(lru.items())))
 
 
 def _direct_mapped(lines: np.ndarray, writes: np.ndarray, num_sets: int) -> CacheResult:
@@ -202,8 +262,9 @@ def _direct_mapped(lines: np.ndarray, writes: np.ndarray, num_sets: int) -> Cach
             dirty[s] = w
         else:
             dirty[s] = dirty[s] or w
-    writebacks += sum(d and s is not None for d, s in zip(dirty, slots))
-    return CacheResult(miss, writebacks)
+    resident = [(s, d) for s, d in zip(slots, dirty) if s is not None]
+    writebacks += sum(d for _, d in resident)
+    return CacheResult(miss, writebacks, state=_state(resident))
 
 
 def _two_way(lines: np.ndarray, writes: np.ndarray, num_sets: int) -> CacheResult:
@@ -228,10 +289,14 @@ def _two_way(lines: np.ndarray, writes: np.ndarray, num_sets: int) -> CacheResul
         writebacks += lru_d[s] and lru[s] is not None
         lru[s], lru_d[s] = a, mru_d[s]
         mru[s], mru_d[s] = line, w
-    for s in range(num_sets):
-        writebacks += mru_d[s] and mru[s] is not None
-        writebacks += lru_d[s] and lru[s] is not None
-    return CacheResult(miss, writebacks)
+    resident = [
+        pair
+        for s in range(num_sets)
+        for pair in ((lru[s], lru_d[s]), (mru[s], mru_d[s]))
+        if pair[0] is not None
+    ]
+    writebacks += sum(d for _, d in resident)
+    return CacheResult(miss, writebacks, state=_state(resident))
 
 
 def _n_way(
@@ -252,6 +317,6 @@ def _n_way(
                 _, victim_dirty = ways.popitem(last=False)
                 writebacks += victim_dirty
             ways[line] = w
-    for ways in sets:
-        writebacks += sum(ways.values())
-    return CacheResult(miss, writebacks)
+    resident = [pair for ways in sets for pair in ways.items()]
+    writebacks += sum(d for _, d in resident)
+    return CacheResult(miss, writebacks, state=_state(resident))

@@ -23,22 +23,18 @@ interleaver's stream and classifies its ``invalidation_mask`` into true
 and false sharing, so analyzer and oracle counts agree by construction
 (DESIGN §10).
 
-The oracle is exposed two ways: :func:`simulate_msi` on raw columns,
-and :class:`CoherenceLevel`, a pluggable
-:class:`~repro.memsim.levels.MemoryLevel` that carries the issuing
-thread of every access (the one column the level protocol does not
-pass) and reports its outcome through ``LevelResult.msi``.
+The oracle is :func:`simulate_msi` on raw columns (line ids, writes,
+issuing threads).  It is deliberately no
+:class:`~repro.memsim.levels.MemoryLevel`: the hierarchy streams chunks,
+and the automaton's thread column belongs to the whole interleaved
+stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from .geometry import ELEM_BYTES, L1_LINE_BYTES
-from .levels import LevelResult
 
 
 @dataclass(frozen=True)
@@ -149,60 +145,3 @@ def simulate_msi(
         upgrades=upgrades,
         invalidation_mask=mask,
     )
-
-
-@dataclass(frozen=True)
-class CoherenceLevel:
-    """A pluggable MSI coherence level for :class:`MemoryHierarchy`.
-
-    The level protocol passes addresses and writes but not issuing
-    threads, so the thread column is bound at construction (aligned
-    with the *full* stream the hierarchy simulates; the level must
-    observe the full stream, ``source=None``).  ``unit`` says how to
-    reduce addresses to line ids: ``"elements"`` divides by
-    ``line_bytes // elem_bytes`` (canonical global keys),
-    ``"bytes"`` by ``line_bytes``.
-    """
-
-    thread_ids: np.ndarray
-    threads: int
-    name: str = "msi"
-    source: Optional[str] = None
-    line_bytes: int = L1_LINE_BYTES
-    elem_bytes: int = ELEM_BYTES
-    unit: str = "elements"
-
-    def simulate(
-        self,
-        addresses: np.ndarray,
-        writes: np.ndarray,
-        engine: Optional[str] = None,
-        upstream: Optional[LevelResult] = None,
-    ) -> LevelResult:
-        if len(addresses) != len(self.thread_ids):
-            raise ValueError(
-                f"coherence level bound to {len(self.thread_ids)} thread "
-                f"ids but observes {len(addresses)} accesses; the level "
-                f"must observe the full stream (source=None)"
-            )
-        divisor = (
-            self.line_bytes // self.elem_bytes
-            if self.unit == "elements"
-            else self.line_bytes
-        )
-        if divisor < 1:
-            raise ValueError(
-                f"line_bytes {self.line_bytes} below elem_bytes "
-                f"{self.elem_bytes}"
-            )
-        lines = np.asarray(addresses, dtype=np.int64) // divisor
-        result = simulate_msi(lines, writes, self.thread_ids, self.threads)
-        misses = result.total_cold + result.total_invalidations
-        return LevelResult(
-            name=self.name,
-            accesses=len(addresses),
-            misses=misses,
-            line_bytes=self.line_bytes,
-            miss=result.invalidation_mask,
-            msi=result,
-        )

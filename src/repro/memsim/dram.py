@@ -30,6 +30,7 @@ were evicted, not which — the approximation is documented in DESIGN §9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class DRAMResult:
     #: bytes served per (channel, bank), shape (channels * banks,)
     per_bank_bytes: np.ndarray = field(repr=False, default=None)
     energy_nj: float = 0.0
+    #: the block each bank's row buffer holds open at the end, one entry
+    #: per bank that was ever opened (what a next chunk replays)
+    open_rows: Optional[np.ndarray] = field(repr=False, default=None)
 
     @property
     def row_hit_rate(self) -> float:
@@ -90,6 +94,7 @@ def simulate_dram(
     fill_addresses: np.ndarray,
     line_bytes: int,
     writebacks: int = 0,
+    previous: Optional[DRAMResult] = None,
 ) -> DRAMResult:
     """Replay the L2 fill stream against the open-page row buffers.
 
@@ -99,9 +104,19 @@ def simulate_dram(
     groups the stream per (channel, bank) while preserving program
     order within each bank, which is exactly the order its row buffer
     sees.
+
+    ``previous`` continues a fill stream: its open rows are replayed as
+    one fill per bank ahead of ``fill_addresses`` (first in their bank,
+    and never a hit: their neighbour in bank order is another bank), and
+    the result counts everything so far — ``writebacks`` included, which
+    is the L2's running total.
     """
     block = _unit_ids(fill_addresses, config.row_bytes)
     fills = len(block)
+    prefix = 0
+    if previous is not None and len(previous.open_rows):
+        prefix = len(previous.open_rows)
+        block = np.concatenate([previous.open_rows, block])
     nbanks = config.channels * config.banks
     channel, per_channel = block % config.channels, block // config.channels
     bank_id = channel * config.banks + per_channel % config.banks
@@ -110,6 +125,14 @@ def simulate_dram(
     # equal neighbouring block in bank order
     in_bank = block.take(np.argsort(_sort_key(bank_id, nbanks - 1), kind="stable"))
     row_hits = int(np.count_nonzero(in_bank[1:] == in_bank[:-1]))
+    opened = np.bincount(bank_id, minlength=nbanks)
+    open_rows = in_bank[np.cumsum(opened)[opened > 0] - 1]
+    opened[bank_id[:prefix]] -= 1  # one replayed fill per bank, served nothing
+    served = opened * line_bytes
+    if previous is not None:
+        fills += previous.fills
+        row_hits += previous.row_hits
+        served += previous.per_bank_bytes
     row_misses = fills - row_hits
     return DRAMResult(
         fills=fills,
@@ -117,10 +140,11 @@ def simulate_dram(
         row_misses=row_misses,
         writebacks=writebacks,
         line_bytes=line_bytes,
-        per_bank_bytes=np.bincount(bank_id, minlength=nbanks) * line_bytes,
+        per_bank_bytes=served,
         energy_nj=(
             config.activate_nj * row_misses
             + config.read_nj * fills
             + config.write_nj * writebacks
         ),
+        open_rows=open_rows,
     )

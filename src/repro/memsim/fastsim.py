@@ -3,7 +3,7 @@
 The scalar loops in :mod:`repro.memsim.cache` are exact but spend
 hundreds of nanoseconds per access in the interpreter.  This module
 re-derives the same per-access miss masks and write-back counts with
-numpy primitives, exploiting five structural facts about LRU caches.
+numpy primitives, exploiting six structural facts about LRU caches.
 Line ids arrive narrowed once per level (``cache._unit_ids``: a shift for
 power-of-two lines, ``int32`` whenever they fit), every sort key is cast
 to the narrowest dtype, and each kernel gathers and compares one column:
@@ -69,6 +69,16 @@ to the narrowest dtype, and each kernel gathers and compares one column:
    than knowing every distance: the inversion count runs over 0.1–17 % of
    the run heads, and nothing is sized by the number of distinct lines.
 
+6. **The end state is on the same columns.**  What the cache holds when
+   the stream ends — each set's last ``A`` distinct lines, LRU → MRU —
+   is the ``A`` latest of the per-line last heads the fully-associative
+   kernel already sorted, or, set-associative, each set's last ``A``
+   distinct in-set run heads (a window of the last ``A`` heads per set,
+   widened only while repeats hide a way).  A resident line is in its
+   last residency segment (fact 3), whose dirty bit is its own.  That
+   state, replayed as a prefix of the next chunk, carries one stream
+   across chunks (:class:`~repro.memsim.cache.LRUState`).
+
 ``fa_miss_counts`` derives the misses of *every* capacity from one full
 distance profile (the reuse-distance methodology of Fig. 3).
 
@@ -86,7 +96,7 @@ import numpy as np
 from ..lang import SimulationError
 from ..locality.reuse_distance import COLD, miss_count, prior_greater, reuse_distances
 from ..obs import metrics
-from .cache import CacheConfig, CacheResult
+from .cache import CacheConfig, CacheResult, LRUState
 
 
 def simulate_fast(
@@ -100,20 +110,29 @@ def simulate_fast(
             f"the fast engine handles at most 2**31 - 1 accesses, got {n}"
         )
     if n == 0:
-        return CacheResult(np.zeros(0, dtype=bool), 0)
+        return CacheResult(
+            np.zeros(0, dtype=bool), 0, state=LRUState(lines, np.zeros(0, dtype=bool))
+        )
     if config.assoc == 0 or config.num_sets == 1:
         # the near/far kernel is stated on global run heads (fact 1); a
         # head that hits is cleared in place, leaving the miss mask
         miss = _run_heads(lines)
         hpos = np.flatnonzero(miss)
-        cmiss, far = _fa_miss_mask(lines[hpos], config.ways)
+        hl = lines[hpos]
+        cmiss, far, recent = _fa_miss_mask(hl, config.ways)
         miss[hpos] = cmiss
+        resident = hl[recent]
         work = {"heads": len(hpos), "far": far}
     else:
-        miss, heads = _set_assoc_miss_mask(lines, config.num_sets, config.assoc)
+        miss, heads, resident = _set_assoc_miss_mask(
+            lines, config.num_sets, config.assoc
+        )
         work = {"heads": heads}
-    writebacks = 0 if writes is None else residency_writebacks(lines, miss, writes)
-    return CacheResult(miss, writebacks, work)
+    if writes is None:
+        writebacks, dirty = 0, np.zeros(len(resident), dtype=bool)
+    else:
+        writebacks, dirty = residency_writebacks(lines, miss, writes, resident)
+    return CacheResult(miss, writebacks, work, LRUState(resident, dirty))
 
 
 def _run_heads(lines: np.ndarray) -> np.ndarray:
@@ -133,96 +152,142 @@ def _sort_key(values: np.ndarray, max_value: int) -> np.ndarray:
     return values
 
 
-def _dense_key(lines: np.ndarray) -> np.ndarray:
-    """Line ids rebased to start at 0, as a sort key that groups them."""
+def _dense_key(lines: np.ndarray) -> tuple[np.ndarray, int]:
+    """Line ids rebased to start at 0, as a sort key that groups them,
+    and the base."""
     lo = int(lines.min())
-    return _sort_key(lines - lo, int(lines.max()) - lo)
+    return _sort_key(lines - lo, int(lines.max()) - lo), lo
 
 
 def residency_writebacks(
-    lines: np.ndarray, miss: np.ndarray, writes: np.ndarray
-) -> int:
-    """Write-backs from a miss mask via dirty-residency counting.
+    lines: np.ndarray, miss: np.ndarray, writes: np.ndarray, resident: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Write-backs from a miss mask via dirty-residency counting, and
+    the dirty bit of every ``resident`` line.
 
     Valid for every LRU geometry and at any granularity the mask is
     exact at (see module docstring, fact 3): group accesses by line,
     split each line's sequence at its misses, and count the segments
-    containing at least one write.
+    containing at least one write.  A line still resident at the end is
+    in its last segment, so that segment is its dirty bit (fact 6).
     """
+    dirty_resident = np.zeros(len(resident), dtype=bool)
     if not writes.any():
-        return 0
-    order = np.argsort(_dense_key(lines), kind="stable")
+        return 0, dirty_resident
+    key, lo = _dense_key(lines)
+    order = np.argsort(key, kind="stable")
     # A line's first access is always a miss, so cumsum(miss) segments
     # never straddle two lines.
     seg = np.cumsum(miss.take(order))
     dirty = np.zeros(int(seg[-1]) + 1, dtype=bool)
     dirty[seg[writes.take(order)]] = True
-    return int(dirty.sum())
+    if len(resident):
+        last = np.searchsorted(key.take(order), resident - lo, side="right") - 1
+        dirty_resident = dirty[seg[last]]
+    return int(dirty.sum()), dirty_resident
 
 
 def _set_assoc_miss_mask(
     lines: np.ndarray, num_sets: int, assoc: int
-) -> tuple[np.ndarray, int]:
-    """Set-associative LRU miss mask for any associativity (fact 2), and
-    the number of in-set run heads it was decided on."""
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Set-associative LRU miss mask for any associativity (fact 2), the
+    number of in-set run heads it was decided on, and the resident lines
+    at the end (fact 6)."""
     pow2 = num_sets & (num_sets - 1) == 0
-    sets = lines & (num_sets - 1) if pow2 else lines % num_sets
-    order = np.argsort(_sort_key(sets, num_sets - 1), kind="stable")
+
+    def set_of(ids: np.ndarray) -> np.ndarray:
+        return _sort_key(ids & (num_sets - 1) if pow2 else ids % num_sets, num_sets - 1)
+
+    order = np.argsort(set_of(lines), kind="stable")
     # Equal lines share a set, so in set order "same line as the access
     # before" needs no look at the set column: a set boundary is a line
     # boundary.  In-set run heads are the only candidates to miss.
     ls = lines.take(order)
     head = _run_heads(ls)
-    if assoc == 1:
-        heads = int(np.count_nonzero(head))
-    else:
-        hpos = np.flatnonzero(head)
-        heads = len(hpos)
-        hl = ls[hpos]
-        if assoc == 2:
-            # the set holds the two previous heads; the one just before
-            # differs by construction, so a hit is the head two back
-            miss_h = np.ones(heads, dtype=bool)
-            np.not_equal(hl[2:], hl[:-2], out=miss_h[2:])
-        else:
-            metrics.inc("engine.fast.n_way_distance")
-            distances = reuse_distances(hl)
-            miss_h = (distances == COLD) | (distances >= assoc)
+    hpos = np.flatnonzero(head)
+    heads = len(hpos)
+    hl = ls[hpos]
+    if assoc == 2:
+        # the set holds the two previous heads; the one just before
+        # differs by construction, so a hit is the head two back
+        miss_h = np.ones(heads, dtype=bool)
+        np.not_equal(hl[2:], hl[:-2], out=miss_h[2:])
         head[hpos] = miss_h
+    elif assoc > 2:
+        metrics.inc("engine.fast.n_way_distance")
+        distances = reuse_distances(hl)
+        head[hpos] = (distances == COLD) | (distances >= assoc)
+    # the heads of set s are hl[ends[s - 1]:ends[s]]
+    hsets = set_of(hl)
+    ends = np.searchsorted(hsets, np.arange(num_sets, dtype=hsets.dtype), side="right")
+    resident = _last_distinct(hl, ends, assoc)
     miss = np.empty(len(lines), dtype=bool)
     miss[order] = head
-    return miss, heads
+    return miss, heads, resident
 
 
-def _fa_miss_mask(lines: np.ndarray, capacity: int) -> tuple[np.ndarray, int]:
-    """Fully-associative LRU miss mask of an RLE-compressed stream, and
-    how many *far* heads the gap filter left open (module docstring)."""
+def _last_distinct(values: np.ndarray, ends: np.ndarray, ways: int) -> np.ndarray:
+    """The last ``ways`` distinct values of every group, in order of last
+    occurrence: group ``g`` is ``values[ends[g - 1]:ends[g]]``, no value
+    occurs in two groups and neighbours within a group differ (they are
+    run heads).  Groups are looked at through a window of their last
+    ``ways`` values — up to two ways that is the answer — doubled while
+    a group shows fewer distinct values than it may hold and has more to
+    show."""
+    starts = np.concatenate(([0], ends[:-1]))
+    width = ways
+    while True:
+        lo = np.maximum(starts, ends - width)
+        counts = ends - lo
+        idx = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        if ways <= 2:
+            # the callers' groups are run heads: neighbours differ
+            return values.take(idx)
+        # each distinct value at its last position; positions sort group-major
+        _, back = np.unique(values.take(idx)[::-1], return_index=True)
+        last = np.sort(idx[len(idx) - 1 - back])
+        group = np.searchsorted(ends, last, side="right")
+        distinct = np.bincount(group, minlength=len(ends))
+        if np.all((distinct >= ways) | (lo == starts)):
+            break
+        width *= 2
+    from_end = np.cumsum(distinct)[group] - np.arange(len(last))
+    return values.take(last[from_end <= ways])
+
+
+def _fa_miss_mask(
+    lines: np.ndarray, capacity: int
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Fully-associative LRU miss mask of an RLE-compressed stream, how
+    many *far* heads the gap filter left open (module docstring), and the
+    positions of the resident lines' last heads, LRU → MRU (fact 6)."""
     m = len(lines)
-    key = _dense_key(lines)
+    key, _ = _dense_key(lines)
     # Grouped by line with positions ascending: neighbours inside a group
     # are the links (previous head of the line, head).
     order = np.argsort(key, kind="stable")
     opens = _run_heads(key.take(order))  # first head of its line: cold
     starts = np.flatnonzero(opens)
     first = order[starts]
-    last = order[np.append(starts[1:], m) - 1]
+    last = np.sort(order[np.append(starts[1:], m) - 1])
     miss = np.zeros(m, dtype=bool)
     miss[first] = True
+    recent = last[-capacity:]  # the lines touched last are the ones held
 
     pos = order.astype(np.int32)  # simulate_fast bounds the stream
     far = np.flatnonzero((pos[1:] - pos[:-1] > capacity) & ~opens[1:])
     if len(far) == 0:
-        return miss, 0
+        return miss, 0, recent
     p, t = pos[far], pos[far + 1]
     by_time = np.argsort(t)
     p, t = p[by_time], t[by_time]
     seen = np.searchsorted(np.sort(first), t)
-    retired = np.searchsorted(np.sort(last), p)
+    retired = np.searchsorted(last, p)
     # #{later far links with an earlier start} = #{earlier, greater} on
     # the reversed, negated column
     enclosing = prior_greater((m - 1 - p)[::-1], m)[::-1]
     miss[t[seen - 1 - retired - enclosing >= capacity]] = True
-    return miss, len(far)
+    return miss, len(far), recent
 
 
 def fa_miss_counts(

@@ -142,7 +142,9 @@ def simulate_stream(
     simulation implementation (see :data:`repro.memsim.cache.ENGINES`).
     Each level runs under an :mod:`repro.obs` span named after it
     (``l1``/``l2``/``tlb``/``dram``); when ``timings`` is a mapping the
-    same per-stage seconds are accumulated into it.
+    same per-stage seconds are accumulated into it.  The stream is
+    simulated in chunks (:meth:`MemoryHierarchy.simulate`), so the
+    simulation holds nothing proportional to it.
     """
     outcome = MemoryHierarchy.standard(machine).simulate(
         stream.addresses, stream.writes, engine=engine, timings=timings

@@ -4,7 +4,8 @@ One vocabulary threaded through the whole stack:
 
 * :func:`span` / :class:`SpanCollector` — nested wall-clock (and
   optional peak-memory) tracing emitted by the compiler pipeline, trace
-  generation, and every simulation stage;
+  generation, and every simulation stage (:class:`ChunkedSpan` for a
+  stage that runs a chunk at a time);
 * :data:`REGISTRY` (:class:`MetricsRegistry`) — process-wide counters
   and gauges (cache hits, engine fallbacks, verifier diagnostics);
 * :class:`RunLog` + :class:`TraceConfig` — per-run JSONL event sinks
@@ -37,9 +38,10 @@ from .runlog import (
     spec_logging,
     summarize_run,
 )
-from .spans import SpanCollector, SpanEvent, current_collector, span
+from .spans import ChunkedSpan, SpanCollector, SpanEvent, current_collector, span
 
 __all__ = [
+    "ChunkedSpan",
     "DEFAULT_RUNS_DIR",
     "EVENT_KINDS",
     "OPTIONAL_FIELDS",

@@ -128,6 +128,14 @@ class SpanCollector:
             tracemalloc.reset_peak()
         return ev
 
+    def _resume(self, ev: SpanEvent) -> None:
+        """Re-open an event recorded earlier (a :class:`ChunkedSpan`)."""
+        self._stack.append(ev)
+        if self.memory:
+            import tracemalloc
+
+            tracemalloc.reset_peak()
+
     def _close(self, ev: SpanEvent, duration: float) -> None:
         self._stack.pop()
         ev.duration_s = duration
@@ -171,3 +179,43 @@ def span(name: str, **attrs: object) -> Iterator[SpanEvent]:
         yield ev
     finally:
         collector._close(ev, time.perf_counter() - t0)
+
+
+class ChunkedSpan:
+    """One span over a stage that runs a chunk at a time.
+
+    The measuring chain interleaves its stages chunk by chunk (trace,
+    lay out, simulate each level, next chunk); each stage still reports
+    one span.  Every ``with stage.chunk():`` block adds its seconds to
+    the same event and bumps its ``chunks`` attribute; the event enters
+    the active collector (if any) where its first chunk starts, nests
+    whatever spans open inside any chunk, and keeps the largest peak.
+    """
+
+    def __init__(self, name: str, **attrs: object) -> None:
+        self._collector = _ACTIVE.get()
+        self.event = SpanEvent(name=name, path=name, depth=0, start_s=0.0,
+                               attrs=dict(attrs, chunks=0))
+
+    @property
+    def duration_s(self) -> float:
+        return self.event.duration_s
+
+    @contextmanager
+    def chunk(self) -> Iterator[SpanEvent]:
+        collector, ev = self._collector, self.event
+        if collector is not None:
+            if ev.attrs["chunks"] == 0:
+                ev = self.event = collector._open(ev.name, ev.attrs)
+            else:
+                collector._resume(ev)
+        ev.attrs["chunks"] += 1
+        t0 = time.perf_counter()
+        try:
+            yield ev
+        finally:
+            total = ev.duration_s + time.perf_counter() - t0
+            if collector is None:
+                ev.duration_s = total
+            else:
+                collector._close(ev, total)

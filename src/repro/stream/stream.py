@@ -124,8 +124,16 @@ class AddressStream:
         return len(self._addresses)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if dtype is None:
-            return self._addresses
+        """The address column under numpy's protocol: ``copy=True`` is a
+        copy, ``copy=False`` never is (a dtype change then raises), and
+        ``copy=None`` copies only to change the dtype."""
+        if dtype is None or np.dtype(dtype) == self._addresses.dtype:
+            return self._addresses.copy() if copy else self._addresses
+        if copy is False:
+            raise ValueError(
+                f"addresses are {self._addresses.dtype}; {np.dtype(dtype)} "
+                f"needs a copy, which copy=False forbids"
+            )
         return self._addresses.astype(dtype)
 
     def __repr__(self) -> str:

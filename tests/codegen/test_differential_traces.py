@@ -13,6 +13,12 @@ Run ``python tests/codegen/test_differential_traces.py`` to regenerate
 the fingerprint file after an *intentional* trace change (and say so in
 the commit).
 
+The measuring chain streams: both tracers cut a trace into outer-loop
+segments of about ``CHUNK_ACCESSES`` accesses.  At a tiny odd chunk size
+the segments of every variant still concatenate to the trace bit for
+bit (instruction ids included), and the chunked measurement gives the
+one-chunk ``MemStats`` field for field.
+
 The tier-1 cases run at the small golden sizes; the ``slow`` marker
 re-runs the full matrix at the fig-10 registry sizes.
 """
@@ -43,8 +49,14 @@ if __name__ != "__main__":
 
     from repro.codegen import trace_fingerprint
     from repro.codegen import trace_program as codegen_trace
+    from repro.codegen.tracer import NestTracer as CodegenNestTracer
     from repro.core import compile_variant
+    from repro.harness import variant_chunks
+    from repro.interp import trace as trace_module
     from repro.interp import trace_program as interp_trace
+    from repro.interp.trace import concat_traces
+    from repro.interp.tracegen import NestTracer as InterpNestTracer
+    from repro.memsim import MemoryHierarchy, octane, stats_from_hierarchy
 
     CASES = [
         (name, level)
@@ -55,18 +67,26 @@ if __name__ != "__main__":
 STEPS = 2  # >1 so the per-step tiling (and the oracle's instruction ids) is covered
 
 
+#: a chunk size that cuts every variant's trace, nests included, off
+#: every natural boundary
+TINY_CHUNK = 997
+
 _VARIANT_CACHE: dict = {}
 
 
-def _variant_program(name, level):
-    # compiled once per (name, level): both the pairwise and the golden
-    # test trace the same immutable program
+def _variant(name, level):
+    # compiled once per (name, level): every test here traces the same
+    # immutable program
     key = (name, level)
     if key not in _VARIANT_CACHE:
         program = build_golden_program(name)
         reset_fusion_uids()
-        _VARIANT_CACHE[key] = compile_variant(program, level).program
+        _VARIANT_CACHE[key] = compile_variant(program, level)
     return _VARIANT_CACHE[key]
+
+
+def _variant_program(name, level):
+    return _variant(name, level).program
 
 
 def assert_traces_identical(a, b, label=""):
@@ -113,6 +133,46 @@ if __name__ != "__main__":
         assert trace_fingerprint(trace) == golden[key], (
             f"{key}: trace moved; if intentional, regenerate the goldens"
         )
+
+    @pytest.mark.parametrize(
+        "name,level", CASES, ids=[f"{n}-{lv}" for n, lv in CASES]
+    )
+    def test_segments_concatenate_to_the_trace(name, level, monkeypatch):
+        program = _variant_program(name, level)
+        params = GOLDEN_PARAMS[name]
+        whole = interp_trace(program, params, steps=STEPS)
+        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", TINY_CHUNK)
+        for tracer in (CodegenNestTracer, InterpNestTracer):
+            segments = list(tracer(program, params).segments(STEPS))
+            assert_traces_identical(
+                whole, concat_traces(segments), f"{name}/{level} {tracer.__module__}"
+            )
+        # the oracle's instruction ids keep counting across segments
+        timed = InterpNestTracer(program, params).segments(STEPS, with_instr=True)
+        golden = json.loads(GOLDEN_FILE.read_text())
+        assert trace_fingerprint(concat_traces(list(timed))) == golden[f"{name}-{level}"]
+
+    @pytest.mark.parametrize(
+        "name,level", CASES, ids=[f"{n}-{lv}" for n, lv in CASES]
+    )
+    def test_chunked_measurement_matches_one_chunk(name, level, monkeypatch):
+        """The chain of ``measure_variant`` past its compile, on a
+        hierarchy small enough (4 L1 lines, 32 L2 lines, 4 TLB entries)
+        that every level evicts across chunk boundaries."""
+        variant, params = _variant(name, level), GOLDEN_PARAMS[name]
+        machine = octane().scaled(1 / 256)
+
+        def measure():
+            chunks = [(c.addresses, c.writes) for c in variant_chunks(variant, params, STEPS)]
+            outcome = MemoryHierarchy.standard(machine).simulate_chunks(chunks)
+            return len(chunks), stats_from_hierarchy(outcome, machine)
+
+        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", 2**40)
+        one, whole = measure()
+        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", TINY_CHUNK)
+        many, chunked = measure()
+        assert one == 1 and (many > 1 or whole.accesses <= TINY_CHUNK)
+        assert chunked == whole
 
     def test_goldens_cover_all_variants():
         golden = json.loads(GOLDEN_FILE.read_text())

@@ -91,6 +91,27 @@ class TestFrontDoor:
             assert 0 < spans["tlb"]["far"] < spans["tlb"]["heads"]
             assert "far" not in spans["l1"]
 
+    def test_one_span_per_stage_however_many_chunks(self, monkeypatch):
+        from repro.interp import trace as trace_module
+
+        request = RunRequest(program="adi", levels=("noopt",), params=SMALL, steps=1)
+        whole = run(request)[0]
+        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", 997)
+        chunked = run(request)[0]
+        assert chunked.stats == whole.stats
+        assert set(chunked.timings) == set(whole.timings)
+        chunks = set()
+        for stage in ("trace-gen", "addresses", "l1", "l2", "tlb", "dram"):
+            (sp,) = [s for s in chunked.spans if s.name == stage]
+            chunks.add(sp.attrs["chunks"])
+            # timings keep their keys and sum the chunks, like the span
+            assert chunked.timings[stage] == sp.duration_s
+        # chunks end on segment boundaries: at least 16 of <= 997 accesses
+        (count,) = chunks
+        assert count >= -(-whole.trace_length // 997)
+        (laid,) = [s for s in chunked.spans if s.name == "addresses"]
+        assert laid.attrs["accesses"] == whole.trace_length
+
     def test_program_without_arrays_measures_as_all_zero(self):
         from repro.lang import ProgramBuilder
         from repro.lang.builder import assign, loop

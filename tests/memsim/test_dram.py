@@ -150,6 +150,28 @@ def test_matches_scalar_open_row_oracle(case):
     assert res.energy_nj == pytest.approx(energy)
 
 
+@given(fill_streams(), st.lists(st.integers(0, 80), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_chunk_boundaries_are_invisible(case, cuts):
+    """The fill stream cut anywhere, each piece continuing from the last
+    one's open rows (``previous=``), counts exactly what one call does —
+    banks touched are a union, energy is charged on the running totals."""
+    cfg, addresses, writebacks = case
+    addresses = np.asarray(addresses, dtype=np.int64)
+    whole = simulate_dram(cfg, addresses, LINE, writebacks)
+    bounds = [0, *sorted(min(c, len(addresses)) for c in cuts), len(addresses)]
+    res = None
+    for lo, hi in zip(bounds, bounds[1:]):
+        res = simulate_dram(cfg, addresses[lo:hi], LINE, writebacks, previous=res)
+    assert (res.fills, res.row_hits, res.row_misses) == (
+        whole.fills, whole.row_hits, whole.row_misses,
+    )
+    assert res.banks_touched == whole.banks_touched
+    assert res.per_bank_bytes.tolist() == whole.per_bank_bytes.tolist()
+    assert res.energy_nj == whole.energy_nj
+    assert res.open_rows.tolist() == whole.open_rows.tolist()
+
+
 class TestConfig:
     def test_geometry_validated(self):
         with pytest.raises(ValueError):

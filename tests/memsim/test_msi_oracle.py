@@ -1,8 +1,8 @@
 """Unit tests for the MSI coherence oracle (repro.memsim.coherence).
 
 Hand-checkable streams pin the owner-tracking automaton: cold vs
-invalidation classification, write-invalidates-all, upgrades, and the
-CoherenceLevel adapter's line reduction and miss accounting.
+invalidation classification, write-invalidates-all, upgrades, the
+element → line reduction its callers make, and its miss accounting.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.memsim.coherence import CoherenceLevel, simulate_msi
+from repro.memsim.coherence import simulate_msi
+from repro.memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
 
 
 def msi(lines, writes, tids, threads):
@@ -122,57 +123,26 @@ def test_thread_count_bounds():
     assert r.cold[62] == 1
 
 
-# -- CoherenceLevel adapter ----------------------------------------------------
+# -- line reduction and miss accounting ----------------------------------------
 
 
-def test_level_reduces_elements_to_lines():
-    # line_bytes 32 / elem_bytes 8 = 4 elements per line: keys 0..3 are
-    # one line, 4..7 the next
-    tids = np.array([0, 1, 0, 1], dtype=np.int64)
-    level = CoherenceLevel(thread_ids=tids, threads=2)
-    res = level.simulate(
-        np.array([0, 3, 4, 7], dtype=np.int64),
-        np.array([True, True, True, True]),
-    )
+def test_elements_reduce_to_lines():
+    # line_bytes 32 / elem_bytes 8 = 4 elements per line: element keys
+    # 0..3 are one line, 4..7 the next — the reduction every caller of
+    # the automaton makes before handing it line ids
+    keys = np.array([0, 3, 4, 7], dtype=np.int64)
+    r = msi(keys // (L1_LINE_BYTES // ELEM_BYTES), [1, 1, 1, 1], [0, 1, 0, 1], 2)
     # keys 0,3 share line 0 (t0 then t1: cold+cold), keys 4,7 line 1
-    assert res.msi.lines == 2
-    assert res.msi.total_invalidations == 0
-    assert res.misses == res.msi.total_cold == 4
+    assert r.lines == 2
+    assert r.total_invalidations == 0
+    assert r.total_cold == 4
 
 
-def test_level_misses_are_cold_plus_invalidations():
-    tids = np.array([0, 1, 0], dtype=np.int64)
-    level = CoherenceLevel(thread_ids=tids, threads=2)
-    res = level.simulate(
-        np.array([0, 1, 2], dtype=np.int64),  # all on line 0
-        np.array([True, True, False]),
-    )
-    assert res.msi.total_cold == 2
-    assert res.msi.total_invalidations == 1
-    assert res.misses == 3
-    assert res.miss.tolist() == [False, False, True]
-
-
-def test_level_byte_unit():
-    tids = np.array([0, 1], dtype=np.int64)
-    level = CoherenceLevel(thread_ids=tids, threads=2, unit="bytes")
-    # byte addresses 0 and 31 share a 32-byte line
-    res = level.simulate(
-        np.array([0, 31], dtype=np.int64), np.array([True, True])
-    )
-    assert res.msi.lines == 1
-    assert res.msi.total_upgrades == 1
-
-
-def test_level_rejects_partial_stream():
-    tids = np.array([0, 1, 0], dtype=np.int64)
-    level = CoherenceLevel(thread_ids=tids, threads=2)
-    with pytest.raises(ValueError, match="full stream"):
-        level.simulate(np.array([0, 1]), np.array([True, True]))
-
-
-def test_level_rejects_degenerate_line_size():
-    tids = np.array([0], dtype=np.int64)
-    level = CoherenceLevel(thread_ids=tids, threads=1, line_bytes=4)
-    with pytest.raises(ValueError, match="below elem_bytes"):
-        level.simulate(np.array([0]), np.array([True]))
+def test_misses_are_cold_plus_invalidations():
+    r = msi([0, 0, 0], [1, 1, 0], [0, 1, 0], 2)  # all on line 0
+    assert r.total_cold == 2
+    assert r.total_invalidations == 1
+    assert r.invalidation_mask.tolist() == [False, False, True]
+    # every miss is one or the other, and only invalidations are masked
+    assert r.total_cold + r.total_invalidations == 3
+    assert int(r.invalidation_mask.sum()) == r.total_invalidations

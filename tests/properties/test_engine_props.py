@@ -14,15 +14,21 @@ Two families of invariants lock the vectorized paths in
 * the fully-associative cache must agree with the stack-distance oracle
   ``miss_count(reuse_distances(lines), capacity)``, the LRU/stack
   equivalence (paper §2.1) the fast path is built on.
+
+A third pins streaming: every kernel, on both engines, gives the same
+result when the stream arrives in chunks, each replaying the state the
+previous one ended in (:class:`~repro.memsim.cache.LRUState`).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.locality import reuse_distances
 from repro.locality.reuse_distance import miss_count
 from repro.memsim.cache import (
+    ENGINES,
     CacheConfig,
     _fully_associative,
     _n_way,
@@ -158,6 +164,77 @@ def test_tlb_shaped_streams_match_scalar(case):
     )
     assert np.array_equal(oracle.miss, got.miss)
     assert oracle.writebacks == got.writebacks
+
+
+def _chunked(config, addresses, writes, engine, cuts):
+    """The stream cut at ``cuts``, each piece continuing from the last
+    one's end state: the joined miss mask, the write-backs (evictions of
+    every piece plus the last residue) and the final state."""
+    bounds = [0, *sorted(min(c, len(addresses)) for c in cuts), len(addresses)]
+    state, masks, evicted = None, [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = None if writes is None else writes[lo:hi]
+        res = simulate_cache_writeback(config, addresses[lo:hi], part, engine, state)
+        masks.append(res.miss)
+        evicted += res.writebacks - res.state.dirty_lines
+        state = res.state
+    return np.concatenate(masks), evicted + state.dirty_lines, state
+
+
+#: (sets, ways, line bytes) per kernel of the fast engine, the odd
+#: geometries of ``ODD_GEOMETRIES`` among them
+KERNELS = {
+    "direct-mapped": [(8, 1, 8), (3, 1, 8)],
+    "2-way": [(8, 2, 8), (1, 2, 8), (6, 2, 8), (96, 2, 128), (4, 2, 24)],
+    "4-way": [(4, 4, 8), (6, 3, 12)],
+    "fully-associative": [(1, 4, 8), (1, 1, 8), (1, 5, 24)],
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@given(
+    access_streams(),
+    st.sampled_from(ORIGINS),
+    st.lists(st.integers(0, 130), max_size=4),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_chunk_boundaries_are_invisible(kernel, stream, origin, cuts, seed):
+    """Cut anywhere — inside runs, between a line's misses, into empty
+    pieces — with each piece starting from the state the last one left,
+    both engines give the whole stream's misses and write-backs, and the
+    same end state as each other."""
+    lines, writes = stream
+    within = np.random.default_rng(seed).integers(0, 2**16, len(lines))
+    for num_sets, ways, line_bytes in KERNELS[kernel]:
+        assoc = 0 if kernel == "fully-associative" else ways
+        config = CacheConfig("c", num_sets * ways * line_bytes, line_bytes, assoc)
+        addresses = (origin + lines) * line_bytes + within % line_bytes
+        states = []
+        for engine in ENGINES:
+            whole = simulate_cache_writeback(config, addresses, writes, engine)
+            miss, writebacks, state = _chunked(config, addresses, writes, engine, cuts)
+            assert np.array_equal(miss, whole.miss), (config, engine)
+            assert writebacks == whole.writebacks, (config, engine)
+            # a level that tracks no writes (L1, TLB) carries clean lines
+            loads, none, _ = _chunked(config, addresses, None, engine, cuts)
+            assert np.array_equal(loads, whole.miss) and none == 0
+            states.append(state)
+        assert np.array_equal(states[0].lines, states[1].lines), config
+        assert np.array_equal(states[0].dirty, states[1].dirty), config
+
+
+@given(tlb_streams(), st.lists(st.integers(0, 400), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_tlb_shaped_chunks_are_invisible(case, cuts):
+    """The near/far kernel cut mid-cycle, where a far reuse straddles the
+    boundary and only the replayed prefix remembers the page."""
+    lines, writes, capacity = case
+    config = CacheConfig("tlb", capacity * 8, 8, 0)
+    whole = simulate_cache_writeback(config, lines * 8, writes, "fast")
+    miss, writebacks, _ = _chunked(config, lines * 8, writes, "fast", cuts)
+    assert np.array_equal(miss, whole.miss)
+    assert writebacks == whole.writebacks
 
 
 @given(access_streams(), st.integers(1, 40))

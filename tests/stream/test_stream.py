@@ -50,6 +50,17 @@ class TestAddressStream:
         assert np.array_equal(np.asarray(s), s.addresses)
         assert np.asarray(s, dtype=np.float64).dtype == np.float64
 
+    def test_array_protocol_honours_copy(self):
+        s = _stream()
+        first = int(s.addresses[0])
+        a = np.array(s)  # copy=True: writing it must not reach the stream
+        a[0] = first + 99
+        assert s.addresses[0] == first
+        assert np.asarray(s) is s.addresses  # copy=None: the column itself
+        assert np.asarray(s, copy=False) is s.addresses
+        with pytest.raises(ValueError, match="copy=False"):
+            np.asarray(s, dtype=np.float64, copy=False)
+
     def test_lines_requires_a_line_size(self):
         s = _stream()
         with pytest.raises(ValueError):

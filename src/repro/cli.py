@@ -1,69 +1,10 @@
 """Command-line front end: the source-to-source tool as a tool.
 
-Subcommands:
-
-* ``fuse FILE``      — parse a mini-language file, run an optimization
-  level (default: the paper's full strategy), print the transformed source;
-* ``regroup FILE``   — print the data-regrouping decision and, given ``-p
-  N=...``, the concrete placements;
-* ``report APP``     — Fig. 10-style measurement of a bundled application
-  (or a file) across optimization levels on the scaled machine — every
-  target-taking subcommand accepts a registry name, ``fft`` (``-p
-  n=SIZE``) or a source file (measuring one needs ``-p NAME=INT``);
-* ``profile APP``    — run one (program, level, params) and print the
-  nested stage/pass span tree (seconds + peak MB) plus metric deltas
-  (``--static`` adds the trace-free analyses and their work counters);
-* ``runs``           — list and summarize past ``runs/<id>/events.jsonl``
-  run logs;
-* ``levels``         — list the optimization levels;
-* ``apps``           — list the bundled benchmark applications;
-* ``bench-membw``    — effective-bandwidth / DRAM report across the
-  paper's programs, gating the committed ``BENCH_membw.json``;
-* ``trace``          — export, import, or inspect address-stream files;
-* ``cache``          — inspect or clear the on-disk trace/result cache;
-* ``lint``           — static IR verification of a program (structure,
-  loop bounds, subscript bounds, def-use hygiene); ``--static`` adds the
-  predictive S3xx locality lints and the R5xx parallelism/race lints,
-  ``--explain CODE`` documents any diagnostic code;
-* ``static-reuse``   — the symbolic (trace-free) reuse profile of a
-  program: per-reference distance polynomials, predicted histogram and
-  evadable classes at any input size;
-* ``parallelism``    — dependence-based parallelism analysis: classify
-  every loop axis DOALL / reduction / serial (with a concrete race
-  witness for serial axes); ``--threads T`` adds the per-thread
-  private-cache + shared-cache reuse prediction;
-* ``verify-pass``    — certify that every pass of an optimization level
-  preserves the program's dependence structure;
-* ``pipeline``       — introspect the pass-pipeline registry (``--json``
-  emits the machine-readable pipeline-description schema);
-* ``tune``           — static-profile-driven pipeline autotuning: rank
-  legal candidate pipelines by predicted misses, dynamically validate
-  the top-k frontier, and gate the committed ``BENCH_tune.json``
-  artifact with ``--check``.
-
-Examples::
-
-    python -m repro fuse kernel.loop --level fusion
-    python -m repro regroup kernel.loop -p N=512
-    python -m repro report adi --levels noopt,fusion,new --verify
-    python -m repro profile adi --level new --params N=200
-    python -m repro profile adi --level new --json
-    python -m repro runs
-    python -m repro cache --clear
-    python -m repro lint kernel.loop --json
-    python -m repro lint --static --all-apps --baseline lint-baseline.json
-    python -m repro lint --explain S301
-    python -m repro static-reuse adi -p N=256
-    python -m repro static-reuse adi --level fusion --json
-    python -m repro parallelism adi --level fusion
-    python -m repro parallelism --all-apps --check
-    python -m repro parallelism swim --threads 4 --schedule dynamic
-    python -m repro verify-pass adi --level new
-    python -m repro verify-pass --before a.loop --after b.loop
-    python -m repro pipeline --json
-    python -m repro tune tomcatv --top-k 3
-    python -m repro tune --all-apps --json-out BENCH_tune.json
-    python -m repro tune --check --baseline BENCH_tune.json
+``python -m repro --help`` lists the subcommands and ``python -m repro
+CMD --help`` their flags.  One table, :data:`COMMANDS`, declares every
+subcommand; a flag two subcommands share is declared once, in
+:data:`SHARED`.  The analyzing subcommands walk their targets through one
+loop, :func:`_each_target`.
 """
 
 from __future__ import annotations
@@ -74,17 +15,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from .core import OPT_LEVELS, compile_pipeline, compile_variant
+from .core import compile_pipeline, compile_variant
 from .engines import TRACE_ENGINES, engine_spec
-from .core.pm import (
-    PIPELINES,
-    custom_pipeline,
-    describe_pipeline,
-    known_levels,
-    resolve_pipeline,
-)
+from .core.pm import PIPELINES, custom_pipeline, describe_pipeline, resolve_pipeline
 from .harness import (
     NORMALIZED_HEADERS,
     TIMING_HEADERS,
@@ -98,7 +33,7 @@ from .harness import (
     timing_rows,
     variant_stream,
 )
-from .lang import Program, ReproError, parse, to_source, validate
+from .lang import AnalysisError, Program, ReproError, parse, to_source, validate
 from .memsim import ENGINES
 from .memsim.geometry import CacheGeometry
 from .obs import (
@@ -113,15 +48,36 @@ from .obs import (
     summarize_run,
     validate_event,
 )
-from .programs import APPLICATIONS, fft, registry
+from .programs import fft, registry
 from .programs.registry import MachineSpec
 from .tune import ENABLERS as TUNE_ENABLERS
 from .verify import PassLegalityError, PassVerifier, Severity, lint_program, verify_pass
 
 
+class _Unreadable(Exception):
+    """An input file that is missing, unreadable or malformed (exit 2)."""
+
+
+def _read(path: str, decode: Callable[[str], object] = str):
+    """The one reader of text inputs (sources, JSON baselines): a file
+    that cannot be read or decoded is ``error: cannot read PATH: …``."""
+    try:
+        return decode(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise _Unreadable(f"cannot read {path}: {exc}") from None
+
+
 def _load_program(path: str) -> Program:
-    source = Path(path).read_text()
-    return validate(parse(source))
+    return validate(parse(_read(path)))
+
+
+def _read_stream(path: str):
+    from .stream import read_stream
+
+    try:
+        return read_stream(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read {path}: {exc}")
 
 
 def _bindings(text: str) -> dict[str, int]:
@@ -130,6 +86,8 @@ def _bindings(text: str) -> dict[str, int]:
     for piece in text.split(","):
         name, _, value = piece.partition("=")
         try:
+            if not name.strip():
+                raise ValueError("empty name")
             out[name.strip()] = int(value)
         except ValueError:
             raise argparse.ArgumentTypeError(
@@ -149,6 +107,27 @@ def _int_list(text: str) -> tuple[int, ...]:
                 f"bad integer {piece!r}; expected INT[,INT...]"
             ) from None
     return tuple(out)
+
+
+def _schedule_spec(spec: str) -> str:
+    """argparse type: validate an OpenMP schedule spec up front."""
+    from .static import parse_schedule
+
+    try:
+        parse_schedule(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
+
+
+def _thread_count(text: str) -> int:
+    """argparse type: a thread count the MSI automaton can model."""
+    from .memsim.coherence import check_threads
+
+    try:
+        return check_threads(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _MergeBindings(argparse.Action):
@@ -174,66 +153,103 @@ def _target(
     return registry.resolve_target(program, args.param, args.steps)
 
 
-def _targets(args: argparse.Namespace) -> list[str]:
-    """One positional target, or every registry program (``--all-apps``)."""
+def _each_target(args: argparse.Namespace, analyze, gap: bool = True) -> list:
+    """The one target loop of the analyzing subcommands.
+
+    The targets are the positional one(s), after every registry program
+    under ``--all-apps``.  ``analyze(spec)`` returns ``(payload, text)``;
+    unless ``--json`` the text prints as it comes (a blank line between
+    targets when ``gap``).  A target its analysis cannot handle
+    (:class:`AnalysisError`) is skipped with a note on stderr, so
+    ``--json`` stdout stays JSON.  Returns the payloads in target order.
+    """
+    given = [args.target] if isinstance(args.target, str) else args.target or []
+    specs = given
     if args.all_apps:
-        return registry.names()
-    if args.target:
-        return [args.target]
-    raise SystemExit(
-        f"{args.command} needs a program (file or app name) or --all-apps"
-    )
+        specs = registry.names() + [s for s in given if s not in registry.names()]
+    if not specs:
+        raise SystemExit(
+            f"{args.command} needs one or more programs (files or app names) "
+            f"or --all-apps"
+        )
+    payloads = []
+    for spec in specs:
+        try:
+            payload, text = analyze(spec)
+        except AnalysisError as exc:
+            print(f"{args.command} {spec}: skipped ({exc})", file=sys.stderr)
+            continue
+        if text is not None and not args.json:
+            if gap and payloads:
+                print()
+            print(text)
+        payloads.append(payload)
+    return payloads
+
+
+def _print_json(payloads: list) -> None:
+    """One target's payload as an object, several as a list."""
+    print(json.dumps(payloads[0] if len(payloads) == 1 else payloads, indent=2))
+
+
+def _at_level(program: Program, level: Optional[str]) -> Program:
+    """``program`` compiled to ``level`` (as written when None)."""
+    return compile_variant(program, level).program if level else program
+
+
+def _sizes(params: Mapping[str, int]) -> str:
+    return ", ".join(f"{k}={v}" for k, v in params.items())
 
 
 def _parse_passes(args: argparse.Namespace):
     """The ``--passes a,b,c`` override as a pipeline spec (or None)."""
-    names = getattr(args, "passes", None)
-    if not names:
+    if not args.passes:
         return None
-    return custom_pipeline([n.strip() for n in names.split(",")])
+    return custom_pipeline([n.strip() for n in args.passes.split(",")])
+
+
+def _baseline(args: argparse.Namespace):
+    """The committed ``--baseline`` JSON a ``--check`` gates (None without
+    ``--check``), read before anything is measured."""
+    if not args.check:
+        return None
+    if not args.baseline:
+        raise SystemExit(f"{args.command} --check requires --baseline FILE")
+    return _read(args.baseline, json.loads)
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    program = _load_program(args.file)
-    variant = compile_variant(program, args.level)
+    variant = compile_variant(_load_program(args.file), args.level)
     print(to_source(variant.program), end="")
-    if variant.fusion_report is not None and args.verbose:
-        print("\n# " + variant.fusion_report.summary().replace("\n", "\n# "),
-              file=sys.stderr)
-    return 0
-
-
-def cmd_regroup(args: argparse.Namespace) -> int:
-    program = _load_program(args.file)
-    variant = compile_variant(program, args.level)
-    if variant.regroup is None:
-        print("optimization level produced no regrouping plan", file=sys.stderr)
-        return 1
-    print(variant.regroup.describe())
-    if args.param:
-        layout = variant.layout(args.param)
-        print(f"\nplacements at {args.param} (element offsets / strides):")
-        for name, placement in sorted(layout.placements.items()):
-            print(f"  {name}: offset {placement.offset}, strides {placement.strides}")
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    pipeline = _parse_passes(args)
-    levels = args.levels.split(",")
-    if pipeline is None:
-        unknown = [lv for lv in levels if lv not in known_levels()]
-        if unknown:
-            raise SystemExit(
-                f"unknown levels: {unknown}; known levels: "
-                f"{', '.join(known_levels())} (see 'repro levels')"
+    if not args.verbose:
+        return 0
+    notes = []
+    if variant.fusion_report is not None:
+        notes.append(variant.fusion_report.summary())
+    if variant.regroup is not None:
+        notes.append(variant.regroup.describe())
+        if args.param:
+            placements = variant.layout(args.param).placements
+            notes.append(
+                f"placements at {args.param} (element offsets / strides):\n"
+                + "\n".join(
+                    f"  {name}: offset {p.offset}, strides {p.strides}"
+                    for name, p in sorted(placements.items())
+                )
             )
+    for note in notes:
+        print("\n# " + note.replace("\n", "\n# "), file=sys.stderr)
+    return 0
+
+
+def _run(args: argparse.Namespace, levels, **options):
+    """``run()`` on the (sized) target under the shared measuring flags."""
     target = _target(args, sized=True)
-    results = run(
+    return target, run(
         RunRequest(
             program=target.program,
             levels=levels,
-            pipeline=pipeline,
+            pipeline=_parse_passes(args),
             params=target.params,
             machine=target.machine_spec,
             steps=target.steps,
@@ -241,8 +257,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             engine=args.engine,
             cache=TraceCache(args.cache_dir) if args.cache else None,
             verify=args.verify,
+            **options,
         )
     ).results
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    target, results = _run(args, args.levels.split(","))
     if registry.is_bundled(args.target):
         title = f"{target.name} (registry application, scaled machine)"
     else:
@@ -317,7 +338,6 @@ def _parallelism_table(target, results, threads: int) -> str:
 
 def _coherence_table(target, results, threads: int) -> str:
     """Per-level predicted coherence behaviour for a report."""
-    from .lang import AnalysisError
     from .static import analyze_coherence
 
     headers = (
@@ -377,16 +397,6 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_missing_geometry(stream) -> None:
-    if not stream.meta.has_geometry:
-        print(
-            "S501 trace imported without geometry metadata: simulating "
-            "under the shared machine geometry (32 B L1 / 128 B L2 lines, "
-            "8 B elements); see 'repro lint --explain S501'",
-            file=sys.stderr,
-        )
-
-
 def cmd_trace_import(args: argparse.Namespace) -> int:
     """Load a stream from disk (ours or foreign CSV) and simulate it."""
     from .engines import resolve_engines
@@ -396,13 +406,15 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
         bandwidth_row,
         simulate_stream,
     )
-    from .stream import StreamFormatError, read_stream
 
-    try:
-        stream = read_stream(args.file)
-    except (OSError, StreamFormatError, ValueError) as exc:
-        raise SystemExit(f"cannot read {args.file}: {exc}")
-    _warn_missing_geometry(stream)
+    stream = _read_stream(args.file)
+    if not stream.meta.has_geometry:
+        print(
+            "S501 trace imported without geometry metadata: simulating "
+            "under the shared machine geometry (32 B L1 / 128 B L2 lines, "
+            "8 B elements); see 'repro lint --explain S501'",
+            file=sys.stderr,
+        )
     if args.machine:
         machine = MACHINES[args.machine]()
     elif args.app:
@@ -467,12 +479,7 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
 
 def cmd_trace_info(args: argparse.Namespace) -> int:
     """Print a stream file's metadata without simulating it."""
-    from .stream import StreamFormatError, read_stream
-
-    try:
-        stream = read_stream(args.file)
-    except (OSError, StreamFormatError, ValueError) as exc:
-        raise SystemExit(f"cannot read {args.file}: {exc}")
+    stream = _read_stream(args.file)
     meta = stream.meta
     print(f"{args.file}: {stream!r}")
     print(f"  fingerprint: {stream.fingerprint()}")
@@ -536,8 +543,7 @@ def cmd_bench_membw(args: argparse.Namespace) -> int:
     """
     from .memsim import BANDWIDTH_HEADERS, bandwidth_record, bandwidth_rows
 
-    if args.check and not args.baseline:
-        raise SystemExit("bench-membw --check requires --baseline FILE")
+    baseline = _baseline(args)
     apps = args.apps.split(",")
     levels = args.levels.split(",")
     records: dict[str, dict] = {}
@@ -563,8 +569,8 @@ def cmd_bench_membw(args: argparse.Namespace) -> int:
             records[f"{app}/{r.level}"] = bandwidth_record(app, r.level, r.stats)
 
     exit_code = 0
-    if args.check:
-        baseline = json.loads(Path(args.baseline).read_text()).get("results", {})
+    if baseline is not None:
+        baseline = baseline.get("results", {})
         failures: list[str] = []
         for key, expected in sorted(baseline.items()):
             got = records.get(key)
@@ -603,23 +609,9 @@ def cmd_bench_membw(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one (program, level) run: span tree, metrics, peak memory."""
-    target = _target(args, sized=True)
-    outcome = run(
-        RunRequest(
-            program=target.program,
-            levels=(args.level,),
-            pipeline=_parse_passes(args),
-            params=target.params,
-            machine=target.machine_spec,
-            steps=target.steps,
-            name=target.name,
-            engine=args.engine,
-            cache=TraceCache(args.cache_dir) if args.cache else None,
-            verify=args.verify,
-            trace=TraceConfig(memory=not args.no_memory),
-        )
+    target, (result,) = _run(
+        args, (args.level,), trace=TraceConfig(memory=not args.no_memory)
     )
-    result = outcome.results[0]
     _profile_analyses(result, target.steps, args.static)
     if args.json:
         events = [sp.to_event() for sp in result.spans]
@@ -741,27 +733,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _schedule_spec(spec: str) -> str:
-    """argparse type: validate an OpenMP schedule spec up front."""
-    from .static import parse_schedule
-
-    try:
-        parse_schedule(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return spec
-
-
-def _thread_count(text: str) -> int:
-    """argparse type: a thread count the MSI automaton can model."""
-    from .memsim.coherence import check_threads
-
-    try:
-        return check_threads(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _diag_counts(bag) -> dict[str, int]:
     """Per-code diagnostic counts, the unit of the lint baseline."""
     counts: dict[str, int] = {}
@@ -795,8 +766,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return 0
         return subprocess.call([sys.executable, "-m", "ruff", "check", "."])
 
-    bags: dict[str, object] = {}
-    for spec in _targets(args):
+    accepted = _read(args.baseline, json.loads) if args.baseline else None
+
+    def analyze(spec):
         target = _target(args, spec)
         program = target.program
         bag = lint_program(program, assume=args.assume)
@@ -809,7 +781,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
             )
             bag.extend(lint_races(program))
             bag.extend(lint_coherence(program, steps=target.steps))
-        bags[program.name] = bag
+        text = None if args.write_baseline else f"lint {program.name}:\n{bag.render()}"
+        return (program.name, bag), text
+
+    bags = dict(_each_target(args, analyze, gap=False))
 
     if args.write_baseline:
         baseline = {name: _diag_counts(bag) for name, bag in bags.items()}
@@ -824,15 +799,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
 
     regressions: list[str] = []
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
+    if accepted is not None:
         for name, bag in bags.items():
-            accepted = baseline.get(name, {})
+            known = accepted.get(name, {})
             for code, count in sorted(_diag_counts(bag).items()):
-                if count > int(accepted.get(code, 0)):
+                if count > int(known.get(code, 0)):
                     regressions.append(
                         f"{name}: {code} x{count} "
-                        f"(baseline {int(accepted.get(code, 0))})"
+                        f"(baseline {int(known.get(code, 0))})"
                     )
 
     if args.json:
@@ -849,14 +823,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 "regressions": regressions,
             }
             print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for name, bag in bags.items():
-            print(f"lint {name}:")
-            print(bag.render())
-        if regressions:
-            print("\nnew diagnostics not in baseline:")
-            for line in regressions:
-                print(f"  {line}")
+    elif regressions:
+        print("\nnew diagnostics not in baseline:")
+        for line in regressions:
+            print(f"  {line}")
 
     if regressions:
         return 1
@@ -872,36 +842,25 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_static_reuse(args: argparse.Namespace) -> int:
     """Print the symbolic reuse profile — computed without any trace."""
-    from .obs import metrics as _metrics
     from .static import analyze_program
 
     target = _target(args)
-    program = target.program
-    if args.level:
-        program = compile_variant(program, args.level).program
-    params = args.param
-
-    before = _metrics.snapshot()["counters"]
+    program = _at_level(target.program, args.level)
+    before = REGISTRY.snapshot()
     profile = analyze_program(program, steps=target.steps, assume=args.assume)
-    after = _metrics.snapshot()["counters"]
-    traced = sum(
-        v - before.get(k, 0.0)
-        for k, v in after.items()
-        if k.startswith("trace.")
-    )
-    static_runs = after.get("analysis.static.runs", 0.0) - before.get(
-        "analysis.static.runs", 0.0
-    )
+    counters = MetricsRegistry.delta(before, REGISTRY.snapshot())["counters"]
+    traced = sum(v for k, v in counters.items() if k.startswith("trace."))
+    static_runs = float(counters.get("analysis.static.runs", 0))
 
     if args.json:
-        payload = profile.to_json(params)
+        payload = profile.to_json(args.param)
         payload["metrics"] = {
             "analysis.static.runs": static_runs,
             "trace.accesses": traced,
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(profile.render(params))
+        print(profile.render(args.param))
         print(
             f"# analysis.static.runs +{static_runs:g}; "
             f"trace events generated: {traced:g}"
@@ -913,17 +872,17 @@ def cmd_parallelism(args: argparse.Namespace) -> int:
     """Classify every loop axis; optionally predict multicore misses."""
     from .static import analyze_parallelism, predict_program_multicore
 
-    targets = _targets(args)
-    payloads: list[dict] = []
-    unknown = 0
-    for spec in targets:
+    def analyze(spec):
         target = _target(args, spec)
-        program = target.program
-        if args.level:
-            program = compile_variant(program, args.level).program
+        program = _at_level(target.program, args.level)
         profile = analyze_parallelism(program, args.param)
-        unknown += profile.counts()["unknown"]
-        pred = None
+        entry: dict[str, object] = {"parallelism": profile.as_dict()}
+        summary = ", ".join(f"{v} {k}" for k, v in profile.counts().items() if v)
+        lines = [
+            f"parallelism {profile.program_name} at "
+            f"{_sizes(dict(profile.params))}: {summary or 'no loops'}"
+        ]
+        lines += [f"  {v.describe()}" for v in profile.verdicts]
         if args.threads:
             pred = predict_program_multicore(
                 program,
@@ -932,32 +891,15 @@ def cmd_parallelism(args: argparse.Namespace) -> int:
                 schedule=args.schedule,
                 steps=target.steps,
             )
-        if args.json:
-            entry: dict[str, object] = {"parallelism": profile.as_dict()}
-            if pred is not None:
-                entry["multicore"] = pred.as_dict()
-            payloads.append(entry)
-            continue
-        size = ", ".join(f"{k}={v}" for k, v in profile.params)
-        counts = profile.counts()
-        summary = ", ".join(f"{v} {k}" for k, v in counts.items() if v)
-        print(
-            f"parallelism {profile.program_name} at {size}: "
-            f"{summary or 'no loops'}"
-        )
-        for v in profile.verdicts:
-            print(f"  {v.describe()}")
-        if pred is not None:
+            entry["multicore"] = pred.as_dict()
             geometry = CacheGeometry.from_spec(target.machine_spec)
-            print(pred.render(geometry.l1_elems, geometry.l2_elems))
-        if spec != targets[-1]:
-            print()
+            lines.append(pred.render(geometry.l1_elems, geometry.l2_elems))
+        return entry, "\n".join(lines)
 
+    entries = _each_target(args, analyze)
     if args.json:
-        if len(payloads) == 1:
-            print(json.dumps(payloads[0], indent=2))
-        else:
-            print(json.dumps(payloads, indent=2))
+        _print_json(entries)
+    unknown = sum(e["parallelism"]["counts"]["unknown"] for e in entries)
     if args.check and unknown:
         print(
             f"parallelism --check: {unknown} axis verdict(s) are 'unknown'",
@@ -969,45 +911,26 @@ def cmd_parallelism(args: argparse.Namespace) -> int:
 
 def cmd_coherence(args: argparse.Namespace) -> int:
     """Static coherence prediction: invalidation misses, sharing, witnesses."""
-    from .lang import AnalysisError
     from .static import analyze_coherence
 
-    targets = _targets(args)
-    payloads: list[dict] = []
-    for spec in targets:
+    def analyze(spec):
         target = _target(args, spec)
-        program = target.program
-        if args.level:
-            program = compile_variant(program, args.level).program
-        try:
-            profile = analyze_coherence(
-                program,
-                args.param,
-                threads=args.threads,
-                schedule=args.schedule,
-                steps=target.steps,
-            )
-        except AnalysisError as exc:
-            print(f"coherence {program.name}: skipped ({exc})")
-            if spec != targets[-1]:
-                print()
-            continue
-        if args.json:
-            payloads.append(profile.as_dict())
-            continue
-        print(profile.render())
-        if spec != targets[-1]:
-            print()
+        profile = analyze_coherence(
+            _at_level(target.program, args.level),
+            args.param,
+            threads=args.threads,
+            schedule=args.schedule,
+            steps=target.steps,
+        )
+        return profile.as_dict(), profile.render()
+
+    payloads = _each_target(args, analyze)
     if args.json:
-        print(json.dumps(payloads[0] if len(payloads) == 1 else payloads,
-                         indent=2))
+        _print_json(payloads)
     return 0
 
 
 def cmd_verify_pass(args: argparse.Namespace) -> int:
-    params = args.param
-    # the verifier snapshots a tiny execution; one body repetition suffices
-    args.steps = 1 if args.steps is None else args.steps
     if args.before or args.after:
         if not (args.before and args.after):
             raise SystemExit("--before and --after must be given together")
@@ -1015,7 +938,7 @@ def cmd_verify_pass(args: argparse.Namespace) -> int:
         after = _load_program(args.after)
         bag = verify_pass(
             before, after,
-            pass_name=args.pass_name, params=params, steps=args.steps,
+            pass_name=args.pass_name, params=args.param, steps=args.steps,
         )
         if args.json:
             print(bag.to_json(before=before.name, after=after.name,
@@ -1030,15 +953,15 @@ def cmd_verify_pass(args: argparse.Namespace) -> int:
             )
         return 1 if bag.has_errors() else 0
 
-    targets = [args.target] if args.target else sorted(APPLICATIONS)
+    args.all_apps = not args.target  # bare verify-pass certifies every program
     pipeline = _parse_passes(args)
     levels = [pipeline.name] if pipeline is not None else args.levels.split(",")
-    results: list[dict[str, object]] = []
-    failures = 0
-    for target in targets:
-        program = _target(args, target).program
+
+    def analyze(spec):
+        program = _target(args, spec).program
+        results, lines = [], []
         for level in levels:
-            verifier = PassVerifier(program, params, steps=args.steps)
+            verifier = PassVerifier(program, args.param, steps=args.steps)
             try:
                 if pipeline is not None:
                     compile_pipeline(program, pipeline, verify=verifier)
@@ -1046,7 +969,6 @@ def cmd_verify_pass(args: argparse.Namespace) -> int:
                     compile_variant(program, level, verify=verifier)
                 error = None
             except PassLegalityError as exc:
-                failures += 1
                 error = exc
             passes = [name for name, _ in verifier.history]
             results.append({
@@ -1058,21 +980,22 @@ def cmd_verify_pass(args: argparse.Namespace) -> int:
                     [d.to_json() for d in error.bag] if error else []
                 ),
             })
-            if not args.json:
-                if error is None:
-                    print(
-                        f"ok {program.name}/{level}: "
-                        f"{len(passes)} pass(es) certified "
-                        f"({', '.join(passes) or 'none'})"
-                    )
-                else:
-                    broken = passes[-1] if passes else level
-                    print(f"ILLEGAL {program.name}/{level}: pass {broken!r}")
-                    print(error.bag.render(min_severity=Severity.ERROR))
-    if args.json:
-        import json as _json
+            if error is None:
+                lines.append(
+                    f"ok {program.name}/{level}: "
+                    f"{len(passes)} pass(es) certified "
+                    f"({', '.join(passes) or 'none'})"
+                )
+            else:
+                broken = passes[-1] if passes else level
+                lines.append(f"ILLEGAL {program.name}/{level}: pass {broken!r}")
+                lines.append(error.bag.render(min_severity=Severity.ERROR))
+        return results, "\n".join(lines)
 
-        print(_json.dumps({"results": results, "failures": failures}, indent=2))
+    results = [r for rs in _each_target(args, analyze, gap=False) for r in rs]
+    failures = sum(not r["certified"] for r in results)
+    if args.json:
+        print(json.dumps({"results": results, "failures": failures}, indent=2))
     return 1 if failures else 0
 
 
@@ -1086,13 +1009,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         f"{cache.root}/: {info['traces']} traces, {info['results']} results, "
         f"{info['tune']} tune scores, {info['bytes'] / 1e6:.1f} MB"
     )
-    return 0
-
-
-def cmd_levels(_args: argparse.Namespace) -> int:
-    for level in OPT_LEVELS:
-        print(f"  {level:10s} {PIPELINES[level].description}")
-    print("  (compound levels like fusion1+regroup are also accepted)")
     return 0
 
 
@@ -1122,10 +1038,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
     from .tune import TuneRequest, check_baseline, tune
 
     cache = args.cache_dir if args.cache_dir else (None if args.no_cache else True)
-    if args.check:
-        if not args.baseline:
-            raise SystemExit("tune --check requires --baseline FILE")
-        baseline = json.loads(Path(args.baseline).read_text())
+    baseline = _baseline(args)
+    if baseline is not None:
         failures = check_baseline(
             baseline, budget_seconds=args.budget, cache=cache
         )
@@ -1141,22 +1055,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.all_apps:
-        targets = sorted(APPLICATIONS) + [t for t in args.target if t not in APPLICATIONS]
-    elif args.target:
-        targets = list(args.target)
-    else:
-        raise SystemExit("tune needs one or more app names, or --all-apps, or --check")
-
     sizes = ([args.param] if args.param else []) + (args.at or []) or None
 
-    payload: dict[str, object] = {}
-    exit_code = 0
-    for target in targets:
-        request = TuneRequest(
-            program=(
-                target if registry.is_bundled(target) else _load_program(target)
-            ),
+    def analyze(spec):
+        result = tune(TuneRequest(
+            program=spec if registry.is_bundled(spec) else _load_program(spec),
             sizes=sizes,
             steps=args.steps,
             objective=args.objective,
@@ -1174,36 +1077,31 @@ def cmd_tune(args: argparse.Namespace) -> int:
             trace=TraceConfig(events=True, runs_root=args.runs_root)
             if args.events
             else None,
+        ))
+        best = result.best
+        verdict = (
+            "STRICT WIN over every named level"
+            if result.strict_win
+            else "a grid candidate ties the best named level"
+            if best.kind == "candidate"
+            else "a named level is already optimal in this grid"
         )
-        result = tune(request)
-        entry = result.to_json()
-        entry["target"] = target
-        payload[result.program] = entry
-        if not args.json:
-            print(result.table())
-            best = result.best
-            verdict = (
-                "STRICT WIN over every named level"
-                if result.strict_win
-                else "a grid candidate ties the best named level"
-                if best.kind == "candidate"
-                else "a named level is already optimal in this grid"
+        lines = [
+            result.table(),
+            f"best: {best.signature} -> {best.score:.0f} predicted misses "
+            f"({verdict}; {len(result.candidates)} candidates, "
+            f"{result.seconds:.1f}s)",
+        ]
+        if result.rank_agreement is not None:
+            lines.append(
+                f"dynamic validation (top {len(result.validated)}): "
+                f"static ranking "
+                f"{'confirmed' if result.rank_agreement else 'NOT confirmed'}"
             )
-            print(
-                f"best: {best.signature} -> {best.score:.0f} predicted misses "
-                f"({verdict}; {len(result.candidates)} candidates, "
-                f"{result.seconds:.1f}s)"
-            )
-            if result.rank_agreement is not None:
-                print(
-                    f"dynamic validation (top {len(result.validated)}): "
-                    f"static ranking "
-                    f"{'confirmed' if result.rank_agreement else 'NOT confirmed'}"
-                )
-                if not result.rank_agreement:
-                    exit_code = 1
-            if target != targets[-1]:
-                print()
+        return (spec, result), "\n".join(lines)
+
+    results = _each_target(args, analyze)
+    payload = {r.program: {**r.to_json(), "target": spec} for spec, r in results}
     if args.json:
         print(json.dumps({"programs": payload}, indent=2))
     if args.json_out:
@@ -1216,17 +1114,246 @@ def cmd_tune(args: argparse.Namespace) -> int:
             },
         )
         print(f"wrote {args.json_out} ({len(merged)} program(s))")
-    return exit_code
+    return 1 if any(r.rank_agreement is False for _, r in results) else 0
 
 
-def cmd_apps(_args: argparse.Namespace) -> int:
-    for name, entry in APPLICATIONS.items():
-        facts = entry.paper_facts
-        print(
-            f"  {name:8s} {facts['source']:20s} paper input {facts['input_size']}, "
-            f"default {dict(entry.default_params)}"
-        )
-    return 0
+def _arg(*flags: str, **options) -> tuple:
+    """One ``add_argument`` call, as data."""
+    return flags, options
+
+
+#: every bundled program with its default sizes, for the ``target`` help
+_BUNDLED = ", ".join(
+    f"{name} ({_sizes(registry.get(name).default_params)})"
+    for name in registry.names()
+) + f", fft ({_sizes(registry.FFT_DEFAULT_PARAMS)})"
+
+#: every argument two subcommands share, declared once
+SHARED = {
+    "target": _arg("target", help="a source file or a bundled program "
+                   f"(default sizes): {_BUNDLED}"),
+    "all-apps": _arg("--all-apps", action="store_true",
+                     help="every bundled program, plus any target given"),
+    "level": _arg("--level", help="optimization level (default: %(default)s)"),
+    "levels": _arg("--levels", help="comma-separated optimization levels "
+                   "(default: %(default)s)"),
+    "param": _arg("-p", "--param", "--params", dest="param", type=_bindings,
+                  action=_MergeBindings, metavar="NAME=INT",
+                  help="program-parameter bindings (repeat the flag or join "
+                  "with commas, e.g. -p N=161 -p M=5)"),
+    "steps": _arg("--steps", type=int, help="body repetitions (default: the "
+                  "app's registry value, 1 for files)"),
+    "engine": _arg("--engine", type=engine_spec, metavar="SPEC",
+                   help=f"engine spec: a simulation engine ({'|'.join(ENGINES)}), "
+                   f"a tracer ({'|'.join(TRACE_ENGINES)}), or both joined by "
+                   "'+' (e.g. fast+interp)"),
+    "verify": _arg("--verify", action="store_true",
+                   help="certify pass legality during compilation"),
+    "cache": _arg("--cache", action="store_true",
+                  help="use the on-disk trace/result cache"),
+    "cache-dir": _arg("--cache-dir", help="cache directory"),
+    "passes": _arg("--passes", metavar="P1,P2,...", help="compile through this "
+                   "comma-separated pass list instead of a level ('repro "
+                   "pipeline --json' lists every registered pass)"),
+    "json": _arg("--json", action="store_true", help="JSON output"),
+    "threads": _arg("--threads", type=_thread_count, metavar="T",
+                    help="thread count the multicore model assumes, 1..63 "
+                    "(default: %(default)s)"),
+    "schedule": _arg("--schedule", type=_schedule_spec, default="static",
+                     help="OpenMP schedule the multicore model assumes "
+                     "(static, static,k, guided, dynamic)"),
+    "runs-root": _arg("--runs-root", help="directory run logs live under "
+                      "(default runs/ or $REPRO_RUNS_DIR)"),
+    "assume": _arg("--assume", type=int, metavar="MIN", help="assumed parameter "
+                   "lower bound for symbolic checks (default 8)"),
+    "check": _arg("--check", action="store_true", help="CI gate: exit 1 if a "
+                  "committed --baseline row regresses (parallelism: if any axis "
+                  "verdict is 'unknown')"),
+    "baseline": _arg("--baseline", metavar="FILE", help="committed baseline: "
+                     "lint's accepted diagnostics, or the BENCH_*.json a "
+                     "--check gates"),
+    "json-out": _arg("--json-out", metavar="FILE", help="merge the machine-"
+                     "readable rows into FILE (a BENCH_*.json); rows of other "
+                     "programs are kept"),
+    "stream": _arg("file", help="address-stream file (binary .ast or CSV)"),
+}
+
+
+def _command(name, summary, fn=None, shared="", *own, exclusive=(), **defaults):
+    """One row of :data:`COMMANDS`: a subcommand, the :data:`SHARED`
+    arguments it takes (space-separated; ``target?`` / ``target*`` make the
+    positional optional / repeatable), its own :func:`_arg` rows, a group
+    of which at most one may be given, and its defaults for shared
+    arguments.  ``"trace export"`` nests under the ``"trace"`` row, which
+    has no ``fn``."""
+    return name, summary, fn, shared.split(), own, exclusive, defaults
+
+
+#: every subcommand, in ``repro --help`` order
+COMMANDS = (
+    _command(
+        "fuse", "transform a mini-language source file, print the new source",
+        cmd_fuse, "level param",
+        _arg("file", help="mini-language source file"),
+        _arg("-v", "--verbose", action="store_true", help="report fusion and the "
+             "regrouping decision (placements at the -p sizes) on stderr as '#' "
+             "lines"),
+        level="fusion",
+    ),
+    _command(
+        "report", "measure optimization levels", cmd_report,
+        "target levels param steps engine verify cache cache-dir passes threads",
+        _arg("--timings", action="store_true",
+             help="print per-stage wall-clock table"),
+        _arg("--bandwidth", action="store_true", help="append the effective-"
+             "bandwidth table (memory traffic in MB, GB/s over the synthesized "
+             "run time, DRAM row-buffer hit rate, energy)"),
+        _arg("--parallelism", action="store_true", help="append per-level axis "
+             "verdicts and the predicted multicore miss table (private L1 per "
+             "thread, shared L2)"),
+        _arg("--coherence", action="store_true", help="append the per-level "
+             "coherence table (predicted invalidation misses, true/false "
+             "sharing lines)"),
+        levels="noopt,fusion,new", threads=4,
+    ),
+    _command(
+        "profile", "span-tree profile of one (program, level) run (--json: "
+        "schema-v1 span events)", cmd_profile,
+        "target level param steps engine verify cache cache-dir passes json",
+        _arg("--no-memory", action="store_true",
+             help="skip tracemalloc peak-memory tracking (faster)"),
+        _arg("--static", action="store_true", help="also profile the trace-free "
+             "analyses: the symbolic reuse profile (attribute span: hulls, "
+             "hull_hits, eliminate, ...) and the 4-thread coherence analysis "
+             "(accesses, partitioned_nests)"),
+        level="new",
+    ),
+    _command("runs", "list recorded run logs", cmd_runs, "runs-root json"),
+    _command(
+        "bench-membw", "effective-bandwidth and DRAM report across the paper's "
+        "programs", cmd_bench_membw, "levels engine check baseline json-out",
+        _arg("--apps", default=MEMBW_APPS,
+             help=f"comma-separated programs (default {MEMBW_APPS})"),
+        levels="noopt,new",
+    ),
+    _command("trace", "export, import, or inspect address-stream files"),
+    _command(
+        "trace export", "trace a program and write the address stream to disk",
+        cmd_trace_export, "target level param steps engine",
+        _arg("-o", "--output", required=True, metavar="FILE"),
+        _arg("--format", choices=("auto", "binary", "csv"), default="auto",
+             help="on-disk format (auto: csv for .csv paths, binary otherwise)"),
+        level="new",
+    ),
+    _command(
+        "trace import", "load a stream (.ast binary or CSV) and simulate it",
+        cmd_trace_import, "stream engine",
+        _arg("--reuse", action="store_true",
+             help="also run the exact reuse-distance analyzer on the stream"),
+        exclusive=(
+            _arg("--machine", choices=("octane", "origin2000"), help="simulate "
+                 "on this base machine (default: the default scaled spec)"),
+            _arg("--app", help="simulate on this registry app's scaled machine"),
+        ),
+    ),
+    _command("trace info", "print a stream file's metadata", cmd_trace_info,
+             "stream"),
+    _command(
+        "cache", "inspect or clear the trace/result cache", cmd_cache, "",
+        _arg("--dir", help="cache directory (default .cache)"),
+        _arg("--clear", action="store_true"),
+    ),
+    _command(
+        "lint", "static IR verification of a program", cmd_lint,
+        "target? all-apps assume json baseline",
+        _arg("--strict", action="store_true", help="warnings also fail (exit 1)"),
+        _arg("--self", dest="self_check", action="store_true",
+             help="lint the compiler's own sources via ruff instead"),
+        _arg("--static", action="store_true", help="also run the predictive "
+             "S3xx locality lints (symbolic reuse profile; no trace is "
+             "generated)"),
+        _arg("--explain", metavar="CODE",
+             help="document one diagnostic code (e.g. S301) and exit"),
+        _arg("--codes", action="store_true",
+             help="print the full diagnostic-code registry table and exit"),
+        _arg("--write-baseline", metavar="FILE",
+             help="record the current diagnostics as the accepted baseline"),
+        # symbolic only: lint takes no sizes, so targets resolve at defaults
+        param=None, steps=None,
+    ),
+    _command(
+        "static-reuse", "symbolic (trace-free) reuse profile of a program",
+        cmd_static_reuse, "target level param steps assume json",
+    ),
+    _command(
+        "parallelism", "dependence-based DOALL/reduction/serial verdict per "
+        "loop axis (--threads T adds the multicore miss prediction)",
+        cmd_parallelism,
+        "target? all-apps level param steps threads schedule json check",
+    ),
+    _command(
+        "coherence", "static coherence prediction: invalidation misses, "
+        "true/false sharing at cache-line granularity, concrete witnesses",
+        cmd_coherence, "target? all-apps level param steps threads schedule json",
+        threads=4,
+    ),
+    _command(
+        "verify-pass", "certify that optimization passes preserve all "
+        "dependences (no target: every bundled program)", cmd_verify_pass,
+        "target? levels param steps passes json",
+        _arg("--before", help="original source file"),
+        _arg("--after", help="transformed source file"),
+        _arg("--pass-name", default="transform",
+             help="label for --before/--after mode"),
+        # the verifier snapshots a tiny execution; one repetition suffices
+        levels="new", steps=1,
+    ),
+    _command(
+        "pipeline", "introspect the pass-pipeline registry (--json: the shared "
+        "pipeline-description schema)", cmd_pipeline, "json",
+        _arg("--list", action="store_true", help="list every level with its "
+             "description and pass sequence (default)"),
+        _arg("--describe", metavar="NAME",
+             help="per-pass detail for one pipeline (options, description)"),
+    ),
+    _command(
+        "tune", "autotune pass pipelines by statically predicted misses",
+        cmd_tune, "target* all-apps param steps engine threads schedule "
+        "cache-dir runs-root json json-out check baseline",
+        _arg("--at", action="append", type=_bindings,
+             metavar="NAME=INT[,NAME=INT...]", help="extra target size to "
+             "score at (repeatable; -p sizes come first)"),
+        _arg("--objective", choices=("misses", "parallel-misses", "bytes"),
+             default="misses", help="ranking objective: single-core L1+L2 "
+             "predicted misses, the multicore prediction (private L1 per "
+             "thread + shared L2), or predicted bytes moved (misses weighted "
+             "by line size)"),
+        _arg("--enablers", default=",".join(TUNE_ENABLERS), metavar="P1,P2,...",
+             help="enabler passes the search may toggle (default: "
+             f"{','.join(TUNE_ENABLERS)}; pass '' to disable all)"),
+        _arg("--fusion-levels", type=_int_list, default=(0, 1, 2, 4, 8),
+             metavar="K1,K2,...",
+             help="fusion max_levels values to try; 0 means no fusion"),
+        _arg("--no-regroup", action="store_true",
+             help="do not try the terminal regroup pass"),
+        _arg("--max-candidates", type=int, metavar="N",
+             help="cap the candidate grid (cheapest pipelines first)"),
+        _arg("--top-k", type=int, default=3, help="dynamically validate this "
+             "many best candidates (default 3)"),
+        _arg("--no-validate", action="store_true",
+             help="skip dynamic validation of the top-k frontier"),
+        _arg("--no-verify", action="store_true",
+             help="skip legality certification of candidate pipelines"),
+        _arg("--no-cache", action="store_true", help="disable the content-"
+             "addressed tune/trace cache (on by default)"),
+        _arg("--events", action="store_true",
+             help="record schema-v1 tune.* events under the runs root"),
+        _arg("--budget", type=float, default=30.0, metavar="SECONDS",
+             help="--check recomputes only pipelines whose committed analysis "
+             "cost is at most this many seconds (default 30)"),
+        threads=4,
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1234,459 +1361,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Global cache-reuse compiler (Ding & Kennedy, IPPS 2001) reproduction",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # shared option groups: every measuring subcommand spells program
-    # parameters, the engine choice, verification, and caching the same way
-    params_args = argparse.ArgumentParser(add_help=False)
-    params_args.add_argument(
-        "-p", "--param", "--params", dest="param", type=_bindings,
-        action=_MergeBindings, metavar="NAME=INT",
-        help="program-parameter bindings (repeat the flag or join with "
-        "commas, e.g. -p N=161 -p M=5)",
-    )
-    params_args.add_argument(
-        "--steps", type=int, default=None,
-        help="body repetitions (default: the app's registry value, 1 for files)",
-    )
-    engine_args = argparse.ArgumentParser(add_help=False)
-    engine_args.add_argument(
-        "--engine", type=engine_spec, default=None, metavar="SPEC",
-        help="engine spec: a simulation engine "
-        f"({'|'.join(ENGINES)}), a tracer ({'|'.join(TRACE_ENGINES)}), "
-        "or both joined by '+' (e.g. fast+interp)",
-    )
-    verify_args = argparse.ArgumentParser(add_help=False)
-    verify_args.add_argument(
-        "--verify", action="store_true",
-        help="certify pass legality during compilation",
-    )
-    cache_args = argparse.ArgumentParser(add_help=False)
-    cache_args.add_argument(
-        "--cache", action="store_true", help="use the on-disk trace/result cache"
-    )
-    cache_args.add_argument("--cache-dir", default=None, help="cache directory")
-    passes_args = argparse.ArgumentParser(add_help=False)
-    passes_args.add_argument(
-        "--passes", default=None, metavar="P1,P2,...",
-        help="compile through this comma-separated pass list instead of a "
-        "level ('repro pipeline --json' lists every registered pass with "
-        "its metadata)",
-    )
-
-    fuse = sub.add_parser("fuse", help="transform a mini-language source file")
-    fuse.add_argument("file")
-    fuse.add_argument("--level", default="fusion", help="optimization level")
-    fuse.add_argument("-v", "--verbose", action="store_true")
-    fuse.set_defaults(fn=cmd_fuse)
-
-    regroup = sub.add_parser("regroup", help="show the data-regrouping decision")
-    regroup.add_argument("file")
-    regroup.add_argument("--level", default="new")
-    regroup.add_argument(
-        "-p", "--param", type=_bindings, action=_MergeBindings, metavar="NAME=INT"
-    )
-    regroup.set_defaults(fn=cmd_regroup)
-
-    report = sub.add_parser(
-        "report",
-        help="measure optimization levels",
-        parents=[params_args, engine_args, verify_args, cache_args, passes_args],
-    )
-    report.add_argument("target", help="registry app name or source file")
-    report.add_argument("--levels", default="noopt,fusion,new")
-    report.add_argument(
-        "--timings", action="store_true", help="print per-stage wall-clock table"
-    )
-    report.add_argument(
-        "--bandwidth", action="store_true",
-        help="append the effective-bandwidth table (memory traffic in MB, "
-        "GB/s over the synthesized run time, DRAM row-buffer hit rate, "
-        "energy)",
-    )
-    report.add_argument(
-        "--parallelism", action="store_true",
-        help="append per-level axis verdicts and the predicted multicore "
-        "miss table (private L1 per thread, shared L2)",
-    )
-    report.add_argument(
-        "--coherence", action="store_true",
-        help="append the per-level coherence table (predicted invalidation "
-        "misses, true/false sharing lines)",
-    )
-    report.add_argument(
-        "--threads", type=_thread_count, default=4,
-        help="thread count for the --parallelism and --coherence "
-        "predictions (default 4)",
-    )
-    report.set_defaults(fn=cmd_report)
-
-    profile = sub.add_parser(
-        "profile",
-        help="span-tree profile of one (program, level) run",
-        parents=[params_args, engine_args, verify_args, cache_args, passes_args],
-    )
-    profile.add_argument("target", help="registry app name or source file")
-    profile.add_argument("--level", default="new", help="optimization level")
-    profile.add_argument(
-        "--no-memory", action="store_true",
-        help="skip tracemalloc peak-memory tracking (faster)",
-    )
-    profile.add_argument(
-        "--json", action="store_true",
-        help="emit schema-v1 span events as JSON instead of the tree",
-    )
-    profile.add_argument(
-        "--static", action="store_true",
-        help="also profile the trace-free analyses: the symbolic reuse "
-        "profile (attribute span: hulls, hull_hits, eliminate, ...) and the "
-        "4-thread coherence analysis (accesses, partitioned_nests)",
-    )
-    profile.set_defaults(fn=cmd_profile)
-
-    runs = sub.add_parser("runs", help="list recorded run logs")
-    runs.add_argument(
-        "--runs-root", default=None,
-        help="directory run logs live under (default runs/ or $REPRO_RUNS_DIR)",
-    )
-    runs.add_argument("--json", action="store_true", help="JSON output")
-    runs.set_defaults(fn=cmd_runs)
-
-    bench_bw = sub.add_parser(
-        "bench-membw",
-        help="effective-bandwidth and DRAM report across the paper's programs",
-        parents=[engine_args],
-    )
-    bench_bw.add_argument(
-        "--apps", default=MEMBW_APPS,
-        help=f"comma-separated programs (default {MEMBW_APPS})",
-    )
-    bench_bw.add_argument("--levels", default="noopt,new")
-    bench_bw.add_argument(
-        "--json-out", default=None, metavar="FILE",
-        help="merge the machine-readable rows into FILE (BENCH_membw.json); "
-        "existing rows for other program/level pairs are kept",
-    )
-    bench_bw.add_argument(
-        "--check", action="store_true",
-        help="verify the committed --baseline rows reproduce exactly and "
-        "the trace export/import round trip preserves the simulation",
-    )
-    bench_bw.add_argument("--baseline", default=None, metavar="FILE")
-    bench_bw.set_defaults(fn=cmd_bench_membw)
-
-    trace = sub.add_parser(
-        "trace", help="export, import, or inspect address-stream files"
-    )
-    trace_sub = trace.add_subparsers(dest="action", required=True)
-    texp = trace_sub.add_parser(
-        "export",
-        help="trace a program and write the address stream to disk",
-        parents=[params_args, engine_args],
-    )
-    texp.add_argument("target", help="registry app name, 'fft', or source file")
-    texp.add_argument("-o", "--output", required=True, metavar="FILE")
-    texp.add_argument("--level", default="new", help="optimization level")
-    texp.add_argument(
-        "--format", choices=("auto", "binary", "csv"), default="auto",
-        help="on-disk format (auto: csv for .csv paths, binary otherwise)",
-    )
-    texp.set_defaults(fn=cmd_trace_export)
-    timp = trace_sub.add_parser(
-        "import",
-        help="load a stream (.ast binary or CSV) and simulate it",
-        parents=[engine_args],
-    )
-    timp.add_argument("file", help="stream file (binary .ast or CSV)")
-    timp.add_argument(
-        "--machine", choices=("octane", "origin2000"), default=None,
-        help="simulate on this base machine (default: the default scaled spec)",
-    )
-    timp.add_argument(
-        "--app", default=None,
-        help="simulate on this registry app's scaled machine instead",
-    )
-    timp.add_argument(
-        "--reuse", action="store_true",
-        help="also run the exact reuse-distance analyzer on the stream",
-    )
-    timp.set_defaults(fn=cmd_trace_import)
-    tinf = trace_sub.add_parser("info", help="print a stream file's metadata")
-    tinf.add_argument("file")
-    tinf.set_defaults(fn=cmd_trace_info)
-
-    cache = sub.add_parser("cache", help="inspect or clear the trace/result cache")
-    cache.add_argument("--dir", default=None, help="cache directory (default .cache)")
-    cache.add_argument("--clear", action="store_true")
-    cache.set_defaults(fn=cmd_cache)
-
-    lint = sub.add_parser(
-        "lint", help="static IR verification of a program"
-    )
-    lint.add_argument(
-        "target", nargs="?", help="registry app name or source file"
-    )
-    lint.add_argument("--json", action="store_true", help="JSON output")
-    lint.add_argument(
-        "--strict", action="store_true", help="warnings also fail (exit 1)"
-    )
-    lint.add_argument(
-        "--assume", type=int, default=None, metavar="MIN",
-        help="assumed parameter lower bound for symbolic checks (default 8)",
-    )
-    lint.add_argument(
-        "--self", dest="self_check", action="store_true",
-        help="lint the compiler's own sources via ruff instead",
-    )
-    lint.add_argument(
-        "--static", action="store_true",
-        help="also run the predictive S3xx locality lints "
-        "(symbolic reuse profile; no trace is generated)",
-    )
-    lint.add_argument(
-        "--all-apps", action="store_true",
-        help="lint every bundled application instead of one target",
-    )
-    lint.add_argument(
-        "--explain", metavar="CODE",
-        help="document one diagnostic code (e.g. S301) and exit",
-    )
-    lint.add_argument(
-        "--codes", action="store_true",
-        help="print the full diagnostic-code registry table and exit",
-    )
-    lint.add_argument(
-        "--baseline", metavar="FILE",
-        help="accepted-diagnostics file; any diagnostic beyond it fails",
-    )
-    lint.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="record the current diagnostics as the accepted baseline",
-    )
-    # symbolic only: lint takes no sizes, so targets resolve at their defaults
-    lint.set_defaults(fn=cmd_lint, param=None, steps=None)
-
-    static = sub.add_parser(
-        "static-reuse",
-        help="symbolic (trace-free) reuse profile of a program",
-        parents=[params_args],
-    )
-    static.add_argument("target", help="registry app name or source file")
-    static.add_argument(
-        "--level", default=None,
-        help="optimization level to apply before analysis (default: none)",
-    )
-    static.add_argument(
-        "--assume", type=int, default=None, metavar="MIN",
-        help="assumed parameter lower bound for symbolic comparisons",
-    )
-    static.add_argument(
-        "--json", action="store_true",
-        help="emit the profile (and predicted histogram) as JSON",
-    )
-    static.set_defaults(fn=cmd_static_reuse)
-
-    par = sub.add_parser(
-        "parallelism",
-        help="dependence-based DOALL/reduction/serial verdict per loop axis",
-        parents=[params_args],
-    )
-    par.add_argument(
-        "target", nargs="?", help="registry app name or source file"
-    )
-    par.add_argument(
-        "--all-apps", action="store_true",
-        help="analyze every bundled application instead of one target",
-    )
-    par.add_argument(
-        "--level", default=None,
-        help="optimization level to apply before analysis (default: none)",
-    )
-    par.add_argument(
-        "--threads", type=_thread_count, default=None, metavar="T",
-        help="also predict per-thread private + shared cache reuse at T threads",
-    )
-    par.add_argument(
-        "--schedule", type=_schedule_spec, default="static",
-        help="OpenMP schedule assumed by the multicore prediction "
-        "(static, static,k, guided, dynamic)",
-    )
-    par.add_argument("--json", action="store_true", help="JSON output")
-    par.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if any axis verdict is 'unknown' (CI gate)",
-    )
-    par.set_defaults(fn=cmd_parallelism)
-
-    coh = sub.add_parser(
-        "coherence",
-        help="static coherence prediction: invalidation misses, true/false "
-        "sharing at cache-line granularity, concrete witnesses",
-        parents=[params_args],
-    )
-    coh.add_argument(
-        "target", nargs="?", help="registry app name or source file"
-    )
-    coh.add_argument(
-        "--all-apps", action="store_true",
-        help="analyze every bundled application instead of one target",
-    )
-    coh.add_argument(
-        "--level", default=None,
-        help="optimization level to apply before analysis (default: none)",
-    )
-    coh.add_argument(
-        "--threads", type=_thread_count, default=4,
-        help="thread count to model (default 4)",
-    )
-    coh.add_argument(
-        "--schedule", type=_schedule_spec, default="static",
-        help="OpenMP schedule (static, static,k, guided, dynamic)",
-    )
-    coh.add_argument("--json", action="store_true", help="JSON output")
-    coh.set_defaults(fn=cmd_coherence)
-
-    verify = sub.add_parser(
-        "verify-pass",
-        help="certify that optimization passes preserve all dependences",
-        parents=[params_args, passes_args],
-    )
-    verify.add_argument(
-        "target", nargs="?",
-        help="registry app name or source file (default: all apps)",
-    )
-    verify.add_argument("--levels", default="new", help="comma-separated levels")
-    verify.add_argument("--before", help="original source file")
-    verify.add_argument("--after", help="transformed source file")
-    verify.add_argument("--pass-name", default="transform",
-                        help="label for --before/--after mode")
-    verify.add_argument("--json", action="store_true", help="JSON output")
-    verify.set_defaults(fn=cmd_verify_pass)
-
-    levels = sub.add_parser("levels", help="list optimization levels")
-    levels.set_defaults(fn=cmd_levels)
-
-    pipeline = sub.add_parser(
-        "pipeline", help="introspect the pass-pipeline registry"
-    )
-    pipeline.add_argument(
-        "--list", action="store_true",
-        help="list registered pipelines with their pass sequences (default)",
-    )
-    pipeline.add_argument(
-        "--describe", metavar="NAME",
-        help="per-pass detail for one pipeline (options, description)",
-    )
-    pipeline.add_argument(
-        "--json", action="store_true",
-        help="machine-readable registry dump: every pass (with metadata) "
-        "and every pipeline in the shared pipeline-description schema "
-        "(with --describe NAME: just that pipeline)",
-    )
-    pipeline.set_defaults(fn=cmd_pipeline)
-
-    tune = sub.add_parser(
-        "tune",
-        help="autotune pass pipelines by statically predicted misses",
-        parents=[params_args, engine_args],
-    )
-    tune.add_argument(
-        "target", nargs="*",
-        help="registry app names or source files ('fft' resolves to the "
-        "bundled FFT at -p n=SIZE, default 64)",
-    )
-    tune.add_argument(
-        "--all-apps", action="store_true",
-        help="tune every bundled application (plus any extra targets given)",
-    )
-    tune.add_argument(
-        "--at", action="append", type=_bindings,
-        metavar="NAME=INT[,NAME=INT...]",
-        help="extra target size to score at (repeatable; -p sizes come first)",
-    )
-    tune.add_argument(
-        "--objective", choices=("misses", "parallel-misses", "bytes"),
-        default="misses",
-        help="ranking objective: single-core L1+L2 predicted misses, the "
-        "multicore prediction (private L1 per thread + shared L2), or "
-        "predicted bytes moved (misses weighted by line size)",
-    )
-    tune.add_argument(
-        "--threads", type=_thread_count, default=4,
-        help="thread count for --objective parallel-misses (default 4)",
-    )
-    tune.add_argument(
-        "--schedule", type=_schedule_spec, default="static",
-        help="OpenMP schedule assumed by the multicore objective "
-        "(static, static,k, guided, dynamic)",
-    )
-    tune.add_argument(
-        "--enablers", default=",".join(TUNE_ENABLERS), metavar="P1,P2,...",
-        help="enabler passes the search may toggle (default: "
-        f"{','.join(TUNE_ENABLERS)}; pass '' to disable all)",
-    )
-    tune.add_argument(
-        "--fusion-levels", type=_int_list, default=(0, 1, 2, 4, 8),
-        metavar="K1,K2,...",
-        help="fusion max_levels values to try; 0 means no fusion",
-    )
-    tune.add_argument(
-        "--no-regroup", action="store_true",
-        help="do not try the terminal regroup pass",
-    )
-    tune.add_argument(
-        "--max-candidates", type=int, default=None, metavar="N",
-        help="cap the candidate grid (cheapest pipelines first)",
-    )
-    tune.add_argument(
-        "--top-k", type=int, default=3,
-        help="dynamically validate this many best candidates (default 3)",
-    )
-    tune.add_argument(
-        "--no-validate", action="store_true",
-        help="skip dynamic validation of the top-k frontier",
-    )
-    tune.add_argument(
-        "--no-verify", action="store_true",
-        help="skip legality certification of candidate pipelines",
-    )
-    tune.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-addressed tune/trace cache (on by default)",
-    )
-    tune.add_argument("--cache-dir", default=None, help="cache directory")
-    tune.add_argument(
-        "--events", action="store_true",
-        help="record schema-v1 tune.* events under the runs root",
-    )
-    tune.add_argument(
-        "--runs-root", default=None,
-        help="directory run logs live under (default runs/ or $REPRO_RUNS_DIR)",
-    )
-    tune.add_argument("--json", action="store_true", help="JSON output")
-    tune.add_argument(
-        "--json-out", default=None, metavar="FILE",
-        help="write/merge the per-program payload (BENCH_tune.json); "
-        "existing entries for other programs are kept",
-    )
-    tune.add_argument(
-        "--check", action="store_true",
-        help="regression-gate a committed --baseline FILE instead of tuning: "
-        "exit 1 if any tuned pipeline predicts more misses than a named "
-        "level (recomputing pipelines cheaper than --budget seconds)",
-    )
-    tune.add_argument(
-        "--baseline", metavar="FILE", help="committed BENCH_tune.json to gate"
-    )
-    tune.add_argument(
-        "--budget", type=float, default=30.0, metavar="SECONDS",
-        help="--check recomputes only pipelines whose committed analysis "
-        "cost is at most this many seconds (default 30)",
-    )
-    tune.set_defaults(fn=cmd_tune)
-
-    apps = sub.add_parser("apps", help="list bundled applications")
-    apps.set_defaults(fn=cmd_apps)
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, summary, fn, shared, own, exclusive, defaults in COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        sub = subparsers[group].add_parser(leaf, help=summary, description=summary)
+        if fn is None:
+            subparsers[name] = sub.add_subparsers(dest="action", required=True)
+            continue
+        for key in shared:
+            flags, options = SHARED[key.rstrip("?*")]
+            if key[-1] in "?*":
+                options = {**options, "nargs": key[-1]}
+            sub.add_argument(*flags, **options)
+        for flags, options in own:
+            sub.add_argument(*flags, **options)
+        if exclusive:
+            one_of = sub.add_mutually_exclusive_group()
+            for flags, options in exclusive:
+                one_of.add_argument(*flags, **options)
+        sub.set_defaults(fn=fn, **defaults)
     return parser
 
 
@@ -1695,7 +1388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, _Unreadable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReproError as exc:

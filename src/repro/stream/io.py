@@ -280,6 +280,7 @@ def read_stream_csv(source: Union[str, Path, TextIO]) -> AddressStream:
     writes: list[int] = []
     refs: list[int] = []
     ncols = 0
+    header = False
     for lineno, line in enumerate(source, 1):
         line = line.strip()
         if not line:
@@ -294,7 +295,8 @@ def read_stream_csv(source: Union[str, Path, TextIO]) -> AddressStream:
         try:
             addr = _parse_address(cells[0])
         except ValueError:
-            if not addresses:  # tolerate one header row
+            if not addresses and not header:  # tolerate one header row
+                header = True
                 continue
             raise StreamFormatError(
                 f"line {lineno}: bad address {cells[0]!r}"

@@ -1,8 +1,13 @@
 """Command-line front end tests."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.programs import registry
 
 KERNEL = """
 program kern
@@ -20,18 +25,17 @@ def kernel_file(tmp_path):
     return str(path)
 
 
-def test_levels(capsys):
-    assert main(["levels"]) == 0
-    out = capsys.readouterr().out
-    for level in ("noopt", "sgi", "mckinley", "fusion", "new"):
-        assert level in out
-
-
 def test_apps(capsys):
-    assert main(["apps"]) == 0
-    out = capsys.readouterr().out
-    for app in ("swim", "tomcatv", "adi", "sp"):
-        assert app in out
+    # the target help lists every bundled program with its default sizes
+    with pytest.raises(SystemExit):
+        main(["report", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for name in registry.names():
+        sizes = ", ".join(
+            f"{k}={v}" for k, v in registry.get(name).default_params.items()
+        )
+        assert f"{name} ({sizes})" in text
+    assert "fft (n=64)" in text
 
 
 def test_fuse_outputs_valid_source(kernel_file, capsys):
@@ -52,10 +56,11 @@ def test_fuse_levels_differ(kernel_file, capsys):
 
 
 def test_regroup_with_params(kernel_file, capsys):
-    assert main(["regroup", kernel_file, "-p", "N=16"]) == 0
-    out = capsys.readouterr().out
-    assert "interleave" in out
-    assert "offset" in out
+    assert main(["fuse", kernel_file, "--level", "new", "-v", "-p", "N=16"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("program kern")  # stdout stays the source
+    assert "# " in captured.err and "interleave" in captured.err
+    assert "offset" in captured.err
 
 
 def test_report_on_file(kernel_file, capsys):
@@ -70,9 +75,9 @@ def test_report_requires_params_for_files(kernel_file):
         main(["report", kernel_file])
 
 
-def test_unknown_level_rejected(kernel_file):
-    with pytest.raises(SystemExit):
-        main(["report", kernel_file, "--levels", "warp9", "-p", "N=64"])
+def test_unknown_level_rejected(kernel_file, capsys):
+    assert main(["report", kernel_file, "--levels", "warp9", "-p", "N=64"]) == 1
+    assert "known levels" in capsys.readouterr().err
 
 
 def test_missing_file_is_an_error(capsys):
@@ -81,7 +86,7 @@ def test_missing_file_is_an_error(capsys):
 
 def test_bad_param_syntax(kernel_file):
     with pytest.raises(SystemExit):
-        main(["regroup", kernel_file, "-p", "N"])
+        main(["fuse", kernel_file, "-p", "N"])
 
 
 def test_report_with_engine_and_timings(kernel_file, capsys):
@@ -312,6 +317,7 @@ def test_every_subcommand_resolves_every_target_kind(
         (["report", "adi", "-p", "N"], "'N'"),
         (["tune", "adi", "--at", "N=12,M=x"], "'M=x'"),
         (["tune", "adi", "--fusion-levels", "0,b"], "'b'"),
+        (["report", "adi", "-p", "=5"], "'=5'"),
     ],
 )
 def test_malformed_bindings_fail_at_parse_time(argv, token, capsys):
@@ -323,5 +329,49 @@ def test_malformed_bindings_fail_at_parse_time(argv, token, capsys):
 
 
 def test_repeated_and_joined_bindings_merge(kernel_file, capsys):
-    assert main(["regroup", kernel_file, "-p", "N=16", "-p", "M=2,K=3"]) == 0
-    assert "{'N': 16, 'M': 2, 'K': 3}" in capsys.readouterr().out
+    argv = ["fuse", kernel_file, "--level", "new", "-v"]
+    assert main(argv + ["-p", "N=16", "-p", "M=2,K=3"]) == 0
+    assert "{'N': 16, 'M': 2, 'K': 3}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuse", "{tmp}"],
+        ["fuse", "{tmp}/latin1.loop"],
+        ["lint", "adi", "--baseline", "{tmp}/truncated.json"],
+        ["tune", "--check", "--baseline", "{tmp}/truncated.json"],
+        ["bench-membw", "--check", "--baseline", "{tmp}/truncated.json"],
+    ],
+)
+def test_unreadable_inputs_fail_without_a_traceback(argv, tmp_path, capsys):
+    (tmp_path / "latin1.loop").write_bytes(b"program caf\xe9\n")
+    (tmp_path / "truncated.json").write_text('{"programs": {"adi": {"be')
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {tmp_path}") and "Traceback" not in err
+
+
+#: where the documented command lines live
+DOCS = ("README.md", "Makefile", "DESIGN.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md")
+
+
+def test_every_documented_command_line_parses():
+    # a folded or renamed spelling must not survive in the docs
+    root = Path(__file__).resolve().parents[2]
+    parser = build_parser()
+    checked, broken = 0, []
+    for doc in DOCS:
+        for lineno, line in enumerate((root / doc).read_text().splitlines(), 1):
+            for match in re.finditer(r"-m repro(?=[\s`]|$)([^`]*)", line):
+                argv = shlex.split(match.group(1), comments=True)
+                if not argv:  # the tool named, not a command line
+                    continue
+                checked += 1
+                try:
+                    parser.parse_args(argv)
+                except SystemExit as exc:  # --help exits 0
+                    if exc.code:
+                        broken.append(f"{doc}:{lineno}: repro {shlex.join(argv)}")
+    assert checked >= 80 and not broken, broken

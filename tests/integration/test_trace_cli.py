@@ -126,6 +126,17 @@ class TestTraceImport:
         )
         assert "octane" in capsys.readouterr().out
 
+    def test_machine_and_app_are_exclusive(self, tmp_path, capsys):
+        foreign = tmp_path / "foreign.csv"
+        foreign.write_text("0\n8\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "trace", "import", str(foreign), "--machine", "octane",
+                "--app", "adi",
+            ])
+        assert exit_info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_unreadable_file_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["trace", "import", str(tmp_path / "missing.ast")])

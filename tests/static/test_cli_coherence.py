@@ -82,6 +82,18 @@ def test_coherence_respects_schedule(capsys, colsweep_file):
     assert sum(payload["invalidations"]) > 4
 
 
+def test_skipped_target_keeps_json_stdout_json(capsys, tmp_path):
+    path = tmp_path / "call.loop"
+    path.write_text(
+        "program callk\nparam N\nreal A[N]\n"
+        "proc fill(k) { A[k] = 0.5 }\ncall fill(1)\n"
+    )
+    assert main(["coherence", str(path), "-p", "N=16", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == []
+    assert "skipped" in captured.err and "call to 'fill'" in captured.err
+
+
 def test_coherence_needs_a_target():
     with pytest.raises(SystemExit, match="all-apps"):
         main(["coherence"])

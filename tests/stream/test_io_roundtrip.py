@@ -160,6 +160,10 @@ class TestCsvRoundtrip:
         with pytest.raises(StreamFormatError):
             read_stream_text("10\nbogus\n")
 
+    def test_only_one_header_row_is_tolerated(self):
+        with pytest.raises(StreamFormatError, match="line 2: bad address 'world'"):
+            read_stream_text("hello\nworld\nfoo,bar\n1\n2\n")
+
     def test_bad_write_flag_raises(self):
         with pytest.raises(StreamFormatError):
             read_stream_text("10,yes\n")

@@ -25,8 +25,9 @@ from repro.lang import (
     to_source,
     validate,
 )
-from repro.memsim import simulate_hierarchy
+from repro.memsim import simulate_stream
 from repro.programs.registry import MachineSpec
+from repro.stream import AddressStream
 
 
 def build_jacobi():
@@ -90,7 +91,8 @@ def main() -> None:
     for label, variant in (("original", compile_variant(program, "noopt")),
                            ("optimized", optimized)):
         trace = trace_program(variant.program, {"N": n}, steps=2)
-        stats = simulate_hierarchy(trace, variant.layout({"N": n}), machine)
+        stream = AddressStream.from_trace(trace, variant.layout({"N": n}))
+        stats = simulate_stream(stream, machine)
         print(
             f"{label:9s}: L1 {stats.l1_misses:8,}  L2 {stats.l2_misses:7,}  "
             f"TLB {stats.tlb_misses:5,}  {stats.seconds * 1e3:7.2f} ms modeled  "

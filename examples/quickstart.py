@@ -18,8 +18,9 @@ from repro.core import compile_variant
 from repro.harness import machine_for
 from repro.interp import run_program, trace_program
 from repro.lang import parse, to_source, validate
-from repro.memsim import simulate_hierarchy
+from repro.memsim import simulate_stream
 from repro.programs.registry import MachineSpec
+from repro.stream import AddressStream
 
 SOURCE = """
 program quickstart
@@ -63,7 +64,9 @@ def main() -> None:
     for label, prog_variant in (("original", compile_variant(program, "noopt")),
                                 ("optimized", variant)):
         trace = trace_program(prog_variant.program, {"N": N})
-        stats = simulate_hierarchy(trace, prog_variant.layout({"N": N}), machine)
+        # lay the trace out as byte addresses, then L1 -> L2 -> TLB -> DRAM
+        stream = AddressStream.from_trace(trace, prog_variant.layout({"N": N}))
+        stats = simulate_stream(stream, machine)
         print(
             f"{label:9s}: {stats.accesses:9,} accesses | "
             f"L1 {stats.l1_misses:8,} | L2 {stats.l2_misses:7,} | "

@@ -40,7 +40,7 @@ def sgi_transform(program: Program) -> Program:
     options = FusionOptions(embedding=False, alignment=False, splitting=False)
     engine = _MultiLevel(p.params, options, max_levels=8)
     engine.fresh.reserve(bound_names(p.body))
-    assume = Assumptions(default=options.param_min)
+    assume = Assumptions()
     body = []
     for stmt in p.body:
         if isinstance(stmt, Loop):

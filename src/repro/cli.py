@@ -33,7 +33,15 @@ from .harness import (
     timing_rows,
     variant_stream,
 )
-from .lang import AnalysisError, Program, ReproError, parse, to_source, validate
+from .lang import (
+    AnalysisError,
+    Program,
+    ReproError,
+    SimulationError,
+    parse,
+    to_source,
+    validate,
+)
 from .memsim import ENGINES
 from .memsim.geometry import CacheGeometry
 from .obs import (
@@ -72,12 +80,13 @@ def _load_program(path: str) -> Program:
 
 
 def _read_stream(path: str):
+    """A stream file (``.ast`` or CSV), under :func:`_read`'s convention."""
     from .stream import read_stream
 
     try:
         return read_stream(path)
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
+        raise _Unreadable(f"cannot read {path}: {exc}") from None
 
 
 def _bindings(text: str) -> dict[str, int]:
@@ -408,13 +417,6 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
     )
 
     stream = _read_stream(args.file)
-    if not stream.meta.has_geometry:
-        print(
-            "S501 trace imported without geometry metadata: simulating "
-            "under the shared machine geometry (32 B L1 / 128 B L2 lines, "
-            "8 B elements); see 'repro lint --explain S501'",
-            file=sys.stderr,
-        )
     if args.machine:
         machine = MACHINES[args.machine]()
     elif args.app:
@@ -422,7 +424,17 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
     else:
         machine = machine_for(MachineSpec())
     engine = resolve_engines(args.engine).sim
-    stats = simulate_stream(stream, machine, engine=engine)
+    try:
+        stats = simulate_stream(stream, machine, engine=engine)
+    except SimulationError as exc:  # e.g. element keys, not byte addresses
+        raise _Unreadable(f"cannot read {args.file}: {exc}") from None
+    if not stream.meta.has_geometry:
+        print(
+            "S501 trace imported without geometry metadata: simulating "
+            "under the shared machine geometry (32 B L1 / 128 B L2 lines, "
+            "8 B elements); see 'repro lint --explain S501'",
+            file=sys.stderr,
+        )
     print(f"{args.file}: {stream!r}")
     print(
         f"{machine.name}: L1 misses {stats.l1_misses:,}, "
@@ -484,7 +496,9 @@ def cmd_trace_info(args: argparse.Namespace) -> int:
     print(f"{args.file}: {stream!r}")
     print(f"  fingerprint: {stream.fingerprint()}")
     print(f"  meta: {json.dumps(meta.to_json(), sort_keys=True)}")
-    if not meta.has_geometry:
+    if meta.unit != "bytes":
+        print(f"  unit: {meta.unit} - no byte addresses, 'trace import' refuses it")
+    elif not meta.has_geometry:
         print("  geometry: MISSING (S501) - simulation will assume defaults")
     return 0
 

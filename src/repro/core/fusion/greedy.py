@@ -30,7 +30,7 @@ from ...analysis import (
     embed_before,
     shares_data,
 )
-from ...lang import Assumptions, DEFAULT_PARAM_MIN, Loop, Stmt
+from ...lang import Assumptions, Loop, Stmt
 from ...transform.subst import FreshNames
 from .codegen import peel_iterations, unit_to_stmts
 from .unit import AccessMemo, FusionUnit
@@ -43,11 +43,13 @@ class FusionOptions:
     embedding: bool = True  # statement embedding
     alignment: bool = True  # non-zero alignment factors
     splitting: bool = True  # peel boundary iterations and retry
-    max_peel: int = 2  # how many boundary iterations may be peeled
     #: restrict to loops with identical bounds (the McKinley et al.
     #: baseline of §5; used by repro.baselines.mckinley)
     identical_bounds: bool = False
-    param_min: int = DEFAULT_PARAM_MIN
+
+
+#: how many boundary iterations splitting may peel
+_MAX_PEEL = 2
 
 
 @dataclass
@@ -112,7 +114,7 @@ class _LevelFuser:
     ) -> None:
         self.params = tuple(params)
         self.fixed = tuple(fixed) or tuple(params)
-        self.assume = assume or Assumptions(default=options.param_min)
+        self.assume = assume or Assumptions()
         self.options = options
         self.fresh = fresh
         self.report = report
@@ -301,7 +303,7 @@ class _LevelFuser:
         """Peel leading iterations of the later loop and retry fusion.
 
         Applies when every unbounded conflict pins the later unit to
-        iterations within ``max_peel`` of its lower bound; the peeled
+        iterations within ``_MAX_PEEL`` of its lower bound; the peeled
         slices must be independent of the remaining core so they can run
         after the fused loop instead of before it.
         """
@@ -318,7 +320,7 @@ class _LevelFuser:
             if not offset.is_constant():
                 return False
             distance = offset.int_value()
-            if distance < 0 or distance >= self.options.max_peel:
+            if distance < 0 or distance >= _MAX_PEEL:
                 return False
             peel = max(peel, distance + 1)
         if peel == 0:

@@ -125,7 +125,7 @@ def fuse_program(
     options = options or FusionOptions()
     engine = _MultiLevel(program.params, options, max_levels)
     engine.fresh.reserve(bound_names(program.body))
-    assume = Assumptions(default=options.param_min)
+    assume = Assumptions()
     new_body = engine.fuse_body(program.body, 1, tuple(program.params), assume)
     engine.access_memo.publish()
     report = FusionReport(

@@ -5,9 +5,10 @@ input size evadable reuses."*  Operationally we classify per static
 *reuse class* — the source reference performing the reuse — by measuring
 mean reuse distance at two (or more) input sizes and testing growth:
 a class is evadable when its mean distance grows by at least
-``growth_factor`` while the data size grows, and the grown distance is
-above a noise floor.  The evadable-reuse *count* of a run is the number of
-dynamic reuses belonging to evadable classes at the largest size.
+:data:`GROWTH_FACTOR` while the data size grows, and the grown distance
+is above :data:`NOISE_FLOOR`.  The evadable-reuse *count* of a run is
+the number of dynamic reuses belonging to evadable classes at the
+largest size.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import numpy as np
 
 from ..interp.trace import AccessTrace
 from .reuse_distance import COLD, reuse_distances
+
+#: a class is evadable when its mean distance grows by this factor ...
+GROWTH_FACTOR = 1.5
+#: ... and the grown mean is at least this many elements
+NOISE_FLOOR = 64.0
 
 
 @dataclass(frozen=True)
@@ -73,28 +79,23 @@ class EvadableReport:
 def classify_evadable(
     trace_small: AccessTrace,
     trace_large: AccessTrace,
-    growth_factor: float = 1.5,
-    noise_floor: float = 64.0,
     distances_small: np.ndarray | None = None,
     distances_large: np.ndarray | None = None,
 ) -> EvadableReport:
     """Classify reuse classes by comparing two input sizes.
 
-    A class is evadable when ``mean_large >= growth_factor * mean_small``
+    A class is evadable when ``mean_large >= GROWTH_FACTOR * mean_small``
     (treating classes absent at the small size as growing) and
-    ``mean_large >= noise_floor``.  The floor keeps constant-but-jittery
+    ``mean_large >= NOISE_FLOOR``.  The floor keeps constant-but-jittery
     short reuses (the non-evadable hills of Fig. 3) out of the count.
     """
     small = per_class_stats(trace_small, distances_small)
     large = per_class_stats(trace_large, distances_large)
-    return classify_evadable_stats(small, large, growth_factor, noise_floor)
+    return classify_evadable_stats(small, large)
 
 
 def classify_evadable_stats(
-    small: Mapping[int, ClassStats],
-    large: Mapping[int, ClassStats],
-    growth_factor: float = 1.5,
-    noise_floor: float = 64.0,
+    small: Mapping[int, ClassStats], large: Mapping[int, ClassStats]
 ) -> EvadableReport:
     """The two-size decision rule over already-computed class stats.
 
@@ -104,12 +105,12 @@ def classify_evadable_stats(
     """
     evadable: set[int] = set()
     for rid, stat in large.items():
-        if stat.mean_distance < noise_floor:
+        if stat.mean_distance < NOISE_FLOOR:
             continue
         base = small.get(rid)
         if base is None or base.mean_distance <= 0:
             evadable.add(rid)
-        elif stat.mean_distance >= growth_factor * base.mean_distance:
+        elif stat.mean_distance >= GROWTH_FACTOR * base.mean_distance:
             evadable.add(rid)
     evadable_reuses = sum(large[rid].reuses for rid in evadable)
     total = sum(s.reuses for s in large.values())
@@ -127,8 +128,6 @@ def classify_evadable_program(
     small: Mapping[str, int],
     large: Mapping[str, int],
     steps: int = 1,
-    growth_factor: float = 1.5,
-    noise_floor: float = 64.0,
     method: str = "static",
 ) -> EvadableReport:
     """Classify a whole program's reuse classes — statically by default.
@@ -146,27 +145,18 @@ def classify_evadable_program(
 
         profile = analyze_program(program, steps=steps)
         return classify_evadable_stats(
-            profile.class_stats(small),
-            profile.class_stats(large),
-            growth_factor,
-            noise_floor,
+            profile.class_stats(small), profile.class_stats(large)
         )
     if method == "dynamic":
         from ..interp.tracegen import trace_program
 
         trace_small = trace_program(program, dict(small), steps=steps)
         trace_large = trace_program(program, dict(large), steps=steps)
-        return classify_evadable(
-            trace_small, trace_large, growth_factor, noise_floor
-        )
+        return classify_evadable(trace_small, trace_large)
     raise ValueError(f"unknown method {method!r}: use 'static' or 'dynamic'")
 
 
-def classify_evadable_sizes(
-    traces: Sequence[AccessTrace],
-    growth_factor: float = 1.5,
-    noise_floor: float = 64.0,
-) -> EvadableReport:
+def classify_evadable_sizes(traces: Sequence[AccessTrace]) -> EvadableReport:
     """Classify across several input sizes, smallest to largest.
 
     A class that performs *zero* reuses at the smallest size (cold-only
@@ -188,7 +178,7 @@ def classify_evadable_sizes(
         for rid, stat in level.items():
             if rid not in base and stat.reuses > 0:
                 base[rid] = stat
-    return classify_evadable_stats(base, large, growth_factor, noise_floor)
+    return classify_evadable_stats(base, large)
 
 
 def evadable_change(before: EvadableReport, after: EvadableReport) -> float:

@@ -24,10 +24,10 @@ and false sharing, so analyzer and oracle counts agree by construction
 (DESIGN §10).
 
 The oracle is :func:`simulate_msi` on raw columns (line ids, writes,
-issuing threads).  It is deliberately no
-:class:`~repro.memsim.levels.MemoryLevel`: the hierarchy streams chunks,
-and the automaton's thread column belongs to the whole interleaved
-stream.
+issuing threads).  It is deliberately not a level of
+:class:`~repro.memsim.MemoryHierarchy`: the hierarchy streams one
+thread's chunks, and the automaton's thread column belongs to the whole
+interleaved stream.
 """
 
 from __future__ import annotations

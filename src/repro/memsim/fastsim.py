@@ -79,8 +79,9 @@ to the narrowest dtype, and each kernel gathers and compares one column:
    state, replayed as a prefix of the next chunk, carries one stream
    across chunks (:class:`~repro.memsim.cache.LRUState`).
 
-``fa_miss_counts`` derives the misses of *every* capacity from one full
-distance profile (the reuse-distance methodology of Fig. 3).
+The misses of *every* fully-associative capacity at once are
+``locality.miss_count`` over one full distance profile (the
+reuse-distance methodology of Fig. 3); a level needs one capacity.
 
 Every path is bit-identical to the reference engine; the property tests
 in ``tests/properties/test_engine_props.py`` pin that equivalence on
@@ -89,12 +90,12 @@ random streams.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..lang import SimulationError
-from ..locality.reuse_distance import COLD, miss_count, prior_greater, reuse_distances
+from ..locality.reuse_distance import COLD, prior_greater, reuse_distances
 from ..obs import metrics
 from .cache import CacheConfig, CacheResult, LRUState
 
@@ -288,17 +289,3 @@ def _fa_miss_mask(
     enclosing = prior_greater((m - 1 - p)[::-1], m)[::-1]
     miss[t[seen - 1 - retired - enclosing >= capacity]] = True
     return miss, len(far), recent
-
-
-def fa_miss_counts(
-    keys: Sequence[int] | np.ndarray, capacities: Sequence[int]
-) -> dict[int, int]:
-    """Fully-associative LRU misses at every capacity from one profile.
-
-    One reuse-distance pass (``locality.reuse_distances``) predicts
-    the whole capacity spectrum — the classic use of stack distances and
-    the reason a distance profile is worth caching.  Equivalent to (but
-    far cheaper than) simulating ``simulate_cache`` once per capacity.
-    """
-    distances = reuse_distances(keys)
-    return {int(c): miss_count(distances, int(c)) for c in capacities}

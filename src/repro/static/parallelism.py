@@ -22,7 +22,7 @@ same dependence information).  Verdicts:
     concretely (never the case for the study programs).
 
 Two precision tiers cooperate.  Small iteration spaces (bounded by
-``concrete_cap`` accesses) are decided by *exhaustive enumeration* that
+:data:`CONCRETE_CAP` accesses) are decided by *exhaustive enumeration* that
 evaluates real bounds and guards — exact even for triangular nests, and
 the tier the property-based oracle exercises.  Larger spaces use the
 shared :mod:`.dependence_test`: the conservative interval+gcd screen
@@ -597,13 +597,11 @@ class _ConcreteChecker:
         axis_loop: Loop,
         params: Mapping[str, int],
         strides: Mapping[str, tuple[int, ...]],
-        cap: int = CONCRETE_CAP,
     ) -> None:
         self.chain = list(chain)
         self.axis_loop = axis_loop
         self.params = params
         self.strides = strides
-        self.cap = cap
         self.accesses = 0
         self.env: dict[str, int] = {}
         self.lane = 0
@@ -728,7 +726,7 @@ class _ConcreteChecker:
 
     def _record(self, ref: Expr, is_write: bool, accum: Optional[int]) -> None:
         self.accesses += 1
-        if self.accesses > self.cap:
+        if self.accesses > CONCRETE_CAP:
             raise _BudgetExceeded
         if isinstance(ref, ScalarRef):
             key = (SCALAR_PREFIX + ref.name, 0)
@@ -778,12 +776,9 @@ class _ConcreteChecker:
 
 
 class _Analyzer:
-    def __init__(
-        self, program: Program, params: Mapping[str, int], concrete_cap: int
-    ) -> None:
+    def __init__(self, program: Program, params: Mapping[str, int]) -> None:
         self.program = program
         self.params = params
-        self.concrete_cap = concrete_cap
         self.strides = {a.name: a.strides(params) for a in program.arrays}
         self.verdicts: list[AxisVerdict] = []
 
@@ -861,11 +856,9 @@ class _Analyzer:
         # inexact (triangular bounds, guards, solver budget): decide by
         # exhaustive enumeration when the space is small enough
         space = self._space_estimate(chain, loop, outer, rng)
-        if space is not None and space <= self.concrete_cap:
+        if space is not None and space <= CONCRETE_CAP:
             try:
-                checker = _ConcreteChecker(
-                    chain, loop, self.params, self.strides, self.concrete_cap
-                )
+                checker = _ConcreteChecker(chain, loop, self.params, self.strides)
                 kind, witness = checker.run()
                 if kind == "serial":
                     return verdict(
@@ -916,7 +909,7 @@ class _Analyzer:
             # outside the symbolic subset: the concrete walk may still
             # succeed, so allow it whenever the enclosing space alone is
             # small (its own budget guard bounds the rest)
-            return total if total <= self.concrete_cap else None
+            return total if total <= CONCRETE_CAP else None
         return total * max(1, collector.per_lane)
 
     def _collect_axis(
@@ -1031,12 +1024,11 @@ def bind_params(
 def analyze_parallelism(
     program: Program,
     params: Optional[Mapping[str, int]] = None,
-    concrete_cap: int = CONCRETE_CAP,
 ) -> ParallelismProfile:
     """Classify every loop axis of ``program`` at concrete sizes."""
     bound = bind_params(program, params)
     with span("parallelism", program=program.name) as sp:
-        verdicts = _Analyzer(program, bound, concrete_cap).run()
+        verdicts = _Analyzer(program, bound).run()
         counts = {k: 0 for k in VERDICTS}
         for v in verdicts:
             counts[v.verdict] += 1

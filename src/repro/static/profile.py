@@ -42,10 +42,6 @@ from .poly import Poly
 from .regions import default_assumptions, footprint_by_array, measure_sum
 from .reuse import ClassProfile, Component, attribute_model
 
-#: dynamic-classifier constants mirrored for the shared decision rule
-GROWTH_FACTOR = 1.5
-NOISE_FLOOR = 64.0
-
 Params = Mapping[str, int]
 
 
@@ -182,13 +178,7 @@ class StaticProfile:
                     misses += count
         return misses
 
-    def evadable_classes(
-        self,
-        small: Params,
-        large: Params,
-        growth_factor: float = GROWTH_FACTOR,
-        noise_floor: float = NOISE_FLOOR,
-    ) -> frozenset[int]:
+    def evadable_classes(self, small: Params, large: Params) -> frozenset[int]:
         """Static classification under the dynamic classifier's rule.
 
         Evaluates the symbolic profile at two sizes and applies exactly
@@ -197,10 +187,7 @@ class StaticProfile:
         directly comparable, class by class.
         """
         report = classify_evadable_stats(
-            self.class_stats(small),
-            self.class_stats(large),
-            growth_factor=growth_factor,
-            noise_floor=noise_floor,
+            self.class_stats(small), self.class_stats(large)
         )
         return report.evadable_classes
 

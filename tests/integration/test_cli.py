@@ -342,11 +342,20 @@ def test_repeated_and_joined_bindings_merge(kernel_file, capsys):
         ["lint", "adi", "--baseline", "{tmp}/truncated.json"],
         ["tune", "--check", "--baseline", "{tmp}/truncated.json"],
         ["bench-membw", "--check", "--baseline", "{tmp}/truncated.json"],
+        ["trace", "import", "{tmp}/missing.ast"],
+        ["trace", "info", "{tmp}/missing.ast"],
+        # element keys are no byte addresses: simulating them would
+        # silently divide every miss count by the element size
+        ["trace", "import", "{tmp}/elements.csv"],
     ],
 )
 def test_unreadable_inputs_fail_without_a_traceback(argv, tmp_path, capsys):
     (tmp_path / "latin1.loop").write_bytes(b"program caf\xe9\n")
     (tmp_path / "truncated.json").write_text('{"programs": {"adi": {"be')
+    (tmp_path / "elements.csv").write_text(
+        '# repro-address-stream v1 {"unit": "elements"}\n'
+        + "".join(f"{i}\n" for i in range(4096))
+    )
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {tmp_path}") and "Traceback" not in err

@@ -101,11 +101,20 @@ class TestFrontDoor:
         assert chunked.stats == whole.stats
         assert set(chunked.timings) == set(whole.timings)
         chunks = set()
+        # each level's span reports the whole run's misses, not its last chunk's
+        misses = {
+            "l1": whole.stats.l1_misses,
+            "l2": whole.stats.l2_misses,
+            "tlb": whole.stats.tlb_misses,
+            "dram": whole.stats.dram_row_misses,
+        }
         for stage in ("trace-gen", "addresses", "l1", "l2", "tlb", "dram"):
             (sp,) = [s for s in chunked.spans if s.name == stage]
             chunks.add(sp.attrs["chunks"])
             # timings keep their keys and sum the chunks, like the span
             assert chunked.timings[stage] == sp.duration_s
+            if stage in misses:
+                assert sp.attrs["misses"] == misses[stage], stage
         # chunks end on segment boundaries: at least 16 of <= 997 accesses
         (count,) = chunks
         assert count >= -(-whole.trace_length // 997)

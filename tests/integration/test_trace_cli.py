@@ -137,15 +137,19 @@ class TestTraceImport:
         assert exit_info.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
-    def test_unreadable_file_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["trace", "import", str(tmp_path / "missing.ast")])
+    def test_unreadable_file_exits_cleanly(self, tmp_path, capsys):
+        assert main(["trace", "import", str(tmp_path / "missing.ast")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read ")
 
     def test_info_flags_missing_geometry(self, tmp_path, capsys):
         foreign = tmp_path / "foreign.csv"
         foreign.write_text("0\n8\n")
         assert main(["trace", "info", str(foreign)]) == 0
         assert "MISSING (S501)" in capsys.readouterr().out
+        # element keys: info reads them, and says import will not simulate them
+        foreign.write_text('# repro-address-stream v1 {"unit": "elements"}\n0\n1\n')
+        assert main(["trace", "info", str(foreign)]) == 0
+        assert "unit: elements - no byte addresses" in capsys.readouterr().out
 
 
 class TestBenchMembw:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.lang import SimulationError
-from repro.memsim import ENGINES, default_engine, fa_miss_counts
+from repro.locality import miss_count, reuse_distances
+from repro.memsim import ENGINES, default_engine
 from repro.memsim.cache import CacheConfig, simulate_cache, simulate_cache_writeback
 
 
@@ -127,20 +128,19 @@ class TestFastPaths:
 
 
 class TestFaMissCounts:
+    """One distance profile answers every fully-associative capacity."""
+
     def test_matches_per_capacity_simulation(self):
         rng = np.random.default_rng(9)
         keys = rng.integers(0, 300, size=5000)
-        capacities = (1, 4, 16, 64, 256, 1024)
-        counts = fa_miss_counts(keys, capacities)
-        assert set(counts) == set(capacities)
-        for cap in capacities:
+        distances = reuse_distances(keys)
+        for cap in (1, 4, 16, 64, 256, 1024):
             cfg = CacheConfig("fa", cap, 1, 0)
             miss = simulate_cache(cfg, keys, engine="fast")
-            assert counts[cap] == int(miss.sum()), cap
+            assert miss_count(distances, cap) == int(miss.sum()), cap
 
     def test_monotone_in_capacity(self):
         rng = np.random.default_rng(2)
-        keys = rng.integers(0, 100, size=2000)
-        counts = fa_miss_counts(keys, (1, 2, 4, 8, 16))
-        values = [counts[c] for c in (1, 2, 4, 8, 16)]
+        distances = reuse_distances(rng.integers(0, 100, size=2000))
+        values = [miss_count(distances, c) for c in (1, 2, 4, 8, 16)]
         assert values == sorted(values, reverse=True)

@@ -8,8 +8,9 @@ from repro.memsim import (
     octane,
     origin2000,
     scaled_machine,
-    simulate_hierarchy,
+    simulate_stream,
 )
+from repro.stream import AddressStream
 
 from conftest import build
 
@@ -22,7 +23,8 @@ def small_machine():
 def make_stats(src, n, machine, steps=1):
     p = build(src)
     trace = trace_program(p, {"N": n}, steps=steps)
-    return simulate_hierarchy(trace, default_layout(p, {"N": n}), machine)
+    stream = AddressStream.from_trace(trace, default_layout(p, {"N": n}))
+    return simulate_stream(stream, machine)
 
 
 STREAM = """
@@ -105,5 +107,6 @@ def test_tlb_counts_pages(small_machine):
     )
     n = 512  # row stride = 512*8 = 4096 bytes = 4 pages of 1KB
     trace = trace_program(p, {"N": n})
-    stats = simulate_hierarchy(trace, default_layout(p, {"N": n}), small_machine)
+    stream = AddressStream.from_trace(trace, default_layout(p, {"N": n}))
+    stats = simulate_stream(stream, small_machine)
     assert stats.tlb_misses == n  # every access a new page, 8-entry TLB

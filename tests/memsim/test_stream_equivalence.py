@@ -1,19 +1,20 @@
-"""The refactor's safety net: hierarchy simulation == the legacy chain.
+"""The hierarchy's safety net: the chunk loop == the chain stated inline.
 
-``simulate_stream`` used to be a fixed inline pipeline — L1 over the
-full stream, L2 over the L1 misses (with write-back accounting), TLB
-over the full stream at page granularity.  The composable
-:class:`MemoryHierarchy` must reproduce that chain *exactly*, for both
-cache engines, on hypothesis-generated affine nests.  The suite states
-the old semantics literally (the inline chain below) so a regression in
-the level-chaining logic — e.g. filtering by a mask of the wrong
+``MemoryHierarchy`` runs one fixed loop per chunk — L1 over the full
+stream, L2 over the L1 misses (with write-back accounting), TLB over the
+full stream at page granularity, DRAM over the L2 fill stream.  It must
+reproduce that chain, stated literally below with one call per level,
+*exactly*, for both cache engines, on hypothesis-generated affine nests,
+so a regression in the loop — e.g. filtering by a mask of the wrong
 stream — cannot hide behind the 42 pinned golden variants.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import compile_variant
@@ -25,9 +26,9 @@ from repro.memsim import (
     simulate_cache,
     simulate_cache_writeback,
     simulate_dram,
-    simulate_hierarchy,
     simulate_stream,
 )
+from repro.obs import SpanCollector
 from repro.stream import AddressStream
 
 PARAMS = {"N": 9}
@@ -136,22 +137,20 @@ def test_hierarchy_matches_pre_refactor_chain(program, engine):
     assert stats.dram_energy_nj == dram.energy_nj
 
 
-@given(random_programs())
+@given(random_programs().map(lambda program: AddressStream(*_byte_stream(program))))
+@example(AddressStream(np.zeros(0, dtype=np.int64)))
 @settings(max_examples=15, deadline=None)
-def test_engines_bit_identical_through_hierarchy(program):
-    stream = AddressStream(*_byte_stream(program))
-    fast = simulate_stream(stream, MACHINE, engine="fast")
-    ref = simulate_stream(stream, MACHINE, engine="reference")
-    assert fast == ref
-
-
-@given(random_programs())
-@settings(max_examples=10, deadline=None)
-def test_stream_front_door_is_equivalent(program):
-    # the trace-level convenience is the stream front door, not a second
-    # address materialisation
-    trace, layout = _traced(program)
-    timings = {}
-    stats = simulate_hierarchy(trace, layout, MACHINE, timings=timings)
-    assert stats == simulate_stream(AddressStream.from_trace(trace, layout), MACHINE)
-    assert {"addresses", "l1", "l2", "tlb", "dram"} <= set(timings)
+def test_engines_bit_identical_through_hierarchy(stream):
+    stats = {}
+    for engine in ENGINES:
+        with SpanCollector() as collector:
+            stats[engine] = simulate_stream(stream, MACHINE, engine=engine)
+        # one span per level, whatever the stream (none at all included)
+        names = [ev.name for ev in collector.events]
+        assert sorted(names) == ["dram", "l1", "l2", "tlb"]
+    assert stats["fast"] == stats["reference"]
+    if len(stream) == 0:
+        counts = dataclasses.asdict(stats["fast"])
+        for geometry in ("machine", "l1_line_bytes", "l2_line_bytes"):
+            del counts[geometry]
+        assert set(counts.values()) == {0}, counts

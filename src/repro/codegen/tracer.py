@@ -11,9 +11,9 @@ order.  Emitting a node against a frame of ``p`` instances yields either
 
 * a **uniform** block — every instance contributes the same column
   pattern, so element indices live in a ``(p, l)`` matrix and the
-  per-access metadata is a single length-``l`` row.  Collapsing a
-  rectangular loop is then just a reshape, and merging sibling
-  statements an ``hstack``; or
+  per-access metadata is a single row, kept as one period and a repeat
+  count.  Collapsing a rectangular loop is then just a reshape, and
+  merging sibling statements an ``hstack``; or
 * a **grouped** block — per-instance access counts vary (guards,
   triangular bounds), stored flat with a ``counts`` vector and merged
   by scatter on computed destination offsets.
@@ -24,6 +24,10 @@ Top-level nests are emitted as the segments of the shared plan
 (:meth:`repro.interp.tracegen.NestTracer.segments`): a time step that
 fits in one chunk is emitted once and replayed, a larger one again each
 step, its big nests in pieces.
+
+Under a layout (:meth:`NestTracer.address_segments`) each reference's
+record absorbs its array's placement, so the blocks hold byte addresses
+at no extra cost; only a stride break adds a ``divmod`` on its column.
 
 The input is the interpreter tracer's own lowering
 (:class:`repro.interp.tracegen._Compiler`): integer address records with
@@ -44,7 +48,9 @@ import numpy as np
 from ..interp import tracegen as _tg
 from ..interp.trace import AccessTrace, concat_traces
 from ..lang import AnalysisError
+from ..memsim.geometry import ELEM_BYTES, L2_LINE_BYTES
 from ..obs import metrics
+from ..stream import AddressStream, StreamMeta
 
 _AID_SHIFT, _AID_BITS = 1, 12
 _REF_SHIFT, _REF_BITS = 13, 19
@@ -56,7 +62,8 @@ class _Uniform:
 
     p: int
     elems: np.ndarray  # (p, l) int64
-    pattern: np.ndarray  # (l,) packed write|aid|ref
+    pattern: np.ndarray  # (l / reps,) packed write|aid|ref, repeated reps times
+    reps: int = 1
 
 
 @dataclass
@@ -67,6 +74,7 @@ class _Grouped:
     counts: np.ndarray  # (p,) int64
     elems: np.ndarray  # flat int64
     pattern: np.ndarray  # flat int64
+    reps = 1
 
 
 def _empty(p: int) -> _Uniform:
@@ -87,14 +95,41 @@ def _to_grouped(b) -> _Grouped:
         b.p,
         np.full(b.p, length, np.int64),
         np.ascontiguousarray(b.elems).reshape(-1),
-        np.tile(b.pattern, b.p),
+        np.tile(b.pattern, b.p * b.reps),
     )
 
 
+def _place(elems, offset: int, dims):
+    """Addresses of in-range element indices under a stride break."""
+    addr = offset
+    for extent, stride in dims[:-1]:
+        elems, digit = divmod(elems, extent)
+        addr = addr + digit * stride
+    return addr + elems * dims[-1][1]
+
+
 class _Emitter:
-    def __init__(self, sizes) -> None:
+    """Emits blocks of element indices, or, given each array's
+    ``Layout.address_map``, of addresses (:meth:`_fold`)."""
+
+    def __init__(self, sizes, placements=None) -> None:
         self.sizes = sizes
-        self._pattern_cache: dict[int, np.ndarray] = {}
+        self.placements = placements or [(0, [(size, 1)]) for size in sizes]
+        self._cache: dict[int, tuple] = {}
+
+    def _fold(self, ref):
+        """``ref``'s record, in-bounds range ``(base, scale, top)`` and what
+        a stride break leaves to :func:`_place`.  A positive stride ``s``
+        folds in: ``(c·s + off, ((var, coeff·s), …))`` over ``[off, off +
+        s·(size−1)]``; a break keeps the element record and range."""
+        size = self.sizes[ref.array_id]
+        offset, dims = self.placements[ref.array_id]
+        if len(dims) > 1 or dims[0][1] <= 0:
+            return ref.linform, 0, 1, size - 1, (offset, dims)
+        const, terms = ref.linform
+        s = dims[0][1]
+        record = (const * s + offset, tuple((v, c * s) for v, c in terms))
+        return record, offset, s, offset + s * (size - 1), None
 
     @staticmethod
     def _value(record, frame: Mapping[str, np.ndarray]):
@@ -123,32 +158,29 @@ class _Emitter:
         return self._merge_body([self.emit(n, frame, p) for n in nodes], p)
 
     def _emit_assign(self, node: _tg._CAssign, frame, p: int) -> _Uniform:
-        length = len(node.refs)
-        pattern = self._pattern_cache.get(id(node))
-        if pattern is None:
-            pattern = np.asarray(
-                [
-                    int(ref.is_write)
-                    | (ref.array_id << _AID_SHIFT)
-                    | (ref.ref_id << _REF_SHIFT)
-                    for ref in node.refs
-                ],
-                dtype=np.int64,
-            )
-            self._pattern_cache[id(node)] = pattern
-        elems = np.empty((p, length), np.int64)
+        cached = self._cache.get(id(node))
+        if cached is None:
+            words = [
+                int(r.is_write) | (r.array_id << _AID_SHIFT) | (r.ref_id << _REF_SHIFT)
+                for r in node.refs
+            ]
+            folded = [self._fold(r) for r in node.refs]
+            cached = self._cache[id(node)] = (np.asarray(words, np.int64), folded)
+        pattern, folded = cached
+        elems = np.empty((p, len(node.refs)), np.int64)
         for c, ref in enumerate(node.refs):
-            v = self._value(ref.linform, frame)
-            elems[:, c] = v
+            record, base, scale, top, brk = folded[c]
+            v = self._value(record, frame)
             if p == 0:
                 continue
             lo, hi = (v, v) if isinstance(v, int) else (int(v.min()), int(v.max()))
-            size = self.sizes[ref.array_id]
-            if lo < 0 or hi >= size:
+            if lo < base or hi > top:
+                elem = ((lo if lo < base else hi) - base) // scale
                 raise AnalysisError(
-                    f"out-of-bounds access: element {lo if lo < 0 else hi} of "
-                    f"array #{ref.array_id} (size {size})"
+                    f"out-of-bounds access: element {elem} of "
+                    f"array #{ref.array_id} (size {self.sizes[ref.array_id]})"
                 )
+            elems[:, c] = v if brk is None else _place(v, *brk)
         return _Uniform(p, elems, pattern)
 
     def _merge_body(self, blocks, p: int):
@@ -160,7 +192,7 @@ class _Emitter:
             return _Uniform(
                 p,
                 np.hstack([b.elems for b in blocks]),
-                np.concatenate([b.pattern for b in blocks]),
+                np.concatenate([np.tile(b.pattern, b.reps) for b in blocks]),
             )
         gs = [_to_grouped(b) for b in blocks]
         counts = np.zeros(p, np.int64)
@@ -194,7 +226,7 @@ class _Emitter:
             if isinstance(b, _Uniform):
                 length = b.elems.shape[1]
                 return _Uniform(
-                    p, b.elems.reshape(p, trip * length), np.tile(b.pattern, trip)
+                    p, b.elems.reshape(p, trip * length), b.pattern, b.reps * trip
                 )
             counts = b.counts.reshape(p, trip).sum(axis=1)
             return _Grouped(p, counts, b.elems, b.pattern)
@@ -213,7 +245,7 @@ class _Emitter:
                 p,
                 trips * b.elems.shape[1],
                 np.ascontiguousarray(b.elems).reshape(-1),
-                np.tile(b.pattern, total),
+                np.tile(b.pattern, total * b.reps),
             )
         parent = np.repeat(np.arange(p, dtype=np.int64), trips)
         counts = np.bincount(parent, weights=b.counts, minlength=p).astype(np.int64)
@@ -257,18 +289,22 @@ class _Emitter:
             pattern[dest] = g.pattern
         return _Grouped(p, counts, elems, pattern)
 
+    def segment(self, node):
+        """``node`` emitted at the top level (p == 1): its value column,
+        write flags, ref ids, and ``field`` to unpack any other per-access
+        field of the pattern."""
+        metrics.inc("codegen.trace.nests")
+        metrics.inc("codegen.trace.nests.compiled")
+        block = self.emit(node, {}, 1)
+        values, reps = block.elems, block.reps
+        if isinstance(block, _Uniform):
+            values = np.ascontiguousarray(values).reshape(-1)
 
-def _flatten(block):
-    """Unpack one top-level block (p == 1) into trace-ready arrays."""
-    if isinstance(block, _Uniform):
-        elems = np.ascontiguousarray(block.elems).reshape(-1)
-    else:
-        elems = block.elems
-    pattern = block.pattern
-    aids = ((pattern >> _AID_SHIFT) & ((1 << _AID_BITS) - 1)).astype(np.int32)
-    refids = (pattern >> _REF_SHIFT).astype(np.int32)
-    writes = (pattern & 1).astype(bool)
-    return aids, elems, writes, refids
+        def field(shift: int, bits: int, dtype) -> np.ndarray:
+            column = ((block.pattern >> shift) & ((1 << bits) - 1)).astype(dtype)
+            return np.tile(column, reps) if reps > 1 else column
+
+        return values, field(0, 1, bool), field(_REF_SHIFT, _REF_BITS, np.int32), field
 
 
 class NestTracer(_tg.NestTracer):
@@ -293,9 +329,8 @@ class NestTracer(_tg.NestTracer):
         )
 
     def _emit(self, node, gen=None) -> AccessTrace:
-        aids, elems, writes, refids = _flatten(self._emitter.emit(node, {}, 1))
-        metrics.inc("codegen.trace.nests")
-        metrics.inc("codegen.trace.nests.compiled")
+        elems, writes, refids, field = self._emitter.segment(node)
+        aids = field(_AID_SHIFT, _AID_BITS, np.int32)
         return AccessTrace(
             array_ids=aids, elems=elems, writes=writes, ref_ids=refids, **self._meta
         )
@@ -303,6 +338,20 @@ class NestTracer(_tg.NestTracer):
     def segments(self, steps: int = 1) -> Iterator[AccessTrace]:
         """The trace of ``steps`` time steps, one segment at a time."""
         return self._steps(steps, self._emit, replay=True)
+
+    def address_segments(self, steps: int, layout, name: str = "trace"):
+        """The same segments emitted as byte addresses under ``layout``:
+        ``AddressStream.from_trace(segment, layout)``, same errors."""
+        placements = [layout.address_map(a.name) for a in self.program.arrays]
+        emitter = _Emitter(self.compiler.sizes, placements)
+
+        def emit(node) -> AddressStream:
+            addresses, writes, refids, _ = emitter.segment(node)
+            meta = StreamMeta(name=name, source="codegen", unit="bytes",
+                              line_bytes=L2_LINE_BYTES, elem_bytes=ELEM_BYTES)
+            return AddressStream(addresses, writes, refids, meta=meta)
+
+        return self._steps(steps, emit, replay=True)
 
 
 def trace_program(

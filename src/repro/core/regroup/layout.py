@@ -17,10 +17,12 @@ shape[k]``) address like one dimension of ``shape[k] * shape[k+1]``
 elements, so :func:`_collapse` merges them.  Every default or padded
 layout, and every element-level interleave, collapses to a single
 dimension per array and its address is ``offset[a] + elem * stride[a]``
-— two table gathers and a multiply-add, no division.  Only a stride
-*break* survives merging (regrouping whole columns of several arrays
-leaves one between the column and the rest), and each surviving break
-costs one ``divmod`` over the trace (:meth:`Layout.divmods` counts them).
+— no division.  Only a stride *break* survives merging (regrouping whole
+columns of several arrays leaves one between the column and the rest),
+and each surviving break costs one ``divmod`` (:meth:`Layout.divmods`
+counts them).  :meth:`Layout.addresses` (the oracle) applies
+:meth:`Layout.address_map` per access; the codegen tracer folds it into
+each reference once.
 """
 
 from __future__ import annotations
@@ -69,24 +71,28 @@ class Layout:
     total_elems: int
     description: str = "default"
 
+    def address_map(self, name: str, in_bytes: bool = True):
+        """Array ``name``'s ``(offset, [(extent, stride), …])`` after
+        :func:`_collapse`, in bytes (or elements): element ``e`` is at
+        ``offset + Σ digit_k · stride_k``, ``e`` in the extents' radix."""
+        p = self.placements[name]
+        scale = p.elem_size if in_bytes else 1
+        return p.offset * scale, [(e, s * scale) for e, s in _collapse(p)]
+
     def divmods(self, array_names: Sequence[str]) -> int:
-        """Divisions per access :meth:`addresses` pays over these arrays:
-        the most stride breaks any of them keeps after :func:`_collapse`
-        (0 for every layout whose strides nest)."""
-        return max(
-            [0] + [len(_collapse(self.placements[n])) - 1 for n in array_names]
-        )
+        """Divisions per access an address pays over these arrays: the most
+        stride breaks any keeps after :func:`_collapse` (0 if strides nest)."""
+        return max([0] + [len(self.address_map(n)[1]) - 1 for n in array_names])
 
     def addresses(self, trace: AccessTrace, in_bytes: bool = True) -> np.ndarray:
         """Vectorized translation of a trace into addresses.
 
-        Each array's collapsed dimensions (see the module docstring) go
-        into per-level tables indexed by array id, with ``offset``,
-        ``elem_size`` and ``in_bytes`` folded in once.  Arrays with fewer
-        dimensions than the deepest are padded with ``(extent 1, stride
-        0)``, so the last remainder of an in-range element is always
-        below the last extent — one unsigned compare rejects elements
-        past their own array and negative ones alike.
+        Each array's :meth:`address_map` goes into per-level tables
+        indexed by array id.  Arrays with fewer dimensions than the
+        deepest are padded with ``(extent 1, stride 0)``, so the last
+        remainder of an in-range element is always below the last extent
+        — one unsigned compare rejects elements past their own array and
+        negative ones alike.
         """
         names = trace.array_names
         if len(trace) == 0:
@@ -98,12 +104,10 @@ class Layout:
         strides = np.zeros((levels, len(names)), dtype=np.int64)
         offsets = np.zeros(len(names), dtype=np.int64)
         for a, name in enumerate(names):
-            p = self.placements[name]
-            scale = p.elem_size if in_bytes else 1
-            offsets[a] = p.offset * scale
-            for k, (extent, stride) in enumerate(_collapse(p)):
+            offsets[a], dims = self.address_map(name, in_bytes)
+            for k, (extent, stride) in enumerate(dims):
                 extents[k, a] = extent
-                strides[k, a] = stride * scale
+                strides[k, a] = stride
         aid = trace.array_ids.astype(np.intp)
         addr = offsets.take(aid)
         rem = np.asarray(trace.elems, dtype=np.int64)
@@ -143,20 +147,9 @@ class Layout:
 
 def default_layout(program: Program, params: Mapping[str, int]) -> Layout:
     """Arrays placed back to back, column-major, no padding or grouping."""
-    placements: dict[str, ArrayPlacement] = {}
-    base = 0
-    for decl in program.arrays:
-        shape = decl.shape(params)
-        strides = []
-        acc = 1
-        for extent in shape:
-            strides.append(acc)
-            acc *= extent
-        placements[decl.name] = ArrayPlacement(
-            decl.name, shape, base, tuple(strides), decl.elem_size
-        )
-        base += acc
-    return Layout(placements, base, "default")
+    layout = padded_layout(program, params, pad_elems=0)
+    layout.description = "default"
+    return layout
 
 
 def padded_layout(

@@ -54,7 +54,7 @@ class EngineSelection:
         return f"{self.sim}+{self.tracer}"
 
     def nest_tracer(self, program, params):
-        """The selected tracer's ``NestTracer``, whose ``segments`` the
+        """The selected tracer's ``NestTracer``, whose segments the
         measuring chain streams (:func:`repro.harness.variant_chunks`).
 
         Both tracers produce bit-for-bit identical segments (the contract

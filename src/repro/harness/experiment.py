@@ -8,10 +8,10 @@ Past the compile it is one chunk loop: the tracer's segments are
 batched, laid out and pushed through the hierarchy a chunk of about
 ``CHUNK_ACCESSES`` accesses at a time (:func:`variant_chunks`), so its
 memory does not grow with the trace.  The whole path is instrumented
-with :mod:`repro.obs` spans (compile passes, trace-gen, addresses,
-per-level simulation stages — one span per stage, however many
-chunks), so a surrounding :class:`~repro.obs.SpanCollector` sees the
-full stage tree.
+with :mod:`repro.obs` spans (compile passes, trace-gen — plus
+addresses on the interpreter path — and per-level simulation stages,
+one span per stage however many chunks), so a surrounding
+:class:`~repro.obs.SpanCollector` sees the full stage tree.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..engines import EngineSelection, resolve_engines
 from ..core.regroup import RegroupOptions
 from ..core.regroup.layout import Layout
 from ..interp import trace as _trace
-from ..interp.trace import AccessTrace, concat_traces
+from ..interp.trace import concat_traces
 from ..lang import Program
 from ..memsim import (
     MACHINES,
@@ -52,8 +52,8 @@ class VariantResult:
     stats: MemStats
     variant: Optional[CompiledVariant]
     trace_length: int
-    #: per-stage wall-clock seconds (compile, trace-gen, addresses, l1,
-    #: l2, tlb, dram), each summed over the chunks
+    #: per-stage wall-clock seconds (compile, trace-gen, l1, l2, tlb, dram;
+    #: addresses under the interpreter tracer), each summed over the chunks
     timings: dict = field(default_factory=dict)
     #: wall-clock seconds of the whole measurement (filled by the runner)
     seconds: float = 0.0
@@ -103,16 +103,27 @@ def machine_for(spec) -> MachineConfig:
 
 
 def _batches(
-    selection: EngineSelection, program: Program, params, steps: int
-) -> Iterator[tuple[AccessTrace, bool]]:
-    """The selected tracer's segments in batches of at most
-    ``CHUNK_ACCESSES`` accesses (a larger segment alone), each with
-    whether it is the last; one empty batch when there is no segment."""
+    selection: EngineSelection, program: Program, params, steps: int, layout, name
+) -> Iterator[tuple[object, bool]]:
+    """The selected tracer's segments — codegen's as address streams
+    under ``layout``, the interpreter's as element traces — joined into
+    batches of at most ``CHUNK_ACCESSES`` accesses (a larger segment
+    alone), each with whether it is the last; one empty batch when there
+    is no segment."""
     tracer = selection.nest_tracer(program, params)
-    segments = tracer.segments(steps)
+    if selection.tracer == "codegen":
+        segments = tracer.address_segments(steps, layout, name)
+
+        def join(parts):
+            return parts[0] if len(parts) == 1 else AddressStream.concat(parts, name)
+    else:
+        segments = tracer.segments(steps)
+
+        def join(parts):
+            return concat_traces(parts) if parts else tracer.generator().take()
     ahead = next(segments, None)
     if ahead is None:
-        yield tracer.generator().take(), True
+        yield join([]), True
     while ahead is not None:
         pieces, size = [], 0
         while ahead is not None and (
@@ -121,7 +132,9 @@ def _batches(
             pieces.append(ahead)
             size += len(ahead)
             ahead = next(segments, None)
-        yield concat_traces(pieces), ahead is None
+        batch = join(pieces)
+        del pieces  # while the consumer simulates, only the batch lives
+        yield batch, ahead is None
 
 
 def variant_chunks(
@@ -136,36 +149,37 @@ def variant_chunks(
     """Trace a compiled variant and lay it out, one chunk at a time.
 
     The producer half of the measuring chain: the segments of the
-    tracer ``engine`` selects, batched to about ``CHUNK_ACCESSES``
-    accesses and laid out as byte addresses under ``layout`` (default:
-    the variant's own at ``params``).  Nothing outlives its chunk.  One
-    ``trace-gen`` and one ``addresses`` span cover every chunk
-    (``chunks=``); their seconds accumulate into ``timings``.
+    tracer ``engine`` selects as byte addresses under ``layout``
+    (default: the variant's own at ``params``), in batches of about
+    ``CHUNK_ACCESSES``.  Codegen emits addresses; the interpreter's
+    batches are laid out by :meth:`AddressStream.from_trace` (the
+    ``addresses`` span).  Nothing outlives its chunk.  One span per
+    stage covers every chunk (``chunks=``) and adds to ``timings``.
     """
     selection = resolve_engines(engine)
     if layout is None:
         layout = variant.layout(params)
     label = name or variant.program.name
     names = [a.name for a in variant.program.arrays]
-    tracing = ChunkedSpan("trace-gen", steps=steps, tracer=selection.tracer)
-    laying = ChunkedSpan("addresses", accesses=0, divmods=layout.divmods(names))
+    tracing = ChunkedSpan("trace-gen", steps=steps, tracer=selection.tracer,
+                          accesses=0, divmods=layout.divmods(names))
+    laying = ChunkedSpan("addresses") if selection.tracer == "interp" else None
     metrics.inc("trace.generated")
-    batches = _batches(selection, variant.program, params, steps)
+    batches = _batches(selection, variant.program, params, steps, layout, label)
     last = False
     while not last:
-        with tracing.chunk():
-            trace, last = next(batches)
-        metrics.inc("trace.accesses", len(trace))
-        with laying.chunk() as sp:
-            sp.attrs["accesses"] += len(trace)
-            chunk = AddressStream.from_trace(
-                trace, layout, name=label, source=selection.tracer
-            )
-        del trace  # while the consumer simulates, only the laid-out chunk lives
+        with tracing.chunk() as sp:
+            chunk, last = next(batches)
+            sp.attrs["accesses"] += len(chunk)
+        metrics.inc("trace.accesses", len(chunk))
+        if laying is not None:
+            with laying.chunk():
+                chunk = AddressStream.from_trace(chunk, layout, label, "interp")
         yield chunk
     if timings is not None:
         timings["trace-gen"] = timings.get("trace-gen", 0.0) + tracing.duration_s
-        timings["addresses"] = timings.get("addresses", 0.0) + laying.duration_s
+        if laying is not None:
+            timings["addresses"] = timings.get("addresses", 0.0) + laying.duration_s
 
 
 def variant_stream(

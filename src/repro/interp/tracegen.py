@@ -533,8 +533,9 @@ class NestTracer:
 
     def _steps(self, steps: int, emit, replay: bool) -> Iterator[AccessTrace]:
         """Every step's segments through ``emit``.  A step that fits in
-        one chunk is emitted once and replayed — nothing larger than a
-        chunk is kept — a larger one is emitted again each step."""
+        one chunk (by ``len(segment)``, which every segment kind makes
+        its access count) is emitted once and replayed — nothing larger
+        than a chunk is kept — a larger one is emitted again each step."""
         pieces = self.plan()
         kept: Optional[list[AccessTrace]] = [] if replay else None
         for step in range(steps):

@@ -19,6 +19,12 @@ the segments of every variant still concatenate to the trace bit for
 bit (instruction ids included), and the chunked measurement gives the
 one-chunk ``MemStats`` field for field.
 
+``run()`` never lays a codegen trace out: the tracer emits byte
+addresses with each array's layout folded into its references.  Its
+chunks, at the default and the tiny chunk size, must fingerprint like
+the interpreter's trace laid out by ``Layout.addresses`` (addresses,
+writes and reference ids).
+
 The tier-1 cases run at the small golden sizes; the ``slow`` marker
 re-runs the full matrix at the fig-10 registry sizes.
 """
@@ -57,6 +63,7 @@ if __name__ != "__main__":
     from repro.interp.trace import concat_traces
     from repro.interp.tracegen import NestTracer as InterpNestTracer
     from repro.memsim import MemoryHierarchy, octane, stats_from_hierarchy
+    from repro.stream import AddressStream
 
     CASES = [
         (name, level)
@@ -174,10 +181,43 @@ if __name__ != "__main__":
         assert one == 1 and (many > 1 or whole.accesses <= TINY_CHUNK)
         assert chunked == whole
 
+    def _oracle_fingerprint(variant, params, steps):
+        """The interpreter's trace laid out by ``Layout.addresses``."""
+        trace = interp_trace(variant.program, params, steps=steps)
+        return AddressStream.from_trace(trace, variant.layout(params)).fingerprint()
+
+    def _chunks_fingerprint(variant, params, steps):
+        """``run()``'s producer under the codegen tracer: addresses
+        emitted with each reference's layout folded in."""
+        chunks = list(variant_chunks(variant, params, steps, "fast+codegen"))
+        assert all(c.meta.unit == "bytes" for c in chunks)
+        return AddressStream.concat(chunks).fingerprint()
+
+    @pytest.mark.parametrize(
+        "name,level", CASES, ids=[f"{n}-{lv}" for n, lv in CASES]
+    )
+    def test_address_chunks_match_the_oracle(name, level, monkeypatch):
+        variant, params = _variant(name, level), GOLDEN_PARAMS[name]
+        oracle = _oracle_fingerprint(variant, params, STEPS)
+        assert _chunks_fingerprint(variant, params, STEPS) == oracle
+        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", TINY_CHUNK)
+        assert _chunks_fingerprint(variant, params, STEPS) == oracle
+
     def test_goldens_cover_all_variants():
         golden = json.loads(GOLDEN_FILE.read_text())
         assert sorted(golden) == sorted(f"{n}-{lv}" for n, lv in CASES)
         assert len(golden) == 42
+
+    def _full_size(name):
+        """Registry params and steps (fft, built rather than registered,
+        at its golden size)."""
+        from repro.programs import registry
+
+        try:
+            entry = registry.get(name)
+        except KeyError:
+            return GOLDEN_PARAMS[name], 1
+        return dict(entry.default_params), entry.steps
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
@@ -185,18 +225,21 @@ if __name__ != "__main__":
     )
     def test_trace_matches_interpreter_full_size(name, level):
         """The full matrix at the fig-10 registry sizes (tier 2)."""
-        from repro.programs import registry
-
-        try:
-            entry = registry.get(name)
-            params = dict(entry.default_params)
-            steps = entry.steps
-        except KeyError:  # fft is built, not registered
-            params, steps = GOLDEN_PARAMS[name], 1
+        params, steps = _full_size(name)
         program = _variant_program(name, level)
         ref = interp_trace(program, params, steps=steps)
         out = codegen_trace(program, params, steps=steps)
         assert_traces_identical(ref, out, f"{name}/{level} full")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "name,level", CASES, ids=[f"{n}-{lv}" for n, lv in CASES]
+    )
+    def test_address_chunks_match_the_oracle_full_size(name, level):
+        """The address-emitting producer at the fig-10 registry sizes."""
+        variant, (params, steps) = _variant(name, level), _full_size(name)
+        oracle = _oracle_fingerprint(variant, params, steps)
+        assert _chunks_fingerprint(variant, params, steps) == oracle
 
 
 def main() -> int:

@@ -83,9 +83,12 @@ class TestFrontDoor:
         )
         for variant, divmods in zip(result, (0, 1)):
             spans = {s.name: s.attrs for s in variant.spans}
-            # default layouts decode without a division; swim's regrouped
-            # columns leave one stride break
-            assert spans["addresses"]["divmods"] == divmods
+            # default layouts address without a division; swim's regrouped
+            # columns leave one stride break; the codegen tracer emits the
+            # addresses itself, so there is no separate addresses stage
+            assert spans["trace-gen"]["divmods"] == divmods
+            assert spans["trace-gen"]["accesses"] == variant.trace_length
+            assert "addresses" not in spans and "addresses" not in variant.timings
             for level in ("l1", "l2", "tlb"):
                 assert 0 < spans[level]["heads"] <= variant.trace_length
             assert 0 < spans["tlb"]["far"] < spans["tlb"]["heads"]
@@ -94,32 +97,42 @@ class TestFrontDoor:
     def test_one_span_per_stage_however_many_chunks(self, monkeypatch):
         from repro.interp import trace as trace_module
 
-        request = RunRequest(program="adi", levels=("noopt",), params=SMALL, steps=1)
-        whole = run(request)[0]
-        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", 997)
-        chunked = run(request)[0]
-        assert chunked.stats == whole.stats
-        assert set(chunked.timings) == set(whole.timings)
-        chunks = set()
-        # each level's span reports the whole run's misses, not its last chunk's
-        misses = {
-            "l1": whole.stats.l1_misses,
-            "l2": whole.stats.l2_misses,
-            "tlb": whole.stats.tlb_misses,
-            "dram": whole.stats.dram_row_misses,
-        }
-        for stage in ("trace-gen", "addresses", "l1", "l2", "tlb", "dram"):
-            (sp,) = [s for s in chunked.spans if s.name == stage]
-            chunks.add(sp.attrs["chunks"])
-            # timings keep their keys and sum the chunks, like the span
-            assert chunked.timings[stage] == sp.duration_s
-            if stage in misses:
-                assert sp.attrs["misses"] == misses[stage], stage
-        # chunks end on segment boundaries: at least 16 of <= 997 accesses
-        (count,) = chunks
-        assert count >= -(-whole.trace_length // 997)
-        (laid,) = [s for s in chunked.spans if s.name == "addresses"]
-        assert laid.attrs["accesses"] == whole.trace_length
+        levels = ("l1", "l2", "tlb", "dram")
+        # the addresses stage exists only where the oracle lays a trace out
+        for engine, stages in (
+            ("fast+codegen", ("trace-gen", *levels)),
+            ("reference+interp", ("trace-gen", "addresses", *levels)),
+        ):
+            request = RunRequest(
+                program="adi", levels=("noopt",), params=SMALL, steps=1, engine=engine
+            )
+            monkeypatch.undo()
+            whole = run(request)[0]
+            monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", 997)
+            chunked = run(request)[0]
+            assert chunked.stats == whole.stats
+            assert set(chunked.timings) == set(whole.timings) == {"compile", *stages}
+            chunks = set()
+            # each level's span reports the whole run's misses, not its last
+            # chunk's
+            misses = {
+                "l1": whole.stats.l1_misses,
+                "l2": whole.stats.l2_misses,
+                "tlb": whole.stats.tlb_misses,
+                "dram": whole.stats.dram_row_misses,
+            }
+            for stage in stages:
+                (sp,) = [s for s in chunked.spans if s.name == stage]
+                chunks.add(sp.attrs["chunks"])
+                # timings keep their keys and sum the chunks, like the span
+                assert chunked.timings[stage] == sp.duration_s
+                if stage in misses:
+                    assert sp.attrs["misses"] == misses[stage], stage
+            # chunks end on segment boundaries: at least 16 of <= 997 accesses
+            (count,) = chunks
+            assert count >= -(-whole.trace_length // 997)
+            (traced,) = [s for s in chunked.spans if s.name == "trace-gen"]
+            assert traced.attrs["accesses"] == whole.trace_length, engine
 
     def test_program_without_arrays_measures_as_all_zero(self):
         from repro.lang import ProgramBuilder

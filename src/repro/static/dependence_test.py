@@ -7,9 +7,10 @@ it to integer feasibility of
 
     base + sum(c_k * t_k) = target,    t_k in [lo_k, hi_k]
 
-where the ``t_k`` range over the surrounding loop variables (outer
-variables contribute one shared term, inner variables two independent
-copies) and ``target`` encodes the lane distance along the axis.
+where the ``t_k`` range over the surrounding loop variables and
+``target`` encodes the lane distance along the axis.  :func:`lane_terms`
+builds those terms once for both uses below: an outer variable
+contributes one shared term, an inner one two independent copies.
 
 Two precision tiers live here:
 
@@ -173,6 +174,41 @@ def solve_sum(
     return None, state["proved"]
 
 
+def lane_terms(
+    tf: Mapping[str, int],
+    tg: Mapping[str, int],
+    axis: str,
+    outer: Mapping[str, tuple[int, int]],
+    inner: Mapping[str, tuple[int, int]],
+) -> Optional[list[tuple[str, str, Term]]]:
+    """The terms of ``elem_f - elem_g`` over every variable but ``axis``.
+
+    Entries are ``(side, variable, term)`` in variable order.  An
+    ``inner`` variable iterates independently per lane, so it gives two
+    copies (side ``"a"`` for ``f``, ``"b"`` for ``g``); an ``outer``
+    variable is one shared value, so it gives one difference term (side
+    ``"shared"``).  ``None`` when a variable is bound by neither.
+    """
+    out: list[tuple[str, str, Term]] = []
+    for name in sorted(set(tf) | set(tg)):
+        if name == axis:
+            continue
+        cf, cg = tf.get(name, 0), tg.get(name, 0)
+        if name in inner:
+            lo, hi = inner[name]
+            if cf:
+                out.append(("a", name, (cf, lo, hi)))
+            if cg:
+                out.append(("b", name, (-cg, lo, hi)))
+        elif name in outer:
+            lo, hi = outer[name]
+            if cf != cg:
+                out.append(("shared", name, (cf - cg, lo, hi)))
+        else:
+            return None
+    return out
+
+
 def lane_conflict(
     kf: int,
     tf: Mapping[str, int],
@@ -183,43 +219,22 @@ def lane_conflict(
     axis_lo: int,
     outer: Mapping[str, tuple[int, int]],
     inner: Mapping[str, tuple[int, int]],
-    max_enum: int = MAX_DISTANCE_ENUM,
 ) -> bool:
     """Can instances on *different* lanes of ``axis`` touch one element?
 
     ``(kf, tf)`` and ``(kg, tg)`` are the two references' folded
-    integer-affine element indices (constant, variable -> coefficient);
-    ``inner`` variables iterate independently per lane (two separate
-    copies), ``outer`` variables are shared (one difference term), and
-    anything unbound is assumed conflicting.  Conservative: ``True``
+    integer-affine element indices (constant, variable -> coefficient),
+    their other variables bound as :func:`lane_terms` reads them; an
+    unbound variable is assumed conflicting.  Conservative: ``True``
     means "maybe" (solve exactly), ``False`` is a proof.
     """
     c_f = tf.get(axis, 0)
     c_g = tg.get(axis, 0)
     base = kf - kg
-    terms: list[Term] = []
-
-    def add(coeff: int, name: str, is_inner: bool) -> bool:
-        rng = inner.get(name) if is_inner else outer.get(name)
-        if rng is None:
-            return False
-        if coeff:
-            terms.append((coeff, rng[0], rng[1]))
+    labelled = lane_terms(tf, tg, axis, outer, inner)
+    if labelled is None:
         return True
-
-    for name in set(tf) | set(tg):
-        if name == axis:
-            continue
-        cf, cg = tf.get(name, 0), tg.get(name, 0)
-        if name in inner:
-            # independent instances: two separate copies
-            if not (add(cf, name, True) and add(-cg, name, True)):
-                return True
-        elif name in outer:
-            if not add(cf - cg, name, False):
-                return True
-        else:
-            return True  # unknown variable: assume conflict
+    terms = [term for _, _, term in labelled]
 
     if c_f != c_g:
         # different axis coefficients: treat both lane values as free
@@ -230,7 +245,7 @@ def lane_conflict(
 
     if c_f == 0:
         return attainable(0, base, terms)
-    if span > max_enum:
+    if span > MAX_DISTANCE_ENUM:
         return True
     for d in range(-span, span + 1):
         if d and attainable(-c_f * d, base, terms):

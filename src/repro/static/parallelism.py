@@ -29,7 +29,10 @@ shared :mod:`.dependence_test`: the conservative interval+gcd screen
 (:func:`~.dependence_test.lane_conflict`) filters pairs, then the exact
 :func:`~.dependence_test.solve_sum` backtracker either produces a
 witness, *overturns* the conservative screen with an infeasibility
-proof, or runs out of budget (witness ``None``, marked inexact).
+proof, or runs out of budget (witness ``None``, marked inexact).  Both
+read one set of cross-lane terms, :func:`~.dependence_test.lane_terms`.
+Each axis is collected once (:class:`_Collector`), and one rule
+(:func:`_assign_accesses`) lists an assignment's accesses for both tiers.
 
 Layering: depends on ``lang`` and ``obs`` only — element numbering
 reproduces the tracer's column-major linearization locally so nothing
@@ -38,8 +41,8 @@ here imports the interpreter or the codegen backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ..lang import (
     ZERO,
@@ -59,7 +62,7 @@ from ..lang import (
     UnaryOp,
 )
 from ..obs import metrics, span
-from .dependence_test import lane_conflict, solve_sum
+from .dependence_test import lane_conflict, lane_terms, solve_sum
 
 #: iteration spaces up to this many accesses are classified exhaustively
 CONCRETE_CAP = 200_000
@@ -78,11 +81,7 @@ VERDICTS = ("doall", "reduction", "serial", "unknown")
 
 
 class _Unsupported(Exception):
-    """A nest outside the integer-affine subset (reason attached)."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+    """A nest outside the integer-affine subset (the message says why)."""
 
 
 # -- result types ------------------------------------------------------------
@@ -92,9 +91,9 @@ class _Unsupported(Exception):
 class RaceWitness:
     """A concrete pair of conflicting iterations of one loop axis.
 
-    ``env_a`` / ``env_b`` bind *every* loop variable in scope for the
-    two colliding accesses (they agree on loops enclosing the axis,
-    differ on the axis itself, and are independent on inner loops);
+    ``env_a`` / ``env_b`` bind, under their source names, the axis, the
+    loops enclosing it (on which they agree) and the loops enclosing each
+    reference (independent per side) — each reference's own iteration;
     ``element`` is the linearized column-major element index the two
     references both touch.  ``exact`` is ``True`` when the pair was
     validated against the real (possibly triangular, guarded) bounds;
@@ -177,11 +176,9 @@ class ParallelismProfile:
 
     def parallel_nests(self) -> tuple[int, ...]:
         """Top-level nests whose outermost axis is DOALL or reduction."""
-        out = []
-        for v in self.verdicts:
-            if v.depth == 0 and v.parallel:
-                out.append(v.nest)
-        return tuple(out)
+        return tuple(
+            v.nest for v in self.verdicts if v.depth == 0 and v.parallel
+        )
 
     def counts(self) -> dict[str, int]:
         out = {k: 0 for k in VERDICTS}
@@ -205,18 +202,9 @@ class ParallelismProfile:
                     "exact": v.exact,
                     "reduction_targets": list(v.reduction_targets),
                     "witness": None if v.witness is None else {
-                        "axis": v.witness.axis,
-                        "iter_a": v.witness.iter_a,
-                        "iter_b": v.witness.iter_b,
-                        "array": v.witness.array,
-                        "element": v.witness.element,
-                        "ref_a": v.witness.ref_a,
-                        "ref_b": v.witness.ref_b,
-                        "write_a": v.witness.write_a,
-                        "write_b": v.witness.write_b,
+                        **asdict(v.witness),
                         "env_a": dict(v.witness.env_a),
                         "env_b": dict(v.witness.env_b),
-                        "exact": v.witness.exact,
                     },
                 }
                 for v in self.verdicts
@@ -279,9 +267,8 @@ class _Ref:
     terms: dict[str, int]
     is_write: bool
     text: str
-    stmt_id: int
-    accum: Optional[int]  # stmt id when part of an accumulation pattern
-    subs: tuple[Affine, ...] = ()
+    accum: Optional[int]  # statement number when part of an accumulation
+    loops: tuple[str, ...]  # the axis-inner loop occurrences enclosing it
 
 
 def _walk_expr(expr: Expr) -> Iterator[Expr]:
@@ -319,11 +306,8 @@ def _accum_spine(stmt: Assign) -> Optional[Expr]:
     def additive(expr: Expr, sign: int) -> Optional[list[tuple[Expr, int]]]:
         if isinstance(expr, BinOp) and expr.op in ("+", "-"):
             left = additive(expr.left, sign)
-            rsign = sign if expr.op == "+" else -sign
-            right = additive(expr.right, rsign)
-            if left is None or right is None:
-                return None
-            return left + right
+            right = additive(expr.right, sign if expr.op == "+" else -sign)
+            return None if left is None or right is None else left + right
         if isinstance(expr, UnaryOp) and expr.op == "-":
             return additive(expr.operand, -sign)
         return [(expr, sign)]
@@ -346,64 +330,83 @@ def _accum_spine(stmt: Assign) -> Optional[Expr]:
     return None
 
 
+def _assign_accesses(stmt: Assign) -> list[tuple[Expr, bool, bool]]:
+    """An assignment's accesses in trace order, as ``(ref, is_write,
+    accum)``: its reads in pre-order, then its target.  ``accum`` marks
+    an accumulation's self-read and its target."""
+    self_read = _accum_spine(stmt)
+    accum = self_read is not None
+    out = []
+    for leaf in _walk_expr(stmt.expr):
+        out.append((leaf, False, leaf is self_read))
+        if leaf is self_read:
+            self_read = None  # mark one read, should the node repeat
+    out.append((stmt.target, True, accum))
+    return out
+
+
 class _Collector:
-    """Flatten an axis's subtree into folded references + inner ranges."""
+    """One axis's subtree flattened into folded references + inner ranges,
+    read by the symbolic tier, the space estimate and the reduction targets.
+
+    Inner loops are variables per *occurrence* (``j#0``, ``j#1``, ...),
+    like :attr:`.model.LoopCtx.loop_id`: fusion's peeling leaves sibling
+    loops that reuse an index name over different ranges.  Raises
+    :class:`_Unsupported` outside the integer-affine subset.
+    """
 
     def __init__(
         self,
         params: Mapping[str, int],
         strides: Mapping[str, tuple[int, ...]],
+        loop: Loop,
+        known: dict[str, tuple[int, int]],
     ) -> None:
         self.params = params
         self.strides = strides
         self.refs: list[_Ref] = []
         self.inner: dict[str, tuple[int, int]] = {}
-        self.stmt_count = 0
         self.exact = True  # False once a guard or context-widened bound appears
         self.per_lane = 0  # upper bound on accesses per axis iteration
+        self._stmts = 0
+        self._collect(loop.body, known, {}, 1)
 
-    def add(
-        self,
-        ref: Expr,
-        is_write: bool,
-        stmt_id: int,
-        accum: Optional[int],
+    def reductions(self) -> tuple[str, ...]:
+        """The accumulation targets, one per accumulating statement."""
+        return tuple(
+            r.text for r in self.refs if r.accum is not None and r.is_write
+        )
+
+    def _add(
+        self, ref: Expr, is_write: bool, accum: Optional[int], scope: dict[str, str]
     ) -> None:
         if isinstance(ref, ScalarRef):
-            self.refs.append(_Ref(
-                SCALAR_PREFIX + ref.name, 0, {}, is_write,
-                ref.name, stmt_id, accum,
-            ))
-            return
-        assert isinstance(ref, ArrayRef)
-        const, terms = _linearize(ref, self.strides, self.params)
+            array, const, terms = SCALAR_PREFIX + ref.name, 0, ()
+        else:
+            assert isinstance(ref, ArrayRef)
+            const, terms = _linearize(ref, self.strides, self.params)
+            array = ref.array
         self.refs.append(_Ref(
-            ref.array, const, dict(terms), is_write, str(ref), stmt_id, accum,
-            subs=ref.index_affines(),
+            array, const, {scope.get(n, n): c for n, c in terms},
+            is_write, str(ref), accum, tuple(scope.values()),
         ))
 
-    def collect(
+    def _collect(
         self,
         body: Sequence[Stmt],
         known: dict[str, tuple[int, int]],
-        mult: int = 1,
+        scope: dict[str, str],
+        mult: int,
     ) -> None:
+        """``known`` ranges every name in scope for the bounds; ``scope``
+        maps each axis-inner loop's index to its occurrence."""
         for stmt in body:
             if isinstance(stmt, Assign):
-                stmt_id = self.stmt_count
-                self.stmt_count += 1
-                spine_self = _accum_spine(stmt)
-                accum_key = stmt_id if spine_self is not None else None
-                claimed = False
-                for leaf in _walk_expr(stmt.expr):
-                    mark = None
-                    if not claimed and leaf is spine_self:
-                        mark = accum_key
-                        claimed = True
-                    self.add(leaf, False, stmt_id, mark)
+                stmt_id = self._stmts
+                self._stmts += 1
+                for ref, is_write, accum in _assign_accesses(stmt):
+                    self._add(ref, is_write, stmt_id if accum else None, scope)
                     self.per_lane += mult
-                self.add(stmt.target, True, stmt_id, accum_key)
-                self.per_lane += mult
             elif isinstance(stmt, Loop):
                 try:
                     lo_a, hi_a = stmt.bounds_affine()
@@ -414,14 +417,17 @@ class _Collector:
                 if lo_r[0] != lo_r[1] or hi_r[0] != hi_r[1]:
                     self.exact = False  # context-dependent (e.g. triangular)
                 rng = (lo_r[0], hi_r[1])
-                self.inner[stmt.index] = rng
-                sub = dict(known)
-                sub[stmt.index] = rng
-                self.collect(stmt.body, sub, mult * max(0, rng[1] - rng[0] + 1))
+                occurrence = f"{stmt.index}#{len(self.inner)}"
+                self.inner[occurrence] = rng
+                self._collect(
+                    stmt.body, {**known, stmt.index: rng},
+                    {**scope, stmt.index: occurrence},
+                    mult * max(0, rng[1] - rng[0] + 1),
+                )
             elif isinstance(stmt, Guard):
                 self.exact = False  # both branches folded in (hull)
-                self.collect(stmt.body, known, mult)
-                self.collect(stmt.else_body, known, mult)
+                self._collect(stmt.body, known, scope, mult)
+                self._collect(stmt.else_body, known, scope, mult)
             else:
                 raise _Unsupported(f"cannot analyze {type(stmt).__name__}")
 
@@ -429,13 +435,17 @@ class _Collector:
 # -- symbolic witness search --------------------------------------------------
 
 
-def _deltas(span: int, cap: int = MAX_WITNESS_DELTAS) -> Iterator[int]:
-    """Candidate lane distances, smallest magnitude first: 1,-1,2,-2,..."""
-    for k in range(1, span + 1):
+def _deltas(span: int) -> Iterator[int]:
+    """Candidate lane distances, smallest magnitude first: 1,-1,2,-2,...
+    (at most :data:`MAX_WITNESS_DELTAS` of them)."""
+    for k in range(1, min(span, MAX_WITNESS_DELTAS // 2) + 1):
         yield k
         yield -k
-        if 2 * k >= cap:
-            return
+
+
+def _source_env(at: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
+    """A witness environment: loop occurrences back to source names."""
+    return tuple(sorted((v.partition("#")[0], x) for v, x in at.items()))
 
 
 @dataclass
@@ -460,51 +470,31 @@ def _solve_pair(
     c_f = f.terms.get(axis, 0)
     c_g = g.terms.get(axis, 0)
     base = f.const - g.const
-    shared: list[tuple[int, int, int]] = []
-    labels: list[tuple[str, str]] = []  # (side, var) aligned with terms
-
-    for name in sorted(set(f.terms) | set(g.terms)):
-        if name == axis:
-            continue
-        cf, cg = f.terms.get(name, 0), g.terms.get(name, 0)
-        if name in inner:
-            rng = inner[name]
-            if cf:
-                shared.append((cf, rng[0], rng[1]))
-                labels.append(("a", name))
-            if cg:
-                shared.append((-cg, rng[0], rng[1]))
-                labels.append(("b", name))
-        elif name in outer:
-            rng = outer[name]
-            if cf - cg:
-                shared.append((cf - cg, rng[0], rng[1]))
-                labels.append(("shared", name))
-        else:
-            # out-of-scope variable: conservatively conflicting
-            return _PairResult(conflict=True, proved=False)
+    labelled = lane_terms(f.terms, g.terms, axis, outer, inner)
+    if labelled is None:
+        # out-of-scope variable: conservatively conflicting
+        return _PairResult(conflict=True, proved=False)
+    shared = [term for _, _, term in labelled]
 
     def build(values: Sequence[int], ia: int, ib: int) -> RaceWitness:
-        env_a = {axis: ia}
-        env_b = {axis: ib}
-        for (side, name), v in zip(labels, values):
-            if side in ("a", "shared"):
-                env_a[name] = v
-            if side in ("b", "shared"):
-                env_b[name] = v
-        for name, rng in list(outer.items()) + list(inner.items()):
-            env_a.setdefault(name, rng[0])
-            env_b.setdefault(name, rng[0])
-        elem = f.const + sum(
-            c * env_a[n] for n, c in f.terms.items() if n in env_a
-        )
+        # each side binds the axis, the outer loops and the loops around
+        # its own reference; an unconstrained one sits at its lower bound
+        at_a = {axis: ia}
+        at_b = {axis: ib}
+        for (side, var, _), v in zip(labelled, values):
+            if side != "b":
+                at_a[var] = v
+            if side != "a":
+                at_b[var] = v
+        for at, ref in ((at_a, f), (at_b, g)):
+            for var in (*outer, *ref.loops):
+                at.setdefault(var, (outer.get(var) or inner[var])[0])
         return RaceWitness(
-            axis=axis, iter_a=ia, iter_b=ib,
-            array=f.array, element=elem,
+            axis=axis, iter_a=ia, iter_b=ib, array=f.array,
+            element=f.const + sum(c * at_a[n] for n, c in f.terms.items()),
             ref_a=f.text, ref_b=g.text,
             write_a=f.is_write, write_b=g.is_write,
-            env_a=tuple(sorted(env_a.items())),
-            env_b=tuple(sorted(env_b.items())),
+            env_a=_source_env(at_a), env_b=_source_env(at_b),
             exact=exact_space,
         )
 
@@ -517,11 +507,7 @@ def _solve_pair(
     # relaxed solve first: both lane values free, distinctness dropped.
     # Infeasible => proof of independence (the relaxation only adds
     # solutions); a solution with distinct lanes is already a witness.
-    relaxed: list[tuple[int, int, int]] = []
-    if c_f:
-        relaxed.append((c_f, lo, hi))
-    if c_g:
-        relaxed.append((-c_g, lo, hi))
+    relaxed = [(c, lo, hi) for c in (c_f, -c_g) if c]
     sol, proved = solve_sum(0, base, relaxed + shared)
     if sol is None:
         return _PairResult(False, proved)
@@ -555,12 +541,7 @@ def _solve_pair(
             terms.insert(0, (c_f - c_g, ia_lo, ia_hi))
         sol, proved = solve_sum(0, base + c_g * delta, terms, budget=512)
         if sol is not None:
-            if c_f != c_g:
-                ia = sol[0]
-                values = sol[1:]
-            else:
-                ia = ia_lo
-                values = sol
+            ia, values = (sol[0], sol[1:]) if c_f != c_g else (ia_lo, sol)
             return _PairResult(True, True, build(values, ia, ia - delta))
         if not proved:
             proved_all = False
@@ -611,6 +592,8 @@ class _ConcreteChecker:
         self.has_exempt = False
         # id(bound / array reference) -> its record, params folded in
         self._records: dict[int, _Record] = {}
+        # id(assignment) -> its accesses (ref, text, is_write, accum key)
+        self._assigns: dict[int, list[tuple[Expr, str, bool, Optional[int]]]] = {}
 
     def _eval(self, node) -> int:
         """Evaluate a bound or an array reference's element index in the
@@ -639,14 +622,10 @@ class _ConcreteChecker:
             raise _Unsupported(f"unbound loop variable {exc.args[0]!r}") from exc
         return v
 
-    def run(self) -> tuple[str, Optional[RaceWitness]]:
-        """Returns (verdict, witness) — exact for this parameter binding."""
+    def run(self) -> None:
+        """Walk the space: afterwards ``witness`` (serial), else
+        ``has_exempt`` (reduction), is exact for this parameter binding."""
         self._walk_chain(0)
-        if self.witness is not None:
-            return "serial", self.witness
-        if self.has_exempt:
-            return "reduction", None
-        return "doall", None
 
     def _walk_chain(self, k: int) -> None:
         node = self.chain[k]
@@ -655,9 +634,7 @@ class _ConcreteChecker:
             return
         nxt = self.chain[k + 1]
         if isinstance(node, Loop):
-            lo = self._eval(node.lower)
-            hi = self._eval(node.upper)
-            for v in range(lo, hi + 1):
+            for v in range(self._eval(node.lower), self._eval(node.upper) + 1):
                 self.env[node.index] = v
                 self._walk_chain(k + 1)
                 if self.witness is not None:
@@ -680,39 +657,32 @@ class _ConcreteChecker:
         )
 
     def _run_axis(self, loop: Loop) -> None:
-        lo = self._eval(loop.lower)
-        hi = self._eval(loop.upper)
-        self.table = {}
-        for lane in range(lo, hi + 1):
+        self.table = {}  # conflicts are per assignment of the outer loops
+        for lane in range(self._eval(loop.lower), self._eval(loop.upper) + 1):
             self.lane = lane
             self.env[loop.index] = lane
             self._walk_body(loop.body)
             if self.witness is not None:
                 break
         self.env.pop(loop.index, None)
-        self.table = {}
 
     def _walk_body(self, body: Sequence[Stmt]) -> None:
         for stmt in body:
             if self.witness is not None:
                 return
             if isinstance(stmt, Assign):
-                spine_self = _accum_spine(stmt)
-                # key on the *static* statement so accumulation accesses
-                # from different lanes recognize each other as exempt
-                accum_key = id(stmt) if spine_self is not None else None
-                claimed = False
-                for leaf in _walk_expr(stmt.expr):
-                    mark = None
-                    if not claimed and leaf is spine_self:
-                        mark = accum_key
-                        claimed = True
-                    self._record(leaf, False, mark)
-                self._record(stmt.target, True, accum_key)
+                accesses = self._assigns.get(id(stmt))
+                if accesses is None:
+                    # key on the *static* statement so accumulation
+                    # accesses from different lanes recognize each other
+                    accesses = self._assigns[id(stmt)] = [
+                        (ref, str(ref), is_write, id(stmt) if accum else None)
+                        for ref, is_write, accum in _assign_accesses(stmt)
+                    ]
+                for access in accesses:
+                    self._record(*access)
             elif isinstance(stmt, Loop):
-                lo = self._eval(stmt.lower)
-                hi = self._eval(stmt.upper)
-                for v in range(lo, hi + 1):
+                for v in range(self._eval(stmt.lower), self._eval(stmt.upper) + 1):
                     self.env[stmt.index] = v
                     self._walk_body(stmt.body)
                 self.env.pop(stmt.index, None)
@@ -724,17 +694,16 @@ class _ConcreteChecker:
             else:
                 raise _Unsupported(f"cannot analyze {type(stmt).__name__}")
 
-    def _record(self, ref: Expr, is_write: bool, accum: Optional[int]) -> None:
+    def _record(
+        self, ref: Expr, text: str, is_write: bool, accum: Optional[int]
+    ) -> None:
         self.accesses += 1
         if self.accesses > CONCRETE_CAP:
             raise _BudgetExceeded
         if isinstance(ref, ScalarRef):
             key = (SCALAR_PREFIX + ref.name, 0)
-            text = ref.name
         else:
-            assert isinstance(ref, ArrayRef)
             key = (ref.array, self._eval(ref))
-            text = str(ref)
         classes = self.table.setdefault(key, {})
         cls = (is_write, accum)
         mine = classes.get(cls)
@@ -757,22 +726,19 @@ class _ConcreteChecker:
             if self.witness is None:
                 o_lane, o_text, o_env = other
                 self.witness = RaceWitness(
-                    axis=self.axis_loop.index,
-                    iter_a=o_lane,
-                    iter_b=self.lane,
-                    array=key[0],
-                    element=key[1],
-                    ref_a=o_text,
-                    ref_b=text,
-                    write_a=o_write,
-                    write_b=is_write,
+                    axis=self.axis_loop.index, iter_a=o_lane, iter_b=self.lane,
+                    array=key[0], element=key[1], ref_a=o_text, ref_b=text,
+                    write_a=o_write, write_b=is_write,
                     env_a=tuple(sorted(o_env.items())),
                     env_b=tuple(sorted(self.env.items())),
-                    exact=True,
                 )
 
 
 # -- the analyzer -------------------------------------------------------------
+
+
+#: an axis's own bound intervals (lower, upper), or why they do not fold
+_Bounds = Union[tuple[tuple[int, int], tuple[int, int]], AnalysisError]
 
 
 class _Analyzer:
@@ -796,24 +762,29 @@ class _Analyzer:
         ranges: dict[str, tuple[int, int]],
     ) -> None:
         if isinstance(stmt, Guard):
-            for s in stmt.body + stmt.else_body:
+            inside = _guarded(stmt, self.params, ranges)
+            for s in stmt.body:
+                self._visit(s, nest, path, chain + [s], inside)
+            for s in stmt.else_body:
                 self._visit(s, nest, path, chain + [s], ranges)
             return
         if not isinstance(stmt, Loop):
             return
-        verdict = self._classify(stmt, nest, path + (stmt.index,), chain, ranges)
-        self.verdicts.append(verdict)
+        path = path + (stmt.index,)
+        inner = ranges
         try:
-            lo_r = interval(stmt.lower.affine(), self.params, ranges)
-            hi_r = interval(stmt.upper.affine(), self.params, ranges)
-            rng = (lo_r[0], hi_r[1])
-        except AnalysisError:
-            rng = None
-        inner = dict(ranges)
-        if rng is not None:
-            inner[stmt.index] = rng
+            bounds: _Bounds = (
+                interval(stmt.lower.affine(), self.params, ranges),
+                interval(stmt.upper.affine(), self.params, ranges),
+            )
+            inner = {**ranges, stmt.index: (bounds[0][0], bounds[1][1])}
+        except AnalysisError as exc:
+            bounds = exc
+        self.verdicts.append(
+            self._classify(stmt, nest, path, chain, ranges, bounds)
+        )
         for s in stmt.body:
-            self._visit(s, nest, path + (stmt.index,), chain + [s], inner)
+            self._visit(s, nest, path, chain + [s], inner)
 
     def _classify(
         self,
@@ -822,24 +793,22 @@ class _Analyzer:
         path: tuple[str, ...],
         chain: list[Stmt],
         outer: dict[str, tuple[int, int]],
+        bounds: _Bounds,
     ) -> AxisVerdict:
-        depth = len(path) - 1
-
         def verdict(kind, reason, witness=None, reductions=(), exact=True):
             return AxisVerdict(
-                nest=nest, path=path, index=loop.index, depth=depth,
+                nest=nest, path=path, index=loop.index, depth=len(path) - 1,
                 verdict=kind, reason=reason, witness=witness,
                 reduction_targets=tuple(sorted(set(reductions))), exact=exact,
             )
 
-        try:
-            lo_r = interval(loop.lower.affine(), self.params, outer)
-            hi_r = interval(loop.upper.affine(), self.params, outer)
-        except AnalysisError as exc:
-            return verdict("unknown", f"bounds not analyzable: {exc}", exact=False)
+        if isinstance(bounds, AnalysisError):
+            return verdict(
+                "unknown", f"bounds not analyzable: {bounds}", exact=False
+            )
+        lo_r, hi_r = bounds
         rng = (lo_r[0], hi_r[1])
-        span = rng[1] - rng[0]
-        if span <= 0:
+        if rng[1] - rng[0] <= 0:
             return verdict("doall", "at most one iteration")
         # an axis whose own bounds vary with an enclosing variable
         # (triangular nest) is analyzed over its rectangular hull; any
@@ -849,166 +818,153 @@ class _Analyzer:
 
         # symbolic tier first: for rectangular spaces its answers are
         # already exact proofs/witnesses and cost no enumeration
-        symbolic = self._classify_symbolic(loop, outer, rng, verdict, rng_exact)
+        collector: Optional[_Collector] = None
+        try:
+            collector = _Collector(
+                self.params, self.strides, loop, {**outer, loop.index: rng}
+            )
+        except _Unsupported as exc:
+            symbolic = verdict(
+                "unknown", f"outside affine subset: {exc}", exact=False
+            )
+        else:
+            symbolic = _classify_symbolic(
+                collector, loop.index, outer, rng, verdict, rng_exact
+            )
         if symbolic.exact:
             return symbolic
 
         # inexact (triangular bounds, guards, solver budget): decide by
         # exhaustive enumeration when the space is small enough
-        space = self._space_estimate(chain, loop, outer, rng)
-        if space is not None and space <= CONCRETE_CAP:
-            try:
-                checker = _ConcreteChecker(chain, loop, self.params, self.strides)
-                kind, witness = checker.run()
-                if kind == "serial":
-                    return verdict(
-                        "serial",
-                        "cross-lane dependence (exhaustive check)",
-                        witness=witness,
-                    )
-                if kind == "reduction":
-                    reductions = self._reduction_targets(loop, outer, rng)
-                    return verdict(
-                        "reduction",
-                        "accumulation-only conflicts (exhaustive check)",
-                        reductions=reductions,
-                    )
-                return verdict("doall", "no cross-lane conflicts (exhaustive check)")
-            except (_BudgetExceeded, _Unsupported):
-                pass  # keep the conservative symbolic answer
-
-        return symbolic
-
-    def _space_estimate(
-        self,
-        chain: Sequence[Stmt],
-        loop: Loop,
-        outer: Mapping[str, tuple[int, int]],
-        rng: tuple[int, int],
-    ) -> Optional[int]:
-        """Upper bound on accesses the concrete checker would record.
-
-        ``None`` means "unbounded as far as we can tell" (an enclosing
-        loop without an analyzable range) — the concrete tier is skipped
-        rather than burning its budget on a hopeless walk.
-        """
-        lanes = rng[1] - rng[0] + 1
-        total = lanes
-        for node in chain:
-            if isinstance(node, Loop) and node is not loop:
-                r = outer.get(node.index)
-                if r is None:
-                    return None
-                total *= max(1, r[1] - r[0] + 1)
+        space = _space_estimate(chain, loop, outer, rng, collector)
+        if space is None or space > CONCRETE_CAP:
+            return symbolic
+        checker = _ConcreteChecker(chain, loop, self.params, self.strides)
         try:
-            collector = _Collector(self.params, self.strides)
-            known = dict(outer)
-            known[loop.index] = rng
-            collector.collect(loop.body, known)
-        except _Unsupported:
-            # outside the symbolic subset: the concrete walk may still
-            # succeed, so allow it whenever the enclosing space alone is
-            # small (its own budget guard bounds the rest)
-            return total if total <= CONCRETE_CAP else None
-        return total * max(1, collector.per_lane)
+            checker.run()
+        except (_BudgetExceeded, _Unsupported):
+            return symbolic  # keep the conservative symbolic answer
+        if checker.witness is not None:
+            return verdict(
+                "serial", "cross-lane dependence (exhaustive check)",
+                witness=checker.witness,
+            )
+        if checker.has_exempt:
+            return verdict(
+                "reduction", "accumulation-only conflicts (exhaustive check)",
+                reductions=collector.reductions() if collector else (),
+            )
+        return verdict("doall", "no cross-lane conflicts (exhaustive check)")
 
-    def _collect_axis(
-        self,
-        loop: Loop,
-        outer: Mapping[str, tuple[int, int]],
-        rng: tuple[int, int],
-    ) -> _Collector:
-        collector = _Collector(self.params, self.strides)
-        known = dict(outer)
-        known[loop.index] = rng
-        collector.collect(loop.body, known)
-        return collector
 
-    def _reduction_targets(
-        self,
-        loop: Loop,
-        outer: Mapping[str, tuple[int, int]],
-        rng: tuple[int, int],
-    ) -> tuple[str, ...]:
-        try:
-            collector = self._collect_axis(loop, outer, rng)
-        except _Unsupported:
-            return ()
-        return tuple(
-            r.text for r in collector.refs
-            if r.accum is not None and r.is_write
-        )
+def _guarded(
+    guard: Guard, params: Mapping[str, int], ranges: dict[str, tuple[int, int]]
+) -> dict[str, tuple[int, int]]:
+    """``ranges`` inside ``guard``'s body: the guarded index narrowed to
+    the hull of its intervals, so a witness never names an iteration the
+    guard skips."""
+    rng = ranges.get(guard.index)
+    if rng is None:
+        return ranges
+    try:
+        lo = min(interval(iv.lower, params, ranges)[0] for iv in guard.intervals)
+        hi = max(interval(iv.upper, params, ranges)[1] for iv in guard.intervals)
+    except AnalysisError:
+        return ranges
+    return {**ranges, guard.index: (max(rng[0], lo), min(rng[1], hi))}
 
-    def _classify_symbolic(
-        self, loop, outer, rng, verdict, rng_exact: bool = True
-    ) -> AxisVerdict:
-        axis = loop.index
-        span = rng[1] - rng[0]
-        try:
-            collector = self._collect_axis(loop, outer, rng)
-        except _Unsupported as exc:
-            return verdict("unknown", f"outside affine subset: {exc.reason}",
-                           exact=False)
-        by_array: dict[str, list[_Ref]] = {}
-        for r in collector.refs:
-            by_array.setdefault(r.array, []).append(r)
-        exact_space = collector.exact and rng_exact
-        has_exempt = False
-        best_inexact: Optional[tuple[str, str]] = None
-        for refs in by_array.values():
-            for i, f in enumerate(refs):
-                for g in refs[i:]:
-                    if not (f.is_write or g.is_write):
-                        continue
-                    # the conservative screen first: a False
-                    # is already a proof of independence
-                    if not lane_conflict(
-                        f.const, f.terms, g.const, g.terms,
-                        axis, span, rng[0], outer, collector.inner,
-                    ):
-                        continue
-                    exempt = f.accum is not None and f.accum == g.accum
-                    result = _solve_pair(
-                        f, g, axis, rng, outer, collector.inner, exact_space
-                    )
-                    if not result.conflict:
-                        if result.proved:
-                            continue  # screen overturned exactly
-                        if not exempt:
-                            best_inexact = best_inexact or (f.text, g.text)
-                        continue
-                    if exempt:
-                        has_exempt = True
-                        continue
-                    if result.witness is None:
+
+def _space_estimate(
+    chain: Sequence[Stmt],
+    loop: Loop,
+    outer: Mapping[str, tuple[int, int]],
+    rng: tuple[int, int],
+    collector: Optional[_Collector],
+) -> Optional[int]:
+    """Upper bound on accesses the concrete checker would record.
+
+    ``None`` means "unbounded as far as we can tell" (an enclosing loop
+    without an analyzable range) — the concrete tier is skipped rather
+    than burning its budget on a hopeless walk.
+    """
+    total = rng[1] - rng[0] + 1
+    for node in chain:
+        if isinstance(node, Loop) and node is not loop:
+            r = outer.get(node.index)
+            if r is None:
+                return None
+            total *= max(1, r[1] - r[0] + 1)
+    if collector is None:
+        # outside the symbolic subset: the concrete walk may still
+        # succeed, so allow it whenever the enclosing space alone is
+        # small (its own budget guard bounds the rest)
+        return total if total <= CONCRETE_CAP else None
+    return total * max(1, collector.per_lane)
+
+
+def _classify_symbolic(
+    collector: _Collector,
+    axis: str,
+    outer: Mapping[str, tuple[int, int]],
+    rng: tuple[int, int],
+    verdict,
+    rng_exact: bool,
+) -> AxisVerdict:
+    span = rng[1] - rng[0]
+    by_array: dict[str, list[_Ref]] = {}
+    for r in collector.refs:
+        by_array.setdefault(r.array, []).append(r)
+    exact_space = collector.exact and rng_exact
+    has_exempt = False
+    best_inexact: Optional[tuple[str, str]] = None
+    for refs in by_array.values():
+        for i, f in enumerate(refs):
+            for g in refs[i:]:
+                if not (f.is_write or g.is_write):
+                    continue
+                # the conservative screen first: a False
+                # is already a proof of independence
+                if not lane_conflict(
+                    f.const, f.terms, g.const, g.terms,
+                    axis, span, rng[0], outer, collector.inner,
+                ):
+                    continue
+                exempt = f.accum is not None and f.accum == g.accum
+                result = _solve_pair(
+                    f, g, axis, rng, outer, collector.inner, exact_space
+                )
+                if not result.conflict:
+                    if result.proved:
+                        continue  # screen overturned exactly
+                    if not exempt:
                         best_inexact = best_inexact or (f.text, g.text)
-                        continue
-                    return verdict(
-                        "serial",
-                        f"cross-lane dependence between {f.text} and {g.text}",
-                        witness=result.witness,
-                        exact=exact_space and result.witness.exact,
-                    )
-        if best_inexact is not None:
-            return verdict(
-                "serial",
-                "possible cross-lane dependence between "
-                f"{best_inexact[0]} and {best_inexact[1]} (witness search "
-                "inconclusive)",
-                exact=False,
-            )
-        if has_exempt:
-            reductions = [
-                r.text for r in collector.refs
-                if r.accum is not None and r.is_write
-            ]
-            return verdict(
-                "reduction", "accumulation-only conflicts",
-                reductions=reductions, exact=exact_space,
-            )
+                    continue
+                if exempt:
+                    has_exempt = True
+                    continue
+                if result.witness is None:
+                    best_inexact = best_inexact or (f.text, g.text)
+                    continue
+                return verdict(
+                    "serial",
+                    f"cross-lane dependence between {f.text} and {g.text}",
+                    witness=result.witness,
+                    exact=exact_space and result.witness.exact,
+                )
+    if best_inexact is not None:
         return verdict(
-            "doall", "no cross-lane conflicts", exact=exact_space
+            "serial",
+            "possible cross-lane dependence between "
+            f"{best_inexact[0]} and {best_inexact[1]} (witness search "
+            "inconclusive)",
+            exact=False,
         )
+    if has_exempt:
+        return verdict(
+            "reduction", "accumulation-only conflicts",
+            reductions=collector.reductions(), exact=exact_space,
+        )
+    return verdict("doall", "no cross-lane conflicts", exact=exact_space)
 
 
 def bind_params(
@@ -1028,22 +984,19 @@ def analyze_parallelism(
     """Classify every loop axis of ``program`` at concrete sizes."""
     bound = bind_params(program, params)
     with span("parallelism", program=program.name) as sp:
-        verdicts = _Analyzer(program, bound).run()
-        counts = {k: 0 for k in VERDICTS}
-        for v in verdicts:
-            counts[v.verdict] += 1
-        metrics.inc("analysis.parallelism.runs")
-        metrics.inc("analysis.parallelism.axes", len(verdicts))
-        metrics.inc("analysis.parallelism.doall", counts["doall"])
-        metrics.inc("analysis.parallelism.reduction", counts["reduction"])
-        metrics.inc("analysis.parallelism.serial", counts["serial"])
-        metrics.inc(
-            "analysis.parallelism.races",
-            sum(1 for v in verdicts if v.witness is not None),
-        )
-        sp.attrs.update(axes=len(verdicts), serial=counts["serial"])
-        return ParallelismProfile(
+        profile = ParallelismProfile(
             program_name=program.name,
             params=tuple(sorted(bound.items())),
-            verdicts=verdicts,
+            verdicts=_Analyzer(program, bound).run(),
         )
+        counts = profile.counts()
+        metrics.inc("analysis.parallelism.runs")
+        metrics.inc("analysis.parallelism.axes", len(profile.verdicts))
+        for kind in ("doall", "reduction", "serial"):
+            metrics.inc(f"analysis.parallelism.{kind}", counts[kind])
+        metrics.inc(
+            "analysis.parallelism.races",
+            sum(1 for v in profile.verdicts if v.witness is not None),
+        )
+        sp.attrs.update(axes=len(profile.verdicts), serial=counts["serial"])
+        return profile

@@ -230,12 +230,15 @@ def lint_coherence(
     """
     from ..lang import AnalysisError
     from ..static.coherence import analyze_coherence
+    from ..static.parallelism import analyze_parallelism
 
     bag = DiagnosticBag()
     try:
+        # both schedules partition the same parallel nests
+        parallelism = analyze_parallelism(program, params)
         profile = analyze_coherence(
             program, params, threads=threads, schedule=schedule,
-            steps=steps,
+            steps=steps, parallelism=parallelism,
         )
     except AnalysisError:
         return bag
@@ -296,6 +299,7 @@ def lint_coherence(
             alt = analyze_coherence(
                 program, params, threads=threads,
                 schedule=R522_ALT_SCHEDULE, steps=steps, witnesses=False,
+                parallelism=parallelism,
             )
         except AnalysisError:
             return bag

@@ -137,7 +137,9 @@ def test_cache_subcommand(tmp_path, capsys):
     assert "removed 2 entries" in out and "0 traces" in out
 
 
-def test_profile_prints_span_tree(capsys):
+def test_profile_prints_span_tree(fresh_programs, capsys):
+    # a fresh registry program: an earlier compile of adi at `new` would
+    # let the pass trie serve this one, and no pass span would appear
     assert main(["profile", "adi", "--level", "new", "--params", "N=40"]) == 0
     out = capsys.readouterr().out
     # nested pass spans under compile, plus every simulation stage

@@ -1,145 +1,196 @@
 """Property-based oracle for the static parallelism analyzer.
 
-For randomly generated affine nests — including triangular bounds and
-``when`` guards — an independent brute-force enumerator lists every
-cross-lane conflicting iteration pair of each loop axis.  The analyzer's
-verdicts must agree:
+For randomly generated affine nests — including triangular bounds,
+``when`` guards and a sibling inner loop that reuses the index name ``j``
+over its own bounds (the shape fusion's peeled boundaries leave) — an
+independent brute-force enumerator lists every cross-lane conflicting
+iteration pair of each loop axis.  The analyzer's verdicts must agree:
 
 * ``doall`` is a certificate: the enumerator must find NO conflicting
   pair (soundness — the property that makes parallel execution safe);
 * an exact ``serial`` verdict claims a race: the enumerator must find
   one, and the attached witness pair must itself collide.
 
-Both the analyzer and the oracle linearize subscripts column-major with
-the same strides, so element identity means the same thing on each side.
+A case is a *spec* — array extents, bounds, guards and subscripts as
+expressions that read the same in the DSL and in Python — rendered to
+source for the analyzer and evaluated directly by the oracle.  Both
+sides linearize subscripts column-major with the same strides, so
+element identity means the same thing on each side.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lang import parse, validate
 from repro.static import analyze_parallelism
 
-
-def build(source: str):
-    return validate(parse(source))
-
-
 SHIFT = st.integers(-1, 1)
+
+#: bounds of the sibling ``j`` loop: one-trip, boundary, empty or full
+SIBLING_BOUND = st.sampled_from(["2", "3", "N - 1"])
+
+PLANE = ("N + 2", "N + 2")
+
+
+def ref(array: str, *subs: str):
+    return (array, subs)
+
+
+def ref_text(r) -> str:
+    return f"{r[0]}[{', '.join(r[1])}]"
+
+
+def render(spec) -> str:
+    """The DSL source of a spec: ``for i { for j {..} [for j {..}] }``."""
+    decls = [f"real {a}[{', '.join(ext)}]" for a, ext in spec["arrays"].items()]
+    loops = []
+    for lo, hi, stmts in spec["loops"]:
+        lines = []
+        for guard, target, reads in stmts:
+            rhs = (
+                "1.0" if not reads else ref_text(reads[0]) if len(reads) == 1
+                else f"f({', '.join(map(ref_text, reads))})"
+            )
+            line = f"{ref_text(target)} = {rhs}"
+            if guard is not None:
+                line = f"when j in [{guard[0]}:{guard[1]}] {{ {line} }}"
+            lines.append(f"    {line}")
+        loops.append(f"  for j = {lo}, {hi} {{\n" + "\n".join(lines) + "\n  }")
+    i_lo, i_hi = spec["i"]
+    return "\n".join([
+        "program rnd", "param N", *decls, f"for i = {i_lo}, {i_hi} {{",
+        *loops, "}",
+    ])
+
+
+def case(spec):
+    return validate(parse(render(spec))), spec
 
 
 @st.composite
 def affine_nest(draw):
     """One doubly nested affine kernel plus everything the oracle needs."""
-    n = draw(st.integers(6, 9))
-    tri = draw(st.booleans())
-    guarded = draw(st.booleans())
-    two_stmts = draw(st.booleans())
-    ws_j, ws_i = draw(SHIFT), draw(SHIFT)
-    rs_j, rs_i = draw(SHIFT), draw(SHIFT)
-    r2_j, r2_i = draw(SHIFT), draw(SHIFT)
+    ws_j, ws_i, rs_j, rs_i, r2_j, r2_i = (draw(SHIFT) for _ in range(6))
+    guard = ("3", "N - 2") if draw(st.booleans()) else None
+    stmts = [(
+        guard,
+        ref("A", f"j + {ws_j}", f"i + {ws_i}"),
+        [ref("A", f"j + {rs_j}", f"i + {rs_i}"), ref("B", "j", "i")],
+    )]
+    if draw(st.booleans()):
+        stmts.append(
+            (None, ref("B", "j", "i"), [ref("A", f"j + {r2_j}", f"i + {r2_i}")])
+        )
+    loops = [("2", "i" if draw(st.booleans()) else "N - 1", stmts)]
+    if draw(st.booleans()):
+        sw_j, sw_i, sr_j, sr_i = (draw(SHIFT) for _ in range(4))
+        loops.append((draw(SIBLING_BOUND), draw(SIBLING_BOUND), [(
+            None,
+            ref("A", f"j + {sw_j}", f"i + {sw_i}"),
+            [ref("A", f"j + {sr_j}", f"i + {sr_i}"), ref("B", "j", "i")],
+        )]))
+    return case({
+        "n": draw(st.integers(6, 9)),
+        "arrays": {"A": PLANE, "B": PLANE},
+        "i": ("2", "N - 1"),
+        "loops": loops,
+    })
 
-    hij = "i" if tri else "N - 1"
-    stmt1 = (
-        f"A[j + {ws_j}, i + {ws_i}] = "
-        f"f(A[j + {rs_j}, i + {rs_i}], B[j, i])"
-    )
-    if guarded:
-        stmt1 = f"when j in [3:N - 2] {{ {stmt1} }}"
-    stmt2 = f"B[j, i] = g(A[j + {r2_j}, i + {r2_i}])" if two_stmts else ""
-    src = f"""
-    program rnd
-    param N
-    real A[N + 2, N + 2], B[N + 2, N + 2]
-    for i = 2, N - 1 {{
-      for j = 2, {hij} {{
-        {stmt1}
-        {stmt2}
-      }}
-    }}
-    """
-    spec = {
-        "n": n,
-        "tri": tri,
-        "guarded": guarded,
-        "two_stmts": two_stmts,
-        "shifts": (ws_j, ws_i, rs_j, rs_i, r2_j, r2_i),
-    }
-    return build(src), spec
+
+#: two sibling loops reuse ``j``: only the first, j = 1, carries the race
+#: on X; solved over the second one's j = 0 the axis looked DOALL
+SIBLINGS = case({
+    "n": 8,
+    "arrays": {"X": ("N + 2",), "Z": ("N",)},
+    "i": ("1", "N"),
+    "loops": [
+        ("1", "1", [(None, ref("X", "i + j"), [ref("X", "i")])]),
+        ("0", "0", [(None, ref("Z", "i"), [])]),
+    ],
+})
 
 
 def oracle_accesses(spec):
-    """(i, j) -> [(array, element, is_write)] exactly as executed."""
+    """(i, loop, j) -> [(array, element, is_write)] exactly as executed."""
     n = spec["n"]
-    stride_i = n + 2  # column-major: first subscript has stride 1
-    ws_j, ws_i, rs_j, rs_i, r2_j, r2_i = spec["shifts"]
 
-    def elem(j, i):
-        return j + i * stride_i
+    def ev(text: str, **env: int) -> int:
+        return eval(text, {}, {"N": n, **env})
+
+    strides = {}
+    for array, extents in spec["arrays"].items():
+        strides[array], step = [], 1
+        for extent in extents:  # column-major: first subscript stride 1
+            strides[array].append(step)
+            step *= ev(extent)
+
+    def elem(r, env):
+        array, subs = r
+        return array, sum(
+            (ev(s, **env) - 1) * stride for s, stride in zip(subs, strides[array])
+        )
 
     out = {}
-    for i in range(2, n):  # i = 2 .. N-1
-        hij = i if spec["tri"] else n - 1
-        for j in range(2, hij + 1):
-            accs = []
-            in_guard = (not spec["guarded"]) or (3 <= j <= n - 2)
-            if in_guard:
-                accs.append(("A", elem(j + rs_j, i + rs_i), False))
-                accs.append(("B", elem(j, i), False))
-                accs.append(("A", elem(j + ws_j, i + ws_i), True))
-            if spec["two_stmts"]:
-                accs.append(("A", elem(j + r2_j, i + r2_i), False))
-                accs.append(("B", elem(j, i), True))
-            out[(i, j)] = accs
+    for i in range(ev(spec["i"][0]), ev(spec["i"][1]) + 1):
+        for loop, (lo, hi, stmts) in enumerate(spec["loops"]):
+            for j in range(ev(lo, i=i), ev(hi, i=i) + 1):
+                env = {"i": i, "j": j}
+                accs = []
+                for guard, target, reads in stmts:
+                    if guard is None or ev(guard[0]) <= j <= ev(guard[1]):
+                        accs += [(*elem(r, env), False) for r in reads]
+                        accs.append((*elem(target, env), True))
+                out[(i, loop, j)] = accs
     return out
 
 
-def conflicting_pairs(accesses, axis):
-    """Iteration pairs of ``axis`` whose accesses collide (>= one write)."""
+def conflicting_pairs(accesses, loop=None):
+    """Iteration pairs whose accesses collide (>= one write): of the ``i``
+    axis when ``loop`` is None, else of the ``j`` axis of that loop."""
     pairs = []
     items = list(accesses.items())
-    for idx, ((i1, j1), a1) in enumerate(items):
-        for (i2, j2), a2 in items[idx + 1:]:
-            if axis == "i":
+    for idx, ((i1, k1, j1), a1) in enumerate(items):
+        for (i2, k2, j2), a2 in items[idx + 1:]:
+            if loop is None:
                 if i1 == i2:
                     continue
-            else:  # axis j shares the enclosing i
-                if i1 != i2 or j1 == j2:
-                    continue
+            elif not (i1 == i2 and k1 == k2 == loop and j1 != j2):
+                continue
             for arr1, e1, w1 in a1:
                 for arr2, e2, w2 in a2:
                     if arr1 == arr2 and e1 == e2 and (w1 or w2):
-                        pairs.append(((i1, j1), (i2, j2)))
+                        pairs.append(((i1, k1, j1), (i2, k2, j2)))
     return pairs
 
 
 @given(affine_nest())
+@example(SIBLINGS)
 @settings(max_examples=60, deadline=None)
 def test_verdicts_match_brute_force(case):
     program, spec = case
-    n = spec["n"]
-    profile = analyze_parallelism(program, {"N": n})
+    profile = analyze_parallelism(program, {"N": spec["n"]})
     accesses = oracle_accesses(spec)
-    by_axis = {".".join(v.path): v for v in profile.verdicts}
-    assert set(by_axis) == {"i", "i.j"}
-
-    for path, axis in (("i", "i"), ("i.j", "j")):
-        v = by_axis[path]
+    # pre-order: the i axis, then each j loop in source order
+    axes = [None, *range(len(spec["loops"]))]
+    assert [v.path for v in profile.verdicts] == [
+        ("i",), *[("i", "j")] * len(spec["loops"])
+    ]
+    for loop, v in zip(axes, profile.verdicts):
         assert v.verdict in ("doall", "serial"), (
-            f"axis {axis}: unexpected verdict {v.verdict!r}"
+            f"axis {v.path}: unexpected verdict {v.verdict!r}"
         )
-        conflicts = conflicting_pairs(accesses, axis)
+        conflicts = conflicting_pairs(accesses, loop)
         if v.verdict == "doall":
             assert conflicts == [], (
-                f"UNSOUND: axis {axis} certified DOALL but iterations "
-                f"{conflicts[0]} race ({spec})"
+                f"UNSOUND: axis {v.path} (loop {loop}) certified DOALL but "
+                f"iterations {conflicts[0]} race ({spec})"
             )
         elif v.exact:
             assert conflicts, (
-                f"axis {axis} called serial but brute force finds no "
-                f"conflict ({spec})"
+                f"axis {v.path} (loop {loop}) called serial but brute force "
+                f"finds no conflict ({spec})"
             )
 
 
@@ -148,28 +199,28 @@ def test_verdicts_match_brute_force(case):
 def test_exact_witnesses_replay(case):
     """An exact witness names two iterations that really collide."""
     program, spec = case
-    n = spec["n"]
-    profile = analyze_parallelism(program, {"N": n})
+    profile = analyze_parallelism(program, {"N": spec["n"]})
     accesses = oracle_accesses(spec)
+
+    def touched(env, array):
+        at = (env["i"], env.get("j"))
+        return {
+            e
+            for (i, _, j), accs in accesses.items() if (i, j) == at
+            for arr, e, _ in accs if arr == array
+        }
+
     for v in profile.races:
         w = v.witness
         if w is None or not w.exact:
             continue
         env_a, env_b = dict(w.env_a), dict(w.env_b)
-        key_a = (env_a["i"], env_a.get("j"))
-        key_b = (env_b["i"], env_b.get("j"))
-        if key_a[1] is None or key_b[1] is None:
-            continue  # outer-axis witness fixing no j: skip replay
-        assert key_a in accesses and key_b in accesses, (
-            f"witness iterations {key_a} / {key_b} outside the space"
+        touched_a = touched(env_a, w.array)
+        touched_b = touched(env_b, w.array)
+        assert touched_a and touched_b, (
+            f"witness iterations {env_a} / {env_b} outside the space ({spec})"
         )
-        touched_a = {
-            (arr, e) for arr, e, wr in accesses[key_a] if arr == w.array
-        }
-        touched_b = {
-            (arr, e) for arr, e, wr in accesses[key_b] if arr == w.array
-        }
         assert touched_a & touched_b, (
-            f"witness pair {key_a} vs {key_b} never touches a common "
+            f"witness pair {env_a} vs {env_b} never touches a common "
             f"{w.array} element ({spec})"
         )

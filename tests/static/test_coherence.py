@@ -38,6 +38,7 @@ import pytest
 from repro.lang import parse, validate
 from repro.lang.errors import AnalysisError
 from repro.memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
+from repro.obs import metrics
 from repro.programs import registry
 from repro.static import analyze_coherence
 from repro.verify import lint_coherence
@@ -179,8 +180,15 @@ def test_rowcol_true_sharing_detected():
     assert {w.kind for w in prof.witnesses} == {"true"}
 
 
+def parallelism_runs() -> float:
+    return metrics.snapshot()["counters"].get("analysis.parallelism.runs", 0)
+
+
 def test_r521_and_r522_fire_on_rowcol():
+    before = parallelism_runs()
     bag = lint_coherence(build(ROWCOL), {"N": 16}, threads=4, steps=2)
+    # both schedules read one parallelism profile
+    assert parallelism_runs() - before == 1
     codes = [d.code for d in bag]
     assert "R521" in codes and "R522" in codes
     assert "R520" not in codes

@@ -3,8 +3,13 @@
 Covers the acceptance contract of the analyzer itself:
 
 * every loop axis of every golden (program, level) variant gets a
-  definitive verdict (never ``unknown``), and every serial verdict
-  carries either a concrete witness pair or a stated reason;
+  definitive verdict (never ``unknown``), every serial verdict carries
+  either a concrete witness pair or a stated reason, and every exact
+  witness names two in-bounds accesses of one element;
+* every variant's whole profile is pinned by digest in
+  ``golden_parallelism.json`` (tier-1 sizes here, fig-10-scale sizes in
+  a ``slow`` twin); ``PYTHONPATH=src python tests/static/test_parallelism.py``
+  rewrites it — only for an intended change, listed in the commit;
 * the fig-10 verdict counts and race witnesses for adi / swim / tomcatv
   are pinned at both ``noopt`` and ``fusion``;
 * reductions are recognized (and reported via R503);
@@ -14,6 +19,8 @@ Covers the acceptance contract of the analyzer itself:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -28,7 +35,7 @@ from golden_pipelines import (  # noqa: E402
 )
 
 from repro.core import compile_variant
-from repro.lang import Loop, parse, validate
+from repro.lang import ArrayRef, Loop, assignments_in, parse, validate
 from repro.static import analyze_parallelism
 from repro.verify import doall_preservation_check, lint_races
 
@@ -42,9 +49,37 @@ SMALL_PARAMS = {
     "tomcatv": {"N": 8},
 }
 
+#: fig-10-scale sizes where some inexact axes skip the exhaustive tier,
+#: so the symbolic-only answer is pinned too
+LARGE_PARAMS = {
+    "adi": {"N": 64},
+    "fft": {},
+    "sp": {"N": 12},
+    "sweep3d": {"N": 12},
+    "swim": {"N": 64},
+    "tomcatv": {"N": 64},
+}
+
+GOLDEN = Path(__file__).with_name("golden_parallelism.json")
+
 
 def build(source: str):
     return validate(parse(source))
+
+
+def compiled(name: str, level: str):
+    program = build_golden_program(name)
+    reset_fusion_uids()
+    return compile_variant(program, level).program
+
+
+def profile_digest(profile) -> str:
+    text = json.dumps(profile.as_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_digests(tier: str) -> dict[str, str]:
+    return json.loads(GOLDEN.read_text())[tier]
 
 
 def count_loops(stmts) -> int:
@@ -61,25 +96,68 @@ def count_loops(stmts) -> int:
 # -- full-matrix coverage -----------------------------------------------------
 
 
+def assert_exact_witnesses_collide_in_bounds(program, profile, where):
+    """Each exact witness's references, each at its own environment, name
+    one in-bounds subscript tuple, and the two tuples are equal: the pair
+    meets on a real element, not on a linearized alias."""
+    params = dict(profile.params)
+    refs = {
+        str(e): e
+        for a in assignments_in(program.body)
+        for e in (*a.target.walk(), *a.expr.walk())
+        if isinstance(e, ArrayRef)
+    }
+    shapes = {a.name: a.shape(params) for a in program.arrays}
+    for v in profile.verdicts:
+        w = v.witness
+        if w is None or not w.exact or w.array.startswith("$"):
+            continue  # a scalar is one element, nothing to subscript
+        subs = []
+        for text, env in ((w.ref_a, w.env_a), (w.ref_b, w.env_b)):
+            at = {**params, **dict(env)}
+            sub = tuple(s.evaluate(at) for s in refs[text].index_affines())
+            assert all(1 <= s <= e for s, e in zip(sub, shapes[w.array])), (
+                f"{where}: witness {text} @{dict(env)} is {sub}, "
+                f"outside {shapes[w.array]}"
+            )
+            subs.append(sub)
+        assert subs[0] == subs[1], f"{where}: witness pair {subs} differ"
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
 def test_every_axis_of_every_level_gets_a_verdict(name):
     params = SMALL_PARAMS[name]
+    golden = golden_digests("small")
     for level in GOLDEN_LEVELS:
-        program = build_golden_program(name)
-        reset_fusion_uids()
-        variant = compile_variant(program, level)
-        profile = analyze_parallelism(variant.program, params)
-        assert len(profile.verdicts) == count_loops(variant.program.body), (
-            f"{name}/{level}: some loop axis got no verdict"
+        program = compiled(name, level)
+        profile = analyze_parallelism(program, params)
+        where = f"{name}/{level}"
+        assert len(profile.verdicts) == count_loops(program.body), (
+            f"{where}: some loop axis got no verdict"
         )
         for v in profile.verdicts:
             assert v.verdict in ("doall", "reduction", "serial"), (
-                f"{name}/{level}: axis {v.index!r} is {v.verdict!r}"
+                f"{where}: axis {v.index!r} is {v.verdict!r}"
             )
             if v.verdict == "serial":
                 assert v.witness is not None or v.reason, (
-                    f"{name}/{level}: serial axis {v.index!r} has no evidence"
+                    f"{where}: serial axis {v.index!r} has no evidence"
                 )
+        assert_exact_witnesses_collide_in_bounds(program, profile, where)
+        assert profile_digest(profile) == golden[where], (
+            f"{where}: profile differs from golden_parallelism.json"
+        )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(LARGE_PARAMS))
+def test_profiles_match_golden_at_fig10_scale(name):
+    golden = golden_digests("large")
+    for level in GOLDEN_LEVELS:
+        profile = analyze_parallelism(compiled(name, level), LARGE_PARAMS[name])
+        assert profile_digest(profile) == golden[f"{name}/{level}"], (
+            f"{name}/{level}: profile differs from golden_parallelism.json"
+        )
 
 
 def assert_witness_well_formed(v):
@@ -136,15 +214,37 @@ def test_tomcatv_noopt_verdicts_pinned():
         assert_witness_well_formed(v)
 
 
-def fused_variant(name, params):
-    program = build_golden_program(name)
-    reset_fusion_uids()
-    return compile_variant(program, "fusion").program
+#: fusion's peeling leaves sibling loops that reuse an index name over
+#: different ranges; the first ``j`` loop alone carries the race on X
+SIBLINGS = """
+program sib
+param N
+real X[N + 2]
+real Z[N]
+for i = 1, N {
+  for j = 1, 1 { X[i + j] = X[i] }
+  for j = 0, 0 { Z[i] = 1.0 }
+}
+"""
+
+
+@pytest.mark.parametrize("n", [8, 64, 1000])
+def test_sibling_loops_sharing_an_index_name_keep_their_own_ranges(n):
+    program = build(SIBLINGS)
+    profile = analyze_parallelism(program, {"N": n})
+    v = profile.verdicts[0]
+    assert (v.path, v.verdict, v.exact) == (("i",), "serial", True)
+    assert_witness_well_formed(v)
+    w = v.witness
+    # both references sit in the first j loop, so both bind j = 1
+    assert {w.ref_a, w.ref_b} == {"X[i]", "X[(i + j)]"}
+    assert dict(w.env_a)["j"] == dict(w.env_b)["j"] == 1
+    assert_exact_witnesses_collide_in_bounds(program, profile, "sib")
 
 
 def test_adi_fusion_loses_parallel_outer_axes():
     before = build_golden_program("adi")
-    after = fused_variant("adi", {"N": 11})
+    after = compiled("adi", "fusion")
     p_before = analyze_parallelism(before, {"N": 11})
     p_after = analyze_parallelism(after, {"N": 11})
     assert len(p_before.parallel_nests()) == 6
@@ -157,7 +257,7 @@ def test_adi_fusion_loses_parallel_outer_axes():
 
 def test_swim_fusion_preserves_parallel_outer_axes():
     before = build_golden_program("swim")
-    after = fused_variant("swim", {"N": 11})
+    after = compiled("swim", "fusion")
     p_before = analyze_parallelism(before, {"N": 11})
     p_after = analyze_parallelism(after, {"N": 11})
     # swim's stencils fuse without serializing: the parallel-nest count
@@ -303,8 +403,27 @@ def test_doall_preservation_clean_when_axes_survive():
 
 def test_adi_fusion_fires_r510_with_witnesses():
     before = build_golden_program("adi")
-    after = fused_variant("adi", {"N": 11})
+    after = compiled("adi", "fusion")
     bag = doall_preservation_check(before, after, "fuse-adi", {"N": 11})
     r510 = [d for d in bag if d.code == "R510"]
     assert r510, "adi fusion serializes outer axes and must be reported"
     assert any("of 6 parallel outer axes" in d.message for d in r510)
+
+
+def write_golden() -> None:
+    """Rewrite ``golden_parallelism.json`` from the current analyzer."""
+    golden = {
+        tier: {
+            f"{name}/{level}": profile_digest(
+                analyze_parallelism(compiled(name, level), sizes[name])
+            )
+            for name in sorted(sizes)
+            for level in GOLDEN_LEVELS
+        }
+        for tier, sizes in (("small", SMALL_PARAMS), ("large", LARGE_PARAMS))
+    }
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

@@ -14,6 +14,7 @@ import json
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -31,7 +32,7 @@ from .harness import (
     normalized_rows,
     run,
     timing_rows,
-    variant_stream,
+    variant_chunks,
 )
 from .lang import (
     AnalysisError,
@@ -381,23 +382,23 @@ def _coherence_table(target, results, threads: int) -> str:
 
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
-    """Trace one (program, level) and write the address stream to disk."""
-    from .stream import write_stream, write_stream_csv
+    """Trace one (program, level) and write the address stream to disk
+    (binary: each chunk as it is traced, its segments at their periods)."""
+    from .stream import AddressStream, write_stream_csv
+    from .stream.io import StreamWriter
 
     target = _target(args, sized=True)
-    stream = variant_stream(
-        compile_variant(target.program, args.level),
-        target.params,
-        target.steps,
-        args.engine,
-        name=f"{target.program.name}/{args.level}",
-    )
+    name = f"{target.program.name}/{args.level}"
     out = Path(args.output)
     as_csv = args.format == "csv" or (args.format == "auto" and out.suffix == ".csv")
+    with nullcontext() if as_csv else StreamWriter(out) as writer:
+        chunks = list(variant_chunks(
+            compile_variant(target.program, args.level),
+            target.params, target.steps, args.engine, name=name, sink=writer,
+        ))
+    stream = AddressStream.concat(chunks, name)
     if as_csv:
         write_stream_csv(out, stream)
-    else:
-        write_stream(out, stream)
     print(
         f"wrote {out} ({'csv' if as_csv else 'binary'}): {len(stream):,} "
         f"accesses, {int(stream.writes.sum()):,} writes, "
@@ -514,18 +515,18 @@ def _membw_roundtrip(args: argparse.Namespace) -> list[str]:
     """Export -> import -> re-simulate must reproduce the direct stats."""
     from .engines import resolve_engines
     from .memsim import simulate_stream
-    from .stream import read_stream, write_stream, write_stream_csv
+    from .stream import AddressStream, read_stream, write_stream, write_stream_csv
 
     failures: list[str] = []
     target = registry.resolve_target("adi")
     selection = resolve_engines(args.engine)
-    stream = variant_stream(
+    stream = AddressStream.concat(list(variant_chunks(
         compile_variant(target.program, "new"),
         target.params,
         target.steps,
         selection,
         name="adi/new",
-    )
+    )), "adi/new")
     machine = machine_for(target.machine_spec)
     direct = simulate_stream(stream, machine, engine=selection.sim)
     with tempfile.TemporaryDirectory(prefix="repro-membw-") as tmp:

@@ -15,7 +15,6 @@ from .experiment import (
     measure_variant,
     stage_timer,
     variant_chunks,
-    variant_stream,
 )
 from .run import RunRequest, RunResult, run
 from .sweep import SweepPoint, growth_factor, scaling_sweep
@@ -54,5 +53,4 @@ __all__ = [
     "stage_timer",
     "timing_rows",
     "variant_chunks",
-    "variant_stream",
 ]

@@ -5,12 +5,15 @@ time once the fast simulation engine is in play, and the same (program,
 size, optimization level, layout) tuple is re-traced by every benchmark
 that touches it.  :class:`TraceCache` persists the
 :class:`~repro.stream.AddressStream` the simulator actually consumes —
-byte addresses plus the write mask, in the RLE-compressed ``.ast``
+byte addresses, the write mask and ref ids, in the period-aware ``.ast``
 binary format — under ``.cache/`` so repeat runs replay instead of
 re-tracing, plus the final :class:`~repro.memsim.MemStats` per (trace,
 machine, engine) so fully-repeated experiments skip simulation
-entirely.  Entries written by the pre-stream ``.npz`` layout simply
-read as misses and are re-traced once.
+entirely.  A stream is written a segment at a time while it is
+simulated (:meth:`TraceCache.trace_writer`) and replayed a chunk at a
+time as it is read (:meth:`TraceCache.replay_trace`), so neither side
+holds it whole.  Entries written by the pre-stream ``.npz`` layout
+simply read as misses and are re-traced once.
 
 Keys are content hashes over the compiled program text, the parameter
 binding, the step count, and a fingerprint of the data layout (array
@@ -26,14 +29,15 @@ import dataclasses
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from ..core.regroup.layout import Layout
 from ..memsim import MachineConfig, MemStats
 from ..obs import metrics
-from ..stream import AddressStream, write_stream
-from ..stream.io import StreamFormatError, read_stream_binary
+from ..stream import AddressStream, StreamMeta
+from ..stream.io import StreamReader, StreamWriter, read_stream_binary
 
 #: Default cache directory (overridable via ``REPRO_CACHE_DIR``).
 DEFAULT_CACHE_DIR = ".cache"
@@ -96,26 +100,54 @@ class TraceCache:
 
     # -- traces --------------------------------------------------------
 
+    def replay_trace(self, key: str) -> Optional[StreamReader]:
+        """The stored stream opened for replay, its chunks decoded (ref
+        ids skipped) as they are iterated; ``None`` (a miss) when there
+        is none or its header is malformed.  A chunk damaged past the
+        header raises :class:`~repro.stream.StreamFormatError` during the
+        iteration."""
+        try:
+            reader = StreamReader(self.root / f"trace-{key}.ast", refs=False)
+        except (OSError, ValueError):
+            metrics.inc("cache.trace.misses")
+            return None  # absent or corrupt: a miss, the entry will be rewritten
+        metrics.inc("cache.trace.hits")
+        return reader
+
     def load_trace(self, key: str) -> Optional[AddressStream]:
-        path = self.root / f"trace-{key}.ast"
-        if not path.exists():
+        """The stored stream, whole; ``None`` (a miss) when absent or corrupt."""
+        try:
+            stream = read_stream_binary(self.root / f"trace-{key}.ast")
+        except (OSError, ValueError):
             metrics.inc("cache.trace.misses")
             return None
-        try:
-            stream = read_stream_binary(path)
-        except (OSError, StreamFormatError, ValueError):
-            metrics.inc("cache.trace.misses")
-            return None  # corrupt entry: treat as a miss, it will be rewritten
         metrics.inc("cache.trace.hits")
         return stream
 
-    def store_trace(self, key: str, stream: AddressStream) -> None:
+    @contextmanager
+    def trace_writer(
+        self, key: str, meta: Optional[StreamMeta] = None, refs: Optional[bool] = None
+    ) -> Iterator[StreamWriter]:
+        """A :class:`~repro.stream.io.StreamWriter` for the stream under
+        ``key``, written chunk by chunk and published only when the block
+        completes (an exception discards it)."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / f"trace-{key}.ast"
-        tmp = path.with_suffix(".tmp.ast")
-        write_stream(tmp, stream)
+        # one temporary per process (concurrent writers never share one),
+        # named so that clear() sweeps a crashed writer's leftover
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with StreamWriter(tmp, meta, refs) as writer:
+                yield writer
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         tmp.replace(path)  # atomic publish: concurrent readers never see partial files
         metrics.inc("cache.trace.stores")
+
+    def store_trace(self, key: str, stream: AddressStream) -> None:
+        with self.trace_writer(key, stream.meta, stream.ref_ids is not None) as writer:
+            writer.write(stream)
 
     # -- results -------------------------------------------------------
 

@@ -7,17 +7,19 @@ every Fig. 10 / §6 table, and the only result record the harness has.
 Past the compile it is one chunk loop: the tracer's segments are
 batched, laid out and pushed through the hierarchy a chunk of about
 ``CHUNK_ACCESSES`` accesses at a time (:func:`variant_chunks`), so its
-memory does not grow with the trace.  The whole path is instrumented
-with :mod:`repro.obs` spans (compile passes, trace-gen — plus
-addresses on the interpreter path — and per-level simulation stages,
-one span per stage however many chunks), so a surrounding
+memory does not grow with the trace — nor does a trace cache's, which
+writes the segments as they pass and replays them as it reads.  The
+whole path is instrumented with :mod:`repro.obs` spans (compile passes,
+trace-gen — plus addresses on the interpreter path — trace-store /
+trace-load with a cache, and per-level simulation stages, one span per
+stage however many chunks), so a surrounding
 :class:`~repro.obs.SpanCollector` sees the full stage tree.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Union
 
@@ -30,6 +32,7 @@ from ..interp.trace import concat_traces
 from ..lang import Program
 from ..memsim import (
     MACHINES,
+    HierarchyResult,
     MachineConfig,
     MemoryHierarchy,
     MemStats,
@@ -37,7 +40,8 @@ from ..memsim import (
     stats_from_hierarchy,
 )
 from ..obs import ChunkedSpan, SpanEvent, metrics, span
-from ..stream import AddressStream
+from ..stream import AddressStream, StreamFormatError
+from ..stream.io import StreamReader, StreamWriter
 from ..verify import PassVerifier
 from .cache import TraceCache, layout_fingerprint
 
@@ -104,12 +108,12 @@ def machine_for(spec) -> MachineConfig:
 
 def _batches(
     selection: EngineSelection, program: Program, params, steps: int, layout, name
-) -> Iterator[tuple[object, bool]]:
+) -> Iterator[tuple[object, list, bool]]:
     """The selected tracer's segments — codegen's as address streams
     under ``layout``, the interpreter's as element traces — joined into
     batches of at most ``CHUNK_ACCESSES`` accesses (a larger segment
-    alone), each with whether it is the last; one empty batch when there
-    is no segment."""
+    alone), each with the segments it joins and whether it is the last;
+    one empty batch when there is no segment."""
     tracer = selection.nest_tracer(program, params)
     if selection.tracer == "codegen":
         segments = tracer.address_segments(steps, layout, name)
@@ -123,7 +127,7 @@ def _batches(
             return concat_traces(parts) if parts else tracer.generator().take()
     ahead = next(segments, None)
     if ahead is None:
-        yield join([]), True
+        yield join([]), [], True
     while ahead is not None:
         pieces, size = [], 0
         while ahead is not None and (
@@ -132,9 +136,18 @@ def _batches(
             pieces.append(ahead)
             size += len(ahead)
             ahead = next(segments, None)
-        batch = join(pieces)
-        del pieces  # while the consumer simulates, only the batch lives
-        yield batch, ahead is None
+        yield join(pieces), pieces, ahead is None
+
+
+def _replay(reader: StreamReader) -> Iterator[AddressStream]:
+    """A stored stream's chunks, each decoded when the levels ask for it
+    (the ``trace-load`` span)."""
+    loading = ChunkedSpan("trace-load")
+    chunks = iter(reader)
+    for _ in range(reader.nchunks):
+        with loading.chunk():
+            chunk = next(chunks)
+        yield chunk
 
 
 def variant_chunks(
@@ -145,6 +158,7 @@ def variant_chunks(
     name: Optional[str] = None,
     layout: Optional[Layout] = None,
     timings: Optional[dict] = None,
+    sink: Optional[StreamWriter] = None,
 ) -> Iterator[AddressStream]:
     """Trace a compiled variant and lay it out, one chunk at a time.
 
@@ -153,8 +167,11 @@ def variant_chunks(
     (default: the variant's own at ``params``), in batches of about
     ``CHUNK_ACCESSES``.  Codegen emits addresses; the interpreter's
     batches are laid out by :meth:`AddressStream.from_trace` (the
-    ``addresses`` span).  Nothing outlives its chunk.  One span per
-    stage covers every chunk (``chunks=``) and adds to ``timings``.
+    ``addresses`` span).  ``sink`` is written every chunk, with the
+    segments it joins, before the chunk is yielded (the ``trace-store``
+    span), so a stream is stored as it is simulated.
+    Nothing outlives its chunk.  One span per stage covers every chunk
+    (``chunks=``) and adds to ``timings``.
     """
     selection = resolve_engines(engine)
     if layout is None:
@@ -164,39 +181,27 @@ def variant_chunks(
     tracing = ChunkedSpan("trace-gen", steps=steps, tracer=selection.tracer,
                           accesses=0, divmods=layout.divmods(names))
     laying = ChunkedSpan("addresses") if selection.tracer == "interp" else None
+    storing = ChunkedSpan("trace-store")
     metrics.inc("trace.generated")
     batches = _batches(selection, variant.program, params, steps, layout, label)
     last = False
     while not last:
         with tracing.chunk() as sp:
-            chunk, last = next(batches)
+            chunk, parts, last = next(batches)
             sp.attrs["accesses"] += len(chunk)
         metrics.inc("trace.accesses", len(chunk))
         if laying is not None:
             with laying.chunk():
                 chunk = AddressStream.from_trace(chunk, layout, label, "interp")
+        if sink is not None:
+            with storing.chunk():
+                sink.write(chunk, parts)
+        parts.clear()  # while the consumer simulates, only the chunk lives
         yield chunk
     if timings is not None:
         timings["trace-gen"] = timings.get("trace-gen", 0.0) + tracing.duration_s
         if laying is not None:
             timings["addresses"] = timings.get("addresses", 0.0) + laying.duration_s
-
-
-def variant_stream(
-    variant: CompiledVariant,
-    params: Mapping[str, int],
-    steps: int = 1,
-    engine: Union[None, str, EngineSelection] = None,
-    name: Optional[str] = None,
-    layout: Optional[Layout] = None,
-    timings: Optional[dict] = None,
-) -> AddressStream:
-    """Trace a compiled variant and lay it out as byte addresses: the
-    chunks of :func:`variant_chunks`, concatenated."""
-    chunks = list(variant_chunks(variant, params, steps, engine, name, layout, timings))
-    if len(chunks) == 1:
-        return chunks[0]
-    return AddressStream.concat(chunks, name=chunks[0].meta.name)
 
 
 def measure_variant(
@@ -216,10 +221,12 @@ def measure_variant(
     """Compile at ``level``, trace, and simulate one program variant.
 
     One chain: compile, then one chunk loop — :func:`variant_chunks`
-    through :meth:`~repro.memsim.MemoryHierarchy.simulate_chunks` — with
-    ``cache`` as load-before/store-after around it (a cached stream is
-    simulated in the same chunks; a stream to store is traced whole by
-    :func:`variant_stream`).
+    through :meth:`~repro.memsim.MemoryHierarchy.simulate_chunks`.  With
+    a ``cache`` the loop writes each segment to the stored stream as it
+    goes (:meth:`TraceCache.trace_writer`), and a later call replays the
+    stored stream instead, decoding it a chunk at a time as the levels
+    consume it (:meth:`TraceCache.replay_trace`); an entry found damaged
+    midway is traced and written again.
 
     ``engine`` is a spec per :func:`repro.engines.resolve_engines`: a
     simulation engine (``"fast"``/``"reference"``), a tracer
@@ -267,7 +274,14 @@ def measure_variant(
             timings=timings,
         )
 
-    stream = None
+    def simulate(chunks: Iterator[AddressStream]) -> HierarchyResult:
+        return MemoryHierarchy.standard(machine).simulate_chunks(
+            ((c.addresses, c.writes) for c in chunks),
+            engine=selection.sim,
+            timings=timings,
+        )
+
+    outcome = None
     if cache is not None:
         tkey = cache.trace_key(
             str(variant.program), params, steps, layout_fingerprint(layout)
@@ -277,24 +291,18 @@ def measure_variant(
             stats = cache.load_result(rkey)
             if stats is not None:
                 return _result(stats, stats.accesses)
-        stream = cache.load_trace(tkey)
-        if stream is None:
-            stream = variant_stream(
-                variant, params, steps, selection, label, layout, timings
-            )
-            cache.store_trace(tkey, stream)
-    if stream is None:
-        chunks = (
-            (c.addresses, c.writes)
-            for c in variant_chunks(
-                variant, params, steps, selection, label, layout, timings
-            )
-        )
-    else:
-        chunks = ((a, w) for a, w, _ in stream.chunks(_trace.CHUNK_ACCESSES))
-    outcome = MemoryHierarchy.standard(machine).simulate_chunks(
-        chunks, engine=selection.sim, timings=timings
-    )
+        reader = cache.replay_trace(tkey)
+        if reader is not None:
+            try:
+                with reader:
+                    outcome = simulate(_replay(reader))
+            except StreamFormatError:
+                pass  # damaged past its header: trace and rewrite it after all
+    if outcome is None:
+        with nullcontext() if cache is None else cache.trace_writer(tkey) as sink:
+            outcome = simulate(variant_chunks(
+                variant, params, steps, selection, label, layout, timings, sink
+            ))
     stats = stats_from_hierarchy(outcome, machine)
     if cache is not None and result_cache:
         cache.store_result(rkey, stats)

@@ -1,27 +1,48 @@
-"""On-disk address-stream formats: RLE-compressed binary, and CSV.
+"""On-disk address-stream formats: period-aware RLE binary, and CSV.
 
 Binary layout (everything little-endian, ``.ast`` by convention)::
 
     magic   b"RAST"
-    version u16      (currently 1)
+    version u16      (currently 2; version 1 files still read)
     flags   u16      bit0: ref_ids column present
     mlen    u32      metadata length
     meta    mlen bytes of UTF-8 JSON (:meth:`StreamMeta.to_json`)
     nchunks u32
     per chunk:
       n       u32    accesses in this chunk
-      addr    u8 encoding tag, then the address column:
-                0 = raw:       n * i64
+      nparts  u32    (version 2 only) then nparts * (length u32,
+                     period u32, first u32): the chunk's parts in order,
+                     lengths summing to n; ``first`` is the part's own
+                     index when it is stored here, else the index of the
+                     earlier part it repeats.  (A version 1 chunk is one
+                     stored part whose period is its length.)
+      addr    u8 encoding tag, then the stored parts' addresses, each in
+              period order, one part after another:
+                0 = raw:       m * i64
                 1 = rle-delta: first i64, npairs u32,
                                npairs * (delta i64, run u32)
-      writes  rle:   npairs u32, npairs * (value u8, run u32)
-      ref_ids rle (only when flagged): npairs u32,
-                               npairs * (value i32, run u32)
+      writes  rle of every stored part's first period, one after another:
+                     npairs u32, npairs * (value u8, run u32)
+      ref_ids the same (only when flagged), npairs * (value i32, run u32)
 
-Affine loop nests emit long arithmetic address sequences, so the
-delta-RLE typically collapses a chunk to a handful of (stride, run)
-pairs; the raw tag keeps pathological (e.g. random) streams from
-expanding — whichever encoding is smaller wins, per chunk.
+A chunk is what the measuring chain simulates at once, and its parts
+are the loop-nest segments it joins.  The writer gives a part the
+shortest period at which its ref ids and write flags repeat exactly
+(:func:`body_period`) — a uniform loop nest's body length, or the whole
+part when nothing shorter repeats — so those two columns are stored as
+one period of each part.  The address column is stored in *period
+order*: each part read as rows of its period and listed column by
+column, so a stored column is one reference's addresses in iteration
+order, an arithmetic sequence the delta-RLE collapses to a few (stride,
+run) pairs; the raw tag keeps pathological (e.g. random) chunks from
+expanding — whichever encoding is smaller wins, per chunk.  A segment
+the chunk already holds (a time step the tracer replays) is stored once.
+
+:class:`StreamWriter` appends one chunk per :meth:`~StreamWriter.write`
+and :class:`StreamReader` decodes one per step of its iteration, so a
+stream written as it is produced and replayed as it is read never
+exists whole; :func:`write_stream` / :func:`read_stream_binary` are the
+whole-stream spellings over them.
 
 CSV is the interchange format for external traces: an optional
 ``# repro-address-stream v1 {json-meta}`` comment, an optional header
@@ -35,18 +56,20 @@ from __future__ import annotations
 
 import io as _io
 import json
+import os
 import struct
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import Iterator, Optional, Sequence, Sized, TextIO, Union
 
 import numpy as np
 
 from .stream import AddressStream, StreamMeta
 
 MAGIC = b"RAST"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _FLAG_REFS = 1
-#: default accesses per chunk when serializing
+_PART = np.dtype([("length", "<u4"), ("period", "<u4"), ("first", "<u4")])
+#: default accesses per chunk when serializing a whole stream
 CHUNK_SIZE = 1 << 16
 
 CSV_MARKER = "# repro-address-stream"
@@ -56,44 +79,60 @@ class StreamFormatError(ValueError):
     """Raised when a stream file is malformed."""
 
 
-# -- RLE helpers -------------------------------------------------------
+# -- column encodings --------------------------------------------------
+
+
+def body_period(refs: Optional[np.ndarray], writes: np.ndarray) -> int:
+    """The shortest period ``p`` — dividing the length, at least two
+    rows — at which the ref ids and write flags both repeat exactly: a
+    uniform loop nest's body length.  The whole length when there is
+    none, or no ref ids to find one by."""
+    n = len(writes)
+    if refs is None or n < 4:
+        return n
+    candidates = np.flatnonzero(refs[1 : n // 2 + 1] == refs[0]) + 1
+    for p in candidates[n % candidates == 0]:
+        # two short slices reject most candidates before the full compares
+        if (
+            np.array_equal(refs[p : 2 * p], refs[:p])
+            and np.array_equal(refs[n - p :], refs[:p])
+            and np.array_equal(refs[p:], refs[:-p])
+            and np.array_equal(writes[p:], writes[:-p])
+        ):
+            return int(p)
+    return n
+
+
+def _transpose(src: np.ndarray, dst: np.ndarray, period: int, inverse: bool) -> None:
+    """``src`` into ``dst``, rows of ``period`` turned into one column
+    after another (or back, with ``inverse``)."""
+    rows = len(src) // period
+    if period == 1 or rows == 1:
+        dst[...] = src
+    elif inverse:
+        dst.reshape(rows, period)[...] = src.reshape(period, rows).T
+    else:
+        dst.reshape(period, rows)[...] = src.reshape(rows, period).T
 
 
 def _rle(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(run values, run lengths) of a 1-D array."""
-    n = len(values)
-    if n == 0:
-        return values[:0], np.empty(0, dtype=np.int64)
-    change = np.nonzero(values[1:] != values[:-1])[0] + 1
-    starts = np.concatenate(([0], change))
-    runs = np.diff(np.concatenate((starts, [n])))
-    return values[starts], runs
-
-
-def _unrle(values: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    return np.repeat(values, runs)
-
-
-# -- binary writer -----------------------------------------------------
+    """(run values, run lengths) of a non-empty 1-D array."""
+    bounds = np.flatnonzero(values[1:] != values[:-1]) + 1
+    bounds = np.concatenate(([0], bounds, [len(values)]))
+    return values[bounds[:-1]], np.diff(bounds)
 
 
 def _encode_addresses(addr: np.ndarray) -> bytes:
-    n = len(addr)
-    raw = addr.astype("<i8").tobytes()
-    if n < 2:
-        return b"\x00" + raw
-    deltas = np.diff(addr)
-    vals, runs = _rle(deltas)
-    # tag + first + npairs + pairs vs tag + raw column
-    rle_size = 1 + 8 + 4 + len(vals) * 12
-    if rle_size >= 1 + len(raw):
-        return b"\x00" + raw
-    out = [b"\x01", struct.pack("<q", int(addr[0])), struct.pack("<I", len(vals))]
+    if len(addr) < 2:
+        return b"\x00" + addr.astype("<i8", copy=False).tobytes()
+    vals, runs = _rle(np.diff(addr))
+    # first + npairs + pairs vs the raw column
+    if 8 + 4 + len(vals) * 12 >= 8 * len(addr):
+        return b"\x00" + addr.astype("<i8", copy=False).tobytes()
     pairs = np.empty(len(vals), dtype=[("delta", "<i8"), ("run", "<u4")])
     pairs["delta"] = vals
     pairs["run"] = runs
-    out.append(pairs.tobytes())
-    return b"".join(out)
+    return struct.pack("<BqI", 1, int(addr[0]), len(vals)) + pairs.tobytes()
 
 
 def _encode_rle_column(values: np.ndarray, dtype: str) -> bytes:
@@ -104,88 +143,255 @@ def _encode_rle_column(values: np.ndarray, dtype: str) -> bytes:
     return struct.pack("<I", len(vals)) + pairs.tobytes()
 
 
+# -- binary writer -----------------------------------------------------
+
+
+class StreamWriter:
+    """A binary stream file written one chunk at a time.
+
+    ``with StreamWriter(path) as w: w.write(chunk)``: each non-empty
+    :meth:`write` appends one chunk; closing fills in the chunk count.
+    The file's metadata and whether it carries a ref-id column (which
+    every chunk must then have) are ``meta`` / ``refs``, by default the
+    first chunk's (an empty file's: none).
+    """
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        meta: Optional[StreamMeta] = None,
+        refs: Optional[bool] = None,
+    ) -> None:
+        self.path = Path(path)
+        self.meta, self.refs = meta, refs
+        self.chunks = 0
+        self._fh = open(self.path, "wb")
+        self._count_at = 0  # where the chunk count goes, once the header is out
+
+    def _header(self, chunk: Optional[AddressStream]) -> None:
+        if self.meta is None:
+            self.meta = StreamMeta() if chunk is None else chunk.meta
+        if self.refs is None:
+            self.refs = chunk is not None and chunk.ref_ids is not None
+        blob = json.dumps(self.meta.to_json(), sort_keys=True).encode()
+        flags = _FLAG_REFS if self.refs else 0
+        self._fh.write(MAGIC + struct.pack("<HHI", FORMAT_VERSION, flags, len(blob)))
+        self._fh.write(blob)
+        self._count_at = self._fh.tell()
+        self._fh.write(struct.pack("<I", 0))
+
+    def write(self, chunk: AddressStream, parts: Sequence[Sized] = ()) -> None:
+        """Append ``chunk``.  ``parts`` are the consecutive loop-nest
+        segments it joins (default: the chunk itself), each encoded at
+        its own :func:`body_period`; a segment object that recurs — a
+        time step the tracer replays — is stored only once."""
+        n = len(chunk)
+        if n == 0:
+            return
+        if not self._count_at:
+            self._header(chunk)
+        refs, writes = chunk.ref_ids, chunk.writes.view(np.uint8)
+        if (refs is not None) != self.refs:
+            raise ValueError("every chunk of a stream file has a ref-id column, or none")
+        segments = [s for s in parts or (chunk,) if len(s)]
+        if sum(map(len, segments)) != n:
+            raise ValueError(f"the parts do not cover the chunk's {n} accesses")
+        table: list[tuple[int, int, int]] = []  # (length, period, first)
+        stored: list[tuple[int, int, int]] = []  # (start, length, period)
+        seen: dict[int, int] = {}
+        start = 0
+        for segment in segments:
+            length, stop = len(segment), start + len(segment)
+            first = seen.setdefault(id(segment), len(table))
+            if first == len(table):
+                piece = None if refs is None else refs[start:stop]
+                stored.append((start, length, body_period(piece, writes[start:stop])))
+                period = stored[-1][2]
+            else:
+                period = table[first][1]
+            table.append((length, period, first))
+            start = stop
+        addresses = chunk.addresses
+        if stored not in ([(0, n, 1)], [(0, n, n)]):
+            addresses = np.empty(sum(length for _, length, _ in stored), np.int64)
+            offset = 0
+            for start, length, period in stored:
+                src = chunk.addresses[start : start + length]
+                _transpose(src, addresses[offset : offset + length], period, False)
+                offset += length
+
+        def first_periods(column: np.ndarray) -> np.ndarray:
+            return np.concatenate([column[s : s + p] for s, _, p in stored])
+
+        blocks = [
+            struct.pack("<II", n, len(table)),
+            np.array(table, _PART).tobytes(),
+            _encode_addresses(addresses),
+            _encode_rle_column(first_periods(writes), "u1"),
+        ]
+        if refs is not None:
+            blocks.append(_encode_rle_column(first_periods(refs), "<i4"))
+        self._fh.write(b"".join(blocks))
+        self.chunks += 1
+
+    def close(self) -> None:
+        if not self._fh.closed:
+            if not self._count_at:
+                self._header(None)
+            self._fh.seek(self._count_at)
+            self._fh.write(struct.pack("<I", self.chunks))
+            self._fh.close()
+
+    def __enter__(self) -> "StreamWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def write_stream(
     path: Union[str, Path],
     stream: AddressStream,
     chunk_size: int = CHUNK_SIZE,
 ) -> Path:
     """Serialize a stream to the binary ``.ast`` format; returns the path."""
-    path = Path(path)
-    meta_blob = json.dumps(stream.meta.to_json(), sort_keys=True).encode()
-    flags = _FLAG_REFS if stream.ref_ids is not None else 0
-    chunks = list(stream.chunks(chunk_size)) if len(stream) else []
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HH", FORMAT_VERSION, flags))
-        fh.write(struct.pack("<I", len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(struct.pack("<I", len(chunks)))
-        for addr, writes, refs in chunks:
-            fh.write(struct.pack("<I", len(addr)))
-            fh.write(_encode_addresses(addr))
-            fh.write(_encode_rle_column(writes.astype(np.uint8), "u1"))
-            if flags & _FLAG_REFS:
-                fh.write(_encode_rle_column(refs, "<i4"))
-    return path
+    with StreamWriter(path, stream.meta, stream.ref_ids is not None) as writer:
+        for start in range(0, len(stream), chunk_size):
+            writer.write(stream.slice(start, start + chunk_size))
+    return Path(path)
 
 
 # -- binary reader -----------------------------------------------------
 
 
-class _Reader:
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-        self.pos = 0
+class StreamReader:
+    """A binary stream file opened for reading: the header is parsed on
+    opening (a malformed one raises :class:`StreamFormatError` there),
+    and iterating decodes the chunks one at a time, each an
+    :class:`AddressStream` under the file's metadata — without ref ids
+    when ``refs`` is false (a simulation reads none)."""
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def __init__(self, path: Union[str, Path], refs: bool = True) -> None:
+        self.path = Path(path)
+        self.refs = refs
+        self._fh = open(self.path, "rb")
+        self._size = os.fstat(self._fh.fileno()).st_size
+        try:
+            if self._fh.read(4) != MAGIC:
+                raise StreamFormatError(f"{self.path}: not a binary address stream")
+            self.version, self.flags, mlen = struct.unpack("<HHI", self._take(8))
+            if self.version not in (1, FORMAT_VERSION):
+                raise StreamFormatError(
+                    f"unsupported stream format version {self.version} "
+                    f"(expected {FORMAT_VERSION})"
+                )
+            self.meta = StreamMeta.from_json(json.loads(self._take(mlen).decode()))
+            self.nchunks = self._u32()
+        except (StreamFormatError, ValueError):
+            self._fh.close()
+            raise
+
+    def _take(self, n: int) -> bytes:
+        data = self._fh.read(n)
+        if len(data) != n:
             raise StreamFormatError("truncated stream file")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
+        return data
+
+    def _u32(self) -> int:
+        return struct.unpack("<I", self._take(4))[0]
+
+    def _array(self, dtype, count: int) -> np.ndarray:
+        dt = np.dtype(dtype)
+        return np.frombuffer(self._take(dt.itemsize * count), dtype=dt)
+
+    def _parts(self, n: int) -> tuple[list[tuple[int, ...]], int, int]:
+        """The chunk's parts as ``(start, length, period, offset, unit)``
+        — ``offset`` / ``unit`` locate the stored addresses / first period
+        it reads — and the lengths of the stored address and unit columns."""
+        if self.version == 1:
+            return [(0, n, n, 0, 0)], n, n
+        table = self._array(_PART, self._u32()).tolist()
+        parts = []
+        start = offset = unit = 0
+        for index, (length, period, first) in enumerate(table):
+            if first == index:
+                if period < 1 or length % period:
+                    raise StreamFormatError(f"part of {length} is not whole periods of {period}")
+                parts.append((start, length, period, offset, unit))
+                offset, unit = offset + length, unit + period
+            elif first > index or table[first][2] != first or table[first][0] != length:
+                raise StreamFormatError(f"part {index} repeats no earlier stored part")
+            else:
+                parts.append((start, *parts[first][1:]))
+            start += length
+        if start != n:
+            raise StreamFormatError("chunk parts do not cover the chunk")
+        return parts, offset, unit
+
+    def _addresses(self, m: int) -> np.ndarray:
+        tag = self._take(1)[0]
+        if tag == 0:
+            return self._array("<i8", m).astype(np.int64)
+        if tag != 1:
+            raise StreamFormatError(f"unknown address encoding tag {tag}")
+        first, npairs = struct.unpack("<qI", self._take(12))
+        pairs = self._array([("delta", "<i8"), ("run", "<u4")], npairs)
+        if int(pairs["run"].sum()) != m - 1:
+            raise StreamFormatError("address RLE does not cover the chunk")
+        deltas = np.concatenate(([first], pairs["delta"]))
+        return np.cumsum(np.repeat(deltas, np.concatenate(([1], pairs["run"]))))
+
+    def _units(self, units: int, stored: str) -> np.ndarray:
+        pairs = self._array([("value", stored), ("run", "<u4")], self._u32())
+        out = np.repeat(pairs["value"], pairs["run"])
+        if len(out) != units:
+            raise StreamFormatError("column RLE does not cover the chunk's periods")
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
+    def __iter__(self) -> Iterator[AddressStream]:
+        try:
+            for _ in range(self.nchunks):
+                n = self._u32()
+                parts, m, units = self._parts(n)
+                columns = [(self._addresses(m), np.int64), (self._units(units, "u1"), bool)]
+                if self.flags & _FLAG_REFS and self.refs:
+                    columns.append((self._units(units, "<i4"), np.int32))
+                elif self.flags & _FLAG_REFS:  # skip the (value, run) pairs
+                    if self._fh.seek(8 * self._u32(), 1) > self._size:
+                        raise StreamFormatError("truncated stream file")
+                yield AddressStream(*_unfold(columns, parts, n), meta=self.meta)
+        finally:
+            self.close()
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+    def close(self) -> None:
+        self._fh.close()
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def __enter__(self) -> "StreamReader":
+        return self
 
-    def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
-
-    def array(self, dtype, count: int) -> np.ndarray:
-        dt = np.dtype(dtype)
-        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt)
-
-
-def _decode_addresses(r: _Reader, n: int) -> np.ndarray:
-    tag = r.u8()
-    if tag == 0:
-        return r.array("<i8", n).astype(np.int64)
-    if tag != 1:
-        raise StreamFormatError(f"unknown address encoding tag {tag}")
-    first = r.i64()
-    npairs = r.u32()
-    pairs = r.array([("delta", "<i8"), ("run", "<u4")], npairs)
-    deltas = _unrle(pairs["delta"], pairs["run"].astype(np.int64))
-    if len(deltas) != n - 1:
-        raise StreamFormatError("address RLE does not cover the chunk")
-    out = np.empty(n, dtype=np.int64)
-    out[0] = first
-    np.cumsum(deltas, out=out[1:])
-    out[1:] += first
-    return out
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def _decode_rle_column(r: _Reader, n: int, dtype: str) -> np.ndarray:
-    npairs = r.u32()
-    pairs = r.array([("value", dtype), ("run", "<u4")], npairs)
-    out = _unrle(pairs["value"], pairs["run"].astype(np.int64))
-    if len(out) != n:
-        raise StreamFormatError("column RLE does not cover the chunk")
+def _unfold(columns, parts, n: int) -> list[np.ndarray]:
+    """The stored columns back in stream order: each part's addresses
+    out of period order, its write flags and ref ids a period repeated;
+    a repeated part is a copy of its first occurrence."""
+    (addresses, _), *periodic = columns
+    if len(parts) == 1 and parts[0][2] == n:
+        return [addresses] + [stored.astype(dtype) for stored, dtype in periodic]
+    out = [np.empty(n, np.int64)] + [np.empty(n, dtype) for _, dtype in periodic]
+    unfolded: dict[int, int] = {}  # stored offset -> start of its first occurrence
+    for start, length, period, offset, unit in parts:
+        stop = start + length
+        first = unfolded.setdefault(offset, start)
+        if first != start:
+            for column in out:
+                column[start:stop] = column[first : first + length]
+            continue
+        _transpose(addresses[offset : offset + length], out[0][start:stop], period, True)
+        for (stored, _), column in zip(periodic, out[1:]):
+            column[start:stop].reshape(-1, period)[...] = stored[unit : unit + period]
     return out
 
 
@@ -201,38 +407,21 @@ def read_stream(path: Union[str, Path]) -> AddressStream:
 
 def read_stream_binary(path: Union[str, Path]) -> AddressStream:
     """Load the binary format only; malformed files raise (no CSV fallback)."""
-    path = Path(path)
-    r = _Reader(path.read_bytes())
-    if r.take(4) != MAGIC:
-        raise StreamFormatError(f"{path}: not a binary address stream")
-    version = r.u16()
-    if version != FORMAT_VERSION:
-        raise StreamFormatError(
-            f"unsupported stream format version {version} (expected {FORMAT_VERSION})"
-        )
-    flags = r.u16()
-    meta = StreamMeta.from_json(json.loads(r.take(r.u32()).decode()))
-    nchunks = r.u32()
-    addr_chunks: list[np.ndarray] = []
-    write_chunks: list[np.ndarray] = []
-    ref_chunks: list[np.ndarray] = []
-    for _ in range(nchunks):
-        n = r.u32()
-        addr_chunks.append(_decode_addresses(r, n))
-        write_chunks.append(_decode_rle_column(r, n, "u1").astype(bool))
-        if flags & _FLAG_REFS:
-            ref_chunks.append(_decode_rle_column(r, n, "<i4").astype(np.int32))
+    reader = StreamReader(path)
+    chunks = list(reader)
+    if len(chunks) == 1:
+        return chunks[0]
+    has_refs = reader.flags & _FLAG_REFS
 
-    def cat(chunks: list[np.ndarray], dtype) -> np.ndarray:
-        if not chunks:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(chunks)
+    def cat(column: str, dtype) -> np.ndarray:
+        parts = [getattr(c, column) for c in chunks]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
     return AddressStream(
-        cat(addr_chunks, np.int64),
-        cat(write_chunks, bool),
-        cat(ref_chunks, np.int32) if flags & _FLAG_REFS else None,
-        meta=meta,
+        cat("addresses", np.int64),
+        cat("writes", bool),
+        cat("ref_ids", np.int32) if has_refs else None,
+        meta=reader.meta,
     )
 
 
@@ -246,7 +435,7 @@ def write_stream_csv(
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f"{CSV_MARKER} v{FORMAT_VERSION} "
+            f"{CSV_MARKER} v1 "
             + json.dumps(stream.meta.to_json(), sort_keys=True)
             + "\n"
         )

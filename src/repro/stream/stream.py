@@ -5,15 +5,15 @@ write mask, and optional int32 static reference ids — plus a small
 metadata record saying what the addresses denominate (bytes under a
 concrete layout, or canonical element keys) and which cache-line /
 element geometry they were produced for.  Multi-million access streams
-stay compact (struct-of-arrays, no Python objects per access), and the
-chunk API lets serializers walk the columns without materializing
-intermediate copies.
+stay compact (struct-of-arrays, no Python objects per access), and
+:meth:`AddressStream.slice` gives views of the columns without copying
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -158,20 +158,6 @@ class AddressStream:
             None if self._ref_ids is None else self._ref_ids[start:stop],
             meta=self.meta,
         )
-
-    def chunks(
-        self, chunk_size: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-        """Walk the columns ``chunk_size`` accesses at a time."""
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        for start in range(0, len(self), chunk_size):
-            stop = start + chunk_size
-            yield (
-                self._addresses[start:stop],
-                self._writes[start:stop],
-                None if self._ref_ids is None else self._ref_ids[start:stop],
-            )
 
     def fingerprint(self) -> str:
         """Content hash over all columns (stable across processes)."""

@@ -191,6 +191,42 @@ class TestTraceCache:
         assert removed == cache.info()["traces"] + 2  # all entries gone
         assert cache.info() == {"traces": 0, "results": 0, "tune": 0, "bytes": 0}
 
+    def test_stream_is_stored_as_simulated_and_replayed_as_read(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        cold = self._measure(cache, level="new", engine="fast")
+        spans = {s.name: s.attrs for s in cold.spans}
+        # one chunk stored per chunk simulated, while it is simulated
+        assert spans["trace-store"]["chunks"] == spans["l1"]["chunks"]
+        (path,) = tmp_path.glob("trace-*.ast")
+        stored = read_stream_binary(path)
+        variant = cold.variant
+        traced = AddressStream.from_trace(
+            trace_program(variant.program, SMALL), variant.layout(SMALL)
+        )
+        assert stored.fingerprint() == traced.fingerprint()
+        # each nest a period at a time: under a byte per access, not ~18
+        assert path.stat().st_size < len(stored)
+        for result in tmp_path.glob("result-*"):
+            result.unlink()
+        warm = self._measure(cache, level="new", engine="fast")
+        spans = {s.name: s.attrs for s in warm.spans}
+        assert "trace-gen" not in spans and "trace-store" not in spans
+        assert spans["trace-load"]["chunks"] == spans["l1"]["chunks"]
+        assert warm.stats == cold.stats
+
+    def test_entry_damaged_past_its_header_is_traced_again(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        cold = self._measure(cache)
+        (path,) = tmp_path.glob("trace-*.ast")
+        intact = path.read_bytes()
+        path.write_bytes(intact[: len(intact) // 2])  # a chunk cut short
+        for result in tmp_path.glob("result-*"):
+            result.unlink()
+        again = self._measure(cache)
+        assert again.stats == cold.stats
+        assert "trace-gen" in again.timings  # the replay failed midway
+        assert path.read_bytes() == intact  # and the entry was written again
+
     def test_roundtrip_stream(self, tmp_path):
         cache = TraceCache(tmp_path)
         addresses = np.arange(100, dtype=np.int64) * 8

@@ -77,6 +77,18 @@ class TestTraceExport:
         assert "accesses" in capsys.readouterr().out
         assert out.exists()
 
+    def test_binary_export_stores_each_nest_by_its_period(self, tmp_path, capsys):
+        from repro.stream import read_stream_binary
+
+        out = tmp_path / "adi.ast"
+        argv = ["trace", "export", "adi", "-o", str(out), "-p", "N=32", "--level", "noopt"]
+        assert main(argv) == 0
+        stream = read_stream_binary(out)
+        assert f"fingerprint {stream.fingerprint()}" in capsys.readouterr().out
+        # one period per loop nest: about a byte an access, not the ~18 of
+        # an encoding that reads the interleaved references in stream order
+        assert out.stat().st_size < 2 * len(stream)
+
 
 class TestTraceImport:
     def test_foreign_csv_warns_s501_and_simulates(self, tmp_path, capsys):

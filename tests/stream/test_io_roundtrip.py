@@ -4,7 +4,9 @@ The binary writer picks between raw and delta-RLE per chunk and the CSV
 path is the tolerant import funnel, so both are exercised under
 hypothesis-generated streams — including streams long enough to span
 several chunks, so chunk-boundary reassembly is covered, and strided
-affine-looking sequences that trigger the RLE encoding.
+affine-looking sequences that trigger the RLE encoding.  Chunks joining
+loop-nest segments exercise the period order: every part at its own
+period, or at none when its write flags break the repeat.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.stream import (
     write_stream,
     write_stream_csv,
 )
+from repro.stream.io import StreamReader, StreamWriter, body_period
 
 
 @st.composite
@@ -127,6 +130,133 @@ class TestBinaryRoundtrip:
         affine = AddressStream(np.arange(50_000, dtype=np.int64) * 8)
         path = write_stream(tmp_path / "a.ast", affine)
         assert path.stat().st_size < 50_000 * 8 // 100  # >100x smaller
+
+    def test_a_nest_body_is_stored_one_reference_at_a_time(self, tmp_path):
+        # for i { A[i] = B[2i] + C[i + 7] }: three interleaved strides, which
+        # stream order breaks into runs of one and period order keeps whole
+        i = np.arange(20_000, dtype=np.int64)
+        body = np.stack([8 * i, 80_000 + 16 * i, 400_056 + 8 * i], axis=1)
+        stream = AddressStream(
+            body.ravel(),
+            np.tile([True, False, False], len(i)),
+            np.tile(np.asarray([2, 0, 1], np.int32), len(i)),
+        )
+        path = tmp_path / "nest.ast"
+        with StreamWriter(path) as writer:
+            writer.write(stream)
+        assert path.stat().st_size < len(stream) // 100  # the header, mostly
+        _assert_equal(stream, read_stream_binary(path), check_meta=False)
+
+    def test_version_1_files_still_read(self, tmp_path):
+        import json
+        import struct
+
+        meta = StreamMeta(name="old", source="codegen", line_bytes=128, elem_bytes=8)
+        blob = json.dumps(meta.to_json(), sort_keys=True).encode()
+        chunk = (
+            struct.pack("<I", 3)
+            + b"\x00" + np.asarray([64, 8, 72], "<i8").tobytes()  # raw addresses
+            + struct.pack("<IBIBI", 2, 1, 1, 0, 2)  # writes: 1 x True, 2 x False
+            + struct.pack("<IiI", 1, 5, 3)  # ref ids: 3 x 5
+        )
+        path = tmp_path / "v1.ast"
+        path.write_bytes(
+            b"RAST" + struct.pack("<HHI", 1, 1, len(blob)) + blob
+            + struct.pack("<I", 1) + chunk
+        )
+        _assert_equal(
+            AddressStream(
+                np.asarray([64, 8, 72]), np.asarray([True, False, False]),
+                np.full(3, 5, np.int32), meta=meta,
+            ),
+            read_stream_binary(path),
+        )
+
+    def test_parts_must_cover_the_chunk(self, tmp_path):
+        stream = AddressStream(np.arange(10, dtype=np.int64))
+        with StreamWriter(tmp_path / "s.ast") as writer, pytest.raises(ValueError):
+            writer.write(stream, [stream.slice(0, 4), stream.slice(4, 8)])
+
+    def test_a_replayed_segment_is_stored_once(self, tmp_path):
+        i = np.arange(5_000, dtype=np.int64)
+        step = AddressStream(np.stack([8 * i, 9_000 + 8 * i], axis=1).ravel(),
+                             np.tile([False, True], len(i)),
+                             np.tile(np.asarray([0, 1], np.int32), len(i)))
+        other = AddressStream(np.arange(7, dtype=np.int64) ** 3, None,
+                              np.zeros(7, np.int32))
+        sizes = []
+        for parts in ([step, other], [step, other, step, step]):
+            chunk = AddressStream.concat(parts)
+            path = tmp_path / f"{len(parts)}.ast"
+            with StreamWriter(path) as writer:
+                writer.write(chunk, parts)
+            _assert_equal(chunk, read_stream_binary(path), check_meta=False)
+            sizes.append(path.stat().st_size)
+        # two more parts cost their table entries, not their accesses
+        assert sizes[1] - sizes[0] == 2 * 12
+
+
+@st.composite
+def nest_chunks(draw):
+    """A chunk joining loop-nest segments the way the tracers emit them:
+    each a body of references repeated over its iterations, at constant
+    strides with an occasional break (an outer loop stepping), or — now
+    and then — a segment with no period at all; some segments recur, as
+    a replayed time step does."""
+    segments = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        body = draw(st.integers(min_value=1, max_value=5))
+        trips = draw(st.integers(min_value=1, max_value=40))
+        n = body * trips
+        refs = np.tile(np.asarray(
+            draw(st.lists(st.integers(0, 9), min_size=body, max_size=body)), np.int32
+        ), trips)
+        writes = np.tile(np.asarray(
+            draw(st.lists(st.booleans(), min_size=body, max_size=body))
+        ), trips)
+        if draw(st.booleans()):
+            writes = writes.copy()
+            writes[draw(st.integers(0, n - 1))] ^= True  # breaks the period
+        strides = np.asarray(draw(st.lists(st.integers(-64, 64), min_size=body,
+                                           max_size=body)), np.int64)
+        addresses = (np.arange(trips)[:, None] * strides + 1000 * np.arange(body)).ravel()
+        addresses[draw(st.integers(0, n - 1)):] += draw(st.integers(-4096, 4096))
+        segments.append(AddressStream(addresses, writes, refs))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):  # replayed steps
+        segments.append(draw(st.sampled_from(segments)))
+    return AddressStream.concat(segments), segments
+
+
+class TestPeriodOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(chunks=st.lists(nest_chunks(), min_size=0, max_size=3))
+    def test_parts_roundtrip_chunk_by_chunk(self, tmp_path_factory, chunks):
+        path = tmp_path_factory.mktemp("ast") / "s.ast"
+        with StreamWriter(path, refs=True) as writer:
+            for chunk, parts in chunks:
+                writer.write(chunk, parts)
+        with StreamReader(path) as reader:
+            assert reader.nchunks == len(chunks)
+            for (chunk, _), back in zip(chunks, reader):
+                _assert_equal(chunk, back, check_meta=False)
+        # what a simulation replays: the same chunks, ref ids skipped
+        with StreamReader(path, refs=False) as reader:
+            for (chunk, _), back in zip(chunks, reader):
+                assert back.ref_ids is None
+                assert np.array_equal(chunk.addresses, back.addresses)
+                assert np.array_equal(chunk.writes, back.writes)
+
+    def test_body_period(self):
+        pattern = np.asarray([3, 1, 4, 1, 5], np.int32)
+        writes = np.tile([True, False, False, False, False], 6)
+        assert body_period(np.tile(pattern, 6), writes) == 5
+        # a repeat of the ref ids alone is not enough
+        broken = writes.copy()
+        broken[-1] = True
+        assert body_period(np.tile(pattern, 6), broken) == 30
+        assert body_period(np.arange(30, dtype=np.int32), writes) == 30
+        assert body_period(None, writes) == 30
+        assert body_period(np.zeros(30, np.int32), np.zeros(30, bool)) == 1
 
 
 class TestCsvRoundtrip:

@@ -69,12 +69,6 @@ class TestAddressStream:
         s.meta.line_bytes = 128
         assert np.array_equal(s.lines(), s.addresses // 128)
 
-    def test_chunks_cover_the_stream_in_order(self):
-        s = _stream(100)
-        chunks = list(s.chunks(32))
-        assert [len(a) for a, _, _ in chunks] == [32, 32, 32, 4]
-        assert np.array_equal(np.concatenate([a for a, _, _ in chunks]), s.addresses)
-
     def test_fingerprint_is_content_addressed(self):
         a, b = _stream(), _stream()
         assert a.fingerprint() == b.fingerprint()

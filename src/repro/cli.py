@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .core import compile_pipeline, compile_variant
 from .engines import TRACE_ENGINES, engine_spec
-from .core.pm import PIPELINES, custom_pipeline, describe_pipeline, resolve_pipeline
+from .core.pm import PASSES, PIPELINES, describe_pipeline, resolve_pipeline
 from .harness import (
     NORMALIZED_HEADERS,
     TIMING_HEADERS,
@@ -215,7 +215,7 @@ def _parse_passes(args: argparse.Namespace):
     """The ``--passes a,b,c`` override as a pipeline spec (or None)."""
     if not args.passes:
         return None
-    return custom_pipeline([n.strip() for n in args.passes.split(",")])
+    return resolve_pipeline([n.strip() for n in args.passes.split(",")])
 
 
 def _baseline(args: argparse.Namespace):
@@ -951,9 +951,10 @@ def cmd_verify_pass(args: argparse.Namespace) -> int:
             raise SystemExit("--before and --after must be given together")
         before = _load_program(args.before)
         after = _load_program(args.after)
+        entry = PASSES.get(args.pass_name)  # any other name certifies strictly
         bag = verify_pass(
-            before, after,
-            pass_name=args.pass_name, params=args.param, steps=args.steps,
+            before, after, pass_name=args.pass_name, params=args.param,
+            strict=entry is None or entry.strict, steps=args.steps,
         )
         if args.json:
             print(bag.to_json(before=before.name, after=after.name,
@@ -1028,7 +1029,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    """Introspect the pass-pipeline registry."""
+    """Introspect the pass and pipeline tables."""
     if args.json:
         from .core.pm import registry_to_json, spec_to_json
 
@@ -1168,8 +1169,8 @@ SHARED = {
                   help="use the on-disk trace/result cache"),
     "cache-dir": _arg("--cache-dir", help="cache directory"),
     "passes": _arg("--passes", metavar="P1,P2,...", help="compile through this "
-                   "comma-separated pass list instead of a level ('repro "
-                   "pipeline --json' lists every registered pass)"),
+                   "comma-separated pass list (each a pass name or fusion:K) "
+                   "instead of a level ('repro pipeline --json' lists every pass)"),
     "json": _arg("--json", action="store_true", help="JSON output"),
     "threads": _arg("--threads", type=_thread_count, metavar="T",
                     help="thread count the multicore model assumes, 1..63 "
@@ -1319,12 +1320,13 @@ COMMANDS = (
         _arg("--before", help="original source file"),
         _arg("--after", help="transformed source file"),
         _arg("--pass-name", default="transform",
-             help="label for --before/--after mode"),
+             help="pass the --before/--after pair is certified as: a pass of "
+             "the table in its own mode, any other name strictly"),
         # the verifier snapshots a tiny execution; one repetition suffices
         levels="new", steps=1,
     ),
     _command(
-        "pipeline", "introspect the pass-pipeline registry (--json: the shared "
+        "pipeline", "introspect the pass and pipeline tables (--json: the shared "
         "pipeline-description schema)", cmd_pipeline, "json",
         _arg("--list", action="store_true", help="list every level with its "
              "description and pass sequence (default)"),

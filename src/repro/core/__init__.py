@@ -9,13 +9,7 @@ from .pipeline import (
     compile_variant,
     preliminary,
 )
-from .pm import (
-    PIPELINES,
-    PassManager,
-    PipelineSpec,
-    known_levels,
-    resolve_pipeline,
-)
+from .pm import PIPELINES, PassManager, PipelineSpec, resolve_pipeline
 from .regroup import (
     Layout,
     RegroupOptions,
@@ -38,7 +32,6 @@ __all__ = [
     "RegroupPlan",
     "compile_pipeline",
     "compile_variant",
-    "known_levels",
     "resolve_pipeline",
     "default_layout",
     "fuse_program",

@@ -1,6 +1,7 @@
 """The end-to-end global strategy (paper §4.1) — pass-manager front end.
 
-``compile_variant`` runs a program through a named optimization level:
+``compile_pipeline`` (also spelled ``compile_variant``) runs a program
+through a named optimization level:
 
 * ``noopt`` — inline only (the measured "original" program);
 * ``fusion`` / ``fusion1`` — preliminary passes + reuse-based fusion at
@@ -10,19 +11,20 @@
 * ``new`` — the paper's full strategy: fusion then regrouping
   (also reachable as ``fusion+regroup``);
 * ``sgi`` — the SGI-compiler stand-in from :mod:`repro.baselines`;
-* ``mckinley`` — the restricted-fusion comparator from §5.
+* ``mckinley`` — the restricted-fusion comparator from §5;
 
-Each level is a declarative :class:`~repro.core.pm.PipelineSpec` in the
-:data:`~repro.core.pm.PIPELINES` registry, executed by the
-:class:`~repro.core.pm.PassManager` (which owns spans and
-certification).  Every function here walks the pass trie of the program
-it was handed (:meth:`~repro.core.pm.PassManager.of`), so a second
-compile of the same :class:`~repro.lang.Program` object — another level
-sharing a prefix, another size, a warm cache phase — executes only the
-passes no earlier walk has; the result's ``passes_run`` / ``shared_steps``
-say which it was.  ``compile_pipeline`` additionally
-accepts a custom pass-name list or an explicit spec; unknown level names
-raise :class:`~repro.lang.TransformError` listing the known levels.
+or through any pass sequence (``["inline", "fusion:2", "simplify"]``)
+or explicit :class:`~repro.core.pm.PipelineSpec`.
+
+Each level is a declarative spec in the :data:`~repro.core.pm.PIPELINES`
+table, executed by the :class:`~repro.core.pm.PassManager` (which owns
+spans and certification).  Every compile walks the pass trie of the
+program it was handed (:meth:`~repro.core.pm.PassManager.of`), so a
+second compile of the same :class:`~repro.lang.Program` object — another
+level sharing a prefix, another size, a warm cache phase — executes only
+the passes no earlier walk has; the result's ``passes_run`` /
+``shared_steps`` say which it was.  Unknown level names raise
+:class:`~repro.lang.TransformError` listing the known levels.
 
 The result carries the transformed program, a layout factory (regrouping
 and padding are *layouts*, so they compose with any trace), and the
@@ -37,12 +39,7 @@ from typing import Mapping, Optional, Sequence, Union
 from ..lang import Program
 from ..verify import PassVerifier
 from .pm.manager import CompiledVariant, PassManager
-from .pm.pipelines import (
-    OPT_LEVELS,
-    PipelineSpec,
-    preliminary_steps,
-    resolve_pipeline,
-)
+from .pm.pipelines import _PRELIMINARY, OPT_LEVELS, PipelineSpec, resolve_pipeline
 
 __all__ = [
     "OPT_LEVELS",
@@ -53,21 +50,10 @@ __all__ = [
 ]
 
 
-def preliminary(
-    program: Program,
-    distribute: bool = True,
-    verifier: Optional[PassVerifier] = None,
-) -> Program:
-    """§4.1 preliminary passes: inline, unroll+split, distribute, constprop.
-
-    ``distribute=False`` skips maximal loop distribution — used by the
-    regroup-only ablation, which should regroup the *original* loop
-    structure rather than a scattered one.  A ``verifier`` certifies
-    every pass in turn (raising :class:`~repro.verify.PassLegalityError`
-    on the first broken dependence).
-    """
-    spec = PipelineSpec("preliminary", "", preliminary_steps(distribute))
-    return compile_pipeline(program, spec, verify=verifier or False).program
+def preliminary(program: Program) -> Program:
+    """§4.1 preliminary passes: inline, unroll+split, distribute, constprop."""
+    spec = PipelineSpec("preliminary", "", _PRELIMINARY)
+    return compile_pipeline(program, spec).program
 
 
 def compile_pipeline(
@@ -77,11 +63,20 @@ def compile_pipeline(
     verify: Union[bool, PassVerifier] = False,
     verify_params: Optional[Mapping[str, int]] = None,
 ) -> CompiledVariant:
-    """Compile ``program`` through ``pipeline``.
+    """Compile ``program`` through ``pipeline``: a level name (strictly
+    validated, ``repro pipeline --list``), a pass sequence (the CLI's
+    ``--passes`` form), or an explicit :class:`~repro.core.pm.PipelineSpec`.
 
-    ``pipeline`` may be a registered level name (strictly validated), an
-    explicit :class:`~repro.core.pm.PipelineSpec`, or a sequence of
-    registered pass names (the CLI's ``--passes`` form).
+    ``verify=True`` runs the pass-legality checker after every pass: the
+    program is snapshotted at small concrete parameters
+    (``verify_params``, default 8 for every parameter) and every
+    dependence must be preserved stage to stage; a violation raises
+    :class:`~repro.verify.PassLegalityError` naming the offending pass
+    and dependence edge.  Passing a :class:`~repro.verify.PassVerifier`
+    instance instead lets the caller inspect its per-pass ``history``
+    afterwards (the CLI's ``verify-pass`` does).  Verification inspects
+    only the *program* — layouts (regrouping, padding) relocate data
+    without reordering accesses, so they need no certification.
 
     The walk is over ``program``'s own trie unless an option a deposit
     or a verdict depends on is not the default — ``regroup_options``, or
@@ -99,35 +94,5 @@ def compile_pipeline(
     return manager.run(spec, verify)
 
 
-def compile_variant(
-    program: Program,
-    level: str,
-    regroup_options=None,
-    verify: Union[bool, PassVerifier] = False,
-    verify_params: Optional[Mapping[str, int]] = None,
-) -> CompiledVariant:
-    """Compile ``program`` at optimization level ``level``.
-
-    Backward-compatible front over :func:`compile_pipeline`.  ``level``
-    must name a registered pipeline (``repro pipeline --list``); loose
-    spellings the old prefix matching accepted (``fusionXYZ``) raise
-    :class:`~repro.lang.TransformError`.
-
-    ``verify=True`` runs the pass-legality checker after every pass: the
-    program is snapshotted at small concrete parameters
-    (``verify_params``, default 8 for every parameter) and every
-    dependence must be preserved stage to stage; a violation raises
-    :class:`~repro.verify.PassLegalityError` naming the offending pass
-    and dependence edge.  Passing a :class:`~repro.verify.PassVerifier`
-    instance instead lets the caller inspect its per-pass ``history``
-    afterwards (the CLI's ``verify-pass`` does).  Verification inspects
-    only the *program* — layouts (regrouping, padding) relocate data
-    without reordering accesses, so they need no certification.
-    """
-    return compile_pipeline(
-        program,
-        level,
-        regroup_options=regroup_options,
-        verify=verify,
-        verify_params=verify_params,
-    )
+#: the name the harness, the CLI and the perf ledger compile levels by
+compile_variant = compile_pipeline

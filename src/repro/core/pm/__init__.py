@@ -1,11 +1,11 @@
-"""Pass-manager architecture: declarative pipelines, auto-instrumented
-passes.
+"""The pass layer: the paper's passes, its levels as data, and the
+manager that runs them.
 
-* :mod:`.passes` — the :class:`Pass` protocol, :class:`FunctionPass`,
-  and the process-wide registry of built-in passes;
+* :mod:`.passes` — :data:`PASSES`, the fixed table of passes (each one's
+  function, description and certification mode);
 * :mod:`.pipelines` — every optimization level written down as a
-  :class:`PipelineSpec` (ordered pass steps as data), plus strict level
-  validation and ad-hoc ``--passes`` pipelines;
+  :class:`PipelineSpec` (ordered pass steps as data), strict level
+  validation, and the one pass-sequence grammar (``--passes``);
 * :mod:`.manager` — the :class:`PassManager` that executes specs, owning
   obs spans, verifier certification, and :class:`CompiledVariant`
   assembly.
@@ -14,48 +14,29 @@ passes.
 from __future__ import annotations
 
 from .manager import CompiledVariant, PassManager
-from .passes import (
-    FunctionPass,
-    PASSES,
-    Pass,
-    PassContext,
-    get_pass,
-    pass_names,
-    register_pass,
-)
+from .passes import PASSES, PassContext
 from .pipelines import (
     OPT_LEVELS,
     PIPELINES,
     PassStep,
     PipelineSpec,
-    custom_pipeline,
     describe_pipeline,
-    known_levels,
     registry_to_json,
     resolve_pipeline,
-    spec_from_json,
     spec_to_json,
 )
 
 __all__ = [
     "CompiledVariant",
-    "FunctionPass",
     "OPT_LEVELS",
     "PASSES",
     "PIPELINES",
-    "Pass",
     "PassContext",
     "PassManager",
     "PassStep",
     "PipelineSpec",
-    "custom_pipeline",
     "describe_pipeline",
-    "get_pass",
-    "known_levels",
-    "pass_names",
-    "register_pass",
     "registry_to_json",
     "resolve_pipeline",
-    "spec_from_json",
     "spec_to_json",
 ]

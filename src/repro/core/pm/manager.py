@@ -9,7 +9,7 @@ pass that returns its input program and deposits nothing loops back to
 the node it left.  ``run(spec)`` walks from the root and
 
 * **executes** a pass only where no walk has yet — passes are pure (see
-  :class:`~repro.core.pm.passes.Pass`).  A shared step emits no pass
+  :mod:`~repro.core.pm.passes`).  A shared step emits no pass
   span (nothing ran) and counts in ``pm.pass.shared``; ``pm.pass.runs``
   keeps meaning *executed*;
 * **certifies** an edge the first time a *verified* walk crosses it —
@@ -58,7 +58,7 @@ from ...verify import (
     check_legality,
     snapshot_program,
 )
-from .passes import Pass, PassContext, get_pass
+from .passes import PASSES, PassContext
 from .pipelines import PassStep, PipelineSpec
 
 
@@ -105,7 +105,7 @@ class _Node:
     def awaited(self) -> bool:
         """Does a declared edge out of this node still await its verdict?"""
         pending = self.declared - self.bags.keys()
-        return any(get_pass(step.name).certify for step in pending)
+        return any(PASSES[step.name].certify for step in pending)
 
     def absorb(self, other: "_Node") -> None:
         """Fold ``other`` — declared but never reached — into this node."""
@@ -216,14 +216,13 @@ class PassManager:
         node = anchor = self.root
         shared = 0
         for step in spec.steps:
-            pass_obj = get_pass(step.name)
             parent, node = node, node.children.get(step)
             if node is not None and node.program is not None:
                 shared += 1
                 metrics.inc("pm.pass.shared")
             else:
-                node = self._run_step(parent, step, pass_obj)
-            if pass_obj.certify:
+                node = self._run_step(parent, step)
+            if PASSES[step.name].certify:
                 if verify:
                     self._certify(anchor, parent, step, verify)
                 anchor = node
@@ -242,17 +241,17 @@ class PassManager:
             shared_steps=shared,
         )
 
-    def _run_step(self, parent: _Node, step: PassStep, pass_obj: Pass) -> _Node:
+    def _run_step(self, parent: _Node, step: PassStep) -> _Node:
         """Run ``step`` on ``parent``'s state — no walk has yet — and
         return the state it leads to."""
         node = parent.children.setdefault(step, _Node())
         metrics.inc("pm.pass.runs")
-        metrics.inc(f"pm.pass.{pass_obj.name}.runs")
+        metrics.inc(f"pm.pass.{step.name}.runs")
         ctx = replace(parent.ctx, stages=dict(parent.ctx.stages))
-        with span(pass_obj.name, **step.kwargs()) as sp:
+        with span(step.name, **step.kwargs()) as sp:
             ctx._span = sp
             try:
-                result = pass_obj.run(parent.program, ctx, **step.kwargs())
+                result = PASSES[step.name].fn(parent.program, ctx, **step.kwargs())
             finally:
                 ctx._span = None
             if current_collector() is not None and isinstance(result, Program):
@@ -280,27 +279,26 @@ class PassManager:
         """Check ``parent``'s out-edge ``step`` against ``anchor``'s
         snapshot, or replay its verdict; raises on a broken dependence
         either way."""
-        pass_obj = get_pass(step.name)
         bag = parent.bags.get(step)
         if bag is not None:
             metrics.inc("pm.certify.shared")
         else:
             node = parent.children[step]
-            with span("verify", certifies=pass_obj.name):
+            with span("verify", certifies=step.name):
                 before = anchor.snapshot
                 if before is None:
                     before = self._snapshot(anchor.program)
                 after = self._snapshot(node.program)
                 bag = parent.bags[step] = check_legality(
-                    before, after, pass_name=pass_obj.name, strict=pass_obj.strict
+                    before, after, pass_name=step.name, strict=PASSES[step.name].strict
                 )
             anchor.snapshot = before if anchor.awaited() else None
             if not bag.has_errors():
                 node.snapshot = after if node.awaited() else None
         if isinstance(verify, PassVerifier):
-            verify.record(pass_obj.name, bag)
+            verify.record(step.name, bag)
         elif bag.has_errors():
-            raise PassLegalityError.from_bag(f"pass {pass_obj.name!r}", bag)
+            raise PassLegalityError.from_bag(f"pass {step.name!r}", bag)
 
     def _snapshot(self, program: Program) -> Snapshot:
         return snapshot_program(program, self.verify_params, self.verify_steps)

@@ -1,17 +1,18 @@
-"""Declarative pipeline specs: every optimization level as data.
+"""The optimization levels as data, and the one pass-sequence grammar.
 
 The paper's §4.1 global strategy is a *sequence of passes*; this module
 writes each optimization level down as exactly that — a
-:class:`PipelineSpec` holding ordered :class:`PassStep` entries — instead
-of the historical if/else chain in ``compile_variant``.  The registry is
+:class:`PipelineSpec` holding ordered :class:`PassStep` entries over the
+pass table :data:`~repro.core.pm.passes.PASSES`.  :data:`PIPELINES` is
 introspectable (``repro pipeline --list`` / ``--describe``), validates
 level names strictly (bogus names like ``fusionXYZ`` raise
 :class:`~repro.lang.TransformError` listing the known levels), and is the
 single source of truth for :data:`OPT_LEVELS`.
 
-Custom pipelines (``repro report --passes inline,simplify``, or
-``RunRequest(pipeline=[...])``) are built with :func:`custom_pipeline`
-from any registered pass names.
+Every other pass sequence — ``repro report --passes inline,simplify``,
+``RunRequest(pipeline=[...])``, an autotuner candidate and its signature
+— is a list of tokens, each a pass name or ``fusion:K`` (fusion at
+``max_levels=K``), read by :func:`resolve_pipeline`.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ...lang import TransformError
-from .passes import PASSES, get_pass
+from .passes import PASSES
 
 
 @dataclass(frozen=True)
 class PassStep:
-    """One pipeline entry: a registered pass plus per-step options.
+    """One pipeline entry: a pass of the table plus per-step options.
 
     ``options`` are frozen keyword arguments forwarded to the pass's
-    ``run`` (and shown as span attributes, e.g. fusion's ``max_levels``);
+    function (and shown as span attributes, e.g. fusion's ``max_levels``);
     ``checkpoint`` records the program's structural stats under that
     stage name after the pass runs.
     """
@@ -56,122 +57,96 @@ class PipelineSpec:
     description: str
     steps: tuple[PassStep, ...]
 
-    def pass_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.steps)
-
     def validate(self) -> "PipelineSpec":
         for step in self.steps:
-            get_pass(step.name)  # raises TransformError on unknown names
+            _known(step.name)
         return self
 
 
-def _step(name: str, checkpoint: Optional[str] = None, **options) -> PassStep:
-    return PassStep(name, tuple(sorted(options.items())), checkpoint)
+def _known(name: str) -> str:
+    if name not in PASSES:
+        raise TransformError(
+            f"unknown pass {name!r}; known passes: {', '.join(sorted(PASSES))}"
+        )
+    return name
 
 
-#: §4.1 preliminary transformations (shared prefix of every optimized level)
-_PRELIMINARY = (
-    _step("inline"),
-    _step("unroll"),
-    _step("split_arrays"),
-    _step("distribute"),
-    _step("constprop"),
-    _step("simplify", checkpoint="preliminary"),
-)
+def _parse(tokens: Sequence[str]) -> tuple[PassStep, ...]:
+    """The pass-sequence grammar: each token is a pass name or ``fusion:K``."""
+    steps = []
+    for token in tokens:
+        name, colon, level = token.partition(":")
+        if not colon:
+            steps.append(PassStep(_known(name)))
+        elif _known(name) == "fusion" and level.isdigit():
+            steps.append(PassStep("fusion", (("max_levels", int(level)),)))
+        else:
+            raise TransformError(
+                f"bad pass token {token!r}: only fusion takes an option, "
+                "as fusion:K with K >= 0"
+            )
+    if not steps:
+        raise TransformError("a pass sequence needs at least one pass")
+    return tuple(steps)
 
+
+#: §4.1 preliminary transformations (shared prefix of every optimized
+#: level, and :func:`~repro.core.preliminary`)
+_PRELIMINARY = _parse(("inline", "unroll", "split_arrays", "distribute", "constprop"))
+_PRELIMINARY += (PassStep("simplify", checkpoint="preliminary"),)
 #: the regroup-only ablation skips distribution: it must regroup the
 #: *original* loop structure, not a maximally scattered one
-_PRELIMINARY_NO_DISTRIBUTE = tuple(
-    s for s in _PRELIMINARY if s.name != "distribute"
-)
-
-
-def preliminary_steps(distribute: bool = True) -> tuple[PassStep, ...]:
-    """The shared §4.1 preliminary prefix (``repro.core.preliminary``)."""
-    return _PRELIMINARY if distribute else _PRELIMINARY_NO_DISTRIBUTE
+_UNDISTRIBUTED = tuple(s for s in _PRELIMINARY if s.name != "distribute")
+_REGROUP = (PassStep("regroup"),)
 
 
 def _fused(max_levels: int) -> tuple[PassStep, ...]:
-    return (
-        _step("fusion", max_levels=max_levels),
-        _step("simplify", checkpoint="fused"),
-    )
+    fusion = _parse([f"fusion:{max_levels}"])
+    return fusion + (PassStep("simplify", checkpoint="fused"),)
 
 
 #: named pipelines, declaration order = presentation order.  The seven
 #: core levels come first (OPT_LEVELS preserves exactly that set), then
 #: the compound spellings the harness has always accepted.
-PIPELINES: dict[str, PipelineSpec] = {}
-
-
-def _pipeline(name: str, description: str, steps: Sequence[PassStep]) -> None:
-    PIPELINES[name] = PipelineSpec(name, description, tuple(steps)).validate()
-
-
-_pipeline(
-    "noopt",
-    "inline only (the measured original)",
-    (_step("inline"), _step("simplify")),
-)
-_pipeline(
-    "sgi",
-    "SGI-like local baseline: intra-nest fusion + padding",
-    (_step("sgi"),),
-)
-_pipeline(
-    "mckinley",
-    "restricted fusion (identical bounds, no enablers)",
-    (_step("mckinley"),),
-)
-_pipeline(
-    "fusion1",
-    "preliminary passes + 1-level reuse-based fusion",
-    _PRELIMINARY + _fused(1),
-)
-_pipeline(
-    "fusion",
-    "preliminary passes + full multi-level fusion",
-    _PRELIMINARY + _fused(8),
-)
-_pipeline(
-    "regroup",
-    "data regrouping without fusion (ablation)",
-    _PRELIMINARY_NO_DISTRIBUTE + (_step("regroup"),),
-)
-_pipeline(
-    "new",
-    "the paper's strategy: fusion + regrouping",
-    _PRELIMINARY + _fused(8) + (_step("regroup"),),
-)
-_pipeline(
-    "fusion+regroup",
-    "compound spelling of 'new' (fusion then regrouping)",
-    _PRELIMINARY + _fused(8) + (_step("regroup"),),
-)
-_pipeline(
-    "fusion1+regroup",
-    "1-level fusion then regrouping",
-    _PRELIMINARY + _fused(1) + (_step("regroup"),),
-)
+PIPELINES: dict[str, PipelineSpec] = {
+    name: PipelineSpec(name, description, steps)
+    for name, description, steps in (
+        ("noopt", "inline only (the measured original)",
+         _parse(("inline", "simplify"))),
+        ("sgi", "SGI-like local baseline: intra-nest fusion + padding",
+         _parse(("sgi",))),
+        ("mckinley", "restricted fusion (identical bounds, no enablers)",
+         _parse(("mckinley",))),
+        ("fusion1", "preliminary passes + 1-level reuse-based fusion",
+         _PRELIMINARY + _fused(1)),
+        ("fusion", "preliminary passes + full multi-level fusion",
+         _PRELIMINARY + _fused(8)),
+        ("regroup", "data regrouping without fusion (ablation)",
+         _UNDISTRIBUTED + _REGROUP),
+        ("new", "the paper's strategy: fusion + regrouping",
+         _PRELIMINARY + _fused(8) + _REGROUP),
+        ("fusion+regroup", "compound spelling of 'new' (fusion then regrouping)",
+         _PRELIMINARY + _fused(8) + _REGROUP),
+        ("fusion1+regroup", "1-level fusion then regrouping",
+         _PRELIMINARY + _fused(1) + _REGROUP),
+    )
+}
 
 #: the seven optimization levels the harness and benchmarks use (the
 #: compound spellings above are aliases, not separate levels)
 OPT_LEVELS = ("noopt", "sgi", "mckinley", "fusion1", "fusion", "regroup", "new")
 
 
-def known_levels() -> tuple[str, ...]:
-    """Every name :func:`resolve_pipeline` accepts."""
-    return tuple(PIPELINES)
-
-
 def resolve_pipeline(
     pipeline: Union[str, Sequence[str], PipelineSpec],
 ) -> PipelineSpec:
-    """Resolve a level name, pass-name list, or spec to a pipeline.
+    """Resolve a level name, a pass sequence, or a spec to a pipeline.
 
-    Unknown level names raise :class:`~repro.lang.TransformError` naming
-    the known levels — loose spellings like ``fusionXYZ`` that the old
-    prefix matching silently accepted are rejected.
+    A sequence is read token by token (a pass name or ``fusion:K``) into
+    the pipeline ``passes:<tokens>``.  Unknown level names raise
+    :class:`~repro.lang.TransformError` naming the known levels — loose
+    spellings like ``fusionXYZ`` that the old prefix matching silently
+    accepted are rejected — and so do unknown or malformed tokens.
     """
     if isinstance(pipeline, PipelineSpec):
         return pipeline.validate()
@@ -183,22 +158,9 @@ def resolve_pipeline(
                 f"{', '.join(PIPELINES)}"
             )
         return spec
-    return custom_pipeline(pipeline)
-
-
-def custom_pipeline(
-    pass_names: Sequence[str], name: Optional[str] = None
-) -> PipelineSpec:
-    """An ad-hoc pipeline from registered pass names (CLI ``--passes``)."""
-    names = [n for n in pass_names if n]
-    if not names:
-        raise TransformError("custom pipeline needs at least one pass name")
-    spec = PipelineSpec(
-        name or "passes:" + ",".join(names),
-        "custom pass list",
-        tuple(_step(n) for n in names),
-    )
-    return spec.validate()
+    tokens = [token for token in pipeline if token]
+    steps = _parse(tokens)
+    return PipelineSpec("passes:" + ",".join(tokens), "custom pass list", steps)
 
 
 def spec_to_json(spec: PipelineSpec) -> dict:
@@ -208,7 +170,6 @@ def spec_to_json(spec: PipelineSpec) -> dict:
     ``BENCH_tune.json`` artifact, and any external tool:
     ``{"name", "description", "steps": [{"name", "options",
     "checkpoint"?}]}`` with options as a plain object.
-    :func:`spec_from_json` inverts it exactly.
     """
     steps = []
     for step in spec.steps:
@@ -219,35 +180,13 @@ def spec_to_json(spec: PipelineSpec) -> dict:
     return {"name": spec.name, "description": spec.description, "steps": steps}
 
 
-def spec_from_json(payload: dict) -> PipelineSpec:
-    """Rebuild a :class:`PipelineSpec` from :func:`spec_to_json` output."""
-    try:
-        steps = tuple(
-            PassStep(
-                s["name"],
-                tuple(sorted(dict(s.get("options", {})).items())),
-                s.get("checkpoint"),
-            )
-            for s in payload["steps"]
-        )
-        spec = PipelineSpec(
-            payload["name"], payload.get("description", ""), steps
-        )
-    except (KeyError, TypeError) as exc:
-        raise TransformError(f"malformed pipeline JSON: {exc}") from exc
-    return spec.validate()
-
-
 def registry_to_json() -> dict:
     """The full introspection payload of ``repro pipeline --json``:
-    every registered pass (with its metadata) and every named pipeline."""
-    passes = {}
-    for name, p in sorted(PASSES.items()):
-        passes[name] = {
-            "description": p.description,
-            "certify": p.certify,
-            "strict": p.strict,
-        }
+    every pass (with its metadata) and every named pipeline."""
+    passes = {
+        name: {"description": p.description, "certify": p.certify, "strict": p.strict}
+        for name, p in sorted(PASSES.items())
+    }
     return {
         "passes": passes,
         "pipelines": {name: spec_to_json(s) for name, s in PIPELINES.items()},
@@ -259,8 +198,7 @@ def describe_pipeline(spec: PipelineSpec) -> str:
     """Multi-line human rendering (``repro pipeline --describe``)."""
     lines = [f"{spec.name}: {spec.description}"]
     for i, step in enumerate(spec.steps, start=1):
-        p = PASSES[step.name]
         lines.append(f"  {i}. {step.describe()}")
-        if p.description:
-            lines.append(f"       {p.description}")
+        if PASSES[step.name].description:
+            lines.append(f"       {PASSES[step.name].description}")
     return "\n".join(lines)

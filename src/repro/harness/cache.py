@@ -47,6 +47,23 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
+@contextmanager
+def _published(path: Path) -> Iterator[Path]:
+    """A temporary beside ``path`` for the block to write, renamed onto
+    ``path`` when the block completes and removed when it raises.  One
+    per process, so concurrent writers of one key never share one (named
+    so that :meth:`TraceCache.clear` sweeps a crashed writer's leftover);
+    the rename is atomic, so readers never see a partial entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)
+
+
 def layout_fingerprint(layout: Layout) -> str:
     """Stable hash of a data layout (the regrouping side of the key)."""
     items = []
@@ -131,18 +148,9 @@ class TraceCache:
         """A :class:`~repro.stream.io.StreamWriter` for the stream under
         ``key``, written chunk by chunk and published only when the block
         completes (an exception discards it)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"trace-{key}.ast"
-        # one temporary per process (concurrent writers never share one),
-        # named so that clear() sweeps a crashed writer's leftover
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
+        with _published(self.root / f"trace-{key}.ast") as tmp:
             with StreamWriter(tmp, meta, refs) as writer:
                 yield writer
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        tmp.replace(path)  # atomic publish: concurrent readers never see partial files
         metrics.inc("cache.trace.stores")
 
     def store_trace(self, key: str, stream: AddressStream) -> None:
@@ -165,11 +173,8 @@ class TraceCache:
         return stats
 
     def store_result(self, key: str, stats: MemStats) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"result-{key}.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(dataclasses.asdict(stats)))
-        tmp.replace(path)
+        with _published(self.root / f"result-{key}.json") as tmp:
+            tmp.write_text(json.dumps(dataclasses.asdict(stats)))
         metrics.inc("cache.result.stores")
 
     # -- maintenance ---------------------------------------------------
@@ -189,10 +194,13 @@ class TraceCache:
         return removed
 
     def info(self) -> dict[str, int]:
-        """Entry counts and on-disk footprint."""
+        """Published entry counts and their on-disk footprint (a
+        writer's temporary is not an entry yet)."""
         traces = results = tune = size = 0
         if self.root.is_dir():
             for path in self.root.iterdir():
+                if path.suffix == ".tmp":
+                    continue
                 if path.name.startswith("trace-"):
                     traces += 1
                 elif path.name.startswith("result-"):

@@ -44,8 +44,8 @@ class RunRequest:
         one level, a comma-separated string, or a sequence of levels;
     ``pipeline``
         compile through a specific pipeline instead of ``levels``: a
-        registered pipeline name, a sequence of registered pass names,
-        or a :class:`~repro.core.PipelineSpec`.  Custom (unnamed)
+        named pipeline, a pass sequence (each token a pass name or
+        ``fusion:K``), or a :class:`~repro.core.PipelineSpec`.  Custom (unnamed)
         pipelines run serially only;
     ``params`` / ``machine`` / ``steps``
         default to the registry entry's values (``machine`` also accepts

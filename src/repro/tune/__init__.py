@@ -11,7 +11,6 @@ from .cache import TuneCache
 from .candidates import (
     ENABLERS,
     FUSION_LEVELS,
-    candidate_fields,
     canonical_enabler_order,
     enumerate_candidates,
     make_candidate,
@@ -36,7 +35,6 @@ __all__ = [
     "TuneCache",
     "TuneRequest",
     "TuneResult",
-    "candidate_fields",
     "canonical_enabler_order",
     "check_baseline",
     "enumerate_candidates",

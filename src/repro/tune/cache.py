@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from ..harness.cache import default_cache_dir
+from ..harness.cache import _published, default_cache_dir
 from ..obs import metrics
 
 
@@ -78,9 +78,6 @@ class TuneCache:
         return entry
 
     def store(self, key: str, entry: Mapping[str, object]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"tune-{key}.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(dict(entry), sort_keys=True))
-        tmp.replace(path)
+        with _published(self.root / f"tune-{key}.json") as tmp:
+            tmp.write_text(json.dumps(dict(entry), sort_keys=True))
         metrics.inc("tune.cache.stores")

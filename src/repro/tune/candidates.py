@@ -25,11 +25,11 @@ row label in tuner tables; :func:`parse_signature` inverts it.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from ..core.pm.passes import PASSES
-from ..core.pm.pipelines import PassStep, PipelineSpec
+from ..core.pm.pipelines import PipelineSpec, resolve_pipeline
 from ..lang import TransformError
 
 #: the §4.1 enabler passes a candidate may include between ``inline``
@@ -57,19 +57,12 @@ def make_candidate(
     regroup: bool = False,
 ) -> PipelineSpec:
     """Build one candidate spec from its three degrees of freedom."""
-    if fusion < 0:
-        raise TransformError(f"fusion level must be >= 0, got {fusion}")
-    steps: list[PassStep] = [PassStep("inline")]
-    steps += [PassStep(name) for name in canonical_enabler_order(enablers)]
-    steps.append(PassStep("simplify"))
+    tokens = ["inline", *canonical_enabler_order(enablers), "simplify"]
     if fusion:
-        steps.append(PassStep("fusion", (("max_levels", int(fusion)),)))
-        steps.append(PassStep("simplify"))
+        tokens += [f"fusion:{int(fusion)}", "simplify"]
     if regroup:
-        steps.append(PassStep("regroup"))
-    spec = PipelineSpec("", "autotuner candidate", tuple(steps))
-    signature = spec_signature(spec)
-    return PipelineSpec(f"tune:{signature}", "autotuner candidate", tuple(steps))
+        tokens.append("regroup")
+    return parse_signature("+".join(tokens))
 
 
 def spec_signature(spec: PipelineSpec) -> str:
@@ -92,56 +85,15 @@ def spec_signature(spec: PipelineSpec) -> str:
 
 
 def parse_signature(signature: str) -> PipelineSpec:
-    """Invert :func:`spec_signature` for candidate-shaped signatures.
-
-    Only ``fusion:K`` carries an option in the candidate family; any
-    other optioned token is rejected (named levels are reconstructed
-    from the pipeline registry, not from signatures).
-    """
-    steps: list[PassStep] = []
-    for token in signature.split("+"):
-        name, _, value = token.partition(":")
-        if name not in PASSES:
-            raise TransformError(
-                f"signature {signature!r} names unknown pass {name!r}"
-            )
-        if value:
-            if name != "fusion":
-                raise TransformError(
-                    f"signature {signature!r}: only fusion takes an option"
-                )
-            steps.append(PassStep("fusion", (("max_levels", int(value)),)))
-        else:
-            steps.append(PassStep(name))
-    if not steps:
-        raise TransformError("empty candidate signature")
-    return PipelineSpec(
-        f"tune:{signature}", "autotuner candidate", tuple(steps)
-    ).validate()
-
-
-def candidate_fields(
-    spec: PipelineSpec,
-) -> tuple[tuple[str, ...], int, bool]:
-    """Decompose a candidate back into (enablers, fusion level, regroup).
-
-    Raises :class:`~repro.lang.TransformError` if ``spec`` is not
-    candidate-shaped.
-    """
-    names = [s.name for s in spec.steps]
-    if not names or names[0] != "inline":
-        raise TransformError(f"candidate must start with inline: {names}")
-    regroup = names[-1] == "regroup"
-    if regroup:
-        names = names[:-1]
-    fusion = 0
-    for step in spec.steps:
-        if step.name == "fusion":
-            fusion = int(dict(step.options).get("max_levels", 8))
-    core = [n for n in names[1:] if n not in ("simplify", "fusion")]
-    if any(n not in ENABLERS for n in core):
-        raise TransformError(f"not a candidate-shaped pipeline: {names}")
-    return tuple(canonical_enabler_order(core)), fusion, regroup
+    """Invert :func:`spec_signature`: the ``+``-joined tokens read by the
+    one pass-sequence grammar (:func:`~repro.core.pm.resolve_pipeline`),
+    as the candidate ``tune:<signature>``.  Named levels are
+    reconstructed from the pipeline table, not from signatures: their
+    checkpoints are not part of one."""
+    spec = resolve_pipeline(signature.split("+"))
+    return dataclasses.replace(
+        spec, name=f"tune:{signature}", description="autotuner candidate"
+    )
 
 
 def enumerate_candidates(

@@ -30,7 +30,6 @@ from .diagnostics import (
 from .ir_verifier import affine_range, lint_program
 from .legality import (
     MAX_DIAGS_PER_CODE,
-    RELAXED_PASSES,
     PassVerifier,
     check_legality,
     verify_pass,
@@ -61,7 +60,6 @@ __all__ = [
     "MAX_DIAGS_PER_CODE",
     "PassLegalityError",
     "PassVerifier",
-    "RELAXED_PASSES",
     "Severity",
     "Snapshot",
     "VerificationError",

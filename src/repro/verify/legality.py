@@ -28,9 +28,13 @@ Two strictness modes:
   restructure control flow and substitute indices (inlining, unrolling,
   peeling, distribution, fusion, alignment, embedding, array splitting).
 * ``strict=False`` — for passes that legitimately rewrite arithmetic
-  (``simplify_program``, ``propagate_scalar_constants``): scalar cells
-  are exempt and value signatures are not compared, but array write
-  chains must keep their length and their array-read epochs.
+  (constant propagation, simplification, the baseline compilers): scalar
+  cells are exempt and value signatures are not compared, but array
+  write chains must keep their length and their array-read epochs.
+
+Which mode a pass of the pipeline gets is its ``strict`` flag in the
+pass table (:data:`repro.core.pm.PASSES`); a caller certifying anything
+else says so itself.
 
 :class:`PassVerifier` packages the snapshot-diff-raise cycle for the
 pipeline's opt-in ``verify=True`` mode.
@@ -53,11 +57,6 @@ from .snapshot import (
 #: cap per-category diagnostics so a badly broken pass reports the
 #: pattern, not a million instances of it
 MAX_DIAGS_PER_CODE = 5
-
-#: passes whose whole point is rewriting arithmetic; their legality is
-#: checked in relaxed mode (array dataflow only)
-RELAXED_PASSES = frozenset({"constprop", "propagate_scalar_constants", "simplify",
-                            "simplify_program"})
 
 
 def _sig_str(sig: object) -> str:
@@ -211,18 +210,14 @@ def check_legality(
     before: Snapshot,
     after: Snapshot,
     pass_name: str = "transform",
-    strict: Optional[bool] = True,
+    strict: bool = True,
 ) -> DiagnosticBag:
     """Certify that ``after`` preserves ``before``'s dependence structure.
 
     Returns the diagnostics (empty bag = certified legal).  Never raises;
     use :meth:`DiagnosticBag.raise_if_errors` or :class:`PassVerifier`
-    when violations should be fatal.  ``strict=None`` decides by pass
-    name: passes in :data:`RELAXED_PASSES` get the relaxed check,
-    everything else the full one.
+    when violations should be fatal.
     """
-    if strict is None:
-        strict = pass_name not in RELAXED_PASSES
     bag = DiagnosticBag()
     out = _Budget(bag)
     if before.params != after.params:
@@ -282,11 +277,11 @@ def verify_pass(
     after: Program,
     pass_name: str = "transform",
     params: Optional[Mapping[str, int]] = None,
-    strict: Optional[bool] = None,
+    strict: bool = True,
     steps: int = 1,
 ) -> DiagnosticBag:
     """Snapshot both programs and certify the transformation between them
-    (``strict`` defaults by pass name, see :func:`check_legality`)."""
+    (see :func:`check_legality`)."""
     b = snapshot_program(before, params, steps)
     a = snapshot_program(after, params, steps)
     return check_legality(b, a, pass_name=pass_name, strict=strict)
@@ -335,7 +330,7 @@ class PassVerifier:
         self,
         pass_name: str,
         program: Program,
-        strict: Optional[bool] = None,
+        strict: bool = True,
     ) -> DiagnosticBag:
         """Certify ``program`` against the current baseline; re-baseline.
 

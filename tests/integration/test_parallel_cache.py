@@ -7,6 +7,8 @@ keys invalidate when the program or the data layout changes).
 """
 
 import dataclasses
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +23,11 @@ from repro.harness import (
 )
 from repro.interp import trace_program
 from repro.lang import validate
+from repro.memsim import MemStats
 from repro.programs import registry
 from repro.stream import AddressStream
 from repro.stream.io import read_stream_binary
+from repro.tune import TuneCache
 
 SMALL = {"N": 40}
 
@@ -237,3 +241,55 @@ class TestTraceCache:
         assert np.array_equal(loaded.addresses, addresses)
         assert np.array_equal(loaded.writes, writes)
         assert loaded.fingerprint() == stream.fingerprint()
+
+
+def _stats(accesses):
+    return MemStats("m", accesses, 1, 1, 1, 32, 128, 0.5)
+
+
+@pytest.mark.parametrize(
+    "open_cache, store, load, first, second",
+    [
+        (TraceCache, "store_result", "load_result", _stats(10), _stats(20)),
+        (TuneCache, "store", "load", {"score": 1}, {"score": 2}),
+    ],
+    ids=["result", "tune"],
+)
+def test_store_leaves_another_writers_temporary_alone(
+    tmp_path, monkeypatch, open_cache, store, load, first, second
+):
+    """Writer 1 stores a key and is stopped halfway through writing its
+    temporary, while writer 2 (another process) stores the same key: 2
+    must neither truncate nor publish 1's half-written file, and each
+    publishes its own whole entry."""
+    cache = open_cache(tmp_path)
+    real_write = Path.write_text
+    halves = []
+
+    def write_text(path, text):
+        if halves:  # writer 2, or writer 1 finishing
+            return real_write(path, text)
+        halves.append(text[: len(text) // 2])
+        real_write(path, halves[0])
+        monkeypatch.setattr(os, "getpid", lambda: 2)
+        getattr(cache, store)("k", second)
+        assert path.read_text() == halves[0], "writer 2 touched writer 1's file"
+        assert getattr(cache, load)("k") == second
+        return real_write(path, text)
+
+    monkeypatch.setattr(os, "getpid", lambda: 1)
+    monkeypatch.setattr(Path, "write_text", write_text)
+    getattr(cache, store)("k", first)
+    assert getattr(cache, load)("k") == first
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_info_counts_published_entries_only(tmp_path):
+    cache = TraceCache(tmp_path)
+    cache.store_result("k", _stats(10))
+    (tmp_path / "result-j.json.77.tmp").write_text("{")
+    (tmp_path / "trace-t.ast.77.tmp").write_bytes(b"half")
+    info = cache.info()
+    assert (info["results"], info["traces"]) == (1, 0)
+    assert info["bytes"] == (tmp_path / "result-k.json").stat().st_size
+    assert cache.clear() == 3  # a crashed writer's leftovers are swept

@@ -1,18 +1,9 @@
-"""The declarative pipeline registry and the pass registry."""
+"""The declarative pipeline table and the pass-sequence grammar."""
 
 import pytest
 
 from repro.core import OPT_LEVELS, compile_variant
-from repro.core.pm import (
-    PIPELINES,
-    FunctionPass,
-    PassManager,
-    custom_pipeline,
-    get_pass,
-    known_levels,
-    register_pass,
-    resolve_pipeline,
-)
+from repro.core.pm import PIPELINES, PassManager, PassStep, resolve_pipeline
 from repro.lang import TransformError, parse, validate
 
 SOURCE = """
@@ -46,9 +37,9 @@ def test_compile_variant_rejects_bogus_level():
 
 
 def test_every_opt_level_is_registered():
-    assert set(OPT_LEVELS) <= set(known_levels())
+    assert set(OPT_LEVELS) <= set(PIPELINES)
     for name in ("fusion+regroup", "fusion1+regroup"):
-        assert name in known_levels()
+        assert name in PIPELINES
 
 
 def test_compound_spellings_still_compile():
@@ -64,15 +55,30 @@ def test_resolve_accepts_spec_and_pass_lists():
     spec = resolve_pipeline("new")
     assert resolve_pipeline(spec) is spec
     custom = resolve_pipeline(["inline", "simplify"])
-    assert custom.pass_names() == ("inline", "simplify")
+    assert [s.name for s in custom.steps] == ["inline", "simplify"]
     assert custom.name == "passes:inline,simplify"
+    fused = resolve_pipeline(["inline", "fusion:2", "simplify"])
+    assert fused.steps[1] == PassStep("fusion", (("max_levels", 2),))
+    assert fused.name == "passes:inline,fusion:2,simplify"
 
 
 def test_custom_pipeline_validates_pass_names():
-    with pytest.raises(TransformError, match="registered passes"):
-        custom_pipeline(["inline", "nonsense"])
-    with pytest.raises(TransformError, match="at least one pass"):
-        custom_pipeline([])
+    """Each token is a pass name or fusion:K; a rejection names the bad
+    token (an unknown pass also lists the known ones)."""
+    for tokens, bad in [
+        (["inline", "nonsense"], "'nonsense'"),
+        (["nonsense:2"], "'nonsense'"),
+        (["inline:3"], "'inline:3'"),
+        (["fusion:x"], "'fusion:x'"),
+        (["fusion:-1"], "'fusion:-1'"),
+        ([], "at least one pass"),
+        (["", ""], "at least one pass"),
+    ]:
+        with pytest.raises(TransformError) as exc:
+            resolve_pipeline(tokens)
+        assert bad in str(exc.value), tokens
+    with pytest.raises(TransformError, match="known passes: constprop, distribute"):
+        resolve_pipeline(["nonsense"])
 
 
 def test_custom_pipeline_compiles():
@@ -85,23 +91,10 @@ def test_custom_pipeline_compiles():
 
 def test_pipeline_specs_describe_their_passes():
     spec = PIPELINES["new"]
-    names = spec.pass_names()
+    names = [s.name for s in spec.steps]
     assert names[0] == "inline"
     assert "fusion" in names and "regroup" in names
     assert names.index("fusion") < names.index("regroup")
-
-
-# -- pass registry -----------------------------------------------------------
-
-
-def test_registry_rejects_duplicates():
-    with pytest.raises(TransformError, match="already registered"):
-        register_pass(FunctionPass("inline", lambda p, ctx: p))
-
-
-def test_get_pass_error_lists_registered():
-    with pytest.raises(TransformError, match="registered passes"):
-        get_pass("nonsense")
 
 
 def test_pipeline_run_populates_stage_checkpoints():

@@ -17,7 +17,7 @@ import pytest
 from conftest import live_snapshots, reverse_first_loops
 
 from repro.core import OPT_LEVELS, PIPELINES, PassManager, compile_variant
-from repro.core.pm import PASSES, FunctionPass
+from repro.core.pm import PASSES
 from repro.harness import RunRequest, TraceCache, run
 from repro.harness.cache import layout_fingerprint
 from repro.harness.sweep import scaling_sweep
@@ -143,9 +143,9 @@ def test_search_that_raises_leaves_no_snapshot_on_the_trie(monkeypatch):
         calls.append(1)
         if len(calls) == 2:
             raise RuntimeError("boom")
-        return real.run(program, ctx, **options)
+        return real.fn(program, ctx, **options)
 
-    monkeypatch.setitem(PASSES, "fusion", FunctionPass("fusion", exploding))
+    monkeypatch.setitem(PASSES, "fusion", real._replace(fn=exploding))
     program = _build("adi")
     floor = live_snapshots()
     with pytest.raises(RuntimeError, match="boom"):
@@ -171,7 +171,7 @@ def test_failed_verdict_is_raised_by_every_later_verified_walk(monkeypatch):
         runs.append(1)
         return reverse_first_loops(program, ctx)
 
-    monkeypatch.setitem(PASSES, "distribute", FunctionPass("distribute", broken))
+    monkeypatch.setitem(PASSES, "distribute", PASSES["distribute"]._replace(fn=broken))
     program = _build("adi")
     search = TuneRequest(
         program, sizes=[SMALL], name="adi", levels=("noopt", "fusion"),

@@ -15,9 +15,8 @@ from dataclasses import replace
 import pytest
 from conftest import live_snapshots, reverse_first_loops
 
-from repro.core import PIPELINES, PassManager, compile_pipeline
-from repro.core.pm import PASSES, FunctionPass, PassContext, PassStep, register_pass
-from repro.core.pm.pipelines import custom_pipeline
+from repro.core import PIPELINES, PassManager, compile_pipeline, resolve_pipeline
+from repro.core.pm import PASSES, PassContext, PassStep
 from repro.harness.cache import layout_fingerprint
 from repro.lang import ValidationError, to_source
 from repro.obs import metrics
@@ -35,17 +34,14 @@ def _counters(*names):
 
 
 @pytest.fixture
-def test_pass():
-    """Register throwaway passes; the registry is restored afterwards."""
-    added = []
+def test_pass(monkeypatch):
+    """Add throwaway passes (strict, certified unless told otherwise) to
+    the pass table; it is restored afterwards."""
 
     def add(name, fn, **kw):
-        added.append(name)
-        return register_pass(FunctionPass(name, fn, **kw))
+        monkeypatch.setitem(PASSES, name, PASSES["inline"]._replace(fn=fn, **kw))
 
-    yield add
-    for name in added:
-        PASSES.pop(name, None)
+    return add
 
 
 # -- (a) sharing is invisible --------------------------------------------------
@@ -103,10 +99,10 @@ def test_broken_pass_is_blamed_on_every_crossing(test_pass):
     test_pass("reverse_dependence", broken)
     program = resolve_target("adi").program
     bad = [
-        custom_pipeline(["inline", "reverse_dependence", "simplify"]),
-        custom_pipeline(["inline", "reverse_dependence", "distribute"]),
+        resolve_pipeline(["inline", "reverse_dependence", "simplify"]),
+        resolve_pipeline(["inline", "reverse_dependence", "distribute"]),
     ]
-    good = custom_pipeline(["inline", "distribute", "simplify"])
+    good = resolve_pipeline(["inline", "distribute", "simplify"])
     manager = PassManager(program, verify_params=SMALL)
     verifier = PassVerifier(program, SMALL)
     for spec in bad + bad:  # second crossings replay the cached verdict
@@ -154,13 +150,13 @@ def test_prefix_compiled_unverified_is_certified_when_crossed_verified():
 def test_every_registered_pass_is_pure(app):
     """Equal input, equal program and equal deposits — twice over."""
     source = resolve_target(app).program
-    inlined = PASSES["inline"].run(source, PassContext())
+    inlined = PASSES["inline"].fn(source, PassContext())
     for name, pass_obj in sorted(PASSES.items()):
         before = to_source(inlined)
         outs = []
         for _ in range(2):
             ctx = PassContext(stages={"input": {}})
-            outs.append((pass_obj.run(inlined, ctx), ctx))
+            outs.append((pass_obj.fn(inlined, ctx), ctx))
         (p1, c1), (p2, c2) = outs
         assert to_source(p1) == to_source(p2), name
         assert replace(c1, layout_factory=None) == replace(c2, layout_factory=None)
@@ -219,6 +215,6 @@ def test_checkpoint_is_part_of_the_edge():
     program = resolve_target("adi").program
     manager = PassManager(program)
     manager.run(PIPELINES["fusion"])
-    plain = manager.run(custom_pipeline(PIPELINES["fusion"].pass_names()))
+    plain = manager.run(resolve_pipeline([s.name for s in PIPELINES["fusion"].steps]))
     assert list(plain.stages) == ["input"]
     assert PassStep("simplify") != PassStep("simplify", checkpoint="fused")

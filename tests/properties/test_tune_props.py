@@ -19,7 +19,6 @@ from repro.verify import PassVerifier
 from repro.tune import (
     ENABLERS,
     FUSION_LEVELS,
-    candidate_fields,
     enumerate_candidates,
     make_candidate,
     parse_signature,
@@ -78,19 +77,17 @@ def test_candidate_program_printer_round_trips(spec):
     assert to_source(reparsed) == text
 
 
-@given(candidates)
+@given(enabler_subsets, st.sampled_from(FUSION_LEVELS), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_signature_round_trips(spec):
-    """spec -> signature -> spec is the identity on steps."""
+def test_signature_round_trips(enablers, fusion, regroup):
+    """spec -> signature -> spec is the identity, and the signature spells
+    the candidate's three degrees of freedom token by token."""
+    spec = make_candidate(enablers=enablers, fusion=fusion, regroup=regroup)
     signature = spec_signature(spec)
-    rebuilt = parse_signature(signature)
-    assert rebuilt.steps == spec.steps
-    assert spec_signature(rebuilt) == signature
-
-
-@given(candidates)
-@settings(max_examples=100, deadline=None)
-def test_candidate_fields_invert_make_candidate(spec):
-    enablers, fusion, regroup = candidate_fields(spec)
-    again = make_candidate(enablers=enablers, fusion=fusion, regroup=regroup)
-    assert again.steps == spec.steps
+    assert parse_signature(signature) == spec
+    expected = ["inline", *(e for e in ENABLERS if e in enablers), "simplify"]
+    if fusion:
+        expected += [f"fusion:{fusion}", "simplify"]
+    if regroup:
+        expected.append("regroup")
+    assert signature.split("+") == expected

@@ -8,7 +8,6 @@ from repro.lang import TransformError
 from repro.tune import (
     ENABLERS,
     FUSION_LEVELS,
-    candidate_fields,
     canonical_enabler_order,
     enumerate_candidates,
     make_candidate,
@@ -47,11 +46,11 @@ class TestCanonicalOrder:
 class TestMakeCandidate:
     def test_minimal_candidate(self):
         spec = make_candidate()
-        assert spec.pass_names() == ("inline", "simplify")
+        assert [s.name for s in spec.steps] == ["inline", "simplify"]
 
     def test_full_candidate_shape(self):
         spec = make_candidate(enablers=ENABLERS, fusion=2, regroup=True)
-        names = spec.pass_names()
+        names = [s.name for s in spec.steps]
         assert names[0] == "inline"
         assert names[-1] == "regroup"
         assert "fusion" in names
@@ -60,7 +59,7 @@ class TestMakeCandidate:
 
     def test_fusion_zero_means_no_fusion(self):
         spec = make_candidate(fusion=0)
-        assert "fusion" not in spec.pass_names()
+        assert "fusion" not in [s.name for s in spec.steps]
 
     def test_all_candidates_validate(self):
         for spec in enumerate_candidates():
@@ -69,24 +68,32 @@ class TestMakeCandidate:
 
 class TestSignatures:
     def test_round_trip(self):
-        spec = make_candidate(enablers=("unroll", "distribute"), fusion=4,
-                              regroup=True)
-        signature = spec_signature(spec)
-        assert parse_signature(signature).steps == spec.steps
+        for enablers, fusion, regroup in [
+            (("unroll", "distribute"), 4, True),
+            (("split_arrays",), 1, False),
+        ]:
+            spec = make_candidate(enablers=enablers, fusion=fusion, regroup=regroup)
+            signature = spec_signature(spec)
+            assert parse_signature(signature) == spec
+            names = [s.name for s in spec.steps]
+            assert [n for n in names if n in ENABLERS] == list(enablers)
+            assert ("regroup" in names) is regroup
+            assert f"fusion:{fusion}" in signature.split("+")
 
     def test_fusion_option_spelled_in_signature(self):
         assert "fusion:2" in spec_signature(make_candidate(fusion=2))
 
     def test_bad_signature_rejected(self):
-        with pytest.raises(TransformError):
-            parse_signature("inline+bogus")
-
-    def test_candidate_fields(self):
-        spec = make_candidate(enablers=("split_arrays",), fusion=1)
-        enablers, fusion, regroup = candidate_fields(spec)
-        assert enablers == ("split_arrays",)
-        assert fusion == 1
-        assert regroup is False
+        for signature, bad in [
+            ("inline+bogus", "'bogus'"),
+            ("inline+simplify:2", "'simplify:2'"),
+            ("", "at least one pass"),
+        ]:
+            with pytest.raises(TransformError) as exc:
+                parse_signature(signature)
+            assert bad in str(exc.value), signature
+        with pytest.raises(TransformError, match="'fusion:-1'"):
+            make_candidate(fusion=-1)
 
 
 class TestEnumeration:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.pm import PIPELINES
 
 FAST = [
     "tune", "adi", "--enablers", "", "--fusion-levels", "0,1",
@@ -125,17 +126,22 @@ def test_pipeline_json_describe_one(capsys):
     assert main(["pipeline", "--describe", "fusion1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["name"] == "fusion1"
-    from repro.core.pm import spec_from_json
+    assert payload["steps"][-1]["name"] == "simplify"
+    _assert_steps_match(payload["steps"], PIPELINES["fusion1"].steps)
 
-    spec = spec_from_json(payload)
-    assert spec.pass_names()[-1] == "simplify"
+
+def _assert_steps_match(dumped, steps):
+    assert len(dumped) == len(steps)
+    for entry, step in zip(dumped, steps):
+        assert entry["name"] == step.name
+        assert entry["options"] == dict(step.options)
+        assert entry.get("checkpoint") == step.checkpoint
 
 
 def test_pipeline_json_round_trips_all(capsys):
-    """The shared schema: every pipeline in the registry dump rebuilds."""
+    """The shared schema: every pipeline in the dump spells its steps."""
     main(["pipeline", "--json"])
     payload = json.loads(capsys.readouterr().out)
-    from repro.core.pm import PIPELINES, spec_from_json
-
+    assert list(payload["pipelines"]) == list(PIPELINES)
     for name, entry in payload["pipelines"].items():
-        assert spec_from_json(entry).steps == PIPELINES[name].steps
+        _assert_steps_match(entry["steps"], PIPELINES[name].steps)

@@ -9,7 +9,9 @@ name the violated dependence edge.
 
 import pytest
 
+from repro.cli import main
 from repro.core import compile_variant
+from repro.core.pm import PASSES
 from repro.core.fusion import fuse_program
 from repro.core.pipeline import preliminary
 from repro.lang import parse, validate
@@ -198,35 +200,49 @@ def test_mismatched_params_rejected():
 # -- strict vs relaxed --------------------------------------------------------
 
 
+#: a pair that differs only in scalar reads: constant propagation
+SCALAR_BEFORE = """
+program t
+param N
+real A[N]
+scalar c
+c = 2.0
+for i = 1, N { A[i] = f(A[i], c) }
+"""
+SCALAR_AFTER = SCALAR_BEFORE.replace("f(A[i], c)", "f(A[i], 2.0)")
+
+
 def test_constprop_needs_relaxed_mode():
-    before = """
-    program t
-    param N
-    real A[N]
-    scalar c
-    c = 2.0
-    for i = 1, N { A[i] = f(A[i], c) }
-    """
-    after = """
-    program t
-    param N
-    real A[N]
-    scalar c
-    c = 2.0
-    for i = 1, N { A[i] = f(A[i], 2.0) }
-    """
-    # strict mode flags the changed reads; the pass registry knows
-    # constprop legitimately rewrites arithmetic and relaxes the check
-    strict = verify_pass(build(before), build(after), pass_name="other",
-                         strict=True)
+    # strict mode flags the changed reads; the pass table knows constprop
+    # legitimately rewrites arithmetic and relaxes the check
+    before, after = build(SCALAR_BEFORE), build(SCALAR_AFTER)
+    strict = verify_pass(before, after, pass_name="other")
     assert strict.has_errors()
-    relaxed = verify_pass(build(before), build(after), pass_name="constprop")
+    assert PASSES["constprop"].strict is False
+    relaxed = verify_pass(before, after, pass_name="constprop", strict=False)
     assert not relaxed.has_errors(), relaxed.render()
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(PASSES) + ["transform", "simplify_program", "propagate_scalar_constants"],
+)
+def test_verify_pass_cli_certifies_each_pass_in_its_table_mode(name, tmp_path):
+    """``--pass-name`` reads the pass table: a relaxed pass accepts the
+    scalar-only rewrite, a strict one (and any name outside the table)
+    rejects it."""
+    (tmp_path / "b.loop").write_text(SCALAR_BEFORE)
+    (tmp_path / "a.loop").write_text(SCALAR_AFTER)
+    code = main([
+        "verify-pass", "--before", str(tmp_path / "b.loop"),
+        "--after", str(tmp_path / "a.loop"), "--pass-name", name,
+    ])
+    assert code == (1 if name not in PASSES or PASSES[name].strict else 0)
 
 
 def test_relaxed_mode_still_catches_array_violations():
     bag = verify_pass(
-        build(ALIGN_ORIG), build(ALIGN_BROKEN), pass_name="simplify"
+        build(ALIGN_ORIG), build(ALIGN_BROKEN), pass_name="simplify", strict=False
     )
     assert bag.has_errors()
 
@@ -252,9 +268,9 @@ def test_pass_verifier_rebaselines_after_success():
     program = build(ALIGN_ORIG)
     verifier = PassVerifier(program)
     p2 = propagate_scalar_constants(program)
-    verifier.check("constprop", p2)
+    verifier.check("constprop", p2, strict=False)
     p3 = simplify_program(p2)
-    verifier.check("simplify", p3)
+    verifier.check("simplify", p3, strict=False)
     assert [name for name, _ in verifier.history] == ["constprop", "simplify"]
 
 

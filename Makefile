@@ -75,7 +75,8 @@ perf-selfcheck:
 # must never predict more misses than any named level, and every
 # prediction cheap enough to recompute (<= 30s committed analysis cost)
 # must reproduce under the current analyzer.  Expensive entries (sp's
-# fused pipelines) stay frozen; refresh them with `make bench-tune`.
+# fully fused `fusion` / `new`, about a minute of analysis) stay frozen;
+# refresh them with `make bench-tune`.
 tune-check:
 	$(PYTHON) -m repro tune --check --baseline BENCH_tune.json
 
@@ -89,8 +90,9 @@ benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # refresh the committed autotuning artifact: full grid for the cheap
-# programs, reduced grid for sp (its fused symbolic analysis runs for
-# minutes; the named levels still bound the search there)
+# programs, reduced grid for sp (its fully fused level alone takes about
+# a minute of symbolic analysis; the named levels still bound the search
+# there)
 bench-tune:
 	$(PYTHON) -m repro tune adi sweep3d fft tomcatv swim --json-out BENCH_tune.json
 	$(PYTHON) -m repro tune sp --enablers "" --fusion-levels 0,1 --json-out BENCH_tune.json

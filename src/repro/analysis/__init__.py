@@ -18,12 +18,7 @@ from .constraint import (
     symbolic_max,
     symbolic_min,
 )
-from .dependence import (
-    body_dependence_graph,
-    depends,
-    item_accesses,
-    items_depend,
-)
+from .dependence import body_dependence_graph, depends
 from .embedding import EmbedPoint, embed_after, embed_before
 
 __all__ = [
@@ -44,8 +39,6 @@ __all__ = [
     "depends",
     "embed_after",
     "embed_before",
-    "item_accesses",
-    "items_depend",
     "pair_conflict",
     "shares_data",
     "symbolic_max",

@@ -178,13 +178,8 @@ def collect_stmt_accesses(stmt: Stmt, params: Sequence[str]) -> list[RefAccess]:
     return col.out
 
 
-def arrays_of(accesses: Sequence[RefAccess], include_scalars: bool = True) -> frozenset[str]:
-    names = (
-        a.array
-        for a in accesses
-        if include_scalars or not a.array.startswith(SCALAR_PREFIX)
-    )
-    return frozenset(names)
+def arrays_of(accesses: Sequence[RefAccess]) -> frozenset[str]:
+    return frozenset(a.array for a in accesses)
 
 
 def shares_data(a: Sequence[RefAccess], b: Sequence[RefAccess]) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from ..lang import Affine, DEFAULT_PARAM_MIN
+from ..lang import Affine, Assumptions
 from .access import RefAccess
 from .classify import DimKind
 
@@ -55,7 +55,7 @@ class Conflict:
 
 
 def _pin_in_range(
-    pin: Affine, ref: RefAccess, param_min: int
+    pin: Affine, ref: RefAccess, assume: Assumptions
 ) -> bool:
     """False when the pinned iteration is provably outside the ref's range.
 
@@ -63,15 +63,15 @@ def _pin_in_range(
     executes — there is no conflict.  Active ranges are conservative
     (never narrower than the truth), so a provably-outside verdict is safe.
     """
-    if ref.active_lo is not None and pin.compare(ref.active_lo, param_min) == -1:
+    if ref.active_lo is not None and pin.compare(ref.active_lo, assume) == -1:
         return False
-    if ref.active_hi is not None and pin.compare(ref.active_hi, param_min) == 1:
+    if ref.active_hi is not None and pin.compare(ref.active_hi, assume) == 1:
         return False
     return True
 
 
 def _pin_join(
-    current: Optional[Affine], new: Affine, param_min: int
+    current: Optional[Affine], new: Affine, assume: Assumptions
 ) -> tuple[Optional[Affine], bool]:
     """Combine two pins on the same iteration variable.
 
@@ -80,7 +80,7 @@ def _pin_join(
     """
     if current is None:
         return new, True
-    cmp = current.compare(new, param_min)
+    cmp = current.compare(new, assume)
     if cmp == 0:
         return current, True
     if cmp is None:
@@ -89,7 +89,7 @@ def _pin_join(
 
 
 def pair_conflict(
-    r1: RefAccess, r2: RefAccess, param_min: int = DEFAULT_PARAM_MIN
+    r1: RefAccess, r2: RefAccess, assume: Assumptions
 ) -> Optional[Conflict]:
     """Analyze one reference pair; ``None`` when they can never overlap."""
     if r1.array != r2.array:
@@ -107,7 +107,7 @@ def pair_conflict(
             if delta is None:
                 delta = dk
             else:
-                cmp = delta.compare(dk, param_min)
+                cmp = delta.compare(dk, assume)
                 if cmp == 0:
                     pass
                 elif cmp is None:
@@ -115,15 +115,15 @@ def pair_conflict(
                 else:
                     return None  # provably different elements always
         elif k1 is DimKind.VARIANT and k2 is DimKind.INVARIANT:
-            pin1, ok = _pin_join(pin1, d2.value - d1.value, param_min)
+            pin1, ok = _pin_join(pin1, d2.value - d1.value, assume)
             if not ok:
                 return None
         elif k1 is DimKind.INVARIANT and k2 is DimKind.VARIANT:
-            pin2, ok = _pin_join(pin2, d1.value - d2.value, param_min)
+            pin2, ok = _pin_join(pin2, d1.value - d2.value, assume)
             if not ok:
                 return None
         elif k1 is DimKind.INVARIANT and k2 is DimKind.INVARIANT:
-            cmp = d1.value.compare(d2.value, param_min)
+            cmp = d1.value.compare(d2.value, assume)
             if cmp in (-1, 1):
                 return None  # definitely different points
             if cmp is None:
@@ -134,9 +134,9 @@ def pair_conflict(
         elif k1 is DimKind.INNER and k2 is DimKind.VARIANT:
             serialize = True
         # INNER vs INNER / INNER vs INVARIANT: overlap, no coupling
-    if pin1 is not None and not _pin_in_range(pin1, r1, param_min):
+    if pin1 is not None and not _pin_in_range(pin1, r1, assume):
         return None
-    if pin2 is not None and not _pin_in_range(pin2, r2, param_min):
+    if pin2 is not None and not _pin_in_range(pin2, r2, assume):
         return None
     lo2 = r2.active_lo
     hi1 = r1.active_hi
@@ -175,7 +175,7 @@ class AlignmentResult:
 def compute_alignment(
     acc1: Sequence[RefAccess],
     acc2: Sequence[RefAccess],
-    param_min: int = DEFAULT_PARAM_MIN,
+    assume: Assumptions,
 ) -> AlignmentResult:
     """The core of ``FusibleTest``: minimal legal alignment with closest reuse.
 
@@ -193,7 +193,7 @@ def compute_alignment(
         by_array2.setdefault(r2.array, []).append(r2)
     for r1 in acc1:
         for r2 in by_array2.get(r1.array, ()):
-            conflict = pair_conflict(r1, r2, param_min)
+            conflict = pair_conflict(r1, r2, assume)
             if conflict is None:
                 continue
             if conflict.is_required:
@@ -229,14 +229,14 @@ def compute_alignment(
 
 
 def symbolic_max(
-    values: Sequence[Affine], param_min: int = DEFAULT_PARAM_MIN
+    values: Sequence[Affine], assume: Assumptions
 ) -> Optional[Affine]:
     """Max of affine forms under the parameter assumptions; None if unordered."""
     if not values:
         return None
     best = values[0]
     for v in values[1:]:
-        cmp = best.compare(v, param_min)
+        cmp = best.compare(v, assume)
         if cmp is None:
             return None
         if cmp < 0:
@@ -245,13 +245,13 @@ def symbolic_max(
 
 
 def symbolic_min(
-    values: Sequence[Affine], param_min: int = DEFAULT_PARAM_MIN
+    values: Sequence[Affine], assume: Assumptions
 ) -> Optional[Affine]:
     if not values:
         return None
     best = values[0]
     for v in values[1:]:
-        cmp = best.compare(v, param_min)
+        cmp = best.compare(v, assume)
         if cmp is None:
             return None
         if cmp > 0:

@@ -18,15 +18,13 @@ from typing import Sequence
 
 import networkx as nx
 
-from ..lang import DEFAULT_PARAM_MIN, Loop, Stmt
-from .access import RefAccess, collect_loop_accesses, collect_stmt_accesses
+from ..lang import Assumptions, Loop
+from .access import RefAccess, collect_loop_accesses
 from .constraint import Conflict, ConflictKind, pair_conflict
 
 
 def depends(
-    acc1: Sequence[RefAccess],
-    acc2: Sequence[RefAccess],
-    param_min: int = DEFAULT_PARAM_MIN,
+    acc1: Sequence[RefAccess], acc2: Sequence[RefAccess], assume: Assumptions
 ) -> bool:
     """True when the two access sets have any conflicting (dep) pair."""
     by_array: dict[str, list[RefAccess]] = {}
@@ -36,14 +34,12 @@ def depends(
         for r2 in by_array.get(r1.array, ()):
             if not (r1.is_write or r2.is_write):
                 continue
-            if pair_conflict(r1, r2, param_min) is not None:
+            if pair_conflict(r1, r2, assume) is not None:
                 return True
     return False
 
 
-def _edge_directions(
-    conflict: Conflict, param_min: int = DEFAULT_PARAM_MIN
-) -> tuple[bool, bool]:
+def _edge_directions(conflict: Conflict) -> tuple[bool, bool]:
     """(forward a->b, backward b->a) directions implied by one conflict.
 
     ``a`` precedes ``b`` in the loop body.  For a constant iteration
@@ -64,24 +60,19 @@ def _edge_directions(
 
 
 def body_dependence_graph(
-    loop: Loop, params: Sequence[str], param_min: int = DEFAULT_PARAM_MIN
+    loop: Loop, params: Sequence[str], assume: Assumptions
 ) -> nx.DiGraph:
     """Dependence graph over the direct statements of ``loop``'s body.
 
     Node ``k`` is ``loop.body[k]``; an edge u -> v means v must not move
     before u.
     """
-    accesses: list[list[RefAccess]] = []
-    for stmt in loop.body:
-        if isinstance(stmt, Loop):
-            inner = collect_loop_accesses(stmt, params)
-            # re-classify relative to the outer frame: treat the inner loop
-            # as a statement of the outer body
-            outer = Loop(loop.index, loop.lower, loop.upper, (stmt,))
-            accesses.append(collect_loop_accesses(outer, params))
-        else:
-            outer = Loop(loop.index, loop.lower, loop.upper, (stmt,))
-            accesses.append(collect_loop_accesses(outer, params))
+    # each statement (an inner loop included) as a statement of the
+    # outer body, classified relative to the outer frame
+    accesses = [
+        collect_loop_accesses(Loop(loop.index, loop.lower, loop.upper, (stmt,)), params)
+        for stmt in loop.body
+    ]
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(loop.body)))
     for a in range(len(loop.body)):
@@ -94,10 +85,10 @@ def body_dependence_graph(
                 for r2 in by_array.get(r1.array, ()):
                     if not (r1.is_write or r2.is_write):
                         continue
-                    c = pair_conflict(r1, r2, param_min)
+                    c = pair_conflict(r1, r2, assume)
                     if c is None:
                         continue
-                    f, w = _edge_directions(c, param_min)
+                    f, w = _edge_directions(c)
                     fwd = fwd or f
                     bwd = bwd or w
                     if fwd and bwd:
@@ -109,17 +100,3 @@ def body_dependence_graph(
             if bwd:
                 graph.add_edge(b, a)
     return graph
-
-
-def item_accesses(stmt: Stmt, params: Sequence[str]) -> list[RefAccess]:
-    """Frame-appropriate accesses for a top-level program item."""
-    if isinstance(stmt, Loop):
-        return collect_loop_accesses(stmt, params)
-    return collect_stmt_accesses(stmt, params)
-
-
-def items_depend(
-    a: Stmt, b: Stmt, params: Sequence[str], param_min: int = DEFAULT_PARAM_MIN
-) -> bool:
-    """Dependence between two top-level program items."""
-    return depends(item_accesses(a, params), item_accesses(b, params), param_min)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..lang import Affine, DEFAULT_PARAM_MIN
+from ..lang import Affine, Assumptions
 from .access import RefAccess
 from .constraint import ConflictKind, pair_conflict, symbolic_max, symbolic_min
 
@@ -37,7 +37,7 @@ class EmbedPoint:
 def embed_after(
     unit_accesses: Sequence[RefAccess],
     stmt_accesses: Sequence[RefAccess],
-    param_min: int = DEFAULT_PARAM_MIN,
+    assume: Assumptions,
 ) -> EmbedPoint:
     """Embedding point for a statement that *follows* the unit.
 
@@ -49,7 +49,7 @@ def embed_after(
     preferred: list[Affine] = []
     for r1 in unit_accesses:
         for r2 in stmt_accesses:
-            c = pair_conflict(r1, r2, param_min)
+            c = pair_conflict(r1, r2, assume)
             if c is None:
                 continue
             if c.kind is ConflictKind.PIN1 and c.pin1 is not None:
@@ -59,7 +59,7 @@ def embed_after(
                 if r1.active_hi is None:
                     return EmbedPoint(False, reason=f"unbounded conflict on {r1.array}")
                 required.append(r1.active_hi)
-    point = symbolic_max(required + preferred, param_min)
+    point = symbolic_max(required + preferred, assume)
     if point is None and (required or preferred):
         return EmbedPoint(False, reason="incomparable embedding constraints")
     return EmbedPoint(True, at=point)
@@ -68,7 +68,7 @@ def embed_after(
 def embed_before(
     stmt_accesses: Sequence[RefAccess],
     unit_accesses: Sequence[RefAccess],
-    param_min: int = DEFAULT_PARAM_MIN,
+    assume: Assumptions,
 ) -> EmbedPoint:
     """Embedding point for a statement that *precedes* the unit.
 
@@ -79,7 +79,7 @@ def embed_before(
     preferred: list[Affine] = []
     for r1 in stmt_accesses:
         for r2 in unit_accesses:
-            c = pair_conflict(r1, r2, param_min)
+            c = pair_conflict(r1, r2, assume)
             if c is None:
                 continue
             if c.kind is ConflictKind.PIN2 and c.pin2 is not None:
@@ -88,7 +88,7 @@ def embed_before(
                 if r2.active_lo is None:
                     return EmbedPoint(False, reason=f"unbounded conflict on {r2.array}")
                 required.append(r2.active_lo)
-    point = symbolic_min(required + preferred, param_min)
+    point = symbolic_min(required + preferred, assume)
     if point is None and (required or preferred):
         return EmbedPoint(False, reason="incomparable embedding constraints")
     return EmbedPoint(True, at=point)

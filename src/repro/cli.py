@@ -977,7 +977,7 @@ def cmd_verify_pass(args: argparse.Namespace) -> int:
         program = _target(args, spec).program
         results, lines = [], []
         for level in levels:
-            verifier = PassVerifier(program, args.param, steps=args.steps)
+            verifier = PassVerifier(args.param, steps=args.steps)
             try:
                 if pipeline is not None:
                     compile_pipeline(program, pipeline, verify=verifier)

@@ -34,7 +34,7 @@ counts — §4.4's structural numbers).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from ..lang import Program
 from ..verify import PassVerifier
@@ -61,30 +61,30 @@ def compile_pipeline(
     pipeline: Union[str, Sequence[str], PipelineSpec],
     regroup_options=None,
     verify: Union[bool, PassVerifier] = False,
-    verify_params: Optional[Mapping[str, int]] = None,
 ) -> CompiledVariant:
     """Compile ``program`` through ``pipeline``: a level name (strictly
     validated, ``repro pipeline --list``), a pass sequence (the CLI's
     ``--passes`` form), or an explicit :class:`~repro.core.pm.PipelineSpec`.
 
     ``verify=True`` runs the pass-legality checker after every pass: the
-    program is snapshotted at small concrete parameters
-    (``verify_params``, default 8 for every parameter) and every
-    dependence must be preserved stage to stage; a violation raises
-    :class:`~repro.verify.PassLegalityError` naming the offending pass
-    and dependence edge.  Passing a :class:`~repro.verify.PassVerifier`
-    instance instead lets the caller inspect its per-pass ``history``
-    afterwards (the CLI's ``verify-pass`` does).  Verification inspects
-    only the *program* — layouts (regrouping, padding) relocate data
-    without reordering accesses, so they need no certification.
+    program is snapshotted at small concrete parameters (8 for every
+    parameter) and every dependence must be preserved stage to stage; a
+    violation raises :class:`~repro.verify.PassLegalityError` naming the
+    offending pass and dependence edge.  Passing a
+    :class:`~repro.verify.PassVerifier` instead sets the verification
+    size (its ``params`` / ``steps``) and lets the caller inspect its
+    per-pass ``history`` afterwards (the CLI's ``verify-pass`` does).
+    Verification inspects only the *program* — layouts (regrouping,
+    padding) relocate data without reordering accesses, so they need no
+    certification.
 
     The walk is over ``program``'s own trie unless an option a deposit
     or a verdict depends on is not the default — ``regroup_options``, or
-    a verification size (``verify_params``, or those of a supplied
-    verifier) — which gets a private manager, as every compile once did.
+    a supplied verifier's size — which gets a private manager, as every
+    compile once did.
     """
     spec = resolve_pipeline(pipeline)
-    verify_steps = 1
+    verify_params, verify_steps = None, 1
     if isinstance(verify, PassVerifier):
         verify_params, verify_steps = verify.params, verify.steps
     if regroup_options is None and verify_params is None and verify_steps == 1:

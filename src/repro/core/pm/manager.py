@@ -197,16 +197,14 @@ class PassManager:
         """Compile the source program through ``spec``.
 
         ``verify`` true certifies every certifiable pass on the way; a
-        :class:`~repro.verify.PassVerifier` (built at this manager's
+        :class:`~repro.verify.PassVerifier` (of this manager's
         verification size — :func:`~repro.core.compile_pipeline` sees to
         that) also gets every verdict, fresh or replayed, appended to its
-        ``history``, and lends its ``baseline`` as the source's snapshot.
+        ``history``.
         """
         if not verify:
             return self._walk(spec, False)
         with self.declared([spec]):
-            if isinstance(verify, PassVerifier) and self.root.snapshot is None:
-                self.root.snapshot = verify.baseline
             return self._walk(spec, verify)
 
     def _walk(

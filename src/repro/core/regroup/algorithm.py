@@ -68,10 +68,6 @@ class RegroupOptions:
     #: largest grouping level allowed (None = ndim-1); the paper's Fortran
     #: limitation sometimes forbade outer-dimension grouping.
     max_level: Optional[int] = None
-    #: levels below this use fine (per-loop) accessed-together keys, the
-    #: Fig. 7 distinction between inner loops of one phase; levels at or
-    #: above use coarse (per-phase) keys, the paper's computation phases.
-    fine_levels: int = 1
     #: strict phases (one per top-level item): the paper's conservative
     #: guarantee — no useless data in any cache block, compile-time
     #: optimal.  The default merges consecutive conflict-free items.
@@ -188,7 +184,10 @@ def _unit_key(
         options.max_level is not None and level > options.max_level
     ):
         return ("solo", id(unit))
-    fine = level < options.fine_levels
+    # level 0 uses fine (per-loop) accessed-together keys, the Fig. 7
+    # distinction between inner loops of one phase; outer levels use
+    # coarse (per-phase) keys, the paper's computation phases
+    fine = level == 0
     sigs = set()
     for name in leaves:
         ai = info[name]

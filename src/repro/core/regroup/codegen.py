@@ -55,7 +55,7 @@ def _expressible(node: GroupNode) -> bool:
     return all(not isinstance(c, GroupNode) for c in node.children)
 
 
-def emit_source(plan: RegroupPlan, merged_prefix: str = "GRP") -> SourceRegrouping:
+def emit_source(plan: RegroupPlan) -> SourceRegrouping:
     """Rewrite the plan's program with merged arrays where expressible."""
     program = plan.program
     mapping: dict[str, tuple[str, int, int]] = {}
@@ -73,10 +73,10 @@ def emit_source(plan: RegroupPlan, merged_prefix: str = "GRP") -> SourceRegroupi
             continue
         members = [c for c in item.children if isinstance(c, str)]
         counter += 1
-        merged = f"{merged_prefix}{counter}"
+        merged = f"GRP{counter}"
         while merged in taken:
             counter += 1
-            merged = f"{merged_prefix}{counter}"
+            merged = f"GRP{counter}"
         taken.add(merged)
         base = program.array(members[0])
         extents = (

@@ -1,8 +1,8 @@
 """The one runner loop: measure a program at each level, in input order.
 
 :func:`run_levels` is the loop behind :func:`repro.harness.run`.  It
-owns the run-level bookkeeping — the ``run_start``/``run_end`` events,
-live progress lines, the slowest-level record — and has two branches:
+owns the run-level bookkeeping — the ``run_start``/``run_end`` events
+and the slowest-level record — and has two branches:
 
 *in-process* (``workers <= 1``)
     levels run one after another in this interpreter, so results keep
@@ -22,15 +22,13 @@ live progress lines, the slowest-level record — and has two branches:
 Observability: given a :class:`~repro.obs.TraceConfig` with
 ``events=True`` the loop creates ``runs/<id>/events.jsonl`` and every
 level streams its span/metric events into it (schema v1, see
-:mod:`repro.obs.events`); ``progress=True`` reports completed/total,
-ETA, and the slowest level on stderr as results arrive.
+:mod:`repro.obs.events`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import sys
 import time
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -63,25 +61,6 @@ def _measure_level_slim(item: tuple) -> VariantResult:
     )
 
 
-def _progress_line(
-    completed: int,
-    total: int,
-    label: str,
-    seconds: float,
-    elapsed: float,
-    slowest_label: str,
-    slowest_seconds: float,
-) -> str:
-    """One live progress report: completed/total, ETA, slowest level."""
-    remaining = total - completed
-    eta = (elapsed / completed) * remaining if completed else 0.0
-    return (
-        f"[{completed}/{total}] {label} {seconds:.2f}s | "
-        f"elapsed {elapsed:.1f}s | ETA {eta:.1f}s | "
-        f"slowest {slowest_label} {slowest_seconds:.2f}s"
-    )
-
-
 def run_levels(
     program: Union[str, Program],
     levels: Sequence[str],
@@ -106,43 +85,19 @@ def run_levels(
         for index, level in enumerate(levels)
     ]
 
-    results: list[VariantResult] = []
-    slowest: Optional[VariantResult] = None
     t0 = time.perf_counter()
-
-    def consume(result: VariantResult) -> None:
-        nonlocal slowest
-        results.append(result)
-        if slowest is None or result.seconds > slowest.seconds:
-            slowest = result
-        if trace and trace.progress:
-            print(
-                _progress_line(
-                    len(results),
-                    len(levels),
-                    f"{result.program}/{result.level}",
-                    result.seconds,
-                    time.perf_counter() - t0,
-                    f"{slowest.program}/{slowest.level}",
-                    slowest.seconds,
-                ),
-                file=sys.stderr,
-                flush=True,
-            )
-
     if workers <= 1:
-        for item in items:
-            consume(_measure_level(item))
+        results = [_measure_level(item) for item in items]
     else:
         # fork keeps the already-imported interpreter state; imap with
         # chunksize=1 yields in input order as soon as each completes.
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(workers, len(levels))) as pool:
-            for result in pool.imap(_measure_level_slim, items, chunksize=1):
-                consume(result)
+            results = list(pool.imap(_measure_level_slim, items, chunksize=1))
 
     seconds = time.perf_counter() - t0
     if log is not None:
+        slowest = max(results, key=lambda result: result.seconds)
         log.write(
             make_event(
                 "run_end",

@@ -6,8 +6,8 @@ outermost axis is parallel (DOALL or reduction per the static
 parallelism analyzer) is partitioned over its outer range by an OpenMP
 schedule (:mod:`repro.static.schedule`: ``static``, ``static,k``,
 ``guided``, ``dynamic``), each thread traces its own chunks, and the
-per-thread streams are merged round-robin ``block`` accesses at a time
-(by arithmetic: :func:`repro.static.schedule.round_robin_positions` gives
+per-thread streams are merged round-robin one access at a time (by
+arithmetic: :func:`repro.static.schedule.round_robin_positions` gives
 every access its merged position, so the merge is three scatters per
 thread, not a loop over accesses).
 Serial nests run entirely on thread 0.  An implicit barrier separates
@@ -22,20 +22,15 @@ same generator under its access budget, so the coherence analyzer and
 the oracle it is benchmarked against share one access stream by
 construction rather than by cross-validation.
 
-Two views come out of a run, both as typed
-:class:`~repro.stream.AddressStream` objects in element units (the
+A run's ``merged`` view is the interleaved access stream every thread
+sees, a typed :class:`~repro.stream.AddressStream` in element units (the
 canonical global keys — streams support the array protocol, so numpy
-consumers see the key column directly):
-
-``merged``
-    the interleaved access stream every thread sees — feed it to
-    :func:`~repro.locality.reuse_distances` to model a *shared* cache;
-``per_thread``
-    each thread's own stream (its chunks plus, for thread 0, the serial
-    nests) — the *private*-cache view.
-
-Both views carry the interpreter's write mask, and the merged view also
-records which thread issued every access (``merged_threads``).
+consumers see the key column directly; feed it to
+:func:`~repro.locality.reuse_distances` to model a *shared* cache).  It
+carries the interpreter's write mask, and ``merged_threads`` records
+which thread issued every access.  The merge keeps every thread's own
+order, so a thread's private stream (its chunks plus, for thread 0, the
+serial nests) is ``merged[merged_threads == t]``.
 
 The program is compiled once (:class:`~repro.interp.tracegen.NestTracer`)
 and every (nest, chunk) runs through the ordinary interpreter tracer —
@@ -52,13 +47,13 @@ repro.interp`` work in either order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from ..lang import Program
 from ..obs import SpanEvent, metrics, span
-from ..stream import AddressStream
+from ..stream import AddressStream, StreamMeta
 from .tracegen import NestTracer
 
 
@@ -69,10 +64,8 @@ class InterleavedRun:
     program_name: str
     threads: int
     schedule: str
-    block: int
     parallel_nests: tuple[int, ...]
     merged: AddressStream  # global keys, round-robin interleaved
-    per_thread: tuple[AddressStream, ...]  # each thread's private stream
     #: issuing thread of every merged access (int32, aligned with
     #: ``merged``) — the coherence oracle's third column
     merged_threads: np.ndarray
@@ -87,7 +80,6 @@ def interleaved_nests(
     threads: int,
     steps: int,
     schedule: str,
-    block: int,
     parallel: frozenset[int],
     sp: SpanEvent,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -137,9 +129,7 @@ def interleaved_nests(
             mk = np.empty(sum(lengths), dtype=np.int64)
             mw = np.empty(len(mk), dtype=bool)
             mt = np.empty(len(mk), dtype=np.int32)
-            for (t, ck, cw), at in zip(
-                live, round_robin_positions(lengths, block)
-            ):
+            for (t, ck, cw), at in zip(live, round_robin_positions(lengths)):
                 mk[at] = ck
                 mw[at] = cw
                 mt[at] = t
@@ -154,29 +144,20 @@ def interleave_trace(
     threads: int,
     steps: int = 1,
     schedule: str = "static",
-    block: int = 1,
-    parallel_nests: Optional[Sequence[int]] = None,
 ) -> InterleavedRun:
     """Simulate a ``threads``-way OpenMP-style execution of ``program``.
 
-    ``parallel_nests`` names the top-level statement positions to
-    partition; by default the static parallelism analyzer decides
-    (every nest whose outermost axis is DOALL or a reduction).
+    The static parallelism analyzer picks the nests to partition: every
+    top-level nest whose outermost axis is DOALL or a reduction.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if block < 1:  # up front: an unpartitioned run never reaches the merge
-        raise ValueError(f"block must be >= 1, got {block}")
+    from ..memsim.geometry import ELEM_BYTES
+    from ..static.parallelism import analyze_parallelism
     from ..static.schedule import parse_schedule
 
     parse_schedule(schedule)  # validate the spec before tracing
-    if parallel_nests is None:
-        from ..static.parallelism import analyze_parallelism
-
-        parallel_nests = analyze_parallelism(
-            program, params
-        ).parallel_nests()
-    parallel = frozenset(parallel_nests)
+    parallel = frozenset(analyze_parallelism(program, params).parallel_nests())
 
     with span(
         "interleave-trace",
@@ -187,28 +168,20 @@ def interleave_trace(
         keys, writes, tids = concat_columns(
             interleaved_nests(
                 NestTracer(program, params),
-                threads, steps, schedule, block, parallel, sp,
+                threads, steps, schedule, parallel, sp,
             )
         )
         metrics.inc("trace.interleaved_runs")
         metrics.inc("trace.interleaved_accesses", int(keys.size))
-
-        def private(t: int) -> AddressStream:
-            # the round-robin merge keeps every thread's own order, so
-            # the private views are selections of the merged one
-            own = tids == t
-            return _elem_stream(
-                keys[own], writes[own], name=f"{program.name}/t{t}"
-            )
-
         return InterleavedRun(
             program_name=program.name,
             threads=threads,
             schedule=schedule,
-            block=block,
             parallel_nests=tuple(sorted(parallel)),
-            merged=_elem_stream(keys, writes, name=f"{program.name}/shared"),
-            per_thread=tuple(private(t) for t in range(threads)),
+            merged=AddressStream(keys, writes, meta=StreamMeta(
+                name=f"{program.name}/shared", source="interleave",
+                unit="elements", elem_bytes=ELEM_BYTES,
+            )),
             merged_threads=tids,
         )
 
@@ -221,16 +194,3 @@ def concat_columns(
     if not columns:
         return np.empty(0, np.int64), np.empty(0, bool), np.empty(0, np.int32)
     return tuple(np.concatenate(c) for c in zip(*columns))
-
-
-def _elem_stream(
-    keys: np.ndarray, writes: np.ndarray, name: str
-) -> AddressStream:
-    """An element-unit stream with the write column preserved."""
-    from ..memsim.geometry import ELEM_BYTES
-    from ..stream.stream import StreamMeta
-
-    meta = StreamMeta(
-        name=name, source="interleave", unit="elements", elem_bytes=ELEM_BYTES
-    )
-    return AddressStream(keys, writes, meta=meta)

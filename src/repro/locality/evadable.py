@@ -14,7 +14,7 @@ largest size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -36,10 +36,9 @@ class ClassStats:
     mean_distance: float
 
 
-def per_class_stats(trace: AccessTrace, distances: np.ndarray | None = None) -> dict[int, ClassStats]:
+def per_class_stats(trace: AccessTrace) -> dict[int, ClassStats]:
     """Mean reuse distance per static reference (reuse class)."""
-    if distances is None:
-        distances = reuse_distances(trace.global_keys())
+    distances = reuse_distances(trace.global_keys())
     mask = distances != COLD
     refs = trace.ref_ids[mask]
     dists = distances[mask]
@@ -77,10 +76,7 @@ class EvadableReport:
 
 
 def classify_evadable(
-    trace_small: AccessTrace,
-    trace_large: AccessTrace,
-    distances_small: np.ndarray | None = None,
-    distances_large: np.ndarray | None = None,
+    trace_small: AccessTrace, trace_large: AccessTrace
 ) -> EvadableReport:
     """Classify reuse classes by comparing two input sizes.
 
@@ -89,9 +85,9 @@ def classify_evadable(
     ``mean_large >= NOISE_FLOOR``.  The floor keeps constant-but-jittery
     short reuses (the non-evadable hills of Fig. 3) out of the count.
     """
-    small = per_class_stats(trace_small, distances_small)
-    large = per_class_stats(trace_large, distances_large)
-    return classify_evadable_stats(small, large)
+    return classify_evadable_stats(
+        per_class_stats(trace_small), per_class_stats(trace_large)
+    )
 
 
 def classify_evadable_stats(
@@ -121,93 +117,3 @@ def classify_evadable_stats(
         stats_small=small,
         stats_large=large,
     )
-
-
-def classify_evadable_program(
-    program,
-    small: Mapping[str, int],
-    large: Mapping[str, int],
-    steps: int = 1,
-    method: str = "static",
-) -> EvadableReport:
-    """Classify a whole program's reuse classes — statically by default.
-
-    The default ``method="static"`` predicts per-class stats from the
-    symbolic reuse profile (:mod:`repro.static`) evaluated at the two
-    sizes, so classification needs *no trace*; ``method="dynamic"``
-    falls back to the original two-size regression over interpreted
-    traces.  Both paths feed :func:`classify_evadable_stats`, so the
-    decision rule is identical — only the provenance of the class
-    means differs.
-    """
-    if method == "static":
-        from ..static import analyze_program
-
-        profile = analyze_program(program, steps=steps)
-        return classify_evadable_stats(
-            profile.class_stats(small), profile.class_stats(large)
-        )
-    if method == "dynamic":
-        from ..interp.tracegen import trace_program
-
-        trace_small = trace_program(program, dict(small), steps=steps)
-        trace_large = trace_program(program, dict(large), steps=steps)
-        return classify_evadable(trace_small, trace_large)
-    raise ValueError(f"unknown method {method!r}: use 'static' or 'dynamic'")
-
-
-def classify_evadable_sizes(traces: Sequence[AccessTrace]) -> EvadableReport:
-    """Classify across several input sizes, smallest to largest.
-
-    A class that performs *zero* reuses at the smallest size (cold-only
-    at small N — e.g. a boundary reference whose reuse partner only
-    materializes once the array outgrows a seed region) used to be
-    treated as "absent at small", which the two-size rule counts as
-    evadable by default.  Here its baseline comes from the earliest size
-    where the class actually reuses, so a class whose distance is flat
-    from that point on classifies as non-evadable, with the guarded mean
-    computation never touching the empty small-size segment.
-    """
-    if len(traces) < 2:
-        raise ValueError("need at least two input sizes to classify growth")
-    stats = [per_class_stats(t) for t in traces]
-    large = stats[-1]
-    # per class, the earliest size with a measured (non-empty) mean
-    base: dict[int, ClassStats] = {}
-    for level in stats[:-1]:
-        for rid, stat in level.items():
-            if rid not in base and stat.reuses > 0:
-                base[rid] = stat
-    return classify_evadable_stats(base, large)
-
-
-def evadable_change(before: EvadableReport, after: EvadableReport) -> float:
-    """Relative change in evadable-reuse count (negative = reduction).
-
-    This is the number the paper reports in §2.2 (e.g. reuse-driven
-    execution "reduced the number of evadable reuses by 63%" on SP).
-    """
-    if before.evadable_reuses == 0:
-        return 0.0 if after.evadable_reuses == 0 else float("inf")
-    return (after.evadable_reuses - before.evadable_reuses) / before.evadable_reuses
-
-
-def mean_distance_growth(
-    stats_small: Mapping[int, ClassStats],
-    stats_large: Mapping[int, ClassStats],
-) -> float:
-    """Aggregate lengthening rate of reuse distances across sizes.
-
-    Weighted mean of per-class growth ratios; the paper observes that
-    reuse-driven execution also "slowed the lengthening rate" — this is
-    the scalar that captures it.
-    """
-    total_weight = 0
-    acc = 0.0
-    for rid, stat in stats_large.items():
-        base = stats_small.get(rid)
-        if base is None or base.mean_distance <= 0 or stat.mean_distance <= 0:
-            continue
-        acc += stat.reuses * (stat.mean_distance / base.mean_distance)
-        total_weight += stat.reuses
-    return acc / total_weight if total_weight else 1.0

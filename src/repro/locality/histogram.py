@@ -9,6 +9,7 @@ misses, not reuses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +33,20 @@ class ReuseHistogram:
         bins = _bin_of(reuse)
         counts = np.bincount(bins)
         return ReuseHistogram(counts.astype(np.int64), cold)
+
+    @staticmethod
+    def from_pairs(
+        pairs: Sequence[tuple[float, float]], cold: float
+    ) -> "ReuseHistogram":
+        """A predicted histogram: ``(count, distance)`` pairs, distances
+        rounded to whole elements and binned like
+        :meth:`from_distances`; the fractional counts are summed per bin
+        and rounded once."""
+        if not pairs:
+            return ReuseHistogram(np.zeros(1, dtype=np.int64), int(round(cold)))
+        counts, distances = np.asarray(pairs, dtype=np.float64).T
+        sums = np.bincount(_bin_of(np.round(distances)), weights=counts)
+        return ReuseHistogram(np.round(sums).astype(np.int64), int(round(cold)))
 
     # -- stats -----------------------------------------------------------------
 

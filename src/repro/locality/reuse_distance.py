@@ -266,18 +266,11 @@ def reuse_distances_naive(keys: Sequence[int]) -> list[int]:
     return out
 
 
-def miss_count(distances: np.ndarray, capacity: int, count_cold: bool = True) -> int:
-    """Misses of a fully-associative LRU cache of ``capacity`` *items*."""
+def miss_count(distances: np.ndarray, capacity: int) -> int:
+    """Misses of a fully-associative LRU cache of ``capacity`` *items*,
+    cold misses included."""
     cold = int(np.count_nonzero(distances == COLD))
-    cap_misses = int(np.count_nonzero(distances >= capacity))
-    return cap_misses + (cold if count_cold else 0)
-
-
-def hit_ratio(distances: np.ndarray, capacity: int) -> float:
-    n = len(distances)
-    if n == 0:
-        return 1.0
-    return 1.0 - miss_count(distances, capacity) / n
+    return int(np.count_nonzero(distances >= capacity)) + cold
 
 
 def miss_ratio_curve(

@@ -302,7 +302,6 @@ def simulate_stream(
     stream,
     machine: MachineConfig,
     engine: Optional[str] = None,
-    timings: Optional[MutableMapping[str, float]] = None,
 ) -> MemStats:
     """Simulate L1 -> L2 -> TLB -> DRAM over an address stream.
 
@@ -312,8 +311,7 @@ def simulate_stream(
     :class:`SimulationError`.  ``engine`` selects the simulation
     implementation (see :data:`repro.memsim.cache.ENGINES`).  Each level
     runs under an :mod:`repro.obs` span named after it
-    (``l1``/``l2``/``tlb``/``dram``); when ``timings`` is a mapping the
-    same per-stage seconds are accumulated into it.  The stream is
+    (``l1``/``l2``/``tlb``/``dram``).  The stream is
     simulated in chunks (:meth:`MemoryHierarchy.simulate`), so the
     simulation holds nothing proportional to it.
     """
@@ -323,6 +321,6 @@ def simulate_stream(
             f"needs byte addresses (lay the trace out first)"
         )
     outcome = MemoryHierarchy(machine).simulate(
-        stream.addresses, stream.writes, engine=engine, timings=timings
+        stream.addresses, stream.writes, engine=engine
     )
     return stats_from_hierarchy(outcome, machine)

@@ -42,16 +42,13 @@ class TraceConfig:
         ``$REPRO_RUNS_DIR``; a fresh timestamped id);
     ``memory``
         track ``tracemalloc`` peaks per span (slower; ``repro profile``
-        turns this on);
-    ``progress``
-        stream live completed/total + ETA + slowest-spec lines.
+        turns this on).
     """
 
     events: bool = False
     runs_root: Optional[str] = None
     run_id: Optional[str] = None
     memory: bool = False
-    progress: bool = False
 
 
 def runs_root(root: Optional[Union[str, Path]] = None) -> Path:

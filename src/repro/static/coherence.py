@@ -23,7 +23,7 @@ merged by the round-robin drain contract), then **the** MSI automaton
 classification of the automaton's invalidation misses by numpy
 group-bys.  Its counts therefore equal the dynamic oracle's by
 construction; what it adds is the classification, the witnesses and
-the ``max_accesses`` budget (DESIGN §10).
+the :data:`DEFAULT_MAX_ACCESSES` budget (DESIGN §10).
 
 Import direction: ``repro.interp`` and ``repro.memsim`` are imported
 inside :func:`analyze_coherence`, and ``repro.interp.interleave``
@@ -422,19 +422,17 @@ def analyze_coherence(
     threads: int = 4,
     schedule: str = "static",
     steps: int = 1,
-    line_bytes: Optional[int] = None,
     parallelism: Optional[ParallelismProfile] = None,
-    max_accesses: int = DEFAULT_MAX_ACCESSES,
     witnesses: bool = True,
 ) -> CoherenceProfile:
     """Predict the coherence behaviour of a ``threads``-way execution.
 
     The one multi-thread enumerator
     (:func:`repro.interp.interleave.interleaved_nests`, drained under the
-    ``max_accesses`` budget), then the one MSI automaton
-    (:func:`repro.memsim.coherence.simulate_msi`) at ``line_bytes``
-    granularity, then the true/false-sharing classification of its
-    invalidation misses.
+    :data:`DEFAULT_MAX_ACCESSES` budget), then the one MSI automaton
+    (:func:`repro.memsim.coherence.simulate_msi`) at L1-line granularity,
+    then the true/false-sharing classification of its invalidation
+    misses.
     """
     # lazy, like repro.interp's imports of repro.static: either package
     # can be imported first
@@ -445,8 +443,7 @@ def analyze_coherence(
 
     check_threads(threads)
     parse_schedule(schedule)
-    lb = line_bytes if line_bytes is not None else L1_LINE_BYTES
-    line_elems = max(1, lb // ELEM_BYTES)
+    line_elems = L1_LINE_BYTES // ELEM_BYTES
     env = bind_params(program, params)
     with span(
         "coherence-analyze",
@@ -464,15 +461,14 @@ def analyze_coherence(
         nests = []
         total = 0
         for columns in interleaved_nests(
-            tracer, threads, steps, schedule, 1, parallel, sp
+            tracer, threads, steps, schedule, parallel, sp
         ):
             nests.append(columns)
             total += len(columns[0])
-            if total > max_accesses:
+            if total > DEFAULT_MAX_ACCESSES:
                 raise AnalysisError(
-                    f"coherence enumeration exceeds {max_accesses} "
-                    f"accesses at this size; raise max_accesses or "
-                    f"analyze a smaller instance"
+                    f"coherence enumeration exceeds {DEFAULT_MAX_ACCESSES} "
+                    f"accesses at this size; analyze a smaller instance"
                 )
         keys, writes, tids = concat_columns(nests)
         msi = simulate_msi(keys // line_elems, writes, tids, threads)
@@ -503,7 +499,7 @@ def analyze_coherence(
             schedule=schedule,
             steps=steps,
             line_elems=line_elems,
-            line_bytes=lb,
+            line_bytes=L1_LINE_BYTES,
             parallel_nests=tuple(sorted(parallel)),
             accesses=len(keys),
             cold=tuple(msi.cold.tolist()),

@@ -45,12 +45,9 @@ exact and mean log distance within the PR 5 tolerance bands).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from ..lang import NotAffineError, Program
 from ..locality.histogram import ReuseHistogram
@@ -123,21 +120,6 @@ class MulticorePrediction:
             self, invalidations=tuple(float(v) for v in per_thread)
         )
 
-    @staticmethod
-    def _histogram(
-        pairs: tuple[tuple[float, float], ...], cold: float
-    ) -> ReuseHistogram:
-        bins: dict[int, float] = {}
-        for count, dist in pairs:
-            d = int(round(dist))
-            b = 0 if d <= 0 else int(math.floor(math.log2(d))) + 1
-            bins[b] = bins.get(b, 0.0) + count
-        n = max(bins) + 1 if bins else 1
-        counts = np.zeros(n, dtype=np.int64)
-        for b, c in bins.items():
-            counts[b] = int(round(c))
-        return ReuseHistogram(counts, int(round(cold)))
-
     def private_histogram(self) -> ReuseHistogram:
         """Predicted histogram of the union of per-thread private streams.
 
@@ -145,15 +127,13 @@ class MulticorePrediction:
         thread's private stream), so the histogram is directly
         comparable to the per-thread dynamic streams combined.
         """
-        return self._histogram(self.private_pairs, self.private_cold)
+        return ReuseHistogram.from_pairs(self.private_pairs, self.private_cold)
 
     def shared_histogram(self) -> ReuseHistogram:
         """Predicted histogram of the round-robin interleaved stream."""
-        return self._histogram(self.shared_pairs, self.shared_cold)
+        return ReuseHistogram.from_pairs(self.shared_pairs, self.shared_cold)
 
-    def private_miss_count(
-        self, capacity_elems: int, include_invalidations: bool = True
-    ) -> float:
+    def private_miss_count(self, capacity_elems: int) -> float:
         """Predicted total private-cache misses across all threads.
 
         Coherence invalidation misses (when folded in via
@@ -164,9 +144,7 @@ class MulticorePrediction:
         base = self.private_cold + sum(
             c for c, d in self.private_pairs if d >= capacity_elems
         )
-        if include_invalidations:
-            base += self.total_invalidations
-        return base
+        return base + self.total_invalidations
 
     def shared_miss_count(self, capacity_elems: int) -> float:
         """Predicted misses of the shared cache under the merged stream."""

@@ -27,11 +27,8 @@ analysis, never ``trace.*``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
-
-import numpy as np
 
 from ..lang import Assumptions, Program
 from ..locality.evadable import ClassStats, classify_evadable_stats
@@ -144,19 +141,11 @@ class StaticProfile:
 
     def histogram(self, params: Params) -> ReuseHistogram:
         """Predicted reuse histogram, same binning as the dynamic one."""
-        bins: dict[int, float] = {}
-        cold = 0.0
-        for ec in self.evaluate(params):
-            cold += ec.cold
-            for count, dist in ec.pairs:
-                d = int(round(dist))
-                b = 0 if d <= 0 else int(math.floor(math.log2(d))) + 1
-                bins[b] = bins.get(b, 0.0) + count
-        n = max(bins) + 1 if bins else 1
-        counts = np.zeros(n, dtype=np.int64)
-        for b, c in bins.items():
-            counts[b] = int(round(c))
-        return ReuseHistogram(counts, int(round(cold)))
+        classes = self.evaluate(params)
+        return ReuseHistogram.from_pairs(
+            [pair for ec in classes for pair in ec.pairs],
+            sum(ec.cold for ec in classes),
+        )
 
     def class_stats(self, params: Params) -> dict[int, ClassStats]:
         """Predicted per-class stats, shaped like ``per_class_stats``."""

@@ -164,21 +164,18 @@ def chunk_count(lo: int, hi: int, threads: int, schedule: str) -> int:
     return len(schedule_assignments(lo, hi, threads, schedule))
 
 
-def round_robin_positions(
-    lengths: Sequence[int], block: int = 1
-) -> list[np.ndarray]:
+def round_robin_positions(lengths: Sequence[int]) -> list[np.ndarray]:
     """Where a round-robin merge puts every access: entry ``i`` holds the
     merged position of each access of stream ``i``, in the stream's own
-    order.  Round ``r`` of the drain takes accesses ``[r * block,
-    (r + 1) * block)`` from every stream that still has them, streams
-    in index order; a stream drops out once drained (threads with
-    smaller chunks finish early and wait at the barrier), so zero-length
-    and ragged streams need no special case.
+    order.  Round ``r`` of the drain takes access ``r`` from every
+    stream that still has one, streams in index order; a stream drops
+    out once drained (threads with smaller chunks finish early and wait
+    at the barrier), so zero-length and ragged streams need no special
+    case.
 
-    Access ``j`` of stream ``i`` lies in round ``r = j // block`` and
-    lands at (accesses every earlier round drained from all streams) +
-    (accesses round ``r`` drains from streams ``k < i``) + ``j - r *
-    block``.  Both sums are kept as per-round tallies carried from one
+    Access ``j`` of stream ``i`` lands at (accesses rounds ``< j``
+    drained from all streams) + (streams ``k < i`` that reach round
+    ``j``).  Both counts are kept as per-round tallies carried from one
     stream to the next, so the cost is a handful of vector operations
     per stream on arrays no longer than that stream: no Python work per
     access, no ``streams x streams`` loop (``threads`` goes to 63), no
@@ -190,19 +187,11 @@ def round_robin_positions(
     enumerator (``repro.interp.interleave``), and through it of the
     coherence analyzer and the MSI oracle.
     """
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    rounds = [-(-n // block) for n in lengths]
-    starts = np.arange(max(rounds, default=0), dtype=np.int64) * block
-    # taken[r]: accesses round r drains from the streams seen so far
-    taken = np.zeros(len(starts), dtype=np.int64)
+    # taken[r]: streams seen so far that reach round r
+    taken = np.zeros(max(lengths, default=0), dtype=np.int64)
     before = []
-    for n, r in zip(lengths, rounds):
-        before.append(taken[:r].copy())
-        taken[:r] += np.minimum(n - starts[:r], block)
+    for n in lengths:
+        before.append(taken[:n].copy())
+        taken[:n] += 1
     round_base = np.cumsum(taken) - taken
-    positions = []
-    for n, r, earlier in zip(lengths, rounds, before):
-        j = np.arange(n, dtype=np.int64)
-        positions.append(j + (round_base[:r] + earlier - starts[:r])[j // block])
-    return positions
+    return [round_base[:n] + earlier for n, earlier in zip(lengths, before)]

@@ -13,7 +13,6 @@ from .io import (
     read_stream,
     read_stream_binary,
     read_stream_csv,
-    read_stream_text,
     write_stream,
     write_stream_csv,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "read_stream",
     "read_stream_binary",
     "read_stream_csv",
-    "read_stream_text",
     "write_stream",
     "write_stream_csv",
 ]

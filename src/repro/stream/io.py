@@ -54,7 +54,6 @@ what the S501 lint flags downstream.
 
 from __future__ import annotations
 
-import io as _io
 import json
 import os
 import struct
@@ -69,7 +68,7 @@ MAGIC = b"RAST"
 FORMAT_VERSION = 2
 _FLAG_REFS = 1
 _PART = np.dtype([("length", "<u4"), ("period", "<u4"), ("first", "<u4")])
-#: default accesses per chunk when serializing a whole stream
+#: accesses per chunk when :func:`write_stream` serializes a whole stream
 CHUNK_SIZE = 1 << 16
 
 CSV_MARKER = "# repro-address-stream"
@@ -249,15 +248,12 @@ class StreamWriter:
         self.close()
 
 
-def write_stream(
-    path: Union[str, Path],
-    stream: AddressStream,
-    chunk_size: int = CHUNK_SIZE,
-) -> Path:
-    """Serialize a stream to the binary ``.ast`` format; returns the path."""
+def write_stream(path: Union[str, Path], stream: AddressStream) -> Path:
+    """Serialize a stream to the binary ``.ast`` format, in chunks of
+    :data:`CHUNK_SIZE` accesses; returns the path."""
     with StreamWriter(path, stream.meta, stream.ref_ids is not None) as writer:
-        for start in range(0, len(stream), chunk_size):
-            writer.write(stream.slice(start, start + chunk_size))
+        for start in range(0, len(stream), CHUNK_SIZE):
+            writer.write(stream.slice(start, start + CHUNK_SIZE))
     return Path(path)
 
 
@@ -453,20 +449,30 @@ def _parse_address(token: str) -> int:
     return int(token, 16) if token.lower().startswith("0x") else int(token)
 
 
+def _integer(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise StreamFormatError(f"line {lineno}: bad {what} {token!r}") from None
+
+
 def read_stream_csv(source: Union[str, Path, TextIO]) -> AddressStream:
     """Parse a CSV address stream (ours, or any external address list).
 
     Accepts 1-3 columns — ``address[,write[,ref_id]]`` — with or without
     the metadata comment and header row; addresses may be decimal or
     0x-hex.  External files without our metadata comment come back with
-    ``source="import"`` and no geometry hints.
+    ``source="import"`` and no geometry hints.  An address outside
+    ``[0, 2**63)``, a write flag or a ref id that is not an integer, or
+    a ref id outside int32 raises :class:`StreamFormatError` naming the
+    line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return read_stream_csv(fh)
     meta: Optional[StreamMeta] = None
     addresses: list[int] = []
-    writes: list[int] = []
+    writes: list[bool] = []
     refs: list[int] = []
     ncols = 0
     header = False
@@ -490,20 +496,24 @@ def read_stream_csv(source: Union[str, Path, TextIO]) -> AddressStream:
             raise StreamFormatError(
                 f"line {lineno}: bad address {cells[0]!r}"
             ) from None
+        if not 0 <= addr < 1 << 63:
+            raise StreamFormatError(
+                f"line {lineno}: address {cells[0]!r} is outside [0, 2**63)"
+            )
         if not addresses:
             ncols = min(len(cells), 3)
         addresses.append(addr)
         if ncols >= 2 and len(cells) >= 2:
-            try:
-                writes.append(int(cells[1]))
-            except ValueError:
-                raise StreamFormatError(
-                    f"line {lineno}: bad write flag {cells[1]!r}"
-                ) from None
+            writes.append(_integer(cells[1], lineno, "write flag") != 0)
         else:
-            writes.append(0)
+            writes.append(False)
         if ncols >= 3 and len(cells) >= 3:
-            refs.append(int(cells[2]))
+            ref = _integer(cells[2], lineno, "ref_id")
+            if not -(1 << 31) <= ref < 1 << 31:
+                raise StreamFormatError(
+                    f"line {lineno}: ref_id {cells[2]!r} is outside int32"
+                )
+            refs.append(ref)
     if meta is None:
         meta = StreamMeta(name="imported", source="import", unit="bytes")
     addr_arr = np.asarray(addresses, dtype=np.int64)
@@ -513,8 +523,3 @@ def read_stream_csv(source: Union[str, Path, TextIO]) -> AddressStream:
         else None
     )
     return AddressStream(addr_arr, write_arr, ref_arr, meta=meta)
-
-
-def read_stream_text(text: str) -> AddressStream:
-    """CSV parse from an in-memory string (tests, pipes)."""
-    return read_stream_csv(_io.StringIO(text))

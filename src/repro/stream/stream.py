@@ -144,13 +144,6 @@ class AddressStream:
 
     # -- derived views -------------------------------------------------
 
-    def lines(self, line_bytes: Optional[int] = None) -> np.ndarray:
-        """The cache-line id of every access (needs a line size)."""
-        size = line_bytes if line_bytes is not None else self.meta.line_bytes
-        if size is None or size < 1:
-            raise ValueError("stream has no line_bytes; pass one explicitly")
-        return self._addresses // size
-
     def slice(self, start: int, stop: int) -> "AddressStream":
         return AddressStream(
             self._addresses[start:stop],

@@ -54,9 +54,9 @@ def _distribute_stmt(
     return out
 
 
-def distribute_loops(program: Program, param_min: int | None = None) -> Program:
+def distribute_loops(program: Program) -> Program:
     """Maximally distribute every loop in the program."""
-    assume = Assumptions() if param_min is None else Assumptions(default=param_min)
+    assume = Assumptions()
     body: list[Stmt] = []
     for stmt in program.body:
         body.extend(_distribute_stmt(stmt, tuple(program.params), assume))

@@ -194,12 +194,13 @@ class TuneResult:
             and self.best_candidate.score < min(c.score for c in self.named)
         )
 
-    def table(self, rows: int = 10) -> str:
+    def table(self) -> str:
+        """The named levels and the ten best grid candidates, by score."""
         headers = ("pipeline", "kind", "predicted", "vs best named", "measured")
         base = self.best_named.score if self.named else 0.0
         body: list[list[object]] = []
         shown = sorted(
-            self.named + self.candidates[:rows],
+            self.named + self.candidates[:10],
             key=lambda c: (c.score, c.label),
         )
         for c in shown:
@@ -539,11 +540,14 @@ def _validate_frontier(
         outcome.rank_agreement = agree
 
 
+#: relative slack of :func:`check_baseline`'s score comparisons
+_RTOL = 1e-6
+
+
 def check_baseline(
     baseline: Mapping[str, object],
     budget_seconds: float = 30.0,
     cache: Union[None, bool, str, Path] = True,
-    rtol: float = 1e-6,
 ) -> list[str]:
     """The CI regression gate over a committed ``BENCH_tune.json``.
 
@@ -552,8 +556,8 @@ def check_baseline(
     committed ``analysis_seconds`` fits ``budget_seconds`` is
     re-analyzed under the current code, and the recomputed best must
     neither regress against its committed score nor fall behind any
-    recomputed named level.  Expensive pipelines (e.g. sp's fused
-    levels, minutes of symbolic analysis) stay frozen at their
+    recomputed named level.  Expensive pipelines (e.g. sp's fully fused
+    level, about a minute of symbolic analysis) stay frozen at their
     committed values — re-tune and re-commit the artifact to move them.
 
     Returns failure messages (empty = gate passes).
@@ -572,7 +576,7 @@ def check_baseline(
         threads = int(entry.get("threads") or 4)
         schedule = entry.get("schedule") or "static"
         floor = min(c["score"] for c in named.values())
-        if best["score"] > floor * (1 + rtol):
+        if best["score"] > floor * (1 + _RTOL):
             failures.append(
                 f"{prog_name}: committed best ({best['signature']}, "
                 f"{best['score']:.0f}) predicts more misses than the best "
@@ -592,7 +596,7 @@ def check_baseline(
                 manager, label, "check", spec, steps, sizes, l1, l2,
                 objective, threads, schedule, False, tcache, {},
             ).score
-            if score > float(record["score"]) * (1 + rtol):
+            if score > float(record["score"]) * (1 + _RTOL):
                 failures.append(
                     f"{prog_name}/{label}: predicted misses regressed "
                     f"{record['score']:.0f} -> {score:.0f}"
@@ -607,7 +611,7 @@ def check_baseline(
                 recompute(level, record, PIPELINES[level])
         if "best" in recomputed:
             for level, score in recomputed.items():
-                if level != "best" and recomputed["best"] > score * (1 + rtol):
+                if level != "best" and recomputed["best"] > score * (1 + _RTOL):
                     failures.append(
                         f"{prog_name}: recomputed best "
                         f"({recomputed['best']:.0f}) predicts more misses "

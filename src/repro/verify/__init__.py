@@ -9,8 +9,9 @@ Two complementary tools over the same diagnostic framework:
   output dependence, built on :func:`snapshot_program` access snapshots.
 
 The CLI exposes both as ``repro lint`` and ``repro verify-pass``; the
-pipeline's ``verify=True`` mode runs :class:`PassVerifier` after every
-pass and raises :class:`PassLegalityError` on the first violation.
+pipeline's ``verify=`` mode certifies every pass with
+:func:`check_legality` and raises :class:`PassLegalityError` on the
+first violation (a :class:`PassVerifier` keeps the verdicts).
 """
 
 from .codes import (

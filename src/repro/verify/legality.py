@@ -36,12 +36,15 @@ Which mode a pass of the pipeline gets is its ``strict`` flag in the
 pass table (:data:`repro.core.pm.PASSES`); a caller certifying anything
 else says so itself.
 
-:class:`PassVerifier` packages the snapshot-diff-raise cycle for the
-pipeline's opt-in ``verify=True`` mode.
+:class:`PassVerifier` carries the verification size of a pipeline's
+opt-in ``verify=`` mode and collects its per-pass verdicts; the pass
+manager (:class:`repro.core.pm.PassManager`) owns the snapshot → diff
+loop.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..lang import Program
@@ -287,60 +290,29 @@ def verify_pass(
     return check_legality(b, a, pass_name=pass_name, strict=strict)
 
 
+@dataclass(eq=False)
 class PassVerifier:
-    """Stateful checker for a pipeline: snapshot once, verify each stage.
+    """A pipeline's verification size and its verdicts, pass by pass.
 
     Usage::
 
-        verifier = PassVerifier(program, params={"N": 8})
-        ...
-        p = some_pass(p)
-        verifier.check("some_pass", p)   # raises PassLegalityError on a
-                                         # violation, then re-baselines
+        verifier = PassVerifier(params={"N": 8})
+        compile_pipeline(program, "new", verify=verifier)
+        for pass_name, bag in verifier.history:
+            ...
 
-    Each successful check makes the new program the baseline, so a
-    pipeline of n passes costs n+1 snapshots and failures blame the
-    exact pass that broke the program.
+    The pass manager snapshots at ``params`` / ``steps`` (what
+    :func:`~repro.verify.snapshot_program` takes) and hands every
+    verdict, fresh or replayed from a shared prefix, to :meth:`record`.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        params: Optional[Mapping[str, int]] = None,
-        steps: int = 1,
-    ) -> None:
-        self.params = params
-        self.steps = steps
-        self.baseline = self.snapshot(program)
-        self.history: list[tuple[str, DiagnosticBag]] = []
-
-    def snapshot(self, program: Program) -> Snapshot:
-        """``program``'s write chains at this verifier's parameters."""
-        return snapshot_program(program, self.params, self.steps)
+    params: Optional[Mapping[str, int]] = None
+    steps: int = 1
+    history: list[tuple[str, DiagnosticBag]] = field(default_factory=list, init=False)
 
     def record(self, pass_name: str, bag: DiagnosticBag) -> DiagnosticBag:
-        """Log one verdict in ``history``; raise if it has errors (the
-        pass manager replays the verdicts of shared prefixes through here)."""
+        """Log one verdict in ``history``; raise if it has errors."""
         self.history.append((pass_name, bag))
         if bag.has_errors():
             raise PassLegalityError.from_bag(f"pass {pass_name!r}", bag)
-        return bag
-
-    def check(
-        self,
-        pass_name: str,
-        program: Program,
-        strict: bool = True,
-    ) -> DiagnosticBag:
-        """Certify ``program`` against the current baseline; re-baseline.
-
-        Raises :class:`PassLegalityError` when the pass broke a
-        dependence; the exception's ``bag`` carries the diagnostics.
-        """
-        snap = self.snapshot(program)
-        bag = self.record(
-            pass_name,
-            check_legality(self.baseline, snap, pass_name=pass_name, strict=strict),
-        )
-        self.baseline = snap
         return bag

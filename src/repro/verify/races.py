@@ -218,11 +218,11 @@ def _leading_pad(
 def lint_coherence(
     program: Program,
     params: Optional[Mapping[str, int]] = None,
-    threads: int = 4,
-    schedule: str = "static",
     steps: int = 1,
 ) -> DiagnosticBag:
-    """Emit the R52x sharing lints from a static coherence profile.
+    """Emit the R52x sharing lints from the static coherence profile of
+    :func:`~repro.static.analyze_coherence`'s default run (4 threads,
+    ``static`` schedule), beside the :data:`R522_ALT_SCHEDULE` one.
 
     Advisory by design: programs outside the analyzer's affine subset
     (or too large to enumerate at the lint sizes) are skipped silently
@@ -237,12 +237,11 @@ def lint_coherence(
         # both schedules partition the same parallel nests
         parallelism = analyze_parallelism(program, params)
         profile = analyze_coherence(
-            program, params, threads=threads, schedule=schedule,
-            steps=steps, parallelism=parallelism,
+            program, params, steps=steps, parallelism=parallelism
         )
     except AnalysisError:
         return bag
-    name = profile.program_name
+    name, threads, schedule = profile.program_name, profile.threads, profile.schedule
 
     by_array = {
         w.array: w for w in reversed(profile.witnesses)
@@ -294,31 +293,27 @@ def lint_coherence(
                 schedule=schedule,
             )
 
-    if schedule != R522_ALT_SCHEDULE:
-        try:
-            alt = analyze_coherence(
-                program, params, threads=threads,
-                schedule=R522_ALT_SCHEDULE, steps=steps, witnesses=False,
-                parallelism=parallelism,
-            )
-        except AnalysisError:
-            return bag
-        lo, hi = sorted(
-            (profile.total_invalidations, alt.total_invalidations)
+    try:
+        alt = analyze_coherence(
+            program, params, threads=threads, schedule=R522_ALT_SCHEDULE,
+            steps=steps, witnesses=False, parallelism=parallelism,
         )
-        if hi >= R522_MIN_INVALIDATIONS and hi >= R522_RATIO * max(lo, 1):
-            bag.info(
-                "R522",
-                f"invalidation misses are schedule-sensitive: "
-                f"{profile.total_invalidations} under {schedule!r} vs "
-                f"{alt.total_invalidations} under "
-                f"{R522_ALT_SCHEDULE!r} ({threads} threads) — choose "
-                f"the schedule deliberately",
-                where=name,
-                schedule_a=schedule,
-                invalidations_a=profile.total_invalidations,
-                schedule_b=R522_ALT_SCHEDULE,
-                invalidations_b=alt.total_invalidations,
-                threads=threads,
-            )
+    except AnalysisError:
+        return bag
+    lo, hi = sorted((profile.total_invalidations, alt.total_invalidations))
+    if hi >= R522_MIN_INVALIDATIONS and hi >= R522_RATIO * max(lo, 1):
+        bag.info(
+            "R522",
+            f"invalidation misses are schedule-sensitive: "
+            f"{profile.total_invalidations} under {schedule!r} vs "
+            f"{alt.total_invalidations} under "
+            f"{R522_ALT_SCHEDULE!r} ({threads} threads) — choose "
+            f"the schedule deliberately",
+            where=name,
+            schedule_a=schedule,
+            invalidations_a=profile.total_invalidations,
+            schedule_b=R522_ALT_SCHEDULE,
+            invalidations_b=alt.total_invalidations,
+            threads=threads,
+        )
     return bag

@@ -2,14 +2,17 @@
 
 import networkx as nx
 
-from repro.analysis import body_dependence_graph, items_depend
+from repro.analysis import body_dependence_graph, collect_loop_accesses, depends
+from repro.lang import Assumptions
 
 from conftest import build
+
+ASSUME = Assumptions()
 
 
 def graph_for(source):
     p = build(source)
-    return body_dependence_graph(p.body[0], p.params), p
+    return body_dependence_graph(p.body[0], p.params, ASSUME), p
 
 
 def test_forward_flow_dependence_only():
@@ -90,7 +93,7 @@ def test_items_depend_top_level():
         for i = 1, N { B[i] = g(C[i]) }
         """
     )
-    l1, l2, l3 = p.body
-    assert items_depend(l1, l2, p.params)  # flow on A
-    assert items_depend(l1, l3, p.params)  # anti on B
-    assert items_depend(l2, l3, p.params)  # flow on C
+    l1, l2, l3 = (collect_loop_accesses(loop, p.params) for loop in p.body)
+    assert depends(l1, l2, ASSUME)  # flow on A
+    assert depends(l1, l3, ASSUME)  # anti on B
+    assert depends(l2, l3, ASSUME)  # flow on C

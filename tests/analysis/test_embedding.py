@@ -6,9 +6,11 @@ from repro.analysis import (
     embed_after,
     embed_before,
 )
-from repro.lang import Affine
+from repro.lang import Affine, Assumptions
 
 from conftest import build
+
+ASSUME = Assumptions()
 
 
 def parts(source):
@@ -30,7 +32,7 @@ def test_embed_after_anti_dependence():
     )
     loop_acc = collect_loop_accesses(p.body[0], params)
     stmt_acc = collect_stmt_accesses(p.body[1], params)
-    point = embed_after(loop_acc, stmt_acc)
+    point = embed_after(loop_acc, stmt_acc, ASSUME)
     assert point.ok
     assert point.at == Affine.constant(3)
 
@@ -49,6 +51,7 @@ def test_embed_after_unconstrained_statement():
     point = embed_after(
         collect_loop_accesses(p.body[0], params),
         collect_stmt_accesses(p.body[1], params),
+        ASSUME,
     )
     assert point.ok
     assert point.at is None  # no constraints at all
@@ -68,6 +71,7 @@ def test_embed_after_flow_dependence_at_param_boundary():
     point = embed_after(
         collect_loop_accesses(p.body[0], params),
         collect_stmt_accesses(p.body[1], params),
+        ASSUME,
     )
     assert point.ok
     assert point.at == Affine.var("N") - 2
@@ -87,6 +91,7 @@ def test_embed_before_upper_bound():
     point = embed_before(
         collect_stmt_accesses(p.body[0], params),
         collect_loop_accesses(p.body[1], params),
+        ASSUME,
     )
     assert point.ok
     assert point.at == Affine.constant(3)
@@ -107,6 +112,7 @@ def test_embed_before_write_write():
     point = embed_before(
         collect_stmt_accesses(p.body[0], params),
         collect_loop_accesses(p.body[1], params),
+        ASSUME,
     )
     assert point.ok
     assert point.at == Affine.constant(4)

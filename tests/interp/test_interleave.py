@@ -36,7 +36,7 @@ def bundled(name):
     return entry.build(), entry.steps
 
 
-def reference_columns(program, params, threads, steps, schedule, block):
+def reference_columns(program, params, threads, steps, schedule):
     """``(keys, writes, thread_ids)`` with the merge done run by run."""
     tracer = NestTracer(program, params)
     parallel = analyze_parallelism(program, params).parallel_nests()
@@ -61,9 +61,7 @@ def reference_columns(program, params, threads, steps, schedule, block):
                         np.concatenate([c.global_keys() for c in traces]),
                         np.concatenate([c.writes for c in traces]),
                     ))
-            for i, p, q in round_robin_order(
-                [len(s[1]) for s in streams], block
-            ):
+            for i, p, q in round_robin_order([len(s[1]) for s in streams]):
                 t, ck, cw = streams[i]
                 keys.append(ck[p:q])
                 writes.append(cw[p:q])
@@ -71,47 +69,18 @@ def reference_columns(program, params, threads, steps, schedule, block):
     return np.concatenate(keys), np.concatenate(writes), np.concatenate(tids)
 
 
-def assert_matches_reference(name, threads, schedule, block=1):
-    program, steps = bundled(name)
-    params = PROGRAMS[name]
-    run = interleave_trace(
-        program, params, threads, steps=steps, schedule=schedule, block=block
-    )
-    keys, writes, tids = reference_columns(
-        program, params, threads, steps, schedule, block
-    )
-    assert np.array_equal(run.merged.addresses, keys)
-    assert np.array_equal(run.merged.writes, writes)
-    assert np.array_equal(run.merged_threads, tids)
-    assert run.merged_threads.dtype == np.int32
-    assert len(run.per_thread) == threads
-    for t, own in enumerate(run.per_thread):
-        assert np.array_equal(own.addresses, keys[tids == t])
-        assert np.array_equal(own.writes, writes[tids == t])
-
-
 @pytest.mark.parametrize("threads", [2, 4])
 @pytest.mark.parametrize("schedule", ["static", "static,2", "guided", "dynamic"])
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_merge_equals_reference_drain(name, schedule, threads):
-    assert_matches_reference(name, threads, schedule)
-
-
-def test_blocked_merge_equals_reference_drain():
-    # guided hands out ragged chunks: streams drain at different rounds
-    assert_matches_reference("tomcatv", 4, "guided", block=3)
-
-
-def test_block_is_validated_before_tracing():
-    # a run that partitions nothing (one thread, or an all-serial program)
-    # never reaches the merge: block=0 used to return a full trace there
-    # and raise from inside the trace otherwise
-    for name, threads in [("adi", 4), ("adi", 1), ("sweep3d", 4)]:
-        program, steps = bundled(name)
-        with pytest.raises(ValueError, match="block must be >= 1, got 0"):
-            interleave_trace(
-                program, PROGRAMS[name], threads, steps=steps, block=0
-            )
+    program, steps = bundled(name)
+    params = PROGRAMS[name]
+    run = interleave_trace(program, params, threads, steps=steps, schedule=schedule)
+    keys, writes, tids = reference_columns(program, params, threads, steps, schedule)
+    assert np.array_equal(run.merged.addresses, keys)
+    assert np.array_equal(run.merged.writes, writes)
+    assert np.array_equal(run.merged_threads, tids)
+    assert run.merged_threads.dtype == np.int32
 
 
 def test_spans_count_the_enumeration():

@@ -3,12 +3,10 @@
 from repro.interp import trace_program
 from repro.locality import (
     classify_evadable,
-    classify_evadable_program,
-    classify_evadable_sizes,
-    evadable_change,
-    mean_distance_growth,
+    classify_evadable_stats,
     per_class_stats,
 )
+from repro.static import analyze_program
 
 from conftest import build
 
@@ -77,58 +75,19 @@ def test_fused_version_almost_free_of_evadable_reuses():
 def test_evadable_change_measures_reduction():
     before = classify_evadable(*traces(SRC))
     after = classify_evadable(*traces(SRC_FUSED))
-    change = evadable_change(before, after)
-    assert change < -0.99  # essentially all evadable reuses removed
-
-
-# A reuse class that performs zero reuses at the smallest size: the guarded
-# read of A[i - 8] never finds a partner until N outgrows the guard window.
-# Its distance is flat (constant 8 elements apart) once it materializes, so
-# it must NOT classify as evadable merely for being absent at the small size.
-SRC_COLD_AT_SMALL = """
-program coldsmall
-param N
-real A[N], B[N]
-for i = 1, N {
-  A[i] = f(B[i])
-  when i in [10:N] { B[i] = g(A[i - 8]) }
-}
-"""
-
-
-def test_cold_only_at_small_size_uses_first_measured_baseline():
-    p = build(SRC_COLD_AT_SMALL)
-    sizes = [trace_program(p, {"N": n}) for n in (9, 64, 512)]
-    # at N=9 the guarded class never fires: classify_evadable on the two
-    # extremes would treat it as "absent at small" and call it evadable
-    assert not per_class_stats(sizes[0]) or all(
-        "A[(i - 8)]" != sizes[0].refs[r].text
-        for r in per_class_stats(sizes[0])
-    )
-    report = classify_evadable_sizes(sizes)
-    texts = {sizes[-1].refs[r].text for r in report.evadable_classes}
-    assert "A[(i - 8)]" not in texts  # flat distance -> not evadable
+    # essentially all evadable reuses removed
+    assert after.evadable_reuses < 0.01 * before.evadable_reuses
 
 
 def test_classify_evadable_program_static_matches_dynamic():
+    # the static side predicts the class stats without a trace; both
+    # sides run the one decision rule
     p = build(SRC)
     small, large = {"N": 200}, {"N": 800}
-    static = classify_evadable_program(p, small, large)  # default: static
-    dynamic = classify_evadable_program(p, small, large, method="dynamic")
+    profile = analyze_program(p)
+    static = classify_evadable_stats(
+        profile.class_stats(small), profile.class_stats(large)
+    )
+    dynamic = classify_evadable(trace_program(p, small), trace_program(p, large))
     assert static.evadable_classes == dynamic.evadable_classes
     assert static.evadable_classes  # the cross-loop read of A
-
-
-def test_mean_distance_growth():
-    p = build(SRC)
-    small = trace_program(p, {"N": 200})
-    large = trace_program(p, {"N": 800})
-    growth = mean_distance_growth(per_class_stats(small), per_class_stats(large))
-    assert growth > 1.5  # distances grow with input size
-
-    pf = build(SRC_FUSED)
-    gf = mean_distance_growth(
-        per_class_stats(trace_program(pf, {"N": 200})),
-        per_class_stats(trace_program(pf, {"N": 800})),
-    )
-    assert gf < growth  # fusion slows the lengthening rate

@@ -178,7 +178,7 @@ def test_failed_verdict_is_raised_by_every_later_verified_walk(monkeypatch):
         enablers=("distribute",), fusion_levels=(0,), regroup=False,
         cache=False, validate_top=False, verify=True,
     )
-    verifier = PassVerifier(program)
+    verifier = PassVerifier()
     for attempt in (
         lambda: compile_variant(program, "fusion", verify=True),
         lambda: tune(search),

@@ -104,7 +104,7 @@ def test_broken_pass_is_blamed_on_every_crossing(test_pass):
     ]
     good = resolve_pipeline(["inline", "distribute", "simplify"])
     manager = PassManager(program, verify_params=SMALL)
-    verifier = PassVerifier(program, SMALL)
+    verifier = PassVerifier(SMALL)
     for spec in bad + bad:  # second crossings replay the cached verdict
         with pytest.raises(PassLegalityError, match="reverse_dependence") as err:
             manager.run(spec, verify=verifier)
@@ -122,7 +122,7 @@ def test_broken_pass_is_blamed_on_every_crossing(test_pass):
 def test_prefix_compiled_unverified_is_certified_when_crossed_verified():
     program = resolve_target("adi").program
     spec = PIPELINES["fusion1"]
-    alone = PassVerifier(program, SMALL)
+    alone = PassVerifier(SMALL)
     compile_pipeline(program, spec, verify=alone)
 
     manager = PassManager(program, verify_params=SMALL)
@@ -131,7 +131,7 @@ def test_prefix_compiled_unverified_is_certified_when_crossed_verified():
     assert live_snapshots() == floor, "an unverified walk takes no snapshot"
     assert not any(node.bags for node in manager._nodes())
     runs, replays = _counters("pm.pass.runs", "pm.certify.shared")
-    verifier = PassVerifier(program, SMALL)
+    verifier = PassVerifier(SMALL)
     manager.run(spec, verify=verifier)
     history = verifier.history
     assert [name for name, _ in history] == [name for name, _ in alone.history]

@@ -51,7 +51,7 @@ def test_candidate_passes_certification():
     verification: each pass of each chain carries a clean verdict."""
     program = _adi()
     manager = PassManager(program, verify_params=SMALL)
-    verifier = PassVerifier(program, SMALL)
+    verifier = PassVerifier(SMALL)
     grid = enumerate_candidates()
     assert len(grid) == 160
     with manager.declared(grid):

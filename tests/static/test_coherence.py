@@ -40,7 +40,7 @@ from repro.lang.errors import AnalysisError
 from repro.memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
 from repro.obs import metrics
 from repro.programs import registry
-from repro.static import analyze_coherence
+from repro.static import analyze_coherence, coherence
 from repro.verify import lint_coherence
 
 LINE_ELEMS = L1_LINE_BYTES // ELEM_BYTES  # 4 elements per line
@@ -154,7 +154,7 @@ def test_padding_the_leading_dimension_clears_it():
 def test_r520_fires_unpadded_and_padding_clears_it():
     # the end-to-end acceptance path: lint reports the hotspot with a
     # concrete witness and the padding fix, and the fix silences it
-    bag = lint_coherence(build(COLSWEEP), {"M": 28}, threads=4, steps=2)
+    bag = lint_coherence(build(COLSWEEP), {"M": 28}, steps=2)
     codes = [d.code for d in bag]
     assert "R520" in codes
     r520 = next(d for d in bag if d.code == "R520")
@@ -162,9 +162,7 @@ def test_r520_fires_unpadded_and_padding_clears_it():
     assert "pad" in r520.message.lower()
     assert [
         d.code
-        for d in lint_coherence(
-            build(COLSWEEP_PADDED), {"M": 28}, threads=4, steps=2
-        )
+        for d in lint_coherence(build(COLSWEEP_PADDED), {"M": 28}, steps=2)
     ] == []
 
 
@@ -186,7 +184,7 @@ def parallelism_runs() -> float:
 
 def test_r521_and_r522_fire_on_rowcol():
     before = parallelism_runs()
-    bag = lint_coherence(build(ROWCOL), {"N": 16}, threads=4, steps=2)
+    bag = lint_coherence(build(ROWCOL), {"N": 16}, steps=2)
     # both schedules read one parallelism profile
     assert parallelism_runs() - before == 1
     codes = [d.code for d in bag]
@@ -301,12 +299,11 @@ def test_single_thread_has_no_sharing():
     assert prof.sharing_arrays() == ()
 
 
-def test_finer_line_means_less_false_sharing():
+def test_finer_line_means_less_false_sharing(monkeypatch):
     # with 8-byte lines (one element each) false sharing is impossible
-    prof = analyze_coherence(
-        build(COLSWEEP), {"M": 28}, threads=4, steps=2,
-        line_bytes=ELEM_BYTES,
-    )
+    monkeypatch.setattr("repro.memsim.geometry.L1_LINE_BYTES", ELEM_BYTES)
+    prof = analyze_coherence(build(COLSWEEP), {"M": 28}, threads=4, steps=2)
+    assert prof.line_elems == 1
     assert prof.total_invalidations == 0
 
 
@@ -333,11 +330,10 @@ def test_static_and_interp_import_in_either_order(order):
     subprocess.run([sys.executable, "-c", f"import {order}"], check=True)
 
 
-def test_access_budget_is_enforced():
-    with pytest.raises(AnalysisError, match="accesses"):
-        analyze_coherence(
-            build(COLSWEEP), {"M": 28}, threads=4, steps=2, max_accesses=10
-        )
+def test_access_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(coherence, "DEFAULT_MAX_ACCESSES", 10)
+    with pytest.raises(AnalysisError, match="exceeds 10 accesses"):
+        analyze_coherence(build(COLSWEEP), {"M": 28}, threads=4, steps=2)
 
 
 def test_witnesses_can_be_disabled():
@@ -366,9 +362,6 @@ def test_with_invalidations_adds_to_private_misses():
     cap = 256
     base = pred.private_miss_count(cap)
     assert folded.private_miss_count(cap) == pytest.approx(base + 96)
-    assert folded.private_miss_count(
-        cap, include_invalidations=False
-    ) == pytest.approx(base)
     # the shared view models the physically shared cache: no fold there
     assert folded.shared_miss_count(cap) == pred.shared_miss_count(cap)
     with pytest.raises(ValueError, match="4 threads"):

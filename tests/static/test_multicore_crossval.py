@@ -49,8 +49,10 @@ def crossval(name: str, n: int, threads: int, schedule: str = "static"):
     )
     shared = ReuseHistogram.from_distances(reuse_distances(run.merged))
     private = ReuseHistogram()
-    for seg in run.per_thread:
-        private = private + ReuseHistogram.from_distances(reuse_distances(seg))
+    keys = np.asarray(run.merged)
+    for t in range(threads):
+        own = keys[run.merged_threads == t]
+        private = private + ReuseHistogram.from_distances(reuse_distances(own))
     return run, pred, shared, private
 
 
@@ -123,8 +125,7 @@ def test_single_thread_degenerates_to_sequential_trace():
     run = interleave_trace(program, {"N": 12}, 1, steps=entry.steps)
     plain = trace_program(program, {"N": 12}, steps=entry.steps).global_keys()
     assert np.array_equal(run.merged, plain)
-    assert len(run.per_thread) == 1
-    assert np.array_equal(run.per_thread[0], plain)
+    assert not run.merged_threads.any()
 
 
 def test_all_serial_program_is_unchanged_by_threads():

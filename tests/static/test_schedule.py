@@ -186,53 +186,37 @@ def test_threads_must_be_positive():
 # ``round_robin_positions`` is the same drain in closed form.
 
 
-def positions(lengths, block=1):
-    return [p.tolist() for p in round_robin_positions(lengths, block)]
+def positions(lengths):
+    return [p.tolist() for p in round_robin_positions(lengths)]
 
 
 def test_round_robin_order_block1():
     # streams of length 3,1,2 drain 0,1,2, 0,2, 0
-    assert round_robin_order([3, 1, 2], 1) == [
+    assert round_robin_order([3, 1, 2]) == [
         (0, 0, 1), (1, 0, 1), (2, 0, 1),
         (0, 1, 2), (2, 1, 2),
         (0, 2, 3),
     ]
-    assert positions([3, 1, 2], 1) == [[0, 3, 5], [1], [2, 4]]
-
-
-def test_round_robin_order_blocked():
-    assert round_robin_order([5, 2], 2) == [
-        (0, 0, 2), (1, 0, 2), (0, 2, 4), (0, 4, 5)
-    ]
-    assert positions([5, 2], 2) == [[0, 1, 4, 5, 6], [2, 3]]
-
-
-def test_round_robin_order_rejects_bad_block():
-    with pytest.raises(ValueError, match="block must be >= 1, got 0"):
-        round_robin_positions([1, 2], 0)
+    assert positions([3, 1, 2]) == [[0, 3, 5], [1], [2, 4]]
 
 
 def test_round_robin_order_total_preserved():
-    # a zero-length stream in the middle, a block larger than a stream
-    lengths = [7, 0, 3, 11]
+    # zero-length streams in the middle and at the end
+    lengths = [7, 0, 3, 11, 0]
     drained = [0] * len(lengths)
-    for k, p, q in round_robin_order(lengths, 3):
+    for k, p, q in round_robin_order(lengths):
         assert drained[k] == p  # runs arrive in stream order
         drained[k] = q
     assert drained == lengths
-    assert positions(lengths, 3) == drain_positions(lengths, 3)
-    assert positions(lengths, 64) == drain_positions(lengths, 64)
-    assert positions([], 1) == [] and positions([0, 0], 2) == [[], []]
+    assert positions(lengths) == drain_positions(lengths)
+    assert positions([]) == [] and positions([0, 0]) == [[], []]
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    lengths=st.lists(st.integers(0, 40), max_size=63),
-    block=st.integers(1, 8),
-)
-def test_positions_are_the_reference_drain(lengths, block):
-    got = round_robin_positions(lengths, block)
-    assert [p.tolist() for p in got] == drain_positions(lengths, block)
+@given(lengths=st.lists(st.integers(0, 40), max_size=63))
+def test_positions_are_the_reference_drain(lengths):
+    got = round_robin_positions(lengths)
+    assert [p.tolist() for p in got] == drain_positions(lengths)
     # what the interleaver relies on: the scatters fill every merged slot
     # once, and `keys[tids == t]` is thread t's own stream in its own order
     assert sorted(x for p in got for x in p.tolist()) == list(

@@ -9,6 +9,8 @@ loop-nest segments exercise the period order: every part at its own
 period, or at none when its write flags break the repeat.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,22 @@ from repro.stream import (
     read_stream,
     read_stream_binary,
     read_stream_csv,
-    read_stream_text,
     write_stream,
     write_stream_csv,
 )
 from repro.stream.io import StreamReader, StreamWriter, body_period
+
+
+def read_csv_text(text):
+    return read_stream_csv(io.StringIO(text))
+
+
+def write_chunked(path, stream, chunk_size):
+    """``stream`` as a file of ``chunk_size``-access chunks."""
+    with StreamWriter(path, stream.meta, stream.ref_ids is not None) as writer:
+        for start in range(0, len(stream), chunk_size):
+            writer.write(stream.slice(start, start + chunk_size))
+    return path
 
 
 @st.composite
@@ -98,10 +111,13 @@ def _assert_equal(a: AddressStream, b: AddressStream, check_meta=True) -> None:
 
 class TestBinaryRoundtrip:
     @settings(max_examples=60, deadline=None)
-    @given(stream=streams(), chunk_size=st.sampled_from([7, 64, 1 << 16]))
+    @given(stream=streams(), chunk_size=st.sampled_from([7, 64, None]))
     def test_roundtrip(self, tmp_path_factory, stream, chunk_size):
         path = tmp_path_factory.mktemp("ast") / "s.ast"
-        write_stream(path, stream, chunk_size=chunk_size)
+        if chunk_size is None:
+            write_stream(path, stream)
+        else:
+            write_chunked(path, stream, chunk_size)
         _assert_equal(stream, read_stream_binary(path))
         # the auto-detecting reader lands on the same decoder
         _assert_equal(stream, read_stream(path))
@@ -109,7 +125,7 @@ class TestBinaryRoundtrip:
     def test_chunk_boundaries_do_not_merge_runs(self, tmp_path):
         # one long constant-stride run crossing many tiny chunks
         stream = AddressStream(np.arange(1000, dtype=np.int64) * 8)
-        path = write_stream(tmp_path / "s.ast", stream, chunk_size=3)
+        path = write_chunked(tmp_path / "s.ast", stream, 3)
         _assert_equal(stream, read_stream_binary(path))
 
     def test_not_binary_raises(self, tmp_path):
@@ -263,6 +279,10 @@ class TestCsvRoundtrip:
     @settings(max_examples=40, deadline=None)
     @given(stream=streams())
     def test_roundtrip(self, tmp_path_factory, stream):
+        low = min(stream.addresses.min(initial=0), 0)  # CSV takes [0, 2**63)
+        stream = AddressStream(
+            stream.addresses - low, stream.writes, stream.ref_ids, meta=stream.meta
+        )
         path = tmp_path_factory.mktemp("csv") / "s.csv"
         write_stream_csv(path, stream)
         for loaded in (read_stream_csv(path), read_stream(path)):
@@ -274,7 +294,7 @@ class TestCsvRoundtrip:
             assert stream.meta == loaded.meta
 
     def test_bare_address_list(self):
-        loaded = read_stream_text("100\n200\n300\n")
+        loaded = read_csv_text("100\n200\n300\n")
         assert np.array_equal(loaded.addresses, [100, 200, 300])
         assert not loaded.writes.any()
         assert loaded.ref_ids is None
@@ -282,21 +302,35 @@ class TestCsvRoundtrip:
         assert not loaded.meta.has_geometry
 
     def test_hex_addresses_and_header(self):
-        loaded = read_stream_text("address,write\n0x40,1\n0X80,0\n")
+        loaded = read_csv_text("address,write\n0x40,1\n0X80,0\n")
         assert np.array_equal(loaded.addresses, [0x40, 0x80])
         assert loaded.writes[0] and not loaded.writes[1]
 
     def test_bad_address_mid_file_raises(self):
         with pytest.raises(StreamFormatError):
-            read_stream_text("10\nbogus\n")
+            read_csv_text("10\nbogus\n")
 
     def test_only_one_header_row_is_tolerated(self):
         with pytest.raises(StreamFormatError, match="line 2: bad address 'world'"):
-            read_stream_text("hello\nworld\nfoo,bar\n1\n2\n")
+            read_csv_text("hello\nworld\nfoo,bar\n1\n2\n")
 
     def test_bad_write_flag_raises(self):
         with pytest.raises(StreamFormatError):
-            read_stream_text("10,yes\n")
+            read_csv_text("10,yes\n")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0xffff888000001000", "address '0xffff888000001000' is outside"),
+            ("-32", "address '-32' is outside"),
+            ("16,0,x", "bad ref_id 'x'"),
+            ("16,0,4294967296", "ref_id '4294967296' is outside int32"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, row, message):
+        # the third data row is line 4, after the header
+        with pytest.raises(StreamFormatError, match=f"line 4: {message}"):
+            read_csv_text(f"address,write,ref_id\n0,0,1\n8,1,2\n{row}\n")
 
     def test_metadata_comment_restores_geometry(self):
         meta = StreamMeta(
@@ -312,7 +346,7 @@ class TestCsvRoundtrip:
                 "128",
             ]
         )
-        loaded = read_stream_text(text)
+        loaded = read_csv_text(text)
         assert loaded.meta == meta
         assert loaded.meta.has_geometry
         assert np.array_equal(loaded.addresses, stream.addresses)

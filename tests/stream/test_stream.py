@@ -61,14 +61,6 @@ class TestAddressStream:
         with pytest.raises(ValueError, match="copy=False"):
             np.asarray(s, dtype=np.float64, copy=False)
 
-    def test_lines_requires_a_line_size(self):
-        s = _stream()
-        with pytest.raises(ValueError):
-            s.lines()
-        assert np.array_equal(s.lines(32), s.addresses // 32)
-        s.meta.line_bytes = 128
-        assert np.array_equal(s.lines(), s.addresses // 128)
-
     def test_fingerprint_is_content_addressed(self):
         a, b = _stream(), _stream()
         assert a.fingerprint() == b.fingerprint()

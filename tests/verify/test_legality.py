@@ -10,13 +10,11 @@ name the violated dependence edge.
 import pytest
 
 from repro.cli import main
-from repro.core import compile_variant
+from repro.core import compile_pipeline, compile_variant
 from repro.core.pm import PASSES
 from repro.core.fusion import fuse_program
-from repro.core.pipeline import preliminary
 from repro.lang import parse, validate
 from repro.programs import registry
-from repro.transform import propagate_scalar_constants, simplify_program
 from repro.verify import (
     MAX_DIAGS_PER_CODE,
     PassLegalityError,
@@ -39,7 +37,7 @@ def build(source: str):
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 def test_full_pipeline_certifies(name):
     program = registry.get(name).build()
-    verifier = PassVerifier(program)
+    verifier = PassVerifier()
     compile_variant(program, "new", verify=verifier)
     passes = [pass_name for pass_name, _ in verifier.history]
     assert "fusion" in passes
@@ -250,28 +248,30 @@ def test_relaxed_mode_still_catches_array_violations():
 # -- PassVerifier -------------------------------------------------------------
 
 
-def test_pass_verifier_blames_the_breaking_pass():
+def test_pass_verifier_blames_the_breaking_pass(monkeypatch):
+    def drop_statements(program, ctx):
+        # a pass that lost every top-level statement but the first
+        return program.with_body(program.body[:1])
+
+    monkeypatch.setitem(
+        PASSES, "distribute", PASSES["distribute"]._replace(fn=drop_statements)
+    )
     program = registry.get("adi").build()
-    verifier = PassVerifier(program)
-    good = preliminary(program)
-    verifier.check("preliminary", good, strict=False)
+    verifier = PassVerifier()
     with pytest.raises(PassLegalityError) as exc:
-        # replay an old stage as if a pass had dropped the fusion result:
-        # baseline is now `good`, and a program with statements removed
-        # must be rejected
-        verifier.check("broken", good.with_body(good.body[:1]))
-    assert "pass 'broken'" in str(exc.value)
+        compile_pipeline(program, ["inline", "constprop", "distribute"], verify=verifier)
+    assert "pass 'distribute'" in str(exc.value)
     assert exc.value.bag.has_errors()
+    assert [name for name, _ in verifier.history] == ["inline", "constprop", "distribute"]
+    assert not any(bag.has_errors() for _, bag in verifier.history[:-1])
 
 
 def test_pass_verifier_rebaselines_after_success():
     program = build(ALIGN_ORIG)
-    verifier = PassVerifier(program)
-    p2 = propagate_scalar_constants(program)
-    verifier.check("constprop", p2, strict=False)
-    p3 = simplify_program(p2)
-    verifier.check("simplify", p3, strict=False)
+    verifier = PassVerifier()
+    compile_pipeline(program, ["constprop", "simplify"], verify=verifier)
     assert [name for name, _ in verifier.history] == ["constprop", "simplify"]
+    assert not any(bag.has_errors() for _, bag in verifier.history)
 
 
 def test_fuse_program_output_certifies_on_fig4():

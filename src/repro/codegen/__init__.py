@@ -8,20 +8,19 @@ by the differential suite under ``tests/codegen/``.
 loop level is enumerated as numpy index arrays (no Python work per
 iteration), guards split instance frames by membership masks, and the
 trace comes out as the segments the measuring chain streams
-(:class:`~repro.codegen.tracer.NestTracer`).  It reads the same lowered
-form as the oracle (integer address records, see
+(:class:`~repro.codegen.tracer.NestTracer`).  It reads the oracle's own
+folded form of the program's one lowering
+(:func:`repro.lang.lowering.lower`: integer address records, see
 :mod:`repro.interp.tracegen`), so a program outside the supported input
 — anything not integer-affine after parameter binding — is one
-:class:`~repro.lang.AnalysisError` raised by that shared lowering, not a
+:class:`~repro.lang.AnalysisError` raised by that shared fold, not a
 second code path.
 
 Programs are *executed* by :func:`repro.interp.run_program` only.
 """
 
-from .lowering import trace_fingerprint
 from .tracer import trace_program
 
 __all__ = [
-    "trace_fingerprint",
     "trace_program",
 ]

@@ -29,7 +29,7 @@ Under a layout (:meth:`NestTracer.address_segments`) each reference's
 record absorbs its array's placement, so the blocks hold byte addresses
 at no extra cost; only a stride break adds a ``divmod`` on its column.
 
-The input is the interpreter tracer's own lowering
+The input is the interpreter tracer's fold of the program's one lowering
 (:class:`repro.interp.tracegen._Compiler`): integer address records with
 the parameters folded in, so everything outside the supported subset has
 already been rejected there with an :class:`~repro.lang.AnalysisError`,

@@ -4,16 +4,16 @@
 generates the trace at the chosen size, simulates the scaled memory
 hierarchy, and returns one :class:`VariantResult` — the row unit of
 every Fig. 10 / §6 table, and the only result record the harness has.
-Past the compile it is one chunk loop: the tracer's segments are
-batched, laid out and pushed through the hierarchy a chunk of about
+Past the compile it is one chunk loop: the tracer's segments, byte
+addresses under the variant's layout whichever tracer emits them, are
+batched and pushed through the hierarchy a chunk of about
 ``CHUNK_ACCESSES`` accesses at a time (:func:`variant_chunks`), so its
 memory does not grow with the trace — nor does a trace cache's, which
 writes the segments as they pass and replays them as it reads.  The
 whole path is instrumented with :mod:`repro.obs` spans (compile passes,
-trace-gen — plus addresses on the interpreter path — trace-store /
-trace-load with a cache, and per-level simulation stages, one span per
-stage however many chunks), so a surrounding
-:class:`~repro.obs.SpanCollector` sees the full stage tree.
+trace-gen, trace-store / trace-load with a cache, and per-level
+simulation stages, one span per stage however many chunks), so a
+surrounding :class:`~repro.obs.SpanCollector` sees the full stage tree.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Union
 
+from .. import stream as _stream
 from ..core import CompiledVariant, compile_pipeline
 from ..engines import EngineSelection, resolve_engines
 from ..core.regroup import RegroupOptions
 from ..core.regroup.layout import Layout
-from ..interp import trace as _trace
-from ..interp.trace import concat_traces
 from ..lang import Program
 from ..memsim import (
     MACHINES,
@@ -56,8 +55,8 @@ class VariantResult:
     stats: MemStats
     variant: Optional[CompiledVariant]
     trace_length: int
-    #: per-stage wall-clock seconds (compile, trace-gen, l1, l2, tlb, dram;
-    #: addresses under the interpreter tracer), each summed over the chunks
+    #: per-stage wall-clock seconds (compile, trace-gen, l1, l2, tlb, dram),
+    #: each summed over the chunks
     timings: dict = field(default_factory=dict)
     #: wall-clock seconds of the whole measurement (filled by the runner)
     seconds: float = 0.0
@@ -108,35 +107,28 @@ def machine_for(spec) -> MachineConfig:
 
 def _batches(
     selection: EngineSelection, program: Program, params, steps: int, layout, name
-) -> Iterator[tuple[object, list, bool]]:
-    """The selected tracer's segments — codegen's as address streams
-    under ``layout``, the interpreter's as element traces — joined into
-    batches of at most ``CHUNK_ACCESSES`` accesses (a larger segment
-    alone), each with the segments it joins and whether it is the last;
-    one empty batch when there is no segment."""
-    tracer = selection.nest_tracer(program, params)
-    if selection.tracer == "codegen":
-        segments = tracer.address_segments(steps, layout, name)
-
-        def join(parts):
-            return parts[0] if len(parts) == 1 else AddressStream.concat(parts, name)
-    else:
-        segments = tracer.segments(steps)
-
-        def join(parts):
-            return concat_traces(parts) if parts else tracer.generator().take()
+) -> Iterator[tuple[AddressStream, list, bool]]:
+    """The selected tracer's segments as address streams under
+    ``layout``, joined into batches of at most ``CHUNK_ACCESSES``
+    accesses (a larger segment alone), each with the segments it joins
+    and whether it is the last; one empty batch when there is no
+    segment."""
+    segments = selection.nest_tracer(program, params).address_segments(
+        steps, layout, name
+    )
     ahead = next(segments, None)
     if ahead is None:
-        yield join([]), [], True
+        yield AddressStream.concat([], name), [], True
     while ahead is not None:
         pieces, size = [], 0
         while ahead is not None and (
-            not pieces or size + len(ahead) <= _trace.CHUNK_ACCESSES
+            not pieces or size + len(ahead) <= _stream.CHUNK_ACCESSES
         ):
             pieces.append(ahead)
             size += len(ahead)
             ahead = next(segments, None)
-        yield join(pieces), pieces, ahead is None
+        chunk = pieces[0] if len(pieces) == 1 else AddressStream.concat(pieces, name)
+        yield chunk, pieces, ahead is None
 
 
 def _replay(reader: StreamReader) -> Iterator[AddressStream]:
@@ -160,14 +152,12 @@ def variant_chunks(
     timings: Optional[dict] = None,
     sink: Optional[StreamWriter] = None,
 ) -> Iterator[AddressStream]:
-    """Trace a compiled variant and lay it out, one chunk at a time.
+    """Trace a compiled variant as byte addresses, one chunk at a time.
 
-    The producer half of the measuring chain: the segments of the
-    tracer ``engine`` selects as byte addresses under ``layout``
-    (default: the variant's own at ``params``), in batches of about
-    ``CHUNK_ACCESSES``.  Codegen emits addresses; the interpreter's
-    batches are laid out by :meth:`AddressStream.from_trace` (the
-    ``addresses`` span).  ``sink`` is written every chunk, with the
+    The producer half of the measuring chain: the ``address_segments``
+    of the tracer ``engine`` selects, under ``layout`` (default: the
+    variant's own at ``params``), in batches of about
+    ``CHUNK_ACCESSES``.  ``sink`` is written every chunk, with the
     segments it joins, before the chunk is yielded (the ``trace-store``
     span), so a stream is stored as it is simulated.
     Nothing outlives its chunk.  One span per stage covers every chunk
@@ -180,7 +170,6 @@ def variant_chunks(
     names = [a.name for a in variant.program.arrays]
     tracing = ChunkedSpan("trace-gen", steps=steps, tracer=selection.tracer,
                           accesses=0, divmods=layout.divmods(names))
-    laying = ChunkedSpan("addresses") if selection.tracer == "interp" else None
     storing = ChunkedSpan("trace-store")
     metrics.inc("trace.generated")
     batches = _batches(selection, variant.program, params, steps, layout, label)
@@ -190,9 +179,6 @@ def variant_chunks(
             chunk, parts, last = next(batches)
             sp.attrs["accesses"] += len(chunk)
         metrics.inc("trace.accesses", len(chunk))
-        if laying is not None:
-            with laying.chunk():
-                chunk = AddressStream.from_trace(chunk, layout, label, "interp")
         if sink is not None:
             with storing.chunk():
                 sink.write(chunk, parts)
@@ -200,8 +186,6 @@ def variant_chunks(
         yield chunk
     if timings is not None:
         timings["trace-gen"] = timings.get("trace-gen", 0.0) + tracing.duration_s
-        if laying is not None:
-            timings["addresses"] = timings.get("addresses", 0.0) + laying.duration_s
 
 
 def measure_variant(

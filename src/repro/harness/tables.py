@@ -84,9 +84,7 @@ NORMALIZED_HEADERS = (
 
 
 #: Canonical stage order for :func:`timing_rows`.
-TIMING_STAGES = (
-    "compile", "trace-gen", "addresses", "l1", "l2", "tlb", "dram", "distance"
-)
+TIMING_STAGES = ("compile", "trace-gen", "l1", "l2", "tlb", "dram", "distance")
 
 TIMING_HEADERS = ("level",) + TIMING_STAGES + ("total",)
 
@@ -94,9 +92,8 @@ TIMING_HEADERS = ("level",) + TIMING_STAGES + ("total",)
 def timing_rows(results: Sequence) -> list[list[object]]:
     """Per-stage wall-clock rows from results carrying a ``timings`` dict.
 
-    Stages a result skipped (a cache hit never re-traces; only the
-    interpreter tracer has an ``addresses`` stage) render as ``-`` so a
-    warm run is visibly cheaper than a cold one.  ``compile``
+    Stages a result skipped (a cache hit never re-traces) render as
+    ``-`` so a warm run is visibly cheaper than a cold one.  ``compile``
     is never skipped, but reads ≈ 0 when the level was already compiled
     in this process: a pass runs once per source program, charged to the
     row whose walk executed it, so of levels sharing a prefix (``fusion1``,

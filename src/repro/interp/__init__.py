@@ -3,7 +3,7 @@
 from .funcs import DEFAULT_FUNCTIONS, FunctionTable
 from .interleave import InterleavedRun, interleave_trace
 from .interpreter import Interpreter, run_program
-from .state import check_params, init_arrays
+from .state import init_arrays
 from .trace import AccessTrace, RefInfo, TraceBuilder
 from .tracegen import trace_program
 
@@ -15,7 +15,6 @@ __all__ = [
     "Interpreter",
     "RefInfo",
     "TraceBuilder",
-    "check_params",
     "init_arrays",
     "interleave_trace",
     "run_program",

@@ -32,29 +32,34 @@ which thread issued every access.  The merge keeps every thread's own
 order, so a thread's private stream (its chunks plus, for thread 0, the
 serial nests) is ``merged[merged_threads == t]``.
 
-The program is compiled once (:class:`~repro.interp.tracegen.NestTracer`)
-and every (nest, chunk) runs through the ordinary interpreter tracer —
-bounds and guard checks included — with the outermost loop restricted to
-the chunk; all array declarations are kept, so ``global_keys`` agree
-across every segment.
+The program is compiled once by the production tracer
+(``resolve_engines().nest_tracer``: codegen's
+:class:`~repro.codegen.tracer.NestTracer`, bit-identical to the
+interpreter's) and every (nest, chunk) runs through it — bounds and
+guard checks included — with the outermost loop restricted to the
+chunk; all array declarations are kept, so ``global_keys`` agree across
+every segment.
 
-Import direction: this module imports ``repro.static.schedule`` and
-``repro.static.parallelism`` lazily, and ``repro.static.coherence``
-imports this module lazily, so ``import repro.static`` and ``import
-repro.interp`` work in either order.
+Import direction: this module imports ``repro.static.schedule``,
+``repro.static.parallelism`` and the tracer lazily, and
+``repro.static.coherence`` imports this module lazily, so ``import
+repro.static``, ``import repro.interp`` and ``import repro.codegen``
+work in any order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
 from ..lang import Program
 from ..obs import SpanEvent, metrics, span
 from ..stream import AddressStream, StreamMeta
-from .tracegen import NestTracer
+
+if TYPE_CHECKING:
+    from .tracegen import NestTracer
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,7 @@ def interleave_trace(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    from ..engines import resolve_engines
     from ..memsim.geometry import ELEM_BYTES
     from ..static.parallelism import analyze_parallelism
     from ..static.schedule import parse_schedule
@@ -167,7 +173,7 @@ def interleave_trace(
     ) as sp:
         keys, writes, tids = concat_columns(
             interleaved_nests(
-                NestTracer(program, params),
+                resolve_engines().nest_tracer(program, params),
                 threads, steps, schedule, parallel, sp,
             )
         )

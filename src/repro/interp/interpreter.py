@@ -30,9 +30,10 @@ from ..lang import (
     Stmt,
     UnaryOp,
     ValidationError,
+    check_params,
 )
 from .funcs import DEFAULT_FUNCTIONS, FunctionTable
-from .state import check_params, init_arrays
+from .state import init_arrays
 
 
 class Interpreter:

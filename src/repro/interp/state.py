@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..lang import Program, ValidationError
+from ..lang import Program
 
 
 def init_arrays(
@@ -52,16 +52,3 @@ def init_arrays(
         else:
             state[decl.name] = generate(decl.name, shape)
     return state
-
-
-def check_params(program: Program, params: Mapping[str, int]) -> dict[str, int]:
-    """Validate that every program parameter is bound to a positive int."""
-    bound: dict[str, int] = {}
-    for name in program.params:
-        if name not in params:
-            raise ValidationError(f"parameter {name!r} is unbound")
-        value = int(params[name])
-        if value <= 0:
-            raise ValidationError(f"parameter {name!r} must be positive, got {value}")
-        bound[name] = value
-    return bound

@@ -22,13 +22,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-#: accesses the measuring chain holds at once: tracers split top-level
-#: nests into outer-loop spans of about this many, the harness batches
-#: them to chunks of it, and the memory hierarchy simulates arrays in
-#: slices of it (2**17–2**18 measured fastest; smaller chunks pay the
-#: levels' state replay more often, larger ones leave the CPU caches)
-CHUNK_ACCESSES = 2**18
-
 
 @dataclass(frozen=True)
 class RefInfo:

@@ -8,17 +8,19 @@ as a block of numpy arithmetic — including fused loops with boundary
 :class:`Guard` statements, which are segmented into runs where the active
 statement list is constant.
 
-The internal form is the one lowering both tracers read (the codegen
-tracer evaluates the same nodes over numpy frames).  :class:`_Compiler`
-folds the bound parameters into every subscript linearisation ``Σ (sub −
-1) · stride``, loop bound and guard bound once and stores the result as
-an integer *address record* ``(const, ((loop var, coeff), …))``;
-evaluating one is integer arithmetic over the live loop variables.  The
-supported input is therefore *integer-affine after binding*: a
-fractional residue (``A[i / 2]``, ``for i = 1, N / 2`` at an odd ``N``)
-is an :class:`~repro.lang.AnalysisError` naming the reference or loop
-and the binding — the interpreter's own "non-integral bound" rule, stated
-once for both tracers, instead of a truncated address.
+The internal form is the program's one lowering
+(:func:`repro.lang.lowering.lower`, which numbers every statement,
+reference and loop) folded at a binding; the codegen tracer evaluates
+the same nodes over numpy frames.  :class:`_Compiler` folds the bound
+parameters into every subscript linearisation ``Σ (sub − 1) · stride``
+(:func:`repro.lang.lowering.linearize`), loop bound and guard bound once
+and stores the result as an integer *address record* ``(const, ((loop
+var, coeff), …))``; evaluating one is integer arithmetic over the live
+loop variables.  The supported input is therefore *integer-affine after
+binding*: a fractional residue (``A[i / 2]``, ``for i = 1, N / 2`` at an
+odd ``N``) is an :class:`~repro.lang.AnalysisError` naming the reference
+or loop and the binding — the interpreter's own "non-integral bound"
+rule, stated once for both tracers, instead of a truncated address.
 """
 
 from __future__ import annotations
@@ -29,22 +31,23 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .. import stream as _stream
 from ..lang import (
     Affine,
     AnalysisError,
     ArrayRef,
-    Assign,
-    CallStmt,
-    Guard,
-    Loop,
     NotAffineError,
     Program,
-    Stmt,
-    ZERO,
-    array_reads,
+    check_params,
 )
-from . import trace as _trace
-from .state import check_params
+from ..lang.lowering import (
+    LoweredAssign,
+    LoweredGuard,
+    LoweredNode,
+    linearize,
+    lower,
+)
+from ..stream import AddressStream
 from .trace import AccessTrace, RefInfo, TraceBuilder, concat_traces
 
 _FLUSH_THRESHOLD = 65536
@@ -96,7 +99,8 @@ _CNode = Union[_CAssign, _CGuard, _CLoop]
 
 
 class _Compiler:
-    """Lowers the AST into the internal form, assigning static ids."""
+    """Folds the program's lowering (:func:`repro.lang.lowering.lower`)
+    at the binding ``params`` into the internal form."""
 
     def __init__(self, program: Program, params: Mapping[str, int]) -> None:
         self.program = program
@@ -104,15 +108,19 @@ class _Compiler:
         self.array_ids = {a.name: k for k, a in enumerate(program.arrays)}
         self.strides = {a.name: a.strides(params) for a in program.arrays}
         self.sizes = [math.prod(a.shape(params)) for a in program.arrays]
-        self.refs: list[RefInfo] = []
-        self.stmt_count = 0
+        lowering = lower(program)
+        self.refs = [
+            RefInfo(r.ref_id, r.stmt_id, r.ref.array, r.is_write, str(r.ref))
+            for r in lowering.refs
+        ]
         self._linform_cache: dict[ArrayRef, _Record] = {}
+        self.nests = self.fold_body(lowering.nests)
 
-    def fold(self, form: Affine, what: object) -> _Record:
-        """``form`` as an address record; the error names the reference,
+    def fold(self, what: object, record) -> _Record:
+        """``record()``, an address record; the error names the reference,
         loop or guard ``what`` it belongs to, and the binding."""
         try:
-            return form.fold(self.params)
+            return record()
         except NotAffineError as exc:
             raise AnalysisError(
                 f"cannot trace `{what}` at {dict(self.params)}: {exc}"
@@ -122,57 +130,45 @@ class _Compiler:
         # memoized: textually repeated references are common
         record = self._linform_cache.get(ref)
         if record is None:
-            form = ZERO
-            for sub, stride in zip(ref.indices, self.strides[ref.array]):
-                form = form + (sub.affine() - 1) * stride
-            record = self._linform_cache[ref] = self.fold(form, ref)
+            strides = self.strides[ref.array]
+            record = self._linform_cache[ref] = self.fold(
+                ref, lambda: linearize(ref, strides, self.params)
+            )
         return record
 
-    def make_ref(self, ref: ArrayRef, stmt_id: int, is_write: bool) -> _CRef:
-        ref_id = len(self.refs)
-        self.refs.append(
-            RefInfo(ref_id, stmt_id, ref.array, is_write, str(ref))
-        )
-        return _CRef(ref_id, self.array_ids[ref.array], is_write, self.linform(ref))
+    def bound(self, what: object, form: Affine) -> _Record:
+        return self.fold(what, lambda: form.fold(self.params))
 
-    def compile_body(self, body: Sequence[Stmt]) -> tuple[_CNode, ...]:
-        return tuple(self.compile_stmt(s) for s in body)
+    def fold_body(self, nodes: Sequence[LoweredNode]) -> tuple[_CNode, ...]:
+        return tuple(self.fold_node(n) for n in nodes)
 
-    def compile_stmt(self, stmt: Stmt) -> _CNode:
-        if isinstance(stmt, Assign):
-            stmt_id = self.stmt_count
-            self.stmt_count += 1
-            refs = [
-                self.make_ref(r, stmt_id, False) for r in array_reads(stmt.expr)
-            ]
-            if isinstance(stmt.target, ArrayRef):
-                refs.append(self.make_ref(stmt.target, stmt_id, True))
-            return _CAssign(stmt_id, tuple(refs))
-        if isinstance(stmt, Guard):
+    def fold_node(self, node: LoweredNode) -> _CNode:
+        if isinstance(node, LoweredAssign):
+            return _CAssign(node.stmt_id, tuple(
+                _CRef(r.ref_id, self.array_ids[r.ref.array], r.is_write,
+                      self.linform(r.ref))
+                for r in node.refs
+            ))
+        if isinstance(node, LoweredGuard):
+            guard = node.guard
             return _CGuard(
-                stmt.index,
+                guard.index,
                 tuple(
-                    (self.fold(iv.lower, stmt), self.fold(iv.upper, stmt))
-                    for iv in stmt.intervals
+                    (self.bound(guard, iv.lower), self.bound(guard, iv.upper))
+                    for iv in guard.intervals
                 ),
-                self.compile_body(stmt.body),
-                self.compile_body(stmt.else_body),
+                self.fold_body(node.body),
+                self.fold_body(node.else_body),
             )
-        if isinstance(stmt, Loop):
-            body = self.compile_body(stmt.body)
-            flat = not any(_contains_loop(n) for n in body)
-            return _CLoop(
-                stmt.index,
-                self.fold(stmt.lower.affine(), stmt),
-                self.fold(stmt.upper.affine(), stmt),
-                body,
-                flat,
-            )
-        if isinstance(stmt, CallStmt):
-            raise AnalysisError(
-                f"trace generation requires inlined programs; found call to {stmt.proc!r}"
-            )
-        raise AnalysisError(f"cannot trace statement {type(stmt).__name__}")
+        loop = node.loop
+        body = self.fold_body(node.body)
+        return _CLoop(
+            loop.index,
+            self.bound(loop, loop.lower.affine()),
+            self.bound(loop, loop.upper.affine()),
+            body,
+            not any(_contains_loop(n) for n in body),
+        )
 
 
 def _contains_loop(node: _CNode) -> bool:
@@ -254,7 +250,7 @@ class _Generator:
                 self.run_body(node.body)
             else:
                 self.run_body(node.else_body)
-        elif isinstance(node, _CLoop):
+        else:
             lo = _at(node.lower, self.env)
             hi = _at(node.upper, self.env)
             if lo > hi:
@@ -266,8 +262,6 @@ class _Generator:
                     self.env[node.index] = i
                     self.run_body(node.body)
                 del self.env[node.index]
-        else:  # pragma: no cover - compiler produces only the above
-            raise AnalysisError(f"unknown node {node!r}")
 
     def _member(self, guard: _CGuard, value: int) -> bool:
         return any(
@@ -280,10 +274,6 @@ class _Generator:
     def _run_flat(self, node: _CLoop, lo: int, hi: int) -> None:
         self._flush()
         for seg_lo, seg_hi, assigns in self._segments(node.body, node.index, lo, hi):
-            if not assigns:
-                # instructions with no memory accesses still advance time
-                self.builder.instr_count += 0
-                continue
             self._emit_segment(node.index, seg_lo, seg_hi, assigns)
 
     def _segments(
@@ -325,17 +315,16 @@ class _Generator:
     def _resolve(
         self, body: tuple[_CNode, ...], var: str, point: int, out: list[_CAssign]
     ) -> None:
-        """Flatten guards for the segment starting at ``point``."""
+        """Flatten guards for the segment starting at ``point`` (a flat
+        loop's body holds no loop)."""
         for node in body:
             if isinstance(node, _CAssign):
                 out.append(node)
-            elif isinstance(node, _CGuard):
+            else:
                 member = self._member(
                     node, point if node.index == var else self.env[node.index]
                 )
                 self._resolve(node.body if member else node.else_body, var, point, out)
-            else:  # pragma: no cover - flat loops contain no loops
-                raise AnalysisError("loop inside flat segment")
 
     def _emit_segment(
         self, var: str, lo: int, hi: int, assigns: list[_CAssign]
@@ -481,7 +470,7 @@ class NestTracer:
     ``global_keys`` agree across every nest and chunk.
 
     The measuring chain's entry: :meth:`segments` cuts the trace of a
-    run into segments of about :data:`~repro.interp.trace.CHUNK_ACCESSES`
+    run into segments of about :data:`~repro.stream.CHUNK_ACCESSES`
     accesses, in execution order — per time step, each top-level nest
     whole, or in spans of its outer loop, or (when one outer iteration
     alone is larger) one iteration's body in pieces — and
@@ -495,7 +484,7 @@ class NestTracer:
         self.program = program
         self.params = check_params(program, params)
         self.compiler = _Compiler(program, self.params)
-        self.nests = self.compiler.compile_body(program.body)
+        self.nests = self.compiler.nests
 
     def generator(self, with_instr: bool = False) -> _Generator:
         return _Generator(self.compiler, with_instr)
@@ -522,7 +511,7 @@ class NestTracer:
     def plan(self) -> list[_CNode]:
         """One time step as the consecutive pieces :func:`_pieces` cuts
         every top-level statement into (itself, when it fits)."""
-        budget = _trace.CHUNK_ACCESSES
+        budget = _stream.CHUNK_ACCESSES
         return [piece for node in self.nests for piece in _pieces(node, {}, budget)]
 
     def segments(self, steps: int = 1, with_instr: bool = False) -> Iterator[AccessTrace]:
@@ -530,6 +519,12 @@ class NestTracer:
         gen = self.generator(with_instr)
         # instruction ids advance every step, so such steps are re-walked
         return self._steps(steps, lambda node: self._emit(node, gen), not with_instr)
+
+    def address_segments(self, steps: int, layout, name: str = "trace"):
+        """:meth:`segments` as byte addresses under ``layout``
+        (:meth:`~repro.stream.AddressStream.from_trace`)."""
+        for segment in self.segments(steps):
+            yield AddressStream.from_trace(segment, layout, name, "interp")
 
     def _steps(self, steps: int, emit, replay: bool) -> Iterator[AccessTrace]:
         """Every step's segments through ``emit``.  A step that fits in
@@ -546,7 +541,7 @@ class NestTracer:
             for piece in pieces:
                 segment = emit(piece)
                 size += len(segment)
-                if size > _trace.CHUNK_ACCESSES:
+                if size > _stream.CHUNK_ACCESSES:
                     kept = None
                 elif kept is not None:
                     kept.append(segment)

@@ -189,3 +189,21 @@ class Program:
             f"program {self.name}: {self.loop_count()} loops in "
             f"{self.loop_nest_count()} nests, {self.array_count()} arrays"
         )
+
+
+def check_params(
+    program: Program, params: Mapping[str, int], complete: bool = True
+) -> dict[str, int]:
+    """``program``'s parameters as bound in ``params``: each a positive
+    int, and every one bound unless ``complete`` is False."""
+    bound: dict[str, int] = {}
+    for name in program.params:
+        if name not in params:
+            if complete:
+                raise ValidationError(f"parameter {name!r} is unbound")
+            continue
+        value = int(params[name])
+        if value <= 0:
+            raise ValidationError(f"parameter {name!r} must be positive, got {value}")
+        bound[name] = value
+    return bound

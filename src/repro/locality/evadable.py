@@ -14,12 +14,14 @@ largest size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from ..interp.trace import AccessTrace
 from .reuse_distance import COLD, reuse_distances
+
+if TYPE_CHECKING:
+    from ..interp.trace import AccessTrace
 
 #: a class is evadable when its mean distance grows by this factor ...
 GROWTH_FACTOR = 1.5

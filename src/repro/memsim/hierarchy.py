@@ -30,7 +30,7 @@ from typing import Iterable, MutableMapping, Optional
 
 import numpy as np
 
-from ..interp import trace as _trace
+from .. import stream as _stream
 from ..lang import SimulationError
 from ..obs import ChunkedSpan
 from .cache import CacheConfig, LRUState, default_engine, simulate_cache_writeback
@@ -187,7 +187,7 @@ class MemoryHierarchy:
             if writes is None
             else np.asarray(writes, dtype=bool)
         )
-        step = _trace.CHUNK_ACCESSES
+        step = _stream.CHUNK_ACCESSES
         return self.simulate_chunks(
             (
                 (addresses[lo : lo + step], writes[lo : lo + step])

@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
-from ..lang import Program, ReproError, validate
+from ..lang import Program, ReproError, ValidationError, check_params, validate
 from . import adi, fft, sp, sweep3d, swim, tomcatv
 
 
@@ -166,32 +166,41 @@ def resolve_target(
     ``"fft"`` is built at ``params["n"]``; a Program carries no defaults
     (steps 1, the default scaled machine) and, when ``missing`` is
     given, must come with ``params`` — ``missing`` is the error message.
+    Every target is checked here, so every command and ``run()`` /
+    ``tune()`` refuse the same inputs: ``steps`` at least 1, and every
+    program parameter ``params`` binds positive
+    (:func:`~repro.lang.check_params`).
     """
     if isinstance(target, Program):
         if params is None and missing is not None:
             raise ReproError(missing)
-        return Target(
+        resolved = Target(
             name or target.name,
             target,
             None if params is None else dict(params),
             1 if steps is None else steps,
             MachineSpec(),
         )
-    if target == "fft":
+    elif target == "fft":
         params = dict(FFT_DEFAULT_PARAMS if params is None else params)
         n = int(params.get("n", FFT_DEFAULT_PARAMS["n"]))
-        return Target(
+        resolved = Target(
             name or f"fft{n}",
             _bundled("fft", n),
             params,
             1 if steps is None else steps,
             MachineSpec(),
         )
-    entry = get(target)
-    return Target(
-        name or target,
-        _bundled(target),
-        dict(entry.default_params if params is None else params),
-        entry.steps if steps is None else steps,
-        entry.machine_spec,
-    )
+    else:
+        entry = get(target)
+        resolved = Target(
+            name or target,
+            _bundled(target),
+            dict(entry.default_params if params is None else params),
+            entry.steps if steps is None else steps,
+            entry.machine_spec,
+        )
+    if resolved.steps < 1:
+        raise ValidationError(f"steps must be at least 1, got {resolved.steps}")
+    check_params(resolved.program, resolved.params or {}, complete=False)
+    return resolved

@@ -7,8 +7,15 @@ lints directly from the loop IR, with no interpretation and no trace
 Applications*; Zhu et al., *Fully Symbolic Analysis of Loop Locality*;
 paper §2.1).
 
+The reference model flattens the program's one lowering
+(:func:`repro.lang.lowering.lower`), the numbering the tracers fold, so
+static reference ids are trace reference ids by construction.
+
 Layering: depends on ``lang``, ``locality`` (result types only), ``obs``
-and ``verify`` (diagnostics); nothing here imports the interpreter.
+and ``verify`` (diagnostics).  Importing it loads no tracer, simulator
+or compiler driver; the coherence analyzer reaches the production tracer
+and the MSI automaton inside its call
+(``tests/integration/test_layering.py``).
 """
 
 from .coherence import (

@@ -16,8 +16,9 @@ multi-thread run adds on top: invalidation misses, classified as
 
 The analyzer owns no access enumeration and no protocol automaton.  It
 is a pipeline over the two shared ones: **the** multi-thread enumerator
-(``repro.interp.interleave`` — the interpreter tracer run chunk by chunk
-under the shared schedule machinery, :mod:`repro.static.schedule`, and
+(``repro.interp.interleave`` — the production tracer
+(``resolve_engines().nest_tracer``) run chunk by chunk under the shared
+schedule machinery, :mod:`repro.static.schedule`, and
 merged by the round-robin drain contract), then **the** MSI automaton
 (:func:`repro.memsim.coherence.simulate_msi`), then a true/false-sharing
 classification of the automaton's invalidation misses by numpy
@@ -25,10 +26,11 @@ group-bys.  Its counts therefore equal the dynamic oracle's by
 construction; what it adds is the classification, the witnesses and
 the :data:`DEFAULT_MAX_ACCESSES` budget (DESIGN §10).
 
-Import direction: ``repro.interp`` and ``repro.memsim`` are imported
-inside :func:`analyze_coherence`, and ``repro.interp.interleave``
-imports ``repro.static`` lazily too, so ``import repro.static`` and
-``import repro.interp`` work in either order.
+Import direction: the tracer, ``repro.interp`` and ``repro.memsim`` are
+imported inside :func:`analyze_coherence`, and
+``repro.interp.interleave`` imports ``repro.static`` lazily too, so
+``import repro.static`` loads none of them and works before or after
+``import repro.interp``.
 
 Witnesses are concrete: thread pair, the two global element keys and
 their offsets within the shared line, and the loop-variable bindings of
@@ -436,8 +438,8 @@ def analyze_coherence(
     """
     # lazy, like repro.interp's imports of repro.static: either package
     # can be imported first
+    from ..engines import resolve_engines
     from ..interp.interleave import concat_columns, interleaved_nests
-    from ..interp.tracegen import NestTracer
     from ..memsim.coherence import check_threads, simulate_msi
     from ..memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
 
@@ -454,7 +456,7 @@ def analyze_coherence(
         if parallelism is None:
             parallelism = analyze_parallelism(program, params)
         parallel = frozenset(parallelism.parallel_nests())
-        tracer = NestTracer(program, env)
+        tracer = resolve_engines().nest_tracer(program, env)
         names = [a.name for a in program.arrays]
         # arrays sit back to back: array k owns [bounds[k], bounds[k+1])
         bounds = np.concatenate(([0], np.cumsum(tracer.compiler.sizes)))

@@ -1,12 +1,11 @@
 """Static reference model: the IR flattened to symbolic references.
 
-The model mirrors :class:`repro.interp.tracegen._Compiler` exactly —
-same pre-order walk, same read-then-write ordering per assignment, same
-guard body/else ordering — so the static reference ids coincide with the
-``ref_ids`` of a dynamically generated :class:`~repro.interp.trace.
-AccessTrace` for the same program.  That correspondence is what lets the
-cross-validation suite compare static and dynamic reuse classes
-reference by reference.
+The model flattens the program's one lowering
+(:func:`repro.lang.lowering.lower`), the numbering the trace generators
+fold too, so its reference ids *are* the ``ref_ids`` of a dynamically
+generated :class:`~repro.interp.trace.AccessTrace` for the same program.
+That correspondence is what lets the cross-validation suite compare
+static and dynamic reuse classes reference by reference.
 
 Unlike the trace generator, nothing here is evaluated: loop bounds stay
 affine, subscripts stay affine, guard intervals either *narrow* the
@@ -18,21 +17,10 @@ same convention as :mod:`repro.analysis.access` and the IR linter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..lang import (
-    Affine,
-    AnalysisError,
-    ArrayDecl,
-    ArrayRef,
-    Assign,
-    CallStmt,
-    Guard,
-    Loop,
-    Program,
-    Stmt,
-    array_reads,
-)
+from ..lang import Affine, ArrayDecl, Guard, Program
+from ..lang.lowering import LoweredAssign, LoweredLoop, lower
 from .poly import ONE, Poly
 
 
@@ -105,112 +93,8 @@ class StaticModel:
         return total
 
 
-class _Extractor:
-    def __init__(self, program: Program) -> None:
-        self.program = program
-        self.refs: list[StaticRef] = []
-        self.stmt_count = 0
-        self.loop_count = 0
-        self.nest = 0
-        self.pos = 0
-        self.scope: list[LoopCtx] = []
-
-    def run(self) -> StaticModel:
-        per_nest: list[list[StaticRef]] = []
-        for k, stmt in enumerate(self.program.body):
-            self.nest = k
-            self.pos = 0
-            start = len(self.refs)
-            self.visit(stmt)
-            per_nest.append(self.refs[start:])
-        return StaticModel(
-            program=self.program,
-            params=tuple(self.program.params),
-            arrays={a.name: a for a in self.program.arrays},
-            refs=tuple(self.refs),
-            nests=tuple(tuple(ns) for ns in per_nest),
-        )
-
-    def add_ref(self, ref: ArrayRef, stmt_id: int, is_write: bool) -> None:
-        self.refs.append(
-            StaticRef(
-                ref_id=len(self.refs),
-                nest=self.nest,
-                pos=self.pos,
-                stmt_id=stmt_id,
-                array=ref.array,
-                is_write=is_write,
-                subs=ref.index_affines(),
-                scope=tuple(self.scope),
-                text=str(ref),
-            )
-        )
-        self.pos += 1
-
-    def visit(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            stmt_id = self.stmt_count
-            self.stmt_count += 1
-            for r in array_reads(stmt.expr):
-                self.add_ref(r, stmt_id, False)
-            if isinstance(stmt.target, ArrayRef):
-                self.add_ref(stmt.target, stmt_id, True)
-        elif isinstance(stmt, Guard):
-            self.visit_guard(stmt)
-        elif isinstance(stmt, Loop):
-            lo, hi = stmt.bounds_affine()
-            trip = Poly.from_affine(hi - lo + 1)
-            self.scope.append(
-                LoopCtx(stmt.index, lo, hi, trip, loop_id=self.loop_count)
-            )
-            self.loop_count += 1
-            for s in stmt.body:
-                self.visit(s)
-            self.scope.pop()
-        elif isinstance(stmt, CallStmt):
-            raise AnalysisError(
-                "static reuse analysis requires inlined programs; "
-                f"found call to {stmt.proc!r}"
-            )
-        else:
-            raise AnalysisError(f"cannot analyze statement {type(stmt).__name__}")
-
-    def visit_guard(self, guard: Guard) -> None:
-        level = next(
-            (k for k, c in enumerate(self.scope) if c.index == guard.index), None
-        )
-        outer = self.scope[level] if level is not None else None
-        # body: narrow the guarded index to the interval union
-        narrowed = _narrow(outer, guard, else_branch=False)
-        self._with_ctx(level, narrowed, guard.body)
-        # else: hull stays the full range, trip is the complement
-        if guard.else_body:
-            widened = _narrow(outer, guard, else_branch=True)
-            self._with_ctx(level, widened, guard.else_body)
-
-    def _with_ctx(
-        self,
-        level: Optional[int],
-        ctx: Optional[LoopCtx],
-        body: Sequence[Stmt],
-    ) -> None:
-        if level is None or ctx is None:
-            for s in body:
-                self.visit(s)
-            return
-        saved = self.scope[level]
-        self.scope[level] = ctx
-        for s in body:
-            self.visit(s)
-        self.scope[level] = saved
-
-
-def _narrow(
-    outer: Optional[LoopCtx], guard: Guard, else_branch: bool
-) -> Optional[LoopCtx]:
+def _narrow(outer: LoopCtx, guard: Guard, else_branch: bool) -> LoopCtx:
     """The guarded index's range inside the guard body (or else body)."""
-    if outer is None:
-        return None
     member_trip = Poly()
     lo: Optional[Affine] = None
     hi: Optional[Affine] = None
@@ -242,9 +126,49 @@ def _pick(a: Affine, b: Affine, smaller: bool) -> Affine:
 
 
 def build_model(program: Program) -> StaticModel:
-    """Extract the static reference model of ``program``.
-
-    Reference ids match :func:`repro.interp.tracegen.trace_program`'s
-    ``ref_ids`` for the same program, position by position.
+    """The static reference model of ``program``: its lowering
+    (:func:`repro.lang.lowering.lower`) flattened, each reference with
+    the loop contexts around it, guards narrowing them (:func:`_narrow`).
+    The lowering's ids are the tracers', so reference ids match
+    :func:`repro.interp.tracegen.trace_program`'s ``ref_ids``.
     """
-    return _Extractor(program).run()
+    lowering = lower(program)
+    refs: list[StaticRef] = []
+
+    def flatten(nodes, scope: tuple[LoopCtx, ...], nest: int, start: int) -> None:
+        for node in nodes:
+            if isinstance(node, LoweredAssign):
+                refs.extend(
+                    StaticRef(
+                        r.ref_id, nest, r.ref_id - start, r.stmt_id, r.ref.array,
+                        r.is_write, r.ref.index_affines(), scope, str(r.ref),
+                    )
+                    for r in node.refs
+                )
+            elif isinstance(node, LoweredLoop):
+                lo, hi = node.loop.bounds_affine()
+                ctx = LoopCtx(node.loop.index, lo, hi, Poly.from_affine(hi - lo + 1),
+                              loop_id=node.loop_id)
+                flatten(node.body, scope + (ctx,), nest, start)
+            else:
+                index = node.guard.index
+                level = next((k for k, c in enumerate(scope) if c.index == index), None)
+                for body, else_branch in ((node.body, False), (node.else_body, True)):
+                    inner = scope
+                    if level is not None:
+                        ctx = _narrow(scope[level], node.guard, else_branch)
+                        inner = scope[:level] + (ctx,) + scope[level + 1:]
+                    flatten(body, inner, nest, start)
+
+    nests = []
+    for k, node in enumerate(lowering.nests):
+        start = len(refs)
+        flatten((node,), (), k, start)
+        nests.append(tuple(refs[start:]))
+    return StaticModel(
+        program=program,
+        params=tuple(program.params),
+        arrays={a.name: a for a in program.arrays},
+        refs=tuple(refs),
+        nests=tuple(nests),
+    )

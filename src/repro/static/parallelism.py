@@ -45,7 +45,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ..lang import (
-    ZERO,
     Affine,
     AnalysisError,
     ArrayRef,
@@ -61,6 +60,7 @@ from ..lang import (
     Stmt,
     UnaryOp,
 )
+from ..lang.lowering import linearize
 from ..obs import metrics, span
 from .dependence_test import lane_conflict, lane_terms, solve_sum
 
@@ -240,17 +240,15 @@ def _linearize(
     strides: Mapping[str, tuple[int, ...]],
     params: Mapping[str, int],
 ) -> _Record:
-    """The tracer's column-major element form ``Σ (sub − 1) · stride``."""
+    """The tracers' element record (:func:`repro.lang.lowering.linearize`),
+    or :class:`_Unsupported` naming why there is none."""
     dims = strides.get(ref.array)
     if dims is None:
         raise _Unsupported(f"undeclared array {ref.array!r}")
     if len(ref.indices) != len(dims):
         raise _Unsupported(f"rank mismatch on {ref.array!r}")
     try:
-        form = ZERO
-        for sub, stride in zip(ref.indices, dims):
-            form = form + (sub.affine() - 1) * stride
-        return form.fold(params)
+        return linearize(ref, dims, params)
     except NotAffineError as exc:
         raise _Unsupported(str(exc)) from exc
 

@@ -1,6 +1,7 @@
 """The static reuse profile: a trace-free, size-parametric locality model.
 
-:func:`analyze_program` runs the extractor and the attributor and wraps
+:func:`analyze_program` builds the reference model
+(:func:`~repro.static.model.build_model`), runs the attributor and wraps
 the result in a :class:`StaticProfile` — a collection of per-reference
 :class:`~repro.static.reuse.ClassProfile` objects whose counts and
 distances are polynomials in the program parameters.  The profile then

@@ -43,7 +43,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from ..core.pm import OPT_LEVELS, PIPELINES, PassManager, PipelineSpec, spec_to_json
 from ..harness import RunRequest, TraceCache, format_table, run
-from ..lang import Program, ReproError
+from ..lang import Program, ReproError, check_params
 from ..memsim.geometry import CacheGeometry
 from ..obs import RunLog, make_event, metrics, span, spec_logging
 from ..programs.registry import MachineSpec, resolve_target
@@ -413,6 +413,8 @@ def tune(request: TuneRequest) -> TuneResult:
     )
     sizes = sizes or [target.params]
     name, program, steps = target.name, target.program, target.steps
+    for size in sizes[1:]:  # the first went through resolve_target's check
+        check_params(program, size, complete=False)
     machine_spec = request.machine or target.machine_spec
     geometry = CacheGeometry.from_spec(machine_spec)
     l1_elems = geometry.l1_elems

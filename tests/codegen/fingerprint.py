@@ -1,10 +1,7 @@
-"""Trace fingerprints for the codegen differential suite.
+"""The hash the committed golden trace fingerprints compare traces by.
 
-The lowering itself is shared with the interpreter tracer
-(:class:`repro.interp.tracegen._Compiler`: integer address records, an
-:class:`~repro.lang.AnalysisError` for anything that is not
-integer-affine after binding); what is left here is the hash the golden
-fingerprints and the perf ledger compare traces by.
+``python tests/codegen/test_differential_traces.py`` regenerates
+``golden_trace_fingerprints.json`` with it.
 """
 
 from __future__ import annotations

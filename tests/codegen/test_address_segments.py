@@ -15,7 +15,7 @@ from repro.codegen import trace_program
 from repro.codegen.tracer import NestTracer
 from repro.core.regroup.layout import ArrayPlacement, Layout, default_layout
 from repro.harness import RunRequest, run
-from repro.interp import trace as trace_module
+from repro import stream as stream_module
 from repro.lang import AnalysisError, parse, validate
 from repro.obs import metrics
 
@@ -48,7 +48,7 @@ def test_a_step_larger_than_a_chunk_is_emitted_again(monkeypatch):
         # one step fits: emitted once, replayed
         assert _emits(segments(NestTracer(program, params))) == (1, 2 * per_step), kind
         # one step is four chunks: the second step is emitted again, not kept
-        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", per_step // 4)
+        monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", per_step // 4)
         assert _emits(segments(NestTracer(program, params))) == (8, 2 * per_step), kind
         monkeypatch.undo()
 

@@ -25,6 +25,10 @@ chunks, at the default and the tiny chunk size, must fingerprint like
 the interpreter's trace laid out by ``Layout.addresses`` (addresses,
 writes and reference ids).
 
+The static model numbers references by the same lowering as the
+tracers; every variant's model agrees with the tracer's reference table
+without tracing anything.
+
 The tier-1 cases run at the small golden sizes; the ``slow`` marker
 re-runs the full matrix at the fig-10 registry sizes.
 """
@@ -53,12 +57,12 @@ if __name__ != "__main__":
         reset_fusion_uids,
     )
 
-    from repro.codegen import trace_fingerprint
+    from fingerprint import trace_fingerprint
     from repro.codegen import trace_program as codegen_trace
     from repro.codegen.tracer import NestTracer as CodegenNestTracer
     from repro.core import compile_variant
     from repro.harness import variant_chunks
-    from repro.interp import trace as trace_module
+    from repro import stream as stream_module
     from repro.interp import trace_program as interp_trace
     from repro.interp.trace import concat_traces
     from repro.interp.tracegen import NestTracer as InterpNestTracer
@@ -148,7 +152,7 @@ if __name__ != "__main__":
         program = _variant_program(name, level)
         params = GOLDEN_PARAMS[name]
         whole = interp_trace(program, params, steps=STEPS)
-        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", TINY_CHUNK)
+        monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", TINY_CHUNK)
         for tracer in (CodegenNestTracer, InterpNestTracer):
             segments = list(tracer(program, params).segments(STEPS))
             assert_traces_identical(
@@ -174,9 +178,9 @@ if __name__ != "__main__":
             outcome = MemoryHierarchy.standard(machine).simulate_chunks(chunks)
             return len(chunks), stats_from_hierarchy(outcome, machine)
 
-        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", 2**40)
+        monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", 2**40)
         one, whole = measure()
-        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", TINY_CHUNK)
+        monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", TINY_CHUNK)
         many, chunked = measure()
         assert one == 1 and (many > 1 or whole.accesses <= TINY_CHUNK)
         assert chunked == whole
@@ -200,13 +204,28 @@ if __name__ != "__main__":
         variant, params = _variant(name, level), GOLDEN_PARAMS[name]
         oracle = _oracle_fingerprint(variant, params, STEPS)
         assert _chunks_fingerprint(variant, params, STEPS) == oracle
-        monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", TINY_CHUNK)
+        monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", TINY_CHUNK)
         assert _chunks_fingerprint(variant, params, STEPS) == oracle
 
     def test_goldens_cover_all_variants():
         golden = json.loads(GOLDEN_FILE.read_text())
         assert sorted(golden) == sorted(f"{n}-{lv}" for n, lv in CASES)
         assert len(golden) == 42
+
+    def test_static_model_numbers_every_variant_like_the_tracer():
+        """The one lowering, pinned without tracing: the static model's
+        references and the tracer's reference table agree id for id."""
+        from repro.static import build_model
+
+        def rows(refs):
+            return [(r.ref_id, r.stmt_id, r.array, r.is_write, r.text) for r in refs]
+
+        for name, level in CASES:
+            program = _variant_program(name, level)
+            tracer = InterpNestTracer(program, GOLDEN_PARAMS[name])
+            assert rows(build_model(program).refs) == rows(tracer.compiler.refs), (
+                f"{name}/{level}"
+            )
 
     def _full_size(name):
         """Registry params and steps (fft, built rather than registered,
@@ -252,7 +271,7 @@ def main() -> int:
         reset_fusion_uids,
     )
 
-    from repro.codegen import trace_fingerprint
+    from fingerprint import trace_fingerprint
     from repro.core import compile_variant
     from repro.interp import trace_program as interp_trace
 

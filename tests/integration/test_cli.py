@@ -80,6 +80,28 @@ def test_unknown_level_rejected(kernel_file, capsys):
     assert "known levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    pytest.param("tune adi --at N=-4 --no-validate --no-cache",
+                 "parameter 'N' must be positive, got -4", id="tune-size"),
+    pytest.param("tune adi --at N=16 --at N=-2 --no-validate --no-cache",
+                 "parameter 'N' must be positive, got -2", id="tune-second-size"),
+    pytest.param("tune adi --at N=16 --steps -1 --no-validate --no-cache",
+                 "steps must be at least 1, got -1", id="tune-steps"),
+    pytest.param("report adi -p N=16 --steps -2",
+                 "steps must be at least 1, got -2", id="report-steps"),
+    pytest.param("static-reuse adi -p N=0",
+                 "parameter 'N' must be positive, got 0", id="static-reuse-size"),
+    pytest.param("parallelism adi -p N=0",
+                 "parameter 'N' must be positive, got 0", id="parallelism-size"),
+])
+def test_sizes_and_steps_are_checked_at_the_target(line, message, capsys):
+    """Every command resolves its target, and every tune size, through
+    one check: a non-positive size or step count is exit 1, not a table
+    of zeros."""
+    assert main(shlex.split(line)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["fuse", "/no/such/file.loop"]) == 2
 

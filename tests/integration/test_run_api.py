@@ -84,7 +84,7 @@ class TestFrontDoor:
         for variant, divmods in zip(result, (0, 1)):
             spans = {s.name: s.attrs for s in variant.spans}
             # default layouts address without a division; swim's regrouped
-            # columns leave one stride break; the codegen tracer emits the
+            # columns leave one stride break; the tracer emits the
             # addresses itself, so there is no separate addresses stage
             assert spans["trace-gen"]["divmods"] == divmods
             assert spans["trace-gen"]["accesses"] == variant.trace_length
@@ -95,20 +95,17 @@ class TestFrontDoor:
             assert "far" not in spans["l1"]
 
     def test_one_span_per_stage_however_many_chunks(self, monkeypatch):
-        from repro.interp import trace as trace_module
+        from repro import stream as stream_module
 
-        levels = ("l1", "l2", "tlb", "dram")
-        # the addresses stage exists only where the oracle lays a trace out
-        for engine, stages in (
-            ("fast+codegen", ("trace-gen", *levels)),
-            ("reference+interp", ("trace-gen", "addresses", *levels)),
-        ):
+        # both tracers emit byte addresses: no stage lays a trace out
+        stages = ("trace-gen", "l1", "l2", "tlb", "dram")
+        for engine in ("fast+codegen", "reference+interp"):
             request = RunRequest(
                 program="adi", levels=("noopt",), params=SMALL, steps=1, engine=engine
             )
             monkeypatch.undo()
             whole = run(request)[0]
-            monkeypatch.setattr(trace_module, "CHUNK_ACCESSES", 997)
+            monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", 997)
             chunked = run(request)[0]
             assert chunked.stats == whole.stats
             assert set(chunked.timings) == set(whole.timings) == {"compile", *stages}
@@ -133,6 +130,11 @@ class TestFrontDoor:
             assert count >= -(-whole.trace_length // 997)
             (traced,) = [s for s in chunked.spans if s.name == "trace-gen"]
             assert traced.attrs["accesses"] == whole.trace_length, engine
+
+    def test_steps_below_one_are_rejected_not_measured_as_zero(self):
+        request = RunRequest(program="adi", levels="noopt", params=SMALL, steps=-2)
+        with pytest.raises(ReproError, match="steps must be at least 1, got -2"):
+            run(request)
 
     def test_program_without_arrays_measures_as_all_zero(self):
         from repro.lang import ProgramBuilder

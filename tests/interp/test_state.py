@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.interp import init_arrays, check_params
-from repro.lang import ArrayDecl, Param, Program, SliceOrigin, ValidationError
+from repro.interp import init_arrays
+from repro.lang import (
+    ArrayDecl, Param, Program, SliceOrigin, ValidationError, check_params,
+)
 
 
 def prog(arrays):

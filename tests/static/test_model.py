@@ -1,7 +1,7 @@
-"""The static model mirrors the dynamic trace's reference numbering.
+"""The static model carries the dynamic trace's reference numbering.
 
 Every cross-validation guarantee rests on one invariant: the ref_ids the
-extractor assigns by walking the IR are *the same ids* the trace
+model takes from the program's one lowering are *the same ids* the trace
 generator stamps on dynamic accesses.  These tests pin that
 correspondence — identities, per-reference access counts, and loop
 scopes — on real programs.

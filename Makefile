@@ -72,11 +72,9 @@ perf-selfcheck:
 	$(PYTHON) -m pytest perf -q
 
 # autotuner regression gate: the committed BENCH_tune.json best pipelines
-# must never predict more misses than any named level, and every
-# prediction cheap enough to recompute (<= 30s committed analysis cost)
-# must reproduce under the current analyzer.  Expensive entries (sp's
-# fully fused `fusion` / `new`, about a minute of analysis) stay frozen;
-# refresh them with `make bench-tune`.
+# must never predict more misses than any named level, and every committed
+# prediction must reproduce under the current analyzer (sp's fully fused
+# levels included); refresh the artifact with `make bench-tune`.
 tune-check:
 	$(PYTHON) -m repro tune --check --baseline BENCH_tune.json
 
@@ -90,8 +88,8 @@ benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # refresh the committed autotuning artifact: full grid for the cheap
-# programs, reduced grid for sp (its fully fused level alone takes about
-# a minute of symbolic analysis; the named levels still bound the search
+# programs, reduced grid for sp (each of its fused candidates costs
+# seconds of symbolic analysis; the named levels still bound the search
 # there)
 bench-tune:
 	$(PYTHON) -m repro tune adi sweep3d fft tomcatv swim --json-out BENCH_tune.json

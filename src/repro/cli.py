@@ -1056,9 +1056,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     cache = args.cache_dir if args.cache_dir else (None if args.no_cache else True)
     baseline = _baseline(args)
     if baseline is not None:
-        failures = check_baseline(
-            baseline, budget_seconds=args.budget, cache=cache
-        )
+        failures = check_baseline(baseline, cache=cache)
         if failures:
             print("tune --check: predicted-miss regressions detected:")
             for line in failures:
@@ -1067,7 +1065,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         n = len(baseline.get("programs", {}))
         print(
             f"tune --check ok: {n} program(s), tuned pipelines predict no "
-            f"more misses than any named level (budget {args.budget:.0f}s)"
+            "more misses than any named level"
         )
         return 0
 
@@ -1239,9 +1237,9 @@ COMMANDS = (
         _arg("--no-memory", action="store_true",
              help="skip tracemalloc peak-memory tracking (faster)"),
         _arg("--static", action="store_true", help="also profile the trace-free "
-             "analyses: the symbolic reuse profile (attribute span: hulls, "
-             "hull_hits, eliminate, ...) and the 4-thread coherence analysis "
-             "(accesses, partitioned_nests)"),
+             "analyses: the symbolic reuse profile (attribute span: per memo "
+             "its computations and hits — hulls, hull_hits, compare_hits, ...) "
+             "and the 4-thread coherence analysis (accesses, partitioned_nests)"),
         level="new",
     ),
     _command("runs", "list recorded run logs", cmd_runs, "runs-root json"),
@@ -1365,9 +1363,6 @@ COMMANDS = (
              "addressed tune/trace cache (on by default)"),
         _arg("--events", action="store_true",
              help="record schema-v1 tune.* events under the runs root"),
-        _arg("--budget", type=float, default=30.0, metavar="SECONDS",
-             help="--check recomputes only pipelines whose committed analysis "
-             "cost is at most this many seconds (default 30)"),
         threads=4,
     ),
 )

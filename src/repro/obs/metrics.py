@@ -24,11 +24,14 @@ schema's payload.  Current emitters:
 ``analysis.static.runs``        :func:`repro.static.analyze_program`
 ``analysis.static.refs``        ... references modeled symbolically
 ``analysis.static.components``  ... reuse components attributed
-``analysis.static.<work>``      ... calls of ``window_distance``,
-                                ``shift_candidates``, ``union_hulls``,
-                                ``eliminate`` while attributing a model;
-                                distinct ``hulls`` computed and
-                                ``hull_hits`` served from its memo
+``analysis.static.<work>``      ... ``shift_candidates`` calls while
+                                attributing a model, and per memo of
+                                the analysis (``reuse.MEMOS``) the
+                                answers computed (``hulls``,
+                                ``compares``, ``window_distance``,
+                                ``union_hulls``, ``eliminate``, ...)
+                                and served again (``hull_hits``,
+                                ``compare_hits``, ``window_hits``, ...)
 ``pm.pass.runs``                passes executed by the pass manager
 ``pm.pass.<name>.runs``         ... the same, per pass
 ``pm.pass.shared``              steps a pipeline found already run by an

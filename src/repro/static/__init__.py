@@ -41,7 +41,7 @@ from .parallelism import (
 )
 from .poly import Poly
 from .profile import EvaluatedClass, StaticProfile, analyze_program
-from .regions import Hull, footprint_by_array, ref_hull, union_hulls
+from .regions import Hull, Regions, ref_hull
 from .reuse import ClassProfile, Component, attribute_model, solve_delta
 from .schedule import (
     parse_schedule,
@@ -66,6 +66,7 @@ __all__ = [
     "ParallelismProfile",
     "Poly",
     "RaceWitness",
+    "Regions",
     "StaticModel",
     "StaticProfile",
     "StaticRef",
@@ -76,7 +77,6 @@ __all__ = [
     "attribute_model",
     "bind_params",
     "build_model",
-    "footprint_by_array",
     "lane_conflict",
     "lint_profile",
     "lint_static",
@@ -90,5 +90,4 @@ __all__ = [
     "schedule_chunks",
     "solve_delta",
     "thread_span",
-    "union_hulls",
 ]

@@ -50,6 +50,14 @@ class LoopCtx:
     loop_id: int = -1
 
 
+def iterations(scope: tuple[LoopCtx, ...]) -> Poly:
+    """Iterations of a loop scope: the product of its trip counts."""
+    count = ONE
+    for ctx in scope:
+        count = count * ctx.trip
+    return count
+
+
 @dataclass(frozen=True)
 class StaticRef:
     """One static array reference with its full symbolic context."""
@@ -66,10 +74,7 @@ class StaticRef:
 
     def exec_count(self) -> Poly:
         """Accesses this reference performs per body repetition."""
-        count = ONE
-        for ctx in self.scope:
-            count = count * ctx.trip
-        return count
+        return iterations(self.scope)
 
     def scope_indices(self) -> tuple[str, ...]:
         return tuple(c.index for c in self.scope)

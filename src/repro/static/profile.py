@@ -37,7 +37,7 @@ from ..locality.histogram import ReuseHistogram
 from ..obs import metrics, span
 from .model import StaticModel, build_model
 from .poly import Poly
-from .regions import default_assumptions, footprint_by_array, measure_sum
+from .regions import Regions, default_assumptions
 from .reuse import ClassProfile, Component, attribute_model
 
 Params = Mapping[str, int]
@@ -287,14 +287,19 @@ def analyze_program(
     steps: int = 1,
     assume: Union[int, Assumptions, None] = None,
 ) -> StaticProfile:
-    """Compute the symbolic reuse profile of ``program`` — no trace."""
+    """Compute the symbolic reuse profile of ``program`` — no trace.
+
+    The call's one :class:`~repro.static.regions.Regions` holds every
+    memo of the analysis and is dropped when it returns.
+    """
     assumptions = default_assumptions(assume)
     with span(
         "static-reuse", program=program.name, steps=steps
     ) as sp:
         model = build_model(program)
-        classes = attribute_model(model, steps, assumptions)
-        footprint = measure_sum(footprint_by_array(model.refs, assumptions))
+        regions = Regions(assumptions)
+        classes = attribute_model(model, steps, regions)
+        footprint = regions.measure_sum(regions.footprint_by_array(model.refs))
         metrics.inc("analysis.static.runs")
         metrics.inc("analysis.static.refs", len(model.refs))
         metrics.inc(

@@ -43,27 +43,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..lang import Affine, Assumptions
+from ..lang import Affine
 from ..obs import metrics, span
-from .model import LoopCtx, StaticModel, StaticRef
+from .model import LoopCtx, StaticModel, StaticRef, iterations
 from .poly import ONE, Poly
-from .regions import (
-    CALLS,
-    Hull,
-    affine_max,
-    affine_min,
-    eliminate,
-    finalize,
-    footprint_by_array,
-    hull_contains,
-    hulls_overlap,
-    index_probe,
-    intersect_measure,
-    measure_sum,
-    ref_hull,
-    union_disjoint,
-    union_hulls,
-)
+from .regions import Hull, Regions, index_probe
 
 #: innermost-carried distances up to this many iterations are enumerated
 #: exactly instead of hull-estimated
@@ -81,6 +65,22 @@ _SIBLING_SLICES = 6
 #: cap on secondary constant-shift slices per reuse class (the
 #: boundary rows the nearest shift leaves unserved)
 _SECONDARY_SHIFTS = 2
+
+#: each memo table of one model -> the ``analysis.static.*`` counter of
+#: its computations; the answers it serves again count as ``<table>_hits``
+MEMOS = {
+    "compare": "compares",
+    "eliminate": "eliminate",
+    "finalize": "finalize",
+    "union": "union_hulls",
+    "overlap": "hulls_overlap",
+    "measure": "measures",
+    "hull": "hulls",
+    "window": "window_distance",
+    "span": "span_measure",
+    "subtree": "subtree_footprint",
+    "exec_count": "exec_counts",
+}
 
 
 @dataclass(frozen=True)
@@ -227,48 +227,34 @@ def comparable(src: StaticRef, sink: StaticRef) -> bool:
 
 class _Attributor:
     def __init__(
-        self, model: StaticModel, steps: int, assume: Assumptions
+        self, model: StaticModel, steps: int, regions: Regions
     ) -> None:
         self.model = model
         self.steps = steps
-        self.assume = assume
-        #: the ladder's work on this model, as call counts (see :meth:`publish`)
-        self.work = {"window_distance": 0, "shift_candidates": 0, "hull_hits": 0}
-        self._region_calls = dict(CALLS)
+        self.assume = regions.assume
+        #: the analysis's memo tables; the ladder's own questions (windows,
+        #: span and subtree measures, exec counts) sit beside the region
+        #: operations'
+        self.regions = regions
+        self.shift_calls = 0
         #: finalized per-array union hull of each top-level nest
         self.nest_hulls: list[dict[str, Hull]] = [
-            footprint_by_array(nest, assume) for nest in model.nests
+            regions.footprint_by_array(nest) for nest in model.nests
         ]
-        #: (nest, depth, loop_id) -> per-prefix subtree footprint; the
-        #: measure only references shared anchor indices, so every sink
-        #: of the nest sees the same value (diagonal sources reuse it)
-        self._subtree_measures: dict[tuple[int, int, int], Poly] = {}
-        #: (id(ref), start, window) -> (ref, its hull): the rungs ask for
-        #: the same hull of the same reference again and again.  Keyed on
-        #: identity; every entry holds its ref, so an id cannot be
-        #: recycled while the memo lives — and it lives for this model only
-        self._hulls: dict[tuple, tuple[StaticRef, Hull]] = {}
 
-    def hull(
-        self,
-        ref: StaticRef,
-        start: int = 0,
-        window: Optional[tuple[int, int]] = None,
-    ) -> Hull:
-        """:func:`~repro.static.regions.ref_hull`, computed once per model."""
-        key = (id(ref), start, window)
-        entry = self._hulls.get(key)
-        if entry is None:
-            entry = self._hulls[key] = (ref, ref_hull(ref, start, window))
-        else:
-            self.work["hull_hits"] += 1
-        return entry[1]
+    def iterations(self, scope: tuple[LoopCtx, ...]) -> Poly:
+        """:func:`~repro.static.model.iterations` (a reference's
+        :meth:`~repro.static.model.StaticRef.exec_count`), computed once
+        per scope."""
+        return self.regions.memo("exec_count", scope, iterations, scope)
 
     def publish(self) -> dict[str, int]:
-        """End of the model: report the work as ``analysis.static.*`` counters."""
-        work = dict(self.work, hulls=len(self._hulls))
-        for name, before in self._region_calls.items():
-            work[name] = CALLS[name] - before
+        """End of the model: report the work as ``analysis.static.*``
+        counters — per memo its computations and its hits."""
+        work = {"shift_candidates": self.shift_calls}
+        for table, name in MEMOS.items():
+            work[name] = len(self.regions.tables[table])
+            work[f"{table}_hits"] = self.regions.hits[table]
         for name, calls in work.items():
             metrics.inc(f"analysis.static.{name}", calls)
         return work
@@ -277,15 +263,18 @@ class _Attributor:
 
     def span_measure(self, nests: Sequence[int]) -> Poly:
         """Footprint of every reference in the given top-level nests."""
+        nests = tuple(nests)
+        return self.regions.memo("span", nests, self._span_measure, nests)
+
+    def _span_measure(self, nests: tuple[int, ...]) -> Poly:
         grouped: dict[str, list[Hull]] = {}
         for k in nests:
             for name, hull in self.nest_hulls[k].items():
                 grouped.setdefault(name, []).append(hull)
         merged = {
-            name: union_hulls(hs, self.assume)
-            for name, hs in grouped.items()
+            name: self.regions.union_hulls(hs) for name, hs in grouped.items()
         }
-        return measure_sum(merged)
+        return self.regions.measure_sum(merged)
 
     # -- rung 1: same-scope constant-shift reuse --------------------------
 
@@ -312,9 +301,11 @@ class _Attributor:
         loop, which beats going back a full iteration of the shared
         prefix.
         """
-        self.work["shift_candidates"] += 1
+        self.shift_calls += 1
         cands: list[tuple[tuple, tuple[int, ...], StaticRef, Poly, tuple]] = []
         for src in self.model.nests[sink.nest]:
+            if src.array != sink.array:
+                continue  # solve_delta's first refusal, without its tuples
             shift = solve_delta(src, sink)
             if shift is None:
                 continue
@@ -339,8 +330,8 @@ class _Attributor:
         """Per-level interval of sink iterations the shift can serve."""
         ivs: list[tuple[Affine, Affine]] = []
         for sctx, kctx, s in zip(src.scope, sink.scope, shift):
-            lo, _ = affine_max(sctx.lo + s, kctx.lo, self.assume)
-            hi, _ = affine_min(sctx.hi + s, kctx.hi, self.assume)
+            lo, _ = self.regions.affine_max(sctx.lo + s, kctx.lo)
+            hi, _ = self.regions.affine_min(sctx.hi + s, kctx.hi)
             sign = (hi - lo + 1).sign(self.assume)
             if sign is not None and sign <= 0:
                 return None
@@ -351,8 +342,8 @@ class _Attributor:
         """Measure of the intersection of two validity boxes (0 if empty)."""
         out = ONE
         for (alo, ahi), (blo, bhi) in zip(a, b):
-            lo, _ = affine_max(alo, blo, self.assume)
-            hi, _ = affine_min(ahi, bhi, self.assume)
+            lo, _ = self.regions.affine_max(alo, blo)
+            hi, _ = self.regions.affine_min(ahi, bhi)
             width = hi - lo + 1
             sign = width.sign(self.assume)
             if sign is not None and sign <= 0:
@@ -430,25 +421,37 @@ class _Attributor:
         Only references that *actually share* the carrying loop (same
         loop identity chain through ``level``) execute inside the window;
         same-named sibling loops of a fused nest do not.
+
+        Computed once per ``(nest, anchor, width)``, the anchor being the
+        sink's loops through ``level``: the window's hulls eliminate every
+        deeper level, so the sink's inner loops cannot change the answer.
         """
-        self.work["window_distance"] += 1
         anchor = sink.scope[: level + 1]
-        probe = index_probe(sink.scope, self.model.params)
+        return self.regions.memo(
+            "window", (sink.nest, anchor, width),
+            self._window_distance, sink.nest, anchor, width,
+        )
+
+    def _window_distance(
+        self, nest: int, anchor: tuple[LoopCtx, ...], width: int
+    ) -> tuple[Poly, bool]:
+        level = len(anchor) - 1
+        probe = index_probe(anchor, self.model.params)
         grouped: dict[str, list[Hull]] = {}
         exact = True
-        for r in self.model.nests[sink.nest]:
+        for r in self.model.nests[nest]:
             if len(r.scope) <= level or any(
                 a.loop_id != b.loop_id for a, b in zip(r.scope, anchor)
             ):
                 continue
-            h = self.hull(r, start=level, window=(level, width))
+            h = self.regions.ref_hull(r, start=level, window=(level, width))
             grouped.setdefault(r.array, []).append(h)
         out = Poly()
         for name, hs in sorted(grouped.items()):
-            for g in union_disjoint(hs, self.assume, probe):
-                u = finalize(g, sink.scope, self.assume)
+            for g in self.regions.union_disjoint(hs, probe):
+                u = self.regions.finalize(g, anchor)
                 exact = exact and u.exact
-                out = out + u.measure()
+                out = out + self.regions.measure(u)
         return out - 1, exact
 
     # -- rung 2: sibling references in an imperfect nest ------------------
@@ -500,14 +503,14 @@ class _Attributor:
                     if inner.index not in probe:
                         probe[inner.index] = int(inner.hi.evaluate(probe))
             grouped.setdefault(r.array, []).append(
-                self.hull(r, start=rd, window=window)
+                self.regions.ref_hull(r, start=rd, window=window)
             )
         out = Poly()
         for name, hs in sorted(grouped.items()):
-            for g in union_disjoint(hs, self.assume, probe):
-                u = finalize(g, sink.scope, self.assume)
+            for g in self.regions.union_disjoint(hs, probe):
+                u = self.regions.finalize(g, sink.scope)
                 exact = exact and u.exact
-                out = out + u.measure()
+                out = out + self.regions.measure(u)
         if pins:
             out = out.substitute(pins)
         return out - 1, exact
@@ -549,7 +552,9 @@ class _Attributor:
             if top in (src_top, sink_top):
                 continue  # charged via the memoized subtree footprints
             if src.pos <= r.pos <= sink.pos:
-                between.setdefault(r.array, []).append(self.hull(r, start=rd))
+                between.setdefault(r.array, []).append(
+                    self.regions.ref_hull(r, start=rd)
+                )
         mean = Poly()
         bound = Poly()
         for top in (src_top, sink_top):
@@ -557,20 +562,29 @@ class _Attributor:
             mean = mean + sub * Fraction(1, 2)
             bound = bound + sub
         for name, hs in sorted(between.items()):
-            for g in union_disjoint(hs, self.assume, probe):
-                u = finalize(g, sink.scope, self.assume)
-                mean = mean + u.measure()
-                bound = bound + u.measure()
+            for g in self.regions.union_disjoint(hs, probe):
+                measure = self.regions.measure(
+                    self.regions.finalize(g, sink.scope)
+                )
+                mean = mean + measure
+                bound = bound + measure
         return mean - 1, bound - 1
 
     def _subtree_footprint(
         self, sink: StaticRef, depth: int, top: int
     ) -> Poly:
-        """Per-prefix-iteration footprint of one divergent subtree."""
+        """Per-prefix-iteration footprint of one divergent subtree.
+
+        Keyed on ``(nest, depth, top)``: the measure only references
+        shared anchor indices, so every sink of the nest sees the same
+        value (diagonal sources reuse it).
+        """
         key = (sink.nest, depth, top)
-        cached = self._subtree_measures.get(key)
-        if cached is not None:
-            return cached
+        return self.regions.memo(
+            "subtree", key, self._subtree_measure, sink, depth, top
+        )
+
+    def _subtree_measure(self, sink: StaticRef, depth: int, top: int) -> Poly:
         anchor = sink.scope[:depth]
         probe = index_probe(sink.scope, self.model.params)
         grouped: dict[str, list[Hull]] = {}
@@ -585,12 +599,15 @@ class _Attributor:
             r_top = r.scope[depth].loop_id if len(r.scope) > depth else -2
             if r_top != top:
                 continue
-            grouped.setdefault(r.array, []).append(self.hull(r, start=rd))
+            grouped.setdefault(r.array, []).append(
+                self.regions.ref_hull(r, start=rd)
+            )
         out = Poly()
         for name, hs in sorted(grouped.items()):
-            for g in union_disjoint(hs, self.assume, probe):
-                out = out + finalize(g, sink.scope, self.assume).measure()
-        self._subtree_measures[key] = out
+            for g in self.regions.union_disjoint(hs, probe):
+                out = out + self.regions.measure(
+                    self.regions.finalize(g, sink.scope)
+                )
         return out
 
     def _end_meet_loop(
@@ -620,9 +637,9 @@ class _Attributor:
                 continue
             last = sub.substitute({ctx.index: ctx.hi if c > 0 else ctx.lo})
             slo, shi = sink_dims[d]
-            if slo.compare(last, self.assume) != 0:
+            if self.regions.compare(slo, last) != 0:
                 return None
-            if shi.compare(last, self.assume) != 0:
+            if self.regions.compare(shi, last) != 0:
                 return None
             hit = True
         return ctx.loop_id if hit else None
@@ -644,8 +661,8 @@ class _Attributor:
         out = ONE
         exact = True
         for (alo, ahi), (blo, bhi) in zip(a, b):
-            lo, e1 = affine_max(alo, blo, self.assume)
-            hi, e2 = affine_min(ahi, bhi, self.assume)
+            lo, e1 = self.regions.affine_max(alo, blo)
+            hi, e2 = self.regions.affine_min(ahi, bhi)
             width = hi - lo + 1
             sign = width.sign(self.assume)
             if sign is not None and sign <= 0:
@@ -657,7 +674,7 @@ class _Attributor:
                 exact = False
             if width.depends_on(index_names):
                 # a triangular overlap: take the widest shared iteration
-                _, width = eliminate(width, scope, 0)
+                _, width = self.regions.eliminate(width, tuple(scope), 0, None)
                 exact = False
             exact = exact and e1 and e2
             out = out * Poly.from_affine(width)
@@ -696,14 +713,14 @@ class _Attributor:
             if depth == 0:
                 continue
             shared = sink.scope[:depth]
-            trips = ONE
-            for ctx in shared:
-                trips = trips * ctx.trip
+            trips = self.iterations(shared)
             sink_dims = tuple(
-                eliminate(s, sink.scope, start=depth) for s in sink.subs
+                self.regions.eliminate(s, sink.scope, depth, None)
+                for s in sink.subs
             )
             src_dims = tuple(
-                eliminate(s, src.scope, start=depth) for s in src.subs
+                self.regions.eliminate(s, src.scope, depth, None)
+                for s in src.subs
             )
             slices: list[tuple[Poly, Poly, Poly, bool]] = []
             if src.pos < sink.pos:
@@ -814,10 +831,11 @@ class _Attributor:
                 )
                 for c, (lo, hi) in zip(sink.scope, box)
             )
-            dims = tuple(eliminate(s, scope, 0) for s in sink.subs)
-            hull = finalize(
-                Hull(sink.array, dims, all(c.exact for c in scope)),
-                scope, self.assume,
+            dims = tuple(
+                self.regions.eliminate(s, scope, 0, None) for s in sink.subs
+            )
+            hull = self.regions.finalize(
+                Hull(sink.array, dims, all(c.exact for c in scope)), scope
             )
             piece_count = ONE
             for lo, hi in box:
@@ -826,13 +844,13 @@ class _Attributor:
                 src_hull = self.nest_hulls[k].get(sink.array)
                 if src_hull is None:
                     continue
-                if hulls_overlap(src_hull, hull, self.assume) is False:
+                if self.regions.hulls_overlap(src_hull, hull) is False:
                     continue
                 dist = self.span_measure(range(k, sink.nest + 1)) - 1
-                if hull_contains(src_hull, hull, self.assume):
+                if self.regions.hull_contains(src_hull, hull):
                     slices.append((k, piece_count, dist, True))
                     break
-                count = intersect_measure(src_hull, hull, self.assume)
+                count = self.regions.intersect_measure(src_hull, hull)
                 slices.append((k, count, dist, False))
                 if len(slices) >= _CROSS_SLICES:
                     return slices
@@ -844,8 +862,10 @@ class _Attributor:
             src_hull = self.nest_hulls[k].get(sink.array)
             if src_hull is None:
                 continue
-            sink_hull = finalize(self.hull(sink), sink.scope, self.assume)
-            if hulls_overlap(src_hull, sink_hull, self.assume) is False:
+            sink_hull = self.regions.finalize(
+                self.regions.ref_hull(sink), sink.scope
+            )
+            if self.regions.hulls_overlap(src_hull, sink_hull) is False:
                 continue
             span = list(range(k, last + 1)) + list(range(0, sink.nest + 1))
             return self.span_measure(span) - 1
@@ -898,8 +918,7 @@ class _Attributor:
 
     def attribute(self, sink: StaticRef) -> ClassProfile:
         components: list[Component] = []
-        exec_count = sink.exec_count()
-        remainder = exec_count
+        remainder = self.iterations(sink.scope)
         probe = {p: 10**4 for p in self.model.params}
 
         def live(poly: Poly) -> bool:
@@ -981,11 +1000,12 @@ class _Attributor:
 
 
 def attribute_model(
-    model: StaticModel, steps: int, assume: Assumptions
+    model: StaticModel, steps: int, regions: Regions
 ) -> tuple[ClassProfile, ...]:
-    """Attribute every reuse class of ``model``."""
+    """Attribute every reuse class of ``model``, asking ``regions`` (one
+    analysis's memo tables) every repeated question."""
     with span("attribute", refs=len(model.refs)) as sp:
-        attributor = _Attributor(model, steps, assume)
+        attributor = _Attributor(model, steps, regions)
         classes = tuple(attributor.attribute(ref) for ref in model.refs)
         sp.attrs.update(
             components=sum(len(c.components) for c in classes),

@@ -29,8 +29,7 @@ signature as the level label) and ``tune.*`` metrics via
 
 ``check_baseline`` is the CI gate over a committed ``BENCH_tune.json``:
 the tuned pipeline must never predict more misses than any named level,
-and — for every pipeline whose committed analysis cost fits the time
-budget — the prediction must reproduce under the current analyzer.
+and every committed prediction must reproduce under the current analyzer.
 """
 
 from __future__ import annotations
@@ -548,19 +547,15 @@ _RTOL = 1e-6
 
 def check_baseline(
     baseline: Mapping[str, object],
-    budget_seconds: float = 30.0,
     cache: Union[None, bool, str, Path] = True,
 ) -> list[str]:
     """The CI regression gate over a committed ``BENCH_tune.json``.
 
     For every program: (1) the committed best must not predict more
-    misses than any committed named level; (2) every pipeline whose
-    committed ``analysis_seconds`` fits ``budget_seconds`` is
-    re-analyzed under the current code, and the recomputed best must
+    misses than any committed named level; (2) every committed pipeline
+    is re-analyzed under the current code, and the recomputed best must
     neither regress against its committed score nor fall behind any
-    recomputed named level.  Expensive pipelines (e.g. sp's fully fused
-    level, about a minute of symbolic analysis) stay frozen at their
-    committed values — re-tune and re-commit the artifact to move them.
+    recomputed named level.
 
     Returns failure messages (empty = gate passes).
     """
@@ -606,17 +601,14 @@ def check_baseline(
             recomputed[label] = score
 
         recomputed: dict[str, float] = {}
-        if float(best["analysis_seconds"]) <= budget_seconds:
-            recompute("best", best, parse_signature(best["signature"]))
+        recompute("best", best, parse_signature(best["signature"]))
         for level, record in sorted(named.items()):
-            if float(record["analysis_seconds"]) <= budget_seconds:
-                recompute(level, record, PIPELINES[level])
-        if "best" in recomputed:
-            for level, score in recomputed.items():
-                if level != "best" and recomputed["best"] > score * (1 + _RTOL):
-                    failures.append(
-                        f"{prog_name}: recomputed best "
-                        f"({recomputed['best']:.0f}) predicts more misses "
-                        f"than named level {level} ({score:.0f})"
-                    )
+            recompute(level, record, PIPELINES[level])
+        for level, score in recomputed.items():
+            if level != "best" and recomputed["best"] > score * (1 + _RTOL):
+                failures.append(
+                    f"{prog_name}: recomputed best "
+                    f"({recomputed['best']:.0f}) predicts more misses "
+                    f"than named level {level} ({score:.0f})"
+                )
     return failures

@@ -283,11 +283,13 @@ def test_profile_static_shows_the_analyses_work(capsys):
     assert main(["profile", "adi", "--level", "new", "-p", "N=12",
                  "--no-memory", "--static"]) == 0
     out = capsys.readouterr().out
-    # the attribute span's memo counters and the enumerator's, on the
-    # span lines and among the metric deltas
-    for token in ("attribute", "hull_hits=", "hulls=", "coherence-analyze",
+    # the attribute span's memo counters (the span line shows the first
+    # four by name) and the enumerator's, on the span lines and among
+    # the metric deltas
+    for token in ("attribute", "compare_hits=", "compares=", "coherence-analyze",
                   "accesses=", "partitioned_nests=2",
-                  "analysis.static.hulls", "analysis.static.hull_hits"):
+                  "analysis.static.hulls", "analysis.static.hull_hits",
+                  "analysis.static.compare_hits", "analysis.static.window_hits"):
         assert token in out, token
 
 

@@ -13,9 +13,8 @@ from repro.core import OPT_LEVELS, compile_variant
 from repro.locality import classify_evadable_stats
 from repro.obs import snapshot
 from repro.programs import registry
-from repro.static import analyze_program
-from repro.static import reuse as reuse_module
-from repro.static.regions import ref_hull
+from repro.static import Regions, analyze_program
+from repro.static.reuse import MEMOS
 
 from conftest import build
 
@@ -104,7 +103,10 @@ def test_render_and_json_roundtrip():
 
 def test_attribution_reports_its_work_once_per_model():
     """One ``attribute`` span under ``static-reuse`` carries the ladder's
-    call counts; the same integers land in ``analysis.static.*``."""
+    work — per memo its computations and its hits; the same integers
+    land in ``analysis.static.*``.  A second analysis of the same
+    program reports the same integers, hits included: no memo survives
+    from one model to the next."""
     from repro.obs import SpanCollector
 
     program = compile_variant(registry.get("adi").build(), "fusion").program
@@ -119,15 +121,17 @@ def test_attribution_reports_its_work_once_per_model():
     assert inner.attrs["components"] == sum(
         len(c.components) for c in profile.classes
     )
-    work = (
-        "window_distance", "shift_candidates", "union_hulls", "eliminate",
-        "hulls", "hull_hits",
-    )
+    work = ("shift_candidates", *MEMOS.values(), *(f"{t}_hits" for t in MEMOS))
     for name in work:
         calls = inner.attrs[name]
-        assert type(calls) is int and calls > 0, name
+        assert type(calls) is int and calls >= 0, name
         key = f"analysis.static.{name}"
         assert after.get(key, 0) - before.get(key, 0) == calls
+    for name in (
+        "window_distance", "shift_candidates", "union_hulls", "eliminate",
+        "hulls", "hull_hits", "compares", "compare_hits", "window_hits",
+    ):
+        assert inner.attrs[name] > 0, name
     # a second model starts its own count: same program, same integers
     with SpanCollector() as again:
         analyze_program(program)
@@ -164,7 +168,7 @@ def test_solve_delta_keeps_strided_shifts_exact():
     assert shift == (0,) and type(shift[0]) is int
 
 
-# -- the hull memo changes no number -------------------------------------------
+# -- the memos change no number ------------------------------------------------
 
 MEMO_CASES = [
     (name, level)
@@ -176,7 +180,9 @@ MEMO_CASES = [
 @pytest.mark.parametrize("name, level", MEMO_CASES)
 def test_hull_memo_changes_no_number(name, level, monkeypatch):
     """Classes, components and predicted misses at two sizes are those
-    of an attributor that recomputes every hull."""
+    of an analysis that recomputes every answer: every memo of
+    :class:`~repro.static.regions.Regions` (hulls, comparisons, region
+    operations, windows, exec counts) switched off at its one lookup."""
     source = registry.build_fft(64) if name == "fft" else registry.get(name).build()
     program = compile_variant(source, level).program
     sizes = [{}] if name == "fft" else [{"N": 24}, {"N": 61}]
@@ -190,8 +196,6 @@ def test_hull_memo_changes_no_number(name, level, monkeypatch):
 
     memoised = numbers(analyze_program(program))
     monkeypatch.setattr(
-        reuse_module._Attributor,
-        "hull",
-        lambda self, ref, start=0, window=None: ref_hull(ref, start, window),
+        Regions, "memo", lambda self, table, key, compute, *args: compute(*args)
     )
     assert numbers(analyze_program(program)) == memoised

@@ -67,7 +67,7 @@ class MSIResult:
         return int(self.upgrades.sum())
 
 
-#: thread ids are bits of an int64 mask
+#: the contract's V and E sets are one int64 bitmask per line (DESIGN §10.2)
 MAX_THREADS = 63
 
 
@@ -90,7 +90,12 @@ def simulate_msi(
     """Replay the stream through the owner-tracking MSI automaton.
 
     ``lines`` are cache-line ids (any integer labels), ``writes`` the
-    bool write mask, ``thread_ids`` the issuing thread of every access.
+    bool write mask, ``thread_ids`` the issuing thread of every access,
+    each in ``0..threads-1``.  Lines never interact, so the automaton runs
+    as array operations over the accesses stably sorted by line: a thread
+    hits iff its previous access to the line is at or after the line's
+    last earlier write, and a write upgrades iff another thread's last
+    earlier access is.
     """
     lines = np.asarray(lines, dtype=np.int64)
     writes = np.asarray(writes, dtype=bool)
@@ -102,46 +107,41 @@ def simulate_msi(
             f"threads {len(thread_ids)}"
         )
     check_threads(threads)
-    uniq, compact = (
-        np.unique(lines, return_inverse=True)
-        if n
-        else (np.empty(0, np.int64), np.empty(0, np.int64))
-    )
-    valid = np.zeros(len(uniq), dtype=np.int64)  # V as a thread bitmask
-    ever = np.zeros(len(uniq), dtype=np.int64)  # E as a thread bitmask
-    cold = np.zeros(threads, dtype=np.int64)
-    inval = np.zeros(threads, dtype=np.int64)
-    upgrades = np.zeros(threads, dtype=np.int64)
+    bad = thread_ids[(thread_ids < 0) | (thread_ids >= threads)]
+    if len(bad):
+        raise ValueError(
+            f"thread id {bad[0]} out of range: with {threads} threads "
+            f"every id must be in 0..{threads - 1}"
+        )
+    order = np.argsort(lines, kind="stable")
+    line, write, tid = lines[order], writes[order], thread_ids[order]
+    pos = np.arange(n)
+    first = np.ones(n, dtype=bool)  # the line's first access
+    first[1:] = line[1:] != line[:-1]
+    line_start = np.maximum.accumulate(np.where(first, pos, 0))
+    # the last earlier write; one before ``line_start`` is another line's
+    # and, like -1, precedes every access to this line
+    last_write = np.full(n, -1)
+    last_write[1:] = np.maximum.accumulate(np.where(write, pos, -1))[:-1]
+    key = np.cumsum(first) * threads + tid  # (line, thread)
+    by_thread = np.argsort(key, kind="stable")
+    same = key[by_thread[1:]] == key[by_thread[:-1]]
+    prev_same = np.full(n, -1)  # the thread's previous access to the line
+    prev_same[by_thread[1:][same]] = by_thread[:-1][same]
+    run = first.copy()  # another thread's last access precedes this run
+    run[1:] |= tid[1:] != tid[:-1]
+    prev_other = np.maximum.accumulate(np.where(run, pos, 0)) - 1
+    cold = prev_same < 0
+    inval = ~cold & (prev_same < last_write)
+    upgrade = write & (prev_other >= line_start) & (prev_other >= last_write)
     mask = np.zeros(n, dtype=bool)
-    compact_l = compact.tolist()
-    writes_l = writes.tolist()
-    tids_l = thread_ids.tolist()
-    valid_l = valid.tolist()
-    ever_l = ever.tolist()
-    for i in range(n):
-        line = compact_l[i]
-        t = tids_l[i]
-        bit = 1 << t
-        v = valid_l[line]
-        if not v & bit:
-            if ever_l[line] & bit:
-                inval[t] += 1
-                mask[i] = True
-            else:
-                cold[t] += 1
-        if writes_l[i]:
-            if v & ~bit:
-                upgrades[t] += 1
-            valid_l[line] = bit
-        else:
-            valid_l[line] = v | bit
-        ever_l[line] |= bit
+    mask[order] = inval
     return MSIResult(
         threads=threads,
         accesses=n,
-        lines=len(uniq),
-        cold=cold,
-        invalidations=inval,
-        upgrades=upgrades,
+        lines=int(first.sum()),
+        cold=np.bincount(tid[cold], minlength=threads),
+        invalidations=np.bincount(tid[inval], minlength=threads),
+        upgrades=np.bincount(tid[upgrade], minlength=threads),
         invalidation_mask=mask,
     )

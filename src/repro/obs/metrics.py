@@ -25,13 +25,17 @@ schema's payload.  Current emitters:
 ``analysis.static.refs``        ... references modeled symbolically
 ``analysis.static.components``  ... reuse components attributed
 ``analysis.static.<work>``      ... ``shift_candidates`` calls while
-                                attributing a model, and per memo of
+                                attributing a model, same-array pairs
+                                outside one uniformly generated set
+                                (``ungrouped_pairs``: the shift solver
+                                is never asked), and per memo of
                                 the analysis (``reuse.MEMOS``) the
                                 answers computed (``hulls``,
-                                ``compares``, ``window_distance``,
-                                ``union_hulls``, ``eliminate``, ...)
-                                and served again (``hull_hits``,
-                                ``compare_hits``, ``window_hits``, ...)
+                                ``compares``, ``shift_solves``,
+                                ``window_distance``, ``union_hulls``,
+                                ``eliminate``, ...) and served again
+                                (``hull_hits``, ``compare_hits``,
+                                ``shift_hits``, ``window_hits``, ...)
 ``pm.pass.runs``                passes executed by the pass manager
 ``pm.pass.<name>.runs``         ... the same, per pass
 ``pm.pass.shared``              steps a pipeline found already run by an

@@ -42,7 +42,13 @@ from .parallelism import (
 from .poly import Poly
 from .profile import EvaluatedClass, StaticProfile, analyze_program
 from .regions import Hull, Regions, ref_hull
-from .reuse import ClassProfile, Component, attribute_model, solve_delta
+from .reuse import (
+    ClassProfile,
+    Component,
+    attribute_model,
+    shift_question,
+    solve_shift,
+)
 from .schedule import (
     parse_schedule,
     preserves_affinity,
@@ -88,6 +94,7 @@ __all__ = [
     "round_robin_positions",
     "schedule_assignments",
     "schedule_chunks",
-    "solve_delta",
+    "shift_question",
+    "solve_shift",
     "thread_span",
 ]

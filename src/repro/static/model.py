@@ -16,7 +16,8 @@ same convention as :mod:`repro.analysis.access` and the IR linter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from ..lang import Affine, ArrayDecl, Guard, Program
@@ -71,6 +72,16 @@ class StaticRef:
     subs: tuple[Affine, ...]
     scope: tuple[LoopCtx, ...]
     text: str
+    #: the *uniformly generated* part, normalised once: the array, the
+    #: scope's indices and each subscript's linear part (over indices and
+    #: parameters).  References with equal keys differ by ``offset`` only.
+    uniform: tuple = field(compare=False, repr=False)
+    #: per subscript, its coefficients on the scope's indices, outer-first
+    rows: tuple[tuple[int | Fraction, ...], ...] = field(
+        compare=False, repr=False
+    )
+    #: per subscript, its constant term
+    offset: tuple[int | Fraction, ...] = field(compare=False, repr=False)
 
     def exec_count(self) -> Poly:
         """Accesses this reference performs per body repetition."""
@@ -89,6 +100,9 @@ class StaticModel:
     arrays: dict[str, ArrayDecl]
     refs: tuple[StaticRef, ...]
     nests: tuple[tuple[StaticRef, ...], ...]
+    #: ``(nest, uniform)`` -> the nest's references of that uniformly
+    #: generated set, in textual order
+    uniform_sets: dict[tuple, tuple[StaticRef, ...]]
 
     def total_accesses(self) -> Poly:
         """Accesses per body repetition (multiply by steps for a run)."""
@@ -133,8 +147,10 @@ def _pick(a: Affine, b: Affine, smaller: bool) -> Affine:
 def build_model(program: Program) -> StaticModel:
     """The static reference model of ``program``: its lowering
     (:func:`repro.lang.lowering.lower`) flattened, each reference with
-    the loop contexts around it, guards narrowing them (:func:`_narrow`).
-    The lowering's ids are the tracers', so reference ids match
+    the loop contexts around it, guards narrowing them (:func:`_narrow`),
+    its access row normalised once (``uniform`` / ``rows`` / ``offset``)
+    and grouped by uniformly generated set.  The lowering's ids are the
+    tracers', so reference ids match
     :func:`repro.interp.tracegen.trace_program`'s ``ref_ids``.
     """
     lowering = lower(program)
@@ -143,13 +159,16 @@ def build_model(program: Program) -> StaticModel:
     def flatten(nodes, scope: tuple[LoopCtx, ...], nest: int, start: int) -> None:
         for node in nodes:
             if isinstance(node, LoweredAssign):
-                refs.extend(
-                    StaticRef(
+                indices = tuple(c.index for c in scope)
+                for r in node.refs:
+                    subs = r.ref.index_affines()
+                    refs.append(StaticRef(
                         r.ref_id, nest, r.ref_id - start, r.stmt_id, r.ref.array,
-                        r.is_write, r.ref.index_affines(), scope, str(r.ref),
-                    )
-                    for r in node.refs
-                )
+                        r.is_write, subs, scope, str(r.ref),
+                        (r.ref.array, indices, tuple(s.coeffs for s in subs)),
+                        tuple(tuple(s.coeff(ix) for ix in indices) for s in subs),
+                        tuple(s.const for s in subs),
+                    ))
             elif isinstance(node, LoweredLoop):
                 lo, hi = node.loop.bounds_affine()
                 ctx = LoopCtx(node.loop.index, lo, hi, Poly.from_affine(hi - lo + 1),
@@ -170,10 +189,14 @@ def build_model(program: Program) -> StaticModel:
         start = len(refs)
         flatten((node,), (), k, start)
         nests.append(tuple(refs[start:]))
+    uniform_sets: dict[tuple, list[StaticRef]] = {}
+    for ref in refs:
+        uniform_sets.setdefault((ref.nest, ref.uniform), []).append(ref)
     return StaticModel(
         program=program,
         params=tuple(program.params),
         arrays={a.name: a for a in program.arrays},
         refs=tuple(refs),
         nests=tuple(nests),
+        uniform_sets={k: tuple(v) for k, v in uniform_sets.items()},
     )

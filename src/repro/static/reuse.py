@@ -30,15 +30,27 @@ Every component carries an *estimate* and a conservative upper *bound*
 :class:`~repro.static.poly.Poly` over the program parameters, so the
 whole profile evaluates at any input size without a trace.
 
-The delta-solver handles exactly the affine subscripts the ``lang`` IR
-guarantees: equal-coefficient references with constant offsets yield a
-linear system over the iteration shift, solved dimension by dimension
-with a fixpoint over forced indices (group reuse in the sense of
-Razzak et al.'s static reuse profiles).
+The shift solver :func:`solve_shift` answers one normalised question
+(group reuse in the sense of Razzak et al.'s static reuse profiles):
+coefficient rows, offset difference, shared depth and textual order of
+two references of one *uniformly generated set* — equal ``uniform``
+keys, normalised once by :func:`~repro.static.model.build_model`.  The
+attributor asks it within the sink's set only, once per question per
+analysis (the ``shift`` memo).  Census of the other affine-distance
+clients; none asks this question, so none moved:
+
+* ``dependence_test.lane_terms`` / ``solve_sum``: bounded lane
+  feasibility over concrete boxes, not a shift over symbolic bounds;
+* ``analysis.constraint.pair_conflict`` (``DELTA``): one loop's symbolic
+  coupling with pins, over the fusion frame's access kinds;
+* ``analysis.dependence.body_dependence_graph``: reads that coupling's
+  sign only;
+* ``multicore._linear_outer_coeff``: a linearised coefficient, no shift.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -80,6 +92,7 @@ MEMOS = {
     "span": "span_measure",
     "subtree": "subtree_footprint",
     "exec_count": "exec_counts",
+    "shift": "shift_solves",
 }
 
 
@@ -104,13 +117,6 @@ class ClassProfile:
     cold: Poly  # per-body-repetition cold accesses
 
 
-def _const_offset(form: Affine) -> Optional[int | Fraction]:
-    """The value of ``form`` if it is a pure constant, else None."""
-    if form.coeffs:
-        return None
-    return form.const
-
-
 def shared_depth(src: StaticRef, sink: StaticRef) -> int:
     """Length of the common loop-*identity* prefix of two references.
 
@@ -128,40 +134,45 @@ def shared_depth(src: StaticRef, sink: StaticRef) -> int:
     return depth
 
 
-def solve_delta(src: StaticRef, sink: StaticRef) -> Optional[tuple[int, ...]]:
+def shift_question(src: StaticRef, sink: StaticRef) -> tuple:
+    """The normalised question :func:`solve_shift` answers for two
+    references of one uniformly generated set (equal ``uniform`` keys):
+    the coefficient rows, the offset difference (sink minus source), the
+    shared depth and whether the source is textually at or after the
+    sink."""
+    offset = tuple(k - s for s, k in zip(src.offset, sink.offset))
+    return sink.rows, offset, shared_depth(src, sink), src.pos >= sink.pos
+
+
+def solve_shift(
+    rows: tuple[tuple[int | Fraction, ...], ...],
+    offset: tuple[int | Fraction, ...],
+    depth: int,
+    later: bool,
+) -> Optional[tuple[int, ...]]:
     """Iteration shift ``delta`` with ``src(i - delta) == sink(i)``.
 
-    Requires identical scope index tuples and per-dimension equal
-    coefficients (on indices *and* parameters) — the constant-offset
-    group-reuse case.  Returns the outer-first shift vector, or None
-    when no constant shift reproduces the sink's element.
+    Per subscript ``d``: ``sum_l rows[d][l] * delta[l] == -offset[d]``,
+    solved dimension by dimension with a fixpoint over forced entries;
+    unforced entries (multi-index dimensions, unconstrained indices)
+    default to zero, the closest candidate, then every row is checked.
+    A fractional solution is no shift.  Returns the outer-first shift
+    vector, or None when no constant shift reproduces the sink's element.
 
     A shift is only returned if it is temporally valid.  Validity is
     judged on the *shared-ancestry* prefix (see :func:`shared_depth`):
     the shared entries must be lexicographically positive, or all zero
-    with the source textually earlier.  Entries beyond the shared depth
-    belong to divergent sibling loops — they select *which* source
-    instance matches the element and carry no temporal constraint (the
-    whole divergent subtree executes before or after the sink's,
-    decided by position alone).
+    with the source textually earlier (``later`` false).  Entries beyond
+    the shared depth belong to divergent sibling loops — they select
+    *which* source instance matches the element and carry no temporal
+    constraint (the whole divergent subtree executes before or after the
+    sink's, decided by position alone).
     """
-    indices = sink.scope_indices()
-    if src.scope_indices() != indices or src.array != sink.array:
-        return None
-    if len(src.subs) != len(sink.subs):
-        return None
-    # per-dim: sum_l c[d][l] * delta[l] == -k[d]
-    rows: list[tuple[tuple[int | Fraction, ...], int | Fraction]] = []
-    for s_sub, k_sub in zip(src.subs, sink.subs):
-        k = _const_offset(k_sub - s_sub)
-        if k is None:
-            return None
-        rows.append((tuple(s_sub.coeff(ix) for ix in indices), k))
-    delta: list[Optional[Fraction]] = [None] * len(indices)
+    delta: list[Optional[int | Fraction]] = [None] * len(rows[0])
     changed = True
     while changed:
         changed = False
-        for coeffs, k in rows:
+        for coeffs, k in zip(rows, offset):
             unknown = [
                 l for l, c in enumerate(coeffs) if c != 0 and delta[l] is None
             ]
@@ -173,56 +184,24 @@ def solve_delta(src: StaticRef, sink: StaticRef) -> Optional[tuple[int, ...]]:
                 )
                 delta[l] = Fraction(-k - acc, coeffs[l])
                 changed = True
-    # unforced deltas (multi-index dims, unconstrained indices) default
-    # to zero — the closest candidate shift — then every row is checked
     out = [0 if d is None else d for d in delta]
-    for coeffs, k in rows:
+    for coeffs, k in zip(rows, offset):
         if sum(c * out[l] for l, c in enumerate(coeffs) if c != 0) != -k:
             return None
     if any(d.denominator != 1 for d in out):
         return None
     shift = [int(d) for d in out]
-    depth = shared_depth(src, sink)
-    if all(s == 0 for s in shift[:depth]) and src.pos >= sink.pos:
+    if later and not any(shift[:depth]):
         # self/later source in the same shared iteration: the closest
         # valid occurrence is one iteration of the innermost *shared*
         # free loop back (bumping a divergent level would not move the
         # source earlier in time)
-        free = [
-            l for l in range(depth)
-            if all(sub.coeff(indices[l]) == 0 for sub in src.subs)
-        ]
+        free = [l for l in range(depth) if not any(row[l] for row in rows)]
         if not free:
             return None
         shift[max(free)] = 1
-    for s in shift[:depth]:
-        if s > 0:
-            break
-        if s < 0:
-            return None
-    else:
-        if src.pos >= sink.pos:
-            return None
-    return tuple(shift)
-
-
-def comparable(src: StaticRef, sink: StaticRef) -> bool:
-    """Is the src/sink relationship fully decided by :func:`solve_delta`?
-
-    True when both references share scope indices and differ by constant
-    subscript offsets — then either the solver found a valid shift, or
-    there provably is no earlier same-nest access (e.g. a write that a
-    later-element read follows, never precedes).  Such pairs must not be
-    resurrected by the coarser hull-overlap rungs.
-    """
-    if src.scope_indices() != sink.scope_indices():
-        return False
-    if len(src.subs) != len(sink.subs):
-        return False
-    return all(
-        _const_offset(k - s) is not None
-        for s, k in zip(src.subs, sink.subs)
-    )
+    lead = next((s for s in shift[:depth] if s), 0)
+    return None if lead < 0 else tuple(shift)
 
 
 class _Attributor:
@@ -237,6 +216,10 @@ class _Attributor:
         #: operations'
         self.regions = regions
         self.shift_calls = 0
+        #: same-array pairs outside the sink's uniformly generated set:
+        #: no constant shift exists, so the solver is never asked
+        self.ungrouped_pairs = 0
+        self.same_array = Counter((r.nest, r.array) for r in model.refs)
         #: finalized per-array union hull of each top-level nest
         self.nest_hulls: list[dict[str, Hull]] = [
             regions.footprint_by_array(nest) for nest in model.nests
@@ -250,8 +233,12 @@ class _Attributor:
 
     def publish(self) -> dict[str, int]:
         """End of the model: report the work as ``analysis.static.*``
-        counters — per memo its computations and its hits."""
-        work = {"shift_candidates": self.shift_calls}
+        counters — the shift rung's calls and ungrouped pairs, per memo
+        its computations and its hits."""
+        work = {
+            "shift_candidates": self.shift_calls,
+            "ungrouped_pairs": self.ungrouped_pairs,
+        }
         for table, name in MEMOS.items():
             work[name] = len(self.regions.tables[table])
             work[f"{table}_hits"] = self.regions.hits[table]
@@ -302,11 +289,12 @@ class _Attributor:
         prefix.
         """
         self.shift_calls += 1
+        group = self.model.uniform_sets[sink.nest, sink.uniform]
+        self.ungrouped_pairs += self.same_array[sink.nest, sink.array] - len(group)
         cands: list[tuple[tuple, tuple[int, ...], StaticRef, Poly, tuple]] = []
-        for src in self.model.nests[sink.nest]:
-            if src.array != sink.array:
-                continue  # solve_delta's first refusal, without its tuples
-            shift = solve_delta(src, sink)
+        for src in group:
+            question = shift_question(src, sink)
+            shift = self.regions.memo("shift", question, solve_shift, *question)
             if shift is None:
                 continue
             validity = self._shift_validity(src, sink, shift)
@@ -315,7 +303,7 @@ class _Attributor:
             count = ONE
             for lo, hi in validity:
                 count = count * Poly.from_affine(hi - lo + 1)
-            depth = shared_depth(src, sink)
+            depth = question[2]
             tshift: tuple[float, ...] = tuple(shift[:depth])
             if depth < len(sink.scope):
                 tshift = tshift + (float("inf"),)
@@ -704,7 +692,7 @@ class _Attributor:
                 for r in self.model.nests[sink.nest]
                 if r.array == sink.array
                 and r.ref_id != sink.ref_id
-                and not comparable(r, sink)
+                and r.uniform != sink.uniform  # decided by the shift rung
             ),
             key=lambda r: (r.pos >= sink.pos, abs(r.pos - sink.pos)),
         )

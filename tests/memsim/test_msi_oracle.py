@@ -3,15 +3,48 @@
 Hand-checkable streams pin the owner-tracking automaton: cold vs
 invalidation classification, write-invalidates-all, upgrades, the
 element → line reduction its callers make, and its miss accounting.
+:func:`scalar_msi` is the automaton access by access, the oracle the
+array version is compared with on random streams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.memsim.coherence import simulate_msi
 from repro.memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
+
+
+def scalar_msi(lines, writes, tids, threads):
+    """The automaton one access at a time: per line the valid set ``V``
+    and the ever set ``E`` as thread bitmasks.  Returns ``(lines, cold,
+    invalidations, upgrades, invalidation mask)`` as lists."""
+    valid: dict[int, int] = {}
+    ever: dict[int, int] = {}
+    cold = [0] * threads
+    inval = [0] * threads
+    upgrades = [0] * threads
+    mask = [False] * len(lines)
+    for i, (line, write, t) in enumerate(zip(lines, writes, tids)):
+        bit = 1 << t
+        v = valid.get(line, 0)
+        if not v & bit:
+            if ever.get(line, 0) & bit:
+                inval[t] += 1
+                mask[i] = True
+            else:
+                cold[t] += 1
+        if write:
+            if v & ~bit:
+                upgrades[t] += 1
+            valid[line] = bit
+        else:
+            valid[line] = v | bit
+        ever[line] = ever.get(line, 0) | bit
+    return len(ever), cold, inval, upgrades, mask
 
 
 def msi(lines, writes, tids, threads):
@@ -123,6 +156,14 @@ def test_thread_count_bounds():
     assert r.cold[62] == 1
 
 
+@pytest.mark.parametrize("tid", [2, 5, -1])
+def test_thread_id_out_of_range_names_the_id(tid):
+    # an id outside 0..threads-1 is a ValueError naming it, not an
+    # IndexError, a negative shift or a silently longer per-thread count
+    with pytest.raises(ValueError, match=rf"thread id {tid} .*0\.\.1"):
+        msi([0, 1, 0], [1, 0, 0], [0, tid, 1], 2)
+
+
 # -- line reduction and miss accounting ----------------------------------------
 
 
@@ -146,3 +187,51 @@ def test_misses_are_cold_plus_invalidations():
     # every miss is one or the other, and only invalidations are masked
     assert r.total_cold + r.total_invalidations == 3
     assert int(r.invalidation_mask.sum()) == r.total_invalidations
+
+
+# -- the array automaton against the scalar oracle ----------------------------
+
+
+def _agrees(lines, writes, tids, threads):
+    r = msi(lines, writes, tids, threads)
+    n_lines, cold, inval, upgrades, mask = scalar_msi(lines, writes, tids, threads)
+    assert r.accesses == len(lines) and r.lines == n_lines
+    assert r.cold.tolist() == cold
+    assert r.invalidations.tolist() == inval
+    assert r.upgrades.tolist() == upgrades
+    assert r.invalidation_mask.tolist() == mask
+
+
+@st.composite
+def streams(draw):
+    threads = draw(st.sampled_from([1, 2, 3, 4, 63]))
+    n = draw(st.integers(0, 60))
+    labels = draw(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["mixed", "all-write", "all-read"]))
+    if kind == "mixed":
+        writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        writes = [kind == "all-write"] * n
+    tids = draw(st.lists(st.integers(0, threads - 1), min_size=n, max_size=n))
+    return lines, writes, tids, threads
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams())
+@example(([], [], [], 1))
+@example(([5, -(10**12), 5, 5], [True] * 4, [62, 0, 0, 62], 63))
+@example(([10**12, 3, 10**12, 3], [False] * 4, [0, 1, 1, 0], 2))
+def test_array_automaton_matches_scalar_oracle(stream):
+    """Empty streams, 1 and 63 threads, all-write and all-read streams and
+    sparse line labels (large, negative) give the oracle's counts and mask."""
+    _agrees(*stream)
+
+
+def test_array_automaton_matches_scalar_oracle_on_a_long_stream():
+    rng = np.random.default_rng(7)
+    n = 5000
+    lines = rng.integers(0, 40, n) * 1009 - 7
+    writes = rng.random(n) < 0.3
+    tids = rng.integers(0, 8, n)
+    _agrees(lines.tolist(), writes.tolist(), tids.tolist(), 8)

@@ -103,8 +103,10 @@ def test_render_and_json_roundtrip():
 
 def test_attribution_reports_its_work_once_per_model():
     """One ``attribute`` span under ``static-reuse`` carries the ladder's
-    work — per memo its computations and its hits; the same integers
-    land in ``analysis.static.*``.  A second analysis of the same
+    work — per memo its computations and its hits, and the same-array
+    pairs the shift solver was never asked about (``ungrouped_pairs``:
+    not one uniformly generated set); the same integers land in
+    ``analysis.static.*``.  A second analysis of the same
     program reports the same integers, hits included: no memo survives
     from one model to the next."""
     from repro.obs import SpanCollector
@@ -121,7 +123,10 @@ def test_attribution_reports_its_work_once_per_model():
     assert inner.attrs["components"] == sum(
         len(c.components) for c in profile.classes
     )
-    work = ("shift_candidates", *MEMOS.values(), *(f"{t}_hits" for t in MEMOS))
+    work = (
+        "shift_candidates", "ungrouped_pairs",
+        *MEMOS.values(), *(f"{t}_hits" for t in MEMOS),
+    )
     for name in work:
         calls = inner.attrs[name]
         assert type(calls) is int and calls >= 0, name
@@ -130,6 +135,7 @@ def test_attribution_reports_its_work_once_per_model():
     for name in (
         "window_distance", "shift_candidates", "union_hulls", "eliminate",
         "hulls", "hull_hits", "compares", "compare_hits", "window_hits",
+        "shift_solves", "shift_hits", "ungrouped_pairs",
     ):
         assert inner.attrs[name] > 0, name
     # a second model starts its own count: same program, same integers
@@ -142,7 +148,7 @@ def test_attribution_reports_its_work_once_per_model():
 def test_solve_delta_keeps_strided_shifts_exact():
     """Stride-2 subscripts: an even offset is one iteration back, an odd
     one is no iteration at all — never a float 0.5 rounded either way."""
-    from repro.static import build_model, solve_delta
+    from repro.static import build_model, shift_question, solve_shift
 
     model = build_model(
         build(
@@ -161,10 +167,11 @@ def test_solve_delta_keeps_strided_shifts_exact():
     assert [str(r.subs[0]) for r in (even, odd, write, later)] == [
         "2*i - 2", "2*i - 1", "2*i", "2*i",
     ]
-    assert solve_delta(write, even) == (1,)
-    assert solve_delta(write, odd) is None
-    assert solve_delta(odd, even) is None
-    shift = solve_delta(write, later)
+    assert write.uniform == even.uniform == odd.uniform == later.uniform
+    assert solve_shift(*shift_question(write, even)) == (1,)
+    assert solve_shift(*shift_question(write, odd)) is None
+    assert solve_shift(*shift_question(odd, even)) is None
+    shift = solve_shift(*shift_question(write, later))
     assert shift == (0,) and type(shift[0]) is int
 
 

@@ -28,10 +28,7 @@ GOLDEN = Path(__file__).with_name("golden_reuse_profiles.json")
 PROGRAMS = ("adi", "fft", "sp", "sweep3d", "swim", "tomcatv")
 
 #: variants whose analysis takes about a second or more
-SLOW = {
-    ("sp", "mckinley"), ("sp", "fusion1"), ("sp", "fusion"), ("sp", "new"),
-    ("swim", "fusion"), ("swim", "new"),
-}
+SLOW = {("sp", "fusion1"), ("sp", "fusion"), ("sp", "new")}
 
 
 def profile_digest(name: str, level: str) -> str:

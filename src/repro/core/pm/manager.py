@@ -3,10 +3,9 @@ owning every cross-cutting concern.
 
 A manager holds a **trie of pass steps** rooted at its source program
 (DESIGN §3.1).  A node is one compilation state: the program after a
-pass prefix, the :class:`PassContext` deposits so far and, while needed,
-the program's dependence snapshot.  An edge is a :class:`PassStep`; a
-pass that returns its input program and deposits nothing loops back to
-the node it left.  ``run(spec)`` walks from the root and
+pass prefix and the :class:`PassContext` deposits so far.  An edge is a
+:class:`PassStep`; a pass that returns its input program and deposits
+nothing loops back to the node it left.  ``run(spec)`` walks from the root and
 
 * **executes** a pass only where no walk has yet — passes are pure (see
   :mod:`~repro.core.pm.passes`).  A shared step emits no pass
@@ -33,20 +32,17 @@ process, and a walk reports what *it* ran (``CompiledVariant.passes_run``
 that executed it.  The trie is small (a full seven-level trie of sp
 retains 5.7 MB) and dies with its program.
 
-Snapshots are the only large state (sp: 29.9 MB each) and must not live
-that long.  A node keeps its snapshot only while a *declared* edge out
-of it awaits its verdict: a search wraps its verified walks in
-``with manager.declared(specs)`` (``run`` declares its own) and a node
-drops the snapshot with its last such edge; when the scope ends —
-normally or not — the declarations are withdrawn and no node holds one.
+Snapshots are the only large state, and a snapshot lives in the walk
+that took it: a verified walk keeps the snapshot of its last certified
+state in a local, so at most two (before and after the pass being
+certified) are alive at once and none outlives the walk.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from ...lang import Program, validate
 from ...obs import current_collector, metrics, span
@@ -85,35 +81,16 @@ class CompiledVariant:
 class _Node:
     """One compilation state of the manager's source program."""
 
-    __slots__ = (
-        "program", "ctx", "children", "declared", "bags", "snapshot", "valid"
-    )
+    __slots__ = ("program", "ctx", "children", "bags", "valid")
 
-    def __init__(self) -> None:
-        #: program and deposits in this state; None until a walk reaches it
-        self.program: Optional[Program] = None
-        self.ctx: Optional[PassContext] = None
+    def __init__(self, program: Program, ctx: PassContext) -> None:
+        self.program = program
+        self.ctx = ctx
         self.children: dict[PassStep, _Node] = {}
-        #: out-edges a declared (verified) walk is still to cross
-        self.declared: set[PassStep] = set()
         #: legality verdict per certified out-edge
         self.bags: dict[PassStep, DiagnosticBag] = {}
-        self.snapshot: Optional[Snapshot] = None
         #: ``validate(program)`` has passed (a walk that ended here ran it)
         self.valid = False
-
-    def awaited(self) -> bool:
-        """Does a declared edge out of this node still await its verdict?"""
-        pending = self.declared - self.bags.keys()
-        return any(PASSES[step.name].certify for step in pending)
-
-    def absorb(self, other: "_Node") -> None:
-        """Fold ``other`` — declared but never reached — into this node."""
-        self.declared |= other.declared
-        for step, child in other.children.items():
-            mine = self.children.setdefault(step, child)
-            if mine is not child:
-                mine.absorb(child)
 
 
 class PassManager:
@@ -137,13 +114,8 @@ class PassManager:
         self.program = program
         self.verify_params = verify_params
         self.verify_steps = verify_steps
-        #: open ``declared`` scopes; the outermost withdraws on exit
-        self._scopes = 0
-        self.root = _Node()
-        self.root.program = program
-        self.root.ctx = PassContext(
-            regroup_options=regroup_options, stages={"input": program.stats()}
-        )
+        stages = {"input": program.stats()}
+        self.root = _Node(program, PassContext(regroup_options, stages=stages))
 
     @classmethod
     def of(cls, program: Program) -> "PassManager":
@@ -159,38 +131,6 @@ class PassManager:
             manager = program.__dict__["_pass_manager"] = cls(program)
         return manager
 
-    @contextmanager
-    def declared(self, specs: Iterable[PipelineSpec]) -> Iterator[None]:
-        """Announce the verified walks of one search, so every node knows
-        how long its snapshot is needed; when the (outermost) scope ends,
-        however it ends, the declarations are withdrawn and every
-        snapshot is dropped."""
-        self._scopes += 1
-        try:
-            for spec in specs:
-                node = self.root
-                for step in spec.steps:
-                    node.declared.add(step)
-                    node = node.children.setdefault(step, _Node())
-            yield
-        finally:
-            self._scopes -= 1
-            if not self._scopes:
-                for node in self._nodes():
-                    node.declared.clear()
-                    node.snapshot = None
-
-    def _nodes(self) -> list[_Node]:
-        """Every node of the trie, reached by a walk or only declared."""
-        seen = {id(self.root): self.root}
-        stack = [self.root]
-        while stack:
-            for child in stack.pop().children.values():
-                if id(child) not in seen:
-                    seen[id(child)] = child
-                    stack.append(child)
-        return list(seen.values())
-
     def run(
         self, spec: PipelineSpec, verify: Union[bool, PassVerifier] = False
     ) -> CompiledVariant:
@@ -202,27 +142,20 @@ class PassManager:
         that) also gets every verdict, fresh or replayed, appended to its
         ``history``.
         """
-        if not verify:
-            return self._walk(spec, False)
-        with self.declared([spec]):
-            return self._walk(spec, verify)
-
-    def _walk(
-        self, spec: PipelineSpec, verify: Union[bool, PassVerifier]
-    ) -> CompiledVariant:
         metrics.inc("pm.pipeline.runs")
         node = anchor = self.root
+        before: Optional[Snapshot] = None  # of ``anchor``, once taken
         shared = 0
         for step in spec.steps:
             parent, node = node, node.children.get(step)
-            if node is not None and node.program is not None:
+            if node is not None:
                 shared += 1
                 metrics.inc("pm.pass.shared")
             else:
                 node = self._run_step(parent, step)
             if PASSES[step.name].certify:
                 if verify:
-                    self._certify(anchor, parent, step, verify)
+                    before = self._certify(anchor, before, parent, step, verify)
                 anchor = node
         if not node.valid:
             validate(node.program)
@@ -242,7 +175,6 @@ class PassManager:
     def _run_step(self, parent: _Node, step: PassStep) -> _Node:
         """Run ``step`` on ``parent``'s state — no walk has yet — and
         return the state it leads to."""
-        node = parent.children.setdefault(step, _Node())
         metrics.inc("pm.pass.runs")
         metrics.inc(f"pm.pass.{step.name}.runs")
         ctx = replace(parent.ctx, stages=dict(parent.ctx.stages))
@@ -260,43 +192,41 @@ class PassManager:
         if step.checkpoint:
             ctx.stages[step.checkpoint] = result.stats()
         if result is parent.program and ctx == parent.ctx:
-            # the pass changed nothing here: the edge loops back
-            parent.children[step] = parent
-            parent.absorb(node)
-            return parent
-        node.program, node.ctx = result, ctx
+            node = parent  # the pass changed nothing here: the edge loops back
+        else:
+            node = _Node(result, ctx)
+        parent.children[step] = node
         return node
 
     def _certify(
         self,
         anchor: _Node,
+        before: Optional[Snapshot],
         parent: _Node,
         step: PassStep,
         verify: Union[bool, PassVerifier],
-    ) -> None:
+    ) -> Optional[Snapshot]:
         """Check ``parent``'s out-edge ``step`` against ``anchor``'s
-        snapshot, or replay its verdict; raises on a broken dependence
-        either way."""
+        snapshot ``before`` (taken here if the walk has none), or replay
+        its verdict; raises on a broken dependence either way.  Returns
+        the snapshot of the state the edge leads to, if one was taken."""
+        after = None
         bag = parent.bags.get(step)
         if bag is not None:
             metrics.inc("pm.certify.shared")
         else:
-            node = parent.children[step]
             with span("verify", certifies=step.name):
-                before = anchor.snapshot
                 if before is None:
                     before = self._snapshot(anchor.program)
-                after = self._snapshot(node.program)
+                after = self._snapshot(parent.children[step].program)
                 bag = parent.bags[step] = check_legality(
                     before, after, pass_name=step.name, strict=PASSES[step.name].strict
                 )
-            anchor.snapshot = before if anchor.awaited() else None
-            if not bag.has_errors():
-                node.snapshot = after if node.awaited() else None
         if isinstance(verify, PassVerifier):
             verify.record(step.name, bag)
         elif bag.has_errors():
             raise PassLegalityError.from_bag(f"pass {step.name!r}", bag)
+        return after
 
     def _snapshot(self, program: Program) -> Snapshot:
         return snapshot_program(program, self.verify_params, self.verify_steps)

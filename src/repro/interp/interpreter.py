@@ -98,10 +98,14 @@ class Interpreter:
             lo = self._eval_int(stmt.lower)
             hi = self._eval_int(stmt.upper)
             env = self._env
+            outer = env.get(stmt.index)  # a caller's loop of the same name
             for i in range(lo, hi + 1):
                 env[stmt.index] = i
                 self.exec_body(stmt.body)
-            env.pop(stmt.index, None)
+            if outer is None:
+                env.pop(stmt.index, None)
+            else:
+                env[stmt.index] = outer
         elif isinstance(stmt, Guard):
             value = self._env.get(stmt.index)
             if value is None:
@@ -112,10 +116,10 @@ class Interpreter:
                 self.exec_body(stmt.else_body)
         elif isinstance(stmt, CallStmt):
             proc = self.program.procedure(stmt.proc)
-            saved = {}
-            for formal, arg in zip(proc.formals, stmt.args):
-                saved[formal] = self._env.get(formal)
-                self._env[formal] = self._eval_int(arg)
+            saved = {formal: self._env.get(formal) for formal in proc.formals}
+            # every argument in the caller's bindings, then all bound at once
+            args = [self._eval_int(arg) for arg in stmt.args]
+            self._env.update(zip(proc.formals, args))
             self.exec_body(proc.body)
             for formal, old in saved.items():
                 if old is None:

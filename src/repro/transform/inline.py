@@ -17,8 +17,15 @@ _MAX_DEPTH = 32
 
 
 def _expand(
-    stmt: Stmt, program: Program, fresh: FreshNames, depth: int
+    stmt: Stmt,
+    program: Program,
+    fresh: FreshNames,
+    depth: int,
+    enclosing: frozenset[str] = frozenset(),
 ) -> list[Stmt]:
+    """Inline the calls in ``stmt``, which sits inside loops over the
+    ``enclosing`` indices: a callee's loops are renamed away from them
+    (an argument may name one) as well as from the formals."""
     if isinstance(stmt, CallStmt):
         if depth > _MAX_DEPTH:
             raise TransformError(
@@ -28,22 +35,23 @@ def _expand(
         bindings = dict(zip(proc.formals, stmt.args))
         out: list[Stmt] = []
         for s in proc.body:
-            renamed = rename_bound(s, set(bindings), fresh)
+            renamed = rename_bound(s, set(bindings) | enclosing, fresh)
             substituted = subst_stmt(renamed, bindings)
-            out.extend(_expand(substituted, program, fresh, depth + 1))
+            out.extend(_expand(substituted, program, fresh, depth + 1, enclosing))
         return out
     if isinstance(stmt, Loop):
+        inner = enclosing | {stmt.index}
         body: list[Stmt] = []
         for s in stmt.body:
-            body.extend(_expand(s, program, fresh, depth))
+            body.extend(_expand(s, program, fresh, depth, inner))
         return [stmt.with_body(body)]
     if isinstance(stmt, Guard):
         body = []
         for s in stmt.body:
-            body.extend(_expand(s, program, fresh, depth))
+            body.extend(_expand(s, program, fresh, depth, enclosing))
         else_body: list[Stmt] = []
         for s in stmt.else_body:
-            else_body.extend(_expand(s, program, fresh, depth))
+            else_body.extend(_expand(s, program, fresh, depth, enclosing))
         return [Guard(stmt.index, stmt.intervals, tuple(body), tuple(else_body))]
     return [stmt]
 

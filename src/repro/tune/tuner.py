@@ -240,10 +240,9 @@ class TuneResult:
 
 
 def _program_params(program: Program, size: Mapping[str, int]) -> dict:
-    """Restrict a size binding to the program's declared parameters
+    """Restrict a size binding to the program's own parameters
     (fft bakes its size in, so its binding carries a build-only ``n``)."""
-    declared = set(program.params)
-    return {k: v for k, v in size.items() if k in declared}
+    return {k: v for k, v in size.items() if k in program.params}
 
 
 def _score_profile(
@@ -443,19 +442,15 @@ def tune(request: TuneRequest) -> TuneResult:
     named: list[CandidateScore] = []
     candidates: list[CandidateScore] = []
     t0 = time.perf_counter()
-    # declared, so a snapshot dies when used up — and with the search
-    with manager.declared(grid if request.verify else ()):
-        for index, (label, spec, kind) in enumerate(work):
-            with spec_logging(
-                log, index, name, label, memory=bool(cfg and cfg.memory)
-            ):
-                result = evaluate_candidate(
-                    manager, label, kind, spec, steps, sizes, l1_elems,
-                    l2_elems, request.objective, request.threads,
-                    request.schedule, request.verify and kind == "candidate",
-                    tcache, seen_text,
-                )
-            (named if kind == "named" else candidates).append(result)
+    for index, (label, spec, kind) in enumerate(work):
+        with spec_logging(log, index, name, label, memory=bool(cfg and cfg.memory)):
+            result = evaluate_candidate(
+                manager, label, kind, spec, steps, sizes, l1_elems,
+                l2_elems, request.objective, request.threads,
+                request.schedule, request.verify and kind == "candidate",
+                tcache, seen_text,
+            )
+        (named if kind == "named" else candidates).append(result)
 
     candidates.sort(key=lambda c: (c.score, len(c.spec.steps), c.label))
 

@@ -9,8 +9,8 @@ order, together with
   indices) is folded away and every memory read is named by the cell it
   touches and the *write epoch* it observes;
 * the list of ``(cell, epoch)`` reads the instance performs;
-* the source text and iteration vector of the statement instance, for
-  diagnostics.
+* the assignment (its text is rendered only when a diagnostic reads
+  it) and the iteration vector of the statement instance.
 
 The ``epoch`` of a read is the number of writes the cell has received so
 far (0-based index of the producing write; ``-1`` means the initial
@@ -24,8 +24,11 @@ Signatures are substitution-invariant on purpose: after unrolling, index
 ``i`` becomes a literal, but ``IndexVar`` leaves fold to their concrete
 value either way, so the unrolled instance matches the original one.
 No floating-point program semantics are involved — snapshots never
-evaluate array contents, only subscripts and bounds (exact rational
-arithmetic, same as the interpreter's `_eval_int`).
+evaluate array contents, only subscripts, bounds and call arguments.
+Each of those is folded once per AST node at the snapshot's parameters
+into the tracers' record ``(const, ((name, coeff), ...))`` and evaluated
+per instance in ``int`` arithmetic; a value that is not an integer is a
+:class:`~repro.lang.ValidationError`, as in the interpreter.
 
 Cells are canonicalized across array splitting: a split array's
 :class:`~repro.lang.SliceOrigin` chain maps its cells back to cells of
@@ -37,10 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ..lang import (
-    Affine,
     ArrayRef,
     Assign,
     BinOp,
@@ -82,14 +84,18 @@ def format_cell(cell: Cell) -> str:
     return f"{name}[{', '.join(str(i) for i in idx)}]"
 
 
-@dataclass(frozen=True)
-class WriteInstance:
+class WriteInstance(NamedTuple):
     """One dynamic write to one cell."""
 
-    stmt: str  #: source text of the assignment
+    assign: Assign  #: the assignment; rendered only when a diagnostic asks
     iters: tuple[tuple[str, int], ...]  #: loop-index bindings at the write
     sig: object  #: constant-folded expression skeleton (hashable)
     reads: tuple[tuple[Cell, int], ...]  #: (cell, epoch observed)
+
+    @property
+    def stmt(self) -> str:
+        """Source text of the assignment."""
+        return str(self.assign)
 
     def location(self) -> str:
         if not self.iters:
@@ -114,59 +120,86 @@ class Snapshot:
         return sum(len(chain) for chain in self.writes.values())
 
 
-def _slice_chain(origin: Optional[SliceOrigin]) -> tuple[str, list[SliceOrigin]]:
-    """Root array name + steps ordered origin-first (leaf split first)."""
-    chain: list[SliceOrigin] = []
-    step = origin
-    while step is not None:
-        chain.append(step)
-        step = step.parent
-    return chain[-1].name, chain
+#: a subscript, bound or argument folded at the walk's parameters: the
+#: node (for the error message), then the tracers' record ``(const,
+#: ((name, coeff), ...))`` over the names left free, exact (a coefficient
+#: or constant is a ``Fraction`` only when genuinely fractional)
+_Record = tuple[object, "int | Fraction", tuple[tuple[str, "int | Fraction"], ...]]
 
 
 class _Walker:
-    """Mirrors the interpreter's control flow without touching data."""
+    """Mirrors the interpreter's control flow without touching data.
+
+    Every subscript, loop bound and call argument is folded once per AST
+    node into a :data:`_Record` (the program outlives the walk, so node
+    identity is a safe key); an instance evaluates it with ``int``
+    arithmetic.
+    """
 
     def __init__(self, program: Program, params: Mapping[str, int]) -> None:
         self.program = program
         self.env: dict[str, int] = {k: int(v) for k, v in params.items()}
+        # a formal shadows a parameter of its name inside the procedure
+        formals = {f for proc in program.procedures for f in proc.formals}
+        self.fixed = {k: v for k, v in self.env.items() if k not in formals}
         self.writes: dict[Cell, list[WriteInstance]] = {}
         self.iters: list[tuple[str, int]] = []
-        # affine form per subscript / bound node, lowered once per walk
-        # (the program outlives the walk, so node identity is a safe key)
-        self.forms: dict[int, Affine] = {}
-        # canonical cell mapping for split arrays: name -> (root, chain)
+        self.records: dict[int, list[_Record]] = {}
+        self.cells: dict[int, tuple[str, list[_Record]]] = {}
+        # split arrays: the root declaration's name, and the splits that
+        # removed a dimension each, leaf split first
         self.canon: dict[str, tuple[str, list[SliceOrigin]]] = {}
         for decl in program.arrays:
-            if decl.origin_slice is not None:
-                self.canon[decl.name] = _slice_chain(decl.origin_slice)
+            chain, step = [], decl.origin_slice
+            while step is not None:
+                chain.append(step)
+                step = step.parent
+            if chain:
+                self.canon[decl.name] = (chain[-1].name, chain)
 
-    # -- cells ---------------------------------------------------------------
+    # -- folding and evaluation -----------------------------------------------
+
+    def record(self, expr: Expr) -> _Record:
+        form = expr.affine().substitute(self.fixed)
+        return (expr, form.const, form.coeffs)
+
+    def fold(self, node: Stmt, exprs: Sequence[Expr]) -> list[_Record]:
+        """The records of ``exprs``, the bounds or arguments of ``node``."""
+        records = self.records.get(id(node))
+        if records is None:
+            records = self.records[id(node)] = [self.record(e) for e in exprs]
+        return records
+
+    def values(self, records: list[_Record]) -> list[int]:
+        env = self.env
+        out = []
+        for expr, value, terms in records:
+            for name, coeff in terms:
+                value += coeff * env[name]
+            if value.__class__ is not int:
+                if value.denominator != 1:
+                    raise ValidationError(
+                        f"non-integral subscript/bound {expr} = {value}"
+                    )
+                value = int(value)
+            out.append(value)
+        return out
 
     def cell_of(self, ref: ArrayRef) -> Cell:
-        idx = tuple(self.eval_int(sub) for sub in ref.indices)
-        mapping = self.canon.get(ref.array)
-        if mapping is None:
-            return (ref.array, idx)
-        root, chain = mapping
-        out = list(idx)
-        for step in chain:  # leaf split first: dims relative to parent shape
-            out.insert(step.dim, step.index)
-        return (root, tuple(out))
+        folded = self.cells.get(id(ref))
+        if folded is None:
+            # a split array's cell is its root's: the slice indices its
+            # splits removed come back as constant records
+            records = [self.record(sub) for sub in ref.indices]
+            root, chain = self.canon.get(ref.array, (ref.array, ()))
+            for step in chain:
+                records.insert(step.dim, (None, step.index, ()))
+            folded = self.cells[id(ref)] = (root, records)
+        root, records = folded
+        return (root, tuple(self.values(records)))
 
     def epoch_of(self, cell: Cell) -> int:
         return len(self.writes.get(cell, ())) - 1
-
-    # -- evaluation -----------------------------------------------------------
-
-    def eval_int(self, expr: Expr) -> int:
-        form = self.forms.get(id(expr))
-        if form is None:
-            form = self.forms[id(expr)] = expr.affine()
-        value = form.evaluate(self.env)
-        if value.denominator != 1:
-            raise ValidationError(f"non-integral subscript/bound {expr} = {value}")
-        return value
 
     def signature(
         self, expr: Expr, reads: list[tuple[Cell, int]]
@@ -220,22 +253,17 @@ class _Walker:
                 cell = self.cell_of(stmt.target)
             else:
                 cell = scalar_cell(stmt.target.name)
-            inst = WriteInstance(
-                stmt=str(stmt),
-                iters=tuple(self.iters),
-                sig=sig,
-                reads=tuple(reads),
-            )
+            inst = WriteInstance(stmt, tuple(self.iters), sig, tuple(reads))
             self.writes.setdefault(cell, []).append(inst)
         elif isinstance(stmt, Loop):
-            lo = self.eval_int(stmt.lower)
-            hi = self.eval_int(stmt.upper)
+            lo, hi = self.values(self.fold(stmt, (stmt.lower, stmt.upper)))
+            outer = self.env.get(stmt.index)  # a caller's loop of the same name
             for i in range(lo, hi + 1):
                 self.env[stmt.index] = i
                 self.iters.append((stmt.index, i))
                 self.walk_body(stmt.body)
                 self.iters.pop()
-            self.env.pop(stmt.index, None)
+            _rebind(self.env, stmt.index, outer)
         elif isinstance(stmt, Guard):
             value = self.env.get(stmt.index)
             if value is None:
@@ -249,18 +277,22 @@ class _Walker:
                 self.walk_body(stmt.else_body)
         elif isinstance(stmt, CallStmt):
             proc = self.program.procedure(stmt.proc)
-            saved: dict[str, Optional[int]] = {}
-            for formal, arg in zip(proc.formals, stmt.args):
-                saved[formal] = self.env.get(formal)
-                self.env[formal] = self.eval_int(arg)
+            saved = {formal: self.env.get(formal) for formal in proc.formals}
+            args = self.values(self.fold(stmt, stmt.args))
+            self.env.update(zip(proc.formals, args))
             self.walk_body(proc.body)
             for formal, old in saved.items():
-                if old is None:
-                    self.env.pop(formal, None)
-                else:
-                    self.env[formal] = old
+                _rebind(self.env, formal, old)
         else:
             raise ValidationError(f"cannot snapshot {type(stmt).__name__}")
+
+
+def _rebind(env: dict[str, int], name: str, old: Optional[int]) -> None:
+    """Restore ``name``'s binding from before a loop or call bound it."""
+    if old is None:
+        env.pop(name, None)
+    else:
+        env[name] = old
 
 
 def _fold(op: str, lhs: Fraction, rhs: Fraction) -> Fraction:

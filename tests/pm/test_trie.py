@@ -33,6 +33,17 @@ def _counters(*names):
     return [snap.get(name, 0) for name in names]
 
 
+def _states(manager):
+    """Every node of ``manager``'s trie."""
+    seen, stack = {}, [manager.root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children.values())
+    return list(seen.values())
+
+
 @pytest.fixture
 def test_pass(monkeypatch):
     """Add throwaway passes (strict, certified unless told otherwise) to
@@ -129,7 +140,7 @@ def test_prefix_compiled_unverified_is_certified_when_crossed_verified():
     floor = live_snapshots()
     manager.run(spec, verify=False)
     assert live_snapshots() == floor, "an unverified walk takes no snapshot"
-    assert not any(node.bags for node in manager._nodes())
+    assert not any(node.bags for node in _states(manager))
     runs, replays = _counters("pm.pass.runs", "pm.certify.shared")
     verifier = PassVerifier(SMALL)
     manager.run(spec, verify=verifier)
@@ -164,35 +175,31 @@ def test_every_registered_pass_is_pure(app):
         assert to_source(inlined) == before, f"{name} mutated its input"
 
 
-# -- (f) snapshots do not outlive their use ------------------------------------
+# -- (f) a snapshot lives in the walk that took it -----------------------------
 
 
-def _reached(manager):
-    return [node for node in manager._nodes() if node.program is not None]
+def test_declared_search_keeps_no_snapshot_it_does_not_need(monkeypatch):
+    """A grid search keeps only what the verified walk in flight needs:
+    the snapshots before and after the pass being certified, and none
+    once the search is over."""
+    import repro.core.pm.manager as manager_module
 
-
-def test_declared_search_keeps_no_snapshot_it_does_not_need():
-    program = resolve_target("tomcatv").program
-    grid = enumerate_candidates(
-        enablers=("unroll", "distribute"), fusion_levels=(0, 1, 2)
-    )
     floor = live_snapshots()
+    alive = []
+    real_check = manager_module.check_legality
+
+    def counting(before, after, **options):
+        alive.append(live_snapshots() - floor)
+        return real_check(before, after, **options)
+
+    monkeypatch.setattr(manager_module, "check_legality", counting)
+    program = resolve_target("tomcatv").program
+    grid = enumerate_candidates(enablers=("distribute",), fusion_levels=(0, 1, 2))
     manager = PassManager(program, verify_params={"N": 6})
-    peak = 0
-    with manager.declared(grid):
-        for spec in grid:
-            manager.run(spec, verify=True)
-            nodes = _reached(manager)
-            holders = [n for n in nodes if n.snapshot is not None]
-            # open branch points: a declared edge out of them awaits its verdict
-            assert all(n.awaited() for n in holders), spec.name
-            live = live_snapshots() - floor
-            assert live == len(holders), spec.name
-            peak = max(peak, live)
-        assert peak >= 3, "the bound must have been exercised"
-        # everything declared is certified: nothing is awaited, nothing kept
-        assert not any(n.awaited() for n in _reached(manager))
-        assert live_snapshots() == floor
+    for spec in grid:
+        manager.run(spec, verify=True)
+    assert alive and max(alive) == 2
+    assert live_snapshots() == floor
 
 
 # -- satellite: one validate, in one place -------------------------------------

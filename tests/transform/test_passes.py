@@ -13,6 +13,7 @@ from repro.transform import (
     split_arrays,
     unroll_small_loops,
 )
+from repro.verify import snapshot_program, verify_pass
 
 from conftest import assert_same_semantics, build
 
@@ -68,6 +69,49 @@ class TestInline:
         )
         q = inline_procedures(p)
         assert_same_semantics(p, q)
+
+    @pytest.mark.parametrize("trailing", ["B[j] = A[1, j]", ""])
+    def test_callee_loop_keeps_the_caller_index(self, trailing):
+        """The callee's ``j`` neither unbinds the caller's ``j`` when its
+        loop ends nor captures it when inlined."""
+        p = build(
+            f"""
+            program t
+            param N
+            real A[N, N], B[N]
+            proc row(r) {{
+              for j = 1, N {{ A[j, r] = f(A[j, r]) }}
+            }}
+            for j = 1, N {{
+              call row(j)
+              {trailing}
+            }}
+            """
+        )
+        snapshot_program(p)
+        q = inline_procedures(p)
+        assert_same_semantics(p, q)
+        bag = verify_pass(p, q, pass_name="inline")
+        assert not bag.has_errors(), bag.render()
+
+    def test_call_binds_its_arguments_at_once(self):
+        """``call p(b, a)`` from loops over ``a`` and ``b`` swaps them: no
+        argument sees a formal the call has already bound."""
+        p = build(
+            """
+            program t
+            param N
+            real A[N, N]
+            proc p(a, b) { A[a, b] = f(A[b, a]) }
+            for a = 1, N {
+              for b = 1, N { call p(b, a) }
+            }
+            """
+        )
+        q = inline_procedures(p)
+        assert_same_semantics(p, q)
+        bag = verify_pass(p, q, pass_name="inline")
+        assert not bag.has_errors(), bag.render()
 
     def test_recursion_detected(self):
         p = parse(

@@ -4,6 +4,7 @@ observability, and the check_baseline CI gate."""
 import json
 
 import pytest
+from conftest import live_snapshots
 
 from repro.core.pm import OPT_LEVELS, PASSES, PassManager
 from repro.lang import ReproError, validate
@@ -242,7 +243,9 @@ class TestPrefixSharing:
         assert counts == {
             "pm.pass.runs": 27, "pm.pass.shared": 40, "pm.certify.shared": 20,
         }
-        assert snapshots == 9  # the source + 8 distinct certified passes
+        # 8 distinct certified passes, each snapshotted after; 4 walks
+        # took their own snapshot before (a snapshot lives in its walk)
+        assert snapshots == 12
         evaluate = [e for e in spans if e["name"] == "tune-evaluate"]
         assert len(evaluate) == len(result.named) + len(result.candidates)
         assert sum(e["attrs"]["shared_steps"] for e in evaluate) == 40
@@ -261,8 +264,10 @@ class TestPrefixSharing:
         assert len(result.candidates) == 160
         assert counts["pm.pass.runs"] == 76
         assert counts["pm.pass.runs"] + counts["pm.pass.shared"] == 1011
-        assert snapshots == 47  # the source + 46 distinct certified passes
-        assert snapshots - 1 + counts["pm.certify.shared"] == 896
+        # 46 distinct certified passes, each snapshotted after; 26 walks
+        # took their own snapshot before, of the source or a shared prefix
+        assert snapshots == 72
+        assert counts["pm.certify.shared"] == 896 - 46
 
     def test_trie_dies_with_the_search(self, monkeypatch, tmp_path):
         """Snapshots die with the search, the trie dies with the program
@@ -273,12 +278,13 @@ class TestPrefixSharing:
 
         program = validate(registry.get("adi").build())
         search = dict(program=program, name="adi", sizes=[{"N": 100}])
+        floor = live_snapshots()
         first, counts, snapshots, _ = self._search(
             monkeypatch, tmp_path / "1", **search
         )
-        assert (counts["pm.pass.runs"], snapshots) == (27, 9)
+        assert (counts["pm.pass.runs"], snapshots) == (27, 12)
+        assert live_snapshots() == floor
         manager = PassManager.of(program)
-        assert not any(n.snapshot or n.declared for n in manager._nodes())
         again, counts, snapshots, _ = self._search(
             monkeypatch, tmp_path / "2", **search
         )

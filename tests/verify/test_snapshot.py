@@ -1,7 +1,9 @@
 """Access-snapshot tests: write chains, epochs, substitution invariance,
 and split-array cell canonicalization."""
 
-from repro.lang import parse, validate
+import pytest
+
+from repro.lang import ValidationError, parse, validate
 from repro.transform import split_arrays, unroll_small_loops
 from repro.verify import (
     format_cell,
@@ -144,5 +146,33 @@ def test_default_params_used_when_absent():
     assert s.write_count() == 8
 
 
+def test_a_formal_shadows_the_parameter_of_its_name():
+    s = snap(
+        """
+        program t
+        param N
+        real A[N]
+        proc p(N) { A[N] = 1.0 }
+        call p(2)
+        """,
+        {"N": 4},
+    )
+    assert s.cells() == {("A", (2,))}
+
+
 def test_format_cell():
     assert format_cell(("A", (2, 3))) == "A[2, 3]"
+
+
+def test_non_integral_subscript_is_a_validation_error():
+    # validates (the subscript is affine), but at i = 1 it names no cell
+    source = """
+    program t
+    param N
+    real A[N], B[N]
+    for i = 1, N { B[i] = A[i / 2] }
+    """
+    with pytest.raises(ValidationError) as err:
+        snap(source, {"N": 4})
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "non-integral subscript/bound (i / 2) = 1/2"

@@ -18,7 +18,7 @@ from .constraint import (
     symbolic_max,
     symbolic_min,
 )
-from .dependence import body_dependence_graph, depends
+from .dependence import body_dependence_graph, depends, distribution_groups
 from .embedding import EmbedPoint, embed_after, embed_before
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "collect_stmt_accesses",
     "compute_alignment",
     "depends",
+    "distribution_groups",
     "embed_after",
     "embed_before",
     "pair_conflict",

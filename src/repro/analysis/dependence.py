@@ -9,14 +9,13 @@ Two views are provided:
   statements of one loop body, with loop-carried direction resolved where
   the iteration coupling is a known constant.  Loop distribution keeps the
   strongly connected components of this graph together (the classic
-  Allen–Kennedy condition).
+  Allen–Kennedy condition) and emits them in ``distribution_groups``
+  order.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import networkx as nx
 
 from ..lang import Assumptions, Loop
 from .access import RefAccess, collect_loop_accesses
@@ -61,11 +60,12 @@ def _edge_directions(conflict: Conflict) -> tuple[bool, bool]:
 
 def body_dependence_graph(
     loop: Loop, params: Sequence[str], assume: Assumptions
-) -> nx.DiGraph:
+) -> list[list[int]]:
     """Dependence graph over the direct statements of ``loop``'s body.
 
-    Node ``k`` is ``loop.body[k]``; an edge u -> v means v must not move
-    before u.
+    Adjacency lists: node ``k`` is ``loop.body[k]`` and ``v in graph[u]``
+    means v must not move before u; successors are in insertion order
+    (pairs ``a < b`` in order, ``a -> b`` before ``b -> a``).
     """
     # each statement (an inner loop included) as a statement of the
     # outer body, classified relative to the outer frame
@@ -73,8 +73,7 @@ def body_dependence_graph(
         collect_loop_accesses(Loop(loop.index, loop.lower, loop.upper, (stmt,)), params)
         for stmt in loop.body
     ]
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(loop.body)))
+    graph: list[list[int]] = [[] for _ in loop.body]
     for a in range(len(loop.body)):
         for b in range(a + 1, len(loop.body)):
             fwd = bwd = False
@@ -96,7 +95,77 @@ def body_dependence_graph(
                 if fwd and bwd:
                     break
             if fwd:
-                graph.add_edge(a, b)
+                graph[a].append(b)
             if bwd:
-                graph.add_edge(b, a)
+                graph[b].append(a)
     return graph
+
+
+def distribution_groups(graph: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The strongly connected components of ``graph``, in emission order.
+
+    Each group is a component's sorted members.  Components are numbered
+    as Tarjan's algorithm with Nuutila's modification completes them
+    (roots ``0..n-1``, successors in adjacency order); the condensation
+    is then emitted by topological generations: the components without
+    predecessors in id order, then the children each one releases, in
+    the order their edges first appear.  That is not source order
+    (``{0->2, 0->3, 1->2, 1->4}`` emits ``[0] [1] [3] [2] [4]``), but
+    every compiled variant depends on it, so it is pinned bit for bit
+    (``tests/analysis/golden_distribution_orders.json``).
+    """
+    n = len(graph)
+    preorder = [0] * n  # 0 = not visited yet
+    lowlink = [0] * n
+    comp = [-1] * n
+    scans = [iter(succ) for succ in graph]  # each node's resumable DFS scan
+    pending: list[int] = []
+    groups: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        path = [root]
+        while path:
+            v = path[-1]
+            if not preorder[v]:
+                counter += 1
+                preorder[v] = counter
+            for w in scans[v]:
+                if not preorder[w]:
+                    path.append(w)
+                    break
+            else:
+                low = preorder[v]
+                for w in graph[v]:
+                    if comp[w] < 0:
+                        reach = lowlink[w] if preorder[w] > preorder[v] else preorder[w]
+                        low = min(low, reach)
+                lowlink[v] = low
+                path.pop()
+                if low < preorder[v]:
+                    pending.append(v)
+                    continue
+                members = [v]
+                while pending and preorder[pending[-1]] > preorder[v]:
+                    members.append(pending.pop())
+                for k in members:
+                    comp[k] = len(groups)
+                groups.append(sorted(members))
+    children: list[list[int]] = [[] for _ in groups]
+    indegree = [0] * len(groups)
+    for u in range(n):
+        for v in graph[u]:
+            cu, cv = comp[u], comp[v]
+            if cu != cv and cv not in children[cu]:
+                children[cu].append(cv)
+                indegree[cv] += 1
+    # one FIFO pass is generation order: a generation's releases queue
+    # up behind it, in release order
+    order = [c for c in range(len(groups)) if not indegree[c]]
+    for c in order:
+        for child in children[c]:
+            indegree[child] -= 1
+            if not indegree[child]:
+                order.append(child)
+    return [groups[c] for c in order]

@@ -43,8 +43,8 @@ clients; none asks this question, so none moved:
   feasibility over concrete boxes, not a shift over symbolic bounds;
 * ``analysis.constraint.pair_conflict`` (``DELTA``): one loop's symbolic
   coupling with pins, over the fusion frame's access kinds;
-* ``analysis.dependence.body_dependence_graph``: reads that coupling's
-  sign only;
+* ``analysis.dependence.body_dependence_graph`` (adjacency lists,
+  ``list[list[int]]``): reads that coupling's sign only;
 * ``multicore._linear_outer_coeff``: a linearised coefficient, no shift.
 """
 

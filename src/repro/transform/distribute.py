@@ -9,10 +9,7 @@ fusion rebuilds exactly the groupings that pay off.
 
 from __future__ import annotations
 
-
-import networkx as nx
-
-from ..analysis import body_dependence_graph
+from ..analysis import body_dependence_graph, distribution_groups
 from ..lang import Assumptions, Guard, Loop, Program, Stmt
 
 
@@ -40,15 +37,12 @@ def _distribute_stmt(
     loop = stmt.with_body(body)
     if len(loop.body) <= 1:
         return [loop]
-    graph = body_dependence_graph(loop, fixed, assume)
-    condensation = nx.condensation(graph)
-    order = list(nx.topological_sort(condensation))
+    groups = distribution_groups(body_dependence_graph(loop, fixed, assume))
     out: list[Stmt] = []
-    for comp in order:
-        stmt_indices = sorted(condensation.nodes[comp]["members"])
-        piece = tuple(loop.body[i] for i in stmt_indices)
+    for members in groups:
+        piece = tuple(loop.body[i] for i in members)
         label = loop.label
-        if label and len(order) > 1:
+        if label and len(groups) > 1:
             label = f"{label}.{len(out)}"
         out.append(Loop(loop.index, loop.lower, loop.upper, piece, label=label))
     return out

@@ -1,8 +1,11 @@
 """Dependence-graph tests (loop distribution legality substrate)."""
 
-import networkx as nx
-
-from repro.analysis import body_dependence_graph, collect_loop_accesses, depends
+from repro.analysis import (
+    body_dependence_graph,
+    collect_loop_accesses,
+    depends,
+    distribution_groups,
+)
 from repro.lang import Assumptions
 
 from conftest import build
@@ -27,8 +30,8 @@ def test_forward_flow_dependence_only():
         }
         """
     )
-    assert g.has_edge(0, 1)
-    assert not g.has_edge(1, 0)
+    assert 1 in g[0]
+    assert 0 not in g[1]
 
 
 def test_backward_carried_dependence():
@@ -45,8 +48,8 @@ def test_backward_carried_dependence():
         }
         """
     )
-    assert g.has_edge(1, 0)
-    assert not g.has_edge(0, 1)
+    assert 0 in g[1]
+    assert 1 not in g[0]
 
 
 def test_recurrence_cycle():
@@ -63,8 +66,7 @@ def test_recurrence_cycle():
     )
     # A depends on B's previous iteration; B depends on A's current:
     # a genuine cycle -> single SCC, distribution must keep them together
-    sccs = list(nx.strongly_connected_components(g))
-    assert any(len(c) == 2 for c in sccs)
+    assert any(len(group) == 2 for group in distribution_groups(g))
 
 
 def test_independent_statements_unordered():
@@ -79,7 +81,7 @@ def test_independent_statements_unordered():
         }
         """
     )
-    assert g.number_of_edges() == 0
+    assert g == [[], []]
 
 
 def test_items_depend_top_level():

@@ -4,6 +4,9 @@
 sides, A first on even pairs and B first on odd ones, and every
 end-to-end metric is printed with both medians, their quartiles, B/A and
 the pairs B won (all metrics are lower-is-better; ties count for neither).
+Below them, informational only, the uncalibrated ``raw_pass_wall_s`` row
+of each run's ``results.json``, so the calibrated ratio can be read
+beside the raw one.
 
     python3 tools/perf_pairs.py /root/scratch/parent . --workload fig10_sim
 """
@@ -14,18 +17,25 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
+
+#: the ``results.json`` row printed below the verdict rows
+RAW = "raw_pass_wall_s"
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict[str, float]:
-    """One ``perf/run.py`` run; its metrics, or SystemExit on a failed check."""
+    """One ``perf/run.py`` run: its metrics, then its raw seconds;
+    SystemExit on a failed check."""
     with tempfile.TemporaryDirectory() as out:
         cmd = [sys.executable, "perf/run.py", "--workload", workload]
         cmd += ["--seed", str(seed), "--out", out]
         done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    report = json.loads(done.stdout.strip().splitlines()[-1])
-    if done.returncode or report["failed"]:
-        raise SystemExit(f"{checkout} seed {seed}: {report['failed']} failed checks")
-    return {name: m["value"] for name, m in report["metrics"].items()}
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        if done.returncode or report["failed"]:
+            raise SystemExit(f"{checkout} seed {seed}: {report['failed']} failed checks")
+        results = json.loads((Path(out) / "results.json").read_text())
+    metrics = {name: m["value"] for name, m in report["metrics"].items()}
+    return metrics | {RAW: results["workloads"][workload]["rows"][RAW]["value"]}
 
 
 def quartiles(xs: list[float]) -> str:
@@ -48,11 +58,13 @@ def main() -> None:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"{args.workload}: {args.pairs} pairs from seed {args.seed}")
     for name in runs[args.a][0]:
+        if name == RAW:
+            print("informational (no verdict):")
         a = [r[name] for r in runs[args.a]]
         b = [r[name] for r in runs[args.b]]
         wins = sum(y < x for x, y in zip(a, b))
         ratio = statistics.median(b) / statistics.median(a)
-        print(f"{name:12s} A {quartiles(a)}  B {quartiles(b)}", end="  ")
+        print(f"{name:15s} A {quartiles(a)}  B {quartiles(b)}", end="  ")
         print(f"B/A {ratio:.3f}  wins {wins}/{len(a)}")
 
 

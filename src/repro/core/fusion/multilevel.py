@@ -13,7 +13,7 @@ bound orderings soundly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ...lang import Assumptions, Guard, Loop, Program, Stmt
@@ -103,11 +103,10 @@ class _MultiLevel:
                 self.fuse_body(stmt.body, depth + 1, inner_fixed, inner_assume)
             )
         if isinstance(stmt, Guard):
-            return Guard(
-                stmt.index,
-                stmt.intervals,
-                tuple(self.fuse_body(stmt.body, depth, fixed, assume)),
-                tuple(self.fuse_body(stmt.else_body, depth, fixed, assume)),
+            return replace(
+                stmt,
+                body=tuple(self.fuse_body(stmt.body, depth, fixed, assume)),
+                else_body=tuple(self.fuse_body(stmt.else_body, depth, fixed, assume)),
             )
         return stmt
 

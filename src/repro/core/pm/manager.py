@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping, Optional, Union
 
-from ...lang import Program, validate
+from ...lang import Program, TransformError, validate
 from ...obs import current_collector, metrics, span
 from ...verify import (
     DiagnosticBag,
@@ -174,7 +174,14 @@ class PassManager:
 
     def _run_step(self, parent: _Node, step: PassStep) -> _Node:
         """Run ``step`` on ``parent``'s state — no walk has yet — and
-        return the state it leads to."""
+        return the state it leads to.  A pass that does not inline
+        rewrites the main body only, so it needs a program without
+        procedures."""
+        if parent.program.procedures and not PASSES[step.name].inlines:
+            raise TransformError(
+                f"pass {step.name!r} needs an inlined program "
+                f"(it has procedures); run inline first"
+            )
         metrics.inc("pm.pass.runs")
         metrics.inc(f"pm.pass.{step.name}.runs")
         ctx = replace(parent.ctx, stages=dict(parent.ctx.stages))

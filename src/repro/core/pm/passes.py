@@ -18,7 +18,12 @@ holds
     dataflow only.  This flag is the one place that says so;
 ``certify``
     whether the verifier checks the pass at all (``False`` only for
-    ``regroup``, which does not touch the program).
+    ``regroup``, which does not touch the program);
+``inlines``
+    whether the pass resolves procedure calls itself (``inline`` and the
+    two baselines, which inline first).  Every other pass rewrites the
+    main body only, so the manager refuses to run it on a program that
+    still has procedures.
 
 **Purity.**  ``fn`` is a function of ``(program, ctx, options)``: equal
 inputs give an equal program and equal deposits, the input program is
@@ -78,6 +83,7 @@ class _Pass(NamedTuple):
     description: str
     strict: bool = True
     certify: bool = True
+    inlines: bool = False
 
 
 def _fusion(program: Program, ctx: PassContext, max_levels: int = 8) -> Program:
@@ -117,6 +123,7 @@ PASSES: dict[str, _Pass] = {
     "inline": _Pass(
         lambda p, ctx: inline_procedures(p),
         "inline every procedure call (§4.1 step 1)",
+        inlines=True,
     ),
     "unroll": _Pass(
         lambda p, ctx: unroll_small_loops(p, MAX_UNROLL),
@@ -150,10 +157,12 @@ PASSES: dict[str, _Pass] = {
         _sgi,
         "SGI-like baseline: intra-nest fusion + inter-array padding",
         strict=False,
+        inlines=True,
     ),
     "mckinley": _Pass(
         _mckinley,
         "restricted fusion baseline (identical bounds, no enablers)",
         strict=False,
+        inlines=True,
     ),
 }

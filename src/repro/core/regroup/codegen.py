@@ -23,20 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ...lang import (
-    ArrayDecl,
-    ArrayRef,
-    Assign,
-    BinOp,
-    Call,
-    Const,
-    Expr,
-    Guard,
-    Loop,
-    Program,
-    Stmt,
-    UnaryOp,
-)
+from ...lang import ArrayDecl, ArrayRef, Const, Expr, Program, map_exprs
 from .algorithm import GroupNode, RegroupPlan
 
 
@@ -88,51 +75,18 @@ def emit_source(plan: RegroupPlan) -> SourceRegrouping:
         for ordinal, name in enumerate(members, start=1):
             mapping[name] = (merged, ordinal, item.level)
 
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, ArrayRef):
-            indices = tuple(rewrite_expr(e) for e in expr.indices)
-            entry = mapping.get(expr.array)
-            if entry is None:
-                return ArrayRef(expr.array, indices)
-            merged, ordinal, level = entry
-            new_indices = (
-                indices[:level] + (Const(ordinal),) + indices[level:]
-            )
-            return ArrayRef(merged, new_indices)
-        if isinstance(expr, BinOp):
-            return BinOp(expr.op, rewrite_expr(expr.left), rewrite_expr(expr.right))
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, rewrite_expr(expr.operand))
-        if isinstance(expr, Call):
-            return Call(expr.func, tuple(rewrite_expr(a) for a in expr.args))
-        return expr
-
-    def rewrite_stmt(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, Assign):
-            target = stmt.target
-            if isinstance(target, ArrayRef):
-                target = rewrite_expr(target)
-            return Assign(target, rewrite_expr(stmt.expr))
-        if isinstance(stmt, Loop):
-            return replace(
-                stmt,
-                lower=rewrite_expr(stmt.lower),
-                upper=rewrite_expr(stmt.upper),
-                body=tuple(rewrite_stmt(s) for s in stmt.body),
-            )
-        if isinstance(stmt, Guard):
-            return Guard(
-                stmt.index,
-                stmt.intervals,
-                tuple(rewrite_stmt(s) for s in stmt.body),
-                tuple(rewrite_stmt(s) for s in stmt.else_body),
-            )
-        return stmt
+    def merge(expr: Expr) -> Expr:
+        entry = mapping.get(expr.array) if isinstance(expr, ArrayRef) else None
+        if entry is None:
+            return expr
+        merged, ordinal, level = entry
+        indices = expr.indices[:level] + (Const(ordinal),) + expr.indices[level:]
+        return ArrayRef(merged, indices)
 
     rewritten = replace(
         program,
         arrays=tuple(new_decls),
-        body=tuple(rewrite_stmt(s) for s in program.body),
+        body=tuple(map_exprs(s, merge) for s in program.body),
     )
     return SourceRegrouping(
         program=rewritten,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .affine import Affine
 from .errors import NotAffineError
@@ -234,6 +234,24 @@ class Call(Expr):
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
         return f"{self.func}({inner})"
+
+
+def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild ``expr`` bottom-up: every node's children are mapped
+    first, then ``fn`` sees the node rebuilt over them (leaves as is).
+
+    This is the one place that knows which fields of which node hold
+    subexpressions; a rewrite states only the node it changes.
+    """
+    if isinstance(expr, ArrayRef):
+        expr = ArrayRef(expr.array, tuple(map_expr(e, fn) for e in expr.indices))
+    elif isinstance(expr, BinOp):
+        expr = BinOp(expr.op, map_expr(expr.left, fn), map_expr(expr.right, fn))
+    elif isinstance(expr, UnaryOp):
+        expr = UnaryOp(expr.op, map_expr(expr.operand, fn))
+    elif isinstance(expr, Call):
+        expr = Call(expr.func, tuple(map_expr(a, fn) for a in expr.args))
+    return fn(expr)
 
 
 def array_reads(expr: Expr) -> list[ArrayRef]:

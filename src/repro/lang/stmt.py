@@ -11,11 +11,11 @@ general control-flow analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .affine import Affine
 from .errors import ValidationError
-from .expr import ArrayRef, Expr, ScalarRef, wrap
+from .expr import ArrayRef, Expr, ScalarRef, map_expr, wrap
 
 
 class Stmt:
@@ -31,6 +31,11 @@ class Stmt:
 
     def child_stmts(self) -> tuple["Stmt", ...]:
         return ()
+
+    def map_bodies(self, fn) -> "Stmt":
+        """This statement with every nested body flat-mapped through
+        ``fn`` (:func:`map_body`); a statement without bodies is itself."""
+        return self
 
 
 def as_body(stmts: Union["Stmt", Sequence["Stmt"]]) -> tuple[Stmt, ...]:
@@ -90,6 +95,9 @@ class Loop(Stmt):
     def with_body(self, body: Sequence[Stmt]) -> "Loop":
         return replace(self, body=as_body(body))
 
+    def map_bodies(self, fn) -> "Loop":
+        return replace(self, body=map_body(self.body, fn))
+
     def __str__(self) -> str:
         return f"for {self.index} = {self.lower}, {self.upper} ({len(self.body)} stmts)"
 
@@ -135,6 +143,11 @@ class Guard(Stmt):
     def child_stmts(self) -> tuple[Stmt, ...]:
         return self.body + self.else_body
 
+    def map_bodies(self, fn) -> "Guard":
+        return replace(
+            self, body=map_body(self.body, fn), else_body=map_body(self.else_body, fn)
+        )
+
     def __str__(self) -> str:
         ranges = ", ".join(str(iv) for iv in self.intervals)
         return f"when {self.index} in [{ranges}]"
@@ -172,6 +185,31 @@ def map_body(
         else:
             out.extend(res)
     return tuple(out)
+
+
+def map_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
+    """Rebuild ``stmt``'s tree with every expression slot — array targets,
+    right-hand sides, loop bounds, call arguments — mapped bottom-up by
+    :func:`~repro.lang.expr.map_expr` with ``fn``.
+
+    A scalar target is a name, not a read, so it stays; so do guard
+    intervals (affine forms, not expressions).
+    """
+    if isinstance(stmt, Assign):
+        target = stmt.target
+        if isinstance(target, ArrayRef):
+            target = map_expr(target, fn)
+        return Assign(target, map_expr(stmt.expr, fn))
+    if isinstance(stmt, CallStmt):
+        return CallStmt(stmt.proc, tuple(map_expr(a, fn) for a in stmt.args))
+    if isinstance(stmt, Loop):
+        return replace(
+            stmt,
+            lower=map_expr(stmt.lower, fn),
+            upper=map_expr(stmt.upper, fn),
+            body=tuple(map_exprs(s, fn) for s in stmt.body),
+        )
+    return stmt.map_bodies(lambda s: map_exprs(s, fn))
 
 
 def loops_in(stmts: Sequence[Stmt]) -> list[Loop]:

@@ -2,14 +2,9 @@
 
 from .distribute import distribute_loops
 from .inline import inline_procedures
-from .simplify import (
-    propagate_scalar_constants,
-    simplify_expr,
-    simplify_program,
-    simplify_stmt,
-)
+from .simplify import propagate_scalar_constants, simplify_program
 from .split_arrays import split_arrays
-from .subst import FreshNames, bound_names, rename_bound, subst_expr, subst_stmt
+from .subst import FreshNames, bound_names, rename_bound, subst_stmt
 from .unroll import unroll_small_loops
 
 __all__ = [
@@ -19,11 +14,8 @@ __all__ = [
     "inline_procedures",
     "propagate_scalar_constants",
     "rename_bound",
-    "simplify_expr",
     "simplify_program",
-    "simplify_stmt",
     "split_arrays",
-    "subst_expr",
     "subst_stmt",
     "unroll_small_loops",
 ]

@@ -10,31 +10,20 @@ fusion rebuilds exactly the groupings that pay off.
 from __future__ import annotations
 
 from ..analysis import body_dependence_graph, distribution_groups
-from ..lang import Assumptions, Guard, Loop, Program, Stmt
+from ..lang import Assumptions, Loop, Program, Stmt, map_body
 
 
 def _distribute_stmt(
     stmt: Stmt, fixed: tuple[str, ...], assume
 ) -> list[Stmt]:
-    if isinstance(stmt, Guard):
-        body: list[Stmt] = []
-        for s in stmt.body:
-            body.extend(_distribute_stmt(s, fixed, assume))
-        else_body: list[Stmt] = []
-        for s in stmt.else_body:
-            else_body.extend(_distribute_stmt(s, fixed, assume))
-        return [Guard(stmt.index, stmt.intervals, tuple(body), tuple(else_body))]
     if not isinstance(stmt, Loop):
-        return [stmt]
+        return [stmt.map_bodies(lambda s: _distribute_stmt(s, fixed, assume))]
     # innermost first; the loop's own index is a fixed symbolic constant
     # from the inner loops' point of view
     low = stmt.lower.affine().lower_bound(assume)
     inner_assume = assume.with_var(stmt.index, None if low is None else int(low))
     inner_fixed = fixed + (stmt.index,)
-    body = []
-    for s in stmt.body:
-        body.extend(_distribute_stmt(s, inner_fixed, inner_assume))
-    loop = stmt.with_body(body)
+    loop = stmt.map_bodies(lambda s: _distribute_stmt(s, inner_fixed, inner_assume))
     if len(loop.body) <= 1:
         return [loop]
     groups = distribution_groups(body_dependence_graph(loop, fixed, assume))
@@ -50,8 +39,7 @@ def _distribute_stmt(
 
 def distribute_loops(program: Program) -> Program:
     """Maximally distribute every loop in the program."""
-    assume = Assumptions()
-    body: list[Stmt] = []
-    for stmt in program.body:
-        body.extend(_distribute_stmt(stmt, tuple(program.params), assume))
-    return program.with_body(tuple(body))
+    fixed, assume = tuple(program.params), Assumptions()
+    return program.with_body(
+        map_body(program.body, lambda s: _distribute_stmt(s, fixed, assume))
+    )

@@ -10,7 +10,9 @@ depth limit so accidental recursion fails loudly.
 
 from __future__ import annotations
 
-from ..lang import CallStmt, Guard, Loop, Program, Stmt, TransformError
+from dataclasses import replace
+
+from ..lang import CallStmt, Loop, Program, Stmt, TransformError, map_body
 from .subst import FreshNames, bound_names, rename_bound, subst_stmt
 
 _MAX_DEPTH = 32
@@ -40,20 +42,8 @@ def _expand(
             out.extend(_expand(substituted, program, fresh, depth + 1, enclosing))
         return out
     if isinstance(stmt, Loop):
-        inner = enclosing | {stmt.index}
-        body: list[Stmt] = []
-        for s in stmt.body:
-            body.extend(_expand(s, program, fresh, depth, inner))
-        return [stmt.with_body(body)]
-    if isinstance(stmt, Guard):
-        body = []
-        for s in stmt.body:
-            body.extend(_expand(s, program, fresh, depth, enclosing))
-        else_body: list[Stmt] = []
-        for s in stmt.else_body:
-            else_body.extend(_expand(s, program, fresh, depth, enclosing))
-        return [Guard(stmt.index, stmt.intervals, tuple(body), tuple(else_body))]
-    return [stmt]
+        enclosing = enclosing | {stmt.index}
+    return [stmt.map_bodies(lambda s: _expand(s, program, fresh, depth, enclosing))]
 
 
 def inline_procedures(program: Program) -> Program:
@@ -65,9 +55,5 @@ def inline_procedures(program: Program) -> Program:
     for proc in program.procedures:
         fresh.reserve(bound_names(proc.body))
         fresh.reserve(proc.formals)
-    body: list[Stmt] = []
-    for stmt in program.body:
-        body.extend(_expand(stmt, program, fresh, 0))
-    from dataclasses import replace
-
-    return replace(program, body=tuple(body), procedures=())
+    body = map_body(program.body, lambda s: _expand(s, program, fresh, 0))
+    return replace(program, body=body, procedures=())

@@ -9,167 +9,108 @@ constant propagation the paper applies to loop statements.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections import Counter
 
 from ..lang import (
     ArrayRef,
     Assign,
     BinOp,
     Call,
-    CallStmt,
     Const,
     Expr,
-    Guard,
-    Loop,
     NotAffineError,
     Program,
     ScalarRef,
-    Stmt,
     UnaryOp,
     affine_expr,
+    assignments_in,
+    map_exprs,
 )
 
 
-def simplify_expr(expr: Expr, params: frozenset[str]) -> Expr:
-    """Canonicalize affine parts; fold constants elsewhere."""
+def _simplify(expr: Expr, params: frozenset[str]) -> Expr:
+    """One node, its children already simplified: canonicalize an affine
+    node, fold constant operands and identities of any other."""
+    if isinstance(expr, (ArrayRef, Call, ScalarRef)):
+        return expr  # never affine, and nothing to fold
+    if isinstance(expr, Const) and type(expr.value) is int and expr.value >= 0:
+        return expr  # already canonical
     try:
         form = expr.affine()
     except NotAffineError:
         pass
     else:
         return affine_expr(form, params)
-    if isinstance(expr, ArrayRef):
-        return ArrayRef(
-            expr.array, tuple(simplify_expr(e, params) for e in expr.indices)
-        )
     if isinstance(expr, BinOp):
-        left = simplify_expr(expr.left, params)
-        right = simplify_expr(expr.right, params)
+        op, left, right = expr.op, expr.left, expr.right
         if isinstance(left, Const) and isinstance(right, Const):
-            return _fold(expr.op, left.value, right.value)
+            return _fold(expr)
         # algebraic identities
-        if expr.op in ("+", "-") and isinstance(right, Const) and right.value == 0:
+        if op in ("+", "-") and isinstance(right, Const) and right.value == 0:
             return left
-        if expr.op == "+" and isinstance(left, Const) and left.value == 0:
+        if op == "+" and isinstance(left, Const) and left.value == 0:
             return right
-        if expr.op == "*" and isinstance(right, Const) and right.value == 1:
+        if op == "*" and isinstance(right, Const) and right.value == 1:
             return left
-        if expr.op == "*" and isinstance(left, Const) and left.value == 1:
+        if op == "*" and isinstance(left, Const) and left.value == 1:
             return right
-        if expr.op == "/" and isinstance(right, Const) and right.value == 1:
+        if op == "/" and isinstance(right, Const) and right.value == 1:
             return left
-        return BinOp(expr.op, left, right)
-    if isinstance(expr, UnaryOp):
-        inner = simplify_expr(expr.operand, params)
-        if isinstance(inner, Const):
-            return Const(-inner.value)
-        return UnaryOp(expr.op, inner)
-    if isinstance(expr, Call):
-        return Call(expr.func, tuple(simplify_expr(a, params) for a in expr.args))
+    if isinstance(expr, UnaryOp) and isinstance(expr.operand, Const):
+        return Const(-expr.operand.value)
     return expr
 
 
-def _fold(op: str, a, b) -> Expr:
-    if op == "+":
+def _fold(expr: BinOp) -> Expr:
+    a, b = expr.left.value, expr.right.value
+    if expr.op == "+":
         return Const(a + b)
-    if op == "-":
+    if expr.op == "-":
         return Const(a - b)
-    if op == "*":
+    if expr.op == "*":
         return Const(a * b)
-    if op == "/":
+    if expr.op == "/":
         # data-value (float) division; a zero divisor stays unfolded so no
         # pass raises what only executing the statement should
-        return Const(a / b) if b != 0 else BinOp(op, Const(a), Const(b))
-    raise NotAffineError(f"unknown operator {op!r}")  # pragma: no cover
-
-
-def simplify_stmt(stmt: Stmt, params: frozenset[str]) -> Stmt:
-    if isinstance(stmt, Assign):
-        return Assign(
-            simplify_expr(stmt.target, params), simplify_expr(stmt.expr, params)
-        )
-    if isinstance(stmt, Loop):
-        return replace(
-            stmt,
-            lower=simplify_expr(stmt.lower, params),
-            upper=simplify_expr(stmt.upper, params),
-            body=tuple(simplify_stmt(s, params) for s in stmt.body),
-        )
-    if isinstance(stmt, Guard):
-        return Guard(
-            stmt.index,
-            stmt.intervals,
-            tuple(simplify_stmt(s, params) for s in stmt.body),
-            tuple(simplify_stmt(s, params) for s in stmt.else_body),
-        )
-    if isinstance(stmt, CallStmt):
-        return CallStmt(stmt.proc, tuple(simplify_expr(a, params) for a in stmt.args))
-    return stmt
+        return Const(a / b) if b != 0 else expr
+    raise NotAffineError(f"unknown operator {expr.op!r}")  # pragma: no cover
 
 
 def simplify_program(program: Program) -> Program:
     """Simplify every expression in the program body."""
     params = frozenset(program.params)
     return program.with_body(
-        tuple(simplify_stmt(s, params) for s in program.body)
+        tuple(map_exprs(s, lambda e: _simplify(e, params)) for s in program.body)
     )
 
 
 def propagate_scalar_constants(program: Program) -> Program:
-    """Substitute scalars that are assigned exactly one constant, first.
+    """Substitute a scalar's constant into the statements that follow it.
 
-    The paper's constant propagation; our kernels use few scalars, so the
-    single-assignment case covers what occurs in practice.
+    The paper's constant propagation, for the case our kernels have: an
+    unconditional top-level ``c = <constant>`` of the main body that is
+    the scalar's only assignment.  Only the top-level statements after
+    it see the constant on every step; the ones before read the initial
+    value on the first step, so they keep the read.
     """
-    from ..lang import assignments_in
-
-    assigned: dict[str, list] = {}
-    for a in assignments_in(program.body):
-        if isinstance(a.target, ScalarRef):
-            assigned.setdefault(a.target.name, []).append(a.expr)
-    constants = {
-        name: exprs[0]
-        for name, exprs in assigned.items()
-        if len(exprs) == 1 and isinstance(exprs[0], Const)
-    }
-    if not constants:
-        return program
-
-    def rewrite(expr: Expr) -> Expr:
-        if isinstance(expr, ScalarRef) and expr.name in constants:
-            return constants[expr.name]
-        if isinstance(expr, ArrayRef):
-            return ArrayRef(expr.array, tuple(rewrite(e) for e in expr.indices))
-        if isinstance(expr, BinOp):
-            return BinOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, Call):
-            return Call(expr.func, tuple(rewrite(a) for a in expr.args))
-        return expr
-
-    def rewrite_stmt(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, Assign):
-            target = stmt.target
-            if isinstance(target, ArrayRef):
-                target = ArrayRef(
-                    target.array, tuple(rewrite(e) for e in target.indices)
-                )
-            return Assign(target, rewrite(stmt.expr))
-        if isinstance(stmt, Loop):
-            return replace(
+    writes = Counter(
+        a.target.name for a in assignments_in(program.body)
+        if isinstance(a.target, ScalarRef)
+    )
+    known: dict[str, Const] = {}
+    body = []
+    for stmt in program.body:
+        if known:
+            stmt = map_exprs(
                 stmt,
-                lower=rewrite(stmt.lower),
-                upper=rewrite(stmt.upper),
-                body=tuple(rewrite_stmt(s) for s in stmt.body),
+                lambda e: known.get(e.name, e) if isinstance(e, ScalarRef) else e,
             )
-        if isinstance(stmt, Guard):
-            return Guard(
-                stmt.index,
-                stmt.intervals,
-                tuple(rewrite_stmt(s) for s in stmt.body),
-                tuple(rewrite_stmt(s) for s in stmt.else_body),
-            )
-        return stmt
-
-    return program.with_body(tuple(rewrite_stmt(s) for s in program.body))
+        body.append(stmt)
+        if (
+            isinstance(stmt, Assign)
+            and isinstance(stmt.target, ScalarRef)
+            and isinstance(stmt.expr, Const)
+            and writes[stmt.target.name] == 1
+        ):
+            known[stmt.target.name] = stmt.expr
+    return program.with_body(tuple(body)) if known else program

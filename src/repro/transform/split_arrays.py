@@ -10,23 +10,10 @@ can then interleave exactly the slices that are used together.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Optional
 
-from ..lang import (
-    ArrayDecl,
-    SliceOrigin,
-    ArrayRef,
-    Assign,
-    BinOp,
-    Call,
-    Expr,
-    Guard,
-    Loop,
-    Program,
-    ScalarRef,
-    Stmt,
-    UnaryOp,
-)
+from ..lang import ArrayDecl, ArrayRef, Assign, Expr, Program, SliceOrigin, map_exprs
 
 
 def _splittable_dim(
@@ -65,48 +52,14 @@ def _slice_name(base: str, value: int) -> str:
     return f"{base}_{value}"
 
 
-class _Splitter:
-    def __init__(self, splits: dict[str, tuple[int, int]]) -> None:
-        self.splits = splits  # array -> (dim, extent)
-
-    def expr(self, e: Expr) -> Expr:
-        if isinstance(e, ArrayRef):
-            indices = tuple(self.expr(i) for i in e.indices)
-            split = self.splits.get(e.array)
-            if split is None:
-                return ArrayRef(e.array, indices)
-            dim, _ = split
-            value = indices[dim].affine().int_value()
-            rest = indices[:dim] + indices[dim + 1:]
-            return ArrayRef(_slice_name(e.array, value), rest)
-        if isinstance(e, BinOp):
-            return BinOp(e.op, self.expr(e.left), self.expr(e.right))
-        if isinstance(e, UnaryOp):
-            return UnaryOp(e.op, self.expr(e.operand))
-        if isinstance(e, Call):
-            return Call(e.func, tuple(self.expr(a) for a in e.args))
+def _split_ref(splits: dict[str, tuple[int, int]], e: Expr) -> Expr:
+    """``A[.., c, ..]`` of a split dimension becomes the slice ``A_c[.., ..]``."""
+    split = splits.get(e.array) if isinstance(e, ArrayRef) else None
+    if split is None:
         return e
-
-    def stmt(self, s: Stmt) -> Stmt:
-        if isinstance(s, Assign):
-            target = self.expr(s.target)
-            assert isinstance(target, (ArrayRef, ScalarRef))
-            return Assign(target, self.expr(s.expr))
-        if isinstance(s, Loop):
-            return replace(
-                s,
-                lower=self.expr(s.lower),
-                upper=self.expr(s.upper),
-                body=tuple(self.stmt(b) for b in s.body),
-            )
-        if isinstance(s, Guard):
-            return Guard(
-                s.index,
-                s.intervals,
-                tuple(self.stmt(b) for b in s.body),
-                tuple(self.stmt(b) for b in s.else_body),
-            )
-        return s
+    dim, _ = split
+    value = e.indices[dim].affine().int_value()
+    return ArrayRef(_slice_name(e.array, value), e.indices[:dim] + e.indices[dim + 1:])
 
 
 def split_arrays(program: Program, max_extent: int = 5) -> Program:
@@ -138,9 +91,10 @@ def split_arrays(program: Program, max_extent: int = 5) -> Program:
                     )
             else:
                 new_arrays.append(decl)
-        splitter = _Splitter(splits)
         program = replace(
             program,
             arrays=tuple(new_arrays),
-            body=tuple(splitter.stmt(s) for s in program.body),
+            body=tuple(
+                map_exprs(s, partial(_split_ref, splits)) for s in program.body
+            ),
         )

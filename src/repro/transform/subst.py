@@ -15,40 +15,15 @@ from typing import Iterable, Mapping, Sequence
 
 from ..lang import (
     Affine,
-    ArrayRef,
-    Assign,
-    BinOp,
-    Call,
-    CallStmt,
-    Const,
     Expr,
     Guard,
     IndexVar,
     Interval,
     Loop,
-    Param,
-    ScalarRef,
     Stmt,
     TransformError,
-    UnaryOp,
+    map_exprs,
 )
-
-
-def subst_expr(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Replace index variables by expressions throughout ``expr``."""
-    if isinstance(expr, IndexVar):
-        return bindings.get(expr.name, expr)
-    if isinstance(expr, (Const, Param, ScalarRef)):
-        return expr
-    if isinstance(expr, ArrayRef):
-        return ArrayRef(expr.array, tuple(subst_expr(e, bindings) for e in expr.indices))
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, subst_expr(expr.left, bindings), subst_expr(expr.right, bindings))
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, subst_expr(expr.operand, bindings))
-    if isinstance(expr, Call):
-        return Call(expr.func, tuple(subst_expr(a, bindings) for a in expr.args))
-    raise TransformError(f"cannot substitute in {expr!r}")
 
 
 def _binding_var_offset(expr: Expr) -> tuple[str, Affine]:
@@ -81,40 +56,32 @@ def subst_stmt(stmt: Stmt, bindings: Mapping[str, Expr]) -> Stmt:
     """
     if not bindings:
         return stmt
-    if isinstance(stmt, Assign):
-        return Assign(subst_expr(stmt.target, bindings), subst_expr(stmt.expr, bindings))
-    if isinstance(stmt, Loop):
-        if stmt.index in bindings:
+
+    def translate(s: Stmt) -> Stmt:
+        # guard intervals are affine forms, not expression slots
+        s = s.map_bodies(translate)
+        if isinstance(s, Loop) and s.index in bindings:
             raise TransformError(
-                f"substitution target {stmt.index!r} is re-bound by an inner loop"
+                f"substitution target {s.index!r} is re-bound by an inner loop"
             )
-        return replace(
-            stmt,
-            lower=subst_expr(stmt.lower, bindings),
-            upper=subst_expr(stmt.upper, bindings),
-            body=tuple(subst_stmt(s, bindings) for s in stmt.body),
-        )
-    if isinstance(stmt, Guard):
-        body = tuple(subst_stmt(s, bindings) for s in stmt.body)
-        else_body = tuple(subst_stmt(s, bindings) for s in stmt.else_body)
-        if stmt.index in bindings:
-            new_var, offset = _binding_var_offset(bindings[stmt.index])
-            intervals = tuple(
-                Interval(
-                    subst_affine(iv.lower, bindings) - offset,
-                    subst_affine(iv.upper, bindings) - offset,
-                )
-                for iv in stmt.intervals
-            )
-            return Guard(new_var, intervals, body, else_body)
+        if not isinstance(s, Guard):
+            return s
+        index, offset = s.index, Affine()
+        if index in bindings:
+            index, offset = _binding_var_offset(bindings[index])
         intervals = tuple(
-            Interval(subst_affine(iv.lower, bindings), subst_affine(iv.upper, bindings))
-            for iv in stmt.intervals
+            Interval(
+                subst_affine(iv.lower, bindings) - offset,
+                subst_affine(iv.upper, bindings) - offset,
+            )
+            for iv in s.intervals
         )
-        return Guard(stmt.index, intervals, body, else_body)
-    if isinstance(stmt, CallStmt):
-        return CallStmt(stmt.proc, tuple(subst_expr(a, bindings) for a in stmt.args))
-    raise TransformError(f"cannot substitute in {type(stmt).__name__}")
+        return replace(s, index=index, intervals=intervals)
+
+    return map_exprs(
+        translate(stmt),
+        lambda e: bindings.get(e.name, e) if isinstance(e, IndexVar) else e,
+    )
 
 
 def bound_names(stmts: Sequence[Stmt]) -> set[str]:
@@ -148,19 +115,9 @@ class FreshNames:
 
 def rename_bound(stmt: Stmt, avoid: set[str], fresh: FreshNames) -> Stmt:
     """Alpha-rename loop indices inside ``stmt`` that collide with ``avoid``."""
-    if isinstance(stmt, Loop):
-        body = tuple(rename_bound(s, avoid, fresh) for s in stmt.body)
-        new = replace(stmt, body=body)
-        if stmt.index in avoid:
-            name = fresh.fresh(stmt.index)
-            inner = tuple(subst_stmt(s, {stmt.index: IndexVar(name)}) for s in body)
-            new = replace(stmt, index=name, body=inner)
-        return new
-    if isinstance(stmt, Guard):
-        return Guard(
-            stmt.index,
-            stmt.intervals,
-            tuple(rename_bound(s, avoid, fresh) for s in stmt.body),
-            tuple(rename_bound(s, avoid, fresh) for s in stmt.else_body),
-        )
+    stmt = stmt.map_bodies(lambda s: rename_bound(s, avoid, fresh))
+    if isinstance(stmt, Loop) and stmt.index in avoid:
+        name = fresh.fresh(stmt.index)
+        body = tuple(subst_stmt(s, {stmt.index: IndexVar(name)}) for s in stmt.body)
+        stmt = replace(stmt, index=name, body=body)
     return stmt

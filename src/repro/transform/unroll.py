@@ -7,40 +7,27 @@ can eliminate that dimension.
 
 from __future__ import annotations
 
-from ..lang import Guard, Loop, Program, Stmt, const
+from ..lang import Loop, Program, Stmt, const, map_body
 from .subst import subst_stmt
 
 
 def _unroll_stmt(stmt: Stmt, max_trip: int) -> list[Stmt]:
+    stmt = stmt.map_bodies(lambda s: _unroll_stmt(s, max_trip))
     if isinstance(stmt, Loop):
-        body: list[Stmt] = []
-        for s in stmt.body:
-            body.extend(_unroll_stmt(s, max_trip))
         lo_f, hi_f = stmt.lower.affine(), stmt.upper.affine()
         if lo_f.is_constant() and hi_f.is_constant():
             lo, hi = lo_f.int_value(), hi_f.int_value()
-            trip = hi - lo + 1
-            if 0 < trip <= max_trip:
-                out: list[Stmt] = []
-                for value in range(lo, hi + 1):
-                    for s in body:
-                        out.append(subst_stmt(s, {stmt.index: const(value)}))
-                return out
-        return [stmt.with_body(body)]
-    if isinstance(stmt, Guard):
-        body = []
-        for s in stmt.body:
-            body.extend(_unroll_stmt(s, max_trip))
-        else_body: list[Stmt] = []
-        for s in stmt.else_body:
-            else_body.extend(_unroll_stmt(s, max_trip))
-        return [Guard(stmt.index, stmt.intervals, tuple(body), tuple(else_body))]
+            if 0 < hi - lo + 1 <= max_trip:
+                return [
+                    subst_stmt(s, {stmt.index: const(value)})
+                    for value in range(lo, hi + 1)
+                    for s in stmt.body
+                ]
     return [stmt]
 
 
 def unroll_small_loops(program: Program, max_trip: int = 5) -> Program:
     """Fully unroll every loop whose constant trip count is <= max_trip."""
-    body: list[Stmt] = []
-    for stmt in program.body:
-        body.extend(_unroll_stmt(stmt, max_trip))
-    return program.with_body(tuple(body))
+    return program.with_body(
+        map_body(program.body, lambda s: _unroll_stmt(s, max_trip))
+    )

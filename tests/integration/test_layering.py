@@ -6,14 +6,19 @@ reach neither a tracer nor a simulator nor the compiler driver; the
 simulator does not reach a tracer (the chunk size it slices by is
 ``repro.stream.CHUNK_ACCESSES``).  Importing every module of the package
 loads nothing outside the standard library but numpy, the one declared
-dependency.
+dependency.  And ``repro.lang`` alone knows which fields of which AST
+node hold subexpressions and bodies: no other module rebuilds a node
+field by field (the structural rewriter is ``lang.map_expr`` /
+``lang.map_exprs`` / ``Stmt.map_bodies``).
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +76,54 @@ def test_package_imports_only_numpy_beyond_the_stdlib():
     ).stdout
     extra = set(json.loads(out)) - THIRD_PARTY_ALLOWED
     assert not extra, sorted(extra)
+
+
+#: node class -> the field a rebuild copies from the node it replaces
+_COPIED_FIELDS = {
+    "BinOp": {"op"},
+    "UnaryOp": {"op"},
+    "Call": {"func"},
+    "Guard": {"index", "intervals"},
+}
+
+
+def field_rebuilds(source: str) -> list[str]:
+    """``line: Node`` for each constructor call in ``source`` that copies
+    the node's identifying fields from another node (``BinOp(e.op, ...)``,
+    ``Guard(g.index, g.intervals, ...)``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        fields = _COPIED_FIELDS.get(node.func.id)
+        values = list(node.args) + [k.value for k in node.keywords]
+        copied = {v.attr for v in values if isinstance(v, ast.Attribute)}
+        if fields and fields <= copied:
+            found.append(f"{node.lineno}: {node.func.id}")
+    return found
+
+
+def test_only_lang_rebuilds_ast_nodes_field_by_field():
+    root = Path(__file__).resolve().parents[2] / "src" / "repro"
+    offenders = {
+        str(path.relative_to(root)): hits
+        for path in sorted(root.rglob("*.py"))
+        if path.parent.name != "lang"
+        for hits in [field_rebuilds(path.read_text())]
+        if hits
+    }
+    assert not offenders, offenders
+
+
+def test_field_rebuild_gate_sees_the_walks_it_forbids():
+    hand_rolled = (
+        "def walk(e, g):\n"
+        "    a = BinOp(e.op, walk(e.left), walk(e.right))\n"
+        "    b = UnaryOp(e.op, walk(e.operand))\n"
+        "    c = Call(func=e.func, args=())\n"
+        "    return Guard(g.index, g.intervals, (), ())\n"
+    )
+    assert field_rebuilds(hand_rolled) == [
+        "2: BinOp", "3: UnaryOp", "4: Call", "5: Guard",
+    ]
+    assert field_rebuilds("x = BinOp('+', a, b)\ny = Guard(v, ivs, ())") == []

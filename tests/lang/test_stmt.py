@@ -2,18 +2,25 @@
 
 import pytest
 
+from repro.core import OPT_LEVELS, compile_variant
 from repro.lang import (
     Affine,
     Assign,
+    CallStmt,
     Const,
     Guard,
+    IndexVar,
     Interval,
+    Param,
+    ScalarRef,
     ValidationError,
     loop_nest_depth,
     loops_in,
     map_body,
+    map_exprs,
     parse,
 )
+from repro.programs import resolve_target
 
 from conftest import build
 
@@ -83,6 +90,71 @@ def test_map_body_drop_and_expand():
     s1, s2 = p.body
     out = map_body([s1, s2], lambda s: None if s is s1 else [s, s])
     assert out == (s2, s2)
+
+
+def _rename(names):
+    """A node rule renaming index variables, parameters and scalars."""
+
+    def rule(e):
+        if isinstance(e, (IndexVar, Param, ScalarRef)) and e.name in names:
+            return type(e)(names[e.name])
+        return e
+
+    return rule
+
+
+def test_map_exprs_maps_every_slot():
+    p = parse(
+        """
+        program t
+        param N
+        real A[N]
+        for i = N - 5, N {
+          A[i + 1] = f(A[i], i)
+          call fill(i)
+        }
+        """
+    )
+    (loop,) = p.body
+    out = map_exprs(loop, _rename({"i": "j", "N": "M"}))
+    assign, call = out.body
+    assert (str(out.lower), str(out.upper)) == ("(M - 5)", "M")
+    assert out.index == "i"  # a binder is a name, not an expression slot
+    assert str(assign.target) == "A[(j + 1)]"
+    assert str(assign.expr) == "f(A[j], j)"
+    assert isinstance(call, CallStmt) and str(call) == "call fill(j)"
+
+
+def test_map_exprs_keeps_scalar_targets_and_guard_intervals():
+    p = parse(
+        """
+        program t
+        param N
+        real A[N]
+        scalar s
+        for i = 1, N {
+          when i in [2:N - 1] { s = A[i] } else { A[i] = s }
+        }
+        """
+    )
+    guard = p.body[0].body[0]
+    out = map_exprs(guard, _rename({"s": "t", "N": "M", "i": "j"}))
+    assert (out.index, out.intervals) == (guard.index, guard.intervals)
+    (write,), (read,) = out.body, out.else_body
+    assert write.target == ScalarRef("s") and str(write.expr) == "A[j]"
+    assert str(read) == "A[j] = t"
+
+
+@pytest.mark.parametrize("name", ["adi", "fft", "sp", "sweep3d", "swim", "tomcatv"])
+def test_identity_map_rebuilds_every_variant_equal(name):
+    """The 42 program x level variants survive an identity rebuild."""
+    program = resolve_target(name, {"n": 16} if name == "fft" else None).program
+    for level in OPT_LEVELS:
+        compiled = compile_variant(program, level).program
+        rebuilt = compiled.with_body(
+            tuple(map_exprs(s, lambda e: e) for s in compiled.body)
+        )
+        assert rebuilt == compiled
 
 
 def test_loop_with_body_replaces():

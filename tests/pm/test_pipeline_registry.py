@@ -6,6 +6,8 @@ from repro.core import OPT_LEVELS, compile_variant
 from repro.core.pm import PIPELINES, PassManager, PassStep, resolve_pipeline
 from repro.lang import TransformError, parse, validate
 
+from conftest import assert_same_semantics
+
 SOURCE = """
 program reg
 param N
@@ -101,3 +103,47 @@ def test_pipeline_run_populates_stage_checkpoints():
     variant = PassManager(build()).run(PIPELINES["fusion"])
     assert list(variant.stages) == ["input", "preliminary", "fused"]
     assert variant.level == "fusion"
+
+
+# -- every pass but inline needs an inlined program ---------------------------
+
+#: the procedure writes ``s`` the main body reads after the call
+SCALAR_IN_PROC = """
+program t
+param N
+real A[N]
+scalar s
+proc setit(k) { s = 2.0 }
+s = 1.0
+call setit(1)
+for i = 1, N { A[i] = s }
+"""
+
+#: the procedure subscripts the split dimension of ``A``
+SPLIT_IN_PROC = """
+program t
+param N
+real A[N, 3]
+proc setcol(k) { A[k, 2] = 1.0 }
+for i = 1, N { A[i, 1] = 0.0 }
+call setcol(1)
+"""
+
+
+@pytest.mark.parametrize(
+    "source,passes",
+    [(SCALAR_IN_PROC, "constprop,inline"), (SPLIT_IN_PROC, "split_arrays,inline")],
+)
+def test_a_pass_before_inline_is_refused(source, passes):
+    program = validate(parse(source))
+    first = passes.split(",")[0]
+    with pytest.raises(TransformError, match=f"'{first}'.*run inline first"):
+        compile_variant(program, passes.split(","))
+    inlined = compile_variant(program, ["inline", first], verify=True).program
+    assert_same_semantics(program, inlined)
+
+
+@pytest.mark.parametrize("level", ["sgi", "mckinley"])
+def test_the_baselines_inline_for_themselves(level):
+    program = validate(parse(SCALAR_IN_PROC))
+    assert_same_semantics(program, compile_variant(program, level).program)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import compile_pipeline
 from repro.lang import TransformError, ValidationError, parse
 from repro.transform import (
     distribute_loops,
@@ -292,7 +293,6 @@ class TestSimplify:
     def test_zero_divisor_stays_unfolded(self):
         # validate rejects a literal ``/ 0`` in source; a pass or a builder
         # can still make one, and folding it must not raise from a pipeline
-        from repro.core.pipeline import compile_pipeline
         from repro.lang import BinOp, Const
 
         p = build(
@@ -348,3 +348,35 @@ class TestSimplify:
             """
         )
         assert propagate_scalar_constants(p) == p
+
+    def test_reads_before_the_assignment_keep_the_scalar(self):
+        # step 1 reads the initial value, later steps the constant
+        p = build(
+            """
+            program t
+            param N
+            real A[N]
+            scalar c
+            for i = 1, N { A[i] = c + 1.0 }
+            c = 2.0
+            """
+        )
+        q = compile_pipeline(p, ["inline", "constprop"], verify=True).program
+        for steps in (1, 2):
+            assert_same_semantics(p, q, steps=steps)
+
+    def test_no_propagation_from_a_conditional_assignment(self):
+        # at N = 8 the loop runs no iteration and c keeps its initial value
+        p = build(
+            """
+            program t
+            param N
+            real A[N]
+            scalar c
+            for i = 9, N { c = 2.0 }
+            for i = 1, N { A[i] = c + 1.0 }
+            """
+        )
+        q = propagate_scalar_constants(p)
+        assert q == p
+        assert_same_semantics(p, compile_pipeline(p, ["inline", "constprop"]).program)

@@ -3,9 +3,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test self-lint smoke perf-quick perf-selfcheck tune-check bandwidth-check benchmarks bench-tune bench-membw
+.PHONY: check lint test smoke perf-quick perf-selfcheck tune-check bandwidth-check benchmarks bench-tune bench-membw
 
-check: lint test self-lint smoke perf-quick perf-selfcheck tune-check bandwidth-check
+check: lint test smoke perf-quick perf-selfcheck tune-check bandwidth-check
 
 # ruff is optional in minimal environments; skip (loudly) when absent
 lint:
@@ -28,10 +28,6 @@ lint:
 # "tier-1 under three minutes" item reads
 test:
 	$(PYTHON) -m pytest -x -q -m "not slow" --durations=15
-
-# the repo's own lint front door (delegates to ruff when available)
-self-lint:
-	$(PYTHON) -m repro lint --self
 
 # pass-manager smoke: the pipeline registry enumerates, a custom
 # --passes pipeline compiles and simulates end to end, the multi-level

@@ -765,22 +765,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.codes:
         print(format_code_table())
         return 0
-    if args.self_check:
-        # "repro lint --self" = lint the compiler itself, not a program:
-        # delegate to ruff (configured in pyproject.toml) when available
-        import subprocess
-
-        try:
-            import ruff  # noqa: F401
-        except ImportError:
-            print(
-                "ruff is not installed; install it and run 'ruff check .'\n"
-                "(rules are configured under [tool.ruff] in pyproject.toml)",
-                file=sys.stderr,
-            )
-            return 0
-        return subprocess.call([sys.executable, "-m", "ruff", "check", "."])
-
     accepted = _read(args.baseline, json.loads) if args.baseline else None
 
     def analyze(spec):
@@ -1281,8 +1265,6 @@ COMMANDS = (
         "lint", "static IR verification of a program", cmd_lint,
         "target? all-apps assume json baseline",
         _arg("--strict", action="store_true", help="warnings also fail (exit 1)"),
-        _arg("--self", dest="self_check", action="store_true",
-             help="lint the compiler's own sources via ruff instead"),
         _arg("--static", action="store_true", help="also run the predictive "
              "S3xx locality lints (symbolic reuse profile; no trace is "
              "generated)"),

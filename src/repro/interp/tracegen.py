@@ -19,8 +19,9 @@ var, coeff), …))``; evaluating one is integer arithmetic over the live
 loop variables.  The supported input is therefore *integer-affine after
 binding*: a fractional residue (``A[i / 2]``, ``for i = 1, N / 2`` at an
 odd ``N``) is an :class:`~repro.lang.AnalysisError` naming the reference
-or loop and the binding — the interpreter's own "non-integral bound"
-rule, stated once for both tracers, instead of a truncated address.
+or loop and the binding — the interpreter's own "non-integral
+subscript/bound" rule, stated once for both tracers, instead of a
+truncated address.
 """
 
 from __future__ import annotations

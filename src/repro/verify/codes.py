@@ -7,9 +7,10 @@ once, with its family, default severity, and documentation.  The CLI's
 registry; nothing else in the repo hand-lists codes.
 
 Emitting sites stay free to construct diagnostics directly (the bag does
-not require registration), but ``make check``'s self-lint asserts that
-every code used anywhere in ``repro`` is registered here, so the table
-cannot silently rot.
+not require registration), but ``tests/verify/test_codes_explain.py::
+test_every_code_used_in_the_source_is_registered`` asserts that every
+code used anywhere in ``repro`` is registered here, so the table cannot
+silently rot.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ _register(
     "V103", Severity.WARNING,
     "loop bound has fractional coefficients",
     """A loop bound's affine form has non-integral coefficients, so trip
-counts may be non-integral; the interpreter truncates, which is usually
-a symptom of a mis-derived bound.""",
+counts may be non-integral; at a binding where the bound is not an
+integer, the interpreter, the snapshot and both tracers refuse to run.
+It is usually a symptom of a mis-derived bound.""",
 )
 _register(
     "V104", Severity.WARNING,

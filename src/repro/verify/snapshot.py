@@ -24,11 +24,9 @@ Signatures are substitution-invariant on purpose: after unrolling, index
 ``i`` becomes a literal, but ``IndexVar`` leaves fold to their concrete
 value either way, so the unrolled instance matches the original one.
 No floating-point program semantics are involved — snapshots never
-evaluate array contents, only subscripts, bounds and call arguments.
-Each of those is folded once per AST node at the snapshot's parameters
-into the tracers' record ``(const, ((name, coeff), ...))`` and evaluated
-per instance in ``int`` arithmetic; a value that is not an integer is a
-:class:`~repro.lang.ValidationError`, as in the interpreter.
+evaluate array contents.  The instances come in the interpreter's own
+order, from the same :class:`~repro.lang.Walk`, which evaluates
+subscripts, bounds and call arguments for both.
 
 Cells are canonicalized across array splitting: a split array's
 :class:`~repro.lang.SliceOrigin` chain maps its cells back to cells of
@@ -40,27 +38,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 from ..lang import (
     ArrayRef,
     Assign,
     BinOp,
     Call,
-    CallStmt,
     Const,
     Expr,
-    Guard,
     IndexVar,
-    Loop,
     Param,
     Program,
     ScalarRef,
     SliceOrigin,
-    Stmt,
     UnaryOp,
     ValidationError,
+    Walk,
 )
+from ..lang.walk import Record
 
 #: identity of one memory location: (array name, 1-based index tuple);
 #: scalars use ("$scalar:<name>", ()) so both live in one namespace
@@ -120,32 +116,15 @@ class Snapshot:
         return sum(len(chain) for chain in self.writes.values())
 
 
-#: a subscript, bound or argument folded at the walk's parameters: the
-#: node (for the error message), then the tracers' record ``(const,
-#: ((name, coeff), ...))`` over the names left free, exact (a coefficient
-#: or constant is a ``Fraction`` only when genuinely fractional)
-_Record = tuple[object, "int | Fraction", tuple[tuple[str, "int | Fraction"], ...]]
-
-
-class _Walker:
-    """Mirrors the interpreter's control flow without touching data.
-
-    Every subscript, loop bound and call argument is folded once per AST
-    node into a :data:`_Record` (the program outlives the walk, so node
-    identity is a safe key); an instance evaluates it with ``int``
-    arithmetic.
-    """
+class _Walker(Walk):
+    """The snapshot's domain on :class:`~repro.lang.Walk`: an
+    assignment instance appends a :class:`WriteInstance` to its cell's
+    chain, and no array value is ever touched."""
 
     def __init__(self, program: Program, params: Mapping[str, int]) -> None:
-        self.program = program
-        self.env: dict[str, int] = {k: int(v) for k, v in params.items()}
-        # a formal shadows a parameter of its name inside the procedure
-        formals = {f for proc in program.procedures for f in proc.formals}
-        self.fixed = {k: v for k, v in self.env.items() if k not in formals}
+        super().__init__(program, params)
         self.writes: dict[Cell, list[WriteInstance]] = {}
-        self.iters: list[tuple[str, int]] = []
-        self.records: dict[int, list[_Record]] = {}
-        self.cells: dict[int, tuple[str, list[_Record]]] = {}
+        self.cells: dict[int, tuple[str, list[Record]]] = {}
         # split arrays: the root declaration's name, and the splits that
         # removed a dimension each, leaf split first
         self.canon: dict[str, tuple[str, list[SliceOrigin]]] = {}
@@ -157,33 +136,15 @@ class _Walker:
             if chain:
                 self.canon[decl.name] = (chain[-1].name, chain)
 
-    # -- folding and evaluation -----------------------------------------------
-
-    def record(self, expr: Expr) -> _Record:
-        form = expr.affine().substitute(self.fixed)
-        return (expr, form.const, form.coeffs)
-
-    def fold(self, node: Stmt, exprs: Sequence[Expr]) -> list[_Record]:
-        """The records of ``exprs``, the bounds or arguments of ``node``."""
-        records = self.records.get(id(node))
-        if records is None:
-            records = self.records[id(node)] = [self.record(e) for e in exprs]
-        return records
-
-    def values(self, records: list[_Record]) -> list[int]:
-        env = self.env
-        out = []
-        for expr, value, terms in records:
-            for name, coeff in terms:
-                value += coeff * env[name]
-            if value.__class__ is not int:
-                if value.denominator != 1:
-                    raise ValidationError(
-                        f"non-integral subscript/bound {expr} = {value}"
-                    )
-                value = int(value)
-            out.append(value)
-        return out
+    def assign(self, stmt: Assign) -> None:
+        reads: list[tuple[Cell, int]] = []
+        sig = self.signature(stmt.expr, reads)
+        if isinstance(stmt.target, ArrayRef):
+            cell = self.cell_of(stmt.target)
+        else:
+            cell = scalar_cell(stmt.target.name)
+        inst = WriteInstance(stmt, tuple(self.iters), sig, tuple(reads))
+        self.writes.setdefault(cell, []).append(inst)
 
     def cell_of(self, ref: ArrayRef) -> Cell:
         folded = self.cells.get(id(ref))
@@ -239,61 +200,6 @@ class _Walker:
             )
         raise ValidationError(f"cannot snapshot expression {expr!r}")
 
-    # -- statements -----------------------------------------------------------
-
-    def walk_body(self, body: Sequence[Stmt]) -> None:
-        for stmt in body:
-            self.walk_stmt(stmt)
-
-    def walk_stmt(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            reads: list[tuple[Cell, int]] = []
-            sig = self.signature(stmt.expr, reads)
-            if isinstance(stmt.target, ArrayRef):
-                cell = self.cell_of(stmt.target)
-            else:
-                cell = scalar_cell(stmt.target.name)
-            inst = WriteInstance(stmt, tuple(self.iters), sig, tuple(reads))
-            self.writes.setdefault(cell, []).append(inst)
-        elif isinstance(stmt, Loop):
-            lo, hi = self.values(self.fold(stmt, (stmt.lower, stmt.upper)))
-            outer = self.env.get(stmt.index)  # a caller's loop of the same name
-            for i in range(lo, hi + 1):
-                self.env[stmt.index] = i
-                self.iters.append((stmt.index, i))
-                self.walk_body(stmt.body)
-                self.iters.pop()
-            _rebind(self.env, stmt.index, outer)
-        elif isinstance(stmt, Guard):
-            value = self.env.get(stmt.index)
-            if value is None:
-                raise ValidationError(f"guard index {stmt.index!r} unbound")
-            if any(
-                iv.lower.evaluate(self.env) <= value <= iv.upper.evaluate(self.env)
-                for iv in stmt.intervals
-            ):
-                self.walk_body(stmt.body)
-            else:
-                self.walk_body(stmt.else_body)
-        elif isinstance(stmt, CallStmt):
-            proc = self.program.procedure(stmt.proc)
-            saved = {formal: self.env.get(formal) for formal in proc.formals}
-            args = self.values(self.fold(stmt, stmt.args))
-            self.env.update(zip(proc.formals, args))
-            self.walk_body(proc.body)
-            for formal, old in saved.items():
-                _rebind(self.env, formal, old)
-        else:
-            raise ValidationError(f"cannot snapshot {type(stmt).__name__}")
-
-
-def _rebind(env: dict[str, int], name: str, old: Optional[int]) -> None:
-    """Restore ``name``'s binding from before a loop or call bound it."""
-    if old is None:
-        env.pop(name, None)
-    else:
-        env[name] = old
-
 
 def _fold(op: str, lhs: Fraction, rhs: Fraction) -> Fraction:
     if op == "+":
@@ -327,8 +233,7 @@ def snapshot_program(
     if params is None:
         params = {name: DEFAULT_VERIFY_PARAM for name in program.params}
     walker = _Walker(program, params)
-    for _ in range(steps):
-        walker.walk_body(program.body)
+    walker.run(steps)
     return Snapshot(
         program_name=program.name,
         params={k: int(v) for k, v in params.items()},

@@ -9,7 +9,10 @@ loads nothing outside the standard library but numpy, the one declared
 dependency.  And ``repro.lang`` alone knows which fields of which AST
 node hold subexpressions and bodies: no other module rebuilds a node
 field by field (the structural rewriter is ``lang.map_expr`` /
-``lang.map_exprs`` / ``Stmt.map_bodies``).
+``lang.map_exprs`` / ``Stmt.map_bodies``).  Likewise ``lang.Walk`` alone
+knows how a program executes: the interpreter and the legality snapshot
+only say what an assignment instance does, and no module outside
+``repro.lang`` but inlining binds a procedure's formals.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 LAYERS = {
     "repro.lang": {"only": {"lang"}},
@@ -104,10 +109,9 @@ def field_rebuilds(source: str) -> list[str]:
 
 
 def test_only_lang_rebuilds_ast_nodes_field_by_field():
-    root = Path(__file__).resolve().parents[2] / "src" / "repro"
     offenders = {
-        str(path.relative_to(root)): hits
-        for path in sorted(root.rglob("*.py"))
+        str(path.relative_to(PACKAGE)): hits
+        for path in sorted(PACKAGE.rglob("*.py"))
         if path.parent.name != "lang"
         for hits in [field_rebuilds(path.read_text())]
         if hits
@@ -127,3 +131,24 @@ def test_field_rebuild_gate_sees_the_walks_it_forbids():
         "2: BinOp", "3: UnaryOp", "4: Call", "5: Guard",
     ]
     assert field_rebuilds("x = BinOp('+', a, b)\ny = Guard(v, ivs, ())") == []
+
+
+def test_only_inlining_reads_formals_outside_lang():
+    readers = {
+        str(path.relative_to(PACKAGE))
+        for path in PACKAGE.rglob("*.py")
+        if path.parent.name != "lang"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "formals"
+    }
+    assert readers == {"transform/inline.py"}, sorted(readers)
+
+
+def test_instance_walkers_share_the_walk_order():
+    from repro.interp import Interpreter
+    from repro.lang import Walk
+    from repro.verify.snapshot import _Walker
+
+    for walker in (Interpreter, _Walker):
+        assert issubclass(walker, Walk)
+        assert walker.walk_stmt is Walk.walk_stmt, walker

@@ -6,10 +6,10 @@ import pytest
 from repro.codegen import trace_program as codegen_trace
 from repro.interp import run_program, trace_program
 from repro.interp.interpreter import Interpreter
+from repro.verify.snapshot import snapshot_program
 from repro.lang import (
     AnalysisError,
     ArrayRef,
-    Assign,
     ValidationError,
     array_reads,
     parse,
@@ -28,18 +28,15 @@ def reference_trace(program, params, steps=1):
     events = []
 
     class Tracer(Interpreter):
-        def exec_stmt(self, stmt):
-            if isinstance(stmt, Assign):
-                for ref in array_reads(stmt.expr):
-                    events.append((ref.array, self._subscripts(ref), False))
-                if isinstance(stmt.target, ArrayRef):
-                    tgt = (stmt.target.array, self._subscripts(stmt.target), True)
-                    self.arrays[stmt.target.array][tgt[1]] = self.eval(stmt.expr)
-                    events.append(tgt)
-                else:
-                    self.scalars[stmt.target.name] = self.eval(stmt.expr)
+        def assign(self, stmt):
+            for ref in array_reads(stmt.expr):
+                events.append((ref.array, self._subscripts(ref), False))
+            if isinstance(stmt.target, ArrayRef):
+                tgt = (stmt.target.array, self._subscripts(stmt.target), True)
+                self.arrays[stmt.target.array][tgt[1]] = self.eval(stmt.expr)
+                events.append(tgt)
             else:
-                super().exec_stmt(stmt)
+                self.scalars[stmt.target.name] = self.eval(stmt.expr)
 
     Tracer(program, params).run(steps=steps)
     return events
@@ -188,15 +185,38 @@ def test_fractional_residue_is_an_error(case, tracer):
     assert "out-of-bounds" not in message
 
 
-def test_fractional_bound_follows_the_interpreter():
-    # N / 2 is an integer at even N only: run_program and both tracers
-    # draw the line at exactly the same sizes
-    p = _kernel(FRACTIONAL["loop-bound"][0])
-    run_program(p, {"N": 8})
-    a, b = trace_program(p, {"N": 8}), codegen_trace(p, {"N": 8})
-    assert a.elems.tolist() == b.elems.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-    with pytest.raises(ValidationError, match="non-integral bound"):
-        run_program(p, {"N": 9})
+#: a bound that is N / 2: a loop's, and a guard interval's
+FRACTIONAL_BOUND = {
+    "loop-bound": _kernel(FRACTIONAL["loop-bound"][0]),
+    "guard-bound": build(
+        """
+        program g
+        param N
+        real A[N], B[N]
+        for i = 1, N {
+          when i in [1 : N / 2] { A[i] = f(B[i]) } else { B[i] = g(A[i]) }
+        }
+        """
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRACTIONAL_BOUND))
+def test_fractional_bound_follows_the_interpreter(case):
+    # N / 2 is an integer at even N only: the interpreter, the snapshot
+    # and both tracers draw the line at exactly the same sizes
+    p = FRACTIONAL_BOUND[case]
+    oracle = [
+        (name, canonical(p, {"N": 8}, name, subs), write)
+        for name, subs, write in reference_trace(p, {"N": 8})
+    ]
+    for tracer in (trace_program, codegen_trace):
+        assert list(tracer(p, {"N": 8}).iter_accesses()) == oracle
+        with pytest.raises(AnalysisError, match="fractional"):
+            tracer(p, {"N": 9})
+    for walk in (run_program, snapshot_program):
+        with pytest.raises(ValidationError, match="non-integral subscript/bound"):
+            walk(p, {"N": 9})
 
 
 def test_packing_overflow_is_an_error(monkeypatch):

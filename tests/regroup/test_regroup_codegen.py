@@ -64,10 +64,8 @@ def test_emitted_source_preserves_semantics():
         "B": init[merged_name][1].copy(),
     }
     interp.scalars = {}
-    for decl in p.arrays:
-        interp._extent_cache[decl.name] = decl.shape({"N": n})
     for _ in range(2):
-        interp.exec_body(p.body)
+        interp.walk_body(p.body)
     assert np.array_equal(interp.arrays["A"], merged[0])
     assert np.array_equal(interp.arrays["B"], merged[1])
 

@@ -146,24 +146,6 @@ def test_verify_pass_before_without_after_errors(files):
         main(["verify-pass", "--before", files("orig.loop", ALIGN_ORIG)])
 
 
-def _has_ruff() -> bool:
-    try:
-        import ruff  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-@pytest.mark.skipif(_has_ruff(), reason="ruff installed; --self delegates to it")
-def test_lint_self_without_ruff_is_informative(capsys):
-    # ruff is not installed in this environment: --self must say so and
-    # point at the pyproject configuration rather than crash
-    assert main(["lint", "--self"]) == 0
-    err = capsys.readouterr().err
-    assert "ruff" in err
-    assert "pyproject.toml" in err
-
-
 def test_lint_requires_target_or_self():
     with pytest.raises(SystemExit):
         main(["lint"])

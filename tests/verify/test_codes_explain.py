@@ -3,9 +3,9 @@
 The registry in ``repro.verify.codes`` is the single declaration point
 for every stable diagnostic id; this file pins its hygiene so the table
 cannot rot: no duplicate ``_register`` calls in the source, every code
-documented (non-empty summary AND full explanation), every family
-prefix known, and the CLI ``lint --explain`` / ``lint --codes`` paths
-rendering all of it.
+the source uses registered, every code documented (non-empty summary AND
+full explanation), every family prefix known, and the CLI ``lint
+--explain`` / ``lint --codes`` paths rendering all of it.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from repro.verify.codes import (
     get_code,
 )
 
-CODES_SOURCE = (
-    Path(__file__).resolve().parents[2]
-    / "src" / "repro" / "verify" / "codes.py"
-)
+PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
+CODES_SOURCE = PACKAGE / "verify" / "codes.py"
 
 
 def test_no_duplicate_register_calls_in_source():
@@ -43,6 +41,19 @@ def test_no_duplicate_register_calls_in_source():
     assert set(declared) == set(REGISTRY), (
         "source scan and registry disagree — _register call style changed?"
     )
+
+
+def test_every_code_used_in_the_source_is_registered():
+    # emitting sites construct diagnostics by code literal; each of those
+    # must have a registry entry for --explain and the --codes table
+    used = {
+        code
+        for path in PACKAGE.rglob("*.py")
+        if path != CODES_SOURCE
+        for code in re.findall(r'"([VLRS]\d{3})"', path.read_text())
+    }
+    assert len(used) >= 31, sorted(used)
+    assert used <= set(REGISTRY), sorted(used - set(REGISTRY))
 
 
 def test_every_code_is_documented():

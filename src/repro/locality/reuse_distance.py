@@ -5,39 +5,63 @@ touched since the previous access to the same item; on a fully-associative
 LRU cache of capacity C the access hits iff its distance is < C.
 
 ``reuse_distances`` computes it without a per-access loop.  With ``p[t]``
-the previous access to the key of access ``t``, the window ``(p[t], t)``
-holds ``t - p[t] - 1`` accesses, and an access ``s`` in it repeats a key
-already counted exactly when its own previous access lies inside the
-window too, so ::
+the previous access to the key of access ``t`` (a *link* ``(p, t)``), the
+window ``(p, t)`` holds ``w = t - p - 1`` accesses.  Links are split by
+that window, and each side is counted the way that is cheap for it:
 
-    d[t] = (t - p[t] - 1) - #{s < t : p[s] > p[t]}
+* **Near links** (``w < _NEAR``) count what repeats inside the window:
+  an access ``s`` in it repeats a key already counted exactly when its
+  own previous access lies inside the window too, so ::
 
-— a *per-element inversion count* of the ``p`` column (``p[s] < s`` makes
-``s > p[t]`` automatic, and cold accesses, having no ``p``, drop out).
+      d[t] = w - #{s in (p, t) : p[s] > p}
+
+  — at most ``_NEAR - 1`` gathers of the ``p`` column.  Sorted
+  longest-window-first, step ``k`` reads only the prefix of links whose
+  window reaches ``p + k``.
+* **Far links** count what is *absent* from the window
+  (``far_distances``): of the keys first touched before ``t``, one is
+  ``t``'s own, some were touched for the last time before ``p``
+  (*retired*), and every other one either shows up inside the window or
+  skips it, its own link ``(p', t')`` enclosing ``(p, t)``.  A link that
+  encloses a far link has a longer window, so it is far too, and ::
+
+      d[t] = first-touched-before(t) - 1 - retired-by(p)
+             - #{far links (p', t') : p' < p and t' > t}
+
+  The first two terms are binary searches in the time-ordered first and
+  last accesses of each key; the third is a per-element inversion count
+  (``prior_greater``) of the far links' ``p`` column, run on the far
+  links only.
+
+Both counts are identities, not estimates, so every distance is exact;
+the split only decides which identity is evaluated.  The fully-associative
+simulator (``memsim.fastsim``) asks ``far_distances`` the same question,
+with its capacity in place of ``_NEAR``.
 
 * **The p column** comes from one sort of the composites
   ``((key - min) << bits) | position``: they are unique, so an unstable
-  sort groups equal keys with their positions ascending.  When key span
-  plus position bits exceed 62 (sparse or huge keys) a stable ``argsort``
-  of the keys gives the same grouping.
+  sort groups equal keys with their positions ascending, and a counting
+  sort by position puts each link at its ``t``.  When key span plus
+  position bits exceed 62 (sparse or huge keys) a stable ``argsort`` of
+  the keys gives the same grouping.
 * **Inversions.**  Previous positions are distinct, so ranking them turns
-  ``p`` (over the ``m`` non-cold accesses) into a permutation of
-  ``0..m-1``.  A stable MSB→LSB bit partition then sorts it: at bit ``k``
-  the elements sharing all higher bits form one group, still in time
-  order, and every zero-bit element collects the one-bit elements before
-  it in its group — each inverted pair is met once, at its highest
-  differing bit.  Because the values are a permutation, group ``g`` at
-  bit ``k`` *is* the aligned slot range ``[g << (k+1), (g+1) << (k+1))``
-  and every group before the last holds exactly ``1 << k`` ones, so group
-  starts and sizes are arithmetic: a level is one ``cumsum``, a dozen
-  elementwise ``int32`` operations and two scatters.  The lowest five
-  bits are settled at once by a 32×32 pairwise compare inside each
-  aligned block, done in slabs.
+  ``p`` (over the ``m`` far links) into a permutation of ``0..m-1``.  A
+  stable MSB→LSB bit partition then sorts it: at bit ``k`` the elements
+  sharing all higher bits form one group, still in time order, and every
+  zero-bit element collects the one-bit elements before it in its group
+  — each inverted pair is met once, at its highest differing bit.
+  Because the values are a permutation, group ``g`` at bit ``k`` *is* the
+  aligned slot range ``[g << (k+1), (g+1) << (k+1))`` and every group
+  before the last holds exactly ``1 << k`` ones, so group starts and
+  sizes are arithmetic: a level is one ``cumsum``, a dozen elementwise
+  ``int32`` operations and two scatters.  The lowest five bits are
+  settled at once by a 32×32 pairwise compare inside each aligned block,
+  done in slabs.
 
-O(n log n) time in ⌈log₂ m⌉ − 5 array passes; O(n) working memory in
-``int32`` words (positions must therefore fit ``int32``).
-``reuse_distances_naive`` is the quadratic oracle the property-based
-tests compare against.
+O(n log n) time in ⌈log₂ m⌉ − 5 array passes over the far links; O(n)
+working memory in ``int32`` words (positions must therefore fit
+``int32``).  ``reuse_distances_naive`` is the quadratic oracle the
+property-based tests compare against.
 """
 
 from __future__ import annotations
@@ -51,6 +75,8 @@ from ..obs import metrics, span
 #: Distance assigned to first-ever (cold) accesses.
 COLD = -1
 
+#: Links whose window holds fewer accesses are counted inside it.
+_NEAR = 16
 #: log2 of the block width below which inversions are counted pairwise.
 _BLOCK_BITS = 5
 #: Blocks per pairwise-compare slab (a 512 KB boolean scratch buffer).
@@ -75,17 +101,35 @@ def reuse_distances(keys: Sequence[int] | np.ndarray) -> np.ndarray:
     Returns
     -------
     ``int64`` array of the same length; ``COLD`` (−1) marks cold accesses.
+
+    The ``locality.reuse_distances`` span carries ``accesses``,
+    ``distinct`` (cold accesses), ``far`` (reuses through the inversion
+    count) and ``levels`` (its partition levels over them).
     """
     arr = _integer_keys(keys)
     n = int(arr.size)
     metrics.inc("locality.reuse.accesses", n)
     with span("locality.reuse_distances", accesses=n) as sp:
         out = np.full(n, COLD, dtype=np.int64)
-        reused, window, p = _reuse_windows(arr)
-        sp.attrs.update(distinct=n - p.size, levels=_partition_levels(p.size))
-        if p.size:
-            window -= prior_greater(p, n)
-            out[reused] = window
+        prev = _previous_access(arr)
+        t = np.flatnonzero(prev >= 0).astype(np.int32)
+        p = prev[t]
+        # an access that is nobody's previous one is its key's last
+        last = np.ones(n, dtype=bool)
+        last[p] = False
+        window = t - p
+        window -= 1
+        near = window < _NEAR
+        out[t[near]] = _near_distances(prev, p[near], window[near])
+        far = ~near
+        del window, near  # the far phase's peak comes after the near one's
+        t, p = t[far], p[far]
+        first = np.flatnonzero(prev < 0)
+        del prev, far
+        sp.attrs.update(
+            distinct=first.size, far=t.size, levels=_partition_levels(t.size)
+        )
+        out[t] = far_distances(p, t, first, np.flatnonzero(last))
     return out
 
 
@@ -137,25 +181,60 @@ def _reuse_links(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos[:-1][same], pos[1:][same]
 
 
-def _reuse_windows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The non-cold accesses in time order: their mask over ``arr``, the
-    number of accesses inside each one's window ``(p, t)``, and ``p``
-    (both ``int32``)."""
-    prev, cur = _reuse_links(arr)
-    p = np.full(arr.size, -1, dtype=np.int32)
-    p[cur] = prev  # a counting sort of the links by time
-    reused = p >= 0
-    p = p[reused]
-    window = np.flatnonzero(reused).astype(np.int32)
-    window -= p
-    window -= 1
-    return reused, window, p
+def _previous_access(arr: np.ndarray) -> np.ndarray:
+    """``prev[t]``, the previous access to the key of access ``t``, or
+    −1 if there is none (``int32``): the links, counting-sorted by time."""
+    prev = np.full(arr.size, -1, dtype=np.int32)
+    p, t = _reuse_links(arr)
+    prev[t] = p
+    return prev
+
+
+def _near_distances(prev: np.ndarray, p: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Distances of the links ``(p, p + window + 1)`` whose window is
+    shorter than ``_NEAR``: the window minus the accesses in it whose own
+    previous access is inside too."""
+    order = np.argsort((_NEAR - 1 - window).astype(np.uint8), kind="stable")
+    p, d = p[order], window[order]
+    reach = np.bincount(window, minlength=_NEAR)[::-1].cumsum()[::-1]
+    for k in range(1, _NEAR):
+        j = int(reach[k])  # longest windows first: these hold access p + k
+        if not j:
+            break
+        head = p[:j]
+        d[:j] -= prev[head + k] > head
+    out = np.empty_like(d)
+    out[order] = d
+    return out
+
+
+def far_distances(
+    p: np.ndarray, t: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """Distinct keys inside the window ``(p[i], t[i])`` of every link,
+    counted by what is absent from it (module docstring).
+
+    ``t`` ascends; the links must include every link that encloses one of
+    them (all links whose window reaches some threshold qualify).
+    ``first`` and ``last`` are the sorted positions of each key's first
+    and last access in the stream the links come from.  Returns ``int32``.
+    """
+    if not t.size:
+        return np.empty(0, dtype=np.int32)
+    d = np.searchsorted(first, t).astype(np.int32)
+    d -= np.searchsorted(last, p).astype(np.int32)
+    d -= 1
+    # #{later links with an earlier start} = #{earlier, greater} on the
+    # reversed, negated column
+    top = int(t[-1])
+    d -= prior_greater((top - p)[::-1], top + 1)[::-1]
+    return d
 
 
 def prior_greater(values: np.ndarray, bound: int) -> np.ndarray:
     """``c[j] = #{i < j : values[i] > values[j]}`` (``int32``) for distinct
     integers in ``[0, bound)`` — the per-element inversion count under
-    both ``reuse_distances`` and the fully-associative simulator."""
+    ``far_distances``."""
     q = _rank(values, bound)
     cur, acc = _partition(q, _partition_levels(q.size))
     acc += _block_inversions(cur)

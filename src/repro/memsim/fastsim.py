@@ -28,9 +28,10 @@ to the narrowest dtype, and each kernel gathers and compares one column:
    head, and among those heads a 2-way miss is ``head[i] != head[i-2]``.
    (The shift trick stops at 2 ways: the third most recent *distinct*
    line can sit arbitrarily far back.  From 3 ways on, the heads go
-   through the reuse-distance kernel: lines never cross sets, so the
-   stack distance within the set is the distance in the sorted stream,
-   and a head misses iff it is cold or its distance reaches the
+   through the fully-associative kernel of facts 4-5 with the
+   associativity as its capacity: lines never cross sets, so the stack
+   distance within the set is the distance in the sorted stream, and a
+   head misses iff it is cold or its distance reaches the
    associativity.)
 
 3. **Residency-segment write-backs.**  For any LRU geometry, a line is
@@ -49,25 +50,16 @@ to the narrowest dtype, and each kernel gathers and compares one column:
    settles 83 % to over 99 % of the heads.  What is left is *far*: cold
    heads, which miss, and far links, which need the count.
 
-5. **Counting by what is absent.**  Of the lines first touched before
-   ``t``, one is ``t``'s own, some were touched for the last time at or
-   before ``p`` (*retired*), and every other one either shows up inside
-   the window ``(p, t)`` or skips it: its link ``(p', t')`` starts
-   before ``p`` and ends after ``t``.  A link that encloses a far link
-   is longer still, hence far itself, so ::
-
-       distinct(p, t) = first-touched-before(t) - 1
-                        - retired-by(p)
-                        - #{far links (p', t') : p' < p and t' > t}
-
-   The first two terms are binary searches in the sorted first and last
-   positions of each line; the third is a per-element inversion count of
-   the far links' ``p`` column in time order —
-   ``locality.reuse_distance.prior_greater``, the kernel under
-   ``reuse_distances``, run on the far subsequence only.  Near links
-   never enter any term, which is why answering one capacity is cheaper
-   than knowing every distance: the inversion count runs over 0.1–17 % of
-   the run heads, and nothing is sized by the number of distinct lines.
+5. **Counting by what is absent.**  A far link's distance is
+   ``locality.reuse_distance.far_distances``, the absence identity that
+   module's docstring states for ``reuse_distances``' far reuses: two
+   binary searches and a per-element inversion count over the far links
+   only.  The identity needs every link that encloses a counted one to
+   be counted too, and a link enclosing a far link is longer, hence far.
+   Near links never enter any term, which is why answering one capacity
+   is cheaper than knowing every distance: the inversion count runs over
+   0.1–17 % of the run heads, and nothing is sized by the number of
+   distinct lines.
 
 6. **The end state is on the same columns.**  What the cache holds when
    the stream ends — each set's last ``A`` distinct lines, LRU → MRU —
@@ -95,7 +87,7 @@ from typing import Optional
 import numpy as np
 
 from ..lang import SimulationError
-from ..locality.reuse_distance import COLD, prior_greater, reuse_distances
+from ..locality.reuse_distance import far_distances
 from ..obs import metrics
 from .cache import CacheConfig, CacheResult, LRUState
 
@@ -215,9 +207,11 @@ def _set_assoc_miss_mask(
         np.not_equal(hl[2:], hl[:-2], out=miss_h[2:])
         head[hpos] = miss_h
     elif assoc > 2:
+        # lines never cross sets, so a stack distance in set order is the
+        # distance within the set: the set is a fully-associative cache
+        # of ``assoc`` lines over its own heads
         metrics.inc("engine.fast.n_way_distance")
-        distances = reuse_distances(hl)
-        head[hpos] = (distances == COLD) | (distances >= assoc)
+        head[hpos] = _fa_miss_mask(hl, assoc)[0]
     # the heads of set s are hl[ends[s - 1]:ends[s]]
     hsets = set_of(hl)
     ends = np.searchsorted(hsets, np.arange(num_sets, dtype=hsets.dtype), side="right")
@@ -277,15 +271,9 @@ def _fa_miss_mask(
 
     pos = order.astype(np.int32)  # simulate_fast bounds the stream
     far = np.flatnonzero((pos[1:] - pos[:-1] > capacity) & ~opens[1:])
-    if len(far) == 0:
-        return miss, 0, recent
     p, t = pos[far], pos[far + 1]
     by_time = np.argsort(t)
     p, t = p[by_time], t[by_time]
-    seen = np.searchsorted(np.sort(first), t)
-    retired = np.searchsorted(last, p)
-    # #{later far links with an earlier start} = #{earlier, greater} on
-    # the reversed, negated column
-    enclosing = prior_greater((m - 1 - p)[::-1], m)[::-1]
-    miss[t[seen - 1 - retired - enclosing >= capacity]] = True
+    distinct = far_distances(p, t, np.sort(first), last)
+    miss[t[distinct >= capacity]] = True
     return miss, len(far), recent

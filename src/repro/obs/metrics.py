@@ -14,7 +14,7 @@ schema's payload.  Current emitters:
 ``cache.result.hits/misses``    ... result entries
 ``cache.trace/result.stores``   ... entries written
 ``engine.fast.calls``           :func:`repro.memsim.fastsim.simulate_fast`
-``engine.fast.n_way_distance``  assoc>=3 via exact stack distances
+``engine.fast.n_way_distance``  assoc>=3 via the near/far stack-distance kernel
 ``engine.reference.calls``      scalar reference engine dispatches
 ``verify.diagnostics.<sev>``    :class:`repro.verify.DiagnosticBag`
 ``locality.reuse.accesses``     accesses through ``reuse_distances``

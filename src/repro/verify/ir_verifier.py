@@ -232,12 +232,15 @@ class _Linter:
                         where=where,
                         stmt=str(guard),
                     )
-        # a single interval narrows the index range inside the body,
-        # exactly like the footprint collector
+        # a single interval narrows the index range inside the body to its
+        # intersection with the loop's: per bound the tighter one where
+        # the comparison is decided, the guard's where it is not
         if rng is not None and len(guard.intervals) == 1:
             iv = guard.intervals[0]
+            lo = rng.lo if iv.lower.compare(rng.lo, self.assume) == -1 else iv.lower
+            hi = rng.hi if iv.upper.compare(rng.hi, self.assume) == 1 else iv.upper
             k = self.scope.index(rng)
-            self.scope[k] = IndexRange(guard.index, iv.lower, iv.upper)
+            self.scope[k] = IndexRange(guard.index, lo, hi)
             narrowed = True
         for k, s in enumerate(guard.body):
             self.check_stmt(s, f"{where}/when {guard.index}[{k}]")

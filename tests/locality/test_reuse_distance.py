@@ -156,16 +156,18 @@ def test_non_numeric_keys_are_rejected():
 def test_one_span_and_one_counter_per_call():
     from repro.obs import SpanCollector, metrics
 
-    keys = np.tile(np.arange(100), 2)
+    # 100 reuses across a window of 99 accesses, then 38 one back
+    keys = np.concatenate([np.tile(np.arange(100), 2), np.tile([500, 501], 20)])
     before = metrics.snapshot()
     with SpanCollector() as collector:
         reuse_distances(keys)
     (event,) = collector.events  # nothing per level
     assert event.name == "locality.reuse_distances"
-    # 100 reuses: two partition levels (bits 6 and 5) above the 32-wide blocks
-    assert event.attrs == {"accesses": 200, "distinct": 100, "levels": 2}
+    # only the 100 far reuses are inversion-counted: two partition levels
+    # (bits 6 and 5) above the 32-wide blocks
+    assert event.attrs == {"accesses": 240, "distinct": 102, "far": 100, "levels": 2}
     delta = metrics.REGISTRY.delta(before, metrics.snapshot())["counters"]
-    assert delta == {"locality.reuse.accesses": 200}
+    assert delta == {"locality.reuse.accesses": 240}
 
 
 # -- mid-size differential against the scalar simulator -------------------------

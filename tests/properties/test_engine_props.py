@@ -3,14 +3,14 @@
 Two families of invariants lock the vectorized paths in
 ``repro.memsim.fastsim`` to ground truth:
 
-* every fast set-associative path (direct-mapped, 2-way, the
-  stack-distance path for 3+ ways, and the fully-associative near/far
-  path) must agree with the scalar ``_n_way`` / ``_fully_associative``
-  reference — miss masks *and* write-back counts — on arbitrary
-  address/write streams — at set counts and line sizes that are not
-  powers of two, negative addresses and line ids on both sides of 2**31
-  included — and on TLB-shaped ones, where a working set just under, at
-  or over the capacity cycles through a few pages;
+* every fast set-associative path (direct-mapped, 2-way, and the
+  near/far stack-distance path, per set for 3+ ways and over the whole
+  cache when fully associative) must agree with the scalar ``_n_way`` /
+  ``_fully_associative`` reference — miss masks *and* write-back
+  counts — on arbitrary address/write streams — at set counts and line
+  sizes that are not powers of two, negative addresses and line ids on
+  both sides of 2**31 included — and on TLB-shaped ones, where a working
+  set just under, at or over the capacity cycles through a few pages;
 * the fully-associative cache must agree with the stack-distance oracle
   ``miss_count(reuse_distances(lines), capacity)``, the LRU/stack
   equivalence (paper §2.1) the fast path is built on.
@@ -60,7 +60,7 @@ CONFIGS = [
     CacheConfig("2w1", 2 * 8, 8, 2),  # 2-way, single set
     CacheConfig("fa", 4 * 8, 8, 0),  # fully associative, 4 lines
     CacheConfig("fa1", 1 * 8, 8, 0),  # fully associative, 1 line
-    CacheConfig("4w", 16 * 8, 8, 4),  # stack-distance path
+    CacheConfig("4w", 16 * 8, 8, 4),  # near/far path per set
 ]
 
 
@@ -92,7 +92,7 @@ def test_set_assoc_paths_match_n_way(stream):
 
 
 #: (sets, ways, line bytes): set counts that are not powers of two (96 is
-#: the scaled L2), lines that are not, and a 3-way stack-distance path
+#: the scaled L2), lines that are not, and a 3-way near/far path
 ODD_GEOMETRIES = [(3, 1, 8), (6, 2, 8), (96, 2, 128), (4, 2, 24), (6, 3, 12)]
 
 #: first line id of the stream (line ids then span at most 60): negative
@@ -186,7 +186,9 @@ def _chunked(config, addresses, writes, engine, cuts):
 KERNELS = {
     "direct-mapped": [(8, 1, 8), (3, 1, 8)],
     "2-way": [(8, 2, 8), (1, 2, 8), (6, 2, 8), (96, 2, 128), (4, 2, 24)],
+    "3-way": [(4, 3, 8), (1, 3, 8)],
     "4-way": [(4, 4, 8), (6, 3, 12)],
+    "8-way": [(2, 8, 8), (1, 8, 8)],
     "fully-associative": [(1, 4, 8), (1, 1, 8), (1, 5, 24)],
 }
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import simulate_belady
 from repro.locality import COLD, reuse_distances, reuse_distances_naive
+from repro.locality.reuse_distance import _NEAR
 from repro.memsim import CacheConfig, simulate_cache
 
 traces = st.lists(st.integers(0, 30), min_size=0, max_size=300)
@@ -36,17 +37,59 @@ def test_reuse_distance_equals_naive(keys):
 BOUNDARIES = [2**k + d for k in (4, 5, 6, 7, 10, 12) for d in (-1, 0, 1)]
 
 
-@pytest.mark.parametrize("count", ["accesses", "reuses"])
+def _windows(keys):
+    """The window (accesses strictly between) of every non-cold access."""
+    last, out = {}, []
+    for t, key in enumerate(keys):
+        if key in last:
+            out.append(t - last[key] - 1)
+        last[key] = t
+    return out
+
+
+def _far_reuses_among_near(far, rng):
+    """Exactly ``far`` reuses whose window reaches ``_NEAR``, with near
+    reuses of fresh keys nested inside their windows (``a b a b``) and
+    straddling their ends (``y k y`` around an access ``k`` of a far
+    link); inserting only lengthens a far window, so none turns near."""
+    cycle = _NEAR + 1  # every reuse of the cycle has a window of _NEAR
+    keys, fresh = [], 10**6
+    for t in range(cycle + far):
+        shape = rng.integers(0, 4)
+        if shape == 1:
+            keys += [fresh, fresh + 1, fresh, fresh + 1]
+        keys += [fresh + 2, t % cycle, fresh + 2] if shape == 2 else [t % cycle]
+        fresh += 3
+    return keys
+
+
+@pytest.mark.parametrize("count", ["accesses", "reuses", "far"])
 @pytest.mark.parametrize("size", BOUNDARIES)
 def test_reuse_distance_equals_naive_at_kernel_boundaries(size, count):
-    """The kernel's shape depends on the number of non-cold accesses
-    (partition levels, block padding) and of accesses (position bits):
-    put each exactly on, just under and just over every power of two."""
-    distinct = 13
-    reuses = size if count == "reuses" else size - distinct
+    """The kernel's shape depends on the number of far reuses (partition
+    levels, block padding), of non-cold accesses and of accesses
+    (position bits): put each exactly on, just under and just over every
+    power of two."""
     rng = np.random.default_rng(size)
-    keys = list(range(distinct)) + rng.integers(0, distinct, reuses).tolist()
+    if count == "far":
+        keys = _far_reuses_among_near(size, rng)
+        windows = _windows(keys)
+        assert sum(w >= _NEAR for w in windows) == size
+        assert min(windows) < _NEAR
+    else:
+        distinct = 13
+        reuses = size if count == "reuses" else size - distinct
+        keys = list(range(distinct)) + rng.integers(0, distinct, reuses).tolist()
     assert list(reuse_distances(keys)) == reuse_distances_naive(keys)
+
+
+def _cycles(*widths, laps=30):
+    """Fresh keys cycled so that every reuse's window is exactly ``w``,
+    one block per ``w``."""
+    keys = []
+    for block, w in enumerate(widths):
+        keys += [1000 * block + k for k in range(w + 1)] * laps
+    return keys
 
 
 @pytest.mark.parametrize(
@@ -58,6 +101,14 @@ def test_reuse_distance_equals_naive_at_kernel_boundaries(size, count):
         pytest.param(
             (list(range(65)) + list(range(64, -1, -1))) * 16, id="zigzag"
         ),  # every turn-around inverts all previous positions
+        # windows just under, on and just over the near/far split
+        pytest.param(_cycles(_NEAR - 1), id="all-near-at-split"),
+        pytest.param(_cycles(_NEAR), id="all-far-at-split"),
+        pytest.param(_cycles(_NEAR + 1), id="all-far-past-split"),
+        pytest.param(
+            _cycles(_NEAR - 1, _NEAR, _NEAR + 1, _NEAR, _NEAR - 1), id="mixed-at-split"
+        ),
+        pytest.param(_cycles(0, 1, 3, 7, laps=200), id="all-near"),
     ],
 )
 def test_reuse_distance_equals_naive_on_extreme_orders(keys):

@@ -65,6 +65,33 @@ def test_guard_narrows_subscript_range():
     assert not bag.has_errors(), bag.render()
 
 
+@pytest.mark.parametrize(
+    "loop, guard, stmt",
+    [
+        # the guard's upper bound is looser than the loop's: i + 1 <= N
+        ("1, N - 1", "[1 : N]", "A[i + 1] = f(B[i])"),
+        # the guard's lower bound is looser than the loop's: i - 1 >= 1
+        ("2, N", "[1 : N]", "A[i - 1] = f(B[i])"),
+    ],
+)
+def test_guard_intersects_loop_range(loop, guard, stmt):
+    """A guard narrows the index range to its intersection with the
+    loop's, never widens it past what the loop executes."""
+    from repro.interp import run_program
+
+    source = f"""
+        program t
+        param N
+        real A[N], B[N]
+        for i = {loop} {{
+          when i in {guard} {{ {stmt} }}
+        }}
+        """
+    run_program(validate(parse(source)), {"N": 8})  # in bounds
+    bag = lint(source)
+    assert not bag.has_errors(), bag.render()
+
+
 def test_triangular_loop_bounds_resolved():
     bag = lint(
         """

@@ -2,13 +2,17 @@
 """Alternating pairs of ``perf/run.py`` in two checkouts (perf/README.md,
 "Comparing two sets of runs"): pair *i* runs seed ``--seed + i`` on both
 sides, A first on even pairs and B first on odd ones, and every
-end-to-end metric is printed with both medians, their quartiles, B/A and
-the pairs B won (all metrics are lower-is-better; ties count for neither).
-Below them, informational only, the uncalibrated ``raw_pass_wall_s`` row
-of each run's ``results.json``, so the calibrated ratio can be read
-beside the raw one.
+end-to-end metric is printed with both medians, their quartiles, B/A,
+the pairs B won (all metrics are lower-is-better; ties count for
+neither) and its bound from A's ``BENCHMARK.json``: a row whose B/A is
+above ``1 + bound`` is marked ``WORSE``, and any such row makes the exit
+status 1.  Below them, informational only, the uncalibrated
+``raw_pass_wall_s`` row of each run's ``results.json``, so the calibrated
+ratio can be read beside the raw one.  Several workloads in one call
+(``--workload a b`` or ``--workload a --workload b``) print one table
+each, in turn.
 
-    python3 tools/perf_pairs.py /root/scratch/parent . --workload fig10_sim
+    python3 tools/perf_pairs.py ../parent . --workload fig10_sim reuse_profile
 """
 
 import argparse
@@ -43,29 +47,52 @@ def quartiles(xs: list[float]) -> str:
     return f"{med:9.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def bounds(checkout: str) -> dict[str, float]:
+    """The end-to-end bound of every metric ``BENCHMARK.json`` declares."""
+    spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def compare(a_side: str, b_side: str, workload: str, pairs: int, seed: int) -> int:
+    """Run and print one workload's table; the number of rows marked WORSE."""
+    bound = bounds(a_side)
+    runs: dict[str, list[dict[str, float]]] = {a_side: [], b_side: []}
+    for i in range(pairs):
+        for side in (a_side, b_side) if i % 2 == 0 else (b_side, a_side):
+            runs[side].append(run_once(side, workload, seed + i))
+        print(f"{workload}: pair {i + 1}/{pairs} done", file=sys.stderr)
+    print(f"{workload}: {pairs} pairs from seed {seed}")
+    worse = 0
+    for name in runs[a_side][0]:
+        if name == RAW:
+            print("informational (no verdict):")
+        a = [r[name] for r in runs[a_side]]
+        b = [r[name] for r in runs[b_side]]
+        wins = sum(y < x for x, y in zip(a, b))
+        ratio = statistics.median(b) / statistics.median(a)
+        print(f"{name:15s} A {quartiles(a)}  B {quartiles(b)}", end="  ")
+        print(f"B/A {ratio:.3f}  wins {wins}/{len(a)}", end="")
+        if name in bound:
+            flag = ratio > 1 + bound[name]
+            worse += flag
+            print(f"  bound {bound[name]:g}{'  WORSE' if flag else ''}", end="")
+        print()
+    return worse
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", help="checkout of the parent commit")
     ap.add_argument("b", help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="extend", nargs="+")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=601, help="seed of the first pair")
     args = ap.parse_args()
-    runs: dict[str, list[dict[str, float]]] = {args.a: [], args.b: []}
-    for i in range(args.pairs):
-        for side in (args.a, args.b) if i % 2 == 0 else (args.b, args.a):
-            runs[side].append(run_once(side, args.workload, args.seed + i))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    print(f"{args.workload}: {args.pairs} pairs from seed {args.seed}")
-    for name in runs[args.a][0]:
-        if name == RAW:
-            print("informational (no verdict):")
-        a = [r[name] for r in runs[args.a]]
-        b = [r[name] for r in runs[args.b]]
-        wins = sum(y < x for x, y in zip(a, b))
-        ratio = statistics.median(b) / statistics.median(a)
-        print(f"{name:15s} A {quartiles(a)}  B {quartiles(b)}", end="  ")
-        print(f"B/A {ratio:.3f}  wins {wins}/{len(a)}")
+    worse = sum(
+        compare(args.a, args.b, workload, args.pairs, args.seed)
+        for workload in args.workload
+    )
+    sys.exit(1 if worse else 0)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 ``collect_accesses`` walks a loop body and produces one
 :class:`RefAccess` per array reference, classified relative to the frame
 variable and annotated with the active range of frame values for which it
-executes (narrowed through :class:`Guard` statements).  Fusion's
-``FusibleTest``, statement embedding, and data regrouping all consume
-this summary; dependence is tested by intersecting footprints, exactly as
-the paper describes.
+executes: the frame's range in :class:`repro.lang.Scope`, narrowed by
+enclosing guards under its one rule (:func:`repro.lang.scope.narrow`).
+Fusion's ``FusibleTest``, statement embedding, and data regrouping all
+consume this summary; dependence is tested by intersecting footprints,
+exactly as the paper describes.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from ..lang import (
     ArrayRef,
     Assign,
     CallStmt,
-    Guard,
     Loop,
     ScalarRef,
+    Scope,
     Stmt,
     array_reads,
 )
@@ -80,101 +81,67 @@ def _scalar_access(name: str, is_write: bool) -> RefAccess:
     )
 
 
-class _Collector:
-    def __init__(self, frame: Optional[str], params: frozenset[str]) -> None:
-        self.frame = frame
+class _Collector(Scope):
+    """A frame loop's references (``frame`` is the first in-scope range),
+    or a loose statement's (``frame=False``: everything is invariant or
+    complex, and no reference has an active range)."""
+
+    def __init__(self, params: frozenset[str], frame: bool) -> None:
+        super().__init__()
         self.params = params
+        self.frame = frame
         self.out: list[RefAccess] = []
 
-    def ref(
-        self,
-        ref: ArrayRef,
-        is_write: bool,
-        inner: frozenset[str],
-        lo: Optional[Affine],
-        hi: Optional[Affine],
-    ) -> None:
-        if self.frame is None:
-            # loose statement: everything is invariant or complex
+    def ref(self, ref: ArrayRef, is_write: bool, inner: frozenset[str]) -> None:
+        if not self.frame:
             dims = []
             for sub in ref.index_affines():
                 unknown = sub.variables() - self.params
                 dims.append(
                     DimClass.invariant(sub) if not unknown else DimClass.complex_()
                 )
-            dims = tuple(dims)
-        else:
-            dims = tuple(
-                classify_subscript(sub, self.frame, inner, self.params)
-                for sub in ref.index_affines()
+            self.out.append(
+                RefAccess(ref.array, is_write, tuple(dims), None, None, text=str(ref))
             )
+            return
+        frame = self.ranges[0]
+        dims = tuple(
+            classify_subscript(sub, frame.index, inner, self.params)
+            for sub in ref.index_affines()
+        )
         self.out.append(
-            RefAccess(ref.array, is_write, dims, lo, hi, text=str(ref))
+            RefAccess(ref.array, is_write, dims, frame.lo, frame.hi, text=str(ref))
         )
 
-    def stmt(
-        self,
-        stmt: Stmt,
-        inner: frozenset[str],
-        lo: Optional[Affine],
-        hi: Optional[Affine],
-    ) -> None:
-        if isinstance(stmt, Assign):
-            for r in array_reads(stmt.expr):
-                self.ref(r, False, inner, lo, hi)
-            for node in stmt.expr.walk():
-                if isinstance(node, ScalarRef):
-                    self.out.append(_scalar_access(node.name, False))
-            if isinstance(stmt.target, ArrayRef):
-                self.ref(stmt.target, True, inner, lo, hi)
-            else:
-                self.out.append(_scalar_access(stmt.target.name, True))
-        elif isinstance(stmt, Loop):
-            self.body(stmt.body, inner | {stmt.index}, lo, hi)
-        elif isinstance(stmt, Guard):
-            if (
-                self.frame is not None
-                and stmt.index == self.frame
-                and len(stmt.intervals) == 1
-            ):
-                iv = stmt.intervals[0]
-                self.body(stmt.body, inner, iv.lower, iv.upper)
-                # the complement of an interval is not an interval; stay
-                # conservative for the else branch
-                if stmt.else_body:
-                    self.body(stmt.else_body, inner, lo, hi)
-            else:
-                self.body(stmt.body, inner, lo, hi)
-                self.body(stmt.else_body, inner, lo, hi)
-        elif isinstance(stmt, CallStmt):
-            raise AnalysisError(
-                f"footprint analysis requires inlined programs (call {stmt.proc!r})"
-            )
+    def assign(self, stmt: Assign) -> None:
+        inner = frozenset(r.index for r in self.ranges[1:])
+        for r in array_reads(stmt.expr):
+            self.ref(r, False, inner)
+        for node in stmt.expr.walk():
+            if isinstance(node, ScalarRef):
+                self.out.append(_scalar_access(node.name, False))
+        if isinstance(stmt.target, ArrayRef):
+            self.ref(stmt.target, True, inner)
         else:
-            raise AnalysisError(f"cannot analyze {type(stmt).__name__}")
+            self.out.append(_scalar_access(stmt.target.name, True))
 
-    def body(
-        self,
-        body: Sequence[Stmt],
-        inner: frozenset[str],
-        lo: Optional[Affine],
-        hi: Optional[Affine],
-    ) -> None:
-        for stmt in body:
-            self.stmt(stmt, inner, lo, hi)
+    def call(self, stmt: CallStmt) -> None:
+        raise AnalysisError(
+            f"footprint analysis requires inlined programs (call {stmt.proc!r})"
+        )
 
 
 def collect_loop_accesses(loop: Loop, params: Sequence[str]) -> list[RefAccess]:
     """Accesses of a loop, classified relative to its own index."""
-    col = _Collector(loop.index, frozenset(params))
-    col.body(loop.body, frozenset(), loop.lower.affine(), loop.upper.affine())
+    col = _Collector(frozenset(params), frame=True)
+    col.loop(loop)
     return col.out
 
 
 def collect_stmt_accesses(stmt: Stmt, params: Sequence[str]) -> list[RefAccess]:
     """Accesses of a loose (non-loop) statement: frame-free."""
-    col = _Collector(None, frozenset(params))
-    col.stmt(stmt, frozenset(), None, None)
+    col = _Collector(frozenset(params), frame=False)
+    col.walk_stmt(stmt)
     return col.out
 
 

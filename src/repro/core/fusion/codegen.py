@@ -92,7 +92,8 @@ def _member_body(
         target = affine_expr(Affine.var(frame) - member.shift, params)
     if member.loop.index == frame and member.shift == 0 and at is None:
         return body
-    return [subst_stmt(s, {member.loop.index: target}) for s in body]
+    bindings = {member.loop.index: target}
+    return [t for s in body for t in subst_stmt(s, bindings, params)]
 
 
 def unit_to_stmts(
@@ -236,5 +237,5 @@ def peel_iterations(
     for value in values:
         target = affine_expr(value, params)
         for stmt in loop.body:
-            out.append(subst_stmt(stmt, {loop.index: target}))
+            out.extend(subst_stmt(stmt, {loop.index: target}, params))
     return out

@@ -26,9 +26,9 @@ from typing import Optional
 from ...lang import (
     ArrayRef,
     Assign,
-    Guard,
     Loop,
     Program,
+    Scope,
     Stmt,
     array_reads,
 )
@@ -75,26 +75,24 @@ class ArrayAccessInfo:
         return table.get(level, frozenset())
 
 
-class _Walker:
+class _Walker(Scope):
     def __init__(self, program: Program, strict: bool = False) -> None:
+        super().__init__()
         self.strict = strict
         self.program = program
         self.info: dict[str, ArrayAccessInfo] = {
             a.name: ArrayAccessInfo(a.name, a.ndim) for a in program.arrays
         }
-        #: stack of (loop id, loop index name, wide) from outermost in
-        self.loop_stack: list[tuple[int, str, bool]] = []
+        #: id(loop) -> whether the loop is wide enough to be a phase
+        self.wide: dict[int, bool] = {}
         self.current_item: int = 0
 
     # -- reference handling ------------------------------------------------
 
     def ref(self, ref: ArrayRef) -> None:
         info = self.info[ref.array]
-        depth_of: dict[str, int] = {
-            name: depth for depth, (_, name, _w) in enumerate(self.loop_stack)
-        }
-        id_of: dict[str, int] = {name: lid for (lid, name, _w) in self.loop_stack}
-        wide_of: dict[str, bool] = {name: w for (_, name, w) in self.loop_stack}
+        depth_of = {r.index: depth for depth, r in enumerate(self.ranges)}
+        loop_of = {r.index: r.loop for r in self.ranges}
         dim_vars: list[Optional[str]] = []
         for sub in ref.index_affines():
             candidates = [v for v in sub.variables() if v in depth_of]
@@ -123,30 +121,23 @@ class _Walker:
         for level in range(info.ndim):
             if level >= len(dim_vars) or dim_vars[level] is None:
                 continue
-            var = dim_vars[level]
-            if not wide_of[var]:
+            loop = loop_of[dim_vars[level]]
+            if not self.wide[id(loop)]:
                 continue
-            info._phase_sets.setdefault(level, set()).add(id_of[var])
+            info._phase_sets.setdefault(level, set()).add(id(loop))
             info._coarse_sets.setdefault(level, set()).add(self.current_item)
 
     # -- traversal ---------------------------------------------------------
 
-    def stmt(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            for r in array_reads(stmt.expr):
-                self.ref(r)
-            if isinstance(stmt.target, ArrayRef):
-                self.ref(stmt.target)
-        elif isinstance(stmt, Loop):
-            self.loop_stack.append((id(stmt), stmt.index, _is_wide(stmt)))
-            for s in stmt.body:
-                self.stmt(s)
-            self.loop_stack.pop()
-        elif isinstance(stmt, Guard):
-            for s in stmt.body:
-                self.stmt(s)
-            for s in stmt.else_body:
-                self.stmt(s)
+    def assign(self, stmt: Assign) -> None:
+        for r in array_reads(stmt.expr):
+            self.ref(r)
+        if isinstance(stmt.target, ArrayRef):
+            self.ref(stmt.target)
+
+    def loop(self, loop: Loop) -> None:
+        self.wide[id(loop)] = _is_wide(loop)
+        super().loop(loop)
 
     def _phase_ids(self) -> list[int]:
         """Partition top-level items into computation phases.
@@ -198,7 +189,7 @@ class _Walker:
             phases = self._phase_ids()
         for k, stmt in enumerate(self.program.body):
             self.current_item = phases[k]
-            self.stmt(stmt)
+            self.walk_stmt(stmt)
         for info in self.info.values():
             info.freeze()
         return self.info

@@ -56,14 +56,16 @@ class Assumptions:
     defeats any comparison that needs its sign.
     """
 
-    default: int = DEFAULT_PARAM_MIN
+    default: Optional[int] = DEFAULT_PARAM_MIN
     mins: tuple[tuple[str, Optional[int]], ...] = ()
 
     @staticmethod
-    def of(value: Union[int, "Assumptions"]) -> "Assumptions":
+    def of(value: Union[int, "Assumptions", None]) -> "Assumptions":
+        """``value`` itself, a bound for every parameter, or (``None``)
+        the default one."""
         if isinstance(value, Assumptions):
             return value
-        return Assumptions(default=value)
+        return Assumptions() if value is None else Assumptions(default=value)
 
     def min_of(self, name: str) -> Optional[int]:
         for n, m in self.mins:

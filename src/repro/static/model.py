@@ -8,20 +8,20 @@ That correspondence is what lets the cross-validation suite compare
 static and dynamic reuse classes reference by reference.
 
 Unlike the trace generator, nothing here is evaluated: loop bounds stay
-affine, subscripts stay affine, guard intervals either *narrow* the
-enclosing index range (single interval — the common fusion-boundary
-shape) or fall back to a conservative hull over the interval union, the
-same convention as :mod:`repro.analysis.access` and the IR linter.
+affine, subscripts stay affine, and a guard narrows the enclosing index
+range by the one rule of :func:`repro.lang.scope.narrow`, the rule every
+symbolic analysis applies.  The flatten walks the lowering rather than
+:class:`repro.lang.Scope` because the lowering's ids are the tracers'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
-from ..lang import Affine, ArrayDecl, Guard, Program
+from ..lang import Affine, ArrayDecl, Assumptions, Guard, Program
 from ..lang.lowering import LoweredAssign, LoweredLoop, lower
+from ..lang.scope import narrow, widths
 from .poly import ONE, Poly
 
 
@@ -30,10 +30,11 @@ class LoopCtx:
     """One enclosing loop level as seen by a reference.
 
     ``lo``/``hi`` are the (possibly guard-narrowed) inclusive bounds;
-    ``trip`` is the exact iteration count as a polynomial (for a
-    multi-interval guard the hull ``[lo, hi]`` is wider than the true
-    iteration set, but ``trip`` still sums the interval widths exactly);
-    ``exact`` is False when the narrowing lost information.
+    ``trip`` is the iteration count as a polynomial (for a multi-interval
+    guard the hull ``[lo, hi]`` is wider than the iteration set, but
+    ``trip`` sums the narrowed interval widths; an else branch counts the
+    loop's iterations outside them); ``exact`` is False when the
+    narrowing lost information.
 
     ``loop_id`` identifies the originating :class:`~repro.lang.Loop`
     statement: two references share an iteration space at some level only
@@ -112,48 +113,34 @@ class StaticModel:
         return total
 
 
-def _narrow(outer: LoopCtx, guard: Guard, else_branch: bool) -> LoopCtx:
-    """The guarded index's range inside the guard body (or else body)."""
-    member_trip = Poly()
-    lo: Optional[Affine] = None
-    hi: Optional[Affine] = None
-    for iv in guard.intervals:
-        member_trip = member_trip + Poly.from_affine(iv.upper - iv.lower + 1)
-        lo = iv.lower if lo is None else _pick(lo, iv.lower, smaller=True)
-        hi = iv.upper if hi is None else _pick(hi, iv.upper, smaller=False)
-    if else_branch:
-        trip = outer.trip - member_trip
-        return LoopCtx(
-            outer.index, outer.lo, outer.hi, trip,
-            exact=False, loop_id=outer.loop_id,
-        )
-    exact = len(guard.intervals) == 1 and outer.exact
-    assert lo is not None and hi is not None
-    return LoopCtx(
-        outer.index, lo, hi, member_trip, exact=exact, loop_id=outer.loop_id
+def _guard_contexts(
+    outer: LoopCtx, guard: Guard, assume: Assumptions
+) -> tuple[LoopCtx, LoopCtx]:
+    """The guarded index's context inside ``guard``'s body and its else
+    branch: the body's range by the guard rule, its trip the narrowed
+    widths of the intervals; the else branch keeps the loop's range and
+    counts the iterations the body does not take."""
+    lo, hi, exact = narrow(outer.lo, outer.hi, guard, assume)
+    counts = widths(outer.lo, outer.hi, guard, assume)
+    trip = sum((Poly.from_affine(w) for w in counts), Poly())
+    inside = LoopCtx(outer.index, lo, hi, trip, exact and outer.exact, outer.loop_id)
+    orelse = LoopCtx(
+        outer.index, outer.lo, outer.hi, outer.trip - trip, False, outer.loop_id
     )
-
-
-def _pick(a: Affine, b: Affine, smaller: bool) -> Affine:
-    """min/max of two affine forms; indeterminate keeps the first."""
-    cmp = a.compare(b)
-    if cmp is None:
-        return a
-    if smaller:
-        return a if cmp <= 0 else b
-    return a if cmp >= 0 else b
+    return inside, orelse
 
 
 def build_model(program: Program) -> StaticModel:
     """The static reference model of ``program``: its lowering
     (:func:`repro.lang.lowering.lower`) flattened, each reference with
-    the loop contexts around it, guards narrowing them (:func:`_narrow`),
+    the loop contexts around it, guards narrowing them by the one rule,
     its access row normalised once (``uniform`` / ``rows`` / ``offset``)
     and grouped by uniformly generated set.  The lowering's ids are the
     tracers', so reference ids match
     :func:`repro.interp.tracegen.trace_program`'s ``ref_ids``.
     """
     lowering = lower(program)
+    assume = Assumptions()
     refs: list[StaticRef] = []
 
     def flatten(nodes, scope: tuple[LoopCtx, ...], nest: int, start: int) -> None:
@@ -177,12 +164,13 @@ def build_model(program: Program) -> StaticModel:
             else:
                 index = node.guard.index
                 level = next((k for k, c in enumerate(scope) if c.index == index), None)
-                for body, else_branch in ((node.body, False), (node.else_body, True)):
-                    inner = scope
-                    if level is not None:
-                        ctx = _narrow(scope[level], node.guard, else_branch)
-                        inner = scope[:level] + (ctx,) + scope[level + 1:]
-                    flatten(body, inner, nest, start)
+                if level is None:
+                    flatten(node.body, scope, nest, start)
+                    flatten(node.else_body, scope, nest, start)
+                    continue
+                contexts = _guard_contexts(scope[level], node.guard, assume)
+                for body, ctx in zip((node.body, node.else_body), contexts):
+                    flatten(body, scope[:level] + (ctx,) + scope[level + 1:], nest, start)
 
     nests = []
     for k, node in enumerate(lowering.nests):

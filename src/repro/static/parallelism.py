@@ -51,16 +51,19 @@ from ..lang import (
     Assign,
     BinOp,
     Call,
+    CallStmt,
     Expr,
     Guard,
     Loop,
     NotAffineError,
     Program,
     ScalarRef,
+    Scope,
     Stmt,
     UnaryOp,
 )
 from ..lang.lowering import linearize
+from ..lang.scope import Range
 from ..obs import metrics, span
 from .dependence_test import lane_conflict, lane_terms, solve_sum
 
@@ -343,7 +346,26 @@ def _assign_accesses(stmt: Assign) -> list[tuple[Expr, bool, bool]]:
     return out
 
 
-class _Collector:
+def _fold(
+    ranges: Sequence[Range],
+    params: Mapping[str, int],
+    known: Mapping[str, tuple[int, int]],
+) -> dict[str, tuple[int, int]]:
+    """``known`` plus the scope's ranges folded at ``params``: each index's
+    concrete [min, max] over the indices enclosing it (an index whose
+    bounds do not fold stays out)."""
+    folded = dict(known)
+    for r in ranges:
+        try:
+            folded[r.index] = (
+                interval(r.lo, params, folded)[0], interval(r.hi, params, folded)[1]
+            )
+        except AnalysisError:
+            folded.pop(r.index, None)
+    return folded
+
+
+class _Collector(Scope):
     """One axis's subtree flattened into folded references + inner ranges,
     read by the symbolic tier, the space estimate and the reduction targets.
 
@@ -358,16 +380,19 @@ class _Collector:
         params: Mapping[str, int],
         strides: Mapping[str, tuple[int, ...]],
         loop: Loop,
-        known: dict[str, tuple[int, int]],
+        outer: Mapping[str, tuple[int, int]],
     ) -> None:
+        super().__init__()
         self.params = params
         self.strides = strides
+        self.outer = outer  # the ranges of the names enclosing the axis
         self.refs: list[_Ref] = []
         self.inner: dict[str, tuple[int, int]] = {}
+        self.occurrence: dict[int, str] = {}  # id(inner loop) -> its variable
         self.exact = True  # False once a guard or context-widened bound appears
         self.per_lane = 0  # upper bound on accesses per axis iteration
         self._stmts = 0
-        self._collect(loop.body, known, {}, 1)
+        Scope.loop(self, loop)
 
     def reductions(self) -> tuple[str, ...]:
         """The accumulation targets, one per accumulating statement."""
@@ -375,59 +400,49 @@ class _Collector:
             r.text for r in self.refs if r.accum is not None and r.is_write
         )
 
-    def _add(
-        self, ref: Expr, is_write: bool, accum: Optional[int], scope: dict[str, str]
-    ) -> None:
-        if isinstance(ref, ScalarRef):
-            array, const, terms = SCALAR_PREFIX + ref.name, 0, ()
-        else:
-            assert isinstance(ref, ArrayRef)
-            const, terms = _linearize(ref, self.strides, self.params)
-            array = ref.array
-        self.refs.append(_Ref(
-            array, const, {scope.get(n, n): c for n, c in terms},
-            is_write, str(ref), accum, tuple(scope.values()),
-        ))
-
-    def _collect(
-        self,
-        body: Sequence[Stmt],
-        known: dict[str, tuple[int, int]],
-        scope: dict[str, str],
-        mult: int,
-    ) -> None:
-        """``known`` ranges every name in scope for the bounds; ``scope``
-        maps each axis-inner loop's index to its occurrence."""
-        for stmt in body:
-            if isinstance(stmt, Assign):
-                stmt_id = self._stmts
-                self._stmts += 1
-                for ref, is_write, accum in _assign_accesses(stmt):
-                    self._add(ref, is_write, stmt_id if accum else None, scope)
-                    self.per_lane += mult
-            elif isinstance(stmt, Loop):
-                try:
-                    lo_a, hi_a = stmt.bounds_affine()
-                    lo_r = interval(lo_a, self.params, known)
-                    hi_r = interval(hi_a, self.params, known)
-                except AnalysisError as exc:
-                    raise _Unsupported(str(exc)) from exc
-                if lo_r[0] != lo_r[1] or hi_r[0] != hi_r[1]:
-                    self.exact = False  # context-dependent (e.g. triangular)
-                rng = (lo_r[0], hi_r[1])
-                occurrence = f"{stmt.index}#{len(self.inner)}"
-                self.inner[occurrence] = rng
-                self._collect(
-                    stmt.body, {**known, stmt.index: rng},
-                    {**scope, stmt.index: occurrence},
-                    mult * max(0, rng[1] - rng[0] + 1),
-                )
-            elif isinstance(stmt, Guard):
-                self.exact = False  # both branches folded in (hull)
-                self._collect(stmt.body, known, scope, mult)
-                self._collect(stmt.else_body, known, scope, mult)
+    def assign(self, stmt: Assign) -> None:
+        scope = {r.index: self.occurrence[id(r.loop)] for r in self.ranges[1:]}
+        mult = 1
+        for occurrence in scope.values():
+            lo, hi = self.inner[occurrence]
+            mult *= max(0, hi - lo + 1)
+        stmt_id = self._stmts
+        self._stmts += 1
+        for ref, is_write, accum in _assign_accesses(stmt):
+            if isinstance(ref, ScalarRef):
+                array, const, terms = SCALAR_PREFIX + ref.name, 0, ()
             else:
-                raise _Unsupported(f"cannot analyze {type(stmt).__name__}")
+                assert isinstance(ref, ArrayRef)
+                const, terms = _linearize(ref, self.strides, self.params)
+                array = ref.array
+            self.refs.append(_Ref(
+                array, const, {scope.get(n, n): c for n, c in terms},
+                is_write, str(ref), stmt_id if accum else None,
+                tuple(scope.values()),
+            ))
+            self.per_lane += mult
+
+    def loop(self, loop: Loop) -> None:
+        known = _fold(self.ranges, self.params, self.outer)
+        try:
+            lo_a, hi_a = loop.bounds_affine()
+            lo_r = interval(lo_a, self.params, known)
+            hi_r = interval(hi_a, self.params, known)
+        except AnalysisError as exc:
+            raise _Unsupported(str(exc)) from exc
+        if lo_r[0] != lo_r[1] or hi_r[0] != hi_r[1]:
+            self.exact = False  # context-dependent (e.g. triangular)
+        occurrence = f"{loop.index}#{len(self.inner)}"
+        self.inner[occurrence] = (lo_r[0], hi_r[1])
+        self.occurrence[id(loop)] = occurrence
+        super().loop(loop)
+
+    def guard(self, guard: Guard) -> None:
+        self.exact = False  # both branches folded in (hull)
+        super().guard(guard)
+
+    def call(self, stmt: CallStmt) -> None:
+        raise _Unsupported(f"cannot analyze {type(stmt).__name__}")
 
 
 # -- symbolic witness search --------------------------------------------------
@@ -739,50 +754,36 @@ class _ConcreteChecker:
 _Bounds = Union[tuple[tuple[int, int], tuple[int, int]], AnalysisError]
 
 
-class _Analyzer:
+class _Analyzer(Scope):
     def __init__(self, program: Program, params: Mapping[str, int]) -> None:
+        super().__init__()
         self.program = program
         self.params = params
         self.strides = {a.name: a.strides(params) for a in program.arrays}
         self.verdicts: list[AxisVerdict] = []
 
     def run(self) -> tuple[AxisVerdict, ...]:
-        for nest, stmt in enumerate(self.program.body):
-            self._visit(stmt, nest, (), [stmt], {})
+        self.walk_body(self.program.body)
         return tuple(self.verdicts)
 
-    def _visit(
-        self,
-        stmt: Stmt,
-        nest: int,
-        path: tuple[str, ...],
-        chain: list[Stmt],
-        ranges: dict[str, tuple[int, int]],
-    ) -> None:
-        if isinstance(stmt, Guard):
-            inside = _guarded(stmt, self.params, ranges)
-            for s in stmt.body:
-                self._visit(s, nest, path, chain + [s], inside)
-            for s in stmt.else_body:
-                self._visit(s, nest, path, chain + [s], ranges)
-            return
-        if not isinstance(stmt, Loop):
-            return
-        path = path + (stmt.index,)
-        inner = ranges
+    def loop(self, loop: Loop) -> None:
+        ranges = _fold(self.ranges, self.params, {})
+        path = tuple(r.index for r in self.ranges) + (loop.index,)
         try:
             bounds: _Bounds = (
-                interval(stmt.lower.affine(), self.params, ranges),
-                interval(stmt.upper.affine(), self.params, ranges),
+                interval(loop.lower.affine(), self.params, ranges),
+                interval(loop.upper.affine(), self.params, ranges),
             )
-            inner = {**ranges, stmt.index: (bounds[0][0], bounds[1][1])}
         except AnalysisError as exc:
             bounds = exc
+        chain = [stmt for _, _, stmt in self.path]
         self.verdicts.append(
-            self._classify(stmt, nest, path, chain, ranges, bounds)
+            self._classify(loop, self.path[0][1], path, chain, ranges, bounds)
         )
-        for s in stmt.body:
-            self._visit(s, nest, path, chain + [s], inner)
+        if isinstance(bounds, AnalysisError):
+            self.walk_body(loop.body, f"for {loop.index}")  # out of scope
+        else:
+            super().loop(loop)
 
     def _classify(
         self,
@@ -818,9 +819,7 @@ class _Analyzer:
         # already exact proofs/witnesses and cost no enumeration
         collector: Optional[_Collector] = None
         try:
-            collector = _Collector(
-                self.params, self.strides, loop, {**outer, loop.index: rng}
-            )
+            collector = _Collector(self.params, self.strides, loop, outer)
         except _Unsupported as exc:
             symbolic = verdict(
                 "unknown", f"outside affine subset: {exc}", exact=False
@@ -853,23 +852,6 @@ class _Analyzer:
                 reductions=collector.reductions() if collector else (),
             )
         return verdict("doall", "no cross-lane conflicts (exhaustive check)")
-
-
-def _guarded(
-    guard: Guard, params: Mapping[str, int], ranges: dict[str, tuple[int, int]]
-) -> dict[str, tuple[int, int]]:
-    """``ranges`` inside ``guard``'s body: the guarded index narrowed to
-    the hull of its intervals, so a witness never names an iteration the
-    guard skips."""
-    rng = ranges.get(guard.index)
-    if rng is None:
-        return ranges
-    try:
-        lo = min(interval(iv.lower, params, ranges)[0] for iv in guard.intervals)
-        hi = max(interval(iv.upper, params, ranges)[1] for iv in guard.intervals)
-    except AnalysisError:
-        return ranges
-    return {**ranges, guard.index: (max(rng[0], lo), min(rng[1], hi))}
 
 
 def _space_estimate(

@@ -37,7 +37,7 @@ from ..locality.histogram import ReuseHistogram
 from ..obs import metrics, span
 from .model import StaticModel, build_model
 from .poly import Poly
-from .regions import Regions, default_assumptions
+from .regions import Regions
 from .reuse import ClassProfile, Component, attribute_model
 
 Params = Mapping[str, int]
@@ -292,7 +292,7 @@ def analyze_program(
     The call's one :class:`~repro.static.regions.Regions` holds every
     memo of the analysis and is dropped when it returns.
     """
-    assumptions = default_assumptions(assume)
+    assumptions = Assumptions.of(assume)
     with span(
         "static-reuse", program=program.name, steps=steps
     ) as sp:

@@ -4,12 +4,12 @@ The reuse-distance of a long-range reuse is the volume of data touched
 between the two accesses.  For affine loop nests that volume is a union
 of per-array rectangular *hulls*: per dimension an affine ``[lo, hi]``
 obtained by interval arithmetic over the enclosing loop bounds — the
-same elimination the IR linter's :func:`~repro.verify.ir_verifier.
-affine_range` performs, generalized with an *iteration window* so "the
-data touched by ``w`` consecutive iterations of loop level ``l``" is
-expressible.  Hulls over-approximate (a triangular footprint gets its
-bounding box), which keeps every derived distance a conservative upper
-estimate — the direction the property suite certifies.
+one elimination of :func:`repro.lang.scope.eliminate`, which the IR
+linter applies too, with its *iteration window* so "the data touched by
+``w`` consecutive iterations of loop level ``l``" is expressible.  Hulls
+over-approximate (a triangular footprint gets its bounding box), which
+keeps every derived distance a conservative upper estimate — the
+direction the property suite certifies.
 
 Guarded and triangular loops resolve through the same conservative
 interval machinery as :mod:`repro.analysis.constraint`'s alignment math:
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import (
-    Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union,
-)
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from ..lang import Affine, Assumptions, DEFAULT_PARAM_MIN
+from ..lang import Affine, Assumptions
+from ..lang.scope import eliminate
 from .model import LoopCtx, StaticRef
 from .poly import ONE, Poly
 
@@ -63,38 +62,6 @@ class Hull:
         for lo, hi in self.dims:
             out = out * Poly.from_affine(hi - lo + 1)
         return out
-
-
-def eliminate(
-    form: Affine,
-    scope: Sequence[LoopCtx],
-    start: int = 0,
-    window: Optional[tuple[int, int]] = None,
-) -> tuple[Affine, Affine]:
-    """Symbolic [min, max] of ``form`` eliminating scope levels >= start.
-
-    ``window=(level, w)`` treats that level's index ``i`` as ranging over
-    the ``w``-iteration window ``[i, i + w - 1]`` instead of its full
-    range — the index symbol itself survives as the window anchor (it
-    cancels in widths and aligns positions across references).  Inner
-    levels substitute innermost-first so triangular bounds resolve, as
-    in the linter's ``affine_range``.
-    """
-    lo, hi = form, form
-    for level in range(len(scope) - 1, start - 1, -1):
-        ctx = scope[level]
-        if window is not None and level == window[0]:
-            b_lo: Union[Affine, int] = Affine.var(ctx.index)
-            b_hi: Union[Affine, int] = Affine.var(ctx.index) + (window[1] - 1)
-        else:
-            b_lo, b_hi = ctx.lo, ctx.hi
-        c = lo.coeff(ctx.index)
-        if c != 0:
-            lo = lo.substitute({ctx.index: b_lo if c > 0 else b_hi})
-        c = hi.coeff(ctx.index)
-        if c != 0:
-            hi = hi.substitute({ctx.index: b_hi if c > 0 else b_lo})
-    return lo, hi
 
 
 def ref_hull(
@@ -368,13 +335,3 @@ class Regions:
         return {
             name: self.union_hulls(hs) for name, hs in sorted(grouped.items())
         }
-
-
-def default_assumptions(
-    assume: Union[int, Assumptions, None] = None
-) -> Assumptions:
-    if assume is None:
-        return Assumptions(default=DEFAULT_PARAM_MIN)
-    if isinstance(assume, int):
-        return Assumptions(default=assume)
-    return assume

@@ -38,8 +38,8 @@ def _expand(
         out: list[Stmt] = []
         for s in proc.body:
             renamed = rename_bound(s, set(bindings) | enclosing, fresh)
-            substituted = subst_stmt(renamed, bindings)
-            out.extend(_expand(substituted, program, fresh, depth + 1, enclosing))
+            for t in subst_stmt(renamed, bindings, program.params):
+                out.extend(_expand(t, program, fresh, depth + 1, enclosing))
         return out
     if isinstance(stmt, Loop):
         enclosing = enclosing | {stmt.index}

@@ -3,7 +3,9 @@
 Loop fusion, statement embedding, peeling, and inlining all rewrite index
 variables.  ``subst_stmt`` maps an index variable to an arbitrary affine
 expression (``i -> f - 2``), translating :class:`Guard` statements whose
-guard variable is being substituted (their intervals shift by the offset).
+guard variable is being substituted (their intervals shift by the offset)
+and resolving those whose guard variable becomes a point (``i -> 3``) to
+the branch the point takes.
 ``rename_bound`` alpha-renames inner loop indices away from a set of
 reserved names before bodies from different loops are merged.
 """
@@ -15,6 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 from ..lang import (
     Affine,
+    Assumptions,
+    DEFAULT_PARAM_MIN,
     Expr,
     Guard,
     IndexVar,
@@ -22,6 +26,7 @@ from ..lang import (
     Loop,
     Stmt,
     TransformError,
+    map_body,
     map_exprs,
 )
 
@@ -48,16 +53,42 @@ def subst_affine(form: Affine, bindings: Mapping[str, Expr]) -> Affine:
     return form.substitute({n: e.affine() for n, e in bindings.items() if n in form.variables()})
 
 
-def subst_stmt(stmt: Stmt, bindings: Mapping[str, Expr]) -> Stmt:
-    """Capture-avoiding substitution over a statement tree.
+def _branch(
+    guard: Guard, point: Affine, bindings: Mapping[str, Expr], assume: Assumptions
+) -> tuple[Stmt, ...]:
+    """The branch of ``guard`` its variable takes at ``point``, where
+    :meth:`Affine.compare` decides it."""
+    decided = True
+    for iv in guard.intervals:
+        above = point.compare(subst_affine(iv.lower, bindings), assume)
+        below = point.compare(subst_affine(iv.upper, bindings), assume)
+        if above in (0, 1) and below in (-1, 0):
+            return guard.body
+        decided = decided and (above == -1 or below == 1)
+    if not decided:
+        raise TransformError(f"cannot decide whether {guard.index} = {point} in {guard}")
+    return guard.else_body
 
-    Binders (loop indices) must not collide with binding names or their
-    free variables — callers rename first via :func:`rename_bound`.
+
+def subst_stmt(
+    stmt: Stmt, bindings: Mapping[str, Expr], params: Iterable[str] = ()
+) -> tuple[Stmt, ...]:
+    """Capture-avoiding substitution over a statement tree: the statements
+    ``stmt`` becomes.
+
+    A guard whose variable is bound to a point (a form over ``params``
+    only, each at least :data:`~repro.lang.DEFAULT_PARAM_MIN`) becomes
+    the branch the point takes; where the comparison cannot decide that,
+    it is a :class:`TransformError`.  Binders (loop indices) must not
+    collide with binding names or their free variables — callers rename
+    first via :func:`rename_bound`.
     """
     if not bindings:
-        return stmt
+        return (stmt,)
+    params = frozenset(params)
+    assume = Assumptions(None, tuple((p, DEFAULT_PARAM_MIN) for p in sorted(params)))
 
-    def translate(s: Stmt) -> Stmt:
+    def translate(s: Stmt) -> Stmt | tuple[Stmt, ...]:
         # guard intervals are affine forms, not expression slots
         s = s.map_bodies(translate)
         if isinstance(s, Loop) and s.index in bindings:
@@ -68,6 +99,9 @@ def subst_stmt(stmt: Stmt, bindings: Mapping[str, Expr]) -> Stmt:
             return s
         index, offset = s.index, Affine()
         if index in bindings:
+            point = bindings[index].affine()
+            if point.variables() <= params:
+                return _branch(s, point, bindings, assume)
             index, offset = _binding_var_offset(bindings[index])
         intervals = tuple(
             Interval(
@@ -78,9 +112,11 @@ def subst_stmt(stmt: Stmt, bindings: Mapping[str, Expr]) -> Stmt:
         )
         return replace(s, index=index, intervals=intervals)
 
-    return map_exprs(
-        translate(stmt),
-        lambda e: bindings.get(e.name, e) if isinstance(e, IndexVar) else e,
+    return tuple(
+        map_exprs(
+            s, lambda e: bindings.get(e.name, e) if isinstance(e, IndexVar) else e
+        )
+        for s in map_body((stmt,), translate)
     )
 
 
@@ -118,6 +154,8 @@ def rename_bound(stmt: Stmt, avoid: set[str], fresh: FreshNames) -> Stmt:
     stmt = stmt.map_bodies(lambda s: rename_bound(s, avoid, fresh))
     if isinstance(stmt, Loop) and stmt.index in avoid:
         name = fresh.fresh(stmt.index)
-        body = tuple(subst_stmt(s, {stmt.index: IndexVar(name)}) for s in stmt.body)
+        body = map_body(
+            stmt.body, lambda s: subst_stmt(s, {stmt.index: IndexVar(name)})
+        )
         stmt = replace(stmt, index=name, body=body)
     return stmt

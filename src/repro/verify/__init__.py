@@ -28,7 +28,7 @@ from .diagnostics import (
     Severity,
     VerificationError,
 )
-from .ir_verifier import affine_range, lint_program
+from .ir_verifier import lint_program
 from .legality import (
     MAX_DIAGS_PER_CODE,
     PassVerifier,
@@ -65,7 +65,6 @@ __all__ = [
     "Snapshot",
     "VerificationError",
     "WriteInstance",
-    "affine_range",
     "all_codes",
     "check_legality",
     "doall_preservation_check",

@@ -9,9 +9,9 @@ Four layers of checks, all symbolic (no execution):
    execute under the parameter assumptions (``upper < lower``), and
    non-integral affine bounds.
 3. **Subscript-in-bounds** — for every array reference, the symbolic
-   range of each affine subscript over the enclosing loop bounds (guard
-   intervals narrow the range, like the footprint analysis of
-   :mod:`repro.analysis.access`) is compared against ``1 .. extent``;
+   range of each affine subscript over the enclosing index ranges of
+   :class:`repro.lang.Scope` (guards narrow them by its one rule,
+   :func:`repro.lang.scope.narrow`) is compared against ``1 .. extent``;
    provable underflow/overflow is an error.  Indeterminate comparisons
    stay silent — the checker is conservative in what it *reports*, never
    in what it certifies.
@@ -27,8 +27,7 @@ raises, so callers choose whether errors are fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from ..lang import (
     Affine,
@@ -36,55 +35,23 @@ from ..lang import (
     Assign,
     Assumptions,
     CallStmt,
-    DEFAULT_PARAM_MIN,
     Guard,
     Loop,
     NotAffineError,
     Program,
     ScalarRef,
-    Stmt,
+    Scope,
     validation_issues,
 )
+from ..lang.scope import eliminate
 from .diagnostics import DiagnosticBag
 
 
-@dataclass(frozen=True)
-class IndexRange:
-    """The affine [lo, hi] an in-scope loop index ranges over."""
-
-    name: str
-    lo: Affine
-    hi: Affine
-
-
-def affine_range(
-    form: Affine, scope: Sequence[IndexRange]
-) -> tuple[Affine, Affine]:
-    """Symbolic [min, max] of ``form`` over the in-scope index ranges.
-
-    Substitutes index variables innermost-first, picking each index's
-    lower or upper bound by the sign of its coefficient (classic interval
-    arithmetic over affine forms).  Bounds of inner indices may mention
-    outer indices (triangular loops); those are resolved by later
-    substitutions.  The result mentions only program parameters.
-    """
-    lo, hi = form, form
-    for rng in reversed(scope):  # innermost index first
-        c_lo = lo.coeff(rng.name)
-        if c_lo != 0:
-            lo = lo.substitute({rng.name: rng.lo if c_lo > 0 else rng.hi})
-        c_hi = hi.coeff(rng.name)
-        if c_hi != 0:
-            hi = hi.substitute({rng.name: rng.hi if c_hi > 0 else rng.lo})
-    return lo, hi
-
-
-class _Linter:
+class _Linter(Scope):
     def __init__(self, program: Program, assume: Assumptions) -> None:
+        super().__init__(assume)
         self.program = program
-        self.assume = assume
         self.bag = DiagnosticBag()
-        self.scope: list[IndexRange] = []
         self.arrays = {a.name: a for a in program.arrays}
         # def-use bookkeeping (walk order approximates execution order)
         self.scalar_reads: dict[str, str] = {}  # name -> first location
@@ -110,7 +77,7 @@ class _Linter:
                 form = sub.affine()
             except NotAffineError:
                 return  # structural layer already reported it
-            lo, hi = affine_range(form, self.scope)
+            lo, hi = eliminate(form, self.ranges)
             region.append((lo, hi))
             if hi.compare(1, self.assume) == -1:
                 self.bag.error(
@@ -161,30 +128,26 @@ class _Linter:
 
     # -- statements -----------------------------------------------------------
 
-    def check_stmt(self, stmt: Stmt, where: str) -> None:
-        if isinstance(stmt, Assign):
-            text = str(stmt)
-            self.note_expr(stmt.expr, f"{where} rhs", text)
-            if isinstance(stmt.target, ArrayRef):
-                for sub in stmt.target.indices:
-                    self.note_expr(sub, f"{where} lhs", text)
-                self.check_ref(stmt.target, True, f"{where} lhs", text)
-            else:
-                self.scalar_writes.setdefault(stmt.target.name, where)
-        elif isinstance(stmt, Loop):
-            self.check_loop(stmt, where)
-        elif isinstance(stmt, Guard):
-            self.check_guard(stmt, where)
-        elif isinstance(stmt, CallStmt):
-            for a in stmt.args:
-                self.note_expr(a, f"{where} arg", str(stmt))
+    def assign(self, stmt: Assign) -> None:
+        where, text = self.where(), str(stmt)
+        self.note_expr(stmt.expr, f"{where} rhs", text)
+        if isinstance(stmt.target, ArrayRef):
+            for sub in stmt.target.indices:
+                self.note_expr(sub, f"{where} lhs", text)
+            self.check_ref(stmt.target, True, f"{where} lhs", text)
+        else:
+            self.scalar_writes.setdefault(stmt.target.name, where)
 
-    def check_loop(self, loop: Loop, where: str) -> None:
+    def call(self, stmt: CallStmt) -> None:
+        for a in stmt.args:
+            self.note_expr(a, f"{self.where()} arg", str(stmt))
+
+    def loop(self, loop: Loop) -> None:
         try:
-            lo = loop.lower.affine()
-            hi = loop.upper.affine()
+            lo, hi = loop.bounds_affine()
         except NotAffineError:
             return  # structural layer already reported it
+        where = self.where()
         for name, form in (("lower", lo), ("upper", hi)):
             if any(c.denominator != 1 for _, c in form.coeffs) or (
                 form.const.denominator != 1
@@ -204,20 +167,17 @@ class _Linter:
                 where=where,
                 stmt=str(loop),
             )
-        self.scope.append(IndexRange(loop.index, lo, hi))
-        for k, s in enumerate(loop.body):
-            self.check_stmt(s, f"{where}/for {loop.index}[{k}]")
-        self.scope.pop()
+        super().loop(loop)
 
-    def check_guard(self, guard: Guard, where: str) -> None:
-        rng = next((r for r in self.scope if r.name == guard.index), None)
-        narrowed = False
+    def guard(self, guard: Guard) -> None:
+        level = self.level(guard.index)
+        rng = None if level is None else self.ranges[level]
         for iv in guard.intervals:
             if iv.upper.compare(iv.lower, self.assume) == -1:
                 self.bag.warning(
                     "V105",
                     f"guard interval [{iv.lower}:{iv.upper}] is empty",
-                    where=where,
+                    where=self.where(),
                     stmt=str(guard),
                 )
             if rng is not None:
@@ -229,28 +189,10 @@ class _Linter:
                         f"guard interval [{iv.lower}:{iv.upper}] lies outside "
                         f"{guard.index}'s range [{rng.lo}:{rng.hi}]; "
                         "body never executes",
-                        where=where,
+                        where=self.where(),
                         stmt=str(guard),
                     )
-        # a single interval narrows the index range inside the body to its
-        # intersection with the loop's: per bound the tighter one where
-        # the comparison is decided, the guard's where it is not
-        if rng is not None and len(guard.intervals) == 1:
-            iv = guard.intervals[0]
-            lo = rng.lo if iv.lower.compare(rng.lo, self.assume) == -1 else iv.lower
-            hi = rng.hi if iv.upper.compare(rng.hi, self.assume) == 1 else iv.upper
-            k = self.scope.index(rng)
-            self.scope[k] = IndexRange(guard.index, lo, hi)
-            narrowed = True
-        for k, s in enumerate(guard.body):
-            self.check_stmt(s, f"{where}/when {guard.index}[{k}]")
-        if narrowed:
-            kk = next(
-                i for i, r in enumerate(self.scope) if r.name == guard.index
-            )
-            self.scope[kk] = rng
-        for k, s in enumerate(guard.else_body):
-            self.check_stmt(s, f"{where}/else[{k}]")
+        super().guard(guard)
 
     # -- whole-program def-use reports ----------------------------------------
 
@@ -320,8 +262,7 @@ class _Linter:
                 f"{len(self.program.procedures)} procedure(s) present; "
                 "region analysis covers the inlined call sites only",
             )
-        for k, stmt in enumerate(self.program.body):
-            self.check_stmt(stmt, f"body[{k}]")
+        self.walk_body(self.program.body)
         self.finish()
         return self.bag
 
@@ -336,8 +277,4 @@ def lint_program(
     comparisons (default: :data:`~repro.lang.DEFAULT_PARAM_MIN`, the same
     assumption the fusion legality tests use).
     """
-    if assume is None:
-        assume = Assumptions(default=DEFAULT_PARAM_MIN)
-    elif isinstance(assume, int):
-        assume = Assumptions(default=assume)
-    return _Linter(program, assume).run()
+    return _Linter(program, Assumptions.of(assume)).run()

@@ -7,9 +7,9 @@ from repro.analysis import (
     shares_data,
 )
 from repro.analysis.classify import DimKind
-from repro.lang import Affine
+from repro.lang import Affine, Walk, array_reads, assignments_in
 
-from conftest import build
+from conftest import GUARD_SHAPES, build, guard_source
 
 
 def test_loop_access_classification():
@@ -56,6 +56,33 @@ def test_guard_narrows_active_range():
     w = next(a for a in acc if a.is_write)
     assert w.active_lo == Affine.constant(2)
     assert w.active_hi == Affine.var("N") - 1
+
+    # on every loop/guard shape, each active range holds the frame values
+    # its statement executes at and stays within the loop's
+    class Frames(Walk):
+        def assign(self, stmt):
+            self.seen.setdefault(id(stmt), []).append(self.env["i"])
+
+    for shape in GUARD_SHAPES:
+        p = build(guard_source(*shape))
+        (loop,) = p.body
+        acc = collect_loop_accesses(loop, p.params)
+        owners = [
+            s for s in assignments_in(loop.body)
+            for _ in range(len(array_reads(s.expr)) + 1)
+        ]
+        assert len(owners) == len(acc)
+        for n in (8, 11):
+            env = {"N": n}
+            walk = Frames(p, env)
+            walk.seen = {}
+            walk.run()
+            lo, hi = (b.evaluate(env) for b in loop.bounds_affine())
+            for a, stmt in zip(acc, owners):
+                a_lo, a_hi = a.active_lo.evaluate(env), a.active_hi.evaluate(env)
+                assert lo <= a_lo and a_hi <= hi, (shape, n, a.text)
+                executed = walk.seen.get(id(stmt), [])
+                assert all(a_lo <= i <= a_hi for i in executed), (shape, n, a.text)
 
 
 def test_stmt_accesses_are_frame_free():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -58,6 +60,33 @@ def resolve_slice(ref: dict, origin) -> np.ndarray:
     for step in reversed(chain):
         data = np.take(data, step.index - 1, axis=step.dim)
     return data
+
+
+#: loop/guard shapes ``(a, b, c, d, orelse)`` for :func:`guard_source`:
+#: the probe whose guard is looser than its loop above, then a seeded
+#: sample of every offset combination with and without an else body
+GUARD_SHAPES = [(0, 1, 0, 0, True)] + random.Random(0).sample(
+    [(*offsets, orelse)
+     for offsets in itertools.product(range(4), repeat=4)
+     for orelse in (False, True)],
+    12,
+)
+
+
+def guard_source(
+    a: int, b: int, c: int, d: int, orelse: bool, stmt: str = "A[i] = f(B[i])"
+) -> str:
+    """``for i = 1 + a, N - b`` around ``when i in [1 + c : N - d]
+    { stmt }``, and ``else { C[i] = g(B[i]) }`` when ``orelse``."""
+    other = " else { C[i] = g(B[i]) }" if orelse else ""
+    return f"""
+        program shape
+        param N
+        real A[N], B[N], C[N]
+        for i = {1 + a}, N - {b} {{
+          when i in [{1 + c} : N - {d}] {{ {stmt} }}{other}
+        }}
+        """
 
 
 def round_robin_order(lengths, block: int = 1) -> list[tuple[int, int, int]]:

@@ -152,3 +152,82 @@ def test_instance_walkers_share_the_walk_order():
     for walker in (Interpreter, _Walker):
         assert issubclass(walker, Walk)
         assert walker.walk_stmt is Walk.walk_stmt, walker
+
+
+#: outside ``repro.lang``, the functions that may read a guard's
+#: ``intervals`` (``None``: the whole module): the two tracers and
+#: parallelism's concrete checker evaluate membership per instance,
+#: substitution rewrites the intervals, and the linter's V105/V106 lints
+#: inspect them; every range a symbolic analysis narrows comes from
+#: ``lang.scope.narrow``
+INTERVAL_READERS = {
+    "interp/tracegen.py": None,
+    "codegen/tracer.py": None,
+    "transform/subst.py": None,
+    "static/parallelism.py": {"_ConcreteChecker._guard_member"},
+    "verify/ir_verifier.py": {"_Linter.guard"},
+}
+
+
+def attribute_readers(source: str, attr: str) -> set[str]:
+    """The qualified names of the functions (``<module>`` for top-level
+    code) in ``source`` that read an attribute named ``attr``."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, qual: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}" if qual else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.add(qual or "<module>")
+            visit(child, qual)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def eliminations(source: str) -> list[str]:
+    """Functions in ``source`` that eliminate indices from an affine form:
+    a loop substituting each index by a bound picked by its coefficient's
+    sign, for the minimum and the maximum."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for loop in ast.walk(func):
+            picks = [
+                call for call in ast.walk(loop)
+                if isinstance(loop, ast.For)
+                and isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "substitute"
+                and any(
+                    isinstance(v, ast.IfExp)
+                    for arg in call.args if isinstance(arg, ast.Dict)
+                    for v in arg.values
+                )
+            ]
+            if len(picks) >= 2:
+                found.append(func.name)
+                break
+    return found
+
+
+def test_only_lang_narrows_index_ranges():
+    readers, defined = {}, {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = str(path.relative_to(PACKAGE))
+        source = path.read_text()
+        if path.parent.name != "lang":
+            names = attribute_readers(source, "intervals")
+            if names:
+                readers[rel] = names
+        if eliminations(source):
+            defined[rel] = eliminations(source)
+    allowed = {
+        rel: readers.get(rel) if names is None else names
+        for rel, names in INTERVAL_READERS.items()
+    }
+    assert readers == allowed, readers
+    assert defined == {"lang/scope.py": ["eliminate"]}, defined

@@ -14,7 +14,7 @@ from repro.interp import trace_program
 from repro.programs import registry
 from repro.static import build_model
 
-from conftest import build
+from conftest import GUARD_SHAPES, build, guard_source
 
 STREAM = """
 program stream
@@ -123,3 +123,16 @@ def test_guards_narrow_the_guarded_scope():
     for r in model.refs:
         assert int(r.exec_count().evaluate({"N": 12})) == int(counts[r.ref_id])
     assert analyze_program(p).histogram({"N": 12}).total == len(trace) == 388
+
+    # a guard looser or tighter than its loop, with or without an else
+    # body: every reference counts what the trace executes
+    for shape in GUARD_SHAPES:
+        p = build(guard_source(*shape))
+        model = build_model(p)
+        for n in (8, 11):
+            counts = np.bincount(
+                trace_program(p, {"N": n}).ref_ids, minlength=len(model.refs)
+            )
+            assert [
+                int(r.exec_count().evaluate({"N": n})) for r in model.refs
+            ] == counts.tolist(), (shape, n)

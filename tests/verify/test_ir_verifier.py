@@ -6,6 +6,8 @@ from repro.lang import parse, validate
 from repro.programs import registry
 from repro.verify import lint_program
 
+from conftest import GUARD_SHAPES, guard_source
+
 ALL_BENCHMARKS = sorted(set(registry.APPLICATIONS) | set(registry.STUDY_PROGRAMS))
 
 
@@ -65,29 +67,33 @@ def test_guard_narrows_subscript_range():
     assert not bag.has_errors(), bag.render()
 
 
-@pytest.mark.parametrize(
-    "loop, guard, stmt",
-    [
+def _guard_cases():
+    """Loop/guard programs whose guarded statement stays in bounds: two
+    hand-written ones, then every generated shape whose stencil's ``i``
+    stays in ``[2, N - 1]``."""
+    cases = [
         # the guard's upper bound is looser than the loop's: i + 1 <= N
-        ("1, N - 1", "[1 : N]", "A[i + 1] = f(B[i])"),
+        pytest.param(guard_source(0, 1, 0, 0, False, "A[i + 1] = f(B[i])"),
+                     id="1, N - 1-[1 : N]-A[i + 1] = f(B[i])"),
         # the guard's lower bound is looser than the loop's: i - 1 >= 1
-        ("2, N", "[1 : N]", "A[i - 1] = f(B[i])"),
-    ],
-)
-def test_guard_intersects_loop_range(loop, guard, stmt):
+        pytest.param(guard_source(1, 0, 0, 0, False, "A[i - 1] = f(B[i])"),
+                     id="2, N-[1 : N]-A[i - 1] = f(B[i])"),
+    ]
+    for a, b, c, d, orelse in GUARD_SHAPES:
+        if max(a, c) >= 1 and max(b, d) >= 1:
+            source = guard_source(a, b, c, d, orelse, "A[i] = f(B[i - 1], B[i + 1])")
+            cases.append(pytest.param(source, id=f"{a}{b}{c}{d}{'-else' * orelse}"))
+    return cases
+
+
+@pytest.mark.parametrize("source", _guard_cases())
+def test_guard_intersects_loop_range(source):
     """A guard narrows the index range to its intersection with the
     loop's, never widens it past what the loop executes."""
     from repro.interp import run_program
 
-    source = f"""
-        program t
-        param N
-        real A[N], B[N]
-        for i = {loop} {{
-          when i in {guard} {{ {stmt} }}
-        }}
-        """
-    run_program(validate(parse(source)), {"N": 8})  # in bounds
+    for n in (8, 11):
+        run_program(validate(parse(source)), {"N": n})  # in bounds
     bag = lint(source)
     assert not bag.has_errors(), bag.render()
 

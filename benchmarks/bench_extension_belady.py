@@ -9,9 +9,9 @@ fused + plain LRU beats the unfused program even under an oracle cache.
 """
 
 from repro.baselines import simulate_belady
+from repro.codegen import trace_program
 from repro.core import compile_variant
 from repro.harness import format_table, machine_for
-from repro.interp import trace_program
 from repro.lang import validate
 from repro.memsim import simulate_cache
 from repro.programs import registry

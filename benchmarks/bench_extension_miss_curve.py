@@ -7,9 +7,9 @@ curve for ADI before and after the global strategy — the optimized
 program reaches its floor with a fraction of the cache.
 """
 
+from repro.codegen import trace_program
 from repro.core import compile_variant
 from repro.harness import format_table
-from repro.interp import trace_program
 from repro.lang import validate
 from repro.locality import miss_ratio_curve, reuse_distances
 from repro.programs import registry

@@ -10,6 +10,7 @@ of those hills, (3) source-level fusion realizes a large part of that.
 
 import pytest
 
+from repro.codegen import trace_program as codegen_trace
 from repro.core import compile_variant
 from repro.harness import stage_timer
 from repro.interp import trace_program
@@ -48,7 +49,7 @@ def curves(
     if with_fused:
         fused = compile_variant(program, "fusion")
         with stage_timer(timings, "trace-gen"):
-            ftrace = trace_program(fused.program, {"N": n})
+            ftrace = codegen_trace(fused.program, {"N": n})
         with stage_timer(timings, "distance"):
             out["reuse-based fusion"] = ReuseHistogram.from_distances(
                 reuse_distances(ftrace.global_keys())

@@ -12,9 +12,10 @@ Run:  python examples/custom_kernel.py
 
 import numpy as np
 
+from repro.codegen import trace_program
 from repro.core import compile_variant
 from repro.harness import machine_for
-from repro.interp import run_program, trace_program
+from repro.interp import run_program
 from repro.lang import (
     ProgramBuilder,
     assign,

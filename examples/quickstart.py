@@ -14,9 +14,10 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro.codegen import trace_program
 from repro.core import compile_variant
 from repro.harness import machine_for
-from repro.interp import run_program, trace_program
+from repro.interp import run_program
 from repro.lang import parse, to_source, validate
 from repro.memsim import simulate_stream
 from repro.programs.registry import MachineSpec

@@ -1,20 +1,14 @@
-"""Native-speed numpy trace generation for the loop IR.
+"""The production tracer: whole-nest vectorized numpy trace generation.
 
-The trace generator in :mod:`repro.interp.tracegen` is the correctness
-oracle; this package is the *fast path* proven against it bit for bit
-by the differential suite under ``tests/codegen/``.
-
-:func:`trace_program` is whole-nest vectorized trace generation — every
-loop level is enumerated as numpy index arrays (no Python work per
-iteration), guards split instance frames by membership masks, and the
-trace comes out as the segments the measuring chain streams
-(:class:`~repro.codegen.tracer.NestTracer`).  It reads the oracle's own
-folded form of the program's one lowering
-(:func:`repro.lang.lowering.lower`: integer address records, see
-:mod:`repro.interp.tracegen`), so a program outside the supported input
-— anything not integer-affine after parameter binding — is one
-:class:`~repro.lang.AnalysisError` raised by that shared fold, not a
-second code path.
+:func:`trace_program` enumerates every loop level as numpy index arrays
+(no Python work per iteration), splits guards by membership masks, and
+emits the trace as the segments the measuring chain streams
+(:class:`~repro.codegen.tracer.NestTracer`).  It reads the program's one
+lowering folded at the binding (:class:`repro.lang.lowering.Fold`), so a
+program outside the supported input — anything not integer-affine after
+parameter binding — is one :class:`~repro.lang.AnalysisError` raised by
+that fold.  The differential suite under ``tests/codegen/`` proves it bit
+for bit against the Walk oracle, :func:`repro.interp.trace_program`.
 
 Programs are *executed* by :func:`repro.interp.run_program` only.
 """

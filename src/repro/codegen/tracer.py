@@ -1,9 +1,7 @@
-"""Whole-nest vectorized trace generation (the codegen trace backend).
+"""Whole-nest vectorized trace generation: the production tracer.
 
-The interpreter-based generator (:mod:`repro.interp.tracegen`) walks
-outer loops in Python and vectorizes only the innermost level.  This
-backend removes Python-per-iteration work at *every* level: a loop nest
-is lowered bottom-up into *blocks* over instance frames.
+The tracer walks no loop in Python: a loop nest is lowered bottom-up
+into *blocks* over instance frames.
 
 A *frame* maps each live loop variable to an int64 array holding its
 value for every instance of the enclosing iteration space, in execution
@@ -20,34 +18,42 @@ order.  Emitting a node against a frame of ``p`` instances yields either
 
 Per-access metadata (write flag, array id, ref id) is packed into one
 int64 so every structural merge touches two arrays instead of four.
-Top-level nests are emitted as the segments of the shared plan
-(:meth:`repro.interp.tracegen.NestTracer.segments`): a time step that
-fits in one chunk is emitted once and replayed, a larger one again each
-step, its big nests in pieces.
+Top-level nests are emitted as the segments of one plan
+(:meth:`NestTracer.segments`): a time step that fits in one chunk is
+emitted once and replayed, a larger one again each step, its big nests
+in pieces.
 
 Under a layout (:meth:`NestTracer.address_segments`) each reference's
 record absorbs its array's placement, so the blocks hold byte addresses
 at no extra cost; only a stride break adds a ``divmod`` on its column.
 
-The input is the interpreter tracer's fold of the program's one lowering
-(:class:`repro.interp.tracegen._Compiler`): integer address records with
-the parameters folded in, so everything outside the supported subset has
-already been rejected there with an :class:`~repro.lang.AnalysisError`,
-for both tracers alike.  There is no second path to fall back to, and
-no instruction-id mode: every caller that wants dynamic instruction ids
-asks :func:`repro.interp.trace_program` for them.
+The input is the program's lowering folded at the binding
+(:class:`repro.lang.lowering.Fold`), so everything that is not
+integer-affine after binding has already been rejected there with an
+:class:`~repro.lang.AnalysisError`.  There is no instruction-id mode:
+a caller that wants dynamic instruction ids asks the Walk oracle,
+:func:`repro.interp.trace_program`, which reads the same fold and whose
+traces this one matches bit for bit (``tests/codegen``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from ..interp import tracegen as _tg
-from ..interp.trace import AccessTrace, concat_traces
+from .. import stream as _stream
+from ..interp.trace import AccessTrace, RefInfo, concat_traces
 from ..lang import AnalysisError
+from ..lang.lowering import (
+    Fold,
+    FoldedAssign,
+    FoldedGuard,
+    FoldedLoop,
+    FoldedNode,
+    at,
+)
 from ..memsim.geometry import ELEM_BYTES, L2_LINE_BYTES
 from ..obs import metrics
 from ..stream import AddressStream, StreamMeta
@@ -75,6 +81,10 @@ class _Grouped:
     elems: np.ndarray  # flat int64
     pattern: np.ndarray  # flat int64
     reps = 1
+
+
+#: a loop of no iteration: the segment of a program with no statement
+_NOTHING = FoldedLoop("", (1, ()), (0, ()), ())
 
 
 def _empty(p: int) -> _Uniform:
@@ -148,16 +158,16 @@ class _Emitter:
     # -- node emission -------------------------------------------------------
 
     def emit(self, node, frame: Mapping[str, np.ndarray], p: int):
-        if isinstance(node, _tg._CAssign):
+        if isinstance(node, FoldedAssign):
             return self._emit_assign(node, frame, p)
-        if isinstance(node, _tg._CLoop):
+        if isinstance(node, FoldedLoop):
             return self._emit_loop(node, frame, p)
         return self._emit_guard(node, frame, p)
 
     def emit_body(self, nodes, frame, p: int):
         return self._merge_body([self.emit(n, frame, p) for n in nodes], p)
 
-    def _emit_assign(self, node: _tg._CAssign, frame, p: int) -> _Uniform:
+    def _emit_assign(self, node: FoldedAssign, frame, p: int) -> _Uniform:
         cached = self._cache.get(id(node))
         if cached is None:
             words = [
@@ -211,7 +221,7 @@ class _Emitter:
             placed += g.counts
         return _Grouped(p, counts, elems, pattern)
 
-    def _emit_loop(self, node: _tg._CLoop, frame, p: int):
+    def _emit_loop(self, node: FoldedLoop, frame, p: int):
         lo = self._value(node.lower, frame)
         hi = self._value(node.upper, frame)
         if isinstance(lo, int) and isinstance(hi, int):
@@ -251,7 +261,7 @@ class _Emitter:
         counts = np.bincount(parent, weights=b.counts, minlength=p).astype(np.int64)
         return _Grouped(p, counts, b.elems, b.pattern)
 
-    def _emit_guard(self, node: _tg._CGuard, frame, p: int):
+    def _emit_guard(self, node: FoldedGuard, frame, p: int):
         v = frame[node.index]
         mask = None
         for lo_f, hi_f in node.intervals:
@@ -307,43 +317,145 @@ class _Emitter:
         return values, field(0, 1, bool), field(_REF_SHIFT, _REF_BITS, np.int32), field
 
 
-class NestTracer(_tg.NestTracer):
-    """The codegen twin of :class:`repro.interp.tracegen.NestTracer`:
-    the same lowering, plan and segments (restricted copies of top-level
-    nests), each emitted as whole-nest numpy blocks."""
+def _estimate(nodes: tuple[FoldedNode, ...], env: dict[str, int]) -> int:
+    """Accesses ``nodes`` generate at the loop binding ``env``, each loop
+    counted as its trip count times its middle iteration — exact for
+    rectangular nests, the average for triangular ones."""
+    total = 0
+    for node in nodes:
+        if isinstance(node, FoldedAssign):
+            total += len(node.refs)
+        elif isinstance(node, FoldedGuard):
+            total += _estimate(node.body if _member(node, env) else node.else_body, env)
+        else:
+            lo, hi = at(node.lower, env), at(node.upper, env)
+            if lo <= hi:
+                inner = _estimate(node.body, {**env, node.index: (lo + hi) // 2})
+                total += (hi - lo + 1) * inner
+    return total
+
+
+def _member(guard: FoldedGuard, env: Mapping[str, int]) -> bool:
+    """Whether the guard's index lies in one of its intervals at ``env``."""
+    value = env[guard.index]
+    return any(at(lo, env) <= value <= at(hi, env) for lo, hi in guard.intervals)
+
+
+def _restrict(
+    node: FoldedLoop, lo: int, hi: int, body: Optional[tuple[FoldedNode, ...]] = None
+) -> FoldedLoop:
+    """``node`` over ``[lo, hi]`` only — its bounds become the constant
+    records ``(lo, ())`` and ``(hi, ())`` — and, given ``body``, running
+    that part of its body."""
+    return replace(node, lower=(lo, ()), upper=(hi, ()), body=body or node.body)
+
+
+def _pieces(node: FoldedNode, env: dict[str, int], budget: int) -> list[FoldedNode]:
+    """``node`` at the binding ``env`` as consecutive pieces of about
+    ``budget`` accesses (:func:`_estimate`): spans of its loop, or, when
+    one iteration alone exceeds the budget, every iteration's body cut
+    the same way — consecutive small statements together, a big loop in
+    pieces of its own.  Statements other than loops are never cut."""
+    if not isinstance(node, FoldedLoop):
+        return [node]
+    lo, hi = at(node.lower, env), at(node.upper, env)
+    per = _estimate(node.body, {**env, node.index: (lo + hi) // 2})
+    if per <= budget:
+        width = budget // max(per, 1)
+        if hi - lo + 1 <= width:
+            return [node]
+        return [_restrict(node, a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
+    out: list[FoldedNode] = []
+    for i in range(lo, hi + 1):
+        inner = {**env, node.index: i}
+        group: list[FoldedNode] = []
+        size = 0
+        for stmt in node.body:
+            est = _estimate((stmt,), inner)
+            if group and size + est > budget:
+                out.append(_restrict(node, i, i, tuple(group)))
+                group, size = [], 0
+            if est > budget:
+                out += [_restrict(node, i, i, (p,)) for p in _pieces(stmt, inner, budget)]
+            else:
+                group.append(stmt)
+                size += est
+        if group:
+            out.append(_restrict(node, i, i, tuple(group)))
+    return out
+
+
+class NestTracer:
+    """Fold a program once; trace its top-level nests as numpy blocks.
+
+    The measuring chain's entry: :meth:`segments` cuts the trace of a
+    run into segments of about :data:`~repro.stream.CHUNK_ACCESSES`
+    accesses, in execution order — per time step, each top-level nest
+    whole, or in spans of its outer loop, or (when one outer iteration
+    alone is larger) one iteration's body in pieces; a segment is a
+    restricted copy of a top-level nest (:func:`_restrict`).
+    :meth:`address_segments` emits the same segments as byte addresses.
+
+    The interleaver's entry: :meth:`trace` emits one top-level statement,
+    optionally with its outermost loop restricted to an inclusive ``[lo,
+    hi]`` chunk.  All array declarations stay in force, so
+    ``global_keys`` agree across every nest and chunk.
+    """
 
     def __init__(self, program, params: Mapping[str, int]) -> None:
-        super().__init__(program, params)
-        compiler = self.compiler
-        if len(compiler.sizes) > 1 << _AID_BITS or len(compiler.refs) > 1 << _REF_BITS:
+        self.program = program
+        fold = Fold(program, params)
+        self.params, self.nests, self.sizes = fold.params, fold.nests, fold.sizes
+        if len(fold.sizes) > 1 << _AID_BITS or len(fold.refs) > 1 << _REF_BITS:
             raise AnalysisError(
-                f"{program.name}: {len(compiler.sizes)} arrays / {len(compiler.refs)} "
+                f"{program.name}: {len(fold.sizes)} arrays / {len(fold.refs)} "
                 f"references exceed the trace packing limits "
                 f"({1 << _AID_BITS} / {1 << _REF_BITS})"
             )
-        self._emitter = _Emitter(compiler.sizes)
+        self.refs = tuple(RefInfo.of(r) for r in fold.refs)
+        self._emitter = _Emitter(fold.sizes)
         self._meta = dict(
             array_names=tuple(a.name for a in program.arrays),
-            refs=tuple(compiler.refs),
-            array_sizes=tuple(compiler.sizes),
+            refs=self.refs,
+            array_sizes=tuple(fold.sizes),
         )
 
-    def _emit(self, node, gen=None) -> AccessTrace:
+    def outer_bounds(self, nest: int) -> Optional[tuple[int, int]]:
+        """Inclusive range of the nest's outermost loop — what a schedule
+        partitions; ``None`` when the statement is not a loop."""
+        node = self.nests[nest]
+        if not isinstance(node, FoldedLoop):
+            return None
+        return at(node.lower, {}), at(node.upper, {})
+
+    def trace(
+        self, nest: int, span: Optional[tuple[int, int]] = None
+    ) -> AccessTrace:
+        node = self.nests[nest]
+        return self._emit(node if span is None else _restrict(node, *span))
+
+    def _emit(self, node: FoldedNode) -> AccessTrace:
         elems, writes, refids, field = self._emitter.segment(node)
         aids = field(_AID_SHIFT, _AID_BITS, np.int32)
         return AccessTrace(
             array_ids=aids, elems=elems, writes=writes, ref_ids=refids, **self._meta
         )
 
+    def plan(self) -> list[FoldedNode]:
+        """One time step as the consecutive pieces :func:`_pieces` cuts
+        every top-level statement into (itself, when it fits)."""
+        budget = _stream.CHUNK_ACCESSES
+        return [piece for node in self.nests for piece in _pieces(node, {}, budget)]
+
     def segments(self, steps: int = 1) -> Iterator[AccessTrace]:
         """The trace of ``steps`` time steps, one segment at a time."""
-        return self._steps(steps, self._emit, replay=True)
+        return self._steps(steps, self._emit)
 
     def address_segments(self, steps: int, layout, name: str = "trace"):
         """The same segments emitted as byte addresses under ``layout``:
         ``AddressStream.from_trace(segment, layout)``, same errors."""
         placements = [layout.address_map(a.name) for a in self.program.arrays]
-        emitter = _Emitter(self.compiler.sizes, placements)
+        emitter = _Emitter(self.sizes, placements)
 
         def emit(node) -> AddressStream:
             addresses, writes, refids, _ = emitter.segment(node)
@@ -351,20 +463,89 @@ class NestTracer(_tg.NestTracer):
                               line_bytes=L2_LINE_BYTES, elem_bytes=ELEM_BYTES)
             return AddressStream(addresses, writes, refids, meta=meta)
 
-        return self._steps(steps, emit, replay=True)
+        return self._steps(steps, emit)
+
+    def _steps(self, steps: int, emit) -> Iterator:
+        """Every step's segments through ``emit``.  A step that fits in
+        one chunk (by ``len(segment)``, which every segment kind makes
+        its access count) is emitted once and replayed — nothing larger
+        than a chunk is kept — a larger one is emitted again each step."""
+        pieces = self.plan()
+        kept: Optional[list] = []
+        for step in range(steps):
+            if step and kept is not None:
+                yield from kept
+                continue
+            size = 0
+            for piece in pieces:
+                segment = emit(piece)
+                size += len(segment)
+                if size > _stream.CHUNK_ACCESSES:
+                    kept = None
+                elif kept is not None:
+                    kept.append(segment)
+                yield segment
+
+    def first_touch(
+        self,
+        segments: Iterable[tuple[int, Optional[tuple[int, int]]]],
+        array_id: int,
+        elem: int,
+        cap: int,
+    ) -> tuple[tuple[str, int], ...]:
+        """Loop-variable bindings (outermost first) of the first access
+        to element ``elem`` of array ``array_id`` when the ``(nest,
+        span)`` segments execute in order — a scalar walk of the folded
+        nests, ``()`` when nothing touches it within ``cap`` assignment
+        instances."""
+        left = cap
+
+        def walk(node: FoldedNode, env: dict[str, int], span=None):
+            nonlocal left
+            if left <= 0:
+                return None
+            if isinstance(node, FoldedAssign):
+                left -= 1
+                if any(
+                    ref.array_id == array_id and at(ref.linform, env) == elem
+                    for ref in node.refs
+                ):
+                    return tuple(env.items())
+                return None
+            if isinstance(node, FoldedGuard):
+                return walk_body(node.body if _member(node, env) else node.else_body, env)
+            lo, hi = span or (at(node.lower, env), at(node.upper, env))
+            for value in range(lo, hi + 1):
+                env[node.index] = value
+                found = walk_body(node.body, env)
+                if found is not None or left <= 0:
+                    return found
+            env.pop(node.index, None)
+            return None
+
+        def walk_body(body: tuple[FoldedNode, ...], env: dict[str, int]):
+            for child in body:
+                found = walk(child, env)
+                if found is not None:
+                    return found
+            return None
+
+        for nest, span in segments:
+            found = walk(self.nests[nest], {}, span)
+            if found is not None:
+                return found
+        return ()
 
 
 def trace_program(
     program, params: Mapping[str, int], steps: int = 1
 ) -> AccessTrace:
-    """Codegen twin of :func:`repro.interp.tracegen.trace_program`.
+    """The memory access trace of ``program`` at the given size: the
+    concatenation of :meth:`NestTracer.segments`.
 
-    Bit-for-bit identical output (pinned by ``tests/codegen``) on the
-    same lowering, hence the same supported input and the same errors;
-    likewise the concatenation of :meth:`NestTracer.segments`.  The
-    whole trace is kept anyway, so one step's segments are emitted once
-    and concatenated ``steps`` times.
+    Bit-for-bit identical to the Walk oracle :func:`repro.interp.trace_program`
+    (pinned by ``tests/codegen``).  The whole trace is kept anyway, so
+    one step's segments are emitted once and concatenated ``steps`` times.
     """
     tracer = NestTracer(program, params)
-    segments = list(tracer.segments()) * steps
-    return concat_traces(segments) if segments else tracer.generator().take()
+    return concat_traces(list(tracer.segments()) * steps or [tracer._emit(_NOTHING)])

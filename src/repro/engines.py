@@ -2,11 +2,11 @@
 
 Historically the *simulation* engine (``fast``/``reference``) was
 resolved in three places — ``measure_variant``, the memsim dispatchers,
-and the CLI's ``--engine`` flag.  The codegen backend adds a second,
-orthogonal axis: which *tracer* generates the address stream
+and the CLI's ``--engine`` flag.  A second, orthogonal axis picks what
+generates the address stream: the codegen tracer or the Walk oracle
 (``codegen``/``interp``).  This module owns the whole grammar so every
 entry point resolves specs identically, and
-:meth:`EngineSelection.nest_tracer` is the one place the resolved
+:meth:`EngineSelection.address_segments` is the one place the resolved
 tracer is picked:
 
 ``"fast"`` / ``"reference"``
@@ -20,11 +20,10 @@ A spec that leaves an axis out gets ``fast`` / ``codegen``; no
 environment variable changes that.  The oracles (``reference``,
 ``interp``) are reached by naming them in ``engine=`` / ``--engine``.
 The tracer default is ``codegen``: the differential suite under
-``tests/codegen/`` pins its traces bit-for-bit to the interpreter's and
-both tracers reject the same inputs (they share one lowering), so the
-fast path is safe to prefer.  Cached *results* are keyed by the
-simulation engine only — tracer choice never changes the bytes of a
-trace.
+``tests/codegen/`` pins its traces bit-for-bit to the oracle's, and both
+reject the same inputs (they read one fold of one lowering).  Cached
+*results* are keyed by the simulation engine only — tracer choice never
+changes the bytes of a trace.
 """
 
 from __future__ import annotations
@@ -53,20 +52,35 @@ class EngineSelection:
     def spec(self) -> str:
         return f"{self.sim}+{self.tracer}"
 
-    def nest_tracer(self, program, params):
-        """The selected tracer's ``NestTracer``, whose segments the
-        measuring chain streams (:func:`repro.harness.variant_chunks`).
+    def address_segments(self, program, params, steps: int, layout, name: str):
+        """The selected tracer's trace of ``steps`` time steps as byte
+        addresses under ``layout``, in segments, which the measuring
+        chain streams (:func:`repro.harness.variant_chunks`): codegen's
+        :meth:`~repro.codegen.tracer.NestTracer.address_segments`, or
+        the oracle's whole trace laid out and cut every
+        :data:`~repro.stream.CHUNK_ACCESSES` accesses.
 
-        Both tracers produce bit-for-bit identical segments (the contract
-        the differential suite under ``tests/codegen/`` enforces), so the
-        choice is observable only through spans and ``codegen.*``
-        metrics.
+        Both tracers produce bit-for-bit identical addresses (the
+        contract the differential suite under ``tests/codegen/``
+        enforces), so the choice is observable only through spans and
+        ``codegen.*`` metrics.
         """
         if self.tracer == "codegen":
             from .codegen.tracer import NestTracer
-        else:
-            from .interp.tracegen import NestTracer
-        return NestTracer(program, params)
+
+            return NestTracer(program, params).address_segments(steps, layout, name)
+        return _oracle_segments(program, params, steps, layout, name)
+
+
+def _oracle_segments(program, params, steps: int, layout, name: str):
+    """The Walk oracle's trace laid out, in chunks."""
+    from . import stream
+    from .interp import trace_program
+
+    trace = trace_program(program, params, steps)
+    whole = stream.AddressStream.from_trace(trace, layout, name, "interp")
+    for start in range(0, len(whole), stream.CHUNK_ACCESSES):
+        yield whole.slice(start, start + stream.CHUNK_ACCESSES)
 
 
 def resolve_engines(

@@ -113,9 +113,7 @@ def _batches(
     accesses (a larger segment alone), each with the segments it joins
     and whether it is the last; one empty batch when there is no
     segment."""
-    segments = selection.nest_tracer(program, params).address_segments(
-        steps, layout, name
-    )
+    segments = selection.address_segments(program, params, steps, layout, name)
     ahead = next(segments, None)
     if ahead is None:
         yield AddressStream.concat([], name), [], True

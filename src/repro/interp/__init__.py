@@ -4,8 +4,7 @@ from .funcs import DEFAULT_FUNCTIONS, FunctionTable
 from .interleave import InterleavedRun, interleave_trace
 from .interpreter import Interpreter, run_program
 from .state import init_arrays
-from .trace import AccessTrace, RefInfo, TraceBuilder
-from .tracegen import trace_program
+from .trace import AccessTrace, RefInfo, trace_program
 
 __all__ = [
     "AccessTrace",
@@ -14,7 +13,6 @@ __all__ = [
     "InterleavedRun",
     "Interpreter",
     "RefInfo",
-    "TraceBuilder",
     "init_arrays",
     "interleave_trace",
     "run_program",

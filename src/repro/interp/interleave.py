@@ -32,13 +32,11 @@ which thread issued every access.  The merge keeps every thread's own
 order, so a thread's private stream (its chunks plus, for thread 0, the
 serial nests) is ``merged[merged_threads == t]``.
 
-The program is compiled once by the production tracer
-(``resolve_engines().nest_tracer``: codegen's
-:class:`~repro.codegen.tracer.NestTracer`, bit-identical to the
-interpreter's) and every (nest, chunk) runs through it — bounds and
-guard checks included — with the outermost loop restricted to the
-chunk; all array declarations are kept, so ``global_keys`` agree across
-every segment.
+The program is folded once by the production tracer (codegen's
+:class:`~repro.codegen.tracer.NestTracer`) and every (nest, chunk) runs
+through it — bounds and guard checks included — with the outermost loop
+restricted to the chunk; all array declarations are kept, so
+``global_keys`` agree across every segment.
 
 Import direction: this module imports ``repro.static.schedule``,
 ``repro.static.parallelism`` and the tracer lazily, and
@@ -59,7 +57,7 @@ from ..obs import SpanEvent, metrics, span
 from ..stream import AddressStream, StreamMeta
 
 if TYPE_CHECKING:
-    from .tracegen import NestTracer
+    from ..codegen.tracer import NestTracer
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,7 @@ def interleave_trace(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    from ..engines import resolve_engines
+    from ..codegen.tracer import NestTracer
     from ..memsim.geometry import ELEM_BYTES
     from ..static.parallelism import analyze_parallelism
     from ..static.schedule import parse_schedule
@@ -173,7 +171,7 @@ def interleave_trace(
     ) as sp:
         keys, writes, tids = concat_columns(
             interleaved_nests(
-                resolve_engines().nest_tracer(program, params),
+                NestTracer(program, params),
                 threads, steps, schedule, parallel, sp,
             )
         )

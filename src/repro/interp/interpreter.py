@@ -3,9 +3,9 @@
 This is the *correctness oracle*: every transformation in the compiler is
 tested by executing the program before and after on identical initial
 state and comparing the final arrays bit for bit.  The execution order is
-:class:`~repro.lang.Walk`'s, shared with the legality snapshot; the
-vectorized trace generator (:mod:`repro.interp.tracegen`) is the fast
-path for locality studies.
+:class:`~repro.lang.Walk`'s, shared with the legality snapshot and the
+trace oracle (:func:`repro.interp.trace_program`); the codegen tracer
+(:mod:`repro.codegen`) is the fast path for locality studies.
 """
 
 from __future__ import annotations

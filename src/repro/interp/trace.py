@@ -1,8 +1,8 @@
-"""Memory access traces.
+"""Memory access traces, and the Walk oracle that generates them.
 
-An :class:`AccessTrace` is the common currency between the trace
-generator, the locality analyses, the reuse-driven execution study, and
-the cache simulator.  It is a struct-of-arrays over numpy so multi-million
+An :class:`AccessTrace` is the common currency between the tracers, the
+locality analyses, the reuse-driven execution study, and the cache
+simulator.  It is a struct-of-arrays over numpy so multi-million
 access traces stay compact and the analyses can vectorize.
 
 Canonical element numbering
@@ -17,10 +17,14 @@ changes cache behaviour without touching the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+import copy
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
+
+from ..lang import AnalysisError, Assign, Program, Stmt, Walk, map_body
+from ..lang.lowering import Fold, FoldedAssign, LoweredRef
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,11 @@ class RefInfo:
     array: str
     is_write: bool
     text: str
+
+    @staticmethod
+    def of(ref: LoweredRef) -> "RefInfo":
+        """The row of a reference of the program's lowering."""
+        return RefInfo(ref.ref_id, ref.stmt_id, ref.ref.array, ref.is_write, str(ref.ref))
 
 
 @dataclass
@@ -91,73 +100,139 @@ class AccessTrace:
             yield self.array_names[aid], int(elem), bool(wr)
 
 
+_COLUMNS = ("array_ids", "elems", "writes", "ref_ids", "instr_ids")
+
+
 def concat_traces(traces: Sequence[AccessTrace]) -> AccessTrace:
-    """Consecutive pieces of one program's trace, as one trace (the one
-    piece itself when there is only one)."""
-    if len(traces) == 1:
-        return traces[0]
+    """Consecutive pieces of one program's trace, as one trace: every
+    column concatenated (the one piece itself when there is only one)."""
     first = traces[0]
-    builder = TraceBuilder(
-        first.array_names,
-        first.array_sizes,
-        first.refs,
-        with_instr=first.instr_ids is not None,
-    )
-    for t in traces:
-        builder.append(t.array_ids, t.elems, t.writes, t.ref_ids, t.instr_ids)
-    return builder.build()
+    if len(traces) == 1:
+        return first
+
+    def cat(column: str) -> Optional[np.ndarray]:
+        if getattr(first, column) is None:
+            return None
+        return np.concatenate([getattr(t, column) for t in traces])
+
+    return replace(first, **{c: cat(c) for c in _COLUMNS})
 
 
-class TraceBuilder:
-    """Accumulates chunks of accesses and finalizes an :class:`AccessTrace`."""
+class TraceWalk(Walk):
+    """The Walk oracle: :func:`trace_program` as a :class:`~repro.lang.Walk`.
 
-    def __init__(
-        self,
-        array_names: Sequence[str],
-        array_sizes: Sequence[int],
-        refs: Sequence[RefInfo],
-        with_instr: bool = False,
-    ) -> None:
-        self.array_names = tuple(array_names)
-        self.array_sizes = tuple(int(s) for s in array_sizes)
-        self.refs = tuple(refs)
-        self.with_instr = with_instr
-        self._array_ids: list[np.ndarray] = []
-        self._elems: list[np.ndarray] = []
-        self._writes: list[np.ndarray] = []
-        self._ref_ids: list[np.ndarray] = []
-        self._instr_ids: list[np.ndarray] = []
-        self.instr_count = 0
+    The order, the loop bounds and the guards are the Walk's, so the
+    trace follows the interpreter instance by instance.  An assignment
+    instance records its statement and the loop indices its references
+    read; their address records and ref ids come from the fold the
+    codegen tracer reads (:class:`~repro.lang.lowering.Fold`), keyed by
+    the assignment's identity, so each assignment object must occur once
+    (:func:`_distinct`).  :meth:`trace` evaluates the records, derives
+    the other columns and checks the bounds in numpy, statement by
+    statement.
+    """
 
-    def append(
-        self,
-        array_ids: np.ndarray,
-        elems: np.ndarray,
-        writes: np.ndarray,
-        ref_ids: np.ndarray,
-        instr_ids: Optional[np.ndarray] = None,
-    ) -> None:
-        self._array_ids.append(np.asarray(array_ids, dtype=np.int32))
-        self._elems.append(np.asarray(elems, dtype=np.int64))
-        self._writes.append(np.asarray(writes, dtype=bool))
-        self._ref_ids.append(np.asarray(ref_ids, dtype=np.int32))
-        if self.with_instr:
-            assert instr_ids is not None
-            self._instr_ids.append(np.asarray(instr_ids, dtype=np.int64))
+    def __init__(self, program: Program, params: Mapping[str, int]) -> None:
+        program = _distinct(program)
+        self.folding = Fold(program, params)
+        super().__init__(program, self.folding.params)
+        #: per assignment object: its statement and the indices it reads
+        self.plan = {
+            key: (node.stmt_id, _indices(node))
+            for key, node in self.folding.assigns.items()
+        }
+        self.stmts: list[int] = []  # the statement of every instance
+        self.indices: list[int] = []  # and the values of the indices it reads
 
-    def build(self) -> AccessTrace:
-        def cat(chunks: list[np.ndarray], dtype) -> np.ndarray:
-            if not chunks:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(chunks)
+    def assign(self, stmt: Assign) -> None:
+        stmt_id, names = self.plan[id(stmt)]
+        self.stmts.append(stmt_id)
+        self.indices.extend(map(self.env.__getitem__, names))
 
+    def trace(self, steps: int, with_instr: bool) -> AccessTrace:
+        """The accesses of the instances walked so far, repeated ``steps``
+        times: a statement's accesses are a matrix, a row per instance
+        and a column per reference, placed at the instances' offsets."""
+        fold, refs = self.folding, self.folding.refs
+        nodes = sorted(fold.assigns.values(), key=lambda node: node.stmt_id)
+        stmts = np.tile(np.asarray(self.stmts, np.int64), steps)
+        values = np.tile(np.asarray(self.indices, np.int64), steps)
+        counts = np.asarray([len(node.refs) for node in nodes], np.int64)[stmts]
+        widths = np.asarray([len(_indices(node)) for node in nodes], np.int64)[stmts]
+        starts, reads = np.cumsum(counts) - counts, np.cumsum(widths) - widths
+        elems = np.empty(int(counts.sum()), np.int64)
+        ref_ids = np.empty(len(elems), np.int32)
+        order = np.argsort(stmts, kind="stable")
+        cuts = np.searchsorted(stmts[order], np.arange(len(nodes) + 1))
+        for node, lo, hi in zip(nodes, cuts, cuts[1:]):
+            rows = order[lo:hi]
+            names = _indices(node)
+            index = values[reads[rows, None] + np.arange(len(names))]
+            for k, ref in enumerate(node.refs):
+                const, terms = ref.linform
+                column = np.full(len(rows), const, np.int64)
+                for name, coeff in terms:
+                    column += coeff * index[:, names.index(name)]
+                elems[starts[rows] + k] = column
+                ref_ids[starts[rows] + k] = ref.ref_id
+        array_ids = np.asarray([fold.array_ids[r.ref.array] for r in refs], np.int32)[ref_ids]
+        sizes = np.asarray(fold.sizes, np.int64)
+        bad = np.flatnonzero((elems < 0) | (elems >= sizes[array_ids]))
+        if len(bad):
+            t = bad[0]
+            raise AnalysisError(
+                f"out-of-bounds access: array #{array_ids[t]} element "
+                f"{elems[t]} (size {sizes[array_ids[t]]}) by `{refs[ref_ids[t]].ref}`"
+            )
         return AccessTrace(
-            array_names=self.array_names,
-            array_ids=cat(self._array_ids, np.int32),
-            elems=cat(self._elems, np.int64),
-            writes=cat(self._writes, bool),
-            ref_ids=cat(self._ref_ids, np.int32),
-            instr_ids=cat(self._instr_ids, np.int64) if self.with_instr else None,
-            refs=self.refs,
-            array_sizes=self.array_sizes,
+            array_names=tuple(a.name for a in self.program.arrays),
+            array_ids=array_ids,
+            elems=elems,
+            writes=np.asarray([r.is_write for r in refs], bool)[ref_ids],
+            ref_ids=ref_ids,
+            instr_ids=np.repeat(np.arange(len(stmts)), counts) if with_instr else None,
+            refs=tuple(RefInfo.of(r) for r in refs),
+            array_sizes=tuple(fold.sizes),
         )
+
+
+def _indices(node: FoldedAssign) -> tuple[str, ...]:
+    """The loop indices the address records of ``node`` read."""
+    return tuple(sorted({name for ref in node.refs for name, _ in ref.linform[1]}))
+
+
+def _distinct(program: Program) -> Program:
+    """``program`` with a copy of each assignment object in place of its
+    every occurrence after the first: the lowering numbers occurrences
+    apart, the fold keys them by identity."""
+    seen: set[int] = set()
+
+    def visit(stmt: Stmt) -> list[Stmt]:
+        if not isinstance(stmt, Assign):
+            return [stmt.map_bodies(visit)]
+        if id(stmt) in seen:
+            return [copy.copy(stmt)]
+        seen.add(id(stmt))
+        return [stmt]
+
+    return program.with_body(map_body(program.body, visit))
+
+
+def trace_program(
+    program: Program,
+    params: Mapping[str, int],
+    steps: int = 1,
+    with_instr: bool = False,
+) -> AccessTrace:
+    """The memory access trace of ``program`` at the given size, walked
+    instance by instance (:class:`TraceWalk`): the oracle the codegen
+    tracer (:func:`repro.codegen.trace_program`) is proven against.
+
+    ``steps`` repeats the whole body, modelling the outer time-step loop
+    of the paper's iterative applications.  ``with_instr=True``
+    additionally records a dynamic instruction id per access, one per
+    assignment instance (needed by the reuse-driven-execution study).
+    """
+    walk = TraceWalk(program, params)
+    walk.run()  # every step walks the same instances
+    return walk.trace(steps, with_instr)

@@ -12,9 +12,9 @@ Two rules live here and nowhere else:
 
 * :func:`narrow`, the guard rule: inside a guard the guarded index ranges
   over the hull of the guard's intervals intersected with its enclosing
-  range, each bound decided by :meth:`Affine.compare`; an else branch
-  keeps the enclosing range (the complement of an interval is not an
-  interval).
+  range, each bound decided by :meth:`Affine.compare` over every value
+  of the in-scope indices (eliminated first); an else branch keeps the
+  enclosing range (the complement of an interval is not an interval).
 * :func:`eliminate`, the affine elimination: the symbolic ``[min, max]``
   of a form over in-scope index ranges.
 """
@@ -44,40 +44,60 @@ class Range(NamedTuple):
 
 
 def narrow(
-    lo: Affine, hi: Affine, guard: Guard, assume: Assumptions
+    lo: Affine, hi: Affine, guard: Guard, scope: Sequence, assume: Assumptions
 ) -> tuple[Affine, Affine, bool]:
     """The guard rule: an index ranging over ``[lo, hi]`` ranges over the
     returned bounds inside ``guard``, and the flag says whether those
     bounds are exact.
 
     The guard's bounds are the hull of its intervals where
-    :meth:`Affine.compare` orders them, the enclosing bound otherwise.
-    Each is intersected with the enclosing bound: the tighter one where
-    the comparison is decided, the guard's (and inexact) where it is not.
+    :func:`_compare` orders them over the in-scope ranges ``scope``
+    (outermost first, as for :func:`eliminate`), the enclosing bound
+    otherwise.  Each is intersected with the enclosing bound: the tighter
+    one where the comparison is decided, the guard's (and inexact) where
+    it is not.
     """
-    return _intersect(lo, hi, guard.intervals, assume)
+    return _intersect(lo, hi, guard.intervals, scope, assume)
 
 
 def widths(
-    lo: Affine, hi: Affine, guard: Guard, assume: Assumptions
+    lo: Affine, hi: Affine, guard: Guard, scope: Sequence, assume: Assumptions
 ) -> list[Affine]:
     """Per interval of ``guard``, how many values of ``[lo, hi]`` it
     holds: its width once the guard rule narrows ``[lo, hi]`` to it."""
     return [
         n_hi - n_lo + 1
         for n_lo, n_hi, _ in (
-            _intersect(lo, hi, (iv,), assume) for iv in guard.intervals
+            _intersect(lo, hi, (iv,), scope, assume) for iv in guard.intervals
         )
     ]
 
 
+def _compare(
+    a: Affine, b: Affine, scope: Sequence, assume: Assumptions
+) -> Optional[int]:
+    """:meth:`Affine.compare` of ``a`` and ``b`` for every value of the
+    indices of ``scope``: their difference's range over ``scope``
+    (:func:`eliminate`) lies below, at or above zero, or ``None``."""
+    low, high = eliminate(a - b, scope)
+    if low == high:
+        return low.sign(assume)
+    if high.sign(assume) == -1:
+        return -1
+    return 1 if low.sign(assume) == 1 else None
+
+
 def _intersect(
-    lo: Affine, hi: Affine, intervals: Sequence[Interval], assume: Assumptions
+    lo: Affine,
+    hi: Affine,
+    intervals: Sequence[Interval],
+    scope: Sequence,
+    assume: Assumptions,
 ) -> tuple[Affine, Affine, bool]:
-    g_lo = _hull([iv.lower for iv in intervals], -1, lo, assume)
-    g_hi = _hull([iv.upper for iv in intervals], 1, hi, assume)
-    c_lo = g_lo.compare(lo, assume)
-    c_hi = g_hi.compare(hi, assume)
+    g_lo = _hull([iv.lower for iv in intervals], -1, lo, scope, assume)
+    g_hi = _hull([iv.upper for iv in intervals], 1, hi, scope, assume)
+    c_lo = _compare(g_lo, lo, scope, assume)
+    c_hi = _compare(g_hi, hi, scope, assume)
     exact = len(intervals) == 1 and c_lo is not None and c_hi is not None
     return (
         lo if c_lo == -1 else g_lo,
@@ -87,13 +107,17 @@ def _intersect(
 
 
 def _hull(
-    forms: Sequence[Affine], side: int, fallback: Affine, assume: Assumptions
+    forms: Sequence[Affine],
+    side: int,
+    fallback: Affine,
+    scope: Sequence,
+    assume: Assumptions,
 ) -> Affine:
     """The least (``side`` -1) or greatest (+1) of ``forms``, or
-    ``fallback`` when :meth:`Affine.compare` cannot order them."""
+    ``fallback`` when :func:`_compare` cannot order them."""
     best = forms[0]
     for form in forms[1:]:
-        cmp = form.compare(best, assume)
+        cmp = _compare(form, best, scope, assume)
         if cmp is None:
             return fallback
         if cmp == side:
@@ -171,7 +195,7 @@ class Scope:
             self.walk_body(guard.body, f"when {guard.index}")
         else:
             outer = self.ranges[level]
-            lo, hi, exact = narrow(outer.lo, outer.hi, guard, self.assume)
+            lo, hi, exact = narrow(outer.lo, outer.hi, guard, self.ranges, self.assume)
             self.ranges[level] = outer._replace(
                 lo=lo, hi=hi, exact=exact and outer.exact
             )

@@ -16,8 +16,8 @@ multi-thread run adds on top: invalidation misses, classified as
 
 The analyzer owns no access enumeration and no protocol automaton.  It
 is a pipeline over the two shared ones: **the** multi-thread enumerator
-(``repro.interp.interleave`` — the production tracer
-(``resolve_engines().nest_tracer``) run chunk by chunk under the shared
+(``repro.interp.interleave`` — the production tracer, codegen's
+``NestTracer``, run chunk by chunk under the shared
 schedule machinery, :mod:`repro.static.schedule`, and
 merged by the round-robin drain contract), then **the** MSI automaton
 (:func:`repro.memsim.coherence.simulate_msi`), then a true/false-sharing
@@ -35,7 +35,7 @@ imported inside :func:`analyze_coherence`, and
 Witnesses are concrete: thread pair, the two global element keys and
 their offsets within the shared line, and the loop-variable bindings of
 the two colliding iterations (recovered by a bounded scalar walk of the
-tracer's compiled nests).
+tracer's folded nests).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .parallelism import ParallelismProfile, analyze_parallelism, bind_params
 from .schedule import parse_schedule, schedule_chunks
 
 if TYPE_CHECKING:
-    from ..interp.tracegen import NestTracer
+    from ..codegen.tracer import NestTracer
 
 #: enumeration ceiling: programs whose modeled access count exceeds this
 #: raise (callers degrade gracefully — the tuner falls back to the
@@ -329,7 +329,7 @@ def _find_iteration(
 ) -> tuple[tuple[str, int], ...]:
     """Loop-variable bindings of the first access of ``thread`` that
     touches element ``elem`` of array ``array_id``: a bounded scalar walk
-    of the tracer's compiled nests over one step, the thread's chunks
+    of the tracer's folded nests over one step, the thread's chunks
     looked up as the schedule first deals them."""
     segments: list[tuple[int, Optional[tuple[int, int]]]] = []
     for k in range(len(tracer.nests)):
@@ -438,7 +438,7 @@ def analyze_coherence(
     """
     # lazy, like repro.interp's imports of repro.static: either package
     # can be imported first
-    from ..engines import resolve_engines
+    from ..codegen.tracer import NestTracer
     from ..interp.interleave import concat_columns, interleaved_nests
     from ..memsim.coherence import check_threads, simulate_msi
     from ..memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
@@ -456,10 +456,10 @@ def analyze_coherence(
         if parallelism is None:
             parallelism = analyze_parallelism(program, params)
         parallel = frozenset(parallelism.parallel_nests())
-        tracer = resolve_engines().nest_tracer(program, env)
+        tracer = NestTracer(program, env)
         names = [a.name for a in program.arrays]
         # arrays sit back to back: array k owns [bounds[k], bounds[k+1])
-        bounds = np.concatenate(([0], np.cumsum(tracer.compiler.sizes)))
+        bounds = np.concatenate(([0], np.cumsum(tracer.sizes)))
         nests = []
         total = 0
         for columns in interleaved_nests(

@@ -1,13 +1,13 @@
 """Static reference model: the IR flattened to symbolic references.
 
 The model flattens the program's one lowering
-(:func:`repro.lang.lowering.lower`), the numbering the trace generators
-fold too, so its reference ids *are* the ``ref_ids`` of a dynamically
+(:func:`repro.lang.lowering.lower`), the numbering the tracers fold
+too, so its reference ids *are* the ``ref_ids`` of a dynamically
 generated :class:`~repro.interp.trace.AccessTrace` for the same program.
 That correspondence is what lets the cross-validation suite compare
 static and dynamic reuse classes reference by reference.
 
-Unlike the trace generator, nothing here is evaluated: loop bounds stay
+Unlike the tracers, nothing here is evaluated: loop bounds stay
 affine, subscripts stay affine, and a guard narrows the enclosing index
 range by the one rule of :func:`repro.lang.scope.narrow`, the rule every
 symbolic analysis applies.  The flatten walks the lowering rather than
@@ -114,14 +114,16 @@ class StaticModel:
 
 
 def _guard_contexts(
-    outer: LoopCtx, guard: Guard, assume: Assumptions
+    scope: tuple[LoopCtx, ...], level: int, guard: Guard, assume: Assumptions
 ) -> tuple[LoopCtx, LoopCtx]:
-    """The guarded index's context inside ``guard``'s body and its else
-    branch: the body's range by the guard rule, its trip the narrowed
-    widths of the intervals; the else branch keeps the loop's range and
-    counts the iterations the body does not take."""
-    lo, hi, exact = narrow(outer.lo, outer.hi, guard, assume)
-    counts = widths(outer.lo, outer.hi, guard, assume)
+    """The guarded index's context (``scope[level]``) inside ``guard``'s
+    body and its else branch: the body's range by the guard rule over
+    ``scope``, its trip the narrowed widths of the intervals; the else
+    branch keeps the loop's range and counts the iterations the body
+    does not take."""
+    outer = scope[level]
+    lo, hi, exact = narrow(outer.lo, outer.hi, guard, scope, assume)
+    counts = widths(outer.lo, outer.hi, guard, scope, assume)
     trip = sum((Poly.from_affine(w) for w in counts), Poly())
     inside = LoopCtx(outer.index, lo, hi, trip, exact and outer.exact, outer.loop_id)
     orelse = LoopCtx(
@@ -136,8 +138,8 @@ def build_model(program: Program) -> StaticModel:
     the loop contexts around it, guards narrowing them by the one rule,
     its access row normalised once (``uniform`` / ``rows`` / ``offset``)
     and grouped by uniformly generated set.  The lowering's ids are the
-    tracers', so reference ids match
-    :func:`repro.interp.tracegen.trace_program`'s ``ref_ids``.
+    tracers', so reference ids match the ``ref_ids`` of
+    :func:`repro.codegen.trace_program` and :func:`repro.interp.trace_program`.
     """
     lowering = lower(program)
     assume = Assumptions()
@@ -168,7 +170,7 @@ def build_model(program: Program) -> StaticModel:
                     flatten(node.body, scope, nest, start)
                     flatten(node.else_body, scope, nest, start)
                     continue
-                contexts = _guard_contexts(scope[level], node.guard, assume)
+                contexts = _guard_contexts(scope, level, node.guard, assume)
                 for body, ctx in zip((node.body, node.else_body), contexts):
                     flatten(body, scope[:level] + (ctx,) + scope[level + 1:], nest, start)
 

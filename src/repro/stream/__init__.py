@@ -1,7 +1,7 @@
 """Typed address streams: the common currency below the trace layer.
 
 An :class:`AddressStream` is the one representation every producer of
-memory references emits — the interpreter tracer, the codegen tracer,
+memory references emits — the codegen tracer, the Walk oracle,
 and external traces imported from disk — and
 every consumer accepts: the cache/hierarchy simulators, the locality
 analyzers, and the on-disk trace cache.  See DESIGN §9.

@@ -1,32 +1,33 @@
-"""Differential trace suite: codegen tracer vs. the interpreter oracle.
+"""Differential trace suite: codegen tracer vs. the Walk oracle.
 
 Every program x level variant of the study (42 in all) must produce a
-trace **bit-for-bit identical** to ``repro.interp.tracegen`` — array
-ids, element offsets, read/write flags and reference ids — at the
-configuration ``measure_variant`` runs (the codegen tracer has no other).
-On top of the pairwise comparison, the oracle's trace of each variant,
-instruction ids included, is pinned by a committed fingerprint
-(``golden_trace_fingerprints.json``), so a change to the shared lowering
+trace **bit-for-bit identical** to the oracle's
+(``repro.interp.trace_program``, a ``lang.Walk``) — array ids, element
+offsets, read/write flags and reference ids — at the configuration
+``measure_variant`` runs (the codegen tracer has no other).  On top of
+the pairwise comparison, the oracle's trace of each variant, instruction
+ids included, is pinned by a committed fingerprint
+(``golden_trace_fingerprints.json``), so a change to the shared fold
 that moves both tracers together still fails loudly.
 
 Run ``python tests/codegen/test_differential_traces.py`` to regenerate
 the fingerprint file after an *intentional* trace change (and say so in
 the commit).
 
-The measuring chain streams: both tracers cut a trace into outer-loop
-segments of about ``CHUNK_ACCESSES`` accesses.  At a tiny odd chunk size
-the segments of every variant still concatenate to the trace bit for
-bit (instruction ids included), and the chunked measurement gives the
-one-chunk ``MemStats`` field for field.
+The measuring chain streams: the codegen tracer cuts a trace into
+outer-loop segments of about ``CHUNK_ACCESSES`` accesses.  At a tiny odd
+chunk size the segments of every variant still concatenate to the trace
+bit for bit, and the chunked measurement gives the one-chunk
+``MemStats`` field for field.
 
 ``run()`` never lays a codegen trace out: the tracer emits byte
 addresses with each array's layout folded into its references.  Its
 chunks, at the default and the tiny chunk size, must fingerprint like
-the interpreter's trace laid out by ``Layout.addresses`` (addresses,
+the oracle's trace laid out by ``Layout.addresses`` (addresses,
 writes and reference ids).
 
 The static model numbers references by the same lowering as the
-tracers; every variant's model agrees with the tracer's reference table
+tracer; every variant's model agrees with the tracer's reference table
 without tracing anything.
 
 The tier-1 cases run at the small golden sizes; the ``slow`` marker
@@ -65,7 +66,6 @@ if __name__ != "__main__":
     from repro import stream as stream_module
     from repro.interp import trace_program as interp_trace
     from repro.interp.trace import concat_traces
-    from repro.interp.tracegen import NestTracer as InterpNestTracer
     from repro.memsim import MemoryHierarchy, octane, stats_from_hierarchy
     from repro.stream import AddressStream
 
@@ -75,7 +75,7 @@ if __name__ != "__main__":
         for level in GOLDEN_LEVELS
     ]
 
-STEPS = 2  # >1 so the per-step tiling (and the oracle's instruction ids) is covered
+STEPS = 2  # >1 so the per-step replay (and the oracle's instruction ids) is covered
 
 
 #: a chunk size that cuts every variant's trace, nests included, off
@@ -153,15 +153,8 @@ if __name__ != "__main__":
         params = GOLDEN_PARAMS[name]
         whole = interp_trace(program, params, steps=STEPS)
         monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", TINY_CHUNK)
-        for tracer in (CodegenNestTracer, InterpNestTracer):
-            segments = list(tracer(program, params).segments(STEPS))
-            assert_traces_identical(
-                whole, concat_traces(segments), f"{name}/{level} {tracer.__module__}"
-            )
-        # the oracle's instruction ids keep counting across segments
-        timed = InterpNestTracer(program, params).segments(STEPS, with_instr=True)
-        golden = json.loads(GOLDEN_FILE.read_text())
-        assert trace_fingerprint(concat_traces(list(timed))) == golden[f"{name}-{level}"]
+        segments = list(CodegenNestTracer(program, params).segments(STEPS))
+        assert_traces_identical(whole, concat_traces(segments), f"{name}/{level}")
 
     @pytest.mark.parametrize(
         "name,level", CASES, ids=[f"{n}-{lv}" for n, lv in CASES]
@@ -186,7 +179,7 @@ if __name__ != "__main__":
         assert chunked == whole
 
     def _oracle_fingerprint(variant, params, steps):
-        """The interpreter's trace laid out by ``Layout.addresses``."""
+        """The oracle's trace laid out by ``Layout.addresses``."""
         trace = interp_trace(variant.program, params, steps=steps)
         return AddressStream.from_trace(trace, variant.layout(params)).fingerprint()
 
@@ -222,8 +215,8 @@ if __name__ != "__main__":
 
         for name, level in CASES:
             program = _variant_program(name, level)
-            tracer = InterpNestTracer(program, GOLDEN_PARAMS[name])
-            assert rows(build_model(program).refs) == rows(tracer.compiler.refs), (
+            tracer = CodegenNestTracer(program, GOLDEN_PARAMS[name])
+            assert rows(build_model(program).refs) == rows(tracer.refs), (
                 f"{name}/{level}"
             )
 

@@ -89,6 +89,16 @@ def guard_source(
         """
 
 
+#: a guard bound over an enclosing index: ``k - 5 < 1`` for every ``k``
+#: of its loop, so the guard leaves ``i`` its loop's ``[1, N]``
+ENCLOSING_GUARD = """
+    program enclosing
+    param N
+    real A[N, 3], B[N, 3]
+    for k = 1, 3 { for i = 1, N { when i in [k - 5 : N] { A[i, k] = f(B[i, k]) } } }
+    """
+
+
 def round_robin_order(lengths, block: int = 1) -> list[tuple[int, int, int]]:
     """Reference round-robin drain, one Python step per run: ``(stream,
     start, stop)`` runs of up to ``block`` accesses; streams drop out as

@@ -10,9 +10,11 @@ dependency.  And ``repro.lang`` alone knows which fields of which AST
 node hold subexpressions and bodies: no other module rebuilds a node
 field by field (the structural rewriter is ``lang.map_expr`` /
 ``lang.map_exprs`` / ``Stmt.map_bodies``).  Likewise ``lang.Walk`` alone
-knows how a program executes: the interpreter and the legality snapshot
-only say what an assignment instance does, and no module outside
-``repro.lang`` but inlining binds a procedure's formals.
+knows how a program executes: the interpreter, the legality snapshot
+and the oracle tracer only say what an assignment instance does, and no
+module outside ``repro.lang`` but inlining binds a procedure's formals.
+The tracers' fold is defined once, in ``lang/lowering.py``, and the
+codegen tracer reads nothing of ``repro.interp`` but the trace container.
 """
 
 from __future__ import annotations
@@ -146,22 +148,22 @@ def test_only_inlining_reads_formals_outside_lang():
 
 def test_instance_walkers_share_the_walk_order():
     from repro.interp import Interpreter
+    from repro.interp.trace import TraceWalk
     from repro.lang import Walk
     from repro.verify.snapshot import _Walker
 
-    for walker in (Interpreter, _Walker):
+    for walker in (Interpreter, _Walker, TraceWalk):
         assert issubclass(walker, Walk)
         assert walker.walk_stmt is Walk.walk_stmt, walker
 
 
 #: outside ``repro.lang``, the functions that may read a guard's
-#: ``intervals`` (``None``: the whole module): the two tracers and
+#: ``intervals`` (``None``: the whole module): the codegen tracer and
 #: parallelism's concrete checker evaluate membership per instance,
 #: substitution rewrites the intervals, and the linter's V105/V106 lints
 #: inspect them; every range a symbolic analysis narrows comes from
 #: ``lang.scope.narrow``
 INTERVAL_READERS = {
-    "interp/tracegen.py": None,
     "codegen/tracer.py": None,
     "transform/subst.py": None,
     "static/parallelism.py": {"_ConcreteChecker._guard_member"},
@@ -231,3 +233,42 @@ def test_only_lang_narrows_index_ranges():
     }
     assert readers == allowed, readers
     assert defined == {"lang/scope.py": ["eliminate"]}, defined
+
+
+def _imports(source: str) -> set[str]:
+    """The modules ``source`` imports, relative ones resolved as if it
+    sat one package below ``repro`` (``..interp.trace`` is
+    ``repro.interp.trace``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "repro." * (node.level == 2) + (node.module or "")
+            found |= {base} if node.module else {f"repro.{a.name}" for a in node.names}
+    return found
+
+
+def test_codegen_imports_only_the_trace_container_from_interp():
+    imported = {
+        str(path.relative_to(PACKAGE)): sorted(
+            m for m in _imports(path.read_text()) if m.startswith("repro.interp")
+        )
+        for path in sorted((PACKAGE / "codegen").rglob("*.py"))
+    }
+    allowed = {"repro.interp.trace"}
+    assert all(set(m) <= allowed for m in imported.values()), imported
+    assert _imports("from ..interp import tracegen as _tg") == {"repro.interp"}
+
+
+def test_the_fold_is_defined_once():
+    """The tracers' fold of the lowering (address records ``(const,
+    ((var, coeff), ...))`` at a binding) lives in ``lang/lowering.py``."""
+    defined = {
+        str(path.relative_to(PACKAGE))
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and node.name in {"Fold", "FoldedRef", "FoldedAssign", "FoldedGuard", "FoldedLoop"}
+    }
+    assert defined == {"lang/lowering.py"}, defined

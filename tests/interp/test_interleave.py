@@ -13,7 +13,7 @@ import pytest
 from conftest import round_robin_order
 
 from repro.interp import interleave_trace
-from repro.interp.tracegen import NestTracer
+from repro.codegen.tracer import NestTracer
 from repro.programs import registry
 from repro.static.parallelism import analyze_parallelism
 from repro.static.schedule import schedule_chunks

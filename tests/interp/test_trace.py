@@ -2,29 +2,28 @@
 
 import numpy as np
 
-from repro.interp import TraceBuilder
-from repro.interp.trace import RefInfo
+from repro.interp import AccessTrace
+from repro.interp.trace import RefInfo, concat_traces
+
+
+def piece(array_ids, elems, writes, instr_ids):
+    return AccessTrace(
+        array_names=("A", "B"),
+        array_ids=np.array(array_ids, np.int32),
+        elems=np.array(elems, np.int64),
+        writes=np.array(writes, bool),
+        ref_ids=np.zeros(len(elems), np.int32),
+        instr_ids=np.array(instr_ids, np.int64),
+        refs=(RefInfo(0, 0, "A", False, "A[i]"),),
+        array_sizes=(10, 20),
+    )
 
 
 def make_trace():
-    builder = TraceBuilder(
-        ["A", "B"], [10, 20], [RefInfo(0, 0, "A", False, "A[i]")], with_instr=True
-    )
-    builder.append(
-        np.array([0, 1, 0]),
-        np.array([3, 5, 3]),
-        np.array([False, True, True]),
-        np.array([0, 0, 0]),
-        np.array([0, 0, 1]),
-    )
-    builder.append(
-        np.array([1]),
-        np.array([19]),
-        np.array([False]),
-        np.array([0]),
-        np.array([2]),
-    )
-    return builder.build()
+    return concat_traces([
+        piece([0, 1, 0], [3, 5, 3], [False, True, True], [0, 0, 1]),
+        piece([1], [19], [False], [2]),
+    ])
 
 
 def test_builder_concatenates():

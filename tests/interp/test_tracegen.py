@@ -1,4 +1,5 @@
-"""Trace-generator tests, including an interpreter-derived oracle."""
+"""Tracer tests: the Walk oracle and the codegen tracer against an
+interpreter-derived reference, and the inputs both refuse."""
 
 import numpy as np
 import pytest
@@ -93,14 +94,14 @@ PROGRAMS = [
 def test_trace_matches_interpreter_order(source, n):
     p = build(source)
     params = {"N": n}
-    trace = trace_program(p, params)
     oracle = reference_trace(p, params)
-    assert len(trace) == len(oracle)
-    for k, (name, elem, wr) in enumerate(trace.iter_accesses()):
-        oname, osubs, owr = oracle[k]
-        assert name == oname, f"access {k}: array {name} != {oname}"
-        assert wr == owr, f"access {k}: write flag"
-        assert elem == canonical(p, params, oname, osubs), f"access {k}: element"
+    for trace in (trace_program(p, params), codegen_trace(p, params)):
+        assert len(trace) == len(oracle)
+        for k, (name, elem, wr) in enumerate(trace.iter_accesses()):
+            oname, osubs, owr = oracle[k]
+            assert name == oname, f"access {k}: array {name} != {oname}"
+            assert wr == owr, f"access {k}: write flag"
+            assert elem == canonical(p, params, oname, osubs), f"access {k}: element"
 
 
 def test_instruction_ids_monotone_and_grouped():
@@ -131,8 +132,9 @@ def test_call_requires_inlining():
         call z(1)
         """
     )
-    with pytest.raises(AnalysisError, match="inlined"):
-        trace_program(p, {"N": 8})
+    for tracer in (trace_program, codegen_trace):
+        with pytest.raises(AnalysisError, match="inlined"):
+            tracer(p, {"N": 8})
 
 
 def test_out_of_bounds_detected():
@@ -144,8 +146,32 @@ def test_out_of_bounds_detected():
         for i = 1, N { A[i + 1] = 0.0 }
         """
     )
-    with pytest.raises(AnalysisError, match="out-of-bounds"):
-        trace_program(p, {"N": 8})
+    for tracer in (trace_program, codegen_trace):
+        with pytest.raises(AnalysisError, match="out-of-bounds"):
+            tracer(p, {"N": 8})
+
+
+def test_an_assignment_object_held_twice_is_two_statements():
+    # the lowering numbers each occurrence; the oracle keys its plan by
+    # the assignment's identity, so both tracers must still see two
+    from dataclasses import replace
+
+    from repro.lang import validate
+    from repro.lang.lowering import lower
+
+    p = build(PROGRAMS[0])
+    loop = p.body[0]
+    (stmt,) = loop.body
+    twice = validate(p.with_body((replace(loop, body=(stmt, stmt)),)))
+    assert [a.stmt_id for a in lower(twice).nests[0].body] == [0, 1]
+    params = {"N": 8}
+    oracle = trace_program(twice, params, with_instr=True)
+    assert list(oracle.ref_ids[:6]) == [0, 1, 2, 3, 4, 5]
+    assert list(oracle.instr_ids[:6]) == [0, 0, 0, 1, 1, 1]
+    out = codegen_trace(twice, params)
+    for field in ("array_ids", "elems", "writes", "ref_ids"):
+        assert np.array_equal(getattr(oracle, field), getattr(out, field)), field
+    assert oracle.refs == out.refs and len(oracle.refs) == 6
 
 
 TRACERS = pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from repro.interp import trace_program
 from repro.programs import registry
 from repro.static import build_model
 
-from conftest import GUARD_SHAPES, build, guard_source
+from conftest import ENCLOSING_GUARD, GUARD_SHAPES, build, guard_source
 
 STREAM = """
 program stream
@@ -136,3 +136,16 @@ def test_guards_narrow_the_guarded_scope():
             assert [
                 int(r.exec_count().evaluate({"N": n})) for r in model.refs
             ] == counts.tolist(), (shape, n)
+
+    # a guard bound over an enclosing index is ordered over that index's
+    # range: k - 5 < 1 for every k in [1, 3], so i keeps [1, N], exactly
+    p = build(ENCLOSING_GUARD)
+    model = build_model(p)
+    counts = np.bincount(trace_program(p, {"N": 8}).ref_ids, minlength=len(model.refs))
+    for r in model.refs:
+        ctx = r.scope[1]
+        assert (ctx.index, ctx.lo, ctx.hi, ctx.exact) == (
+            "i", Affine.constant(1), Affine.var("N"), True
+        )
+        assert str(r.exec_count()) == "3*N"
+        assert int(r.exec_count().evaluate({"N": 8})) == int(counts[r.ref_id]) == 24

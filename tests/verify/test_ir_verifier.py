@@ -6,7 +6,7 @@ from repro.lang import parse, validate
 from repro.programs import registry
 from repro.verify import lint_program
 
-from conftest import GUARD_SHAPES, guard_source
+from conftest import ENCLOSING_GUARD, GUARD_SHAPES, guard_source
 
 ALL_BENCHMARKS = sorted(set(registry.APPLICATIONS) | set(registry.STUDY_PROGRAMS))
 
@@ -78,6 +78,8 @@ def _guard_cases():
         # the guard's lower bound is looser than the loop's: i - 1 >= 1
         pytest.param(guard_source(1, 0, 0, 0, False, "A[i - 1] = f(B[i])"),
                      id="2, N-[1 : N]-A[i - 1] = f(B[i])"),
+        # the guard's lower bound is looser for every value of k
+        pytest.param(ENCLOSING_GUARD, id="k - 5 : N-over k in [1 : 3]"),
     ]
     for a, b, c, d, orelse in GUARD_SHAPES:
         if max(a, c) >= 1 and max(b, d) >= 1:

@@ -39,7 +39,7 @@ traces this one matches bit for bit (``tests/codegen``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -485,56 +485,6 @@ class NestTracer:
                 elif kept is not None:
                     kept.append(segment)
                 yield segment
-
-    def first_touch(
-        self,
-        segments: Iterable[tuple[int, Optional[tuple[int, int]]]],
-        array_id: int,
-        elem: int,
-        cap: int,
-    ) -> tuple[tuple[str, int], ...]:
-        """Loop-variable bindings (outermost first) of the first access
-        to element ``elem`` of array ``array_id`` when the ``(nest,
-        span)`` segments execute in order — a scalar walk of the folded
-        nests, ``()`` when nothing touches it within ``cap`` assignment
-        instances."""
-        left = cap
-
-        def walk(node: FoldedNode, env: dict[str, int], span=None):
-            nonlocal left
-            if left <= 0:
-                return None
-            if isinstance(node, FoldedAssign):
-                left -= 1
-                if any(
-                    ref.array_id == array_id and at(ref.linform, env) == elem
-                    for ref in node.refs
-                ):
-                    return tuple(env.items())
-                return None
-            if isinstance(node, FoldedGuard):
-                return walk_body(node.body if _member(node, env) else node.else_body, env)
-            lo, hi = span or (at(node.lower, env), at(node.upper, env))
-            for value in range(lo, hi + 1):
-                env[node.index] = value
-                found = walk_body(node.body, env)
-                if found is not None or left <= 0:
-                    return found
-            env.pop(node.index, None)
-            return None
-
-        def walk_body(body: tuple[FoldedNode, ...], env: dict[str, int]):
-            for child in body:
-                found = walk(child, env)
-                if found is not None:
-                    return found
-            return None
-
-        for nest, span in segments:
-            found = walk(self.nests[nest], {}, span)
-            if found is not None:
-                return found
-        return ()
 
 
 def trace_program(

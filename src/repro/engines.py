@@ -73,14 +73,39 @@ class EngineSelection:
 
 
 def _oracle_segments(program, params, steps: int, layout, name: str):
-    """The Walk oracle's trace laid out, in chunks."""
+    """The Walk oracle's trace laid out, in chunks.  Each top-level loop
+    is walked one outer iteration at a time (``Walk.walk_span``) and the
+    accesses walked are laid out whenever
+    :data:`~repro.stream.CHUNK_ACCESSES` of them have gathered, so a
+    chunk plus one outer iteration is all that is held."""
     from . import stream
-    from .interp import trace_program
+    from .interp.trace import TraceWalk
+    from .lang import Loop
 
-    trace = trace_program(program, params, steps)
-    whole = stream.AddressStream.from_trace(trace, layout, name, "interp")
-    for start in range(0, len(whole), stream.CHUNK_ACCESSES):
-        yield whole.slice(start, start + stream.CHUNK_ACCESSES)
+    chunk = stream.CHUNK_ACCESSES
+    walk = TraceWalk(program, params)
+    width = {node.stmt_id: len(node.refs) for node in walk.folding.assigns.values()}
+
+    def laid_out():
+        trace = walk.trace(1, False)
+        del walk.stmts[:], walk.indices[:]
+        whole = stream.AddressStream.from_trace(trace, layout, name, "interp")
+        return (whole.slice(at, at + chunk) for at in range(0, len(whole), chunk))
+
+    size = seen = 0  # accesses gathered; instances they are counted for
+    for stmt in walk.program.body * steps:
+        if not isinstance(stmt, Loop):
+            walk.walk_stmt(stmt)  # counted with the next outer iteration
+            continue
+        lo, hi = walk.values(walk.fold(stmt, (stmt.lower, stmt.upper)))
+        for i in range(lo, hi + 1):
+            walk.walk_span(stmt, i, i)
+            size += sum(map(width.__getitem__, walk.stmts[seen:]))
+            seen = len(walk.stmts)
+            if size >= chunk:
+                yield from laid_out()
+                size = seen = 0
+    yield from laid_out()
 
 
 def resolve_engines(

@@ -4,9 +4,11 @@
 concrete parameter values: loops bind their index over the bounds they
 evaluate on entry (and restore a caller's index of the same name on
 exit), guards test interval membership, calls evaluate every argument in
-the caller's bindings and then bind the formals.  A subclass supplies
-:meth:`Walk.assign`, what one assignment instance does; the value
-interpreter and the legality snapshot are two such subclasses.
+the caller's bindings and then bind the formals; :meth:`Walk.walk_span`
+walks a chunk of one loop's iterations.  A subclass supplies
+:meth:`Walk.assign`, what one assignment instance does: the value
+interpreter, the legality snapshot, the trace oracle, parallelism's
+exhaustive tier and coherence's witness lookup are such subclasses.
 
 Every subscript, loop bound, call argument and guard-interval bound is
 folded once per AST node into the tracers' record ``(const, ((name,
@@ -104,13 +106,7 @@ class Walk:
             self.assign(stmt)
         elif isinstance(stmt, Loop):
             lo, hi = self.values(self.fold(stmt, (stmt.lower, stmt.upper)))
-            outer = env.get(stmt.index)  # a caller's loop of the same name
-            for i in range(lo, hi + 1):
-                env[stmt.index] = i
-                self.iters.append((stmt.index, i))
-                self.walk_body(stmt.body)
-                self.iters.pop()
-            _rebind(env, stmt.index, outer)
+            self.walk_span(stmt, lo, hi)
         elif isinstance(stmt, Guard):
             value = env.get(stmt.index)
             if value is None:
@@ -132,6 +128,20 @@ class Walk:
                 _rebind(env, formal, old)
         else:
             raise ValidationError(f"cannot walk {type(stmt).__name__}")
+
+    def walk_span(self, loop: Loop, lo: int, hi: int) -> None:
+        """``loop``'s iterations ``lo..hi``, the bounds it evaluates on
+        entry or a chunk of them: a walker that cuts a loop into chunks
+        walks the loop itself, never a copy with other bounds (records
+        are keyed by node identity)."""
+        env = self.env
+        outer = env.get(loop.index)  # a caller's loop of the same name
+        for i in range(lo, hi + 1):
+            env[loop.index] = i
+            self.iters.append((loop.index, i))
+            self.walk_body(loop.body)
+            self.iters.pop()
+        _rebind(env, loop.index, outer)
 
 
 def _rebind(env: dict[str, int], name: str, old: "int | None") -> None:

@@ -34,8 +34,8 @@ imported inside :func:`analyze_coherence`, and
 
 Witnesses are concrete: thread pair, the two global element keys and
 their offsets within the shared line, and the loop-variable bindings of
-the two colliding iterations (recovered by a bounded scalar walk of the
-tracer's folded nests).
+the two colliding iterations (recovered by a bounded
+:class:`~repro.lang.Walk` of each thread's schedule chunks).
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..lang import Program
+from ..lang import ArrayRef, Assign, Program, Walk
 from ..lang.errors import AnalysisError
+from ..lang.lowering import linearize
 from ..obs import metrics, span
 from .parallelism import ParallelismProfile, analyze_parallelism, bind_params
 from .schedule import parse_schedule, schedule_chunks
@@ -318,28 +319,53 @@ def _array_summaries(
 # -- witness recovery ---------------------------------------------------------
 
 
-def _find_iteration(
-    tracer: NestTracer,
-    parallel: frozenset[int],
-    threads: int,
-    schedule: str,
-    thread: int,
-    array_id: int,
-    elem: int,
-) -> tuple[tuple[str, int], ...]:
-    """Loop-variable bindings of the first access of ``thread`` that
-    touches element ``elem`` of array ``array_id``: a bounded scalar walk
-    of the tracer's folded nests over one step, the thread's chunks
-    looked up as the schedule first deals them."""
-    segments: list[tuple[int, Optional[tuple[int, int]]]] = []
-    for k in range(len(tracer.nests)):
-        outer = tracer.outer_bounds(k) if threads > 1 and k in parallel else None
-        if outer is not None:
-            chunks = schedule_chunks(*outer, threads, schedule)[thread]
-            segments.extend((k, chunk) for chunk in chunks)
-        elif thread == 0:
-            segments.append((k, None))
-    return tracer.first_touch(segments, array_id, elem, _WITNESS_WALK_CAP)
+class _Stop(Exception):
+    """Ends the witness walk: the element found, or the cap passed."""
+
+
+class _FirstTouch(Walk):
+    """One thread's first access to element ``elem`` of array ``array_id``
+    over one step: parallel nests walked over the thread's chunks as the
+    schedule first deals them, serial nests whole on thread 0 only.  At
+    most :data:`_WITNESS_WALK_CAP` assignment instances are checked."""
+
+    def __init__(self, tracer: NestTracer, array_id: int, elem: int) -> None:
+        super().__init__(tracer.program, tracer.params)
+        decl = self.program.arrays[array_id]
+        self.array, self.strides, self.elem = decl.name, decl.strides(self.env), elem
+        self.tracer, self.left = tracer, _WITNESS_WALK_CAP  # instances left
+
+    def record(self, form):
+        if isinstance(form, ArrayRef):
+            return (form, *linearize(form, self.strides, self.fixed))
+        return super().record(form)
+
+    def assign(self, stmt: Assign) -> None:
+        refs = (  # lazy: folded on the statement's first instance only
+            r for part in (stmt.expr, stmt.target) for r in part.walk()
+            if isinstance(r, ArrayRef) and r.array == self.array
+        )
+        self.left -= 1
+        if self.left < 0 or self.elem in self.values(self.fold(stmt, refs)):
+            raise _Stop
+
+    def lookup(
+        self, parallel: frozenset[int], threads: int, schedule: str, thread: int
+    ) -> tuple[tuple[str, int], ...]:
+        """The loop-variable bindings of the first access, outermost
+        first; ``()`` when none of the instances checked touches it."""
+        parallel = parallel if threads > 1 else frozenset()
+        try:
+            for k, stmt in enumerate(self.program.body):
+                outer = self.tracer.outer_bounds(k) if k in parallel else None
+                if outer is not None:
+                    for lo, hi in schedule_chunks(*outer, threads, schedule)[thread]:
+                        self.walk_span(stmt, lo, hi)
+                elif thread == 0:
+                    self.walk_stmt(stmt)
+        except _Stop:
+            return tuple(self.iters) if self.left >= 0 else ()
+        return ()
 
 
 def _witnesses(
@@ -371,10 +397,8 @@ def _witnesses(
 
     def iteration(thread: int, key: int) -> tuple[tuple[str, int], ...]:
         k = array_of(key)
-        return _find_iteration(
-            tracer, parallel, threads, schedule,
-            thread, k, key - int(bounds[k]),
-        )
+        walk = _FirstTouch(tracer, k, key - int(bounds[k]))
+        return walk.lookup(parallel, threads, schedule, thread)
 
     _, firsts = np.unique(lines[inv[explainable]], return_index=True)
     out = []

@@ -22,17 +22,19 @@ same dependence information).  Verdicts:
     concretely (never the case for the study programs).
 
 Two precision tiers cooperate.  Small iteration spaces (bounded by
-:data:`CONCRETE_CAP` accesses) are decided by *exhaustive enumeration* that
-evaluates real bounds and guards — exact even for triangular nests, and
-the tier the property-based oracle exercises.  Larger spaces use the
+:data:`CONCRETE_CAP` accesses) are decided *exhaustively*, by a
+:class:`~repro.lang.Walk` of the space around the axis that evaluates
+real bounds and guards — exact even for triangular nests, and the tier
+the property-based oracle exercises.  Larger spaces use the
 shared :mod:`.dependence_test`: the conservative interval+gcd screen
 (:func:`~.dependence_test.lane_conflict`) filters pairs, then the exact
 :func:`~.dependence_test.solve_sum` backtracker either produces a
 witness, *overturns* the conservative screen with an infeasibility
 proof, or runs out of budget (witness ``None``, marked inexact).  Both
 read one set of cross-lane terms, :func:`~.dependence_test.lane_terms`.
-Each axis is collected once (:class:`_Collector`), and one rule
-(:func:`_assign_accesses`) lists an assignment's accesses for both tiers.
+Each axis is collected once (:class:`_Collector`), one rule
+(:func:`_assign_accesses`) lists an assignment's accesses for both tiers
+and one (:func:`_linearize`) numbers the elements they touch.
 
 Layering: depends on ``lang`` and ``obs`` only — element numbering
 reproduces the tracer's column-major linearization locally so nothing
@@ -57,10 +59,12 @@ from ..lang import (
     Loop,
     NotAffineError,
     Program,
+    ReproError,
     ScalarRef,
     Scope,
     Stmt,
     UnaryOp,
+    Walk,
 )
 from ..lang.lowering import linearize
 from ..lang.scope import Range
@@ -217,8 +221,6 @@ class ParallelismProfile:
 
 # -- affine folding (Affine.fold; no interp/codegen import) ------------------
 
-_Record = tuple[int, tuple[tuple[str, int], ...]]
-
 
 def interval(
     form: Affine,
@@ -239,19 +241,22 @@ def interval(
 
 
 def _linearize(
-    ref: ArrayRef,
+    ref: Union[ArrayRef, ScalarRef],
     strides: Mapping[str, tuple[int, ...]],
     params: Mapping[str, int],
-) -> _Record:
-    """The tracers' element record (:func:`repro.lang.lowering.linearize`),
-    or :class:`_Unsupported` naming why there is none."""
+) -> tuple[str, int, tuple[tuple[str, int], ...]]:
+    """The (pseudo-)array ``ref`` reads and its element record, the
+    tracers' (:func:`repro.lang.lowering.linearize`) for an array, or
+    :class:`_Unsupported` naming why there is none."""
+    if isinstance(ref, ScalarRef):
+        return SCALAR_PREFIX + ref.name, 0, ()
     dims = strides.get(ref.array)
     if dims is None:
         raise _Unsupported(f"undeclared array {ref.array!r}")
     if len(ref.indices) != len(dims):
         raise _Unsupported(f"rank mismatch on {ref.array!r}")
     try:
-        return linearize(ref, dims, params)
+        return (ref.array, *linearize(ref, dims, params))
     except NotAffineError as exc:
         raise _Unsupported(str(exc)) from exc
 
@@ -409,12 +414,7 @@ class _Collector(Scope):
         stmt_id = self._stmts
         self._stmts += 1
         for ref, is_write, accum in _assign_accesses(stmt):
-            if isinstance(ref, ScalarRef):
-                array, const, terms = SCALAR_PREFIX + ref.name, 0, ()
-            else:
-                assert isinstance(ref, ArrayRef)
-                const, terms = _linearize(ref, self.strides, self.params)
-                array = ref.array
+            array, const, terms = _linearize(ref, self.strides, self.params)
             self.refs.append(_Ref(
                 array, const, {scope.get(n, n): c for n, c in terms},
                 is_write, str(ref), stmt_id if accum else None,
@@ -569,182 +569,107 @@ def _solve_pair(
 # -- concrete (exhaustive) tier ----------------------------------------------
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _Stop(Exception):
+    """Ends the exhaustive walk: a witness found, or the cap passed."""
 
 
-class _ConcreteChecker:
-    """Exhaustively execute the index space around one axis occurrence.
+class _Exhaustive(Walk):
+    """The index space around one axis occurrence, walked instance by
+    instance.
 
-    Walks the chain of statements enclosing the axis loop with real
-    bound and guard evaluation, then for each assignment of the outer
-    variables replays every lane of the axis and records which element
-    each reference touches.  Conflict detection keys on
-    ``(array, element)`` per outer assignment, keeping per conflict
-    class (``is_write``, accumulation statement) one access plus one
-    on a different lane — sufficient statistics for an exact verdict.
+    The chain of statements enclosing the axis loop is pruned to the path
+    down to it (a guard keeps the next node in whichever branch holds it)
+    and walked with real bound and guard evaluation; every access of an
+    assignment instance is recorded with its lane, the axis's entry in
+    ``iters``.  Conflict detection keys on ``(array, element)`` per
+    binding of the enclosing loops, keeping per conflict class
+    (``is_write``, accumulation statement) one access plus one on a
+    different lane — sufficient statistics for an exact verdict.
     """
 
-    def __init__(
-        self,
-        chain: Sequence[Stmt],
-        axis_loop: Loop,
-        params: Mapping[str, int],
-        strides: Mapping[str, tuple[int, ...]],
-    ) -> None:
-        self.chain = list(chain)
-        self.axis_loop = axis_loop
-        self.params = params
-        self.strides = strides
+    def __init__(self, analyzer: _Analyzer, chain: Sequence[Stmt]) -> None:
+        super().__init__(analyzer.program, analyzer.params)
+        self.strides = analyzer.strides
+        self.chain = chain
+        self.depth = sum(isinstance(s, Loop) for s in chain[:-1])
         self.accesses = 0
-        self.env: dict[str, int] = {}
-        self.lane = 0
+        self.outer: list[tuple[str, int]] = []  # the binding ``table`` is for
         # (array, elem) -> {(write, accum): [(lane, text, env), ...]}
         self.table: dict[tuple[str, int], dict] = {}
         self.witness: Optional[RaceWitness] = None
         self.has_exempt = False
-        # id(bound / array reference) -> its record, params folded in
-        self._records: dict[int, _Record] = {}
         # id(assignment) -> its accesses (ref, text, is_write, accum key)
         self._assigns: dict[int, list[tuple[Expr, str, bool, Optional[int]]]] = {}
 
-    def _eval(self, node) -> int:
-        """Evaluate a bound or an array reference's element index in the
-        current env.
-
-        The params are folded in once per AST node: this walk visits
-        every access of the space, and the env holds loop variables only
-        (it is what a witness prints).
-        """
-        record = self._records.get(id(node))
-        if record is None:
-            if isinstance(node, ArrayRef):
-                record = _linearize(node, self.strides, self.params)
-            else:
-                try:
-                    a = node if isinstance(node, Affine) else node.affine()
-                    record = a.fold(self.params)
-                except NotAffineError as exc:
-                    raise _Unsupported(str(exc)) from exc
-            self._records[id(node)] = record
-        v, terms = record
-        try:
-            for n, c in terms:
-                v += c * self.env[n]
-        except KeyError as exc:
-            raise _Unsupported(f"unbound loop variable {exc.args[0]!r}") from exc
-        return v
-
     def run(self) -> None:
         """Walk the space: afterwards ``witness`` (serial), else
-        ``has_exempt`` (reduction), is exact for this parameter binding."""
-        self._walk_chain(0)
+        ``has_exempt`` (reduction), is exact for this parameter binding;
+        a witness or more than :data:`CONCRETE_CAP` accesses raise
+        :class:`_Stop`."""
+        root = self.chain[-1]
+        for parent, child in zip(self.chain[-2::-1], self.chain[:0:-1]):
+            kept = [root]  # the pruned child, in its first occurrence only
+            root = parent.map_bodies(
+                lambda s, c=child, k=kept: k.pop() if s is c and k else None
+            )
+        self.walk_stmt(root)  # ``root`` holds every copy while it is walked
 
-    def _walk_chain(self, k: int) -> None:
-        node = self.chain[k]
-        if node is self.axis_loop:
-            self._run_axis(node)
-            return
-        nxt = self.chain[k + 1]
-        if isinstance(node, Loop):
-            for v in range(self._eval(node.lower), self._eval(node.upper) + 1):
-                self.env[node.index] = v
-                self._walk_chain(k + 1)
-                if self.witness is not None:
-                    break  # serial regardless of anything else: done
-            self.env.pop(node.index, None)
-        elif isinstance(node, Guard):
-            want_body = any(s is nxt for s in node.body)
-            if self._guard_member(node) == want_body:
-                self._walk_chain(k + 1)
-        else:  # pragma: no cover - chains only contain loops and guards
-            raise _Unsupported(f"unexpected {type(node).__name__} on path")
+    def record(self, form):
+        if isinstance(form, (ArrayRef, ScalarRef)):
+            return (form, *_linearize(form, self.strides, self.fixed)[1:])
+        return super().record(form)
 
-    def _guard_member(self, guard: Guard) -> bool:
-        v = self.env.get(guard.index)
-        if v is None:
-            raise _Unsupported(f"guard on unbound index {guard.index!r}")
-        return any(
-            self._eval(iv.lower) <= v <= self._eval(iv.upper)
-            for iv in guard.intervals
-        )
-
-    def _run_axis(self, loop: Loop) -> None:
-        self.table = {}  # conflicts are per assignment of the outer loops
-        for lane in range(self._eval(loop.lower), self._eval(loop.upper) + 1):
-            self.lane = lane
-            self.env[loop.index] = lane
-            self._walk_body(loop.body)
-            if self.witness is not None:
-                break
-        self.env.pop(loop.index, None)
-
-    def _walk_body(self, body: Sequence[Stmt]) -> None:
-        for stmt in body:
-            if self.witness is not None:
-                return
-            if isinstance(stmt, Assign):
-                accesses = self._assigns.get(id(stmt))
-                if accesses is None:
-                    # key on the *static* statement so accumulation
-                    # accesses from different lanes recognize each other
-                    accesses = self._assigns[id(stmt)] = [
-                        (ref, str(ref), is_write, id(stmt) if accum else None)
-                        for ref, is_write, accum in _assign_accesses(stmt)
-                    ]
-                for access in accesses:
-                    self._record(*access)
-            elif isinstance(stmt, Loop):
-                for v in range(self._eval(stmt.lower), self._eval(stmt.upper) + 1):
-                    self.env[stmt.index] = v
-                    self._walk_body(stmt.body)
-                self.env.pop(stmt.index, None)
-            elif isinstance(stmt, Guard):
-                if self._guard_member(stmt):
-                    self._walk_body(stmt.body)
-                else:
-                    self._walk_body(stmt.else_body)
-            else:
-                raise _Unsupported(f"cannot analyze {type(stmt).__name__}")
+    def assign(self, stmt: Assign) -> None:
+        accesses = self._assigns.get(id(stmt))
+        if accesses is None:
+            # key on the *static* statement so accumulation
+            # accesses from different lanes recognize each other
+            accesses = self._assigns[id(stmt)] = [
+                (ref, str(ref), is_write, id(stmt) if accum else None)
+                for ref, is_write, accum in _assign_accesses(stmt)
+            ]
+        if self.iters[: self.depth] != self.outer:
+            # conflicts are per assignment of the enclosing loops
+            self.outer, self.table = self.iters[: self.depth], {}
+        elems = self.values(self.fold(stmt, (access[0] for access in accesses)))
+        for (ref, text, is_write, accum), elem in zip(accesses, elems):
+            self._record(ref, elem, text, is_write, accum)
 
     def _record(
-        self, ref: Expr, text: str, is_write: bool, accum: Optional[int]
+        self, ref: Expr, elem: int, text: str, is_write: bool, accum: Optional[int]
     ) -> None:
         self.accesses += 1
         if self.accesses > CONCRETE_CAP:
-            raise _BudgetExceeded
-        if isinstance(ref, ScalarRef):
-            key = (SCALAR_PREFIX + ref.name, 0)
-        else:
-            key = (ref.array, self._eval(ref))
+            raise _Stop
+        name = ref.array if isinstance(ref, ArrayRef) else SCALAR_PREFIX + ref.name
+        key = (name, elem)
+        lane = self.iters[self.depth][1]
         classes = self.table.setdefault(key, {})
         cls = (is_write, accum)
         mine = classes.get(cls)
         if mine is None:
-            classes[cls] = [(self.lane, text, dict(self.env))]
-        elif len(mine) == 1 and mine[0][0] != self.lane:
-            mine.append((self.lane, text, dict(self.env)))
+            classes[cls] = [(lane, text, dict(self.iters))]
+        elif len(mine) == 1 and mine[0][0] != lane:
+            mine.append((lane, text, dict(self.iters)))
         # check this access against every stored class
         for (o_write, o_accum), entries in classes.items():
             if not (is_write or o_write):
                 continue
-            other = next(
-                (e for e in entries if e[0] != self.lane), None
-            )
+            other = next((e for e in entries if e[0] != lane), None)
             if other is None:
                 continue
             if accum is not None and accum == o_accum:
                 self.has_exempt = True
                 continue
-            if self.witness is None:
-                o_lane, o_text, o_env = other
-                self.witness = RaceWitness(
-                    axis=self.axis_loop.index, iter_a=o_lane, iter_b=self.lane,
-                    array=key[0], element=key[1], ref_a=o_text, ref_b=text,
-                    write_a=o_write, write_b=is_write,
-                    env_a=tuple(sorted(o_env.items())),
-                    env_b=tuple(sorted(self.env.items())),
-                )
+            o_lane, o_text, o_env = other
+            self.witness = RaceWitness(
+                axis=self.chain[-1].index, iter_a=o_lane, iter_b=lane,
+                array=key[0], element=key[1], ref_a=o_text, ref_b=text,
+                write_a=o_write, write_b=is_write,
+                env_a=tuple(sorted(o_env.items())),
+                env_b=tuple(sorted(dict(self.iters).items())),
+            )
+            raise _Stop
 
 
 # -- the analyzer -------------------------------------------------------------
@@ -836,10 +761,15 @@ class _Analyzer(Scope):
         space = _space_estimate(chain, loop, outer, rng, collector)
         if space is None or space > CONCRETE_CAP:
             return symbolic
-        checker = _ConcreteChecker(chain, loop, self.params, self.strides)
+        if any(isinstance(s, CallStmt) for s in loop.walk()):
+            return symbolic  # the walk would enter the procedure
+        checker = _Exhaustive(self, chain)
         try:
             checker.run()
-        except (_BudgetExceeded, _Unsupported):
+        except _Stop:
+            if checker.witness is None:
+                return symbolic  # over the cap
+        except (_Unsupported, ReproError, KeyError):
             return symbolic  # keep the conservative symbolic answer
         if checker.witness is not None:
             return verdict(

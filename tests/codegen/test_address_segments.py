@@ -4,20 +4,24 @@
 ``NestTracer.address_segments`` byte-address streams with each
 reference's layout folded in.  Both go through the same plan and the
 same replay rule, and both reject an out-of-bounds reference with the
-same message.
+same message.  The Walk oracle's segments (``+interp``) stream too.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.codegen import trace_program
 from repro.codegen.tracer import NestTracer
 from repro.core.regroup.layout import ArrayPlacement, Layout, default_layout
+from repro.engines import resolve_engines
 from repro.harness import RunRequest, run
+from repro.interp import trace_program as interp_trace
 from repro import stream as stream_module
 from repro.lang import AnalysisError, parse, validate
 from repro.obs import metrics
+from repro.stream import AddressStream
 
 N = 16
 
@@ -83,3 +87,24 @@ def test_out_of_bounds_is_the_same_error_in_both_modes():
         AnalysisError, match=rf"array #1 element {N * N} \(size {N * N}\)"
     ):
         run(RunRequest(program, levels="noopt", params=params, engine="reference+interp"))
+
+
+def test_the_oracle_segments_join_to_the_whole_trace(monkeypatch):
+    """Under ``+interp`` the Walk oracle lays its accesses out a chunk's
+    worth at a time, over a top-level statement that is no loop, a
+    triangular nest and two steps: the segments, none over
+    ``CHUNK_ACCESSES``, join to the whole trace laid out."""
+    program = _program(
+        "B[1, 1] = 0.0\nfor i = 1, N { for j = i, N { A[j, i] = f(B[j, i]) } }"
+    )
+    params = {"N": N}
+    layout = default_layout(program, params)
+    whole = AddressStream.from_trace(interp_trace(program, params, 2), layout)
+    monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", 37)
+    segments = list(
+        resolve_engines("interp").address_segments(program, params, 2, layout, "p")
+    )
+    assert max(len(s) for s in segments) == 37
+    joined = AddressStream.concat(segments)
+    for column in ("addresses", "writes", "ref_ids"):
+        assert np.array_equal(getattr(joined, column), getattr(whole, column)), column

@@ -10,9 +10,10 @@ dependency.  And ``repro.lang`` alone knows which fields of which AST
 node hold subexpressions and bodies: no other module rebuilds a node
 field by field (the structural rewriter is ``lang.map_expr`` /
 ``lang.map_exprs`` / ``Stmt.map_bodies``).  Likewise ``lang.Walk`` alone
-knows how a program executes: the interpreter, the legality snapshot
-and the oracle tracer only say what an assignment instance does, and no
-module outside ``repro.lang`` but inlining binds a procedure's formals.
+knows how a program executes: the interpreter, the legality snapshot,
+the oracle tracer, parallelism's exhaustive tier and coherence's witness
+lookup only say what an assignment instance does, and no module outside
+``repro.lang`` but inlining binds a procedure's formals.
 The tracers' fold is defined once, in ``lang/lowering.py``, and the
 codegen tracer reads nothing of ``repro.interp`` but the trace container.
 """
@@ -150,23 +151,35 @@ def test_instance_walkers_share_the_walk_order():
     from repro.interp import Interpreter
     from repro.interp.trace import TraceWalk
     from repro.lang import Walk
+    from repro.static.coherence import _FirstTouch
+    from repro.static.parallelism import _Exhaustive
     from repro.verify.snapshot import _Walker
 
-    for walker in (Interpreter, _Walker, TraceWalk):
+    for walker in (Interpreter, _Walker, TraceWalk, _Exhaustive, _FirstTouch):
         assert issubclass(walker, Walk)
         assert walker.walk_stmt is Walk.walk_stmt, walker
+        assert walker.walk_span is Walk.walk_span, walker
+
+
+def test_the_codegen_tracer_walks_no_instance():
+    """The witness lookup is a Walk domain: the codegen tracer defines no
+    scalar walk of its own."""
+    tree = ast.parse((PACKAGE / "codegen" / "tracer.py").read_text())
+    defined = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "first_touch" not in defined
 
 
 #: outside ``repro.lang``, the functions that may read a guard's
-#: ``intervals`` (``None``: the whole module): the codegen tracer and
-#: parallelism's concrete checker evaluate membership per instance,
-#: substitution rewrites the intervals, and the linter's V105/V106 lints
-#: inspect them; every range a symbolic analysis narrows comes from
-#: ``lang.scope.narrow``
+#: ``intervals`` (``None``: the whole module): the codegen tracer
+#: evaluates membership per instance block, substitution rewrites the
+#: intervals, and the linter's V105/V106 lints inspect them; every range
+#: a symbolic analysis narrows comes from ``lang.scope.narrow``
 INTERVAL_READERS = {
     "codegen/tracer.py": None,
     "transform/subst.py": None,
-    "static/parallelism.py": {"_ConcreteChecker._guard_member"},
     "verify/ir_verifier.py": {"_Linter.guard"},
 }
 

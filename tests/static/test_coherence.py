@@ -113,6 +113,19 @@ def test_colsweep_witness_pinpoints_the_boundary():
     )
 
 
+def test_the_witness_walk_checks_exactly_its_cap(monkeypatch):
+    """t0 first touches key 69 at its 70th assignment instance, t1 key 70
+    at its first: a cap of 70 instances finds both, 69 or 1 only t1's
+    (the cap-th instance is still checked), 0 neither."""
+    found = {}
+    for cap in (70, 69, 1, 0):
+        monkeypatch.setattr(coherence, "_WITNESS_WALK_CAP", cap)
+        prof = analyze_coherence(build(COLSWEEP), {"M": 28}, threads=4, steps=2)
+        found[cap] = (prof.witnesses[0].iter_a, prof.witnesses[0].iter_b)
+    t0, t1 = (("j", 7), ("i", 10)), (("j", 8), ("i", 1))
+    assert found == {70: (t0, t1), 69: ((), t1), 1: ((), t1), 0: ((), ())}
+
+
 def test_false_sharing_witness_names_two_distinct_elements():
     # shrunk from tests/properties/test_coherence_props.py: the thread that
     # touched line 4 first (t1) last *read* element 18 there — the element

@@ -37,6 +37,7 @@ from golden_pipelines import (  # noqa: E402
 from repro.core import compile_variant
 from repro.lang import ArrayRef, Loop, assignments_in, parse, validate
 from repro.static import analyze_parallelism
+from repro.static import parallelism as parallelism_module
 from repro.verify import doall_preservation_check, lint_races
 
 #: sizes small enough for the exhaustive tier everywhere it is needed
@@ -266,6 +267,60 @@ def test_swim_fusion_preserves_parallel_outer_axes():
     assert len(p_after.parallel_nests()) >= len(p_before.parallel_nests())
     bag = doall_preservation_check(before, after, "fuse-swim", {"N": 11})
     assert [d for d in bag if d.code == "R510"] == []
+
+
+# -- the exhaustive tier ------------------------------------------------------
+
+TRIANGLE = """
+    program tri
+    param N
+    real A[N + 2]
+    for i = 1, N { for j = i, N { A[j + 1] = f(A[j]) } }
+    """
+
+
+def test_triangular_race_is_decided_exhaustively():
+    """Triangular bounds leave the symbolic tier inexact; walking the
+    space decides both axes, with an exact witness on element 1."""
+    profile = analyze_parallelism(build(TRIANGLE), {"N": 8})
+    envs = {
+        "i": ((("i", 1), ("j", 1)), (("i", 2), ("j", 2))),
+        "j": ((("i", 1), ("j", 1)), (("i", 1), ("j", 2))),
+    }
+    assert [v.index for v in profile.verdicts] == ["i", "j"]
+    for v in profile.verdicts:
+        assert v.verdict == "serial" and v.exact
+        assert v.reason == "cross-lane dependence (exhaustive check)"
+        w = v.witness
+        assert (w.array, w.element, w.exact) == ("A", 1, True)
+        assert (w.env_a, w.env_b) == envs[v.index]
+
+
+def test_a_space_over_the_cap_keeps_the_symbolic_answer(monkeypatch):
+    monkeypatch.setattr(parallelism_module, "CONCRETE_CAP", 10)
+    profile = analyze_parallelism(build(TRIANGLE), {"N": 8})
+    for v in profile.verdicts:
+        assert (v.verdict, v.exact) == ("serial", False)
+        assert v.reason == "cross-lane dependence between A[j] and A[(j + 1)]"
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        (
+            "proc p(k) { A[k + 1] = f(A[k]) }\nfor i = 1, N { call p(i) }",
+            "outside affine subset: cannot analyze CallStmt",
+        ),
+        (
+            "for i = 1, N { A[i / 2 + 1] = f(A[i]) }",
+            "outside affine subset: fractional coefficient 1/2 of 'i' in 1/2*i",
+        ),
+    ],
+)
+def test_inputs_the_exhaustive_tier_refuses_stay_unknown(body, reason):
+    program = build(f"program t\nparam N\nreal A[N + 2]\n{body}\n")
+    (v,) = analyze_parallelism(program, {"N": 8}).verdicts
+    assert (v.verdict, v.reason, v.exact, v.witness) == ("unknown", reason, False, None)
 
 
 # -- reductions ---------------------------------------------------------------

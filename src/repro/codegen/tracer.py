@@ -466,25 +466,11 @@ class NestTracer:
         return self._steps(steps, emit)
 
     def _steps(self, steps: int, emit) -> Iterator:
-        """Every step's segments through ``emit``.  A step that fits in
-        one chunk (by ``len(segment)``, which every segment kind makes
-        its access count) is emitted once and replayed — nothing larger
-        than a chunk is kept — a larger one is emitted again each step."""
+        """Every step's segments through ``emit``, a step that fits in
+        one chunk emitted once and replayed
+        (:func:`~repro.stream.replay_steps`)."""
         pieces = self.plan()
-        kept: Optional[list] = []
-        for step in range(steps):
-            if step and kept is not None:
-                yield from kept
-                continue
-            size = 0
-            for piece in pieces:
-                segment = emit(piece)
-                size += len(segment)
-                if size > _stream.CHUNK_ACCESSES:
-                    kept = None
-                elif kept is not None:
-                    kept.append(segment)
-                yield segment
+        yield from _stream.replay_steps(lambda: map(emit, pieces), steps)
 
 
 def trace_program(

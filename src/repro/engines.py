@@ -57,8 +57,8 @@ class EngineSelection:
         addresses under ``layout``, in segments, which the measuring
         chain streams (:func:`repro.harness.variant_chunks`): codegen's
         :meth:`~repro.codegen.tracer.NestTracer.address_segments`, or
-        the oracle's whole trace laid out and cut every
-        :data:`~repro.stream.CHUNK_ACCESSES` accesses.
+        the oracle's trace laid out a chunk at a time, both replaying a
+        step that fits in one chunk.
 
         Both tracers produce bit-for-bit identical addresses (the
         contract the differential suite under ``tests/codegen/``
@@ -77,7 +77,9 @@ def _oracle_segments(program, params, steps: int, layout, name: str):
     is walked one outer iteration at a time (``Walk.walk_span``) and the
     accesses walked are laid out whenever
     :data:`~repro.stream.CHUNK_ACCESSES` of them have gathered, so a
-    chunk plus one outer iteration is all that is held."""
+    chunk plus one outer iteration is all that is held; a step that fits
+    in one chunk is walked once and replayed
+    (:func:`~repro.stream.replay_steps`)."""
     from . import stream
     from .interp.trace import TraceWalk
     from .lang import Loop
@@ -92,20 +94,23 @@ def _oracle_segments(program, params, steps: int, layout, name: str):
         whole = stream.AddressStream.from_trace(trace, layout, name, "interp")
         return (whole.slice(at, at + chunk) for at in range(0, len(whole), chunk))
 
-    size = seen = 0  # accesses gathered; instances they are counted for
-    for stmt in walk.program.body * steps:
-        if not isinstance(stmt, Loop):
-            walk.walk_stmt(stmt)  # counted with the next outer iteration
-            continue
-        lo, hi = walk.values(walk.fold(stmt, (stmt.lower, stmt.upper)))
-        for i in range(lo, hi + 1):
-            walk.walk_span(stmt, i, i)
-            size += sum(map(width.__getitem__, walk.stmts[seen:]))
-            seen = len(walk.stmts)
-            if size >= chunk:
-                yield from laid_out()
-                size = seen = 0
-    yield from laid_out()
+    def step():
+        size = seen = 0  # accesses gathered; instances they are counted for
+        for stmt in walk.program.body:
+            if not isinstance(stmt, Loop):
+                walk.walk_stmt(stmt)  # counted with the next outer iteration
+                continue
+            lo, hi = walk.values(walk.fold(stmt, (stmt.lower, stmt.upper)))
+            for i in range(lo, hi + 1):
+                walk.walk_span(stmt, i, i)
+                size += sum(map(width.__getitem__, walk.stmts[seen:]))
+                seen = len(walk.stmts)
+                if size >= chunk:
+                    yield from laid_out()
+                    size = seen = 0
+        yield from laid_out()
+
+    yield from stream.replay_steps(step, steps)
 
 
 def resolve_engines(

@@ -10,8 +10,11 @@ static and dynamic reuse classes reference by reference.
 Unlike the tracers, nothing here is evaluated: loop bounds stay
 affine, subscripts stay affine, and a guard narrows the enclosing index
 range by the one rule of :func:`repro.lang.scope.narrow`, the rule every
-symbolic analysis applies.  The flatten walks the lowering rather than
-:class:`repro.lang.Scope` because the lowering's ids are the tracers'.
+symbolic analysis applies.  :func:`iterations` is the static analysis's
+one counting rule: a triangular level sums its inner count over its
+index, so the count mentions program parameters only.  The flatten
+walks the lowering rather than :class:`repro.lang.Scope` because the
+lowering's ids are the tracers'.
 """
 
 from __future__ import annotations
@@ -53,10 +56,21 @@ class LoopCtx:
 
 
 def iterations(scope: tuple[LoopCtx, ...]) -> Poly:
-    """Iterations of a loop scope: the product of its trip counts."""
+    """Iterations of a loop scope, the one counting rule of the static
+    analysis, innermost level first: an inner count free of the level's
+    index times the level's trip, and one that depends on it (a
+    triangular nest) summed over the level's range
+    (:meth:`~repro.static.poly.Poly.sum_over`), so the count mentions
+    program parameters only.  A guard-narrowed level (``trip`` is not
+    ``hi - lo + 1``) keeps the product."""
     count = ONE
-    for ctx in scope:
-        count = count * ctx.trip
+    for ctx in reversed(scope):
+        if ctx.index in count.variables() and ctx.trip == Poly.from_affine(
+            ctx.hi - ctx.lo + 1
+        ):
+            count = count.sum_over(ctx.index, ctx.lo, ctx.hi)
+        else:
+            count = count * ctx.trip
     return count
 
 

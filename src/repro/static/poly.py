@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from typing import Mapping, Union
 
 from ..lang import Affine, NotAffineError
@@ -173,6 +175,27 @@ class Poly:
             out = out + term
         return out
 
+    def sum_over(
+        self,
+        name: str,
+        lo: Union["Poly", Affine, Number],
+        hi: Union["Poly", Affine, Number],
+    ) -> "Poly":
+        """``sum(self for name = lo..hi)``, exactly: each power ``name^p``
+        becomes the difference of its Faulhaber power sums
+        ``S_p(hi) - S_p(lo - 1)``, so an empty range ``lo = hi + 1``
+        sums to zero."""
+        upper, below = Poly._coerce(hi), Poly._coerce(lo) - 1
+        out = Poly()
+        for mono, coeff in self.terms:
+            power = dict(mono).get(name, 0)
+            rest = Poly.from_terms({tuple(t for t in mono if t[0] != name): coeff})
+            sums = _power_sum(power)
+            out = out + rest * (
+                sums.substitute({_N: upper}) - sums.substitute({_N: below})
+            )
+        return out
+
     # -- the evadability query --------------------------------------------
 
     def grows(self) -> bool:
@@ -223,3 +246,16 @@ class Poly:
 #: shared singletons
 ZERO = Poly()
 ONE = Poly.constant(1)
+
+#: the bound variable of :func:`_power_sum` (no program name has a ``#``)
+_N = "#n"
+
+
+@lru_cache(maxsize=None)
+def _power_sum(p: int) -> Poly:
+    """``S_p(n) = 1^p + ... + n^p`` as a polynomial in ``_N``, by the
+    recurrence ``(n + 1)^(p + 1) - 1 = sum_k C(p + 1, k) S_k(n)``."""
+    total = Poly.from_terms({((_N, k),): comb(p + 1, k) for k in range(1, p + 2)})
+    for k in range(p):
+        total = total - _power_sum(k) * comb(p + 1, k)
+    return total * Fraction(1, p + 1)

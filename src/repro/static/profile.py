@@ -37,7 +37,7 @@ from ..locality.histogram import ReuseHistogram
 from ..obs import metrics, span
 from .model import StaticModel, build_model
 from .poly import Poly
-from .regions import Regions
+from .regions import Regions, index_probe
 from .reuse import ClassProfile, Component, attribute_model
 
 Params = Mapping[str, int]
@@ -187,7 +187,7 @@ class StaticProfile:
         self, profile: ClassProfile
     ) -> Optional[Component]:
         """The component carrying the most accesses at large sizes."""
-        probe = {p: 10**4 for p in self.model.params}
+        probe = index_probe((), self.model.params)
         best: Optional[Component] = None
         best_count = 0.0
         for comp in profile.components:

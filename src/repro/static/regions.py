@@ -14,7 +14,9 @@ direction the property suite certifies.
 Guarded and triangular loops resolve through the same conservative
 interval machinery as :mod:`repro.analysis.constraint`'s alignment math:
 indeterminate symbolic comparisons fall back to a large-parameter probe
-and mark the hull inexact.
+(``_PROBE``, the one spelling of it in the static analysis) and mark the
+hull inexact.  Measures of array space (:meth:`Hull.measure`) live here;
+iteration counts are :func:`~repro.static.model.iterations`.
 """
 
 from __future__ import annotations
@@ -311,20 +313,6 @@ class Regions:
             if self.compare(alo, blo) is None or self.compare(ahi, bhi) is None:
                 return False
         return True
-
-    def intersect_measure(self, a: Hull, b: Hull) -> Poly:
-        """Element count of the box intersection of two same-array hulls.
-
-        Callers check :meth:`hulls_overlap` first; the per-dim width
-        ``min(hi) - max(lo) + 1`` is taken at face value symbolically and
-        clamped by the evaluator's count clamping at concrete sizes.
-        """
-        out = ONE
-        for (alo, ahi), (blo, bhi) in zip(a.dims, b.dims):
-            lo, _ = self.affine_max(alo, blo)
-            hi, _ = self.affine_min(ahi, bhi)
-            out = out * Poly.from_affine(hi - lo + 1)
-        return out
 
     def footprint_by_array(self, refs: Sequence[StaticRef]) -> dict[str, Hull]:
         """Finalized per-array union hull of every reference's full region."""

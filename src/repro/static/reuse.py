@@ -30,6 +30,17 @@ Every component carries an *estimate* and a conservative upper *bound*
 :class:`~repro.static.poly.Poly` over the program parameters, so the
 whole profile evaluates at any input size without a trace.
 
+Each region step is stated once: the loop-identity prefix of two
+references is :func:`shared_depth`; a footprint is
+:meth:`_Attributor._union_measure` (per array, the disjoint groups of
+``Regions.union_disjoint``, finalized and measured); two boxes, of loop
+levels or of array dimensions, intersect in :meth:`_Attributor._meet`,
+empty by sign or else at the large-parameter probe of
+:mod:`~repro.static.regions`; and every iteration count — a reference's
+executions, a shift's validity box, a secondary shift's overlap, a
+cross-nest slab — is :func:`~repro.static.model.iterations` over the
+scope narrowed to the box.
+
 The shift solver :func:`solve_shift` answers one normalised question
 (group reuse in the sense of Razzak et al.'s static reuse profiles):
 coefficient rows, offset difference, shared depth and textual order of
@@ -53,13 +64,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..lang import Affine
 from ..obs import metrics, span
 from .model import LoopCtx, StaticModel, StaticRef, iterations
-from .poly import ONE, Poly
-from .regions import Hull, Regions, index_probe
+from .poly import Poly
+from .regions import Hull, Regions, _probe_env, index_probe
 
 #: innermost-carried distances up to this many iterations are enumerated
 #: exactly instead of hull-estimated
@@ -132,6 +143,16 @@ def shared_depth(src: StaticRef, sink: StaticRef) -> int:
             break
         depth += 1
     return depth
+
+
+def _narrowed(scope: tuple[LoopCtx, ...], box: tuple) -> tuple[LoopCtx, ...]:
+    """``scope`` with each level restricted to the ``(lo, hi)`` of
+    ``box``: the scope :func:`~repro.static.model.iterations` counts a
+    box of iterations over."""
+    return tuple(
+        LoopCtx(c.index, lo, hi, Poly.from_affine(hi - lo + 1), c.exact, c.loop_id)
+        for c, (lo, hi) in zip(scope, box)
+    )
 
 
 def shift_question(src: StaticRef, sink: StaticRef) -> tuple:
@@ -220,6 +241,8 @@ class _Attributor:
         #: no constant shift exists, so the solver is never asked
         self.ungrouped_pairs = 0
         self.same_array = Counter((r.nest, r.array) for r in model.refs)
+        #: every parameter at the large probe value
+        self.probe = index_probe((), model.params)
         #: finalized per-array union hull of each top-level nest
         self.nest_hulls: list[dict[str, Hull]] = [
             regions.footprint_by_array(nest) for nest in model.nests
@@ -245,6 +268,60 @@ class _Attributor:
         for name, calls in work.items():
             metrics.inc(f"analysis.static.{name}", calls)
         return work
+
+    # -- region measures --------------------------------------------------
+
+    def _union_measure(
+        self,
+        hulls: Iterable[Hull],
+        probe: Mapping[str, int],
+        scope: tuple[LoopCtx, ...],
+    ) -> tuple[Poly, bool]:
+        """The element count of a union of hulls and whether it is exact:
+        per array, the provably disjoint groups of
+        :meth:`~repro.static.regions.Regions.union_disjoint` at ``probe``,
+        each finalized over ``scope`` and measured."""
+        grouped: dict[str, list[Hull]] = {}
+        for h in hulls:
+            grouped.setdefault(h.array, []).append(h)
+        out, exact = Poly(), True
+        for _, hs in sorted(grouped.items()):
+            for g in self.regions.union_disjoint(hs, probe):
+                u = self.regions.finalize(g, scope)
+                exact = exact and u.exact
+                out = out + self.regions.measure(u)
+        return out, exact
+
+    def _meet(
+        self, a: Sequence[tuple], b: Sequence[tuple]
+    ) -> Optional[tuple[tuple, bool]]:
+        """The box intersection of two interval lists (per loop level or
+        per array dimension) and whether it is exact, or None when it is
+        empty, provably or at the large-parameter probe.
+
+        The bounds may mention the shared anchor indices symbolically —
+        that is the point: ``[i-1, i-1]`` meets ``[i, i]`` nowhere, which
+        finalized hulls could not see.
+        """
+        box, exact = [], True
+        for (alo, ahi), (blo, bhi) in zip(a, b):
+            lo, e1 = self.regions.affine_max(alo, blo)
+            hi, e2 = self.regions.affine_min(ahi, bhi)
+            nonempty = self._nonempty(hi - lo + 1)
+            if nonempty is False:
+                return None
+            exact = exact and e1 and e2 and nonempty is True
+            box.append((lo, hi))
+        return tuple(box), exact
+
+    def _nonempty(self, width: Affine) -> Optional[bool]:
+        """Whether a width is positive: True or False when its sign is
+        decided, else None when it is positive at the large-parameter
+        probe and False when it is not."""
+        sign = width.sign(self.assume)
+        if sign is not None:
+            return sign > 0
+        return None if width.evaluate(_probe_env((width,))) > 0 else False
 
     # -- span footprints --------------------------------------------------
 
@@ -297,12 +374,14 @@ class _Attributor:
             shift = self.regions.memo("shift", question, solve_shift, *question)
             if shift is None:
                 continue
-            validity = self._shift_validity(src, sink, shift)
-            if validity is None:
-                continue  # provably disjoint iteration ranges
-            count = ONE
-            for lo, hi in validity:
-                count = count * Poly.from_affine(hi - lo + 1)
+            met = self._meet(
+                [(c.lo + d, c.hi + d) for c, d in zip(src.scope, shift)],
+                [(c.lo, c.hi) for c in sink.scope],
+            )
+            if met is None:
+                continue  # disjoint iteration ranges
+            validity, _ = met
+            count = iterations(_narrowed(sink.scope, validity))
             depth = question[2]
             tshift: tuple[float, ...] = tuple(shift[:depth])
             if depth < len(sink.scope):
@@ -311,37 +390,6 @@ class _Attributor:
             cands.append((key, shift, src, count, validity))
         cands.sort(key=lambda t: t[0])
         return [(s, r, c, v) for _, s, r, c, v in cands]
-
-    def _shift_validity(
-        self, src: StaticRef, sink: StaticRef, shift: tuple[int, ...]
-    ) -> Optional[tuple]:
-        """Per-level interval of sink iterations the shift can serve."""
-        ivs: list[tuple[Affine, Affine]] = []
-        for sctx, kctx, s in zip(src.scope, sink.scope, shift):
-            lo, _ = self.regions.affine_max(sctx.lo + s, kctx.lo)
-            hi, _ = self.regions.affine_min(sctx.hi + s, kctx.hi)
-            sign = (hi - lo + 1).sign(self.assume)
-            if sign is not None and sign <= 0:
-                return None
-            ivs.append((lo, hi))
-        return tuple(ivs)
-
-    def _box_overlap_count(self, a: tuple, b: tuple) -> Poly:
-        """Measure of the intersection of two validity boxes (0 if empty)."""
-        out = ONE
-        for (alo, ahi), (blo, bhi) in zip(a, b):
-            lo, _ = self.regions.affine_max(alo, blo)
-            hi, _ = self.regions.affine_min(ahi, bhi)
-            width = hi - lo + 1
-            sign = width.sign(self.assume)
-            if sign is not None and sign <= 0:
-                return Poly()
-            if sign is None:
-                env = {v: 10**4 for v in width.variables()}
-                if width.evaluate(env) <= 0:
-                    return Poly()
-            out = out * Poly.from_affine(width)
-        return out
 
     def intra_distance(
         self, sink: StaticRef, src: StaticRef
@@ -417,29 +465,20 @@ class _Attributor:
         anchor = sink.scope[: level + 1]
         return self.regions.memo(
             "window", (sink.nest, anchor, width),
-            self._window_distance, sink.nest, anchor, width,
+            self._window_distance, sink, level, width,
         )
 
     def _window_distance(
-        self, nest: int, anchor: tuple[LoopCtx, ...], width: int
+        self, sink: StaticRef, level: int, width: int
     ) -> tuple[Poly, bool]:
-        level = len(anchor) - 1
+        anchor = sink.scope[: level + 1]
+        hulls = [
+            self.regions.ref_hull(r, start=level, window=(level, width))
+            for r in self.model.nests[sink.nest]
+            if shared_depth(r, sink) > level
+        ]
         probe = index_probe(anchor, self.model.params)
-        grouped: dict[str, list[Hull]] = {}
-        exact = True
-        for r in self.model.nests[nest]:
-            if len(r.scope) <= level or any(
-                a.loop_id != b.loop_id for a, b in zip(r.scope, anchor)
-            ):
-                continue
-            h = self.regions.ref_hull(r, start=level, window=(level, width))
-            grouped.setdefault(r.array, []).append(h)
-        out = Poly()
-        for name, hs in sorted(grouped.items()):
-            for g in self.regions.union_disjoint(hs, probe):
-                u = self.regions.finalize(g, anchor)
-                exact = exact and u.exact
-                out = out + self.regions.measure(u)
+        out, exact = self._union_measure(hulls, probe, anchor)
         return out - 1, exact
 
     # -- rung 2: sibling references in an imperfect nest ------------------
@@ -462,19 +501,12 @@ class _Attributor:
         happens on the loop's last pass, so only one iteration of it
         separates source from sink.
         """
-        anchor = sink.scope[:depth]
         probe = index_probe(sink.scope, self.model.params)
-        grouped: dict[str, list[Hull]] = {}
+        hulls: list[Hull] = []
         pins: dict[str, Poly] = {}
-        exact = True
         for r in self.model.nests[sink.nest]:
             if not (src_pos <= r.pos <= sink.pos):
                 continue
-            rd = 0
-            for a, b in zip(r.scope, anchor):
-                if a.loop_id != b.loop_id:
-                    break
-                rd += 1
             window = None
             if (
                 window_loop is not None
@@ -490,15 +522,9 @@ class _Attributor:
                 for inner in r.scope:
                     if inner.index not in probe:
                         probe[inner.index] = int(inner.hi.evaluate(probe))
-            grouped.setdefault(r.array, []).append(
-                self.regions.ref_hull(r, start=rd, window=window)
-            )
-        out = Poly()
-        for name, hs in sorted(grouped.items()):
-            for g in self.regions.union_disjoint(hs, probe):
-                u = self.regions.finalize(g, sink.scope)
-                exact = exact and u.exact
-                out = out + self.regions.measure(u)
+            start = min(shared_depth(r, sink), depth)
+            hulls.append(self.regions.ref_hull(r, start=start, window=window))
+        out, exact = self._union_measure(hulls, probe, sink.scope)
         if pins:
             out = out.substitute(pins)
         return out - 1, exact
@@ -518,7 +544,6 @@ class _Attributor:
         subtree strictly between the two.  Returns ``(mean, bound)``
         where the bound charges both subtrees in full.
         """
-        anchor = sink.scope[:depth]
         probe = index_probe(sink.scope, self.model.params)
         src_top = src.scope[depth].loop_id if len(src.scope) > depth else -1
         sink_top = (
@@ -527,36 +552,24 @@ class _Attributor:
         # the two subtrees' windows are disjoint slices of the iteration
         # range (the source's tail vs. the sink's head), so arrays they
         # share must be charged per subtree, not unioned across them
-        between: dict[str, list[Hull]] = {}
+        between: list[Hull] = []
         for r in self.model.nests[sink.nest]:
-            rd = 0
-            for a, b in zip(r.scope, anchor):
-                if a.loop_id != b.loop_id:
-                    break
-                rd += 1
-            if rd < depth:
+            if not src.pos <= r.pos <= sink.pos:
+                continue
+            if shared_depth(r, sink) < depth:
                 continue  # does not run under the shared prefix
             top = r.scope[depth].loop_id if len(r.scope) > depth else -2
             if top in (src_top, sink_top):
                 continue  # charged via the memoized subtree footprints
-            if src.pos <= r.pos <= sink.pos:
-                between.setdefault(r.array, []).append(
-                    self.regions.ref_hull(r, start=rd)
-                )
+            between.append(self.regions.ref_hull(r, start=depth))
         mean = Poly()
         bound = Poly()
         for top in (src_top, sink_top):
             sub = self._subtree_footprint(sink, depth, top)
             mean = mean + sub * Fraction(1, 2)
             bound = bound + sub
-        for name, hs in sorted(between.items()):
-            for g in self.regions.union_disjoint(hs, probe):
-                measure = self.regions.measure(
-                    self.regions.finalize(g, sink.scope)
-                )
-                mean = mean + measure
-                bound = bound + measure
-        return mean - 1, bound - 1
+        measure, _ = self._union_measure(between, probe, sink.scope)
+        return mean + measure - 1, bound + measure - 1
 
     def _subtree_footprint(
         self, sink: StaticRef, depth: int, top: int
@@ -573,30 +586,14 @@ class _Attributor:
         )
 
     def _subtree_measure(self, sink: StaticRef, depth: int, top: int) -> Poly:
-        anchor = sink.scope[:depth]
+        hulls = [
+            self.regions.ref_hull(r, start=depth)
+            for r in self.model.nests[sink.nest]
+            if shared_depth(r, sink) >= depth
+            and (r.scope[depth].loop_id if len(r.scope) > depth else -2) == top
+        ]
         probe = index_probe(sink.scope, self.model.params)
-        grouped: dict[str, list[Hull]] = {}
-        for r in self.model.nests[sink.nest]:
-            rd = 0
-            for a, b in zip(r.scope, anchor):
-                if a.loop_id != b.loop_id:
-                    break
-                rd += 1
-            if rd < depth:
-                continue
-            r_top = r.scope[depth].loop_id if len(r.scope) > depth else -2
-            if r_top != top:
-                continue
-            grouped.setdefault(r.array, []).append(
-                self.regions.ref_hull(r, start=rd)
-            )
-        out = Poly()
-        for name, hs in sorted(grouped.items()):
-            for g in self.regions.union_disjoint(hs, probe):
-                out = out + self.regions.measure(
-                    self.regions.finalize(g, sink.scope)
-                )
-        return out
+        return self._union_measure(hulls, probe, sink.scope)[0]
 
     def _end_meet_loop(
         self,
@@ -636,37 +633,17 @@ class _Attributor:
         self,
         a: Sequence[tuple[Affine, Affine]],
         b: Sequence[tuple[Affine, Affine]],
-        scope: Sequence[LoopCtx],
+        array: str,
+        scope: tuple[LoopCtx, ...],
     ) -> Optional[tuple[Poly, bool]]:
-        """Box-intersection measure of two raw dim lists, or None when
-        provably (or at the probe size) empty.
-
-        The dims may mention the shared anchor indices symbolically —
-        that is the point: ``[i-1, i-1]`` meets ``[i, i]`` nowhere, which
-        the finalized hulls of the old overlap test could not see.
-        """
-        index_names = {c.index for c in scope}
-        out = ONE
-        exact = True
-        for (alo, ahi), (blo, bhi) in zip(a, b):
-            lo, e1 = self.regions.affine_max(alo, blo)
-            hi, e2 = self.regions.affine_min(ahi, bhi)
-            width = hi - lo + 1
-            sign = width.sign(self.assume)
-            if sign is not None and sign <= 0:
-                return None
-            if sign is None:
-                env = {v: 10**4 for v in width.variables()}
-                if width.evaluate(env) <= 0:
-                    return None
-                exact = False
-            if width.depends_on(index_names):
-                # a triangular overlap: take the widest shared iteration
-                _, width = self.regions.eliminate(width, tuple(scope), 0, None)
-                exact = False
-            exact = exact and e1 and e2
-            out = out * Poly.from_affine(width)
-        return out, exact
+        """Element count of the :meth:`_meet` of two raw dim lists over
+        ``scope`` (a triangular overlap at its widest shared iteration)
+        and whether it is exact, or None when the meet is empty."""
+        met = self._meet(a, b)
+        if met is None:
+            return None
+        hull = self.regions.finalize(Hull(array, *met), scope)
+        return self.regions.measure(hull), hull.exact
 
     def sibling(
         self, sink: StaticRef, remainder: Poly
@@ -681,8 +658,7 @@ class _Attributor:
         Each meet claims ``trips(shared) * |intersection|`` accesses —
         the evaluator clamps the running total against the class size.
         """
-        probe = {p: 10**4 for p in self.model.params}
-        rem = float(remainder.evaluate(probe))
+        rem = float(remainder.evaluate(self.probe))
         if rem <= 0.5:
             return []
         out: list[tuple[StaticRef, Poly, Poly, Poly, bool]] = []
@@ -713,7 +689,7 @@ class _Attributor:
             slices: list[tuple[Poly, Poly, Poly, bool]] = []
             if src.pos < sink.pos:
                 # same shared iteration, textually earlier
-                met = self._dims_meet(src_dims, sink_dims, shared)
+                met = self._dims_meet(src_dims, sink_dims, sink.array, shared)
                 if met is not None:
                     measure, mexact = met
                     window_loop = self._end_meet_loop(
@@ -734,14 +710,14 @@ class _Attributor:
                 (lo.substitute(back), hi.substitute(back))
                 for lo, hi in src_dims
             )
-            met = self._dims_meet(prev_dims, sink_dims, shared)
+            met = self._dims_meet(prev_dims, sink_dims, sink.array, shared)
             if met is not None:
                 measure, _ = met
                 dist, _ = self.window_distance(sink, depth - 1, 1)
                 bound, _ = self.window_distance(sink, depth - 1, 2)
                 slices.append((trips * measure, dist, bound, False))
             for count, dist, bound, exact in slices:
-                got = float(count.evaluate(probe))
+                got = float(count.evaluate(self.probe))
                 if got <= 0:
                     continue
                 out.append((src, count, dist, bound, exact))
@@ -751,24 +727,6 @@ class _Attributor:
         return out
 
     # -- rungs 3-4: cross-nest and cross-step -----------------------------
-
-    def _nonempty(self, width: Affine) -> bool:
-        sign = width.sign(self.assume)
-        if sign is not None:
-            return sign > 0
-        env = {v: 10**4 for v in width.variables()}
-        return width.evaluate(env) > 0
-
-    def _narrow_sink(self, sink: StaticRef, box: tuple) -> StaticRef:
-        """A copy of ``sink`` whose scope is restricted to ``box``."""
-        scope = tuple(
-            LoopCtx(
-                c.index, lo, hi, Poly.from_affine(hi - lo + 1),
-                exact=c.exact, loop_id=c.loop_id,
-            )
-            for c, (lo, hi) in zip(sink.scope, box)
-        )
-        return replace(sink, scope=scope)
 
     def _uncovered_boxes(
         self, sink: StaticRef, covered: Optional[tuple]
@@ -789,7 +747,7 @@ class _Attributor:
             prefix = covered[:level]
             suffix = full[level + 1:]
             for lo, hi in ((flo, clo - 1), (chi + 1, fhi)):
-                if self._nonempty(hi - lo + 1):
+                if self._nonempty(hi - lo + 1) is not False:
                     boxes.append(prefix + ((lo, hi),) + suffix)
         return boxes
 
@@ -812,22 +770,13 @@ class _Attributor:
         """
         slices: list[tuple[int, Poly, Poly, bool]] = []
         for box in boxes:
-            scope = tuple(
-                LoopCtx(
-                    c.index, lo, hi, Poly.from_affine(hi - lo + 1),
-                    exact=c.exact, loop_id=c.loop_id,
-                )
-                for c, (lo, hi) in zip(sink.scope, box)
-            )
+            scope = _narrowed(sink.scope, box)
             dims = tuple(
                 self.regions.eliminate(s, scope, 0, None) for s in sink.subs
             )
             hull = self.regions.finalize(
                 Hull(sink.array, dims, all(c.exact for c in scope)), scope
             )
-            piece_count = ONE
-            for lo, hi in box:
-                piece_count = piece_count * Poly.from_affine(hi - lo + 1)
             for k in range(sink.nest - 1, -1, -1):
                 src_hull = self.nest_hulls[k].get(sink.array)
                 if src_hull is None:
@@ -836,9 +785,12 @@ class _Attributor:
                     continue
                 dist = self.span_measure(range(k, sink.nest + 1)) - 1
                 if self.regions.hull_contains(src_hull, hull):
-                    slices.append((k, piece_count, dist, True))
+                    slices.append((k, iterations(scope), dist, True))
                     break
-                count = self.regions.intersect_measure(src_hull, hull)
+                met = self._meet(src_hull.dims, hull.dims)
+                count = Poly() if met is None else self.regions.measure(
+                    Hull(sink.array, met[0])
+                )
                 slices.append((k, count, dist, False))
                 if len(slices) >= _CROSS_SLICES:
                     return slices
@@ -907,7 +859,7 @@ class _Attributor:
     def attribute(self, sink: StaticRef) -> ClassProfile:
         components: list[Component] = []
         remainder = self.iterations(sink.scope)
-        probe = {p: 10**4 for p in self.model.params}
+        probe = self.probe
 
         def live(poly: Poly) -> bool:
             return not poly.is_zero() and float(poly.evaluate(probe)) > 0.5
@@ -929,12 +881,10 @@ class _Attributor:
         for shift, src, count, validity in cands[1:]:
             if taken >= _SECONDARY_SHIFTS or not live(remainder):
                 break
-            overlap = (
-                self._box_overlap_count(validity, covered)
-                if covered is not None
-                else Poly()
-            )
-            fresh = count - overlap
+            fresh = count
+            met = self._meet(validity, covered)
+            if met is not None:
+                fresh = count - iterations(_narrowed(sink.scope, met[0]))
             if float(fresh.evaluate(probe)) <= 0.5:
                 continue
             components.append(
@@ -954,7 +904,7 @@ class _Attributor:
         for box in boxes:
             if not live(remainder):
                 break
-            vsink = self._narrow_sink(sink, box)
+            vsink = replace(sink, scope=_narrowed(sink.scope, box))
             for src, count, dist, bound, exact in self.sibling(
                 vsink, remainder
             ):

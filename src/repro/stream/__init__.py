@@ -7,6 +7,8 @@ every consumer accepts: the cache/hierarchy simulators, the locality
 analyzers, and the on-disk trace cache.  See DESIGN §9.
 """
 
+from typing import Callable, Iterable, Iterator, Optional
+
 from .io import (
     FORMAT_VERSION,
     StreamFormatError,
@@ -25,6 +27,27 @@ from .stream import AddressStream, StreamMeta
 #: levels' state replay more often, larger ones leave the CPU caches)
 CHUNK_ACCESSES = 2**18
 
+
+def replay_steps(step: Callable[[], Iterable], steps: int) -> Iterator:
+    """The segments of ``steps`` time steps, ``step()`` producing one
+    step's.  A step that fits in one chunk (by ``len(segment)``, which
+    every segment kind makes its access count) is produced once and
+    replayed — nothing larger than a chunk is kept — a larger one is
+    produced again each step."""
+    kept: Optional[list] = []
+    for n in range(steps):
+        if n and kept is not None:
+            yield from kept
+            continue
+        size = 0
+        for segment in step():
+            size += len(segment)
+            if size > CHUNK_ACCESSES:
+                kept = None
+            elif kept is not None:
+                kept.append(segment)
+            yield segment
+
 __all__ = [
     "AddressStream",
     "CHUNK_ACCESSES",
@@ -34,6 +57,7 @@ __all__ = [
     "read_stream",
     "read_stream_binary",
     "read_stream_csv",
+    "replay_steps",
     "write_stream",
     "write_stream_csv",
 ]

@@ -18,6 +18,7 @@ from repro.core.regroup.layout import ArrayPlacement, Layout, default_layout
 from repro.engines import resolve_engines
 from repro.harness import RunRequest, run
 from repro.interp import trace_program as interp_trace
+from repro.interp.trace import TraceWalk
 from repro import stream as stream_module
 from repro.lang import AnalysisError, parse, validate
 from repro.obs import metrics
@@ -92,19 +93,34 @@ def test_out_of_bounds_is_the_same_error_in_both_modes():
 def test_the_oracle_segments_join_to_the_whole_trace(monkeypatch):
     """Under ``+interp`` the Walk oracle lays its accesses out a chunk's
     worth at a time, over a top-level statement that is no loop, a
-    triangular nest and two steps: the segments, none over
-    ``CHUNK_ACCESSES``, join to the whole trace laid out."""
+    triangular nest and several steps: the segments, none over
+    ``CHUNK_ACCESSES``, join to the whole trace laid out.  A step larger
+    than a chunk is walked again; one that fits is walked once and
+    replayed."""
     program = _program(
         "B[1, 1] = 0.0\nfor i = 1, N { for j = i, N { A[j, i] = f(B[j, i]) } }"
     )
     params = {"N": N}
     layout = default_layout(program, params)
-    whole = AddressStream.from_trace(interp_trace(program, params, 2), layout)
-    monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", 37)
-    segments = list(
-        resolve_engines("interp").address_segments(program, params, 2, layout, "p")
+    instances = 1 + N * (N + 1) // 2
+    walked = []
+    assign = TraceWalk.assign
+    monkeypatch.setattr(
+        TraceWalk, "assign", lambda walk, stmt: walked.append(assign(walk, stmt))
     )
-    assert max(len(s) for s in segments) == 37
-    joined = AddressStream.concat(segments)
-    for column in ("addresses", "writes", "ref_ids"):
-        assert np.array_equal(getattr(joined, column), getattr(whole, column)), column
+    for chunk, steps, walks in ((37, 2, 2), (2 * instances, 3, 1)):
+        whole = AddressStream.from_trace(interp_trace(program, params, steps), layout)
+        monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", chunk)
+        walked.clear()
+        segments = list(
+            resolve_engines("interp").address_segments(
+                program, params, steps, layout, "p"
+            )
+        )
+        assert len(walked) == walks * instances, chunk
+        assert max(len(s) for s in segments) == min(chunk, 2 * instances - 1)
+        joined = AddressStream.concat(segments)
+        for column in ("addresses", "writes", "ref_ids"):
+            assert np.array_equal(
+                getattr(joined, column), getattr(whole, column)
+            ), (chunk, column)

@@ -248,6 +248,75 @@ def test_only_lang_narrows_index_ranges():
     assert defined == {"lang/scope.py": ["eliminate"]}, defined
 
 
+def width_products(source: str) -> list[str]:
+    """Functions in ``source`` that multiply ``Poly.from_affine(...)``
+    widths into a count in a loop."""
+
+    def is_width(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "from_affine"
+        )
+
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        products = [
+            node
+            for loop in ast.walk(func) if isinstance(loop, (ast.For, ast.While))
+            for node in ast.walk(loop)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and (is_width(node.left) or is_width(node.right))
+            or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+            and is_width(node.value)
+        ]
+        if products:
+            found.append(func.name)
+    return found
+
+
+def large_probes(source: str) -> int:
+    """How often ``source`` spells the large-parameter probe ``10**4``."""
+    return sum(
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and [ast.dump(node.left), ast.dump(node.right)]
+        == [ast.dump(ast.Constant(10)), ast.dump(ast.Constant(4))]
+        or isinstance(node, ast.Constant) and node.value == 10**4
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_the_reuse_ladder_measures_through_one_step():
+    """The static reuse ladder states each region step once: one function
+    outside ``regions.py`` unions hulls into disjoint groups (and
+    finalizes and measures them), iteration counts come from
+    ``model.iterations`` rather than width products in ``reuse.py``
+    (array-space measures stay in ``regions.py``), and only ``regions.py``
+    spells the large-parameter probe."""
+    static = PACKAGE / "static"
+    unions, products, probes = set(), [], {}
+    for path in sorted(static.glob("*.py")):
+        source = path.read_text()
+        if path.name == "regions.py":
+            continue
+        callers = attribute_readers(source, "union_disjoint")
+        unions |= {f"{path.name}:{name}" for name in callers}
+        if large_probes(source):
+            probes[path.name] = large_probes(source)
+    products = width_products((static / "reuse.py").read_text())
+    assert len(unions) == 1, unions
+    assert products == [], products
+    assert probes == {}, probes
+    # the gate sees what it forbids
+    assert width_products(
+        "def f(box):\n    n = 1\n    for lo, hi in box:\n"
+        "        n = n * Poly.from_affine(hi - lo + 1)\n"
+    ) == ["f"]
+    assert large_probes("env = {v: 10**4 for v in names}") == 1
+
+
 def _imports(source: str) -> set[str]:
     """The modules ``source`` imports, relative ones resolved as if it
     sat one package below ``repro`` (``..interp.trace`` is

@@ -251,3 +251,33 @@ def test_poly_growth_is_decided_on_exact_values():
     assert half.coefficient((("N", 1),)) == Fraction(1, 2)
     assert Poly.constant(Fraction(6, 3)).constant_value() == 2
     assert type(Poly.constant(2.0).constant_value()) is int
+
+
+@given(
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=5),
+    st.tuples(st.integers(-2, 2), st.integers(-5, 5)),
+    st.tuples(st.integers(0, 2), st.integers(-1, 5)),
+    st.integers(1, 12),
+)
+def test_sum_over_is_brute_force_summation(coeffs, lower, span, n):
+    """``Poly.sum_over`` of a polynomial of degree 0-4 in ``x`` (each
+    coefficient affine in ``N``) over ``x = lo..hi``, both bounds affine
+    in ``N``, is the sum of its values; ``span (0, -1)`` is the empty
+    range ``lo = hi + 1``."""
+    big_n = Affine.var("N")
+    poly = sum(
+        ((Poly.var("x", k) if k else Poly.constant(1)) * (Poly.var("N") * b + a)
+         for k, (a, b) in enumerate(coeffs)),
+        Poly(),
+    )
+    lo = big_n * lower[0] + lower[1]
+    hi = lo + big_n * span[0] + span[1]
+    summed = poly.sum_over("x", lo, hi)
+    poly_is_canonical(summed)
+    assert "x" not in summed.variables()
+    env = {"N": n}
+    want = sum(
+        poly.evaluate({"N": n, "x": x})
+        for x in range(lo.evaluate(env), hi.evaluate(env) + 1)
+    )
+    assert summed.evaluate(env) == want

@@ -9,6 +9,7 @@ stay put).
 
 import pytest
 
+from repro.codegen import trace_program
 from repro.core import OPT_LEVELS, compile_variant
 from repro.locality import classify_evadable_stats
 from repro.obs import snapshot
@@ -42,8 +43,26 @@ def test_analysis_is_trace_free():
     assert profile.classes  # and it actually produced something
 
 
-def test_access_conservation_at_any_size():
-    profile = analyze_program(build(SRC))
+#: two triangular nests, whose inner trip mentions the outer index
+TRIANGULAR = {
+    "j-from-i": "for i = 1, N { for j = i, N { A[j] = f(A[j]) } }",
+    "j-to-i": "for i = 1, N { for j = 1, i { A[j] = f(A[j], B[i]) } }",
+}
+
+
+@pytest.mark.parametrize(
+    "src",
+    [pytest.param(SRC, id="two-loops")]
+    + [
+        pytest.param(f"program t\nparam N\nreal A[N], B[N]\n{body}\n", id=name)
+        for name, body in TRIANGULAR.items()
+    ],
+)
+def test_access_conservation_at_any_size(src):
+    """Every access is reused or cold, and the predicted total is the
+    trace's length: a triangular nest counts exactly."""
+    program = build(src)
+    profile = analyze_program(program)
     for n in (16, 64, 257):
         params = {"N": n}
         total = float(profile.total_accesses().evaluate(params))
@@ -51,7 +70,7 @@ def test_access_conservation_at_any_size():
         accounted = sum(ec.reuses + ec.cold for ec in evaluated)
         assert accounted == total
         hist = profile.histogram(params)
-        assert hist.total == int(total)
+        assert hist.total == int(total) == len(trace_program(program, params))
 
 
 def test_histogram_cold_matches_footprint():

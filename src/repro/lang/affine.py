@@ -30,9 +30,9 @@ two apart (Python guarantees ``Fraction(n) == n`` with equal hashes).  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import NotAffineError
 
@@ -82,17 +82,24 @@ class Assumptions:
         return frozenset(n for n, _ in self.mins)
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(NamedTuple):
     """An affine form ``const + sum(coeffs[name] * name)``.
 
     Instances are immutable and hashable; zero coefficients are never
     stored.  Coefficients and the constant are exact: ``int``, or a
     ``Fraction`` when not integral (see the module docstring).
+
+    A form is a tuple ``(const, coeffs)``, so construction, hashing and
+    equality run in C (the static analyses hash forms millions of times;
+    a cached hash measured slower).  Equality is therefore structural:
+    a form equals any tuple with the same items, and no code compares
+    one with another kind of tuple.  Arithmetic replaces the tuple
+    operators (``+`` adds forms, ``*`` scales), and a form is one value,
+    never a pair or a subscript tuple, wherever a tuple is unpacked.
     """
 
     const: int | Fraction = 0
-    coeffs: _Terms = field(default=())
+    coeffs: _Terms = ()
 
     # -- construction -----------------------------------------------------
 

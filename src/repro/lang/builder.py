@@ -43,7 +43,7 @@ class ArrayHandle:
         self.ndim = ndim
 
     def __getitem__(self, indices: Union[ExprLike, tuple[ExprLike, ...]]) -> ArrayRef:
-        if not isinstance(indices, tuple):
+        if not isinstance(indices, tuple) or isinstance(indices, Affine):
             indices = (indices,)
         if len(indices) != self.ndim:
             raise ValidationError(
@@ -103,7 +103,7 @@ def when(
 ) -> Guard:
     ivs: list[Interval] = []
     for item in intervals:
-        if isinstance(item, tuple):
+        if isinstance(item, tuple) and not isinstance(item, Affine):
             lo, hi = item
             ivs.append(Interval(wrap(lo).affine(), wrap(hi).affine()))
         else:

@@ -60,13 +60,13 @@ def narrow(
     return _intersect(lo, hi, guard.intervals, scope, assume)
 
 
-def widths(
+def pieces(
     lo: Affine, hi: Affine, guard: Guard, scope: Sequence, assume: Assumptions
-) -> list[Affine]:
-    """Per interval of ``guard``, how many values of ``[lo, hi]`` it
-    holds: its width once the guard rule narrows ``[lo, hi]`` to it."""
+) -> list[tuple[Affine, Affine]]:
+    """Per interval of ``guard``, the values of ``[lo, hi]`` it holds:
+    its ``[lo, hi]`` once the guard rule narrows ``[lo, hi]`` to it."""
     return [
-        n_hi - n_lo + 1
+        (n_lo, n_hi)
         for n_lo, n_hi, _ in (
             _intersect(lo, hi, (iv,), scope, assume) for iv in guard.intervals
         )

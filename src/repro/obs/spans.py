@@ -56,10 +56,13 @@ class SpanEvent:
 
 
 def _plain(value: object) -> object:
-    """JSON-safe attribute values (tuples become lists, exotica become str)."""
+    """JSON-safe attribute values (tuples become lists, exotica become str).
+
+    A tuple type with its own ``__str__`` (an affine form, a polynomial)
+    is one value, not a sequence: it renders as text."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and type(value).__str__ is object.__str__:
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}

@@ -40,8 +40,9 @@ the two colliding iterations (recovered by a bounded
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -138,10 +139,25 @@ class CoherenceProfile:
     invalidations: tuple[int, ...]
     #: writes that invalidated at least one other thread's copy
     upgrades: int
-    arrays: tuple[ArraySharing, ...]
     witnesses: tuple[SharingWitness, ...]
-    #: line-private arrays: none of their lines is touched by two threads
-    screened_out: tuple[str, ...]
+    #: every array name, in declaration order
+    names: tuple[str, ...]
+    #: the sharing classification, run on the first read of
+    #: :attr:`arrays` (a search reads only the invalidation counts)
+    classify: Callable[[], tuple[ArraySharing, ...]] = field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def arrays(self) -> tuple[ArraySharing, ...]:
+        """Per-array sharing rows, for the arrays with a shared line."""
+        return self.classify()
+
+    @cached_property
+    def screened_out(self) -> tuple[str, ...]:
+        """Line-private arrays: none of their lines is touched by two
+        threads."""
+        return tuple(sorted(set(self.names) - {a.array for a in self.arrays}))
 
     @property
     def total_cold(self) -> int:
@@ -267,6 +283,22 @@ def _earliest_other(
     return np.where(hit, first[row], len(labels)), thread[row]
 
 
+def _true_sharing(
+    keys: np.ndarray,
+    writes: np.ndarray,
+    tids: np.ndarray,
+    threads: int,
+    inv: np.ndarray,
+) -> np.ndarray:
+    """Per invalidation miss (positions ``inv``): true sharing when
+    another thread wrote the very element before, false when only its
+    line neighbours."""
+    other_write, _ = _earliest_other(
+        keys, tids, threads, np.flatnonzero(writes), inv
+    )
+    return other_write < inv
+
+
 def _array_summaries(
     names: Sequence[str],
     bounds: np.ndarray,
@@ -275,13 +307,16 @@ def _array_summaries(
     writes: np.ndarray,
     tids: np.ndarray,
     threads: int,
-    inv_keys: np.ndarray,
-    is_true: np.ndarray,
+    inv: np.ndarray,
+    is_true: Optional[np.ndarray],
 ) -> tuple[ArraySharing, ...]:
     """Per-array sharing rows from the enumerated accesses (``keys``,
-    ``writes``, ``tids``) and their invalidation misses (``inv_keys``,
-    split by ``is_true``).  Array ``k`` owns keys ``[bounds[k],
-    bounds[k + 1])``; a line belongs to the array of its first element."""
+    ``writes``, ``tids``) and their invalidation misses (positions
+    ``inv``, split by ``is_true``, computed here when ``None``).  Array
+    ``k`` owns keys ``[bounds[k], bounds[k + 1])``; a line belongs to
+    the array of its first element."""
+    if is_true is None:
+        is_true = _true_sharing(keys, writes, tids, threads, inv)
     lines = keys // line_elems
     line_ids, touching = _distinct_threads(lines, tids, threads)
     shared = line_ids[touching >= 2]
@@ -292,7 +327,7 @@ def _array_summaries(
     true_line = np.isin(shared, true_elems // line_elems)
     false_line = ~true_line & np.isin(shared, lines[writes])
     # every invalidated line is shared: its victim and its writer differ
-    inv_lines = inv_keys // line_elems
+    inv_lines = keys[inv] // line_elems
 
     def per_array(line_ids: np.ndarray) -> np.ndarray:
         owner = np.searchsorted(bounds, line_ids * line_elems, side="right") - 1
@@ -458,7 +493,8 @@ def analyze_coherence(
     :data:`DEFAULT_MAX_ACCESSES` budget), then the one MSI automaton
     (:func:`repro.memsim.coherence.simulate_msi`) at L1-line granularity,
     then the true/false-sharing classification of its invalidation
-    misses.
+    misses — with ``witnesses=False`` only once
+    :attr:`CoherenceProfile.arrays` is read.
     """
     # lazy, like repro.interp's imports of repro.static: either package
     # can be imported first
@@ -499,24 +535,14 @@ def analyze_coherence(
         keys, writes, tids = concat_columns(nests)
         msi = simulate_msi(keys // line_elems, writes, tids, threads)
         inv = np.flatnonzero(msi.invalidation_mask)
-        # an invalidation miss is true sharing when another thread wrote
-        # the very element before, false when only its line neighbours
-        other_write, _ = _earliest_other(
-            keys, tids, threads, np.flatnonzero(writes), inv
-        )
-        is_true = other_write < inv
-        arrays = _array_summaries(
-            names, bounds, line_elems,
-            keys, writes, tids, threads, keys[inv], is_true,
-        )
-        witness_objs = (
-            _witnesses(
+        is_true = None
+        witness_objs = ()
+        if witnesses:
+            is_true = _true_sharing(keys, writes, tids, threads, inv)
+            witness_objs = _witnesses(
                 tracer, parallel, threads, schedule, names, bounds,
                 line_elems, keys, writes, tids, inv, is_true,
             )
-            if witnesses
-            else ()
-        )
         metrics.inc("analysis.coherence.profiles")
         return CoherenceProfile(
             program_name=program.name,
@@ -531,9 +557,10 @@ def analyze_coherence(
             cold=tuple(msi.cold.tolist()),
             invalidations=tuple(msi.invalidations.tolist()),
             upgrades=msi.total_upgrades,
-            arrays=arrays,
             witnesses=witness_objs,
-            screened_out=tuple(
-                sorted(set(names) - {a.array for a in arrays})
+            names=tuple(names),
+            classify=partial(
+                _array_summaries, names, bounds, line_elems,
+                keys, writes, tids, threads, inv, is_true,
             ),
         )

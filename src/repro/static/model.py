@@ -21,23 +21,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from ..lang import Affine, ArrayDecl, Assumptions, Guard, Program
 from ..lang.lowering import LoweredAssign, LoweredLoop, lower
-from ..lang.scope import narrow, widths
+from ..lang.scope import narrow, pieces
 from .poly import ONE, Poly
 
 
-@dataclass(frozen=True)
-class LoopCtx:
+class LoopCtx(NamedTuple):
     """One enclosing loop level as seen by a reference.
 
-    ``lo``/``hi`` are the (possibly guard-narrowed) inclusive bounds;
-    ``trip`` is the iteration count as a polynomial (for a multi-interval
-    guard the hull ``[lo, hi]`` is wider than the iteration set, but
-    ``trip`` sums the narrowed interval widths; an else branch counts the
-    loop's iterations outside them); ``exact`` is False when the
-    narrowing lost information.
+    ``lo``/``hi`` are the (possibly guard-narrowed) inclusive bounds, the
+    hull of the level's iterations.  ``pieces`` is the iteration set
+    itself, as signed intervals ``(lo, hi, sign)``: a loop is one piece;
+    inside a guard, each of the guard's intervals narrowed to the loop
+    (for a multi-interval guard the hull ``[lo, hi]`` is wider than
+    these); in its else branch, the loop's pieces with the guard's taken
+    out (sign -1).  ``exact`` is False when the narrowing lost
+    information.
 
     ``loop_id`` identifies the originating :class:`~repro.lang.Loop`
     statement: two references share an iteration space at some level only
@@ -45,30 +48,44 @@ class LoopCtx:
     sibling loops reuse the same *index name*, so name equality must not
     be mistaken for shared ancestry — the attributor's shared-prefix
     computations all compare ids, never names.
+
+    A tuple, like :class:`~repro.lang.Affine`: scopes key the region
+    memos, so hashing and equality run in C (equality is structural).
     """
 
     index: str
     lo: Affine
     hi: Affine
-    trip: Poly
+    pieces: tuple[tuple[Affine, Affine, int], ...]
     exact: bool = True
     loop_id: int = -1
+
+    @property
+    def trip(self) -> Poly:
+        """The iteration count: the pieces' signed widths."""
+        return self.over_pieces(lambda lo, hi: Poly.from_affine(hi - lo + 1))
+
+    def over_pieces(self, part: Callable[[Affine, Affine], Poly]) -> Poly:
+        """``part(lo, hi)`` summed over the pieces, each with its sign."""
+        out = Poly()
+        for lo, hi, sign in self.pieces:
+            term = part(lo, hi)
+            out = out + term if sign > 0 else out - term
+        return out
 
 
 def iterations(scope: tuple[LoopCtx, ...]) -> Poly:
     """Iterations of a loop scope, the one counting rule of the static
     analysis, innermost level first: an inner count free of the level's
     index times the level's trip, and one that depends on it (a
-    triangular nest) summed over the level's range
+    triangular nest) summed over each of the level's pieces
     (:meth:`~repro.static.poly.Poly.sum_over`), so the count mentions
-    program parameters only.  A guard-narrowed level (``trip`` is not
-    ``hi - lo + 1``) keeps the product."""
+    program parameters only."""
     count = ONE
     for ctx in reversed(scope):
-        if ctx.index in count.variables() and ctx.trip == Poly.from_affine(
-            ctx.hi - ctx.lo + 1
-        ):
-            count = count.sum_over(ctx.index, ctx.lo, ctx.hi)
+        if ctx.index in count.variables():
+            inner = count
+            count = ctx.over_pieces(lambda lo, hi: inner.sum_over(ctx.index, lo, hi))
         else:
             count = count * ctx.trip
     return count
@@ -100,6 +117,10 @@ class StaticRef:
 
     def exec_count(self) -> Poly:
         """Accesses this reference performs per body repetition."""
+        return self._exec_count
+
+    @cached_property
+    def _exec_count(self) -> Poly:
         return iterations(self.scope)
 
     def scope_indices(self) -> tuple[str, ...]:
@@ -132,16 +153,19 @@ def _guard_contexts(
 ) -> tuple[LoopCtx, LoopCtx]:
     """The guarded index's context (``scope[level]``) inside ``guard``'s
     body and its else branch: the body's range by the guard rule over
-    ``scope``, its trip the narrowed widths of the intervals; the else
-    branch keeps the loop's range and counts the iterations the body
-    does not take."""
+    ``scope`` and its pieces the guard's intervals narrowed to the loop;
+    the else branch keeps the loop's range, and its pieces are the
+    loop's with the body's taken out."""
     outer = scope[level]
     lo, hi, exact = narrow(outer.lo, outer.hi, guard, scope, assume)
-    counts = widths(outer.lo, outer.hi, guard, scope, assume)
-    trip = sum((Poly.from_affine(w) for w in counts), Poly())
-    inside = LoopCtx(outer.index, lo, hi, trip, exact and outer.exact, outer.loop_id)
+    taken = tuple(
+        (p_lo, p_hi, 1) for p_lo, p_hi in pieces(outer.lo, outer.hi, guard, scope, assume)
+    )
+    inside = LoopCtx(outer.index, lo, hi, taken, exact and outer.exact, outer.loop_id)
     orelse = LoopCtx(
-        outer.index, outer.lo, outer.hi, outer.trip - trip, False, outer.loop_id
+        outer.index, outer.lo, outer.hi,
+        outer.pieces + tuple((p_lo, p_hi, -1) for p_lo, p_hi, _ in taken),
+        False, outer.loop_id,
     )
     return inside, orelse
 
@@ -174,7 +198,7 @@ def build_model(program: Program) -> StaticModel:
                     ))
             elif isinstance(node, LoweredLoop):
                 lo, hi = node.loop.bounds_affine()
-                ctx = LoopCtx(node.loop.index, lo, hi, Poly.from_affine(hi - lo + 1),
+                ctx = LoopCtx(node.loop.index, lo, hi, ((lo, hi, 1),),
                               loop_id=node.loop_id)
                 flatten(node.body, scope + (ctx,), nest, start)
             else:

@@ -20,11 +20,10 @@ cannot tell ``2`` from ``Fraction(2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from ..lang import Affine, NotAffineError
 from ..lang.affine import _frac
@@ -39,13 +38,14 @@ _GROW_LO = 10**3
 _GROW_HI = 10**6
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple):
     """A polynomial ``sum(coeff * monomial)`` with exact coefficients.
 
     Instances are immutable and hashable; zero terms are never stored and
     monomials are kept sorted, so structurally equal polynomials compare
-    equal.
+    equal.  Like :class:`~repro.lang.Affine`, a polynomial is a tuple
+    (``(terms,)``): hashing and equality run in C, and equality is
+    structural.
     """
 
     terms: tuple[tuple[Monomial, int | Fraction], ...] = ()

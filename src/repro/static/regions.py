@@ -22,8 +22,7 @@ iteration counts are :func:`~repro.static.model.iterations`.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..lang import Affine, Assumptions
 from ..lang.scope import eliminate
@@ -45,13 +44,14 @@ def _probe_env(forms: Iterable[Affine]) -> dict[str, int]:
     return {n: _PROBE for n in names}
 
 
-@dataclass(frozen=True)
-class Hull:
+class Hull(NamedTuple):
     """A rectangular symbolic region of one array.
 
     ``dims`` holds inclusive affine ``[lo, hi]`` per dimension; the forms
     mention program parameters only (callers eliminate loop indices via
-    :func:`ref_hull` before unioning across references).
+    :func:`ref_hull` before unioning across references).  A tuple, like
+    :class:`~repro.lang.Affine`: hulls key the region memos, so hashing
+    and equality run in C (equality is structural).
     """
 
     array: str

@@ -150,7 +150,7 @@ def _narrowed(scope: tuple[LoopCtx, ...], box: tuple) -> tuple[LoopCtx, ...]:
     ``box``: the scope :func:`~repro.static.model.iterations` counts a
     box of iterations over."""
     return tuple(
-        LoopCtx(c.index, lo, hi, Poly.from_affine(hi - lo + 1), c.exact, c.loop_id)
+        LoopCtx(c.index, lo, hi, ((lo, hi, 1),), c.exact, c.loop_id)
         for c, (lo, hi) in zip(scope, box)
     )
 

@@ -63,7 +63,7 @@ MAX_DIAGS_PER_CODE = 5
 
 
 def _sig_str(sig: object) -> str:
-    if isinstance(sig, tuple):
+    if type(sig) is tuple:  # a tagged skeleton; any other value prints itself
         if sig[0] == "c":
             return str(sig[1])
         if sig[0] == "r":

@@ -1,10 +1,13 @@
 """Unit tests for affine forms and symbolic comparison."""
 
+import copy
+import pickle
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import pytest
 
-from repro.lang import Affine, Assumptions, IndexVar, NotAffineError
+from repro.lang import Affine, Assumptions, IndexVar, NotAffineError, ValidationError
 
 
 def stored(form: Affine) -> tuple:
@@ -216,3 +219,59 @@ class TestDisplay:
     def test_fraction(self):
         half = Affine.constant(Fraction(1, 2))
         assert "1/2" in str(half)
+
+
+@dataclass(frozen=True)
+class _Holder:
+    """A dataclass that holds forms, as the IR's nodes do."""
+
+    form: Affine
+    forms: tuple[Affine, ...]
+
+
+class TestValueType:
+    """A form is a tuple ``(const, coeffs)``: C-level hashing and
+    structural equality, and it still reads as one value everywhere."""
+
+    FORM = Affine.from_terms(1, {"N": 2, "i": -1})
+
+    def test_equal_forms_hash_equal(self):
+        built = Affine.var("N") * 2 - Affine.var("i") + Fraction(2, 2)
+        assert built == self.FORM and hash(built) == hash(self.FORM)
+        assert built is not self.FORM
+        assert {built: "x"}[self.FORM] == "x"
+        assert Affine() == Affine.constant(0) and hash(Affine()) == hash(Affine(0, ()))
+
+    def test_pickle_deepcopy_and_asdict_round_trip(self):
+        holder = _Holder(self.FORM, (self.FORM, Affine.var("j")))
+        for copied in (pickle.loads(pickle.dumps(holder)), copy.deepcopy(holder)):
+            assert copied == holder and type(copied.form) is Affine
+        plain = asdict(holder)
+        assert plain == {"form": self.FORM, "forms": (self.FORM, Affine.var("j"))}
+        assert type(plain["form"]) is Affine and _Holder(**plain) == holder
+
+    def test_str_and_repr_are_the_form(self):
+        assert str(self.FORM) == repr(self.FORM) == "2*N - i + 1"
+        assert repr((self.FORM,)) == "(2*N - i + 1,)"
+        assert str(Affine()) == "0"
+
+    def test_spans_render_a_form_as_text(self):
+        from repro.obs.spans import _plain
+
+        assert _plain(self.FORM) == "2*N - i + 1"
+        assert _plain([self.FORM, (1, (2, 3))]) == ["2*N - i + 1", [1, [2, 3]]]
+
+    def test_a_form_is_never_a_subscript_tuple_or_an_interval_pair(self):
+        from repro.lang.builder import ArrayHandle, assign, when
+        from repro.verify.legality import _sig_str
+
+        # one subscript, not two; not an interval (lo, hi) either; and,
+        # as before it became a tuple, not an expression
+        with pytest.raises(ValidationError, match="got 1 subscripts"):
+            ArrayHandle("A", 2)[self.FORM]
+        with pytest.raises(TypeError, match="as an expression"):
+            ArrayHandle("A", 1)[self.FORM]
+        stmt = assign(ArrayHandle("A", 1)[IndexVar("i")], 0.0)
+        with pytest.raises(TypeError, match="as an expression"):
+            when("i", [self.FORM], stmt)
+        assert _sig_str(self.FORM) == "2*N - i + 1"

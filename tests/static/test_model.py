@@ -149,3 +149,35 @@ def test_guards_narrow_the_guarded_scope():
         )
         assert str(r.exec_count()) == "3*N"
         assert int(r.exec_count().evaluate({"N": 8})) == int(counts[r.ref_id]) == 24
+
+
+#: a triangular inner loop under a guard-narrowed level: the else branch
+#: runs i over [1, N] minus [1, 1], and j's count depends on i
+GUARDED_TRIANGLE = """
+program guarded_triangle
+param N
+real A[N], B[N]
+for i = 1, N {
+  when i in [1:1] { B[i] = 0.0 } else { for j = i, N { A[j] = f(A[j]) } }
+}
+"""
+
+
+def test_guard_narrowed_levels_sum_over_their_pieces():
+    from repro.static import analyze_program
+
+    p = build(GUARDED_TRIANGLE)
+    model = build_model(p)
+    ctx = model.refs[1].scope[0]
+    # the else branch: the loop's piece with the guard's taken out
+    assert [(str(lo), str(hi), sign) for lo, hi, sign in ctx.pieces] == [
+        ("1", "N", 1), ("1", "1", -1)
+    ]
+    assert str(model.refs[1].exec_count()) == "1/2*N^2 - 1/2*N"
+    for n in (5, 8, 13):
+        trace = trace_program(p, {"N": n})
+        counts = np.bincount(trace.ref_ids, minlength=len(model.refs))
+        assert [
+            int(r.exec_count().evaluate({"N": n})) for r in model.refs
+        ] == counts.tolist()
+        assert analyze_program(p).histogram({"N": n}).total == len(trace)

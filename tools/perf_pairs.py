@@ -4,9 +4,11 @@
 sides, A first on even pairs and B first on odd ones, and every
 end-to-end metric is printed with both medians, their quartiles, B/A,
 the pairs B won (all metrics are lower-is-better; ties count for
-neither) and its bound from A's ``BENCHMARK.json``: a row whose B/A is
-above ``1 + bound`` is marked ``WORSE``, and any such row makes the exit
-status 1.  Below them, informational only, the uncalibrated
+neither), its bound from A's ``BENCHMARK.json`` and whether the gain
+rule holds (``claim yes``: B won at least nine tenths of the pairs, and
+the medians differ by more than the distance between A's quartiles): a
+row whose B/A is above ``1 + bound`` is marked ``WORSE``, and any such
+row makes the exit status 1.  Below them, informational only, the uncalibrated
 ``raw_pass_wall_s`` row of each run's ``results.json``, so the calibrated
 ratio can be read beside the raw one.  Several workloads in one call
 (``--workload a b`` or ``--workload a --workload b``) print one table
@@ -42,9 +44,25 @@ def run_once(checkout: str, workload: str, seed: int) -> dict[str, float]:
     return metrics | {RAW: results["workloads"][workload]["rows"][RAW]["value"]}
 
 
-def quartiles(xs: list[float]) -> str:
+def spread(xs: list[float]) -> tuple[float, float, float]:
+    """``(first quartile, median, third quartile)``."""
     q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return q1, med, q3
+
+
+def quartiles(xs: list[float]) -> str:
+    q1, med, q3 = spread(xs)
     return f"{med:9.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def claim_holds(a: list[float], b: list[float]) -> bool:
+    """The gain rule for a lower-is-better metric over pairs ``(a[i],
+    b[i])``: B wins at least nine tenths of the pairs (ties count for
+    neither), and B's median lies below A's by more than the distance
+    between A's quartiles."""
+    wins = sum(y < x for x, y in zip(a, b))
+    q1, med_a, q3 = spread(a)
+    return 10 * wins >= 9 * len(a) and med_a - statistics.median(b) > q3 - q1
 
 
 def bounds(checkout: str) -> dict[str, float]:
@@ -72,6 +90,7 @@ def compare(a_side: str, b_side: str, workload: str, pairs: int, seed: int) -> i
         ratio = statistics.median(b) / statistics.median(a)
         print(f"{name:15s} A {quartiles(a)}  B {quartiles(b)}", end="  ")
         print(f"B/A {ratio:.3f}  wins {wins}/{len(a)}", end="")
+        print(f"  claim {'yes' if claim_holds(a, b) else 'no'}", end="")
         if name in bound:
             flag = ratio > 1 + bound[name]
             worse += flag

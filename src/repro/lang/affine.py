@@ -39,6 +39,10 @@ from .errors import NotAffineError
 Number = Union[int, float, Fraction]
 _Terms = tuple[tuple[str, "int | Fraction"], ...]
 
+#: ``_new(Affine, (const, coeffs))`` builds a form in C, skipping the
+#: Python ``__new__`` that ``NamedTuple`` generates (for canonical items)
+_new = tuple.__new__
+
 #: Default assumed lower bound for every symbolic parameter.  The paper's
 #: inputs are all >= 14 in each dimension; 8 keeps boundary peeling legal
 #: while remaining conservative.
@@ -105,17 +109,17 @@ class Affine(NamedTuple):
 
     @staticmethod
     def constant(value: Number) -> "Affine":
-        return Affine(_frac(value), ())
+        return _new(Affine, (_frac(value), ()))
 
     @staticmethod
     def var(name: str, coeff: Number = 1) -> "Affine":
         c = _frac(coeff)
-        return Affine(0, ((name, c),)) if c else Affine()
+        return _new(Affine, (0, ((name, c),) if c else ()))
 
     @staticmethod
     def from_terms(const: Number, terms: Mapping[str, Number]) -> "Affine":
         clean = sorted((n, _frac(c)) for n, c in terms.items())
-        return Affine(_frac(const), tuple(t for t in clean if t[1]))
+        return _new(Affine, (_frac(const), tuple(t for t in clean if t[1])))
 
     # -- inspection -------------------------------------------------------
 
@@ -155,23 +159,26 @@ class Affine(NamedTuple):
     def __add__(self, other: Union["Affine", Number]) -> "Affine":
         if not isinstance(other, Affine):
             other = _frac(other)
-            return Affine(_frac(self.const + other), self.coeffs) if other else self
-        return Affine(
-            _frac(self.const + other.const), _merge(self.coeffs, other.coeffs)
+            if not other:
+                return self
+            return _new(Affine, (_frac(self.const + other), self.coeffs))
+        return _new(
+            Affine,
+            (_frac(self.const + other.const), _merge(self.coeffs, other.coeffs)),
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "Affine":
-        return Affine(-self.const, tuple((n, -c) for n, c in self.coeffs))
+        return _new(Affine, (-self.const, tuple((n, -c) for n, c in self.coeffs)))
 
     def __sub__(self, other: Union["Affine", Number]) -> "Affine":
         if not isinstance(other, Affine):
             return self + (-other)
-        return Affine(
+        return _new(Affine, (
             _frac(self.const - other.const),
             _merge(self.coeffs, other.coeffs, negate=True),
-        )
+        ))
 
     def __rsub__(self, other: Number) -> "Affine":
         return -self + other
@@ -181,30 +188,25 @@ class Affine(NamedTuple):
         if s == 1:
             return self
         if s == 0:
-            return Affine()
-        return Affine(
+            return ZERO
+        return _new(Affine, (
             _frac(self.const * s),
             tuple((n, _frac(c * s)) for n, c in self.coeffs),
-        )
+        ))
 
     __rmul__ = __mul__
 
     def substitute(self, bindings: Mapping[str, Union["Affine", Number]]) -> "Affine":
-        """Replace variables with affine forms or numbers."""
-        const = self.const
-        terms: dict[str, int | Fraction] = {}
+        """Replace variables with affine forms or numbers (all at once)."""
+        kept = tuple(t for t in self.coeffs if t[0] not in bindings)
+        if len(kept) == len(self.coeffs):
+            return self
+        out = _new(Affine, (self.const, kept))
         for n, c in self.coeffs:
-            if n not in bindings:
-                terms[n] = terms.get(n, 0) + c
-                continue
-            bound = bindings[n]
-            if isinstance(bound, Affine):
-                const += bound.const * c
-                for m, d in bound.coeffs:
-                    terms[m] = terms.get(m, 0) + d * c
-            else:
-                const += _frac(bound) * c
-        return Affine.from_terms(const, terms)
+            if n in bindings:
+                bound = bindings[n]
+                out = out + (bound * c if isinstance(bound, Affine) else _frac(bound) * c)
+        return out
 
     def fold(
         self, params: Mapping[str, int]
@@ -340,7 +342,8 @@ def _frac(value: Number) -> int | Fraction:
 
 
 def _merge(a: _Terms, b: _Terms, negate: bool = False) -> _Terms:
-    """``a + b`` (``a - b``) of sorted term tuples; cancelled terms dropped."""
+    """``a + b`` (``a - b``) of term tuples sorted by key (a form's names,
+    a polynomial's monomials); cancelled terms dropped."""
     if not b:
         return a
     if negate:

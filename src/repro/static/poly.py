@@ -26,7 +26,7 @@ from math import comb
 from typing import Mapping, NamedTuple, Union
 
 from ..lang import Affine, NotAffineError
-from ..lang.affine import _frac
+from ..lang.affine import _frac, _merge, _new
 
 Number = Union[int, float, Fraction]
 
@@ -55,22 +55,22 @@ class Poly(NamedTuple):
     @staticmethod
     def constant(value: Number) -> "Poly":
         c = _frac(value)
-        return Poly((((), c),)) if c else Poly()
+        return _new(Poly, ((((), c),) if c else (),))
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
-        return Poly(((((name, power),), 1),))
+        return _new(Poly, (((((name, power),), 1),),))
 
     @staticmethod
     def from_terms(terms: Mapping[Monomial, Number]) -> "Poly":
         clean = sorted((m, _frac(c)) for m, c in terms.items())
-        return Poly(tuple(t for t in clean if t[1]))
+        return _new(Poly, (tuple(t for t in clean if t[1]),))
 
     @staticmethod
     def from_affine(form: Affine) -> "Poly":
         # an empty monomial sorts first and single names sort as the form does
         const = (((), form.const),) if form.const else ()
-        return Poly(const + tuple((((n, 1),), c) for n, c in form.coeffs))
+        return _new(Poly, (const + tuple((((n, 1),), c) for n, c in form.coeffs),))
 
     # -- inspection -------------------------------------------------------
 
@@ -111,23 +111,18 @@ class Poly(NamedTuple):
         return Poly.constant(value)
 
     def __add__(self, other: Union["Poly", Affine, Number]) -> "Poly":
+        # terms are sorted by monomial, as a form's are by name
         other = Poly._coerce(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        terms = dict(self.terms)
-        for m, c in other.terms:
-            terms[m] = terms.get(m, 0) + c
-        return Poly.from_terms(terms)
+        return _new(Poly, (_merge(self.terms, other.terms),))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple((m, -c) for m, c in self.terms))
+        return _new(Poly, (tuple((m, -c) for m, c in self.terms),))
 
     def __sub__(self, other: Union["Poly", Affine, Number]) -> "Poly":
-        return self + (-Poly._coerce(other))
+        other = Poly._coerce(other)
+        return _new(Poly, (_merge(self.terms, other.terms, negate=True),))
 
     def __rsub__(self, other: Union[Affine, Number]) -> "Poly":
         return Poly._coerce(other) - self

@@ -258,17 +258,19 @@ class Regions:
         them) need the sum of the two shapes instead.  Each input hull
         merges into the first group it may overlap; the result is a list
         of pairwise provably-disjoint boxes whose measures can be summed.
-        ``probe`` (see :func:`index_probe`) settles index-dependent
-        comparisons at a generic large iteration.
+        ``probe`` (see :func:`index_probe`) settles the overlaps that
+        :meth:`hulls_overlap` leaves open at a generic large iteration (an
+        inexact but generically correct answer: a row ``[2, N-1] x {i-2}``
+        and a point ``{i-2} x {1}`` are disjoint at every interior
+        iteration).
         """
-        items = tuple(sorted(probe.items()))
         groups: list[Hull] = []
         for h in hulls:
             for k, g in enumerate(groups):
-                overlap = self.memo(
-                    "overlap", (g, h, items), self._hulls_overlap, g, h, probe
-                )
-                if overlap is not False:
+                overlap = self.hulls_overlap(g, h)
+                if overlap is None:
+                    overlap = not self._apart_at(g, h, probe)
+                if overlap:
                     groups[k] = self.union_hulls([g, h])
                     break
             else:
@@ -277,16 +279,9 @@ class Regions:
 
     def hulls_overlap(self, a: Hull, b: Hull) -> Optional[bool]:
         """True/False when provable, None when indeterminate."""
-        return self.memo("overlap", (a, b, None), self._hulls_overlap, a, b, None)
+        return self.memo("overlap", (a, b), self._hulls_overlap, a, b)
 
-    def _hulls_overlap(
-        self, a: Hull, b: Hull, probe: Optional[Mapping[str, int]]
-    ) -> Optional[bool]:
-        """:meth:`hulls_overlap`; with a ``probe`` environment (keyed by its
-        sorted items), indeterminate per-dimension gaps are decided at the
-        probe point instead (an inexact but generically correct answer: a
-        row ``[2, N-1] x {i-2}`` and a point ``{i-2} x {1}`` are disjoint
-        at every interior iteration)."""
+    def _hulls_overlap(self, a: Hull, b: Hull) -> Optional[bool]:
         determinate = True
         for (alo, ahi), (blo, bhi) in zip(a.dims, b.dims):
             c1 = self.compare(ahi, blo)
@@ -294,14 +289,17 @@ class Regions:
             if c1 == -1 or c2 == -1:
                 return False
             if c1 is None or c2 is None:
-                if probe is not None:
-                    if (
-                        (ahi - blo).evaluate(probe) < 0
-                        or (bhi - alo).evaluate(probe) < 0
-                    ):
-                        return False
                 determinate = False
         return True if determinate else None
+
+    def _apart_at(self, a: Hull, b: Hull, probe: Mapping[str, int]) -> bool:
+        """Whether a dimension whose gap :meth:`compare` cannot sign
+        separates ``a`` and ``b`` at ``probe``."""
+        return any(
+            (self.compare(ahi, blo) is None or self.compare(bhi, alo) is None)
+            and ((ahi - blo).evaluate(probe) < 0 or (bhi - alo).evaluate(probe) < 0)
+            for (alo, ahi), (blo, bhi) in zip(a.dims, b.dims)
+        )
 
     def hull_contains(self, a: Hull, b: Hull) -> bool:
         """Provably ``a`` superset-of ``b`` (conservative: False when unsure)."""

@@ -114,9 +114,9 @@ class Regions:
     values over and over (a fused sp variant compared a few hundred pairs
     of affine forms two million times).  A ``Regions`` holds the
     analysis's :class:`~repro.lang.Assumptions` and one memo table per
-    question, keyed on the frozen values themselves — forms, hulls, loop
-    scopes, probe items (only :meth:`ref_hull` keys on a reference's
-    identity, and its entries hold the reference).  The attributor keeps
+    question, keyed on the values themselves — forms, hulls, loop scopes,
+    all tuples that hash in C (only :meth:`ref_hull` keys on a
+    reference's identity, and its entries hold the reference).  The attributor keeps
     its own questions in the same tables through :meth:`memo`.  One
     ``Regions`` lives as long as one
     :func:`~repro.static.profile.analyze_program` call, so nothing is

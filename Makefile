@@ -85,8 +85,8 @@ benchmarks:
 
 # refresh the committed autotuning artifact: full grid for the cheap
 # programs, reduced grid for sp (each of its fused candidates costs
-# seconds of symbolic analysis; the named levels still bound the search
-# there)
+# about 3 s of symbolic analysis on a 2-vCPU box; the named levels still
+# bound the search there)
 bench-tune:
 	$(PYTHON) -m repro tune adi sweep3d fft tomcatv swim --json-out BENCH_tune.json
 	$(PYTHON) -m repro tune sp --enablers "" --fusion-levels 0,1 --json-out BENCH_tune.json

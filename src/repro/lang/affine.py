@@ -205,7 +205,7 @@ class Affine(NamedTuple):
         for n, c in self.coeffs:
             if n in bindings:
                 bound = bindings[n]
-                out = out + (bound * c if isinstance(bound, Affine) else _frac(bound) * c)
+                out = out + (bound if isinstance(bound, Affine) else _frac(bound)) * c
         return out
 
     def fold(

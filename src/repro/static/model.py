@@ -159,7 +159,8 @@ def _guard_contexts(
     outer = scope[level]
     lo, hi, exact = narrow(outer.lo, outer.hi, guard, scope, assume)
     taken = tuple(
-        (p_lo, p_hi, 1) for p_lo, p_hi in pieces(outer.lo, outer.hi, guard, scope, assume)
+        (p_lo, p_hi, 1)
+        for p_lo, p_hi in pieces(outer.lo, outer.hi, guard, scope, assume)
     )
     inside = LoopCtx(outer.index, lo, hi, taken, exact and outer.exact, outer.loop_id)
     orelse = LoopCtx(

@@ -22,7 +22,15 @@ iteration counts are :func:`~repro.static.model.iterations`.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    Callable,
+    Hashable,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from ..lang import Affine, Assumptions
 from ..lang.scope import eliminate

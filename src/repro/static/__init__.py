@@ -55,7 +55,6 @@ from .schedule import (
     round_robin_positions,
     schedule_assignments,
     schedule_chunks,
-    thread_span,
 )
 
 __all__ = [
@@ -96,5 +95,4 @@ __all__ = [
     "schedule_chunks",
     "shift_question",
     "solve_shift",
-    "thread_span",
 ]

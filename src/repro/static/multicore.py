@@ -47,21 +47,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from functools import cache
+from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
-from ..lang import NotAffineError, Program
+from ..lang import Affine, NotAffineError, Program
+from ..lang.scope import eliminate
 from ..locality.histogram import ReuseHistogram
 from ..obs import metrics, span
-from .model import StaticRef
-from .parallelism import ParallelismProfile, analyze_parallelism, interval
+from .model import LoopCtx, StaticRef
+from .parallelism import ParallelismProfile, analyze_parallelism
 from .profile import StaticProfile, analyze_program, clamp_distance
-from .schedule import (
-    chunk_count,
-    parse_schedule,
-    preserves_affinity,
-    schedule_chunks,
-    thread_span,
-)
+from .schedule import parse_schedule, preserves_affinity, schedule_chunks
 
 #: component kinds whose reuse stays inside one thread's chunk
 _CHUNK_LOCAL = ("intra", "carried", "sibling")
@@ -198,6 +194,93 @@ class MulticorePrediction:
         }
 
 
+#: a reference's rectangular footprint: per subscript, its ``[lo, hi]``
+Box = tuple[tuple[int, int], ...]
+
+
+def _value(form: Affine, env: Mapping[str, int]) -> int:
+    """``form``'s integer value at ``env``; :class:`NotAffineError` when
+    it is fractional there (:meth:`Affine.fold`) or names an index."""
+    value, free = form.fold(env)
+    if free:
+        raise NotAffineError(f"unbound variable in {form}")
+    return value
+
+
+class _Share(NamedTuple):
+    """One reference's part of a ``T``-thread run.
+
+    ``outer`` is the concrete range of the reference's outer level,
+    ``chunks`` the schedule's per-thread chunk lists over it and
+    ``owned`` the outer iterations each thread owns.  ``parts`` holds,
+    per thread, ``(box, density)``: the box
+    :func:`~repro.lang.scope.eliminate` gives over the scope with the
+    outer level narrowed to the thread's span (the hull of its chunks),
+    and the owned iterations' share of that span; ``None`` for a thread
+    that runs none of the reference.  A reference of a serial nest runs
+    whole on thread 0 and has no outer range, chunks or owned counts.
+    """
+
+    outer: Optional[tuple[int, int]]
+    chunks: list[list[tuple[int, int]]]
+    owned: tuple[int, ...]
+    parts: tuple[Optional[tuple[Box, float]], ...]
+
+
+def _box(
+    inner: Sequence[tuple[Affine, Affine]],
+    outer: Sequence[LoopCtx],
+    env: Mapping[str, int],
+) -> Box:
+    """The concrete box of subscripts whose ranges over the levels inside
+    the outer one are ``inner``, once ``outer`` (that level, narrowed or
+    not, or none) is eliminated too."""
+    return tuple(
+        (_value(eliminate(lo, outer)[0], env), _value(eliminate(hi, outer)[1], env))
+        for lo, hi in inner
+    )
+
+
+def _share(
+    scope: tuple[LoopCtx, ...],
+    subs: tuple[Affine, ...],
+    partitioned: bool,
+    env: Mapping[str, int],
+    threads: int,
+    schedule: str,
+) -> Optional[_Share]:
+    """The :class:`_Share` of a reference with these ``scope`` and
+    ``subs`` (in a parallel nest when ``partitioned``), or None when one
+    of its bounds or subscripts is not an integer form at ``env``.  The
+    levels inside the outer one are eliminated once; only the outer
+    level is narrowed per thread."""
+    try:
+        # Affine.fold raises where a form is fractional at env
+        for ctx in scope:
+            ctx.lo.fold(env)
+            ctx.hi.fold(env)
+        for sub in subs:
+            sub.fold(env)
+        inner = [eliminate(sub, scope, 1) for sub in subs]
+        if not (partitioned and scope):
+            whole = (_box(inner, scope[:1], env), 1.0)
+            return _Share(None, [], (), (whole,) + (None,) * (threads - 1))
+        outer = (_value(scope[0].lo, env), _value(scope[0].hi, env))
+        chunks = schedule_chunks(*outer, threads, schedule)
+        owned = tuple(sum(b - a + 1 for a, b in own) for own in chunks)
+        parts = []
+        for own, n in zip(chunks, owned):
+            if not own:
+                parts.append(None)
+                continue
+            lo, hi = own[0][0], own[-1][1]
+            span = scope[0]._replace(lo=Affine.constant(lo), hi=Affine.constant(hi))
+            parts.append((_box(inner, (span,), env), n / (hi - lo + 1)))
+    except NotAffineError:
+        return None
+    return _Share(outer, chunks, owned, tuple(parts))
+
+
 #: chunk-boundary slack: outer ranges shifted by at most this many
 #: iterations (boundary guards, peeled first/last rows) still hand
 #: almost every element to the same thread
@@ -220,73 +303,32 @@ def _linear_outer_coeff(
 def _partition_aligned(
     src: StaticRef,
     dst: StaticRef,
-    parallel: frozenset[int],
-    env: Mapping[str, int],
+    shares: tuple[Optional[_Share], Optional[_Share]],
     strides: Mapping[str, tuple[int, ...]],
 ) -> bool:
     """Does the block partition keep this reuse pair on one thread?
 
-    True when the source's nest is also parallel, both outer loops run
-    over (almost) the same concrete range, and the linearized element
+    True when both references are partitioned (the source's nest is
+    also parallel), both outer loops run over (almost) the same concrete
+    range (their ``shares``' ``outer``), and the linearized element
     index depends on the two outermost variables with the same
     coefficient — then chunk ``t`` of the source touches essentially
     the elements chunk ``t`` of the destination re-touches.  A column
     sweep after a row sweep fails the coefficient test; ranges shifted
     by boundary guards (``1..N`` vs ``2..N-1``) pass the slack test.
     """
-    if src.nest != dst.nest and src.nest not in parallel:
+    outers = [s.outer for s in shares if s is not None and s.outer is not None]
+    if len(outers) < 2:
         return False
-    if not src.scope or not dst.scope:
-        return False
-    so, do = src.scope[0], dst.scope[0]
-    if (
-        abs(so.lo.evaluate(env) - do.lo.evaluate(env)) > _BOUNDS_SLACK
-        or abs(so.hi.evaluate(env) - do.hi.evaluate(env)) > _BOUNDS_SLACK
-    ):
+    (slo, shi), (dlo, dhi) = outers
+    if abs(slo - dlo) > _BOUNDS_SLACK or abs(shi - dhi) > _BOUNDS_SLACK:
         return False
     return _linear_outer_coeff(src, strides) == _linear_outer_coeff(
         dst, strides
     )
 
 
-def _scope_ranges(
-    ref: StaticRef,
-    env: Mapping[str, int],
-    outer_span: Optional[tuple[int, int]] = None,
-) -> dict[str, tuple[int, int]]:
-    """Concrete [lo, hi] range per loop variable of the ref's scope,
-    outermost first (inner bounds may reference outer variables), with
-    the outermost range optionally replaced by a thread's span."""
-    ranges: dict[str, tuple[int, int]] = {}
-    for depth, ctx in enumerate(ref.scope):
-        lo, _ = interval(ctx.lo, env, ranges)
-        _, hi = interval(ctx.hi, env, ranges)
-        if depth == 0 and outer_span is not None:
-            lo, hi = outer_span
-        ranges[ctx.index] = (lo, hi)
-    return ranges
-
-
-def _ref_box(
-    ref: StaticRef,
-    env: Mapping[str, int],
-    outer_span: Optional[tuple[int, int]] = None,
-) -> Optional[tuple[tuple[int, int], ...]]:
-    """Per-dimension [lo, hi] interval of the elements the ref touches
-    (the rectangular hull of its footprint), outer loop restricted to
-    ``outer_span`` when given.  None when the subscripts fall outside
-    the affine subset the interval engine supports."""
-    try:
-        ranges = _scope_ranges(ref, env, outer_span)
-        return tuple(interval(sub, env, ranges) for sub in ref.subs)
-    except NotAffineError:
-        return None
-
-
-def _box_overlap_fraction(
-    dst_box: tuple[tuple[int, int], ...],
-    src_box: tuple[tuple[int, int], ...],
-) -> float:
+def _box_overlap_fraction(dst_box: Box, src_box: Box) -> float:
     """|dst ∩ src| / |dst| over rank-aligned rectangular boxes."""
     if len(dst_box) != len(src_box):
         return 0.0
@@ -302,68 +344,37 @@ def _box_overlap_fraction(
     return frac
 
 
-def _per_outer_accesses(
-    ref: StaticRef, env: Mapping[str, int]
-) -> Optional[float]:
-    """How many accesses the ref performs per iteration of its outer
-    loop — the distance floor below which a chunk-local reuse provably
-    stays inside one outer iteration (so no chunk boundary can cut
-    it).  None when the trip counts fall outside the interval subset."""
-    if not ref.scope:
-        return None
-    try:
-        ranges = _scope_ranges(ref, env)
-    except NotAffineError:
-        return None
-    lo, hi = ranges[ref.scope[0].index]
-    n = hi - lo + 1
-    if n <= 0:
-        return None
-    total = float(ref.exec_count().evaluate(env))
-    return total / n
-
-
-def _boundary_fraction(
+def _boundary_cut(
+    share: Optional[_Share],
     ref: StaticRef,
     env: Mapping[str, int],
     threads: int,
-    schedule: str,
-) -> float:
-    """Fraction of a chunk-local reuse pushed off-thread by the *extra*
-    chunk boundaries of a chunked schedule.
+) -> tuple[float, float]:
+    """The fraction of a chunk-local reuse pushed off-thread by the
+    *extra* chunk boundaries of a chunked schedule, and the distance
+    floor below which a reuse is spared.
 
-    Plain static blocking cuts the outer range into at most ``T``
-    pieces, whose T-1 internal boundaries the model already neglects;
-    ``static,k`` and ``guided`` cut it into ``C >= T`` pieces, and a
-    unit-distance carried reuse crossing one of the ``C - T`` extra
-    boundaries is consumed by the round-robin *next* thread — off-core.
-    The fraction of the ``n - 1`` iteration gaps that land on an extra
-    boundary estimates the lost share.
+    Plain static blocking (and ``dynamic``'s rotated blocks) cuts the
+    outer range into at most ``T`` pieces, whose T-1 internal boundaries
+    the model already neglects; ``static,k`` and ``guided`` cut it into
+    ``C >= T`` pieces, and a unit-distance carried reuse crossing one of
+    the ``C - T`` extra boundaries is consumed by the round-robin *next*
+    thread — off-core.  The fraction of the ``n - 1`` iteration gaps
+    that land on an extra boundary estimates the lost share.  The floor
+    is the reference's accesses per outer iteration: a shorter reuse
+    provably stays inside one outer iteration, so no boundary cuts it.
     """
-    kind, chunk = parse_schedule(schedule)
-    if kind == "dynamic" or (kind == "static" and chunk == 0):
-        return 0.0
-    try:
-        ranges = _scope_ranges(ref, env)
-    except NotAffineError:
-        return 0.0
-    lo, hi = ranges[ref.scope[0].index]
-    n = hi - lo + 1
-    if n <= 1:
-        return 0.0
-    extra = max(0, chunk_count(lo, hi, threads, schedule) - threads)
-    return min(1.0, extra / (n - 1))
+    if share is None or share.outer is None:
+        return 0.0, 0.0
+    lo, hi = share.outer
+    extra = sum(map(len, share.chunks)) - threads
+    if extra <= 0:
+        return 0.0, 0.0
+    floor = float(ref.exec_count().evaluate(env)) / (hi - lo + 1)
+    return min(1.0, extra / (hi - lo)), floor
 
 
-def _thread_coverage(
-    dst: StaticRef,
-    kind: str,
-    refs: Sequence[StaticRef],
-    parallel: frozenset[int],
-    env: Mapping[str, int],
-    threads: int,
-    schedule: str,
-) -> float:
+def _thread_coverage(dst: Optional[_Share], priors: Collection[_Share]) -> float:
     """How much of a misaligned cross reuse actually stays on-thread.
 
     When the consuming nest is partitioned over a *different* axis than
@@ -372,81 +383,30 @@ def _thread_coverage(
     each consumer thread usually re-touches a slice of data it already
     visited under the other partitioning.  That slice is a long-distance
     on-thread reuse, not a compulsory miss.  The fraction is estimated
-    per thread as the best rectangular-hull overlap between the thread's
-    chunk of the consuming reference and its chunk of any earlier
-    reference of the same array (serial nests belong to thread 0), then
-    averaged weighted by chunk size.  ``cross_step`` reuse may come from
-    any nest of the previous step; ``cross_nest`` only from earlier
-    nests of the same step.
+    per thread as the best box overlap between the thread's part of the
+    consuming reference (``dst``) and its part of any earlier reference
+    of the same array (``priors``), diluted by that part's ownership
+    density (a chunked schedule scatters a thread's chunks across a wide
+    span it owns only partly), then averaged weighted by the iterations
+    owned.
     """
-    if not dst.scope:
+    if dst is None:
         return 0.0
-    try:
-        outer_ranges = _scope_ranges(dst, env)
-    except NotAffineError:
-        return 0.0
-    dlo, dhi = outer_ranges[dst.scope[0].index]
-    if dhi < dlo:
-        return 0.0
-    priors = [
-        r
-        for r in refs
-        if r.array == dst.array
-        and (kind == "cross_step" or r.nest < dst.nest)
-        and r is not dst
-    ]
-    if not priors:
-        return 0.0
-    chunks = schedule_chunks(dlo, dhi, threads, schedule)
     weighted = 0.0
     total_w = 0.0
-    for t in range(threads):
-        if not chunks[t]:
+    for t, part in enumerate(dst.parts):
+        if part is None:
             continue
-        span_t = (chunks[t][0][0], chunks[t][-1][1])
-        w = sum(b - a + 1 for a, b in chunks[t])
-        dst_box = _ref_box(dst, env, span_t)
-        if dst_box is None:
-            continue
-        best = 0.0
-        for r in priors:
-            if r.nest in parallel and r.scope:
-                try:
-                    r_ranges = _scope_ranges(r, env)
-                except NotAffineError:
-                    continue
-                rlo, rhi = r_ranges[r.scope[0].index]
-                if rhi < rlo:
-                    continue
-                r_span = thread_span(rlo, rhi, threads, t, schedule)
-                if r_span[1] < r_span[0]:
-                    continue
-                src_box = _ref_box(r, env, r_span)
-                # chunked schedules scatter a thread's chunks across a
-                # wide bounding span; the thread only *owns* its chunk
-                # iterations, so the hull overlap is diluted by the
-                # ownership density inside the span
-                r_chunks = schedule_chunks(
-                    rlo, rhi, threads, schedule
-                )[t]
-                owned = sum(b - a + 1 for a, b in r_chunks)
-                span_n = r_span[1] - r_span[0] + 1
-                density = owned / span_n if span_n > 0 else 0.0
-            elif t == 0:  # serial nests execute entirely on thread 0
-                src_box = _ref_box(r, env)
-                density = 1.0
-            else:
-                continue
-            if src_box is None:
-                continue
-            best = max(
-                best,
-                _box_overlap_fraction(dst_box, src_box) * density,
-            )
-            if best >= 1.0:
-                break
-        weighted += w * best
-        total_w += w
+        best = max(
+            (
+                _box_overlap_fraction(part[0], src[0]) * src[1]
+                for src in (p.parts[t] for p in priors)
+                if src is not None
+            ),
+            default=0.0,
+        )
+        weighted += dst.owned[t] * best
+        total_w += dst.owned[t]
     return weighted / total_w if total_w > 0 else 0.0
 
 
@@ -497,12 +457,41 @@ def predict_multicore(
     p_frac = par_accesses / total_accesses if total_accesses > 0 else 0.0
     traversal = (1.0 - p_frac) + p_frac / threads
 
+    # the per-thread table: one share per distinct (scope, subscripts)
+    shares: dict[tuple, Optional[_Share]] = {}
+
+    def share(ref: StaticRef) -> Optional[_Share]:
+        key = (ref.scope, ref.subs, ref.nest in parallel)
+        if key not in shares:
+            shares[key] = _share(*key, env, threads, schedule)
+        return shares[key]
+
+    @cache
+    def coverage(ref_id: int, kind: str) -> float:
+        # cross_step reuse may come from any nest of the previous step,
+        # cross_nest only from earlier nests of the same step
+        dst = refs[ref_id]
+        priors = {
+            id(p): p
+            for r in refs
+            if r.array == dst.array
+            and (kind == "cross_step" or r.nest < dst.nest)
+            and r is not dst
+            and (p := share(r)) is not None
+        }
+        return _thread_coverage(share(dst), priors.values())
+
     private: list[tuple[float, float]] = []
     shared: list[tuple[float, float]] = []
     cold_shared = 0.0
     cold_private = 0.0
     for cp in profile.classes:
         is_par = threads > 1 and cp.ref.nest in parallel
+        cut, floor = (
+            _boundary_cut(share(cp.ref), cp.ref, env, threads)
+            if is_par
+            else (0.0, 0.0)
+        )
         rows, cold = profile.class_walk(cp, env)
         for comp, count, dist in rows:
             if threads == 1:
@@ -524,14 +513,7 @@ def predict_multicore(
                 # reuse (innermost-carried, intra, sibling) lives
                 # inside a single outer iteration and never sees the
                 # boundary, whatever the chunking.
-                boundary = 0.0
-                if is_par and cp.ref.scope:
-                    per_outer = _per_outer_accesses(cp.ref, env)
-                    if per_outer is None or dist >= per_outer:
-                        bf = _boundary_fraction(
-                            cp.ref, env, threads, schedule
-                        )
-                        boundary = count * bf
+                boundary = count * cut if dist >= floor else 0.0
                 if boundary > 0:
                     # losing the source to another core never shortens
                     # the reuse: degrade to the horizon, floored at the
@@ -549,7 +531,9 @@ def predict_multicore(
             src = refs[comp.source] if comp.source is not None else cp.ref
             if is_par and not (
                 affinity
-                and _partition_aligned(src, cp.ref, parallel, env, strides)
+                and _partition_aligned(
+                    src, cp.ref, (share(src), share(cp.ref)), strides
+                )
             ):
                 # the nearest producing touch ran on another core.  The
                 # slice of the chunk the consumer thread itself visited
@@ -560,15 +544,9 @@ def predict_multicore(
                 # thread: compulsory on the first pass over the data,
                 # horizon-distance reuse of its own previous-step touch
                 # on later passes.
-                coverage = (
-                    _thread_coverage(
-                        cp.ref, comp.kind, refs, parallel, env,
-                        threads, schedule,
-                    )
-                    if affinity
-                    else 0.0
+                on_thread = count * (
+                    coverage(cp.ref.ref_id, comp.kind) if affinity else 0.0
                 )
-                on_thread = count * coverage
                 off_thread = count - on_thread
                 cold_private += off_thread / profile.steps
                 horizon = on_thread + off_thread * (

@@ -222,7 +222,7 @@ class ParallelismProfile:
 # -- affine folding (Affine.fold; no interp/codegen import) ------------------
 
 
-def interval(
+def _interval(
     form: Affine,
     params: Mapping[str, int],
     ranges: Mapping[str, tuple[int, int]],
@@ -363,7 +363,7 @@ def _fold(
     for r in ranges:
         try:
             folded[r.index] = (
-                interval(r.lo, params, folded)[0], interval(r.hi, params, folded)[1]
+                _interval(r.lo, params, folded)[0], _interval(r.hi, params, folded)[1]
             )
         except AnalysisError:
             folded.pop(r.index, None)
@@ -426,8 +426,8 @@ class _Collector(Scope):
         known = _fold(self.ranges, self.params, self.outer)
         try:
             lo_a, hi_a = loop.bounds_affine()
-            lo_r = interval(lo_a, self.params, known)
-            hi_r = interval(hi_a, self.params, known)
+            lo_r = _interval(lo_a, self.params, known)
+            hi_r = _interval(hi_a, self.params, known)
         except AnalysisError as exc:
             raise _Unsupported(str(exc)) from exc
         if lo_r[0] != lo_r[1] or hi_r[0] != hi_r[1]:
@@ -696,8 +696,8 @@ class _Analyzer(Scope):
         path = tuple(r.index for r in self.ranges) + (loop.index,)
         try:
             bounds: _Bounds = (
-                interval(loop.lower.affine(), self.params, ranges),
-                interval(loop.upper.affine(), self.params, ranges),
+                _interval(loop.lower.affine(), self.params, ranges),
+                _interval(loop.upper.affine(), self.params, ranges),
             )
         except AnalysisError as exc:
             bounds = exc

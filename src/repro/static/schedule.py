@@ -142,28 +142,6 @@ def schedule_chunks(
     return out
 
 
-def thread_span(
-    lo: int,
-    hi: int,
-    threads: int,
-    thread: int,
-    schedule: str = "static",
-) -> tuple[int, int]:
-    """The bounding ``[first, last]`` iteration span thread ``thread``
-    executes (empty span reported as ``(lo, lo - 1)``).  For chunked
-    schedules the span is not contiguous; callers using it as a hull
-    over-approximate, which is the right direction for prescreens."""
-    chunks = schedule_chunks(lo, hi, threads, schedule)[thread]
-    if not chunks:
-        return lo, lo - 1
-    return chunks[0][0], chunks[-1][1]
-
-
-def chunk_count(lo: int, hi: int, threads: int, schedule: str) -> int:
-    """How many chunks the schedule splits [lo, hi] into."""
-    return len(schedule_assignments(lo, hi, threads, schedule))
-
-
 def round_robin_positions(lengths: Sequence[int]) -> list[np.ndarray]:
     """Where a round-robin merge puts every access: entry ``i`` holds the
     merged position of each access of stream ``i``, in the stream's own

@@ -317,6 +317,57 @@ def test_the_reuse_ladder_measures_through_one_step():
     assert large_probes("env = {v: 10**4 for v in names}") == 1
 
 
+#: the names ``static/parallelism.py`` has given its concrete interval fold
+INTERVAL_FOLD = {"_interval", "interval"}
+
+
+def interval_folds(source: str) -> list[str]:
+    """``line: what`` for each import of ``parallelism``'s concrete
+    interval fold in ``source`` and each call of it: ``_interval(...)``,
+    or ``parallelism.<fold>(...)`` by either name (a bare ``interval`` is
+    also ``lang.interval``, the guard-interval builder)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
+            "parallelism"
+        ):
+            found += [
+                (node.lineno, f"import {alias.name}")
+                for alias in node.names if alias.name in INTERVAL_FOLD
+            ]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "_interval":
+                found.append((node.lineno, "call _interval"))
+            elif (
+                isinstance(func, ast.Attribute) and func.attr in INTERVAL_FOLD
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "parallelism"
+            ):
+                found.append((node.lineno, f"call parallelism.{func.attr}"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_only_parallelism_folds_concrete_intervals():
+    """Every other analysis takes an index's range from
+    ``lang.scope.eliminate`` over its (narrowed) scope: widening each
+    index on its own gives a coupled subscript a box outside its array."""
+    users = {
+        str(path.relative_to(PACKAGE)): hits
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for hits in [interval_folds(path.read_text())]
+        if hits
+    }
+    assert list(users) == ["static/parallelism.py"], users
+    # the gate sees what it forbids
+    assert interval_folds(
+        "from .parallelism import ParallelismProfile, _interval\n"
+        "def box(form):\n    return _interval(form, {}, {})\n"
+        "def old(form):\n    return parallelism.interval(form, {}, {})\n"
+        "g = interval(1, 2)\n"
+    ) == ["1: import _interval", "3: call _interval", "5: call parallelism.interval"]
+
+
 def _imports(source: str) -> set[str]:
     """The modules ``source`` imports, relative ones resolved as if it
     sat one package below ``repro`` (``..interp.trace`` is

@@ -16,13 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.static.schedule import (
-    chunk_count,
     parse_schedule,
     preserves_affinity,
     round_robin_positions,
     schedule_assignments,
     schedule_chunks,
-    thread_span,
 )
 
 # -- parsing -------------------------------------------------------------------
@@ -73,7 +71,7 @@ def test_static_more_threads_than_iterations():
 
 def test_empty_range():
     assert schedule_assignments(5, 4, 2, "static") == []
-    assert thread_span(5, 4, 2, 0, "static") == (5, 4)
+    assert schedule_chunks(5, 4, 2, "static") == [[], []]
 
 
 # -- static,k chunk boundaries -------------------------------------------------
@@ -100,9 +98,9 @@ def test_static_k_ragged_tail():
 def test_static_k_chunk_boundaries_count():
     # C chunks = ceil(n/k); extra boundaries beyond plain blocking are
     # what the multicore boundary model charges for
-    assert chunk_count(1, 16, 4, "static") == 4
-    assert chunk_count(1, 16, 4, "static,2") == 8
-    assert chunk_count(1, 16, 4, "static,1") == 16
+    assert len(schedule_assignments(1, 16, 4, "static")) == 4
+    assert len(schedule_assignments(1, 16, 4, "static,2")) == 8
+    assert len(schedule_assignments(1, 16, 4, "static,1")) == 16
 
 
 def test_static_k_affinity_across_invocations():
@@ -113,8 +111,8 @@ def test_static_k_affinity_across_invocations():
 
 
 def test_static_k_span_is_noncontiguous_hull():
-    # thread 0's chunks 1-2 and 7-8: the span hull covers the gap
-    assert thread_span(1, 10, 3, 0, "static,2") == (1, 8)
+    # thread 0's chunks 1-2 and 7-8: the span hull (1, 8) covers the gap
+    assert schedule_chunks(1, 10, 3, "static,2")[0] == [(1, 2), (7, 8)]
 
 
 # -- guided --------------------------------------------------------------------

@@ -16,6 +16,8 @@ lookup only say what an assignment instance does, and no module outside
 ``repro.lang`` but inlining binds a procedure's formals.
 The tracers' fold is defined once, in ``lang/lowering.py``, and the
 codegen tracer reads nothing of ``repro.interp`` but the trace container.
+Only ``static/parallelism.py`` widens index ranges to concrete integers
+one index at a time (``_interval``); the other analyses eliminate.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Each reference's box on a thread is what ``lang.scope.eliminate`` gives
 over its scope with the outer level narrowed to the thread's span, so a
 subscript coupling two indices keeps the footprint it really has: every
 box lies inside the array's declared extents.  Widening each index on
-its own gave ``B[j - i + 1, i]`` below rows (-10, 12) at N=12.
+its own gave ``B[j - i + 1, i]`` under ``j = i, N`` rows (-10, 12) at
+N=12, outside the array's 12 rows.
 """
 
 from __future__ import annotations

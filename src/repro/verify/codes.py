@@ -159,13 +159,13 @@ _register(
 a missing initialization.""",
 )
 _register(
-    "V202", Severity.INFO,
+    "V202", Severity.WARNING,
     "scalar assigned but never read",
     """Dead scalar: scalars are not program outputs, so a write-only
 scalar computes nothing observable.""",
 )
 _register(
-    "V203", Severity.INFO,
+    "V203", Severity.WARNING,
     "array declared but never referenced",
     """The array occupies a declaration (and a layout slot) but no
 statement touches it.""",
@@ -178,7 +178,7 @@ its initial values.  Expected for coefficient arrays, suspicious for
 work arrays.""",
 )
 _register(
-    "V205", Severity.WARNING,
+    "V205", Severity.INFO,
     "reads disjoint from every written region",
     """Region analysis proves the read regions of the array never
 intersect its written regions — the reads observe initial values even

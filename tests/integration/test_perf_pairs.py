@@ -1,8 +1,12 @@
 """``tools/perf_pairs.py``'s claim verdict: the gain rule of
-perf/README.md ("Comparing two sets of runs") on fixed samples."""
+perf/README.md ("Comparing two sets of runs") on fixed samples; and what
+it says when a run fails."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "perf_pairs.py"
 _spec = importlib.util.spec_from_file_location("perf_pairs", TOOL)
@@ -31,3 +35,26 @@ def test_a_gap_inside_the_quartile_distance_does_not_hold():
 
 def test_a_slower_change_never_holds():
     assert not perf_pairs.claim_holds(A, [x + 0.10 for x in A])
+
+
+@pytest.mark.parametrize(
+    "stdout, stderr, shown",
+    [
+        ("", "Traceback (most recent call last):\nZeroDivisionError: boom\n",
+         "ZeroDivisionError: boom"),
+        ("== small_matrix\nnot json\n", "MemoryError\n", "MemoryError"),
+        ("   checks: 2 failed of 9\n   FAILED adi trace\n{\"failed\": 2}\n", "",
+         "checks: 2 failed of 9\nFAILED adi trace"),
+    ],
+)
+def test_a_failed_run_names_its_checkout_seed_status_and_stderr(
+    monkeypatch, stdout, stderr, shown
+):
+    def crashed(cmd, **kw):
+        return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr=stderr)
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", crashed)
+    with pytest.raises(SystemExit) as exc:
+        perf_pairs.run_once("../parent", "small_matrix", 7)
+    assert str(exc.value).startswith("../parent seed 7: exit status 1\n")
+    assert str(exc.value).endswith(shown)

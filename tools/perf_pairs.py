@@ -30,15 +30,26 @@ RAW = "raw_pass_wall_s"
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict[str, float]:
-    """One ``perf/run.py`` run: its metrics, then its raw seconds;
-    SystemExit on a failed check."""
+    """One ``perf/run.py`` run: its metrics, then its raw seconds.
+
+    A run that exits non-zero (a failed check or a crash) is a
+    SystemExit naming the checkout, the seed, the exit status, the
+    run's check summary and ``FAILED`` lines if it printed any, and the
+    last ten lines of its stderr."""
     with tempfile.TemporaryDirectory() as out:
         cmd = [sys.executable, "perf/run.py", "--workload", workload]
         cmd += ["--seed", str(seed), "--out", out]
         done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+        if done.returncode:
+            checks = [
+                line.strip() for line in done.stdout.splitlines()
+                if line.lstrip().startswith(("checks:", "FAILED"))
+            ]
+            raise SystemExit("\n".join([
+                f"{checkout} seed {seed}: exit status {done.returncode}",
+                *checks, *done.stderr.strip().splitlines()[-10:],
+            ]))
         report = json.loads(done.stdout.strip().splitlines()[-1])
-        if done.returncode or report["failed"]:
-            raise SystemExit(f"{checkout} seed {seed}: {report['failed']} failed checks")
         results = json.loads((Path(out) / "results.json").read_text())
     metrics = {name: m["value"] for name, m in report["metrics"].items()}
     return metrics | {RAW: results["workloads"][workload]["rows"][RAW]["value"]}

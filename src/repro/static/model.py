@@ -142,6 +142,10 @@ class StaticModel:
 
     def total_accesses(self) -> Poly:
         """Accesses per body repetition (multiply by steps for a run)."""
+        return self._total_accesses
+
+    @cached_property
+    def _total_accesses(self) -> Poly:
         total = Poly()
         for ref in self.refs:
             total = total + ref.exec_count()

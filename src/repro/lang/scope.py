@@ -4,7 +4,7 @@
 evaluating anything, and keeps the affine range of every enclosing loop
 index as a :class:`Range`.  A subclass supplies what it does at an
 assignment, a loop or a call; the footprint collector, the IR linter,
-the regrouping analysis and the parallelism collectors are such
+the regrouping analysis and the parallelism analyzer are such
 subclasses.  It is the symbolic twin of :class:`~repro.lang.Walk`, which
 visits statement instances at concrete parameters.
 
@@ -17,14 +17,17 @@ Two rules live here and nowhere else:
   enclosing range (the complement of an interval is not an interval).
 * :func:`eliminate`, the affine elimination: the symbolic ``[min, max]``
   of a form over in-scope index ranges.
+
+:func:`fold_range` is the one concrete range: :func:`eliminate`, then
+:meth:`Affine.fold` at a binding.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .affine import Affine, Assumptions
-from .errors import AnalysisError
+from .errors import AnalysisError, NotAffineError
 from .stmt import Assign, CallStmt, Guard, Interval, Loop, Stmt
 
 
@@ -156,6 +159,24 @@ def eliminate(
         if c != 0:
             hi = hi.substitute({rng.index: b_hi if c > 0 else b_lo})
     return lo, hi
+
+
+def fold_range(
+    form: Affine, scope: Sequence, env: Mapping[str, int]
+) -> tuple[int, int]:
+    """The concrete ``[min, max]`` of ``form`` over the ranges of ``scope``
+    (:func:`eliminate`) at the binding ``env`` (:meth:`Affine.fold`).
+
+    A value fractional at ``env``, or a name bound by neither, is a
+    :class:`NotAffineError`.
+    """
+    values = []
+    for bound in eliminate(form, scope):
+        value, free = bound.fold(env)
+        if free:
+            raise NotAffineError(f"unbound variable {free[0][0]!r} in {form}")
+        values.append(value)
+    return values[0], values[1]
 
 
 class Scope:

@@ -51,7 +51,7 @@ from functools import cache
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from ..lang import Affine, NotAffineError, Program
-from ..lang.scope import eliminate
+from ..lang.scope import eliminate, fold_range
 from ..locality.histogram import ReuseHistogram
 from ..obs import metrics, span
 from .model import LoopCtx, StaticRef
@@ -198,15 +198,6 @@ class MulticorePrediction:
 Box = tuple[tuple[int, int], ...]
 
 
-def _value(form: Affine, env: Mapping[str, int]) -> int:
-    """``form``'s integer value at ``env``; :class:`NotAffineError` when
-    it is fractional there (:meth:`Affine.fold`) or names an index."""
-    value, free = form.fold(env)
-    if free:
-        raise NotAffineError(f"unbound variable in {form}")
-    return value
-
-
 class _Share(NamedTuple):
     """One reference's part of a ``T``-thread run.
 
@@ -234,9 +225,9 @@ def _box(
 ) -> Box:
     """The concrete box of subscripts whose ranges over the levels inside
     the outer one are ``inner``, once ``outer`` (that level, narrowed or
-    not, or none) is eliminated too."""
+    not, or none) is eliminated too (:func:`~repro.lang.scope.fold_range`)."""
     return tuple(
-        (_value(eliminate(lo, outer)[0], env), _value(eliminate(hi, outer)[1], env))
+        (fold_range(lo, outer, env)[0], fold_range(hi, outer, env)[1])
         for lo, hi in inner
     )
 
@@ -265,7 +256,7 @@ def _share(
         if not (partitioned and scope):
             whole = (_box(inner, scope[:1], env), 1.0)
             return _Share(None, [], (), (whole,) + (None,) * (threads - 1))
-        outer = (_value(scope[0].lo, env), _value(scope[0].hi, env))
+        outer = fold_range(Affine.var(scope[0].index), scope[:1], env)
         chunks = schedule_chunks(*outer, threads, schedule)
         owned = tuple(sum(b - a + 1 for a, b in own) for own in chunks)
         parts = []

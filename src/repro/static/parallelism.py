@@ -32,9 +32,14 @@ shared :mod:`.dependence_test`: the conservative interval+gcd screen
 witness, *overturns* the conservative screen with an infeasibility
 proof, or runs out of budget (witness ``None``, marked inexact).  Both
 read one set of cross-lane terms, :func:`~.dependence_test.lane_terms`.
-Each axis is collected once (:class:`_Collector`), one rule
-(:func:`_assign_accesses`) lists an assignment's accesses for both tiers
-and one (:func:`_linearize`) numbers the elements they touch.
+The program is collected once, by one walk (:class:`_Analyzer`): one
+rule (:func:`_assign_accesses`) lists an assignment's accesses and one
+(:func:`_linearize`) numbers the elements they touch, once per access,
+in pre-order, so each loop's accesses are a contiguous slice that its
+symbolic tier, space estimate and reduction targets read; the exhaustive
+tier evaluates the same records.  Every concrete index range is
+:func:`~repro.lang.scope.fold_range`'s: the guard-narrowed scope
+eliminated, then folded at the parameters.
 
 Layering: depends on ``lang`` and ``obs`` only — element numbering
 reproduces the tracer's column-major linearization locally so nothing
@@ -44,7 +49,8 @@ here imports the interpreter or the codegen backend.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from itertools import count
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from ..lang import (
     Affine,
@@ -52,7 +58,6 @@ from ..lang import (
     ArrayRef,
     Assign,
     BinOp,
-    Call,
     CallStmt,
     Expr,
     Guard,
@@ -67,7 +72,7 @@ from ..lang import (
     Walk,
 )
 from ..lang.lowering import linearize
-from ..lang.scope import Range
+from ..lang.scope import fold_range
 from ..obs import metrics, span
 from .dependence_test import lane_conflict, lane_terms, solve_sum
 
@@ -219,25 +224,7 @@ class ParallelismProfile:
         }
 
 
-# -- affine folding (Affine.fold; no interp/codegen import) ------------------
-
-
-def _interval(
-    form: Affine,
-    params: Mapping[str, int],
-    ranges: Mapping[str, tuple[int, int]],
-) -> tuple[int, int]:
-    """Concrete [min, max] of a bound form over widened variable ranges;
-    :class:`~repro.lang.NotAffineError` outside the integer-affine subset."""
-    lo, terms = form.fold(params)
-    hi = lo
-    for name, coeff in terms:
-        rng = ranges.get(name)
-        if rng is None:
-            raise NotAffineError(f"unbound loop variable {name!r}")
-        lo += min(coeff * rng[0], coeff * rng[1])
-        hi += max(coeff * rng[0], coeff * rng[1])
-    return lo, hi
+# -- element numbering (lang.lowering; no interp/codegen import) -------------
 
 
 def _linearize(
@@ -261,12 +248,41 @@ def _linearize(
         raise _Unsupported(str(exc)) from exc
 
 
-# -- reference collection -----------------------------------------------------
+# -- the collected accesses ---------------------------------------------------
+
+
+class _Occurrence(NamedTuple):
+    """A loop the walk met with its index in scope: its number in walk
+    order, its index and the concrete range
+    :func:`~repro.lang.scope.fold_range` gives that index."""
+
+    num: int
+    index: str
+    range: tuple[int, int]
+
+
+class _Access(NamedTuple):
+    """One access of the program, linearized once: the (pseudo-)array,
+    its element record over source index names and the loops in scope
+    around it, outermost first."""
+
+    array: str
+    const: int
+    terms: tuple[tuple[str, int], ...]
+    is_write: bool
+    text: str
+    accum: Optional[int]  # statement number when part of an accumulation
+    loops: tuple[_Occurrence, ...]
 
 
 @dataclass
 class _Ref:
-    """One (pseudo-)array reference folded to a linear element form."""
+    """One access as one axis's symbolic tier reads it.
+
+    Inner loops are variables per *occurrence* (``j#0``, ``j#1``, ...),
+    like :attr:`.model.LoopCtx.loop_id`: fusion's peeling leaves sibling
+    loops that reuse an index name over different ranges.
+    """
 
     array: str
     const: int
@@ -277,18 +293,41 @@ class _Ref:
     loops: tuple[str, ...]  # the axis-inner loop occurrences enclosing it
 
 
-def _walk_expr(expr: Expr) -> Iterator[Expr]:
-    """Pre-order leaves that read memory (ArrayRef / ScalarRef)."""
-    if isinstance(expr, (ArrayRef, ScalarRef)):
-        yield expr
-    elif isinstance(expr, BinOp):
-        yield from _walk_expr(expr.left)
-        yield from _walk_expr(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from _walk_expr(expr.operand)
-    elif isinstance(expr, Call):
-        for a in expr.args:
-            yield from _walk_expr(a)
+class _Slice(NamedTuple):
+    """One axis's part of the walk, read by the symbolic tier, the space
+    estimate and the reduction targets."""
+
+    refs: list[_Ref]
+    inner: dict[str, tuple[int, int]]  # the inner occurrences' ranges
+    exact: bool  # False when the axis, or a loop or guard inside, is a hull
+    per_lane: int  # upper bound on accesses per axis iteration
+
+    def reductions(self) -> tuple[str, ...]:
+        """The accumulation targets, one per accumulating statement."""
+        return tuple(
+            r.text for r in self.refs if r.accum is not None and r.is_write
+        )
+
+
+def _slice(
+    accesses: Sequence[_Access], axis: _Occurrence, depth: int, exact: bool
+) -> _Slice:
+    """The :class:`_Slice` of the axis ``axis`` at ``depth`` whose body
+    holds ``accesses``."""
+    refs, inner, per_lane = [], {}, 0
+    for a in accesses:
+        names, mult = {}, 1
+        # an index name's innermost occurrence shadows the others
+        for index, loop in {loop.index: loop for loop in a.loops[depth + 1:]}.items():
+            names[index] = name = f"{index}#{loop.num - axis.num - 1}"
+            lo, hi = inner[name] = loop.range
+            mult *= max(0, hi - lo + 1)
+        per_lane += mult
+        refs.append(_Ref(
+            a.array, a.const, {names.get(n, n): c for n, c in a.terms},
+            a.is_write, a.text, a.accum, tuple(names.values()),
+        ))
+    return _Slice(refs, inner, exact, per_lane)
 
 
 def _accum_spine(stmt: Assign) -> Optional[Expr]:
@@ -343,106 +382,13 @@ def _assign_accesses(stmt: Assign) -> list[tuple[Expr, bool, bool]]:
     self_read = _accum_spine(stmt)
     accum = self_read is not None
     out = []
-    for leaf in _walk_expr(stmt.expr):
-        out.append((leaf, False, leaf is self_read))
-        if leaf is self_read:
-            self_read = None  # mark one read, should the node repeat
+    for leaf in stmt.expr.walk():  # validated subscripts read no memory
+        if isinstance(leaf, (ArrayRef, ScalarRef)):
+            out.append((leaf, False, leaf is self_read))
+            if leaf is self_read:
+                self_read = None  # mark one read, should the node repeat
     out.append((stmt.target, True, accum))
     return out
-
-
-def _fold(
-    ranges: Sequence[Range],
-    params: Mapping[str, int],
-    known: Mapping[str, tuple[int, int]],
-) -> dict[str, tuple[int, int]]:
-    """``known`` plus the scope's ranges folded at ``params``: each index's
-    concrete [min, max] over the indices enclosing it (an index whose
-    bounds do not fold stays out)."""
-    folded = dict(known)
-    for r in ranges:
-        try:
-            folded[r.index] = (
-                _interval(r.lo, params, folded)[0], _interval(r.hi, params, folded)[1]
-            )
-        except AnalysisError:
-            folded.pop(r.index, None)
-    return folded
-
-
-class _Collector(Scope):
-    """One axis's subtree flattened into folded references + inner ranges,
-    read by the symbolic tier, the space estimate and the reduction targets.
-
-    Inner loops are variables per *occurrence* (``j#0``, ``j#1``, ...),
-    like :attr:`.model.LoopCtx.loop_id`: fusion's peeling leaves sibling
-    loops that reuse an index name over different ranges.  Raises
-    :class:`_Unsupported` outside the integer-affine subset.
-    """
-
-    def __init__(
-        self,
-        params: Mapping[str, int],
-        strides: Mapping[str, tuple[int, ...]],
-        loop: Loop,
-        outer: Mapping[str, tuple[int, int]],
-    ) -> None:
-        super().__init__()
-        self.params = params
-        self.strides = strides
-        self.outer = outer  # the ranges of the names enclosing the axis
-        self.refs: list[_Ref] = []
-        self.inner: dict[str, tuple[int, int]] = {}
-        self.occurrence: dict[int, str] = {}  # id(inner loop) -> its variable
-        self.exact = True  # False once a guard or context-widened bound appears
-        self.per_lane = 0  # upper bound on accesses per axis iteration
-        self._stmts = 0
-        Scope.loop(self, loop)
-
-    def reductions(self) -> tuple[str, ...]:
-        """The accumulation targets, one per accumulating statement."""
-        return tuple(
-            r.text for r in self.refs if r.accum is not None and r.is_write
-        )
-
-    def assign(self, stmt: Assign) -> None:
-        scope = {r.index: self.occurrence[id(r.loop)] for r in self.ranges[1:]}
-        mult = 1
-        for occurrence in scope.values():
-            lo, hi = self.inner[occurrence]
-            mult *= max(0, hi - lo + 1)
-        stmt_id = self._stmts
-        self._stmts += 1
-        for ref, is_write, accum in _assign_accesses(stmt):
-            array, const, terms = _linearize(ref, self.strides, self.params)
-            self.refs.append(_Ref(
-                array, const, {scope.get(n, n): c for n, c in terms},
-                is_write, str(ref), stmt_id if accum else None,
-                tuple(scope.values()),
-            ))
-            self.per_lane += mult
-
-    def loop(self, loop: Loop) -> None:
-        known = _fold(self.ranges, self.params, self.outer)
-        try:
-            lo_a, hi_a = loop.bounds_affine()
-            lo_r = _interval(lo_a, self.params, known)
-            hi_r = _interval(hi_a, self.params, known)
-        except AnalysisError as exc:
-            raise _Unsupported(str(exc)) from exc
-        if lo_r[0] != lo_r[1] or hi_r[0] != hi_r[1]:
-            self.exact = False  # context-dependent (e.g. triangular)
-        occurrence = f"{loop.index}#{len(self.inner)}"
-        self.inner[occurrence] = (lo_r[0], hi_r[1])
-        self.occurrence[id(loop)] = occurrence
-        super().loop(loop)
-
-    def guard(self, guard: Guard) -> None:
-        self.exact = False  # both branches folded in (hull)
-        super().guard(guard)
-
-    def call(self, stmt: CallStmt) -> None:
-        raise _Unsupported(f"cannot analyze {type(stmt).__name__}")
 
 
 # -- symbolic witness search --------------------------------------------------
@@ -589,7 +535,7 @@ class _Exhaustive(Walk):
 
     def __init__(self, analyzer: _Analyzer, chain: Sequence[Stmt]) -> None:
         super().__init__(analyzer.program, analyzer.params)
-        self.strides = analyzer.strides
+        self.assigns = analyzer.assigns
         self.chain = chain
         self.depth = sum(isinstance(s, Loop) for s in chain[:-1])
         self.accesses = 0
@@ -598,8 +544,6 @@ class _Exhaustive(Walk):
         self.table: dict[tuple[str, int], dict] = {}
         self.witness: Optional[RaceWitness] = None
         self.has_exempt = False
-        # id(assignment) -> its accesses (ref, text, is_write, accum key)
-        self._assigns: dict[int, list[tuple[Expr, str, bool, Optional[int]]]] = {}
 
     def run(self) -> None:
         """Walk the space: afterwards ``witness`` (serial), else
@@ -615,34 +559,26 @@ class _Exhaustive(Walk):
         self.walk_stmt(root)  # ``root`` holds every copy while it is walked
 
     def record(self, form):
-        if isinstance(form, (ArrayRef, ScalarRef)):
-            return (form, *_linearize(form, self.strides, self.fixed)[1:])
+        if isinstance(form, _Access):
+            return (form.text, form.const, form.terms)
         return super().record(form)
 
     def assign(self, stmt: Assign) -> None:
-        accesses = self._assigns.get(id(stmt))
-        if accesses is None:
-            # key on the *static* statement so accumulation
-            # accesses from different lanes recognize each other
-            accesses = self._assigns[id(stmt)] = [
-                (ref, str(ref), is_write, id(stmt) if accum else None)
-                for ref, is_write, accum in _assign_accesses(stmt)
-            ]
+        # a KeyError (the classifier's cue to keep the symbolic answer):
+        # an access of ``stmt`` did not linearize
+        accesses = self.assigns[id(stmt)]
         if self.iters[: self.depth] != self.outer:
             # conflicts are per assignment of the enclosing loops
             self.outer, self.table = self.iters[: self.depth], {}
-        elems = self.values(self.fold(stmt, (access[0] for access in accesses)))
-        for (ref, text, is_write, accum), elem in zip(accesses, elems):
-            self._record(ref, elem, text, is_write, accum)
+        for access, elem in zip(accesses, self.values(self.fold(stmt, accesses))):
+            self._record(access, elem)
 
-    def _record(
-        self, ref: Expr, elem: int, text: str, is_write: bool, accum: Optional[int]
-    ) -> None:
+    def _record(self, access: _Access, elem: int) -> None:
         self.accesses += 1
         if self.accesses > CONCRETE_CAP:
             raise _Stop
-        name = ref.array if isinstance(ref, ArrayRef) else SCALAR_PREFIX + ref.name
-        key = (name, elem)
+        key = (access.array, elem)
+        text, is_write, accum = access.text, access.is_write, access.accum
         lane = self.iters[self.depth][1]
         classes = self.table.setdefault(key, {})
         cls = (is_write, accum)
@@ -675,50 +611,64 @@ class _Exhaustive(Walk):
 # -- the analyzer -------------------------------------------------------------
 
 
-#: an axis's own bound intervals (lower, upper), or why they do not fold
-_Bounds = Union[tuple[tuple[int, int], tuple[int, int]], AnalysisError]
-
-
 class _Analyzer(Scope):
+    """One walk of the program that linearizes each access once.
+
+    :attr:`accesses` lists them in pre-order, so a loop's accesses form a
+    contiguous slice of it; a loop is classified once its body is walked,
+    into the verdict slot it took on entry.  :attr:`failures` lists, in
+    walk order, why the loops around a point cannot be collected (a call,
+    or an access or a bound outside the integer-affine subset), and
+    :attr:`hulls` counts the guards and context-dependent (e.g.
+    triangular) loop bounds met: a loop with one inside is analyzed over
+    a hull.
+    """
+
     def __init__(self, program: Program, params: Mapping[str, int]) -> None:
         super().__init__()
         self.program = program
         self.params = params
         self.strides = {a.name: a.strides(params) for a in program.arrays}
-        self.verdicts: list[AxisVerdict] = []
+        self.verdicts: list[Optional[AxisVerdict]] = []
+        self.accesses: list[_Access] = []
+        self.assigns: dict[int, list[_Access]] = {}  # id(assignment) -> its own
+        self.enclosing: list[_Occurrence] = []  # one per entry of ``ranges``
+        self.failures: list[str] = []
+        self.hulls = 0
+        self._stmts, self._loops = count(), count()  # walk-order numbers
 
     def run(self) -> tuple[AxisVerdict, ...]:
         self.walk_body(self.program.body)
         return tuple(self.verdicts)
 
-    def loop(self, loop: Loop) -> None:
-        ranges = _fold(self.ranges, self.params, {})
-        path = tuple(r.index for r in self.ranges) + (loop.index,)
-        try:
-            bounds: _Bounds = (
-                _interval(loop.lower.affine(), self.params, ranges),
-                _interval(loop.upper.affine(), self.params, ranges),
-            )
-        except AnalysisError as exc:
-            bounds = exc
-        chain = [stmt for _, _, stmt in self.path]
-        self.verdicts.append(
-            self._classify(loop, self.path[0][1], path, chain, ranges, bounds)
-        )
-        if isinstance(bounds, AnalysisError):
-            self.walk_body(loop.body, f"for {loop.index}")  # out of scope
-        else:
-            super().loop(loop)
+    def assign(self, stmt: Assign) -> None:
+        stmt_id = next(self._stmts)
+        loops = tuple(self.enclosing)
+        accesses = []
+        for ref, is_write, accum in _assign_accesses(stmt):
+            try:
+                array, const, terms = _linearize(ref, self.strides, self.params)
+            except _Unsupported as exc:
+                self.failures.append(str(exc))
+                return
+            accesses.append(_Access(
+                array, const, terms, is_write, str(ref),
+                stmt_id if accum else None, loops,
+            ))
+        self.assigns[id(stmt)] = accesses
+        self.accesses += accesses
 
-    def _classify(
-        self,
-        loop: Loop,
-        nest: int,
-        path: tuple[str, ...],
-        chain: list[Stmt],
-        outer: dict[str, tuple[int, int]],
-        bounds: _Bounds,
-    ) -> AxisVerdict:
+    def call(self, stmt: CallStmt) -> None:
+        self.failures.append(f"cannot analyze {type(stmt).__name__}")
+
+    def guard(self, guard: Guard) -> None:
+        self.hulls += 1  # both branches folded in (hull)
+        super().guard(guard)
+
+    def loop(self, loop: Loop) -> None:
+        path = tuple(r.index for r in self.ranges) + (loop.index,)
+        nest, chain = self.path[0][1], [stmt for _, _, stmt in self.path]
+
         def verdict(kind, reason, witness=None, reductions=(), exact=True):
             return AxisVerdict(
                 nest=nest, path=path, index=loop.index, depth=len(path) - 1,
@@ -726,39 +676,71 @@ class _Analyzer(Scope):
                 reduction_targets=tuple(sorted(set(reductions))), exact=exact,
             )
 
-        if isinstance(bounds, AnalysisError):
-            return verdict(
-                "unknown", f"bounds not analyzable: {bounds}", exact=False
+        outer: dict[str, tuple[int, int]] = {}
+        for k, r in enumerate(self.ranges):
+            index = Affine.var(r.index)
+            try:
+                outer[r.index] = fold_range(index, self.ranges[:k + 1], self.params)
+            except AnalysisError:
+                outer.pop(r.index, None)  # its range does not fold
+        slot = len(self.verdicts)
+        self.verdicts.append(None)  # filled once the body is walked
+        try:
+            lo, hi = loop.bounds_affine()
+            lo_r = fold_range(lo, self.ranges, self.params)
+            hi_r = fold_range(hi, self.ranges, self.params)
+        except AnalysisError as exc:
+            self.failures.append(str(exc))
+            self.verdicts[slot] = verdict(
+                "unknown", f"bounds not analyzable: {exc}", exact=False
             )
-        lo_r, hi_r = bounds
-        rng = (lo_r[0], hi_r[1])
+            self.walk_body(loop.body, f"for {loop.index}")  # out of scope
+            return
+        # an axis whose own bounds vary with an enclosing variable
+        # (triangular nest) is analyzed over its rectangular hull, and so
+        # is every loop around it: a witness found there may name phantom
+        # iterations, so the symbolic tier's answer cannot count as exact
+        exact = lo_r[0] == lo_r[1] and hi_r[0] == hi_r[1]
+        self.hulls += not exact
+        axis = _Occurrence(next(self._loops), loop.index, (lo_r[0], hi_r[1]))
+        self.enclosing.append(axis)
+        start, failed, hulls = len(self.accesses), len(self.failures), self.hulls
+        super().loop(loop)
+        self.enclosing.pop()
+        part = self.failures[failed] if len(self.failures) > failed else _slice(
+            self.accesses[start:], axis, len(path) - 1, exact and self.hulls == hulls
+        )
+        self.verdicts[slot] = self._classify(
+            loop, chain, verdict, outer, axis.range, part
+        )
+
+    def _classify(
+        self,
+        loop: Loop,
+        chain: list[Stmt],
+        verdict: Callable[..., AxisVerdict],
+        outer: dict[str, tuple[int, int]],
+        rng: tuple[int, int],
+        part: Union[_Slice, str],
+    ) -> AxisVerdict:
+        """The verdict of ``loop`` over ``rng``, whose body is ``part`` of
+        the walk (or why it cannot be collected)."""
         if rng[1] - rng[0] <= 0:
             return verdict("doall", "at most one iteration")
-        # an axis whose own bounds vary with an enclosing variable
-        # (triangular nest) is analyzed over its rectangular hull; any
-        # witness found there may name phantom iterations, so the
-        # symbolic tier's answer cannot count as exact
-        rng_exact = lo_r[0] == lo_r[1] and hi_r[0] == hi_r[1]
 
         # symbolic tier first: for rectangular spaces its answers are
         # already exact proofs/witnesses and cost no enumeration
-        collector: Optional[_Collector] = None
-        try:
-            collector = _Collector(self.params, self.strides, loop, outer)
-        except _Unsupported as exc:
-            symbolic = verdict(
-                "unknown", f"outside affine subset: {exc}", exact=False
-            )
-        else:
-            symbolic = _classify_symbolic(
-                collector, loop.index, outer, rng, verdict, rng_exact
-            )
+        collected = part if isinstance(part, _Slice) else None
+        symbolic = (
+            _classify_symbolic(collected, loop.index, outer, rng, verdict) if collected
+            else verdict("unknown", f"outside affine subset: {part}", exact=False)
+        )
         if symbolic.exact:
             return symbolic
 
         # inexact (triangular bounds, guards, solver budget): decide by
         # exhaustive enumeration when the space is small enough
-        space = _space_estimate(chain, loop, outer, rng, collector)
+        space = _space_estimate(chain, loop, outer, rng, collected)
         if space is None or space > CONCRETE_CAP:
             return symbolic
         if any(isinstance(s, CallStmt) for s in loop.walk()):
@@ -779,7 +761,7 @@ class _Analyzer(Scope):
         if checker.has_exempt:
             return verdict(
                 "reduction", "accumulation-only conflicts (exhaustive check)",
-                reductions=collector.reductions() if collector else (),
+                reductions=collected.reductions() if collected else (),
             )
         return verdict("doall", "no cross-lane conflicts (exhaustive check)")
 
@@ -789,7 +771,7 @@ def _space_estimate(
     loop: Loop,
     outer: Mapping[str, tuple[int, int]],
     rng: tuple[int, int],
-    collector: Optional[_Collector],
+    collected: Optional[_Slice],
 ) -> Optional[int]:
     """Upper bound on accesses the concrete checker would record.
 
@@ -804,27 +786,25 @@ def _space_estimate(
             if r is None:
                 return None
             total *= max(1, r[1] - r[0] + 1)
-    if collector is None:
+    if collected is None:
         # outside the symbolic subset: the concrete walk may still
         # succeed, so allow it whenever the enclosing space alone is
         # small (its own budget guard bounds the rest)
         return total if total <= CONCRETE_CAP else None
-    return total * max(1, collector.per_lane)
+    return total * max(1, collected.per_lane)
 
 
 def _classify_symbolic(
-    collector: _Collector,
+    part: _Slice,
     axis: str,
     outer: Mapping[str, tuple[int, int]],
     rng: tuple[int, int],
     verdict,
-    rng_exact: bool,
 ) -> AxisVerdict:
     span = rng[1] - rng[0]
     by_array: dict[str, list[_Ref]] = {}
-    for r in collector.refs:
+    for r in part.refs:
         by_array.setdefault(r.array, []).append(r)
-    exact_space = collector.exact and rng_exact
     has_exempt = False
     best_inexact: Optional[tuple[str, str]] = None
     for refs in by_array.values():
@@ -836,12 +816,12 @@ def _classify_symbolic(
                 # is already a proof of independence
                 if not lane_conflict(
                     f.const, f.terms, g.const, g.terms,
-                    axis, span, rng[0], outer, collector.inner,
+                    axis, span, rng[0], outer, part.inner,
                 ):
                     continue
                 exempt = f.accum is not None and f.accum == g.accum
                 result = _solve_pair(
-                    f, g, axis, rng, outer, collector.inner, exact_space
+                    f, g, axis, rng, outer, part.inner, part.exact
                 )
                 if not result.conflict:
                     if result.proved:
@@ -859,7 +839,7 @@ def _classify_symbolic(
                     "serial",
                     f"cross-lane dependence between {f.text} and {g.text}",
                     witness=result.witness,
-                    exact=exact_space and result.witness.exact,
+                    exact=part.exact and result.witness.exact,
                 )
     if best_inexact is not None:
         return verdict(
@@ -872,9 +852,9 @@ def _classify_symbolic(
     if has_exempt:
         return verdict(
             "reduction", "accumulation-only conflicts",
-            reductions=collector.reductions(), exact=exact_space,
+            reductions=part.reductions(), exact=part.exact,
         )
-    return verdict("doall", "no cross-lane conflicts", exact=exact_space)
+    return verdict("doall", "no cross-lane conflicts", exact=part.exact)
 
 
 def bind_params(

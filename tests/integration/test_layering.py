@@ -16,13 +16,14 @@ lookup only say what an assignment instance does, and no module outside
 ``repro.lang`` but inlining binds a procedure's formals.
 The tracers' fold is defined once, in ``lang/lowering.py``, and the
 codegen tracer reads nothing of ``repro.interp`` but the trace container.
-Only ``static/parallelism.py`` widens index ranges to concrete integers
-one index at a time (``_interval``); the other analyses eliminate.
+Every concrete index range comes from ``lang.scope.fold_range``, which
+eliminates before it folds; no module widens one index at a time.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -232,6 +233,9 @@ def eliminations(source: str) -> list[str]:
 
 
 def test_only_lang_narrows_index_ranges():
+    """Guard intervals are read by ``lang.scope.narrow`` (and the readers
+    listed above), indices are eliminated by ``lang.scope.eliminate`` only,
+    and next to it ``fold_range`` is the one concrete range."""
     readers, defined = {}, {}
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = str(path.relative_to(PACKAGE))
@@ -248,6 +252,9 @@ def test_only_lang_narrows_index_ranges():
     }
     assert readers == allowed, readers
     assert defined == {"lang/scope.py": ["eliminate"]}, defined
+    from repro.lang import scope
+
+    assert interval_folds(inspect.getsource(scope)) == ["fold_range"]
 
 
 def width_products(source: str) -> list[str]:
@@ -319,55 +326,102 @@ def test_the_reuse_ladder_measures_through_one_step():
     assert large_probes("env = {v: 10**4 for v in names}") == 1
 
 
-#: the names ``static/parallelism.py`` has given its concrete interval fold
-INTERVAL_FOLD = {"_interval", "interval"}
+def _eliminates(node: ast.AST) -> bool:
+    """Does ``node`` call ``eliminate``?"""
+    return any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "eliminate"
+        for n in ast.walk(node)
+    )
 
 
 def interval_folds(source: str) -> list[str]:
-    """``line: what`` for each import of ``parallelism``'s concrete
-    interval fold in ``source`` and each call of it: ``_interval(...)``,
-    or ``parallelism.<fold>(...)`` by either name (a bare ``interval`` is
-    also ``lang.interval``, the guard-interval builder)."""
+    """The functions in ``source`` that fold a concrete interval:
+    :meth:`Affine.fold` a form and then widen one index at a time
+    (``min`` or ``max`` of products, as in ``min(c * lo, c * hi)``), or
+    fold an eliminated bound — an ``eliminate(...)`` value met directly,
+    through a local name or through a parameter the module passes one
+    to.  Interval arithmetic over integer terms (the dependence screen)
+    folds no form and is no such fold."""
+    tree = ast.parse(source)
+    passed = {
+        (call.func.id, k)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        for k, arg in enumerate(call.args) if _eliminates(arg)
+    }
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
-            "parallelism"
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        eliminated = {
+            a.arg for k, a in enumerate(func.args.args) if (func.name, k) in passed
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                bound, value = node.targets, node.value
+            elif isinstance(node, ast.For):
+                bound, value = [node.target], node.iter
+            else:
+                continue
+            if _eliminates(value):
+                eliminated |= {
+                    n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)
+                }
+        calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+        folded = [
+            call.func.value for call in calls
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "fold"
+            and len(call.args) == 1
+        ]
+        widens = any(
+            isinstance(call.func, ast.Name) and call.func.id in ("min", "max")
+            and len(call.args) > 1
+            and all(
+                isinstance(a, ast.BinOp) and isinstance(a.op, ast.Mult)
+                for a in call.args
+            )
+            for call in calls
+        )
+        if folded and widens or any(
+            _eliminates(form) or any(
+                isinstance(n, ast.Name) and n.id in eliminated for n in ast.walk(form)
+            )
+            for form in folded
         ):
-            found += [
-                (node.lineno, f"import {alias.name}")
-                for alias in node.names if alias.name in INTERVAL_FOLD
-            ]
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "_interval":
-                found.append((node.lineno, "call _interval"))
-            elif (
-                isinstance(func, ast.Attribute) and func.attr in INTERVAL_FOLD
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "parallelism"
-            ):
-                found.append((node.lineno, f"call parallelism.{func.attr}"))
-    return [f"{line}: {what}" for line, what in sorted(found)]
+            found.append(func.name)
+    return found
 
 
-def test_only_parallelism_folds_concrete_intervals():
-    """Every other analysis takes an index's range from
-    ``lang.scope.eliminate`` over its (narrowed) scope: widening each
-    index on its own gives a coupled subscript a box outside its array."""
+def test_only_lang_folds_concrete_intervals():
+    """Every concrete index range comes from ``lang.scope.fold_range``,
+    which eliminates over the (narrowed) scope and then folds: widening
+    each index on its own gives a coupled subscript or bound a range
+    outside its iteration space."""
     users = {
         str(path.relative_to(PACKAGE)): hits
         for path in sorted(PACKAGE.rglob("*.py"))
         for hits in [interval_folds(path.read_text())]
         if hits
     }
-    assert list(users) == ["static/parallelism.py"], users
+    assert users == {"lang/scope.py": ["fold_range"]}, users
     # the gate sees what it forbids
     assert interval_folds(
-        "from .parallelism import ParallelismProfile, _interval\n"
-        "def box(form):\n    return _interval(form, {}, {})\n"
-        "def old(form):\n    return parallelism.interval(form, {}, {})\n"
-        "g = interval(1, 2)\n"
-    ) == ["1: import _interval", "3: call _interval", "5: call parallelism.interval"]
+        "def interval(form, params, ranges):\n"
+        "    lo, terms = form.fold(params)\n"
+        "    for name, c in terms:\n"
+        "        lo += min(c * ranges[name][0], c * ranges[name][1])\n"
+        "    return lo\n"
+        "def value(form, env):\n    return form.fold(env)[0]\n"
+        "def box(lo, hi, outer, env):\n"
+        "    return value(eliminate(lo, outer)[0], env), eliminate(hi, outer)[1].fold(env)\n"
+        "def through(form, scope, env):\n"
+        "    low, high = eliminate(form, scope)\n    return low.fold(env)\n"
+        "def checks(form, scope, env):\n"
+        "    form.fold(env)\n    return fold_range(form, scope, env), max(1, 2)\n"
+        "def screen(base, terms):\n"
+        "    return base + sum(min(c * lo, c * hi) for c, lo, hi in terms)\n"
+    ) == ["interval", "value", "box", "through"]
 
 
 def _imports(source: str) -> set[str]:

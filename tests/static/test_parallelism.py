@@ -304,6 +304,53 @@ def test_a_space_over_the_cap_keeps_the_symbolic_answer(monkeypatch):
         assert v.reason == "cross-lane dependence between A[j] and A[(j + 1)]"
 
 
+COUPLED = """
+    program coupled
+    param N
+    real A[N, N]
+    for i = 1, N { for j = i, N { for k = j - i + 1, N { A[k, j] = f(A[k, j]) } } }
+    """
+
+
+def test_coupled_bounds_keep_every_range_inside_the_iteration_space(monkeypatch):
+    """``k``'s lower bound couples ``j`` and ``i``: widened one index at a
+    time it reaches 1 - 12 + 1 = -10 at N=12, eliminated it is 1.  Every
+    range the dependence screen is given lies inside the real iteration
+    space, and the verdicts are the exhaustive tier's."""
+    n = 12
+    real: dict[str, tuple[int, int]] = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for k in range(j - i + 1, n + 1):
+                for name, v in zip("ijk", (i, j, k)):
+                    lo, hi = real.get(name, (v, v))
+                    real[name] = (min(lo, v), max(hi, v))
+    used = []
+    screen = parallelism_module.lane_conflict
+
+    def recording(*args):
+        axis, span, lo, outer, inner = args[4:]
+        used.extend([(axis, (lo, lo + span)), *outer.items(), *inner.items()])
+        return screen(*args)
+
+    monkeypatch.setattr(parallelism_module, "lane_conflict", recording)
+    program = build(COUPLED)
+    verdicts = analyze_parallelism(program, {"N": n}).verdicts
+    assert {name.partition("#")[0] for name, _ in used} == set("ijk")
+    for name, (lo, hi) in used:
+        index = name.partition("#")[0]
+        assert real[index][0] <= lo <= hi <= real[index][1], (name, (lo, hi))
+
+    monkeypatch.setattr(
+        parallelism_module, "_classify_symbolic",
+        lambda *args: args[4]("unknown", "symbolic tier skipped", exact=False),
+    )
+    exhaustive = analyze_parallelism(program, {"N": n}).verdicts
+    assert all(v.reason.endswith("(exhaustive check)") for v in exhaustive)
+    assert [v.verdict for v in verdicts] == [v.verdict for v in exhaustive]
+    assert [v.verdict for v in verdicts] == ["serial", "doall", "doall"]
+
+
 @pytest.mark.parametrize(
     "body, reason",
     [

@@ -670,7 +670,7 @@ def _profile_analyses(result, steps: int, static: bool) -> None:
     Runs the static parallelism analyzer over the compiled variant in
     its own span/metrics window — and with ``--static`` the symbolic
     reuse profile and the coherence analyzer too (opt-in: the reuse
-    ladder takes minutes on sp's fused levels) — and merges their spans
+    ladder takes about 2.2 s on sp's fused levels) — and merges their spans
     and ``analysis.*`` work counters into the run's profile, so ``repro
     profile`` shows the analyzers next to compile/trace/simulate.
     """

@@ -24,8 +24,8 @@ from .coherence import (
     SharingWitness,
     analyze_coherence,
 )
-from .dependence_test import attainable, lane_conflict, solve_sum
-from .lints import lint_profile, lint_static
+from .dependence_test import solve_sum
+from .lints import lint_static
 from .model import LoopCtx, StaticModel, StaticRef, build_model
 from .multicore import (
     MulticorePrediction,
@@ -37,15 +37,13 @@ from .parallelism import (
     ParallelismProfile,
     RaceWitness,
     analyze_parallelism,
-    bind_params,
 )
 from .poly import Poly
 from .profile import EvaluatedClass, StaticProfile, analyze_program
-from .regions import Hull, Regions, ref_hull
+from .regions import Hull, Regions
 from .reuse import (
     ClassProfile,
     Component,
-    attribute_model,
     shift_question,
     solve_shift,
 )
@@ -78,18 +76,12 @@ __all__ = [
     "analyze_coherence",
     "analyze_parallelism",
     "analyze_program",
-    "attainable",
-    "attribute_model",
-    "bind_params",
     "build_model",
-    "lane_conflict",
-    "lint_profile",
     "lint_static",
     "parse_schedule",
     "predict_multicore",
     "predict_program_multicore",
     "preserves_affinity",
-    "ref_hull",
     "round_robin_positions",
     "schedule_assignments",
     "schedule_chunks",

@@ -1,4 +1,4 @@
-"""The interval + gcd lane-distance dependence test (shared core).
+"""The exact cross-lane question for one reference pair (shared core).
 
 One question underlies the static parallelism analyzer: *can two
 references touch the same array element from different iterations of a
@@ -7,28 +7,20 @@ it to integer feasibility of
 
     base + sum(c_k * t_k) = target,    t_k in [lo_k, hi_k]
 
-where the ``t_k`` range over the surrounding loop variables and
-``target`` encodes the lane distance along the axis.  :func:`lane_terms`
-builds those terms once for both uses below: an outer variable
-contributes one shared term, an inner one two independent copies.
+where the ``t_k`` range over the surrounding loop variables and, when the
+two references read the axis with one coefficient, the lane distance.
+:func:`lane_terms` builds the terms of the other variables: an outer
+variable contributes one shared term, an inner one two independent
+copies.
 
-Two precision tiers live here:
-
-:func:`attainable`
-    the *necessary* interval + gcd screen — cheap and conservative
-    (``True`` means "maybe");
-:func:`solve_sum`
-    an *exact* bounded-backtracking solver over the same equations.  It
-    walks candidate values for one term at a time, stepping only through
-    the arithmetic progression a linear-congruence solve admits, and
-    prunes with the suffix interval + gcd screen.  It either returns a
-    concrete solution (the raw material of a race *witness*), proves
-    infeasibility, or runs out of budget — the three-way answer the
-    parallelism analyzer needs to keep its verdicts honest.
-
-:func:`lane_conflict` packages the conservative decision procedure
-over these primitives: the parallelism analyzer's cheap screen before
-the exact solve (pinned by ``tests/static/test_dependence_test.py``).
+:func:`solve_sum` is the exact bounded-backtracking solver.  It walks
+candidate values for one term at a time, stepping only through the
+arithmetic progression a linear-congruence solve admits, and prunes with
+the suffix interval + gcd screen.  It either returns a concrete solution
+(the raw material of a race *witness*), proves infeasibility, or runs out
+of budget.  :func:`lane_witness` asks the pair question through it and
+keeps that three-way answer, so the parallelism analyzer's verdicts stay
+honest (pinned by ``tests/static/test_dependence_test.py``).
 
 This module is deliberately pure (stdlib only).
 """
@@ -36,36 +28,21 @@ This module is deliberately pure (stdlib only).
 from __future__ import annotations
 
 from math import gcd
-from typing import Mapping, Optional, Sequence
-
-#: cap on lane-distance enumeration in the conservative test; beyond
-#: this the test reports a conflict
-MAX_DISTANCE_ENUM = 8192
+from typing import Iterator, Mapping, Optional, Sequence
 
 #: default node budget for the exact solver's backtracking search
 MAX_SOLVE_NODES = 4096
 
+#: cap on lane distances the witness search tries when the two
+#: references read the axis with different coefficients
+MAX_WITNESS_DELTAS = 4096
+
 #: one linear term: (coefficient, inclusive lower bound, inclusive upper)
 Term = tuple[int, int, int]
 
-
-def attainable(target: int, base: int, terms: Sequence[Term]) -> bool:
-    """May ``base + sum(c_k * t_k)`` equal ``target``? (necessary tests)
-
-    Interval screen plus gcd divisibility — conservative: ``True`` means
-    "maybe", ``False`` is a proof of infeasibility.
-    """
-    lo = hi = base
-    g = 0
-    for coeff, vlo, vhi in terms:
-        lo += min(coeff * vlo, coeff * vhi)
-        hi += max(coeff * vlo, coeff * vhi)
-        g = gcd(g, abs(coeff))
-    if not lo <= target <= hi:
-        return False
-    if g == 0:
-        return target == base
-    return (target - base) % g == 0
+#: two colliding instances: each side's values of the axis and of the
+#: variables its subscript reads
+Collision = tuple[dict[str, int], dict[str, int]]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -104,6 +81,9 @@ def solve_sum(
     for _, lo, hi in terms:
         if lo > hi:
             return None, True  # an empty box: nothing to solve over
+    goal = target - base
+    if not suf_lo[0] <= goal <= suf_hi[0] or (suf_g[0] and goal % suf_g[0]):
+        return None, True  # the interval + gcd screen, before any search
     values = [0] * n
     state = {"nodes": 0, "proved": True}
 
@@ -169,7 +149,7 @@ def solve_sum(
                 return True
         return False
 
-    if rec(0, target - base):
+    if rec(0, goal):
         return tuple(values), True
     return None, state["proved"]
 
@@ -209,7 +189,15 @@ def lane_terms(
     return out
 
 
-def lane_conflict(
+def _deltas(span: int) -> Iterator[int]:
+    """Candidate lane distances, smallest magnitude first: 1,-1,2,-2,...
+    (at most :data:`MAX_WITNESS_DELTAS` of them)."""
+    for k in range(1, min(span, MAX_WITNESS_DELTAS // 2) + 1):
+        yield k
+        yield -k
+
+
+def lane_witness(
     kf: int,
     tf: Mapping[str, int],
     kg: int,
@@ -219,35 +207,97 @@ def lane_conflict(
     axis_lo: int,
     outer: Mapping[str, tuple[int, int]],
     inner: Mapping[str, tuple[int, int]],
-) -> bool:
-    """Can instances on *different* lanes of ``axis`` touch one element?
+) -> tuple[Optional[Collision], bool]:
+    """Two instances on *different* lanes of ``axis`` touching one element.
 
     ``(kf, tf)`` and ``(kg, tg)`` are the two references' folded
     integer-affine element indices (constant, variable -> coefficient),
-    their other variables bound as :func:`lane_terms` reads them; an
-    unbound variable is assumed conflicting.  Conservative: ``True``
-    means "maybe" (solve exactly), ``False`` is a proof.
+    the axis ranges over ``[axis_lo, axis_lo + span]`` and the other
+    variables are bound as :func:`lane_terms` reads them.  Returns
+    ``(collision, proved)``: ``proved`` is ``True`` with a collision and
+    with a ``None`` that proves the pair independent, ``False`` when the
+    search ran out of budget or a variable is unbound.
+
+    Equal axis coefficients ``c`` make the lane distance ``d = ia - ib``
+    one more term ``(±c, 1, span)``: one solve per sign finds the
+    smallest ``|d|`` at any span, the positive one on a tie.  Different
+    coefficients let the two lanes range over a triangle, which one box
+    cannot express: a relaxed solve with both lanes free comes first,
+    then a walk over lane distances (:func:`_deltas`).
     """
-    c_f = tf.get(axis, 0)
-    c_g = tg.get(axis, 0)
-    base = kf - kg
     labelled = lane_terms(tf, tg, axis, outer, inner)
     if labelled is None:
-        return True
-    terms = [term for _, _, term in labelled]
+        return None, False
+    shared = [term for _, _, term in labelled]
+    c_f, c_g = tf.get(axis, 0), tg.get(axis, 0)
+    base = kf - kg
+    lo, hi = axis_lo, axis_lo + span
 
-    if c_f != c_g:
-        # different axis coefficients: treat both lane values as free
-        terms.append((c_f, 0, span))
-        terms.append((-c_g, 0, span))
-        base += (c_f - c_g) * axis_lo
-        return attainable(0, base, terms)
+    def collision(values: Sequence[int], ia: int, ib: int) -> tuple[Collision, bool]:
+        at_a, at_b = {axis: ia}, {axis: ib}
+        for (side, var, _), v in zip(labelled, values):
+            if side != "b":
+                at_a[var] = v
+            if side != "a":
+                at_b[var] = v
+        return (at_a, at_b), True
 
-    if c_f == 0:
-        return attainable(0, base, terms)
-    if span > MAX_DISTANCE_ENUM:
-        return True
-    for d in range(-span, span + 1):
-        if d and attainable(-c_f * d, base, terms):
-            return True
-    return False
+    if c_f == c_g == 0:
+        sol, proved = solve_sum(0, base, shared)
+        return (None, proved) if sol is None else collision(sol, lo, lo + 1)
+
+    if c_f == c_g:
+        best, proved_all = None, True
+        for sign in (1, -1):
+            sol, proved = solve_sum(0, base, [(sign * c_f, 1, span), *shared])
+            proved_all = proved_all and proved
+            if sol is not None and (best is None or sol[0] < abs(best[0])):
+                best = (sign * sol[0], sol[1:])
+        if best is None:
+            return None, proved_all
+        d, values = best
+        return collision(values, lo + max(0, d), lo - min(0, d))
+
+    # relaxed solve first: both lane values free, distinctness dropped.
+    # Infeasible => proof of independence (the relaxation only adds
+    # solutions); a solution with distinct lanes is already a witness.
+    relaxed = [(c, lo, hi) for c in (c_f, -c_g) if c]
+    sol, proved = solve_sum(0, base, relaxed + shared)
+    if sol is None:
+        return None, proved
+    head, values = sol[: len(relaxed)], sol[len(relaxed):]
+    if c_f and c_g:
+        ia, ib = head
+    elif c_f:
+        # g's element is lane-invariant: any other lane for ib works
+        ia = head[0]
+        ib = lo if ia != lo else lo + 1
+    else:
+        ib = head[0]
+        ia = lo if ib != lo else lo + 1
+    if ia != ib:
+        return collision(values, ia, ib)
+
+    # every relaxed solve may keep landing on ia == ib; substitute
+    # ib = ia - delta and walk lane distances, smallest first.  A few
+    # budget-exhausted solves in a row abort the refinement (inexact).
+    strikes = 0
+    proved_all = True
+    enumerated_all = span == 0
+    for delta in _deltas(span):
+        ia_lo = lo + max(0, delta)
+        ia_hi = hi + min(0, delta)
+        if ia_lo > ia_hi:
+            continue
+        terms = [(c_f - c_g, ia_lo, ia_hi), *shared]
+        sol, proved = solve_sum(0, base + c_g * delta, terms, budget=512)
+        if sol is not None:
+            return collision(sol[1:], sol[0], sol[0] - delta)
+        if not proved:
+            proved_all = False
+            strikes += 1
+            if strikes >= 8:
+                return None, False
+        if abs(delta) == span:
+            enumerated_all = True
+    return None, proved_all and enumerated_all

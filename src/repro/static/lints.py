@@ -27,9 +27,6 @@ from ..lang import Assumptions, Program
 from ..verify.diagnostics import DiagnosticBag
 from .profile import StaticProfile, analyze_program
 
-#: per-code cap on individual diagnostics before summarizing
-MAX_PER_CODE = 5
-
 
 def lint_profile(profile: StaticProfile) -> DiagnosticBag:
     """Emit the S3xx family for an already-computed profile."""
@@ -38,7 +35,7 @@ def lint_profile(profile: StaticProfile) -> DiagnosticBag:
     evadable = sorted(profile.symbolic_evadable())
 
     # S301: one warning per evadable class, capped, then a summary
-    for rid in evadable[:MAX_PER_CODE]:
+    def s301(rid: int) -> None:
         cp = profile.classes[rid]
         comp = profile.dominant_component(cp)
         assert comp is not None
@@ -51,13 +48,12 @@ def lint_profile(profile: StaticProfile) -> DiagnosticBag:
             kind=comp.kind,
             distance=str(comp.distance),
         )
-    if len(evadable) > MAX_PER_CODE:
-        bag.info(
-            "S301",
-            f"{len(evadable) - MAX_PER_CODE} more evadable reuse classes "
-            f"({len(evadable)} total of {len(profile.classes)})",
-            where=name,
-        )
+
+    bag.capped(
+        "S301", evadable, s301,
+        f"evadable reuse classes ({len(evadable)} total of {len(profile.classes)})",
+        where=name,
+    )
 
     # S302: growing cross-nest reuse between fusable nests
     seen_pairs: set[tuple[int, int, str]] = set()

@@ -25,13 +25,11 @@ Two precision tiers cooperate.  Small iteration spaces (bounded by
 :data:`CONCRETE_CAP` accesses) are decided *exhaustively*, by a
 :class:`~repro.lang.Walk` of the space around the axis that evaluates
 real bounds and guards — exact even for triangular nests, and the tier
-the property-based oracle exercises.  Larger spaces use the
-shared :mod:`.dependence_test`: the conservative interval+gcd screen
-(:func:`~.dependence_test.lane_conflict`) filters pairs, then the exact
-:func:`~.dependence_test.solve_sum` backtracker either produces a
-witness, *overturns* the conservative screen with an infeasibility
-proof, or runs out of budget (witness ``None``, marked inexact).  Both
-read one set of cross-lane terms, :func:`~.dependence_test.lane_terms`.
+the property-based oracle exercises.  Larger spaces ask the shared
+:mod:`.dependence_test` one exact question per reference pair
+(:func:`~.dependence_test.lane_witness`): it either produces a witness,
+proves the pair independent, or runs out of budget (witness ``None``,
+marked inexact).
 The program is collected once, by one walk (:class:`_Analyzer`): one
 rule (:func:`_assign_accesses`) lists an assignment's accesses and one
 (:func:`_linearize`) numbers the elements they touch, once per access,
@@ -50,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import count
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from ..lang import (
     Affine,
@@ -74,13 +72,10 @@ from ..lang import (
 from ..lang.lowering import linearize
 from ..lang.scope import fold_range
 from ..obs import metrics, span
-from .dependence_test import lane_conflict, lane_terms, solve_sum
+from .dependence_test import Collision, lane_witness
 
 #: iteration spaces up to this many accesses are classified exhaustively
 CONCRETE_CAP = 200_000
-
-#: cap on lane-distance values tried by the symbolic witness search
-MAX_WITNESS_DELTAS = 4096
 
 #: params left unbound by the caller are pinned to this (small but
 #: non-degenerate) extent, mirroring the golden-test sizes
@@ -391,15 +386,7 @@ def _assign_accesses(stmt: Assign) -> list[tuple[Expr, bool, bool]]:
     return out
 
 
-# -- symbolic witness search --------------------------------------------------
-
-
-def _deltas(span: int) -> Iterator[int]:
-    """Candidate lane distances, smallest magnitude first: 1,-1,2,-2,...
-    (at most :data:`MAX_WITNESS_DELTAS` of them)."""
-    for k in range(1, min(span, MAX_WITNESS_DELTAS // 2) + 1):
-        yield k
-        yield -k
+# -- symbolic witness --------------------------------------------------------
 
 
 def _source_env(at: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
@@ -407,109 +394,31 @@ def _source_env(at: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted((v.partition("#")[0], x) for v, x in at.items()))
 
 
-@dataclass
-class _PairResult:
-    conflict: bool
-    proved: bool  # the answer is a proof, not a budget/cap artifact
-    witness: Optional[RaceWitness] = None
-
-
-def _solve_pair(
+def _race(
     f: _Ref,
     g: _Ref,
     axis: str,
-    axis_rng: tuple[int, int],
+    collision: Collision,
     outer: Mapping[str, tuple[int, int]],
     inner: Mapping[str, tuple[int, int]],
-    exact_space: bool,
-) -> _PairResult:
-    """Exact cross-lane feasibility of one reference pair (+ witness)."""
-    lo, hi = axis_rng
-    span = hi - lo
-    c_f = f.terms.get(axis, 0)
-    c_g = g.terms.get(axis, 0)
-    base = f.const - g.const
-    labelled = lane_terms(f.terms, g.terms, axis, outer, inner)
-    if labelled is None:
-        # out-of-scope variable: conservatively conflicting
-        return _PairResult(conflict=True, proved=False)
-    shared = [term for _, _, term in labelled]
-
-    def build(values: Sequence[int], ia: int, ib: int) -> RaceWitness:
-        # each side binds the axis, the outer loops and the loops around
-        # its own reference; an unconstrained one sits at its lower bound
-        at_a = {axis: ia}
-        at_b = {axis: ib}
-        for (side, var, _), v in zip(labelled, values):
-            if side != "b":
-                at_a[var] = v
-            if side != "a":
-                at_b[var] = v
-        for at, ref in ((at_a, f), (at_b, g)):
-            for var in (*outer, *ref.loops):
-                at.setdefault(var, (outer.get(var) or inner[var])[0])
-        return RaceWitness(
-            axis=axis, iter_a=ia, iter_b=ib, array=f.array,
-            element=f.const + sum(c * at_a[n] for n, c in f.terms.items()),
-            ref_a=f.text, ref_b=g.text,
-            write_a=f.is_write, write_b=g.is_write,
-            env_a=_source_env(at_a), env_b=_source_env(at_b),
-            exact=exact_space,
-        )
-
-    if c_f == 0 and c_g == 0:
-        sol, proved = solve_sum(0, base, shared)
-        if sol is not None:
-            return _PairResult(True, True, build(sol, lo, lo + 1))
-        return _PairResult(False, proved)
-
-    # relaxed solve first: both lane values free, distinctness dropped.
-    # Infeasible => proof of independence (the relaxation only adds
-    # solutions); a solution with distinct lanes is already a witness.
-    relaxed = [(c, lo, hi) for c in (c_f, -c_g) if c]
-    sol, proved = solve_sum(0, base, relaxed + shared)
-    if sol is None:
-        return _PairResult(False, proved)
-    head = sol[: len(relaxed)]
-    values = sol[len(relaxed):]
-    if c_f and c_g:
-        ia, ib = head
-    elif c_f:
-        # g's element is lane-invariant: any other lane for ib works
-        ia = head[0]
-        ib = lo if ia != lo else lo + 1
-    else:
-        ib = head[0]
-        ia = lo if ib != lo else lo + 1
-    if ia != ib:
-        return _PairResult(True, True, build(values, ia, ib))
-
-    # every relaxed solve may keep landing on ia == ib; substitute
-    # ib = ia - delta and walk lane distances, smallest first.  A few
-    # budget-exhausted solves in a row abort the refinement (inexact).
-    strikes = 0
-    proved_all = True
-    enumerated_all = span == 0
-    for delta in _deltas(span):
-        ia_lo = lo + max(0, delta)
-        ia_hi = hi + min(0, delta)
-        if ia_lo > ia_hi:
-            continue
-        terms = list(shared)
-        if c_f != c_g:
-            terms.insert(0, (c_f - c_g, ia_lo, ia_hi))
-        sol, proved = solve_sum(0, base + c_g * delta, terms, budget=512)
-        if sol is not None:
-            ia, values = (sol[0], sol[1:]) if c_f != c_g else (ia_lo, sol)
-            return _PairResult(True, True, build(values, ia, ia - delta))
-        if not proved:
-            proved_all = False
-            strikes += 1
-            if strikes >= 8:
-                return _PairResult(False, False)
-        if abs(delta) == span:
-            enumerated_all = True
-    return _PairResult(False, proved_all and enumerated_all)
+    exact: bool,
+) -> RaceWitness:
+    """The witness of :func:`~.dependence_test.lane_witness`'s
+    ``collision`` of ``f`` and ``g``.  Each side binds the axis, the
+    outer loops and the loops around its own reference; one its
+    subscript does not read sits at its lower bound."""
+    at_a, at_b = collision
+    for at, ref in ((at_a, f), (at_b, g)):
+        for var in (*outer, *ref.loops):
+            at.setdefault(var, (outer.get(var) or inner[var])[0])
+    return RaceWitness(
+        axis=axis, iter_a=at_a[axis], iter_b=at_b[axis], array=f.array,
+        element=f.const + sum(c * at_a[n] for n, c in f.terms.items()),
+        ref_a=f.text, ref_b=g.text,
+        write_a=f.is_write, write_b=g.is_write,
+        env_a=_source_env(at_a), env_b=_source_env(at_b),
+        exact=exact,
+    )
 
 
 # -- concrete (exhaustive) tier ----------------------------------------------
@@ -812,34 +721,25 @@ def _classify_symbolic(
             for g in refs[i:]:
                 if not (f.is_write or g.is_write):
                     continue
-                # the conservative screen first: a False
-                # is already a proof of independence
-                if not lane_conflict(
+                collision, proved = lane_witness(
                     f.const, f.terms, g.const, g.terms,
                     axis, span, rng[0], outer, part.inner,
-                ):
-                    continue
-                exempt = f.accum is not None and f.accum == g.accum
-                result = _solve_pair(
-                    f, g, axis, rng, outer, part.inner, part.exact
                 )
-                if not result.conflict:
-                    if result.proved:
-                        continue  # screen overturned exactly
-                    if not exempt:
-                        best_inexact = best_inexact or (f.text, g.text)
+                if collision is None and proved:
                     continue
-                if exempt:
+                if f.accum is not None and f.accum == g.accum:
                     has_exempt = True
                     continue
-                if result.witness is None:
+                if collision is None:
                     best_inexact = best_inexact or (f.text, g.text)
                     continue
                 return verdict(
                     "serial",
                     f"cross-lane dependence between {f.text} and {g.text}",
-                    witness=result.witness,
-                    exact=part.exact and result.witness.exact,
+                    witness=_race(
+                        f, g, axis, collision, outer, part.inner, part.exact
+                    ),
+                    exact=part.exact,
                 )
     if best_inexact is not None:
         return verdict(

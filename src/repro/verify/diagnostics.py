@@ -23,10 +23,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from ..lang import ValidationError, ValidationIssue
 from ..obs import metrics
+
+#: per-code cap on individual diagnostics before one summary line
+MAX_PER_CODE = 5
+
+T = TypeVar("T")
 
 
 class Severity(Enum):
@@ -111,6 +116,21 @@ class DiagnosticBag:
 
     def info(self, code: str, message: str, **kw: object) -> Diagnostic:
         return self.add(code, Severity.INFO, message, **kw)
+
+    def capped(
+        self,
+        code: str,
+        items: Sequence[T],
+        emit: Callable[[T], object],
+        more: str,
+        where: str,
+    ) -> None:
+        """``emit`` the first :data:`MAX_PER_CODE` of ``items``, then one
+        INFO line ``"<n> more <more>"`` under ``code`` for the rest."""
+        for item in items[:MAX_PER_CODE]:
+            emit(item)
+        if len(items) > MAX_PER_CODE:
+            self.info(code, f"{len(items) - MAX_PER_CODE} more {more}", where=where)
 
     def extend(self, other: "DiagnosticBag") -> None:
         self.diagnostics.extend(other.diagnostics)

@@ -37,13 +37,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..lang import Program
-from .diagnostics import DiagnosticBag
+from .diagnostics import MAX_PER_CODE, DiagnosticBag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from ..static.parallelism import AxisVerdict, ParallelismProfile
-
-#: per-code cap on individual diagnostics before summarizing
-MAX_PER_CODE = 5
 
 
 def _is_scalar_race(verdict: "AxisVerdict") -> bool:
@@ -64,33 +61,29 @@ def lint_parallelism(profile: "ParallelismProfile") -> DiagnosticBag:
         (scalar_races if _is_scalar_race(v) else array_races).append(v)
 
     def emit_races(code: str, races: list["AxisVerdict"], noun: str) -> None:
-        for v in races[:MAX_PER_CODE]:
-            where = f"{name}: nest {v.nest} loop {'.'.join(v.path)}"
+        def race(v: "AxisVerdict") -> None:
             detail = (
                 v.witness.describe() if v.witness is not None else v.reason
             )
             bag.warning(
                 code,
                 f"axis {v.index!r} is serial ({noun}): {detail}",
-                where=where,
+                where=f"{name}: nest {v.nest} loop {'.'.join(v.path)}",
                 nest=v.nest,
                 axis=v.index,
                 depth=v.depth,
                 exact=v.exact,
             )
-        if len(races) > MAX_PER_CODE:
-            bag.info(
-                code,
-                f"{len(races) - MAX_PER_CODE} more serial axes with a "
-                f"{noun} ({len(races)} total)",
-                where=name,
-            )
+
+        bag.capped(
+            code, races, race,
+            f"serial axes with a {noun} ({len(races)} total)", where=name,
+        )
 
     emit_races("R501", array_races, "array race")
     emit_races("R502", scalar_races, "scalar dependence")
 
-    reductions = list(profile.by_verdict("reduction"))
-    for v in reductions[:MAX_PER_CODE]:
+    def reduction(v: "AxisVerdict") -> None:
         targets = ", ".join(v.reduction_targets) or "accumulator"
         bag.info(
             "R503",
@@ -101,13 +94,12 @@ def lint_parallelism(profile: "ParallelismProfile") -> DiagnosticBag:
             axis=v.index,
             targets=targets,
         )
-    if len(reductions) > MAX_PER_CODE:
-        bag.info(
-            "R503",
-            f"{len(reductions) - MAX_PER_CODE} more reduction axes "
-            f"({len(reductions)} total)",
-            where=name,
-        )
+
+    reductions = profile.by_verdict("reduction")
+    bag.capped(
+        "R503", reductions, reduction,
+        f"reduction axes ({len(reductions)} total)", where=name,
+    )
     return bag
 
 

@@ -28,10 +28,14 @@ from repro.static import analyze_parallelism
 
 SHIFT = st.integers(-1, 1)
 
+#: the coefficient of ``j`` in an ``A`` subscript: two references that
+#: read ``j`` with different coefficients meet over a triangle of lanes
+J_COEFF = st.integers(1, 2)
+
 #: bounds of the sibling ``j`` loop: one-trip, boundary, empty or full
 SIBLING_BOUND = st.sampled_from(["2", "3", "N - 1"])
 
-PLANE = ("N + 2", "N + 2")
+PLANE = ("2 * N + 2", "N + 2")
 
 
 def ref(array: str, *subs: str):
@@ -72,25 +76,17 @@ def case(spec):
 @st.composite
 def affine_nest(draw):
     """One doubly nested affine kernel plus everything the oracle needs."""
-    ws_j, ws_i, rs_j, rs_i, r2_j, r2_i = (draw(SHIFT) for _ in range(6))
+    def a_ref():
+        return ref("A", f"{draw(J_COEFF)} * j + {draw(SHIFT)}", f"i + {draw(SHIFT)}")
+
     guard = ("3", "N - 2") if draw(st.booleans()) else None
-    stmts = [(
-        guard,
-        ref("A", f"j + {ws_j}", f"i + {ws_i}"),
-        [ref("A", f"j + {rs_j}", f"i + {rs_i}"), ref("B", "j", "i")],
-    )]
+    stmts = [(guard, a_ref(), [a_ref(), ref("B", "j", "i")])]
     if draw(st.booleans()):
-        stmts.append(
-            (None, ref("B", "j", "i"), [ref("A", f"j + {r2_j}", f"i + {r2_i}")])
-        )
+        stmts.append((None, ref("B", "j", "i"), [a_ref()]))
     loops = [("2", "i" if draw(st.booleans()) else "N - 1", stmts)]
     if draw(st.booleans()):
-        sw_j, sw_i, sr_j, sr_i = (draw(SHIFT) for _ in range(4))
-        loops.append((draw(SIBLING_BOUND), draw(SIBLING_BOUND), [(
-            None,
-            ref("A", f"j + {sw_j}", f"i + {sw_i}"),
-            [ref("A", f"j + {sr_j}", f"i + {sr_i}"), ref("B", "j", "i")],
-        )]))
+        bounds = draw(SIBLING_BOUND), draw(SIBLING_BOUND)
+        loops.append((*bounds, [(None, a_ref(), [a_ref(), ref("B", "j", "i")])]))
     return case({
         "n": draw(st.integers(6, 9)),
         "arrays": {"A": PLANE, "B": PLANE},

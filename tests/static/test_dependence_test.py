@@ -1,10 +1,11 @@
-"""Unit tests for the shared interval + gcd lane-distance test.
+"""Unit tests for the exact solver and the cross-lane pair rule.
 
-``attainable`` is the conservative screen (False must be a proof),
 ``solve_sum`` is the exact bounded solver (a solution must satisfy the
-equation; a proved None must match brute-force infeasibility), and
-``lane_conflict`` is the packaged conservative decision procedure.  Each
-is checked against direct enumeration on small boxes.
+equation; a proved None must match brute-force infeasibility); its first
+step is the interval + gcd screen, which the ``attainable`` cases pin.
+``lane_witness`` is the pair rule the parallelism analyzer asks: when it
+answers with a proof, it reports a collision exactly when direct
+enumeration finds one, and every collision it reports is real.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ import random
 
 import pytest
 
-from repro.static.dependence_test import (
-    MAX_DISTANCE_ENUM,
-    attainable,
-    lane_conflict,
-    solve_sum,
-)
+from repro.static.dependence_test import lane_witness, solve_sum
 
 
 def brute_force(target, base, terms):
@@ -32,7 +28,15 @@ def brute_force(target, base, terms):
     return out
 
 
-# -- attainable ---------------------------------------------------------------
+# -- attainable: the screen at solve_sum's root ------------------------------
+
+
+def attainable(target, base, terms):
+    """Does ``solve_sum`` find ``target``?  These systems are tiny, so
+    every answer must be a proof."""
+    values, proved = solve_sum(target, base, terms)
+    assert values is not None or proved
+    return values is not None
 
 
 def test_attainable_no_terms():
@@ -61,10 +65,13 @@ def test_attainable_gcd_screen():
 
 
 def test_attainable_is_necessary_not_sufficient():
-    # 3a + 5b = 4 with a,b in [0,1]: passes interval ([0,8]) and gcd
-    # (gcd=1) but has no solution — attainable may say True
-    terms = [(3, 0, 1), (5, 0, 1)]
-    assert attainable(4, 0, terms)
+    # 2a + 3b + 5c = 4 with a,b,c in [0,1] passes the screen (interval
+    # [0, 10], gcd 1) but has no solution.  A one-node budget leaves only
+    # the screen: its refusals are proofs, and this target needs the search
+    terms = [(2, 0, 1), (3, 0, 1), (5, 0, 1)]
+    assert solve_sum(11, 0, terms, budget=1) == (None, True)
+    assert solve_sum(4, 0, terms, budget=1) == (None, False)
+    assert solve_sum(4, 0, terms) == (None, True)
     assert brute_force(4, 0, terms) == []
 
 
@@ -99,7 +106,7 @@ def test_solve_sum_simple_solution():
 
 
 def test_solve_sum_proves_infeasible():
-    # 3a + 5b = 4 with a,b in [0,1] — the attainable() blind spot
+    # 3a + 5b = 4 with a,b in [0,1] — the interval + gcd screen's blind spot
     values, proved = solve_sum(4, 0, [(3, 0, 1), (5, 0, 1)])
     assert values is None and proved
 
@@ -148,93 +155,90 @@ def test_solve_sum_matches_brute_force(seed):
         )
 
 
-# -- lane_conflict ------------------------------------------------------------
+# -- lane_witness: the pair rule ---------------------------------------------
 
 
 def test_lane_conflict_stencil_carried():
-    # A[i] = f(A[i-1]): writes A[i], reads A[i-1] -> lanes collide
-    assert lane_conflict(
+    # A[i] = f(A[i-1]): writes A[i], reads A[i-1] -> lanes collide, at
+    # the smallest lane distance
+    assert lane_witness(
         0, {"i": 1}, -1, {"i": 1}, "i", 7, 1, {}, {}
-    )
+    ) == (({"i": 1}, {"i": 2}), True)
 
 
 def test_lane_conflict_independent_lanes():
     # A[i] = f(B[i]): same subscript, but check A-write vs A-write only
     # touches one element per lane -> no cross-lane conflict
-    assert not lane_conflict(
+    assert lane_witness(
         0, {"i": 1}, 0, {"i": 1}, "i", 7, 1, {}, {}
-    )
+    ) == (None, True)
 
 
 def test_lane_conflict_axis_not_in_subscript():
     # A[j] written from every i lane: conflict across lanes
-    assert lane_conflict(
+    collision, _ = lane_witness(
         0, {"j": 1}, 0, {"j": 1}, "i", 7, 1, {}, {"j": (1, 8)}
     )
+    assert collision is not None
 
 
 def test_lane_conflict_unknown_variable_is_conservative():
-    # a subscript variable bound in neither outer nor inner: assume conflict
-    assert lane_conflict(
+    # a subscript variable bound in neither outer nor inner: no
+    # collision, and no proof of independence either
+    assert lane_witness(
         0, {"q": 1}, 0, {"q": 1}, "i", 7, 1, {}, {}
-    )
+    ) == (None, False)
 
 
 def test_lane_conflict_strided_lanes_disjoint():
     # A[2i] vs A[2i+1]: even vs odd elements never meet
-    assert not lane_conflict(
+    assert lane_witness(
         0, {"i": 2}, 1, {"i": 2}, "i", 7, 1, {}, {}
-    )
+    ) == (None, True)
 
 
 def test_lane_conflict_reversal_collides():
     # A[i] vs A[N-i] (folded N=9 -> A[9-i]), i in [1,8]: lanes meet
-    assert lane_conflict(
+    collision, _ = lane_witness(
         0, {"i": 1}, 9, {"i": -1}, "i", 7, 1, {}, {}
     )
+    assert collision is not None
 
 
 def test_lane_conflict_outer_shared_variable():
     # A[j, i] write vs A[j-1, i] read along axis j (outer i shared):
     # folded column-major with stride 16 -> base -16, coeff 16 on j
-    assert lane_conflict(
+    collision, _ = lane_witness(
         0, {"j": 16, "i": 1}, -16, {"j": 16, "i": 1}, "j", 14, 1,
         {"i": (1, 16)}, {},
     )
+    assert collision is not None
 
 
-def test_lane_conflict_span_beyond_enum_cap_is_conservative():
-    assert lane_conflict(
-        0, {"i": 1}, -1, {"i": 1}, "i", MAX_DISTANCE_ENUM + 1, 1, {}, {}
-    )
+def element(k, t, env):
+    return k + sum(c * env[n] for n, c in t.items())
 
 
 def brute_lane_conflict(kf, tf, kg, tg, axis, span, axis_lo, outer, inner):
     """Direct enumeration of the cross-lane conflict question."""
     axis_vals = range(axis_lo, axis_lo + span + 1)
-    outer_names = sorted(outer)
     inner_names = sorted(inner)
-
-    def elem(k, t, ax, o_env, i_env):
-        total = k + t.get(axis, 0) * ax
-        for n in outer_names:
-            total += t.get(n, 0) * o_env[n]
-        for n in inner_names:
-            total += t.get(n, 0) * i_env[n]
-        return total
-
-    outer_boxes = [range(outer[n][0], outer[n][1] + 1) for n in outer_names]
+    outer_boxes = [range(lo, hi + 1) for lo, hi in outer.values()]
     inner_boxes = [range(inner[n][0], inner[n][1] + 1) for n in inner_names]
     for o_vals in itertools.product(*outer_boxes):
-        o_env = dict(zip(outer_names, o_vals))
+        o_env = dict(zip(outer, o_vals))
         for a1 in axis_vals:
             for a2 in axis_vals:
                 if a1 == a2:
                     continue
                 for iv1 in itertools.product(*inner_boxes):
                     for iv2 in itertools.product(*inner_boxes):
-                        e1 = elem(kf, tf, a1, o_env, dict(zip(inner_names, iv1)))
-                        e2 = elem(kg, tg, a2, o_env, dict(zip(inner_names, iv2)))
+                        e1 = element(kf, tf, {
+                            **o_env, axis: a1, **dict(zip(inner_names, iv1))
+                        })
+                        e2 = element(kg, tg, {
+                            **o_env, axis: a2, **dict(zip(inner_names, iv2))
+                        })
                         if e1 == e2:
                             return True
     return False
@@ -242,7 +246,7 @@ def brute_lane_conflict(kf, tf, kg, tg, axis, span, axis_lo, outer, inner):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_lane_conflict_never_misses_a_real_conflict(seed):
-    """Soundness: brute-force conflict implies lane_conflict() True."""
+    """A proved answer is brute force's, and every collision is real."""
     rng = random.Random(2000 + seed)
     axis = "i"
     span = rng.randint(1, 4)
@@ -265,9 +269,18 @@ def test_lane_conflict_never_misses_a_real_conflict(seed):
 
     kf, tf = subscript()
     kg, tg = subscript()
-    truth = brute_lane_conflict(kf, tf, kg, tg, axis, span, axis_lo, outer, inner)
-    claimed = lane_conflict(kf, tf, kg, tg, axis, span, axis_lo, outer, inner)
-    if truth:
-        assert claimed, (
-            f"missed conflict: {kf}+{tf} vs {kg}+{tg} over span {span}"
-        )
+    args = (kf, tf, kg, tg, axis, span, axis_lo, outer, inner)
+    collision, proved = lane_witness(*args)
+    assert proved, f"a pair this small must be decided: {args}"
+    assert (collision is not None) == brute_lane_conflict(*args), args
+    if collision is None:
+        return
+    at_a, at_b = collision
+    for at in collision:
+        # a variable a subscript does not read may take any value
+        for name, (lo, hi) in {**outer, **inner}.items():
+            assert lo <= at.setdefault(name, lo) <= hi, (args, collision)
+        assert axis_lo <= at[axis] <= axis_lo + span
+    assert at_a[axis] != at_b[axis]
+    assert all(at_a[name] == at_b[name] for name in outer), (args, collision)
+    assert element(kf, tf, at_a) == element(kg, tg, at_b), (args, collision)

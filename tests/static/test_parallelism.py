@@ -315,7 +315,7 @@ COUPLED = """
 def test_coupled_bounds_keep_every_range_inside_the_iteration_space(monkeypatch):
     """``k``'s lower bound couples ``j`` and ``i``: widened one index at a
     time it reaches 1 - 12 + 1 = -10 at N=12, eliminated it is 1.  Every
-    range the dependence screen is given lies inside the real iteration
+    range the pair rule is given lies inside the real iteration
     space, and the verdicts are the exhaustive tier's."""
     n = 12
     real: dict[str, tuple[int, int]] = {}
@@ -326,14 +326,14 @@ def test_coupled_bounds_keep_every_range_inside_the_iteration_space(monkeypatch)
                     lo, hi = real.get(name, (v, v))
                     real[name] = (min(lo, v), max(hi, v))
     used = []
-    screen = parallelism_module.lane_conflict
+    pair_rule = parallelism_module.lane_witness
 
     def recording(*args):
         axis, span, lo, outer, inner = args[4:]
         used.extend([(axis, (lo, lo + span)), *outer.items(), *inner.items()])
-        return screen(*args)
+        return pair_rule(*args)
 
-    monkeypatch.setattr(parallelism_module, "lane_conflict", recording)
+    monkeypatch.setattr(parallelism_module, "lane_witness", recording)
     program = build(COUPLED)
     verdicts = analyze_parallelism(program, {"N": n}).verdicts
     assert {name.partition("#")[0] for name, _ in used} == set("ijk")
@@ -349,6 +349,28 @@ def test_coupled_bounds_keep_every_range_inside_the_iteration_space(monkeypatch)
     assert all(v.reason.endswith("(exhaustive check)") for v in exhaustive)
     assert [v.verdict for v in verdicts] == [v.verdict for v in exhaustive]
     assert [v.verdict for v in verdicts] == ["serial", "doall", "doall"]
+
+
+@pytest.mark.parametrize(
+    "body, verdicts",
+    [
+        ("for j = 1, N { A[j, i] = f(A[j, i]) }", {"i": "doall", "j": "doall"}),
+        ("for j = 2, N { A[j, i] = f(A[j - 1, i]) }", {"i": "doall", "j": "serial"}),
+    ],
+    ids=["same-element", "stencil"],
+)
+def test_lane_distances_beyond_any_enumeration_are_solved_exactly(body, verdicts):
+    """At N=9000 the lane distance is one solver term, so both axes are
+    decided exactly, and the stencil's race sits at lane distance 1."""
+    program = build(f"program t\nparam N\nreal A[N, N]\nfor i = 1, N {{ {body} }}\n")
+    profile = analyze_parallelism(program, {"N": 9000})
+    assert {v.index: (v.verdict, v.exact) for v in profile.verdicts} == {
+        index: (verdict, True) for index, verdict in verdicts.items()
+    }
+    for v in profile.races:
+        w = v.witness
+        assert (w.exact, w.iter_a - w.iter_b) == (True, 1), w
+        assert w.env_a == (("i", 1), ("j", 3)) and w.env_b == (("i", 1), ("j", 2))
 
 
 @pytest.mark.parametrize(

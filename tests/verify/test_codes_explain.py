@@ -58,13 +58,8 @@ def test_every_code_used_in_the_source_is_registered():
     assert used <= set(REGISTRY), sorted(used - set(REGISTRY))
 
 
-#: codes whose capped run of diagnostics closes with an INFO "N more …"
-#: line, whatever the code's own severity
-SUMMARY_CODES = {"S301", "R501", "R502", "R503"}
-
-
-def emit_sites(source: str) -> list[tuple[int, str, str, str]]:
-    """``(line, code, severity, message)`` of each ``.error`` / ``.warning``
+def emit_sites(source: str) -> list[tuple[int, str, str]]:
+    """``(line, code, severity)`` of each ``.error`` / ``.warning``
     / ``.info`` call in ``source`` whose first argument is a literal code."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -76,8 +71,7 @@ def emit_sites(source: str) -> list[tuple[int, str, str, str]]:
             and isinstance(node.args[0], ast.Constant)
             and re.fullmatch(r"[A-Z]\d{3}", str(node.args[0].value))
         ):
-            message = ast.unparse(node.args[1]) if len(node.args) > 1 else ""
-            found.append((node.lineno, node.args[0].value, node.func.attr, message))
+            found.append((node.lineno, node.args[0].value, node.func.attr))
     return found
 
 
@@ -85,16 +79,15 @@ def test_every_literal_emit_site_uses_the_registered_severity():
     # ``lint --explain`` prints the registered severity and ``lint
     # --strict`` fails on the emitted one: the two must agree
     sites = {
-        f"{path.relative_to(PACKAGE)}:{line}": (code, severity, message)
+        f"{path.relative_to(PACKAGE)}:{line}": (code, severity)
         for path in sorted(PACKAGE.rglob("*.py"))
-        for line, code, severity, message in emit_sites(path.read_text())
+        for line, code, severity in emit_sites(path.read_text())
     }
     assert len(sites) >= 30, sorted(sites)
     wrong = {
         where: (code, severity, REGISTRY[code].severity.name.lower())
-        for where, (code, severity, message) in sites.items()
+        for where, (code, severity) in sites.items()
         if Severity[severity.upper()] != REGISTRY[code].severity
-        and not (severity == "info" and code in SUMMARY_CODES and " more " in message)
     }
     assert not wrong, wrong
 

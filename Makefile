@@ -70,7 +70,9 @@ perf-selfcheck:
 # autotuner regression gate: the committed BENCH_tune.json best pipelines
 # must never predict more misses than any named level, and every committed
 # prediction must reproduce under the current analyzer (sp's fully fused
-# levels included); refresh the artifact with `make bench-tune`.
+# levels included), re-analyzed on every run: the gate neither reads nor
+# writes .cache, whose keys do not cover the analyzer; refresh the
+# artifact with `make bench-tune`.
 tune-check:
 	$(PYTHON) -m repro tune --check --baseline BENCH_tune.json
 

@@ -265,7 +265,7 @@ def _run(args: argparse.Namespace, levels, **options):
             steps=target.steps,
             name=target.name,
             engine=args.engine,
-            cache=TraceCache(args.cache_dir) if args.cache else None,
+            cache=args.cache_dir or args.cache,
             verify=args.verify,
             **options,
         )
@@ -311,7 +311,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _parallelism_table(target, results, threads: int) -> str:
     """Per-level axis verdicts + predicted multicore misses for a report."""
-    from .static import analyze_parallelism, predict_program_multicore
+    from .static import analyze_parallelism, analyze_program, predict_multicore
 
     geometry = CacheGeometry.from_spec(target.machine_spec)
     l1, l2 = geometry.l1_elems, geometry.l2_elems
@@ -324,9 +324,9 @@ def _parallelism_table(target, results, threads: int) -> str:
         if r.variant is None:
             continue
         prof = analyze_parallelism(r.variant.program, r.params)
-        pred = predict_program_multicore(
-            r.variant.program, dict(prof.params), threads=threads,
-            steps=target.steps,
+        pred = predict_multicore(
+            analyze_program(r.variant.program, steps=target.steps), prof,
+            dict(prof.params), threads=threads,
         )
         counts = prof.counts()
         outer = sum(1 for v in prof.verdicts if v.depth == 0)
@@ -869,7 +869,7 @@ def cmd_static_reuse(args: argparse.Namespace) -> int:
 
 def cmd_parallelism(args: argparse.Namespace) -> int:
     """Classify every loop axis; optionally predict multicore misses."""
-    from .static import analyze_parallelism, predict_program_multicore
+    from .static import analyze_parallelism, analyze_program, predict_multicore
 
     def analyze(spec):
         target = _target(args, spec)
@@ -883,12 +883,12 @@ def cmd_parallelism(args: argparse.Namespace) -> int:
         ]
         lines += [f"  {v.describe()}" for v in profile.verdicts]
         if args.threads:
-            pred = predict_program_multicore(
-                program,
+            pred = predict_multicore(
+                analyze_program(program, steps=target.steps),
+                profile,
                 dict(profile.params),
                 threads=args.threads,
                 schedule=args.schedule,
-                steps=target.steps,
             )
             entry["multicore"] = pred.as_dict()
             geometry = CacheGeometry.from_spec(target.machine_spec)
@@ -1000,7 +1000,7 @@ def cmd_verify_pass(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    cache = TraceCache(args.dir)
+    cache = TraceCache(args.cache_dir)
     if args.clear:
         removed = cache.clear()
         print(f"removed {removed} entries from {cache.root}/")
@@ -1037,10 +1037,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
     """Autotune pass pipelines per program by statically predicted misses."""
     from .tune import TuneRequest, check_baseline, tune
 
-    cache = args.cache_dir if args.cache_dir else (None if args.no_cache else True)
+    cache = args.cache_dir or not args.no_cache
     baseline = _baseline(args)
     if baseline is not None:
-        failures = check_baseline(baseline, cache=cache)
+        failures = check_baseline(baseline)
         if failures:
             print("tune --check: predicted-miss regressions detected:")
             for line in failures:
@@ -1149,7 +1149,9 @@ SHARED = {
                    help="certify pass legality during compilation"),
     "cache": _arg("--cache", action="store_true",
                   help="use the on-disk trace/result cache"),
-    "cache-dir": _arg("--cache-dir", help="cache directory"),
+    "cache-dir": _arg("--cache-dir", metavar="DIR", help="on-disk cache "
+                      "directory (default .cache or $REPRO_CACHE_DIR); giving "
+                      "it turns the cache on"),
     "passes": _arg("--passes", metavar="P1,P2,...", help="compile through this "
                    "comma-separated pass list (each a pass name or fusion:K) "
                    "instead of a level ('repro pipeline --json' lists every pass)"),
@@ -1257,8 +1259,8 @@ COMMANDS = (
     _command("trace info", "print a stream file's metadata", cmd_trace_info,
              "stream"),
     _command(
-        "cache", "inspect or clear the trace/result cache", cmd_cache, "",
-        _arg("--dir", help="cache directory (default .cache)"),
+        "cache", "inspect or clear the on-disk cache (traces, results, tune "
+        "scores)", cmd_cache, "cache-dir",
         _arg("--clear", action="store_true"),
     ),
     _command(

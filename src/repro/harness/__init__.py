@@ -8,7 +8,7 @@ the README migration table for the ``RunRequest`` equivalents.
 """
 
 from .artifacts import merge_json_artifact
-from .cache import TraceCache, default_cache_dir, layout_fingerprint
+from .cache import TraceCache, default_cache_dir, layout_fingerprint, resolve_cache
 from .experiment import (
     VariantResult,
     machine_for,
@@ -47,6 +47,7 @@ __all__ = [
     "merge_json_artifact",
     "normalized_rows",
     "ratio",
+    "resolve_cache",
     "growth_factor",
     "run",
     "scaling_sweep",

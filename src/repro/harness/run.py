@@ -28,7 +28,7 @@ from ..memsim import MachineConfig
 from ..obs import TraceConfig
 from ..programs.registry import resolve_target
 from ..verify import PassVerifier
-from .cache import TraceCache
+from .cache import TraceCache, resolve_cache
 from .experiment import VariantResult, machine_for
 from .parallel import run_levels
 
@@ -112,16 +112,6 @@ def _resolve_levels(levels: Union[str, Sequence[str]]) -> list[str]:
     return list(levels)
 
 
-def _resolve_cache(cache: Union[None, bool, str, Path, TraceCache]) -> Optional[TraceCache]:
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return TraceCache()
-    if isinstance(cache, TraceCache):
-        return cache
-    return TraceCache(cache)
-
-
 def run(request: RunRequest) -> RunResult:
     """Execute one experiment request; the single front door."""
     from ..core.pm import resolve_pipeline
@@ -162,7 +152,7 @@ def run(request: RunRequest) -> RunResult:
         name=target.name,
         regroup_options=request.regroup_options,
         engine=request.engine,
-        cache=_resolve_cache(request.cache),
+        cache=resolve_cache(request.cache),
         verify=bool(request.verify) if pooled else request.verify,
         result_cache=request.result_cache,
         pipeline=pipeline_spec,

@@ -12,7 +12,8 @@ schema's payload.  Current emitters:
 ==============================  =====================================
 ``cache.trace.hits/misses``     :class:`repro.harness.TraceCache`
 ``cache.result.hits/misses``    ... result entries
-``cache.trace/result.stores``   ... entries written
+``cache.tune.hits/misses``      ... tune score entries (``repro tune``)
+``cache.<kind>.stores``         ... entries written, per kind
 ``engine.fast.calls``           :func:`repro.memsim.fastsim.simulate_fast`
 ``engine.fast.n_way_distance``  assoc>=3 via the near/far stack-distance kernel
 ``engine.reference.calls``      scalar reference engine dispatches

@@ -27,11 +27,7 @@ from .coherence import (
 from .dependence_test import solve_sum
 from .lints import lint_static
 from .model import LoopCtx, StaticModel, StaticRef, build_model
-from .multicore import (
-    MulticorePrediction,
-    predict_multicore,
-    predict_program_multicore,
-)
+from .multicore import MulticorePrediction, predict_multicore
 from .parallelism import (
     AxisVerdict,
     ParallelismProfile,
@@ -80,7 +76,6 @@ __all__ = [
     "lint_static",
     "parse_schedule",
     "predict_multicore",
-    "predict_program_multicore",
     "preserves_affinity",
     "round_robin_positions",
     "schedule_assignments",

@@ -50,13 +50,12 @@ from fractions import Fraction
 from functools import cache
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
-from ..lang import Affine, NotAffineError, Program
+from ..lang import Affine, NotAffineError
 from ..lang.scope import eliminate, fold_range
 from ..locality.histogram import ReuseHistogram
-from ..obs import metrics, span
 from .model import LoopCtx, StaticRef
-from .parallelism import ParallelismProfile, analyze_parallelism
-from .profile import StaticProfile, analyze_program, clamp_distance
+from .parallelism import ParallelismProfile
+from .profile import StaticProfile, clamp_distance
 from .schedule import parse_schedule, preserves_affinity, schedule_chunks
 
 #: component kinds whose reuse stays inside one thread's chunk
@@ -561,26 +560,3 @@ def predict_multicore(
         private_cold=cold_private,
         shared_cold=cold_shared,
     )
-
-
-def predict_program_multicore(
-    program: Program,
-    params: Mapping[str, int],
-    threads: int = 4,
-    schedule: str = "static",
-    steps: int = 1,
-) -> MulticorePrediction:
-    """One-call wrapper: analyze reuse + parallelism, then predict."""
-    with span(
-        "multicore-predict",
-        program=program.name,
-        threads=threads,
-        schedule=schedule,
-    ):
-        profile = analyze_program(program, steps=steps)
-        parallelism = analyze_parallelism(program, params)
-        pred = predict_multicore(
-            profile, parallelism, params, threads, schedule
-        )
-        metrics.inc("analysis.parallelism.multicore_predictions")
-        return pred

@@ -7,7 +7,6 @@ the top-k frontier, and gate the committed ``BENCH_tune.json``
 artifact against regressions via :func:`check_baseline`.
 """
 
-from .cache import TuneCache
 from .candidates import (
     ENABLERS,
     FUSION_LEVELS,
@@ -32,7 +31,6 @@ __all__ = [
     "ENABLERS",
     "FUSION_LEVELS",
     "OBJECTIVES",
-    "TuneCache",
     "TuneRequest",
     "TuneResult",
     "canonical_enabler_order",

@@ -20,8 +20,8 @@ loop is static-rank / dynamic-validate:
    existing ``run(RunRequest)`` harness (codegen tracer, TraceCache),
    and record whether the measured ordering confirms the static one.
 
-Every candidate evaluation is content-addressed on disk
-(:class:`~repro.tune.cache.TuneCache`), so an interrupted or
+Every candidate evaluation is a ``tune-*`` entry of the harness's
+on-disk store (:class:`~repro.harness.TraceCache`), so an interrupted or
 re-parameterized search resumes instead of re-analyzing; the loop
 streams schema-v1 JSONL events (one spec per pipeline, the candidate
 signature as the level label) and ``tune.*`` metrics via
@@ -29,7 +29,8 @@ signature as the level label) and ``tune.*`` metrics via
 
 ``check_baseline`` is the CI gate over a committed ``BENCH_tune.json``:
 the tuned pipeline must never predict more misses than any named level,
-and every committed prediction must reproduce under the current analyzer.
+and every committed prediction must reproduce under the current analyzer,
+which it re-runs (the gate neither reads nor writes the store).
 """
 
 from __future__ import annotations
@@ -41,13 +42,12 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from ..core.pm import OPT_LEVELS, PIPELINES, PassManager, PipelineSpec, spec_to_json
-from ..harness import RunRequest, TraceCache, format_table, run
+from ..harness import RunRequest, TraceCache, format_table, resolve_cache, run
 from ..lang import Program, ReproError, check_params
 from ..memsim.geometry import CacheGeometry
 from ..obs import RunLog, make_event, metrics, span, spec_logging
 from ..programs.registry import MachineSpec, resolve_target
 from ..static import analyze_program
-from .cache import TuneCache
 from .candidates import (
     ENABLERS,
     FUSION_LEVELS,
@@ -87,8 +87,12 @@ class TuneRequest:
     ``top_k`` / ``validate_top`` / ``engine``
         dynamic validation of the frontier through ``run(RunRequest)``;
     ``cache``
-        content-addressed resumability: candidate evaluations
-        (``tune-*``) and validation traces/results share one root;
+        the store, read as ``RunRequest.cache`` is
+        (:func:`repro.harness.resolve_cache`: ``True`` the default
+        directory, a path, a :class:`~repro.harness.TraceCache`, or
+        ``None``/``False`` for none): candidate evaluations (``tune-*``
+        entries) resume from it, and frontier validation caches its
+        traces and results there;
     ``verify``
         certify candidate pass legality during compilation (on by
         default; named levels are certified by their own test suites).
@@ -109,7 +113,7 @@ class TuneRequest:
     top_k: int = 3
     validate_top: bool = True
     engine: Optional[str] = None
-    cache: Union[None, bool, str, Path] = True
+    cache: Union[None, bool, str, Path, TraceCache] = True
     verify: bool = True
     name: Optional[str] = None
     trace: Optional[object] = None  # obs.TraceConfig
@@ -319,25 +323,33 @@ def evaluate_candidate(
     threads: int,
     schedule: str,
     verify: bool,
-    tcache: Optional[TuneCache],
+    cache: Optional[TraceCache],
     seen_text: dict[str, CandidateScore],
 ) -> CandidateScore:
     """Statically evaluate one pipeline — the tuner's inner step.
 
-    Cache-load, else compile through ``manager`` (the program's pass
-    trie), dedup against ``seen_text`` by compiled program text, else
-    analyze and score; fresh results are stored.
+    Load the ``tune`` entry from ``cache``, else compile through
+    ``manager`` (the program's pass trie), dedup against ``seen_text`` by
+    compiled program text, else analyze and score; fresh results are
+    stored.
     The first evaluation of each distinct text registers itself in
     ``seen_text``.
     """
     signature = spec_signature(spec)
     entry = key = None
-    if tcache is not None:
-        key = tcache.key(
-            str(manager.program), signature, steps, sizes, l1_elems, l2_elems,
-            objective, threads, schedule,
-        )
-        entry = tcache.load(key)
+    if cache is not None:
+        key = cache.key({
+            "source": str(manager.program),
+            "signature": signature,
+            "steps": int(steps),
+            "sizes": [{k: int(v) for k, v in sorted(s.items())} for s in sizes],
+            "l1": int(l1_elems),
+            "l2": int(l2_elems),
+            "objective": objective,
+            "threads": int(threads),
+            "schedule": schedule,
+        })
+        entry = cache.load_entry("tune", key)
     cached = entry is not None
     if not cached:
         with span("tune-evaluate", pipeline=label, kind=kind) as sp:
@@ -381,18 +393,10 @@ def evaluate_candidate(
         cached=cached,
         deduped_from=entry.get("deduped_from"),
     )
-    if tcache is not None and not cached:
-        tcache.store(key, result.to_json())
+    if cache is not None and not cached:
+        cache.store_entry("tune", key, result.to_json())
     seen_text.setdefault(result.text_hash, result)
     return result
-
-
-def _cache_root(cache: Union[None, bool, str, Path]) -> Optional[Path]:
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return TuneCache().root
-    return Path(cache)
 
 
 def tune(request: TuneRequest) -> TuneResult:
@@ -429,8 +433,7 @@ def tune(request: TuneRequest) -> TuneResult:
     work = named_specs + [(spec_signature(s), s, "candidate") for s in grid]
     metrics.inc("tune.candidates", len(grid))
 
-    root = _cache_root(request.cache)
-    tcache = TuneCache(root) if root is not None else None
+    cache = resolve_cache(request.cache)
 
     cfg = request.trace
     log = RunLog.create(cfg.runs_root, cfg.run_id) if cfg and cfg.events else None
@@ -448,7 +451,7 @@ def tune(request: TuneRequest) -> TuneResult:
                 manager, label, kind, spec, steps, sizes, l1_elems,
                 l2_elems, request.objective, request.threads,
                 request.schedule, request.verify and kind == "candidate",
-                tcache, seen_text,
+                cache, seen_text,
             )
         (named if kind == "named" else candidates).append(result)
 
@@ -467,7 +470,7 @@ def tune(request: TuneRequest) -> TuneResult:
     )
 
     if request.validate_top and request.top_k > 0 and candidates:
-        _validate_frontier(outcome, program, machine_spec, root)
+        _validate_frontier(outcome, program, machine_spec, cache)
     outcome.seconds = time.perf_counter() - t0
     if log is not None:
         log.write(
@@ -491,7 +494,7 @@ def _validate_frontier(
     outcome: TuneResult,
     program: Program,
     machine_spec: MachineSpec,
-    cache_root: Optional[Path],
+    cache: Optional[TraceCache],
 ) -> None:
     """Measure the static frontier with the real harness (codegen+cache).
 
@@ -514,7 +517,7 @@ def _validate_frontier(
                     steps=outcome.steps,
                     name=outcome.program,
                     engine=request.engine,
-                    cache=TraceCache(cache_root) if cache_root else None,
+                    cache=cache,
                 )
             ).results[0]
         stats = result.stats
@@ -540,24 +543,20 @@ def _validate_frontier(
 _RTOL = 1e-6
 
 
-def check_baseline(
-    baseline: Mapping[str, object],
-    cache: Union[None, bool, str, Path] = True,
-) -> list[str]:
+def check_baseline(baseline: Mapping[str, object]) -> list[str]:
     """The CI regression gate over a committed ``BENCH_tune.json``.
 
     For every program: (1) the committed best must not predict more
     misses than any committed named level; (2) every committed pipeline
     is re-analyzed under the current code, and the recomputed best must
     neither regress against its committed score nor fall behind any
-    recomputed named level.
+    recomputed named level.  A gate re-derives: no score comes from, or
+    goes to, the on-disk store, whose keys do not cover the analyzer.
 
     Returns failure messages (empty = gate passes).
     """
     failures: list[str] = []
     programs = baseline.get("programs", {})
-    root = _cache_root(cache)
-    tcache = TuneCache(root) if root is not None else None
     for prog_name, entry in sorted(programs.items()):
         best = entry["best"]
         named = entry["named"]
@@ -586,7 +585,7 @@ def check_baseline(
             # no text dedup here: every pipeline is analyzed on its own
             score = evaluate_candidate(
                 manager, label, "check", spec, steps, sizes, l1, l2,
-                objective, threads, schedule, False, tcache, {},
+                objective, threads, schedule, False, None, {},
             ).score
             if score > float(record["score"]) * (1 + _RTOL):
                 failures.append(

@@ -29,12 +29,7 @@ from .diagnostics import (
     VerificationError,
 )
 from .ir_verifier import lint_program
-from .legality import (
-    MAX_DIAGS_PER_CODE,
-    PassVerifier,
-    check_legality,
-    verify_pass,
-)
+from .legality import PassVerifier, check_legality, verify_pass
 from .races import (
     doall_preservation_check,
     lint_coherence,
@@ -58,7 +53,6 @@ __all__ = [
     "DEFAULT_VERIFY_PARAM",
     "Diagnostic",
     "DiagnosticBag",
-    "MAX_DIAGS_PER_CODE",
     "PassLegalityError",
     "PassVerifier",
     "Severity",

@@ -197,7 +197,7 @@ shallower coverage.""",
 _register(
     "L000", Severity.INFO,
     "further diagnostics of a code suppressed",
-    """The legality checker caps per-code output (MAX_DIAGS_PER_CODE);
+    """The legality checker caps per-code output (MAX_PER_CODE);
 this marker records that more findings of the preceding code exist.""",
 )
 _register(

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..lang import Program
-from .diagnostics import DiagnosticBag, PassLegalityError
+from .diagnostics import MAX_PER_CODE, DiagnosticBag, PassLegalityError
 from .snapshot import (
     Snapshot,
     WriteInstance,
@@ -56,11 +56,6 @@ from .snapshot import (
     is_scalar_cell,
     snapshot_program,
 )
-
-#: cap per-category diagnostics so a badly broken pass reports the
-#: pattern, not a million instances of it
-MAX_DIAGS_PER_CODE = 5
-
 
 def _sig_str(sig: object) -> str:
     if type(sig) is tuple:  # a tagged skeleton; any other value prints itself
@@ -78,7 +73,9 @@ def _sig_str(sig: object) -> str:
 
 
 class _Budget:
-    """Per-code diagnostic budget with an overflow note."""
+    """Per-code diagnostic budget with an overflow note: a badly broken
+    pass reports the pattern (:data:`MAX_PER_CODE` instances), not a
+    million instances of it."""
 
     def __init__(self, bag: DiagnosticBag) -> None:
         self.bag = bag
@@ -87,12 +84,12 @@ class _Budget:
     def error(self, code: str, message: str, **kw: object) -> None:
         n = self.counts.get(code, 0)
         self.counts[code] = n + 1
-        if n < MAX_DIAGS_PER_CODE:
+        if n < MAX_PER_CODE:
             self.bag.error(code, message, **kw)
-        elif n == MAX_DIAGS_PER_CODE:
+        elif n == MAX_PER_CODE:
             self.bag.info(
                 "L000", f"further {code} diagnostics suppressed "
-                f"(first {MAX_DIAGS_PER_CODE} shown)"
+                f"(first {MAX_PER_CODE} shown)"
             )
 
 

@@ -134,7 +134,7 @@ def test_report_with_engine_and_timings(kernel_file, capsys):
 
 def test_cache_subcommand(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    assert main(["cache", "--dir", str(cache_dir)]) == 0
+    assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
     assert "0 traces" in capsys.readouterr().out
     # populate via a cached report, then inspect and clear
     assert (
@@ -152,11 +152,23 @@ def test_cache_subcommand(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
-    assert main(["cache", "--dir", str(cache_dir)]) == 0
+    assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
     assert "1 traces" in capsys.readouterr().out
-    assert main(["cache", "--dir", str(cache_dir), "--clear"]) == 0
+    assert main(["cache", "--cache-dir", str(cache_dir), "--clear"]) == 0
     out = capsys.readouterr().out
     assert "removed 2 entries" in out and "0 traces" in out
+
+
+@pytest.mark.parametrize("command", ["report", "profile"])
+def test_cache_dir_alone_turns_the_cache_on(tmp_path, capsys, command):
+    cache_dir = tmp_path / "cache"
+    level = "--levels" if command == "report" else "--level"
+    argv = [command, "adi", "-p", "N=16", "--steps", "1", level, "noopt",
+            "--cache-dir", str(cache_dir)]
+    assert main(argv) == 0
+    assert sorted(p.name.partition("-")[0] for p in cache_dir.iterdir()) == [
+        "result", "trace"
+    ]
 
 
 def test_profile_prints_span_tree(fresh_programs, capsys):

@@ -27,7 +27,6 @@ from repro.memsim import MemStats
 from repro.programs import registry
 from repro.stream import AddressStream
 from repro.stream.io import read_stream_binary
-from repro.tune import TuneCache
 
 SMALL = {"N": 40}
 
@@ -248,21 +247,26 @@ def _stats(accesses):
 
 
 @pytest.mark.parametrize(
-    "open_cache, store, load, first, second",
+    "store, load, first, second",
     [
-        (TraceCache, "store_result", "load_result", _stats(10), _stats(20)),
-        (TuneCache, "store", "load", {"score": 1}, {"score": 2}),
+        (TraceCache.store_result, TraceCache.load_result, _stats(10), _stats(20)),
+        (
+            lambda cache, key, entry: cache.store_entry("tune", key, entry),
+            lambda cache, key: cache.load_entry("tune", key),
+            {"score": 1},
+            {"score": 2},
+        ),
     ],
     ids=["result", "tune"],
 )
 def test_store_leaves_another_writers_temporary_alone(
-    tmp_path, monkeypatch, open_cache, store, load, first, second
+    tmp_path, monkeypatch, store, load, first, second
 ):
     """Writer 1 stores a key and is stopped halfway through writing its
     temporary, while writer 2 (another process) stores the same key: 2
     must neither truncate nor publish 1's half-written file, and each
     publishes its own whole entry."""
-    cache = open_cache(tmp_path)
+    cache = TraceCache(tmp_path)
     real_write = Path.write_text
     halves = []
 
@@ -272,15 +276,15 @@ def test_store_leaves_another_writers_temporary_alone(
         halves.append(text[: len(text) // 2])
         real_write(path, halves[0])
         monkeypatch.setattr(os, "getpid", lambda: 2)
-        getattr(cache, store)("k", second)
+        store(cache, "k", second)
         assert path.read_text() == halves[0], "writer 2 touched writer 1's file"
-        assert getattr(cache, load)("k") == second
+        assert load(cache, "k") == second
         return real_write(path, text)
 
     monkeypatch.setattr(os, "getpid", lambda: 1)
     monkeypatch.setattr(Path, "write_text", write_text)
-    getattr(cache, store)("k", first)
-    assert getattr(cache, load)("k") == first
+    store(cache, "k", first)
+    assert load(cache, "k") == first
     assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -360,11 +360,13 @@ def test_witnesses_can_be_disabled():
 def test_with_invalidations_adds_to_private_misses():
     # the tune fold: invalidation misses stack on top of the capacity
     # model and can be excluded to recover the capacity-only view
-    from repro.static import predict_program_multicore
+    from repro.static import analyze_parallelism, analyze_program, predict_multicore
 
     program = build(ROWCOL)
-    pred = predict_program_multicore(
-        program, {"N": 16}, threads=4, steps=2
+    pred = predict_multicore(
+        analyze_program(program, steps=2),
+        analyze_parallelism(program, {"N": 16}),
+        {"N": 16}, threads=4,
     )
     assert pred.invalidations == ()
     prof = analyze_coherence(

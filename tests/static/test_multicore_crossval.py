@@ -1,6 +1,6 @@
 """Cross-validation of the static multicore reuse prediction.
 
-:func:`repro.static.predict_program_multicore` predicts, without running
+:func:`repro.static.predict_multicore` predicts, without running
 the program, the shared-cache and per-thread private-cache reuse-distance
 histograms of an OpenMP-style scheduled execution.  The oracle is
 :func:`repro.interp.interleave_trace`, which actually interleaves the
@@ -28,13 +28,22 @@ import pytest
 from repro.interp import interleave_trace, trace_program
 from repro.locality import ReuseHistogram, reuse_distances
 from repro.programs import registry
-from repro.static import predict_program_multicore
+from repro.static import analyze_parallelism, analyze_program, predict_multicore
 
 SHARED_MLD_TOL = 0.5
 PRIVATE_MLD_TOL = 0.5
 
 #: programs whose both views are checked at tier-1 sizes
 FULL_CHECK = ["adi", "swim", "tomcatv"]
+
+
+def predict(program, params, threads, schedule="static", steps=1):
+    """The reuse profile and the parallelism verdicts, composed."""
+    return predict_multicore(
+        analyze_program(program, steps=steps),
+        analyze_parallelism(program, params),
+        params, threads, schedule,
+    )
 
 
 def crossval(name: str, n: int, threads: int, schedule: str = "static"):
@@ -44,9 +53,7 @@ def crossval(name: str, n: int, threads: int, schedule: str = "static"):
     run = interleave_trace(
         program, params, threads, steps=entry.steps, schedule=schedule
     )
-    pred = predict_program_multicore(
-        program, params, threads=threads, schedule=schedule, steps=entry.steps
-    )
+    pred = predict(program, params, threads, schedule, entry.steps)
     shared = ReuseHistogram.from_distances(reuse_distances(run.merged))
     private = ReuseHistogram()
     keys = np.asarray(run.merged)
@@ -107,10 +114,7 @@ def test_finer_chunks_never_predict_better_private_locality():
     cap = 1024
     by_schedule = {}
     for schedule in ("static", "static,4", "static,1"):
-        pred = predict_program_multicore(
-            program, {"N": 16}, threads=4,
-            schedule=schedule, steps=entry.steps,
-        )
+        pred = predict(program, {"N": 16}, 4, schedule, entry.steps)
         by_schedule[schedule] = pred.private_miss_count(cap)
     assert by_schedule["static"] <= by_schedule["static,4"] + 1e-9
     assert by_schedule["static,4"] <= by_schedule["static,1"] + 1e-9
@@ -137,7 +141,7 @@ def test_all_serial_program_is_unchanged_by_threads():
     plain = trace_program(program, {"N": 6}, steps=entry.steps).global_keys()
     assert run.parallel_nests == ()
     assert np.array_equal(run.merged, plain)
-    pred = predict_program_multicore(program, {"N": 6}, threads=4, steps=entry.steps)
+    pred = predict(program, {"N": 6}, 4, steps=entry.steps)
     assert pred.parallel_nests == ()
     assert pred.total == run.total
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import live_snapshots
 
 from repro.core.pm import OPT_LEVELS, PASSES, PassManager
+from repro.harness import TraceCache
 from repro.lang import ReproError, validate
 from repro.obs import REGISTRY, RunLog, TraceConfig
 from repro.programs import registry
@@ -14,10 +15,11 @@ from repro.programs.registry import MachineSpec
 from repro.tune import (
     ENABLERS,
     FUSION_LEVELS,
-    TuneCache,
     TuneRequest,
     TuneResult,
     check_baseline,
+    evaluate_candidate,
+    parse_signature,
     tune,
 )
 
@@ -148,8 +150,6 @@ class TestCaching:
         assert warm.seconds < cold.seconds
 
     def test_cache_entries_share_trace_cache_dir(self, tmp_path):
-        from repro.harness import TraceCache
-
         _tune(cache=str(tmp_path))
         info = TraceCache(tmp_path).info()
         assert info["tune"] > 0
@@ -157,30 +157,52 @@ class TestCaching:
         removed = TraceCache(tmp_path).clear()
         assert removed == info["tune"] + info["traces"] + info["results"]
 
-    def test_key_depends_on_grid_axes(self, tmp_path):
-        cache = TuneCache(tmp_path)
+    def test_key_depends_on_grid_axes(self, tmp_path, monkeypatch):
+        """A score's key hashes every axis it depends on; the base key is
+        pinned, so a store an earlier version wrote still hits."""
+        cache = TraceCache(tmp_path)
+        keys = []
+
+        def load_entry(kind, key):
+            keys.append((kind, key))
+            return {"score": 1.0, "per_size": [], "analysis_seconds": 0.0,
+                    "text_hash": "t"}
+
+        monkeypatch.setattr(cache, "load_entry", load_entry)
+        adi = PassManager.of(registry.get("adi").build())
         base = dict(
-            source_text="src", signature="inline+simplify", steps=1,
+            manager=adi, label="x", kind="candidate",
+            spec=parse_signature("inline+simplify"), steps=1,
             sizes=[{"N": 8}], l1_elems=64, l2_elems=256,
-            objective="misses", threads=4, schedule="static",
+            objective="misses", threads=4, schedule="static", verify=False,
         )
-        key = cache.key(**base)
         for field, value in [
-            ("source_text", "other"),
-            ("signature", "inline+simplify+regroup"),
+            (None, None),
+            ("manager", PassManager.of(registry.get("swim").build())),
+            ("spec", parse_signature("inline+simplify+regroup")),
             ("steps", 2),
             ("sizes", [{"N": 16}]),
             ("l1_elems", 128),
             ("l2_elems", 512),
             ("objective", "parallel-misses"),
+            ("threads", 2),
+            ("schedule", "guided"),
         ]:
-            assert cache.key(**{**base, field: value}) != key
+            args = {**base, field: value} if field else base
+            assert evaluate_candidate(**args, cache=cache, seen_text={}).cached
+        assert keys[0] == ("tune", "17ae0d0300190188ec5daa5f9fd97dcb")
+        assert len(set(keys)) == len(keys)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = TuneCache(tmp_path)
-        cache.store("k" * 32, {"score": 1.0})
-        (tmp_path / f"tune-{'k' * 32}.json").write_text("{not json")
-        assert cache.load("k" * 32) is None
+        cache = TraceCache(tmp_path)
+        cache.store_entry("tune", "k" * 32, {"score": 1.0})
+        assert cache.load_entry("tune", "k" * 32) == {"score": 1.0}
+        before = REGISTRY.snapshot()["counters"].get("cache.tune.misses", 0)
+        for text in (b"{not json", b"[1, 2]", b"\xff"):
+            (tmp_path / f"tune-{'k' * 32}.json").write_bytes(text)
+            assert cache.load_entry("tune", "k" * 32) is None
+        after = REGISTRY.snapshot()["counters"].get("cache.tune.misses", 0)
+        assert after - before == 3
 
 
 class TestObservability:
@@ -307,12 +329,12 @@ class TestCheckBaseline:
 
     def test_fresh_baseline_passes(self, tmp_path):
         baseline, _ = self._baseline(tmp_path)
-        assert check_baseline(baseline, cache=str(tmp_path)) == []
+        assert check_baseline(baseline) == []
 
     def test_best_worse_than_named_fails(self, tmp_path):
         baseline, _ = self._baseline(tmp_path)
         baseline["programs"]["adi"]["best"]["score"] *= 10
-        failures = check_baseline(baseline, cache=str(tmp_path))
+        failures = check_baseline(baseline)
         assert any("more misses than the best named" in f for f in failures)
 
     def test_committed_score_regression_fails(self, tmp_path):
@@ -321,8 +343,30 @@ class TestCheckBaseline:
         baseline["programs"]["adi"]["best"]["score"] *= 0.5
         for record in baseline["programs"]["adi"]["named"].values():
             record["score"] *= 0.5
-        failures = check_baseline(baseline, cache=False)
+        failures = check_baseline(baseline)
         assert any("regressed" in f for f in failures)
+
+    def test_gate_analyzes_every_pipeline_past_a_warm_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm store holds every committed pipeline's score, and the
+        gate still analyzes each one: the store's keys do not cover the
+        analyzer, so a replayed score would gate nothing."""
+        import repro.tune.tuner as tuner
+
+        baseline, _ = self._baseline(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # the default store
+        entries = TraceCache(tmp_path).info()
+        calls = []
+        real = tuner.analyze_program
+        monkeypatch.setattr(
+            tuner, "analyze_program",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        assert check_baseline(baseline) == []
+        named = baseline["programs"]["adi"]["named"]
+        assert len(calls) == 1 + len(named) == 1 + len(OPT_LEVELS)
+        assert TraceCache(tmp_path).info() == entries  # nor written
 
     def test_unknown_target_reported(self):
         baseline = {
@@ -338,13 +382,13 @@ class TestCheckBaseline:
                 }
             }
         }
-        failures = check_baseline(baseline, cache=False)
+        failures = check_baseline(baseline)
         assert any("cannot rebuild" in f for f in failures)
 
     def test_committed_artifact_round_trips_json(self, tmp_path):
         baseline, _ = self._baseline(tmp_path)
         text = json.dumps(baseline)
-        assert check_baseline(json.loads(text), cache=str(tmp_path)) == []
+        assert check_baseline(json.loads(text)) == []
 
 
 class TestFftTarget:

@@ -16,13 +16,13 @@ from repro.core.fusion import fuse_program
 from repro.lang import parse, validate
 from repro.programs import registry
 from repro.verify import (
-    MAX_DIAGS_PER_CODE,
     PassLegalityError,
     PassVerifier,
     check_legality,
     snapshot_program,
     verify_pass,
 )
+from repro.verify.diagnostics import MAX_PER_CODE
 
 ALL_BENCHMARKS = sorted(set(registry.APPLICATIONS) | set(registry.STUDY_PROGRAMS))
 
@@ -183,7 +183,7 @@ def test_diagnostics_are_capped():
         build(big_orig), build(big_broken), pass_name="fuse",
         params={"N": 40},
     )
-    assert len(bag.errors) == MAX_DIAGS_PER_CODE
+    assert len(bag.errors) == MAX_PER_CODE
     assert any(d.code == "L000" for d in bag)
 
 

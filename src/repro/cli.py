@@ -898,13 +898,16 @@ def cmd_parallelism(args: argparse.Namespace) -> int:
     entries = _each_target(args, analyze)
     if args.json:
         _print_json(entries)
-    unknown = sum(e["parallelism"]["counts"]["unknown"] for e in entries)
-    if args.check and unknown:
+    axes = [a for e in entries for a in e["parallelism"]["axes"]]
+    unknown = sum(a["verdict"] == "unknown" for a in axes)
+    inexact = sum(not a["exact"] and a["verdict"] != "unknown" for a in axes)
+    if args.check:
         print(
-            f"parallelism --check: {unknown} axis verdict(s) are 'unknown'",
+            f"parallelism --check: {unknown} unknown, {inexact} inexact "
+            f"of {len(axes)} axis verdict(s)",
             file=sys.stderr,
         )
-        return 1
+        return 1 if unknown or inexact else 0
     return 0
 
 
@@ -1168,7 +1171,7 @@ SHARED = {
                    "lower bound for symbolic checks (default 8)"),
     "check": _arg("--check", action="store_true", help="CI gate: exit 1 if a "
                   "committed --baseline row regresses (parallelism: if any axis "
-                  "verdict is 'unknown')"),
+                  "verdict is 'unknown' or inexact)"),
     "baseline": _arg("--baseline", metavar="FILE", help="committed baseline: "
                      "lint's accepted diagnostics, or the BENCH_*.json a "
                      "--check gates"),

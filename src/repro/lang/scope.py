@@ -19,7 +19,8 @@ Two rules live here and nowhere else:
   of a form over in-scope index ranges.
 
 :func:`fold_range` is the one concrete range: :func:`eliminate`, then
-:meth:`Affine.fold` at a binding.
+:meth:`Affine.fold` at a binding.  :func:`index_intervals` says what a
+loop or a guard admits of its index, for a check at one instance.
 """
 
 from __future__ import annotations
@@ -177,6 +178,15 @@ def fold_range(
             raise NotAffineError(f"unbound variable {free[0][0]!r} in {form}")
         values.append(value)
     return values[0], values[1]
+
+
+def index_intervals(stmt: Union[Loop, Guard]) -> list[tuple[Affine, Affine]]:
+    """The inclusive ``(lower, upper)`` intervals the index of ``stmt``, a
+    loop or a guard, lies in within its body (an else branch: outside
+    every one)."""
+    if isinstance(stmt, Loop):
+        return [stmt.bounds_affine()]
+    return [(iv.lower, iv.upper) for iv in stmt.intervals]
 
 
 class Scope:

@@ -7,8 +7,8 @@ exit), guards test interval membership, calls evaluate every argument in
 the caller's bindings and then bind the formals; :meth:`Walk.walk_span`
 walks a chunk of one loop's iterations.  A subclass supplies
 :meth:`Walk.assign`, what one assignment instance does: the value
-interpreter, the legality snapshot, the trace oracle, parallelism's
-exhaustive tier and coherence's witness lookup are such subclasses.
+interpreter, the legality snapshot, the trace oracle and coherence's
+witness lookup are such subclasses.
 
 Every subscript, loop bound, call argument and guard-interval bound is
 folded once per AST node into the tracers' record ``(const, ((name,

@@ -37,6 +37,12 @@ schema's payload.  Current emitters:
                                 ``eliminate``, ...) and served again
                                 (``hull_hits``, ``compare_hits``,
                                 ``shift_hits``, ``window_hits``, ...)
+``analysis.parallelism.*``      :func:`repro.static.analyze_parallelism`
+                                ``runs``, ``axes``, axes per verdict
+                                (``doall``, ``reduction``, ``serial``),
+                                ``races`` (with a witness) and
+                                ``inexact`` (a witness search that ran
+                                out of budget)
 ``pm.pass.runs``                passes executed by the pass manager
 ``pm.pass.<name>.runs``         ... the same, per pass
 ``pm.pass.shared``              steps a pipeline found already run by an

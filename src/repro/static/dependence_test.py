@@ -9,18 +9,23 @@ it to integer feasibility of
 
 where the ``t_k`` range over the surrounding loop variables and, when the
 two references read the axis with one coefficient, the lane distance.
-:func:`lane_terms` builds the terms of the other variables: an outer
-variable contributes one shared term, an inner one two independent
-copies.
+Each reference is a :class:`Side`: its element index and the box of its
+own iterations.  :func:`lane_terms` builds the terms of the variables
+other than the axis: an outer variable contributes one shared term over
+the two sides' common range, an inner one two independent copies, each
+over its own side's range.
 
 :func:`solve_sum` is the exact bounded-backtracking solver.  It walks
 candidate values for one term at a time, stepping only through the
 arithmetic progression a linear-congruence solve admits, and prunes with
-the suffix interval + gcd screen.  It either returns a concrete solution
-(the raw material of a race *witness*), proves infeasibility, or runs out
-of budget.  :func:`lane_witness` asks the pair question through it and
-keeps that three-way answer, so the parallelism analyzer's verdicts stay
-honest (pinned by ``tests/static/test_dependence_test.py``).
+the suffix interval + gcd screen.  It yields every solution in search
+order (the raw material of a race *witness*) — a search that ends has
+found them all — or runs out of budget.  The boxes may be
+a hull of the real iteration space: :func:`lane_witness` asks the pair
+question through the solver, keeps the first solution the caller's
+``admits`` accepts as two real iterations, and keeps the three-way
+answer, so the parallelism analyzer's verdicts stay honest (pinned by
+``tests/static/test_dependence_test.py``).
 
 This module is deliberately pure (stdlib only).
 """
@@ -28,7 +33,7 @@ This module is deliberately pure (stdlib only).
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 #: default node budget for the exact solver's backtracking search
 MAX_SOLVE_NODES = 4096
@@ -40,9 +45,25 @@ MAX_WITNESS_DELTAS = 4096
 #: one linear term: (coefficient, inclusive lower bound, inclusive upper)
 Term = tuple[int, int, int]
 
-#: two colliding instances: each side's values of the axis and of the
-#: variables its subscript reads
+#: two colliding instances: each side's values of the axis and of every
+#: variable it is bound by
 Collision = tuple[dict[str, int], dict[str, int]]
+
+
+class Side(NamedTuple):
+    """One reference of a pair over the box of its own iterations.
+
+    Its element index is ``const + sum(terms[v] * v)``; the axis ranges
+    over ``lanes``, each variable enclosing the axis over ``outer`` (the
+    two sides share its value) and each variable inside it over
+    ``inner`` (its own).
+    """
+
+    const: int
+    terms: Mapping[str, int]
+    lanes: tuple[int, int]
+    outer: Mapping[str, tuple[int, int]]
+    inner: Mapping[str, tuple[int, int]]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -54,19 +75,20 @@ def solve_sum(
     base: int,
     terms: Sequence[Term],
     budget: int = MAX_SOLVE_NODES,
-) -> tuple[Optional[tuple[int, ...]], bool]:
-    """Exactly solve ``base + sum(c_k * t_k) == target`` over the boxes.
+) -> Iterator[Optional[tuple[int, ...]]]:
+    """Every solution of ``base + sum(c_k * t_k) == target`` over the boxes.
 
-    Returns ``(values, proved)``: ``values`` is one solution (aligned
-    with ``terms``) or ``None``; ``proved`` is ``True`` when a ``None``
-    is a proof of infeasibility rather than an exhausted search budget.
+    Yields the solutions (aligned with ``terms``) in search order; a
+    final ``None`` says the search ran out of ``budget`` nodes, so the
+    solutions yielded may not be all of them.  A search that ends without
+    ``None`` proves there are no others.
 
     The search fixes terms left to right.  For each term it intersects
     the box with the interval the remaining terms can still absorb, then
     steps only through the residues a linear congruence against the
     suffix gcd allows — so a feasible system is typically solved with no
     backtracking at all, and the budget only matters on adversarial
-    gcd interactions.
+    gcd interactions.  A zero coefficient steps through its whole box.
     """
     n = len(terms)
     suf_lo = [0] * (n + 1)
@@ -74,40 +96,30 @@ def solve_sum(
     suf_g = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
         c, lo, hi = terms[k]
-        a, b = c * lo, c * hi
-        suf_lo[k] = suf_lo[k + 1] + min(a, b)
-        suf_hi[k] = suf_hi[k + 1] + max(a, b)
-        suf_g[k] = gcd(suf_g[k + 1], abs(c))
-    for _, lo, hi in terms:
         if lo > hi:
-            return None, True  # an empty box: nothing to solve over
+            return  # an empty box: nothing to solve over
+        if c < 0:
+            lo, hi = hi, lo
+        suf_lo[k] = suf_lo[k + 1] + c * lo
+        suf_hi[k] = suf_hi[k + 1] + c * hi
+        suf_g[k] = gcd(suf_g[k + 1], c)
     goal = target - base
     if not suf_lo[0] <= goal <= suf_hi[0] or (suf_g[0] and goal % suf_g[0]):
-        return None, True  # the interval + gcd screen, before any search
-    values = [0] * n
-    state = {"nodes": 0, "proved": True}
+        return  # the interval + gcd screen, before any search
+    if n == 0:
+        yield ()
+        return
 
-    def rec(k: int, rem: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["proved"] = False
-            return False
+    def candidates(k: int, rem: int) -> Sequence[int]:
+        """The values of term ``k`` that leave ``rem`` within the reach
+        of the terms after it."""
         if not suf_lo[k] <= rem <= suf_hi[k]:
-            return False
-        g_all = suf_g[k]
-        if g_all == 0:
-            # every remaining coefficient is zero (or k == n)
-            if rem != 0:
-                return False
-            for j in range(k, n):
-                values[j] = terms[j][1]
-            return True
-        if rem % g_all:
-            return False
+            return ()
+        if suf_g[k] and rem % suf_g[k]:
+            return ()
         c, lo, hi = terms[k]
         if c == 0:
-            values[k] = lo
-            return rec(k + 1, rem)
+            return range(lo, hi + 1)
         g2 = suf_g[k + 1]
         lo_res = rem - suf_hi[k + 1]  # c*t must land in [lo_res, hi_res]
         hi_res = rem - suf_lo[k + 1]
@@ -118,75 +130,72 @@ def solve_sum(
             t_min = max(lo, _ceil_div(hi_res, c))
             t_max = min(hi, lo_res // c)
         if t_min > t_max:
-            return False
+            return ()
         if g2 == 0:
             # the suffix contributes exactly 0: c*t must equal rem
-            if rem % c:
-                return False
             t = rem // c
-            if not t_min <= t <= t_max:
-                return False
-            candidates: Sequence[int] = (t,)
+            return (t,) if rem % c == 0 and t_min <= t <= t_max else ()
+        d = gcd(abs(c), g2)
+        if rem % d:
+            return ()
+        m = g2 // d
+        if m <= 1:
+            return range(t_min, t_max + 1)
+        cm = (c // d) % m
+        t0 = (pow(cm, -1, m) * ((rem // d) % m)) % m
+        return range(t_min + (t0 - t_min) % m, t_max + 1, m)
+
+    values = [0] * n
+    rems = [goal] * (n + 1)
+    stack = [iter(candidates(0, goal))]
+    nodes = 1
+    while stack:
+        k = len(stack) - 1
+        t = next(stack[k], None)
+        if t is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            yield None
+            return
+        values[k] = t
+        rems[k + 1] = rems[k] - terms[k][0] * t
+        if k + 1 == n:
+            yield tuple(values)  # ``candidates`` left a zero remainder
         else:
-            d = gcd(abs(c), g2)
-            if rem % d:
-                return False
-            m = g2 // d
-            if m <= 1:
-                candidates = range(t_min, t_max + 1)
-            else:
-                cm = (c // d) % m
-                t0 = (pow(cm, -1, m) * ((rem // d) % m)) % m
-                start = t_min + (t0 - t_min) % m
-                candidates = range(start, t_max + 1, m)
-        for t in candidates:
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                state["proved"] = False
-                return False
-            values[k] = t
-            if rec(k + 1, rem - c * t):
-                return True
-        return False
-
-    if rec(0, goal):
-        return tuple(values), True
-    return None, state["proved"]
+            nodes += 1
+            stack.append(iter(candidates(k + 1, rems[k + 1])))
 
 
-def lane_terms(
-    tf: Mapping[str, int],
-    tg: Mapping[str, int],
-    axis: str,
-    outer: Mapping[str, tuple[int, int]],
-    inner: Mapping[str, tuple[int, int]],
-) -> Optional[list[tuple[str, str, Term]]]:
+def lane_terms(f: Side, g: Side, axis: str) -> Optional[list[tuple[str, str, Term]]]:
     """The terms of ``elem_f - elem_g`` over every variable but ``axis``.
 
-    Entries are ``(side, variable, term)`` in variable order.  An
-    ``inner`` variable iterates independently per lane, so it gives two
-    copies (side ``"a"`` for ``f``, ``"b"`` for ``g``); an ``outer``
-    variable is one shared value, so it gives one difference term (side
-    ``"shared"``).  ``None`` when a variable is bound by neither.
+    Entries are ``(side, variable, term)``.  An inner variable iterates
+    independently per lane, so it gives a copy per side that binds it
+    (side ``"a"`` for ``f``, ``"b"`` for ``g``) over that side's range;
+    an outer variable is one shared value, so it gives one difference
+    term (side ``"shared"``) over the two sides' common range.  A
+    variable neither subscript reads still gets a zero term: its range
+    may be empty, and a witness binds it.  Terms that read a variable
+    come first, in variable order, then the zero ones.  ``None`` when a
+    subscript reads a variable its side does not bind.
     """
-    out: list[tuple[str, str, Term]] = []
-    for name in sorted(set(tf) | set(tg)):
-        if name == axis:
-            continue
-        cf, cg = tf.get(name, 0), tg.get(name, 0)
-        if name in inner:
-            lo, hi = inner[name]
-            if cf:
-                out.append(("a", name, (cf, lo, hi)))
-            if cg:
-                out.append(("b", name, (-cg, lo, hi)))
-        elif name in outer:
-            lo, hi = outer[name]
-            if cf != cg:
-                out.append(("shared", name, (cf - cg, lo, hi)))
-        else:
-            return None
-    return out
+    for side in (f, g):
+        for name in side.terms:
+            if name != axis and name not in side.outer and name not in side.inner:
+                return None
+    keyed = []
+    for name, (lo, hi) in f.outer.items():
+        c = f.terms.get(name, 0) - g.terms.get(name, 0)
+        g_lo, g_hi = g.outer[name]
+        keyed.append((not c, name, "shared", (c, max(lo, g_lo), min(hi, g_hi))))
+    for side, own, sign in (("a", f, 1), ("b", g, -1)):
+        for name, (lo, hi) in own.inner.items():
+            c = sign * own.terms.get(name, 0)
+            keyed.append((not c, name, side, (c, lo, hi)))
+    keyed.sort()
+    return [(side, name, term) for _, name, side, term in keyed]
 
 
 def _deltas(span: int) -> Iterator[int]:
@@ -198,106 +207,111 @@ def _deltas(span: int) -> Iterator[int]:
 
 
 def lane_witness(
-    kf: int,
-    tf: Mapping[str, int],
-    kg: int,
-    tg: Mapping[str, int],
+    f: Side,
+    g: Side,
     axis: str,
-    span: int,
-    axis_lo: int,
-    outer: Mapping[str, tuple[int, int]],
-    inner: Mapping[str, tuple[int, int]],
+    admits: Callable[[dict[str, int], dict[str, int]], bool] = lambda a, b: True,
 ) -> tuple[Optional[Collision], bool]:
     """Two instances on *different* lanes of ``axis`` touching one element.
 
-    ``(kf, tf)`` and ``(kg, tg)`` are the two references' folded
-    integer-affine element indices (constant, variable -> coefficient),
-    the axis ranges over ``[axis_lo, axis_lo + span]`` and the other
-    variables are bound as :func:`lane_terms` reads them.  Returns
-    ``(collision, proved)``: ``proved`` is ``True`` with a collision and
-    with a ``None`` that proves the pair independent, ``False`` when the
-    search ran out of budget or a variable is unbound.
+    Each side's box may be a hull of its real iterations: a solution is
+    a collision only when ``admits`` accepts its two environments.
+    Returns ``(collision, proved)``: ``proved`` is ``True`` with a
+    collision and with a ``None`` that proves the pair independent,
+    ``False`` when a search ran out of budget or a variable is unbound.
 
     Equal axis coefficients ``c`` make the lane distance ``d = ia - ib``
-    one more term ``(±c, 1, span)``: one solve per sign finds the
-    smallest ``|d|`` at any span, the positive one on a tie.  Different
+    one more term ``(±c, ...)``: one search per sign finds the smallest
+    ``|d|`` at any span, the positive one on a tie.  Different
     coefficients let the two lanes range over a triangle, which one box
-    cannot express: a relaxed solve with both lanes free comes first,
-    then a walk over lane distances (:func:`_deltas`).
+    cannot express: a relaxed search with both lanes free comes first,
+    then a walk over lane distances (:func:`_deltas`).  A lane neither
+    subscript reads, like every unread variable, steps through its box
+    after the others.
     """
-    labelled = lane_terms(tf, tg, axis, outer, inner)
+    labelled = lane_terms(f, g, axis)
+    (a1, b1), (a2, b2) = f.lanes, g.lanes
     if labelled is None:
         return None, False
-    shared = [term for _, _, term in labelled]
-    c_f, c_g = tf.get(axis, 0), tg.get(axis, 0)
-    base = kf - kg
-    lo, hi = axis_lo, axis_lo + span
+    if a1 > b1 or a2 > b2:
+        return None, True  # a side that never runs
+    rest = [term for _, _, term in labelled]
+    c_f, c_g = f.terms.get(axis, 0), g.terms.get(axis, 0)
+    base = f.const - g.const
 
-    def collision(values: Sequence[int], ia: int, ib: int) -> tuple[Collision, bool]:
-        at_a, at_b = {axis: ia}, {axis: ib}
-        for (side, var, _), v in zip(labelled, values):
-            if side != "b":
-                at_a[var] = v
-            if side != "a":
-                at_b[var] = v
-        return (at_a, at_b), True
+    def search(base, lead, trail, lanes, budget=MAX_SOLVE_NODES, distinct=True):
+        """The first solution over ``lead + rest + trail`` whose lanes
+        (``lanes`` of its lead and trail values) lie in the sides' boxes,
+        differ unless ``distinct`` is off, and that ``admits``."""
+        k, m = len(lead), len(lead) + len(rest)
+        for sol in solve_sum(0, base, [*lead, *rest, *trail], budget):
+            if sol is None:
+                return None, False
+            ia, ib = lanes(sol[:k] + sol[m:])
+            if not (a1 <= ia <= b1 and a2 <= ib <= b2) or (distinct and ia == ib):
+                continue
+            at_a, at_b = {axis: ia}, {axis: ib}
+            for (side, var, _), v in zip(labelled, sol[k:m]):
+                if side != "b":
+                    at_a[var] = v
+                if side != "a":
+                    at_b[var] = v
+            if admits(at_a, at_b):
+                return (at_a, at_b), True
+        return None, True
 
     if c_f == c_g == 0:
-        sol, proved = solve_sum(0, base, shared)
-        return (None, proved) if sol is None else collision(sol, lo, lo + 1)
+        return search(base, [], [(0, a1, b1), (0, a2, b2)], lambda v: v)
+
+    def gap(found: Collision) -> int:
+        return abs(found[0][axis] - found[1][axis])
 
     if c_f == c_g:
+        # ia > ib steps through ib, ia < ib through ia: the lower lane
         best, proved_all = None, True
-        for sign in (1, -1):
-            sol, proved = solve_sum(0, base, [(sign * c_f, 1, span), *shared])
+        for lead, trail, lanes in (
+            ((c_f, max(1, a1 - b2), b1 - a2), (0, a2, b2),
+             lambda v: (v[1] + v[0], v[1])),
+            ((-c_f, max(1, a2 - b1), b2 - a1), (0, a1, b1),
+             lambda v: (v[1], v[1] + v[0])),
+        ):
+            found, proved = search(base, [lead], [trail], lanes)
             proved_all = proved_all and proved
-            if sol is not None and (best is None or sol[0] < abs(best[0])):
-                best = (sign * sol[0], sol[1:])
-        if best is None:
-            return None, proved_all
-        d, values = best
-        return collision(values, lo + max(0, d), lo - min(0, d))
+            if found is not None and (best is None or gap(found) < gap(best)):
+                best = found
+        return (best, True) if best is not None else (None, proved_all)
 
-    # relaxed solve first: both lane values free, distinctness dropped.
-    # Infeasible => proof of independence (the relaxation only adds
-    # solutions); a solution with distinct lanes is already a witness.
-    relaxed = [(c, lo, hi) for c in (c_f, -c_g) if c]
-    sol, proved = solve_sum(0, base, relaxed + shared)
-    if sol is None:
-        return None, proved
-    head, values = sol[: len(relaxed)], sol[len(relaxed):]
-    if c_f and c_g:
-        ia, ib = head
-    elif c_f:
-        # g's element is lane-invariant: any other lane for ib works
-        ia = head[0]
-        ib = lo if ia != lo else lo + 1
-    else:
-        ib = head[0]
-        ia = lo if ib != lo else lo + 1
-    if ia != ib:
-        return collision(values, ia, ib)
+    lane_f, lane_g = (c_f, a1, b1), (-c_g, a2, b2)
+    if not c_g:
+        return search(base, [lane_f], [lane_g], lambda v: v)
+    if not c_f:
+        return search(base, [lane_g], [lane_f], lambda v: (v[1], v[0]))
+    # both subscripts read the axis: a relaxed search with distinctness
+    # dropped comes first.  None => proof of independence (the relaxation
+    # only adds solutions); distinct lanes are a witness.
+    found, proved = search(base, [lane_f, lane_g], [], lambda v: v, distinct=False)
+    if found is None or gap(found):
+        return found, proved
 
-    # every relaxed solve may keep landing on ia == ib; substitute
+    # every relaxed solution may land on ia == ib; substitute
     # ib = ia - delta and walk lane distances, smallest first.  A few
-    # budget-exhausted solves in a row abort the refinement (inexact).
+    # budget-exhausted searches in a row abort the refinement (inexact).
+    span = max(b1 - a2, b2 - a1)
     strikes = 0
-    proved_all = True
-    enumerated_all = span == 0
+    proved_all = span <= MAX_WITNESS_DELTAS // 2
     for delta in _deltas(span):
-        ia_lo = lo + max(0, delta)
-        ia_hi = hi + min(0, delta)
+        ia_lo, ia_hi = max(a1, a2 + delta), min(b1, b2 + delta)
         if ia_lo > ia_hi:
             continue
-        terms = [(c_f - c_g, ia_lo, ia_hi), *shared]
-        sol, proved = solve_sum(0, base + c_g * delta, terms, budget=512)
-        if sol is not None:
-            return collision(sol[1:], sol[0], sol[0] - delta)
+        found, proved = search(
+            base + c_g * delta, [(c_f - c_g, ia_lo, ia_hi)], [],
+            lambda v, d=delta: (v[0], v[0] - d), budget=512,
+        )
+        if found is not None:
+            return found, True
         if not proved:
             proved_all = False
             strikes += 1
             if strikes >= 8:
                 return None, False
-        if abs(delta) == span:
-            enumerated_all = True
-    return None, proved_all and enumerated_all
+    return None, proved_all

@@ -18,26 +18,25 @@ same dependence information).  Verdicts:
     :class:`RaceWitness` — two iteration vectors and the pair of
     references that collide on one element;
 ``unknown``
-    the nest is outside the affine subset and too large to check
-    concretely (never the case for the study programs).
+    the nest is outside the integer-affine subset (never the case for
+    the study programs).
 
-Two precision tiers cooperate.  Small iteration spaces (bounded by
-:data:`CONCRETE_CAP` accesses) are decided *exhaustively*, by a
-:class:`~repro.lang.Walk` of the space around the axis that evaluates
-real bounds and guards — exact even for triangular nests, and the tier
-the property-based oracle exercises.  Larger spaces ask the shared
-:mod:`.dependence_test` one exact question per reference pair
-(:func:`~.dependence_test.lane_witness`): it either produces a witness,
-proves the pair independent, or runs out of budget (witness ``None``,
-marked inexact).
+Each axis asks the shared :mod:`.dependence_test` one exact question
+per reference pair (:func:`~.dependence_test.lane_witness`).  Every
+reference is solved over the concrete box of its own guard-narrowed
+scope; where that box is a hull of the real space (a triangular bound,
+a multi-interval guard, an else branch) a proof of independence still
+holds, and a solution counts as a witness only once both environments
+satisfy the real loop bounds and guards around their references.  So
+the answer is a witness, a proof, or an exhausted search budget — the
+one inexact outcome, counted as ``analysis.parallelism.inexact``.
 The program is collected once, by one walk (:class:`_Analyzer`): one
 rule (:func:`_assign_accesses`) lists an assignment's accesses and one
 (:func:`_linearize`) numbers the elements they touch, once per access,
 in pre-order, so each loop's accesses are a contiguous slice that its
-symbolic tier, space estimate and reduction targets read; the exhaustive
-tier evaluates the same records.  Every concrete index range is
-:func:`~repro.lang.scope.fold_range`'s: the guard-narrowed scope
-eliminated, then folded at the parameters.
+pair questions and reduction targets read.  Every concrete index range
+is :func:`~repro.lang.scope.fold_range`'s: the guard-narrowed scope
+eliminated, then folded at the parameters, once per loop or guard body.
 
 Layering: depends on ``lang`` and ``obs`` only — element numbering
 reproduces the tracer's column-major linearization locally so nothing
@@ -48,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import count
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from ..lang import (
     Affine,
@@ -58,24 +57,17 @@ from ..lang import (
     BinOp,
     CallStmt,
     Expr,
-    Guard,
     Loop,
     NotAffineError,
     Program,
-    ReproError,
     ScalarRef,
     Scope,
-    Stmt,
     UnaryOp,
-    Walk,
 )
 from ..lang.lowering import linearize
-from ..lang.scope import fold_range
+from ..lang.scope import fold_range, index_intervals
 from ..obs import metrics, span
-from .dependence_test import Collision, lane_witness
-
-#: iteration spaces up to this many accesses are classified exhaustively
-CONCRETE_CAP = 200_000
+from .dependence_test import Collision, Side, lane_witness
 
 #: params left unbound by the caller are pinned to this (small but
 #: non-degenerate) extent, mirroring the golden-test sizes
@@ -102,9 +94,9 @@ class RaceWitness:
     loops enclosing it (on which they agree) and the loops enclosing each
     reference (independent per side) — each reference's own iteration;
     ``element`` is the linearized column-major element index the two
-    references both touch.  ``exact`` is ``True`` when the pair was
-    validated against the real (possibly triangular, guarded) bounds;
-    a ``False`` witness lives in the rectangular hull approximation.
+    references both touch.  Both environments are checked against the
+    real (possibly triangular, guarded) bounds, so ``exact`` is always
+    ``True``; it stays in :meth:`ParallelismProfile.as_dict`.
     """
 
     axis: str
@@ -132,11 +124,9 @@ class RaceWitness:
             if self.array.startswith(SCALAR_PREFIX)
             else f"{self.array}[elem {self.element}]"
         )
-        mark = "" if self.exact else " (hull approximation)"
         return (
             f"{self.axis}={self.iter_a} vs {self.axis}={self.iter_b}: "
-            f"{kind} on {where} — {self.ref_a} @({ea}) / "
-            f"{self.ref_b} @({eb}){mark}"
+            f"{kind} on {where} — {self.ref_a} @({ea}) / {self.ref_b} @({eb})"
         )
 
 
@@ -247,19 +237,25 @@ def _linearize(
 
 
 class _Occurrence(NamedTuple):
-    """A loop the walk met with its index in scope: its number in walk
-    order, its index and the concrete range
-    :func:`~repro.lang.scope.fold_range` gives that index."""
+    """A loop in scope at an access: its number in walk order, its index
+    and the concrete range :func:`~repro.lang.scope.fold_range` gives
+    that index over the guard-narrowed scope there."""
 
     num: int
     index: str
     range: tuple[int, int]
 
 
+#: a loop bound or guard around an access, folded at the parameters: an
+#: index and the intervals ``(lower, upper)`` it lies in (for an else
+#: branch: outside), each bound a record ``(const, ((name, coeff), ...))``
+_Bound = tuple[str, tuple[tuple[tuple, tuple], ...], bool]
+
+
 class _Access(NamedTuple):
     """One access of the program, linearized once: the (pseudo-)array,
-    its element record over source index names and the loops in scope
-    around it, outermost first."""
+    its element record over source index names, the loops in scope
+    around it, outermost first, and the bounds and guards it runs under."""
 
     array: str
     const: int
@@ -268,11 +264,16 @@ class _Access(NamedTuple):
     text: str
     accum: Optional[int]  # statement number when part of an accumulation
     loops: tuple[_Occurrence, ...]
+    bounds: tuple[_Bound, ...]
 
 
-@dataclass
-class _Ref:
-    """One access as one axis's symbolic tier reads it.
+def _value(record: tuple, env: Mapping[str, int]) -> int:
+    const, terms = record
+    return const + sum(c * env[n] for n, c in terms)
+
+
+class _Ref(NamedTuple):
+    """One access as one axis's pair question reads it.
 
     Inner loops are variables per *occurrence* (``j#0``, ``j#1``, ...),
     like :attr:`.model.LoopCtx.loop_id`: fusion's peeling leaves sibling
@@ -280,49 +281,40 @@ class _Ref:
     """
 
     array: str
-    const: int
-    terms: dict[str, int]
+    side: Side
     is_write: bool
     text: str
     accum: Optional[int]  # statement number when part of an accumulation
-    loops: tuple[str, ...]  # the axis-inner loop occurrences enclosing it
+    bounds: tuple[_Bound, ...]
+
+    def admits(self, at: Mapping[str, int]) -> bool:
+        """Whether ``at`` is an iteration of this access: every loop
+        bound and guard around it holds there."""
+        env = {name.partition("#")[0]: v for name, v in at.items()}
+        for index, intervals, inside in self.bounds:
+            v = env[index]
+            if inside != any(
+                _value(lo, env) <= v <= _value(hi, env) for lo, hi in intervals
+            ):
+                return False
+        return True
 
 
-class _Slice(NamedTuple):
-    """One axis's part of the walk, read by the symbolic tier, the space
-    estimate and the reduction targets."""
-
-    refs: list[_Ref]
-    inner: dict[str, tuple[int, int]]  # the inner occurrences' ranges
-    exact: bool  # False when the axis, or a loop or guard inside, is a hull
-    per_lane: int  # upper bound on accesses per axis iteration
-
-    def reductions(self) -> tuple[str, ...]:
-        """The accumulation targets, one per accumulating statement."""
-        return tuple(
-            r.text for r in self.refs if r.accum is not None and r.is_write
-        )
-
-
-def _slice(
-    accesses: Sequence[_Access], axis: _Occurrence, depth: int, exact: bool
-) -> _Slice:
-    """The :class:`_Slice` of the axis ``axis`` at ``depth`` whose body
-    holds ``accesses``."""
-    refs, inner, per_lane = [], {}, 0
+def _refs(accesses: Sequence[_Access], depth: int) -> list[_Ref]:
+    """The :class:`_Ref` of each of ``accesses`` for the axis at ``depth``
+    whose body holds them."""
+    refs = []
     for a in accesses:
-        names, mult = {}, 1
-        # an index name's innermost occurrence shadows the others
-        for index, loop in {loop.index: loop for loop in a.loops[depth + 1:]}.items():
-            names[index] = name = f"{index}#{loop.num - axis.num - 1}"
-            lo, hi = inner[name] = loop.range
-            mult *= max(0, hi - lo + 1)
-        per_lane += mult
-        refs.append(_Ref(
-            a.array, a.const, {names.get(n, n): c for n, c in a.terms},
-            a.is_write, a.text, a.accum, tuple(names.values()),
-        ))
-    return _Slice(refs, inner, exact, per_lane)
+        axis, names, inner = a.loops[depth], {}, {}
+        for loop in a.loops[depth + 1:]:
+            names[loop.index] = name = f"{loop.index}#{loop.num - axis.num - 1}"
+            inner[name] = loop.range
+        side = Side(
+            a.const, {names.get(n, n): c for n, c in a.terms}, axis.range,
+            {loop.index: loop.range for loop in a.loops[:depth]}, inner,
+        )
+        refs.append(_Ref(a.array, side, a.is_write, a.text, a.accum, a.bounds))
+    return refs
 
 
 def _accum_spine(stmt: Assign) -> Optional[Expr]:
@@ -386,7 +378,7 @@ def _assign_accesses(stmt: Assign) -> list[tuple[Expr, bool, bool]]:
     return out
 
 
-# -- symbolic witness --------------------------------------------------------
+# -- the pair questions ------------------------------------------------------
 
 
 def _source_env(at: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
@@ -394,127 +386,62 @@ def _source_env(at: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted((v.partition("#")[0], x) for v, x in at.items()))
 
 
-def _race(
-    f: _Ref,
-    g: _Ref,
-    axis: str,
-    collision: Collision,
-    outer: Mapping[str, tuple[int, int]],
-    inner: Mapping[str, tuple[int, int]],
-    exact: bool,
-) -> RaceWitness:
+def _race(f: _Ref, g: _Ref, axis: str, collision: Collision) -> RaceWitness:
     """The witness of :func:`~.dependence_test.lane_witness`'s
-    ``collision`` of ``f`` and ``g``.  Each side binds the axis, the
-    outer loops and the loops around its own reference; one its
-    subscript does not read sits at its lower bound."""
+    ``collision`` of ``f`` and ``g``: each side binds the axis, the outer
+    loops and the loops around its own reference."""
     at_a, at_b = collision
-    for at, ref in ((at_a, f), (at_b, g)):
-        for var in (*outer, *ref.loops):
-            at.setdefault(var, (outer.get(var) or inner[var])[0])
     return RaceWitness(
         axis=axis, iter_a=at_a[axis], iter_b=at_b[axis], array=f.array,
-        element=f.const + sum(c * at_a[n] for n, c in f.terms.items()),
+        element=f.side.const + sum(c * at_a[n] for n, c in f.side.terms.items()),
         ref_a=f.text, ref_b=g.text,
         write_a=f.is_write, write_b=g.is_write,
         env_a=_source_env(at_a), env_b=_source_env(at_b),
-        exact=exact,
     )
 
 
-# -- concrete (exhaustive) tier ----------------------------------------------
-
-
-class _Stop(Exception):
-    """Ends the exhaustive walk: a witness found, or the cap passed."""
-
-
-class _Exhaustive(Walk):
-    """The index space around one axis occurrence, walked instance by
-    instance.
-
-    The chain of statements enclosing the axis loop is pruned to the path
-    down to it (a guard keeps the next node in whichever branch holds it)
-    and walked with real bound and guard evaluation; every access of an
-    assignment instance is recorded with its lane, the axis's entry in
-    ``iters``.  Conflict detection keys on ``(array, element)`` per
-    binding of the enclosing loops, keeping per conflict class
-    (``is_write``, accumulation statement) one access plus one on a
-    different lane — sufficient statistics for an exact verdict.
-    """
-
-    def __init__(self, analyzer: _Analyzer, chain: Sequence[Stmt]) -> None:
-        super().__init__(analyzer.program, analyzer.params)
-        self.assigns = analyzer.assigns
-        self.chain = chain
-        self.depth = sum(isinstance(s, Loop) for s in chain[:-1])
-        self.accesses = 0
-        self.outer: list[tuple[str, int]] = []  # the binding ``table`` is for
-        # (array, elem) -> {(write, accum): [(lane, text, env), ...]}
-        self.table: dict[tuple[str, int], dict] = {}
-        self.witness: Optional[RaceWitness] = None
-        self.has_exempt = False
-
-    def run(self) -> None:
-        """Walk the space: afterwards ``witness`` (serial), else
-        ``has_exempt`` (reduction), is exact for this parameter binding;
-        a witness or more than :data:`CONCRETE_CAP` accesses raise
-        :class:`_Stop`."""
-        root = self.chain[-1]
-        for parent, child in zip(self.chain[-2::-1], self.chain[:0:-1]):
-            kept = [root]  # the pruned child, in its first occurrence only
-            root = parent.map_bodies(
-                lambda s, c=child, k=kept: k.pop() if s is c and k else None
-            )
-        self.walk_stmt(root)  # ``root`` holds every copy while it is walked
-
-    def record(self, form):
-        if isinstance(form, _Access):
-            return (form.text, form.const, form.terms)
-        return super().record(form)
-
-    def assign(self, stmt: Assign) -> None:
-        # a KeyError (the classifier's cue to keep the symbolic answer):
-        # an access of ``stmt`` did not linearize
-        accesses = self.assigns[id(stmt)]
-        if self.iters[: self.depth] != self.outer:
-            # conflicts are per assignment of the enclosing loops
-            self.outer, self.table = self.iters[: self.depth], {}
-        for access, elem in zip(accesses, self.values(self.fold(stmt, accesses))):
-            self._record(access, elem)
-
-    def _record(self, access: _Access, elem: int) -> None:
-        self.accesses += 1
-        if self.accesses > CONCRETE_CAP:
-            raise _Stop
-        key = (access.array, elem)
-        text, is_write, accum = access.text, access.is_write, access.accum
-        lane = self.iters[self.depth][1]
-        classes = self.table.setdefault(key, {})
-        cls = (is_write, accum)
-        mine = classes.get(cls)
-        if mine is None:
-            classes[cls] = [(lane, text, dict(self.iters))]
-        elif len(mine) == 1 and mine[0][0] != lane:
-            mine.append((lane, text, dict(self.iters)))
-        # check this access against every stored class
-        for (o_write, o_accum), entries in classes.items():
-            if not (is_write or o_write):
-                continue
-            other = next((e for e in entries if e[0] != lane), None)
-            if other is None:
-                continue
-            if accum is not None and accum == o_accum:
-                self.has_exempt = True
-                continue
-            o_lane, o_text, o_env = other
-            self.witness = RaceWitness(
-                axis=self.chain[-1].index, iter_a=o_lane, iter_b=lane,
-                array=key[0], element=key[1], ref_a=o_text, ref_b=text,
-                write_a=o_write, write_b=is_write,
-                env_a=tuple(sorted(o_env.items())),
-                env_b=tuple(sorted(dict(self.iters).items())),
-            )
-            raise _Stop
+def _classify(refs: list[_Ref], axis: str, verdict) -> AxisVerdict:
+    """The verdict of ``axis`` over the accesses of its body."""
+    by_array: dict[str, list[_Ref]] = {}
+    for r in refs:
+        by_array.setdefault(r.array, []).append(r)
+    has_exempt = False
+    inexact: Optional[tuple[str, str]] = None
+    for group in by_array.values():
+        for i, f in enumerate(group):
+            for g in group[i:]:
+                if not (f.is_write or g.is_write):
+                    continue
+                collision, proved = lane_witness(
+                    f.side, g.side, axis,
+                    lambda at_a, at_b, f=f, g=g: f.admits(at_a) and g.admits(at_b),
+                )
+                if collision is None and proved:
+                    continue
+                if f.accum is not None and f.accum == g.accum:
+                    has_exempt = True
+                    continue
+                if collision is None:
+                    inexact = inexact or (f.text, g.text)
+                    continue
+                return verdict(
+                    "serial",
+                    f"cross-lane dependence between {f.text} and {g.text}",
+                    witness=_race(f, g, axis, collision),
+                )
+    if inexact is not None:
+        return verdict(
+            "serial",
+            f"possible cross-lane dependence between {inexact[0]} and "
+            f"{inexact[1]} (witness search inconclusive)",
+            exact=False,
+        )
+    if has_exempt:
+        return verdict(
+            "reduction", "accumulation-only conflicts",
+            reductions=[r.text for r in refs if r.accum is not None and r.is_write],
+        )
+    return verdict("doall", "no cross-lane conflicts")
 
 
 # -- the analyzer -------------------------------------------------------------
@@ -523,14 +450,15 @@ class _Exhaustive(Walk):
 class _Analyzer(Scope):
     """One walk of the program that linearizes each access once.
 
-    :attr:`accesses` lists them in pre-order, so a loop's accesses form a
+    :attr:`accesses` lists them in pre-order, so a loop's accesses are a
     contiguous slice of it; a loop is classified once its body is walked,
-    into the verdict slot it took on entry.  :attr:`failures` lists, in
-    walk order, why the loops around a point cannot be collected (a call,
-    or an access or a bound outside the integer-affine subset), and
-    :attr:`hulls` counts the guards and context-dependent (e.g.
-    triangular) loop bounds met: a loop with one inside is analyzed over
-    a hull.
+    into the verdict slot it took on entry.  :attr:`box` holds the loops
+    in scope, folded on entry to each body over its guard-narrowed scope
+    (or, as a string, why the body cannot be collected), and
+    :attr:`bounds` the loop bounds and guards around it.
+    :attr:`failures` lists, in walk order, why the loops around a point
+    cannot be collected (a call, or an access or a bound outside the
+    integer-affine subset).
     """
 
     def __init__(self, program: Program, params: Mapping[str, int]) -> None:
@@ -540,19 +468,57 @@ class _Analyzer(Scope):
         self.strides = {a.name: a.strides(params) for a in program.arrays}
         self.verdicts: list[Optional[AxisVerdict]] = []
         self.accesses: list[_Access] = []
-        self.assigns: dict[int, list[_Access]] = {}  # id(assignment) -> its own
-        self.enclosing: list[_Occurrence] = []  # one per entry of ``ranges``
+        self.enclosing: list[tuple[int, str]] = []  # one per entry of ``ranges``
+        self.box: Union[tuple[_Occurrence, ...], str] = ()
+        self.folded: tuple = ()  # the ``ranges`` entries ``box`` was folded from
+        self.bounds: tuple[_Bound, ...] = ()
         self.failures: list[str] = []
-        self.hulls = 0
         self._stmts, self._loops = count(), count()  # walk-order numbers
 
     def run(self) -> tuple[AxisVerdict, ...]:
         self.walk_body(self.program.body)
         return tuple(self.verdicts)
 
+    def walk_body(self, body: Sequence, label: str = "body") -> None:
+        if not body:
+            return
+        saved = self.box, self.folded, self.bounds
+        if not isinstance(self.box, str):
+            try:
+                self._enter(label)
+            except AnalysisError as exc:
+                self.box = str(exc)
+        super().walk_body(body, label)
+        self.box, self.folded, self.bounds = saved
+
+    def _enter(self, label: str) -> None:
+        """Fold the box and the bounds of the body being entered: the
+        ranges a guard or a new loop changed, and the ones inside them."""
+        if self.path:  # a loop's or a guard's body
+            stmt = self.path[-1][2]
+            folded = tuple(
+                (lo.fold(self.params), hi.fold(self.params))
+                for lo, hi in index_intervals(stmt)
+            )
+            self.bounds += ((stmt.index, folded, label != "else"),)
+        keep = 0
+        for old, new in zip(self.folded, self.ranges):
+            if old is not new:
+                break
+            keep += 1
+        self.box = self.box[:keep] + tuple(
+            _Occurrence(num, index, fold_range(
+                Affine.var(index), self.ranges[:k + 1], self.params
+            ))
+            for k, (num, index) in enumerate(self.enclosing[keep:], keep)
+        )
+        self.folded = tuple(self.ranges)
+
     def assign(self, stmt: Assign) -> None:
+        if isinstance(self.box, str):
+            self.failures.append(self.box)
+            return
         stmt_id = next(self._stmts)
-        loops = tuple(self.enclosing)
         accesses = []
         for ref, is_write, accum in _assign_accesses(stmt):
             try:
@@ -562,21 +528,16 @@ class _Analyzer(Scope):
                 return
             accesses.append(_Access(
                 array, const, terms, is_write, str(ref),
-                stmt_id if accum else None, loops,
+                stmt_id if accum else None, self.box, self.bounds,
             ))
-        self.assigns[id(stmt)] = accesses
         self.accesses += accesses
 
     def call(self, stmt: CallStmt) -> None:
         self.failures.append(f"cannot analyze {type(stmt).__name__}")
 
-    def guard(self, guard: Guard) -> None:
-        self.hulls += 1  # both branches folded in (hull)
-        super().guard(guard)
-
     def loop(self, loop: Loop) -> None:
         path = tuple(r.index for r in self.ranges) + (loop.index,)
-        nest, chain = self.path[0][1], [stmt for _, _, stmt in self.path]
+        nest = self.path[0][1]
 
         def verdict(kind, reason, witness=None, reductions=(), exact=True):
             return AxisVerdict(
@@ -585,13 +546,6 @@ class _Analyzer(Scope):
                 reduction_targets=tuple(sorted(set(reductions))), exact=exact,
             )
 
-        outer: dict[str, tuple[int, int]] = {}
-        for k, r in enumerate(self.ranges):
-            index = Affine.var(r.index)
-            try:
-                outer[r.index] = fold_range(index, self.ranges[:k + 1], self.params)
-            except AnalysisError:
-                outer.pop(r.index, None)  # its range does not fold
         slot = len(self.verdicts)
         self.verdicts.append(None)  # filled once the body is walked
         try:
@@ -603,158 +557,25 @@ class _Analyzer(Scope):
             self.verdicts[slot] = verdict(
                 "unknown", f"bounds not analyzable: {exc}", exact=False
             )
+            saved, self.box = self.box, str(exc)
             self.walk_body(loop.body, f"for {loop.index}")  # out of scope
+            self.box = saved
             return
-        # an axis whose own bounds vary with an enclosing variable
-        # (triangular nest) is analyzed over its rectangular hull, and so
-        # is every loop around it: a witness found there may name phantom
-        # iterations, so the symbolic tier's answer cannot count as exact
-        exact = lo_r[0] == lo_r[1] and hi_r[0] == hi_r[1]
-        self.hulls += not exact
-        axis = _Occurrence(next(self._loops), loop.index, (lo_r[0], hi_r[1]))
-        self.enclosing.append(axis)
-        start, failed, hulls = len(self.accesses), len(self.failures), self.hulls
+        self.enclosing.append((next(self._loops), loop.index))
+        start, failed = len(self.accesses), len(self.failures)
         super().loop(loop)
         self.enclosing.pop()
-        part = self.failures[failed] if len(self.failures) > failed else _slice(
-            self.accesses[start:], axis, len(path) - 1, exact and self.hulls == hulls
-        )
-        self.verdicts[slot] = self._classify(
-            loop, chain, verdict, outer, axis.range, part
-        )
-
-    def _classify(
-        self,
-        loop: Loop,
-        chain: list[Stmt],
-        verdict: Callable[..., AxisVerdict],
-        outer: dict[str, tuple[int, int]],
-        rng: tuple[int, int],
-        part: Union[_Slice, str],
-    ) -> AxisVerdict:
-        """The verdict of ``loop`` over ``rng``, whose body is ``part`` of
-        the walk (or why it cannot be collected)."""
-        if rng[1] - rng[0] <= 0:
-            return verdict("doall", "at most one iteration")
-
-        # symbolic tier first: for rectangular spaces its answers are
-        # already exact proofs/witnesses and cost no enumeration
-        collected = part if isinstance(part, _Slice) else None
-        symbolic = (
-            _classify_symbolic(collected, loop.index, outer, rng, verdict) if collected
-            else verdict("unknown", f"outside affine subset: {part}", exact=False)
-        )
-        if symbolic.exact:
-            return symbolic
-
-        # inexact (triangular bounds, guards, solver budget): decide by
-        # exhaustive enumeration when the space is small enough
-        space = _space_estimate(chain, loop, outer, rng, collected)
-        if space is None or space > CONCRETE_CAP:
-            return symbolic
-        if any(isinstance(s, CallStmt) for s in loop.walk()):
-            return symbolic  # the walk would enter the procedure
-        checker = _Exhaustive(self, chain)
-        try:
-            checker.run()
-        except _Stop:
-            if checker.witness is None:
-                return symbolic  # over the cap
-        except (_Unsupported, ReproError, KeyError):
-            return symbolic  # keep the conservative symbolic answer
-        if checker.witness is not None:
-            return verdict(
-                "serial", "cross-lane dependence (exhaustive check)",
-                witness=checker.witness,
+        if hi_r[1] - lo_r[0] <= 0:
+            self.verdicts[slot] = verdict("doall", "at most one iteration")
+        elif len(self.failures) > failed:
+            self.verdicts[slot] = verdict(
+                "unknown", f"outside affine subset: {self.failures[failed]}",
+                exact=False,
             )
-        if checker.has_exempt:
-            return verdict(
-                "reduction", "accumulation-only conflicts (exhaustive check)",
-                reductions=collected.reductions() if collected else (),
+        else:
+            self.verdicts[slot] = _classify(
+                _refs(self.accesses[start:], len(path) - 1), loop.index, verdict
             )
-        return verdict("doall", "no cross-lane conflicts (exhaustive check)")
-
-
-def _space_estimate(
-    chain: Sequence[Stmt],
-    loop: Loop,
-    outer: Mapping[str, tuple[int, int]],
-    rng: tuple[int, int],
-    collected: Optional[_Slice],
-) -> Optional[int]:
-    """Upper bound on accesses the concrete checker would record.
-
-    ``None`` means "unbounded as far as we can tell" (an enclosing loop
-    without an analyzable range) — the concrete tier is skipped rather
-    than burning its budget on a hopeless walk.
-    """
-    total = rng[1] - rng[0] + 1
-    for node in chain:
-        if isinstance(node, Loop) and node is not loop:
-            r = outer.get(node.index)
-            if r is None:
-                return None
-            total *= max(1, r[1] - r[0] + 1)
-    if collected is None:
-        # outside the symbolic subset: the concrete walk may still
-        # succeed, so allow it whenever the enclosing space alone is
-        # small (its own budget guard bounds the rest)
-        return total if total <= CONCRETE_CAP else None
-    return total * max(1, collected.per_lane)
-
-
-def _classify_symbolic(
-    part: _Slice,
-    axis: str,
-    outer: Mapping[str, tuple[int, int]],
-    rng: tuple[int, int],
-    verdict,
-) -> AxisVerdict:
-    span = rng[1] - rng[0]
-    by_array: dict[str, list[_Ref]] = {}
-    for r in part.refs:
-        by_array.setdefault(r.array, []).append(r)
-    has_exempt = False
-    best_inexact: Optional[tuple[str, str]] = None
-    for refs in by_array.values():
-        for i, f in enumerate(refs):
-            for g in refs[i:]:
-                if not (f.is_write or g.is_write):
-                    continue
-                collision, proved = lane_witness(
-                    f.const, f.terms, g.const, g.terms,
-                    axis, span, rng[0], outer, part.inner,
-                )
-                if collision is None and proved:
-                    continue
-                if f.accum is not None and f.accum == g.accum:
-                    has_exempt = True
-                    continue
-                if collision is None:
-                    best_inexact = best_inexact or (f.text, g.text)
-                    continue
-                return verdict(
-                    "serial",
-                    f"cross-lane dependence between {f.text} and {g.text}",
-                    witness=_race(
-                        f, g, axis, collision, outer, part.inner, part.exact
-                    ),
-                    exact=part.exact,
-                )
-    if best_inexact is not None:
-        return verdict(
-            "serial",
-            "possible cross-lane dependence between "
-            f"{best_inexact[0]} and {best_inexact[1]} (witness search "
-            "inconclusive)",
-            exact=False,
-        )
-    if has_exempt:
-        return verdict(
-            "reduction", "accumulation-only conflicts",
-            reductions=part.reductions(), exact=part.exact,
-        )
-    return verdict("doall", "no cross-lane conflicts", exact=part.exact)
 
 
 def bind_params(
@@ -784,6 +605,10 @@ def analyze_parallelism(
         metrics.inc("analysis.parallelism.axes", len(profile.verdicts))
         for kind in ("doall", "reduction", "serial"):
             metrics.inc(f"analysis.parallelism.{kind}", counts[kind])
+        metrics.inc(
+            "analysis.parallelism.inexact",
+            sum(1 for v in profile.verdicts if not v.exact and v.verdict != "unknown"),
+        )
         metrics.inc(
             "analysis.parallelism.races",
             sum(1 for v in profile.verdicts if v.witness is not None),

@@ -300,9 +300,8 @@ where ``kind`` is write/write, write/read, or read/write, ``e`` is the
 linearized column-major element both references touch, and the two
 ``env`` bindings give every loop variable of the colliding iteration
 pair (equal on loops enclosing the axis, different on the axis itself).
-Witnesses from exhaustive small-size checking are exact; witnesses
-found over the rectangular hull of a triangular/guarded nest are marked
-'(hull approximation)'.""",
+Every witness is checked against the real loop bounds and guards around
+both references, so it names two iterations that run.""",
 )
 _register(
     "R502", Severity.WARNING,

@@ -246,6 +246,21 @@ def test_report_verify_flag(kernel_file, capsys):
     assert "level" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "n, code, counts",
+    [(64, 0, "0 unknown, 0 inexact of 2"), (200, 1, "0 unknown, 1 inexact of 2")],
+)
+def test_parallelism_check_fails_on_an_inexact_axis(n, code, counts, tmp_path, capsys):
+    # the triangular transpose: its i axis runs out of search budget at N=200
+    path = tmp_path / "transpose.loop"
+    path.write_text(
+        "program transpose\nparam N\nreal A[N, N]\n"
+        "for i = 1, N { for j = 1, i { A[i, j] = f(A[j, i]) } }\n"
+    )
+    assert main(["parallelism", str(path), "-p", f"N={n}", "--check"]) == code
+    assert f"parallelism --check: {counts} axis verdict(s)" in capsys.readouterr().err
+
+
 def test_pipeline_list_enumerates_every_level(capsys):
     from repro.core import OPT_LEVELS
 

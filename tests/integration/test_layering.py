@@ -11,8 +11,9 @@ node hold subexpressions and bodies: no other module rebuilds a node
 field by field (the structural rewriter is ``lang.map_expr`` /
 ``lang.map_exprs`` / ``Stmt.map_bodies``).  Likewise ``lang.Walk`` alone
 knows how a program executes: the interpreter, the legality snapshot,
-the oracle tracer, parallelism's exhaustive tier and coherence's witness
-lookup only say what an assignment instance does, and no module outside
+the oracle tracer and coherence's witness lookup only say what an
+assignment instance does; the parallelism analyzer walks no instance at
+all (its brute-force oracles live in ``tests/``), and no module outside
 ``repro.lang`` but inlining binds a procedure's formals.
 The tracers' fold is defined once, in ``lang/lowering.py``, and the
 codegen tracer reads nothing of ``repro.interp`` but the trace container.
@@ -155,13 +156,32 @@ def test_instance_walkers_share_the_walk_order():
     from repro.interp.trace import TraceWalk
     from repro.lang import Walk
     from repro.static.coherence import _FirstTouch
-    from repro.static.parallelism import _Exhaustive
     from repro.verify.snapshot import _Walker
 
-    for walker in (Interpreter, _Walker, TraceWalk, _Exhaustive, _FirstTouch):
+    for walker in (Interpreter, _Walker, TraceWalk, _FirstTouch):
         assert issubclass(walker, Walk)
         assert walker.walk_stmt is Walk.walk_stmt, walker
         assert walker.walk_span is Walk.walk_span, walker
+
+
+def test_the_parallelism_analyzer_imports_no_walk():
+    """One tier: every verdict comes from the pair questions over boxes;
+    no iteration space is enumerated in ``src/``."""
+    from repro.lang import Walk
+    from repro.static import parallelism
+
+    tree = ast.parse((PACKAGE / "static" / "parallelism.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not {name for name in imported if name.rpartition(".")[2] == "Walk"}
+    assert not [
+        name for name, value in vars(parallelism).items()
+        if isinstance(value, type) and issubclass(value, Walk)
+    ]
 
 
 def test_the_codegen_tracer_walks_no_instance():

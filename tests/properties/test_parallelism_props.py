@@ -6,10 +6,13 @@ over its own bounds (the shape fusion's peeled boundaries leave) — an
 independent brute-force enumerator lists every cross-lane conflicting
 iteration pair of each loop axis.  The analyzer's verdicts must agree:
 
+* every verdict is exact: triangular bounds and guards leave a hull the
+  analyzer solves over, and a hull witness is checked against the real
+  bounds before it counts;
 * ``doall`` is a certificate: the enumerator must find NO conflicting
   pair (soundness — the property that makes parallel execution safe);
-* an exact ``serial`` verdict claims a race: the enumerator must find
-  one, and the attached witness pair must itself collide.
+* ``serial`` claims a race: the enumerator must find one, and the
+  attached witness pair must itself collide.
 
 A case is a *spec* — array extents, bounds, guards and subscripts as
 expressions that read the same in the DSL and in Python — rendered to
@@ -108,6 +111,31 @@ SIBLINGS = case({
 })
 
 
+#: sp's fused shape: a ``j`` loop past the array, each statement under
+#: its own single-interval guard
+GUARDED_TAIL = case({
+    "n": 7,
+    "arrays": {"A": PLANE, "B": PLANE},
+    "i": ("2", "N - 1"),
+    "loops": [("1", "N + 6", [
+        (("1", "N"), ref("A", "j", "i"), [ref("A", "j", "i - 1"), ref("B", "j", "i")]),
+        (("3", "N + 2"), ref("B", "j - 2", "i"), [ref("A", "j - 2", "i")]),
+    ])],
+})
+
+#: sp's coupled pair ``US[i, j, k]`` / ``US[(i + 1), (j - 1), k]`` under
+#: ``[1:N]`` / ``[3:N]``: a witness must sit inside the second guard
+COUPLED_GUARDS = case({
+    "n": 8,
+    "arrays": {"A": PLANE, "B": PLANE},
+    "i": ("2", "N - 1"),
+    "loops": [("1", "N", [
+        (("1", "N"), ref("A", "j", "i"), [ref("B", "j", "i")]),
+        (("3", "N"), ref("B", "j", "i"), [ref("A", "j - 1", "i + 1")]),
+    ])],
+})
+
+
 def oracle_accesses(spec):
     """(i, loop, j) -> [(array, element, is_write)] exactly as executed."""
     n = spec["n"]
@@ -163,6 +191,8 @@ def conflicting_pairs(accesses, loop=None):
 
 @given(affine_nest())
 @example(SIBLINGS)
+@example(GUARDED_TAIL)
+@example(COUPLED_GUARDS)
 @settings(max_examples=60, deadline=None)
 def test_verdicts_match_brute_force(case):
     program, spec = case
@@ -174,8 +204,8 @@ def test_verdicts_match_brute_force(case):
         ("i",), *[("i", "j")] * len(spec["loops"])
     ]
     for loop, v in zip(axes, profile.verdicts):
-        assert v.verdict in ("doall", "serial"), (
-            f"axis {v.path}: unexpected verdict {v.verdict!r}"
+        assert v.verdict in ("doall", "serial") and v.exact, (
+            f"axis {v.path}: unexpected verdict {v.verdict!r} ({v.reason})"
         )
         conflicts = conflicting_pairs(accesses, loop)
         if v.verdict == "doall":
@@ -183,7 +213,7 @@ def test_verdicts_match_brute_force(case):
                 f"UNSOUND: axis {v.path} (loop {loop}) certified DOALL but "
                 f"iterations {conflicts[0]} race ({spec})"
             )
-        elif v.exact:
+        else:
             assert conflicts, (
                 f"axis {v.path} (loop {loop}) called serial but brute force "
                 f"finds no conflict ({spec})"
@@ -191,6 +221,8 @@ def test_verdicts_match_brute_force(case):
 
 
 @given(affine_nest())
+@example(GUARDED_TAIL)
+@example(COUPLED_GUARDS)
 @settings(max_examples=60, deadline=None)
 def test_exact_witnesses_replay(case):
     """An exact witness names two iterations that really collide."""

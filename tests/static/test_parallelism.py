@@ -3,9 +3,10 @@
 Covers the acceptance contract of the analyzer itself:
 
 * every loop axis of every golden (program, level) variant gets a
-  definitive verdict (never ``unknown``), every serial verdict carries
-  either a concrete witness pair or a stated reason, and every exact
-  witness names two in-bounds accesses of one element;
+  definitive, exact verdict (never ``unknown``, no exhausted search),
+  every serial verdict carries a concrete witness pair, and every
+  witness names two real iterations (every loop bound and guard around
+  each reference holds) whose in-bounds accesses meet on one element;
 * every variant's whole profile is pinned by digest in
   ``golden_parallelism.json`` (tier-1 sizes here, fig-10-scale sizes in
   a ``slow`` twin); ``PYTHONPATH=src python tests/static/test_parallelism.py``
@@ -35,12 +36,14 @@ from golden_pipelines import (  # noqa: E402
 )
 
 from repro.core import compile_variant
-from repro.lang import ArrayRef, Loop, assignments_in, parse, validate
+from repro.lang import ArrayRef, Assign, Guard, Loop, ScalarRef, parse, validate
+from repro.lang.scope import index_intervals
+from repro.obs import metrics
 from repro.static import analyze_parallelism
 from repro.static import parallelism as parallelism_module
 from repro.verify import doall_preservation_check, lint_races
 
-#: sizes small enough for the exhaustive tier everywhere it is needed
+#: the tier-1 sizes (sp's N=7 leaves nest 39's ``for k = 7, N - 1`` empty)
 SMALL_PARAMS = {
     "adi": {"N": 8},
     "fft": {},
@@ -50,8 +53,7 @@ SMALL_PARAMS = {
     "tomcatv": {"N": 8},
 }
 
-#: fig-10-scale sizes where some inexact axes skip the exhaustive tier,
-#: so the symbolic-only answer is pinned too
+#: fig-10-scale sizes, pinned in a ``slow`` twin
 LARGE_PARAMS = {
     "adi": {"N": 64},
     "fft": {},
@@ -97,38 +99,86 @@ def count_loops(stmts) -> int:
 # -- full-matrix coverage -----------------------------------------------------
 
 
+def assignments_around(stmts, chain=()):
+    """Every assignment under ``stmts`` with the loops and guards around
+    it, outermost first: ``(statement, inside)``, ``inside`` False for an
+    else branch."""
+    for stmt in stmts:
+        if isinstance(stmt, Assign):
+            yield stmt, chain
+        elif isinstance(stmt, Loop):
+            yield from assignments_around(stmt.body, chain + ((stmt, True),))
+        elif isinstance(stmt, Guard):
+            yield from assignments_around(stmt.body, chain + ((stmt, True),))
+            yield from assignments_around(stmt.else_body, chain + ((stmt, False),))
+
+
+def references_of(program, v, text, env):
+    """``(reference, chain)`` for each reference printed ``text`` of the
+    assignments in ``v``'s nest under its axis that run under exactly the
+    loops ``env`` binds."""
+    for stmt, chain in assignments_around([program.body[v.nest]]):
+        loops = [s.index for s, _ in chain if isinstance(s, Loop)]
+        if loops[:len(v.path)] != list(v.path) or set(loops) != set(env):
+            continue
+        for ref in (*stmt.target.walk(), *stmt.expr.walk()):
+            if isinstance(ref, (ArrayRef, ScalarRef)) and str(ref) == text:
+                yield ref, chain
+
+
+def runs_at(chain, at) -> bool:
+    """Whether every loop bound and guard of ``chain`` holds at ``at``."""
+    for stmt, inside in chain:
+        hit = any(
+            lo.evaluate(at) <= at[stmt.index] <= hi.evaluate(at)
+            for lo, hi in index_intervals(stmt)
+        )
+        if hit != inside:
+            return False
+    return True
+
+
 def assert_exact_witnesses_collide_in_bounds(program, profile, where):
-    """Each exact witness's references, each at its own environment, name
-    one in-bounds subscript tuple, and the two tuples are equal: the pair
+    """Each exact witness side is an instance: an assignment of the
+    axis's nest that holds the reference, runs under exactly the loops
+    its environment binds, and whose every enclosing loop bound and guard
+    holds there.  Its references, each at its own environment, name one
+    in-bounds subscript tuple, and the two tuples are equal: the pair
     meets on a real element, not on a linearized alias."""
     params = dict(profile.params)
-    refs = {
-        str(e): e
-        for a in assignments_in(program.body)
-        for e in (*a.target.walk(), *a.expr.walk())
-        if isinstance(e, ArrayRef)
-    }
     shapes = {a.name: a.shape(params) for a in program.arrays}
     for v in profile.verdicts:
         w = v.witness
-        if w is None or not w.exact or w.array.startswith("$"):
-            continue  # a scalar is one element, nothing to subscript
+        if w is None or not w.exact:
+            continue
         subs = []
         for text, env in ((w.ref_a, w.env_a), (w.ref_b, w.env_b)):
             at = {**params, **dict(env)}
-            sub = tuple(s.evaluate(at) for s in refs[text].index_affines())
+            instances = list(references_of(program, v, text, dict(env)))
+            assert any(runs_at(chain, at) for _, chain in instances), (
+                f"{where}: witness {text} @{dict(env)} is not an iteration "
+                f"of nest {v.nest} ({v.describe()})"
+            )
+            if w.array.startswith("$"):
+                continue  # a scalar is one element, nothing to subscript
+            sub = tuple(s.evaluate(at) for s in instances[0][0].index_affines())
             assert all(1 <= s <= e for s, e in zip(sub, shapes[w.array])), (
                 f"{where}: witness {text} @{dict(env)} is {sub}, "
                 f"outside {shapes[w.array]}"
             )
             subs.append(sub)
-        assert subs[0] == subs[1], f"{where}: witness pair {subs} differ"
+        assert len(set(subs)) <= 1, f"{where}: witness pair {subs} differ"
+
+
+def inexact_count() -> int:
+    return metrics.snapshot()["counters"].get("analysis.parallelism.inexact", 0)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
 def test_every_axis_of_every_level_gets_a_verdict(name):
     params = SMALL_PARAMS[name]
     golden = golden_digests("small")
+    inexact = inexact_count()
     for level in GOLDEN_LEVELS:
         program = compiled(name, level)
         profile = analyze_parallelism(program, params)
@@ -137,28 +187,37 @@ def test_every_axis_of_every_level_gets_a_verdict(name):
             f"{where}: some loop axis got no verdict"
         )
         for v in profile.verdicts:
-            assert v.verdict in ("doall", "reduction", "serial"), (
-                f"{where}: axis {v.index!r} is {v.verdict!r}"
+            assert v.verdict in ("doall", "reduction", "serial") and v.exact, (
+                f"{where}: axis {v.index!r} is {v.verdict!r} ({v.reason})"
             )
             if v.verdict == "serial":
-                assert v.witness is not None or v.reason, (
-                    f"{where}: serial axis {v.index!r} has no evidence"
+                assert v.witness is not None, (
+                    f"{where}: serial axis {v.index!r} has no witness"
                 )
         assert_exact_witnesses_collide_in_bounds(program, profile, where)
         assert profile_digest(profile) == golden[where], (
             f"{where}: profile differs from golden_parallelism.json"
         )
+    assert inexact_count() == inexact, "analysis.parallelism.inexact moved"
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LARGE_PARAMS))
 def test_profiles_match_golden_at_fig10_scale(name):
     golden = golden_digests("large")
+    inexact = inexact_count()
     for level in GOLDEN_LEVELS:
-        profile = analyze_parallelism(compiled(name, level), LARGE_PARAMS[name])
-        assert profile_digest(profile) == golden[f"{name}/{level}"], (
-            f"{name}/{level}: profile differs from golden_parallelism.json"
+        program = compiled(name, level)
+        profile = analyze_parallelism(program, LARGE_PARAMS[name])
+        where = f"{name}/{level}"
+        assert all(v.exact for v in profile.verdicts), (
+            f"{where}: inexact axes {[v.path for v in profile.verdicts if not v.exact]}"
         )
+        assert_exact_witnesses_collide_in_bounds(program, profile, where)
+        assert profile_digest(profile) == golden[where], (
+            f"{where}: profile differs from golden_parallelism.json"
+        )
+    assert inexact_count() == inexact, "analysis.parallelism.inexact moved"
 
 
 def assert_witness_well_formed(v):
@@ -269,7 +328,7 @@ def test_swim_fusion_preserves_parallel_outer_axes():
     assert [d for d in bag if d.code == "R510"] == []
 
 
-# -- the exhaustive tier ------------------------------------------------------
+# -- hulls: triangular bounds, guards, empty loops ----------------------------
 
 TRIANGLE = """
     program tri
@@ -280,28 +339,77 @@ TRIANGLE = """
 
 
 def test_triangular_race_is_decided_exhaustively():
-    """Triangular bounds leave the symbolic tier inexact; walking the
-    space decides both axes, with an exact witness on element 1."""
-    profile = analyze_parallelism(build(TRIANGLE), {"N": 8})
-    envs = {
-        "i": ((("i", 1), ("j", 1)), (("i", 2), ("j", 2))),
-        "j": ((("i", 1), ("j", 1)), (("i", 1), ("j", 2))),
-    }
+    """Triangular bounds leave a hull; a witness found there counts once
+    both of its environments are real iterations, so both axes are exact
+    races on element 1, and the witnesses replay."""
+    program = build(TRIANGLE)
+    profile = analyze_parallelism(program, {"N": 8})
     assert [v.index for v in profile.verdicts] == ["i", "j"]
     for v in profile.verdicts:
-        assert v.verdict == "serial" and v.exact
-        assert v.reason == "cross-lane dependence (exhaustive check)"
+        assert (v.verdict, v.exact) == ("serial", True)
+        assert v.reason == "cross-lane dependence between A[j] and A[(j + 1)]"
+        assert_witness_well_formed(v)
         w = v.witness
         assert (w.array, w.element, w.exact) == ("A", 1, True)
-        assert (w.env_a, w.env_b) == envs[v.index]
+    assert_exact_witnesses_collide_in_bounds(program, profile, "tri")
 
 
-def test_a_space_over_the_cap_keeps_the_symbolic_answer(monkeypatch):
-    monkeypatch.setattr(parallelism_module, "CONCRETE_CAP", 10)
-    profile = analyze_parallelism(build(TRIANGLE), {"N": 8})
-    for v in profile.verdicts:
-        assert (v.verdict, v.exact) == ("serial", False)
-        assert v.reason == "cross-lane dependence between A[j] and A[(j + 1)]"
+TRANSPOSE = """
+    program transpose
+    param N
+    real A[N, N]
+    for i = 1, N { for j = 1, i { A[i, j] = f(A[j, i]) } }
+    """
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_triangular_transpose_is_doall(n):
+    """Over the hull ``j in [1, N]`` every ``A[i, j]`` meets ``A[j, i]`` on
+    another lane; each such solution puts one side above the diagonal,
+    which the real bound ``j <= i`` rejects, so both axes are exact
+    DOALL."""
+    profile = analyze_parallelism(build(TRANSPOSE), {"N": n})
+    assert [(v.index, v.verdict, v.exact) for v in profile.verdicts] == [
+        ("i", "doall", True), ("j", "doall", True),
+    ]
+
+
+def test_an_exhausted_witness_search_is_counted_inexact():
+    """At N=200 the transpose's hull holds more rejected solutions per
+    lane distance than the search budget: the ``i`` axis stays a
+    conservative, inexact ``serial`` naming the pair, counted once."""
+    before = inexact_count()
+    profile = analyze_parallelism(build(TRANSPOSE), {"N": 200})
+    assert inexact_count() - before == 1
+    v, inner = profile.verdicts
+    assert (v.index, v.verdict, v.exact, v.witness) == ("i", "serial", False, None)
+    assert v.reason == (
+        "possible cross-lane dependence between A[j, i] and A[i, j] "
+        "(witness search inconclusive)"
+    )
+    assert (inner.verdict, inner.exact) == ("doall", True)
+
+
+EMPTY_OUTER = """
+    program empty
+    param N
+    real A[N, N]
+    for k = 7, N - 1 { for j = 2, N { A[j, k] = f(A[j - 1, k]) } }
+    """
+
+
+@pytest.mark.parametrize("n, verdict", [(7, "doall"), (8, "serial")])
+def test_an_axis_inside_an_empty_loop_is_doall(n, verdict):
+    """At N=7 the ``k`` loop never runs, so no race exists along ``j``:
+    the shared ``k`` term's empty range proves it, though both
+    references read ``k`` with one coefficient.  At N=8 ``k = 7`` runs."""
+    program = build(EMPTY_OUTER)
+    profile = analyze_parallelism(program, {"N": n})
+    v = profile.verdicts[1]
+    assert (v.path, v.verdict, v.exact) == (("k", "j"), verdict, True)
+    if verdict == "serial":
+        assert dict(v.witness.env_a)["k"] == dict(v.witness.env_b)["k"] == 7
+    assert_exact_witnesses_collide_in_bounds(program, profile, "empty")
 
 
 COUPLED = """
@@ -315,23 +423,25 @@ COUPLED = """
 def test_coupled_bounds_keep_every_range_inside_the_iteration_space(monkeypatch):
     """``k``'s lower bound couples ``j`` and ``i``: widened one index at a
     time it reaches 1 - 12 + 1 = -10 at N=12, eliminated it is 1.  Every
-    range the pair rule is given lies inside the real iteration
-    space, and the verdicts are the exhaustive tier's."""
+    range the pair rule is given lies inside the real iteration space,
+    and the verdicts are a brute-force enumeration's."""
     n = 12
     real: dict[str, tuple[int, int]] = {}
+    instances = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             for k in range(j - i + 1, n + 1):
+                instances.append((i, j, k))
                 for name, v in zip("ijk", (i, j, k)):
                     lo, hi = real.get(name, (v, v))
                     real[name] = (min(lo, v), max(hi, v))
     used = []
     pair_rule = parallelism_module.lane_witness
 
-    def recording(*args):
-        axis, span, lo, outer, inner = args[4:]
-        used.extend([(axis, (lo, lo + span)), *outer.items(), *inner.items()])
-        return pair_rule(*args)
+    def recording(f, g, axis, admits):
+        for side in (f, g):
+            used.extend([(axis, side.lanes), *side.outer.items(), *side.inner.items()])
+        return pair_rule(f, g, axis, admits)
 
     monkeypatch.setattr(parallelism_module, "lane_witness", recording)
     program = build(COUPLED)
@@ -341,14 +451,19 @@ def test_coupled_bounds_keep_every_range_inside_the_iteration_space(monkeypatch)
         index = name.partition("#")[0]
         assert real[index][0] <= lo <= hi <= real[index][1], (name, (lo, hi))
 
-    monkeypatch.setattr(
-        parallelism_module, "_classify_symbolic",
-        lambda *args: args[4]("unknown", "symbolic tier skipped", exact=False),
-    )
-    exhaustive = analyze_parallelism(program, {"N": n}).verdicts
-    assert all(v.reason.endswith("(exhaustive check)") for v in exhaustive)
-    assert [v.verdict for v in verdicts] == [v.verdict for v in exhaustive]
+    def brute_force(depth: int) -> str:
+        """Serial when two instances on different lanes of the axis at
+        ``depth``, under one binding of the loops outside it, touch one
+        element (every access is ``A[k, j]``, a write among them)."""
+        lanes: dict[tuple, set[int]] = {}
+        for i, j, k in instances:
+            at = (i, j, k)
+            lanes.setdefault((at[:depth], (k, j)), set()).add(at[depth])
+        return "serial" if any(len(v) > 1 for v in lanes.values()) else "doall"
+
+    assert [v.verdict for v in verdicts] == [brute_force(d) for d in range(3)]
     assert [v.verdict for v in verdicts] == ["serial", "doall", "doall"]
+    assert all(v.exact for v in verdicts)
 
 
 @pytest.mark.parametrize(

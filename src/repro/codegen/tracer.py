@@ -453,7 +453,8 @@ class NestTracer:
 
     def address_segments(self, steps: int, layout, name: str = "trace"):
         """The same segments emitted as byte addresses under ``layout``:
-        ``AddressStream.from_trace(segment, layout)``, same errors."""
+        ``AddressStream.from_trace(segment, layout)``, same errors; each
+        step's first segment is marked as the step's start."""
         placements = [layout.address_map(a.name) for a in self.program.arrays]
         emitter = _Emitter(self.sizes, placements)
 
@@ -463,14 +464,14 @@ class NestTracer:
                               line_bytes=L2_LINE_BYTES, elem_bytes=ELEM_BYTES)
             return AddressStream(addresses, writes, refids, meta=meta)
 
-        return self._steps(steps, emit)
+        return self._steps(steps, emit, AddressStream.starting_step)
 
-    def _steps(self, steps: int, emit) -> Iterator:
+    def _steps(self, steps: int, emit, mark=None) -> Iterator:
         """Every step's segments through ``emit``, a step that fits in
         one chunk emitted once and replayed
-        (:func:`~repro.stream.replay_steps`)."""
+        (:func:`~repro.stream.replay_steps`, which applies ``mark``)."""
         pieces = self.plan()
-        yield from _stream.replay_steps(lambda: map(emit, pieces), steps)
+        yield from _stream.replay_steps(lambda: map(emit, pieces), steps, mark)
 
 
 def trace_program(

@@ -58,7 +58,8 @@ class EngineSelection:
         chain streams (:func:`repro.harness.variant_chunks`): codegen's
         :meth:`~repro.codegen.tracer.NestTracer.address_segments`, or
         the oracle's trace laid out a chunk at a time, both replaying a
-        step that fits in one chunk.
+        step that fits in one chunk and marking where each step begins
+        (:attr:`~repro.stream.AddressStream.step_starts`).
 
         Both tracers produce bit-for-bit identical addresses (the
         contract the differential suite under ``tests/codegen/``
@@ -79,7 +80,7 @@ def _oracle_segments(program, params, steps: int, layout, name: str):
     :data:`~repro.stream.CHUNK_ACCESSES` of them have gathered, so a
     chunk plus one outer iteration is all that is held; a step that fits
     in one chunk is walked once and replayed
-    (:func:`~repro.stream.replay_steps`)."""
+    (:func:`~repro.stream.replay_steps`), each step's start marked."""
     from . import stream
     from .interp.trace import TraceWalk
     from .lang import Loop
@@ -110,7 +111,9 @@ def _oracle_segments(program, params, steps: int, layout, name: str):
                     size = seen = 0
         yield from laid_out()
 
-    yield from stream.replay_steps(step, steps)
+    yield from stream.replay_steps(
+        step, steps, stream.AddressStream.starting_step
+    )
 
 
 def resolve_engines(

@@ -112,7 +112,8 @@ def _batches(
     ``layout``, joined into batches of at most ``CHUNK_ACCESSES``
     accesses (a larger segment alone), each with the segments it joins
     and whether it is the last; one empty batch when there is no
-    segment."""
+    segment.  A batch keeps its segments' step marks, at their offsets
+    in the batch."""
     segments = selection.address_segments(program, params, steps, layout, name)
     ahead = next(segments, None)
     if ahead is None:
@@ -157,8 +158,10 @@ def variant_chunks(
     variant's own at ``params``), in batches of about
     ``CHUNK_ACCESSES``.  ``sink`` is written every chunk, with the
     segments it joins, before the chunk is yielded (the ``trace-store``
-    span), so a stream is stored as it is simulated.
-    Nothing outlives its chunk.  One span per stage covers every chunk
+    span), so a stream is stored as it is simulated.  Each chunk's
+    :attr:`~repro.stream.AddressStream.step_starts` are the in-chunk
+    offsets where a time step begins; the stored stream does not keep
+    them.  Nothing outlives its chunk.  One span per stage covers every chunk
     (``chunks=``) and adds to ``timings``.
     """
     selection = resolve_engines(engine)
@@ -203,7 +206,9 @@ def measure_variant(
     """Compile at ``level``, trace, and simulate one program variant.
 
     One chain: compile, then one chunk loop — :func:`variant_chunks`
-    through :meth:`~repro.memsim.MemoryHierarchy.simulate_chunks`.  With
+    through :meth:`~repro.memsim.MemoryHierarchy.simulate_chunks`, step
+    marks included, so the TLB simulates later time steps only up to
+    where they forget their start (DESIGN §9.3).  With
     a ``cache`` the loop writes each segment to the stored stream as it
     goes (:meth:`TraceCache.trace_writer`), and a later call replays the
     stored stream instead, decoding it a chunk at a time as the levels
@@ -258,7 +263,7 @@ def measure_variant(
 
     def simulate(chunks: Iterator[AddressStream]) -> HierarchyResult:
         return MemoryHierarchy.standard(machine).simulate_chunks(
-            ((c.addresses, c.writes) for c in chunks),
+            ((c.addresses, c.writes, c.step_starts) for c in chunks),
             engine=selection.sim,
             timings=timings,
         )

@@ -5,7 +5,9 @@ of the stream, in this order:
 
 * the L1 over every access (write-through: no write-back accounting);
 * the L2 over exactly the L1 misses, with write-backs;
-* the TLB over every access, at page granularity;
+* the TLB at page granularity, over every access of a stream without
+  step marks, and over the first time step and the second one's warm-up
+  of a stream with them (:class:`_Tlb`);
 * the DRAM over the L2 fill stream (row buffers, banks, energy).
 
 Data transferred from memory is (L2 misses + write-backs) x L2 line
@@ -26,7 +28,7 @@ bit-for-bit across engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, MutableMapping, Optional
+from typing import Iterable, MutableMapping, Optional, Sequence
 
 import numpy as np
 
@@ -142,16 +144,90 @@ class _Cache:
     ) -> np.ndarray:
         """One chunk, continued from the carried state: its miss mask."""
         with self.span.chunk() as sp:
-            result = simulate_cache_writeback(
-                self.config, addresses, writes, engine, self.state
-            )
-            self.state = result.state
-            self.misses += result.misses
-            self.evicted += result.writebacks - result.state.dirty_lines
-            for key, value in result.work.items():
-                self.work[key] = self.work.get(key, 0) + value
+            miss = self._run(addresses, writes, engine)
             sp.attrs.update(self.work, misses=self.misses)
+        return miss
+
+    def _run(
+        self, addresses: np.ndarray, writes: Optional[np.ndarray], engine: Optional[str]
+    ) -> np.ndarray:
+        result = simulate_cache_writeback(
+            self.config, addresses, writes, engine, self.state
+        )
+        self.state = result.state
+        self.misses += result.misses
+        self.evicted += result.writebacks - result.state.dirty_lines
+        for key, value in result.work.items():
+            self.work[key] = self.work.get(key, 0) + value
         return result.miss
+
+
+class _Tlb(_Cache):
+    """The TLB between chunks.  A fully-associative LRU level of C
+    entries holds exactly the last C distinct pages touched (Mattson et
+    al.'s stack property), so it forgets its start state once C
+    distinct pages have passed.  Over a stream whose time steps are
+    marked as identical (DESIGN §9.3) it simulates the first step in
+    full, the second up to offset τ of the first step's C-th miss, and
+    counts every later access from the first step: from τ on, each step
+    repeats the first one's hits and misses and ends in its end state.
+    Nothing reads the TLB's state once the second step's warm-up is
+    over, so none is kept for the counted steps.  A stream without marks
+    is simulated access by access."""
+
+    def __init__(self, config: CacheConfig, engine: str) -> None:
+        super().__init__("tlb", config, engine)
+        self.capacity = config.num_lines  # C
+        self.steps = 0  # step starts passed
+        self.at = 0  # in-step offset of the next access
+        self.tau: Optional[int] = None  # in-step offset of step 1's C-th miss
+        self.first = 0  # step 1's misses
+        self.warm = 0  # step 2's misses over offsets [0, τ]
+        #: accesses counted from step 1 rather than simulated
+        self.counted = 0
+
+    def simulate_steps(
+        self, addresses: np.ndarray, starts: Sequence[int], engine: Optional[str]
+    ) -> None:
+        """One chunk, ``starts`` the in-chunk offsets where a step begins."""
+        with self.span.chunk() as sp:
+            cuts = [0, *starts, len(addresses)]
+            for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                if k:
+                    self._start_step()
+                self._piece(addresses[lo:hi], engine)
+            sp.attrs.update(self.work, misses=self.misses, counted=self.counted)
+
+    def _start_step(self) -> None:
+        self.steps += 1
+        self.at = 0
+        if self.steps == 1 and self.state is not None:
+            raise SimulationError("a marked stream must start with a step")
+        if self.steps == 2:
+            self.first = self.misses
+        elif self.steps > 2 and self.first >= self.capacity:
+            self.misses += self.warm + self.first - self.capacity
+
+    def _piece(self, addresses: np.ndarray, engine: Optional[str]) -> None:
+        n = len(addresses)
+        if n == 0:
+            return
+        if self.steps < 2:
+            before = self.misses
+            miss = self._run(addresses, None, engine)
+            if self.steps == 1 and self.tau is None and self.misses >= self.capacity:
+                self.tau = self.at + int(np.flatnonzero(miss)[self.capacity - before - 1])
+        elif self.steps == 2 and self.first >= self.capacity and self.at <= self.tau:
+            take = min(n, self.tau + 1 - self.at)
+            before = self.misses
+            self._run(addresses[:take], None, engine)
+            self.warm += self.misses - before
+            self.counted += n - take
+            if self.at + take > self.tau:  # step 1's misses from here on
+                self.misses += self.first - self.capacity
+        else:
+            self.counted += n
+        self.at += n
 
 
 class MemoryHierarchy:
@@ -199,34 +275,43 @@ class MemoryHierarchy:
 
     def simulate_chunks(
         self,
-        chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+        chunks: Iterable[tuple],
         engine: Optional[str] = None,
         timings: Optional[MutableMapping[str, float]] = None,
     ) -> HierarchyResult:
         """Run consecutive ``(addresses, writes)`` chunks of one stream
         through every level; the result is the whole stream's.
 
+        A chunk may carry a third item, the in-chunk offsets where a
+        time step begins (:attr:`~repro.stream.AddressStream.step_starts`).
+        Its producer promises that every marked step emits the same
+        stream and that the first begins the stream, so the TLB
+        simulates later steps only until they forget their start
+        (:class:`_Tlb`); the count is the one every access would give.
+
         Each level runs under one obs span named after it (``l1``,
         ``l2``, ``tlb``, ``dram``), whatever the number of chunks; its
-        seconds accumulate into ``timings``.
+        seconds accumulate into ``timings``.  The ``tlb`` span's
+        ``counted=`` is the accesses counted rather than simulated, and
+        its ``heads=`` / ``far=`` cover the simulated ones.
         """
         machine = self.machine
         resolved = engine or default_engine()
         l1 = _Cache("l1", machine.l1, resolved)
         l2 = _Cache("l2", machine.l2, resolved)
-        tlb = _Cache("tlb", machine.tlb.as_cache(), resolved)
+        tlb = _Tlb(machine.tlb.as_cache(), resolved)
         dram_span = ChunkedSpan("dram", engine=resolved)
         dram: Optional[DRAMResult] = None
         accesses = 0
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
-        for addresses, writes in _at_least_one(chunks, empty):
+        for addresses, writes, *starts in _at_least_one(chunks, empty):
             accesses += len(addresses)
             # one index column, two gathers: cheaper than two boolean
             # selections at cache miss densities
             missed = np.flatnonzero(l1.simulate(addresses, None, engine))
             l1_addresses = addresses.take(missed)
             l2_miss = l2.simulate(l1_addresses, writes.take(missed), engine)
-            tlb.simulate(addresses, None, engine)
+            tlb.simulate_steps(addresses, starts[0] if starts else (), engine)
             fills = l1_addresses[l2_miss]
             with dram_span.chunk() as sp:
                 dram = simulate_dram(

@@ -28,19 +28,26 @@ from .stream import AddressStream, StreamMeta
 CHUNK_ACCESSES = 2**18
 
 
-def replay_steps(step: Callable[[], Iterable], steps: int) -> Iterator:
+def replay_steps(
+    step: Callable[[], Iterable], steps: int, mark: Optional[Callable] = None
+) -> Iterator:
     """The segments of ``steps`` time steps, ``step()`` producing one
     step's.  A step that fits in one chunk (by ``len(segment)``, which
     every segment kind makes its access count) is produced once and
     replayed — nothing larger than a chunk is kept — a larger one is
-    produced again each step."""
+    produced again each step.  Every step yields the same stream, so
+    ``mark``, when given, reports where each one begins: it maps the
+    step's first segment to the one yielded in its place
+    (:meth:`AddressStream.starting_step`)."""
     kept: Optional[list] = []
     for n in range(steps):
         if n and kept is not None:
             yield from kept
             continue
         size = 0
-        for segment in step():
+        for at, segment in enumerate(step()):
+            if mark is not None and at == 0:
+                segment = mark(segment)
             size += len(segment)
             if size > CHUNK_ACCESSES:
                 kept = None

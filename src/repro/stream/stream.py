@@ -7,7 +7,9 @@ concrete layout, or canonical element keys) and which cache-line /
 element geometry they were produced for.  Multi-million access streams
 stay compact (struct-of-arrays, no Python objects per access), and
 :meth:`AddressStream.slice` gives views of the columns without copying
-them.
+them.  A producer whose time steps emit identical streams may mark where
+each begins (:attr:`AddressStream.step_starts`); joining streams
+carries the marks, and nothing else reads or stores them.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class AddressStream:
         writes: Optional[np.ndarray] = None,
         ref_ids: Optional[np.ndarray] = None,
         meta: Optional[StreamMeta] = None,
+        step_starts: Sequence[int] = (),
     ) -> None:
         self._addresses = np.ascontiguousarray(addresses, dtype=np.int64)
         if self._addresses.ndim != 1:
@@ -105,6 +108,9 @@ class AddressStream:
                 )
         self._ref_ids = ref_ids
         self.meta = meta if meta is not None else StreamMeta()
+        #: ascending offsets at which a time step begins, every step
+        #: marked emitting the same stream; empty when nothing is marked
+        self.step_starts = tuple(step_starts)
 
     # -- columns -------------------------------------------------------
 
@@ -150,6 +156,12 @@ class AddressStream:
             self._writes[start:stop],
             None if self._ref_ids is None else self._ref_ids[start:stop],
             meta=self.meta,
+        )
+
+    def starting_step(self) -> "AddressStream":
+        """This stream's columns, marked as the start of a time step."""
+        return AddressStream(
+            self._addresses, self._writes, self._ref_ids, self.meta, (0,)
         )
 
     def fingerprint(self) -> str:
@@ -201,7 +213,8 @@ class AddressStream:
     def concat(
         cls, streams: Sequence["AddressStream"], name: str = "concat"
     ) -> "AddressStream":
-        """Concatenate streams; ref_ids survive only if every part has them."""
+        """Concatenate streams; ref_ids survive only if every part has
+        them, step marks at their offsets in the whole."""
         if not streams:
             return cls(np.empty(0, dtype=np.int64))
         addresses = np.concatenate([s.addresses for s in streams])
@@ -216,4 +229,8 @@ class AddressStream:
             line_bytes=streams[0].meta.line_bytes,
             elem_bytes=streams[0].meta.elem_bytes,
         )
-        return cls(addresses, writes, refs, meta=meta)
+        starts, at = [], 0
+        for part in streams:
+            starts += [at + mark for mark in part.step_starts]
+            at += len(part)
+        return cls(addresses, writes, refs, meta=meta, step_starts=starts)

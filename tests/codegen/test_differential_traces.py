@@ -162,19 +162,24 @@ if __name__ != "__main__":
     def test_chunked_measurement_matches_one_chunk(name, level, monkeypatch):
         """The chain of ``measure_variant`` past its compile, on a
         hierarchy small enough (4 L1 lines, 32 L2 lines, 4 TLB entries)
-        that every level evicts across chunk boundaries."""
+        that every level evicts across chunk boundaries.  The chunked
+        side passes the step marks, so its TLB counts the second step
+        past its warm-up; the one chunk is simulated access by access."""
         variant, params = _variant(name, level), GOLDEN_PARAMS[name]
         machine = octane().scaled(1 / 256)
 
-        def measure():
-            chunks = [(c.addresses, c.writes) for c in variant_chunks(variant, params, STEPS)]
+        def measure(marked):
+            chunks = [
+                (c.addresses, c.writes, c.step_starts if marked else ())
+                for c in variant_chunks(variant, params, STEPS)
+            ]
             outcome = MemoryHierarchy.standard(machine).simulate_chunks(chunks)
             return len(chunks), stats_from_hierarchy(outcome, machine)
 
         monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", 2**40)
-        one, whole = measure()
+        one, whole = measure(marked=False)
         monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", TINY_CHUNK)
-        many, chunked = measure()
+        many, chunked = measure(marked=True)
         assert one == 1 and (many > 1 or whole.accesses <= TINY_CHUNK)
         assert chunked == whole
 

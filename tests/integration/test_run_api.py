@@ -94,14 +94,17 @@ class TestFrontDoor:
             assert 0 < spans["tlb"]["far"] < spans["tlb"]["heads"]
             assert "far" not in spans["l1"]
 
-    def test_one_span_per_stage_however_many_chunks(self, monkeypatch):
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("program", ["adi", "swim"])
+    def test_one_span_per_stage_however_many_chunks(self, monkeypatch, program, steps):
         from repro import stream as stream_module
 
         # both tracers emit byte addresses: no stage lays a trace out
         stages = ("trace-gen", "l1", "l2", "tlb", "dram")
         for engine in ("fast+codegen", "reference+interp"):
             request = RunRequest(
-                program="adi", levels=("noopt",), params=SMALL, steps=1, engine=engine
+                program=program, levels=("noopt",), params=SMALL, steps=steps,
+                engine=engine,
             )
             monkeypatch.undo()
             whole = run(request)[0]
@@ -125,6 +128,10 @@ class TestFrontDoor:
                 assert chunked.timings[stage] == sp.duration_s
                 if stage in misses:
                     assert sp.attrs["misses"] == misses[stage], stage
+            # steps after the first are counted, not simulated, past their
+            # warm-up
+            (tlb,) = [s for s in chunked.spans if s.name == "tlb"]
+            assert (tlb.attrs["counted"] > 0) == (steps > 1)
             # chunks end on segment boundaries: at least 16 of <= 997 accesses
             (count,) = chunks
             assert count >= -(-whole.trace_length // 997)
@@ -265,9 +272,14 @@ class TestObservabilitySinks:
 
 
 class TestResultCacheKnob:
-    def test_result_cache_off_still_replays_traces(self, tmp_path):
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("program", ["adi", "swim"])
+    def test_result_cache_off_still_replays_traces(self, tmp_path, program, steps):
+        # the traced run marks its steps, the replay does not: at SMALL
+        # adi's step makes fewer TLB misses than the TLB has entries and
+        # swim's more, so both counts of later steps meet the simulated one
         request = dict(
-            program="adi", levels=("noopt",), params=SMALL, steps=1,
+            program=program, levels=("noopt",), params=SMALL, steps=steps,
             cache=str(tmp_path),
         )
         cold = run(RunRequest(**request, result_cache=False))

@@ -1,10 +1,13 @@
 """Whole-hierarchy simulation and timing-model tests."""
 
+import numpy as np
 import pytest
 
 from repro.core.regroup import default_layout
 from repro.interp import trace_program
+from repro.lang import SimulationError
 from repro.memsim import (
+    MemoryHierarchy,
     octane,
     origin2000,
     scaled_machine,
@@ -110,3 +113,11 @@ def test_tlb_counts_pages(small_machine):
     stream = AddressStream.from_trace(trace, default_layout(p, {"N": n}))
     stats = simulate_stream(stream, small_machine)
     assert stats.tlb_misses == n  # every access a new page, 8-entry TLB
+
+
+def test_a_marked_stream_starts_with_a_step(small_machine):
+    # the TLB's count of later steps rests on an empty TLB at step 1
+    addresses = np.arange(8, dtype=np.int64) * 1024
+    chunk = (addresses, np.zeros(8, dtype=bool), (3, 6))
+    with pytest.raises(SimulationError, match="must start with a step"):
+        MemoryHierarchy(small_machine).simulate_chunks([chunk])

@@ -17,16 +17,20 @@ Two families of invariants lock the vectorized paths in
 
 A third pins streaming: every kernel, on both engines, gives the same
 result when the stream arrives in chunks, each replaying the state the
-previous one ended in (:class:`~repro.memsim.cache.LRUState`).
+previous one ended in (:class:`~repro.memsim.cache.LRUState`).  On
+TLB-shaped streams repeated as marked time steps, the hierarchy's TLB
+count, which simulates only the first step and the second one's warm-up,
+equals the whole repeated stream's.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.locality import reuse_distances
 from repro.locality.reuse_distance import miss_count
+from repro.memsim import MemoryHierarchy, octane, scaled_machine
 from repro.memsim.cache import (
     ENGINES,
     CacheConfig,
@@ -226,17 +230,48 @@ def test_chunk_boundaries_are_invisible(kernel, stream, origin, cuts, seed):
         assert np.array_equal(states[0].dirty, states[1].dirty), config
 
 
-@given(tlb_streams(), st.lists(st.integers(0, 400), max_size=4))
+def _case(pages, capacity):
+    """An explicit :func:`tlb_streams` case: loads of ``pages``."""
+    lines = np.asarray(pages, dtype=np.int64)
+    return lines, np.zeros(len(lines), dtype=bool), capacity
+
+
+@given(
+    tlb_streams(), st.lists(st.integers(0, 400), max_size=4), st.integers(1, 4)
+)
+# the first step's C-th miss (offset 3) lies past the first chunk
+@example(_case([0, 1, 2, 3, 0, 4, 1], 4), [2], 2)
+# ... in the chunk the first step ends in, with the second step's warm-up
+@example(_case([0, 0, 0, 1, 2, 3, 0, 4], 4), [4], 3)
+# a step touches fewer than C pages: every later step hits
+@example(_case([0, 1, 0, 1, 2], 4), [3, 7], 3)
+@example(_case([0, 1, 1, 0, 2], 1), [3, 5, 11], 4)
 @settings(max_examples=150, deadline=None)
-def test_tlb_shaped_chunks_are_invisible(case, cuts):
+def test_tlb_shaped_chunks_are_invisible(case, cuts, steps):
     """The near/far kernel cut mid-cycle, where a far reuse straddles the
-    boundary and only the replayed prefix remembers the page."""
+    boundary and only the replayed prefix remembers the page.  Repeated
+    as ``steps`` time steps and marked where each begins, the hierarchy
+    simulates the TLB over the first step and the second's warm-up only,
+    and counts what every access gives."""
     lines, writes, capacity = case
     config = CacheConfig("tlb", capacity * 8, 8, 0)
     whole = simulate_cache_writeback(config, lines * 8, writes, "fast")
     miss, writebacks, _ = _chunked(config, lines * 8, writes, "fast", cuts)
     assert np.array_equal(miss, whole.miss)
     assert writebacks == whole.writebacks
+    run = np.tile(lines * 8, steps)
+    marks = [len(lines) * k for k in range(steps)]
+    bounds = [0, *sorted(min(c, len(run)) for c in cuts), len(run)]
+    chunks = [
+        (run[lo:hi], np.tile(writes, steps)[lo:hi],
+         [m - lo for m in marks if lo <= m < hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    machine = scaled_machine(octane(), 4 * 32, 4 * 128, capacity, 8)
+    for engine in ENGINES:
+        expected = int(simulate_cache(config, run, engine).sum())
+        got = MemoryHierarchy(machine).simulate_chunks(chunks, engine)
+        assert got.tlb_misses == expected, engine
 
 
 @given(access_streams(), st.integers(1, 40))

@@ -15,6 +15,11 @@ a guard-narrowed level whose inner count depends on its index, and adi
 after ``mckinley``.  Today each fails, so the test is a strict xfail: it
 starts to pass, and must then lose its mark, when the pair rule and the
 guard pieces make the classes conserve.
+
+The six registry programs at ``noopt`` (the level ``test_crossval``
+gates) run the same check at their small sizes: tomcatv conserves and
+is gated; every other program is its own strict xfail, whose reason
+gives the classes measured wrong.
 """
 
 import numpy as np
@@ -92,6 +97,41 @@ PROBES = {
 def test_every_class_conserves_its_accesses(probe):
     make, params = PROBES[probe]
     _check_classes(probe, make(), params)
+
+
+def _measured_wrong(counts):
+    return pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=f"at noopt, {counts} (ROADMAP: per-reference conservation)",
+    )
+
+
+#: registry program -> (program at ``noopt``, size, marks)
+NOOPT = {
+    "adi": (registry.get("adi").build, {"N": 16}, _measured_wrong(
+        "5 negative classes")),
+    "fft": (lambda: registry.build_fft(16), {"n": 16}, _measured_wrong(
+        "4 negative classes")),
+    "sp": (registry.get("sp").build, {"N": 8}, _measured_wrong(
+        "30 negative classes")),
+    "sweep3d": (registry.get("sweep3d").build, {"N": 8}, _measured_wrong(
+        "18 negative classes and 3 all-exact classes that disagree with "
+        "the trace")),
+    "swim": (registry.get("swim").build, {"N": 16}, _measured_wrong(
+        "5 negative classes")),
+    "tomcatv": (registry.get("tomcatv").build, {"N": 16}, ()),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(name, marks=marks) for name, (_, _, marks) in sorted(NOOPT.items())],
+)
+def test_registry_classes_conserve_at_noopt(name):
+    build_program, params, _ = NOOPT[name]
+    program = PassManager(build_program()).run(PIPELINES["noopt"]).program
+    _check_classes(name, program, params)
 
 
 def test_a_uniform_copy_conserves():

@@ -32,7 +32,7 @@ from .harness import (
     normalized_rows,
     run,
     timing_rows,
-    variant_chunks,
+    variant_steps,
 )
 from .lang import (
     AnalysisError,
@@ -392,10 +392,10 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     out = Path(args.output)
     as_csv = args.format == "csv" or (args.format == "auto" and out.suffix == ".csv")
     with nullcontext() if as_csv else StreamWriter(out) as writer:
-        chunks = list(variant_chunks(
+        chunks = [chunk for chunk, _ in variant_steps(
             compile_variant(target.program, args.level),
             target.params, target.steps, args.engine, name=name, sink=writer,
-        ))
+        )]
     stream = AddressStream.concat(chunks, name)
     if as_csv:
         write_stream_csv(out, stream)
@@ -520,13 +520,13 @@ def _membw_roundtrip(args: argparse.Namespace) -> list[str]:
     failures: list[str] = []
     target = registry.resolve_target("adi")
     selection = resolve_engines(args.engine)
-    stream = AddressStream.concat(list(variant_chunks(
+    stream = AddressStream.concat([chunk for chunk, _ in variant_steps(
         compile_variant(target.program, "new"),
         target.params,
         target.steps,
         selection,
         name="adi/new",
-    )), "adi/new")
+    )], "adi/new")
     machine = machine_for(target.machine_spec)
     direct = simulate_stream(stream, machine, engine=selection.sim)
     with tempfile.TemporaryDirectory(prefix="repro-membw-") as tmp:

@@ -19,9 +19,9 @@ order.  Emitting a node against a frame of ``p`` instances yields either
 Per-access metadata (write flag, array id, ref id) is packed into one
 int64 so every structural merge touches two arrays instead of four.
 Top-level nests are emitted as the segments of one plan
-(:meth:`NestTracer.segments`): a time step that fits in one chunk is
-emitted once and replayed, a larger one again each step, its big nests
-in pieces.
+(:meth:`NestTracer.segments`), one time step's, its big nests in
+pieces; repeating steps is the measuring chain's business
+(:class:`repro.harness.TimeSteps`).
 
 Under a layout (:meth:`NestTracer.address_segments`) each reference's
 record absorbs its array's placement, so the blocks hold byte addresses
@@ -389,8 +389,8 @@ class NestTracer:
     """Fold a program once; trace its top-level nests as numpy blocks.
 
     The measuring chain's entry: :meth:`segments` cuts the trace of a
-    run into segments of about :data:`~repro.stream.CHUNK_ACCESSES`
-    accesses, in execution order — per time step, each top-level nest
+    time step into segments of about :data:`~repro.stream.CHUNK_ACCESSES`
+    accesses, in execution order — each top-level nest
     whole, or in spans of its outer loop, or (when one outer iteration
     alone is larger) one iteration's body in pieces; a segment is a
     restricted copy of a top-level nest (:func:`_restrict`).
@@ -447,14 +447,13 @@ class NestTracer:
         budget = _stream.CHUNK_ACCESSES
         return [piece for node in self.nests for piece in _pieces(node, {}, budget)]
 
-    def segments(self, steps: int = 1) -> Iterator[AccessTrace]:
-        """The trace of ``steps`` time steps, one segment at a time."""
-        return self._steps(steps, self._emit)
+    def segments(self) -> Iterator[AccessTrace]:
+        """The trace of one time step, one segment at a time."""
+        yield from map(self._emit, self.plan())
 
-    def address_segments(self, steps: int, layout, name: str = "trace"):
+    def address_segments(self, layout, name: str = "trace"):
         """The same segments emitted as byte addresses under ``layout``:
-        ``AddressStream.from_trace(segment, layout)``, same errors; each
-        step's first segment is marked as the step's start."""
+        ``AddressStream.from_trace(segment, layout)``, same errors."""
         placements = [layout.address_map(a.name) for a in self.program.arrays]
         emitter = _Emitter(self.sizes, placements)
 
@@ -464,14 +463,7 @@ class NestTracer:
                               line_bytes=L2_LINE_BYTES, elem_bytes=ELEM_BYTES)
             return AddressStream(addresses, writes, refids, meta=meta)
 
-        return self._steps(steps, emit, AddressStream.starting_step)
-
-    def _steps(self, steps: int, emit, mark=None) -> Iterator:
-        """Every step's segments through ``emit``, a step that fits in
-        one chunk emitted once and replayed
-        (:func:`~repro.stream.replay_steps`, which applies ``mark``)."""
-        pieces = self.plan()
-        yield from _stream.replay_steps(lambda: map(emit, pieces), steps, mark)
+        yield from map(emit, self.plan())
 
 
 def trace_program(

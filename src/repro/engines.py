@@ -52,14 +52,12 @@ class EngineSelection:
     def spec(self) -> str:
         return f"{self.sim}+{self.tracer}"
 
-    def address_segments(self, program, params, steps: int, layout, name: str):
-        """The selected tracer's trace of ``steps`` time steps as byte
-        addresses under ``layout``, in segments, which the measuring
-        chain streams (:func:`repro.harness.variant_chunks`): codegen's
+    def address_segments(self, program, params, layout, name: str):
+        """The selected tracer's trace of one time step as byte addresses
+        under ``layout``, in segments, which the measuring chain streams
+        and repeats (:class:`repro.harness.TimeSteps`): codegen's
         :meth:`~repro.codegen.tracer.NestTracer.address_segments`, or
-        the oracle's trace laid out a chunk at a time, both replaying a
-        step that fits in one chunk and marking where each step begins
-        (:attr:`~repro.stream.AddressStream.step_starts`).
+        the oracle's trace laid out a chunk at a time.
 
         Both tracers produce bit-for-bit identical addresses (the
         contract the differential suite under ``tests/codegen/``
@@ -69,18 +67,16 @@ class EngineSelection:
         if self.tracer == "codegen":
             from .codegen.tracer import NestTracer
 
-            return NestTracer(program, params).address_segments(steps, layout, name)
-        return _oracle_segments(program, params, steps, layout, name)
+            return NestTracer(program, params).address_segments(layout, name)
+        return _oracle_segments(program, params, layout, name)
 
 
-def _oracle_segments(program, params, steps: int, layout, name: str):
-    """The Walk oracle's trace laid out, in chunks.  Each top-level loop
-    is walked one outer iteration at a time (``Walk.walk_span``) and the
-    accesses walked are laid out whenever
+def _oracle_segments(program, params, layout, name: str):
+    """The Walk oracle's trace of one step laid out, in chunks.  Each
+    top-level loop is walked one outer iteration at a time
+    (``Walk.walk_span``) and the accesses walked are laid out whenever
     :data:`~repro.stream.CHUNK_ACCESSES` of them have gathered, so a
-    chunk plus one outer iteration is all that is held; a step that fits
-    in one chunk is walked once and replayed
-    (:func:`~repro.stream.replay_steps`), each step's start marked."""
+    chunk plus one outer iteration is all that is held."""
     from . import stream
     from .interp.trace import TraceWalk
     from .lang import Loop
@@ -95,25 +91,20 @@ def _oracle_segments(program, params, steps: int, layout, name: str):
         whole = stream.AddressStream.from_trace(trace, layout, name, "interp")
         return (whole.slice(at, at + chunk) for at in range(0, len(whole), chunk))
 
-    def step():
-        size = seen = 0  # accesses gathered; instances they are counted for
-        for stmt in walk.program.body:
-            if not isinstance(stmt, Loop):
-                walk.walk_stmt(stmt)  # counted with the next outer iteration
-                continue
-            lo, hi = walk.values(walk.fold(stmt, (stmt.lower, stmt.upper)))
-            for i in range(lo, hi + 1):
-                walk.walk_span(stmt, i, i)
-                size += sum(map(width.__getitem__, walk.stmts[seen:]))
-                seen = len(walk.stmts)
-                if size >= chunk:
-                    yield from laid_out()
-                    size = seen = 0
-        yield from laid_out()
-
-    yield from stream.replay_steps(
-        step, steps, stream.AddressStream.starting_step
-    )
+    size = seen = 0  # accesses gathered; instances they are counted for
+    for stmt in walk.program.body:
+        if not isinstance(stmt, Loop):
+            walk.walk_stmt(stmt)  # counted with the next outer iteration
+            continue
+        lo, hi = walk.values(walk.fold(stmt, (stmt.lower, stmt.upper)))
+        for i in range(lo, hi + 1):
+            walk.walk_span(stmt, i, i)
+            size += sum(map(width.__getitem__, walk.stmts[seen:]))
+            seen = len(walk.stmts)
+            if size >= chunk:
+                yield from laid_out()
+                size = seen = 0
+    yield from laid_out()
 
 
 def resolve_engines(

@@ -10,11 +10,13 @@ the README migration table for the ``RunRequest`` equivalents.
 from .artifacts import merge_json_artifact
 from .cache import TraceCache, default_cache_dir, layout_fingerprint, resolve_cache
 from .experiment import (
+    TimeSteps,
     VariantResult,
     machine_for,
     measure_variant,
+    simulate_steps,
     stage_timer,
-    variant_chunks,
+    variant_steps,
 )
 from .run import RunRequest, RunResult, run
 from .sweep import SweepPoint, growth_factor, scaling_sweep
@@ -36,6 +38,7 @@ __all__ = [
     "SweepPoint",
     "TIMING_HEADERS",
     "TIMING_STAGES",
+    "TimeSteps",
     "TraceCache",
     "VariantResult",
     "default_cache_dir",
@@ -51,7 +54,8 @@ __all__ = [
     "growth_factor",
     "run",
     "scaling_sweep",
+    "simulate_steps",
     "stage_timer",
     "timing_rows",
-    "variant_chunks",
+    "variant_steps",
 ]

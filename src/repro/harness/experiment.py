@@ -4,12 +4,15 @@
 generates the trace at the chosen size, simulates the scaled memory
 hierarchy, and returns one :class:`VariantResult` — the row unit of
 every Fig. 10 / §6 table, and the only result record the harness has.
-Past the compile it is one chunk loop: the tracer's segments, byte
-addresses under the variant's layout whichever tracer emits them, are
-batched and pushed through the hierarchy a chunk of about
-``CHUNK_ACCESSES`` accesses at a time (:func:`variant_chunks`), so its
-memory does not grow with the trace — nor does a trace cache's, which
-writes the segments as they pass and replays them as it reads.  The
+Past the compile it is one chunk loop: the tracer's segments of one
+time step, byte addresses under the variant's layout whichever tracer
+emits them, are batched and pushed through the hierarchy a chunk of
+about ``CHUNK_ACCESSES`` accesses at a time, step after step
+(:class:`TimeSteps`), so its memory does not grow with the trace — nor
+does a trace cache's, which writes the segments as they pass and
+replays them as it reads.  Every step emits the same stream, so a later
+step runs only until the hierarchy is back in a state step 1 was in,
+and the rest is counted (:func:`simulate_steps`, DESIGN §9.3).  The
 whole path is instrumented with :mod:`repro.obs` spans (compile passes,
 trace-gen, trace-store / trace-load with a cache, and per-level
 simulation stages, one span per stage however many chunks), so a
@@ -19,9 +22,12 @@ surrounding :class:`~repro.obs.SpanCollector` sees the full stage tree.
 from __future__ import annotations
 
 import time
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+
+import numpy as np
 
 from .. import stream as _stream
 from ..core import CompiledVariant, compile_pipeline
@@ -38,6 +44,7 @@ from ..memsim import (
     scaled_machine,
     stats_from_hierarchy,
 )
+from ..memsim.hierarchy import HierarchyRun, Snapshot
 from ..obs import ChunkedSpan, SpanEvent, metrics, span
 from ..stream import AddressStream, StreamFormatError
 from ..stream.io import StreamReader, StreamWriter
@@ -105,29 +112,34 @@ def machine_for(spec) -> MachineConfig:
     )
 
 
-def _batches(
-    selection: EngineSelection, program: Program, params, steps: int, layout, name
-) -> Iterator[tuple[AddressStream, list, bool]]:
-    """The selected tracer's segments as address streams under
-    ``layout``, joined into batches of at most ``CHUNK_ACCESSES``
-    accesses (a larger segment alone), each with the segments it joins
-    and whether it is the last; one empty batch when there is no
-    segment.  A batch keeps its segments' step marks, at their offsets
-    in the batch."""
-    segments = selection.address_segments(program, params, steps, layout, name)
-    ahead = next(segments, None)
-    if ahead is None:
-        yield AddressStream.concat([], name), [], True
-    while ahead is not None:
-        pieces, size = [], 0
-        while ahead is not None and (
-            not pieces or size + len(ahead) <= _stream.CHUNK_ACCESSES
+def _batches(pairs: Iterator, name: str) -> Iterator[tuple[AddressStream, list, list, bool]]:
+    """``(segment, begins a step)`` pairs joined into batches of at most
+    ``CHUNK_ACCESSES`` accesses (a larger segment alone), each with the
+    segments it joins, the in-batch offsets where a step begins, and
+    whether it is the last; one empty batch when there is no segment.
+    A ``None`` among the pairs ends a batch, and what follows it is
+    pulled only when the next batch is asked for."""
+    ahead = next(pairs, _DONE)
+    if ahead is _DONE:
+        yield AddressStream.concat([], name), [], [], True
+    while ahead is not _DONE:
+        if ahead is None:
+            ahead = next(pairs)
+        parts, starts, size = [], [], 0
+        while isinstance(ahead, tuple) and (
+            not parts or size + len(ahead[0]) <= _stream.CHUNK_ACCESSES
         ):
-            pieces.append(ahead)
-            size += len(ahead)
-            ahead = next(segments, None)
-        chunk = pieces[0] if len(pieces) == 1 else AddressStream.concat(pieces, name)
-        yield chunk, pieces, ahead is None
+            segment, begins = ahead
+            if begins:
+                starts.append(size)
+            parts.append(segment)
+            size += len(segment)
+            ahead = next(pairs, _DONE)
+        chunk = parts[0] if len(parts) == 1 else AddressStream.concat(parts, name)
+        yield chunk, parts, starts, ahead is _DONE
+
+
+_DONE = object()
 
 
 def _replay(reader: StreamReader) -> Iterator[AddressStream]:
@@ -141,52 +153,213 @@ def _replay(reader: StreamReader) -> Iterator[AddressStream]:
         yield chunk
 
 
-def variant_chunks(
+class TimeSteps:
+    """A run's time steps as the chunks the measuring chain consumes.
+
+    ``trace()`` produces one step's segments afresh each call, and every
+    step emits the same stream.  A step that fits in one chunk (by
+    ``len(segment)``, each segment kind's access count) is traced once
+    and replayed from memory, its chunks joining across step
+    boundaries; a longer one (:attr:`long`) is traced again each time a
+    step is asked for, and a chunk ends where it does.  Iterating yields
+    ``(chunk, starts)``, ``starts`` the in-chunk offsets where a step
+    begins.  Each chunk is made under the ``trace-gen`` span
+    (``accesses=``; ``steps_traced=``, the steps whose accesses went
+    out, a replay included) and written to ``sink``, with the segments
+    it joins, before it is yielded (the ``trace-store`` span).  Nothing
+    outlives its chunk but step 1's first ``CHUNK_ACCESSES`` accesses
+    (:attr:`kept`).
+    """
+
+    def __init__(self, trace: Callable[[], Iterable[AddressStream]], steps: int,
+                 name: str = "trace", sink: Optional[StreamWriter] = None,
+                 **attrs: object) -> None:
+        self.trace, self.steps, self.name, self.sink = trace, steps, name, sink
+        self.span = ChunkedSpan("trace-gen", steps=steps, **attrs,
+                                accesses=0, steps_traced=0)
+        self.storing = ChunkedSpan("trace-store")
+        #: step 1 does not fit in one chunk (known once the first is out)
+        self.long = False
+        #: step 1's accesses (known once its last chunk is out)
+        self.length: Optional[int] = None
+        #: step 1's first ``CHUNK_ACCESSES`` accesses: the step's own
+        #: segments when it fits, else views of their addresses and
+        #: writes up to the bound, what step 2 is probed from
+        #: (:func:`simulate_steps`)
+        self.kept: list[AddressStream] = []
+
+    def __iter__(self) -> Iterator[tuple[AddressStream, list]]:
+        batches = _batches(self._segments(), self.name)
+        last = False
+        while not last:
+            with self.span.chunk() as sp:
+                chunk, parts, starts, last = next(batches)
+                sp.attrs["accesses"] += len(chunk)
+            metrics.inc("trace.accesses", len(chunk))
+            if self.sink is not None:
+                with self.storing.chunk():
+                    self.sink.write(chunk, parts)
+            parts.clear()  # while the consumer simulates, only the chunk lives
+            yield chunk, starts
+
+    def _segments(self) -> Iterator:
+        attrs, chunk = self.span.event.attrs, _stream.CHUNK_ACCESSES
+        size, attrs["steps_traced"] = 0, 1
+        for at, segment in enumerate(self.trace()):
+            if size + len(segment) <= chunk:
+                # the segment itself: a sink stores a replayed one once
+                self.kept.append(segment)
+            elif not self.long:
+                self.long = True
+                head = [segment.slice(0, chunk - size)] if size < chunk else []
+                # all a probe reads: the reference ids are let go
+                self.kept = [AddressStream(s.addresses, s.writes) for s in self.kept + head]
+            size += len(segment)
+            yield segment, at == 0
+        self.length = size
+        for _ in range(1, self.steps):
+            if self.long:
+                yield None  # the step ends its last chunk
+            attrs["steps_traced"] += 1
+            for at, segment in enumerate(self.trace() if self.long else self.kept):
+                yield segment, at == 0
+
+
+def _offsets() -> list[int]:
+    """The in-step offsets where a step longer than one chunk is
+    snapshotted besides its chunk ends: ``CHUNK_ACCESSES`` / 16, / 8,
+    / 4 and / 2, and the end of its kept prefix, ``CHUNK_ACCESSES``."""
+    return [_stream.CHUNK_ACCESSES >> k for k in (4, 3, 2, 1, 0)]
+
+
+def simulate_steps(
+    machine: MachineConfig,
+    source: TimeSteps,
+    engine: Optional[str] = None,
+    timings: Optional[dict] = None,
+) -> HierarchyResult:
+    """Simulate ``source``'s time steps on ``machine``, counting what
+    repeats step 1 instead of simulating it (DESIGN §9.3).
+
+    Every level is deterministic, so once the caches stand at in-step
+    offset c of step 2 in the state step 1 was in at c, and the TLB has
+    passed its own τ, the rest of the run repeats step 1
+    (:meth:`~repro.memsim.hierarchy.HierarchyRun.result` counts it).  A
+    step that fits in one chunk is simulated in full, its chunks
+    straddling steps; only the TLB stops early.  A longer step 1 is
+    snapshotted at its chunk ends and at :func:`_offsets`; step 2 is
+    probed from step 1's first ``CHUNK_ACCESSES`` accesses
+    (:attr:`TimeSteps.kept`), the TLB over its warm-up only, and
+    compared at each of those offsets it reaches.  Without a match
+    there, step 2 is traced again, the probe's accesses skipped, and
+    compared at step 1's chunk ends; without one at all, every access
+    is simulated.  With a sink the stream is traced to its end and written
+    all the same, and nothing more is simulated.
+    """
+    run = MemoryHierarchy(machine).start(engine)
+    chunks = iter(source)
+    repeat = _repeat(run, chunks, source)
+    if source.sink is not None:
+        deque(chunks, maxlen=0)
+    return run.result(source.steps, repeat, timings)
+
+
+def _repeat(
+    run: HierarchyRun, chunks: Iterator, source: TimeSteps
+) -> Optional[tuple[Snapshot, Snapshot]]:
+    """Feed ``chunks`` to ``run`` until step 2 repeats step 1: then step
+    1's snapshots at its end and at the offset step 2 matched; None once
+    every chunk is simulated."""
+    chunk, starts = next(chunks)
+    if source.steps == 1 or not source.long:
+        run.feed(chunk.addresses, chunk.writes, starts)
+        for chunk, starts in chunks:
+            run.feed(chunk.addresses, chunk.writes, starts)
+        return None
+    marks, at = {}, 0
+    while True:  # step 1
+        lo = 0
+        for hi in [*(c - at for c in _offsets() if 0 < c - at < len(chunk)), len(chunk)]:
+            run.caches(chunk.addresses[lo:hi], chunk.writes[lo:hi])
+            marks[at + hi] = run.snapshot()
+            lo = hi
+        run.translate(chunk.addresses, starts)
+        at += len(chunk)
+        if at == source.length:
+            break
+        chunk, starts = next(chunks)
+    end = marks[at]
+
+    def repeats(offset: int) -> bool:
+        return run.settled and run.snapshot().same_state(marks[offset])
+
+    kept, source.kept = source.kept, []  # step 2, probed
+    probed = sum(map(len, kept))
+    warmup, _ = _joined(kept, 0, min(probed, run.warmup))  # the TLB's
+    run.translate(warmup, [0])
+    lo = 0
+    for hi in [c for c in marks if c <= probed]:
+        run.caches(*_joined(kept, lo, hi))
+        lo = hi
+        if repeats(hi):
+            metrics.inc("steps.probe.matched")
+            return end, marks[hi]
+    del kept, warmup
+    metrics.inc("steps.fallback")
+    at = 0  # step 2 on, traced again; the probe's accesses skipped
+    for chunk, starts in chunks:
+        skip = min(len(chunk), max(0, probed - at))
+        at += len(chunk)
+        if skip < len(chunk):
+            run.feed(chunk.addresses[skip:], chunk.writes[skip:],
+                     [s - skip for s in starts if s >= skip])
+            if at in marks and repeats(at):  # marks end at step 2's end
+                return end, marks[at]
+    return None
+
+
+def _joined(segments: list, lo: int, hi: int) -> tuple:
+    """The addresses and writes of the accesses [lo, hi) of ``segments``
+    joined, a view when one segment holds them: a piece of the probe
+    costs one call per level and a copy of at most itself."""
+    addresses, writes, at = [], [], 0
+    for segment in segments:
+        if at < hi and lo < at + len(segment):
+            addresses.append(segment.addresses[max(lo - at, 0) : hi - at])
+            writes.append(segment.writes[max(lo - at, 0) : hi - at])
+        at += len(segment)
+    if len(addresses) == 1:
+        return addresses[0], writes[0]
+    if not addresses:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    return np.concatenate(addresses), np.concatenate(writes)
+
+
+def variant_steps(
     variant: CompiledVariant,
     params: Mapping[str, int],
     steps: int = 1,
     engine: Union[None, str, EngineSelection] = None,
     name: Optional[str] = None,
     layout: Optional[Layout] = None,
-    timings: Optional[dict] = None,
     sink: Optional[StreamWriter] = None,
-) -> Iterator[AddressStream]:
-    """Trace a compiled variant as byte addresses, one chunk at a time.
-
-    The producer half of the measuring chain: the ``address_segments``
-    of the tracer ``engine`` selects, under ``layout`` (default: the
-    variant's own at ``params``), in batches of about
-    ``CHUNK_ACCESSES``.  ``sink`` is written every chunk, with the
-    segments it joins, before the chunk is yielded (the ``trace-store``
-    span), so a stream is stored as it is simulated.  Each chunk's
-    :attr:`~repro.stream.AddressStream.step_starts` are the in-chunk
-    offsets where a time step begins; the stored stream does not keep
-    them.  Nothing outlives its chunk.  One span per stage covers every chunk
-    (``chunks=``) and adds to ``timings``.
-    """
+) -> TimeSteps:
+    """The producer half of the measuring chain: a compiled variant's
+    :class:`TimeSteps`, the ``address_segments`` of the tracer
+    ``engine`` selects, one step per call, under ``layout`` (default:
+    the variant's own at ``params``).  Iterated whole it yields every
+    step's chunks; :func:`simulate_steps` stops where the rest repeats
+    step 1."""
     selection = resolve_engines(engine)
     if layout is None:
         layout = variant.layout(params)
     label = name or variant.program.name
     names = [a.name for a in variant.program.arrays]
-    tracing = ChunkedSpan("trace-gen", steps=steps, tracer=selection.tracer,
-                          accesses=0, divmods=layout.divmods(names))
-    storing = ChunkedSpan("trace-store")
     metrics.inc("trace.generated")
-    batches = _batches(selection, variant.program, params, steps, layout, label)
-    last = False
-    while not last:
-        with tracing.chunk() as sp:
-            chunk, parts, last = next(batches)
-            sp.attrs["accesses"] += len(chunk)
-        metrics.inc("trace.accesses", len(chunk))
-        if sink is not None:
-            with storing.chunk():
-                sink.write(chunk, parts)
-        parts.clear()  # while the consumer simulates, only the chunk lives
-        yield chunk
-    if timings is not None:
-        timings["trace-gen"] = timings.get("trace-gen", 0.0) + tracing.duration_s
+    return TimeSteps(
+        lambda: selection.address_segments(variant.program, params, layout, label),
+        steps, label, sink, tracer=selection.tracer, divmods=layout.divmods(names),
+    )
 
 
 def measure_variant(
@@ -205,15 +378,15 @@ def measure_variant(
 ) -> VariantResult:
     """Compile at ``level``, trace, and simulate one program variant.
 
-    One chain: compile, then one chunk loop — :func:`variant_chunks`
-    through :meth:`~repro.memsim.MemoryHierarchy.simulate_chunks`, step
-    marks included, so the TLB simulates later time steps only up to
-    where they forget their start (DESIGN §9.3).  With
-    a ``cache`` the loop writes each segment to the stored stream as it
-    goes (:meth:`TraceCache.trace_writer`), and a later call replays the
-    stored stream instead, decoding it a chunk at a time as the levels
-    consume it (:meth:`TraceCache.replay_trace`); an entry found damaged
-    midway is traced and written again.
+    One chain: compile, then one chunk loop — :func:`variant_steps`
+    through :func:`simulate_steps`, so a later time step is simulated
+    only until the hierarchy is back in a state of step 1's (DESIGN
+    §9.3).  With a ``cache`` the loop writes each segment of every step
+    to the stored stream as it goes (:meth:`TraceCache.trace_writer`),
+    and a later call replays the stored stream instead, decoding it a
+    chunk at a time as the levels consume it, every access simulated
+    (:meth:`TraceCache.replay_trace`); an entry found damaged midway is
+    traced and written again.
 
     ``engine`` is a spec per :func:`repro.engines.resolve_engines`: a
     simulation engine (``"fast"``/``"reference"``), a tracer
@@ -261,13 +434,6 @@ def measure_variant(
             timings=timings,
         )
 
-    def simulate(chunks: Iterator[AddressStream]) -> HierarchyResult:
-        return MemoryHierarchy.standard(machine).simulate_chunks(
-            ((c.addresses, c.writes, c.step_starts) for c in chunks),
-            engine=selection.sim,
-            timings=timings,
-        )
-
     outcome = None
     if cache is not None:
         tkey = cache.trace_key(
@@ -282,14 +448,18 @@ def measure_variant(
         if reader is not None:
             try:
                 with reader:
-                    outcome = simulate(_replay(reader))
+                    outcome = MemoryHierarchy(machine).simulate_chunks(
+                        ((c.addresses, c.writes) for c in _replay(reader)),
+                        selection.sim,
+                        timings,
+                    )
             except StreamFormatError:
                 pass  # damaged past its header: trace and rewrite it after all
     if outcome is None:
         with nullcontext() if cache is None else cache.trace_writer(tkey) as sink:
-            outcome = simulate(variant_chunks(
-                variant, params, steps, selection, label, layout, timings, sink
-            ))
+            source = variant_steps(variant, params, steps, selection, label, layout, sink)
+            outcome = simulate_steps(machine, source, selection.sim, timings)
+        timings["trace-gen"] = source.span.duration_s
     stats = stats_from_hierarchy(outcome, machine)
     if cache is not None and result_cache:
         cache.store_result(rkey, stats)

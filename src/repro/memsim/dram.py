@@ -89,6 +89,18 @@ class DRAMResult:
         return self.writebacks * self.line_bytes
 
 
+def dram_energy(
+    config: DRAMConfig, fills: int, row_misses: int, writebacks: int
+) -> float:
+    """Nanojoules of an activate+precharge per row miss and a column
+    burst per line filled or written back."""
+    return (
+        config.activate_nj * row_misses
+        + config.read_nj * fills
+        + config.write_nj * writebacks
+    )
+
+
 def simulate_dram(
     config: DRAMConfig,
     fill_addresses: np.ndarray,
@@ -141,10 +153,6 @@ def simulate_dram(
         writebacks=writebacks,
         line_bytes=line_bytes,
         per_bank_bytes=served,
-        energy_nj=(
-            config.activate_nj * row_misses
-            + config.read_nj * fills
-            + config.write_nj * writebacks
-        ),
+        energy_nj=dram_energy(config, fills, row_misses, writebacks),
         open_rows=open_rows,
     )

@@ -5,24 +5,28 @@ of the stream, in this order:
 
 * the L1 over every access (write-through: no write-back accounting);
 * the L2 over exactly the L1 misses, with write-backs;
-* the TLB at page granularity, over every access of a stream without
-  step marks, and over the first time step and the second one's warm-up
-  of a stream with them (:class:`_Tlb`);
+* the TLB at page granularity, over every access, or, told where
+  identical time steps begin, over the first step and the second one's
+  warm-up (:class:`_Tlb`);
 * the DRAM over the L2 fill stream (row buffers, banks, energy).
 
 Data transferred from memory is (L2 misses + write-backs) x L2 line
 size — the quantity the paper's §6 table normalizes — and execution time
 is synthesized from the additive :class:`TimingModel`.
 
-The stream arrives in chunks (:meth:`MemoryHierarchy.simulate_chunks`;
-:meth:`MemoryHierarchy.simulate` slices whole arrays into them), so no
-level holds more than one chunk.  Each cache level carries its
-:class:`~repro.memsim.cache.LRUState` and running counts from chunk to
-chunk, the DRAM its :class:`DRAMResult` (DESIGN §9.3), and each level
-runs under one :mod:`repro.obs` span for all chunks.  The counts land in
-a :class:`HierarchyResult`, which :func:`stats_from_hierarchy` folds into
-the flat :class:`MemStats` record the harness caches and compares
-bit-for-bit across engines.
+The stream arrives in pieces fed to one :class:`HierarchyRun`
+(:meth:`MemoryHierarchy.simulate_chunks`; :meth:`MemoryHierarchy.simulate`
+slices whole arrays into them), so no level holds more than one piece.
+Each cache level carries its :class:`~repro.memsim.cache.LRUState` and
+running counts from piece to piece, the DRAM its :class:`DRAMResult`
+(DESIGN §9.3), and each level runs under one :mod:`repro.obs` span for
+all pieces.  Between pieces the run's state and counts can be read
+(:class:`Snapshot`): the measuring chain compares a later time step's
+with step 1's and, at the first equal state, counts the rest of the run
+instead of simulating it (:func:`repro.harness.simulate_steps`).  The
+counts land in a :class:`HierarchyResult`, which
+:func:`stats_from_hierarchy` folds into the flat :class:`MemStats`
+record the harness caches and compares bit-for-bit across engines.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .. import stream as _stream
 from ..lang import SimulationError
 from ..obs import ChunkedSpan
 from .cache import CacheConfig, LRUState, default_engine, simulate_cache_writeback
-from .dram import DRAMResult, simulate_dram
+from .dram import DRAMResult, dram_energy, simulate_dram
 from .machine import MachineConfig
 
 
@@ -121,15 +125,17 @@ class HierarchyResult:
 
 
 class _Cache:
-    """One cache level between chunks: its span, its end state, and its
+    """One cache level between pieces: its span, its end state, and its
     counts so far."""
 
     def __init__(self, name: str, config: CacheConfig, engine: str) -> None:
         self.config = config
         self.span = ChunkedSpan(name, engine=engine)
         self.state: Optional[LRUState] = None
+        #: input accesses simulated
+        self.accesses = 0
         self.misses = 0
-        #: write-backs of every chunk so far, bar the dirty residue
+        #: write-backs of every piece so far, bar the dirty residue
         self.evicted = 0
         #: the engine's work counters (``heads=``, ``far=``), summed
         self.work: dict = {}
@@ -142,10 +148,10 @@ class _Cache:
     def simulate(
         self, addresses: np.ndarray, writes: Optional[np.ndarray], engine: Optional[str]
     ) -> np.ndarray:
-        """One chunk, continued from the carried state: its miss mask."""
+        """One piece, continued from the carried state: its miss mask."""
         with self.span.chunk() as sp:
             miss = self._run(addresses, writes, engine)
-            sp.attrs.update(self.work, misses=self.misses)
+            sp.attrs.update(self.work, misses=self.misses, accesses=self.accesses)
         return miss
 
     def _run(
@@ -155,6 +161,7 @@ class _Cache:
             self.config, addresses, writes, engine, self.state
         )
         self.state = result.state
+        self.accesses += len(addresses)
         self.misses += result.misses
         self.evicted += result.writebacks - result.state.dirty_lines
         for key, value in result.work.items():
@@ -166,14 +173,12 @@ class _Tlb(_Cache):
     """The TLB between chunks.  A fully-associative LRU level of C
     entries holds exactly the last C distinct pages touched (Mattson et
     al.'s stack property), so it forgets its start state once C
-    distinct pages have passed.  Over a stream whose time steps are
-    marked as identical (DESIGN §9.3) it simulates the first step in
-    full, the second up to offset τ of the first step's C-th miss, and
-    counts every later access from the first step: from τ on, each step
-    repeats the first one's hits and misses and ends in its end state.
-    Nothing reads the TLB's state once the second step's warm-up is
-    over, so none is kept for the counted steps.  A stream without marks
-    is simulated access by access."""
+    distinct pages have passed.  Told where identical time steps begin
+    (DESIGN §9.3), it simulates the first step in full and the second up
+    to offset τ of the first step's C-th miss: from there on each step
+    repeats the first one's hits and misses and ends in its end state,
+    so every later step adds :attr:`per_step` misses and none is
+    simulated.  Without steps it simulates every access."""
 
     def __init__(self, config: CacheConfig, engine: str) -> None:
         super().__init__("tlb", config, engine)
@@ -181,10 +186,10 @@ class _Tlb(_Cache):
         self.steps = 0  # step starts passed
         self.at = 0  # in-step offset of the next access
         self.tau: Optional[int] = None  # in-step offset of step 1's C-th miss
-        self.first = 0  # step 1's misses
-        self.warm = 0  # step 2's misses over offsets [0, τ]
-        #: accesses counted from step 1 rather than simulated
-        self.counted = 0
+        self.first = 0  # step 1's misses, M1
+        #: misses each step after the first adds, known once step 2 has
+        #: passed τ; from then on the TLB simulates nothing
+        self.per_step: Optional[int] = None
 
     def simulate_steps(
         self, addresses: np.ndarray, starts: Sequence[int], engine: Optional[str]
@@ -196,38 +201,188 @@ class _Tlb(_Cache):
                 if k:
                     self._start_step()
                 self._piece(addresses[lo:hi], engine)
-            sp.attrs.update(self.work, misses=self.misses, counted=self.counted)
+            sp.attrs.update(self.work, misses=self.misses, accesses=self.accesses)
+
+    def total(self, steps: int) -> int:
+        """The misses of a run of ``steps`` steps."""
+        if self.per_step is None:
+            return self.misses
+        return self.first + (steps - 1) * self.per_step
 
     def _start_step(self) -> None:
         self.steps += 1
         self.at = 0
         if self.steps == 1 and self.state is not None:
-            raise SimulationError("a marked stream must start with a step")
+            raise SimulationError("the stream must start with a step")
         if self.steps == 2:
             self.first = self.misses
-        elif self.steps > 2 and self.first >= self.capacity:
-            self.misses += self.warm + self.first - self.capacity
+            if self.first < self.capacity:  # a step touches < C pages: all hit
+                self.per_step = 0
 
     def _piece(self, addresses: np.ndarray, engine: Optional[str]) -> None:
         n = len(addresses)
-        if n == 0:
-            return
-        if self.steps < 2:
+        if self.steps < 2 and n:
             before = self.misses
             miss = self._run(addresses, None, engine)
             if self.steps == 1 and self.tau is None and self.misses >= self.capacity:
                 self.tau = self.at + int(np.flatnonzero(miss)[self.capacity - before - 1])
-        elif self.steps == 2 and self.first >= self.capacity and self.at <= self.tau:
+        elif self.steps >= 2 and self.per_step is None and n:
             take = min(n, self.tau + 1 - self.at)
-            before = self.misses
             self._run(addresses[:take], None, engine)
-            self.warm += self.misses - before
-            self.counted += n - take
-            if self.at + take > self.tau:  # step 1's misses from here on
-                self.misses += self.first - self.capacity
-        else:
-            self.counted += n
+            if self.at + take > self.tau:  # M1 + P misses, C of them step 1's by τ
+                self.per_step = self.misses - self.capacity
         self.at += n
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """The hierarchy between two pieces (:meth:`HierarchyRun.snapshot`)."""
+
+    #: everything the caches carry into the next piece, so everything
+    #: their later counts depend on: the L1's resident lines and the
+    #: L2's (LRU order within each set), the L2's dirty bits, the DRAM's
+    #: open rows
+    state: tuple
+    #: accesses, L1 misses, L2 misses, L2 evictions, DRAM row hits, then
+    #: the DRAM's bytes per bank: what a repeated stretch adds up
+    counts: np.ndarray
+
+    def same_state(self, other: "Snapshot") -> bool:
+        return all(map(np.array_equal, self.state, other.state))
+
+
+class HierarchyRun:
+    """One stream through the levels, fed a piece at a time.
+
+    :meth:`feed` runs a piece through every level.  :meth:`caches` runs
+    it through the L1, the L2 and the DRAM only, and :meth:`translate`
+    through the TLB only: nothing reads the TLB's misses, so it may take
+    its pieces whole while the caches take them cut.  Between pieces
+    :meth:`snapshot` reads the caches' state and the counts, and
+    :meth:`result` folds the counts into the run's
+    :class:`HierarchyResult`, extrapolated over later time steps when
+    the caches came back to a state step 1 was in (DESIGN §9.3).
+    """
+
+    def __init__(self, machine: MachineConfig, engine: Optional[str] = None) -> None:
+        self.machine = machine
+        self.engine = engine
+        resolved = engine or default_engine()
+        self.l1 = _Cache("l1", machine.l1, resolved)
+        self.l2 = _Cache("l2", machine.l2, resolved)
+        self.tlb = _Tlb(machine.tlb.as_cache(), resolved)
+        self.dram_span = ChunkedSpan("dram", engine=resolved)
+        #: the DRAM's running result, from the first piece on
+        self.dram: Optional[DRAMResult] = None
+
+    def feed(
+        self, addresses: np.ndarray, writes: np.ndarray, starts: Sequence[int] = ()
+    ) -> None:
+        """One piece through every level, ``starts`` its in-piece offsets
+        where a time step begins (:meth:`translate`)."""
+        self.caches(addresses, writes)
+        self.translate(addresses, starts)
+
+    def caches(self, addresses: np.ndarray, writes: np.ndarray) -> None:
+        """One piece through the L1, the L2 (its misses) and the DRAM
+        (its fills)."""
+        # one index column, two gathers: cheaper than two boolean
+        # selections at cache miss densities
+        missed = np.flatnonzero(self.l1.simulate(addresses, None, self.engine))
+        l1_addresses = addresses.take(missed)
+        l2_miss = self.l2.simulate(l1_addresses, writes.take(missed), self.engine)
+        machine = self.machine
+        with self.dram_span.chunk() as sp:
+            self.dram = simulate_dram(
+                machine.dram,
+                l1_addresses[l2_miss],
+                machine.l2.line_bytes,
+                writebacks=self.l2.writebacks,
+                previous=self.dram,
+            )
+            sp.attrs.update(misses=self.dram.row_misses, accesses=self.dram.fills)
+
+    def translate(self, addresses: np.ndarray, starts: Sequence[int] = ()) -> None:
+        """One piece through the TLB.  ``starts`` are the in-piece
+        offsets where a time step begins; every step so marked must
+        emit the same stream, and the first must begin it.  The TLB
+        then simulates later steps only until they forget their start
+        (:class:`_Tlb`); the count is the one every access would give."""
+        self.tlb.simulate_steps(addresses, starts, self.engine)
+
+    @property
+    def warmup(self) -> int:
+        """The accesses of a later step the TLB simulates before it counts
+        the rest: τ + 1, none when step 1 touches fewer than C pages."""
+        return 0 if self.tlb.tau is None else self.tlb.tau + 1
+
+    @property
+    def settled(self) -> bool:
+        """Whether the TLB counts every later access without simulating
+        it: step 2 has passed τ."""
+        return self.tlb.per_step is not None
+
+    def snapshot(self) -> Snapshot:
+        """The state and counts after the pieces fed so far (one at least)."""
+        l1, l2, dram = self.l1.state, self.l2.state, self.dram
+        counts = [self.l1.accesses, self.l1.misses, self.l2.misses,
+                  self.l2.evicted, dram.row_hits]
+        return Snapshot(
+            (l1.lines, l2.lines, l2.dirty, dram.open_rows),
+            np.array([*counts, *dram.per_bank_bytes], dtype=np.int64),
+        )
+
+    def result(
+        self,
+        steps: int = 1,
+        repeat: Optional[tuple[Snapshot, Snapshot]] = None,
+        timings: Optional[MutableMapping[str, float]] = None,
+    ) -> HierarchyResult:
+        """The run's counts.  ``repeat`` is ``(end, at)``, step 1's
+        snapshots at its end and at the in-step offset where step 2 now
+        stands in ``at``'s state: from here on the run repeats step 1,
+        so ``steps`` steps count ``end + (steps - 1) * (now - at)`` and
+        end in ``end``'s state, whose dirty lines are the residue.  Each
+        level's span gets the whole run's ``misses=`` and ``counted=``,
+        its input accesses counted rather than simulated; the levels'
+        seconds add into ``timings``."""
+        now = self.snapshot()
+        counts, ends = now.counts, now
+        if repeat is not None:
+            ends, at = repeat
+            counts = ends.counts + (steps - 1) * (now.counts - at.counts)
+        accesses, n1, n2, evicted, hits, *banks = (int(n) for n in counts)
+        writebacks = evicted + int(np.count_nonzero(ends.state[2]))
+        dram_config = self.machine.dram
+        dram = DRAMResult(
+            fills=n2,
+            row_hits=hits,
+            row_misses=n2 - hits,
+            writebacks=writebacks,
+            line_bytes=self.machine.l2.line_bytes,
+            per_bank_bytes=np.array(banks, dtype=self.dram.per_bank_bytes.dtype),
+            energy_nj=dram_energy(dram_config, n2, n2 - hits, writebacks),
+            open_rows=ends.state[3],
+        )
+        tlb_misses = self.tlb.total(steps)
+        for sp, misses, counted in (
+            (self.l1.span, n1, accesses - self.l1.accesses),
+            (self.l2.span, n2, n1 - self.l2.accesses),
+            (self.tlb.span, tlb_misses, accesses - self.tlb.accesses),
+            (self.dram_span, dram.row_misses, n2 - self.dram.fills),
+        ):
+            sp.event.attrs.update(misses=misses, counted=counted)
+            if timings is not None:
+                name = sp.event.name
+                timings[name] = timings.get(name, 0.0) + sp.duration_s
+        return HierarchyResult(
+            accesses=accesses,
+            l1_misses=n1,
+            l2_misses=n2,
+            l2_writebacks=writebacks,
+            tlb_misses=tlb_misses,
+            dram=dram,
+        )
 
 
 class MemoryHierarchy:
@@ -240,6 +395,10 @@ class MemoryHierarchy:
     @classmethod
     def standard(cls, machine: MachineConfig) -> "MemoryHierarchy":
         return cls(machine)
+
+    def start(self, engine: Optional[str] = None) -> HierarchyRun:
+        """A run on this machine to feed a piece at a time."""
+        return HierarchyRun(self.machine, engine)
 
     def simulate(
         self,
@@ -280,60 +439,18 @@ class MemoryHierarchy:
         timings: Optional[MutableMapping[str, float]] = None,
     ) -> HierarchyResult:
         """Run consecutive ``(addresses, writes)`` chunks of one stream
-        through every level; the result is the whole stream's.
-
-        A chunk may carry a third item, the in-chunk offsets where a
-        time step begins (:attr:`~repro.stream.AddressStream.step_starts`).
-        Its producer promises that every marked step emits the same
-        stream and that the first begins the stream, so the TLB
-        simulates later steps only until they forget their start
-        (:class:`_Tlb`); the count is the one every access would give.
+        through every level, every access simulated; the result is the
+        whole stream's.
 
         Each level runs under one obs span named after it (``l1``,
         ``l2``, ``tlb``, ``dram``), whatever the number of chunks; its
-        seconds accumulate into ``timings``.  The ``tlb`` span's
-        ``counted=`` is the accesses counted rather than simulated, and
-        its ``heads=`` / ``far=`` cover the simulated ones.
+        seconds accumulate into ``timings``.
         """
-        machine = self.machine
-        resolved = engine or default_engine()
-        l1 = _Cache("l1", machine.l1, resolved)
-        l2 = _Cache("l2", machine.l2, resolved)
-        tlb = _Tlb(machine.tlb.as_cache(), resolved)
-        dram_span = ChunkedSpan("dram", engine=resolved)
-        dram: Optional[DRAMResult] = None
-        accesses = 0
+        run = self.start(engine)
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
-        for addresses, writes, *starts in _at_least_one(chunks, empty):
-            accesses += len(addresses)
-            # one index column, two gathers: cheaper than two boolean
-            # selections at cache miss densities
-            missed = np.flatnonzero(l1.simulate(addresses, None, engine))
-            l1_addresses = addresses.take(missed)
-            l2_miss = l2.simulate(l1_addresses, writes.take(missed), engine)
-            tlb.simulate_steps(addresses, starts[0] if starts else (), engine)
-            fills = l1_addresses[l2_miss]
-            with dram_span.chunk() as sp:
-                dram = simulate_dram(
-                    machine.dram,
-                    fills,
-                    machine.l2.line_bytes,
-                    writebacks=l2.writebacks,
-                    previous=dram,
-                )
-                sp.attrs["misses"] = dram.row_misses  # the activates
-        if timings is not None:
-            for sp in (l1.span, l2.span, tlb.span, dram_span):
-                name = sp.event.name
-                timings[name] = timings.get(name, 0.0) + sp.duration_s
-        return HierarchyResult(
-            accesses=accesses,
-            l1_misses=l1.misses,
-            l2_misses=l2.misses,
-            l2_writebacks=l2.writebacks,
-            tlb_misses=tlb.misses,
-            dram=dram,
-        )
+        for addresses, writes in _at_least_one(chunks, empty):
+            run.feed(addresses, writes)
+        return run.result(timings=timings)
 
 
 def _at_least_one(chunks: Iterable, empty) -> Iterable:

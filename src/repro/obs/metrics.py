@@ -21,6 +21,11 @@ schema's payload.  Current emitters:
 ``locality.reuse.accesses``     accesses through ``reuse_distances``
 ``trace.accesses``              accesses generated by the harness
 ``trace.generated``             traces generated (cache misses only)
+``steps.probe.matched``         runs whose step 2, probed from step 1's
+                                first chunk, came back to a state of
+                                step 1's (:func:`repro.harness.simulate_steps`)
+``steps.fallback``              ... whose probe did not: step 2 traced
+                                again
 ``analysis.cache.hits/misses``  fusion's per-level access memo
 ``analysis.static.runs``        :func:`repro.static.analyze_program`
 ``analysis.static.refs``        ... references modeled symbolically

@@ -7,9 +7,7 @@ concrete layout, or canonical element keys) and which cache-line /
 element geometry they were produced for.  Multi-million access streams
 stay compact (struct-of-arrays, no Python objects per access), and
 :meth:`AddressStream.slice` gives views of the columns without copying
-them.  A producer whose time steps emit identical streams may mark where
-each begins (:attr:`AddressStream.step_starts`); joining streams
-carries the marks, and nothing else reads or stores them.
+them.
 """
 
 from __future__ import annotations
@@ -86,7 +84,6 @@ class AddressStream:
         writes: Optional[np.ndarray] = None,
         ref_ids: Optional[np.ndarray] = None,
         meta: Optional[StreamMeta] = None,
-        step_starts: Sequence[int] = (),
     ) -> None:
         self._addresses = np.ascontiguousarray(addresses, dtype=np.int64)
         if self._addresses.ndim != 1:
@@ -108,9 +105,6 @@ class AddressStream:
                 )
         self._ref_ids = ref_ids
         self.meta = meta if meta is not None else StreamMeta()
-        #: ascending offsets at which a time step begins, every step
-        #: marked emitting the same stream; empty when nothing is marked
-        self.step_starts = tuple(step_starts)
 
     # -- columns -------------------------------------------------------
 
@@ -156,12 +150,6 @@ class AddressStream:
             self._writes[start:stop],
             None if self._ref_ids is None else self._ref_ids[start:stop],
             meta=self.meta,
-        )
-
-    def starting_step(self) -> "AddressStream":
-        """This stream's columns, marked as the start of a time step."""
-        return AddressStream(
-            self._addresses, self._writes, self._ref_ids, self.meta, (0,)
         )
 
     def fingerprint(self) -> str:
@@ -214,7 +202,7 @@ class AddressStream:
         cls, streams: Sequence["AddressStream"], name: str = "concat"
     ) -> "AddressStream":
         """Concatenate streams; ref_ids survive only if every part has
-        them, step marks at their offsets in the whole."""
+        them."""
         if not streams:
             return cls(np.empty(0, dtype=np.int64))
         addresses = np.concatenate([s.addresses for s in streams])
@@ -229,8 +217,4 @@ class AddressStream:
             line_bytes=streams[0].meta.line_bytes,
             elem_bytes=streams[0].meta.elem_bytes,
         )
-        starts, at = [], 0
-        for part in streams:
-            starts += [at + mark for mark in part.step_starts]
-            at += len(part)
-        return cls(addresses, writes, refs, meta=meta, step_starts=starts)
+        return cls(addresses, writes, refs, meta=meta)

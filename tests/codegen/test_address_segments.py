@@ -2,8 +2,8 @@
 
 ``NestTracer.segments`` yields element-index traces and
 ``NestTracer.address_segments`` byte-address streams with each
-reference's layout folded in.  Both go through the same plan and the
-same replay rule, and both reject an out-of-bounds reference with the
+reference's layout folded in, one time step's; the measuring chain
+repeats the steps (``TimeSteps``).  Both go through the same plan, and both reject an out-of-bounds reference with the
 same message.  The Walk oracle's segments (``+interp``) stream too.
 """
 
@@ -16,7 +16,7 @@ from repro.codegen import trace_program
 from repro.codegen.tracer import NestTracer
 from repro.core.regroup.layout import ArrayPlacement, Layout, default_layout
 from repro.engines import resolve_engines
-from repro.harness import RunRequest, run
+from repro.harness import RunRequest, TimeSteps, run
 from repro.interp import trace_program as interp_trace
 from repro.interp.trace import TraceWalk
 from repro import stream as stream_module
@@ -39,23 +39,24 @@ def _emits(segments) -> tuple[int, int]:
 
 
 def test_a_step_larger_than_a_chunk_is_emitted_again(monkeypatch):
-    """A step replays only if it fits in one chunk: the plan sizes it by
-    ``len(segment)``, which both kinds make the access count."""
+    """The measuring chain replays a step only if it fits in one chunk,
+    sized by ``len(segment)``; the tracer emits one step per call."""
     program = _program("for i = 1, N { for j = 1, N { A[j, i] = f(B[j, i]) } }")
     params = {"N": N}
     layout = default_layout(program, params)
     per_step = 2 * N * N
-    kinds = {
-        "elements": lambda t: t.segments(2),
-        "addresses": lambda t: t.address_segments(2, layout),
-    }
-    for kind, segments in kinds.items():
-        # one step fits: emitted once, replayed
-        assert _emits(segments(NestTracer(program, params))) == (1, 2 * per_step), kind
-        # one step is four chunks: the second step is emitted again, not kept
-        monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", per_step // 4)
-        assert _emits(segments(NestTracer(program, params))) == (8, 2 * per_step), kind
-        monkeypatch.undo()
+    tracer = NestTracer(program, params)
+    assert _emits(tracer.segments()) == (1, per_step)
+
+    def two_steps():
+        source = TimeSteps(lambda: tracer.address_segments(layout), 2)
+        return (chunk for chunk, _ in source)
+
+    # one step fits: emitted once, replayed
+    assert _emits(two_steps()) == (1, 2 * per_step)
+    # one step is four chunks: the second step is emitted again, not kept
+    monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", per_step // 4)
+    assert _emits(two_steps()) == (8, 2 * per_step)
 
 
 def test_out_of_bounds_is_the_same_error_in_both_modes():
@@ -76,7 +77,7 @@ def test_out_of_bounds_is_the_same_error_in_both_modes():
         3 * N * N,
     )
     for layout in (default_layout(program, params), columns):
-        segments = NestTracer(program, params).address_segments(1, layout)
+        segments = NestTracer(program, params).address_segments(layout)
         with pytest.raises(AnalysisError) as address_mode:
             list(segments)
         assert str(address_mode.value) == message
@@ -94,9 +95,9 @@ def test_the_oracle_segments_join_to_the_whole_trace(monkeypatch):
     """Under ``+interp`` the Walk oracle lays its accesses out a chunk's
     worth at a time, over a top-level statement that is no loop, a
     triangular nest and several steps: the segments, none over
-    ``CHUNK_ACCESSES``, join to the whole trace laid out.  A step larger
-    than a chunk is walked again; one that fits is walked once and
-    replayed."""
+    ``CHUNK_ACCESSES``, and the chain's steps (``TimeSteps``) join to
+    the whole trace laid out.  A step larger than a chunk is walked
+    again; one that fits is walked once and replayed."""
     program = _program(
         "B[1, 1] = 0.0\nfor i = 1, N { for j = i, N { A[j, i] = f(B[j, i]) } }"
     )
@@ -111,15 +112,15 @@ def test_the_oracle_segments_join_to_the_whole_trace(monkeypatch):
     for chunk, steps, walks in ((37, 2, 2), (2 * instances, 3, 1)):
         whole = AddressStream.from_trace(interp_trace(program, params, steps), layout)
         monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", chunk)
-        walked.clear()
-        segments = list(
-            resolve_engines("interp").address_segments(
-                program, params, steps, layout, "p"
-            )
-        )
-        assert len(walked) == walks * instances, chunk
+
+        def step():
+            return resolve_engines("interp").address_segments(program, params, layout, "p")
+
+        segments = list(step())
         assert max(len(s) for s in segments) == min(chunk, 2 * instances - 1)
-        joined = AddressStream.concat(segments)
+        walked.clear()
+        joined = AddressStream.concat([c for c, _ in TimeSteps(step, steps)])
+        assert len(walked) == walks * instances, chunk
         for column in ("addresses", "writes", "ref_ids"):
             assert np.array_equal(
                 getattr(joined, column), getattr(whole, column)

@@ -17,8 +17,9 @@ the commit).
 The measuring chain streams: the codegen tracer cuts a trace into
 outer-loop segments of about ``CHUNK_ACCESSES`` accesses.  At a tiny odd
 chunk size the segments of every variant still concatenate to the trace
-bit for bit, and the chunked measurement gives the one-chunk
-``MemStats`` field for field.
+bit for bit, and the chunked measurement — the stepped chain, which
+counts what repeats step 1 — gives the one-chunk ``MemStats`` field for
+field.
 
 ``run()`` never lays a codegen trace out: the tracer emits byte
 addresses with each array's layout folded into its references.  Its
@@ -62,7 +63,7 @@ if __name__ != "__main__":
     from repro.codegen import trace_program as codegen_trace
     from repro.codegen.tracer import NestTracer as CodegenNestTracer
     from repro.core import compile_variant
-    from repro.harness import variant_chunks
+    from repro.harness import simulate_steps, variant_steps
     from repro import stream as stream_module
     from repro.interp import trace_program as interp_trace
     from repro.interp.trace import concat_traces
@@ -153,7 +154,7 @@ if __name__ != "__main__":
         params = GOLDEN_PARAMS[name]
         whole = interp_trace(program, params, steps=STEPS)
         monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", TINY_CHUNK)
-        segments = list(CodegenNestTracer(program, params).segments(STEPS))
+        segments = list(CodegenNestTracer(program, params).segments()) * STEPS
         assert_traces_identical(whole, concat_traces(segments), f"{name}/{level}")
 
     @pytest.mark.parametrize(
@@ -163,24 +164,25 @@ if __name__ != "__main__":
         """The chain of ``measure_variant`` past its compile, on a
         hierarchy small enough (4 L1 lines, 32 L2 lines, 4 TLB entries)
         that every level evicts across chunk boundaries.  The chunked
-        side passes the step marks, so its TLB counts the second step
-        past its warm-up; the one chunk is simulated access by access."""
+        side is the stepped chain (``simulate_steps``): a step longer
+        than a chunk is probed from its first chunk and what repeats
+        step 1 is counted.  The one chunk is simulated access by
+        access."""
         variant, params = _variant(name, level), GOLDEN_PARAMS[name]
         machine = octane().scaled(1 / 256)
-
-        def measure(marked):
-            chunks = [
-                (c.addresses, c.writes, c.step_starts if marked else ())
-                for c in variant_chunks(variant, params, STEPS)
-            ]
-            outcome = MemoryHierarchy.standard(machine).simulate_chunks(chunks)
-            return len(chunks), stats_from_hierarchy(outcome, machine)
-
         monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", 2**40)
-        one, whole = measure(marked=False)
+        ((one, _),) = variant_steps(variant, params, STEPS)
+        whole = stats_from_hierarchy(
+            MemoryHierarchy.standard(machine).simulate_chunks(
+                [(one.addresses, one.writes)]
+            ),
+            machine,
+        )
         monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", TINY_CHUNK)
-        many, chunked = measure(marked=True)
-        assert one == 1 and (many > 1 or whole.accesses <= TINY_CHUNK)
+        source = variant_steps(variant, params, STEPS)
+        chunked = stats_from_hierarchy(simulate_steps(machine, source), machine)
+        many = source.span.event.attrs["chunks"]
+        assert many > 1 or whole.accesses <= TINY_CHUNK
         assert chunked == whole
 
     def _oracle_fingerprint(variant, params, steps):
@@ -191,7 +193,7 @@ if __name__ != "__main__":
     def _chunks_fingerprint(variant, params, steps):
         """``run()``'s producer under the codegen tracer: addresses
         emitted with each reference's layout folded in."""
-        chunks = list(variant_chunks(variant, params, steps, "fast+codegen"))
+        chunks = [c for c, _ in variant_steps(variant, params, steps, "fast+codegen")]
         assert all(c.meta.unit == "bytes" for c in chunks)
         return AddressStream.concat(chunks).fingerprint()
 

@@ -112,7 +112,9 @@ class TestFrontDoor:
             chunked = run(request)[0]
             assert chunked.stats == whole.stats
             assert set(chunked.timings) == set(whole.timings) == {"compile", *stages}
-            chunks = set()
+            if steps == 1:
+                (traced,) = [s for s in chunked.spans if s.name == "trace-gen"]
+                assert traced.attrs["accesses"] == whole.trace_length
             # each level's span reports the whole run's misses, not its last
             # chunk's
             misses = {
@@ -121,22 +123,30 @@ class TestFrontDoor:
                 "tlb": whole.stats.tlb_misses,
                 "dram": whole.stats.dram_row_misses,
             }
+            spans = {}
             for stage in stages:
                 (sp,) = [s for s in chunked.spans if s.name == stage]
-                chunks.add(sp.attrs["chunks"])
+                spans[stage] = sp.attrs
                 # timings keep their keys and sum the chunks, like the span
                 assert chunked.timings[stage] == sp.duration_s
                 if stage in misses:
                     assert sp.attrs["misses"] == misses[stage], stage
+            # every access is simulated or counted from step 1, at the L1
+            # and at the TLB alike
+            for stage in ("l1", "tlb"):
+                attrs = spans[stage]
+                assert attrs["accesses"] + attrs["counted"] == whole.trace_length
             # steps after the first are counted, not simulated, past their
             # warm-up
-            (tlb,) = [s for s in chunked.spans if s.name == "tlb"]
-            assert (tlb.attrs["counted"] > 0) == (steps > 1)
+            assert (spans["tlb"]["counted"] > 0) == (steps > 1)
+            # the trace stops in the step where the hierarchy is back in a
+            # state of step 1's: step 1 whole, a later one in part
+            traced = spans["trace-gen"]
+            per_step, started = whole.trace_length // steps, traced["steps_traced"]
+            assert traced["steps"] == steps and 1 <= started <= steps
+            assert per_step * (started - 1) < traced["accesses"] <= per_step * started
             # chunks end on segment boundaries: at least 16 of <= 997 accesses
-            (count,) = chunks
-            assert count >= -(-whole.trace_length // 997)
-            (traced,) = [s for s in chunked.spans if s.name == "trace-gen"]
-            assert traced.attrs["accesses"] == whole.trace_length, engine
+            assert traced["chunks"] >= -(-traced["accesses"] // 997)
 
     def test_steps_below_one_are_rejected_not_measured_as_zero(self):
         request = RunRequest(program="adi", levels="noopt", params=SMALL, steps=-2)
@@ -298,6 +308,35 @@ class TestResultCacheKnob:
         warm = run(RunRequest(**request))
         assert cold.rows() == warm.rows()
         assert "l1" not in warm[0].timings
+
+
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_a_probed_run_stores_every_step(self, tmp_path, monkeypatch, steps):
+        """A cold run whose steps outlast a chunk stops simulating where
+        step 2 repeats step 1, yet writes the whole stream: it
+        fingerprints like the Walk oracle's ``steps``-step trace, and its
+        replay, every access simulated, measures the same."""
+        from repro import stream as stream_module
+        from repro.harness import TraceCache
+        from repro.interp import trace_program
+        from repro.stream import AddressStream, read_stream_binary
+
+        monkeypatch.setattr(stream_module, "CHUNK_ACCESSES", 997)
+        request = dict(program="adi", levels=("noopt",), params=SMALL, steps=steps,
+                       cache=TraceCache(tmp_path), result_cache=False)
+        cold = run(RunRequest(**request))[0]
+        spans = {s.name: s.attrs for s in cold.spans}
+        assert spans["l1"]["counted"] > 0
+        (path,) = tmp_path.glob("trace-*.ast")
+        variant = cold.variant
+        oracle = AddressStream.from_trace(
+            trace_program(variant.program, SMALL, steps), variant.layout(SMALL)
+        )
+        assert read_stream_binary(path).fingerprint() == oracle.fingerprint()
+        warm = run(RunRequest(**request))[0]
+        assert "trace-gen" not in warm.timings
+        assert {s.name: s.attrs for s in warm.spans}["l1"]["counted"] == 0
+        assert warm.stats == cold.stats
 
 
 class TestOneResolver:

@@ -118,6 +118,6 @@ def test_tlb_counts_pages(small_machine):
 def test_a_marked_stream_starts_with_a_step(small_machine):
     # the TLB's count of later steps rests on an empty TLB at step 1
     addresses = np.arange(8, dtype=np.int64) * 1024
-    chunk = (addresses, np.zeros(8, dtype=bool), (3, 6))
+    run = MemoryHierarchy(small_machine).start()
     with pytest.raises(SimulationError, match="must start with a step"):
-        MemoryHierarchy(small_machine).simulate_chunks([chunk])
+        run.feed(addresses, np.zeros(8, dtype=bool), (3, 6))

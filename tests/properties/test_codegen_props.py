@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.codegen import trace_program as codegen_trace
 from repro.codegen.tracer import NestTracer
 from repro.core.regroup.layout import ArrayPlacement, Layout
+from repro.harness import TimeSteps
 from repro.interp import trace_program as interp_trace
 from repro.lang import parse, validate
 from repro.stream import AddressStream
@@ -166,8 +167,9 @@ def test_address_segments_equal_layout_addresses(program, data):
 
 def _assert_laid_out_alike(program, layout):
     ref = interp_trace(program, PARAMS, steps=2)
-    segments = NestTracer(program, PARAMS).address_segments(2, layout)
-    out = AddressStream.concat(list(segments))
+    tracer = NestTracer(program, PARAMS)
+    steps = TimeSteps(lambda: tracer.address_segments(layout), 2)
+    out = AddressStream.concat([chunk for chunk, _ in steps])
     assert np.array_equal(out.addresses, layout.addresses(ref))
     assert np.array_equal(out.writes, ref.writes)
     assert np.array_equal(out.ref_ids, ref.ref_ids)
@@ -188,7 +190,7 @@ def test_a_subscript_past_its_dimension_maps_through_the_divmod():
     assert layout.divmods(["C"]) == 1
     _assert_laid_out_alike(program, layout)
     spill = AddressStream.concat(
-        list(NestTracer(program, PARAMS).address_segments(1, layout))
+        list(NestTracer(program, PARAMS).address_segments(layout))
     ).addresses[0::2]
     # C[N+5, j] reads the first element of column j + 1
     j = np.arange(1, PARAMS["N"] + 1)

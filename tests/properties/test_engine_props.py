@@ -17,20 +17,27 @@ Two families of invariants lock the vectorized paths in
 
 A third pins streaming: every kernel, on both engines, gives the same
 result when the stream arrives in chunks, each replaying the state the
-previous one ended in (:class:`~repro.memsim.cache.LRUState`).  On
-TLB-shaped streams repeated as marked time steps, the hierarchy's TLB
-count, which simulates only the first step and the second one's warm-up,
-equals the whole repeated stream's.
+previous one ended in (:class:`~repro.memsim.cache.LRUState`).  A run
+of identical time steps through the stepped chain, which simulates step
+2 only until the hierarchy is back in a state step 1 was in and counts
+the rest, gives every count the whole repeated stream gives.
 """
+
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import stream as stream_module
+from repro.harness import TimeSteps, simulate_steps
 from repro.locality import reuse_distances
 from repro.locality.reuse_distance import miss_count
-from repro.memsim import MemoryHierarchy, octane, scaled_machine
+from repro.memsim import DRAMConfig, MemoryHierarchy, octane, scaled_machine
+from repro.obs import SpanCollector, metrics
+from repro.stream import AddressStream
 from repro.memsim.cache import (
     ENGINES,
     CacheConfig,
@@ -236,42 +243,142 @@ def _case(pages, capacity):
     return lines, np.zeros(len(lines), dtype=bool), capacity
 
 
-@given(
-    tlb_streams(), st.lists(st.integers(0, 400), max_size=4), st.integers(1, 4)
-)
-# the first step's C-th miss (offset 3) lies past the first chunk
-@example(_case([0, 1, 2, 3, 0, 4, 1], 4), [2], 2)
-# ... in the chunk the first step ends in, with the second step's warm-up
-@example(_case([0, 0, 0, 1, 2, 3, 0, 4], 4), [4], 3)
-# a step touches fewer than C pages: every later step hits
-@example(_case([0, 1, 0, 1, 2], 4), [3, 7], 3)
-@example(_case([0, 1, 1, 0, 2], 1), [3, 5, 11], 4)
+@given(tlb_streams(), st.lists(st.integers(0, 400), max_size=4))
+# the cut lies past the stream's C-th miss (offset 3)
+@example(_case([0, 1, 2, 3, 0, 4, 1], 4), [2])
+@example(_case([0, 0, 0, 1, 2, 3, 0, 4], 4), [4])
+@example(_case([0, 1, 1, 0, 2], 1), [3, 5, 11])
 @settings(max_examples=150, deadline=None)
-def test_tlb_shaped_chunks_are_invisible(case, cuts, steps):
+def test_tlb_shaped_chunks_are_invisible(case, cuts):
     """The near/far kernel cut mid-cycle, where a far reuse straddles the
-    boundary and only the replayed prefix remembers the page.  Repeated
-    as ``steps`` time steps and marked where each begins, the hierarchy
-    simulates the TLB over the first step and the second's warm-up only,
-    and counts what every access gives."""
+    boundary and only the replayed prefix remembers the page."""
     lines, writes, capacity = case
     config = CacheConfig("tlb", capacity * 8, 8, 0)
     whole = simulate_cache_writeback(config, lines * 8, writes, "fast")
     miss, writebacks, _ = _chunked(config, lines * 8, writes, "fast", cuts)
     assert np.array_equal(miss, whole.miss)
     assert writebacks == whole.writebacks
-    run = np.tile(lines * 8, steps)
-    marks = [len(lines) * k for k in range(steps)]
-    bounds = [0, *sorted(min(c, len(run)) for c in cuts), len(run)]
-    chunks = [
-        (run[lo:hi], np.tile(writes, steps)[lo:hi],
-         [m - lo for m in marks if lo <= m < hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    machine = scaled_machine(octane(), 4 * 32, 4 * 128, capacity, 8)
+
+
+#: the stepped chain's machine: 4 L1 lines of 32 bytes, 8 L2 lines of
+#: 128, pages of 64 bytes and DRAM rows of 512 on two banks, so every
+#: level evicts within a few hundred accesses
+STEP_PAGE = 64
+
+
+def _step_machine(tlb_entries: int):
+    machine = scaled_machine(octane(), 4 * 32, 8 * 128, tlb_entries, STEP_PAGE)
+    return replace(machine, dram=DRAMConfig(channels=1, banks=2, row_bytes=512))
+
+
+@st.composite
+def stepped_runs(draw):
+    """(addresses, writes, TLB entries) of one time step: free accesses
+    over a few kilobytes, or a :func:`tlb_streams` case, pages of
+    ``STEP_PAGE`` bytes."""
+    if draw(st.booleans()):
+        pages, writes, capacity = draw(tlb_streams())
+        return pages * STEP_PAGE, writes, capacity
+    lines, writes = draw(access_streams())
+    spread = draw(st.sampled_from([8, 32, 96]))
+    return lines * spread, writes, draw(st.integers(1, 4))
+
+
+def _step(lines, writes, entries, spread=STEP_PAGE):
+    """An explicit :func:`stepped_runs` case: ``lines`` ``spread`` bytes
+    apart, ``writes`` as 0/1."""
+    return (np.asarray(lines, dtype=np.int64) * spread,
+            np.asarray(writes, dtype=bool), entries)
+
+
+def _stepped(step, cuts, steps, chunk, engine):
+    """``steps`` repeats of ``step``, its segments cut at ``cuts``,
+    through the stepped chain with ``CHUNK_ACCESSES`` at ``chunk``: the
+    result, how step 2 ended (``"matched"`` in the probe, ``"fallback"``
+    then a match, ``"full"``: every access simulated) and the L1's
+    ``counted=``."""
+    addresses, writes, entries = step
+    whole = AddressStream(addresses, writes)
+    bounds = [0, *sorted({c for c in cuts if 0 < c < len(whole)}), len(whole)]
+    segments = [whole.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    before = metrics.snapshot()["counters"]
+    with patch.object(stream_module, "CHUNK_ACCESSES", chunk), SpanCollector() as spans:
+        got = simulate_steps(
+            _step_machine(entries), TimeSteps(lambda: segments, steps), engine
+        )
+    after = metrics.snapshot()["counters"]
+    moved = {k for k in ("steps.probe.matched", "steps.fallback")
+             if after.get(k, 0) != before.get(k, 0)}
+    (l1,) = [e for e in spans.events if e.name == "l1"]
+    counted = l1.attrs["counted"]
+    path = ("matched" if "steps.probe.matched" in moved
+            else "fallback" if counted else "full")
+    return got, path, counted
+
+
+def _assert_same_result(got, want):
+    for name in ("accesses", "l1_misses", "l2_misses", "l2_writebacks", "tlb_misses"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("fills", "row_hits", "row_misses", "writebacks", "banks_touched",
+                 "energy_nj"):
+        assert getattr(got.dram, name) == getattr(want.dram, name), name
+    assert np.array_equal(got.dram.per_bank_bytes, want.dram.per_bank_bytes)
+    assert np.array_equal(got.dram.open_rows, want.dram.open_rows)
+
+
+@given(
+    stepped_runs(),
+    st.lists(st.integers(0, 300), max_size=6),
+    st.integers(1, 4),
+    st.integers(16, 160),
+    st.none(),
+)
+# step 2 matches inside the kept prefix; with the residue taken from the
+# probe's end state instead of step 1's, the write-backs come out wrong
+@example(_step([11, 22, 10, 1, 11, 12, 26, 30, 11, 9, 9, 24, 1, 24, 10, 3, 16, 24],
+               [0] * 16 + [1, 0], 3, 96), [7, 12], 2, 16, "matched")
+# no match in the probe, one after it; with the dirty bits left out of the
+# compared state, an earlier false match
+@example(_step([4, 17, 20, 2, 8, 1, 11, 2, 13, 17, 8, 2, 13, 21, 22,
+                8, 17, 20, 22, 19, 3, 21, 10, 9, 13, 3, 5, 7, 3, 4],
+               [0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 0, 0,
+                1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1], 4, 96),
+          [5], 3, 22, "fallback")
+# no match at all: every access simulated
+@example(_step([9, 18, 3, 11, 3, 8, 0, 0, 8, 24, 3, 17, 23, 10, 22, 9, 14],
+               [0] * 17, 4, 32), [1, 2, 5], 2, 16, "full")
+# a step shorter than a chunk, replayed, its chunks straddling steps
+@example(_step([23, 5, 13, 19, 23, 8, 3, 4], [1] + [0] * 7, 2, 32), [], 3, 65, "full")
+# one step
+@example(_step([9, 18, 3, 11, 3, 8, 0, 0, 8, 24, 3, 17, 23, 10, 22, 9, 14],
+               [0] * 17, 4, 32), [1, 2, 5], 1, 16, "full")
+# short TLB-shaped steps, where only the TLB stops early: its C-th miss
+# (offset 3) past the step's first segment ...
+@example(_step([0, 1, 2, 3, 0, 4, 1], [0] * 7, 4), [2], 2, 8, "full")
+# ... in the segment step 1 ends in, with step 2's warm-up
+@example(_step([0, 0, 0, 1, 2, 3, 0, 4], [0] * 8, 4), [4], 3, 8, "full")
+# a step touches fewer than C pages: every later step hits
+@example(_step([0, 1, 0, 1, 2], [0] * 5, 4), [3], 3, 8, "full")
+@example(_step([0, 1, 1, 0, 2], [0] * 5, 1), [3], 4, 8, "full")
+@settings(max_examples=150, deadline=None)
+def test_stepped_chain_equals_the_repeated_stream(step, cuts, steps, chunk, path):
+    """``steps`` identical time steps through the stepped chain
+    (:func:`~repro.harness.simulate_steps`): the caches snapshotted
+    during step 1, step 2 probed from step 1's kept first chunk, what
+    repeats step 1 counted — every field equals the whole repeated
+    stream's simulated access by access (dirty write-backs, row hits,
+    bytes per bank, open rows and energy included), on both engines.
+    ``path`` pins how an example's step 2 ends."""
+    addresses, writes, entries = step
+    run = np.tile(addresses, steps), np.tile(writes, steps)
     for engine in ENGINES:
-        expected = int(simulate_cache(config, run, engine).sum())
-        got = MemoryHierarchy(machine).simulate_chunks(chunks, engine)
-        assert got.tlb_misses == expected, engine
+        got, took, counted = _stepped(step, cuts, steps, chunk, engine)
+        with patch.object(stream_module, "CHUNK_ACCESSES", chunk):
+            want = MemoryHierarchy(_step_machine(entries)).simulate(*run, engine)
+        _assert_same_result(got, want)
+        assert path is None or took == path, (engine, took)
+        # counted accesses are those of a match only
+        assert (counted > 0) == (took != "full")
 
 
 @given(access_streams(), st.integers(1, 40))

@@ -79,10 +79,6 @@ class TestAddressStream:
         # refs drop out when any part lacks them
         bare = AddressStream(np.arange(3, dtype=np.int64))
         assert AddressStream.concat([a, bare]).ref_ids is None
-        # step marks keep their offsets in the whole
-        marked = AddressStream.concat([b.starting_step(), a, bare.starting_step()])
-        assert marked.step_starts == (0, 17)
-        assert cat.step_starts == ()
 
     def test_meta_unit_validated(self):
         with pytest.raises(ValueError):

@@ -23,9 +23,12 @@ lint:
 # (refresh with `repro lint --static --all-apps --write-baseline
 # lint-baseline.json` when a change is intentional) and asserts that no
 # loop axis is left `unknown`; tests/static/test_coherence.py::
-# test_profile_matches_golden pins a coherence profile for every program.
+# test_profile_matches_golden pins a coherence profile for every program
+# (one row kind of tests/fences.json, the fence table every golden test
+# reads; `python tests/fences.py --check` recomputes it all).
 # --durations: every log ends with the slowest tests, the list ROADMAP's
-# "tier-1 under three minutes" item reads
+# tier-1 target (<= 70 s on a 2-vCPU box, its "Certification at trace
+# speed" item) reads
 test:
 	$(PYTHON) -m pytest -x -q -m "not slow" --durations=15
 

@@ -25,6 +25,7 @@ import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -247,12 +248,13 @@ def simulate_steps(
     (:meth:`~repro.memsim.hierarchy.HierarchyRun.result` counts it).  A
     step that fits in one chunk is simulated in full, its chunks
     straddling steps; only the TLB stops early.  A longer step 1 is
-    snapshotted at its chunk ends and at :func:`_offsets`; step 2 is
-    probed from step 1's first ``CHUNK_ACCESSES`` accesses
+    snapshotted at :func:`_offsets` and at its chunk ends, ever sparser
+    past the probe (:func:`_step_one`); step 2 is probed from step 1's
+    first ``CHUNK_ACCESSES`` accesses
     (:attr:`TimeSteps.kept`), the TLB over its warm-up only, and
     compared at each of those offsets it reaches.  Without a match
     there, step 2 is traced again, the probe's accesses skipped, and
-    compared at step 1's chunk ends; without one at all, every access
+    compared at step 1's kept chunk ends; without one at all, every access
     is simulated.  With a sink the stream is traced to its end and written
     all the same, and nothing more is simulated.
     """
@@ -276,19 +278,8 @@ def _repeat(
         for chunk, starts in chunks:
             run.feed(chunk.addresses, chunk.writes, starts)
         return None
-    marks, at = {}, 0
-    while True:  # step 1
-        lo = 0
-        for hi in [*(c - at for c in _offsets() if 0 < c - at < len(chunk)), len(chunk)]:
-            run.caches(chunk.addresses[lo:hi], chunk.writes[lo:hi])
-            marks[at + hi] = run.snapshot()
-            lo = hi
-        run.translate(chunk.addresses, starts)
-        at += len(chunk)
-        if at == source.length:
-            break
-        chunk, starts = next(chunks)
-    end = marks[at]
+    marks = _step_one(run, chain([(chunk, starts)], chunks), source)
+    end = marks[source.length]
 
     def repeats(offset: int) -> bool:
         return run.settled and run.snapshot().same_state(marks[offset])
@@ -316,6 +307,31 @@ def _repeat(
             if at in marks and repeats(at):  # marks end at step 2's end
                 return end, marks[at]
     return None
+
+
+def _step_one(run: HierarchyRun, chunks: Iterator, source: TimeSteps) -> dict:
+    """Feed step 1 of a long ``source`` to ``run``: its snapshots by
+    in-step offset.  Every offset up to ``CHUNK_ACCESSES``, the probe's,
+    is kept; past it a chunk end only at twice the last kept offset or
+    more, and the step's end: O(log2(L / ``CHUNK_ACCESSES``)) snapshots
+    for a step of L accesses.  States equal at one offset stay equal at
+    every later one, so a match at a dropped chunk end is found, with
+    the same counts, at the next kept one."""
+    marks, at, last = {}, 0, 0
+    for chunk, starts in chunks:
+        lo = 0
+        for hi in [*(c - at for c in _offsets() if 0 < c - at < len(chunk)), len(chunk)]:
+            run.caches(chunk.addresses[lo:hi], chunk.writes[lo:hi])
+            lo = hi
+            offset = at + hi
+            if (offset <= _stream.CHUNK_ACCESSES or offset >= 2 * last
+                    or offset == source.length):
+                marks[offset], last = run.snapshot(), offset
+        run.translate(chunk.addresses, starts)
+        at += len(chunk)
+        if at == source.length:
+            break
+    return marks
 
 
 def _joined(segments: list, lo: int, hi: int) -> tuple:

@@ -4,23 +4,20 @@ import numpy as np
 
 from repro.core import compile_variant
 from repro.interp import run_program
-from repro.lang import validate
-from repro.programs import APPLICATIONS
 
+import fences
 from conftest import build
 
 
 def test_sgi_keeps_top_level_structure():
-    p = validate(APPLICATIONS["swim"].build())
-    variant = compile_variant(p, "sgi")
+    variant = fences.compiled("swim", "sgi")
     # the SGI stand-in never fuses across top-level nests
-    assert len(variant.program.body) == len(p.body)
+    assert len(variant.program.body) == len(fences.source("swim").body)
 
 
 def test_sgi_pads_layout():
-    p = validate(APPLICATIONS["tomcatv"].build())
-    sgi = compile_variant(p, "sgi").layout({"N": 16})
-    noopt = compile_variant(p, "noopt").layout({"N": 16})
+    sgi = fences.compiled("tomcatv", "sgi").layout({"N": 16})
+    noopt = fences.compiled("tomcatv", "noopt").layout({"N": 16})
     assert sgi.total_elems > noopt.total_elems  # padding holes
     sgi.check_bijective()
 
@@ -65,9 +62,8 @@ def test_mckinley_fuses_only_identical_bounds():
 
 
 def test_mckinley_is_weaker_than_full_fusion():
-    p = validate(APPLICATIONS["swim"].build())
-    mck = compile_variant(p, "mckinley")
-    full = compile_variant(p, "fusion")
+    mck = fences.compiled("swim", "mckinley")
+    full = fences.compiled("swim", "fusion")
     mck_units = mck.fusion_report.levels[0].units_after
     full_units = full.fusion_report.levels[0].units_after
     assert full_units < mck_units

@@ -12,10 +12,11 @@ from repro.harness import (
     ratio,
     run,
 )
-from repro.core import compile_variant
 from repro.interp import trace_program
 from repro.lang import parse, validate
-from repro.programs.registry import MachineSpec, resolve_target
+from repro.programs.registry import MachineSpec
+
+import fences
 
 
 def test_machine_for_spec():
@@ -66,13 +67,12 @@ def test_run_application_small():
 
 
 def test_trace_for():
-    # run() measures the trace trace_program yields for the resolved target
-    target = resolve_target("adi", {"N": 17}, steps=1)
-    program = compile_variant(target.program, "noopt").program
-    trace = trace_program(program, target.params, steps=target.steps)
-    result = run(RunRequest("adi", params={"N": 17}, steps=1)).results[0]
+    # run() measures the trace trace_program yields for the variant
+    program, params = fences.compiled("adi", "noopt").program, {"N": 17}
+    trace = trace_program(program, params, steps=1)
+    result = run(RunRequest("adi", params=params, steps=1)).results[0]
     assert result.trace_length == len(trace) > 0
-    trace_i = trace_program(program, target.params, with_instr=True)
+    trace_i = trace_program(program, params, with_instr=True)
     assert trace_i.instr_ids is not None
 
 

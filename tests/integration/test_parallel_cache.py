@@ -28,6 +28,8 @@ from repro.programs import registry
 from repro.stream import AddressStream
 from repro.stream.io import read_stream_binary
 
+import fences
+
 SMALL = {"N": 40}
 
 
@@ -112,9 +114,7 @@ class TestTraceCache:
         assert info["traces"] == 1 and info["results"] == 2
 
     def test_layout_hash_invalidates_key(self, tmp_path):
-        entry = registry.get("adi")
-        program = validate(entry.build())
-        variant = compile_variant(program, "noopt")
+        variant = fences.compiled("adi", "noopt")
         layout = variant.layout(SMALL)
         cache = TraceCache(tmp_path)
         base_key = cache.trace_key(
@@ -133,13 +133,8 @@ class TestTraceCache:
         assert cache.load_trace(moved_key) is None
 
     def test_program_change_invalidates_key(self, tmp_path):
-        entry = registry.get("adi")
-        program = validate(entry.build())
         cache = TraceCache(tmp_path)
-        texts = [
-            str(compile_variant(program, level).program)
-            for level in ("noopt", "fusion")
-        ]
+        texts = [str(fences.compiled("adi", level).program) for level in ("noopt", "fusion")]
         keys = {cache.trace_key(t, SMALL, 1, "same-layout") for t in texts}
         assert len(keys) == 2
 

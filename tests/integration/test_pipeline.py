@@ -5,6 +5,8 @@ optimizations are *transparent* — outputs are bit-identical to the
 original program at every optimization level.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,24 +15,17 @@ from repro.interp import run_program
 from repro.lang import validate
 from repro.programs import APPLICATIONS
 
+import fences
 from conftest import resolve_slice
 
 SIZES = {"swim": 11, "tomcatv": 11, "adi": 11, "sp": 9}
 STEPS = 2
 
 
-@pytest.fixture(scope="module")
-def originals():
-    """Lazy per-app originals: deselected apps (sp in tier 1) never run."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            p = validate(APPLICATIONS[name].build())
-            cache[name] = (p, run_program(p, {"N": SIZES[name]}, steps=STEPS))
-        return cache[name]
-
-    return get
+@functools.cache
+def original(name):
+    """An app's output, lazily: deselected apps (sp in tier 1) never run."""
+    return run_program(fences.source(name), {"N": SIZES[name]}, steps=STEPS)
 
 
 # mini-SP's 3-D traces make it by far the slowest app here; the full
@@ -43,9 +38,9 @@ APP_PARAMS = [
 
 @pytest.mark.parametrize("level", OPT_LEVELS)
 @pytest.mark.parametrize("app", APP_PARAMS)
-def test_semantics_preserved(app, level, originals):
-    program, ref = originals(app)
-    variant = compile_variant(program, level)
+def test_semantics_preserved(app, level):
+    ref = original(app)
+    variant = fences.compiled(app, level)
     validate(variant.program)
     out = run_program(variant.program, {"N": SIZES[app]}, steps=STEPS)
     for name, data in ref.items():
@@ -63,9 +58,8 @@ def test_semantics_preserved(app, level, originals):
 def test_semantics_preserved_sp_smoke():
     """Tier-1 stand-in for the slow sp sweep: one size, the combined
     strategy (which exercises the full fusion + regrouping pipeline)."""
-    program = validate(APPLICATIONS["sp"].build())
-    ref = run_program(program, {"N": 8}, steps=1)
-    variant = compile_variant(program, "new")
+    ref = run_program(fences.source("sp"), {"N": 8}, steps=1)
+    variant = fences.compiled("sp", "new")
     validate(variant.program)
     out = run_program(variant.program, {"N": 8}, steps=1)
     for name, data in ref.items():
@@ -75,10 +69,8 @@ def test_semantics_preserved_sp_smoke():
 
 @pytest.mark.parametrize("app", sorted(APPLICATIONS))
 def test_layouts_bijective(app):
-    program = validate(APPLICATIONS[app].build())
     for level in ("noopt", "sgi", "new"):
-        variant = compile_variant(program, level)
-        variant.layout({"N": SIZES[app]}).check_bijective()
+        fences.compiled(app, level).layout({"N": SIZES[app]}).check_bijective()
 
 
 def test_new_reduces_l2_misses_on_adi():
@@ -109,8 +101,7 @@ def test_unknown_level_rejected():
 
 
 def test_stage_bookkeeping():
-    program = validate(APPLICATIONS["sp"].build())
-    variant = compile_variant(program, "new")
+    variant = fences.compiled("sp", "new")
     assert "preliminary" in variant.stages
     assert "fused" in variant.stages
     assert variant.stages["regrouped"]["merged_arrays"] < variant.stages[

@@ -2,44 +2,30 @@
 pre-refactor ``compile_variant``.
 
 The golden files under ``golden/pipelines/`` were generated by the
-historical if/else ``compile_variant`` (see ``golden_pipelines.py``,
-which regenerates them).  Every study program at every optimization
-level must fingerprint identically through the declarative
-:class:`~repro.core.pm.PipelineSpec` registry: same printed program,
-same stage checkpoints, same fusion report, same regrouping decision,
-same layout placements.
+historical if/else ``compile_variant``; they are the fence table's
+``pipeline`` kind (``tests/fences.py``, which rewrites them).  Every
+study program at every optimization level must fingerprint identically
+through the declarative :class:`~repro.core.pm.PipelineSpec` registry:
+same printed program, same stage checkpoints, same fusion report, same
+regrouping decision, same layout placements.
 """
 
 import pytest
 
-from golden_pipelines import (
-    GOLDEN_LEVELS,
-    GOLDEN_PARAMS,
-    compile_fingerprint,
-    golden_path,
-)
+import fences
 
-CASES = [
-    (name, level)
-    for name in sorted(GOLDEN_PARAMS)
-    for level in GOLDEN_LEVELS
-]
+CASES = list(fences.KINDS["pipeline"].rows)
 
 
 @pytest.mark.parametrize(
-    "name,level", CASES, ids=[f"{n}-{lv}" for n, lv in CASES]
+    "name,level", CASES, ids=[f"{fences.name(n)}-{lv}" for n, lv in CASES]
 )
 def test_variant_matches_golden(name, level):
-    path = golden_path(name, level)
-    assert path.exists(), (
-        f"missing golden {path}; regenerate with "
-        "'python tests/integration/golden_pipelines.py'"
-    )
-    assert compile_fingerprint(name, level) == path.read_text()
+    assert fences.value("pipeline", name, level) == fences.expected("pipeline", name, level)
 
 
 def test_goldens_cover_all_levels():
     from repro.core import OPT_LEVELS
 
-    assert set(GOLDEN_LEVELS) == set(OPT_LEVELS)
+    assert set(fences.LEVELS) == set(OPT_LEVELS)
     assert len(CASES) == 42  # 6 programs x 7 levels

@@ -70,7 +70,8 @@ def test_source_is_readable():
 # peel loops, split arrays, negative alignment shifts.  parse(print(p))
 # must reproduce the exact AST at every optimization level.
 
-from repro.core import OPT_LEVELS, compile_variant  # noqa: E402
+import fences  # noqa: E402
+from repro.core import OPT_LEVELS  # noqa: E402
 from repro.programs import registry  # noqa: E402
 
 ALL_BENCHMARKS = sorted(set(registry.APPLICATIONS) | set(registry.STUDY_PROGRAMS))
@@ -79,5 +80,5 @@ ALL_BENCHMARKS = sorted(set(registry.APPLICATIONS) | set(registry.STUDY_PROGRAMS
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 @pytest.mark.parametrize("level", OPT_LEVELS)
 def test_every_pass_output_round_trips(name, level):
-    p = compile_variant(registry.get(name).build(), level).program
+    p = fences.compiled(name, level).program
     assert validate(parse(to_source(p))) == p

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OPT_LEVELS, compile_variant
+from repro.core import OPT_LEVELS
 from repro.lang import (
     Affine,
     Assign,
@@ -20,8 +20,8 @@ from repro.lang import (
     map_exprs,
     parse,
 )
-from repro.programs import resolve_target
 
+import fences
 from conftest import build
 
 
@@ -148,9 +148,8 @@ def test_map_exprs_keeps_scalar_targets_and_guard_intervals():
 @pytest.mark.parametrize("name", ["adi", "fft", "sp", "sweep3d", "swim", "tomcatv"])
 def test_identity_map_rebuilds_every_variant_equal(name):
     """The 42 program x level variants survive an identity rebuild."""
-    program = resolve_target(name, {"n": 16} if name == "fft" else None).program
     for level in OPT_LEVELS:
-        compiled = compile_variant(program, level).program
+        compiled = fences.compiled("fft16" if name == "fft" else name, level).program
         rebuilt = compiled.with_body(
             tuple(map_exprs(s, lambda e: e) for s in compiled.body)
         )

@@ -177,16 +177,14 @@ def test_adi_profile_matches_reference_simulator_at_every_capacity():
     """The ledger's oracle at a size tier-1 can afford: on a
     fully-associative one-element-line LRU cache the misses at capacity C
     are the cold accesses plus the reuses at distance >= C."""
+    import fences
     from repro.codegen import trace_program
-    from repro.core import compile_variant
     from repro.memsim import CacheConfig, simulate_cache
     from repro.memsim.geometry import ELEM_BYTES
-    from repro.programs import registry
     from repro.stream import AddressStream
 
-    entry = registry.get("adi")
-    variant = compile_variant(entry.build(), "noopt")
-    trace = trace_program(variant.program, {"N": 24}, steps=entry.steps)
+    variant = fences.compiled("adi", "noopt")
+    trace = trace_program(variant.program, {"N": 24}, steps=fences.steps("adi"))
     keys = np.asarray(AddressStream.from_trace(trace))
     d = reuse_distances(keys)
     cold = len(np.unique(keys))

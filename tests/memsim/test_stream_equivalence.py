@@ -4,7 +4,8 @@
 stream, L2 over the L1 misses (with write-back accounting), TLB over the
 full stream at page granularity, DRAM over the L2 fill stream.  It must
 reproduce that chain, stated literally below with one call per level,
-*exactly*, for both cache engines, on hypothesis-generated affine nests,
+*exactly*, for both cache engines, on the random affine nests the codegen
+suite fuzzes with (``conftest.random_programs``),
 so a regression in the loop — e.g. filtering by a mask of the wrong
 stream — cannot hide behind the 42 pinned golden variants.
 """
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core import compile_variant
 from repro.interp import trace_program as interp_trace
-from repro.lang import parse, validate
 from repro.memsim import (
     ENGINES,
     octane,
@@ -31,64 +31,12 @@ from repro.memsim import (
 from repro.obs import SpanCollector
 from repro.stream import AddressStream
 
+from conftest import random_programs
+
 PARAMS = {"N": 9}
 #: shrunk so N=9 nests actually stress every level (4 L1 lines, 32 L2
 #: lines, 4 TLB entries)
 MACHINE = octane().scaled(1 / 256)
-
-
-@st.composite
-def subscript(draw, indices):
-    idx = draw(st.sampled_from(indices))
-    offset = draw(st.integers(0, 3))
-    return f"{idx} + {offset}" if offset else idx
-
-
-@st.composite
-def assignment(draw, indices):
-    arr = draw(st.sampled_from(["A", "B", "C"]))
-    if arr == "C":
-        target = f"C[{draw(subscript(indices))}, {draw(subscript(indices))}]"
-    else:
-        target = f"{arr}[{draw(subscript(indices))}]"
-    src = draw(st.sampled_from(["A", "B", "C"]))
-    if src == "C":
-        value = f"C[{draw(subscript(indices))}, {draw(subscript(indices))}]"
-    else:
-        value = f"{src}[{draw(subscript(indices))}]"
-    return f"{target} = f({value})"
-
-
-@st.composite
-def nest(draw):
-    lines = []
-    lo = draw(st.integers(1, 2))
-    hi = draw(st.sampled_from(["N", "N - 1", "N + 1"]))
-    lines.append(f"for i = {lo}, {hi} {{")
-    indices = ["i"]
-    if draw(st.booleans()):
-        jlo, jhi = draw(
-            st.sampled_from([("1", "N"), ("1", "i"), ("i", "N"), ("2", "i")])
-        )
-        lines.append(f"  for j = {jlo}, {jhi} {{")
-        indices = ["i", "j"]
-    for _ in range(draw(st.integers(1, 3))):
-        lines.append("    " + draw(assignment(indices)))
-    if len(indices) == 2:
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-@st.composite
-def random_programs(draw):
-    nests = [draw(nest()) for _ in range(draw(st.integers(1, 3)))]
-    source = (
-        "program rand\n"
-        "param N\n"
-        "real A[N + 4], B[N + 4], C[N + 4, N + 4]\n" + "\n".join(nests)
-    )
-    return validate(parse(source))
 
 
 def _traced(program):

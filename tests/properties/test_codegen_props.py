@@ -29,96 +29,9 @@ from repro.interp import trace_program as interp_trace
 from repro.lang import parse, validate
 from repro.stream import AddressStream
 
+from conftest import random_programs
+
 PARAMS = {"N": 9}
-
-
-@st.composite
-def subscript(draw, indices):
-    """An affine subscript guaranteed in [1, N+4] for 1 <= idx <= N+1."""
-    idx = draw(st.sampled_from(indices))
-    offset = draw(st.integers(0, 3))
-    return f"{idx} + {offset}" if offset else idx
-
-
-@st.composite
-def rvalue(draw, indices, depth=0):
-    arrays_1d = ["A", "B"]
-    kind = draw(st.sampled_from(
-        ["ref", "ref", "const", "call", "binop"] if depth < 2 else
-        ["ref", "const"]
-    ))
-    if kind == "ref":
-        arr = draw(st.sampled_from(arrays_1d + ["C", "C+"]))
-        if arr == "C+":
-            # out of range in its first dimension, in range as a flat
-            # element: C[N+5, j] is C[1, j+1]
-            return f"C[N + 5, {draw(st.sampled_from(indices))}]"
-        if arr == "C":
-            return (
-                f"C[{draw(subscript(indices))}, {draw(subscript(indices))}]"
-            )
-        return f"{arr}[{draw(subscript(indices))}]"
-    if kind == "const":
-        return str(draw(st.sampled_from(["0.5", "1.0", "2.0", "3.0"])))
-    if kind == "call":
-        fn = draw(st.sampled_from(["f", "g", "sqrt", "abs", "sin"]))
-        return f"{fn}({draw(rvalue(indices, depth + 1))})"
-    op = draw(st.sampled_from(["+", "-", "*"]))
-    left = draw(rvalue(indices, depth + 1))
-    right = draw(rvalue(indices, depth + 1))
-    return f"({left} {op} {right})"
-
-
-@st.composite
-def assignment(draw, indices):
-    arr = draw(st.sampled_from(["A", "B", "C"]))
-    if arr == "C":
-        target = f"C[{draw(subscript(indices))}, {draw(subscript(indices))}]"
-    else:
-        target = f"{arr}[{draw(subscript(indices))}]"
-    return f"{target} = {draw(rvalue(indices))}"
-
-
-@st.composite
-def nest(draw):
-    lines = []
-    lo = draw(st.integers(1, 2))
-    hi = draw(st.sampled_from(["N", "N - 1", "N + 1"]))
-    lines.append(f"for i = {lo}, {hi} {{")
-    indices = ["i"]
-    inner = draw(st.booleans())
-    if inner:
-        jlo, jhi = draw(st.sampled_from(
-            [("1", "N"), ("1", "i"), ("i", "N"), ("2", "i")]
-        ))
-        lines.append(f"  for j = {jlo}, {jhi} {{")
-        indices = ["i", "j"]
-    guarded = draw(st.booleans())
-    if guarded:
-        gidx = draw(st.sampled_from(indices))
-        glo = draw(st.sampled_from(["1", "2", "3"]))
-        ghi = draw(st.sampled_from(["N", "N - 1", "N - 2"]))
-        lines.append(f"    when {gidx} in [{glo}:{ghi}] {{")
-    for _ in range(draw(st.integers(1, 3))):
-        lines.append("      " + draw(assignment(indices)))
-    if guarded:
-        lines.append("    }")
-    if inner:
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-@st.composite
-def random_programs(draw):
-    nests = [draw(nest()) for _ in range(draw(st.integers(1, 3)))]
-    source = (
-        "program rand\n"
-        "param N\n"
-        "real A[N + 4], B[N + 4], C[N + 4, N + 4]\n"
-        + "\n".join(nests)
-    )
-    return validate(parse(source))
 
 
 @given(random_programs())

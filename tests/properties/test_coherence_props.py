@@ -24,16 +24,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang import parse, validate
 from repro.static import analyze_coherence, analyze_parallelism
+
+from conftest import build
 
 LINE_ELEMS = 4  # 32-byte lines of 8-byte elements
 
 SHIFT = st.integers(-1, 1)
-
-
-def build(source: str):
-    return validate(parse(source))
 
 
 @st.composite

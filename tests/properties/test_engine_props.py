@@ -23,6 +23,7 @@ of identical time steps through the stepped chain, which simulates step
 the rest, gives every count the whole repeated stream gives.
 """
 
+import math
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro import stream as stream_module
 from repro.harness import TimeSteps, simulate_steps
+from repro.harness.experiment import _step_one
 from repro.locality import reuse_distances
 from repro.locality.reuse_distance import miss_count
 from repro.memsim import DRAMConfig, MemoryHierarchy, octane, scaled_machine
@@ -344,6 +346,14 @@ def _assert_same_result(got, want):
                [0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 0, 0,
                 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1], 4, 96),
           [5], 3, 22, "fallback")
+# no match in the probe; the first equal state at chunk end 29, where
+# step 1 keeps no snapshot (past the probe's 18 accesses only chunk ends
+# at twice the last kept offset or more are kept): step 2 matches at 41
+@example(_step([9, 3, 8, 3, 4, 2, 4, 2, 9, 5, 5, 4, 9, 3, 2, 1, 2, 9, 8, 7, 0, 1, 1, 8, 0,
+                5, 5, 7, 6, 4, 8, 3, 6, 9, 9, 6, 5, 10, 7, 6, 8, 8, 9, 3, 0, 1, 6, 10, 8, 6],
+               [1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1,
+                0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 0], 3, 32),
+          [21, 23, 26, 28, 29, 41], 2, 18, "fallback")
 # no match at all: every access simulated
 @example(_step([9, 18, 3, 11, 3, 8, 0, 0, 8, 24, 3, 17, 23, 10, 22, 9, 14],
                [0] * 17, 4, 32), [1, 2, 5], 2, 16, "full")
@@ -379,6 +389,24 @@ def test_stepped_chain_equals_the_repeated_stream(step, cuts, steps, chunk, path
         assert path is None or took == path, (engine, took)
         # counted accesses are those of a match only
         assert (counted > 0) == (took != "full")
+
+
+def test_a_long_step_keeps_logarithmically_many_snapshots():
+    """Step 1 of L accesses in chunks of C keeps O(log2(L / C))
+    snapshots: the probe's offsets up to C, then chunk ends each at least
+    twice the last kept, and the step's end."""
+    chunk = 16
+    for length in (chunk * 2**k for k in range(1, 11)):
+        segments = [
+            AddressStream(np.arange(8, dtype=np.int64) * 64 + 512 * k, np.zeros(8, dtype=bool))
+            for k in range(length // 8)
+        ]
+        source = TimeSteps(lambda segments=segments: segments, 2)
+        with patch.object(stream_module, "CHUNK_ACCESSES", chunk):
+            run = MemoryHierarchy(_step_machine(4)).start()
+            marks = _step_one(run, iter(source), source)
+        assert max(marks) == length
+        assert len(marks) <= 6 + math.log2(length / chunk), sorted(marks)
 
 
 @given(access_streams(), st.integers(1, 40))

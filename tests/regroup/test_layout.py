@@ -9,6 +9,7 @@ from repro.interp import trace_program
 from repro.interp.trace import AccessTrace
 from repro.lang import SimulationError
 
+import fences
 from conftest import build
 
 
@@ -168,16 +169,9 @@ REGISTRY_SIZES = {"adi": 9, "sp": 7, "sweep3d": 6, "swim": 9, "tomcatv": 9}
 @pytest.mark.parametrize("name", sorted(REGISTRY_SIZES) + ["fft"])
 def test_addresses_match_scalar_decode_on_registry_layouts(name, level):
     from repro.codegen import trace_program as codegen_trace
-    from repro.core import compile_variant
-    from repro.lang import validate
-    from repro.programs import build_fft, registry
 
-    if name == "fft":
-        program, params = validate(build_fft(16)), {}
-    else:
-        program = validate(registry.get(name).build())
-        params = {"N": REGISTRY_SIZES[name]}
-    variant = compile_variant(program, level)
+    params = {"N": REGISTRY_SIZES[name]} if name in REGISTRY_SIZES else {}
+    variant = fences.compiled("fft16" if name == "fft" else name, level)
     layout = variant.layout(params)
     trace = codegen_trace(variant.program, params, steps=1)
     assert len(trace)
@@ -187,13 +181,8 @@ def test_addresses_match_scalar_decode_on_registry_layouts(name, level):
 
 
 def test_regrouping_leaves_a_stride_break_only_where_columns_interleave():
-    from repro.core import compile_variant
-    from repro.lang import validate
-    from repro.programs import registry
-
     def divmods(name, level):
-        program = validate(registry.get(name).build())
-        variant = compile_variant(program, level)
+        variant = fences.compiled(name, level)
         layout = variant.layout({"N": 9})
         return layout.divmods([d.name for d in variant.program.arrays])
 

@@ -14,10 +14,10 @@ Two hand-built kernels carry the acceptance contract:
 The analyzer runs the shared interleaver and the shared MSI automaton,
 so there is no second implementation to cross-validate against here.
 Behaviour is pinned instead: literal per-thread counts on the synthetics
-and ``golden_coherence_profiles.json`` — full ``as_dict()`` payloads,
-true/false split and witness bindings included, of the six benchmark
-programs — generated at commit 5b2876e, before the analyzer moved onto
-the shared enumerator.  (When the array screens were deleted the
+and the fence table's ``coherence`` kind (``tests/fences.py``) — full
+``as_dict()`` payloads, true/false split and witness bindings included,
+of the six benchmark programs at ``noopt`` — generated at commit
+5b2876e, before the analyzer moved onto the shared enumerator.  (When the array screens were deleted the
 ``screened_out`` lists became exact — five configurations gained names —
 and the three ``dynamic`` entries were regenerated: the hull screen
 ignored that schedule's per-invocation rotation and had left 504 of
@@ -28,20 +28,19 @@ merge and set-based MSI) lives in ``tests/properties/test_coherence_props.py``.
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from repro.lang import parse, validate
 from repro.lang.errors import AnalysisError
 from repro.memsim.geometry import ELEM_BYTES, L1_LINE_BYTES
 from repro.obs import metrics
-from repro.programs import registry
 from repro.static import analyze_coherence, coherence
 from repro.verify import lint_coherence
+
+import fences
+from conftest import build
 
 LINE_ELEMS = L1_LINE_BYTES // ELEM_BYTES  # 4 elements per line
 
@@ -77,10 +76,6 @@ for i = 1, N {
   }
 }
 """
-
-
-def build(source: str):
-    return validate(parse(source))
 
 
 # -- false sharing: the unpadded column sweep ----------------------------------
@@ -256,31 +251,16 @@ def test_rowcol_matches_oracle_exactly(schedule):
 
 # -- the six benchmark programs: golden profiles --------------------------------
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "golden_coherence_profiles.json").read_text()
-)
 
-
-def benchmark_profile(name, params, schedule="static", threads=4):
-    if name == "fft":  # size baked in at build time
-        program, steps = registry.build_fft(64), 1
-    else:
-        entry = registry.get(name)
-        program, steps = entry.build(), entry.steps
-    return analyze_coherence(
-        program, params, threads=threads, schedule=schedule, steps=steps
-    )
-
-
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_profile_matches_golden(case):
+@pytest.mark.parametrize("name, case", [
+    pytest.param(name, case, id=f"{fences.name(name)}-{case}")
+    for name, _ in fences.KINDS["coherence"].rows
+    for case in fences.COHERENCE_CASES
+])
+def test_profile_matches_golden(name, case):
     # every field, witnesses included, bit for bit
-    name, schedule, threads = case.split("-")
-    golden = GOLDEN[case]
-    prof = benchmark_profile(
-        name, golden["params"] or None, schedule, int(threads)
-    )
-    assert prof.as_dict() == golden
+    prof = fences.coherence_profile(name, case)
+    assert prof.as_dict() == fences.expected("coherence", name, "noopt", case)
     # every invalidation miss is classified, whatever the schedule
     assert (
         prof.true_invalidations + prof.false_invalidations
@@ -292,13 +272,13 @@ def test_adi_shares_truly_not_falsely():
     # adi's nests partition alternating axes: threads exchange whole
     # rows/columns of elements, so its sharing is dominated by true
     # sharing (this is what R521 reports on adi in the baseline)
-    prof = benchmark_profile("adi", {"N": 16})
+    prof = fences.coherence_profile("adi")
     assert prof.total_invalidations > 0
     assert prof.true_invalidations > prof.false_invalidations
 
 
 def test_sweep3d_serial_program_never_invalidates():
-    prof = benchmark_profile("sweep3d", {"N": 10})
+    prof = fences.coherence_profile("sweep3d")
     assert prof.parallel_nests == ()
     assert prof.total_invalidations == 0
 

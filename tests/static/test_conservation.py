@@ -24,11 +24,10 @@ gives the classes measured wrong.
 
 import numpy as np
 import pytest
+import fences
 from conftest import build
 
-from repro.core import PIPELINES, PassManager
 from repro.interp import trace_program
-from repro.programs import registry
 from repro.static import analyze_program
 
 REVERSAL = """
@@ -70,10 +69,6 @@ for i = 1, N {
 """
 
 
-def _adi_mckinley():
-    return PassManager(registry.get("adi").build()).run(PIPELINES["mckinley"]).program
-
-
 #: probe -> (program, size); measured failures at these sizes: reversal,
 #: both classes all-exact with cold 24 against 12 first touches each;
 #: transpose, ``C[j, i]`` exact with cold 576 against 300; the guarded
@@ -83,7 +78,7 @@ PROBES = {
     "reversal": (lambda: build(REVERSAL), {"N": 24}),
     "transpose": (lambda: build(TRANSPOSE), {"N": 24}),
     "guarded-triangle": (lambda: build(GUARDED_TRIANGLE), {"N": 8}),
-    "adi-mckinley": (_adi_mckinley, {"N": 16}),
+    "adi-mckinley": (lambda: fences.compiled("adi", "mckinley").program, {"N": 16}),
 }
 
 
@@ -107,31 +102,25 @@ def _measured_wrong(counts):
     )
 
 
-#: registry program -> (program at ``noopt``, size, marks)
+#: registry program (fft at n=16) -> (size, marks), analyzed at ``noopt``
 NOOPT = {
-    "adi": (registry.get("adi").build, {"N": 16}, _measured_wrong(
-        "5 negative classes")),
-    "fft": (lambda: registry.build_fft(16), {"n": 16}, _measured_wrong(
-        "4 negative classes")),
-    "sp": (registry.get("sp").build, {"N": 8}, _measured_wrong(
-        "30 negative classes")),
-    "sweep3d": (registry.get("sweep3d").build, {"N": 8}, _measured_wrong(
+    "adi": ({"N": 16}, _measured_wrong("5 negative classes")),
+    "fft": ({"n": 16}, _measured_wrong("4 negative classes")),
+    "sp": ({"N": 8}, _measured_wrong("30 negative classes")),
+    "sweep3d": ({"N": 8}, _measured_wrong(
         "18 negative classes and 3 all-exact classes that disagree with "
         "the trace")),
-    "swim": (registry.get("swim").build, {"N": 16}, _measured_wrong(
-        "5 negative classes")),
-    "tomcatv": (registry.get("tomcatv").build, {"N": 16}, ()),
+    "swim": ({"N": 16}, _measured_wrong("5 negative classes")),
+    "tomcatv": ({"N": 16}, ()),
 }
 
 
 @pytest.mark.parametrize(
-    "name",
-    [pytest.param(name, marks=marks) for name, (_, _, marks) in sorted(NOOPT.items())],
+    "name", [pytest.param(name, marks=marks) for name, (_, marks) in sorted(NOOPT.items())]
 )
 def test_registry_classes_conserve_at_noopt(name):
-    build_program, params, _ = NOOPT[name]
-    program = PassManager(build_program()).run(PIPELINES["noopt"]).program
-    _check_classes(name, program, params)
+    program = fences.compiled("fft16" if name == "fft" else name, "noopt").program
+    _check_classes(name, program, NOOPT[name][0])
 
 
 def test_a_uniform_copy_conserves():

@@ -7,10 +7,9 @@ Covers the acceptance contract of the analyzer itself:
   every serial verdict carries a concrete witness pair, and every
   witness names two real iterations (every loop bound and guard around
   each reference holds) whose in-bounds accesses meet on one element;
-* every variant's whole profile is pinned by digest in
-  ``golden_parallelism.json`` (tier-1 sizes here, fig-10-scale sizes in
-  a ``slow`` twin); ``PYTHONPATH=src python tests/static/test_parallelism.py``
-  rewrites it — only for an intended change, listed in the commit;
+* every variant's whole profile is pinned by digest in the fence
+  table's ``parallelism`` kind (``tests/fences.py``; tier-1 sizes here,
+  fig-10-scale sizes in a ``slow`` twin);
 * the fig-10 verdict counts and race witnesses for adi / swim / tomcatv
   are pinned at both ``noopt`` and ``fusion``;
 * reductions are recognized (and reported via R503);
@@ -20,69 +19,19 @@ Covers the acceptance contract of the analyzer itself:
 
 from __future__ import annotations
 
-import hashlib
-import json
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "integration"))
-
-from golden_pipelines import (  # noqa: E402
-    GOLDEN_LEVELS,
-    build_golden_program,
-    reset_fusion_uids,
-)
-
-from repro.core import compile_variant
-from repro.lang import ArrayRef, Assign, Guard, Loop, ScalarRef, parse, validate
+from repro.lang import ArrayRef, Assign, Guard, Loop, ScalarRef
 from repro.lang.scope import index_intervals
 from repro.obs import metrics
 from repro.static import analyze_parallelism
 from repro.static import parallelism as parallelism_module
 from repro.verify import doall_preservation_check, lint_races
 
-#: the tier-1 sizes (sp's N=7 leaves nest 39's ``for k = 7, N - 1`` empty)
-SMALL_PARAMS = {
-    "adi": {"N": 8},
-    "fft": {},
-    "sp": {"N": 7},
-    "sweep3d": {"N": 6},
-    "swim": {"N": 8},
-    "tomcatv": {"N": 8},
-}
+import fences
+from conftest import build
 
-#: fig-10-scale sizes, pinned in a ``slow`` twin
-LARGE_PARAMS = {
-    "adi": {"N": 64},
-    "fft": {},
-    "sp": {"N": 12},
-    "sweep3d": {"N": 12},
-    "swim": {"N": 64},
-    "tomcatv": {"N": 64},
-}
-
-GOLDEN = Path(__file__).with_name("golden_parallelism.json")
-
-
-def build(source: str):
-    return validate(parse(source))
-
-
-def compiled(name: str, level: str):
-    program = build_golden_program(name)
-    reset_fusion_uids()
-    return compile_variant(program, level).program
-
-
-def profile_digest(profile) -> str:
-    text = json.dumps(profile.as_dict(), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def golden_digests(tier: str) -> dict[str, str]:
-    return json.loads(GOLDEN.read_text())[tier]
+KIND = fences.KINDS["parallelism"]
 
 
 def count_loops(stmts) -> int:
@@ -174,15 +123,16 @@ def inexact_count() -> int:
     return metrics.snapshot()["counters"].get("analysis.parallelism.inexact", 0)
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
-def test_every_axis_of_every_level_gets_a_verdict(name):
-    params = SMALL_PARAMS[name]
-    golden = golden_digests("small")
+def assert_every_level_matches_the_fences(name: str, tier: int) -> None:
+    """Every level of ``name`` at its ``tier``-th parallelism size: a
+    definitive, exact verdict per loop axis, a witness per serial one,
+    witnesses that collide in bounds, and the fence table's digest."""
     inexact = inexact_count()
-    for level in GOLDEN_LEVELS:
-        program = compiled(name, level)
-        profile = analyze_parallelism(program, params)
-        where = f"{name}/{level}"
+    for level in fences.LEVELS:
+        program = fences.compiled(name, level).program
+        sub = KIND.rows[name, level][tier]
+        profile = analyze_parallelism(program, fences.at(sub))
+        where = f"{name}/{level}@{sub}"
         assert len(profile.verdicts) == count_loops(program.body), (
             f"{where}: some loop axis got no verdict"
         )
@@ -195,29 +145,21 @@ def test_every_axis_of_every_level_gets_a_verdict(name):
                     f"{where}: serial axis {v.index!r} has no witness"
                 )
         assert_exact_witnesses_collide_in_bounds(program, profile, where)
-        assert profile_digest(profile) == golden[where], (
-            f"{where}: profile differs from golden_parallelism.json"
-        )
+        assert fences.digest(profile.as_dict()) == fences.expected(
+            "parallelism", name, level, sub
+        ), f"{where}: profile differs from the fence table"
     assert inexact_count() == inexact, "analysis.parallelism.inexact moved"
+
+
+@pytest.mark.parametrize("name", fences.AT_FFT16, ids=fences.name)
+def test_every_axis_of_every_level_gets_a_verdict(name):
+    assert_every_level_matches_the_fences(name, 0)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", sorted(LARGE_PARAMS))
+@pytest.mark.parametrize("name", fences.AT_FFT16, ids=fences.name)
 def test_profiles_match_golden_at_fig10_scale(name):
-    golden = golden_digests("large")
-    inexact = inexact_count()
-    for level in GOLDEN_LEVELS:
-        program = compiled(name, level)
-        profile = analyze_parallelism(program, LARGE_PARAMS[name])
-        where = f"{name}/{level}"
-        assert all(v.exact for v in profile.verdicts), (
-            f"{where}: inexact axes {[v.path for v in profile.verdicts if not v.exact]}"
-        )
-        assert_exact_witnesses_collide_in_bounds(program, profile, where)
-        assert profile_digest(profile) == golden[where], (
-            f"{where}: profile differs from golden_parallelism.json"
-        )
-    assert inexact_count() == inexact, "analysis.parallelism.inexact moved"
+    assert_every_level_matches_the_fences(name, -1)
 
 
 def assert_witness_well_formed(v):
@@ -234,7 +176,7 @@ def assert_witness_well_formed(v):
 
 
 def test_adi_noopt_verdicts_pinned():
-    profile = analyze_parallelism(build_golden_program("adi"), {"N": 11})
+    profile = analyze_parallelism(fences.source("adi"), {"N": 11})
     assert profile.counts() == {
         "doall": 6, "reduction": 0, "serial": 4, "unknown": 0,
     }
@@ -255,7 +197,7 @@ def test_adi_noopt_verdicts_pinned():
 
 
 def test_swim_noopt_all_doall():
-    profile = analyze_parallelism(build_golden_program("swim"), {"N": 11})
+    profile = analyze_parallelism(fences.source("swim"), {"N": 11})
     assert profile.counts() == {
         "doall": 12, "reduction": 0, "serial": 0, "unknown": 0,
     }
@@ -263,7 +205,7 @@ def test_swim_noopt_all_doall():
 
 
 def test_tomcatv_noopt_verdicts_pinned():
-    profile = analyze_parallelism(build_golden_program("tomcatv"), {"N": 11})
+    profile = analyze_parallelism(fences.source("tomcatv"), {"N": 11})
     counts = profile.counts()
     assert counts["serial"] == 2 and counts["unknown"] == 0
     serial = {
@@ -303,8 +245,8 @@ def test_sibling_loops_sharing_an_index_name_keep_their_own_ranges(n):
 
 
 def test_adi_fusion_loses_parallel_outer_axes():
-    before = build_golden_program("adi")
-    after = compiled("adi", "fusion")
+    before = fences.source("adi")
+    after = fences.compiled("adi", "fusion").program
     p_before = analyze_parallelism(before, {"N": 11})
     p_after = analyze_parallelism(after, {"N": 11})
     assert len(p_before.parallel_nests()) == 6
@@ -316,8 +258,8 @@ def test_adi_fusion_loses_parallel_outer_axes():
 
 
 def test_swim_fusion_preserves_parallel_outer_axes():
-    before = build_golden_program("swim")
-    after = compiled("swim", "fusion")
+    before = fences.source("swim")
+    after = fences.compiled("swim", "fusion").program
     p_before = analyze_parallelism(before, {"N": 11})
     p_after = analyze_parallelism(after, {"N": 11})
     # swim's stencils fuse without serializing: the parallel-nest count
@@ -561,7 +503,7 @@ def test_array_accumulation_is_a_reduction():
 
 
 def test_lint_races_reports_adi_recurrences():
-    bag = lint_races(build_golden_program("adi"), {"N": 11})
+    bag = lint_races(fences.source("adi"), {"N": 11})
     r501 = [d for d in bag if d.code == "R501"]
     assert len(r501) == 4
     for d in r501:
@@ -641,28 +583,9 @@ def test_doall_preservation_clean_when_axes_survive():
 
 
 def test_adi_fusion_fires_r510_with_witnesses():
-    before = build_golden_program("adi")
-    after = compiled("adi", "fusion")
+    before = fences.source("adi")
+    after = fences.compiled("adi", "fusion").program
     bag = doall_preservation_check(before, after, "fuse-adi", {"N": 11})
     r510 = [d for d in bag if d.code == "R510"]
     assert r510, "adi fusion serializes outer axes and must be reported"
     assert any("of 6 parallel outer axes" in d.message for d in r510)
-
-
-def write_golden() -> None:
-    """Rewrite ``golden_parallelism.json`` from the current analyzer."""
-    golden = {
-        tier: {
-            f"{name}/{level}": profile_digest(
-                analyze_parallelism(compiled(name, level), sizes[name])
-            )
-            for name in sorted(sizes)
-            for level in GOLDEN_LEVELS
-        }
-        for tier, sizes in (("small", SMALL_PARAMS), ("large", LARGE_PARAMS))
-    }
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":
-    write_golden()

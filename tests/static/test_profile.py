@@ -10,13 +10,14 @@ stay put).
 import pytest
 
 from repro.codegen import trace_program
-from repro.core import OPT_LEVELS, compile_variant
+from repro.core import OPT_LEVELS
 from repro.locality import classify_evadable_stats
 from repro.obs import snapshot
 from repro.programs import registry
 from repro.static import Regions, analyze_program
 from repro.static.reuse import MEMOS
 
+import fences
 from conftest import build
 
 SRC = """
@@ -130,7 +131,7 @@ def test_attribution_reports_its_work_once_per_model():
     from one model to the next."""
     from repro.obs import SpanCollector
 
-    program = compile_variant(registry.get("adi").build(), "fusion").program
+    program = fences.compiled("adi", "fusion").program
     before = snapshot()["counters"]
     with SpanCollector() as collector:
         profile = analyze_program(program)
@@ -209,8 +210,7 @@ def test_hull_memo_changes_no_number(name, level, monkeypatch):
     of an analysis that recomputes every answer: every memo of
     :class:`~repro.static.regions.Regions` (hulls, comparisons, region
     operations, windows, exec counts) switched off at its one lookup."""
-    source = registry.build_fft(64) if name == "fft" else registry.get(name).build()
-    program = compile_variant(source, level).program
+    program = fences.compiled("fft64" if name == "fft" else name, level).program
     sizes = [{}] if name == "fft" else [{"N": 24}, {"N": 61}]
 
     def numbers(profile):

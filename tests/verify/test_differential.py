@@ -8,10 +8,8 @@ the dynamic counterpart of the static legality certificates.
 import numpy as np
 import pytest
 
+import fences
 from conftest import resolve_slice
-
-from repro.core import compile_variant
-from repro.programs import registry
 
 APPS = ("adi", "swim", "tomcatv")
 LEVELS = ("fusion1", "fusion", "new")
@@ -42,10 +40,8 @@ def _compare(reference, variant_program, params, steps):
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("app", APPS)
 def test_variants_bit_identical(app, level):
-    bench = registry.get(app)
-    original = bench.build()
-    variant = compile_variant(original, level).program
-    steps = min(bench.steps, 2)
+    original, variant = fences.source(app), fences.compiled(app, level).program
+    steps = min(fences.steps(app), 2)
     for n in SMALL_SIZES:
         params = {name: n for name in original.params}
         reference = _outputs(original, params, steps)
@@ -55,9 +51,7 @@ def test_variants_bit_identical(app, level):
 @pytest.mark.parametrize("app", APPS)
 def test_multiple_steps_stay_identical(app):
     # cross-step dependences: two body repetitions, fused vs original
-    bench = registry.get(app)
-    original = bench.build()
-    variant = compile_variant(original, "fusion").program
+    original, variant = fences.source(app), fences.compiled(app, "fusion").program
     params = {name: 8 for name in original.params}
     reference = _outputs(original, params, steps=3)
     _compare(reference, variant, params, steps=3)

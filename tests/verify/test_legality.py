@@ -13,7 +13,6 @@ from repro.cli import main
 from repro.core import compile_pipeline, compile_variant
 from repro.core.pm import PASSES
 from repro.core.fusion import fuse_program
-from repro.lang import parse, validate
 from repro.programs import registry
 from repro.verify import (
     PassLegalityError,
@@ -24,11 +23,9 @@ from repro.verify import (
 )
 from repro.verify.diagnostics import MAX_PER_CODE
 
+from conftest import build
+
 ALL_BENCHMARKS = sorted(set(registry.APPLICATIONS) | set(registry.STUDY_PROGRAMS))
-
-
-def build(source: str):
-    return validate(parse(source))
 
 
 # -- the real pipeline is legal ----------------------------------------------
